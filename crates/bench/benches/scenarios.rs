@@ -4,9 +4,10 @@
 //! and the built-in `xp` scenario specs.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dcn_scenarios::{run_trace_entry, trace_entries, ScenarioSpec, TraceScenario, TraceSpec};
+use dcn_scenarios::{
+    run_point, run_trace_entry, trace_entries, Algo, Scale, ScenarioSpec, TraceScenario, TraceSpec,
+};
 use fluid_model::{phase_portrait, FluidParams, Law};
-use powertcp_bench::{run_fct_experiment, Algo, Scale};
 use std::hint::black_box;
 
 /// A small timeseries spec for benchmarking one trace entry.
@@ -67,8 +68,9 @@ fn bench_scenarios(c: &mut Criterion) {
     });
 
     group.bench_function("fig6_fct_tiny_powertcp", |b| {
+        let spec = Scale::tiny().spec("bench");
         b.iter(|| {
-            let r = run_fct_experiment(Algo::PowerTcp, Scale::tiny(), 0.4, None, 7);
+            let r = run_point(&spec, Algo::PowerTcp, 0.4, 7);
             black_box(r.completed)
         })
     });

@@ -4,7 +4,9 @@
 //! Usage: `fig7 [--panel load|rate|size|bufcdf|bufcdf-incast|all]
 //!               [--scale tiny|bench|paper] [--seed N]`
 
-use powertcp_bench::{run_fct_experiment, table, Algo, FctResult, IncastOverlay, Scale};
+use dcn_scenarios::{run_point, Algo, IncastSpec, PointOutcome, Scale};
+use dcn_stats::{percentile, Cdf, Summary};
+use powertcp_bench::table;
 
 struct Args {
     panel: String,
@@ -51,9 +53,34 @@ fn fig7_algos() -> [Algo; 3] {
     [Algo::PowerTcp, Algo::ThetaPowerTcp, Algo::Hpcc]
 }
 
+/// One fig7 point: websearch at `scale`, plus an 8-way incast overlay of
+/// `(requests per second, bytes per request)` when given. The overlay's
+/// rate and size are swept by the panels below and are not a spec axis,
+/// so each cell is its own spec.
+fn point(
+    scale: Scale,
+    algo: Algo,
+    load: f64,
+    incast: Option<(f64, u64)>,
+    seed: u64,
+) -> PointOutcome {
+    let mut spec = scale.spec("fig7");
+    if let Some((rate_per_sec, request_bytes)) = incast {
+        spec = spec.incast(IncastSpec {
+            rate_per_sec,
+            request_bytes,
+            fan_in: 8,
+            periodic: false,
+        });
+    }
+    run_point(&spec, algo, load, seed)
+}
+
+/// Tail slowdown at the percentile the sample size supports.
 fn tail_cell(xs: &[f64]) -> String {
-    match FctResult::tail(xs) {
-        Some((pct, v)) => format!("{} (p{pct})", table::f(v)),
+    let pct = Summary::credible_tail_pct(xs.len());
+    match percentile(xs, pct) {
+        Some(v) => format!("{} (p{pct})", table::f(v)),
         None => "-".into(),
     }
 }
@@ -66,10 +93,10 @@ fn panel_load(scale: Scale, seed: u64) {
     let mut rows = Vec::new();
     for load in [0.2, 0.4, 0.6, 0.8] {
         for algo in fig7_algos() {
-            let r = run_fct_experiment(algo, scale, load, None, seed);
+            let r = point(scale, algo, load, None, seed);
             rows.push(vec![
                 format!("{:.0}%", load * 100.0),
-                r.algo.clone(),
+                algo.name(),
                 tail_cell(&r.short),
                 tail_cell(&r.long),
                 format!("{}/{}", r.completed, r.offered),
@@ -93,85 +120,64 @@ fn panel_load(scale: Scale, seed: u64) {
     );
 }
 
-fn panel_rate(scale: Scale, seed: u64) {
-    table::header(
-        "Figure 7c/7d",
-        "tail FCT vs incast request rate (websearch @80% + 2MB incasts)",
-    );
+/// A Figure 7c–f panel: short- and long-flow tails at 80% load under
+/// each `(row label, incast overlay)` of `cells`.
+fn panel_incast(
+    scale: Scale,
+    seed: u64,
+    (fig, caption, axis, note): (&str, &str, &str, &str),
+    cells: &[(String, (f64, u64))],
+) {
+    table::header(fig, caption);
     let mut rows = Vec::new();
-    for rate in [1.0, 4.0, 8.0, 16.0] {
+    for (label, overlay) in cells {
         for algo in fig7_algos() {
-            let r = run_fct_experiment(
-                algo,
-                scale,
-                0.8,
-                Some(IncastOverlay {
-                    rate_per_sec: rate * 50.0, // scaled-up rate: see note
-                    request_bytes: 2_000_000,
-                    fan_in: 8,
-                }),
-                seed,
-            );
+            let r = point(scale, algo, 0.8, Some(*overlay), seed);
             rows.push(vec![
-                format!("{rate}"),
-                r.algo.clone(),
+                label.clone(),
+                algo.name(),
                 tail_cell(&r.short),
                 tail_cell(&r.long),
             ]);
         }
     }
-    table::table(
-        &[
+    table::table(&[axis, "protocol", "short tail", "long tail"], &rows);
+    table::paper_note(note);
+}
+
+fn panel_rate(scale: Scale, seed: u64) {
+    // Scaled-up rate: see note.
+    let cells = [1.0, 4.0, 8.0, 16.0].map(|rate| (format!("{rate}"), (rate * 50.0, 2_000_000)));
+    panel_incast(
+        scale,
+        seed,
+        (
+            "Figure 7c/7d",
+            "tail FCT vs incast request rate (websearch @80% + 2MB incasts)",
             "request rate (paper units)",
-            "protocol",
-            "short tail",
-            "long tail",
-        ],
-        &rows,
-    );
-    table::paper_note(
-        "PowerTCP improves short-flow tails ~24% on average over HPCC and \
-         33% at the highest request rate; long flows ~10% better; \
-         theta-PowerTCP helps short flows but trails HPCC overall. \
-         (Request rates are scaled ×50 because the simulated horizon is \
-         milliseconds, not seconds — the per-horizon incast count matches.)",
+            "PowerTCP improves short-flow tails ~24% on average over HPCC and \
+             33% at the highest request rate; long flows ~10% better; \
+             theta-PowerTCP helps short flows but trails HPCC overall. \
+             (Request rates are scaled ×50 because the simulated horizon is \
+             milliseconds, not seconds — the per-horizon incast count matches.)",
+        ),
+        &cells,
     );
 }
 
 fn panel_size(scale: Scale, seed: u64) {
-    table::header(
-        "Figure 7e/7f",
-        "tail FCT vs incast request size (websearch @80%, 4 req/s paper-rate)",
-    );
-    let mut rows = Vec::new();
-    for mb in [1u64, 2, 4, 6, 8] {
-        for algo in fig7_algos() {
-            let r = run_fct_experiment(
-                algo,
-                scale,
-                0.8,
-                Some(IncastOverlay {
-                    rate_per_sec: 4.0 * 50.0,
-                    request_bytes: mb * 1_000_000,
-                    fan_in: 8,
-                }),
-                seed,
-            );
-            rows.push(vec![
-                format!("{mb} MB"),
-                r.algo.clone(),
-                tail_cell(&r.short),
-                tail_cell(&r.long),
-            ]);
-        }
-    }
-    table::table(
-        &["request size", "protocol", "short tail", "long tail"],
-        &rows,
-    );
-    table::paper_note(
-        "FCTs grow gradually with request size; PowerTCP beats HPCC by 20% \
-         (1MB) shrinking to 7% (8MB) for short flows and ~5% for long flows",
+    let cells = [1u64, 2, 4, 6, 8].map(|mb| (format!("{mb} MB"), (4.0 * 50.0, mb * 1_000_000)));
+    panel_incast(
+        scale,
+        seed,
+        (
+            "Figure 7e/7f",
+            "tail FCT vs incast request size (websearch @80%, 4 req/s paper-rate)",
+            "request size",
+            "FCTs grow gradually with request size; PowerTCP beats HPCC by 20% \
+             (1MB) shrinking to 7% (8MB) for short flows and ~5% for long flows",
+        ),
+        &cells,
     );
 }
 
@@ -185,19 +191,17 @@ fn panel_bufcdf(scale: Scale, seed: u64, incast: bool) {
         ("Figure 7g", "buffer occupancy CDF, websearch @80% load")
     };
     table::header(fig, caption);
-    let overlay = incast.then_some(IncastOverlay {
-        rate_per_sec: 16.0 * 50.0,
-        request_bytes: 2_000_000,
-        fan_in: 8,
-    });
+    let overlay = incast.then_some((16.0 * 50.0, 2_000_000));
     let mut rows = Vec::new();
     for algo in fig7_algos() {
-        let mut r = run_fct_experiment(algo, scale, 0.8, overlay, seed);
-        let q50 = r.buffer_cdf.quantile(0.5).unwrap_or(0.0);
-        let q99 = r.buffer_cdf.quantile(0.99).unwrap_or(0.0);
-        let q100 = r.buffer_cdf.quantile(1.0).unwrap_or(0.0);
+        let r = point(scale, algo, 0.8, overlay, seed);
+        let mut buffer_cdf = Cdf::new();
+        buffer_cdf.extend(r.buffer.iter().copied());
+        let q50 = buffer_cdf.quantile(0.5).unwrap_or(0.0);
+        let q99 = buffer_cdf.quantile(0.99).unwrap_or(0.0);
+        let q100 = buffer_cdf.quantile(1.0).unwrap_or(0.0);
         rows.push(vec![
-            r.algo.clone(),
+            algo.name(),
             table::f(q50 / 1000.0),
             table::f(q99 / 1000.0),
             table::f(q100 / 1000.0),

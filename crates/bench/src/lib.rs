@@ -6,19 +6,15 @@
 //! results.
 //!
 //! The experiment engines live in `dcn-scenarios` (the declarative spec +
-//! sweep/trace subsystem; see `DESIGN.md`): the algorithm registry and
-//! FCT engine are re-exported here under their original paths, and the
-//! time-series experiments (fig2/fig4/fig5/fig8) run through built-in
-//! `timeseries` scenario specs — their binaries are thin front-ends over
-//! `dcn_scenarios::run_trace`. Prefer expressing new experiments as
-//! scenario specs run via `xp run` over adding binaries here.
+//! executor; see `DESIGN.md`) and the binaries here are thin front-ends
+//! over its built-in specs: the time-series figures (fig2/fig4/fig5/fig8)
+//! run through `dcn_scenarios::run_trace`, `fig7` through
+//! `dcn_scenarios::run_point` (its incast rate/size panels are not a
+//! spec axis), and Figure 6 is `xp run fig6`. Prefer expressing new
+//! experiments as scenario specs run via `xp run` over adding binaries
+//! here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod algo;
-pub mod runner;
 pub mod table;
-
-pub use algo::Algo;
-pub use runner::{run_fct_experiment, FctResult, IncastOverlay, Scale, SIZE_BUCKETS};

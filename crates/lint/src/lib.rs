@@ -154,6 +154,7 @@ pub fn lint_files(files: &[(String, String)]) -> Report {
     report
 }
 
+// Own copy of `dcn_telemetry::jstr`'s escaping: this crate is dependency-free by design.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

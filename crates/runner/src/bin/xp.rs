@@ -407,10 +407,10 @@ fn run(args: &[String]) -> ExitCode {
         },
         spec.name,
         spec.num_points(),
-        if spec.runs_as_entries() {
-            "entries"
-        } else {
+        if spec_kind(&spec) == "sweep" {
             "points"
+        } else {
+            "entries"
         },
         if parsed.cfg.procs > 1 {
             format!("{} process(es)", parsed.cfg.procs)

@@ -16,6 +16,7 @@
 use crate::codec::{self, Outcome};
 use crate::key::CacheKey;
 use dcn_scenarios::diff::{parse_json, Json};
+use dcn_telemetry::jstr;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -62,7 +63,7 @@ impl CacheStatDetail {
         format!(
             "{{\"record\":\"cache\",\"dir\":{},\"entries\":{},\"bytes\":{},\
              \"packet\":{},\"flow\":{},\"analytic\":{},\"other\":{}}}",
-            codec::jstr(&self.dir),
+            jstr(&self.dir),
             self.stat.entries,
             self.stat.bytes,
             self.packet,
@@ -123,7 +124,7 @@ impl ResultCache {
         fs::create_dir_all(&self.dir)?;
         let body = format!(
             "{{\"format\": {CACHE_FORMAT}, \"canon\": {}, \"payload\": {}}}\n",
-            codec::jstr(&key.canon),
+            jstr(&key.canon),
             codec::encode(outcome)
         );
         let tmp = self

@@ -11,39 +11,11 @@
 
 use dcn_scenarios::diff::{parse_json, Json};
 use dcn_scenarios::{Algo, PointOutcome};
-use dcn_telemetry::{ChannelTrace, Sample, TraceEntry};
+use dcn_telemetry::{jstr, ChannelTrace, Sample, TraceEntry};
 
-/// One transportable point result: an FCT sweep point outcome or a
-/// timeseries lineup entry.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Outcome {
-    /// Raw outcome of one sweep point.
-    Sweep(Box<PointOutcome>),
-    /// One traced lineup entry.
-    Trace(Box<TraceEntry>),
-}
-
-/// JSON string escape (mirrors the report renderers). Public because
-/// every hand-rolled JSON emission in this crate (cache envelopes,
-/// worker manifests, the CLI's `--meta` sidecar) must escape through
-/// the same function.
-pub fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// The transportable point result, under its original path (it lives
+/// with the work-item model in `dcn-scenarios` now).
+pub use dcn_scenarios::Outcome;
 
 fn push_bits_vec(out: &mut String, xs: &[f64]) {
     out.push('[');

@@ -2,31 +2,25 @@
 //! multi-process sharded execution.
 //!
 //! Both paths preserve the determinism contract end to end: outcomes
-//! are keyed and merged by point index (never completion order), cached
-//! payloads are bit-exact, and the reduction to reports is the same
-//! [`SweepResult::build`] / [`TraceReport`] assembly the in-process
-//! executor uses — so the report bytes are identical at any
-//! `--threads` / `--procs` value and any cache state. Observability
-//! (per-point spans, the `--progress` line, the `--log-json` stream)
-//! rides alongside through a [`crate::obs::RunObserver`] and never
-//! feeds the report path.
+//! are keyed and merged by work-item index (never completion order),
+//! cached payloads are bit-exact, and the reduction to reports is the
+//! same [`reduce`] the in-process executor uses — so the report bytes
+//! are identical at any `--threads` / `--procs` value and any cache
+//! state. Observability (per-point spans, the `--progress` line, the
+//! `--log-json` stream) rides alongside through a
+//! [`crate::obs::RunObserver`] and never feeds the report path.
 
 use crate::cache::ResultCache;
-use crate::codec::Outcome;
-use crate::key::{entry_key, point_key};
+use crate::key::item_key;
 use crate::obs::RunObserver;
 use crate::worker;
 use dcn_scenarios::{
-    point_label, run_scenario_observed, run_sweep_point_observed, run_trace_entry_observed,
-    spec_kind, sweep_points, trace_entries, CacheStatus, PointObs, PointOutcome, PointSource,
-    ScenarioOutput, ScenarioSpec, SpanRecord, SummaryRecord, SweepPoint, SweepResult,
-    TraceEntrySpec,
+    compute, reduce, run_scenario_observed, spec_kind, work_items, CacheStatus, Outcome, PointObs,
+    PointSource, ScenarioOutput, ScenarioSpec, SpanRecord, SummaryRecord, WorkItem,
 };
-use dcn_telemetry::{TraceEntry, TraceReport};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,117 +88,41 @@ pub struct RunStats {
 }
 
 /// A [`PointSource`] that consults a [`ResultCache`] before computing,
-/// and stores every computed outcome back. Hit/miss counters are atomic
-/// so the source can be shared across executor threads.
+/// and stores every computed outcome back.
 pub struct CachingSource {
     cache: Option<ResultCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl CachingSource {
     /// A source backed by `cache` (`None` = always compute).
     pub fn new(cache: Option<ResultCache>) -> Self {
-        CachingSource {
-            cache,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// (hits, misses) so far.
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        CachingSource { cache }
     }
 }
 
 impl PointSource for CachingSource {
-    fn sweep_point(&self, spec: &ScenarioSpec, point: &SweepPoint) -> PointOutcome {
-        self.sweep_point_obs(spec, point).0
-    }
-
-    fn trace_entry(&self, spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
-        self.trace_entry_obs(spec, entry).0
-    }
-
-    fn sweep_point_obs(&self, spec: &ScenarioSpec, point: &SweepPoint) -> (PointOutcome, PointObs) {
-        let Some(cache) = &self.cache else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let (out, stats) = run_sweep_point_observed(spec, point);
-            return (
-                out,
-                PointObs {
-                    cache: CacheStatus::Computed,
-                    stats: Some(stats),
-                },
-            );
-        };
-        let key = point_key(spec, point);
-        if let Some(Outcome::Sweep(out)) = cache.load(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            // Hits carry no stats: no simulator ran.
-            return (
-                *out,
-                PointObs {
-                    cache: CacheStatus::Hit,
-                    stats: None,
-                },
-            );
+    fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
+        let keyed = self.cache.as_ref().map(|c| (c, item_key(spec, item)));
+        if let Some((cache, key)) = &keyed {
+            // A payload of the other outcome kind is a miss like any
+            // other invalid entry: recompute and overwrite.
+            if let Some(hit) = cache.load(key).filter(|o| item.accepts(o)) {
+                // Hits carry no stats: no simulator ran.
+                let cache = CacheStatus::Hit;
+                return (hit, PointObs { cache, stats: None });
+            }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (out, stats) = run_sweep_point_observed(spec, point);
-        // Best-effort store: an unwritable cache degrades to recompute,
-        // it does not fail the run.
-        let _ = cache.store(&key, &Outcome::Sweep(Box::new(out.clone())));
-        (
-            out,
-            PointObs {
-                cache: CacheStatus::Miss,
-                stats: Some(stats),
-            },
-        )
-    }
-
-    fn trace_entry_obs(
-        &self,
-        spec: &ScenarioSpec,
-        entry: &TraceEntrySpec,
-    ) -> (TraceEntry, PointObs) {
-        let Some(cache) = &self.cache else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let (out, stats) = run_trace_entry_observed(spec, entry);
-            return (
-                out,
-                PointObs {
-                    cache: CacheStatus::Computed,
-                    stats,
-                },
-            );
+        let (outcome, stats) = compute(spec, item);
+        let cache = match &keyed {
+            Some((cache, key)) => {
+                // Best-effort store: an unwritable cache degrades to
+                // recompute, it does not fail the run.
+                let _ = cache.store(key, &outcome);
+                CacheStatus::Miss
+            }
+            None => CacheStatus::Computed,
         };
-        let key = entry_key(spec, entry);
-        if let Some(Outcome::Trace(out)) = cache.load(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (
-                *out,
-                PointObs {
-                    cache: CacheStatus::Hit,
-                    stats: None,
-                },
-            );
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (out, stats) = run_trace_entry_observed(spec, entry);
-        let _ = cache.store(&key, &Outcome::Trace(Box::new(out.clone())));
-        (
-            out,
-            PointObs {
-                cache: CacheStatus::Miss,
-                stats,
-            },
-        )
+        (outcome, PointObs { cache, stats })
     }
 }
 
@@ -240,24 +158,27 @@ fn run_inproc(
     let source = CachingSource::new(cfg.cache_dir.as_ref().map(ResultCache::new));
     let obs = RunObserver::new(spec.num_points(), cfg.progress, cfg.log_json.as_deref())?;
     let output = run_scenario_observed(spec, threads.max(1), &source, &obs)?;
-    let (cache_hits, cache_misses) = source.counters();
-    let (spans, summary) = obs.finish(&spec.name, spec_kind(spec));
-    Ok((
-        output,
-        RunStats {
-            points: spec.num_points(),
-            cache_hits,
-            cache_misses,
-            procs: 1,
-            fallback: None,
-            spans,
-            summary: Some(summary),
-        },
-    ))
+    Ok((output, run_stats(spec, obs, 1)))
 }
 
-/// Multi-process execution: shard point indices round-robin over `xp
-/// worker` children, stream their outcome lines back, and merge by
+/// Close out a run attempt: the span table, its summary, and the
+/// hit/miss counts — a span is a hit or it is not, so the counters are
+/// read off the table rather than kept beside it.
+fn run_stats(spec: &ScenarioSpec, obs: RunObserver, procs: usize) -> RunStats {
+    let (spans, summary) = obs.finish(&spec.name, spec_kind(spec));
+    RunStats {
+        points: spans.len(),
+        cache_hits: summary.cached as u64,
+        cache_misses: (spans.len() - summary.cached) as u64,
+        procs,
+        fallback: None,
+        spans,
+        summary: Some(summary),
+    }
+}
+
+/// Multi-process execution: shard work-item indices round-robin over
+/// `xp worker` children, stream their outcome lines back, and merge by
 /// index. Workers ship per-point wall clocks and engine counters along
 /// with each outcome; the parent replays them as shard-tagged spans
 /// through the same observer the in-process path uses. Any worker
@@ -269,19 +190,13 @@ fn run_procs(spec: &ScenarioSpec, cfg: &RunConfig) -> Result<(ScenarioOutput, Ru
         Some(path) => path.clone(),
         None => std::env::current_exe().map_err(|e| format!("cannot locate worker binary: {e}"))?,
     };
-    let is_trace = spec.runs_as_entries();
-    let (n, labels): (usize, Vec<String>) = if is_trace {
-        let entries = trace_entries(spec);
-        (
-            entries.len(),
-            entries.iter().map(|e| e.label.clone()).collect(),
-        )
-    } else {
-        let points = sweep_points(spec);
-        (points.len(), points.iter().map(point_label).collect())
-    };
+    let items = work_items(spec);
+    let n = items.len();
     let procs = cfg.procs.clamp(1, n.max(1));
     let spec_toml = spec.to_toml();
+    // Open the observer (and its log file) before the first spawn: a bad
+    // `--log-json` path must fail with no worker started.
+    let obs = RunObserver::new(n, cfg.progress, cfg.log_json.as_deref())?;
 
     // Round-robin sharding keeps shards balanced when point cost varies
     // monotonically along the expansion (e.g. rising loads).
@@ -336,125 +251,89 @@ fn run_procs(spec: &ScenarioSpec, cfg: &RunConfig) -> Result<(ScenarioOutput, Ru
         children.push((w, shard, child, deadline));
     }
 
-    let obs = RunObserver::new(n, cfg.progress, cfg.log_json.as_deref())?;
     let mut slots: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
-    let (mut hits, mut misses) = (0u64, 0u64);
     // Consume children one at a time; on any error, reap the rest before
     // returning so the fallback path does not race still-running workers
     // (and nothing is left a zombie).
     while let Some((w, shard, child, deadline)) = children.pop() {
-        let ctx = format!("shard {w}/{procs} (points {})", worker::fmt_indices(shard));
-        let bail = |children: &mut Vec<(usize, &[usize], Child, Option<Instant>)>, why: String| {
-            reap(children);
-            format!("{ctx}: {why}")
-        };
-        let out = match wait_worker(child, deadline) {
-            Ok(out) => out,
-            Err(e) => return Err(bail(&mut children, e)),
-        };
-        if !out.status.success() {
-            return Err(bail(
-                &mut children,
-                format!("worker exited with {}", out.status),
-            ));
-        }
-        let Ok(text) = String::from_utf8(out.stdout) else {
-            return Err(bail(
-                &mut children,
-                "worker emitted non-UTF-8 output".into(),
-            ));
-        };
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let r = match worker::parse_result_line(line) {
-                Ok(parsed) => parsed,
-                Err(e) => return Err(bail(&mut children, e)),
-            };
-            if r.index >= n {
-                return Err(bail(
-                    &mut children,
-                    format!("worker returned out-of-range index {}", r.index),
-                ));
+        let merged = wait_worker(child, deadline).and_then(|out| {
+            if !out.status.success() {
+                return Err(format!("worker exited with {}", out.status));
             }
-            if r.cached {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-            // Replay the worker's observability sidecar as a
-            // shard-tagged span. Cache semantics mirror the worker's
-            // CachingSource: hit / miss with a cache, computed without.
-            obs.record(SpanRecord {
-                index: r.index,
-                label: labels[r.index].clone(),
-                cache: if r.cached {
-                    CacheStatus::Hit
-                } else if cfg.cache_dir.is_some() {
-                    CacheStatus::Miss
-                } else {
-                    CacheStatus::Computed
-                },
-                shard: Some(w),
-                wall_ms: r.wall_ms,
-                stats: r.sim,
-            });
-            slots[r.index] = Some(r.outcome);
-        }
-        if let Some(&missing) = shard.iter().find(|i| slots[**i].is_none()) {
-            return Err(bail(
-                &mut children,
-                format!("worker dropped point {missing}"),
+            let text = String::from_utf8(out.stdout)
+                .map_err(|_| "worker emitted non-UTF-8 output".to_string())?;
+            merge_shard(&text, shard, &mut slots, |r| {
+                // Replay the worker's observability sidecar as a
+                // shard-tagged span. Cache semantics mirror the worker's
+                // CachingSource: hit / miss with a cache, computed without.
+                obs.record(SpanRecord {
+                    index: r.index,
+                    label: items[r.index].label(),
+                    cache: if r.cached {
+                        CacheStatus::Hit
+                    } else if cfg.cache_dir.is_some() {
+                        CacheStatus::Miss
+                    } else {
+                        CacheStatus::Computed
+                    },
+                    shard: Some(w),
+                    wall_ms: r.wall_ms,
+                    stats: r.sim,
+                });
+            })
+        });
+        if let Err(why) = merged {
+            reap(&mut children);
+            return Err(format!(
+                "shard {w}/{procs} (points {}): {why}",
+                worker::fmt_indices(shard)
             ));
         }
     }
-    if let Some(missing) = slots.iter().position(|s| s.is_none()) {
-        return Err(format!("worker dropped point {missing}"));
-    }
-    let (spans, summary) = obs.finish(&spec.name, spec_kind(spec));
+    // Order-stable merge: slots are already in expansion order, and
+    // every shard was checked complete.
+    let outcomes = slots
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .ok_or("a worker dropped a point")?;
+    let output = reduce(spec, outcomes)?;
+    Ok((output, run_stats(spec, obs, procs)))
+}
 
-    // Order-stable merge: slots are already in expansion order.
-    let output = if is_trace {
-        let entries = slots
-            .into_iter()
-            .map(|s| match s {
-                Some(Outcome::Trace(e)) => Ok(*e),
-                _ => Err("worker returned a sweep outcome for a trace entry".to_string()),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        ScenarioOutput::Trace(TraceReport {
-            name: spec.name.clone(),
-            description: spec.description.clone(),
-            entries,
-        })
-    } else {
-        let outcomes = slots
-            .into_iter()
-            .map(|s| match s {
-                Some(Outcome::Sweep(o)) => Ok(*o),
-                _ => Err("worker returned a trace outcome for a sweep point".to_string()),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        ScenarioOutput::Sweep(SweepResult::build(spec, outcomes))
-    };
-    Ok((
-        output,
-        RunStats {
-            points: n,
-            cache_hits: hits,
-            cache_misses: misses,
-            procs,
-            fallback: None,
-            spans,
-            summary: Some(summary),
-        },
-    ))
+/// Merge one worker's stdout (its result lines) into the index-ordered
+/// `slots`, calling `on_result` per accepted line. Worker output is
+/// outside input: a line for an index the shard does not own or has
+/// already returned is rejected rather than overwriting a slot, and the
+/// shard must return every index it owns.
+fn merge_shard(
+    text: &str,
+    shard: &[usize],
+    slots: &mut [Option<Outcome>],
+    mut on_result: impl FnMut(&worker::WorkerResult),
+) -> Result<(), String> {
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let r = worker::parse_result_line(line)?;
+        if !shard.contains(&r.index) {
+            return Err(format!("worker returned point {} it does not own", r.index));
+        }
+        if slots[r.index].is_some() {
+            return Err(format!("worker returned point {} twice", r.index));
+        }
+        on_result(&r);
+        slots[r.index] = Some(r.outcome);
+    }
+    match shard.iter().find(|i| slots[**i].is_none()) {
+        Some(missing) => Err(format!("worker dropped point {missing}")),
+        None => Ok(()),
+    }
 }
 
 /// Wait for a worker, enforcing its wall-clock deadline. Without a
 /// deadline this is `wait_with_output`; with one, the worker's stdout is
 /// drained on a side thread (a chatty worker must not deadlock on a full
 /// pipe while we poll) and a worker still running at its deadline is
-/// killed — the resulting "timed out" error carries the shard context
-/// through `bail` and lands in the in-process fallback note.
+/// killed — the resulting "timed out" error gets its shard context from
+/// `run_procs` and lands in the in-process fallback note.
 fn wait_worker(
     mut child: Child,
     deadline: Option<Instant>,
@@ -519,7 +398,6 @@ fn clock_now() -> Instant {
 /// store, and spans flow straight into the job's event log.
 pub fn serve_run_fn(cache_dir: Option<PathBuf>, threads: usize) -> dcn_serve::RunFn {
     Arc::new(move |spec, obs| {
-        spec.validate()?;
         let source = CachingSource::new(cache_dir.as_ref().map(ResultCache::new));
         run_scenario_observed(spec, threads.max(1), &source, obs)
     })
@@ -606,18 +484,100 @@ mod tests {
     }
 
     #[test]
-    fn trace_scenarios_cache_too() {
-        let dir = tmp_dir("trace");
-        let spec = builtin("fig2").unwrap();
+    fn cached_payload_of_the_other_kind_is_a_miss_and_heals() {
+        let dir = tmp_dir("kind");
+        let spec = builtin("fig6-small").unwrap();
         let cfg = RunConfig {
             cache_dir: Some(dir.clone()),
             ..RunConfig::default()
         };
-        let (cold, s1) = run(&spec, &cfg).unwrap();
-        let (warm, s2) = run(&spec, &cfg).unwrap();
-        assert_eq!(s1.cache_misses, 1);
-        assert_eq!(s2.cache_hits, 1);
-        assert_eq!(json_of(&cold), json_of(&warm));
+        let (cold, _) = run(&spec, &cfg).unwrap();
+        // Point 0's file now holds a well-formed entry whose canon is
+        // point 0's but whose payload is a trace outcome.
+        let key = item_key(&spec, &work_items(&spec)[0]);
+        let trace = builtin("fig2").unwrap();
+        let (foreign, _) = compute(&trace, &work_items(&trace)[0]);
+        let cache = ResultCache::new(&dir);
+        cache.store(&key, &foreign).unwrap();
+        assert_eq!(cache.load(&key), Some(foreign), "the entry itself is valid");
+
+        let (redone, stats) = run(&spec, &cfg).unwrap();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+        assert_eq!(stats.spans[0].cache, CacheStatus::Miss);
+        assert!(stats.spans[0].stats.is_some(), "point 0 was recomputed");
+        assert_eq!(json_of(&redone), json_of(&cold));
+        // The recompute overwrote the foreign payload.
+        let (_, healed) = run(&spec, &cfg).unwrap();
+        assert_eq!(healed.cache_hits, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Merge `text` as the output of a shard owning points 0 and 2;
+    /// returns the verdict and how many lines were accepted.
+    fn merge_as_shard_0_2(text: &str) -> (Result<(), String>, usize) {
+        let mut slots = vec![None; 3];
+        let mut accepted = 0;
+        let verdict = merge_shard(text, &[0, 2], &mut slots, |_| accepted += 1);
+        (verdict, accepted)
+    }
+
+    #[test]
+    fn worker_lines_outside_the_shard_are_rejected_not_merged() {
+        let spec = builtin("theorems").unwrap();
+        let items = work_items(&spec);
+        assert_eq!(items.len(), 3);
+        let line = |i: usize| {
+            let (outcome, _) = compute(&spec, &items[i]);
+            worker::result_line(i, true, 1.0, None, &outcome)
+        };
+        assert_eq!(merge_as_shard_0_2(&(line(0) + &line(2))), (Ok(()), 2));
+
+        // Another shard's index: rejected before it can fill a slot or
+        // count as a hit.
+        let (verdict, accepted) = merge_as_shard_0_2(&(line(0) + &line(1) + &line(2)));
+        assert_eq!(
+            verdict.unwrap_err(),
+            "worker returned point 1 it does not own"
+        );
+        assert_eq!(accepted, 1);
+        // An index past the expansion is the same error, not a panic.
+        let far = line(0).replace("\"index\": 0", "\"index\": 99");
+        let (verdict, _) = merge_as_shard_0_2(&far);
+        assert_eq!(
+            verdict.unwrap_err(),
+            "worker returned point 99 it does not own"
+        );
+
+        // A repeated index: the second copy is rejected, not double-counted.
+        let (verdict, accepted) = merge_as_shard_0_2(&(line(0) + &line(0) + &line(2)));
+        assert_eq!(verdict.unwrap_err(), "worker returned point 0 twice");
+        assert_eq!(accepted, 1);
+
+        // And a shard must still return everything it owns.
+        let (verdict, _) = merge_as_shard_0_2(&line(0));
+        assert_eq!(verdict.unwrap_err(), "worker dropped point 2");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn bad_log_path_fails_before_any_worker_is_spawned() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = tmp_dir("badlog");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A stand-in worker that leaves a mark if it is ever started.
+        let marker = dir.join("spawned");
+        let exe = dir.join("worker.sh");
+        std::fs::write(&exe, format!("#!/bin/sh\n: > '{}'\n", marker.display())).unwrap();
+        std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let cfg = RunConfig {
+            procs: 2,
+            worker_exe: Some(exe),
+            log_json: Some(dir.join("no-such-dir").join("run.ndjson")),
+            ..RunConfig::default()
+        };
+        let err = run(&builtin("fig6-small").unwrap(), &cfg).unwrap_err();
+        assert!(err.contains("--log-json"), "got: {err}");
+        assert!(!marker.exists(), "no worker may start before the log opens");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

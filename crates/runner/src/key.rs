@@ -16,7 +16,7 @@
 //! hash collision (or a stale file from an older format) is detected and
 //! treated as a miss, never served.
 
-use dcn_scenarios::{ScenarioSpec, SweepPoint, TraceEntrySpec};
+use dcn_scenarios::{ScenarioSpec, SweepPoint, TraceEntrySpec, WorkItem};
 
 /// Version of the canonical key encoding itself. Bump when the encoding
 /// below changes shape, so old entries miss instead of mis-validating.
@@ -79,6 +79,14 @@ fn preamble(spec: &ScenarioSpec) -> String {
         salt,
         spec.cache_fragment()
     )
+}
+
+/// Key of one work item: [`point_key`] or [`entry_key`] by item kind.
+pub fn item_key(spec: &ScenarioSpec, item: &WorkItem) -> CacheKey {
+    match item {
+        WorkItem::Point(p) => point_key(spec, p),
+        WorkItem::Entry(e) => entry_key(spec, e),
+    }
 }
 
 /// Key of one FCT sweep point. The load is encoded as its exact IEEE-754

@@ -7,22 +7,29 @@
 //!
 //! ## The pieces
 //!
-//! * [`key`] — content-addressed cache keys: a canonical byte encoding
-//!   of `(spec fragment, algo, load, seed)` salted with
-//!   [`dcn_sim::ENGINE_VERSION`] and hashed with a vendored FNV-1a;
+//! Everything here rides the one work-item model of `dcn-scenarios`
+//! (`work_items` → `PointSource::produce` → `reduce`): the cache is the
+//! one non-default `PointSource`, and the process runner only decides
+//! *where* an item is produced.
+//!
+//! * [`key`] — content-addressed cache keys ([`key::item_key`]): a
+//!   canonical byte encoding of `(spec fragment, work item)` salted
+//!   with [`dcn_sim::ENGINE_VERSION`] and hashed with a vendored FNV-1a;
 //!   validated byte-for-byte on every hit.
-//! * [`codec`] — bit-exact outcome serialization (`f64` as IEEE-754 bit
-//!   patterns): cached and worker-transported results are
+//! * [`codec`] — bit-exact `Outcome` serialization (`f64` as IEEE-754
+//!   bit patterns): cached and worker-transported results are
 //!   indistinguishable from freshly computed ones.
 //! * [`cache`] — the `.xp-cache/<hash>.json` store: atomic writes,
 //!   corruption-tolerant reads (anything invalid is a miss).
-//! * [`exec`] — [`exec::run`]: cache-aware in-process execution
-//!   (a [`exec::CachingSource`] plugged into the `PointSource`-generic
-//!   executors of `dcn-scenarios`) and multi-process sharded execution
-//!   (`--procs N`), with clean fallback to threads.
+//! * [`exec`] — [`exec::run`]: cache-aware in-process execution (an
+//!   [`exec::CachingSource`] — one load-or-compute-and-store body —
+//!   plugged into `run_scenario_observed`) and multi-process sharded
+//!   execution (`--procs N`: round-robin shards of `work_items`, merged
+//!   by index and reduced by the same `reduce`), with clean fallback to
+//!   threads.
 //! * [`worker`] — the `xp worker` protocol: shard manifest on stdin,
 //!   bit-exact outcome lines on stdout (each with its wall clock and
-//!   engine counters), order-stable merge by index.
+//!   engine counters), one loop over the shard's items.
 //! * [`obs`] — the [`obs::RunObserver`] behind `xp run --progress` and
 //!   `--log-json`, and the versioned `--meta` sidecar renderer.
 //! * [`dirdiff`] — `xp diff` over directories of reports.
@@ -49,6 +56,6 @@ pub use cache::{CacheStat, CacheStatDetail, ResultCache, CACHE_FORMAT};
 pub use codec::Outcome;
 pub use dirdiff::{diff_dirs, DirDiffOutcome, FileDiff};
 pub use exec::{run, serve_run_fn, serve_stat_fn, CachingSource, RunConfig, RunStats};
-pub use key::{entry_key, fnv1a64, point_key, CacheKey, KEY_FORMAT};
+pub use key::{entry_key, fnv1a64, item_key, point_key, CacheKey, KEY_FORMAT};
 pub use obs::{meta_json, RunObserver, META_VERSION};
 pub use worker::worker_main;

@@ -22,10 +22,10 @@
 // Wall-clock reads are this module's purpose (R2-allowlisted in dcn-lint).
 #![allow(clippy::disallowed_methods)]
 
-use crate::codec::jstr;
 use crate::exec::RunStats;
 use dcn_scenarios::{spec_kind, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
 use dcn_sim::SimStats;
+use dcn_telemetry::jstr;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;

@@ -34,14 +34,14 @@
 #![allow(clippy::disallowed_methods)]
 
 use crate::cache::ResultCache;
-use crate::codec::{self, jstr, Outcome};
+use crate::codec::{self, Outcome};
 use crate::exec::CachingSource;
 use dcn_scenarios::diff::{parse_json, Json};
 use dcn_scenarios::{
-    sim_stats_from_json, sim_stats_json, sweep_points, trace_entries, CacheStatus, PointSource,
-    ScenarioSpec,
+    sim_stats_from_json, sim_stats_json, work_items, CacheStatus, PointSource, ScenarioSpec,
 };
 use dcn_sim::SimStats;
+use dcn_telemetry::jstr;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -235,49 +235,23 @@ pub fn worker_main(input: &mut dyn Read, output: &mut dyn Write) -> Result<(), S
 fn run_shard(m: &Manifest, output: &mut dyn Write) -> Result<(), String> {
     m.spec.validate()?;
     let source = CachingSource::new(m.cache_dir.as_ref().map(ResultCache::new));
-    let emit = |output: &mut dyn Write, line: String| {
+    let items = work_items(&m.spec);
+    for &i in &m.indices {
+        let item = items
+            .get(i)
+            .ok_or_else(|| format!("point index {i} out of range ({})", items.len()))?;
+        let t0 = Instant::now();
+        let (outcome, obs) = source.produce(&m.spec, item);
+        let line = result_line(
+            i,
+            obs.cache == CacheStatus::Hit,
+            t0.elapsed().as_secs_f64() * 1e3,
+            obs.stats.as_ref(),
+            &outcome,
+        );
         output
             .write_all(line.as_bytes())
-            .map_err(|e| format!("cannot write result: {e}"))
-    };
-    if m.spec.runs_as_entries() {
-        let entries = trace_entries(&m.spec);
-        for &i in &m.indices {
-            let entry = entries
-                .get(i)
-                .ok_or_else(|| format!("entry index {i} out of range ({})", entries.len()))?;
-            let t0 = Instant::now();
-            let (outcome, obs) = source.trace_entry_obs(&m.spec, entry);
-            emit(
-                output,
-                result_line(
-                    i,
-                    obs.cache == CacheStatus::Hit,
-                    t0.elapsed().as_secs_f64() * 1e3,
-                    obs.stats.as_ref(),
-                    &Outcome::Trace(Box::new(outcome)),
-                ),
-            )?;
-        }
-    } else {
-        let points = sweep_points(&m.spec);
-        for &i in &m.indices {
-            let point = points
-                .get(i)
-                .ok_or_else(|| format!("point index {i} out of range ({})", points.len()))?;
-            let t0 = Instant::now();
-            let (outcome, obs) = source.sweep_point_obs(&m.spec, point);
-            emit(
-                output,
-                result_line(
-                    i,
-                    obs.cache == CacheStatus::Hit,
-                    t0.elapsed().as_secs_f64() * 1e3,
-                    obs.stats.as_ref(),
-                    &Outcome::Sweep(Box::new(outcome)),
-                ),
-            )?;
-        }
+            .map_err(|e| format!("cannot write result: {e}"))?;
     }
     output.flush().map_err(|e| format!("cannot flush: {e}"))
 }

@@ -2,24 +2,22 @@
 //! deterministic simulation, reduce to FCT slowdowns and buffer
 //! occupancy.
 //!
-//! This generalizes the original fat-tree-only FCT runner of
-//! `powertcp-bench` (which now delegates here) to every
-//! [`TopologySpec`]: the same workload generators and the same reduction
-//! run against a fat-tree, a star, or a dumbbell, so a scenario spec can
-//! swap fabrics without touching experiment code. One call to
+//! The same workload generators and the same reduction run against every
+//! [`TopologySpec`] — a fat-tree, a star, or a dumbbell — so a scenario
+//! spec can swap fabrics without touching experiment code. One call to
 //! [`run_point`] is one sweep point: it owns its `Simulator` and is a
 //! pure function of `(spec, algo, load, seed)` — the property the
 //! parallel sweep executor ([`crate::sweep`]) relies on.
 
 use crate::algo::Algo;
 use crate::spec::{
-    gbps, IncastSpec, ParamSpec, PoissonSpec, ScenarioSpec, SizeSpec, TopologySpec, WorkloadSpec,
+    gbps, ParamSpec, PoissonSpec, ScenarioSpec, SizeSpec, TopologySpec, WorkloadSpec,
 };
 use dcn_sim::{
     buffer_tracer, build_dumbbell, build_fat_tree, build_star, series, star_base_rtt,
     DumbbellConfig, Endpoint, FatTreeConfig, Network, NodeId, Simulator, SwitchConfig,
 };
-use dcn_stats::{slowdown, Cdf, Summary};
+use dcn_stats::slowdown;
 use dcn_transport::{
     FlowSpec, HomaConfig, HomaHost, MetricsHub, SharedMetrics, TransportConfig, TransportHost,
 };
@@ -200,7 +198,7 @@ pub fn run_point(spec: &ScenarioSpec, algo: Algo, load: f64, seed: u64) -> Point
 }
 
 /// Run one expanded sweep point, including its algorithm-parameter
-/// overrides (the [`crate::sweep::Compute`] entry point).
+/// overrides ([`run_sweep_point_observed`] without the counters).
 pub fn run_sweep_point(spec: &ScenarioSpec, point: &crate::sweep::SweepPoint) -> PointOutcome {
     run_sweep_point_observed(spec, point).0
 }
@@ -219,16 +217,7 @@ pub fn run_sweep_point_observed(
     if spec.engine == crate::spec::EngineKind::Flow {
         return crate::flow_engine::run_flow_point_observed(spec, point);
     }
-    run_experiment(
-        &spec.topology,
-        &spec.workload,
-        spec.horizon(),
-        spec.drain(),
-        point.algo,
-        point.param,
-        point.load,
-        point.seed,
-    )
+    run_packet_point(spec, point)
 }
 
 /// Generate the flows a `(workload, load, seed)` combination offers over
@@ -295,19 +284,20 @@ pub(crate) fn offered_flows(
     flows
 }
 
-/// The engine behind [`run_point`] (and the legacy
-/// [`run_fct_experiment`], which predates `ScenarioSpec`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_experiment(
-    topo: &TopologySpec,
-    workload: &WorkloadSpec,
-    horizon: Tick,
-    drain: Tick,
-    algo: Algo,
-    param: ParamSpec,
-    load: f64,
-    seed: u64,
+/// The packet engine behind [`run_sweep_point_observed`].
+fn run_packet_point(
+    spec: &ScenarioSpec,
+    point: &crate::sweep::SweepPoint,
 ) -> (PointOutcome, dcn_sim::SimStats) {
+    let (topo, workload) = (&spec.topology, &spec.workload);
+    let (horizon, drain) = (spec.horizon(), spec.drain());
+    let crate::sweep::SweepPoint {
+        algo,
+        param,
+        load,
+        seed,
+        ..
+    } = *point;
     let plan = plan(topo, algo);
     let base_rtt = plan.base_rtt;
     let host_bw = plan.host_bw;
@@ -470,14 +460,10 @@ pub(crate) fn run_experiment(
     (outcome, sim.stats())
 }
 
-// ---------------------------------------------------------------------
-// Legacy fat-tree FCT API (used by the `powertcp-bench` fig* binaries,
-// which predate `ScenarioSpec`).
-// ---------------------------------------------------------------------
-
-/// Experiment scale: topology size and time horizon. The shapes of the
-/// paper's figures survive scaling down; absolute tail credibility is
-/// reported alongside (see [`Summary::credible_tail_pct`]).
+/// Experiment scale: a fat-tree topology and time-horizon preset. The
+/// shapes of the paper's figures survive scaling down; absolute tail
+/// credibility is reported alongside (see
+/// [`dcn_stats::Summary::credible_tail_pct`]).
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// Hosts per ToR (paper: 32).
@@ -534,6 +520,16 @@ impl Scale {
         }
     }
 
+    /// The websearch sweep spec at this scale (fat-tree, horizon, drain):
+    /// the paper's Figure 6/7 setup, ready for [`run_point`] or further
+    /// builder calls.
+    pub fn spec(&self, name: &str) -> ScenarioSpec {
+        ScenarioSpec::new(name, self.topology())
+            .poisson(SizeSpec::Websearch)
+            .horizon_ms(self.horizon.as_millis_f64())
+            .drain_ms(self.drain.as_millis_f64())
+    }
+
     /// The fat-tree configuration for this scale under `algo`.
     pub fn fat_tree_config(&self, algo: Algo) -> FatTreeConfig {
         fat_tree_config(&self.topology(), Some(algo))
@@ -546,102 +542,14 @@ impl Scale {
     }
 }
 
-/// Incast overlay parameters for Figure 7c–f.
-#[derive(Clone, Copy, Debug)]
-pub struct IncastOverlay {
-    /// Requests per second.
-    pub rate_per_sec: f64,
-    /// Total bytes per request.
-    pub request_bytes: u64,
-    /// Responding servers per request.
-    pub fan_in: usize,
-}
-
-/// Outcome of one FCT experiment.
-pub struct FctResult {
-    /// Protocol name.
-    pub algo: String,
-    /// Per-bucket slowdowns: `buckets[i]` holds flows with size ≤
-    /// `SIZE_BUCKETS[i]` (and > the previous bucket).
-    pub buckets: Vec<Vec<f64>>,
-    /// Short-flow (<10KB) slowdowns.
-    pub short: Vec<f64>,
-    /// Medium-flow (100KB–1MB) slowdowns.
-    pub medium: Vec<f64>,
-    /// Long-flow (≥1MB) slowdowns.
-    pub long: Vec<f64>,
-    /// ToR shared-buffer occupancy samples (bytes).
-    pub buffer_cdf: Cdf,
-    /// Completed / started flows.
-    pub completed: usize,
-    /// Total flows offered.
-    pub offered: usize,
-    /// Switch drops across the fabric.
-    pub drops: u64,
-}
-
-impl FctResult {
-    /// Tail-percentile summary of a slowdown vector at the credibility the
-    /// sample size supports.
-    pub fn tail(xs: &[f64]) -> Option<(f64, f64)> {
-        let pct = Summary::credible_tail_pct(xs.len());
-        dcn_stats::percentile(xs, pct).map(|v| (pct, v))
-    }
-}
-
-/// Run one websearch (± incast) FCT experiment on the fat-tree at
-/// `scale` (the machinery behind the paper's Figures 6 and 7; thin
-/// wrapper over the scenario engine).
-pub fn run_fct_experiment(
-    algo: Algo,
-    scale: Scale,
-    load: f64,
-    incast: Option<IncastOverlay>,
-    seed: u64,
-) -> FctResult {
-    let workload = WorkloadSpec {
-        poisson: Some(PoissonSpec {
-            sizes: SizeSpec::Websearch,
-        }),
-        incast: incast.map(|ic| IncastSpec {
-            rate_per_sec: ic.rate_per_sec,
-            request_bytes: ic.request_bytes,
-            fan_in: ic.fan_in,
-            periodic: false,
-        }),
-    };
-    let (out, _stats) = run_experiment(
-        &scale.topology(),
-        &workload,
-        scale.horizon,
-        scale.drain,
-        algo,
-        ParamSpec::default(),
-        load,
-        seed,
-    );
-    let mut buffer_cdf = Cdf::new();
-    buffer_cdf.extend(out.buffer.iter().copied());
-    FctResult {
-        algo: algo.name(),
-        buckets: out.buckets,
-        short: out.short,
-        medium: out.medium,
-        long: out.long,
-        buffer_cdf,
-        completed: out.completed,
-        offered: out.offered,
-        drops: out.drops,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::IncastSpec;
 
     #[test]
     fn tiny_experiment_completes_for_powertcp() {
-        let r = run_fct_experiment(Algo::PowerTcp, Scale::tiny(), 0.4, None, 7);
+        let r = run_point(&Scale::tiny().spec("tiny"), Algo::PowerTcp, 0.4, 7);
         assert!(r.offered > 10, "offered {}", r.offered);
         assert!(
             r.completed as f64 >= 0.9 * r.offered as f64,
@@ -650,12 +558,13 @@ mod tests {
             r.offered
         );
         assert!(!r.short.is_empty());
-        assert!(!r.buffer_cdf.is_empty());
+        assert!(!r.buffer.is_empty());
+        assert_eq!(SIZE_BUCKETS.len(), r.buckets.len());
     }
 
     #[test]
     fn tiny_experiment_completes_for_homa() {
-        let r = run_fct_experiment(Algo::Homa(1), Scale::tiny(), 0.3, None, 9);
+        let r = run_point(&Scale::tiny().spec("tiny"), Algo::Homa(1), 0.3, 9);
         assert!(
             r.completed as f64 >= 0.8 * r.offered as f64,
             "completed {}/{}",
@@ -666,18 +575,15 @@ mod tests {
 
     #[test]
     fn incast_overlay_adds_flows() {
-        let with = run_fct_experiment(
-            Algo::PowerTcp,
-            Scale::tiny(),
-            0.3,
-            Some(IncastOverlay {
-                rate_per_sec: 1000.0,
-                request_bytes: 200_000,
-                fan_in: 4,
-            }),
-            11,
-        );
-        let without = run_fct_experiment(Algo::PowerTcp, Scale::tiny(), 0.3, None, 11);
+        let plain = Scale::tiny().spec("tiny");
+        let overlaid = plain.clone().incast(IncastSpec {
+            rate_per_sec: 1000.0,
+            request_bytes: 200_000,
+            fan_in: 4,
+            periodic: false,
+        });
+        let with = run_point(&overlaid, Algo::PowerTcp, 0.3, 11);
+        let without = run_point(&plain, Algo::PowerTcp, 0.3, 11);
         assert!(with.offered > without.offered);
     }
 

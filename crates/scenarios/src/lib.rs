@@ -14,24 +14,30 @@
 //!   sweep grid (algorithms × loads × seeds); TOML round-trip via the
 //!   dependency-free parser in [`toml`].
 //! * [`algo`] — the [`Algo`] registry mapping the paper's protocol names
-//!   to CC constructors, switch requirements, and transports (moved here
-//!   from `powertcp-bench`, which re-exports it).
+//!   to CC constructors, switch requirements, and transports.
 //! * [`engine`] — one sweep point = one deterministic single-threaded
 //!   `Simulator` run, reduced to FCT slowdowns, completion counts, drops
 //!   and buffer occupancy ([`PointOutcome`]).
-//! * [`sweep`] — the executor: shards the cross-product over OS threads
-//!   (each point is a pure function of `(spec, algo, load, seed)`), with
-//!   results ordered by point index so output is byte-identical at any
-//!   thread count.
+//! * [`trace_engine`] / [`analytic_engine`] — one lineup entry = one
+//!   instrumented simulation (or one fluid-model integration), reduced
+//!   to a telemetry `TraceEntry`.
+//! * [`sweep`] — the one executor. Every scenario kind expands to a list
+//!   of [`WorkItem`]s (sweep points or lineup entries; [`work_items`]),
+//!   each a pure function of `(spec, item)` producing one [`Outcome`]
+//!   ([`compute`]); [`run_scenario_observed`] shards the items over OS
+//!   threads and [`reduce`]s the outcomes in index order, so output is
+//!   byte-identical at any thread count.
 //! * [`report`] — structured [`SweepResult`]: per-point and pooled
 //!   per-(algo, load) summaries as JSON, CSV, or a markdown table.
 //! * [`library`] — fig6 / fig7 / fig9to11 / incast-battle as specs.
 //!
-//! The executors are generic over a [`PointSource`] ("where does the
-//! outcome of point *i* come from?"); the default [`Compute`] source
-//! runs everything in-process, and the `dcn-runner` crate layers a
-//! content-addressed result cache and multi-process sharding on the
-//! same machinery. The `xp` CLI binary lives in `dcn-runner`.
+//! The executor is generic over a one-method [`PointSource`] ("where
+//! does the outcome of item *i* come from?"); the default [`Compute`]
+//! source runs everything in-process, and the `dcn-runner` crate layers
+//! a content-addressed result cache and multi-process sharding on the
+//! same `work_items` / `reduce` pair. [`run_scenario`], [`run_sweep`]
+//! and [`run_trace`] are thin typed wrappers (`Compute` + no observer).
+//! The `xp` CLI binary lives in `dcn-runner`.
 //!
 //! ## Example
 //!
@@ -78,8 +84,7 @@ pub use analytic_engine::{analytic_entries, run_analytic_entry};
 pub use bench::{bench_check, bench_table, bench_to_json, run_bench, BenchCase, BenchCheck};
 pub use diff::{diff_csv, diff_reports, DiffOutcome};
 pub use engine::{
-    run_fct_experiment, run_point, run_sweep_point, run_sweep_point_observed, FctResult,
-    IncastOverlay, PointOutcome, Scale, SIZE_BUCKETS,
+    run_point, run_sweep_point, run_sweep_point_observed, PointOutcome, Scale, SIZE_BUCKETS,
 };
 pub use library::{builtin, builtin_specs};
 pub use obs::{
@@ -92,10 +97,10 @@ pub use spec::{
     ScenarioSpec, SizeSpec, SweepSpec, TopologySpec, TraceScenario, TraceSpec, WorkloadSpec,
 };
 pub use sweep::{
-    run_scenario, run_scenario_observed, run_scenario_with, run_sweep, run_sweep_observed,
-    run_sweep_with, sweep_points, Compute, PointSource, ScenarioOutput, SweepPoint,
+    compute, reduce, run_scenario, run_scenario_observed, run_sweep, run_trace, sweep_points,
+    work_items, Compute, Outcome, PointSource, ScenarioOutput, SweepPoint, WorkItem,
 };
-pub use trace_engine::{
-    run_trace, run_trace_entry, run_trace_entry_observed, run_trace_observed, run_trace_with,
-    trace_entries, TraceEntrySpec,
-};
+pub use trace_engine::{run_trace_entry, run_trace_entry_observed, trace_entries, TraceEntrySpec};
+// The workspace's one JSON string/number writer pair, re-exported for
+// crates that depend on this one alone (`dcn-serve`).
+pub use dcn_telemetry::{jf, jstr};

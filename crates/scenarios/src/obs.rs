@@ -34,6 +34,7 @@ use crate::diff::Json;
 use crate::spec::ScenarioSpec;
 use crate::sweep::SweepPoint;
 use dcn_sim::SimStats;
+use dcn_telemetry::jstr;
 
 /// Where a point's outcome came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,15 +67,6 @@ pub struct PointObs {
     /// Engine counters, when a simulator ran (analytic/fluid entries and
     /// cache hits have none).
     pub stats: Option<SimStats>,
-}
-
-impl Default for PointObs {
-    fn default() -> Self {
-        PointObs {
-            cache: CacheStatus::Computed,
-            stats: None,
-        }
-    }
 }
 
 /// One completed point, as reported to the [`Observer`].
@@ -110,7 +102,7 @@ impl SpanRecord {
             "{{\"record\":\"span\",\"index\":{},\"label\":{},\"cache\":\"{}\",\
              \"shard\":{},\"wall_ms\":{:.3},\"sim\":{}}}",
             self.index,
-            json_str(&self.label),
+            jstr(&self.label),
             self.cache.as_str(),
             shard,
             self.wall_ms,
@@ -155,7 +147,7 @@ impl SummaryRecord {
         format!(
             "{{\"record\":\"summary\",\"name\":{},\"kind\":\"{}\",\"points\":{},\
              \"cached\":{},\"wall_ms\":{:.3},\"events\":{},\"events_per_sec\":{:.1}}}",
-            json_str(&self.name),
+            jstr(&self.name),
             self.kind,
             self.points,
             self.cached,
@@ -276,25 +268,6 @@ pub fn sim_stats_from_json(j: &Json) -> Option<SimStats> {
         pool_reused: u("pool_reused")?,
         wall_ms: f("wall_ms")?,
     })
-}
-
-/// JSON string literal with escaping (labels may contain anything).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

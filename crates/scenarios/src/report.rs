@@ -10,6 +10,7 @@
 use crate::engine::{PointOutcome, SIZE_BUCKETS};
 use crate::spec::ScenarioSpec;
 use dcn_stats::{percentile, Summary};
+use dcn_telemetry::{jf, jstr};
 
 /// Slowdown summary of one Figure-6 size bucket (flows with size ≤
 /// `le_bytes` and above the previous boundary), pooled across seeds.
@@ -484,34 +485,6 @@ fn push_buffer(out: &mut String, p50: Option<f64>, p99: Option<f64>, max: Option
     ));
 }
 
-/// JSON string escape.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number (shortest round-trip; non-finite becomes null).
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
-}
-
 fn jopt(x: Option<f64>) -> String {
     x.map(jf).unwrap_or_else(|| "null".into())
 }
@@ -723,11 +696,5 @@ mod tests {
         let j = SweepResult::build(&spec, outcomes).to_json();
         assert!(j.contains("\"buckets\": [{\"le_bytes\": 5000, \"summary\": {\"count\": 4"));
         assert!(j.contains("{\"le_bytes\": 30000000, \"summary\": null}"));
-    }
-
-    #[test]
-    fn json_string_escaping() {
-        assert_eq!(jstr("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(jf(f64::NAN), "null");
     }
 }

@@ -194,7 +194,7 @@ pub enum ScenarioKind {
     /// Time-series traces: one instrumented run per algorithm (or lineup
     /// entry), producing sampled channels — queue depth, throughput,
     /// per-flow cwnd, PowerTCP Γ — instead of FCT statistics
-    /// ([`crate::trace_engine::run_trace`]).
+    /// ([`crate::sweep::run_trace`]).
     Timeseries(TraceSpec),
     /// Fluid-model experiments: no simulation at all — phase portraits,
     /// parameter ablations, and theorem checks over `fluid-model`, one
@@ -691,14 +691,6 @@ impl ScenarioSpec {
             ScenarioKind::Analytic(a) => Some(a),
             _ => None,
         }
-    }
-
-    /// True for scenario kinds that expand into lineup *entries*
-    /// (timeseries and analytic) rather than sweep points — the
-    /// executors, the worker protocol, and the runner's merge path all
-    /// dispatch on this.
-    pub fn runs_as_entries(&self) -> bool {
-        !matches!(self.kind, ScenarioKind::Sweep)
     }
 
     /// Replace the trace scenario of a timeseries spec, re-deriving the

@@ -1,22 +1,24 @@
-//! The parallel sweep executor.
+//! The executor: one work-item model, one parallel loop.
 //!
-//! A scenario's sweep axes (algorithms × loads × seeds) expand to a list
-//! of independent [`SweepPoint`]s. Each point runs one deterministic,
-//! single-threaded `Simulator` (the simulator's determinism contract);
-//! the executor shards points across OS threads with a work-stealing
-//! counter and writes each outcome into its point's slot. Because a
-//! point's outcome is a pure function of `(spec, algo, load, seed)` and
-//! results are ordered by point index — never by completion order — the
-//! aggregated [`SweepResult`](crate::report::SweepResult) is
-//! byte-identical no matter how many threads run the sweep.
+//! Every scenario kind runs as the same thing — a list of independent,
+//! deterministic [`WorkItem`]s ([`work_items`]: sweep points for FCT
+//! sweeps, lineup entries for timeseries and analytic scenarios), each
+//! producing one [`Outcome`], reduced in index order by [`reduce`].
+//! [`run_scenario_observed`] is the only executor: it shards items
+//! across OS threads with a work-stealing counter and writes each
+//! outcome into its item's slot. Because an outcome is a pure function
+//! of `(spec, item)` and results are ordered by index — never by
+//! completion order — the [`ScenarioOutput`] is byte-identical no
+//! matter how many threads run it.
 
 use crate::algo::Algo;
-use crate::engine::PointOutcome;
-use crate::obs::{CacheStatus, NullObserver, Observer, PointObs, SpanRecord};
+use crate::engine::{run_sweep_point_observed, PointOutcome};
+use crate::obs::{point_label, CacheStatus, NullObserver, Observer, PointObs, SpanRecord};
 use crate::report::SweepResult;
-use crate::spec::ScenarioSpec;
-use crate::trace_engine::{run_trace_entry, run_trace_entry_observed, TraceEntrySpec};
-use dcn_telemetry::TraceEntry;
+use crate::spec::{ScenarioKind, ScenarioSpec};
+use crate::trace_engine::{run_trace_entry_observed, trace_entries, TraceEntrySpec};
+use dcn_sim::SimStats;
+use dcn_telemetry::{TraceEntry, TraceReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -60,129 +62,162 @@ pub fn sweep_points(spec: &ScenarioSpec) -> Vec<SweepPoint> {
     out
 }
 
-/// Where per-point results come from. The executors
-/// ([`run_sweep_with`] / [`crate::trace_engine::run_trace_with`]) are
-/// generic over this so alternative execution layers — the
-/// content-addressed result cache and the multi-process sharded runner
-/// in `dcn-runner` — can substitute cached or remotely-computed
-/// outcomes without reimplementing sharding, ordering, or reduction.
-///
-/// Implementations must uphold the determinism contract: the returned
-/// outcome must be **identical** (bit-for-bit, for every float) to what
-/// [`Compute`] would produce for the same `(spec, point)` — the
-/// byte-identical-reports guarantee rests on it.
-pub trait PointSource: Sync {
-    /// Produce the outcome of one FCT sweep point.
-    fn sweep_point(&self, spec: &ScenarioSpec, point: &SweepPoint) -> PointOutcome;
+/// One unit of work: a sweep point or a lineup entry.
+#[derive(Clone, Debug, PartialEq)]
+pub enum WorkItem {
+    /// One cell of an FCT sweep.
+    Point(SweepPoint),
+    /// One timeseries or analytic lineup entry.
+    Entry(TraceEntrySpec),
+}
 
-    /// Produce the outcome of one timeseries lineup entry.
-    fn trace_entry(&self, spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry;
-
-    /// [`PointSource::sweep_point`] plus its observability sidecar (cache
-    /// disposition, engine counters). The default delegates to the plain
-    /// method and reports a stat-less [`PointObs`]; sources that know
-    /// more (the in-process engine, caching layers) override it. The
-    /// outcome must stay bit-identical to the plain method.
-    fn sweep_point_obs(&self, spec: &ScenarioSpec, point: &SweepPoint) -> (PointOutcome, PointObs) {
-        (self.sweep_point(spec, point), PointObs::default())
+impl WorkItem {
+    /// Position in the spec's stable expansion order.
+    pub fn index(&self) -> usize {
+        match self {
+            WorkItem::Point(p) => p.index,
+            WorkItem::Entry(e) => e.index,
+        }
     }
 
-    /// [`PointSource::trace_entry`] plus its observability sidecar (see
-    /// [`PointSource::sweep_point_obs`]).
-    fn trace_entry_obs(
-        &self,
-        spec: &ScenarioSpec,
-        entry: &TraceEntrySpec,
-    ) -> (TraceEntry, PointObs) {
-        (self.trace_entry(spec, entry), PointObs::default())
+    /// Span label: `algo[params]/loadL/seedS` for sweep points, the
+    /// entry label for lineup entries.
+    pub fn label(&self) -> String {
+        match self {
+            WorkItem::Point(p) => point_label(p),
+            WorkItem::Entry(e) => e.label.clone(),
+        }
+    }
+
+    /// Whether `outcome` is the kind this item produces (a cache file or
+    /// worker line of the other kind must not be served for it).
+    pub fn accepts(&self, outcome: &Outcome) -> bool {
+        matches!(
+            (self, outcome),
+            (WorkItem::Point(_), Outcome::Sweep(_)) | (WorkItem::Entry(_), Outcome::Trace(_))
+        )
     }
 }
 
-/// The default [`PointSource`]: compute every point in-process with a
-/// fresh deterministic simulator.
+/// Expand a spec into its work items, in stable index order.
+pub fn work_items(spec: &ScenarioSpec) -> Vec<WorkItem> {
+    match spec.kind {
+        ScenarioKind::Sweep => sweep_points(spec)
+            .into_iter()
+            .map(WorkItem::Point)
+            .collect(),
+        _ => trace_entries(spec)
+            .into_iter()
+            .map(WorkItem::Entry)
+            .collect(),
+    }
+}
+
+/// The result of one work item. Boxed so cached and worker-transported
+/// outcomes move through the executor without copying their vectors.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Outcome {
+    /// Raw outcome of one sweep point.
+    Sweep(Box<PointOutcome>),
+    /// One traced lineup entry.
+    Trace(Box<TraceEntry>),
+}
+
+/// Compute one work item in-process with a fresh deterministic engine
+/// run, returning the engine's counters when a simulator ran
+/// (analytic/fluid entries have none).
+pub fn compute(spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, Option<SimStats>) {
+    match item {
+        WorkItem::Point(p) => {
+            let (out, stats) = run_sweep_point_observed(spec, p);
+            (Outcome::Sweep(Box::new(out)), Some(stats))
+        }
+        WorkItem::Entry(e) => {
+            let (out, stats) = run_trace_entry_observed(spec, e);
+            (Outcome::Trace(Box::new(out)), stats)
+        }
+    }
+}
+
+/// Reduce outcomes (in [`work_items`] order) to the scenario's report.
+/// Shared by the thread executor and the multi-process merge, so both
+/// render through the exact same reduction. Errors when an outcome is
+/// not the kind the spec's items produce.
+pub fn reduce(spec: &ScenarioSpec, outcomes: Vec<Outcome>) -> Result<ScenarioOutput, String> {
+    if matches!(spec.kind, ScenarioKind::Sweep) {
+        let points = outcomes
+            .into_iter()
+            .map(|o| match o {
+                Outcome::Sweep(p) => Ok(*p),
+                Outcome::Trace(_) => Err("trace outcome for a sweep point".to_string()),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ScenarioOutput::Sweep(SweepResult::build(spec, points)))
+    } else {
+        let entries = outcomes
+            .into_iter()
+            .map(|o| match o {
+                Outcome::Trace(e) => Ok(*e),
+                Outcome::Sweep(_) => Err("sweep outcome for a trace entry".to_string()),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ScenarioOutput::Trace(TraceReport {
+            name: spec.name.clone(),
+            description: spec.description.clone(),
+            entries,
+        }))
+    }
+}
+
+/// Where an item's outcome comes from. The executor is generic over
+/// this so alternative execution layers — the content-addressed result
+/// cache in `dcn-runner` — can substitute stored outcomes without
+/// reimplementing sharding, ordering, or reduction.
+///
+/// Implementations must uphold the determinism contract: the returned
+/// outcome must be **identical** (bit-for-bit, for every float) to what
+/// [`compute`] would produce for the same `(spec, item)` — the
+/// byte-identical-reports guarantee rests on it.
+pub trait PointSource: Sync {
+    /// Produce the outcome of one work item plus its observability
+    /// sidecar (cache disposition, engine counters).
+    fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs);
+}
+
+/// The default [`PointSource`]: [`compute`] every item in-process.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Compute;
 
 impl PointSource for Compute {
-    fn sweep_point(&self, spec: &ScenarioSpec, point: &SweepPoint) -> PointOutcome {
-        crate::engine::run_sweep_point(spec, point)
-    }
-
-    fn trace_entry(&self, spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
-        run_trace_entry(spec, entry)
-    }
-
-    fn sweep_point_obs(&self, spec: &ScenarioSpec, point: &SweepPoint) -> (PointOutcome, PointObs) {
-        let (outcome, stats) = crate::engine::run_sweep_point_observed(spec, point);
-        (
-            outcome,
-            PointObs {
-                cache: CacheStatus::Computed,
-                stats: Some(stats),
-            },
-        )
-    }
-
-    fn trace_entry_obs(
-        &self,
-        spec: &ScenarioSpec,
-        entry: &TraceEntrySpec,
-    ) -> (TraceEntry, PointObs) {
-        let (out, stats) = run_trace_entry_observed(spec, entry);
-        (
-            out,
-            PointObs {
-                cache: CacheStatus::Computed,
-                stats,
-            },
-        )
+    fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
+        let (outcome, stats) = compute(spec, item);
+        let cache = CacheStatus::Computed;
+        (outcome, PointObs { cache, stats })
     }
 }
 
-/// Run a whole sweep on `threads` worker threads (clamped to
-/// `[1, num_points]`). Returns the aggregated result; the spec is
-/// validated first. Rejects `timeseries` scenarios — those run through
-/// [`crate::trace_engine::run_trace`] (or [`run_scenario`], which
-/// dispatches on the spec kind).
-pub fn run_sweep(spec: &ScenarioSpec, threads: usize) -> Result<SweepResult, String> {
-    run_sweep_with(spec, threads, &Compute)
-}
-
-/// [`run_sweep`] with an explicit [`PointSource`].
-pub fn run_sweep_with(
-    spec: &ScenarioSpec,
-    threads: usize,
-    source: &dyn PointSource,
-) -> Result<SweepResult, String> {
-    run_sweep_observed(spec, threads, source, &NullObserver)
-}
-
-/// [`run_sweep_with`] reporting a [`SpanRecord`] per point to `obs` as
-/// points complete. Observation is outside the report path: the result
-/// is byte-identical for any observer (spans are derived from the
-/// source's sidecar and a wall clock; outcomes flow through untouched).
-pub fn run_sweep_observed(
+/// Run any scenario on `threads` worker threads (clamped to
+/// `[1, num_points]`), producing each item through `source` and
+/// reporting a [`SpanRecord`] per item to `obs` as items complete. The
+/// spec is validated first. Observation is outside the report path: the
+/// output is byte-identical for any observer and any `threads` value
+/// (spans are derived from the source's sidecar and a wall clock;
+/// outcomes flow through untouched).
+pub fn run_scenario_observed(
     spec: &ScenarioSpec,
     threads: usize,
     source: &dyn PointSource,
     obs: &dyn Observer,
-) -> Result<SweepResult, String> {
+) -> Result<ScenarioOutput, String> {
     spec.validate()?;
-    if spec.runs_as_entries() {
-        return Err(format!(
-            "scenario {:?} is a timeseries/analytic scenario; run it with \
-             run_scenario/run_trace",
-            spec.name
-        ));
-    }
-    let points = sweep_points(spec);
-    let outcomes = run_indexed(points.len(), threads, |i| {
+    let items = work_items(spec);
+    let outcomes = run_indexed(items.len(), threads, |i| {
         #[allow(clippy::disallowed_methods)] // span wall-clock; never in report bytes
         let t0 = Instant::now(); // lint:allow(R2): executor span timing — observability only
-        let (outcome, pobs) = source.sweep_point_obs(spec, &points[i]);
+        let (outcome, pobs) = source.produce(spec, &items[i]);
         obs.span(&SpanRecord {
             index: i,
-            label: crate::obs::point_label(&points[i]),
+            label: items[i].label(),
             cache: pobs.cache,
             shard: None,
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
@@ -190,7 +225,37 @@ pub fn run_sweep_observed(
         });
         outcome
     });
-    Ok(SweepResult::build(spec, outcomes))
+    reduce(spec, outcomes)
+}
+
+/// [`run_scenario_observed`] computing every item in-process, unobserved.
+pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutput, String> {
+    run_scenario_observed(spec, threads, &Compute, &NullObserver)
+}
+
+/// [`run_scenario`] for an FCT sweep, typed: errors on a timeseries or
+/// analytic scenario (those run through [`run_trace`]).
+pub fn run_sweep(spec: &ScenarioSpec, threads: usize) -> Result<SweepResult, String> {
+    match run_scenario(spec, threads)? {
+        ScenarioOutput::Sweep(r) => Ok(r),
+        ScenarioOutput::Trace(_) => Err(format!(
+            "scenario {:?} is a timeseries/analytic scenario; run it with \
+             run_scenario/run_trace",
+            spec.name
+        )),
+    }
+}
+
+/// [`run_scenario`] for a timeseries or analytic scenario, typed: errors
+/// on a sweep (those run through [`run_sweep`]).
+pub fn run_trace(spec: &ScenarioSpec, threads: usize) -> Result<TraceReport, String> {
+    match run_scenario(spec, threads)? {
+        ScenarioOutput::Trace(r) => Ok(r),
+        ScenarioOutput::Sweep(_) => Err(format!(
+            "scenario {:?} is a sweep; run it with run_sweep",
+            spec.name
+        )),
+    }
 }
 
 /// The result of running a scenario of either kind.
@@ -199,7 +264,7 @@ pub enum ScenarioOutput {
     /// An FCT sweep result.
     Sweep(SweepResult),
     /// A time-series trace report.
-    Trace(dcn_telemetry::TraceReport),
+    Trace(TraceReport),
 }
 
 impl ScenarioOutput {
@@ -228,50 +293,12 @@ impl ScenarioOutput {
     }
 }
 
-/// Run any scenario, dispatching on its kind: sweeps through
-/// [`run_sweep`], timeseries and analytic scenarios through
-/// [`crate::trace_engine::run_trace`] (analytic entries compute via
-/// [`crate::analytic_engine`]). All paths share the determinism
-/// contract: byte-identical output at any `threads` value.
-pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutput, String> {
-    run_scenario_with(spec, threads, &Compute)
-}
-
-/// [`run_scenario`] with an explicit [`PointSource`].
-pub fn run_scenario_with(
-    spec: &ScenarioSpec,
-    threads: usize,
-    source: &dyn PointSource,
-) -> Result<ScenarioOutput, String> {
-    run_scenario_observed(spec, threads, source, &NullObserver)
-}
-
-/// [`run_scenario_with`] reporting a span per point to `obs` (see
-/// [`run_sweep_observed`]): byte-identical output for any observer.
-pub fn run_scenario_observed(
-    spec: &ScenarioSpec,
-    threads: usize,
-    source: &dyn PointSource,
-    obs: &dyn Observer,
-) -> Result<ScenarioOutput, String> {
-    if spec.runs_as_entries() {
-        crate::trace_engine::run_trace_observed(spec, threads, source, obs)
-            .map(ScenarioOutput::Trace)
-    } else {
-        run_sweep_observed(spec, threads, source, obs).map(ScenarioOutput::Sweep)
-    }
-}
-
 /// Run `f(0..n)` on `threads` worker threads (clamped to `[1, n]`) with a
 /// work-stealing counter, collecting results in index order. Because each
 /// call must be a pure function of its index and results land in their
 /// own slot — never in completion order — output is identical at any
-/// thread count. Shared by the sweep executor and the trace engine.
-pub(crate) fn run_indexed<T: Send>(
-    n: usize,
-    threads: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
+/// thread count.
+fn run_indexed<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
         return (0..n).map(f).collect();
@@ -359,5 +386,52 @@ mod tests {
         let mut spec = small_spec();
         spec.sweep.algos.clear();
         assert!(run_sweep(&spec, 2).is_err());
+    }
+
+    /// Records `(index, label)` of every span it is handed.
+    #[derive(Default)]
+    struct Recording(Mutex<Vec<(usize, String)>>);
+
+    impl Observer for Recording {
+        fn span(&self, span: &SpanRecord) {
+            let mut seen = self.0.lock().expect("recording poisoned");
+            seen.push((span.index, span.label.clone()));
+        }
+    }
+
+    #[test]
+    fn every_scenario_kind_runs_through_the_one_executor() {
+        // One sweep, one simulated timeseries, one analytic grid.
+        for name in ["fig6-small", "fig5", "fig3-small"] {
+            let spec = crate::library::builtin(name).expect("builtin");
+            let items = work_items(&spec);
+            assert_eq!(items.len(), spec.num_points(), "{name}");
+            assert!(items.iter().enumerate().all(|(i, w)| w.index() == i));
+
+            let rec = Recording::default();
+            let out = run_scenario_observed(&spec, 3, &Compute, &rec).expect(name);
+            // One span per item, labelled by the item (completion order
+            // is free; index order is the contract).
+            let mut spans = rec.0.into_inner().expect("recording poisoned");
+            spans.sort();
+            let want: Vec<(usize, String)> = items.iter().map(|w| (w.index(), w.label())).collect();
+            assert_eq!(spans, want, "{name}");
+
+            // The typed wrappers are the same executor, unobserved.
+            let (json, csv) = match crate::obs::spec_kind(&spec) {
+                "sweep" => {
+                    assert!(run_trace(&spec, 1).is_err(), "{name} is not a trace");
+                    let r = run_sweep(&spec, 1).expect(name);
+                    (r.to_json(), r.to_csv())
+                }
+                _ => {
+                    assert!(run_sweep(&spec, 1).is_err(), "{name} is not a sweep");
+                    let r = run_trace(&spec, 1).expect(name);
+                    (r.to_json(), r.to_csv())
+                }
+            };
+            assert_eq!(out.to_json(), json, "{name}");
+            assert_eq!(out.to_csv(), csv, "{name}");
+        }
     }
 }

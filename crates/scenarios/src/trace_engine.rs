@@ -8,9 +8,9 @@
 //! (switch queues, link TX counters, per-flow cwnd / pacing / PowerTCP Γ
 //! via `Endpoint::cc_samples`) on the spec's tick grid, records into a
 //! `dcn-telemetry` [`Recorder`], and reduces to scalar stats. One call to
-//! [`run_trace_entry`] is a pure function of `(spec, entry)` — the same
-//! property the FCT sweep executor relies on — so entries run in parallel
-//! and [`run_trace`] output is byte-identical at any thread count.
+//! [`run_trace_entry`] is a pure function of `(spec, entry)` — the
+//! property the executor ([`crate::sweep`]) relies on — so entries run in
+//! parallel and the report is byte-identical at any thread count.
 
 use crate::algo::Algo;
 use crate::spec::{ScenarioSpec, TraceScenario};
@@ -18,7 +18,7 @@ use dcn_sim::{
     build_star, cc_probe, host_throughput_probe, queue_probe, throughput_probe, Endpoint, FlowId,
     NodeId, PortId, Simulator, SwitchConfig,
 };
-use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry, TraceReport};
+use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry};
 use dcn_transport::{
     FlowSpec, HomaConfig, HomaHost, MetricsHub, SharedMetrics, TransportConfig, TransportHost,
 };
@@ -88,61 +88,6 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
         }
     }
     out
-}
-
-/// Run a whole timeseries scenario on `threads` worker threads. The spec
-/// is validated first; entries shard across threads like sweep points and
-/// the report is byte-identical at any thread count.
-pub fn run_trace(spec: &ScenarioSpec, threads: usize) -> Result<TraceReport, String> {
-    run_trace_with(spec, threads, &crate::sweep::Compute)
-}
-
-/// [`run_trace`] with an explicit [`crate::sweep::PointSource`].
-pub fn run_trace_with(
-    spec: &ScenarioSpec,
-    threads: usize,
-    source: &dyn crate::sweep::PointSource,
-) -> Result<TraceReport, String> {
-    run_trace_observed(spec, threads, source, &crate::obs::NullObserver)
-}
-
-/// [`run_trace_with`] reporting a [`crate::obs::SpanRecord`] per entry
-/// to `obs` as entries complete (see
-/// [`crate::sweep::run_sweep_observed`]): the report is byte-identical
-/// for any observer.
-pub fn run_trace_observed(
-    spec: &ScenarioSpec,
-    threads: usize,
-    source: &dyn crate::sweep::PointSource,
-    obs: &dyn crate::obs::Observer,
-) -> Result<TraceReport, String> {
-    spec.validate()?;
-    if !spec.runs_as_entries() {
-        return Err(format!(
-            "scenario {:?} is a sweep; run it with run_sweep",
-            spec.name
-        ));
-    }
-    let entries = trace_entries(spec);
-    let outcomes = crate::sweep::run_indexed(entries.len(), threads, |i| {
-        #[allow(clippy::disallowed_methods)] // span wall-clock; never in report bytes
-        let t0 = std::time::Instant::now(); // lint:allow(R2): executor span timing — observability only
-        let (out, pobs) = source.trace_entry_obs(spec, &entries[i]);
-        obs.span(&crate::obs::SpanRecord {
-            index: i,
-            label: entries[i].label.clone(),
-            cache: pobs.cache,
-            shard: None,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            stats: pobs.stats,
-        });
-        out
-    });
-    Ok(TraceReport {
-        name: spec.name.clone(),
-        description: spec.description.clone(),
-        entries: outcomes,
-    })
 }
 
 /// Run one trace entry. Deterministic: identical arguments replay

@@ -21,10 +21,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use crate::RunFn;
-use dcn_scenarios::{
-    analytic_entries, spec_kind, sweep_points, trace_entries, Observer, ScenarioSpec, SpanRecord,
-    SummaryRecord,
-};
+use dcn_scenarios::{jstr, spec_kind, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -141,7 +138,7 @@ impl JobSnapshot {
             None => "null".into(),
         };
         let error = match &self.error {
-            Some(e) => json_str(e),
+            Some(e) => jstr(e),
             None => "null".into(),
         };
         format!(
@@ -149,7 +146,7 @@ impl JobSnapshot {
              \"points\":{},\"done\":{},\"hits\":{},\"misses\":{},\"wall_ms\":{:.3},\
              \"eta_ms\":{},\"error\":{}}}",
             self.id,
-            json_str(&self.name),
+            jstr(&self.name),
             self.kind,
             self.state.as_str(),
             self.points,
@@ -166,17 +163,11 @@ impl JobSnapshot {
 impl Job {
     /// Wrap a parsed spec as a queued job.
     pub fn new(id: u64, spec: ScenarioSpec) -> Arc<Job> {
-        let kind = spec_kind(&spec);
-        let points = match kind {
-            "analytic" => analytic_entries(&spec).len(),
-            "timeseries" => trace_entries(&spec).len(),
-            _ => sweep_points(&spec).len(),
-        };
         Arc::new(Job {
             id,
             name: spec.name.clone(),
-            kind,
-            points,
+            kind: spec_kind(&spec),
+            points: spec.num_points(),
             spec,
             progress: Mutex::new(Progress {
                 state: JobState::Queued,
@@ -408,25 +399,6 @@ impl JobQueue {
     }
 }
 
-/// JSON string literal with escaping (mirrors the span-record escaper).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,10 +410,10 @@ mod tests {
 
     fn fake_run(fail: bool) -> RunFn {
         Arc::new(move |spec, obs| {
-            for (i, point) in sweep_points(spec).iter().enumerate() {
+            for (i, item) in dcn_scenarios::work_items(spec).iter().enumerate() {
                 obs.span(&SpanRecord {
                     index: i,
-                    label: dcn_scenarios::point_label(point),
+                    label: item.label(),
                     cache: if i == 0 {
                         CacheStatus::Miss
                     } else {

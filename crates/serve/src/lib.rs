@@ -2,7 +2,7 @@
 //!
 //! The long-running results daemon behind `xp serve`: the "heavy
 //! traffic from many users" front door that turns the batch pieces —
-//! content-addressed result cache, `PointSource` executors, the span
+//! content-addressed result cache, the one work-item executor, the span
 //! stream, byte-stable JSON/CSV reports — into a service.
 //!
 //! ## The pieces
@@ -31,9 +31,11 @@
 //! The daemon does not know how to run a scenario; it is handed a
 //! [`RunFn`] at construction. `dcn-runner` provides the production
 //! implementation (`run_scenario_observed` over a `CachingSource`
-//! against the shared `.xp-cache/`), so concurrent users dedup work
-//! through the content-addressed cache while this crate stays a pure
-//! scheduling and transport layer. The report bytes a job serves are the
+//! against the shared `.xp-cache/` — the same executor `xp run` uses),
+//! so concurrent users dedup work through the content-addressed cache
+//! while this crate stays a pure scheduling and transport layer: the
+//! [`JobQueue`] schedules *jobs*; the points inside a job belong to the
+//! executor. The report bytes a job serves are the
 //! `ScenarioOutput::to_json` / `to_csv` renderings — **byte-identical to
 //! `xp run` output by construction**, and pinned by integration tests.
 

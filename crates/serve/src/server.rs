@@ -360,6 +360,6 @@ fn respond_no_report(stream: &mut TcpStream, job: &Arc<Job>) {
 }
 
 fn respond_error(stream: &mut TcpStream, status: u16, msg: &str) {
-    let body = format!("{{\"error\":{}}}\n", crate::job::json_str(msg));
+    let body = format!("{{\"error\":{}}}\n", dcn_scenarios::jstr(msg));
     let _ = write_response(stream, status, "application/json", body.as_bytes());
 }

@@ -208,8 +208,11 @@ impl TraceReport {
     }
 }
 
-/// JSON string escape.
-fn jstr(s: &str) -> String {
+/// JSON string literal with escaping — the workspace's one escaper:
+/// every hand-rolled JSON emission (reports, span/summary/job records,
+/// cache envelopes, worker manifests, the `--meta` sidecar) goes through
+/// it, so all of them escape identically.
+pub fn jstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -228,7 +231,7 @@ fn jstr(s: &str) -> String {
 }
 
 /// JSON number (shortest round-trip; non-finite becomes null).
-fn jf(x: f64) -> String {
+pub fn jf(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -334,5 +337,11 @@ mod tests {
         let t = sample_report().table();
         assert!(t.contains("| entry | peak | jain |"));
         assert!(t.contains("| PowerTCP-INT | 400 | 0.9870 |"));
+    }
+
+    #[test]
+    fn json_string_escaping() {
+        assert_eq!(jstr("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(jf(f64::NAN), "null");
     }
 }

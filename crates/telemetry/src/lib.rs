@@ -61,7 +61,7 @@ pub mod probe;
 pub mod reduce;
 pub mod ring;
 
-pub use export::{ChannelTrace, TraceEntry, TraceReport};
+pub use export::{jf, jstr, ChannelTrace, TraceEntry, TraceReport};
 pub use probe::{Channel, ChannelId, Recorder, Sample, SharedRecorder, X_TIME_US};
 pub use reduce::{
     decimate, max_after, mean_after, min_within, summarize, window_mean, SeriesSummary,
