@@ -41,7 +41,6 @@ use dcn_sim::{NodeId, SimStats};
 use dcn_stats::slowdown;
 use dcn_transport::FlowSpec;
 use powertcp_core::Tick;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Run one flow-engine sweep point. Deterministic: identical arguments
@@ -177,17 +176,19 @@ fn build_network(
             }
         }
     };
-    let index_of: BTreeMap<NodeId, usize> = plan
-        .map
-        .hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, i))
-        .collect();
+    // Every plan numbers its hosts in ascending node-id order, so the
+    // host list is its own index (a miss or an unsorted list panics; it
+    // cannot resolve to the wrong host).
+    let index_of = |node: NodeId| {
+        plan.map
+            .hosts
+            .binary_search(&node)
+            .expect("flow endpoint is a planned host")
+    };
     let defs = flows
         .iter()
         .map(|f| {
-            let (src, dst) = (index_of[&f.src], index_of[&f.dst]);
+            let (src, dst) = (index_of(f.src), index_of(f.dst));
             let mut path = vec![up[src], down[dst]];
             let (rs, rd) = (plan.map.rack_of[src], plan.map.rack_of[dst]);
             match &fabric {
