@@ -54,15 +54,18 @@ impl Bandwidth {
 
     /// Time to serialize `bytes` onto the wire at this bandwidth.
     ///
-    /// Exact integer arithmetic (128-bit intermediate); rounds up so that a
-    /// packet never finishes transmitting early. Panics on zero bandwidth —
-    /// callers must not serialize onto a down link.
+    /// Exact integer arithmetic; rounds up so that a packet never finishes
+    /// transmitting early. Panics on zero bandwidth — callers must not
+    /// serialize onto a down link.
     #[inline]
     pub fn tx_time(self, bytes: u64) -> Tick {
         assert!(self.0 > 0, "tx_time on zero-bandwidth link");
-        let bits = bytes as u128 * 8;
-        let ps = (bits * PS_PER_SEC as u128).div_ceil(self.0 as u128);
-        Tick(ps as u64)
+        // `bytes · 8 · 10¹²` fits 64 bits up to ~2.3 MB, which covers every
+        // packet; only bulk byte counts pay the 128-bit division.
+        match bytes.checked_mul(8 * PS_PER_SEC) {
+            Some(bit_ps) => Tick(bit_ps.div_ceil(self.0)),
+            None => Tick(tx_time_wide(self.0, bytes)),
+        }
     }
 
     /// Bandwidth-delay product in bytes (fractional, for control laws).
@@ -76,6 +79,12 @@ impl Bandwidth {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+}
+
+/// [`Bandwidth::tx_time`] in ps through a 128-bit intermediate: exact for
+/// every byte count.
+fn tx_time_wide(bps: u64, bytes: u64) -> u64 {
+    (bytes as u128 * 8 * PS_PER_SEC as u128).div_ceil(bps as u128) as u64
 }
 
 impl fmt::Debug for Bandwidth {
@@ -122,6 +131,70 @@ mod tests {
         let bw = Bandwidth::mbps(1);
         let t = bw.tx_time(1_000_000_000);
         assert_eq!(t, Tick::from_secs(8000));
+    }
+
+    /// The 64-bit and 128-bit forms of `tx_time` are one function: equal
+    /// to each other and to the definition (the least `t` with
+    /// `t · bps ≥ bits · 10¹²`) on both sides of the byte count where the
+    /// 64-bit product overflows.
+    #[test]
+    fn tx_time_narrow_and_wide_forms_agree() {
+        use proptest::Strategy;
+        /// Largest byte count whose `· 8 · 10¹²` fits `u64`.
+        const NARROW_MAX: u64 = u64::MAX / (8 * PS_PER_SEC);
+        const GBPS: [u64; 8] = [1, 10, 25, 40, 100, 400, 800, 1600];
+        let strategy = (0u8..3, 0u8..4, 0u64..u64::MAX, 0u64..u64::MAX);
+        let mut rng = proptest::TestRng::deterministic("tx_time_narrow_and_wide_forms_agree");
+        // [narrow path, wide path, exact multiple, rounded up]
+        let mut seen = [0u32; 4];
+        for _ in 0..4000 {
+            let (bw_kind, bytes_kind, a, b) = strategy.sample(&mut rng);
+            let bps = match bw_kind {
+                0 => 2 + a % 1000,
+                1 => GBPS[(a % 8) as usize] * 1_000_000_000,
+                _ => 2 + a % 1_600_000_000_000,
+            };
+            let bytes = match bytes_kind {
+                0 => b % 10_000,
+                1 => NARROW_MAX - 50 + b % 100,
+                2 => 1000 * (1 + b % 2000),
+                // Bulk, as long as the time itself still fits a `Tick`.
+                _ => b % bps.saturating_mul(NARROW_MAX / 2).min(1_000_000_000_000),
+            };
+            let t = Bandwidth::from_bps(bps).tx_time(bytes).as_ps();
+            assert_eq!(t, tx_time_wide(bps, bytes), "{bytes} B at {bps} bps");
+            let bit_ps = bytes as u128 * 8 * PS_PER_SEC as u128;
+            let covered = t as u128 * bps as u128;
+            assert!(covered >= bit_ps, "{bytes} B at {bps} bps finishes early");
+            assert!(covered - bit_ps < bps as u128, "{bytes} B at {bps} bps");
+            for (hit, n) in [
+                bytes <= NARROW_MAX,
+                bytes > NARROW_MAX,
+                covered == bit_ps && bytes > 0,
+                covered > bit_ps,
+            ]
+            .into_iter()
+            .zip(&mut seen)
+            {
+                *n += hit as u32;
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n >= 400),
+            "generator coverage {seen:?}"
+        );
+        // The boundary itself, at both ends of the bandwidth range (at
+        // 1 bps it is also the last byte count whose time fits a `Tick`).
+        for (bps, bytes) in [
+            (1, NARROW_MAX),
+            (3, NARROW_MAX),
+            (3, NARROW_MAX + 1),
+            (1_600_000_000_000, NARROW_MAX),
+            (1_600_000_000_000, NARROW_MAX + 1),
+        ] {
+            let t = Bandwidth::from_bps(bps).tx_time(bytes).as_ps();
+            assert_eq!(t, tx_time_wide(bps, bytes), "{bytes} B at {bps} bps");
+        }
     }
 
     #[test]

@@ -256,11 +256,7 @@ impl Simulator {
     /// Run until the event at or before `end` (inclusive); primes first.
     pub fn run_until(&mut self, end: Tick) {
         self.prime();
-        while let Some(t) = self.queue.peek_time() {
-            if t > end {
-                break;
-            }
-            let (_, ev) = self.queue.pop().expect("peeked");
+        while let Some((_, ev)) = self.queue.pop_until(end) {
             self.dispatch(ev);
         }
     }

@@ -4,15 +4,16 @@
 //! ## Calendar-queue implementation
 //!
 //! The queue is a bucketed calendar keyed by [`Tick`]: a ring of
-//! `NUM_BUCKETS` buckets, each covering `2^BUCKET_SHIFT` picoseconds,
-//! spanning a ~537 µs horizon from the current wrap's base. Simulation
-//! events cluster tightly in the near future (serialization times are
-//! tens to hundreds of nanoseconds, propagation ~1 µs), so buckets stay
-//! small: `schedule` is an O(1) append and `pop` selects the bucket
-//! minimum with a short scan — no `BinaryHeap` sift of the whole pending
-//! set on the hot path. Events beyond the horizon (RTOs, rotor-schedule
-//! timers, flow starts) go to a sorted overflow heap and migrate into the
-//! ring when their wrap begins.
+//! `NUM_BUCKETS` (2¹⁶) buckets, each covering `2^BUCKET_SHIFT` ps
+//! (2¹³ ps ≈ 8 ns), spanning a 2²⁹ ps ≈ 537 µs horizon from the current
+//! wrap's base. Simulation events cluster in the near future
+//! (serialization times are tens to hundreds of nanoseconds, propagation
+//! ~1 µs), so a bucket holds a handful of events: `schedule` is an O(1)
+//! append, and `pop` drains the first occupied bucket (found through a
+//! one-bit-per-bucket map) in sorted order — no `BinaryHeap` sift of the
+//! whole pending set on the hot path. Events beyond the horizon (RTOs,
+//! rotor-schedule timers, flow starts) go to a sorted overflow heap and
+//! migrate into the ring when their wrap begins.
 //!
 //! Non-active buckets are unsorted append logs; when the drain cursor
 //! reaches a bucket it is sorted once (descending, so pops take the
@@ -21,13 +22,26 @@
 //! bursts cluster hundreds of events into one bucket — a per-pop
 //! minimum scan would degrade to O(k²) there.
 //!
+//! ## Storage follows the pending set
+//!
+//! A ring slot is a 4-byte index, not a buffer. The buffers live in one
+//! pool: a bucket that drains retires its (empty) buffer to a LIFO spare
+//! stack, and a bucket receiving its first event adopts the most recently
+//! retired one. Live buffers are therefore exactly the non-empty buckets,
+//! the pool is as large as the most buckets ever occupied at once, and
+//! the next `schedule` writes into memory the drain just touched — where
+//! a buffer per slot would keep every slot's high-water capacity for ever
+//! and walk all of it, cold, once per wrap
+//! ([`EventQueue::buffered_records`] is the quantity).
+//!
 //! Ordering is **bit-compatible** with the previous binary-heap
 //! implementation: events pop in `(time, insertion-seq)` order, FIFO among
 //! simultaneous events, so replacing the structure changes no simulation
 //! output byte. Buckets partition time disjointly and are visited in
-//! increasing order; within a bucket the scan selects the minimal key and
+//! increasing order; within a bucket the sort orders by the full key and
 //! the overflow heap orders by the same key, so the global pop order is
-//! exactly the old one.
+//! exactly the old one — whatever the bucket width and wherever the
+//! records are stored.
 
 use crate::ids::{NodeId, PortId};
 use crate::packet::Packet;
@@ -108,17 +122,21 @@ impl Ord for Scheduled {
     }
 }
 
-/// Bucket width exponent: each bucket covers `2^18` ps ≈ 262 ns — below
-/// the dominant event spacings (1000 B serialize in 320 ns at 25 G, 80 ns
-/// at 100 G; propagation ≈ 1 µs) so concurrent timelines spread across
-/// buckets and per-bucket sorts stay short.
-const BUCKET_SHIFT: u32 = 18;
+/// Bucket width exponent: each bucket covers `2^13` ps ≈ 8 ns — well
+/// below the dominant event spacings (1000 B serialize in 320 ns at 25 G,
+/// 80 ns at 100 G; propagation ≈ 1 µs), so even a 256-host fabric's
+/// concurrent timelines leave a handful of events per bucket: the sort on
+/// visit is a small-sort and a splice into the draining bucket is nearly
+/// an append. Chosen with `NUM_BUCKETS` from a measured grid (DESIGN.md,
+/// "Calendar event queue").
+const BUCKET_SHIFT: u32 = 13;
 /// Ring size (power of two): horizon = `NUM_BUCKETS << BUCKET_SHIFT` ps
-/// ≈ 537 µs, which keeps per-packet events and the common transport
-/// timers (pacing gaps, ~100 µs RTOs, tracer ticks, rotor phases) in the
-/// ring; longer timers (ms-scale RTOs, staggered flow starts, rotor
-/// weeks) take the overflow heap and migrate in when their wrap starts.
-const NUM_BUCKETS: usize = 2048;
+/// = 2²⁹ ps ≈ 537 µs, which keeps per-packet events and the common
+/// transport timers (pacing gaps, ~100 µs RTOs, tracer ticks, rotor
+/// phases) in the ring; longer timers (ms-scale RTOs, staggered flow
+/// starts, rotor weeks) take the overflow heap and migrate in when their
+/// wrap starts. The ring itself costs 4 bytes per bucket.
+const NUM_BUCKETS: usize = 1 << 16;
 const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
 
 /// Time-ordered event queue.
@@ -126,8 +144,16 @@ const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
 /// `pop` never returns events out of order, and events scheduled for the
 /// same instant come out in insertion order.
 pub struct EventQueue {
-    /// The calendar ring: unsorted per-bucket append logs.
-    buckets: Vec<Vec<Scheduled>>,
+    /// The calendar ring: per bucket, the index in `bufs` of its buffer
+    /// (an unsorted append log until the cursor reaches it). Meaningful
+    /// only while the bucket's `occupied` bit is set — an empty bucket
+    /// owns no buffer.
+    buckets: Vec<u32>,
+    /// The bucket buffers: as many as buckets were ever occupied at once.
+    bufs: Vec<Vec<Scheduled>>,
+    /// Indices of the (emptied) buffers of drained buckets, most recently
+    /// retired last.
+    spare: Vec<u32>,
     /// One bit per bucket: bucket non-empty.
     occupied: [u64; NUM_BUCKETS / 64],
     /// Events currently in the ring.
@@ -139,7 +165,8 @@ pub struct EventQueue {
     /// Absolute index of the bucket being drained.
     cursor: u64,
     /// The cursor bucket has been sorted (descending by `(at, seq)`) and
-    /// is draining from the tail.
+    /// is draining from the tail; cleared when it empties, so it implies
+    /// a non-empty cursor bucket.
     cursor_sorted: bool,
     /// Events at or beyond the wrap horizon, ordered by `(at, seq)`.
     overflow: BinaryHeap<Reverse<Scheduled>>,
@@ -160,7 +187,9 @@ impl EventQueue {
     /// Empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: vec![0; NUM_BUCKETS],
+            bufs: Vec::new(),
+            spare: Vec::new(),
             occupied: [0; NUM_BUCKETS / 64],
             ring_len: 0,
             wrap_base: 0,
@@ -200,6 +229,19 @@ impl EventQueue {
         }
         debug_assert!(abs >= self.wrap_base, "insert before the current wrap");
         let slot = (abs & BUCKET_MASK) as usize;
+        let s = Scheduled { at, seq, ev };
+        if abs == self.cursor && self.cursor_sorted {
+            // Splice into the draining bucket, keeping it sorted
+            // descending so the tail stays the minimum. Same-tick inserts
+            // land before existing same-tick events' positions only if
+            // their seq is lower — it never is (seq grows) — so FIFO
+            // holds.
+            let b = self.bucket(slot);
+            let pos = b.partition_point(|e| e.key() > (at, seq));
+            b.insert(pos, s);
+            self.ring_len += 1;
+            return;
+        }
         if abs < self.cursor {
             // A peek advanced the cursor past this (empty) bucket and the
             // caller then scheduled at/near `now`: retreat. Every bucket
@@ -207,22 +249,48 @@ impl EventQueue {
             // order.
             self.cursor = abs;
             self.cursor_sorted = false;
-            self.buckets[slot].push(Scheduled { at, seq, ev });
-        } else if abs == self.cursor && self.cursor_sorted {
-            // Splice into the draining bucket, keeping it sorted
-            // descending so the tail stays the minimum. Same-tick inserts
-            // land before existing same-tick events' positions only if
-            // their seq is lower — it never is (seq grows) — so FIFO
-            // holds.
-            let key = (at, seq);
-            let b = &mut self.buckets[slot];
-            let pos = b.partition_point(|e| e.key() > key);
-            b.insert(pos, Scheduled { at, seq, ev });
-        } else {
-            self.buckets[slot].push(Scheduled { at, seq, ev });
         }
-        self.occupied[slot >> 6] |= 1 << (slot & 63);
+        self.push_slot(slot, s);
+    }
+
+    /// Append to ring bucket `slot`. An empty bucket first adopts the most
+    /// recently retired buffer, so the write lands in memory the drain
+    /// just touched.
+    #[inline]
+    fn push_slot(&mut self, slot: usize, s: Scheduled) {
+        let (word, bit) = (&mut self.occupied[slot >> 6], 1 << (slot & 63));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.buckets[slot] = self.spare.pop().unwrap_or_else(|| {
+                self.bufs.push(Vec::new());
+                self.bufs.len() as u32 - 1
+            });
+        }
+        self.bucket(slot).push(s);
         self.ring_len += 1;
+    }
+
+    /// The buffer of occupied bucket `slot`.
+    #[inline]
+    fn bucket(&mut self, slot: usize) -> &mut Vec<Scheduled> {
+        &mut self.bufs[self.buckets[slot] as usize]
+    }
+
+    /// Take the head of the prepared cursor bucket `slot`. A bucket that
+    /// drains hands its buffer to the spare stack: live buffers are
+    /// exactly the non-empty buckets.
+    #[inline]
+    fn take_head(&mut self, slot: usize) -> Scheduled {
+        let buf = self.buckets[slot];
+        let b = &mut self.bufs[buf as usize];
+        let s = b.pop().expect("prepared bucket is empty");
+        self.ring_len -= 1;
+        if b.is_empty() {
+            self.occupied[slot >> 6] &= !(1 << (slot & 63));
+            self.cursor_sorted = false;
+            self.spare.push(buf);
+        }
+        s
     }
 
     /// Schedule `ev` after a delay relative to now.
@@ -248,20 +316,21 @@ impl EventQueue {
     }
 
     /// Position the cursor on the next event's bucket (sorted, draining
-    /// from the tail), starting a new wrap from the overflow heap when
-    /// the ring drains. Returns `false` when no events remain.
+    /// from the tail) and return its slot, starting a new wrap from the
+    /// overflow heap when the ring drains. The queue must not be empty.
     ///
-    /// Only [`EventQueue::pop`] may call this with an empty ring: starting
-    /// a wrap moves `wrap_base` ahead of `now`, which is sound only
-    /// because `pop` immediately advances `now` into the new wrap. A peek
-    /// must not jump (a later `schedule` at `now` would land before
-    /// `wrap_base`), so [`EventQueue::peek_time`] reads the overflow
-    /// minimum directly instead.
-    fn prepare_next(&mut self) -> bool {
-        // Fast path: the cursor bucket is already sorted and non-empty
-        // (the driver peeks then pops, so this runs twice per event).
-        if self.cursor_sorted && !self.buckets[(self.cursor & BUCKET_MASK) as usize].is_empty() {
-            return true;
+    /// Only [`EventQueue::pop_until`] may call this with an empty ring,
+    /// and only for an event it is about to pop: starting a wrap moves
+    /// `wrap_base` ahead of `now`, which is sound only because the pop
+    /// immediately advances `now` into the new wrap. A peek must not jump
+    /// (a later `schedule` at `now` would land before `wrap_base`), so
+    /// [`EventQueue::peek_time`] reads the overflow minimum directly
+    /// instead.
+    fn prepare_next(&mut self) -> usize {
+        // Fast path: still draining the cursor bucket (`cursor_sorted`
+        // is cleared when it empties).
+        if self.cursor_sorted {
+            return (self.cursor & BUCKET_MASK) as usize;
         }
         loop {
             if self.ring_len > 0 {
@@ -270,16 +339,14 @@ impl EventQueue {
                     .find_occupied_from(start)
                     .expect("ring_len > 0 but no occupied bucket at/after cursor");
                 self.cursor = self.wrap_base + slot as u64;
-                let b = &mut self.buckets[slot];
+                let b = self.bucket(slot);
                 if b.len() > 1 {
                     b.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
                 }
                 self.cursor_sorted = true;
-                return true;
+                return slot;
             }
-            let Some(Reverse(min)) = self.overflow.peek() else {
-                return false;
-            };
+            let Reverse(min) = self.overflow.peek().expect("no event pending");
             // Start the wrap containing the earliest overflow event and
             // migrate everything that now fits the horizon into the ring.
             let min_abs = min.at.0 >> BUCKET_SHIFT;
@@ -293,9 +360,7 @@ impl EventQueue {
                 }
                 let Reverse(s) = self.overflow.pop().expect("peeked");
                 let slot = ((s.at.0 >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
-                self.buckets[slot].push(s);
-                self.occupied[slot >> 6] |= 1 << (slot & 63);
-                self.ring_len += 1;
+                self.push_slot(slot, s);
             }
         }
     }
@@ -303,16 +368,25 @@ impl EventQueue {
     /// Pop the next event, advancing the clock.
     #[inline]
     pub fn pop(&mut self) -> Option<(Tick, Event)> {
-        if !self.prepare_next() {
+        self.pop_until(Tick::MAX)
+    }
+
+    /// Pop the next event if it fires at or before `end`, advancing the
+    /// clock — a [`EventQueue::peek_time`] and a [`EventQueue::pop`] in
+    /// one bucket preparation. Like the peek it never starts an overflow
+    /// wrap for an event beyond `end`: the clock would not follow, and a
+    /// later `schedule` at `now` would land before the new wrap.
+    #[inline]
+    pub fn pop_until(&mut self, end: Tick) -> Option<(Tick, Event)> {
+        if self.ring_len == 0 && !matches!(self.overflow.peek(), Some(Reverse(s)) if s.at <= end) {
             return None;
         }
-        let slot = (self.cursor & BUCKET_MASK) as usize;
-        let s = self.buckets[slot].pop().expect("prepared bucket is empty");
-        self.ring_len -= 1;
-        if self.buckets[slot].is_empty() {
-            self.occupied[slot >> 6] &= !(1 << (slot & 63));
-            self.cursor_sorted = false;
+        let slot = self.prepare_next();
+        let head = self.bucket(slot).last().expect("prepared bucket is empty");
+        if head.at > end {
+            return None;
         }
+        let s = self.take_head(slot);
         debug_assert!(s.at >= self.now);
         self.now = s.at;
         Some((s.at, s.ev))
@@ -328,29 +402,22 @@ impl EventQueue {
     /// FIFO order is preserved event for event.
     ///
     /// Like [`EventQueue::peek_time`], this never starts a new overflow
-    /// wrap (see [`EventQueue::pop`] via `prepare_next`): an empty ring
-    /// means every pending event lives beyond the wrap horizon it was
-    /// scheduled under, hence strictly after `now` — nothing same-tick
-    /// can be there, so `None` is correct without touching the heap.
+    /// wrap (see `prepare_next`): an empty ring means every pending event
+    /// lives beyond the wrap horizon it was scheduled under, hence
+    /// strictly after `now` — nothing same-tick can be there, so `None`
+    /// is correct without touching the heap.
     #[inline]
     pub fn pop_now_if(&mut self, pred: impl FnOnce(&Event) -> bool) -> Option<Event> {
         if self.ring_len == 0 {
             return None;
         }
-        let ready = self.prepare_next();
-        debug_assert!(ready, "non-empty ring must prepare");
-        let slot = (self.cursor & BUCKET_MASK) as usize;
-        let head = self.buckets[slot].last().expect("prepared bucket is empty");
-        if head.at != self.now || !pred(&head.ev) {
+        let slot = self.prepare_next();
+        let now = self.now;
+        let head = self.bucket(slot).last().expect("prepared bucket is empty");
+        if head.at != now || !pred(&head.ev) {
             return None;
         }
-        let s = self.buckets[slot].pop().expect("checked non-empty");
-        self.ring_len -= 1;
-        if self.buckets[slot].is_empty() {
-            self.occupied[slot >> 6] &= !(1 << (slot & 63));
-            self.cursor_sorted = false;
-        }
-        Some(s.ev)
+        Some(self.take_head(slot).ev)
     }
 
     /// Time of the next event without popping it.
@@ -361,10 +428,8 @@ impl EventQueue {
             // overflow heap already knows its minimum.
             return self.overflow.peek().map(|Reverse(s)| s.at);
         }
-        let ready = self.prepare_next();
-        debug_assert!(ready, "non-empty ring must prepare");
-        let slot = (self.cursor & BUCKET_MASK) as usize;
-        self.buckets[slot].last().map(|s| s.at)
+        let slot = self.prepare_next();
+        self.bucket(slot).last().map(|s| s.at)
     }
 
     /// Lifetime count of events scheduled (the insertion-seq counter —
@@ -380,6 +445,13 @@ impl EventQueue {
     #[inline]
     pub fn overflow_scheduled(&self) -> u64 {
         self.overflow_scheduled
+    }
+
+    /// Event records the queue's bucket buffers have room for, in use or
+    /// spare — the ring's storage footprint, which follows the largest
+    /// pending set seen rather than the number of buckets ever touched.
+    pub fn buffered_records(&self) -> usize {
+        self.bufs.iter().map(Vec::capacity).sum()
     }
 
     /// Number of pending events.
@@ -580,6 +652,79 @@ mod tests {
             .map(|(_, e)| key_of(&e))
             .collect();
         assert_eq!(order, vec![2, 1]);
+    }
+
+    #[test]
+    fn pop_until_never_starts_an_overflow_wrap_beyond_end() {
+        let mut q = EventQueue::new();
+        let popped = |r: Option<(Tick, Event)>| r.map(|(t, e)| (t, key_of(&e)));
+        let (t0, far) = (Tick::from_nanos(10), Tick::from_millis(5));
+        q.schedule(t0, timer(0));
+        q.schedule(far, timer(1)); // overflow heap
+        q.schedule(Tick::from_micros(300), timer(2)); // in the ring
+        assert_eq!(popped(q.pop_until(Tick::from_micros(1))), Some((t0, 0)));
+        // The ring's head is beyond `end`: declined, the clock stays, and
+        // a schedule at `now` — behind the cursor by now — still pops
+        // first.
+        assert_eq!(popped(q.pop_until(Tick::from_micros(1))), None);
+        assert_eq!(q.now(), t0);
+        q.schedule(t0, timer(3));
+        assert_eq!(popped(q.pop_until(Tick::from_micros(1))), Some((t0, 3)));
+        assert_eq!(
+            popped(q.pop_until(Tick::from_millis(1))),
+            Some((Tick::from_micros(300), 2))
+        );
+        // The ring is empty and the overflow minimum is beyond `end`: no
+        // wrap may start (the schedule below would land before it).
+        assert_eq!(popped(q.pop_until(far - Tick::from_ps(1))), None);
+        assert_eq!(q.now(), Tick::from_micros(300));
+        q.schedule(Tick::from_micros(300), timer(4));
+        assert_eq!(
+            popped(q.pop_until(far - Tick::from_ps(1))),
+            Some((Tick::from_micros(300), 4))
+        );
+        // `end` is inclusive.
+        assert_eq!(popped(q.pop_until(far)), Some((far, 1)));
+        assert_eq!(popped(q.pop_until(Tick::MAX)), None);
+    }
+
+    #[test]
+    fn buffers_follow_the_pending_set_not_the_ring() {
+        // A bounded pending set — P events, each rescheduled when it
+        // fires, 0.3–3 µs out with a rare ms-scale timer — churned through
+        // eight ring wraps reschedules each event over a thousand times
+        // and lands in buckets all round the ring. Buffer space must stay
+        // within a small multiple of P (a buffer holds at least 4 records
+        // and doubles), not grow with the buckets touched.
+        const P: usize = 256;
+        let mut q = EventQueue::new();
+        let mut rng = proptest::TestRng::deterministic("buffers_follow_the_pending_set");
+        let mut delay = || {
+            if rng.below(4096) == 0 {
+                Tick::from_micros(1000 + rng.below(2000) as u64)
+            } else {
+                Tick::from_nanos(300 + rng.below(2700) as u64)
+            }
+        };
+        for k in 0..P as u64 {
+            q.schedule(delay(), timer(k));
+        }
+        let end = 8 * ((NUM_BUCKETS as u64) << BUCKET_SHIFT);
+        let mut pops = 0u64;
+        while q.now().as_ps() < end {
+            let (_, ev) = q.pop().expect("the pending set never drains");
+            q.schedule_in(delay(), ev);
+            pops += 1;
+        }
+        assert_eq!(q.len(), P);
+        assert!(pops > 1000 * P as u64, "only {pops} pops");
+        assert!(q.overflow_scheduled() > 0, "no ms timer drawn");
+        // Buffer space never shrinks, so the final value is the peak.
+        assert!(
+            q.buffered_records() <= 8 * P,
+            "{} records buffered for {P} pending events",
+            q.buffered_records()
+        );
     }
 
     #[test]

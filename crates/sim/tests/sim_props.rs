@@ -168,25 +168,119 @@ proptest! {
 /// heap popping `(time, insertion-seq)` minimums. The calendar queue must
 /// be observationally identical against arbitrary schedule/pop
 /// interleavings — that is what makes the swap byte-invisible.
+///
+/// The model also shadows the one piece of calendar state that decides
+/// *where* an event is stored — the base of the current ring wrap — so
+/// the tests below can tell, from outside the queue, which storage paths
+/// a case drove. That shadow is itself checked: the queue's
+/// `overflow_scheduled` count must equal the model's.
 #[derive(Default)]
 struct HeapModel {
     heap: BinaryHeap<Reverse<(Tick, u64)>>,
     keys: std::collections::HashMap<u64, u64>,
     seq: u64,
     now: Tick,
+    /// Start (ps) of the ring wrap: pending events before
+    /// `wrap_base + HORIZON_PS` are in the ring, the rest in the heap.
+    wrap_base: u64,
+    overflow_scheduled: u64,
+    /// Block (see [`block`]) the last peek or declined pop left the
+    /// cursor on, when that is past `now`'s block.
+    cursor_ahead: Option<u64>,
+    /// Something has been popped, so `now`'s bucket has held an event.
+    has_popped: bool,
+    seen: Coverage,
+}
+
+/// The ring's horizon: 2²⁹ ps whatever the bucket width.
+const HORIZON_PS: u64 = 1 << 29;
+
+/// Which calendar paths a case reached, judged conservatively: each
+/// predicate holds for every power-of-two bucket width up to 2¹⁸ ps (the
+/// widest this queue has used), so narrowing the buckets cannot turn a
+/// counted case into an uncounted one.
+#[derive(Default)]
+struct Coverage {
+    /// Pops that started a ring wrap and migrated at least two events
+    /// from the overflow heap into (empty, hence buffer-less) buckets.
+    migrations: u32,
+    /// A bucket drained by a pop and refilled by a schedule at the same
+    /// instant: it adopts a buffer the drain retired.
+    refills: u32,
+    /// A schedule that pulled the cursor back, after a peek or a declined
+    /// `pop_until` advanced it, onto an empty (buffer-less) bucket.
+    retreats: u32,
+    /// Same-tick bursts of at least 128 events drained through
+    /// `pop_now_if` with schedules at `now` spliced in.
+    bursts: u32,
+}
+
+/// Two instants in different blocks are in different buckets, and any
+/// bucket lies inside one block.
+fn block(t: Tick) -> u64 {
+    t.as_ps() >> 18
 }
 
 impl HeapModel {
+    fn head(&self) -> Option<(Tick, u64)> {
+        self.heap.peek().map(|&Reverse(h)| h)
+    }
+    fn in_ring(&self, at: Tick) -> bool {
+        at.as_ps() < self.wrap_base + HORIZON_PS
+    }
     fn schedule(&mut self, at: Tick, key: u64) {
         let at = at.max(self.now);
+        if !self.in_ring(at) {
+            self.overflow_scheduled += 1;
+        } else if self.cursor_ahead.is_some_and(|b| block(at) < b) {
+            self.seen.retreats += 1;
+            self.cursor_ahead = None;
+        }
         self.heap.push(Reverse((at, self.seq)));
         self.keys.insert(self.seq, key);
         self.seq += 1;
     }
     fn pop(&mut self) -> Option<(Tick, u64)> {
-        let Reverse((at, seq)) = self.heap.pop()?;
+        let (at, seq) = self.head()?;
+        if !self.in_ring(at) {
+            self.wrap_base = at.as_ps() / HORIZON_PS * HORIZON_PS;
+            let migrated = self.heap.iter().filter(|e| self.in_ring(e.0 .0)).count();
+            self.seen.migrations += (migrated >= 2) as u32;
+        }
+        self.heap.pop();
         self.now = at;
+        self.has_popped = true;
+        self.cursor_ahead = None;
         Some((at, self.keys.remove(&seq).expect("scheduled")))
+    }
+    /// `peek_time`; also what a declined `pop_until` does to the cursor.
+    fn peek(&mut self) -> Option<Tick> {
+        let (at, _) = self.head()?;
+        if self.in_ring(at) && block(at) > block(self.now) {
+            self.cursor_ahead = Some(block(at));
+        }
+        Some(at)
+    }
+    fn pop_until(&mut self, end: Tick) -> Option<(Tick, u64)> {
+        if self.peek()? <= end {
+            self.pop()
+        } else {
+            None
+        }
+    }
+    fn pop_now_if(&mut self, pred: impl FnOnce(u64) -> bool) -> Option<u64> {
+        let (at, seq) = self.head()?;
+        // Looking at the head moves the cursor the way a peek does.
+        self.peek();
+        if at != self.now || !pred(self.keys[&seq]) {
+            return None;
+        }
+        self.pop().map(|(_, key)| key)
+    }
+    /// No event pending in `now`'s block: `now`'s bucket has drained.
+    fn now_bucket_drained(&self) -> bool {
+        self.head()
+            .is_none_or(|(at, _)| block(at) > block(self.now))
     }
 }
 
@@ -204,7 +298,73 @@ fn key_of(ev: &Event) -> u64 {
     }
 }
 
-/// Workload: a stream of (op, delta) pairs. `op` selects schedule vs pop
+/// The queue under test in lockstep with the model: every result is
+/// compared as it is produced.
+#[derive(Default)]
+struct Lockstep {
+    q: EventQueue,
+    model: HeapModel,
+    next_key: u64,
+}
+
+impl Lockstep {
+    fn schedule_in(&mut self, delay_ps: u64) {
+        let at = Tick::from_ps(self.q.now().as_ps() + delay_ps);
+        if delay_ps == 0 && self.model.has_popped && self.model.now_bucket_drained() {
+            self.model.seen.refills += 1;
+        }
+        self.q.schedule(at, timer_ev(self.next_key));
+        self.model.schedule(at, self.next_key);
+        self.next_key += 1;
+    }
+    fn pop(&mut self) -> bool {
+        let got = self.q.pop().map(|(t, e)| (t, key_of(&e)));
+        assert_eq!(got, self.model.pop());
+        assert_eq!(self.q.now(), self.model.now);
+        got.is_some()
+    }
+    fn pop_until(&mut self, end: Tick) {
+        let got = self.q.pop_until(end).map(|(t, e)| (t, key_of(&e)));
+        assert_eq!(got, self.model.pop_until(end));
+        assert_eq!(self.q.now(), self.model.now);
+    }
+    fn peek(&mut self) {
+        assert_eq!(self.q.peek_time(), self.model.peek());
+    }
+    /// `n` events at `now`, then the engine's batching loop over them and
+    /// a little beyond: `pop_now_if` with a predicate that turns every
+    /// third event away (a plain `pop` takes what it declines), and every
+    /// fifth step one more event scheduled at `now` — behind the whole
+    /// burst, FIFO; once the tick has drained, behind the cursor that the
+    /// declined `pop_now_if` moved on.
+    fn burst(&mut self, n: u64) {
+        for _ in 0..n {
+            self.schedule_in(0);
+        }
+        for step in 0..n + n / 2 {
+            let admit = |key: u64| !key.is_multiple_of(3);
+            let got = self.q.pop_now_if(|e| admit(key_of(e))).map(|e| key_of(&e));
+            assert_eq!(got, self.model.pop_now_if(admit));
+            if step.is_multiple_of(5) {
+                self.schedule_in(0);
+            }
+            if got.is_none() {
+                self.pop();
+            }
+        }
+        self.model.seen.bursts += (n >= 128) as u32;
+    }
+    /// Drain both completely; order must agree to the last event, and
+    /// the model must have placed every event where the queue did.
+    fn finish(mut self) -> Coverage {
+        assert_eq!(self.q.len(), self.model.heap.len());
+        while self.pop() {}
+        assert_eq!(self.q.overflow_scheduled(), self.model.overflow_scheduled);
+        self.model.seen
+    }
+}
+
+/// Workload: a stream of (op, delta) pairs. `op` selects the operation
 /// and the delay magnitude: small deltas stay inside one calendar bucket
 /// (same-tick FIFO pressure), medium deltas cross buckets, large deltas
 /// cross the ~537 µs ring horizon into the overflow heap and back.
@@ -212,74 +372,88 @@ fn queue_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
     prop::collection::vec((0u8..=255, 0u64..6_000_000_000), 1..400)
 }
 
+/// Run 60 generated op streams through `step` and require every path in
+/// [`Coverage`] to have been reached in at least 40 of them.
+fn check_queue(name: &str, step: impl Fn(&mut Lockstep, u8, u64)) {
+    let strategy = queue_ops();
+    let mut rng = proptest::TestRng::deterministic(name);
+    let mut reached = [0u32; 4];
+    for _ in 0..60 {
+        let mut run = Lockstep::default();
+        for (op, delta) in strategy.sample(&mut rng) {
+            step(&mut run, op, delta);
+            assert_eq!(run.q.len(), run.model.heap.len());
+        }
+        let seen = run.finish();
+        let hits = [
+            // Two wrap starts: the case ran in at least three wraps.
+            seen.migrations >= 2,
+            seen.refills > 0,
+            seen.retreats > 0,
+            seen.bursts > 0,
+        ];
+        for (n, hit) in reached.iter_mut().zip(hits) {
+            *n += hit as u32;
+        }
+    }
+    assert!(
+        reached.iter().all(|&n| n >= 40),
+        "generator coverage {reached:?} of 60 (multi-wrap migration, refill, retreat, burst)"
+    );
+}
+
+/// Same-tick FIFO and total time order: the calendar queue pops the exact
+/// stream the old heap popped, for arbitrary interleavings — across ring
+/// wraps, through buckets that drain and refill, and through same-tick
+/// bursts drained the way the engine batches them.
+#[test]
+fn event_queue_matches_heap_model() {
+    check_queue("event_queue_matches_heap_model", |run, op, delta| {
+        match op % 16 {
+            // Schedule. op chooses the delay scale; delta 0 and the small
+            // scale generate plenty of same-tick collisions.
+            0..=2 => run.schedule_in(delta % 2_000), // within one bucket (ps)
+            3..=5 => run.schedule_in(delta % 2_000_000), // a few buckets
+            6..=8 => run.schedule_in(delta),         // up to 6 ms: overflow
+            9 => run.schedule_in(0),                 // at `now`
+            10 => run.burst(128 + delta % 64),
+            _ => {
+                run.pop();
+            }
+        }
+    });
+}
+
+/// Interleaving peeks and declined `pop_until`s must not disturb the pop
+/// order (both advance the internal cursor; a later schedule at `now`
+/// must still pop first), and neither may start an overflow wrap.
+#[test]
+fn event_queue_peek_is_transparent() {
+    check_queue("event_queue_peek_is_transparent", |run, op, delta| {
+        match op % 16 {
+            0..=2 => run.schedule_in(delta),
+            3..=5 => run.schedule_in(delta % 200_000_000),
+            6 | 7 => run.peek(),
+            // Peek, then schedule at or just after `now`: behind the cursor.
+            8 => {
+                run.peek();
+                run.schedule_in(delta % 2_000);
+            }
+            9 => {
+                let end = Tick::from_ps(run.q.now().as_ps() + delta % 400_000_000);
+                run.pop_until(end);
+                run.schedule_in(0);
+            }
+            10 => run.burst(128 + delta % 64),
+            _ => {
+                run.pop();
+            }
+        }
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Same-tick FIFO and total time order: the calendar queue pops the
-    /// exact stream the old heap popped, for arbitrary interleavings.
-    #[test]
-    fn event_queue_matches_heap_model(ops in queue_ops()) {
-        let mut q = EventQueue::new();
-        let mut model = HeapModel::default();
-        let mut next_key = 0u64;
-        for (op, delta) in ops {
-            if op % 4 < 3 {
-                // Schedule. op chooses the delay scale; delta 0 and the
-                // small scale generate plenty of same-tick collisions.
-                let delay = match op % 3 {
-                    0 => delta % 2_000,            // within one bucket (ps)
-                    1 => delta % 2_000_000,        // a few buckets
-                    _ => delta,                    // up to 6 ms: overflow
-                };
-                let at = Tick::from_ps(q.now().as_ps() + delay);
-                q.schedule(at, timer_ev(next_key));
-                model.schedule(at, next_key);
-                next_key += 1;
-            } else {
-                let got = q.pop().map(|(t, e)| (t, key_of(&e)));
-                prop_assert_eq!(got, model.pop());
-                prop_assert_eq!(q.now(), model.now);
-            }
-            prop_assert_eq!(q.len(), model.heap.len());
-        }
-        // Drain both completely; order must agree to the last event.
-        loop {
-            let got = q.pop().map(|(t, e)| (t, key_of(&e)));
-            let want = model.pop();
-            prop_assert_eq!(&got, &want);
-            if got.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Interleaving peeks must not disturb the pop order (peeking advances
-    /// the internal cursor; a later schedule at `now` must still pop
-    /// first).
-    #[test]
-    fn event_queue_peek_is_transparent(ops in queue_ops()) {
-        let mut q = EventQueue::new();
-        let mut model = HeapModel::default();
-        let mut next_key = 0u64;
-        for (op, delta) in ops {
-            match op % 5 {
-                0 | 1 => {
-                    let at = Tick::from_ps(q.now().as_ps() + delta);
-                    q.schedule(at, timer_ev(next_key));
-                    model.schedule(at, next_key);
-                    next_key += 1;
-                }
-                2 => {
-                    let want = model.heap.peek().map(|Reverse((t, _))| *t);
-                    prop_assert_eq!(q.peek_time(), want);
-                }
-                _ => {
-                    let got = q.pop().map(|(t, e)| (t, key_of(&e)));
-                    prop_assert_eq!(got, model.pop());
-                }
-            }
-        }
-    }
 
     /// Pool-recycled packet boxes never leak state from a previous life:
     /// every allocation is exactly the packet the caller constructed,
