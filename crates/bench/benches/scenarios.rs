@@ -15,12 +15,8 @@ fn trace_spec(scenario: TraceScenario, horizon_ms: f64) -> ScenarioSpec {
     ScenarioSpec::timeseries(
         "bench",
         TraceSpec {
-            scenario,
-            tick_us: 20.0,
-            max_samples: 4096,
             max_rows: 60,
-            window: 1,
-            channels: Vec::new(),
+            ..TraceSpec::new(scenario)
         },
     )
     .algos([Algo::PowerTcp])

@@ -10,20 +10,10 @@ use dcn_scenarios::{run_trace, Algo, ScenarioSpec, TraceScenario, TraceSpec};
 use powertcp_bench::table;
 
 fn homa_trace(name: &str, scenario: TraceScenario, horizon_ms: f64) -> ScenarioSpec {
-    ScenarioSpec::timeseries(
-        name,
-        TraceSpec {
-            scenario,
-            tick_us: 20.0,
-            max_samples: 4096,
-            max_rows: 120,
-            window: 1,
-            channels: Vec::new(),
-        },
-    )
-    .describe("HOMA at overcommitment 1-6")
-    .algos((1..=6).map(Algo::Homa))
-    .horizon_ms(horizon_ms)
+    ScenarioSpec::timeseries(name, TraceSpec::new(scenario))
+        .describe("HOMA at overcommitment 1-6")
+        .algos((1..=6).map(Algo::Homa))
+        .horizon_ms(horizon_ms)
 }
 
 fn main() {

@@ -221,6 +221,21 @@ fn invalid_specs_are_rejected_at_submission() {
     assert_eq!(resp.status, 400, "{}", resp.text());
     assert!(resp.text().contains("horizon"), "{}", resp.text());
 
+    // A non-finite horizon parses as a TOML float; it used to be queued
+    // and then panic the worker thread that ran it.
+    for bad in ["inf", "1e999"] {
+        let non_finite = good.replace("horizon_ms = 4.0", &format!("horizon_ms = {bad}"));
+        assert_ne!(non_finite, good);
+        let resp = client::post(&addr, "/jobs", non_finite.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.text());
+        assert!(resp.text().contains("horizon_ms"), "{}", resp.text());
+    }
+    // So is a misspelt key inside a table, which used to be ignored.
+    let typo = good.replace("host_gbps", "host_gpbs");
+    let resp = client::post(&addr, "/jobs", typo.as_bytes()).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("host_gpbs"), "{}", resp.text());
+
     shutdown.shutdown();
     join.join().unwrap().unwrap();
 }

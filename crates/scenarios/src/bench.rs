@@ -145,16 +145,12 @@ fn incast_trace(runs: usize) -> BenchCase {
     let spec = ScenarioSpec::timeseries(
         "bench-incast",
         TraceSpec {
-            scenario: TraceScenario::Incast {
+            max_rows: 60,
+            ..TraceSpec::new(TraceScenario::Incast {
                 fan_in: 16,
                 burst_bytes: 100_000,
                 at_ms: 0.5,
-            },
-            tick_us: 20.0,
-            max_samples: 4096,
-            max_rows: 60,
-            window: 1,
-            channels: Vec::new(),
+            })
         },
     )
     .algos([Algo::PowerTcp])

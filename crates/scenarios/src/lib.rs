@@ -11,8 +11,9 @@
 //!
 //! * [`spec`] — [`ScenarioSpec`]: fat-tree / star / dumbbell topologies,
 //!   Poisson (websearch or fixed-size) and incast workloads, and the
-//!   sweep grid (algorithms × loads × seeds); TOML round-trip via the
-//!   dependency-free parser in [`toml`].
+//!   sweep grid (algorithms × loads × seeds); its TOML format — reader,
+//!   writer, ranges, cache fragment — is one table of rows (the private
+//!   `schema` module) over the dependency-free parser in [`toml`].
 //! * [`algo`] — the [`Algo`] registry mapping the paper's protocol names
 //!   to CC constructors, switch requirements, and transports.
 //! * [`engine`] — one sweep point = one deterministic single-threaded
@@ -74,6 +75,7 @@ pub mod flow_engine;
 pub mod library;
 pub mod obs;
 pub mod report;
+mod schema;
 pub mod spec;
 pub mod sweep;
 pub mod toml;

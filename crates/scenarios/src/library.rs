@@ -14,17 +14,12 @@ use crate::spec::{
 };
 use fluid_model::Law;
 
-/// Default probe configuration of the built-in trace scenarios: sample
-/// every `tick_us`, ring-buffer up to 4096 samples per channel, export at
-/// most 120 rows per channel.
+/// The `[trace]` table's default probe configuration, sampled every
+/// `tick_us`.
 fn trace_spec(scenario: TraceScenario, tick_us: f64) -> TraceSpec {
     TraceSpec {
-        scenario,
         tick_us,
-        max_samples: 4096,
-        max_rows: 120,
-        window: 1,
-        channels: Vec::new(),
+        ..TraceSpec::new(scenario)
     }
 }
 

@@ -10,10 +10,22 @@
 //! executed by [`crate::sweep::run_sweep`].
 
 use crate::algo::Algo;
-use crate::toml::{self, Value};
+use crate::schema::{self, Pass, Ty, Val};
+use crate::toml::Value;
 use fluid_model::{FluidParams, Law};
 use powertcp_core::{Bandwidth, Tick};
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// `ensure!(rule, "message", args…)`: the error of a spec that breaks a
+/// rule relating several of its fields.
+macro_rules! ensure {
+    ($holds:expr, $($message:tt)+) => {{
+        let holds: bool = $holds;
+        if !holds {
+            return Err(format!($($message)+));
+        }
+    }};
+}
 
 /// The network under test.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -64,10 +76,13 @@ impl TopologySpec {
     /// Total host count.
     pub fn num_hosts(&self) -> usize {
         match self {
-            TopologySpec::FatTree { .. } => {
+            TopologySpec::FatTree { hosts_per_tor, .. } => {
                 // pods × tors_per_pod × hosts_per_tor with the default
-                // 4-pod, 2-ToR layout of `FatTreeConfig::default()`.
-                crate::engine::fat_tree_config(self, None).num_hosts()
+                // 4-pod, 2-ToR layout of `FatTreeConfig::default()`
+                // (saturating: validation asks before it has bounded
+                // anything).
+                let cfg = crate::engine::fat_tree_config(self, None);
+                (cfg.pods * cfg.tors_per_pod).saturating_mul(*hosts_per_tor)
             }
             TopologySpec::Star { hosts, .. } => *hosts,
             TopologySpec::Dumbbell { pairs, .. } => pairs * 2,
@@ -227,6 +242,27 @@ pub struct TraceSpec {
     pub window: usize,
 }
 
+impl TraceSpec {
+    /// A trace spec with the `[trace]` table's default probe
+    /// configuration: 20 µs tick, 4096-sample rings, 120 exported rows,
+    /// no windowing, every channel.
+    pub fn new(scenario: TraceScenario) -> Self {
+        // Defaulted under the keyless scenario, so that only the probe
+        // keys are touched and the caller's scenario goes in as given.
+        let mut trace = TraceSpec {
+            scenario: TraceScenario::Response,
+            tick_us: 0.0,
+            max_samples: 0,
+            max_rows: 0,
+            channels: Vec::new(),
+            window: 0,
+        };
+        schema::apply_defaults(schema::TRACE.fields, &mut trace);
+        trace.scenario = scenario;
+        trace
+    }
+}
+
 /// The traced experiments: the paper's temporal figures as declarative
 /// data. Each defines its own fixture (the star / rotor topology is
 /// derived, not configured — see [`TraceScenario::implied_topology`]).
@@ -353,18 +389,24 @@ pub struct AnalyticSpec {
 }
 
 impl AnalyticSpec {
-    /// An analytic spec over the paper's running example (100 Gbps,
-    /// 20 µs, γ = 0.9 at 10 updates/RTT, β̂ = BDP/10, η = 1).
+    /// An analytic spec over the paper's running example, the
+    /// `[analytic]` table's defaults (100 Gbps, 20 µs, γ = 0.9 at 10
+    /// updates/RTT, β̂ = BDP/10, η = 1).
     pub fn new(scenario: AnalyticScenario) -> Self {
-        AnalyticSpec {
-            scenario,
-            bandwidth_gbps: 100.0,
-            base_rtt_us: 20.0,
-            gamma: 0.9,
-            updates_per_rtt: 10.0,
-            beta_frac: 0.1,
-            hpcc_eta: 1.0,
-        }
+        // Defaulted under a placeholder scenario (whose own keys get
+        // theirs too), so the caller's scenario goes in as given.
+        let mut analytic = AnalyticSpec {
+            scenario: AnalyticScenario::Laws { tolerance: 0.0 },
+            bandwidth_gbps: 0.0,
+            base_rtt_us: 0.0,
+            gamma: 0.0,
+            updates_per_rtt: 0.0,
+            beta_frac: 0.0,
+            hpcc_eta: 0.0,
+        };
+        schema::apply_defaults(schema::ANALYTIC.fields, &mut analytic);
+        analytic.scenario = scenario;
+        analytic
     }
 
     /// The [`FluidParams`] this spec denotes.
@@ -459,20 +501,16 @@ impl ParamSpec {
     /// default spec. Round-trips through [`ParamSpec::parse`]; used in
     /// TOML, report algo labels, and cache-key canons.
     pub fn label(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(g) = self.gamma {
-            parts.push(format!("gamma={g}"));
+        let mut out = String::new();
+        for f in schema::PARAMS {
+            let sep = if out.is_empty() { "" } else { "," };
+            let _ = match (f.get)(self) {
+                Some(Val::Float(x)) => write!(out, "{sep}{}={x}", f.key),
+                Some(Val::Uint(n)) => write!(out, "{sep}{}={n}", f.key),
+                _ => Ok(()),
+            };
         }
-        if let Some(n) = self.expected_flows {
-            parts.push(format!("n={n}"));
-        }
-        if let Some(e) = self.hpcc_eta {
-            parts.push(format!("eta={e}"));
-        }
-        if let Some(a) = self.dt_alpha {
-            parts.push(format!("alpha={a}"));
-        }
-        parts.join(",")
+        out
     }
 
     /// Parse a [`ParamSpec::label`]-shaped string (`"gamma=0.5,n=32"`).
@@ -482,68 +520,25 @@ impl ParamSpec {
             let Some((k, v)) = part.split_once('=') else {
                 return Err(format!("param {part:?} is not a key=value pair"));
             };
-            match k.trim() {
-                "gamma" => {
-                    out.gamma = Some(
-                        v.trim()
-                            .parse()
-                            .map_err(|_| format!("bad gamma value {v:?}"))?,
-                    )
-                }
-                "n" => {
-                    out.expected_flows = Some(
-                        v.trim()
-                            .parse()
-                            .map_err(|_| format!("bad flow count {v:?}"))?,
-                    )
-                }
-                "eta" => {
-                    out.hpcc_eta = Some(
-                        v.trim()
-                            .parse()
-                            .map_err(|_| format!("bad eta value {v:?}"))?,
-                    )
-                }
-                "alpha" => {
-                    out.dt_alpha = Some(
-                        v.trim()
-                            .parse()
-                            .map_err(|_| format!("bad alpha value {v:?}"))?,
-                    )
-                }
-                other => {
-                    return Err(format!(
-                        "unknown param key {other:?} (expected gamma, n, eta, or alpha)"
-                    ))
-                }
+            let (k, v) = (k.trim(), v.trim());
+            let Some(f) = schema::PARAMS.iter().find(|f| f.key == k) else {
+                let keys: Vec<&str> = schema::PARAMS.iter().map(|f| f.key).collect();
+                return Err(format!(
+                    "unknown param key {k:?} (expected: {})",
+                    keys.join(", ")
+                ));
+            };
+            if (f.get)(&out).is_some() {
+                return Err(format!("param key {k:?} is repeated in {s:?}"));
             }
+            let value = match f.ty {
+                Ty::Uint => v.parse().ok().map(Value::Int),
+                _ => v.parse().ok().map(Value::Float),
+            };
+            let set = value.and_then(|value| (f.set)(&mut out, &value));
+            set.unwrap_or_else(|| Err(format!("bad {k} value {v:?}")))?;
         }
         Ok(out)
-    }
-
-    /// Validity check used by spec validation.
-    fn validate(&self) -> Result<(), String> {
-        if let Some(g) = self.gamma {
-            if !(g.is_finite() && g > 0.0 && g <= 1.0) {
-                return Err(format!("param gamma must be in (0, 1], got {g}"));
-            }
-        }
-        if let Some(n) = self.expected_flows {
-            if n == 0 {
-                return Err("param n (expected flows) must be >= 1".into());
-            }
-        }
-        if let Some(e) = self.hpcc_eta {
-            if !(e.is_finite() && e > 0.0 && e <= 1.0) {
-                return Err(format!("param eta must be in (0, 1], got {e}"));
-            }
-        }
-        if let Some(a) = self.dt_alpha {
-            if !(a.is_finite() && a > 0.0) {
-                return Err(format!("param alpha must be positive, got {a}"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -597,23 +592,7 @@ impl ScenarioSpec {
     /// A new spec with an empty workload, a PowerTCP-only algorithm
     /// grid, seed 42, and a 4 ms + 6 ms time box (the `tiny` scale).
     pub fn new(name: impl Into<String>, topology: TopologySpec) -> Self {
-        ScenarioSpec {
-            name: name.into(),
-            description: String::new(),
-            topology,
-            kind: ScenarioKind::Sweep,
-            workload: WorkloadSpec::default(),
-            horizon_ms: 4.0,
-            drain_ms: 6.0,
-            sweep: SweepSpec {
-                algos: vec![Algo::PowerTcp],
-                params: Vec::new(),
-                loads: Vec::new(),
-                seeds: vec![42],
-            },
-            engine: EngineKind::Packet,
-            buffer_cdf: false,
-        }
+        Self::assemble(name.into(), topology, ScenarioKind::Sweep)
     }
 
     /// A new time-series scenario: the topology is derived from the trace
@@ -621,41 +600,39 @@ impl ScenarioSpec {
     /// algorithm grid is the lineup. Defaults: PowerTCP only, seed 42,
     /// 4 ms horizon, no drain.
     pub fn timeseries(name: impl Into<String>, trace: TraceSpec) -> Self {
-        ScenarioSpec {
-            name: name.into(),
-            description: String::new(),
-            topology: trace.scenario.implied_topology(),
-            kind: ScenarioKind::Timeseries(trace),
-            workload: WorkloadSpec::default(),
-            horizon_ms: 4.0,
-            drain_ms: 0.0,
-            sweep: SweepSpec {
-                algos: vec![Algo::PowerTcp],
-                params: Vec::new(),
-                loads: Vec::new(),
-                seeds: vec![42],
-            },
-            engine: EngineKind::Packet,
-            buffer_cdf: false,
-        }
+        let topology = trace.scenario.implied_topology();
+        Self::assemble(name.into(), topology, ScenarioKind::Timeseries(trace))
     }
 
     /// A new analytic scenario: no topology (a fixed placeholder star, as
     /// for the analytic `response` trace), no workload, no sweep axes —
     /// the `[analytic]` table fully describes the experiment.
     pub fn new_analytic(name: impl Into<String>, analytic: AnalyticSpec) -> Self {
+        // No clock of its own either: the `response` trace's shell rides
+        // along as an inert, never-written placeholder.
         ScenarioSpec {
-            name: name.into(),
-            description: String::new(),
-            topology: Self::analytic_topology(),
             kind: ScenarioKind::Analytic(analytic),
+            ..Self::timeseries(name, TraceSpec::new(TraceScenario::Response))
+        }
+    }
+
+    /// The one constructor: the placeholder lineup, and every scalar of
+    /// the kind at its default in the top-level table.
+    fn assemble(name: String, topology: TopologySpec, kind: ScenarioKind) -> Self {
+        let mut spec = ScenarioSpec {
+            name,
+            description: String::new(),
+            topology,
+            kind,
             workload: WorkloadSpec::default(),
-            horizon_ms: 4.0,
+            horizon_ms: 0.0,
             drain_ms: 0.0,
             sweep: Self::analytic_sweep(),
             engine: EngineKind::Packet,
             buffer_cdf: false,
-        }
+        };
+        schema::apply_defaults(schema::ROOT.fields, &mut spec);
+        spec
     }
 
     /// The placeholder topology of analytic scenarios (never built).
@@ -666,8 +643,9 @@ impl ScenarioSpec {
         }
     }
 
-    /// The placeholder sweep of analytic scenarios (the grid lives in
-    /// `[analytic]`; validation requires exactly this).
+    /// The lineup every constructor starts from, and the placeholder
+    /// sweep of analytic scenarios (the grid lives in `[analytic]`;
+    /// validation requires exactly this).
     pub(crate) fn analytic_sweep() -> SweepSpec {
         SweepSpec {
             algos: vec![Algo::PowerTcp],
@@ -794,39 +772,13 @@ impl ScenarioSpec {
     /// keys, so two differently-named specs with identical physics share
     /// cached outcomes.
     pub fn cache_fragment(&self) -> String {
-        let mut stripped = self.clone();
-        stripped.name = String::new();
-        stripped.description = String::new();
-        // buffer_cdf only changes how the report renders already-cached
-        // outcomes, never the outcomes themselves. (`engine` stays: it
-        // selects the physics.)
-        stripped.buffer_cdf = false;
-        stripped.sweep = SweepSpec {
-            algos: Vec::new(),
-            params: Vec::new(),
-            loads: Vec::new(),
-            seeds: Vec::new(),
-        };
-        // Ablation grids are sweep *axes*, not per-point physics: each
-        // entry's computation is fully determined by the shared fluid
-        // parameters plus its own swept value, which is already the
-        // entry label in the cache key. Stripping them here means
-        // extending a grid by one value recomputes one point, not the
-        // whole grid. (Phase grids stay: every per-law entry integrates
-        // the full w×q grid, so the grid IS that entry's physics.)
-        if let ScenarioKind::Analytic(a) = &mut stripped.kind {
-            if let AnalyticScenario::Ablation {
-                gammas,
-                beta_fracs,
-                etas,
-            } = &mut a.scenario
-            {
-                gammas.clear();
-                beta_fracs.clear();
-                etas.clear();
-            }
-        }
-        stripped.to_toml()
+        // The spec's TOML with every non-physics key (the schema's role
+        // column) reading as its type's blank: identity emptied, axes
+        // emptied — ablation grids included, since each entry's swept
+        // value is its label in the key, so growing a grid recomputes
+        // one point (phase grids stay: every law entry integrates the
+        // whole w×q grid) — and render options at their omitted default.
+        self.render(false)
     }
 
     /// The generation horizon as simulator time.
@@ -859,214 +811,156 @@ impl ScenarioSpec {
         }
     }
 
-    /// Check internal consistency; returns a human-readable error.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty() {
-            return Err("scenario needs a name".into());
-        }
-        if self.horizon_ms <= 0.0 {
-            return Err(format!(
-                "horizon_ms must be positive, got {}",
-                self.horizon_ms
-            ));
-        }
-        if self.drain_ms < 0.0 {
-            return Err(format!("drain_ms must be >= 0, got {}", self.drain_ms));
-        }
-        if self.engine == EngineKind::Flow && !matches!(self.kind, ScenarioKind::Sweep) {
-            return Err(
-                "engine = \"flow\" only applies to sweep scenarios: timeseries traces \
-                 depend on per-packet INT probes and analytic scenarios never simulate"
-                    .into(),
-            );
-        }
-        if self.buffer_cdf && !matches!(self.kind, ScenarioKind::Sweep) {
-            return Err("buffer_cdf is a sweep-report option; remove it".into());
-        }
+    /// Visit every section this spec carries, in file order: the one
+    /// layout behind [`Self::to_toml`], [`Self::cache_fragment`] and the
+    /// range half of [`Self::validate`].
+    fn walk(&self, pass: &mut Pass<'_>) -> Result<(), String> {
+        schema::ROOT.visit(self, pass)?;
         match &self.kind {
-            ScenarioKind::Timeseries(trace) => return self.validate_timeseries(trace),
-            ScenarioKind::Analytic(analytic) => return self.validate_analytic(analytic),
-            ScenarioKind::Sweep => {}
-        }
-        if self.engine == EngineKind::Flow && self.buffer_cdf {
-            return Err(
-                "buffer_cdf requires the packet engine: the flow engine models no \
-                 switch buffers to sample (use engine = \"packet\")"
-                    .into(),
-            );
-        }
-        match self.topology {
-            TopologySpec::FatTree {
-                hosts_per_tor,
-                host_gbps,
-                fabric_gbps,
-            } => {
-                if hosts_per_tor == 0 {
-                    return Err("fat-tree needs hosts_per_tor >= 1".into());
+            ScenarioKind::Sweep => {
+                schema::TOPOLOGY.visit(&self.topology, pass)?;
+                if let Some(poisson) = &self.workload.poisson {
+                    schema::POISSON.visit(poisson, pass)?;
                 }
-                if host_gbps <= 0.0 || fabric_gbps <= 0.0 {
-                    return Err("fat-tree bandwidths must be positive".into());
+                if let Some(incast) = &self.workload.incast {
+                    schema::INCAST.visit(incast, pass)?;
                 }
+                schema::SWEEP.visit(&self.sweep, pass)
             }
-            TopologySpec::Star { hosts, host_gbps } => {
-                if hosts < 2 {
-                    return Err("star needs at least 2 hosts".into());
-                }
-                if host_gbps <= 0.0 {
-                    return Err("star host_gbps must be positive".into());
-                }
+            ScenarioKind::Timeseries(trace) => {
+                schema::TRACE.visit(trace, pass)?;
+                schema::LINEUP.visit(&self.sweep, pass)
             }
-            TopologySpec::Dumbbell {
-                pairs,
-                host_gbps,
-                bottleneck_gbps,
-            } => {
-                if pairs == 0 {
-                    return Err("dumbbell needs pairs >= 1".into());
-                }
-                if host_gbps <= 0.0 || bottleneck_gbps <= 0.0 {
-                    return Err("dumbbell bandwidths must be positive".into());
-                }
-            }
+            ScenarioKind::Analytic(analytic) => schema::ANALYTIC.visit(analytic, pass),
         }
-        if self.workload.poisson.is_none() && self.workload.incast.is_none() {
-            return Err("workload needs poisson traffic, an incast overlay, or both".into());
+    }
+
+    /// Check internal consistency; returns a human-readable error. Every
+    /// field's own range comes from the schema table; what follows it
+    /// here are the rules that relate several fields.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure!(!self.name.is_empty(), "scenario needs a name");
+        self.walk(&mut Pass::Check)?;
+        let sweep = matches!(self.kind, ScenarioKind::Sweep);
+        ensure!(
+            sweep || self.engine == EngineKind::Packet,
+            "engine = \"flow\" only applies to sweep scenarios: timeseries traces \
+             depend on per-packet INT probes and analytic scenarios never simulate"
+        );
+        ensure!(
+            sweep || !self.buffer_cdf,
+            "buffer_cdf is a sweep-report option; remove it"
+        );
+        match &self.kind {
+            ScenarioKind::Sweep => self.validate_sweep(),
+            ScenarioKind::Timeseries(trace) => self.validate_timeseries(trace),
+            ScenarioKind::Analytic(analytic) => self.validate_analytic(analytic),
         }
-        if let Some(PoissonSpec {
-            sizes: SizeSpec::Fixed(b),
-        }) = self.workload.poisson
-        {
-            if b == 0 {
-                return Err("fixed flow size must be >= 1 byte".into());
-            }
-        }
+    }
+
+    /// Sweep-kind rules: a workload the topology can carry, a load grid
+    /// where Poisson traffic needs one, and non-empty axes.
+    fn validate_sweep(&self) -> Result<(), String> {
+        ensure!(
+            self.engine == EngineKind::Packet || !self.buffer_cdf,
+            "buffer_cdf requires the packet engine: the flow engine models no \
+             switch buffers to sample (use engine = \"packet\")"
+        );
+        ensure!(
+            self.workload != WorkloadSpec::default(),
+            "workload needs poisson traffic, an incast overlay, or both"
+        );
         if self.workload.poisson.is_some() {
-            if self.sweep.loads.is_empty() {
-                return Err("poisson workload needs a non-empty load grid".into());
-            }
-            for &l in &self.sweep.loads {
-                if !(0.0..1.5).contains(&l) || l <= 0.0 {
-                    return Err(format!("implausible load {l} (expected 0 < load < 1.5)"));
-                }
+            let loads = &self.sweep.loads;
+            ensure!(
+                !loads.is_empty(),
+                "poisson workload needs a non-empty load grid"
+            );
+            if let Some(l) = loads.iter().find(|&&l| !(l > 0.0 && l < 1.5)) {
+                return Err(format!("implausible load {l} (expected 0 < load < 1.5)"));
             }
         }
         if let Some(ic) = self.workload.incast {
-            if ic.rate_per_sec <= 0.0 {
-                return Err("incast rate_per_sec must be positive".into());
-            }
-            if ic.request_bytes == 0 {
-                return Err("incast request_bytes must be >= 1".into());
-            }
-            if ic.fan_in == 0 {
-                return Err("incast fan_in must be >= 1".into());
-            }
             let max = self.topology.max_fan_in();
-            if ic.fan_in > max {
-                return Err(format!(
-                    "incast fan_in {} exceeds what the topology supports ({max})",
-                    ic.fan_in
-                ));
-            }
+            ensure!(
+                ic.fan_in <= max,
+                "incast fan_in {} exceeds what the topology supports ({max})",
+                ic.fan_in
+            );
         }
-        if self.sweep.algos.is_empty() {
-            return Err("sweep needs at least one algorithm".into());
-        }
-        if self.sweep.seeds.is_empty() {
-            return Err("sweep needs at least one seed".into());
-        }
-        self.validate_params()?;
-        Ok(())
-    }
-
-    /// Shared validation of the algorithm-parameter axis.
-    fn validate_params(&self) -> Result<(), String> {
-        if self.sweep.params.is_empty() {
-            return Ok(());
-        }
+        ensure!(
+            !self.sweep.algos.is_empty(),
+            "sweep needs at least one algorithm"
+        );
+        ensure!(
+            !self.sweep.seeds.is_empty(),
+            "sweep needs at least one seed"
+        );
         // CC-law overrides (γ, N, η) only exist on the windowed
         // transport; switch-level overrides (DT α) apply to any lineup —
         // and matter most under lossy HOMA, where DT actually drops
         // (PFC-lossless fabrics bypass the per-port threshold).
-        let tunes_cc = self
-            .sweep
-            .params
-            .iter()
-            .any(|p| p.gamma.is_some() || p.expected_flows.is_some() || p.hpcc_eta.is_some());
-        if tunes_cc && self.sweep.algos.iter().any(|a| a.is_homa()) {
-            return Err(
-                "the gamma/n/eta params tune windowed-transport CC laws; HOMA takes \
-                 only switch-level params (alpha)"
-                    .into(),
+        let params = &self.sweep.params;
+        let tunes_cc =
+            |p: &ParamSpec| p.gamma.is_some() || p.expected_flows.is_some() || p.hpcc_eta.is_some();
+        ensure!(
+            !(params.iter().any(tunes_cc) && self.sweep.algos.iter().any(|a| a.is_homa())),
+            "the gamma/n/eta params tune windowed-transport CC laws; HOMA takes \
+             only switch-level params (alpha)"
+        );
+        for (i, p) in params.iter().enumerate() {
+            ensure!(
+                !p.is_default(),
+                "params entries must set at least one override (drop the entry \
+                 for the default configuration)"
             );
-        }
-        let mut seen: Vec<String> = Vec::new();
-        for p in &self.sweep.params {
-            p.validate()?;
-            if p.is_default() {
-                return Err(
-                    "params entries must set at least one override (drop the entry \
-                     for the default configuration)"
-                        .into(),
-                );
-            }
-            let label = p.label();
-            if seen.contains(&label) {
-                return Err(format!("duplicate params entry {label:?}"));
-            }
-            seen.push(label);
+            ensure!(
+                !params[..i].contains(p),
+                "duplicate params entry {:?}",
+                p.label()
+            );
         }
         Ok(())
     }
 
-    /// Timeseries-kind validation: the probe config, the trace scenario's
-    /// own parameters, and the constraints the trace engine relies on
-    /// (derived topology, no FCT workload, no load axis, one seed).
+    /// Timeseries-kind rules: the constraints the trace engine relies on
+    /// (derived topology, no FCT workload, no load axis, one seed) and
+    /// each trace scenario's fit within the horizon and the lineup.
     fn validate_timeseries(&self, trace: &TraceSpec) -> Result<(), String> {
-        if self.workload != WorkloadSpec::default() {
-            return Err("timeseries scenarios define traffic via [trace], not [workload]".into());
-        }
-        if !self.sweep.loads.is_empty() {
-            return Err("timeseries scenarios have no load axis".into());
-        }
-        if !self.sweep.params.is_empty() {
-            return Err("timeseries scenarios have no params axis".into());
-        }
-        if self.sweep.algos.is_empty() {
-            return Err("timeseries lineup needs at least one algorithm".into());
-        }
-        if self.sweep.seeds.len() != 1 {
-            return Err("timeseries scenarios take exactly one seed".into());
-        }
-        if self.topology != trace.scenario.implied_topology() {
-            return Err(
-                "timeseries topology is derived from the trace scenario; do not set it".into(),
-            );
-        }
-        if !(trace.tick_us > 0.0 && trace.tick_us.is_finite()) {
-            return Err(format!(
-                "trace tick_us must be positive, got {}",
-                trace.tick_us
-            ));
-        }
-        if trace.max_samples < 16 {
-            return Err("trace max_samples must be >= 16".into());
-        }
-        if trace.max_rows < 2 {
-            return Err("trace max_rows must be >= 2".into());
-        }
-        if trace.window == 0 {
-            return Err("trace window must be >= 1 (1 = no windowing)".into());
-        }
-        if trace.window > trace.max_samples {
-            return Err(format!(
-                "trace window {} exceeds max_samples {} (every export would \
-                 collapse to one row)",
-                trace.window, trace.max_samples
-            ));
-        }
-        let known = trace.scenario.channel_names();
-        for ch in &trace.channels {
-            if !known.contains(ch) {
+        let (horizon_ms, sweep) = (self.horizon_ms, &self.sweep);
+        ensure!(
+            self.workload == WorkloadSpec::default(),
+            "timeseries scenarios define traffic via [trace], not [workload]"
+        );
+        ensure!(
+            sweep.loads.is_empty(),
+            "timeseries scenarios have no load axis"
+        );
+        ensure!(
+            sweep.params.is_empty(),
+            "timeseries scenarios have no params axis"
+        );
+        ensure!(
+            !sweep.algos.is_empty(),
+            "timeseries lineup needs at least one algorithm"
+        );
+        ensure!(
+            sweep.seeds.len() == 1,
+            "timeseries scenarios take exactly one seed"
+        );
+        ensure!(
+            self.topology == trace.scenario.implied_topology(),
+            "timeseries topology is derived from the trace scenario; do not set it"
+        );
+        ensure!(
+            trace.window <= trace.max_samples,
+            "trace window {} exceeds max_samples {} (every export would collapse to one row)",
+            trace.window,
+            trace.max_samples
+        );
+        if !trace.channels.is_empty() {
+            let known = trace.scenario.channel_names();
+            if let Some(ch) = trace.channels.iter().find(|ch| !known.contains(ch)) {
                 return Err(format!(
                     "unknown trace channel {ch:?} for the {} scenario (known: {})",
                     trace.scenario.key(),
@@ -1075,171 +969,83 @@ impl ScenarioSpec {
             }
         }
         match &trace.scenario {
-            TraceScenario::Response => {
-                if self.sweep.algos.len() != 1 {
-                    return Err("the response trace is analytic (no algorithm runs); \
-                         its lineup must be a single placeholder algorithm"
-                        .into());
-                }
-            }
-            TraceScenario::Incast {
-                fan_in,
-                burst_bytes,
-                at_ms,
-            } => {
-                if *fan_in == 0 {
-                    return Err("incast trace needs fan_in >= 1".into());
-                }
-                if *burst_bytes == 0 {
-                    return Err("incast trace needs burst_bytes >= 1".into());
-                }
-                if !(0.0..self.horizon_ms).contains(at_ms) {
-                    return Err(format!(
-                        "incast at_ms {} must lie within [0, horizon_ms {})",
-                        at_ms, self.horizon_ms
-                    ));
-                }
-            }
-            TraceScenario::Fairness { flows, stagger_ms } => {
-                if *flows < 2 {
-                    return Err("fairness trace needs flows >= 2".into());
-                }
-                if !(stagger_ms.is_finite() && *stagger_ms > 0.0) {
-                    return Err("fairness stagger_ms must be positive".into());
-                }
-                if (*flows as f64 - 1.0) * stagger_ms >= self.horizon_ms {
-                    return Err("fairness: last flow would join after the horizon".into());
-                }
-            }
+            TraceScenario::Response => ensure!(
+                sweep.algos.len() == 1,
+                "the response trace is analytic (no algorithm runs); \
+                 its lineup must be a single placeholder algorithm"
+            ),
+            TraceScenario::Incast { at_ms, .. } => ensure!(
+                *at_ms < horizon_ms,
+                "incast at_ms {at_ms} must lie within [0, horizon_ms {horizon_ms})"
+            ),
+            TraceScenario::Fairness { flows, stagger_ms } => ensure!(
+                (*flows as f64 - 1.0) * stagger_ms < horizon_ms,
+                "fairness: last flow would join after the horizon"
+            ),
             TraceScenario::Rdcn {
-                weeks,
-                packet_gbps,
-                retcp_prebuffer_us,
+                retcp_prebuffer_us, ..
             } => {
-                if *weeks == 0 {
-                    return Err("rdcn trace needs weeks >= 1".into());
-                }
-                if !(packet_gbps.is_finite() && *packet_gbps > 0.0) {
-                    return Err("rdcn packet_gbps must be positive".into());
-                }
-                if retcp_prebuffer_us
-                    .iter()
-                    .any(|p| !p.is_finite() || *p < 0.0)
-                {
-                    return Err("rdcn retcp_prebuffer_us entries must be >= 0".into());
-                }
-                if self.sweep.algos.contains(&Algo::ReTcp) && retcp_prebuffer_us.is_empty() {
-                    return Err("rdcn lineup includes retcp but retcp_prebuffer_us is empty".into());
-                }
-                if self.sweep.algos.iter().any(|a| a.is_homa()) {
-                    return Err(
-                        "the rdcn trace runs the windowed transport; HOMA is unsupported".into(),
-                    );
-                }
+                ensure!(
+                    !(sweep.algos.contains(&Algo::ReTcp) && retcp_prebuffer_us.is_empty()),
+                    "rdcn lineup includes retcp but retcp_prebuffer_us is empty"
+                );
+                ensure!(
+                    !sweep.algos.iter().any(|a| a.is_homa()),
+                    "the rdcn trace runs the windowed transport; HOMA is unsupported"
+                );
             }
         }
         Ok(())
     }
 
-    /// Analytic-kind validation: the fluid parameters, the grids of the
-    /// analytic scenario, and the placeholder constraints (no topology,
-    /// workload, or sweep axes of its own).
+    /// Analytic-kind rules: nothing set outside `[analytic]`, and grids
+    /// whose entries label distinct lineup entries.
     fn validate_analytic(&self, analytic: &AnalyticSpec) -> Result<(), String> {
-        if self.workload != WorkloadSpec::default() {
-            return Err("analytic scenarios have no workload; remove [workload]".into());
-        }
-        if self.topology != Self::analytic_topology() {
-            return Err("analytic scenarios have no topology; do not set it".into());
-        }
-        if self.sweep != Self::analytic_sweep() {
-            return Err(
-                "analytic scenarios have no sweep axes (the grid lives in [analytic]); \
-                 remove [sweep]"
-                    .into(),
-            );
-        }
-        let finite_pos = |name: &str, v: f64| -> Result<(), String> {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(format!("analytic {name} must be positive, got {v}"))
-            }
-        };
-        finite_pos("bandwidth_gbps", analytic.bandwidth_gbps)?;
-        finite_pos("base_rtt_us", analytic.base_rtt_us)?;
-        finite_pos("updates_per_rtt", analytic.updates_per_rtt)?;
-        finite_pos("beta_frac", analytic.beta_frac)?;
-        let unit_gain = |name: &str, v: f64| -> Result<(), String> {
-            if v.is_finite() && v > 0.0 && v <= 1.0 {
-                Ok(())
-            } else {
-                Err(format!("analytic {name} must be in (0, 1], got {v}"))
-            }
-        };
-        unit_gain("gamma", analytic.gamma)?;
-        unit_gain("hpcc_eta", analytic.hpcc_eta)?;
-        let grid_axis = |name: &str, xs: &[f64], allow_zero: bool| -> Result<(), String> {
-            for &x in xs {
-                if !(x.is_finite() && (x > 0.0 || (allow_zero && x == 0.0))) {
-                    return Err(format!(
-                        "analytic {name} entries must be finite and {}, got {x}",
-                        if allow_zero { ">= 0" } else { "> 0" }
-                    ));
-                }
-            }
-            let mut labels: Vec<String> = xs.iter().map(|x| format!("{x}")).collect();
+        let mut shell = Self::new_analytic(self.name.clone(), analytic.clone());
+        shell.description.clone_from(&self.description);
+        ensure!(
+            *self == shell,
+            "analytic scenarios have no topology, workload, sweep axes or time box of \
+             their own (the grid lives in [analytic]); remove [topology], [workload], \
+             [sweep], horizon_ms and drain_ms"
+        );
+        // Every grid entry labels one lineup entry (and its cache key).
+        for f in schema::ANALYTIC.fields {
+            let mut labels: Vec<String> = match (f.get)(analytic) {
+                Some(Val::Floats(xs)) => xs.iter().map(f64::to_string).collect(),
+                Some(Val::Laws(laws)) => laws.iter().map(|l| l.key().to_string()).collect(),
+                _ => continue,
+            };
+            let n = labels.len();
             labels.sort();
             labels.dedup();
-            if labels.len() != xs.len() {
-                return Err(format!("analytic {name} entries must be distinct"));
-            }
-            Ok(())
-        };
+            ensure!(
+                labels.len() == n,
+                "analytic {} entries must be distinct",
+                f.key
+            );
+        }
         match &analytic.scenario {
             AnalyticScenario::Phase {
                 laws,
                 w_over_bdp,
                 q_over_bdp,
             } => {
-                if laws.is_empty() {
-                    return Err("analytic phase needs at least one law".into());
-                }
-                let mut keys: Vec<&str> = laws.iter().map(|l| l.key()).collect();
-                keys.sort();
-                keys.dedup();
-                if keys.len() != laws.len() {
-                    return Err("analytic phase laws must be distinct".into());
-                }
-                if w_over_bdp.is_empty() || q_over_bdp.is_empty() {
-                    return Err("analytic phase needs non-empty w_over_bdp and q_over_bdp".into());
-                }
-                grid_axis("w_over_bdp", w_over_bdp, false)?;
-                grid_axis("q_over_bdp", q_over_bdp, true)?;
+                ensure!(!laws.is_empty(), "analytic phase needs at least one law");
+                ensure!(
+                    !(w_over_bdp.is_empty() || q_over_bdp.is_empty()),
+                    "analytic phase needs non-empty w_over_bdp and q_over_bdp"
+                );
             }
             AnalyticScenario::Ablation {
                 gammas,
                 beta_fracs,
                 etas,
-            } => {
-                if gammas.is_empty() && beta_fracs.is_empty() && etas.is_empty() {
-                    return Err(
-                        "analytic ablation needs at least one of gammas, beta_fracs, or etas"
-                            .into(),
-                    );
-                }
-                grid_axis("gammas", gammas, false)?;
-                grid_axis("beta_fracs", beta_fracs, false)?;
-                grid_axis("etas", etas, false)?;
-                for &g in gammas {
-                    unit_gain("gammas entry", g)?;
-                }
-                for &e in etas {
-                    unit_gain("etas entry", e)?;
-                }
-            }
-            AnalyticScenario::Laws { tolerance } => {
-                finite_pos("tolerance", *tolerance)?;
-            }
+            } => ensure!(
+                !(gammas.is_empty() && beta_fracs.is_empty() && etas.is_empty()),
+                "analytic ablation needs at least one of gammas, beta_fracs, or etas"
+            ),
+            AnalyticScenario::Laws { .. } => {}
         }
         Ok(())
     }
@@ -1263,817 +1069,52 @@ impl ScenarioSpec {
 
     // ---- TOML ----
 
+    /// The spec as TOML (`full`), or as its cache fragment.
+    fn render(&self, full: bool) -> String {
+        let mut out = String::new();
+        let pass = &mut Pass::Write {
+            out: &mut out,
+            full,
+        };
+        self.walk(pass).expect("writing a spec cannot fail");
+        out
+    }
+
     /// Render as TOML (the exact format [`ScenarioSpec::from_toml`]
     /// reads back; `parse(to_toml(s)) == s`).
     pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        let kv = |out: &mut String, k: &str, v: Value| {
-            out.push_str(k);
-            out.push_str(" = ");
-            out.push_str(&toml::write_value(&v));
-            out.push('\n');
-        };
-        kv(&mut out, "name", Value::Str(self.name.clone()));
-        kv(
-            &mut out,
-            "description",
-            Value::Str(self.description.clone()),
-        );
-        if let ScenarioKind::Analytic(analytic) = &self.kind {
-            kv(&mut out, "kind", Value::Str("analytic".into()));
-
-            out.push_str("\n[analytic]\n");
-            kv(
-                &mut out,
-                "scenario",
-                Value::Str(analytic.scenario.key().into()),
-            );
-            kv(
-                &mut out,
-                "bandwidth_gbps",
-                Value::Float(analytic.bandwidth_gbps),
-            );
-            kv(&mut out, "base_rtt_us", Value::Float(analytic.base_rtt_us));
-            kv(&mut out, "gamma", Value::Float(analytic.gamma));
-            kv(
-                &mut out,
-                "updates_per_rtt",
-                Value::Float(analytic.updates_per_rtt),
-            );
-            kv(&mut out, "beta_frac", Value::Float(analytic.beta_frac));
-            kv(&mut out, "hpcc_eta", Value::Float(analytic.hpcc_eta));
-            let farr = |xs: &[f64]| Value::Array(xs.iter().map(|&x| Value::Float(x)).collect());
-            match &analytic.scenario {
-                AnalyticScenario::Phase {
-                    laws,
-                    w_over_bdp,
-                    q_over_bdp,
-                } => {
-                    kv(
-                        &mut out,
-                        "laws",
-                        Value::Array(laws.iter().map(|l| Value::Str(l.key().into())).collect()),
-                    );
-                    kv(&mut out, "w_over_bdp", farr(w_over_bdp));
-                    kv(&mut out, "q_over_bdp", farr(q_over_bdp));
-                }
-                AnalyticScenario::Ablation {
-                    gammas,
-                    beta_fracs,
-                    etas,
-                } => {
-                    kv(&mut out, "gammas", farr(gammas));
-                    kv(&mut out, "beta_fracs", farr(beta_fracs));
-                    kv(&mut out, "etas", farr(etas));
-                }
-                AnalyticScenario::Laws { tolerance } => {
-                    kv(&mut out, "tolerance", Value::Float(*tolerance));
-                }
-            }
-            return out;
-        }
-        if let ScenarioKind::Timeseries(trace) = &self.kind {
-            kv(&mut out, "kind", Value::Str("timeseries".into()));
-            kv(&mut out, "horizon_ms", Value::Float(self.horizon_ms));
-            kv(&mut out, "drain_ms", Value::Float(self.drain_ms));
-
-            out.push_str("\n[trace]\n");
-            kv(
-                &mut out,
-                "scenario",
-                Value::Str(trace.scenario.key().into()),
-            );
-            kv(&mut out, "tick_us", Value::Float(trace.tick_us));
-            kv(
-                &mut out,
-                "max_samples",
-                Value::Int(trace.max_samples as i64),
-            );
-            kv(&mut out, "max_rows", Value::Int(trace.max_rows as i64));
-            if trace.window != 1 {
-                kv(&mut out, "window", Value::Int(trace.window as i64));
-            }
-            if !trace.channels.is_empty() {
-                kv(
-                    &mut out,
-                    "channels",
-                    Value::Array(
-                        trace
-                            .channels
-                            .iter()
-                            .map(|c| Value::Str(c.clone()))
-                            .collect(),
-                    ),
-                );
-            }
-            match &trace.scenario {
-                TraceScenario::Response => {}
-                TraceScenario::Incast {
-                    fan_in,
-                    burst_bytes,
-                    at_ms,
-                } => {
-                    kv(&mut out, "fan_in", Value::Int(*fan_in as i64));
-                    kv(&mut out, "burst_bytes", Value::Int(*burst_bytes as i64));
-                    kv(&mut out, "at_ms", Value::Float(*at_ms));
-                }
-                TraceScenario::Fairness { flows, stagger_ms } => {
-                    kv(&mut out, "flows", Value::Int(*flows as i64));
-                    kv(&mut out, "stagger_ms", Value::Float(*stagger_ms));
-                }
-                TraceScenario::Rdcn {
-                    weeks,
-                    packet_gbps,
-                    retcp_prebuffer_us,
-                } => {
-                    kv(&mut out, "weeks", Value::Int(*weeks as i64));
-                    kv(&mut out, "packet_gbps", Value::Float(*packet_gbps));
-                    kv(
-                        &mut out,
-                        "retcp_prebuffer_us",
-                        Value::Array(
-                            retcp_prebuffer_us
-                                .iter()
-                                .map(|&p| Value::Float(p))
-                                .collect(),
-                        ),
-                    );
-                }
-            }
-
-            out.push_str("\n[sweep]\n");
-            kv(
-                &mut out,
-                "algos",
-                Value::Array(
-                    self.sweep
-                        .algos
-                        .iter()
-                        .map(|a| Value::Str(a.key()))
-                        .collect(),
-                ),
-            );
-            kv(
-                &mut out,
-                "seeds",
-                Value::Array(
-                    self.sweep
-                        .seeds
-                        .iter()
-                        .map(|&s| Value::Int(s as i64))
-                        .collect(),
-                ),
-            );
-            return out;
-        }
-        // Defaults are omitted (engine = "packet", buffer_cdf = false) so
-        // every pre-flow-engine spec renders — and cache-keys — exactly
-        // as before.
-        if self.engine != EngineKind::Packet {
-            kv(&mut out, "engine", Value::Str(self.engine.key().into()));
-        }
-        if self.buffer_cdf {
-            kv(&mut out, "buffer_cdf", Value::Bool(true));
-        }
-        kv(&mut out, "horizon_ms", Value::Float(self.horizon_ms));
-        kv(&mut out, "drain_ms", Value::Float(self.drain_ms));
-
-        out.push_str("\n[topology]\n");
-        match self.topology {
-            TopologySpec::FatTree {
-                hosts_per_tor,
-                host_gbps,
-                fabric_gbps,
-            } => {
-                kv(&mut out, "kind", Value::Str("fat-tree".into()));
-                kv(&mut out, "hosts_per_tor", Value::Int(hosts_per_tor as i64));
-                kv(&mut out, "host_gbps", Value::Float(host_gbps));
-                kv(&mut out, "fabric_gbps", Value::Float(fabric_gbps));
-            }
-            TopologySpec::Star { hosts, host_gbps } => {
-                kv(&mut out, "kind", Value::Str("star".into()));
-                kv(&mut out, "hosts", Value::Int(hosts as i64));
-                kv(&mut out, "host_gbps", Value::Float(host_gbps));
-            }
-            TopologySpec::Dumbbell {
-                pairs,
-                host_gbps,
-                bottleneck_gbps,
-            } => {
-                kv(&mut out, "kind", Value::Str("dumbbell".into()));
-                kv(&mut out, "pairs", Value::Int(pairs as i64));
-                kv(&mut out, "host_gbps", Value::Float(host_gbps));
-                kv(&mut out, "bottleneck_gbps", Value::Float(bottleneck_gbps));
-            }
-        }
-
-        if let Some(p) = self.workload.poisson {
-            out.push_str("\n[workload.poisson]\n");
-            match p.sizes {
-                SizeSpec::Websearch => kv(&mut out, "sizes", Value::Str("websearch".into())),
-                SizeSpec::WebsearchHadoop => {
-                    kv(&mut out, "sizes", Value::Str("websearch-hadoop".into()))
-                }
-                SizeSpec::Fixed(b) => {
-                    kv(&mut out, "sizes", Value::Str("fixed".into()));
-                    kv(&mut out, "fixed_bytes", Value::Int(b as i64));
-                }
-            }
-        }
-        if let Some(ic) = self.workload.incast {
-            out.push_str("\n[workload.incast]\n");
-            kv(&mut out, "rate_per_sec", Value::Float(ic.rate_per_sec));
-            kv(
-                &mut out,
-                "request_bytes",
-                Value::Int(ic.request_bytes as i64),
-            );
-            kv(&mut out, "fan_in", Value::Int(ic.fan_in as i64));
-            kv(&mut out, "periodic", Value::Bool(ic.periodic));
-        }
-
-        out.push_str("\n[sweep]\n");
-        kv(
-            &mut out,
-            "algos",
-            Value::Array(
-                self.sweep
-                    .algos
-                    .iter()
-                    .map(|a| Value::Str(a.key()))
-                    .collect(),
-            ),
-        );
-        if !self.sweep.params.is_empty() {
-            kv(
-                &mut out,
-                "params",
-                Value::Array(
-                    self.sweep
-                        .params
-                        .iter()
-                        .map(|p| Value::Str(p.label()))
-                        .collect(),
-                ),
-            );
-        }
-        kv(
-            &mut out,
-            "loads",
-            Value::Array(self.sweep.loads.iter().map(|&l| Value::Float(l)).collect()),
-        );
-        kv(
-            &mut out,
-            "seeds",
-            Value::Array(
-                self.sweep
-                    .seeds
-                    .iter()
-                    .map(|&s| Value::Int(s as i64))
-                    .collect(),
-            ),
-        );
-        out
+        self.render(true)
     }
 
     /// Parse a spec from TOML source. The result is validated.
     pub fn from_toml(src: &str) -> Result<Self, String> {
-        let root = toml::parse(src).map_err(|e| e.to_string())?;
-        let spec = Self::from_table(&root)?;
+        let root = crate::toml::parse(src).map_err(|e| e.to_string())?;
+        // The top-level section picks the kind and checks which tables
+        // are there; each table the kind carries is its own section.
+        let mut spec = schema::ROOT.read(&root)?;
+        let required = "the top-level row for the table requires it";
+        match &mut spec.kind {
+            ScenarioKind::Sweep => {
+                spec.topology = schema::TOPOLOGY.read_in(&root)?.expect(required);
+                if let Some(workload) = schema::WORKLOAD.table_in(&root) {
+                    schema::WORKLOAD.read(workload)?;
+                    spec.workload.poisson = schema::POISSON.read_in(workload)?;
+                    spec.workload.incast = schema::INCAST.read_in(workload)?;
+                }
+                spec.sweep = schema::SWEEP.read_in(&root)?.expect(required);
+            }
+            ScenarioKind::Timeseries(trace) => {
+                *trace = schema::TRACE.read_in(&root)?.expect(required);
+                spec.topology = trace.scenario.implied_topology();
+                spec.sweep = schema::LINEUP.read_in(&root)?.expect(required);
+            }
+            ScenarioKind::Analytic(analytic) => {
+                *analytic = schema::ANALYTIC.read_in(&root)?.expect(required);
+            }
+        }
         spec.validate()?;
         Ok(spec)
     }
-
-    fn from_table(root: &BTreeMap<String, Value>) -> Result<Self, String> {
-        for key in root.keys() {
-            if !matches!(
-                key.as_str(),
-                "name"
-                    | "description"
-                    | "kind"
-                    | "engine"
-                    | "buffer_cdf"
-                    | "horizon_ms"
-                    | "drain_ms"
-                    | "topology"
-                    | "workload"
-                    | "trace"
-                    | "analytic"
-                    | "sweep"
-            ) {
-                return Err(format!("unknown top-level key {key:?}"));
-            }
-        }
-        let name = get_str(root, "name")?;
-        let description = match root.get("description") {
-            Some(v) => v
-                .as_str()
-                .ok_or("description must be a string")?
-                .to_string(),
-            None => String::new(),
-        };
-        let kind = match root.get("kind") {
-            Some(v) => v.as_str().ok_or("kind must be a string")?.to_string(),
-            None => "sweep".to_string(),
-        };
-        match kind.as_str() {
-            "sweep" => {}
-            "timeseries" => return Self::timeseries_from_table(root, name, description),
-            "analytic" => return Self::analytic_from_table(root, name, description),
-            other => {
-                return Err(format!(
-                    "unknown scenario kind {other:?} (expected sweep, timeseries, or analytic)"
-                ))
-            }
-        }
-        if root.contains_key("trace") {
-            return Err("[trace] is only valid with kind = \"timeseries\"".into());
-        }
-        if root.contains_key("analytic") {
-            return Err("[analytic] is only valid with kind = \"analytic\"".into());
-        }
-        let engine = match root.get("engine") {
-            Some(v) => EngineKind::parse(v.as_str().ok_or("engine must be a string")?)?,
-            None => EngineKind::Packet,
-        };
-        let buffer_cdf = match root.get("buffer_cdf") {
-            Some(v) => v.as_bool().ok_or("buffer_cdf must be a boolean")?,
-            None => false,
-        };
-        let horizon_ms = get_f64_or(root, "horizon_ms", 4.0)?;
-        let drain_ms = get_f64_or(root, "drain_ms", 6.0)?;
-
-        let topo_t = get_table(root, "topology")?;
-        let kind = get_str(topo_t, "kind")?;
-        let topology = match kind.as_str() {
-            "fat-tree" => TopologySpec::FatTree {
-                hosts_per_tor: get_usize(topo_t, "hosts_per_tor")?,
-                host_gbps: get_f64_or(topo_t, "host_gbps", 25.0)?,
-                fabric_gbps: get_f64(topo_t, "fabric_gbps")?,
-            },
-            "star" => TopologySpec::Star {
-                hosts: get_usize(topo_t, "hosts")?,
-                host_gbps: get_f64_or(topo_t, "host_gbps", 25.0)?,
-            },
-            "dumbbell" => TopologySpec::Dumbbell {
-                pairs: get_usize(topo_t, "pairs")?,
-                host_gbps: get_f64_or(topo_t, "host_gbps", 25.0)?,
-                bottleneck_gbps: get_f64(topo_t, "bottleneck_gbps")?,
-            },
-            other => {
-                return Err(format!(
-                    "unknown topology kind {other:?} (expected fat-tree, star, or dumbbell)"
-                ))
-            }
-        };
-
-        let mut workload = WorkloadSpec::default();
-        if let Some(wl) = root.get("workload") {
-            let wl = wl.as_table().ok_or("workload must be a table")?;
-            if let Some(p) = wl.get("poisson") {
-                let p = p.as_table().ok_or("workload.poisson must be a table")?;
-                let sizes = match get_str(p, "sizes")?.as_str() {
-                    "websearch" => SizeSpec::Websearch,
-                    "websearch-hadoop" => SizeSpec::WebsearchHadoop,
-                    "fixed" => SizeSpec::Fixed(get_u64(p, "fixed_bytes")?),
-                    other => {
-                        return Err(format!(
-                            "unknown size distribution {other:?} (expected websearch, \
-                             websearch-hadoop, or fixed)"
-                        ))
-                    }
-                };
-                workload.poisson = Some(PoissonSpec { sizes });
-            }
-            if let Some(ic) = wl.get("incast") {
-                let ic = ic.as_table().ok_or("workload.incast must be a table")?;
-                workload.incast = Some(IncastSpec {
-                    rate_per_sec: get_f64(ic, "rate_per_sec")?,
-                    request_bytes: get_u64(ic, "request_bytes")?,
-                    fan_in: get_usize(ic, "fan_in")?,
-                    periodic: match ic.get("periodic") {
-                        Some(v) => v.as_bool().ok_or("periodic must be a boolean")?,
-                        None => false,
-                    },
-                });
-            }
-        }
-
-        let sweep_t = get_table(root, "sweep")?;
-        let algos = get_array(sweep_t, "algos")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .ok_or_else(|| "sweep.algos entries must be strings".to_string())
-                    .and_then(Algo::parse)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let params = parse_params(sweep_t)?;
-        let loads = match sweep_t.get("loads") {
-            Some(v) => v
-                .as_array()
-                .ok_or("sweep.loads must be an array")?
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .ok_or("sweep.loads entries must be numbers".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        let seeds = get_array(sweep_t, "seeds")?
-            .iter()
-            .map(|v| {
-                v.as_i64()
-                    .filter(|&s| s >= 0)
-                    .map(|s| s as u64)
-                    .ok_or_else(|| "sweep.seeds entries must be non-negative integers".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        Ok(ScenarioSpec {
-            name,
-            description,
-            topology,
-            kind: ScenarioKind::Sweep,
-            workload,
-            horizon_ms,
-            drain_ms,
-            sweep: SweepSpec {
-                algos,
-                params,
-                loads,
-                seeds,
-            },
-            engine,
-            buffer_cdf,
-        })
-    }
-
-    /// The `kind = "analytic"` parse path: an `[analytic]` table instead
-    /// of topology/workload/trace/sweep (all placeholders).
-    fn analytic_from_table(
-        root: &BTreeMap<String, Value>,
-        name: String,
-        description: String,
-    ) -> Result<ScenarioSpec, String> {
-        for (key, msg) in [
-            (
-                "topology",
-                "analytic scenarios have no topology; remove [topology]",
-            ),
-            (
-                "workload",
-                "analytic scenarios have no workload; remove [workload]",
-            ),
-            ("trace", "analytic scenarios have no [trace]; remove it"),
-            (
-                "sweep",
-                "analytic scenarios have no sweep axes (the grid lives in [analytic]); \
-                 remove [sweep]",
-            ),
-            (
-                "horizon_ms",
-                "analytic scenarios have no horizon_ms; remove it",
-            ),
-            ("drain_ms", "analytic scenarios have no drain_ms; remove it"),
-            (
-                "engine",
-                "engine is a sweep setting; analytic scenarios never simulate — remove it",
-            ),
-            (
-                "buffer_cdf",
-                "buffer_cdf is a sweep-report option; remove it",
-            ),
-        ] {
-            if root.contains_key(key) {
-                return Err(msg.into());
-            }
-        }
-        let t = get_table(root, "analytic")?;
-        // Key validation is sub-kind aware: a grid key of the *wrong*
-        // sub-kind (e.g. `gammas` on a phase scenario) would otherwise
-        // be silently ignored and run a different experiment than
-        // configured.
-        let sub_kind = get_str(t, "scenario")?;
-        let shared = [
-            "scenario",
-            "bandwidth_gbps",
-            "base_rtt_us",
-            "gamma",
-            "updates_per_rtt",
-            "beta_frac",
-            "hpcc_eta",
-        ];
-        let specific: &[&str] = match sub_kind.as_str() {
-            "phase" => &["laws", "w_over_bdp", "q_over_bdp"],
-            "ablation" => &["gammas", "beta_fracs", "etas"],
-            "laws" => &["tolerance"],
-            // The unknown-scenario error below names the options.
-            _ => &[],
-        };
-        for key in t.keys() {
-            if !shared.contains(&key.as_str()) && !specific.contains(&key.as_str()) {
-                return Err(format!(
-                    "unknown [analytic] key {key:?} for the {sub_kind:?} scenario \
-                     (expected: {})",
-                    specific.join(", ")
-                ));
-            }
-        }
-        let f64s = |key: &str| -> Result<Vec<f64>, String> {
-            match t.get(key) {
-                Some(v) => v
-                    .as_array()
-                    .ok_or(format!("{key} must be an array"))?
-                    .iter()
-                    .map(|v| v.as_f64().ok_or(format!("{key} entries must be numbers")))
-                    .collect(),
-                None => Ok(Vec::new()),
-            }
-        };
-        let scenario = match get_str(t, "scenario")?.as_str() {
-            "phase" => AnalyticScenario::Phase {
-                laws: match t.get("laws") {
-                    Some(v) => v
-                        .as_array()
-                        .ok_or("laws must be an array")?
-                        .iter()
-                        .map(|v| {
-                            v.as_str()
-                                .ok_or_else(|| "laws entries must be strings".to_string())
-                                .and_then(Law::parse)
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    None => vec![Law::QueueLength, Law::RttGradient, Law::Power],
-                },
-                w_over_bdp: match t.get("w_over_bdp") {
-                    Some(_) => f64s("w_over_bdp")?,
-                    None => fluid_model::DEFAULT_W_FRACS.to_vec(),
-                },
-                q_over_bdp: match t.get("q_over_bdp") {
-                    Some(_) => f64s("q_over_bdp")?,
-                    None => fluid_model::DEFAULT_Q_FRACS.to_vec(),
-                },
-            },
-            "ablation" => AnalyticScenario::Ablation {
-                gammas: f64s("gammas")?,
-                beta_fracs: f64s("beta_fracs")?,
-                etas: f64s("etas")?,
-            },
-            "laws" => AnalyticScenario::Laws {
-                tolerance: get_f64_or(t, "tolerance", 0.05)?,
-            },
-            other => {
-                return Err(format!(
-                    "unknown analytic scenario {other:?} (expected phase, ablation, or laws)"
-                ))
-            }
-        };
-        let defaults = AnalyticSpec::new(scenario);
-        let analytic = AnalyticSpec {
-            bandwidth_gbps: get_f64_or(t, "bandwidth_gbps", defaults.bandwidth_gbps)?,
-            base_rtt_us: get_f64_or(t, "base_rtt_us", defaults.base_rtt_us)?,
-            gamma: get_f64_or(t, "gamma", defaults.gamma)?,
-            updates_per_rtt: get_f64_or(t, "updates_per_rtt", defaults.updates_per_rtt)?,
-            beta_frac: get_f64_or(t, "beta_frac", defaults.beta_frac)?,
-            hpcc_eta: get_f64_or(t, "hpcc_eta", defaults.hpcc_eta)?,
-            scenario: defaults.scenario,
-        };
-        let mut spec = ScenarioSpec::new_analytic(name, analytic);
-        spec.description = description;
-        Ok(spec)
-    }
-
-    /// The `kind = "timeseries"` parse path: a `[trace]` table instead of
-    /// `[topology]`/`[workload]` (the fixture is derived from the trace
-    /// scenario), and a `[sweep]` carrying only the lineup and seed.
-    fn timeseries_from_table(
-        root: &BTreeMap<String, Value>,
-        name: String,
-        description: String,
-    ) -> Result<ScenarioSpec, String> {
-        if root.contains_key("topology") {
-            return Err("timeseries scenarios derive their topology; remove [topology]".into());
-        }
-        if root.contains_key("workload") {
-            return Err(
-                "timeseries scenarios define traffic via [trace]; remove [workload]".into(),
-            );
-        }
-        if root.contains_key("engine") {
-            return Err(
-                "engine is a sweep setting; timeseries traces depend on per-packet INT \
-                 probes the flow engine cannot produce — remove it"
-                    .into(),
-            );
-        }
-        if root.contains_key("buffer_cdf") {
-            return Err("buffer_cdf is a sweep-report option; remove it".into());
-        }
-        let horizon_ms = get_f64_or(root, "horizon_ms", 4.0)?;
-        let drain_ms = get_f64_or(root, "drain_ms", 0.0)?;
-
-        let trace_t = get_table(root, "trace")?;
-        for key in trace_t.keys() {
-            if !matches!(
-                key.as_str(),
-                "scenario"
-                    | "tick_us"
-                    | "max_samples"
-                    | "max_rows"
-                    | "window"
-                    | "channels"
-                    | "fan_in"
-                    | "burst_bytes"
-                    | "at_ms"
-                    | "flows"
-                    | "stagger_ms"
-                    | "weeks"
-                    | "packet_gbps"
-                    | "retcp_prebuffer_us"
-            ) {
-                return Err(format!("unknown [trace] key {key:?}"));
-            }
-        }
-        let scenario = match get_str(trace_t, "scenario")?.as_str() {
-            "response" => TraceScenario::Response,
-            "incast" => TraceScenario::Incast {
-                fan_in: get_usize(trace_t, "fan_in")?,
-                burst_bytes: get_u64(trace_t, "burst_bytes")?,
-                at_ms: get_f64_or(trace_t, "at_ms", 1.0)?,
-            },
-            "fairness" => TraceScenario::Fairness {
-                flows: get_usize(trace_t, "flows")?,
-                stagger_ms: get_f64_or(trace_t, "stagger_ms", 1.0)?,
-            },
-            "rdcn" => TraceScenario::Rdcn {
-                weeks: get_u64(trace_t, "weeks")?,
-                packet_gbps: get_f64_or(trace_t, "packet_gbps", 25.0)?,
-                retcp_prebuffer_us: match trace_t.get("retcp_prebuffer_us") {
-                    Some(v) => v
-                        .as_array()
-                        .ok_or("retcp_prebuffer_us must be an array")?
-                        .iter()
-                        .map(|v| {
-                            v.as_f64()
-                                .ok_or("retcp_prebuffer_us entries must be numbers".to_string())
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    None => Vec::new(),
-                },
-            },
-            other => {
-                return Err(format!(
-                    "unknown trace scenario {other:?} (expected response, incast, \
-                     fairness, or rdcn)"
-                ))
-            }
-        };
-        let trace = TraceSpec {
-            scenario,
-            tick_us: get_f64_or(trace_t, "tick_us", 20.0)?,
-            max_samples: match trace_t.get("max_samples") {
-                Some(_) => get_usize(trace_t, "max_samples")?,
-                None => 4096,
-            },
-            max_rows: match trace_t.get("max_rows") {
-                Some(_) => get_usize(trace_t, "max_rows")?,
-                None => 120,
-            },
-            window: match trace_t.get("window") {
-                Some(_) => get_usize(trace_t, "window")?,
-                None => 1,
-            },
-            channels: match trace_t.get("channels") {
-                Some(v) => v
-                    .as_array()
-                    .ok_or("trace channels must be an array")?
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_string)
-                            .ok_or("trace channels entries must be strings".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                None => Vec::new(),
-            },
-        };
-
-        let sweep_t = get_table(root, "sweep")?;
-        if sweep_t.contains_key("loads") {
-            return Err("timeseries scenarios have no load axis; remove sweep.loads".into());
-        }
-        if sweep_t.contains_key("params") {
-            return Err("timeseries scenarios have no params axis; remove sweep.params".into());
-        }
-        let algos = get_array(sweep_t, "algos")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .ok_or_else(|| "sweep.algos entries must be strings".to_string())
-                    .and_then(Algo::parse)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let seeds = get_array(sweep_t, "seeds")?
-            .iter()
-            .map(|v| {
-                v.as_i64()
-                    .filter(|&s| s >= 0)
-                    .map(|s| s as u64)
-                    .ok_or_else(|| "sweep.seeds entries must be non-negative integers".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        Ok(ScenarioSpec {
-            name,
-            description,
-            topology: trace.scenario.implied_topology(),
-            kind: ScenarioKind::Timeseries(trace),
-            workload: WorkloadSpec::default(),
-            horizon_ms,
-            drain_ms,
-            sweep: SweepSpec {
-                algos,
-                params: Vec::new(),
-                loads: Vec::new(),
-                seeds,
-            },
-            engine: EngineKind::Packet,
-            buffer_cdf: false,
-        })
-    }
-}
-
-/// Parse the optional `params` array of a `[sweep]` table.
-fn parse_params(sweep_t: &BTreeMap<String, Value>) -> Result<Vec<ParamSpec>, String> {
-    match sweep_t.get("params") {
-        Some(v) => v
-            .as_array()
-            .ok_or("sweep.params must be an array")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .ok_or_else(|| {
-                        "sweep.params entries must be strings like \"gamma=0.5\"".to_string()
-                    })
-                    .and_then(ParamSpec::parse)
-            })
-            .collect(),
-        None => Ok(Vec::new()),
-    }
-}
-
-fn get_table<'a>(
-    t: &'a BTreeMap<String, Value>,
-    key: &str,
-) -> Result<&'a BTreeMap<String, Value>, String> {
-    t.get(key)
-        .ok_or_else(|| format!("missing [{key}] section"))?
-        .as_table()
-        .ok_or_else(|| format!("{key} must be a table"))
-}
-
-fn get_str(t: &BTreeMap<String, Value>, key: &str) -> Result<String, String> {
-    t.get(key)
-        .ok_or_else(|| format!("missing key {key:?}"))?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{key} must be a string"))
-}
-
-fn get_f64(t: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
-    t.get(key)
-        .ok_or_else(|| format!("missing key {key:?}"))?
-        .as_f64()
-        .ok_or_else(|| format!("{key} must be a number"))
-}
-
-fn get_f64_or(t: &BTreeMap<String, Value>, key: &str, default: f64) -> Result<f64, String> {
-    match t.get(key) {
-        Some(v) => v.as_f64().ok_or_else(|| format!("{key} must be a number")),
-        None => Ok(default),
-    }
-}
-
-fn get_u64(t: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    t.get(key)
-        .ok_or_else(|| format!("missing key {key:?}"))?
-        .as_i64()
-        .filter(|&v| v >= 0)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("{key} must be a non-negative integer"))
-}
-
-fn get_usize(t: &BTreeMap<String, Value>, key: &str) -> Result<usize, String> {
-    get_u64(t, key).map(|v| v as usize)
-}
-
-fn get_array<'a>(t: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a [Value], String> {
-    t.get(key)
-        .ok_or_else(|| format!("missing key {key:?}"))?
-        .as_array()
-        .ok_or_else(|| format!("{key} must be an array"))
 }
 
 #[cfg(test)]
@@ -2718,5 +1759,128 @@ seeds = [1]
         assert!(ScenarioSpec::from_toml(bad_kind)
             .unwrap_err()
             .contains("topology kind"));
+    }
+    /// A minimal valid sweep, with `extra` spliced in before `marker`.
+    fn star_sweep_with(marker: &str, extra: &str) -> String {
+        let base = "name = \"x\"\n[topology]\nkind = \"star\"\nhosts = 6\n\
+                    [workload.poisson]\nsizes = \"websearch\"\n\
+                    [sweep]\nalgos = [\"powertcp\"]\nloads = [0.5]\nseeds = [1]\n";
+        assert!(ScenarioSpec::from_toml(base).is_ok());
+        base.replacen(marker, &format!("{extra}\n{marker}"), 1)
+    }
+
+    #[test]
+    fn keys_the_parent_silently_ignored_are_errors_naming_them() {
+        // Each of these parsed at the parent commit and ran a different
+        // experiment than the one written down.
+        for (marker, extra, named) in [
+            ("hosts = 6", "host_gpbs = 100.0", "host_gpbs"),
+            ("seeds = [1]", "seed = [2]", "\"seed\""),
+            ("[sweep]", "[workload.incst]\nfan_in = 2", "incst"),
+            ("hosts = 6", "pairs = 3", "pairs"),
+            ("[sweep]", "fixed_bytes = 1000", "fixed_bytes"),
+            ("[sweep]", "[workload]\nload = 0.5", "\"load\""),
+        ] {
+            let err = ScenarioSpec::from_toml(&star_sweep_with(marker, extra))
+                .expect_err(&format!("{extra} was accepted"));
+            assert!(err.contains(named), "{extra}: {err}");
+        }
+        // Another trace scenario's key, and a sweep axis on a lineup.
+        let fig5 = crate::library::fig5().to_toml();
+        for extra in ["fan_in = 4", "weeks = 2"] {
+            let text = fig5.replace("flows = 4", &format!("flows = 4\n{extra}"));
+            let err = ScenarioSpec::from_toml(&text).expect_err(extra);
+            let key = extra.split(' ').next().unwrap();
+            assert!(err.contains(key) && err.contains("fairness"), "{err}");
+        }
+        let with_loads = fig5.replace("seeds = [42]", "seeds = [42]\nloads = [0.5]");
+        let err = ScenarioSpec::from_toml(&with_loads).unwrap_err();
+        assert!(err.contains("loads"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_numbers_never_reach_the_time_box() {
+        // `inf` and `1e999` are both floats to the TOML parser; at the
+        // parent they passed `from_toml` and `horizon()` then panicked.
+        for bad in ["inf", "1e999", "-inf"] {
+            for key in ["horizon_ms", "drain_ms"] {
+                let text = star_sweep_with("[topology]", &format!("{key} = {bad}"));
+                let err = ScenarioSpec::from_toml(&text).expect_err(bad);
+                assert!(err.contains(key), "{err}");
+            }
+        }
+        // The same through the builder: validate() is the gate.
+        let spec = sample_spec().horizon_ms(f64::INFINITY);
+        assert!(spec.validate().unwrap_err().contains("horizon_ms"));
+        let mut spec = sample_spec();
+        spec.sweep.loads = vec![f64::NAN];
+        assert!(spec.validate().unwrap_err().contains("loads"));
+    }
+
+    #[test]
+    fn integers_are_toml_integers() {
+        // TOML integers are i64: the largest legal seed round-trips...
+        let max = sample_spec().seeds([i64::MAX as u64]);
+        max.validate().unwrap();
+        assert_eq!(ScenarioSpec::from_toml(&max.to_toml()).unwrap(), max);
+        // ...and one more would be written as a negative number that
+        // `from_toml` (every `--procs` worker) refuses.
+        let over = sample_spec().seeds([1 << 63]);
+        let err = over.validate().unwrap_err();
+        assert!(err.contains("seeds") && err.contains("2^63"), "{err}");
+        let mut huge = sample_spec();
+        huge.workload.incast.as_mut().unwrap().request_bytes = u64::MAX;
+        assert!(huge.validate().unwrap_err().contains("request_bytes"));
+        // A fat-tree too large to count is an error, not an overflow.
+        let mut vast = sample_spec();
+        vast.topology = TopologySpec::FatTree {
+            hosts_per_tor: i64::MAX as usize,
+            host_gbps: 25.0,
+            fabric_gbps: 12.5,
+        };
+        assert!(vast.validate().is_ok());
+    }
+
+    #[test]
+    fn a_repeated_param_key_is_an_error() {
+        let err = ParamSpec::parse("gamma=0.5,gamma=0.7").unwrap_err();
+        assert!(err.contains("gamma") && err.contains("repeated"), "{err}");
+        assert!(ParamSpec::parse("gamma=0.5,n=8").is_ok());
+        assert!(ParamSpec::parse("n=5000000000").is_err());
+        assert!(ParamSpec::parse("n=1.5").is_err());
+    }
+
+    #[test]
+    fn constructors_and_the_reader_share_the_table_defaults() {
+        let parsed = |text: &str| ScenarioSpec::from_toml(text).unwrap_or_else(|e| panic!("{e}"));
+        // [trace]: tick, ring, rows, window, channels.
+        let ts = parsed(
+            "name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"response\"\n\
+             [sweep]\nalgos = [\"powertcp\"]\nseeds = [42]\n",
+        );
+        let built = ScenarioSpec::timeseries("t", TraceSpec::new(TraceScenario::Response));
+        assert_eq!(ts, built);
+        let trace = built.trace().unwrap();
+        assert_eq!((trace.tick_us, trace.max_samples), (20.0, 4096));
+        assert_eq!((trace.max_rows, trace.window), (120, 1));
+        assert_eq!((built.horizon_ms, built.drain_ms), (4.0, 0.0));
+        // A given scenario goes in untouched by its own keys' defaults.
+        let incast = TraceScenario::Incast {
+            fan_in: 3,
+            burst_bytes: 9,
+            at_ms: 0.25,
+        };
+        assert_eq!(TraceSpec::new(incast.clone()).scenario, incast);
+        let laws = AnalyticScenario::Laws { tolerance: 0.5 };
+        assert_eq!(AnalyticSpec::new(laws.clone()).scenario, laws);
+        // Sweeps: 4 ms + 6 ms.
+        let sweep = parsed(&star_sweep_with("[sweep]", ""));
+        assert_eq!((sweep.horizon_ms, sweep.drain_ms), (4.0, 6.0));
+        let built = ScenarioSpec::new("x", sweep.topology);
+        assert_eq!((built.horizon_ms, built.drain_ms), (4.0, 6.0));
+        // Analytic scenarios carry the inert trace box they always did.
+        let an = ScenarioSpec::new_analytic("a", AnalyticSpec::new(laws));
+        assert_eq!((an.horizon_ms, an.drain_ms), (4.0, 0.0));
+        assert_eq!(an.topology, ScenarioSpec::analytic_topology());
     }
 }

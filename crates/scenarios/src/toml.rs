@@ -323,31 +323,58 @@ fn split_top_level(s: &str) -> Vec<&str> {
     out
 }
 
+/// Append a string literal, escaped so that [`parse`] reads it back.
+pub(crate) fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Append a float, kept recognizable as a float on re-parse.
+pub(crate) fn write_float(out: &mut String, f: f64) {
+    use fmt::Write as _;
+    let _ = if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
+        write!(out, "{f:.1}")
+    } else {
+        write!(out, "{f}")
+    };
+}
+
+/// Append `[a, b, …]`, each entry written by `item`.
+pub(crate) fn write_array<T>(out: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
 /// Render a value as TOML source (scalars and arrays only; tables are
 /// emitted by the spec serializer, which controls section order).
 pub fn write_value(v: &Value) -> String {
+    let mut out = String::new();
+    write_into(&mut out, v);
+    out
+}
+
+fn write_into(out: &mut String, v: &Value) {
     match v {
-        Value::Str(s) => format!(
-            "\"{}\"",
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-                .replace('\t', "\\t")
-        ),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            // Keep floats recognizable as floats on re-parse.
-            if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
-            }
-        }
-        Value::Bool(b) => b.to_string(),
-        Value::Array(items) => {
-            let parts: Vec<String> = items.iter().map(write_value).collect();
-            format!("[{}]", parts.join(", "))
-        }
+        Value::Str(s) => write_str(out, s),
+        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Float(f) => write_float(out, *f),
+        Value::Bool(b) => out.push_str(&b.to_string()),
+        Value::Array(items) => write_array(out, items, write_into),
         Value::Table(_) => panic!("tables are serialized by the spec writer"),
     }
 }

@@ -742,12 +742,8 @@ mod tests {
         ScenarioSpec::timeseries(
             "t",
             TraceSpec {
-                scenario,
-                tick_us: 20.0,
-                max_samples: 4096,
                 max_rows: 60,
-                window: 1,
-                channels: Vec::new(),
+                ..TraceSpec::new(scenario)
             },
         )
         .horizon_ms(3.0)

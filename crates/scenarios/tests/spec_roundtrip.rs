@@ -3,9 +3,14 @@
 //! builder-constructed original (TOML is a faithful interface to the
 //! engine, not just to the data structure).
 
+// GOLDEN_REGEN is an env toggle; tests are R3-exempt in dcn-lint.
+#![allow(clippy::disallowed_methods)]
+
 use dcn_scenarios::{
-    builtin_specs, run_sweep, Algo, EngineKind, IncastSpec, ScenarioSpec, SizeSpec, TopologySpec,
+    builtin_specs, run_sweep, Algo, EngineKind, IncastSpec, ParamSpec, ScenarioKind, ScenarioSpec,
+    SizeSpec, TopologySpec,
 };
+use proptest::prelude::*;
 
 /// A fig7-shaped scenario (websearch + incast on the fat-tree, PowerTCP
 /// vs two baselines) trimmed to one load and a short horizon so the
@@ -140,5 +145,178 @@ fn every_builtin_round_trips_through_toml() {
         let parsed =
             ScenarioSpec::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         assert_eq!(parsed, spec, "{}", spec.name);
+    }
+}
+
+/// Shapes no builtin has, so the golden also pins every omit-when-default
+/// key written out (`buffer_cdf`, `params`, `window`, `channels`), the
+/// dumbbell topology and fixed sizes.
+fn golden_extras() -> Vec<ScenarioSpec> {
+    let dumbbell = ScenarioSpec::new(
+        "extra-dumbbell",
+        TopologySpec::Dumbbell {
+            pairs: 4,
+            host_gbps: 25.0,
+            bottleneck_gbps: 12.5,
+        },
+    )
+    .describe("dumbbell, fixed sizes, every params key, \"quoted\" text")
+    .poisson(SizeSpec::Fixed(50_000))
+    .buffer_cdf(true)
+    .algos([Algo::PowerTcp, Algo::Hpcc])
+    .params([
+        ParamSpec {
+            gamma: Some(1.0),
+            expected_flows: Some(32),
+            hpcc_eta: Some(0.95),
+            dt_alpha: Some(0.25),
+        },
+        ParamSpec {
+            dt_alpha: Some(2.0),
+            ..ParamSpec::default()
+        },
+    ])
+    .loads([0.5, 1.0])
+    .seeds([1, 2])
+    .horizon_ms(1.0)
+    .drain_ms(0.0);
+    let mut windowed = dcn_scenarios::builtin("fig4")
+        .expect("fig4 is a builtin")
+        .channels(["queue", "cwnd"]);
+    windowed.name = "extra-windowed".into();
+    let ScenarioKind::Timeseries(trace) = &mut windowed.kind else {
+        unreachable!("fig4 is a timeseries scenario")
+    };
+    trace.window = 4;
+    vec![dumbbell, windowed]
+}
+
+/// The exact `to_toml()` and `cache_fragment()` text of every builtin,
+/// pinned byte-for-byte: round-trip identity alone would pass a key
+/// reorder that moves every cache key and orphans every `.xp-cache` on
+/// disk. Regenerate deliberately with
+/// `GOLDEN_REGEN=1 cargo test -p dcn-scenarios --test spec_roundtrip`.
+#[test]
+fn builtin_spec_and_fragment_text_is_pinned() {
+    const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/builtin_specs.golden");
+    let mut text = String::new();
+    for spec in builtin_specs().into_iter().chain(golden_extras()) {
+        text.push_str(&format!(
+            "=== {} to_toml ===\n{}",
+            spec.name,
+            spec.to_toml()
+        ));
+        text.push_str(&format!(
+            "=== {} cache_fragment ===\n{}",
+            spec.name,
+            spec.cache_fragment()
+        ));
+    }
+    if std::env::var("GOLDEN_REGEN").is_ok() {
+        std::fs::write(GOLDEN_PATH, &text).expect("write golden");
+    }
+    let want = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden file missing; regenerate with GOLDEN_REGEN=1");
+    assert_eq!(
+        text, want,
+        "spec or cache-fragment text drifted from the pinned golden: every \
+         cache key moves with it"
+    );
+}
+
+/// One hostile edit of a valid spec text, drawn from `r`: a byte
+/// flipped, a line dropped, doubled or moved, or a number swapped for
+/// one from the pool every range check should have an opinion on.
+fn mutate(text: &str, r: &[u64; 3]) -> String {
+    const NUMBERS: [&str; 10] = [
+        "inf",
+        "-inf",
+        "1e999",
+        "nan",
+        "-1",
+        "0",
+        "0.0",
+        "1e300",
+        "9223372036854775807",
+        "9223372036854775808",
+    ];
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let i = (r[1] as usize) % lines.len();
+    match r[0] % 5 {
+        0 => {
+            let mut bytes = text.as_bytes().to_vec();
+            let at = (r[1] as usize) % bytes.len();
+            bytes[at] = r[2] as u8;
+            return String::from_utf8_lossy(&bytes).into_owned();
+        }
+        1 => drop(lines.remove(i)),
+        2 => lines.insert(i, lines[i].clone()),
+        3 => {
+            let line = lines.remove(i);
+            lines.insert((r[2] as usize) % (lines.len() + 1), line);
+        }
+        _ => {
+            if let Some((key, _)) = lines[i].clone().split_once(" = ") {
+                let number = NUMBERS[(r[2] as usize) % NUMBERS.len()];
+                lines[i] = match r[2] % 3 {
+                    0 => format!("{key} = [{number}]"),
+                    _ => format!("{key} = {number}"),
+                };
+            }
+        }
+    }
+    lines.join("\n")
+}
+
+/// What `from_toml` returning `Ok` promises.
+fn assert_sound(text: &str) {
+    let Ok(spec) = ScenarioSpec::from_toml(text) else {
+        return;
+    };
+    assert_eq!(spec.validate(), Ok(()), "{text}");
+    let rendered = spec.to_toml();
+    assert_eq!(
+        ScenarioSpec::from_toml(&rendered),
+        Ok(spec.clone()),
+        "{text}"
+    );
+    // None of these may panic (non-finite or negative time boxes did).
+    let _ = (spec.horizon(), spec.drain(), spec.cache_fragment());
+    assert!(spec.num_points() > 0, "{text}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Arbitrary bytes never panic the TOML parser or the spec reader.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reader(
+        bytes in prop::collection::vec(0u8..=255, 0usize..200),
+        // Mostly TOML-shaped noise: the alphabet spec files are made of.
+        shaped in prop::collection::vec(0usize..24, 0usize..120),
+    ) {
+        const ALPHABET: &[u8] = b"[]=\"\n.,# -_0123456789aeinfkst";
+        assert_sound(&String::from_utf8_lossy(&bytes));
+        let shaped: Vec<u8> = shaped.iter().map(|&i| ALPHABET[i]).collect();
+        assert_sound(&String::from_utf8_lossy(&shaped));
+    }
+
+    /// Up to three hostile edits of every builtin (and of the shapes no
+    /// builtin has): the reader never panics, and whatever it still
+    /// accepts is valid, round-trips, and has a time box and a lineup.
+    #[test]
+    fn mutated_specs_never_panic_and_stay_sound(
+        which in 0usize..64,
+        edits in prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX), 1usize..=3),
+    ) {
+        let specs: Vec<ScenarioSpec> = builtin_specs().into_iter().chain(golden_extras()).collect();
+        let mut text = specs[which % specs.len()].to_toml();
+        for (a, b, c) in edits {
+            text = mutate(&text, &[a, b, c]);
+            if text.is_empty() {
+                break;
+            }
+            assert_sound(&text);
+        }
     }
 }
