@@ -65,6 +65,7 @@ fn run(make: MkCc, ecn: bool, pfc: bool) -> (usize, usize, f64, f64, u64) {
         queue_tracer(sw, PortId(0), qs.clone()),
     );
     sim.run_until(Tick::from_millis(10));
+    sim.audit().expect("conservation audit");
     let q = qs.borrow();
     let peak = q.iter().map(|&(_, v)| v).fold(0.0, f64::max);
     // Steady window: [0.5ms, 1.8ms] — all six flows active (6 MB total

@@ -405,6 +405,7 @@ fn run_packet_point(
     }
     let run_end = horizon + drain;
     sim.run_until(run_end);
+    debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 
     // ---- Reduce. Flows still unfinished at the end of the run are
     // *censored* at the run end rather than dropped — excluding them

@@ -455,6 +455,7 @@ fn incast_trace(
         );
     }
     sim.run_until(horizon);
+    debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 
     let drops = sim.net.switch(sw).total_drops();
     let stats = vec![
@@ -559,6 +560,7 @@ fn fairness_trace(
         }
     }
     sim.run_until(horizon);
+    debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 
     let shares: Vec<f64> = means.iter().map(|w| w.borrow().mean()).collect();
     let mut stats = vec![(
@@ -701,6 +703,7 @@ fn rdcn_trace(
         }
     }
     sim.run_until(horizon);
+    debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 
     // Day utilization: circuit bytes transmitted / (circuit capacity ×
     // total day time for the rack pair).

@@ -6,17 +6,17 @@
 //! loop, not an async runtime or thread pool).
 
 use crate::event::{Event, EventQueue};
-use crate::ids::{NodeId, PortId};
+use crate::ids::{FlowId, NodeId, PortId};
 use crate::link::{Link, Links};
 use crate::node::{
-    CustomAction, CustomCtx, CustomNode, Endpoint, EndpointAction, EndpointCtx, Host, Node,
-    PortView,
+    CustomAction, CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointAction, EndpointCtx, Host,
+    Node, PortView,
 };
 use crate::packet::{Packet, PacketKind, CTRL_PKT_BYTES};
 use crate::pool::{PacketPool, PoolStats};
 use crate::stats::SimStats;
-use crate::switch::{Switch, SwitchEmit};
-use powertcp_core::Tick;
+use crate::switch::{Sink, Switch};
+use powertcp_core::{IntHeader, IntHopMetadata, Tick};
 use std::time::Instant;
 
 /// The static network: nodes and links.
@@ -63,27 +63,6 @@ impl Network {
     }
 }
 
-/// Discriminant used to route dispatch without holding a borrow.
-enum NodeKind {
-    Switch,
-    Host,
-    Custom,
-}
-
-/// One unit of work for a host visit: the payload of an `Arrival` or
-/// `HostTimer` event bound for that host (see [`Simulator::host_visit`]).
-enum HostWork {
-    Packet(Box<Packet>),
-    Timer(u64),
-}
-
-/// One unit of work for a switch visit: the payload of an `Arrival` or
-/// `TxDone` event bound for that switch (see [`Simulator::switch_visit`]).
-enum SwitchWork {
-    Recv(PortId, Box<Packet>),
-    TxDone(PortId),
-}
-
 /// Boxed periodic-observer callback (see [`Simulator::add_tracer`]).
 type TracerFn = Box<dyn FnMut(&Network, Tick)>;
 
@@ -97,37 +76,129 @@ struct Tracer {
 pub struct Simulator {
     /// The network (public: tests and tracers inspect it freely).
     pub net: Network,
-    queue: EventQueue,
+    sched: Scheduler,
     tracers: Vec<Tracer>,
-    /// Pending events that are not tracer samples; lets
-    /// [`Simulator::run_until_idle`] terminate while tracers self-renew.
-    live_events: u64,
     started: bool,
     scratch_endpoint: Vec<EndpointAction>,
-    scratch_switch: Vec<SwitchEmit>,
     scratch_custom: Vec<CustomAction>,
     /// Reused per-custom-event port-view buffer: rebuilding the views is
     /// cheap, but a fresh `Vec` per event was the last per-event
     /// allocation on the rdcn hot path.
     scratch_views: Vec<PortView>,
-    /// Recycled packet boxes (see [`crate::pool`]): endpoint sends draw
-    /// from here, and every packet-consuming site returns boxes instead
-    /// of freeing them, so the steady-state hot loop allocates nothing.
-    pool: PacketPool,
     /// Total packets delivered to hosts.
     pub delivered: u64,
     /// Events dispatched so far (all kinds, tracer samples included).
     events_processed: u64,
-    /// Same-tick same-node batching enabled (see [`Simulator::set_batching`]).
-    batching: bool,
-    /// Node visits that drained more than one same-tick event.
-    batched_visits: u64,
-    /// Events beyond the first drained by batched visits.
-    batched_events: u64,
-    /// PFC pause/resume frames emitted by switches.
-    pfc_frames: u64,
     /// Wall-clock anchor for [`Simulator::stats`]; set at construction.
     t0: Instant,
+}
+
+/// Everything handling an event writes to, apart from the node handling
+/// it — one struct, so it can be borrowed whole beside that node.
+struct Scheduler {
+    queue: EventQueue,
+    /// Pending events that are not tracer samples; lets
+    /// [`Simulator::run_until_idle`] terminate while tracers self-renew.
+    live_events: u64,
+    /// Recycled packet boxes (see [`crate::pool`]): endpoint sends draw
+    /// from here, and every packet-consuming site returns boxes instead
+    /// of freeing them, so the steady-state hot loop allocates nothing.
+    pool: PacketPool,
+    /// PFC pause/resume frames emitted by switches.
+    pfc_frames: u64,
+}
+
+impl Scheduler {
+    /// Schedule a live (non-tracer) event.
+    #[inline]
+    fn schedule(&mut self, at: Tick, ev: Event) {
+        self.live_events += 1;
+        self.queue.schedule(at, ev);
+    }
+
+    /// `pkt` starts serializing out of `node`'s `port` now: the port is
+    /// free again after `ser`, and the packet lands at the far end of
+    /// `wire` one propagation delay later.
+    #[inline]
+    fn put_on_wire(
+        &mut self,
+        node: NodeId,
+        port: PortId,
+        pkt: Box<Packet>,
+        ser: Tick,
+        wire: &Link,
+    ) {
+        let done = self.queue.now() + ser;
+        self.schedule(done, Event::TxDone { node, port });
+        let arrival = Event::Arrival {
+            node: wire.dst,
+            port: wire.dst_port,
+            pkt,
+        };
+        self.schedule(done + wire.delay, arrival);
+    }
+}
+
+/// The engine's [`Sink`]: what switch `node` decides while handling the
+/// event just popped is scheduled the moment it is decided.
+struct SwitchSink<'a> {
+    node: NodeId,
+    sched: &'a mut Scheduler,
+}
+
+impl Sink for SwitchSink<'_> {
+    #[inline]
+    fn transmit(&mut self, port: PortId, pkt: Box<Packet>, ser: Tick, wire: &Link) {
+        self.sched.put_on_wire(self.node, port, pkt, ser, wire);
+    }
+
+    fn pfc(&mut self, _port: PortId, wire: &Link, pause: bool) {
+        let sched = &mut *self.sched;
+        sched.pfc_frames += 1;
+        let now = sched.queue.now();
+        // PFC frames preempt data on real hardware: model as
+        // propagation-only delivery, no serialization queueing.
+        let pkt = sched.pool.boxed(Packet {
+            flow: FlowId(0),
+            src: self.node,
+            dst: wire.dst,
+            size: CTRL_PKT_BYTES,
+            priority: 0,
+            ecn_capable: false,
+            ecn_ce: false,
+            int_enable: false,
+            int: IntHeader::new(),
+            sent_at: now,
+            kind: PacketKind::Pfc { pause },
+        });
+        let arrival = Event::Arrival {
+            node: wire.dst,
+            port: wire.dst_port,
+            pkt,
+        };
+        sched.schedule(now + wire.delay, arrival);
+    }
+
+    #[inline]
+    fn recycle(&mut self, pkt: Box<Packet>) {
+        self.sched.pool.recycle(pkt);
+    }
+}
+
+/// Start transmitting on a host NIC (uplink `wire`) if it is idle,
+/// unpaused, and has queued packets.
+fn host_kick(h: &mut Host, wire: &Link, sched: &mut Scheduler) {
+    if h.busy || h.paused {
+        return;
+    }
+    let Some(pkt) = h.txq.pop_front() else {
+        return;
+    };
+    let size = pkt.size as u64;
+    h.txq_bytes -= size;
+    h.busy = true;
+    h.tx_bytes += size;
+    sched.put_on_wire(h.id, PortId(0), pkt, wire.bandwidth.tx_time(size), wire);
 }
 
 impl Simulator {
@@ -136,21 +207,19 @@ impl Simulator {
     pub fn new(net: Network) -> Self {
         Simulator {
             net,
-            queue: EventQueue::new(),
+            sched: Scheduler {
+                queue: EventQueue::new(),
+                live_events: 0,
+                pool: PacketPool::new(),
+                pfc_frames: 0,
+            },
             tracers: Vec::new(),
-            live_events: 0,
             started: false,
             scratch_endpoint: Vec::new(),
-            scratch_switch: Vec::new(),
             scratch_custom: Vec::new(),
             scratch_views: Vec::new(),
-            pool: PacketPool::new(),
             delivered: 0,
             events_processed: 0,
-            batching: true,
-            batched_visits: 0,
-            batched_events: 0,
-            pfc_frames: 0,
             // lint:allow(R2): SimStats wall-clock anchor — observability only, never report bytes
             t0: Instant::now(),
         }
@@ -158,28 +227,13 @@ impl Simulator {
 
     /// Current simulation time.
     pub fn now(&self) -> Tick {
-        self.queue.now()
+        self.sched.queue.now()
     }
 
     /// Packet-pool counters (fresh allocations vs reuses) — the
     /// steady-state contract is that reuses dominate.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Enable or disable same-tick node batching (on by default).
-    ///
-    /// Batching drains every consecutive same-tick event bound for the
-    /// node already being visited in one pass, amortizing dispatch,
-    /// node borrow, scratch-buffer setup, and link lookups. It is a
-    /// pure perf optimization: only the *global head* of the event
-    /// queue is ever taken (see [`EventQueue::pop_now_if`]), so the
-    /// `(time, insertion-seq)` FIFO event order — and therefore every
-    /// output byte — is identical with batching off. The switch exists
-    /// so the property test (`crates/sim/tests/batch_props.rs`) can
-    /// prove exactly that against the unbatched dispatcher.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
+        self.sched.pool.stats()
     }
 
     /// Register a periodic tracer sampling every `every`.
@@ -190,14 +244,9 @@ impl Simulator {
             every,
             f: Box::new(f),
         });
-        self.queue.schedule(every, Event::Sample { tracer: idx });
-    }
-
-    fn schedule(&mut self, at: Tick, ev: Event) {
-        if !matches!(ev, Event::Sample { .. }) {
-            self.live_events += 1;
-        }
-        self.queue.schedule(at, ev);
+        self.sched
+            .queue
+            .schedule(every, Event::Sample { tracer: idx });
     }
 
     /// Call every endpoint's / custom switch's `on_start` exactly once.
@@ -216,39 +265,16 @@ impl Simulator {
             return;
         }
         self.started = true;
-        let now = self.queue.now();
+        let now = self.sched.queue.now();
         for t in &mut self.tracers {
             (t.f)(&self.net, now);
         }
         for i in 0..self.net.nodes.len() {
             let id = NodeId(i as u32);
-            match self.node_kind(id) {
-                NodeKind::Host => {
-                    let mut actions = std::mem::take(&mut self.scratch_endpoint);
-                    let now = self.queue.now();
-                    if let Node::Host(h) = &mut self.net.nodes[i] {
-                        let nic_bw = self.net.links.get(h.link).bandwidth;
-                        let mut ctx =
-                            EndpointCtx::with_pool(now, id, nic_bw, &mut actions, &mut self.pool);
-                        h.app.on_start(&mut ctx);
-                    }
-                    self.apply_endpoint_actions(id, &mut actions);
-                    self.scratch_endpoint = actions;
-                }
-                NodeKind::Custom => {
-                    let mut actions = std::mem::take(&mut self.scratch_custom);
-                    let mut views = std::mem::take(&mut self.scratch_views);
-                    let now = self.queue.now();
-                    if let Node::Custom(c) = &mut self.net.nodes[i] {
-                        Self::fill_port_views(&self.net.links, c, &mut views);
-                        let mut ctx = CustomCtx::new(now, id, &views, &mut actions);
-                        c.logic.on_start(&mut ctx);
-                    }
-                    self.apply_custom_actions(id, &mut actions);
-                    self.scratch_custom = actions;
-                    self.scratch_views = views;
-                }
-                NodeKind::Switch => {}
+            match &self.net.nodes[i] {
+                Node::Host(_) => self.host_visit(id, |app, ctx| app.on_start(ctx)),
+                Node::Custom(_) => self.custom_visit(id, |logic, ctx| logic.on_start(ctx)),
+                Node::Switch(_) => {}
             }
         }
     }
@@ -256,7 +282,7 @@ impl Simulator {
     /// Run until the event at or before `end` (inclusive); primes first.
     pub fn run_until(&mut self, end: Tick) {
         self.prime();
-        while let Some((_, ev)) = self.queue.pop_until(end) {
+        while let Some((_, ev)) = self.sched.queue.pop_until(end) {
             self.dispatch(ev);
         }
     }
@@ -264,8 +290,8 @@ impl Simulator {
     /// Run until no non-tracer events remain; primes first.
     pub fn run_until_idle(&mut self) {
         self.prime();
-        while self.live_events > 0 {
-            let (_, ev) = self.queue.pop().expect("live events pending");
+        while self.sched.live_events > 0 {
+            let (_, ev) = self.sched.queue.pop().expect("live events pending");
             self.dispatch(ev);
         }
     }
@@ -292,435 +318,187 @@ impl Simulator {
                 Node::Host(_) => {}
             }
         }
-        let pool = self.pool.stats();
+        let pool = self.sched.pool.stats();
         SimStats {
             events_processed: self.events_processed,
-            events_scheduled: self.queue.scheduled(),
-            overflow_scheduled: self.queue.overflow_scheduled(),
-            batched_visits: self.batched_visits,
-            batched_events: self.batched_events,
+            events_scheduled: self.sched.queue.scheduled(),
+            overflow_scheduled: self.sched.queue.overflow_scheduled(),
+            batched_visits: 0,
+            batched_events: 0,
             delivered: self.delivered,
             forwarded,
             drops_no_route,
             drops_buffer,
             drops_custom,
-            pfc_frames: self.pfc_frames,
+            pfc_frames: self.sched.pfc_frames,
             pool_fresh: pool.fresh,
             pool_reused: pool.reused,
             wall_ms: self.t0.elapsed().as_secs_f64() * 1e3,
         }
     }
 
+    /// Conservation audit: every byte counter the hot path maintains
+    /// incrementally is recomputed from the packets it summarizes, and a
+    /// simulation with no event pending must have nothing in flight. Far
+    /// too slow for the event loop — tests call it when a run ends.
+    ///
+    /// Per switch: shared-buffer occupancy = Σ port `queued_bytes` = Σ
+    /// sizes of queued packets; a port's class mask marks exactly its
+    /// non-empty classes; no packet waits on a port that is neither busy
+    /// nor paused; under PFC, per-ingress accounting matches the queued
+    /// packets' ingress ports and XOFF is asserted only at or above the
+    /// XON level. Per host: `txq_bytes` = Σ queued sizes, nothing waiting
+    /// on an idle NIC. With no live event pending (the state
+    /// [`Simulator::run_until_idle`] ends in): nothing busy or paused, no
+    /// XOFF outstanding. The pool's free list never outgrows the boxes it
+    /// allocated (and holds exactly those at idle when every endpoint
+    /// recycles what it is delivered — see [`Simulator::pool_stats`]).
+    pub fn audit(&self) -> Result<(), String> {
+        let idle = self.sched.live_events == 0;
+        for node in &self.net.nodes {
+            match node {
+                Node::Switch(sw) => sw.audit(idle)?,
+                Node::Host(h) => {
+                    let id = h.id;
+                    let bytes: u64 = h.txq.iter().map(|p| p.size as u64).sum();
+                    if bytes != h.txq_bytes {
+                        return Err(format!(
+                            "host {id}: txq_bytes {} but {bytes} B are queued",
+                            h.txq_bytes
+                        ));
+                    }
+                    if bytes > 0 && !h.busy && !h.paused {
+                        return Err(format!(
+                            "host {id}: {bytes} B queued on an idle, unpaused NIC"
+                        ));
+                    }
+                    if idle && (h.busy || h.paused) {
+                        return Err(format!(
+                            "host {id}: busy = {}, paused = {} with no event pending",
+                            h.busy, h.paused
+                        ));
+                    }
+                }
+                Node::Custom(c) => {
+                    if let Some(p) = c.ports.iter().position(|p| idle && p.busy) {
+                        return Err(format!(
+                            "custom node {} port {p}: busy with no event pending",
+                            c.id
+                        ));
+                    }
+                }
+            }
+        }
+        let pool = self.sched.pool.stats();
+        if pool.free as u64 > pool.fresh {
+            return Err(format!(
+                "packet pool: {} boxes on the free list, {} ever allocated",
+                pool.free, pool.fresh
+            ));
+        }
+        Ok(())
+    }
+
     fn dispatch(&mut self, ev: Event) {
         self.events_processed += 1;
+        let sched = &mut self.sched;
+        let now = sched.queue.now();
         match ev {
             Event::Arrival { node, port, pkt } => {
-                self.live_events -= 1;
-                self.arrival(node, port, pkt);
+                sched.live_events -= 1;
+                match &mut self.net.nodes[node.index()] {
+                    Node::Switch(sw) => sw.receive(port, pkt, now, &mut SwitchSink { node, sched }),
+                    Node::Host(h) => {
+                        if let PacketKind::Pfc { pause } = pkt.kind {
+                            sched.pool.recycle(pkt);
+                            h.paused = pause;
+                            host_kick(h, self.net.links.get(h.link), sched);
+                        } else {
+                            self.delivered += 1;
+                            self.host_visit(node, |app, ctx| app.on_packet(pkt, ctx));
+                        }
+                    }
+                    Node::Custom(_) => {
+                        self.custom_visit(node, |logic, ctx| logic.on_packet(port, pkt, ctx))
+                    }
+                }
             }
             Event::TxDone { node, port } => {
-                self.live_events -= 1;
-                self.tx_done(node, port);
+                sched.live_events -= 1;
+                match &mut self.net.nodes[node.index()] {
+                    Node::Switch(sw) => sw.tx_done(port, now, &mut SwitchSink { node, sched }),
+                    Node::Host(h) => {
+                        h.busy = false;
+                        host_kick(h, self.net.links.get(h.link), sched);
+                    }
+                    Node::Custom(c) => {
+                        c.ports[port.index()].busy = false;
+                        self.custom_visit(node, |logic, ctx| logic.on_tx_done(port, ctx));
+                    }
+                }
             }
             Event::HostTimer { node, key } => {
-                self.live_events -= 1;
-                self.host_visit(node, HostWork::Timer(key));
+                sched.live_events -= 1;
+                self.host_visit(node, |app, ctx| app.on_timer(key, ctx));
             }
             Event::NodeTimer { node, key } => {
-                self.live_events -= 1;
-                let mut actions = std::mem::take(&mut self.scratch_custom);
-                let mut views = std::mem::take(&mut self.scratch_views);
-                let now = self.queue.now();
-                if let Node::Custom(c) = &mut self.net.nodes[node.index()] {
-                    Self::fill_port_views(&self.net.links, c, &mut views);
-                    let mut ctx = CustomCtx::new(now, node, &views, &mut actions);
-                    c.logic.on_timer(key, &mut ctx);
-                }
-                self.apply_custom_actions(node, &mut actions);
-                self.scratch_custom = actions;
-                self.scratch_views = views;
+                sched.live_events -= 1;
+                self.custom_visit(node, |logic, ctx| logic.on_timer(key, ctx));
             }
             Event::Sample { tracer } => {
-                let now = self.queue.now();
                 let t = &mut self.tracers[tracer as usize];
                 (t.f)(&self.net, now);
-                let next = now + t.every;
-                self.queue.schedule(next, Event::Sample { tracer });
+                sched
+                    .queue
+                    .schedule(now + t.every, Event::Sample { tracer });
             }
         }
     }
 
-    fn node_kind(&self, node: NodeId) -> NodeKind {
-        match &self.net.nodes[node.index()] {
-            Node::Switch(_) => NodeKind::Switch,
-            Node::Host(_) => NodeKind::Host,
-            Node::Custom(_) => NodeKind::Custom,
-        }
-    }
-
-    /// Visit a host for `first` plus every consecutive same-tick event
-    /// bound for the same host (non-PFC arrivals and endpoint timers),
-    /// amortizing the node borrow, the NIC link lookup, and the scratch
-    /// swap across the batch.
-    ///
-    /// Deferring `apply_endpoint_actions` to the end of the visit is
-    /// byte-exact: endpoint callbacks only *append* actions (they never
-    /// schedule directly), applying actions touches neither the packet
-    /// pool nor any state an endpoint can observe, and the actions are
-    /// applied in the same order as unbatched dispatch — so the
-    /// `schedule` call sequence, and with it every insertion seq, is
-    /// identical. PFC arrivals and host `TxDone`s are excluded because
-    /// their engine-side handling (pause flags, NIC kicks) must
-    /// interleave with the applies in event order; hitting one simply
-    /// ends the batch.
-    fn host_visit(&mut self, node: NodeId, first: HostWork) {
-        let mut actions = std::mem::take(&mut self.scratch_endpoint);
-        let now = self.queue.now();
-        let mut extra = 0u64;
-        if let Node::Host(h) = &mut self.net.nodes[node.index()] {
-            let nic_bw = self.net.links.get(h.link).bandwidth;
-            let mut work = first;
-            loop {
-                {
-                    let mut ctx =
-                        EndpointCtx::with_pool(now, node, nic_bw, &mut actions, &mut self.pool);
-                    match work {
-                        HostWork::Packet(pkt) => h.app.on_packet(pkt, &mut ctx),
-                        HostWork::Timer(key) => h.app.on_timer(key, &mut ctx),
-                    }
-                }
-                if !self.batching {
-                    break;
-                }
-                let Some(ev) = self.queue.pop_now_if(|ev| match ev {
-                    Event::Arrival { node: n, pkt, .. } => *n == node && !pkt.is_pfc(),
-                    Event::HostTimer { node: n, .. } => *n == node,
-                    _ => false,
-                }) else {
-                    break;
-                };
-                self.events_processed += 1;
-                self.live_events -= 1;
-                extra += 1;
-                work = match ev {
-                    Event::Arrival { pkt, .. } => {
-                        self.delivered += 1;
-                        HostWork::Packet(pkt)
-                    }
-                    Event::HostTimer { key, .. } => HostWork::Timer(key),
-                    _ => unreachable!("predicate admits only arrivals and host timers"),
-                };
-            }
-        }
-        if extra > 0 {
-            self.batched_visits += 1;
-            self.batched_events += extra;
-        }
-        self.apply_endpoint_actions(node, &mut actions);
-        self.scratch_endpoint = actions;
-    }
-
-    /// Visit a switch for `first` plus every consecutive same-tick event
-    /// bound for the same switch (arrivals — PFC included, the switch
-    /// handles those inside `receive` — and port `TxDone`s), amortizing
-    /// dispatch and the scratch swap. Unlike the host visit, emissions
-    /// apply after *every* `receive`/`tx_done`: INT records read live
-    /// queue occupancy at emit time, so deferral would change bytes.
-    fn switch_visit(&mut self, node: NodeId, first: SwitchWork) {
-        let mut emits = std::mem::take(&mut self.scratch_switch);
-        let now = self.queue.now();
-        let mut extra = 0u64;
-        let mut work = first;
-        loop {
-            if let Node::Switch(sw) = &mut self.net.nodes[node.index()] {
-                match work {
-                    SwitchWork::Recv(port, pkt) => {
-                        sw.receive(port, pkt, now, &mut emits, &mut self.pool)
-                    }
-                    SwitchWork::TxDone(port) => sw.tx_done(port, &mut emits),
-                }
-            }
-            self.apply_switch_emits(node, &mut emits);
-            if !self.batching {
-                break;
-            }
-            let Some(ev) = self.queue.pop_now_if(|ev| {
-                matches!(ev,
-                    Event::Arrival { node: n, .. } | Event::TxDone { node: n, .. } if *n == node)
-            }) else {
-                break;
-            };
-            self.events_processed += 1;
-            self.live_events -= 1;
-            extra += 1;
-            work = match ev {
-                Event::Arrival { port, pkt, .. } => SwitchWork::Recv(port, pkt),
-                Event::TxDone { port, .. } => SwitchWork::TxDone(port),
-                _ => unreachable!("predicate admits only arrivals and tx-dones"),
-            };
-        }
-        if extra > 0 {
-            self.batched_visits += 1;
-            self.batched_events += extra;
-        }
-        self.scratch_switch = emits;
-    }
-
-    fn arrival(&mut self, node: NodeId, port: PortId, pkt: Box<Packet>) {
-        match self.node_kind(node) {
-            NodeKind::Switch => self.switch_visit(node, SwitchWork::Recv(port, pkt)),
-            NodeKind::Host => {
-                if pkt.is_pfc() {
-                    let pause = matches!(pkt.kind, PacketKind::Pfc { pause: true });
-                    self.pool.recycle(pkt);
-                    if let Node::Host(h) = &mut self.net.nodes[node.index()] {
-                        h.paused = pause;
-                    }
-                    if !pause {
-                        Self::host_kick(
-                            &mut self.net,
-                            &mut self.queue,
-                            &mut self.live_events,
-                            node,
-                        );
-                    }
-                    return;
-                }
-                self.delivered += 1;
-                self.host_visit(node, HostWork::Packet(pkt));
-            }
-            NodeKind::Custom => {
-                let mut actions = std::mem::take(&mut self.scratch_custom);
-                let mut views = std::mem::take(&mut self.scratch_views);
-                let now = self.queue.now();
-                if let Node::Custom(c) = &mut self.net.nodes[node.index()] {
-                    Self::fill_port_views(&self.net.links, c, &mut views);
-                    let mut ctx = CustomCtx::new(now, node, &views, &mut actions);
-                    c.logic.on_packet(port, pkt, &mut ctx);
-                }
-                self.apply_custom_actions(node, &mut actions);
-                self.scratch_custom = actions;
-                self.scratch_views = views;
-            }
-        }
-    }
-
-    fn tx_done(&mut self, node: NodeId, port: PortId) {
-        match self.node_kind(node) {
-            NodeKind::Switch => self.switch_visit(node, SwitchWork::TxDone(port)),
-            NodeKind::Host => {
-                if let Node::Host(h) = &mut self.net.nodes[node.index()] {
-                    h.busy = false;
-                }
-                Self::host_kick(&mut self.net, &mut self.queue, &mut self.live_events, node);
-            }
-            NodeKind::Custom => {
-                if let Node::Custom(c) = &mut self.net.nodes[node.index()] {
-                    c.ports[port.index()].busy = false;
-                }
-                let mut actions = std::mem::take(&mut self.scratch_custom);
-                let mut views = std::mem::take(&mut self.scratch_views);
-                let now = self.queue.now();
-                if let Node::Custom(c) = &mut self.net.nodes[node.index()] {
-                    Self::fill_port_views(&self.net.links, c, &mut views);
-                    let mut ctx = CustomCtx::new(now, node, &views, &mut actions);
-                    c.logic.on_tx_done(port, &mut ctx);
-                }
-                self.apply_custom_actions(node, &mut actions);
-                self.scratch_custom = actions;
-                self.scratch_views = views;
-            }
-        }
-    }
-
-    /// Apply switch emissions: serialize transmissions onto links (with
-    /// INT append) and fire PFC frames.
-    fn apply_switch_emits(&mut self, node: NodeId, emits: &mut Vec<SwitchEmit>) {
-        let now = self.queue.now();
-        for emit in emits.drain(..) {
-            match emit {
-                SwitchEmit::Transmit { port, mut pkt } => {
-                    let (link_id, int_enabled) = {
-                        let sw = self.net.nodes[node.index()].as_switch();
-                        (sw.port(port).link(), sw.config().int_enabled)
-                    };
-                    let link = *self.net.links.get(link_id);
-                    if int_enabled && pkt.int_enable && pkt.kind.collects_int() {
-                        let sw = self.net.nodes[node.index()].as_switch();
-                        let rec = sw.int_record(port, now, link.bandwidth);
-                        pkt.int.push(rec);
-                    }
-                    let ser = link.bandwidth.tx_time(pkt.size as u64);
-                    self.schedule(now + ser, Event::TxDone { node, port });
-                    self.schedule(
-                        now + ser + link.delay,
-                        Event::Arrival {
-                            node: link.dst,
-                            port: link.dst_port,
-                            pkt,
-                        },
-                    );
-                }
-                SwitchEmit::Pfc { port, pause } => {
-                    self.pfc_frames += 1;
-                    let link_id = self.net.nodes[node.index()].as_switch().port(port).link();
-                    let link = *self.net.links.get(link_id);
-                    // PFC frames preempt data on real hardware: model as
-                    // propagation-only delivery, no serialization queueing.
-                    let pkt = self.pool.boxed(Packet {
-                        flow: crate::ids::FlowId(0),
-                        src: node,
-                        dst: link.dst,
-                        size: CTRL_PKT_BYTES,
-                        priority: 0,
-                        ecn_capable: false,
-                        ecn_ce: false,
-                        int_enable: false,
-                        int: powertcp_core::IntHeader::new(),
-                        sent_at: now,
-                        kind: PacketKind::Pfc { pause },
-                    });
-                    self.schedule(
-                        now + link.delay,
-                        Event::Arrival {
-                            node: link.dst,
-                            port: link.dst_port,
-                            pkt,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn apply_endpoint_actions(&mut self, node: NodeId, actions: &mut Vec<EndpointAction>) {
+    /// Run one endpoint callback on host `node`, then apply the actions
+    /// it asked for, in the order it asked.
+    fn host_visit(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut dyn Endpoint, &mut EndpointCtx<'_>),
+    ) {
+        let Node::Host(h) = &mut self.net.nodes[node.index()] else {
+            panic!("{node} is not a host");
+        };
+        let (sched, actions) = (&mut self.sched, &mut self.scratch_endpoint);
+        let now = sched.queue.now();
+        let wire = self.net.links.get(h.link);
+        let mut ctx = EndpointCtx::with_pool(now, node, wire.bandwidth, actions, &mut sched.pool);
+        f(h.app.as_mut(), &mut ctx);
         for a in actions.drain(..) {
             match a {
                 EndpointAction::Send(pkt) => {
-                    Self::host_enqueue(
-                        &mut self.net,
-                        &mut self.queue,
-                        &mut self.live_events,
-                        node,
-                        pkt,
-                    );
+                    h.txq_bytes += pkt.size as u64;
+                    h.txq.push_back(pkt);
+                    host_kick(h, wire, sched);
                 }
                 EndpointAction::Timer { at, key } => {
-                    self.schedule(at.max(self.queue.now()), Event::HostTimer { node, key });
+                    sched.schedule(at.max(now), Event::HostTimer { node, key });
                 }
             }
         }
     }
 
-    fn apply_custom_actions(&mut self, node: NodeId, actions: &mut Vec<CustomAction>) {
-        let now = self.queue.now();
-        for a in actions.drain(..) {
-            match a {
-                CustomAction::StartTx {
-                    port,
-                    mut pkt,
-                    int_qlen,
-                } => {
-                    let Node::Custom(c) = &mut self.net.nodes[node.index()] else {
-                        panic!("custom action on non-custom node");
-                    };
-                    let raw = &mut c.ports[port.index()];
-                    assert!(!raw.busy, "StartTx on busy port {port} of {node}");
-                    raw.busy = true;
-                    raw.tx_bytes += pkt.size as u64;
-                    let tx_bytes = raw.tx_bytes;
-                    let link = *self.net.links.get(raw.link);
-                    if let Some(qlen) = int_qlen {
-                        if pkt.int_enable && pkt.kind.collects_int() {
-                            pkt.int.push(powertcp_core::IntHopMetadata {
-                                node: node.0,
-                                port: port.0,
-                                qlen_bytes: qlen,
-                                ts: now,
-                                tx_bytes,
-                                bandwidth: link.bandwidth,
-                            });
-                        }
-                    }
-                    let ser = link.bandwidth.tx_time(pkt.size as u64);
-                    self.schedule(now + ser, Event::TxDone { node, port });
-                    self.schedule(
-                        now + ser + link.delay,
-                        Event::Arrival {
-                            node: link.dst,
-                            port: link.dst_port,
-                            pkt,
-                        },
-                    );
-                }
-                CustomAction::Timer { at, key } => {
-                    self.schedule(at.max(now), Event::NodeTimer { node, key });
-                }
-                CustomAction::Drop { pkt } => {
-                    if let Node::Custom(c) = &mut self.net.nodes[node.index()] {
-                        c.drops += 1;
-                    }
-                    self.pool.recycle(pkt);
-                }
-            }
-        }
-    }
-
-    /// Enqueue a packet on a host NIC and start transmitting if idle.
-    fn host_enqueue(
-        net: &mut Network,
-        queue: &mut EventQueue,
-        live: &mut u64,
+    /// Run one callback of custom node `node`'s logic over a fresh view
+    /// of its ports, then apply the actions it asked for, in order.
+    fn custom_visit(
+        &mut self,
         node: NodeId,
-        pkt: Box<Packet>,
+        f: impl FnOnce(&mut dyn CustomSwitch, &mut CustomCtx<'_>),
     ) {
-        let Node::Host(h) = &mut net.nodes[node.index()] else {
-            panic!("host_enqueue on non-host {node}");
+        let Node::Custom(c) = &mut self.net.nodes[node.index()] else {
+            panic!("{node} is not a custom node");
         };
-        h.txq_bytes += pkt.size as u64;
-        h.txq.push_back(pkt);
-        Self::host_kick(net, queue, live, node);
-    }
-
-    /// Start transmitting on the host NIC if it is idle, unpaused, and has
-    /// queued packets.
-    fn host_kick(net: &mut Network, queue: &mut EventQueue, live: &mut u64, node: NodeId) {
-        let Node::Host(h) = &mut net.nodes[node.index()] else {
-            return;
-        };
-        if h.busy || h.paused {
-            return;
-        }
-        let Some(pkt) = h.txq.pop_front() else {
-            return;
-        };
-        h.txq_bytes -= pkt.size as u64;
-        h.busy = true;
-        h.tx_bytes += pkt.size as u64;
-        let link = *net.links.get(h.link);
-        let now = queue.now();
-        let ser = link.bandwidth.tx_time(pkt.size as u64);
-        *live += 2;
-        queue.schedule(
-            now + ser,
-            Event::TxDone {
-                node,
-                port: PortId(0),
-            },
-        );
-        queue.schedule(
-            now + ser + link.delay,
-            Event::Arrival {
-                node: link.dst,
-                port: link.dst_port,
-                pkt,
-            },
-        );
-    }
-
-    fn fill_port_views(links: &Links, c: &CustomNode, out: &mut Vec<PortView>) {
-        out.clear();
-        out.extend(c.ports.iter().map(|p| {
+        let (sched, links) = (&mut self.sched, &self.net.links);
+        let (views, actions) = (&mut self.scratch_views, &mut self.scratch_custom);
+        let now = sched.queue.now();
+        views.clear();
+        views.extend(c.ports.iter().map(|p| {
             let l = links.get(p.link);
             PortView {
                 bandwidth: l.bandwidth,
@@ -729,6 +507,46 @@ impl Simulator {
                 peer: l.dst,
             }
         }));
+        f(
+            c.logic.as_mut(),
+            &mut CustomCtx::new(now, node, views, actions),
+        );
+        for a in actions.drain(..) {
+            match a {
+                CustomAction::StartTx {
+                    port,
+                    mut pkt,
+                    int_qlen,
+                } => {
+                    let raw = &mut c.ports[port.index()];
+                    assert!(!raw.busy, "StartTx on busy port {port} of {node}");
+                    raw.busy = true;
+                    let size = pkt.size as u64;
+                    raw.tx_bytes += size;
+                    let wire = links.get(raw.link);
+                    if let Some(qlen) = int_qlen {
+                        if pkt.int_enable && pkt.kind.collects_int() {
+                            pkt.int.push(IntHopMetadata {
+                                node: node.0,
+                                port: port.0,
+                                qlen_bytes: qlen,
+                                ts: now,
+                                tx_bytes: raw.tx_bytes,
+                                bandwidth: wire.bandwidth,
+                            });
+                        }
+                    }
+                    sched.put_on_wire(node, port, pkt, wire.bandwidth.tx_time(size), wire);
+                }
+                CustomAction::Timer { at, key } => {
+                    sched.schedule(at.max(now), Event::NodeTimer { node, key });
+                }
+                CustomAction::Drop { pkt } => {
+                    c.drops += 1;
+                    sched.pool.recycle(pkt);
+                }
+            }
+        }
     }
 }
 
@@ -781,6 +599,15 @@ impl NetworkBuilder {
         }))
     }
 
+    /// Register `link` and hang it off switch `sw` as its next egress port.
+    fn add_switch_port(&mut self, sw: NodeId, link: Link) -> PortId {
+        let id = self.net.links.add(link);
+        match &mut self.net.nodes[sw.index()] {
+            Node::Switch(s) => s.add_port(id, link),
+            _ => panic!("{sw} is not a switch"),
+        }
+    }
+
     /// Connect a host to a switch port pair with symmetric bandwidth/delay.
     /// Returns the switch-side port id.
     pub fn connect_host(
@@ -798,23 +625,18 @@ impl NetworkBuilder {
             dst: sw,
             dst_port: sw_port,
         });
-        let down = self.net.links.add(Link {
-            bandwidth: bw,
-            delay,
-            dst: host,
-            dst_port: PortId(0),
-        });
         match &mut self.net.nodes[host.index()] {
             Node::Host(h) => h.link = up,
             _ => panic!("{host} is not a host"),
         }
-        match &mut self.net.nodes[sw.index()] {
-            Node::Switch(s) => {
-                let p = s.add_port(down);
-                debug_assert_eq!(p, sw_port);
-            }
-            _ => panic!("{sw} is not a switch"),
-        }
+        let down = Link {
+            bandwidth: bw,
+            delay,
+            dst: host,
+            dst_port: PortId(0),
+        };
+        let p = self.add_switch_port(sw, down);
+        debug_assert_eq!(p, sw_port);
         sw_port
     }
 
@@ -829,31 +651,15 @@ impl NetworkBuilder {
     ) -> (PortId, PortId) {
         let pa = PortId(self.net.nodes[a.index()].as_switch().num_ports() as u16);
         let pb = PortId(self.net.nodes[b.index()].as_switch().num_ports() as u16);
-        let ab = self.net.links.add(Link {
-            bandwidth: bw,
-            delay,
-            dst: b,
-            dst_port: pb,
-        });
-        let ba = self.net.links.add(Link {
-            bandwidth: bw,
-            delay,
-            dst: a,
-            dst_port: pa,
-        });
-        match &mut self.net.nodes[a.index()] {
-            Node::Switch(s) => {
-                let p = s.add_port(ab);
-                debug_assert_eq!(p, pa);
-            }
-            _ => panic!("{a} is not a switch"),
-        }
-        match &mut self.net.nodes[b.index()] {
-            Node::Switch(s) => {
-                let p = s.add_port(ba);
-                debug_assert_eq!(p, pb);
-            }
-            _ => panic!("{b} is not a switch"),
+        for (from, at, to, to_port) in [(a, pa, b, pb), (b, pb, a, pa)] {
+            let link = Link {
+                bandwidth: bw,
+                delay,
+                dst: to,
+                dst_port: to_port,
+            };
+            let p = self.add_switch_port(from, link);
+            debug_assert_eq!(p, at);
         }
         (pa, pb)
     }
@@ -878,12 +684,14 @@ impl NetworkBuilder {
             dst: sw,
             dst_port: ps,
         });
-        let s2c = self.net.links.add(Link {
+        let s2c = Link {
             bandwidth: bw,
             delay,
             dst: custom,
             dst_port: pc,
-        });
+        };
+        let p = self.add_switch_port(sw, s2c);
+        debug_assert_eq!(p, ps);
         match &mut self.net.nodes[custom.index()] {
             Node::Custom(c) => c.ports.push(crate::node::RawPort {
                 link: c2s,
@@ -891,13 +699,6 @@ impl NetworkBuilder {
                 tx_bytes: 0,
             }),
             _ => unreachable!(),
-        }
-        match &mut self.net.nodes[sw.index()] {
-            Node::Switch(s) => {
-                let p = s.add_port(s2c);
-                debug_assert_eq!(p, ps);
-            }
-            _ => panic!("{sw} is not a switch"),
         }
         (pc, ps)
     }

@@ -276,23 +276,6 @@ impl EventQueue {
         &mut self.bufs[self.buckets[slot] as usize]
     }
 
-    /// Take the head of the prepared cursor bucket `slot`. A bucket that
-    /// drains hands its buffer to the spare stack: live buffers are
-    /// exactly the non-empty buckets.
-    #[inline]
-    fn take_head(&mut self, slot: usize) -> Scheduled {
-        let buf = self.buckets[slot];
-        let b = &mut self.bufs[buf as usize];
-        let s = b.pop().expect("prepared bucket is empty");
-        self.ring_len -= 1;
-        if b.is_empty() {
-            self.occupied[slot >> 6] &= !(1 << (slot & 63));
-            self.cursor_sorted = false;
-            self.spare.push(buf);
-        }
-        s
-    }
-
     /// Schedule `ev` after a delay relative to now.
     #[inline]
     pub fn schedule_in(&mut self, delay: Tick, ev: Event) {
@@ -382,42 +365,23 @@ impl EventQueue {
             return None;
         }
         let slot = self.prepare_next();
-        let head = self.bucket(slot).last().expect("prepared bucket is empty");
-        if head.at > end {
+        let buf = self.buckets[slot];
+        let b = &mut self.bufs[buf as usize];
+        if b.last().expect("prepared bucket is empty").at > end {
             return None;
         }
-        let s = self.take_head(slot);
+        let s = b.pop().expect("prepared bucket is empty");
+        self.ring_len -= 1;
+        if b.is_empty() {
+            // A bucket that drains hands its buffer to the spare stack:
+            // live buffers are exactly the non-empty buckets.
+            self.occupied[slot >> 6] &= !(1 << (slot & 63));
+            self.cursor_sorted = false;
+            self.spare.push(buf);
+        }
         debug_assert!(s.at >= self.now);
         self.now = s.at;
         Some((s.at, s.ev))
-    }
-
-    /// Pop the next event only if it fires exactly at the current time
-    /// and satisfies `pred` — the engine's same-tick batching hook
-    /// ([`crate::engine::Simulator`] drains consecutive same-tick events
-    /// bound for the node it is already visiting). Because this only
-    /// ever takes the *global* head of the queue, and only when its time
-    /// equals `now`, the pop sequence is exactly the one repeated
-    /// [`EventQueue::pop`] calls would produce: `(time, insertion-seq)`
-    /// FIFO order is preserved event for event.
-    ///
-    /// Like [`EventQueue::peek_time`], this never starts a new overflow
-    /// wrap (see `prepare_next`): an empty ring means every pending event
-    /// lives beyond the wrap horizon it was scheduled under, hence
-    /// strictly after `now` — nothing same-tick can be there, so `None`
-    /// is correct without touching the heap.
-    #[inline]
-    pub fn pop_now_if(&mut self, pred: impl FnOnce(&Event) -> bool) -> Option<Event> {
-        if self.ring_len == 0 {
-            return None;
-        }
-        let slot = self.prepare_next();
-        let now = self.now;
-        let head = self.bucket(slot).last().expect("prepared bucket is empty");
-        if head.at != now || !pred(&head.ev) {
-            return None;
-        }
-        Some(self.take_head(slot).ev)
     }
 
     /// Time of the next event without popping it.
@@ -610,48 +574,6 @@ mod tests {
         while q.pop().is_some() {}
         assert_eq!(q.scheduled(), 2);
         assert_eq!(q.overflow_scheduled(), 1);
-    }
-
-    #[test]
-    fn pop_now_if_takes_only_the_matching_same_tick_head() {
-        let mut q = EventQueue::new();
-        let t = Tick::from_nanos(10);
-        q.schedule(t, timer(0));
-        q.schedule(t, timer(1));
-        q.schedule(t, timer(2));
-        q.schedule(Tick::from_nanos(20), timer(3));
-        let (_, e) = q.pop().unwrap();
-        assert_eq!(key_of(&e), 0);
-        // Head matches: drained in FIFO order.
-        let e = q
-            .pop_now_if(|e| key_of(e) == 1)
-            .expect("same tick, matching");
-        assert_eq!(key_of(&e), 1);
-        // Head (timer 2) rejected by the predicate: left in place.
-        assert!(q.pop_now_if(|e| key_of(e) == 9).is_none());
-        let (_, e) = q.pop().unwrap();
-        assert_eq!(key_of(&e), 2);
-        // Next event is at a later tick: never taken, even if it matches.
-        assert!(q.pop_now_if(|_| true).is_none());
-        assert_eq!(q.pop().unwrap().0, Tick::from_nanos(20));
-    }
-
-    #[test]
-    fn pop_now_if_never_starts_an_overflow_wrap() {
-        let mut q = EventQueue::new();
-        q.schedule(Tick::from_nanos(10), timer(0));
-        q.schedule(Tick::from_millis(5), timer(1)); // overflow heap
-        q.pop().unwrap();
-        // Ring is now empty; the pending overflow event is strictly in
-        // the future, so the batching hook must decline without
-        // migrating the wrap (a later schedule at `now` must still pop
-        // first).
-        assert!(q.pop_now_if(|_| true).is_none());
-        q.schedule(Tick::from_nanos(10), timer(2));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| key_of(&e))
-            .collect();
-        assert_eq!(order, vec![2, 1]);
     }
 
     #[test]

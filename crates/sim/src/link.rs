@@ -29,7 +29,10 @@ impl Link {
     }
 }
 
-/// The set of links in a network, indexed by [`LinkId`].
+/// The set of links in a network, indexed by [`LinkId`]. Links are
+/// immutable once added: switch ports keep their own copy of their egress
+/// link (see [`crate::switch::Switch::add_port`]), so there is no mutable
+/// lookup for a copy to go stale against.
 #[derive(Default, Debug)]
 pub struct Links {
     links: Vec<Link>,
@@ -47,13 +50,6 @@ impl Links {
     #[inline]
     pub fn get(&self, id: LinkId) -> &Link {
         &self.links[id.index()]
-    }
-
-    /// Mutable lookup (used by reconfigurable topologies to retune
-    /// bandwidth).
-    #[inline]
-    pub fn get_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.links[id.index()]
     }
 
     /// Number of links.
@@ -101,7 +97,5 @@ mod tests {
         assert_eq!(links.len(), 2);
         assert_eq!(links.get(a).dst, NodeId(1));
         assert_eq!(links.get(b).bandwidth, Bandwidth::gbps(100));
-        links.get_mut(b).bandwidth = Bandwidth::gbps(50);
-        assert_eq!(links.get(b).bandwidth, Bandwidth::gbps(50));
     }
 }

@@ -23,12 +23,11 @@ pub struct SimStats {
     /// Events whose target time was beyond the calendar horizon and went
     /// to the overflow heap instead of a ring bucket.
     pub overflow_scheduled: u64,
-    /// Node visits that drained more than one same-tick event in one
-    /// pass (see `Simulator::set_batching`).
+    /// Always 0: the engine dispatches one event at a time. Same-tick
+    /// batched node visits were measured slower than that and deleted;
+    /// the field stays because recorded stats and their readers name it.
     pub batched_visits: u64,
-    /// Events beyond the first drained by batched visits (these are
-    /// counted in `events_processed` too — batching only changes how
-    /// dispatch amortizes, never how many events run).
+    /// Always 0, like [`SimStats::batched_visits`].
     pub batched_events: u64,
     /// Packets delivered to host endpoints.
     pub delivered: u64,

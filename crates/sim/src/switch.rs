@@ -11,8 +11,8 @@
 use crate::buffer::SharedBuffer;
 use crate::ecn::{EcnConfig, MarkRng};
 use crate::ids::{mix64, LinkId, NodeId, PortId};
-use crate::packet::{Packet, NUM_PRIORITIES};
-use crate::pool::PacketPool;
+use crate::link::Link;
+use crate::packet::{Packet, PacketKind, NUM_PRIORITIES};
 use powertcp_core::{IntHopMetadata, Tick};
 use std::collections::VecDeque;
 
@@ -47,10 +47,17 @@ pub(crate) struct QueuedPacket {
     pub ingress: PortId,
 }
 
+// One bit per class in `SwitchPort::occupied`.
+const _: () = assert!(NUM_PRIORITIES <= u8::BITS as usize);
+
 /// One egress port: eight strict-priority FIFO queues plus serialization
 /// state.
 pub struct SwitchPort {
     pub(crate) queues: [VecDeque<QueuedPacket>; NUM_PRIORITIES],
+    /// Bit `i` set ⇔ `queues[i]` is non-empty. Data rides class 7, so
+    /// without it every dequeue — and every `TxDone` on an idle port —
+    /// walks eight queue headers to find that out.
+    occupied: u8,
     /// Total bytes across all priority queues of this port.
     pub(crate) queued_bytes: u64,
     /// Cumulative bytes transmitted (the INT `txBytes` counter).
@@ -59,21 +66,27 @@ pub struct SwitchPort {
     pub(crate) busy: bool,
     /// Paused by a peer's PFC XOFF.
     pub(crate) paused: bool,
-    /// The egress link.
-    pub(crate) link: LinkId,
+    /// The egress link's id in the network's link table.
+    link: LinkId,
+    /// The egress link itself. Links never change once the network is
+    /// built, so the port keeps its own copy and forwarding never visits
+    /// the link table.
+    wire: Link,
     /// Packets dropped at this port by buffer admission.
     pub(crate) drops: u64,
 }
 
 impl SwitchPort {
-    fn new(link: LinkId) -> Self {
+    fn new(link: LinkId, wire: Link) -> Self {
         SwitchPort {
             queues: Default::default(),
+            occupied: 0,
             queued_bytes: 0,
             tx_bytes: 0,
             busy: false,
             paused: false,
             link,
+            wire,
             drops: 0,
         }
     }
@@ -114,14 +127,24 @@ impl SwitchPort {
         self.paused
     }
 
+    fn push(&mut self, class: usize, qp: QueuedPacket) {
+        self.queued_bytes += qp.pkt.size as u64;
+        self.queues[class].push_back(qp);
+        self.occupied |= 1 << class;
+    }
+
     fn pop_highest(&mut self) -> Option<QueuedPacket> {
-        for q in self.queues.iter_mut() {
-            if let Some(qp) = q.pop_front() {
-                self.queued_bytes -= qp.pkt.size as u64;
-                return Some(qp);
-            }
+        if self.occupied == 0 {
+            return None;
         }
-        None
+        let class = self.occupied.trailing_zeros() as usize;
+        let q = &mut self.queues[class];
+        let qp = q.pop_front().expect("occupied bit set on an empty class");
+        if q.is_empty() {
+            self.occupied &= !(1 << class);
+        }
+        self.queued_bytes -= qp.pkt.size as u64;
+        Some(qp)
     }
 }
 
@@ -155,14 +178,30 @@ impl Default for SwitchConfig {
     }
 }
 
-/// What a switch wants the engine to do after handling an event.
-pub(crate) enum SwitchEmit {
-    /// Start serializing: schedule `TxDone(port)` after the serialization
-    /// time and deliver the packet to the link peer after + propagation.
-    Transmit { port: PortId, pkt: Box<Packet> },
+/// Where a switch's decisions go, the moment they are made. The engine's
+/// implementor schedules the resulting events at once, and an event's
+/// insertion sequence number is assigned when it is scheduled — so the
+/// *order* of calls into the sink is simulation behaviour, not style:
+///
+/// * inside `try_transmit`, the ingress port's PFC re-evaluation comes
+///   **before** the transmit;
+/// * in `receive`, the final PFC re-evaluation of the ingress port comes
+///   **after** any transmit the packet started;
+/// * a received PFC frame is recycled **before** the port it resumes
+///   transmits.
+///
+/// `tests/dispatch_golden.rs` pins that order.
+pub(crate) trait Sink {
+    /// `pkt` starts serializing on `port`: the port is free again after
+    /// `ser`, and the packet reaches the far end of `wire` one
+    /// propagation delay later.
+    fn transmit(&mut self, port: PortId, pkt: Box<Packet>, ser: Tick, wire: &Link);
     /// Send a PFC frame out of `port` (bypasses queues; propagation delay
     /// only — control frames preempt data on real hardware).
-    Pfc { port: PortId, pause: bool },
+    fn pfc(&mut self, port: PortId, wire: &Link, pause: bool);
+    /// The switch consumed `pkt`: a PFC frame, an admission or a routing
+    /// drop.
+    fn recycle(&mut self, pkt: Box<Packet>);
 }
 
 /// The stock shared-buffer switch.
@@ -171,9 +210,11 @@ pub struct Switch {
     pub id: NodeId,
     pub(crate) ports: Vec<SwitchPort>,
     pub(crate) shared: SharedBuffer,
-    /// Route table: `routes[dst_node_raw_id]` = candidate egress ports
-    /// (ECMP set). Empty vector = no route (drop + count).
-    pub(crate) routes: Vec<Vec<PortId>>,
+    /// Route table, flat: `route_index[dst_node_raw_id]` is the
+    /// `(offset, len)` of that destination's candidate egress ports (its
+    /// ECMP set) in `route_ports`. `len == 0` = no route (drop + count).
+    route_index: Vec<(u32, u32)>,
+    route_ports: Vec<PortId>,
     cfg: SwitchConfig,
     mark_rng: MarkRng,
     /// Per-ingress-port buffered bytes (PFC accounting).
@@ -196,7 +237,8 @@ impl Switch {
             id,
             ports: Vec::new(),
             shared: SharedBuffer::new(cfg.buffer_bytes, cfg.dt_alpha),
-            routes: Vec::new(),
+            route_index: Vec::new(),
+            route_ports: Vec::new(),
             cfg,
             mark_rng: MarkRng::new(0xECD0_0000 ^ id.0 as u64),
             ingress_bytes: Vec::new(),
@@ -206,14 +248,15 @@ impl Switch {
         }
     }
 
-    /// Add an egress port backed by `link`; returns the port id. Port
-    /// indices pair up across a cable: if A reaches B via A.p3, then B
-    /// reaches A via B.p_k and both ends agree (the topology builder
-    /// maintains this), which is what lets PFC frames go "back where the
-    /// traffic came from" by egressing the ingress port index.
-    pub fn add_port(&mut self, link: LinkId) -> PortId {
+    /// Add an egress port onto `wire`, which the network's link table
+    /// holds as `link`; returns the port id. Port indices pair up across
+    /// a cable: if A reaches B via A.p3, then B reaches A via B.p_k and
+    /// both ends agree (the topology builder maintains this), which is
+    /// what lets PFC frames go "back where the traffic came from" by
+    /// egressing the ingress port index.
+    pub fn add_port(&mut self, link: LinkId, wire: Link) -> PortId {
         let id = PortId(self.ports.len() as u16);
-        self.ports.push(SwitchPort::new(link));
+        self.ports.push(SwitchPort::new(link, wire));
         self.ingress_bytes.push(0);
         self.xoff_sent.push(false);
         id
@@ -227,22 +270,42 @@ impl Switch {
     /// no `resize_with` growth anywhere near the forwarding path.
     pub fn init_routes(&mut self, num_nodes: usize) {
         debug_assert!(
-            self.routes.len() <= num_nodes,
+            self.route_index.len() <= num_nodes,
             "route table already larger than the network"
         );
-        self.routes.resize_with(num_nodes, Vec::new);
+        self.route_index.resize(num_nodes, (0, 0));
     }
 
     /// Set the ECMP port set for a destination node. The destination
-    /// must be a node of the built network (see [`Switch::init_routes`]).
+    /// must be a node of the built network (see [`Switch::init_routes`])
+    /// and every port one this switch has: a mis-built topology fails
+    /// here, not on the first packet.
     pub fn set_route(&mut self, dst: NodeId, ports: Vec<PortId>) {
         let idx = dst.index();
         assert!(
-            idx < self.routes.len(),
+            idx < self.route_index.len(),
             "set_route({dst}): destination outside the built network ({} nodes)",
-            self.routes.len()
+            self.route_index.len()
         );
-        self.routes[idx] = ports;
+        for p in &ports {
+            assert!(
+                p.index() < self.ports.len(),
+                "set_route({dst}) on switch {}: no port {p} ({} ports)",
+                self.id,
+                self.ports.len()
+            );
+        }
+        // A set that fits the slot it replaces is written over it; a
+        // larger one goes to the end of the table.
+        let (offset, len) = &mut self.route_index[idx];
+        if ports.len() > *len as usize {
+            *offset = self.route_ports.len() as u32;
+            self.route_ports.extend_from_slice(&ports);
+        } else {
+            let at = *offset as usize;
+            self.route_ports[at..at + ports.len()].copy_from_slice(&ports);
+        }
+        *len = ports.len() as u32;
     }
 
     /// Immutable port access.
@@ -277,51 +340,50 @@ impl Switch {
 
     /// Select the egress port for a packet via ECMP on (flow, dst).
     pub(crate) fn route_for(&self, pkt: &Packet) -> Option<PortId> {
-        let ports = self.routes.get(pkt.dst.index())?;
-        match ports.len() {
-            0 => None,
-            1 => Some(ports[0]),
+        let &(offset, len) = self.route_index.get(pkt.dst.index())?;
+        let pick = match len {
+            0 => return None,
+            1 => 0,
             n => {
                 let h = mix64(pkt.flow.0 ^ (pkt.dst.0 as u64) << 32 ^ (self.id.0 as u64) << 48);
-                Some(ports[(h % n as u64) as usize])
+                (h % n as u64) as usize
             }
-        }
+        };
+        Some(self.route_ports[offset as usize + pick])
     }
 
-    /// Handle a packet arriving on `ingress`; emits transmissions and PFC
-    /// frames into `out`. Consumed packets (PFC frames, admission and
-    /// routing drops) are returned to `pool` instead of freed.
+    /// Handle a packet arriving on `ingress` at `now`; transmissions, PFC
+    /// frames and consumed packets (PFC frames, admission and routing
+    /// drops) go to `out` as they are decided (see [`Sink`]).
     pub(crate) fn receive(
         &mut self,
         ingress: PortId,
         mut pkt: Box<Packet>,
         now: Tick,
-        out: &mut Vec<SwitchEmit>,
-        pool: &mut PacketPool,
+        out: &mut impl Sink,
     ) {
-        let _ = now;
-        if pkt.is_pfc() {
+        if let PacketKind::Pfc { pause } = pkt.kind {
             // Pause/resume our egress port facing the sender.
-            let pause = matches!(pkt.kind, crate::packet::PacketKind::Pfc { pause: true });
-            pool.recycle(pkt);
+            out.recycle(pkt);
             let port = &mut self.ports[ingress.index()];
             port.paused = pause;
             if !pause && !port.busy {
-                self.try_transmit(ingress, out);
+                self.try_transmit(ingress, now, out);
             }
             return;
         }
 
         let Some(egress) = self.route_for(&pkt) else {
             self.no_route_drops += 1;
-            pool.recycle(pkt);
+            out.recycle(pkt);
             return;
         };
+        let port = &mut self.ports[egress.index()];
 
         // ECN marking on the instantaneous egress queue at enqueue.
         if pkt.ecn_capable {
             if let Some(ecn) = &self.cfg.ecn {
-                let p = ecn.mark_probability(self.ports[egress.index()].queued_bytes);
+                let p = ecn.mark_probability(port.queued_bytes);
                 if self.mark_rng.chance(p) {
                     pkt.ecn_ce = true;
                 }
@@ -332,15 +394,14 @@ impl Switch {
         // with PFC the ingress pause thresholds bound occupancy and only
         // the hard pool capacity backstops (lossless-pool semantics).
         let size = pkt.size as u64;
-        let port_occ = self.ports[egress.index()].queued_bytes;
         let admitted = if self.cfg.pfc.is_some() {
             self.shared.try_admit_pool_only(size)
         } else {
-            self.shared.try_admit(port_occ, size)
+            self.shared.try_admit(port.queued_bytes, size)
         };
         if !admitted {
-            self.ports[egress.index()].drops += 1;
-            pool.recycle(pkt);
+            port.drops += 1;
+            out.recycle(pkt);
             return;
         }
 
@@ -349,87 +410,157 @@ impl Switch {
             self.ingress_bytes[ingress.index()] += size;
         }
 
-        let prio = (pkt.priority as usize).min(NUM_PRIORITIES - 1);
-        let port = &mut self.ports[egress.index()];
-        port.queues[prio].push_back(QueuedPacket { pkt, ingress });
-        port.queued_bytes += size;
+        let class = (pkt.priority as usize).min(NUM_PRIORITIES - 1);
+        port.push(class, QueuedPacket { pkt, ingress });
         self.forwarded += 1;
 
         if !port.busy && !port.paused {
-            self.try_transmit(egress, out);
+            self.try_transmit(egress, now, out);
         }
         self.update_pfc(ingress, out);
     }
 
     /// A transmission on `port` completed.
-    pub(crate) fn tx_done(&mut self, port: PortId, out: &mut Vec<SwitchEmit>) {
-        self.ports[port.index()].busy = false;
-        if !self.ports[port.index()].paused {
-            self.try_transmit(port, out);
+    pub(crate) fn tx_done(&mut self, port: PortId, now: Tick, out: &mut impl Sink) {
+        let p = &mut self.ports[port.index()];
+        p.busy = false;
+        if !p.paused {
+            self.try_transmit(port, now, out);
         }
     }
 
-    /// Dequeue the next packet on `port` (if any) and emit a transmission.
-    ///
-    /// INT metadata is appended by the *engine* while handling the emit
-    /// (it owns the link table and the clock); the switch exposes the
-    /// post-dequeue counters through [`Switch::int_record`]. This happens
-    /// at transmission-scheduling time, as the paper specifies.
-    fn try_transmit(&mut self, port_id: PortId, out: &mut Vec<SwitchEmit>) {
+    /// Dequeue the next packet on `port` (if any) and put it on the wire:
+    /// the port stamps the INT record — queue length *excluding* the
+    /// packet now being serialized, at transmission-scheduling time, as
+    /// the paper specifies — and works out the serialization time from
+    /// its own copy of the link.
+    fn try_transmit(&mut self, port_id: PortId, now: Tick, out: &mut impl Sink) {
         let port = &mut self.ports[port_id.index()];
         debug_assert!(!port.busy);
-        let Some(QueuedPacket { pkt, ingress }) = port.pop_highest() else {
+        let Some(QueuedPacket { mut pkt, ingress }) = port.pop_highest() else {
             return;
         };
         let size = pkt.size as u64;
         self.shared.release(size);
         port.busy = true;
         port.tx_bytes += size;
+        let wire = port.wire;
+        if self.cfg.int_enabled && pkt.int_enable && pkt.kind.collects_int() {
+            pkt.int.push(IntHopMetadata {
+                node: self.id.0,
+                port: port_id.0,
+                qlen_bytes: port.queued_bytes,
+                ts: now,
+                tx_bytes: port.tx_bytes,
+                bandwidth: wire.bandwidth,
+            });
+        }
         if self.cfg.pfc.is_some() {
-            let i = ingress.index();
-            self.ingress_bytes[i] = self.ingress_bytes[i].saturating_sub(size);
+            let level = &mut self.ingress_bytes[ingress.index()];
+            let left = level.checked_sub(size);
+            debug_assert!(
+                left.is_some(),
+                "switch {}: ingress {ingress} releases {size} B of {level} held",
+                self.id
+            );
+            *level = left.unwrap_or(0);
             self.update_pfc(ingress, out);
         }
-        out.push(SwitchEmit::Transmit { port: port_id, pkt });
-    }
-
-    /// Queue length *excluding* the packet currently being serialized —
-    /// the value INT reports for this port right after a dequeue.
-    pub(crate) fn int_record(
-        &self,
-        port_id: PortId,
-        now: Tick,
-        bw: powertcp_core::Bandwidth,
-    ) -> IntHopMetadata {
-        let port = &self.ports[port_id.index()];
-        IntHopMetadata {
-            node: self.id.0,
-            port: port_id.0,
-            qlen_bytes: port.queued_bytes,
-            ts: now,
-            tx_bytes: port.tx_bytes,
-            bandwidth: bw,
-        }
+        out.transmit(port_id, pkt, wire.bandwidth.tx_time(size), &wire);
     }
 
     /// Re-evaluate PFC state for one ingress port.
-    fn update_pfc(&mut self, ingress: PortId, out: &mut Vec<SwitchEmit>) {
+    fn update_pfc(&mut self, ingress: PortId, out: &mut impl Sink) {
         let Some(pfc) = &self.cfg.pfc else { return };
         let i = ingress.index();
         let level = self.ingress_bytes[i];
-        if !self.xoff_sent[i] && level > pfc.xoff_bytes {
-            self.xoff_sent[i] = true;
-            out.push(SwitchEmit::Pfc {
-                port: ingress,
-                pause: true,
-            });
+        let pause = if !self.xoff_sent[i] && level > pfc.xoff_bytes {
+            true
         } else if self.xoff_sent[i] && level < pfc.xon_bytes {
-            self.xoff_sent[i] = false;
-            out.push(SwitchEmit::Pfc {
-                port: ingress,
-                pause: false,
-            });
+            false
+        } else {
+            return;
+        };
+        self.xoff_sent[i] = pause;
+        out.pfc(ingress, &self.ports[i].wire, pause);
+    }
+
+    /// This switch's share of [`crate::engine::Simulator::audit`]: every
+    /// byte counter against the queued packets it summarizes, and — when
+    /// the simulation is `idle` — nothing left busy, paused or queued.
+    pub(crate) fn audit(&self, idle: bool) -> Result<(), String> {
+        let id = self.id;
+        let mut from = vec![0u64; self.ports.len()];
+        let mut total = 0;
+        for (p, port) in self.ports.iter().enumerate() {
+            let mut bytes = 0;
+            for (class, q) in port.queues.iter().enumerate() {
+                if (port.occupied >> class & 1 == 1) == q.is_empty() {
+                    return Err(format!(
+                        "switch {id} port {p}: class mask {:#010b} but class {class} holds {} packets",
+                        port.occupied,
+                        q.len()
+                    ));
+                }
+                for qp in q {
+                    bytes += qp.pkt.size as u64;
+                    from[qp.ingress.index()] += qp.pkt.size as u64;
+                }
+            }
+            if bytes != port.queued_bytes {
+                return Err(format!(
+                    "switch {id} port {p}: queued_bytes {} but {bytes} B are queued",
+                    port.queued_bytes
+                ));
+            }
+            if bytes > 0 && !port.busy && !port.paused {
+                return Err(format!(
+                    "switch {id} port {p}: {bytes} B queued on an idle, unpaused port"
+                ));
+            }
+            if idle && (port.busy || port.paused) {
+                return Err(format!(
+                    "switch {id} port {p}: busy = {}, paused = {} with no event pending",
+                    port.busy, port.paused
+                ));
+            }
+            total += bytes;
         }
+        if total != self.shared.used() {
+            return Err(format!(
+                "switch {id}: shared buffer holds {} B but {total} B are queued",
+                self.shared.used()
+            ));
+        }
+        match &self.cfg.pfc {
+            // Ingress accounting exists only under PFC.
+            None => from.fill(0),
+            Some(pfc) => {
+                for (i, &asserted) in self.xoff_sent.iter().enumerate() {
+                    let level = self.ingress_bytes[i];
+                    if asserted && (idle || level < pfc.xon_bytes) {
+                        return Err(format!(
+                            "switch {id} ingress {i}: XOFF asserted at {level} B \
+                             (xon = {} B, idle = {idle})",
+                            pfc.xon_bytes
+                        ));
+                    }
+                    if !asserted && level > pfc.xoff_bytes {
+                        return Err(format!(
+                            "switch {id} ingress {i}: {level} B held above xoff = {} B, no XOFF sent",
+                            pfc.xoff_bytes
+                        ));
+                    }
+                }
+            }
+        }
+        if from != self.ingress_bytes {
+            return Err(format!(
+                "switch {id}: ingress_bytes {:?} but the queues hold {from:?}",
+                self.ingress_bytes
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -437,6 +568,24 @@ impl Switch {
 mod tests {
     use super::*;
     use crate::ids::FlowId;
+    use powertcp_core::Bandwidth;
+    use proptest::prelude::*;
+
+    /// What a switch decided, in call order: the unit tests' [`Sink`].
+    enum SwitchEmit {
+        Transmit { port: PortId, pkt: Box<Packet> },
+        Pfc { port: PortId, pause: bool },
+    }
+
+    impl Sink for Vec<SwitchEmit> {
+        fn transmit(&mut self, port: PortId, pkt: Box<Packet>, _ser: Tick, _wire: &Link) {
+            self.push(SwitchEmit::Transmit { port, pkt });
+        }
+        fn pfc(&mut self, port: PortId, _wire: &Link, pause: bool) {
+            self.push(SwitchEmit::Pfc { port, pause });
+        }
+        fn recycle(&mut self, _pkt: Box<Packet>) {}
+    }
 
     fn mk_switch(ecn: Option<EcnConfig>, pfc: Option<PfcConfig>) -> Switch {
         let cfg = SwitchConfig {
@@ -447,24 +596,20 @@ mod tests {
             pfc,
         };
         let mut sw = Switch::new(NodeId(0), cfg);
-        sw.add_port(LinkId(0));
-        sw.add_port(LinkId(1));
+        for l in 0..2 {
+            let wire = Link {
+                bandwidth: Bandwidth::gbps(25),
+                delay: Tick::from_micros(1),
+                dst: NodeId(10 + l),
+                dst_port: PortId(0),
+            };
+            sw.add_port(LinkId(l), wire);
+        }
         // Arena-sized as NetworkBuilder::build would for an 11-node
         // network (big enough that NodeId(77) below stays routeless).
         sw.init_routes(11);
         sw.set_route(NodeId(10), vec![PortId(1)]);
         sw
-    }
-
-    /// Test shim: receive with a throwaway pool.
-    fn recv(
-        sw: &mut Switch,
-        ingress: PortId,
-        pkt: Box<Packet>,
-        now: Tick,
-        out: &mut Vec<SwitchEmit>,
-    ) {
-        sw.receive(ingress, pkt, now, out, &mut PacketPool::new());
     }
 
     fn data_to(dst: NodeId, size: u32) -> Box<Packet> {
@@ -477,13 +622,7 @@ mod tests {
     fn forwards_to_routed_port() {
         let mut sw = mk_switch(None, None);
         let mut out = Vec::new();
-        recv(
-            &mut sw,
-            PortId(0),
-            data_to(NodeId(10), 1000),
-            Tick::ZERO,
-            &mut out,
-        );
+        sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         match &out[0] {
             SwitchEmit::Transmit { port, .. } => assert_eq!(*port, PortId(1)),
@@ -499,13 +638,7 @@ mod tests {
     fn unrouted_packet_is_counted_and_dropped() {
         let mut sw = mk_switch(None, None);
         let mut out = Vec::new();
-        recv(
-            &mut sw,
-            PortId(0),
-            data_to(NodeId(77), 1000),
-            Tick::ZERO,
-            &mut out,
-        );
+        sw.receive(PortId(0), data_to(NodeId(77), 1000), Tick::ZERO, &mut out);
         assert!(out.is_empty());
         assert_eq!(sw.no_route_drops, 1);
         assert_eq!(sw.total_drops(), 1);
@@ -516,20 +649,14 @@ mod tests {
         let mut sw = mk_switch(None, None);
         let mut out = Vec::new();
         for _ in 0..3 {
-            recv(
-                &mut sw,
-                PortId(0),
-                data_to(NodeId(10), 1000),
-                Tick::ZERO,
-                &mut out,
-            );
+            sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
         }
         // First packet transmits immediately, two queued.
         assert_eq!(out.len(), 1);
         assert_eq!(sw.port(PortId(1)).queued_bytes(), 2000);
         assert_eq!(sw.buffer_used(), 2000);
         out.clear();
-        sw.tx_done(PortId(1), &mut out);
+        sw.tx_done(PortId(1), Tick::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(sw.port(PortId(1)).queued_bytes(), 1000);
         assert_eq!(sw.buffer_used(), 1000);
@@ -541,23 +668,17 @@ mod tests {
         let mut out = Vec::new();
         // Fill the port with a low-priority packet (starts transmitting),
         // then queue low and high; high must come out first on tx_done.
-        recv(
-            &mut sw,
-            PortId(0),
-            data_to(NodeId(10), 1000),
-            Tick::ZERO,
-            &mut out,
-        );
+        sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
         let mut low = data_to(NodeId(10), 1000);
         low.priority = 7;
         low.flow = FlowId(100);
-        recv(&mut sw, PortId(0), low, Tick::ZERO, &mut out);
+        sw.receive(PortId(0), low, Tick::ZERO, &mut out);
         let mut high = data_to(NodeId(10), 1000);
         high.priority = 0;
         high.flow = FlowId(200);
-        recv(&mut sw, PortId(0), high, Tick::ZERO, &mut out);
+        sw.receive(PortId(0), high, Tick::ZERO, &mut out);
         out.clear();
-        sw.tx_done(PortId(1), &mut out);
+        sw.tx_done(PortId(1), Tick::ZERO, &mut out);
         match &out[0] {
             SwitchEmit::Transmit { pkt, .. } => assert_eq!(pkt.flow, FlowId(200)),
             _ => panic!(),
@@ -573,13 +694,7 @@ mod tests {
         // the pool fully; #102 must be refused by DT before that.
         let mut drops = 0;
         for _ in 0..130 {
-            recv(
-                &mut sw,
-                PortId(0),
-                data_to(NodeId(10), 1000),
-                Tick::ZERO,
-                &mut out,
-            );
+            sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
         }
         drops += sw.port(PortId(1)).drops();
         assert!(drops > 0, "expected DT to refuse some packets");
@@ -594,13 +709,7 @@ mod tests {
         // 20 packets: first transmits, next 5 fill to threshold unmarked,
         // the rest (queued at >= 5KB occupancy) must be marked.
         for _ in 0..20 {
-            recv(
-                &mut sw,
-                PortId(0),
-                data_to(NodeId(10), 1000),
-                Tick::ZERO,
-                &mut out,
-            );
+            sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
         }
         let port = &sw.ports[1];
         let marked: usize = port.queues[7].iter().filter(|q| q.pkt.ecn_ce).count();
@@ -618,13 +727,7 @@ mod tests {
         let mut sw = mk_switch(None, Some(pfc));
         let mut out = Vec::new();
         for _ in 0..5 {
-            recv(
-                &mut sw,
-                PortId(0),
-                data_to(NodeId(10), 1000),
-                Tick::ZERO,
-                &mut out,
-            );
+            sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
         }
         // 1 in flight + 4 queued = 4000 ingress bytes > xoff.
         let xoffs: Vec<_> = out
@@ -636,13 +739,24 @@ mod tests {
         // Drain: each tx_done dequeues one packet and decrements ingress
         // accounting; XON must fire when below 1500.
         for _ in 0..4 {
-            sw.tx_done(PortId(1), &mut out);
+            sw.tx_done(PortId(1), Tick::ZERO, &mut out);
         }
         let xons: Vec<_> = out
             .iter()
             .filter(|e| matches!(e, SwitchEmit::Pfc { pause: false, .. }))
             .collect();
         assert_eq!(xons.len(), 1, "exactly one XON");
+        // The third dequeue takes the level to 1000: the XON it triggers
+        // goes out before that packet's own transmission (see `Sink`).
+        assert_eq!(out.len(), 5);
+        assert!(matches!(
+            out[2],
+            SwitchEmit::Pfc {
+                port: PortId(0),
+                pause: false
+            }
+        ));
+        assert!(matches!(out[3], SwitchEmit::Transmit { .. }));
     }
 
     #[test]
@@ -654,16 +768,10 @@ mod tests {
             ..*data_to(NodeId(10), 64)
         });
         // Pause arrives on port 1 (the egress toward NodeId(10)).
-        recv(&mut sw, PortId(1), pause, Tick::ZERO, &mut out);
+        sw.receive(PortId(1), pause, Tick::ZERO, &mut out);
         assert!(sw.port(PortId(1)).is_paused());
         // Data for that port queues but does not transmit.
-        recv(
-            &mut sw,
-            PortId(0),
-            data_to(NodeId(10), 1000),
-            Tick::ZERO,
-            &mut out,
-        );
+        sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
         assert!(out.is_empty());
         assert_eq!(sw.port(PortId(1)).queued_bytes(), 1000);
         // Resume: transmission starts.
@@ -671,7 +779,7 @@ mod tests {
             kind: crate::packet::PacketKind::Pfc { pause: false },
             ..*data_to(NodeId(10), 64)
         });
-        recv(&mut sw, PortId(1), resume, Tick::ZERO, &mut out);
+        sw.receive(PortId(1), resume, Tick::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert!(!sw.port(PortId(1)).is_paused());
     }
@@ -690,5 +798,125 @@ mod tests {
             assert_eq!(sw.route_for(&p), Some(port));
         }
         assert!(seen[0] > 50 && seen[1] > 50, "ECMP imbalance: {seen:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "set_route(n10) on switch n0: no port p2 (2 ports)")]
+    fn set_route_rejects_a_port_the_switch_lacks() {
+        let mut sw = mk_switch(None, None);
+        sw.set_route(NodeId(10), vec![PortId(1), PortId(2)]);
+    }
+
+    /// The dequeue this one replaced: scan the classes, highest first.
+    fn first_non_empty(port: &SwitchPort) -> Option<usize> {
+        port.queues.iter().position(|q| !q.is_empty())
+    }
+
+    /// The route table this one replaced: one `Vec` per destination,
+    /// `mix64 % n` over it.
+    struct NestedRoutes {
+        id: NodeId,
+        routes: Vec<Vec<PortId>>,
+    }
+
+    impl NestedRoutes {
+        fn route_for(&self, pkt: &Packet) -> Option<PortId> {
+            let ports = self.routes.get(pkt.dst.index())?;
+            match ports.len() {
+                0 => None,
+                1 => Some(ports[0]),
+                n => {
+                    let h = mix64(pkt.flow.0 ^ (pkt.dst.0 as u64) << 32 ^ (self.id.0 as u64) << 48);
+                    Some(ports[(h % n as u64) as usize])
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `pop_highest` through the class mask dequeues exactly what the
+        /// first-non-empty scan would, and the mask marks exactly the
+        /// non-empty classes after every step.
+        #[test]
+        fn pop_highest_matches_the_class_scan(
+            ops in prop::collection::vec((0u8..3, 0usize..NUM_PRIORITIES, 1u32..1500), 1..300),
+        ) {
+            let wire = Link {
+                bandwidth: Bandwidth::gbps(25),
+                delay: Tick::ZERO,
+                dst: NodeId(1),
+                dst_port: PortId(0),
+            };
+            let mut port = SwitchPort::new(LinkId(0), wire);
+            let mut next_flow = 0;
+            for (op, class, size) in ops {
+                if op > 0 {
+                    let mut pkt = data_to(NodeId(1), size);
+                    pkt.flow = FlowId(next_flow);
+                    next_flow += 1;
+                    port.push(class, QueuedPacket { pkt, ingress: PortId(0) });
+                } else {
+                    let want = first_non_empty(&port)
+                        .map(|c| port.queues[c].front().expect("non-empty").pkt.flow);
+                    prop_assert_eq!(port.pop_highest().map(|qp| qp.pkt.flow), want);
+                }
+                for (c, q) in port.queues.iter().enumerate() {
+                    prop_assert_eq!(port.occupied >> c & 1 == 1, !q.is_empty(), "class {}", c);
+                }
+                let queued: u64 = port.queues.iter().flatten().map(|qp| qp.pkt.size as u64).sum();
+                prop_assert_eq!(port.queued_bytes, queued);
+            }
+            // Drain: the scan and the mask agree down to the last packet.
+            while let Some(c) = first_non_empty(&port) {
+                let want = port.queues[c].front().expect("non-empty").pkt.flow;
+                prop_assert_eq!(port.pop_highest().map(|qp| qp.pkt.flow), Some(want));
+            }
+            prop_assert!(port.pop_highest().is_none());
+            prop_assert_eq!((port.occupied, port.queued_bytes), (0, 0));
+        }
+
+        /// `route_for` over the flat table returns exactly what the nested
+        /// table returned, after every `set_route` of an arbitrary
+        /// sequence: overwrites that shrink, grow and empty a set,
+        /// single-port and ECMP sets, destinations first set after the
+        /// port array has grown past others' slots.
+        #[test]
+        fn flat_route_table_matches_the_nested_one(
+            (nodes, sets) in (1usize..24).prop_flat_map(|nodes| (
+                Just(nodes),
+                prop::collection::vec(
+                    (0..nodes, prop::collection::vec(0u16..6, 0..7)),
+                    1..60,
+                ),
+            )),
+        ) {
+            let mut sw = Switch::new(NodeId(3), SwitchConfig::default());
+            for l in 0..6 {
+                let wire = Link {
+                    bandwidth: Bandwidth::gbps(100),
+                    delay: Tick::ZERO,
+                    dst: NodeId(l),
+                    dst_port: PortId(0),
+                };
+                sw.add_port(LinkId(l), wire);
+            }
+            sw.init_routes(nodes);
+            let mut nested = NestedRoutes { id: sw.id, routes: vec![Vec::new(); nodes] };
+            for (dst, ports) in sets {
+                let ports: Vec<PortId> = ports.into_iter().map(PortId).collect();
+                nested.routes[dst] = ports.clone();
+                sw.set_route(NodeId(dst as u32), ports);
+                // One node past the table too: no route, not a panic.
+                for d in 0..=nodes as u32 {
+                    for flow in 0..8u64 {
+                        let mut p = data_to(NodeId(d), 100);
+                        p.flow = FlowId(flow.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                        prop_assert_eq!(sw.route_for(&p), nested.route_for(&p), "dst {}", d);
+                    }
+                }
+            }
+        }
     }
 }

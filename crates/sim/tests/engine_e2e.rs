@@ -91,6 +91,7 @@ fn single_packet_timing_is_exact() {
     let (star, log) = star_with(2, 1, SwitchConfig::default());
     let mut sim = Simulator::new(star.net);
     sim.run_until_idle();
+    sim.audit().expect("conservation audit");
     let arr = log.arrivals.borrow();
     assert_eq!(arr.len(), 1);
     // Host NIC: 1000B at 25G = 320ns + 1us prop; switch: 320ns + 1us.
@@ -105,6 +106,7 @@ fn back_to_back_packets_serialize_at_bottleneck() {
     let (star, log) = star_with(2, 10, SwitchConfig::default());
     let mut sim = Simulator::new(star.net);
     sim.run_until_idle();
+    sim.audit().expect("conservation audit");
     let arr = log.arrivals.borrow();
     assert_eq!(arr.len(), 10);
     // Consecutive arrivals exactly one serialization time (320ns) apart.
@@ -130,6 +132,7 @@ fn incast_queue_builds_and_drains() {
         queue_tracer(sw, PortId(0), qs.clone()),
     );
     sim.run_until(Tick::from_millis(1));
+    sim.audit().expect("conservation audit");
     assert_eq!(log.arrivals.borrow().len(), 200, "all packets delivered");
     let peak = qs.borrow().iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
     // 4 senders × 25G into one 25G downlink: 3/4 of arriving bytes queue.
@@ -148,6 +151,7 @@ fn dynamic_thresholds_drop_under_extreme_incast() {
     let sw = star.switch;
     let mut sim = Simulator::new(star.net);
     sim.run_until_idle();
+    sim.audit().expect("conservation audit");
     let delivered = log.arrivals.borrow().len();
     let drops = sim.net.switch(sw).total_drops();
     assert!(drops > 0, "expected drops with a 50KB pool");
@@ -184,6 +188,7 @@ fn ecn_marks_are_carried_to_receiver() {
     let star = build_star(4, Bandwidth::gbps(25), Tick::from_micros(1), cfg, &mut mk);
     let mut sim = Simulator::new(star.net);
     sim.run_until_idle();
+    sim.audit().expect("conservation audit");
     assert!(*marked.borrow() > 50, "CE marks must reach the receiver");
 }
 
@@ -224,6 +229,7 @@ fn int_metadata_reflects_queue_growth() {
     drop(star);
     let mut sim = Simulator::new(star2.net);
     sim.run_until_idle();
+    sim.audit().expect("conservation audit");
     let v = observed.borrow();
     assert_eq!(v.len(), 200);
     let early: u64 = v[..20].iter().sum();
@@ -250,6 +256,7 @@ fn pfc_prevents_drops_on_tiny_buffer() {
     let sw = star.switch;
     let mut sim = Simulator::new(star.net);
     sim.run_until_idle();
+    sim.audit().expect("conservation audit");
     assert_eq!(sim.net.switch(sw).total_drops(), 0, "PFC must be lossless");
     assert_eq!(log.arrivals.borrow().len(), 800, "all packets delivered");
 }
@@ -282,6 +289,7 @@ fn dumbbell_end_to_end() {
     assert_eq!(d.receivers, vec![NodeId(4), NodeId(5)]);
     let mut sim = Simulator::new(d.net);
     sim.run_until_idle();
+    sim.audit().expect("conservation audit");
     assert_eq!(*delivered.borrow(), 40);
 }
 
@@ -292,6 +300,7 @@ fn deterministic_replay() {
         let (star, log) = star_with(5, 30, SwitchConfig::default());
         let mut sim = Simulator::new(star.net);
         sim.run_until_idle();
+        sim.audit().expect("conservation audit");
         let trace = log.arrivals.borrow().clone();
         trace
     };
@@ -340,6 +349,7 @@ fn packet_pool_goes_allocation_free_in_steady_state() {
     );
     let mut sim = Simulator::new(star.net);
     sim.run_until_idle();
+    sim.audit().expect("conservation audit");
     assert_eq!(sim.delivered, 1001);
     let stats = sim.pool_stats();
     assert_eq!(

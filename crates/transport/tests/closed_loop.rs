@@ -79,6 +79,7 @@ fn powertcp_two_flows_complete_and_share() {
         2_000_000, // 2 MB each over a 25G bottleneck ≈ 1.28 ms total
     );
     sim.run_until(Tick::from_millis(10));
+    sim.audit().expect("conservation audit");
     let m = metrics.borrow();
     assert_eq!(m.completion_ratio(), (2, 2), "both flows must finish");
     // Aggregate goodput must be near the bottleneck line rate: 4 MB at
@@ -100,6 +101,7 @@ fn theta_powertcp_two_flows_complete() {
     let (mut sim, metrics, _qs) =
         dumbbell_long_flows(|cfg| Box::new(theta_factory(cfg)), 1_000_000);
     sim.run_until(Tick::from_millis(10));
+    sim.audit().expect("conservation audit");
     let m = metrics.borrow();
     assert_eq!(m.completion_ratio(), (2, 2));
 }
@@ -144,6 +146,7 @@ fn powertcp_controls_incast_queue() {
         queue_tracer(sw, PortId(0), qs.clone()),
     );
     sim.run_until(Tick::from_millis(5));
+    sim.audit().expect("conservation audit");
     let m = metrics.borrow();
     assert_eq!(m.completion_ratio(), (8, 8), "all incast flows finish");
     // After the first-RTT line-rate burst (8 × BDP ≈ 250 KB), the
@@ -187,6 +190,7 @@ fn short_flow_completes_in_couple_rtts() {
     let d = build_dumbbell(DumbbellConfig::default(), &mut mk);
     let mut sim = Simulator::new(d.net);
     sim.run_until(Tick::from_millis(1));
+    sim.audit().expect("conservation audit");
     let m = metrics.borrow();
     let fct = m.get(FlowId(1)).unwrap().fct().expect("finished");
     // one-way prop 4us + 10 packets ser (3.2us at 25G) + slack.
@@ -229,6 +233,7 @@ fn lossy_path_recovers_via_gbn() {
     let sw = star.switch;
     let mut sim = Simulator::new(star.net);
     sim.run_until(Tick::from_millis(20));
+    sim.audit().expect("conservation audit");
     assert!(
         sim.net.switch(sw).total_drops() > 0,
         "test needs drops to exercise recovery"
@@ -268,6 +273,7 @@ fn homa_messages_complete() {
     );
     let mut sim = Simulator::new(star.net);
     sim.run_until(Tick::from_millis(5));
+    sim.audit().expect("conservation audit");
     let m = metrics.borrow();
     assert_eq!(m.completion_ratio(), (3, 3), "all HOMA messages complete");
     // 3×300KB over 25G ≈ 288µs minimum; allow generous slack for grant
@@ -305,6 +311,7 @@ fn homa_short_message_single_rtt() {
     );
     let mut sim = Simulator::new(star.net);
     sim.run_until(Tick::from_millis(1));
+    sim.audit().expect("conservation audit");
     let fct = metrics.borrow().get(FlowId(1)).unwrap().fct().unwrap();
     assert!(fct < Tick::from_micros(5), "unscheduled FCT {fct}");
 }
@@ -315,6 +322,7 @@ fn deterministic_replay_full_stack() {
         let (mut sim, metrics, qs) =
             dumbbell_long_flows(|cfg| Box::new(powertcp_factory(cfg)), 500_000);
         sim.run_until(Tick::from_millis(5));
+        sim.audit().expect("conservation audit");
         let m = metrics.borrow();
         let fcts: Vec<_> = {
             let mut v: Vec<_> = m.records().map(|r| (r.spec.id, r.completed)).collect();

@@ -64,6 +64,7 @@ fn black_hole_receiver_triggers_rtos_not_hangs() {
     let mut sim = Simulator::new(star.net);
     // Must terminate (no infinite event storm) within the horizon.
     sim.run_until(Tick::from_millis(5));
+    sim.audit().expect("conservation audit");
     let m = metrics.borrow();
     let rec = m.get(FlowId(1)).unwrap();
     assert!(rec.completed.is_none(), "black hole: flow cannot finish");
@@ -138,6 +139,7 @@ fn one_third_receiver_loss_still_completes() {
     );
     let mut sim = Simulator::new(star.net);
     sim.run_until(Tick::from_millis(50));
+    sim.audit().expect("conservation audit");
     let m = metrics.borrow();
     let rec = m.get(FlowId(1)).unwrap();
     assert!(
@@ -185,6 +187,7 @@ fn starved_buffer_quarter_bdp_still_completes() {
     let sw = star.switch;
     let mut sim = Simulator::new(star.net);
     sim.run_until(Tick::from_millis(60));
+    sim.audit().expect("conservation audit");
     assert!(
         sim.net.switch(sw).total_drops() > 50,
         "starvation must drop"
@@ -235,5 +238,6 @@ fn ack_path_congestion_does_not_deadlock() {
     );
     let mut sim = Simulator::new(star.net);
     sim.run_until(Tick::from_millis(10));
+    sim.audit().expect("conservation audit");
     assert_eq!(metrics.borrow().completion_ratio(), (2, 2));
 }
