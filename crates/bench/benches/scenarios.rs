@@ -1,11 +1,11 @@
 //! Criterion benchmarks of scaled-down paper scenarios — one per figure
 //! family, so regressions in any experiment path are caught by
-//! `cargo bench`. (Full-size regeneration lives in the `fig*` binaries
-//! and the built-in `xp` scenario specs.)
+//! `cargo bench`. (Figure regeneration is `xp run <builtin>`.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dcn_scenarios::{
-    run_point, run_trace_entry, trace_entries, Algo, Scale, ScenarioSpec, TraceScenario, TraceSpec,
+    run_point, run_trace_entry_observed, trace_entries, Algo, Scale, ScenarioSpec, TraceScenario,
+    TraceSpec,
 };
 use fluid_model::{phase_portrait, FluidParams, Law};
 use std::hint::black_box;
@@ -43,7 +43,7 @@ fn bench_scenarios(c: &mut Criterion) {
         );
         let entries = trace_entries(&spec);
         b.iter(|| {
-            let e = run_trace_entry(&spec, &entries[0]);
+            let e = run_trace_entry_observed(&spec, &entries[0]).0;
             black_box(e.stat("peak_queue_bytes"))
         })
     });
@@ -58,7 +58,7 @@ fn bench_scenarios(c: &mut Criterion) {
         );
         let entries = trace_entries(&spec);
         b.iter(|| {
-            let e = run_trace_entry(&spec, &entries[0]);
+            let e = run_trace_entry_observed(&spec, &entries[0]).0;
             black_box(e.stat("jain_all_active"))
         })
     });
@@ -82,7 +82,7 @@ fn bench_scenarios(c: &mut Criterion) {
         );
         let entries = trace_entries(&spec);
         b.iter(|| {
-            let e = run_trace_entry(&spec, &entries[0]);
+            let e = run_trace_entry_observed(&spec, &entries[0]).0;
             black_box(e.stat("day_utilization"))
         })
     });

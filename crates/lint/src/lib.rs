@@ -24,7 +24,7 @@
 //! * **R7** — every `// lint:allow(RXX): reason` must suppress a real
 //!   violation (stale or malformed allows are errors).
 //!
-//! Run it as `xp lint [--json]` or `cargo run -p dcn-lint`. Violations
+//! Run it as `xp lint [--json] [--root DIR]`. Violations
 //! print as `file:line: rule[RXX] message` with a nonzero exit; `--json`
 //! emits NDJSON in the span-record style of the runner's `--log-json`
 //! stream.
@@ -171,8 +171,7 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// CLI entry point shared by the standalone `dcn-lint` binary and
-/// `xp lint`: parse `[--json] [--root DIR]`, lint, print, and return
+/// The `xp lint` entry point: parse `[--json] [--root DIR]`, lint, print, and return
 /// the process exit code (0 clean, 1 violations, 2 usage/IO error).
 pub fn cli_main(args: &[String]) -> u8 {
     let mut json = false;

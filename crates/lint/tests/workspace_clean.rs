@@ -191,51 +191,3 @@ fn ndjson_report_matches_span_record_grammar() {
     assert!(last.starts_with("{\"record\":\"lint-summary\""), "{last}");
     assert!(last.contains("\"violations\":1"), "{last}");
 }
-
-#[test]
-fn cli_binary_exits_zero_on_real_workspace() {
-    let exe = env!("CARGO_BIN_EXE_dcn-lint");
-    let out = std::process::Command::new(exe)
-        .arg("--root")
-        .arg(workspace_root())
-        .output()
-        .expect("run dcn-lint");
-    assert!(
-        out.status.success(),
-        "dcn-lint failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
-fn cli_binary_exits_nonzero_on_dirty_tree() {
-    // Build a tiny throwaway workspace under target/ (skipped by the walker
-    // of the real root, and inside the repo).
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("dirty-ws");
-    let src = dir.join("crates/app/src");
-    std::fs::create_dir_all(&src).expect("mkdir");
-    std::fs::write(
-        dir.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"crates/app\"]\n",
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("crates/app").join("Cargo.toml"),
-        "[package]\nname = \"app\"\n\n[dependencies]\nrand = \"0.8\"\n",
-    )
-    .unwrap();
-    std::fs::write(src.join("lib.rs"), "pub fn f() { unsafe { } }\n").unwrap();
-
-    let exe = env!("CARGO_BIN_EXE_dcn-lint");
-    let out = std::process::Command::new(exe)
-        .arg("--root")
-        .arg(&dir)
-        .arg("--json")
-        .output()
-        .expect("run dcn-lint");
-    assert_eq!(out.status.code(), Some(1), "expected exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"rule\":\"R4\""), "{stdout}");
-    assert!(stdout.contains("\"rule\":\"R6\""), "{stdout}");
-}

@@ -15,7 +15,7 @@
 
 use crate::codec::{self, Outcome};
 use crate::key::CacheKey;
-use dcn_scenarios::diff::{parse_json, Json};
+use dcn_scenarios::diff::parse_json;
 use dcn_telemetry::jstr;
 use std::fs;
 use std::io;
@@ -100,22 +100,16 @@ impl ResultCache {
     /// undecodable payload — is `None` (a miss), never an error.
     pub fn load(&self, key: &CacheKey) -> Option<Outcome> {
         let text = fs::read_to_string(self.dir.join(key.file_name())).ok()?;
-        let parsed = parse_json(&text).ok()?;
-        let Json::Obj(members) = &parsed else {
+        let entry = parse_json(&text).ok()?;
+        if entry.get("format")?.as_u64()? != u64::from(CACHE_FORMAT) {
             return None;
-        };
-        let field = |k: &str| members.iter().find(|(m, _)| m == k).map(|(_, v)| v);
-        match field("format") {
-            Some(Json::Int(v)) if *v == CACHE_FORMAT as i128 => {}
-            _ => return None,
         }
-        match field("canon") {
-            // Byte-for-byte key validation: a colliding or stale entry
-            // must not be served.
-            Some(Json::Str(canon)) if *canon == key.canon => {}
-            _ => return None,
+        // Byte-for-byte key validation: a colliding or stale entry must
+        // not be served.
+        if entry.get("canon")?.as_str()? != key.canon {
+            return None;
         }
-        codec::decode(field("payload")?).ok()
+        codec::decode(entry.get("payload")?).ok()
     }
 
     /// Persist `outcome` under `key` (atomic rename; concurrent writers
@@ -195,13 +189,8 @@ impl ResultCache {
     /// `path`; `None` when the file cannot be read or parsed.
     fn entry_salt(path: &Path) -> Option<String> {
         let text = fs::read_to_string(path).ok()?;
-        let Json::Obj(members) = parse_json(&text).ok()? else {
-            return None;
-        };
-        let canon = members.iter().find_map(|(k, v)| match (k.as_str(), v) {
-            ("canon", Json::Str(c)) => Some(c),
-            _ => None,
-        })?;
+        let entry = parse_json(&text).ok()?;
+        let canon = entry.get("canon")?.as_str()?;
         canon.lines().nth(1).map(str::to_string)
     }
 

@@ -106,116 +106,67 @@ pub fn encode(outcome: &Outcome) -> String {
 
 // ---- decoding ----
 
-fn obj(j: &Json) -> Result<&[(String, Json)], String> {
-    match j {
-        Json::Obj(members) => Ok(members),
-        _ => Err("expected an object".into()),
+fn float_bits(j: &Json) -> Option<f64> {
+    j.as_u64().map(f64::from_bits)
+}
+
+fn float_vec(j: &Json) -> Option<Vec<f64>> {
+    j.as_arr()?.iter().map(float_bits).collect()
+}
+
+/// A two-element array read as `(first, second)`.
+fn pair<'a, A, B>(
+    first: impl Fn(&'a Json) -> Option<A>,
+    second: impl Fn(&'a Json) -> Option<B>,
+) -> impl Fn(&'a Json) -> Option<(A, B)> {
+    move |j| match j.as_arr()? {
+        [a, b] => Some((first(a)?, second(b)?)),
+        _ => None,
     }
-}
-
-fn get<'a>(members: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    members
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn uint(j: &Json) -> Result<u64, String> {
-    match j {
-        Json::Int(i) if (0..=u64::MAX as i128).contains(i) => Ok(*i as u64),
-        _ => Err("expected a non-negative integer".into()),
-    }
-}
-
-fn float_bits(j: &Json) -> Result<f64, String> {
-    uint(j).map(f64::from_bits)
-}
-
-fn string(j: &Json) -> Result<String, String> {
-    match j {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err("expected a string".into()),
-    }
-}
-
-fn array(j: &Json) -> Result<&[Json], String> {
-    match j {
-        Json::Arr(items) => Ok(items),
-        _ => Err("expected an array".into()),
-    }
-}
-
-fn float_vec(j: &Json) -> Result<Vec<f64>, String> {
-    array(j)?.iter().map(float_bits).collect()
 }
 
 /// Decode an outcome from its parsed JSON encoding.
 pub fn decode(j: &Json) -> Result<Outcome, String> {
-    let m = obj(j)?;
-    match string(get(m, "kind")?)?.as_str() {
-        "sweep" => {
-            let buckets = array(get(m, "buckets")?)?
-                .iter()
-                .map(float_vec)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Outcome::Sweep(Box::new(PointOutcome {
-                algo: Algo::parse(&string(get(m, "algo")?)?)?,
-                param: dcn_scenarios::ParamSpec::parse(&string(get(m, "param")?)?)?,
-                load: float_bits(get(m, "load")?)?,
-                seed: uint(get(m, "seed")?)?,
-                buckets,
-                short: float_vec(get(m, "short")?)?,
-                medium: float_vec(get(m, "medium")?)?,
-                long: float_vec(get(m, "long")?)?,
-                all: float_vec(get(m, "all")?)?,
-                buffer: float_vec(get(m, "buffer")?)?,
-                completed: uint(get(m, "completed")?)? as usize,
-                offered: uint(get(m, "offered")?)? as usize,
-                drops: uint(get(m, "drops")?)?,
-            })))
-        }
+    let text = |j: &Json, key| j.field(key, Json::as_str).map(str::to_string);
+    match j.field("kind", Json::as_str)? {
+        "sweep" => Ok(Outcome::Sweep(Box::new(PointOutcome {
+            algo: Algo::parse(j.field("algo", Json::as_str)?)?,
+            param: dcn_scenarios::ParamSpec::parse(j.field("param", Json::as_str)?)?,
+            load: j.field("load", float_bits)?,
+            seed: j.field("seed", Json::as_u64)?,
+            buckets: j.field("buckets", |b| b.as_arr()?.iter().map(float_vec).collect())?,
+            short: j.field("short", float_vec)?,
+            medium: j.field("medium", float_vec)?,
+            long: j.field("long", float_vec)?,
+            all: j.field("all", float_vec)?,
+            buffer: j.field("buffer", float_vec)?,
+            completed: j.field("completed", Json::as_usize)?,
+            offered: j.field("offered", Json::as_usize)?,
+            drops: j.field("drops", Json::as_u64)?,
+        }))),
         "trace" => {
-            let stats = array(get(m, "stats")?)?
-                .iter()
-                .map(|s| {
-                    let pair = array(s)?;
-                    if pair.len() != 2 {
-                        return Err("stat entries are [name, bits] pairs".to_string());
-                    }
-                    Ok((string(&pair[0])?, float_bits(&pair[1])?))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let channels = array(get(m, "channels")?)?
+            let stat = pair(|k| k.as_str().map(str::to_string), float_bits);
+            let sample = pair(float_bits, float_bits);
+            let channels = j
+                .field("channels", Json::as_arr)?
                 .iter()
                 .map(|c| {
-                    let cm = obj(c)?;
-                    let samples = array(get(cm, "samples")?)?
-                        .iter()
-                        .map(|s| {
-                            let pair = array(s)?;
-                            if pair.len() != 2 {
-                                return Err("samples are [x, y] bit pairs".to_string());
-                            }
-                            Ok(Sample {
-                                x: float_bits(&pair[0])?,
-                                y: float_bits(&pair[1])?,
-                            })
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
                     Ok(ChannelTrace {
-                        name: string(get(cm, "name")?)?,
-                        unit: string(get(cm, "unit")?)?,
-                        x_unit: string(get(cm, "x_unit")?)?,
-                        total_samples: uint(get(cm, "total_samples")?)?,
-                        evicted: uint(get(cm, "evicted")?)?,
-                        samples,
+                        name: text(c, "name")?,
+                        unit: text(c, "unit")?,
+                        x_unit: text(c, "x_unit")?,
+                        total_samples: c.field("total_samples", Json::as_u64)?,
+                        evicted: c.field("evicted", Json::as_u64)?,
+                        samples: c.field("samples", |s| {
+                            let xy = s.as_arr()?.iter().map(&sample);
+                            xy.map(|p| p.map(|(x, y)| Sample { x, y })).collect()
+                        })?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             Ok(Outcome::Trace(Box::new(TraceEntry {
-                label: string(get(m, "label")?)?,
-                stats,
+                label: text(j, "label")?,
+                stats: j.field("stats", |s| s.as_arr()?.iter().map(&stat).collect())?,
                 channels,
             })))
         }
@@ -231,7 +182,9 @@ pub fn decode_str(s: &str) -> Result<Outcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_scenarios::{builtin, run_point, run_trace_entry, sweep_points, trace_entries};
+    use dcn_scenarios::{
+        builtin, run_point, run_trace_entry_observed, sweep_points, trace_entries,
+    };
 
     #[test]
     fn sweep_outcome_round_trips_bit_for_bit() {
@@ -255,7 +208,7 @@ mod tests {
     fn trace_outcome_round_trips_bit_for_bit() {
         let spec = builtin("fig2").unwrap();
         let e = &trace_entries(&spec)[0];
-        let entry = run_trace_entry(&spec, e);
+        let entry = run_trace_entry_observed(&spec, e).0;
         let encoded = encode(&Outcome::Trace(Box::new(entry.clone())));
         let Outcome::Trace(back) = decode_str(&encoded).unwrap() else {
             panic!("kind flipped");

@@ -548,6 +548,13 @@ mod tests {
             "worker returned point 99 it does not own"
         );
 
+        // An index past `usize` is refused by the reader: `as usize` used
+        // to wrap 2^64 to 0 and merge the line as point 0.
+        let wrapped = line(0).replace("\"index\": 0", "\"index\": 18446744073709551616");
+        let (verdict, accepted) = merge_as_shard_0_2(&wrapped);
+        assert!(verdict.unwrap_err().contains("\"index\""));
+        assert_eq!(accepted, 0);
+
         // A repeated index: the second copy is rejected, not double-counted.
         let (verdict, accepted) = merge_as_shard_0_2(&(line(0) + &line(0) + &line(2)));
         assert_eq!(verdict.unwrap_err(), "worker returned point 0 twice");

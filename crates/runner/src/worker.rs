@@ -87,46 +87,20 @@ pub fn manifest_json(
 
 /// Parse a shard manifest.
 pub fn parse_manifest(text: &str) -> Result<Manifest, String> {
-    let Json::Obj(members) = parse_json(text.trim())? else {
-        return Err("manifest must be a JSON object".into());
-    };
-    let field = |k: &str| {
-        members
-            .iter()
-            .find(|(m, _)| m == k)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("manifest missing {k:?}"))
-    };
-    let Json::Str(toml) = field("spec_toml")? else {
-        return Err("spec_toml must be a string".into());
-    };
-    let spec = ScenarioSpec::from_toml(toml)?;
-    let Json::Arr(raw) = field("indices")? else {
-        return Err("indices must be an array".into());
-    };
-    let indices = raw
-        .iter()
-        .map(|v| match v {
-            Json::Int(i) if *i >= 0 => Ok(*i as usize),
-            _ => Err("indices must be non-negative integers".to_string()),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let cache_dir = match field("cache_dir")? {
+    let m = parse_json(text.trim())?;
+    let cache_dir = match m.field("cache_dir", Some)? {
         Json::Null => None,
         Json::Str(dir) => Some(PathBuf::from(dir)),
         _ => return Err("cache_dir must be a string or null".into()),
     };
-    let uint = |k: &str| match field(k)? {
-        Json::Int(i) if *i >= 0 => Ok(*i as usize),
-        _ => Err(format!("{k} must be a non-negative integer")),
-    };
-    let (shard, shards) = (uint("shard")?, uint("shards")?);
     Ok(Manifest {
-        spec,
-        indices,
+        spec: ScenarioSpec::from_toml(m.field("spec_toml", Json::as_str)?)?,
+        indices: m.field("indices", |a| {
+            a.as_arr()?.iter().map(Json::as_usize).collect()
+        })?,
         cache_dir,
-        shard,
-        shards,
+        shard: m.field("shard", Json::as_usize)?,
+        shards: m.field("shards", Json::as_usize)?,
     })
 }
 
@@ -166,41 +140,17 @@ pub fn result_line(
 
 /// Parse one worker result line.
 pub fn parse_result_line(line: &str) -> Result<WorkerResult, String> {
-    let Json::Obj(members) = parse_json(line.trim())? else {
-        return Err("worker line must be a JSON object".into());
-    };
-    let field = |k: &str| {
-        members
-            .iter()
-            .find(|(m, _)| m == k)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("worker line missing {k:?}"))
-    };
-    let Json::Int(index) = field("index")? else {
-        return Err("index must be an integer".into());
-    };
-    if *index < 0 {
-        return Err("index must be non-negative".into());
-    }
-    let Json::Bool(cached) = field("cached")? else {
-        return Err("cached must be a boolean".into());
-    };
-    let wall_ms = match field("wall_ms")? {
-        Json::Num(n) => *n,
-        Json::Int(i) => *i as f64,
-        _ => return Err("wall_ms must be a number".into()),
-    };
-    let sim = match field("sim")? {
+    let r = parse_json(line.trim())?;
+    let sim = match r.field("sim", Some)? {
         Json::Null => None,
         j => Some(sim_stats_from_json(j).ok_or("sim must be a stats object or null")?),
     };
-    let outcome = codec::decode(field("outcome")?)?;
     Ok(WorkerResult {
-        index: *index as usize,
-        cached: *cached,
-        wall_ms,
+        index: r.field("index", Json::as_usize)?,
+        cached: r.field("cached", Json::as_bool)?,
+        wall_ms: r.field("wall_ms", Json::as_f64)?,
         sim,
-        outcome,
+        outcome: codec::decode(r.field("outcome", Some)?)?,
     })
 }
 

@@ -5,7 +5,11 @@
 //!   with every human annotation on stderr as a `# `-prefixed note;
 //! * `xp cache stat --json` emits one NDJSON record in the span-record
 //!   grammar family (entries, bytes, per-engine counts) while the human
-//!   text rendering stays unchanged.
+//!   text rendering stays unchanged;
+//! * `xp lint` exits 0 on this workspace and 1, with `R4`/`R6` records,
+//!   on a dirty one;
+//! * `xp bench --check` exits 0 against the committed `BENCH_sim.json`
+//!   and has no tolerance to set.
 
 use dcn_scenarios::diff::{parse_json, Json};
 use dcn_scenarios::{builtin, ScenarioSpec};
@@ -55,15 +59,8 @@ fn show_unknown_scenario_notes_stderr_and_fails() {
     assert!(stderr.contains("no-such"));
 }
 
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> &'a Json {
-    &obj.iter().find(|(k, _)| k == key).expect(key).1
-}
-
-fn int(obj: &[(String, Json)], key: &str) -> i128 {
-    match field(obj, key) {
-        Json::Int(i) => *i,
-        other => panic!("{key} must be an integer, got {other:?}"),
-    }
+fn int(obj: &Json, key: &str) -> usize {
+    obj.field(key, Json::as_usize).expect("integer member")
 }
 
 #[test]
@@ -80,10 +77,8 @@ fn cache_stat_json_is_one_record_with_per_engine_counts() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert_eq!(text.lines().count(), 1, "exactly one NDJSON record");
-    let Json::Obj(obj) = parse_json(text.trim()).expect("record parses") else {
-        panic!("record must be an object: {text}");
-    };
-    assert_eq!(field(&obj, "record"), &Json::Str("cache".into()));
+    let obj = parse_json(text.trim()).expect("record parses");
+    assert_eq!(obj.field("record", Json::as_str), Ok("cache"));
     assert_eq!(int(&obj, "entries"), 0);
     assert_eq!(int(&obj, "bytes"), 0);
 
@@ -100,16 +95,14 @@ fn cache_stat_json_is_one_record_with_per_engine_counts() {
             String::from_utf8_lossy(&run.stderr)
         );
     }
-    let packet_points = builtin("fig6-small").unwrap().num_points() as i128;
-    let flow_points = builtin("fig7-flow").unwrap().num_points() as i128;
+    let packet_points = builtin("fig6-small").unwrap().num_points();
+    let flow_points = builtin("fig7-flow").unwrap().num_points();
     let out = Command::new(XP)
         .args(["cache", "stat", "--json", "--cache-dir", cache_arg])
         .output()
         .unwrap();
     let text = String::from_utf8(out.stdout).unwrap();
-    let Json::Obj(obj) = parse_json(text.trim()).expect("record parses") else {
-        panic!("record must be an object: {text}");
-    };
+    let obj = parse_json(text.trim()).expect("record parses");
     assert_eq!(int(&obj, "entries"), packet_points + flow_points);
     assert_eq!(int(&obj, "packet"), packet_points);
     assert_eq!(int(&obj, "flow"), flow_points);
@@ -131,4 +124,86 @@ fn cache_stat_json_is_one_record_with_per_engine_counts() {
     assert!(!human_text.contains("record"), "{human_text}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root")
+}
+
+#[test]
+fn lint_exits_zero_on_the_real_workspace() {
+    let out = Command::new(XP)
+        .args(["lint", "--root"])
+        .arg(workspace_root())
+        .output()
+        .expect("run xp lint");
+    assert!(
+        out.status.success(),
+        "xp lint failed:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn lint_exits_nonzero_on_a_dirty_tree() {
+    // A tiny throwaway workspace: a registry dependency (R6) and an
+    // `unsafe` block (R4).
+    let dir = scratch("dirty-ws");
+    let src = dir.join("crates/app/src");
+    std::fs::create_dir_all(&src).expect("mkdir");
+    std::fs::write(
+        dir.join("Cargo.toml"),
+        "[workspace]\nmembers = [\"crates/app\"]\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("crates/app").join("Cargo.toml"),
+        "[package]\nname = \"app\"\n\n[dependencies]\nrand = \"0.8\"\n",
+    )
+    .unwrap();
+    std::fs::write(src.join("lib.rs"), "pub fn f() { unsafe { } }\n").unwrap();
+
+    let out = Command::new(XP)
+        .args(["lint", "--json", "--root"])
+        .arg(&dir)
+        .output()
+        .expect("run xp lint");
+    assert_eq!(out.status.code(), Some(1), "expected exit 1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"rule\":\"R4\""), "{stdout}");
+    assert!(stdout.contains("\"rule\":\"R6\""), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed `BENCH_sim.json` pins six event counts that are the
+/// same on every machine; one pass of the suite must reproduce them.
+/// (The exit-1 path is the `bench_check` unit test plus a CI step on a
+/// bumped copy — not a second debug-profile pass here.)
+#[test]
+fn bench_check_passes_against_the_committed_baseline_and_has_no_tolerance() {
+    let baseline = workspace_root().join("BENCH_sim.json");
+    let out = Command::new(XP)
+        .args(["bench", "--runs", "1", "--check", "--baseline"])
+        .arg(&baseline)
+        .output()
+        .expect("run xp bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("bench check passed"), "{stderr}");
+    assert_eq!(stderr.matches(": ok  ").count(), 6, "{stderr}");
+
+    let out = Command::new(XP)
+        .args(["bench", "--tol-pct", "20"])
+        .output()
+        .expect("run xp bench");
+    assert_eq!(out.status.code(), Some(2), "--tol-pct is gone: usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument \"--tol-pct\""),
+        "{stderr}"
+    );
 }

@@ -33,42 +33,27 @@ fn run(dir: &Path, tag: &str, extra: &[&str]) -> String {
     std::fs::read_to_string(json).unwrap()
 }
 
-/// Members of one parsed NDJSON object.
-type Members = Vec<(String, Json)>;
-
 /// Parse an NDJSON log: every line must parse; returns (span objects,
 /// summary object).
-fn parse_ndjson(path: &Path) -> (Vec<Members>, Members) {
+fn parse_ndjson(path: &Path) -> (Vec<Json>, Json) {
     let text = std::fs::read_to_string(path).unwrap();
     let mut spans = Vec::new();
     let mut summary = None;
     for line in text.lines() {
-        let Json::Obj(members) = parse_json(line).expect("NDJSON line parses") else {
-            panic!("NDJSON line must be an object: {line}");
-        };
-        let Some((_, Json::Str(record))) = members.iter().find(|(k, _)| k == "record") else {
-            panic!("record discriminator missing: {line}");
-        };
-        match record.as_str() {
-            "span" => spans.push(members),
+        let record = parse_json(line).expect("NDJSON line parses");
+        match record.field("record", Json::as_str).expect(line) {
+            "span" => spans.push(record),
             "summary" => {
                 assert!(summary.is_none(), "exactly one summary record");
-                summary = Some(members);
+                summary = Some(record);
             }
             other => panic!("unknown record kind {other:?}"),
         }
     }
     // Span lines land in completion order; normalize to index order for
     // the assertions.
-    spans.sort_by_key(|s| match field(s, "index") {
-        Json::Int(i) => *i,
-        _ => panic!("index must be an integer"),
-    });
+    spans.sort_by_key(|s| s.field("index", Json::as_usize).expect("span index"));
     (spans, summary.expect("summary record present, last"))
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> &'a Json {
-    &obj.iter().find(|(k, _)| k == key).expect(key).1
 }
 
 #[test]
@@ -113,24 +98,28 @@ fn observed_run_is_byte_identical_and_streams_wellformed_ndjson() {
     let (warm_spans, warm_sum) = parse_ndjson(&log_warm);
     assert_eq!(cold_spans.len(), 2, "spans == points");
     assert_eq!(warm_spans.len(), 2);
-    assert_eq!(*field(&cold_sum, "points"), Json::Int(2));
-    assert_eq!(*field(&warm_sum, "cached"), Json::Int(2));
+    assert_eq!(cold_sum.field("points", Json::as_usize), Ok(2));
+    assert_eq!(warm_sum.field("cached", Json::as_usize), Ok(2));
     for s in &cold_spans {
-        assert_eq!(*field(s, "cache"), Json::Str("miss".into()));
+        assert_eq!(s.field("cache", Json::as_str), Ok("miss"));
         assert!(
-            matches!(field(s, "sim"), Json::Obj(_)),
+            matches!(s.get("sim"), Some(Json::Obj(_))),
             "computed spans carry engine counters"
         );
     }
     for s in &warm_spans {
-        assert_eq!(*field(s, "cache"), Json::Str("hit".into()));
-        assert_eq!(*field(s, "sim"), Json::Null, "hits never ran a simulator");
+        assert_eq!(s.field("cache", Json::as_str), Ok("hit"));
+        assert_eq!(
+            s.get("sim"),
+            Some(&Json::Null),
+            "hits never ran a simulator"
+        );
     }
     // Spans land in index order and carry the sweep labels.
-    let labels: Vec<&Json> = cold_spans.iter().map(|s| field(s, "label")).collect();
-    assert!(matches!(labels[0], Json::Str(l) if l.contains("seed")));
-    assert_eq!(*field(&cold_spans[0], "index"), Json::Int(0));
-    assert_eq!(*field(&cold_spans[1], "index"), Json::Int(1));
+    let label = cold_spans[0].field("label", Json::as_str).unwrap();
+    assert!(label.contains("seed"), "{label}");
+    assert_eq!(cold_spans[0].field("index", Json::as_usize), Ok(0));
+    assert_eq!(cold_spans[1].field("index", Json::as_usize), Ok(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -148,10 +137,10 @@ fn sharded_run_tags_spans_with_their_shard() {
     let (spans, sum) = parse_ndjson(&log);
     assert_eq!(spans.len(), 2);
     // Round-robin over 2 procs: point 0 on shard 0, point 1 on shard 1.
-    assert_eq!(*field(&spans[0], "shard"), Json::Int(0));
-    assert_eq!(*field(&spans[1], "shard"), Json::Int(1));
+    assert_eq!(spans[0].field("shard", Json::as_usize), Ok(0));
+    assert_eq!(spans[1].field("shard", Json::as_usize), Ok(1));
     assert!(
-        matches!(field(&sum, "events_per_sec"), Json::Num(n) if *n > 0.0),
+        sum.field("events_per_sec", Json::as_f64).unwrap() > 0.0,
         "summary tracks engine throughput"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -167,19 +156,14 @@ fn meta_sidecar_carries_versioned_span_rollup() {
         .expect("spawn xp");
     assert!(out.status.success());
     let text = std::fs::read_to_string(&meta).unwrap();
-    let Json::Obj(members) = parse_json(&text).expect("meta parses") else {
-        panic!("meta must be an object");
-    };
+    let meta = parse_json(&text).expect("meta parses");
     assert_eq!(
-        *field(&members, "meta_version"),
-        Json::Int(dcn_runner::META_VERSION as i128)
+        meta.field("meta_version", Json::as_u64),
+        Ok(u64::from(dcn_runner::META_VERSION))
     );
-    let Json::Arr(spans) = field(&members, "spans") else {
-        panic!("spans array");
-    };
-    assert_eq!(spans.len(), 2);
-    assert!(matches!(field(&members, "drops"), Json::Obj(_)));
-    assert!(matches!(field(&members, "pool"), Json::Obj(_)));
-    assert!(matches!(field(&members, "events_per_sec"), Json::Num(_)));
+    assert_eq!(meta.field("spans", Json::as_arr).map(<[Json]>::len), Ok(2));
+    assert!(matches!(meta.get("drops"), Some(Json::Obj(_))));
+    assert!(matches!(meta.get("pool"), Some(Json::Obj(_))));
+    assert!(meta.field("events_per_sec", Json::as_f64).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -28,20 +28,28 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Bind a daemon on an ephemeral port with the production runner glue;
-/// returns its address, a shutdown handle, and the serve-loop thread.
-fn start_daemon(
-    cache_dir: Option<PathBuf>,
-    workers: usize,
-) -> (
+type Daemon = (
     String,
     dcn_serve::server::ShutdownHandle,
     std::thread::JoinHandle<Result<(), String>>,
-) {
+);
+
+/// Bind a daemon on an ephemeral port with the production runner glue;
+/// returns its address, a shutdown handle, and the serve-loop thread.
+fn start_daemon(cache_dir: Option<PathBuf>, workers: usize) -> Daemon {
+    start_daemon_with(
+        dcn_runner::serve_run_fn(cache_dir.clone(), 2),
+        cache_dir,
+        workers,
+    )
+}
+
+/// [`start_daemon`] around any run function.
+fn start_daemon_with(run: dcn_serve::RunFn, cache_dir: Option<PathBuf>, workers: usize) -> Daemon {
     let cfg = ServeConfig {
         workers,
         queue_cap: 16,
-        run: dcn_runner::serve_run_fn(cache_dir.clone(), 2),
+        run,
         cache_stat: cache_dir.map(dcn_runner::serve_stat_fn),
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind ephemeral port");
@@ -66,10 +74,6 @@ fn wait_done(addr: &str, id: u64) -> String {
         std::thread::sleep(Duration::from_millis(50));
     }
     panic!("job {id} never finished: {last}");
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> &'a Json {
-    &obj.iter().find(|(k, _)| k == key).expect(key).1
 }
 
 #[test]
@@ -123,26 +127,19 @@ fn served_reports_match_committed_baseline_cold_and_warm() {
         let points = builtin("fig6-small").unwrap().num_points();
         assert_eq!(lines.len(), points + 1, "spans + summary: {lines:#?}");
         for span_line in &lines[..points] {
-            let Json::Obj(obj) = parse_json(span_line).expect("span parses") else {
-                panic!("span line must be an object: {span_line}");
-            };
-            assert_eq!(field(&obj, "record"), &Json::Str("span".into()));
+            let span = parse_json(span_line).expect("span parses");
+            assert_eq!(span.field("record", Json::as_str), Ok("span"));
             assert_eq!(
-                field(&obj, "cache"),
-                &Json::Str(disposition.into()),
+                span.field("cache", Json::as_str),
+                Ok(disposition),
                 "job {id}: {span_line}"
             );
         }
-        let Json::Obj(sum) = parse_json(lines[points]).expect("summary parses") else {
-            panic!("summary line must be an object");
-        };
-        assert_eq!(field(&sum, "record"), &Json::Str("summary".into()));
-        assert_eq!(field(&sum, "points"), &Json::Int(points as i128));
-        let cached = match field(&sum, "cached") {
-            Json::Int(n) => *n as usize,
-            other => panic!("cached must be an integer, got {other:?}"),
-        };
-        assert_eq!(cached, if id == 1 { 0 } else { points });
+        let sum = parse_json(lines[points]).expect("summary parses");
+        assert_eq!(sum.field("record", Json::as_str), Ok("summary"));
+        assert_eq!(sum.field("points", Json::as_usize), Ok(points));
+        let cached = if id == 1 { 0 } else { points };
+        assert_eq!(sum.field("cached", Json::as_usize), Ok(cached));
     }
 
     // The job list is one NDJSON record per job; the cache endpoint
@@ -235,6 +232,56 @@ fn invalid_specs_are_rejected_at_submission() {
     let resp = client::post(&addr, "/jobs", typo.as_bytes()).unwrap();
     assert_eq!(resp.status, 400, "{}", resp.text());
     assert!(resp.text().contains("host_gpbs"), "{}", resp.text());
+
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// A panicking job costs the daemon that job, not a worker: with a
+/// single worker, job 1 panics (→ `failed`, with the message, and an
+/// event stream that ends), and job 2, queued behind it, still runs to
+/// the baseline bytes. Before the `catch_unwind` in `Job::execute` the
+/// lone worker died with job 1: job 2 was accepted (201) and never
+/// started.
+#[test]
+fn a_panicking_job_fails_alone_and_the_daemon_runs_the_next() {
+    let real = dcn_runner::serve_run_fn(None, 2);
+    let run: dcn_serve::RunFn = std::sync::Arc::new(move |spec, obs| {
+        if spec.name == "poison" {
+            panic!("poisoned spec {:?}", spec.name);
+        }
+        real(spec, obs)
+    });
+    let (addr, shutdown, join) = start_daemon_with(run, None, 1);
+    let good = builtin("fig6-small").unwrap().to_toml();
+    let poison = good.replace("name = \"fig6-small\"", "name = \"poison\"");
+    assert_ne!(poison, good);
+    for body in [&poison, &good] {
+        let resp = client::post(&addr, "/jobs", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.text());
+    }
+
+    let status = wait_done(&addr, 1);
+    assert!(status.contains("\"state\":\"failed\""), "{status}");
+    assert!(
+        status.contains("job panicked: poisoned spec \\\"poison\\\""),
+        "{status}"
+    );
+    // The long-poll ends (it used to wait on a `running` job for ever)
+    // and a failed job has no report.
+    let events = client::get(&addr, "/jobs/1/events").unwrap();
+    assert_eq!(events.status, 200);
+    assert!(!events.text().contains("\"record\":\"summary\""));
+    assert_ne!(
+        client::get(&addr, "/jobs/1/report.json").unwrap().status,
+        200
+    );
+
+    let status = wait_done(&addr, 2);
+    assert!(status.contains("\"state\":\"done\""), "{status}");
+    let report = client::get(&addr, "/jobs/2/report.json").unwrap();
+    let baseline = std::fs::read_to_string(BASELINE).unwrap();
+    assert_eq!(report.text(), baseline, "the surviving worker serves it");
 
     shutdown.shutdown();
     join.join().unwrap().unwrap();

@@ -1,15 +1,15 @@
 //! Algorithm registry: one place mapping the paper's protocol names to
 //! constructors, switch requirements (INT / ECN), and transport choices.
-//!
-//! (Moved here from `powertcp-bench` so that declarative scenario specs
-//! can name algorithms; the bench crate re-exports it unchanged.)
 
+use crate::spec::ParamSpec;
 use cc_baselines::{
     Dcqcn, DcqcnConfig, Dctcp, DctcpConfig, Hpcc, HpccConfig, NewReno, NewRenoConfig, ReTcp,
     ReTcpConfig, Swift, SwiftConfig, Timely, TimelyConfig,
 };
-use dcn_sim::{EcnConfig, PfcConfig, SwitchConfig};
-use dcn_transport::{CcFactory, TransportConfig};
+use dcn_sim::{EcnConfig, Endpoint, PfcConfig, SwitchConfig};
+use dcn_transport::{
+    CcFactory, FlowSpec, HomaConfig, HomaHost, SharedMetrics, TransportConfig, TransportHost,
+};
 use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, PowerTcpConfig, ThetaPowerTcp};
 
 /// The protocols under evaluation.
@@ -183,7 +183,7 @@ impl Algo {
     /// Build the per-flow CC factory for the windowed transport. Panics
     /// for HOMA (which is a transport, not a CC law).
     pub fn cc_factory(self, tcfg: TransportConfig) -> CcFactory {
-        self.cc_factory_tuned(tcfg, crate::spec::ParamSpec::default())
+        self.cc_factory_tuned(tcfg, ParamSpec::default())
     }
 
     /// [`Algo::cc_factory`] with algorithm-parameter overrides applied:
@@ -192,11 +192,7 @@ impl Algo {
     /// which the caller adjusts — it shapes β for every windowed law.)
     /// Overrides that do not apply to `self` are ignored, so one params
     /// grid can sweep a mixed lineup.
-    pub fn cc_factory_tuned(
-        self,
-        tcfg: TransportConfig,
-        param: crate::spec::ParamSpec,
-    ) -> CcFactory {
+    pub fn cc_factory_tuned(self, tcfg: TransportConfig, param: ParamSpec) -> CcFactory {
         assert!(!self.is_homa(), "HOMA runs on its own transport");
         Box::new(move |_flow, nic_bw| -> Box<dyn CongestionControl> {
             let ctx = tcfg.cc_context(nic_bw);
@@ -223,6 +219,33 @@ impl Algo {
                 Algo::Homa(_) => unreachable!(),
             }
         })
+    }
+
+    /// Build the host endpoint that sends `flows` under this algorithm:
+    /// the HOMA transport at its overcommitment level for `Algo::Homa`,
+    /// the windowed transport under [`Algo::cc_factory_tuned`] otherwise.
+    /// Every simulated host of a sweep point or a trace entry is one of
+    /// these.
+    pub fn endpoint(
+        self,
+        tcfg: TransportConfig,
+        param: ParamSpec,
+        host_bw: Bandwidth,
+        metrics: &SharedMetrics,
+        flows: &[FlowSpec],
+    ) -> Box<dyn Endpoint> {
+        if let Algo::Homa(oc) = self {
+            let mut hcfg = HomaConfig::paper_defaults(host_bw, tcfg.base_rtt);
+            hcfg.overcommit = oc;
+            let mut h = HomaHost::new(hcfg, metrics.clone());
+            flows.iter().for_each(|f| h.add_flow(*f));
+            Box::new(h)
+        } else {
+            let factory = self.cc_factory_tuned(tcfg, param);
+            let mut h = TransportHost::new(tcfg, metrics.clone(), factory);
+            flows.iter().for_each(|f| h.add_flow(*f));
+            Box::new(h)
+        }
     }
 }
 

@@ -1,10 +1,9 @@
 //! The analytic engine: run one `analytic` scenario entry as a pure
 //! fluid-model computation — no simulator, no randomness, no clocks.
 //!
-//! This is the declarative replacement for the bespoke fluid-model
-//! binaries of `powertcp-bench` (`fig3` phase portraits, `ablations`
-//! parameter sweeps, `theorems` checks): each [`AnalyticScenario`]
-//! expands into lineup entries exactly like a timeseries scenario
+//! The fluid-model experiments run here (`fig3` phase portraits,
+//! `ablations` parameter sweeps, `theorems` checks): each
+//! [`AnalyticScenario`] expands into lineup entries exactly like a timeseries scenario
 //! ([`analytic_entries`] mirrors `trace_entries`), each entry reduces to
 //! a [`TraceEntry`] (scalar stats plus trajectory channels), and the
 //! whole report flows through the same executor / result-cache /

@@ -1,25 +1,26 @@
-//! `xp bench` — wall-clock timings of the simulator hot paths, exported
-//! as a JSON report (`BENCH_sim.json` at the repo root is the committed
-//! baseline).
+//! `xp bench` — event counts and wall-clock timings of the simulator hot
+//! paths, exported as a JSON report (`BENCH_sim.json` at the repo root is
+//! the committed baseline).
 //!
 //! Unlike the criterion benches (which compare data structures in
-//! isolation), these cases time the *product* paths a sweep actually
+//! isolation), these cases run the *product* paths a sweep actually
 //! exercises: a raw fabric blast, a windowed-transport incast, the
-//! fig6-small fat-tree sweep point, and a timeseries trace entry. Each
-//! case is a pure function of its inputs — identical simulated work every
-//! run — so run-to-run differences are pure wall-clock, and `xp diff`
-//! with a generous tolerance (timings are machine-dependent; try
-//! `--tol 0.5`) can flag order-of-magnitude regressions between the
-//! committed baseline and a fresh `xp bench --json` run.
-//!
-//! Every case counts the simulation events it dispatched (via
-//! [`Simulator::stats`]) and derives events/sec from its best
-//! repetition, so the engine's throughput is a tracked number across
-//! PRs, not an anecdote. Both the JSON report and the human table render
-//! through [`SummaryRecord`], the same struct the `--log-json` NDJSON
-//! stream uses — the two views cannot drift apart.
+//! fig6-small fat-tree sweep point, a timeseries trace entry and the
+//! flow-engine core. Each case is a pure function of its inputs —
+//! identical simulated work every run — so its `events` count (via
+//! [`Simulator::stats`]) is the same on every machine: that is what
+//! [`bench_check`] gates on, exactly, as the tiny-scale twin of the
+//! event totals `benchmark/expected.json` pins at paper scale. The
+//! timings (best and mean wall-clock, events/sec from the best
+//! repetition) are machine-dependent information: they stay in the
+//! table and the JSON, and performance claims are made with the ledger
+//! in `benchmark/` (`scripts/ab.sh`), never with these. Both the JSON
+//! report and the human table render through [`SummaryRecord`], the same
+//! struct the `--log-json` NDJSON stream uses — the two views cannot
+//! drift apart.
 
 use crate::algo::Algo;
+use crate::diff::Json;
 use crate::library::fig6_small;
 use crate::obs::SummaryRecord;
 use crate::spec::{IncastSpec, ScenarioSpec, TopologySpec, TraceScenario, TraceSpec};
@@ -344,80 +345,53 @@ pub fn bench_to_json(cases: &[BenchCase], runs: usize) -> String {
 }
 
 /// Outcome of [`bench_check`]: one verdict line per compared case, plus
-/// the subset that regressed (empty = pass).
+/// the subset that failed (empty = pass).
 #[derive(Debug)]
 pub struct BenchCheck {
-    /// One human-readable verdict per baseline case, in baseline order.
+    /// One human-readable verdict per baseline case, in baseline order,
+    /// then one per case the baseline does not know.
     pub lines: Vec<String>,
-    /// Failing verdicts: cases whose events/sec fell more than the
-    /// tolerance below the baseline, or that vanished from the suite.
-    pub regressions: Vec<String>,
+    /// Failing verdicts: cases whose event count differs from the
+    /// baseline's, or that vanished from the suite.
+    pub failures: Vec<String>,
 }
 
 /// Compare a fresh bench run against the committed `BENCH_sim.json`
-/// baseline: a case fails when its events/sec falls more than `tol_pct`
-/// percent below the baseline figure (`xp bench --check`). Cases only
-/// present on one side never fail the check — a freshly added case has
-/// no baseline yet, and dropping one is a suite change the byte-diff CI
-/// catches — but both are reported. Errors if the baseline does not
-/// parse as a bench report.
-pub fn bench_check(
-    cases: &[BenchCase],
-    baseline_json: &str,
-    tol_pct: f64,
-) -> Result<BenchCheck, String> {
-    let parsed = crate::diff::parse_json(baseline_json)?;
-    let crate::diff::Json::Obj(top) = parsed else {
-        return Err("baseline: expected a top-level object".into());
-    };
-    let Some(crate::diff::Json::Arr(base_cases)) =
-        top.iter().find(|(k, _)| k == "cases").map(|(_, v)| v)
-    else {
-        return Err("baseline: missing \"cases\" array".into());
-    };
-    let mut baseline: Vec<(String, f64)> = Vec::new();
-    for cj in base_cases {
-        let crate::diff::Json::Obj(m) = cj else {
-            return Err("baseline: case is not an object".into());
-        };
-        let field = |key: &str| m.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let Some(crate::diff::Json::Str(name)) = field("name") else {
-            return Err("baseline: case without a name".into());
-        };
-        let eps = match field("events_per_sec") {
-            Some(crate::diff::Json::Num(x)) => *x,
-            Some(crate::diff::Json::Int(x)) => *x as f64,
-            _ => return Err(format!("baseline case {name}: missing events_per_sec")),
-        };
-        baseline.push((name.clone(), eps));
-    }
+/// baseline (`xp bench --check`): a case fails when its `events` count
+/// is not **exactly** the baseline's. The simulated work of every case
+/// is deterministic, so the count is the same on any machine and any
+/// difference is a behaviour change that must be re-pinned on purpose
+/// (`xp bench --json BENCH_sim.json`); wall-clock figures are
+/// machine-dependent and are never compared. A baseline case missing
+/// from the run fails too; a case the baseline does not know is only
+/// reported. Errors if the baseline does not parse as a bench report.
+pub fn bench_check(cases: &[BenchCase], baseline_json: &str) -> Result<BenchCheck, String> {
+    let baseline = crate::diff::parse_json(baseline_json)?
+        .field("cases", Json::as_arr)?
+        .iter()
+        .map(|c| {
+            Ok((
+                c.field("name", Json::as_str)?.to_string(),
+                c.field("events", Json::as_u64)?,
+            ))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let mut out = BenchCheck {
         lines: Vec::new(),
-        regressions: Vec::new(),
+        failures: Vec::new(),
     };
-    for (name, base_eps) in &baseline {
-        match cases.iter().find(|c| c.name == name.as_str()) {
-            None => {
-                let line = format!("{name}: REGRESSED (case missing from the fresh run)");
-                out.lines.push(line.clone());
-                out.regressions.push(line);
-            }
-            Some(c) => {
-                let fresh = c.summary().events_per_sec();
-                let delta_pct = (fresh / base_eps - 1.0) * 100.0;
-                if fresh < base_eps * (1.0 - tol_pct / 100.0) {
-                    let line = format!(
-                        "{name}: REGRESSED  {fresh:.0} ev/s vs baseline {base_eps:.0} ({delta_pct:+.1}%, tol -{tol_pct}%)"
-                    );
-                    out.lines.push(line.clone());
-                    out.regressions.push(line);
-                } else {
-                    out.lines.push(format!(
-                        "{name}: ok  {fresh:.0} ev/s vs baseline {base_eps:.0} ({delta_pct:+.1}%)"
-                    ));
-                }
-            }
+    for (name, want) in &baseline {
+        let got = cases.iter().find(|c| c.name == name.as_str());
+        let got = got.map(|c| c.events);
+        let line = match got {
+            Some(events) if events == *want => format!("{name}: ok  {events} events"),
+            Some(events) => format!("{name}: CHANGED  {events} events vs baseline {want}"),
+            None => format!("{name}: CHANGED  case missing from the fresh run"),
+        };
+        if got != Some(*want) {
+            out.failures.push(line.clone());
         }
+        out.lines.push(line);
     }
     for c in cases {
         if !baseline.iter().any(|(n, _)| n == c.name) {
@@ -459,21 +433,15 @@ mod tests {
         }
         let json = bench_to_json(&cases, 1);
         // The report must parse with our own diff parser and carry one
-        // object per case, each with an events/sec figure.
+        // object per case, each with an events/sec figure — and it is
+        // its own baseline: a report checks clean against itself.
         let parsed = crate::diff::parse_json(&json).expect("valid JSON");
-        let crate::diff::Json::Obj(members) = parsed else {
-            panic!("top-level object");
-        };
-        assert_eq!(members[0].0, "bench");
-        let crate::diff::Json::Arr(cases_json) = &members[2].1 else {
-            panic!("cases array");
-        };
-        for cj in cases_json {
-            let crate::diff::Json::Obj(m) = cj else {
-                panic!("case object");
-            };
-            assert!(m.iter().any(|(k, _)| k == "events_per_sec"));
+        assert_eq!(parsed.field("bench", Json::as_str), Ok("sim"));
+        for cj in parsed.field("cases", Json::as_arr).expect("cases array") {
+            assert!(cj.field("events_per_sec", Json::as_f64).is_ok());
         }
+        let check = bench_check(&cases, &json).expect("own report is a baseline");
+        assert!(check.failures.is_empty(), "{:?}", check.failures);
         assert!(bench_table(&cases).contains("fig6_small_sweep"));
         assert!(bench_table(&cases).contains("ev/s"));
     }
@@ -488,33 +456,37 @@ mod tests {
     }
 
     #[test]
-    fn bench_check_flags_only_regressions_beyond_tolerance() {
-        // Baseline: case `a` at 1e6 ev/s, case `gone` at 5e5 ev/s.
+    fn bench_check_flags_any_event_count_change() {
         let baseline = r#"{
           "bench": "sim", "runs": 1,
           "cases": [
-            {"name": "a", "events_per_sec": 1000000.0},
-            {"name": "gone", "events_per_sec": 500000.0}
+            {"name": "a", "events": 900, "events_per_sec": 1000000.0},
+            {"name": "gone", "events": 500, "events_per_sec": 500000.0}
           ]
         }"#;
-        // Within tolerance (10% drop, tol 20%): pass.
-        let ok = vec![fake_case("a", 1.0, 900), fake_case("gone", 1.0, 500)];
-        let res = bench_check(&ok, baseline, 20.0).unwrap();
-        assert!(res.regressions.is_empty(), "{:?}", res.regressions);
-        // Beyond tolerance (50% drop): fail, and the verdict names it.
-        let slow = vec![fake_case("a", 1.0, 500), fake_case("gone", 1.0, 500)];
-        let res = bench_check(&slow, baseline, 20.0).unwrap();
-        assert_eq!(res.regressions.len(), 1);
-        assert!(res.regressions[0].contains("a: REGRESSED"));
+        // Equal counts pass, however slow the run was.
+        let ok = vec![fake_case("a", 1e6, 900), fake_case("gone", 1.0, 500)];
+        let res = bench_check(&ok, baseline).unwrap();
+        assert!(res.failures.is_empty(), "{:?}", res.failures);
+        assert_eq!(res.lines.len(), 2);
+        // One event more or fewer fails, and the verdict names the case.
+        for events in [899, 901] {
+            let moved = vec![fake_case("a", 1.0, events), fake_case("gone", 1.0, 500)];
+            let res = bench_check(&moved, baseline).unwrap();
+            assert_eq!(res.failures.len(), 1);
+            assert!(res.failures[0].starts_with("a: CHANGED"));
+            assert!(res.failures[0].contains(&format!("{events} events vs baseline 900")));
+        }
         // A case missing from the fresh run fails; a fresh-only case is
         // reported but does not.
         let renamed = vec![fake_case("a", 1.0, 900), fake_case("b", 1.0, 900)];
-        let res = bench_check(&renamed, baseline, 20.0).unwrap();
-        assert_eq!(res.regressions.len(), 1);
-        assert!(res.regressions[0].contains("gone: REGRESSED"));
+        let res = bench_check(&renamed, baseline).unwrap();
+        assert_eq!(res.failures.len(), 1);
+        assert!(res.failures[0].starts_with("gone: CHANGED"));
         assert!(res.lines.iter().any(|l| l.contains("b: new case")));
         // Garbage baselines error instead of passing silently.
-        assert!(bench_check(&ok, "not json", 20.0).is_err());
-        assert!(bench_check(&ok, "{\"bench\": \"sim\"}", 20.0).is_err());
+        assert!(bench_check(&ok, "not json").is_err());
+        assert!(bench_check(&ok, "{\"bench\": \"sim\"}").is_err());
+        assert!(bench_check(&ok, r#"{"cases": [{"name": "a", "events": -1}]}"#).is_err());
     }
 }

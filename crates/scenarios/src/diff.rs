@@ -5,7 +5,11 @@
 //! relative tolerance, arrays and objects element-by-element. The
 //! hand-rolled JSON parser below covers exactly what the deterministic
 //! report renderers emit (and standard JSON generally); keeping it local
-//! avoids a serde dependency the offline build cannot take.
+//! avoids a serde dependency the offline build cannot take. It is also
+//! the workspace's one JSON *reader*: cache entries, worker lines, shard
+//! manifests and bench baselines are all outside input, parsed by
+//! [`parse_json`] (bounded nesting, errors never panics) and read through
+//! the range-exact accessors on [`Json`].
 
 /// A parsed JSON value. Object member order is preserved — the report
 /// renderers emit fixed field order, so order differences are real
@@ -31,11 +35,88 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+impl Json {
+    /// Member `key` of an object (`None` for any other value).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// An integer token within `u64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
+    /// An integer token within `usize`.
+    pub fn as_usize(&self) -> Option<usize> {
+        match self {
+            Json::Int(i) => usize::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
+    /// Any number token (integer tokens convert).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(x) => Some(*x),
+            Json::Int(i) => Some(*i as f64),
+            _ => None,
+        }
+    }
+
+    /// A string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// A boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The items of an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Member `key` read through one of the `as_*` accessors, or an
+    /// error naming the key: `j.field("seed", Json::as_u64)?`.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let value = self.get(key).ok_or_else(|| format!("missing {key:?}"))?;
+        read(value).ok_or_else(|| format!("{key:?} has the wrong type or is out of range"))
+    }
+}
+
+/// Deepest array/object nesting [`parse_json`] accepts (reports nest 5
+/// deep). The parser recurses per level, and input is hostile: without
+/// the cap a few hundred KB of `[` overflow the stack, which aborts the
+/// process — no `Err`, no `catch_unwind`.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document.
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -49,6 +130,8 @@ pub fn parse_json(src: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -83,8 +166,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -92,6 +175,19 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -470,6 +566,47 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("[1] garbage").is_err());
         assert_eq!(parse_json(r#""a\"bA""#).unwrap(), Json::Str("a\"bA".into()));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // 200 000 unclosed brackets used to abort the process.
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(200_000)).is_err());
+        // Siblings do not count as depth.
+        assert!(parse_json(&format!("[{}[]]", "[],".repeat(500))).is_ok());
+    }
+
+    #[test]
+    fn accessors_are_range_exact() {
+        let j = parse_json(
+            r#"{"n": 7, "neg": -1, "big": 18446744073709551616, "max": 18446744073709551615,
+                "x": 2.5, "s": "hi", "b": true, "a": [1, 2], "z": null}"#,
+        )
+        .unwrap();
+        assert_eq!(j.field("n", Json::as_u64), Ok(7));
+        assert_eq!(j.field("n", Json::as_usize), Ok(7));
+        assert_eq!(j.field("n", Json::as_f64), Ok(7.0));
+        assert_eq!(j.field("max", Json::as_u64), Ok(u64::MAX));
+        // Out of range is a refusal, never a wrap to some other number.
+        for key in ["neg", "big", "x", "s", "z"] {
+            assert!(j.field(key, Json::as_u64).is_err(), "{key}");
+            assert!(j.field(key, Json::as_usize).is_err(), "{key}");
+        }
+        assert_eq!(j.field("x", Json::as_f64), Ok(2.5));
+        assert_eq!(j.field("s", Json::as_str), Ok("hi"));
+        assert_eq!(j.field("b", Json::as_bool), Ok(true));
+        assert_eq!(j.field("a", Json::as_arr).map(<[Json]>::len), Ok(2));
+        assert_eq!(j.get("z"), Some(&Json::Null));
+        assert_eq!(j.get("nope"), None);
+        assert_eq!(Json::Null.get("n"), None);
+        let err = j.field("nope", Json::as_str).unwrap_err();
+        assert!(err.contains("\"nope\""), "{err}");
+        assert!(j.field("n", Json::as_str).unwrap_err().contains("\"n\""));
     }
 
     #[test]

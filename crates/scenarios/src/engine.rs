@@ -13,14 +13,13 @@ use crate::algo::Algo;
 use crate::spec::{
     gbps, ParamSpec, PoissonSpec, ScenarioSpec, SizeSpec, TopologySpec, WorkloadSpec,
 };
+use crate::sweep::SweepPoint;
 use dcn_sim::{
     buffer_tracer, build_dumbbell, build_fat_tree, build_star, series, star_base_rtt,
     DumbbellConfig, Endpoint, FatTreeConfig, Network, NodeId, Simulator, SwitchConfig,
 };
 use dcn_stats::slowdown;
-use dcn_transport::{
-    FlowSpec, HomaConfig, HomaHost, MetricsHub, SharedMetrics, TransportConfig, TransportHost,
-};
+use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig};
 use dcn_workloads::{incast_flows, poisson_flows, HostMap, IncastConfig, PoissonConfig, SizeCdf};
 use powertcp_core::{Bandwidth, Tick};
 use std::collections::BTreeMap;
@@ -100,7 +99,7 @@ pub(crate) fn fat_tree_config(topo: &TopologySpec, algo: Option<Algo>) -> FatTre
 }
 
 /// Propagation delay of host links in the star and dumbbell fixtures
-/// (matches the `timeseries` experiments of `powertcp-bench`).
+/// (matches the `timeseries` fixtures of [`crate::trace_engine`]).
 const EDGE_HOST_DELAY: Tick = Tick::from_micros(1);
 
 /// The `DumbbellConfig` a dumbbell topology spec denotes.
@@ -186,7 +185,7 @@ pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
 pub fn run_point(spec: &ScenarioSpec, algo: Algo, load: f64, seed: u64) -> PointOutcome {
     run_sweep_point_observed(
         spec,
-        &crate::sweep::SweepPoint {
+        &SweepPoint {
             index: 0,
             algo,
             param: ParamSpec::default(),
@@ -198,26 +197,84 @@ pub fn run_point(spec: &ScenarioSpec, algo: Algo, load: f64, seed: u64) -> Point
 }
 
 /// Run one expanded sweep point, including its algorithm-parameter
-/// overrides ([`run_sweep_point_observed`] without the counters).
-pub fn run_sweep_point(spec: &ScenarioSpec, point: &crate::sweep::SweepPoint) -> PointOutcome {
-    run_sweep_point_observed(spec, point).0
-}
-
-/// [`run_sweep_point`], also returning the engine's run counters. The
-/// outcome is bit-identical to the unobserved call — the stats are a
-/// read-only snapshot taken after the run.
+/// overrides, and return the outcome with the engine's run counters (a
+/// read-only snapshot taken after the run).
 ///
 /// This is where `spec.engine` dispatches: everything above this call —
 /// the thread executor, the result cache, the worker protocol, the
 /// bench harness — is engine-agnostic.
 pub fn run_sweep_point_observed(
     spec: &ScenarioSpec,
-    point: &crate::sweep::SweepPoint,
+    point: &SweepPoint,
 ) -> (PointOutcome, dcn_sim::SimStats) {
     if spec.engine == crate::spec::EngineKind::Flow {
         return crate::flow_engine::run_flow_point_observed(spec, point);
     }
     run_packet_point(spec, point)
+}
+
+/// The FCT reduction both sweep engines share: every offered flow's
+/// slowdown goes into its Figure-6 size bucket, its size class and
+/// `all` of the point's outcome. Flows still unfinished at the end of
+/// the run are *censored* at the run end rather than dropped —
+/// excluding them would silently reward protocols that stall flows
+/// (survivorship bias).
+pub(crate) struct FctReduction {
+    base_rtt: Tick,
+    host_bw: Bandwidth,
+    run_end: Tick,
+    /// The outcome so far (no buffer samples, no drops: the packet
+    /// engine adds its own).
+    pub(crate) outcome: PointOutcome,
+}
+
+impl FctReduction {
+    pub(crate) fn new(point: &SweepPoint, plan: &Plan, run_end: Tick, offered: usize) -> Self {
+        FctReduction {
+            base_rtt: plan.base_rtt,
+            host_bw: plan.host_bw,
+            run_end,
+            outcome: PointOutcome {
+                algo: point.algo,
+                param: point.param,
+                load: point.load,
+                seed: point.seed,
+                buckets: vec![Vec::new(); SIZE_BUCKETS.len()],
+                short: Vec::new(),
+                medium: Vec::new(),
+                long: Vec::new(),
+                all: Vec::new(),
+                buffer: Vec::new(),
+                completed: 0,
+                offered,
+                drops: 0,
+            },
+        }
+    }
+
+    /// Account one flow; `fct` is `None` when it did not finish.
+    pub(crate) fn push(&mut self, flow: &FlowSpec, fct: Option<Tick>) {
+        let o = &mut self.outcome;
+        let fct = match fct {
+            Some(f) => {
+                o.completed += 1;
+                f
+            }
+            None => self.run_end.saturating_sub(flow.start),
+        };
+        let size = flow.size_bytes;
+        let s = slowdown(fct, size, self.base_rtt, self.host_bw);
+        if let Some(b) = SIZE_BUCKETS.iter().position(|&ub| size <= ub) {
+            o.buckets[b].push(s);
+        }
+        match dcn_workloads::size_class(size) {
+            dcn_workloads::SizeClass::Short => o.short.push(s),
+            dcn_workloads::SizeClass::Medium => o.medium.push(s),
+            dcn_workloads::SizeClass::Long => o.long.push(s),
+            dcn_workloads::SizeClass::SmallMedium => {}
+        }
+        o.all.push(s);
+    }
 }
 
 /// Generate the flows a `(workload, load, seed)` combination offers over
@@ -285,13 +342,10 @@ pub(crate) fn offered_flows(
 }
 
 /// The packet engine behind [`run_sweep_point_observed`].
-fn run_packet_point(
-    spec: &ScenarioSpec,
-    point: &crate::sweep::SweepPoint,
-) -> (PointOutcome, dcn_sim::SimStats) {
+fn run_packet_point(spec: &ScenarioSpec, point: &SweepPoint) -> (PointOutcome, dcn_sim::SimStats) {
     let (topo, workload) = (&spec.topology, &spec.workload);
     let (horizon, drain) = (spec.horizon(), spec.drain());
-    let crate::sweep::SweepPoint {
+    let SweepPoint {
         algo,
         param,
         load,
@@ -334,21 +388,7 @@ fn run_packet_point(
     };
     let m2 = metrics.clone();
     let mut mk = move |_id: NodeId, idx: usize| -> Box<dyn Endpoint> {
-        if let Algo::Homa(oc) = algo {
-            let mut hcfg = HomaConfig::paper_defaults(host_bw, base_rtt);
-            hcfg.overcommit = oc;
-            let mut h = HomaHost::new(hcfg, m2.clone());
-            for f in &per_host[idx] {
-                h.add_flow(*f);
-            }
-            Box::new(h)
-        } else {
-            let mut h = TransportHost::new(tcfg, m2.clone(), algo.cc_factory_tuned(tcfg, param));
-            for f in &per_host[idx] {
-                h.add_flow(*f);
-            }
-            Box::new(h)
-        }
+        algo.endpoint(tcfg, param, host_bw, &m2, &per_host[idx])
     };
 
     // ---- Build the fabric. `traced` switches get buffer-occupancy
@@ -407,57 +447,17 @@ fn run_packet_point(
     sim.run_until(run_end);
     debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 
-    // ---- Reduce. Flows still unfinished at the end of the run are
-    // *censored* at the run end rather than dropped — excluding them
-    // would silently reward protocols that stall flows (survivorship
-    // bias).
-    let m = metrics.borrow();
-    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); SIZE_BUCKETS.len()];
-    let (mut short, mut medium, mut long) = (Vec::new(), Vec::new(), Vec::new());
-    let mut all = Vec::new();
-    let mut completed = 0;
-    for rec in m.records() {
-        let fct = match rec.fct() {
-            Some(f) => {
-                completed += 1;
-                f
-            }
-            None => run_end.saturating_sub(rec.spec.start),
-        };
-        let s = slowdown(fct, rec.spec.size_bytes, base_rtt, host_bw);
-        let size = rec.spec.size_bytes;
-        if let Some(b) = SIZE_BUCKETS.iter().position(|&ub| size <= ub) {
-            buckets[b].push(s);
-        }
-        match dcn_workloads::size_class(size) {
-            dcn_workloads::SizeClass::Short => short.push(s),
-            dcn_workloads::SizeClass::Medium => medium.push(s),
-            dcn_workloads::SizeClass::Long => long.push(s),
-            dcn_workloads::SizeClass::SmallMedium => {}
-        }
-        all.push(s);
+    // ---- Reduce.
+    let mut fcts = FctReduction::new(point, &plan, run_end, offered);
+    for rec in metrics.borrow().records() {
+        fcts.push(&rec.spec, rec.fct());
     }
-    let buffer: Vec<f64> = buf_series.borrow().iter().map(|&(_, v)| v).collect();
-    let drops = all_switches
+    let mut outcome = fcts.outcome;
+    outcome.buffer = buf_series.borrow().iter().map(|&(_, v)| v).collect();
+    outcome.drops = all_switches
         .iter()
         .map(|&s| sim.net.switch(s).total_drops())
         .sum();
-
-    let outcome = PointOutcome {
-        algo,
-        param,
-        load,
-        seed,
-        buckets,
-        short,
-        medium,
-        long,
-        all,
-        buffer,
-        completed,
-        offered,
-        drops,
-    };
     (outcome, sim.stats())
 }
 
@@ -488,17 +488,6 @@ impl Scale {
             fabric_bw: Bandwidth::from_bps(12_500_000_000),
             horizon: Tick::from_millis(4),
             drain: Tick::from_millis(6),
-        }
-    }
-
-    /// Default for figure regeneration: 64 hosts, and the paper's 4:1
-    /// oversubscription (8 × 25 G down vs 2 × 25 G up per ToR).
-    pub fn bench() -> Self {
-        Scale {
-            hosts_per_tor: 8,
-            fabric_bw: Bandwidth::gbps(25),
-            horizon: Tick::from_millis(50),
-            drain: Tick::from_millis(20),
         }
     }
 
@@ -662,39 +651,34 @@ mod tests {
     fn param_overrides_change_the_dynamics() {
         use crate::spec::ParamSpec;
         let spec = star_incast_spec();
-        let point = |param: ParamSpec| crate::sweep::SweepPoint {
+        let point = |param: ParamSpec| SweepPoint {
             index: 0,
             algo: Algo::PowerTcp,
             param,
             load: 0.0,
             seed: 3,
         };
-        let base = run_sweep_point(&spec, &point(ParamSpec::default()));
+        let run = |p: &SweepPoint| run_sweep_point_observed(&spec, p).0;
+        let base = run(&point(ParamSpec::default()));
         // γ changes the control law's reaction.
-        let slow = run_sweep_point(
-            &spec,
-            &point(ParamSpec {
-                gamma: Some(0.2),
-                ..ParamSpec::default()
-            }),
-        );
+        let slow = run(&point(ParamSpec {
+            gamma: Some(0.2),
+            ..ParamSpec::default()
+        }));
         assert_ne!(base.all, slow.all, "gamma override must change FCTs");
         // DT α caps what one hot port may take of the shared buffer.
         // It bites on *lossy* fabrics (PFC-lossless admission bypasses
         // the per-port threshold), so probe it under HOMA: a starved
         // threshold under a 4:1 incast must drop.
-        let homa = |param: ParamSpec| crate::sweep::SweepPoint {
+        let homa = |param: ParamSpec| SweepPoint {
             algo: Algo::Homa(2),
             ..point(param)
         };
-        let roomy = run_sweep_point(&spec, &homa(ParamSpec::default()));
-        let starved = run_sweep_point(
-            &spec,
-            &homa(ParamSpec {
-                dt_alpha: Some(0.001),
-                ..ParamSpec::default()
-            }),
-        );
+        let roomy = run(&homa(ParamSpec::default()));
+        let starved = run(&homa(ParamSpec {
+            dt_alpha: Some(0.001),
+            ..ParamSpec::default()
+        }));
         assert!(
             starved.drops > roomy.drops,
             "dt_alpha override must reach the switches ({} vs {} drops)",

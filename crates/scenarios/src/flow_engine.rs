@@ -6,8 +6,9 @@
 //! offers the *exact same flow population* as its packet twin, then
 //! progresses those flows with max-min fair water-filling instead of
 //! per-packet simulation. The reduction (size buckets, size classes,
-//! slowdown, censoring) is byte-for-byte the packet engine's, so the
-//! same [`crate::SweepResult`] rows come out.
+//! slowdown, censoring) is the packet engine's own
+//! ([`engine::FctReduction`]), so the same [`crate::SweepResult`] rows
+//! come out.
 //!
 //! ## Path model (the fidelity envelope)
 //!
@@ -33,12 +34,11 @@
 //! spec layer rejects them for flow sweeps. Buffer-occupancy samples
 //! come back empty and drops are zero by construction.
 
-use crate::engine::{self, PointOutcome, SIZE_BUCKETS};
+use crate::engine::{self, FctReduction, PointOutcome};
 use crate::spec::{ScenarioSpec, TopologySpec};
 use crate::sweep::SweepPoint;
 use dcn_flow::{simulate, FlowDef, FlowNet, LinkId};
 use dcn_sim::{NodeId, SimStats};
-use dcn_stats::slowdown;
 use dcn_transport::FlowSpec;
 use powertcp_core::Tick;
 use std::time::Instant;
@@ -67,54 +67,19 @@ pub(crate) fn run_flow_point_observed(
     let run_end = horizon + spec.drain();
     let (results, fstats) = simulate(&net, &defs, run_end.as_secs_f64());
 
-    // ---- Reduce, mirroring the packet engine: unfinished flows are
-    // censored at the run end, never dropped.
-    let base_rtt = plan.base_rtt;
-    let host_bw = plan.host_bw;
-    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); SIZE_BUCKETS.len()];
-    let (mut short, mut medium, mut long) = (Vec::new(), Vec::new(), Vec::new());
-    let mut all = Vec::new();
-    let mut completed = 0;
+    // ---- Reduce. No switch buffers and no drops at this abstraction
+    // level: the outcome keeps the reduction's empty `buffer` and zero
+    // `drops`.
+    let mut fcts = FctReduction::new(point, &plan, run_end, offered);
     for (f, r) in flows.iter().zip(&results) {
-        let fct = match r.finish_s {
-            Some(finish) => {
-                completed += 1;
-                // First-byte delivery (half an RTT, as in the ideal-FCT
-                // model) plus the fair-share transfer time.
-                base_rtt / 2 + Tick::from_secs_f64(finish - f.start.as_secs_f64())
-            }
-            None => run_end.saturating_sub(f.start),
-        };
-        let s = slowdown(fct, f.size_bytes, base_rtt, host_bw);
-        let size = f.size_bytes;
-        if let Some(b) = SIZE_BUCKETS.iter().position(|&ub| size <= ub) {
-            buckets[b].push(s);
-        }
-        match dcn_workloads::size_class(size) {
-            dcn_workloads::SizeClass::Short => short.push(s),
-            dcn_workloads::SizeClass::Medium => medium.push(s),
-            dcn_workloads::SizeClass::Long => long.push(s),
-            dcn_workloads::SizeClass::SmallMedium => {}
-        }
-        all.push(s);
+        // First-byte delivery (half an RTT, as in the ideal-FCT model)
+        // plus the fair-share transfer time.
+        let fct = r
+            .finish_s
+            .map(|finish| plan.base_rtt / 2 + Tick::from_secs_f64(finish - f.start.as_secs_f64()));
+        fcts.push(f, fct);
     }
-
-    let outcome = PointOutcome {
-        algo: point.algo,
-        param: point.param,
-        load: point.load,
-        seed: point.seed,
-        buckets,
-        short,
-        medium,
-        long,
-        all,
-        // No switch buffers and no drops at this abstraction level.
-        buffer: Vec::new(),
-        completed,
-        offered,
-        drops: 0,
-    };
+    let outcome = fcts.outcome;
     // Observability sidecar (never a report input): map the flow
     // engine's counters onto the shared SimStats shape — events are
     // allocation events, `delivered` is completed flows.
@@ -324,7 +289,8 @@ mod tests {
             hosts: 8,
             host_gbps: 25.0,
         });
-        let via_dispatch = engine::run_sweep_point(&spec, &point(Algo::PowerTcp, 0.4, 17));
+        let via_dispatch =
+            engine::run_sweep_point_observed(&spec, &point(Algo::PowerTcp, 0.4, 17)).0;
         let direct = run_flow_point_observed(&spec, &point(Algo::PowerTcp, 0.4, 17)).0;
         assert_eq!(via_dispatch, direct);
     }

@@ -85,9 +85,7 @@ pub use algo::Algo;
 pub use analytic_engine::{analytic_entries, run_analytic_entry};
 pub use bench::{bench_check, bench_table, bench_to_json, run_bench, BenchCase, BenchCheck};
 pub use diff::{diff_csv, diff_reports, DiffOutcome};
-pub use engine::{
-    run_point, run_sweep_point, run_sweep_point_observed, PointOutcome, Scale, SIZE_BUCKETS,
-};
+pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale, SIZE_BUCKETS};
 pub use library::{builtin, builtin_specs};
 pub use obs::{
     point_label, sim_stats_from_json, sim_stats_json, spec_kind, CacheStatus, NullObserver,
@@ -102,7 +100,7 @@ pub use sweep::{
     compute, reduce, run_scenario, run_scenario_observed, run_sweep, run_trace, sweep_points,
     work_items, Compute, Outcome, PointSource, ScenarioOutput, SweepPoint, WorkItem,
 };
-pub use trace_engine::{run_trace_entry, run_trace_entry_observed, trace_entries, TraceEntrySpec};
+pub use trace_engine::{run_trace_entry_observed, trace_entries, TraceEntrySpec};
 // The workspace's one JSON string/number writer pair, re-exported for
 // crates that depend on this one alone (`dcn-serve`).
 pub use dcn_telemetry::{jf, jstr};

@@ -3,9 +3,11 @@
 //!
 //! These default to the `tiny` fat-tree scale (seconds of wall time per
 //! sweep) so they are runnable anywhere; scale up by editing the TOML
-//! that `xp show <name>` prints (e.g. `hosts_per_tor = 8` for the
-//! `bench` scale of the fig* binaries, `32` + `fabric_gbps = 100.0` for
-//! the paper's 256-host fabric).
+//! that `xp show <name>` prints (e.g. `hosts_per_tor = 8` +
+//! `fabric_gbps = 25.0` for the 64-host `bench` scale, `32` +
+//! `fabric_gbps = 100.0` for the paper's 256-host fabric). Every figure
+//! and panel of the paper is an entry here (EXPERIMENTS.md maps them):
+//! a new experiment is a builtin or a TOML file, never a binary.
 
 use crate::algo::Algo;
 use crate::spec::{
@@ -384,9 +386,127 @@ pub fn incast_battle() -> ScenarioSpec {
     .drain_ms(6.0)
 }
 
-/// All built-in scenarios.
-pub fn builtin_specs() -> Vec<ScenarioSpec> {
+/// `base` under a new identity: the panel builtins below differ from an
+/// existing figure in a few values only, and say which.
+fn variant(base: ScenarioSpec, name: &str, description: &str) -> ScenarioSpec {
+    ScenarioSpec {
+        name: name.into(),
+        ..base
+    }
+    .describe(description)
+}
+
+/// Figure 4, bottom row: the large incast at 63:1 (`fan_in = 255` is the
+/// paper's full size — a TOML edit, and a longer run).
+fn fig4_large() -> ScenarioSpec {
+    variant(
+        fig4(),
+        "fig4-large",
+        "large incast onto a 25G downlink (paper Figure 4 bottom row)",
+    )
+    .trace_scenario(TraceScenario::Incast {
+        fan_in: 63,
+        burst_bytes: 60_000,
+        at_ms: 1.0,
+    })
+}
+
+/// Figure 7a/7b/7g: websearch alone across the load axis, with the
+/// buffer-occupancy CDF (7g is its 80% rows).
+fn fig7_load() -> ScenarioSpec {
+    let mut spec = variant(
+        fig7(),
+        "fig7-load",
+        "websearch at 20-80% load, no incasts: short- and long-flow tails vs \
+         load plus the buffer-occupancy CDF, paper Figure 7a/7b/7g",
+    )
+    .loads([0.2, 0.4, 0.6, 0.8])
+    .buffer_cdf(true);
+    spec.workload.incast = None;
+    spec
+}
+
+/// Figure 7c–f and 7h: [`fig7`] at 80% load with the incast overlay's
+/// request rate (`fig7-rateN`: N/s in paper units, 2 MB) or size
+/// (`fig7-sizeN`: N MB at 4/s) swept — one builtin per cell, since the
+/// overlay is workload, not a sweep axis. 2 MB at 4/s is `fig7-rate4`;
+/// `fig7-rate16` is fig7's own overlay and carries the 7h buffer CDF.
+fn fig7_incasts() -> Vec<ScenarioSpec> {
+    let cell = |name: String, rate: u32, mb: u64, panels: &str| {
+        let description = format!(
+            "websearch at 80% load with {mb}MB 8:1 incasts at {rate}/s \
+             (time-scaled): short- and long-flow tails, paper Figure {panels}"
+        );
+        variant(fig7(), &name, &description)
+            .incast(IncastSpec {
+                rate_per_sec: f64::from(rate) * 50.0,
+                request_bytes: mb * 1_000_000,
+                fan_in: 8,
+                periodic: false,
+            })
+            .loads([0.8])
+    };
+    let rates = [1, 4, 8, 16].into_iter().map(|r| {
+        let panels = if r == 16 { "7c/7d/7h" } else { "7c/7d" };
+        cell(format!("fig7-rate{r}"), r, 2, panels).buffer_cdf(r == 16)
+    });
+    let sizes = [1, 4, 6, 8]
+        .into_iter()
+        .map(|mb| cell(format!("fig7-size{mb}"), 4, mb, "7e/7f"));
+    rates.chain(sizes).collect()
+}
+
+/// Figure 8b's second column: [`fig8`] over a 50G packet network (8b is
+/// the `p99_voq_wait_us` / `p999_voq_wait_us` stats of the two, side by
+/// side).
+fn fig8_50g() -> ScenarioSpec {
+    variant(
+        fig8(),
+        "fig8-50g",
+        "the fig8 RDCN case study over a 50G packet network: tail VOQ \
+         queueing latency vs packet bandwidth, paper Figure 8b",
+    )
+    .trace_scenario(TraceScenario::Rdcn {
+        weeks: 2,
+        packet_gbps: 50.0,
+        retcp_prebuffer_us: vec![600.0, 1800.0],
+    })
+}
+
+/// Figures 9–11 (Appendix D) as traces: HOMA at overcommitment 1–6
+/// under the fig5 fairness scenario and the two fig4 incasts (the
+/// FCT-statistics view of the same sweep is [`fig9to11`]).
+fn homa_traces() -> Vec<ScenarioSpec> {
+    let incast = |fan_in, burst_bytes| TraceScenario::Incast {
+        fan_in,
+        burst_bytes,
+        at_ms: 1.0,
+    };
+    let fairness = TraceScenario::Fairness {
+        flows: 4,
+        stagger_ms: 1.0,
+    };
+    let homa = |name: &str, what: &str, scenario, horizon_ms| {
+        ScenarioSpec::timeseries(name, TraceSpec::new(scenario))
+            .describe(format!(
+                "HOMA at overcommitment 1-6: {what}, paper Figure {}",
+                &name[3..]
+            ))
+            .algos((1..=6).map(Algo::Homa))
+            .horizon_ms(horizon_ms)
+    };
     vec![
+        homa("fig9", "four staggered flows", fairness, 6.0),
+        homa("fig10", "a 63:1 incast", incast(63, 60_000), 5.0),
+        homa("fig11", "a 10:1 incast", incast(10, 150_000), 5.0),
+    ]
+}
+
+/// All built-in scenarios. New entries are appended, never inserted:
+/// `xp list` keeps its order and a diff of `tests/builtin_specs.golden`
+/// is added lines only.
+pub fn builtin_specs() -> Vec<ScenarioSpec> {
+    let mut specs = vec![
         fig2(),
         fig3(),
         fig3_small(),
@@ -404,7 +524,13 @@ pub fn builtin_specs() -> Vec<ScenarioSpec> {
         theorems(),
         gamma_sweep(),
         incast_battle(),
-    ]
+        fig4_large(),
+        fig7_load(),
+    ];
+    specs.extend(fig7_incasts());
+    specs.push(fig8_50g());
+    specs.extend(homa_traces());
+    specs
 }
 
 /// Look up a built-in scenario by name.

@@ -241,17 +241,7 @@ pub fn sim_stats_json(s: &SimStats) -> String {
 /// Parse a [`sim_stats_json`] object back (the worker protocol ships
 /// stats across the process boundary). Returns `None` on shape mismatch.
 pub fn sim_stats_from_json(j: &Json) -> Option<SimStats> {
-    let Json::Obj(members) = j else { return None };
-    let get = |k: &str| members.iter().find(|(name, _)| name == k).map(|(_, v)| v);
-    let u = |k: &str| match get(k)? {
-        Json::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
-    };
-    let f = |k: &str| match get(k)? {
-        Json::Num(n) => Some(*n),
-        Json::Int(i) => Some(*i as f64),
-        _ => None,
-    };
+    let u = |k: &str| j.get(k)?.as_u64();
     Some(SimStats {
         events_processed: u("events")?,
         events_scheduled: u("scheduled")?,
@@ -266,7 +256,7 @@ pub fn sim_stats_from_json(j: &Json) -> Option<SimStats> {
         pfc_frames: u("pfc_frames")?,
         pool_fresh: u("pool_fresh")?,
         pool_reused: u("pool_reused")?,
-        wall_ms: f("wall_ms")?,
+        wall_ms: j.get("wall_ms")?.as_f64()?,
     })
 }
 

@@ -521,7 +521,8 @@ fn csv_escape(s: &str) -> String {
     }
 }
 
-/// Compact float for tables (shared with `powertcp_bench::table::f`).
+/// Compact float for table cells: integers from 100 up, two decimals
+/// from 1, four below.
 pub fn fmt(x: f64) -> String {
     if x == 0.0 {
         "0".into()
@@ -682,6 +683,14 @@ mod tests {
         assert!(csv.contains("r,powertcp,0.5,5000,4,2.25"));
         // Empty bucket rows keep the schema with n=0.
         assert!(csv.contains("r,powertcp,0.5,20000,0,,"));
+    }
+
+    #[test]
+    fn float_formatting() {
+        assert_eq!(fmt(0.0), "0");
+        assert_eq!(fmt(123.456), "123");
+        assert_eq!(fmt(2.6543), "2.65");
+        assert_eq!(fmt(0.001234), "0.0012");
     }
 
     #[test]

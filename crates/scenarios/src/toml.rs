@@ -341,10 +341,14 @@ pub(crate) fn write_str(out: &mut String, s: &str) {
 /// Append a float, kept recognizable as a float on re-parse.
 pub(crate) fn write_float(out: &mut String, f: f64) {
     use fmt::Write as _;
-    let _ = if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
+    let _ = if f.fract() != 0.0 || !f.is_finite() {
+        write!(out, "{f}")
+    } else if f.abs() < 1e15 {
         write!(out, "{f:.1}")
     } else {
-        write!(out, "{f}")
+        // `{f}` would print every digit and no point: an integer token,
+        // and past 2^63 not even that.
+        write!(out, "{f:e}")
     };
 }
 
@@ -433,9 +437,10 @@ seeds = [1, 2, 3]
 
     #[test]
     fn floats_written_reparse_as_floats() {
-        let v = Value::Float(2.0);
-        let t = parse(&format!("x = {}", write_value(&v))).unwrap();
-        assert_eq!(t["x"], Value::Float(2.0));
+        for f in [2.0, -0.5, 1e15, 9.223372036854776e18, -1e300, 1e-7] {
+            let t = parse(&format!("x = {}", write_value(&Value::Float(f)))).unwrap();
+            assert_eq!(t["x"], Value::Float(f));
+        }
     }
 
     #[test]

@@ -2,28 +2,26 @@
 //! instrumented simulation, sampling probes into ring-buffered telemetry
 //! channels.
 //!
-//! This is the declarative replacement for the bespoke time-series
-//! binaries of `powertcp-bench` (fig2/fig4/fig5/fig8): each
+//! The paper's temporal figures (fig2/fig4/fig5/fig8 and the HOMA
+//! traces of fig9–11) run here: each
 //! [`TraceScenario`] builds its fixture, registers `dcn-sim` probes
 //! (switch queues, link TX counters, per-flow cwnd / pacing / PowerTCP Γ
 //! via `Endpoint::cc_samples`) on the spec's tick grid, records into a
 //! `dcn-telemetry` [`Recorder`], and reduces to scalar stats. One call to
-//! [`run_trace_entry`] is a pure function of `(spec, entry)` — the
+//! [`run_trace_entry_observed`] is a pure function of `(spec, entry)` — the
 //! property the executor ([`crate::sweep`]) relies on — so entries run in
 //! parallel and the report is byte-identical at any thread count.
 
 use crate::algo::Algo;
-use crate::spec::{ScenarioSpec, TraceScenario};
+use crate::spec::{ParamSpec, ScenarioSpec, TraceScenario};
 use dcn_sim::{
     build_star, cc_probe, host_throughput_probe, queue_probe, throughput_probe, Endpoint, FlowId,
     NodeId, PortId, Simulator, SwitchConfig,
 };
 use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry};
-use dcn_transport::{
-    FlowSpec, HomaConfig, HomaHost, MetricsHub, SharedMetrics, TransportConfig, TransportHost,
-};
+use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig, TransportHost};
 use fluid_model::{current_md, fig2c_cases, voltage_md};
-use powertcp_core::{Bandwidth, Tick};
+use powertcp_core::Tick;
 use rdcn::{build_rdcn, CircuitAwareHost, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -90,16 +88,11 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
     out
 }
 
-/// Run one trace entry. Deterministic: identical arguments replay
+/// Run one trace entry and return it with the engine's run counters
+/// when the entry actually ran a simulator (analytic/fluid entries
+/// return `None`). Deterministic: identical arguments replay
 /// bit-for-bit, on any thread. Analytic entries dispatch to
 /// [`crate::analytic_engine::run_analytic_entry`].
-pub fn run_trace_entry(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
-    run_trace_entry_observed(spec, entry).0
-}
-
-/// [`run_trace_entry`], also returning the engine's run counters when
-/// the entry actually ran a simulator (analytic/fluid entries return
-/// `None`). The entry itself is bit-identical to the unobserved call.
 pub fn run_trace_entry_observed(
     spec: &ScenarioSpec,
     entry: &TraceEntrySpec,
@@ -221,29 +214,17 @@ fn record_and(
     }
 }
 
-/// Build the per-host endpoint for `algo` with the given sender flows
-/// (windowed transport, or the HOMA transport for `Algo::Homa`).
-fn make_endpoint(
-    algo: Algo,
-    tcfg: TransportConfig,
-    host_bw: Bandwidth,
-    metrics: &SharedMetrics,
-    flows: Vec<FlowSpec>,
-) -> Box<dyn Endpoint> {
-    if let Algo::Homa(oc) = algo {
-        let mut hcfg = HomaConfig::paper_defaults(host_bw, tcfg.base_rtt);
-        hcfg.overcommit = oc;
-        let mut h = HomaHost::new(hcfg, metrics.clone());
-        for f in flows {
-            h.add_flow(f);
-        }
-        Box::new(h)
-    } else {
-        let mut h = TransportHost::new(tcfg, metrics.clone(), algo.cc_factory(tcfg));
-        for f in flows {
-            h.add_flow(f);
-        }
-        Box::new(h)
+/// Transport settings of the single-switch star fixtures (fig4, fig5).
+/// The star's base RTT is ~6 µs; τ is configured generously like the
+/// paper (max RTT in topology).
+fn star_transport(expected_flows: u32) -> TransportConfig {
+    let base_rtt = Tick::from_micros(8);
+    TransportConfig {
+        base_rtt,
+        rto: base_rtt * 20,
+        nack_guard: base_rtt,
+        expected_flows,
+        mtu: 1000,
     }
 }
 
@@ -364,16 +345,7 @@ fn incast_trace(
     let receiver = NodeId(1);
     let long_sender = NodeId(2);
     let metrics: SharedMetrics = MetricsHub::new_shared();
-    // Base RTT for the star (~6 us); configure τ generously like the
-    // paper (max RTT in topology).
-    let base_rtt = Tick::from_micros(8);
-    let tcfg = TransportConfig {
-        base_rtt,
-        rto: base_rtt * 20,
-        nack_guard: base_rtt,
-        expected_flows: 8,
-        mtu: 1000,
-    };
+    let tcfg = star_transport(8);
 
     let m2 = metrics.clone();
     let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
@@ -396,7 +368,7 @@ fn incast_trace(
                 start: incast_at,
             });
         }
-        make_endpoint(algo, tcfg, host_bw, &m2, flows)
+        algo.endpoint(tcfg, ParamSpec::default(), host_bw, &m2, &flows)
     };
     let star = build_star(n, host_bw, Tick::from_micros(1), sw_cfg, &mut mk);
     let sw = star.switch;
@@ -496,14 +468,7 @@ fn fairness_trace(
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
     let receiver = NodeId(1);
     let metrics: SharedMetrics = MetricsHub::new_shared();
-    let base_rtt = Tick::from_micros(8);
-    let tcfg = TransportConfig {
-        base_rtt,
-        rto: base_rtt * 20,
-        nack_guard: base_rtt,
-        expected_flows: flows as u32,
-        mtu: 1000,
-    };
+    let tcfg = star_transport(flows as u32);
     let stagger = Tick::from_secs_f64(stagger_ms / 1e3);
     let m2 = metrics.clone();
     let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
@@ -518,7 +483,7 @@ fn fairness_trace(
                 start: Tick::from_ps(stagger.as_ps() * (idx as u64 - 1)),
             });
         }
-        make_endpoint(algo, tcfg, host_bw, &m2, specs)
+        algo.endpoint(tcfg, ParamSpec::default(), host_bw, &m2, &specs)
     };
     let star = build_star(
         flows + 1,
@@ -740,6 +705,10 @@ fn rdcn_trace(
 mod tests {
     use super::*;
     use crate::spec::{TraceScenario, TraceSpec};
+
+    fn run_trace_entry(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
+        run_trace_entry_observed(spec, entry).0
+    }
 
     fn ts(scenario: TraceScenario) -> ScenarioSpec {
         ScenarioSpec::timeseries(

@@ -3,9 +3,9 @@
 //!
 //! A [`Job`] is born `queued` when `POST /jobs` accepts a spec, turns
 //! `running` when a worker picks it up, and ends `done` (reports
-//! rendered) or `failed` (error captured). The job itself implements
-//! [`Observer`]: the executor reports each completed point straight into
-//! the job, which appends the span's NDJSON line to the event log and
+//! rendered) or `failed` (error returned, or panic caught). The job
+//! itself implements [`Observer`]: the executor reports each completed
+//! point straight into the job, which appends the span's NDJSON line to the event log and
 //! updates the hit/miss/done counters that drive status ETAs and the
 //! dashboard. The event log finishes with the same summary record `xp
 //! run --log-json` emits, so a job's event stream and a batch run's
@@ -23,6 +23,7 @@
 use crate::RunFn;
 use dcn_scenarios::{jstr, spec_kind, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -196,7 +197,20 @@ impl Job {
             p.started = Some(Instant::now());
             self.changed.notify_all();
         }
-        let result = run(&self.spec, self.as_ref());
+        // A panic in the run must cost the daemon this job, not the
+        // worker thread: unwinding out of here would leave the job
+        // `running` for ever, its event streams open, and the pool one
+        // thread short. (Unwind-safe: the run shares only `progress`
+        // with us, and `span` finishes each update under the lock.)
+        let result = catch_unwind(AssertUnwindSafe(|| run(&self.spec, self.as_ref())))
+            .unwrap_or_else(|payload| {
+                let why = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("non-string panic payload");
+                Err(format!("job panicked: {why}"))
+            });
         let mut p = self.progress.lock().unwrap();
         p.wall_ms = match p.started {
             Some(t0) => t0.elapsed().as_secs_f64() * 1e3,
@@ -465,6 +479,19 @@ mod tests {
         assert_eq!(snap.error.as_deref(), Some("engine exploded"));
         assert!(snap.to_json().contains("\"state\":\"failed\""));
         assert!(job.report_json().is_none());
+    }
+
+    #[test]
+    fn a_panicking_run_fails_the_job_and_returns() {
+        let job = tiny_job(3);
+        let run: RunFn = Arc::new(|_, _| panic!("boom at point {}", 7));
+        job.execute(&run);
+        assert_eq!(job.state(), JobState::Failed);
+        let error = job.snapshot().error.expect("failure message");
+        assert_eq!(error, "job panicked: boom at point 7");
+        // Waiters are released: the stream is terminal, not hung.
+        let (events, terminal) = job.wait_events(0, Duration::from_millis(1));
+        assert!(terminal && events.is_empty());
     }
 
     #[test]

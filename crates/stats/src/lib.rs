@@ -1,17 +1,15 @@
 //! # dcn-stats
 //!
-//! Measurement reduction for the evaluation harness: exact percentiles,
-//! empirical CDFs, FCT-slowdown computation, and the Jain fairness index —
-//! the metrics behind every table and figure in the paper (99.9-percentile
-//! FCT slowdowns, buffer-occupancy CDFs, throughput time series).
+//! Measurement reduction for the evaluation harness: exact percentiles
+//! (one quantile definition, type-7 — buffer-occupancy CDFs are a ladder
+//! of them), FCT-slowdown computation, and the Jain fairness index — the
+//! metrics behind every table and figure in the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cdf;
 pub mod percentile;
 pub mod slowdown;
 
-pub use cdf::Cdf;
 pub use percentile::{jain_index, mean, percentile, Summary};
 pub use slowdown::{ideal_fct, slowdown};
