@@ -17,7 +17,6 @@
 //! HOMA — the receiver-driven baseline — is a transport, not a CC law, and
 //! lives in `dcn-transport`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dcqcn;

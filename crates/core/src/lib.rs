@@ -79,7 +79,6 @@
 //! assert_eq!(cc.cwnd() as u64, 62_500);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cc;

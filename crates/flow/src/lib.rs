@@ -28,7 +28,6 @@
 //! FCTs are an *ideal lower envelope* for the packet engine's — the
 //! cross-check harness in `dcn-scenarios` pins that relationship.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cmp::Reverse;

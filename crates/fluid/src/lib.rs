@@ -6,7 +6,6 @@
 //! verification of Theorems 1 (stability), 2 (exponential convergence
 //! with time constant δt/γ), and 3 (β-weighted proportional fairness).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Behavioral version of the fluid model. Bump on **any** change that can

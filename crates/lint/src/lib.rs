@@ -1,55 +1,43 @@
-//! # dcn-lint — the determinism & hygiene static-analysis pass
+//! # dcn-lint — the workspace invariants no compiler lint can see
 //!
 //! Every guarantee this reproduction makes — byte-identical reports
 //! across threads, processes, and cache states; version-salted cache
 //! keys; observability that never leaks into report bytes — is a
-//! *source-level* discipline. This crate mechanizes it: a hand-rolled,
-//! zero-dependency scanner (tokenizer + lightweight item/path analysis,
-//! same spirit as the hand-rolled JSON parser behind `xp diff`) walks
-//! every workspace crate and rejects the hazard classes that have
-//! actually bitten (PR 1 converted `MetricsHub` to `BTreeMap` after a
-//! hash-iteration nondeterminism surfaced at runtime).
+//! *source-level* discipline, and each rule of it is enforced once, by
+//! the tool that already evaluates it: hash-ordered containers, wall
+//! clocks and environment reads by `clippy.toml` (clippy resolves
+//! paths, so an alias hides nothing), `unsafe` and reason-less
+//! suppressions by the root manifest's `[workspace.lints]`, stale
+//! suppressions by rustc's `#[expect]`. DESIGN.md "Static analysis" has
+//! the rule → tool table.
 //!
-//! Rules (see [`rules`] and DESIGN.md for the full table):
-//!
-//! * **R1** — no `HashMap`/`HashSet` *iteration* (keyed lookups stay
-//!   legal);
-//! * **R2** — no `Instant::now`/`SystemTime` outside the observability
-//!   allowlist;
-//! * **R3** — no `std::env::var` outside the runner CLI and tests;
-//! * **R4** — no `unsafe` anywhere;
-//! * **R5** — every engine `*_VERSION` salt and `EngineKind` arm must be
-//!   referenced in `crates/runner/src/key.rs`;
-//! * **R6** — every `Cargo.toml` dependency must be a `path` dependency;
-//! * **R7** — every `// lint:allow(RXX): reason` must suppress a real
-//!   violation (stale or malformed allows are errors).
+//! This crate keeps the three rules that need the whole file set rather
+//! than one crate's AST — salt coverage (R5), offline dependencies (R6)
+//! and lint inheritance (R8, which is what stops a new crate from opting
+//! out of all of the above); [`rules`] has the table.
 //!
 //! Run it as `xp lint [--json] [--root DIR]`. Violations
 //! print as `file:line: rule[RXX] message` with a nonzero exit; `--json`
 //! emits NDJSON in the span-record style of the runner's `--log-json`
 //! stream.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod lex;
 pub mod rules;
 mod walk;
 
-pub use rules::{check_manifest, check_salt_coverage, lint_source, FileLint, Violation};
-pub use walk::{find_workspace_root, workspace_files};
+pub use rules::{check_manifest, check_salt_coverage, Violation};
+pub use walk::{find_workspace_root, read_workspace};
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Aggregate result of a workspace lint run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Report {
     /// All violations across the workspace, ordered by (file, line).
     pub violations: Vec<Violation>,
     /// Number of files scanned (`.rs` + `Cargo.toml`).
     pub files: usize,
-    /// Number of well-formed inline suppressions encountered.
-    pub allows: usize,
 }
 
 impl Report {
@@ -86,27 +74,12 @@ impl Report {
             ));
         }
         s.push_str(&format!(
-            "{{\"record\":\"lint-summary\",\"files\":{},\"violations\":{},\"allows\":{}}}\n",
+            "{{\"record\":\"lint-summary\",\"files\":{},\"violations\":{}}}\n",
             self.files,
-            self.violations.len(),
-            self.allows
+            self.violations.len()
         ));
         s
     }
-}
-
-/// Read every workspace file once, as (relative path, source) pairs.
-/// Exposed so tests can doctor individual sources and re-check.
-pub fn read_workspace(root: &Path) -> Result<Vec<(String, String)>, String> {
-    let rels = workspace_files(root)?;
-    let mut files = Vec::with_capacity(rels.len());
-    for rel in rels {
-        let abs = root.join(&rel);
-        let src = std::fs::read_to_string(&abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        files.push((rel, src));
-    }
-    Ok(files)
 }
 
 /// The path (from the workspace root) where cache keys are derived —
@@ -122,36 +95,24 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
 /// Lint an in-memory workspace file set (the backing of
 /// [`lint_workspace`]; tests feed doctored copies through here).
 pub fn lint_files(files: &[(String, String)]) -> Report {
-    let mut report = Report {
-        files: files.len(),
-        ..Report::default()
-    };
-    for (rel, src) in files {
-        if rel.ends_with(".rs") {
-            let lint = lint_source(rel, src);
-            report.allows += lint.allows;
-            report.violations.extend(lint.violations);
-        } else {
-            report.violations.extend(check_manifest(rel, src));
-        }
+    let mut violations = Vec::new();
+    for (rel, src) in files.iter().filter(|(rel, _)| !rel.ends_with(".rs")) {
+        violations.extend(check_manifest(rel, src));
     }
     match files.iter().find(|(rel, _)| rel == KEY_RS) {
-        Some((_, key_src)) => report
-            .violations
-            .extend(check_salt_coverage(files, key_src)),
-        None => report.violations.push(Violation {
-            file: KEY_RS.to_string(),
-            line: 1,
-            rule: "R5",
-            message: "cache-key derivation file is missing: version salts have nowhere to \
-                      be referenced"
-                .to_string(),
-        }),
+        Some((_, key_src)) => violations.extend(check_salt_coverage(files, key_src)),
+        None => violations.push(Violation::new(
+            KEY_RS,
+            1,
+            "R5",
+            "cache-key derivation file is missing: version salts have nowhere to be referenced",
+        )),
     }
-    report
-        .violations
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    report
+    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    Report {
+        violations,
+        files: files.len(),
+    }
 }
 
 // Own copy of `dcn_telemetry::jstr`'s escaping: this crate is dependency-free by design.
@@ -174,77 +135,61 @@ fn json_escape(s: &str) -> String {
 /// The `xp lint` entry point: parse `[--json] [--root DIR]`, lint, print, and return
 /// the process exit code (0 clean, 1 violations, 2 usage/IO error).
 pub fn cli_main(args: &[String]) -> u8 {
-    let mut json = false;
-    let mut root_arg: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--root" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => root_arg = Some(v.clone()),
-                    None => {
-                        eprintln!("error: --root needs a value");
-                        return 2;
-                    }
-                }
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}\nusage: lint [--json] [--root DIR]");
-                return 2;
-            }
-        }
-        i += 1;
-    }
-    let root = match root_arg {
-        Some(r) => std::path::PathBuf::from(r),
-        None => {
-            let cwd = match std::env::current_dir() {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("error: cannot determine working directory: {e}");
-                    return 2;
-                }
-            };
-            match find_workspace_root(&cwd) {
-                Some(r) => r,
-                None => {
-                    eprintln!(
-                        "error: no workspace root ([workspace] in Cargo.toml) at or above {}",
-                        cwd.display()
-                    );
-                    return 2;
-                }
-            }
-        }
-    };
-    let report = match lint_workspace(&root) {
-        Ok(r) => r,
+    match lint_and_print(args) {
+        Ok(true) => 0,
+        Ok(false) => 1,
         Err(e) => {
             eprintln!("error: {e}");
-            return 2;
+            2
+        }
+    }
+}
+
+/// [`cli_main`] behind `?`: whether the workspace linted clean.
+fn lint_and_print(args: &[String]) -> Result<bool, String> {
+    let mut json = false;
+    let mut root = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json = true,
+            "--root" => root = Some(PathBuf::from(args.next().ok_or("--root needs a value")?)),
+            other => {
+                return Err(format!(
+                    "unknown argument {other:?}\nusage: lint [--json] [--root DIR]"
+                ))
+            }
+        }
+    }
+    let root = match root {
+        Some(root) => root,
+        None => {
+            let cwd = std::env::current_dir()
+                .map_err(|e| format!("cannot determine working directory: {e}"))?;
+            find_workspace_root(&cwd).ok_or_else(|| {
+                format!(
+                    "no workspace root ([workspace] in Cargo.toml) at or above {}",
+                    cwd.display()
+                )
+            })?
         }
     };
+    let report = lint_workspace(&root)?;
     if json {
         print!("{}", report.to_ndjson());
     } else {
         print!("{}", report.to_text());
     }
     if report.is_clean() {
-        eprintln!(
-            "lint clean: {} file(s), {} inline allow(s), rules R1-R7",
-            report.files, report.allows
-        );
-        0
+        eprintln!("lint clean: {} file(s), rules R5 R6 R8", report.files);
     } else {
         eprintln!(
             "lint FAILED: {} violation(s) across {} file(s)",
             report.violations.len(),
             report.files
         );
-        1
     }
+    Ok(report.is_clean())
 }
 
 #[cfg(test)]
@@ -257,11 +202,10 @@ mod tests {
             violations: vec![Violation {
                 file: "a.rs".into(),
                 line: 3,
-                rule: "R2",
-                message: "uses \"now\"".into(),
+                rule: "R6",
+                message: "dependency \"now\"".into(),
             }],
             files: 1,
-            allows: 0,
         };
         let nd = report.to_ndjson();
         let lines: Vec<&str> = nd.lines().collect();

@@ -1,22 +1,15 @@
-//! The determinism & hygiene rule set.
+//! The workspace-shape rules: what no compiler lint can see.
 //!
-//! Per-file rules (R1–R4) run over the token stream of one source file;
-//! workspace rules (R5–R6) run over the collected file set. R7 is the
-//! suppression-hygiene rule: a `// lint:allow(RXX): reason` comment that
-//! does not match a firing violation (or carries no reason) is itself an
-//! error, so allowlists can never rot silently.
+//! The per-file determinism rules (R1–R4, R7) are `clippy.toml` and the
+//! root manifest's `[workspace.lints]`; see DESIGN.md "Static analysis"
+//! for the rule → enforcing tool table. What is left needs the whole
+//! file set, not one crate's AST:
 //!
 //! | Rule | What it rejects |
 //! |------|-----------------|
-//! | R1 | iteration over `HashMap`/`HashSet` (hash order is nondeterministic) |
-//! | R2 | `Instant::now` / `SystemTime` outside the observability allowlist |
-//! | R3 | `std::env::var` outside the runner CLI and tests |
-//! | R4 | `unsafe` anywhere |
-//! | R5 | engine `*_VERSION` salts / `EngineKind` arms unreferenced in `runner/src/key.rs` |
-//! | R6 | non-`path` dependencies in any `Cargo.toml` (the workspace is offline) |
-//! | R7 | stale or malformed `lint:allow` |
-
-use crate::lex::{tokenize, Comment, Kind, Token};
+//! | R5 | an engine `pub const *_VERSION` salt unreferenced in `runner/src/key.rs` |
+//! | R6 | a non-`path` dependency in any `Cargo.toml` (the workspace is offline) |
+//! | R8 | a workspace package whose `Cargo.toml` lacks `[lints] workspace = true` |
 
 /// One lint finding: `file:line: rule[RXX] message`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,13 +18,23 @@ pub struct Violation {
     pub file: String,
     /// 1-based source line.
     pub line: usize,
-    /// Rule id (`R1`..`R7`).
+    /// Rule id (`R5`, `R6`, `R8`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
 }
 
 impl Violation {
+    /// A finding of `rule` at `file:line`.
+    pub fn new(file: &str, line: usize, rule: &'static str, message: impl Into<String>) -> Self {
+        Violation {
+            file: file.to_string(),
+            line,
+            rule,
+            message: message.into(),
+        }
+    }
+
     /// The canonical single-line rendering.
     pub fn render(&self) -> String {
         format!(
@@ -41,421 +44,36 @@ impl Violation {
     }
 }
 
-/// Files (workspace-relative) where wall-clock reads are the *purpose*:
-/// the observability layer, the worker span shipping, the simulator's
-/// wall-clock stats capture, the serve daemon's job timing (ETAs and
-/// event-stream long-polls — scheduling, never report bytes), and the
-/// criterion bench shim. Everywhere else `Instant::now` needs an inline
-/// `lint:allow(R2)` with a reason.
-const R2_ALLOWED_FILES: &[&str] = &[
-    "crates/runner/src/obs.rs",
-    "crates/runner/src/worker.rs",
-    "crates/serve/src/job.rs",
-    "crates/sim/src/stats.rs",
-    "crates/shims/criterion/src/lib.rs",
-];
-
-/// The runner CLI binary — the only non-test code allowed to read the
-/// environment (R3).
-const R3_ALLOWED_FILES: &[&str] = &["crates/runner/src/bin/xp.rs"];
-
-/// Map methods whose results depend on hash iteration order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-    "retain",
-];
-
-/// Rules that an inline `lint:allow` may suppress. R5/R6 are structural
-/// workspace invariants (salt coverage, offline deps) with no legitimate
-/// exceptions; suppressing them would defeat the contract.
-const SUPPRESSIBLE: &[&str] = &["R1", "R2", "R3", "R4"];
-
-/// A parsed `lint:allow(RXX): reason` comment.
-#[derive(Clone, Debug)]
-struct Allow {
-    rule: String,
-    line: usize,
-    used: bool,
+/// The code of each line of `src` — everything before a `//` — with its
+/// 1-based number. (A `//` inside a string literal also cuts the line,
+/// which can only hide a reference, never invent one; block comments are
+/// not recognised, and the workspace has none.)
+fn code_lines(src: &str) -> impl Iterator<Item = (usize, &str)> {
+    src.lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.split("//").next().unwrap_or("")))
 }
 
-/// Result of linting one source file.
-#[derive(Clone, Debug, Default)]
-pub struct FileLint {
-    /// Violations that survived suppression (includes R7 findings).
-    pub violations: Vec<Violation>,
-    /// Number of well-formed `lint:allow` suppressions in the file
-    /// (used or not; stale ones also produce an R7 violation).
-    pub allows: usize,
-}
-
-/// Lint one Rust source file. `rel` is the workspace-relative path used
-/// for allowlist matching and reporting.
-pub fn lint_source(rel: &str, src: &str) -> FileLint {
-    let (toks, comments) = tokenize(src);
-    let (mut allows, mut out) = parse_allows(rel, &comments);
-    let mut raw = Vec::new();
-    check_r1(rel, &toks, &mut raw);
-    if !R2_ALLOWED_FILES.contains(&rel) {
-        check_r2(rel, &toks, &mut raw);
-    }
-    if !r3_exempt(rel) {
-        check_r3(rel, &toks, &mut raw);
-    }
-    check_r4(rel, &toks, &mut raw);
-    // An allow on line L suppresses matching violations on L (trailing
-    // comment) and L+1 (comment on its own line above the code).
-    for v in raw {
-        let suppressed = allows.iter_mut().any(|a| {
-            let hit = a.rule == v.rule && (a.line == v.line || a.line + 1 == v.line);
-            if hit {
-                a.used = true;
-            }
-            hit
-        });
-        if !suppressed {
-            out.push(v);
-        }
-    }
-    for a in &allows {
-        if !a.used {
-            out.push(Violation {
-                file: rel.to_string(),
-                line: a.line,
-                rule: "R7",
-                message: format!(
-                    "stale lint:allow({}): no {} violation on this or the next line — \
-                     delete the suppression",
-                    a.rule, a.rule
-                ),
-            });
-        }
-    }
-    out.sort_by_key(|v| v.line);
-    FileLint {
-        violations: out,
-        allows: allows.len(),
-    }
-}
-
-/// Tests may read the environment (golden-regen toggles) and construct
-/// whatever they like; the `tests/` path segment is the marker.
-fn r3_exempt(rel: &str) -> bool {
-    R3_ALLOWED_FILES.contains(&rel) || rel.split('/').any(|seg| seg == "tests")
-}
-
-/// Parse `lint:allow(RXX): reason` comments; malformed ones become R7
-/// violations immediately.
-fn parse_allows(rel: &str, comments: &[Comment]) -> (Vec<Allow>, Vec<Violation>) {
-    let mut allows = Vec::new();
-    let mut bad = Vec::new();
-    for c in comments {
-        // A directive must *start* the comment (`// lint:allow(..): ..`);
-        // prose that merely mentions lint:allow (like this lint's own
-        // docs) is not a directive.
-        let Some(rest) = c.text.trim_start().strip_prefix("lint:allow") else {
-            continue;
-        };
-        let mut fail = |why: &str| {
-            bad.push(Violation {
-                file: rel.to_string(),
-                line: c.line,
-                rule: "R7",
-                message: format!(
-                    "malformed lint:allow ({why}); grammar: \
-                     `// lint:allow(RXX): reason`"
-                ),
-            });
-        };
-        let Some(inner) = rest.strip_prefix('(') else {
-            fail("missing `(RXX)`");
-            continue;
-        };
-        let Some(close) = inner.find(')') else {
-            fail("missing `)`");
-            continue;
-        };
-        let rule = inner[..close].trim().to_string();
-        let after = inner[close + 1..].trim_start();
-        if !SUPPRESSIBLE.contains(&rule.as_str()) {
-            fail(&format!(
-                "rule {rule:?} is not suppressible (only {})",
-                SUPPRESSIBLE.join("/")
-            ));
-            continue;
-        }
-        let Some(reason) = after.strip_prefix(':') else {
-            fail("missing `: reason`");
-            continue;
-        };
-        if reason.trim().is_empty() {
-            fail("empty reason");
-            continue;
-        }
-        allows.push(Allow {
-            rule,
-            line: c.line,
-            used: false,
-        });
-    }
-    (allows, bad)
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    toks.get(i)
-        .filter(|t| t.kind == Kind::Ident)
-        .map(|t| t.text.as_str())
-}
-
-fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
-    toks.get(i)
-        .is_some_and(|t| t.kind == Kind::Punct && t.text.len() == 1 && t.text.starts_with(c))
-}
-
-/// R1: iteration over `HashMap`/`HashSet`.
-///
-/// Pass A tracks file-local names declared or initialized with a hash
-/// container (`x: HashMap<..>`, `let x = HashSet::new()`, struct-literal
-/// `field: HashMap::new()`); pass B flags order-dependent method calls
-/// on tracked names, `for .. in` loops over them, and UFCS calls like
-/// `HashMap::iter`. Keyed lookups (`get`, `insert`, `remove`,
-/// `contains_key`, `entry`, ...) never fire.
-///
-/// The sanctioned replacements, in order of preference: for
-/// `FlowId`-keyed per-flow state, `dcn_sim::FlowTable` (a dense slab
-/// with a `BTreeMap` spillover whose `iter` is in ascending `FlowId`
-/// order — hot-path indexing *and* deterministic iteration, see
-/// DESIGN.md "Dense-ID hot path"); otherwise `BTreeMap`/`BTreeSet`, or
-/// a hash map paired with an explicitly ordered side `Vec` of keys.
-fn check_r1(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
-    let mut names: Vec<(String, &'static str)> = Vec::new();
-    for i in 0..toks.len() {
-        let Some(ty) = ident_at(toks, i).filter(|t| *t == "HashMap" || *t == "HashSet") else {
-            continue;
-        };
-        let ty: &'static str = if ty == "HashMap" {
-            "HashMap"
-        } else {
-            "HashSet"
-        };
-        // Walk back over a `std :: collections ::`-style path prefix.
-        let mut j = i;
-        while j >= 3
-            && punct_at(toks, j - 1, ':')
-            && punct_at(toks, j - 2, ':')
-            && ident_at(toks, j - 3).is_some()
-        {
-            j -= 3;
-        }
-        // Skip reference sigils in type position (`m: &mut HashMap<..>`).
-        let mut k = j;
-        while k >= 1 && (punct_at(toks, k - 1, '&') || ident_at(toks, k - 1) == Some("mut")) {
-            k -= 1;
-        }
-        if k >= 2 && (punct_at(toks, k - 1, ':') || punct_at(toks, k - 1, '=')) {
-            if let Some(name) = ident_at(toks, k - 2) {
-                if !names.iter().any(|(n, _)| n == name) {
-                    names.push((name.to_string(), ty));
-                }
-            }
-        }
-    }
-    let lookup = |name: &str| -> Option<&'static str> {
-        names.iter().find(|(n, _)| n == name).map(|(_, ty)| *ty)
-    };
-    for i in 0..toks.len() {
-        // UFCS / associated call: `HashMap :: drain` etc.
-        if let Some(ty) = ident_at(toks, i).filter(|t| *t == "HashMap" || *t == "HashSet") {
-            if punct_at(toks, i + 1, ':') && punct_at(toks, i + 2, ':') {
-                if let Some(m) = ident_at(toks, i + 3).filter(|m| ITER_METHODS.contains(m)) {
-                    out.push(r1_violation(rel, toks[i + 3].line, ty, ty, m));
-                    continue;
-                }
-            }
-        }
-        // `name . iter (` on a tracked hash container.
-        let Some(name) = ident_at(toks, i) else {
-            continue;
-        };
-        let Some(ty) = lookup(name) else { continue };
-        if punct_at(toks, i + 1, '.') {
-            if let Some(m) = ident_at(toks, i + 2).filter(|m| ITER_METHODS.contains(m)) {
-                if punct_at(toks, i + 3, '(') {
-                    out.push(r1_violation(rel, toks[i + 2].line, name, ty, m));
-                }
-            }
-        }
-    }
-    // `for pat in [&[mut]] name {` / `for pat in [&]self.name {`.
-    for i in 0..toks.len() {
-        if ident_at(toks, i) != Some("for") {
-            continue;
-        }
-        // Find the `in` of this loop header (bail at `{`).
-        let mut j = i + 1;
-        let mut found_in = None;
-        while j < toks.len() && j < i + 32 {
-            if punct_at(toks, j, '{') {
-                break;
-            }
-            if ident_at(toks, j) == Some("in") {
-                found_in = Some(j);
-                break;
-            }
-            j += 1;
-        }
-        let Some(in_idx) = found_in else { continue };
-        // Collect the iterated expression up to the loop body brace.
-        let mut expr: Vec<&Token> = Vec::new();
-        let mut k = in_idx + 1;
-        while k < toks.len() && !punct_at(toks, k, '{') && expr.len() < 8 {
-            expr.push(&toks[k]);
-            k += 1;
-        }
-        // Strip leading `&` / `mut`.
-        let mut e: &[&Token] = &expr;
-        while let Some(first) = e.first() {
-            if (first.kind == Kind::Punct && first.text == "&")
-                || (first.kind == Kind::Ident && first.text == "mut")
-            {
-                e = &e[1..];
-            } else {
-                break;
-            }
-        }
-        let name = match e {
-            [t] if t.kind == Kind::Ident => Some(t.text.as_str()),
-            [s, dot, t]
-                if s.kind == Kind::Ident
-                    && s.text == "self"
-                    && dot.kind == Kind::Punct
-                    && dot.text == "."
-                    && t.kind == Kind::Ident =>
-            {
-                Some(t.text.as_str())
-            }
-            _ => None,
-        };
-        if let Some(name) = name {
-            if let Some(ty) = lookup(name) {
-                out.push(r1_violation(rel, toks[in_idx].line, name, ty, "for .. in"));
-            }
-        }
-    }
-    out.sort_by_key(|v| v.line);
-    out.dedup();
-}
-
-fn r1_violation(rel: &str, line: usize, name: &str, ty: &str, method: &str) -> Violation {
-    Violation {
-        file: rel.to_string(),
-        line,
-        rule: "R1",
-        message: format!(
-            "iteration over hash-ordered {ty} `{name}` via `{method}`: hash order is \
-             nondeterministic; use BTreeMap/BTreeSet, dcn_sim::FlowTable for \
-             FlowId-keyed state (ordered iteration, dense-slot hot path), or iterate \
-             a side order Vec (keyed lookups are fine)"
-        ),
-    }
-}
-
-/// R2: wall-clock reads outside the observability layer.
-fn check_r2(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
-    for i in 0..toks.len() {
-        if ident_at(toks, i) == Some("SystemTime") {
-            out.push(Violation {
-                file: rel.to_string(),
-                line: toks[i].line,
-                rule: "R2",
-                message: "`SystemTime` outside the observability allowlist: wall-clock must \
-                          never feed physics or report bytes"
-                    .into(),
-            });
-        }
-        if ident_at(toks, i) == Some("Instant")
-            && punct_at(toks, i + 1, ':')
-            && punct_at(toks, i + 2, ':')
-            && ident_at(toks, i + 3) == Some("now")
-        {
-            out.push(Violation {
-                file: rel.to_string(),
-                line: toks[i + 3].line,
-                rule: "R2",
-                message: "`Instant::now()` outside the observability allowlist: wall-clock \
-                          must never feed physics or report bytes"
-                    .into(),
-            });
-        }
-    }
-}
-
-/// R3: environment reads outside the runner CLI and tests.
-fn check_r3(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
-    for i in 0..toks.len() {
-        if ident_at(toks, i) == Some("env")
-            && punct_at(toks, i + 1, ':')
-            && punct_at(toks, i + 2, ':')
-            && matches!(
-                ident_at(toks, i + 3),
-                Some("var" | "vars" | "var_os" | "vars_os")
-            )
-        {
-            out.push(Violation {
-                file: rel.to_string(),
-                line: toks[i + 3].line,
-                rule: "R3",
-                message: "`std::env::var` outside the runner CLI and tests: the environment \
-                          must never reach physics (pass configuration through the spec)"
-                    .into(),
-            });
-        }
-    }
-}
-
-/// R4: no `unsafe` anywhere (double-enforced by
-/// `#![forbid(unsafe_code)]` in every crate root).
-fn check_r4(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
-    for t in toks {
-        if t.kind == Kind::Ident && t.text == "unsafe" {
-            out.push(Violation {
-                file: rel.to_string(),
-                line: t.line,
-                rule: "R4",
-                message: "`unsafe` is forbidden across the workspace (determinism and \
-                          memory-safety are reviewed invariants)"
-                    .into(),
-            });
-        }
-    }
+/// Whether `code` mentions `ident` as a whole identifier
+/// (`FLOW_ENGINE_VERSION` does not mention `ENGINE_VERSION`).
+fn mentions(code: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(ident).any(|(at, _)| {
+        !code[..at].ends_with(is_ident) && !code[at + ident.len()..].starts_with(is_ident)
+    })
 }
 
 /// R5: structural salt coverage. Every `pub const *_VERSION` exported by
-/// a non-runner crate, and every `EngineKind` variant, must be
-/// referenced (as an identifier) in `crates/runner/src/key.rs` — the
-/// single place cache keys are derived.
+/// a non-runner crate must be named, outside comments, in
+/// `crates/runner/src/key.rs` — the single place cache keys are derived.
+/// (That every `EngineKind` has a salt is the exhaustive `match` in
+/// `key.rs::preamble`: rustc's job.)
 ///
 /// `files` is the full workspace file list as (relative path, source);
 /// `key_src` is the source of `crates/runner/src/key.rs` (passed
 /// separately so tests can prove the rule bites on a doctored copy).
 pub fn check_salt_coverage(files: &[(String, String)], key_src: &str) -> Vec<Violation> {
-    let (key_toks, _) = tokenize(key_src);
-    let mut key_idents: Vec<&str> = key_toks
-        .iter()
-        .filter(|t| t.kind == Kind::Ident)
-        .map(|t| t.text.as_str())
-        .collect();
-    key_idents.sort_unstable();
-    key_idents.dedup();
-    let referenced = |ident: &str| key_idents.binary_search(&ident).is_ok();
-
+    let key_code: Vec<&str> = code_lines(key_src).map(|(_, code)| code).collect();
     let mut out = Vec::new();
     for (rel, src) in files {
         if !rel.starts_with("crates/")
@@ -465,134 +83,56 @@ pub fn check_salt_coverage(files: &[(String, String)], key_src: &str) -> Vec<Vio
         {
             continue;
         }
-        let (toks, _) = tokenize(src);
-        for i in 0..toks.len() {
-            if ident_at(&toks, i) == Some("pub") && ident_at(&toks, i + 1) == Some("const") {
-                if let Some(name) = ident_at(&toks, i + 2).filter(|n| n.ends_with("_VERSION")) {
-                    if !referenced(name) {
-                        out.push(Violation {
-                            file: rel.clone(),
-                            line: toks[i + 2].line,
-                            rule: "R5",
-                            message: format!(
-                                "engine version salt `{name}` is not referenced in \
-                                 crates/runner/src/key.rs — every exported *_VERSION const \
-                                 must feed the cache-key preamble"
-                            ),
-                        });
-                    }
-                }
-            }
-            // `pub enum EngineKind { .. }`: every arm must appear in
-            // key.rs (each engine maps to its own version salt there).
-            if ident_at(&toks, i) == Some("enum") && ident_at(&toks, i + 1) == Some("EngineKind") {
-                for (line, variant) in enum_variants(&toks, i + 2) {
-                    if !referenced(&variant) {
-                        out.push(Violation {
-                            file: rel.clone(),
-                            line,
-                            rule: "R5",
-                            message: format!(
-                                "EngineKind::{variant} has no version-salt mapping in \
-                                 crates/runner/src/key.rs — a new engine must salt its \
-                                 cache keys with its own behavioral version"
-                            ),
-                        });
-                    }
-                }
+        for (line, code) in code_lines(src) {
+            let Some(decl) = code.trim_start().strip_prefix("pub const ") else {
+                continue;
+            };
+            let name = decl.split(':').next().unwrap_or("").trim();
+            if name.ends_with("_VERSION") && !key_code.iter().any(|code| mentions(code, name)) {
+                out.push(Violation::new(
+                    rel,
+                    line,
+                    "R5",
+                    format!(
+                        "engine version salt `{name}` is not referenced in \
+                         crates/runner/src/key.rs — every exported *_VERSION const \
+                         must feed the cache-key preamble"
+                    ),
+                ));
             }
         }
     }
     out
 }
 
-/// Collect the variant identifiers of an enum whose `{` starts at or
-/// after `start` (skipping `#[attr]` blocks and variant payloads).
-fn enum_variants(toks: &[Token], start: usize) -> Vec<(usize, String)> {
-    let mut i = start;
-    while i < toks.len() && !punct_at(toks, i, '{') {
-        i += 1;
-    }
-    let mut variants = Vec::new();
-    let mut depth = 0usize;
-    let mut expect_variant = true;
-    while i < toks.len() {
-        let t = &toks[i];
-        match t.kind {
-            Kind::Punct => match t.text.as_str() {
-                "{" | "(" | "[" => {
-                    depth += 1;
-                    i += 1;
-                    continue;
-                }
-                "}" | ")" | "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                    i += 1;
-                    continue;
-                }
-                "#" if depth == 1 => {
-                    // Attribute: skip the bracketed block.
-                    i += 1;
-                    if punct_at(toks, i, '[') {
-                        let mut d = 0usize;
-                        while i < toks.len() {
-                            if punct_at(toks, i, '[') {
-                                d += 1;
-                            } else if punct_at(toks, i, ']') {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            i += 1;
-                        }
-                    }
-                    i += 1;
-                    continue;
-                }
-                "," if depth == 1 => {
-                    expect_variant = true;
-                    i += 1;
-                    continue;
-                }
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            },
-            Kind::Ident if depth == 1 && expect_variant => {
-                variants.push((t.line, t.text.clone()));
-                expect_variant = false;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    variants
-}
-
 /// R6: every dependency in every workspace `Cargo.toml` must be a
 /// `path` dependency. The workspace builds offline; registry (`"1.0"`)
 /// and `git` dependencies are rejected.
+///
+/// R8: every package of this workspace must carry `[lints] workspace =
+/// true`, or it silently opts out of everything `[workspace.lints]`
+/// forbids. A nested manifest that declares its own `[workspace]`
+/// (`benchmark/`) is not a member and has nothing to inherit.
 pub fn check_manifest(rel: &str, src: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut section = String::new();
+    let mut package_line = None;
+    // Inherits the workspace lints, or is a workspace root of its own
+    // with none to inherit.
+    let mut settled = false;
     // `[dependencies.foo]`-style subsection needing a `path` key.
     let mut pending: Option<(String, usize)> = None;
     let flush_pending = |pending: &mut Option<(String, usize)>, out: &mut Vec<Violation>| {
         if let Some((name, line)) = pending.take() {
-            out.push(Violation {
-                file: rel.to_string(),
+            out.push(Violation::new(
+                rel,
                 line,
-                rule: "R6",
-                message: format!(
+                "R6",
+                format!(
                     "dependency `{name}` has no `path` key: the workspace is offline — \
                      only path dependencies and the committed shims are legal"
                 ),
-            });
+            ));
         }
     };
     for (idx, raw) in src.lines().enumerate() {
@@ -607,13 +147,21 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Violation> {
             if let Some(dep) = dep_subsection(&section) {
                 pending = Some((dep.to_string(), line_no));
             }
+            match section.as_str() {
+                "package" => package_line = Some(line_no),
+                "workspace" if rel != "Cargo.toml" => settled = true,
+                _ => {}
+            }
             continue;
         }
+        if section == "lints" && line.replace(' ', "") == "workspace=true" {
+            settled = true;
+        }
         if pending.is_some() {
+            // Only a `path` key clears it; otherwise the violation fires
+            // at the next section header.
             if line.starts_with("path") && line.contains('=') {
                 pending = None;
-            } else if line.starts_with("git") || line.starts_with("version") {
-                // keep pending; the violation fires if no path follows
             }
             continue;
         }
@@ -624,39 +172,32 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Violation> {
             continue;
         };
         let (name, value) = (name.trim(), value.trim());
-        if value.starts_with('{') {
-            if !value.contains("path") {
-                out.push(Violation {
-                    file: rel.to_string(),
-                    line: line_no,
-                    rule: "R6",
-                    message: format!(
-                        "dependency `{name}` is not a path dependency: the workspace is \
-                         offline — only path dependencies and the committed shims are legal"
-                    ),
-                });
-            } else if value.contains("git") {
-                out.push(Violation {
-                    file: rel.to_string(),
-                    line: line_no,
-                    rule: "R6",
-                    message: format!("dependency `{name}` pulls from git: forbidden offline"),
-                });
-            }
-        } else {
+        let problem = if !value.starts_with('{') {
             // `foo = "1.0"` — a registry dependency.
-            out.push(Violation {
-                file: rel.to_string(),
-                line: line_no,
-                rule: "R6",
-                message: format!(
-                    "dependency `{name}` is a registry dependency: the workspace is \
-                     offline — vendor it as a path dep or a committed shim"
-                ),
-            });
-        }
+            "is a registry dependency: the workspace is offline — vendor it as a path dep \
+             or a committed shim"
+        } else if !value.contains("path") {
+            "is not a path dependency: the workspace is offline — only path dependencies \
+             and the committed shims are legal"
+        } else if value.contains("git") {
+            "pulls from git: forbidden offline"
+        } else {
+            continue;
+        };
+        let message = format!("dependency `{name}` {problem}");
+        out.push(Violation::new(rel, line_no, "R6", message));
     }
     flush_pending(&mut pending, &mut out);
+    if let Some(line) = package_line.filter(|_| !settled) {
+        out.push(Violation::new(
+            rel,
+            line,
+            "R8",
+            "package does not inherit the workspace lints: add `[lints]` with `workspace = \
+             true`, or `unsafe_code = \"forbid\"` and the clippy determinism rules do not \
+             apply to it",
+        ));
+    }
     out
 }
 
@@ -664,147 +205,23 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Violation> {
 /// `dev-dependencies`, `workspace.dependencies`,
 /// `target.'cfg(..)'.dependencies`, ...)?
 fn is_dep_section(section: &str) -> bool {
-    section == "dependencies"
-        || section == "dev-dependencies"
-        || section == "build-dependencies"
-        || section.ends_with(".dependencies")
-        || section.ends_with(".dev-dependencies")
-        || section.ends_with(".build-dependencies")
+    let table = section.rsplit('.').next().unwrap_or(section);
+    matches!(
+        table,
+        "dependencies" | "dev-dependencies" | "build-dependencies"
+    )
 }
 
 /// If `section` is `[dependencies.<name>]` (or dev-/build- variant),
 /// return the dependency name.
 fn dep_subsection(section: &str) -> Option<&str> {
-    for prefix in ["dependencies.", "dev-dependencies.", "build-dependencies."] {
-        if let Some(rest) = section.strip_prefix(prefix) {
-            return Some(rest);
-        }
-        if let Some(pos) = section.find(&format!(".{prefix}")) {
-            return Some(&section[pos + 1 + prefix.len()..]);
-        }
-    }
-    None
+    let (table, name) = section.rsplit_once('.')?;
+    is_dep_section(table).then_some(name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rules_of(lint: &FileLint) -> Vec<&'static str> {
-        lint.violations.iter().map(|v| v.rule).collect()
-    }
-
-    #[test]
-    fn r1_flags_iteration_not_lookup() {
-        let src = "struct S { m: HashMap<u32, u32> }\n\
-                   fn f(s: &S) -> Vec<u32> { s.m.keys().copied().collect() }\n\
-                   fn g(s: &S) -> Option<&u32> { s.m.get(&1) }\n";
-        let lint = lint_source("crates/x/src/a.rs", src);
-        assert_eq!(rules_of(&lint), vec!["R1"]);
-        assert_eq!(lint.violations[0].line, 2);
-        assert!(lint.violations[0].message.contains("keys"));
-    }
-
-    #[test]
-    fn r1_flags_for_loops_over_tracked_maps() {
-        let src = "fn f() { let m: HashSet<u32> = HashSet::new();\n\
-                   for x in &m { drop(x); } }\n";
-        let lint = lint_source("crates/x/src/a.rs", src);
-        assert_eq!(rules_of(&lint), vec!["R1"]);
-        assert_eq!(lint.violations[0].line, 2);
-    }
-
-    #[test]
-    fn r1_ignores_vec_iteration() {
-        let src = "fn f(v: &Vec<u32>, m: &HashMap<u32, u32>) -> u32 {\n\
-                   v.iter().sum::<u32>() + m.len() as u32 }\n";
-        let lint = lint_source("crates/x/src/a.rs", src);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    }
-
-    #[test]
-    fn r1_ignores_flow_table_iteration() {
-        // The sanctioned idiom: FlowTable iterates in FlowId order, so
-        // draining it (or a side order Vec) never trips the rule.
-        let src = "fn f(t: &FlowTable<u32>) -> Vec<u32> {\n\
-                   t.iter().map(|(_, v)| *v).collect() }\n\
-                   fn g() { let t: FlowTable<u32> = FlowTable::new();\n\
-                   for (_, v) in t.iter() { drop(v); } }\n";
-        let lint = lint_source("crates/x/src/a.rs", src);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    }
-
-    #[test]
-    fn r2_and_allowlist() {
-        let src = "fn f() { let t = Instant::now(); drop(t); }\n";
-        assert_eq!(rules_of(&lint_source("crates/x/src/a.rs", src)), vec!["R2"]);
-        assert!(lint_source("crates/runner/src/obs.rs", src)
-            .violations
-            .is_empty());
-    }
-
-    #[test]
-    fn r3_and_test_exemption() {
-        let src = "fn f() -> bool { std::env::var(\"X\").is_ok() }\n";
-        assert_eq!(rules_of(&lint_source("crates/x/src/a.rs", src)), vec!["R3"]);
-        assert!(lint_source("crates/x/tests/t.rs", src)
-            .violations
-            .is_empty());
-        assert!(lint_source("crates/runner/src/bin/xp.rs", src)
-            .violations
-            .is_empty());
-    }
-
-    #[test]
-    fn r4_flags_unsafe_but_not_forbid_attr() {
-        let src = "#![forbid(unsafe_code)]\nfn f() { unsafe { } }\n";
-        let lint = lint_source("crates/x/src/a.rs", src);
-        assert_eq!(rules_of(&lint), vec!["R4"]);
-        assert_eq!(lint.violations[0].line, 2);
-    }
-
-    #[test]
-    fn allows_suppress_and_go_stale() {
-        let ok = "fn f() {\n// lint:allow(R2): bench timing only\n\
-                  let t = Instant::now(); drop(t); }\n";
-        let lint = lint_source("crates/x/src/a.rs", ok);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-        assert_eq!(lint.allows, 1);
-
-        let trailing = "fn f() { let t = Instant::now(); } // lint:allow(R2): timing\n";
-        assert!(lint_source("crates/x/src/a.rs", trailing)
-            .violations
-            .is_empty());
-
-        let stale = "fn f() { }\n// lint:allow(R2): nothing here\n";
-        let lint = lint_source("crates/x/src/a.rs", stale);
-        assert_eq!(rules_of(&lint), vec!["R7"]);
-        assert!(lint.violations[0].message.contains("stale"));
-    }
-
-    #[test]
-    fn malformed_allows_are_r7() {
-        for bad in [
-            "// lint:allow(R2)\nfn f() {}\n",     // missing reason
-            "// lint:allow(R2):   \nfn f() {}\n", // empty reason
-            "// lint:allow(R9): no such rule\nfn f() {}\n",
-            "// lint:allow(R5): structural\nfn f() {}\n",
-        ] {
-            let lint = lint_source("crates/x/src/a.rs", bad);
-            assert_eq!(rules_of(&lint), vec!["R7"], "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn wrong_rule_allow_does_not_suppress() {
-        let src = "fn f() {\n// lint:allow(R3): wrong rule\n\
-                   let t = Instant::now(); drop(t); }\n";
-        let lint = lint_source("crates/x/src/a.rs", src);
-        // The R2 violation survives and the R3 allow is stale.
-        let mut rules = rules_of(&lint);
-        rules.sort_unstable();
-        assert_eq!(rules, vec!["R2", "R7"]);
-    }
 
     #[test]
     fn salt_coverage_requires_key_reference() {
@@ -813,27 +230,18 @@ mod tests {
             "pub const ENG_VERSION: u32 = 1;\npub const OTHER: u32 = 2;\n".to_string(),
         )];
         assert!(check_salt_coverage(&files, "use eng::ENG_VERSION;\n").is_empty());
-        let missing = check_salt_coverage(&files, "// no reference\n");
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].rule, "R5");
-        assert!(missing[0].message.contains("ENG_VERSION"));
-    }
-
-    #[test]
-    fn salt_coverage_checks_engine_kind_arms() {
-        let files = vec![(
-            "crates/s/src/spec.rs".to_string(),
-            "pub enum EngineKind {\n#[default]\nPacket,\nFlow,\n}\n".to_string(),
-        )];
-        assert!(check_salt_coverage(&files, "EngineKind::Packet; EngineKind::Flow;").is_empty());
-        let missing = check_salt_coverage(&files, "EngineKind::Packet;");
-        assert_eq!(missing.len(), 1);
-        assert!(missing[0].message.contains("Flow"));
+        // A comment, or a longer identifier, is not a reference.
+        for key in ["// see ENG_VERSION\n", "use eng::FLOW_ENG_VERSION;\n"] {
+            let missing = check_salt_coverage(&files, key);
+            assert_eq!(missing.len(), 1, "{key}");
+            assert_eq!((missing[0].rule, missing[0].line), ("R5", 1));
+            assert!(missing[0].message.contains("ENG_VERSION"));
+        }
     }
 
     #[test]
     fn manifest_rejects_registry_and_git_deps() {
-        let good = "[package]\nname = \"x\"\nversion = \"0.1.0\"\n\
+        let good = "[package]\nname = \"x\"\nversion = \"0.1.0\"\n[lints]\nworkspace = true\n\
                     [dependencies]\ncore = { path = \"../core\" }\n";
         assert!(check_manifest("Cargo.toml", good).is_empty());
         let bad = "[dependencies]\nserde = \"1.0\"\n";
@@ -846,5 +254,21 @@ mod tests {
         assert_eq!(check_manifest("Cargo.toml", sub).len(), 1);
         let sub_ok = "[dependencies.foo]\npath = \"../foo\"\n";
         assert!(check_manifest("Cargo.toml", sub_ok).is_empty());
+    }
+
+    #[test]
+    fn a_package_must_inherit_the_workspace_lints() {
+        let bare = "[package]\nname = \"x\"\n";
+        let v = check_manifest("crates/x/Cargo.toml", bare);
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].rule, v[0].line), ("R8", 1));
+        // `[lints]` with its own table instead of the workspace's opts out too.
+        let own = "[package]\nname = \"x\"\n[lints.rust]\nunsafe_code = \"allow\"\n";
+        assert_eq!(check_manifest("crates/x/Cargo.toml", own).len(), 1);
+        // A nested workspace root (`benchmark/`) has nothing to inherit;
+        // the root package of *this* workspace does.
+        let nested = "[package]\nname = \"x\"\n[workspace]\n";
+        assert!(check_manifest("benchmark/Cargo.toml", nested).is_empty());
+        assert_eq!(check_manifest("Cargo.toml", nested).len(), 1);
     }
 }

@@ -1,16 +1,12 @@
 //! Workspace file discovery.
 //!
-//! Walks the workspace root collecting every `.rs` source and every
-//! `Cargo.toml`, skipping build products (`target/`), VCS internals,
-//! cache directories (`.xp-cache/`), hidden directories, and lint
-//! fixture trees (`fixtures/` — they contain deliberate violations).
-//! Paths come back workspace-relative, `/`-separated, and sorted, so
-//! lint output is byte-stable across platforms and filesystems.
+//! Walks the workspace root reading every `.rs` source and every
+//! `Cargo.toml`, skipping build products (`target/`) and hidden
+//! directories (VCS internals, `.xp-cache/`, `.bench_build/`). Paths
+//! come back workspace-relative, `/`-separated, and sorted, so lint
+//! output is byte-stable across platforms and filesystems.
 
 use std::path::{Path, PathBuf};
-
-/// Directory names never descended into.
-const SKIP_DIRS: &[&str] = &["target", "fixtures"];
 
 /// Find the workspace root at or above `start`: the nearest ancestor
 /// whose `Cargo.toml` declares `[workspace]`.
@@ -28,16 +24,20 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Collect every lintable file under `root`: sorted workspace-relative
-/// paths of `.rs` sources and `Cargo.toml` manifests.
-pub fn workspace_files(root: &Path) -> Result<Vec<String>, String> {
+/// Read every lintable file under `root` once: (workspace-relative
+/// path, source) pairs of `.rs` sources and `Cargo.toml` manifests,
+/// sorted by path. Exposed so tests can doctor individual sources and
+/// re-check.
+pub fn read_workspace(root: &Path) -> Result<Vec<(String, String)>, String> {
     let mut out = Vec::new();
-    walk_dir(root, root, &mut out)?;
+    walk_dir(root, "", &mut out)?;
     out.sort();
     Ok(out)
 }
 
-fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
+/// `prefix` is `dir`'s workspace-relative path, `/`-terminated (empty
+/// at the root).
+fn walk_dir(dir: &Path, prefix: &str, out: &mut Vec<(String, String)>) -> Result<(), String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     for entry in entries {
@@ -46,20 +46,13 @@ fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name.starts_with('.') || SKIP_DIRS.contains(&name.as_ref()) {
-                continue;
+            if !name.starts_with('.') && name != "target" {
+                walk_dir(&path, &format!("{prefix}{name}/"), out)?;
             }
-            walk_dir(root, &path, out)?;
         } else if name.ends_with(".rs") || name == "Cargo.toml" {
-            let rel = path
-                .strip_prefix(root)
-                .map_err(|e| format!("path {} escapes root: {e}", path.display()))?;
-            let rel = rel
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                .collect::<Vec<_>>()
-                .join("/");
-            out.push(rel);
+            let src = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            out.push((format!("{prefix}{name}"), src));
         }
     }
     Ok(())
@@ -77,13 +70,17 @@ mod tests {
     }
 
     #[test]
-    fn walk_skips_fixtures_and_target() {
+    fn walk_skips_target_and_hidden_dirs() {
         let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
-        let files = workspace_files(&root).expect("walk");
+        let files: Vec<String> = read_workspace(&root)
+            .expect("walk")
+            .into_iter()
+            .map(|(rel, _)| rel)
+            .collect();
         assert!(files.iter().any(|f| f == "crates/lint/src/walk.rs"));
         assert!(files.iter().any(|f| f == "Cargo.toml"));
-        assert!(!files.iter().any(|f| f.contains("fixtures/")));
         assert!(!files.iter().any(|f| f.starts_with("target/")));
+        assert!(!files.iter().any(|f| f.starts_with('.')));
         let mut sorted = files.clone();
         sorted.sort();
         assert_eq!(files, sorted, "walk output must be sorted");

@@ -6,7 +6,6 @@
 //! forwarding and reTCP-style prebuffering, a parallel 25 G packet
 //! network, and a circuit-state signalling wrapper for endpoints.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod circuit;

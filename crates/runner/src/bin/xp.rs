@@ -35,7 +35,7 @@
 //!        [--json FILE | -]        # write BENCH_sim.json-style report
 //!        [--check]                # compare each case's event count with
 //!        [--baseline FILE]        #     BENCH_sim.json exactly; exit 1 on any change
-//! xp lint                         # determinism & hygiene static analysis
+//! xp lint                         # salt coverage, offline deps, lint inheritance
 //!        [--json]                 #     NDJSON violation records
 //!        [--root DIR]             #     workspace root (default: ascend from cwd)
 //! xp worker                       # internal: one shard of an `xp run --procs`
@@ -48,8 +48,6 @@
 //! Regression comparison across PRs is `xp run fig8 --json new.json &&
 //! xp diff baseline.json new.json`; a directory of baselines compares in
 //! one shot with `xp diff baselines/ fresh/ --tol 0`.
-
-#![forbid(unsafe_code)]
 
 use dcn_runner::{diff_dirs, worker_main, ResultCache, RunConfig};
 use dcn_scenarios::{
@@ -408,8 +406,11 @@ fn run(args: &[String]) -> ExitCode {
             format!("{} thread(s)", parsed.cfg.threads)
         }
     );
-    #[allow(clippy::disallowed_methods)] // wall-clock fallback for the stderr roll-up only
-    let t0 = std::time::Instant::now(); // lint:allow(R2): stderr "done in" timing, never in report bytes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stderr \"done in\" timing, never in report bytes"
+    )]
+    let t0 = std::time::Instant::now();
     let (result, stats) = match dcn_runner::run(&spec, &parsed.cfg) {
         Ok(r) => r,
         Err(e) => {

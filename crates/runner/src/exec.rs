@@ -388,8 +388,11 @@ fn wait_worker(
 /// is byte-identical by the determinism contract — so report bytes never
 /// depend on it.
 fn clock_now() -> Instant {
-    #[allow(clippy::disallowed_methods)]
-    Instant::now() // lint:allow(R2): worker timeout watchdog — scheduling only, never report bytes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "worker timeout watchdog — scheduling only, never report bytes"
+    )]
+    Instant::now()
 }
 
 /// The production [`dcn_serve::RunFn`]: every daemon job executes

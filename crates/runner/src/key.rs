@@ -16,7 +16,7 @@
 //! hash collision (or a stale file from an older format) is detected and
 //! treated as a miss, never served.
 
-use dcn_scenarios::{ScenarioSpec, SweepPoint, TraceEntrySpec, WorkItem};
+use dcn_scenarios::{EngineKind, ScenarioSpec, SweepPoint, TraceEntrySpec, WorkItem};
 
 /// Version of the canonical key encoding itself. Bump when the encoding
 /// below changes shape, so old entries miss instead of mis-validating.
@@ -68,10 +68,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 fn preamble(spec: &ScenarioSpec) -> String {
     let salt = if spec.analytic().is_some() {
         format!("fluid-model-version={}", fluid_model::MODEL_VERSION)
-    } else if spec.engine == dcn_scenarios::EngineKind::Flow {
-        format!("flow-engine-version={}", dcn_flow::FLOW_ENGINE_VERSION)
     } else {
-        format!("engine-version={}", dcn_sim::ENGINE_VERSION)
+        // Exhaustive on purpose: a new engine does not compile until it
+        // names its own behavioral version here.
+        match spec.engine {
+            EngineKind::Flow => format!("flow-engine-version={}", dcn_flow::FLOW_ENGINE_VERSION),
+            EngineKind::Packet => format!("engine-version={}", dcn_sim::ENGINE_VERSION),
+        }
     };
     format!(
         "key-format={}\n{}\n--- spec ---\n{}",

@@ -19,9 +19,6 @@
 //! from outcome sidecars and wall clocks, and reports are identical
 //! with observation on or off.
 
-// Wall-clock reads are this module's purpose (R2-allowlisted in dcn-lint).
-#![allow(clippy::disallowed_methods)]
-
 use crate::exec::RunStats;
 use dcn_scenarios::{spec_kind, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
 use dcn_sim::SimStats;
@@ -69,6 +66,10 @@ impl RunObserver {
         Ok(RunObserver {
             total,
             progress,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "run wall-clock for progress lines and the --meta roll-up, never report bytes"
+            )]
             t0: Instant::now(),
             inner: Mutex::new(Inner {
                 spans: Vec::with_capacity(total),

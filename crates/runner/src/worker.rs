@@ -30,9 +30,6 @@
 //! manifest parse are prefixed `shard K/N (points ...):` so the
 //! parent's `worker error:` line pins down which shard died.
 
-// Workers ship span wall-clocks to the parent (R2-allowlisted in dcn-lint).
-#![allow(clippy::disallowed_methods)]
-
 use crate::cache::ResultCache;
 use crate::codec::{self, Outcome};
 use crate::exec::CachingSource;
@@ -190,6 +187,10 @@ fn run_shard(m: &Manifest, output: &mut dyn Write) -> Result<(), String> {
         let item = items
             .get(i)
             .ok_or_else(|| format!("point index {i} out of range ({})", items.len()))?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "workers ship span wall-clocks to the parent — a sidecar, never a report input"
+        )]
         let t0 = Instant::now();
         let (outcome, obs) = source.produce(&m.spec, item);
         let line = result_line(

@@ -6,8 +6,8 @@
 //! * `xp cache stat --json` emits one NDJSON record in the span-record
 //!   grammar family (entries, bytes, per-engine counts) while the human
 //!   text rendering stays unchanged;
-//! * `xp lint` exits 0 on this workspace and 1, with `R4`/`R6` records,
-//!   on a dirty one;
+//! * `xp lint` exits 0 on this workspace and 1, with `R5`/`R6`/`R8`
+//!   records, on a dirty one;
 //! * `xp bench --check` exits 0 against the committed `BENCH_sim.json`
 //!   and has no tolerance to set.
 
@@ -150,8 +150,9 @@ fn lint_exits_zero_on_the_real_workspace() {
 
 #[test]
 fn lint_exits_nonzero_on_a_dirty_tree() {
-    // A tiny throwaway workspace: a registry dependency (R6) and an
-    // `unsafe` block (R4).
+    // A tiny throwaway workspace: a registry dependency (R6) in a package
+    // that does not inherit the workspace lints (R8), exporting a version
+    // salt no key.rs mentions (R5).
     let dir = scratch("dirty-ws");
     let src = dir.join("crates/app/src");
     std::fs::create_dir_all(&src).expect("mkdir");
@@ -165,7 +166,10 @@ fn lint_exits_nonzero_on_a_dirty_tree() {
         "[package]\nname = \"app\"\n\n[dependencies]\nrand = \"0.8\"\n",
     )
     .unwrap();
-    std::fs::write(src.join("lib.rs"), "pub fn f() { unsafe { } }\n").unwrap();
+    std::fs::write(src.join("lib.rs"), "pub const APP_VERSION: u32 = 1;\n").unwrap();
+    let key = dir.join("crates/runner/src");
+    std::fs::create_dir_all(&key).expect("mkdir");
+    std::fs::write(key.join("key.rs"), "// salts nothing\n").unwrap();
 
     let out = Command::new(XP)
         .args(["lint", "--json", "--root"])
@@ -174,8 +178,10 @@ fn lint_exits_nonzero_on_a_dirty_tree() {
         .expect("run xp lint");
     assert_eq!(out.status.code(), Some(1), "expected exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"rule\":\"R4\""), "{stdout}");
-    assert!(stdout.contains("\"rule\":\"R6\""), "{stdout}");
+    for rule in ["R5", "R6", "R8"] {
+        assert!(stdout.contains(&format!("\"rule\":\"{rule}\"")), "{stdout}");
+    }
+    assert_eq!(stdout.matches("\"record\":\"violation\"").count(), 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,13 +2,14 @@
 //! valid documents end as `Err` / a cache miss, never as a panic, a stack
 //! overflow, or a silently different number.
 //!
-//! Five readers take bytes from outside the process — `parse_json` (`xp
+//! Six readers take bytes from outside the process — `parse_json` (`xp
 //! diff` operands, and under everything below), `codec::decode_str`
 //! (cache payloads, worker outcomes), `worker::parse_result_line` (a
-//! child's stdout), `worker::parse_manifest` (a worker's stdin) and
-//! `ResultCache::load` (files anyone can overwrite). Each gets the same
-//! two generators: raw and JSON-shaped noise, and up to three
-//! [`mutate`] edits of a document the matching writer produced.
+//! child's stdout), `worker::parse_manifest` (a worker's stdin),
+//! `ResultCache::load` (files anyone can overwrite) and
+//! `dcn_serve::http::parse_request` (a socket anyone can connect to).
+//! Each gets the same two generators: raw and JSON-shaped noise, and up
+//! to three [`mutate`] edits of a document the matching writer produced.
 
 use dcn_runner::codec::{decode_str, encode, Outcome};
 use dcn_runner::worker::{manifest_json, parse_manifest, parse_result_line, result_line};
@@ -17,6 +18,7 @@ use dcn_scenarios::diff::parse_json;
 use dcn_scenarios::{
     builtin, compute, diff_reports, work_items, Algo, ParamSpec, PointOutcome, SIZE_BUCKETS,
 };
+use dcn_serve::http::{parse_request, MAX_HEAD};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -144,6 +146,29 @@ fn assert_sound(text: &str) {
     }
 }
 
+/// What `parse_request` promises on any bytes: it returns; a request it
+/// accepts ends exactly where its declared body does, so nothing after
+/// it is consumed; a refusal is a 400 or a 413 and, once the head is
+/// complete, reads past it only to find the declared body cut short. A
+/// head that does not end within the cap is given up on at the cap.
+fn assert_http_sound(bytes: &[u8]) {
+    let mut input = std::io::Cursor::new(bytes);
+    let result = parse_request(&mut input);
+    let read = input.position() as usize;
+    let capped = &bytes[..bytes.len().min(MAX_HEAD + 1)];
+    let head_end = capped.windows(4).position(|w| w == b"\r\n\r\n");
+    match (result, head_end.map(|at| at + 4)) {
+        (Ok(req), Some(head)) => assert_eq!(read, head + req.body.len()),
+        (Ok(_), None) => panic!("accepted a request with no head terminator"),
+        (Err((status, why)), head) => {
+            assert!(matches!(status, 400 | 413), "{status}: {why}");
+            let cut_short = read == bytes.len() && why.starts_with("short body");
+            let expected = head.unwrap_or(capped.len());
+            assert!(read == expected || (head.is_some() && cut_short), "{why}");
+        }
+    }
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xp-hostile-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -160,6 +185,26 @@ proptest! {
     ) {
         assert_sound(&String::from_utf8_lossy(&bytes));
         assert_sound(&shaped(&indices));
+        assert_http_sound(&bytes);
+    }
+
+    /// A `POST /jobs` as `dcn_serve::client` frames it, with bytes after
+    /// its body that a sound parse must leave unread.
+    #[test]
+    fn mutated_requests_never_panic_parse_request(
+        edits in prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX), 1usize..=3),
+    ) {
+        let body = builtin("fig6-small").unwrap().to_toml();
+        let mut text = format!(
+            "POST /jobs?pretty=1 HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n{body}GET / HTTP/1.1\r\n\r\n",
+            body.len()
+        );
+        assert_http_sound(text.as_bytes());
+        for edit in edits {
+            text = mutate(&text, edit);
+            assert_http_sound(text.as_bytes());
+        }
     }
 
     #[test]

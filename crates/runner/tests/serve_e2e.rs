@@ -9,9 +9,13 @@
 //! writes), cold cache and warm.
 
 use dcn_scenarios::diff::{parse_json, Json};
-use dcn_scenarios::{builtin, diff_reports};
+use dcn_scenarios::{
+    builtin, diff_reports, run_scenario_observed, work_items, Compute, Outcome, PointObs,
+    PointSource, ScenarioSpec, WorkItem,
+};
 use dcn_serve::client;
 use dcn_serve::{ServeConfig, Server};
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -61,7 +65,7 @@ fn start_daemon_with(run: dcn_serve::RunFn, cache_dir: Option<PathBuf>, workers:
 
 /// Poll `GET /jobs/<id>` until the job is terminal. The ~2-minute
 /// budget is counted in poll attempts, not wall clock (no clock reads —
-/// lint rule R2 applies to tests too).
+/// rule R2 in `clippy.toml` applies to tests too).
 fn wait_done(addr: &str, id: u64) -> String {
     let mut last = String::new();
     for _ in 0..2400 {
@@ -166,6 +170,16 @@ fn served_reports_match_committed_baseline_cold_and_warm() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
+/// One exchange framed by hand, for requests `client` cannot produce:
+/// write `request`, read the response to EOF.
+fn raw(addr: &str, request: &[u8]) -> String {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.write_all(request).expect("write request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    response
+}
+
 #[test]
 fn malformed_and_missing_requests_get_4xx() {
     let (addr, shutdown, join) = start_daemon(None, 1);
@@ -182,6 +196,8 @@ fn malformed_and_missing_requests_get_4xx() {
     // Unknown job, unknown route, wrong method.
     assert_eq!(client::get(&addr, "/jobs/99").unwrap().status, 404);
     assert_eq!(client::get(&addr, "/no/such/thing").unwrap().status, 404);
+    // ... also under /jobs, where it used to read "method GET not allowed".
+    assert_eq!(client::get(&addr, "/jobs/1/bogus").unwrap().status, 404);
     assert_eq!(client::post(&addr, "/jobs/1", b"x").unwrap().status, 405);
     assert_eq!(client::get(&addr, "/shutdown").unwrap().status, 405);
 
@@ -193,6 +209,23 @@ fn malformed_and_missing_requests_get_4xx() {
 
     // No cache configured → /cache is a 404.
     assert_eq!(client::get(&addr, "/cache").unwrap().status, 404);
+
+    // A declared body over the cap is refused as too large on the head
+    // alone; it used to be a 400.
+    let head = format!(
+        "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        dcn_serve::http::MAX_BODY + 1
+    );
+    let too_large = raw(&addr, head.as_bytes());
+    assert!(too_large.starts_with("HTTP/1.1 413 "), "{too_large}");
+    // A chunked upload is refused by name; read as an empty body it used
+    // to answer `missing key "name"`.
+    let chunked = raw(
+        &addr,
+        b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+    );
+    assert!(chunked.starts_with("HTTP/1.1 400 "), "{chunked}");
+    assert!(chunked.contains("Transfer-Encoding: chunked"), "{chunked}");
 
     shutdown.shutdown();
     join.join().unwrap().unwrap();
@@ -237,18 +270,31 @@ fn invalid_specs_are_rejected_at_submission() {
     join.join().unwrap().unwrap();
 }
 
+/// [`Compute`], except that point 1 panics.
+struct Poisoned;
+
+impl PointSource for Poisoned {
+    fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
+        if item.index() == 1 {
+            panic!("buffer underflow at switch 3");
+        }
+        Compute.produce(spec, item)
+    }
+}
+
 /// A panicking job costs the daemon that job, not a worker: with a
-/// single worker, job 1 panics (→ `failed`, with the message, and an
-/// event stream that ends), and job 2, queued behind it, still runs to
-/// the baseline bytes. Before the `catch_unwind` in `Job::execute` the
-/// lone worker died with job 1: job 2 was accepted (201) and never
-/// started.
+/// single worker, job 1 panics in point 1 on an executor thread
+/// (→ `failed`, naming the point and keeping its message — a scoped
+/// thread used to swap it for "a scoped thread panicked" — and an event
+/// stream that ends), and job 2, queued behind it, still runs to the
+/// baseline bytes. Before the `catch_unwind` in `Job::execute` the lone
+/// worker died with job 1: job 2 was accepted (201) and never started.
 #[test]
 fn a_panicking_job_fails_alone_and_the_daemon_runs_the_next() {
     let real = dcn_runner::serve_run_fn(None, 2);
     let run: dcn_serve::RunFn = std::sync::Arc::new(move |spec, obs| {
         if spec.name == "poison" {
-            panic!("poisoned spec {:?}", spec.name);
+            return run_scenario_observed(spec, 2, &Poisoned, obs);
         }
         real(spec, obs)
     });
@@ -263,8 +309,11 @@ fn a_panicking_job_fails_alone_and_the_daemon_runs_the_next() {
 
     let status = wait_done(&addr, 1);
     assert!(status.contains("\"state\":\"failed\""), "{status}");
+    let label = work_items(&builtin("fig6-small").unwrap())[1].label();
     assert!(
-        status.contains("job panicked: poisoned spec \\\"poison\\\""),
+        status.contains(&format!(
+            "job panicked: point 1 ({label}): buffer underflow at switch 3"
+        )),
         "{status}"
     );
     // The long-poll ends (it used to wait on a `running` job for ever)

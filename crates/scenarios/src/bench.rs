@@ -97,8 +97,11 @@ fn time<R>(runs: usize, mut f: impl FnMut() -> R) -> (Vec<f64>, R) {
     let mut wall = Vec::with_capacity(runs);
     let mut out = None;
     for _ in 0..runs {
-        #[allow(clippy::disallowed_methods)] // bench wall-clock; reports via BENCH_sim.json only
-        let t0 = Instant::now(); // lint:allow(R2): bench timing — the wall clock is the measurement
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bench timing — the wall clock is the measurement; reports via BENCH_sim.json only"
+        )]
+        let t0 = Instant::now();
         out = Some(f());
         wall.push(t0.elapsed().as_secs_f64() * 1e3);
     }

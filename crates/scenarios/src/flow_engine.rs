@@ -49,8 +49,11 @@ pub(crate) fn run_flow_point_observed(
     spec: &ScenarioSpec,
     point: &SweepPoint,
 ) -> (PointOutcome, SimStats) {
-    #[allow(clippy::disallowed_methods)] // span wall-clock; never in report bytes
-    let t0 = Instant::now(); // lint:allow(R2): executor span timing — observability only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "executor span timing — observability only, never in report bytes"
+    )]
+    let t0 = Instant::now();
     let plan = engine::plan(&spec.topology, point.algo);
     let horizon = spec.horizon();
     let flows = engine::offered_flows(

@@ -63,7 +63,6 @@
 //! assert_eq!(result.aggregates.len(), 2); // one per algorithm
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algo;

@@ -511,12 +511,18 @@ macro_rules! field {
             tags: &[],
             get: |t| match t {
                 $pat => Slot::get($f),
-                #[allow(unreachable_patterns)]
+                #[allow(
+                    unreachable_patterns,
+                    reason = "fires only in the expansions whose $pat is irrefutable, so not `expect`"
+                )]
                 _ => None,
             },
             set: |t, v| match t {
                 $pat => Slot::put($f, v),
-                #[allow(unreachable_patterns)]
+                #[allow(
+                    unreachable_patterns,
+                    reason = "fires only in the expansions whose $pat is irrefutable, so not `expect`"
+                )]
                 _ => unreachable!("a key is only set where it applies"),
             },
         }
@@ -563,7 +569,10 @@ macro_rules! table {
             tags: &[],
             get: |t| match t {
                 $pat => Some(Val::Table),
-                #[allow(unreachable_patterns)]
+                #[allow(
+                    unreachable_patterns,
+                    reason = "fires only in the expansions whose $pat is irrefutable, so not `expect`"
+                )]
                 _ => None,
             },
             set: |_, v| v.as_table().map(|_| Ok(())),

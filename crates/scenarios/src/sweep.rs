@@ -19,6 +19,8 @@ use crate::spec::{ScenarioKind, ScenarioSpec};
 use crate::trace_engine::{run_trace_entry_observed, trace_entries, TraceEntrySpec};
 use dcn_sim::SimStats;
 use dcn_telemetry::{TraceEntry, TraceReport};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -203,6 +205,11 @@ impl PointSource for Compute {
 /// output is byte-identical for any observer and any `threads` value
 /// (spans are derived from the source's sidecar and a wall clock;
 /// outcomes flow through untouched).
+///
+/// # Panics
+///
+/// If an item panics, with `point <i> (<label>): <its message>` for the
+/// lowest such index — the same text at any `threads` value.
 pub fn run_scenario_observed(
     spec: &ScenarioSpec,
     threads: usize,
@@ -212,8 +219,11 @@ pub fn run_scenario_observed(
     spec.validate()?;
     let items = work_items(spec);
     let outcomes = run_indexed(items.len(), threads, |i| {
-        #[allow(clippy::disallowed_methods)] // span wall-clock; never in report bytes
-        let t0 = Instant::now(); // lint:allow(R2): executor span timing — observability only
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "executor span timing — observability only, never in report bytes"
+        )]
+        let t0 = Instant::now();
         let (outcome, pobs) = source.produce(spec, &items[i]);
         obs.span(&SpanRecord {
             index: i,
@@ -225,7 +235,17 @@ pub fn run_scenario_observed(
         });
         outcome
     });
-    reduce(spec, outcomes)
+    match outcomes {
+        Ok(outcomes) => reduce(spec, outcomes),
+        Err((i, payload)) => {
+            let why = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            panic!("point {i} ({}): {why}", items[i].label());
+        }
+    }
 }
 
 /// [`run_scenario_observed`] computing every item in-process, unobserved.
@@ -293,18 +313,31 @@ impl ScenarioOutput {
     }
 }
 
+/// A caught unwind: the index that panicked and what `panic!` carried.
+type Failure = (usize, Box<dyn Any + Send>);
+
 /// Run `f(0..n)` on `threads` worker threads (clamped to `[1, n]`) with a
 /// work-stealing counter, collecting results in index order. Because each
 /// call must be a pure function of its index and results land in their
 /// own slot — never in completion order — output is identical at any
-/// thread count.
-fn run_indexed<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// thread count. So is failure: a call that panics is caught into its
+/// slot, no further index is claimed, and the lowest failed index comes
+/// back with its payload. (Left to unwind, a scoped thread's payload is
+/// replaced by "a scoped thread panicked" and the message is lost.)
+fn run_indexed<T: Send>(
+    n: usize,
+    threads: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Result<Vec<T>, Failure> {
+    // Unwind-safe: a failed call's slot holds only its payload, and
+    // nothing else it touched is read again.
+    let call = |i| catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| (i, payload));
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
-        return (0..n).map(f).collect();
+        return (0..n).map(call).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<T, Failure>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
@@ -315,17 +348,23 @@ fn run_indexed<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync)
                 if i >= n {
                     break;
                 }
-                let out = f(i);
+                let out = call(i);
+                if out.is_err() {
+                    next.store(n, Ordering::Relaxed);
+                }
                 *slots[i].lock().expect("slot poisoned") = Some(out);
             });
         }
     });
+    // Indices are claimed in order, so every slot below a failed one is
+    // filled: the first `Err` met is the lowest, and it is met before any
+    // slot left unclaimed.
     slots
         .into_iter()
         .map(|m| {
             m.into_inner()
                 .expect("slot poisoned")
-                .expect("worker filled every claimed slot")
+                .expect("every slot below the first failure is filled")
         })
         .collect()
 }
@@ -386,6 +425,37 @@ mod tests {
         let mut spec = small_spec();
         spec.sweep.algos.clear();
         assert!(run_sweep(&spec, 2).is_err());
+    }
+
+    /// [`Compute`], except that the listed indices panic.
+    struct Faulty(&'static [usize]);
+
+    impl PointSource for Faulty {
+        fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
+            if self.0.contains(&item.index()) {
+                panic!("buffer underflow at switch 3");
+            }
+            Compute.produce(spec, item)
+        }
+    }
+
+    /// At `threads = 1` the payload used to survive; from a scoped thread
+    /// it came back as "a scoped thread panicked".
+    #[test]
+    fn a_panicking_point_keeps_its_message_and_names_itself() {
+        let spec = small_spec();
+        let label = work_items(&spec)[1].label();
+        for threads in [1, 2, 4] {
+            let run = || run_scenario_observed(&spec, threads, &Faulty(&[1, 5]), &NullObserver);
+            let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("point 1 panics");
+            assert_eq!(
+                payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted message"),
+                &format!("point 1 ({label}): buffer underflow at switch 3"),
+                "threads = {threads}"
+            );
+        }
     }
 
     /// Records `(index, label)` of every span it is handed.

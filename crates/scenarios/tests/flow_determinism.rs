@@ -10,9 +10,6 @@
 //! (bump `dcn_flow::FLOW_ENGINE_VERSION` too!):
 //! `GOLDEN_REGEN=1 cargo test -p dcn-scenarios --test flow_determinism`.
 
-// GOLDEN_REGEN is an env toggle; tests are R3-exempt in dcn-lint.
-#![allow(clippy::disallowed_methods)]
-
 use dcn_scenarios::{
     builtin, diff_reports, run_sweep, Algo, EngineKind, IncastSpec, ParamSpec, ScenarioSpec,
     SizeSpec, TopologySpec,
@@ -33,7 +30,12 @@ fn fig7_flow_is_byte_identical_and_pinned() {
         "{}/tests/fig7_flow_baseline.json",
         env!("CARGO_MANIFEST_DIR")
     );
-    if std::env::var("GOLDEN_REGEN").is_ok() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "GOLDEN_REGEN is the golden-regen toggle: it picks write-then-compare, never a result"
+    )]
+    let regen = std::env::var("GOLDEN_REGEN").is_ok();
+    if regen {
         std::fs::write(&path, &json).expect("write golden");
     }
     let want = std::fs::read_to_string(&path)

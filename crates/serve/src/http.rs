@@ -13,7 +13,8 @@
 //!   and `curl` handle natively.
 //!
 //! Caps: request head (request line + headers) ≤ 64 KiB, body ≤ 4 MiB.
-//! Anything over is a parse error, which the server turns into a 4xx.
+//! Every parse error carries the status the server answers with: 413 for
+//! a declared body over the cap, 400 for everything else.
 
 use std::io::{Read, Write};
 
@@ -50,10 +51,12 @@ impl Request {
 
 /// Parse one request from a stream. Reads exactly the head plus the
 /// declared body — nothing beyond — so the connection stays in a known
-/// state for the response. Errors are human-readable and become 4xx.
-pub fn parse_request(stream: &mut dyn Read) -> Result<Request, String> {
-    let head = read_head(stream)?;
-    let text = std::str::from_utf8(&head).map_err(|_| "request head is not UTF-8".to_string())?;
+/// state for the response. Errors are `(status, human-readable reason)`
+/// with status 400 or 413.
+pub fn parse_request(stream: &mut dyn Read) -> Result<Request, (u16, String)> {
+    let bad = |why: String| (400, why);
+    let head = read_head(stream).map_err(bad)?;
+    let text = std::str::from_utf8(&head).map_err(|_| bad("request head is not UTF-8".into()))?;
     let mut lines = text.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
@@ -61,7 +64,7 @@ pub fn parse_request(stream: &mut dyn Read) -> Result<Request, String> {
     let target = parts.next().unwrap_or("").to_string();
     let version = parts.next().unwrap_or("");
     if method.is_empty() || target.is_empty() || !version.starts_with("HTTP/1.") {
-        return Err(format!("malformed request line: {request_line:?}"));
+        return Err(bad(format!("malformed request line: {request_line:?}")));
     }
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
@@ -74,7 +77,7 @@ pub fn parse_request(stream: &mut dyn Read) -> Result<Request, String> {
             continue;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(format!("malformed header line: {line:?}"));
+            return Err(bad(format!("malformed header line: {line:?}")));
         };
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
@@ -82,18 +85,32 @@ pub fn parse_request(stream: &mut dyn Read) -> Result<Request, String> {
     let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
         Some((_, v)) => v
             .parse::<usize>()
-            .map_err(|_| format!("bad Content-Length: {v:?}"))?,
+            .map_err(|_| bad(format!("bad Content-Length: {v:?}")))?,
         None => 0,
     };
     if content_length > MAX_BODY {
-        return Err(format!(
-            "body of {content_length} bytes exceeds the {MAX_BODY}-byte cap"
-        ));
+        let why = format!("body of {content_length} bytes exceeds the {MAX_BODY}-byte cap");
+        return Err((413, why));
     }
-    let mut body = vec![0u8; content_length];
-    stream
-        .read_exact(&mut body)
-        .map_err(|e| format!("short body read: {e}"))?;
+    // Read as an empty body, a chunked upload would leave its chunks
+    // unread on the socket and the spec silently ignored.
+    if let Some((_, coding)) = headers.iter().find(|(n, _)| n == "transfer-encoding") {
+        return Err(bad(format!(
+            "Transfer-Encoding: {coding} is not supported; frame the body with Content-Length"
+        )));
+    }
+    // Grown as bytes arrive, not allocated from the declared length: a
+    // peer that declares 4 MiB and stalls holds only what it sent.
+    let mut body = Vec::new();
+    let got = stream
+        .take(content_length as u64)
+        .read_to_end(&mut body)
+        .map_err(|e| bad(format!("body read error: {e}")))?;
+    if got < content_length {
+        return Err(bad(format!(
+            "short body read: {got} of {content_length} bytes"
+        )));
+    }
 
     Ok(Request {
         method,
@@ -225,8 +242,18 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        let err = parse_request(&mut raw.as_bytes()).unwrap_err();
+        let (status, err) = parse_request(&mut raw.as_bytes()).unwrap_err();
+        assert_eq!(status, 413);
         assert!(err.contains("cap"), "{err}");
+    }
+
+    #[test]
+    fn rejects_chunked_uploads_by_name() {
+        let raw =
+            b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        let (status, err) = parse_request(&mut &raw[..]).unwrap_err();
+        assert_eq!(status, 400);
+        assert!(err.contains("Transfer-Encoding: chunked"), "{err}");
     }
 
     #[test]

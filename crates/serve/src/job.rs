@@ -16,9 +16,11 @@
 //! itself for ETA math). Reports never see any of it: the report bytes
 //! are rendered from the returned [`ScenarioOutput`] alone.
 
-// Wall-clock reads are confined to this module (see module docs); the
-// workspace-wide clippy mirror of lint rule R2 is lifted for the file.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "job timing (ETAs, event-stream long-polls) is scheduling, never report bytes; \
+              the crate's three clock reads are confined to this module"
+)]
 
 use crate::RunFn;
 use dcn_scenarios::{jstr, spec_kind, Observer, ScenarioSpec, SpanRecord, SummaryRecord};

@@ -39,7 +39,6 @@
 //! `ScenarioOutput::to_json` / `to_csv` renderings — **byte-identical to
 //! `xp run` output by construction**, and pinned by integration tests.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -203,8 +203,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let req = match parse_request(&mut stream) {
         Ok(req) => req,
-        Err(e) => {
-            respond_error(&mut stream, 400, &e);
+        Err((status, e)) => {
+            respond_error(&mut stream, status, &e);
             return;
         }
     };
@@ -268,7 +268,10 @@ fn route(stream: &mut TcpStream, req: &Request, shared: &Shared) {
                 .expect("connected socket has an address");
             request_shutdown(shared, addr);
         }
-        (_, []) | (_, ["jobs", ..]) | (_, ["cache"]) | (_, ["shutdown"]) => {
+        // A resource that exists, asked with the wrong verb. (An unknown
+        // path under /jobs is a 404 like any other unknown path.)
+        (_, [] | ["jobs"] | ["jobs", _] | ["cache"] | ["shutdown"])
+        | (_, ["jobs", _, "events" | "report.json" | "report.csv" | "html"]) => {
             respond_error(
                 stream,
                 405,

@@ -16,7 +16,6 @@
 //!   the test name, so failures reproduce exactly across runs — there is
 //!   no persistence file.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;
@@ -182,7 +181,7 @@ macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the tuple's type parameters double as its bindings")]
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)

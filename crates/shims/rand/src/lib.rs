@@ -13,7 +13,6 @@
 //! across platforms and releases: experiment results derived from a seed
 //! are reproducible byte-for-byte.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// A source of random 64-bit words. (Stands in for `rand::RngCore` +

@@ -203,7 +203,6 @@ fn host_kick(h: &mut Host, wire: &Link, sched: &mut Scheduler) {
 
 impl Simulator {
     /// Wrap a built network.
-    #[allow(clippy::disallowed_methods)] // SimStats wall-clock anchor; never in report bytes
     pub fn new(net: Network) -> Self {
         Simulator {
             net,
@@ -220,7 +219,10 @@ impl Simulator {
             scratch_views: Vec::new(),
             delivered: 0,
             events_processed: 0,
-            // lint:allow(R2): SimStats wall-clock anchor — observability only, never report bytes
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "SimStats wall-clock anchor — observability only, never report bytes"
+            )]
             t0: Instant::now(),
         }
     }

@@ -226,6 +226,22 @@ mod tests {
         assert_eq!(t.get(huge), None);
     }
 
+    /// The pattern every host sees: its table is keyed by *global* flow
+    /// ids, so the few flows that reach it arrive with ids far apart and
+    /// past any slab a host that small would size. They live in the
+    /// spillover, and iteration stays ordered.
+    #[test]
+    fn a_hosts_share_of_global_ids_lives_in_the_spillover() {
+        let mut t = FlowTable::new();
+        for id in [5003, 9001, 5000] {
+            t.insert(FlowId(id), id);
+        }
+        assert_eq!((t.dense_slots(), t.spilled()), (0, 3));
+        let keys: Vec<u64> = t.iter().map(|(k, _)| k.0).collect();
+        assert_eq!(keys, [5000, 5003, 9001]);
+        assert_eq!(t.get_mut(FlowId(5003)), Some(&mut 5003));
+    }
+
     #[test]
     fn growth_migrates_spilled_entries_below_the_new_length() {
         let mut t = FlowTable::new();

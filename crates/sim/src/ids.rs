@@ -85,6 +85,10 @@ mod tests {
     fn mix64_is_deterministic_and_spreads() {
         assert_eq!(mix64(42), mix64(42));
         // Adjacent inputs must not collide (sanity, not a crypto claim).
+        #[expect(
+            clippy::disallowed_types,
+            reason = "sentinel: proves the type ban is armed (a uniqueness count, order-free)"
+        )]
         let outs: std::collections::HashSet<u64> = (0..1000).map(mix64).collect();
         assert_eq!(outs.len(), 1000);
     }

@@ -31,7 +31,6 @@
 //! replay bit-for-bit. This is a design requirement — every experiment in
 //! the benchmark harness must be reproducible.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Behavioral version of the simulation stack, salted into

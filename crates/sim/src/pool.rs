@@ -27,10 +27,12 @@ use crate::packet::Packet;
 /// Free-list pool of retired packet boxes (see the module docs).
 #[derive(Default)]
 pub struct PacketPool {
-    // The boxes themselves are the resource being recycled (they travel
-    // through the event queue as `Box<Packet>`); storing `Packet` by
-    // value would re-allocate on every reuse.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the boxes themselves are the resource being recycled (they travel through \
+                  the event queue as `Box<Packet>`); storing `Packet` by value would \
+                  re-allocate on every reuse"
+    )]
     free: Vec<Box<Packet>>,
     fresh: u64,
     reused: u64,

@@ -27,7 +27,6 @@ fn decode_id(sel: u8, raw: u64) -> FlowId {
 /// One scripted operation against both the table and the model, decoded
 /// from a raw `(op, id_regime, id, value)` tuple (the shim has no
 /// `prop_oneof!`, so selection happens here).
-#[allow(clippy::type_complexity)]
 fn ops_strategy() -> impl Strategy<Value = Vec<(u8, u8, u64, u32)>> {
     prop::collection::vec(
         (0u8..=255, 0u8..=255, 0u64..u64::MAX, 0u32..u32::MAX),

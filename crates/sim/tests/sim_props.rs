@@ -100,7 +100,10 @@ fn run_star(
 
 /// Strategy: 3-6 hosts, each with 0-4 bursts of 1-80 packets to a random
 /// other host within 200 us.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the strategy's value type is the test's input shape"
+)]
 fn bursts_strategy() -> impl Strategy<Value = (usize, Vec<Vec<(u64, u32, u32)>>)> {
     (3usize..=6).prop_flat_map(|n| {
         let host_bursts = prop::collection::vec((0u64..200_000, 1u32..n as u32, 1u32..80), 0..4);
@@ -178,7 +181,7 @@ proptest! {
 #[derive(Default)]
 struct HeapModel {
     heap: BinaryHeap<Reverse<(Tick, u64)>>,
-    keys: std::collections::HashMap<u64, u64>,
+    keys: std::collections::BTreeMap<u64, u64>,
     seq: u64,
     now: Tick,
     /// Start (ps) of the ring wrap: pending events before

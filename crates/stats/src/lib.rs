@@ -5,7 +5,6 @@
 //! of them), FCT-slowdown computation, and the Jain fairness index — the
 //! metrics behind every table and figure in the paper.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod percentile;

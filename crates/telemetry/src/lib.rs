@@ -53,7 +53,6 @@
 //! assert!(report.to_csv().contains("demo,PowerTCP-INT,queue,bytes,time_us,10,1000"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;

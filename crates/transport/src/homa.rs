@@ -106,8 +106,8 @@ pub struct HomaHost {
     // FlowTable, not BTreeMap: per-packet lookups are slab indexes over
     // the sequential generated ids; `receiver_order` carries the
     // deterministic iteration order, and the table's own ordered
-    // iteration matches the old map's (dcn-lint rule R1 guards the same
-    // invariant statically).
+    // iteration matches the old map's (rule R1 in `clippy.toml` guards the
+    // same invariant statically).
     sender_index: FlowTable<usize>,
     receivers: FlowTable<HomaReceiver>,
     /// Receive order of message ids (stable iteration for determinism).

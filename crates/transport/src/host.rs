@@ -72,7 +72,7 @@ pub struct TransportHost {
     senders: Vec<SenderFlow>,
     // FlowTable, not BTreeMap: generated flow ids are sequential, so the
     // per-ACK and per-data lookups are slab indexes; its ordered
-    // iteration (were any added) matches the old map's (dcn-lint R1).
+    // iteration (were any added) matches the old map's (rule R1, `clippy.toml`).
     sender_index: FlowTable<usize>,
     receivers: FlowTable<ReceiverFlow>,
 }

@@ -13,7 +13,6 @@
 //! * [`FlowSpec`]/[`MetricsHub`] — experiment plumbing: flow registration
 //!   and completion records shared with the harness.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

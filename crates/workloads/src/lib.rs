@@ -5,7 +5,6 @@
 //! map, and the synthetic distributed-file-request incast pattern, plus
 //! the paper's flow-size classification buckets.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;

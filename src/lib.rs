@@ -24,7 +24,6 @@
 //! * [`telemetry`] (`dcn-telemetry`) — time-series probe recorder, ring
 //!   buffers, reducers, and deterministic trace export.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use cc_baselines as baselines;
