@@ -71,16 +71,18 @@ impl CustomSwitch for CircuitSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_sim::{CustomAction, FlowId, NodeId, PortView};
+    use dcn_sim::{CustomAction, Egress, FlowId, Link, NodeId};
     use powertcp_core::{Bandwidth, Tick};
 
-    fn views(n: usize) -> Vec<PortView> {
+    fn views(n: usize) -> Vec<Egress> {
         (0..n)
-            .map(|i| PortView {
-                bandwidth: Bandwidth::gbps(100),
-                delay: Tick::from_micros(1),
-                busy: false,
-                peer: NodeId(i as u32),
+            .map(|i| {
+                Egress::new(Link {
+                    bandwidth: Bandwidth::gbps(100),
+                    delay: Tick::from_micros(1),
+                    dst: NodeId(i as u32),
+                    dst_port: PortId(0),
+                })
             })
             .collect()
     }

@@ -5,7 +5,7 @@
 use crate::circuit::CircuitSwitch;
 use crate::schedule::RotorSchedule;
 use crate::voq_tor::{LatencySink, VoqGauge, VoqTor, VoqTorConfig};
-use dcn_sim::{AppFactory, Network, NetworkBuilder, Node, NodeId, PortId, SwitchConfig};
+use dcn_sim::{AppFactory, Network, NetworkBuilder, NodeId, PortId, SwitchConfig};
 use powertcp_core::{Bandwidth, Tick};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -66,6 +66,21 @@ impl RdcnConfig {
         }
     }
 
+    /// Node-id plan: the packet switch is node 0, the circuit switch node
+    /// 1, then each rack's ToR followed by its hosts.
+    fn tor_node_id(&self, rack: usize) -> NodeId {
+        assert!(rack < self.schedule.n_tors);
+        NodeId((2 + rack * (1 + self.hosts_per_tor)) as u32)
+    }
+
+    /// The node id the host in `slot` of `rack` will receive when the
+    /// topology is built — lets endpoints address each other before the
+    /// network exists; a test pins this against the built topology.
+    pub fn host_node_id(&self, rack: usize, slot: usize) -> NodeId {
+        assert!(slot < self.hosts_per_tor);
+        NodeId(self.tor_node_id(rack).0 + 1 + slot as u32)
+    }
+
     /// The paper's quoted maximum base RTT for this topology (24 µs);
     /// used to configure τ in the CC algorithms.
     pub fn base_rtt(&self) -> Tick {
@@ -98,22 +113,6 @@ impl Rdcn {
     pub fn rack_of(&self, host_index: usize) -> usize {
         host_index / self.cfg.hosts_per_tor
     }
-
-    /// Circuit-port throughput counter of a ToR (cumulative tx bytes).
-    pub fn tor_circuit_tx_bytes(&self, rack: usize) -> u64 {
-        let Node::Custom(c) = self.net.node(self.tors[rack]) else {
-            panic!("not a custom node");
-        };
-        c.ports[self.cfg.hosts_per_tor + 1].tx_bytes
-    }
-
-    /// Packet-uplink throughput counter of a ToR.
-    pub fn tor_uplink_tx_bytes(&self, rack: usize) -> u64 {
-        let Node::Custom(c) = self.net.node(self.tors[rack]) else {
-            panic!("not a custom node");
-        };
-        c.ports[self.cfg.hosts_per_tor].tx_bytes
-    }
 }
 
 /// Build the RDCN; `apps` is called with (host NodeId, host index).
@@ -122,18 +121,13 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
     let h = cfg.hosts_per_tor;
     assert!(n_tors >= 2 && h >= 1);
 
-    // Node-id plan: 0 = packet switch, 1 = circuit switch, then per rack
-    // r: ToR at 2 + r*(1+h), its hosts following.
-    let tor_id = |r: usize| 2 + r * (1 + h);
-    let host_id = |r: usize, j: usize| tor_id(r) + 1 + j;
     let total_nodes = 2 + n_tors * (1 + h);
-
     let mut rack_of_node = vec![u16::MAX; total_nodes];
     let mut local_port_of = vec![u16::MAX; total_nodes];
     for r in 0..n_tors {
         for j in 0..h {
-            rack_of_node[host_id(r, j)] = r as u16;
-            local_port_of[host_id(r, j)] = j as u16;
+            rack_of_node[cfg.host_node_id(r, j).index()] = r as u16;
+            local_port_of[cfg.host_node_id(r, j).index()] = j as u16;
         }
     }
 
@@ -160,13 +154,13 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
             voq_gauge: Some(gauge),
             latency_sink: Some(sink),
         })));
-        assert_eq!(tor, NodeId(tor_id(r) as u32));
+        assert_eq!(tor, cfg.tor_node_id(r), "rdcn node-id plan");
         tors.push(tor);
         for j in 0..h {
             let idx = r * h + j;
             let host = b.add_host(apps(b.next_node_id(), idx));
-            assert_eq!(host, NodeId(host_id(r, j) as u32));
-            b.connect_host_to_custom(host, tor, cfg.host_bw, cfg.host_delay);
+            assert_eq!(host, cfg.host_node_id(r, j), "rdcn node-id plan");
+            b.connect(tor, host, cfg.host_bw, cfg.host_delay);
             hosts.push(host);
         }
     }
@@ -175,10 +169,9 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
     // order so circuit-switch port r faces ToR r).
     let mut uplink_switch_ports = Vec::new();
     for (r, &tor) in tors.iter().enumerate() {
-        let (_pc, ps) =
-            b.connect_custom_to_switch(tor, packet_switch, cfg.packet_bw, cfg.packet_delay);
+        let (_pt, ps) = b.connect(tor, packet_switch, cfg.packet_bw, cfg.packet_delay);
         uplink_switch_ports.push(ps);
-        let (pt, pc) = b.connect_customs(tor, circuit_switch, cfg.circuit_bw, cfg.circuit_delay);
+        let (pt, pc) = b.connect(tor, circuit_switch, cfg.circuit_bw, cfg.circuit_delay);
         assert_eq!(pt, PortId((h + 1) as u16), "ToR circuit port layout");
         assert_eq!(pc, PortId(r as u16), "circuit switch port r faces ToR r");
     }
@@ -187,10 +180,8 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
     // Packet-switch routes: every host via its rack's uplink port.
     for (r, &uplink) in uplink_switch_ports.iter().enumerate() {
         for j in 0..h {
-            let hid = NodeId(host_id(r, j) as u32);
-            if let Node::Switch(s) = net.node_mut(packet_switch) {
-                s.set_route(hid, vec![uplink]);
-            }
+            net.switch_mut(packet_switch)
+                .set_route(cfg.host_node_id(r, j), vec![uplink]);
         }
     }
 
@@ -224,6 +215,10 @@ mod tests {
         assert_eq!(r.rack_of(7), 3);
         // Packet switch has one port per ToR.
         assert_eq!(r.net.switch(r.packet_switch).num_ports(), 4);
+        // The plan endpoints address each other by is what was built.
+        for (i, &host) in r.hosts.iter().enumerate() {
+            assert_eq!(r.cfg.host_node_id(i / 2, i % 2), host, "host {i}");
+        }
     }
 
     #[test]

@@ -181,7 +181,10 @@ impl VoqTor {
             return;
         };
         // Guard time: the packet must fully serialize before the night.
-        let ser = ctx.ports[cport].bandwidth.tx_time(front.pkt.size as u64);
+        let ser = ctx.ports[cport]
+            .wire
+            .bandwidth
+            .tx_time(front.pkt.size as u64);
         if ctx.now + ser > p.phase_end {
             return;
         }
@@ -284,7 +287,7 @@ impl CustomSwitch for VoqTor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_sim::{CustomAction, FlowId, PortView};
+    use dcn_sim::{CustomAction, Egress, FlowId, Link};
     use powertcp_core::Bandwidth;
 
     /// Two-rack world: hosts 10, 11 in rack 0 (ports 0, 1), hosts 20, 21
@@ -316,34 +319,18 @@ mod tests {
         }
     }
 
-    fn views() -> Vec<PortView> {
+    fn views() -> Vec<Egress> {
         // 2 host ports (25G) + uplink (25G) + circuit (100G).
-        vec![
-            PortView {
-                bandwidth: Bandwidth::gbps(25),
-                delay: Tick::from_micros(1),
-                busy: false,
-                peer: NodeId(10),
-            },
-            PortView {
-                bandwidth: Bandwidth::gbps(25),
-                delay: Tick::from_micros(1),
-                busy: false,
-                peer: NodeId(11),
-            },
-            PortView {
-                bandwidth: Bandwidth::gbps(25),
-                delay: Tick::from_micros(1),
-                busy: false,
-                peer: NodeId(5),
-            },
-            PortView {
-                bandwidth: Bandwidth::gbps(100),
-                delay: Tick::from_micros(1),
-                busy: false,
-                peer: NodeId(6),
-            },
-        ]
+        [(25, 10), (25, 11), (25, 5), (100, 6)]
+            .map(|(gbps, peer)| {
+                Egress::new(Link {
+                    bandwidth: Bandwidth::gbps(gbps),
+                    delay: Tick::from_micros(1),
+                    dst: NodeId(peer),
+                    dst_port: PortId(0),
+                })
+            })
+            .to_vec()
     }
 
     fn data_to(dst: u32) -> Box<Packet> {

@@ -15,6 +15,7 @@ fn rack_pair_setup(cfg: RdcnConfig, flow_bytes: u64, use_retcp: bool) -> (Rdcn, 
     let h = cfg.hosts_per_tor;
     let base_rtt = cfg.base_rtt();
     let circuit_bw = cfg.circuit_bw;
+    let plan = cfg.clone();
     let m2 = metrics.clone();
     let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
         let tcfg = TransportConfig {
@@ -39,9 +40,8 @@ fn rack_pair_setup(cfg: RdcnConfig, flow_bytes: u64, use_retcp: bool) -> (Rdcn, 
         let rack = idx / h;
         let slot = idx % h;
         if rack == 0 {
-            // Peer host in rack 1 has host index h + slot; its NodeId is
-            // derived from the builder's id plan (2 + r*(1+h) + 1 + j).
-            let dst = NodeId((2 + (1 + h) + 1 + slot) as u32);
+            // The peer: same slot, rack 1.
+            let dst = plan.host_node_id(1, slot);
             host.add_flow(FlowSpec {
                 id: FlowId(idx as u64 + 1),
                 src: id,

@@ -9,7 +9,9 @@
 //! * `xp lint` exits 0 on this workspace and 1, with `R5`/`R6`/`R8`
 //!   records, on a dirty one;
 //! * `xp bench --check` exits 0 against the committed `BENCH_sim.json`
-//!   and has no tolerance to set.
+//!   and has no tolerance to set;
+//! * `xp run` refuses a packet-engine spec whose switch would outgrow
+//!   16-bit port ids, before simulating anything.
 
 use dcn_scenarios::diff::{parse_json, Json};
 use dcn_scenarios::{builtin, ScenarioSpec};
@@ -212,4 +214,27 @@ fn bench_check_passes_against_the_committed_baseline_and_has_no_tolerance() {
         stderr.contains("unknown argument \"--tol-pct\""),
         "{stderr}"
     );
+}
+
+/// A 65,600-host star used to build (port ids wrapped at 65,536), deliver
+/// `n65540`'s packets to host 3 and exit 0.
+#[test]
+fn run_refuses_a_switch_wider_than_port_ids_before_simulating() {
+    let dir = scratch("wide-star");
+    let spec = builtin("incast-battle")
+        .expect("builtin")
+        .to_toml()
+        .replace("hosts = 18", "hosts = 65600");
+    assert!(spec.contains("hosts = 65600"));
+    let path = dir.join("wide.toml");
+    std::fs::write(&path, spec).unwrap();
+    let out = Command::new(XP).arg("run").arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no report: nothing was simulated");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("hosts") && stderr.contains("65600") && stderr.contains("65535"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

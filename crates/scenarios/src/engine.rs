@@ -15,7 +15,7 @@ use crate::spec::{
 };
 use crate::sweep::SweepPoint;
 use dcn_sim::{
-    buffer_tracer, build_dumbbell, build_fat_tree, build_star, series, star_base_rtt,
+    buffer_tracer, build_dumbbell, build_fat_tree, build_star, series, star_base_rtt, star_host_id,
     DumbbellConfig, Endpoint, FatTreeConfig, Network, NodeId, Simulator, SwitchConfig,
 };
 use dcn_stats::slowdown;
@@ -144,13 +144,12 @@ pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
         }
         TopologySpec::Star { hosts, host_gbps } => {
             let host_bw = gbps(host_gbps);
-            // Node plan of `build_star`: switch = 0, host i = 1 + i. Every
-            // host is its own "rack" (a star has no rack sharing), so
-            // inter-rack-only Poisson means src != dst and incast
+            // Every host is its own "rack" (a star has no rack sharing),
+            // so inter-rack-only Poisson means src != dst and incast
             // responders are simply other hosts.
             Plan {
                 map: HostMap {
-                    hosts: (0..hosts).map(|i| NodeId(1 + i as u32)).collect(),
+                    hosts: (0..hosts).map(star_host_id).collect(),
                     rack_of: (0..hosts).collect(),
                 },
                 base_rtt: star_base_rtt(host_bw, EDGE_HOST_DELAY),
@@ -163,11 +162,10 @@ pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
         }
         TopologySpec::Dumbbell { pairs, .. } => {
             let cfg = dumbbell_config(topo, algo);
-            // Node plan of `build_dumbbell`: switches 0 and 1, senders
-            // 2..2+pairs (rack 0), receivers 2+pairs.. (rack 1).
+            // Senders are rack 0, receivers rack 1.
             Plan {
                 map: HostMap {
-                    hosts: (0..2 * pairs).map(|i| NodeId(2 + i as u32)).collect(),
+                    hosts: (0..2 * pairs).map(|i| cfg.host_node_id(i)).collect(),
                     rack_of: (0..2 * pairs).map(|i| i / pairs).collect(),
                 },
                 base_rtt: cfg.base_rtt(),
@@ -313,9 +311,10 @@ pub(crate) fn offered_flows(
             // Orient all background traffic left -> right (mirroring each
             // endpoint to its same-index counterpart on the other side),
             // so `load` loads the instrumented bottleneck direction.
+            let first = plan.map.hosts[0].0;
             for f in &mut flows {
-                let src_idx = f.src.0 as usize - 2;
-                let dst_idx = f.dst.0 as usize - 2;
+                let src_idx = (f.src.0 - first) as usize;
+                let dst_idx = (f.dst.0 - first) as usize;
                 if src_idx >= pairs {
                     f.src = plan.map.hosts[src_idx - pairs];
                     f.dst = plan.map.hosts[dst_idx + pairs];

@@ -12,6 +12,7 @@
 use crate::algo::Algo;
 use crate::schema::{self, Pass, Ty, Val};
 use crate::toml::Value;
+use dcn_sim::PortId;
 use fluid_model::{FluidParams, Law};
 use powertcp_core::{Bandwidth, Tick};
 use std::fmt::Write as _;
@@ -97,6 +98,20 @@ impl TopologySpec {
             TopologySpec::FatTree { hosts_per_tor, .. } => self.num_hosts() / hosts_per_tor.max(&1),
             TopologySpec::Star { hosts, .. } => *hosts,
             TopologySpec::Dumbbell { .. } => 2,
+        }
+    }
+
+    /// Port count of the widest switch the packet engine builds for this
+    /// topology, with the key that sizes it (saturating: validation asks
+    /// before it has bounded anything).
+    fn widest_switch(&self) -> (&'static str, usize) {
+        match *self {
+            TopologySpec::FatTree { hosts_per_tor, .. } => {
+                let uplinks = crate::engine::fat_tree_config(self, None).aggs_per_pod;
+                ("hosts_per_tor", hosts_per_tor.saturating_add(uplinks))
+            }
+            TopologySpec::Star { hosts, .. } => ("hosts", hosts),
+            TopologySpec::Dumbbell { pairs, .. } => ("pairs", pairs.saturating_add(1)),
         }
     }
 
@@ -851,6 +866,32 @@ impl ScenarioSpec {
             sweep || !self.buffer_cdf,
             "buffer_cdf is a sweep-report option; remove it"
         );
+        // What the packet engine would have to build (the flow engine
+        // never builds the fabric; a trace's star is sized by its own
+        // key). A wrapped port id delivers to the wrong host, silently.
+        let fabric = match &self.kind {
+            ScenarioKind::Sweep if self.engine == EngineKind::Packet => {
+                Some(self.topology.widest_switch())
+            }
+            ScenarioKind::Timeseries(trace) => {
+                let key = match trace.scenario {
+                    TraceScenario::Incast { .. } => "fan_in",
+                    TraceScenario::Fairness { .. } => "flows",
+                    // Two hosts, whatever the spec says.
+                    TraceScenario::Response | TraceScenario::Rdcn { .. } => "hosts",
+                };
+                Some((key, trace.scenario.implied_topology().widest_switch().1))
+            }
+            _ => None,
+        };
+        if let Some((key, ports)) = fabric {
+            ensure!(
+                ports <= PortId::MAX_PORTS,
+                "{key} asks the packet engine for a switch with {ports} ports; \
+                 port ids are 16-bit, so {} is the most one switch can have",
+                PortId::MAX_PORTS
+            );
+        }
         match &self.kind {
             ScenarioKind::Sweep => self.validate_sweep(),
             ScenarioKind::Timeseries(trace) => self.validate_timeseries(trace),
@@ -1203,6 +1244,58 @@ mod tests {
         .poisson(SizeSpec::Websearch)
         .loads([0.5]);
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn a_switch_wider_than_port_ids_is_refused_for_the_packet_engine() {
+        let sweep = |topology| {
+            ScenarioSpec::new("wide", topology)
+                .poisson(SizeSpec::Websearch)
+                .loads([0.5])
+        };
+        let star = |hosts| TopologySpec::Star {
+            hosts,
+            host_gbps: 25.0,
+        };
+        let fat_tree = |hosts_per_tor| TopologySpec::FatTree {
+            hosts_per_tor,
+            host_gbps: 25.0,
+            fabric_gbps: 100.0,
+        };
+        let dumbbell = |pairs| TopologySpec::Dumbbell {
+            pairs,
+            host_gbps: 25.0,
+            bottleneck_gbps: 25.0,
+        };
+        // Star: one port per host. Fat-tree ToR: hosts + 2 uplinks.
+        // Dumbbell switch: one side's hosts + the trunk.
+        for (key, fits, too_wide) in [
+            ("hosts", star(65_535), star(65_536)),
+            ("hosts_per_tor", fat_tree(65_533), fat_tree(65_534)),
+            ("pairs", dumbbell(65_534), dumbbell(65_535)),
+        ] {
+            assert_eq!(sweep(fits).validate(), Ok(()), "{key}");
+            let err = sweep(too_wide).validate().unwrap_err();
+            assert!(err.contains(key) && err.contains("65535"), "{key}: {err}");
+            // The flow engine never builds the fabric (fattree-100k is
+            // 12,500 hosts per ToR; nothing stops 70,000).
+            let flow = sweep(too_wide).engine(EngineKind::Flow);
+            assert_eq!(flow.validate(), Ok(()), "{key} on the flow engine");
+        }
+        // A trace's star is sized by the trace scenario's own key.
+        let incast = |fan_in| {
+            ScenarioSpec::timeseries(
+                "wide",
+                TraceSpec::new(TraceScenario::Incast {
+                    fan_in,
+                    burst_bytes: 1_000,
+                    at_ms: 1.0,
+                }),
+            )
+        };
+        assert_eq!(incast(65_533).validate(), Ok(()));
+        let err = incast(65_534).validate().unwrap_err();
+        assert!(err.contains("fan_in") && err.contains("65535"), "{err}");
     }
 
     #[test]
@@ -1831,14 +1924,16 @@ seeds = [1]
         let mut huge = sample_spec();
         huge.workload.incast.as_mut().unwrap().request_bytes = u64::MAX;
         assert!(huge.validate().unwrap_err().contains("request_bytes"));
-        // A fat-tree too large to count is an error, not an overflow.
+        // A fat-tree too large to count is not an overflow: the flow
+        // engine takes it, the packet engine names the key it cannot build.
         let mut vast = sample_spec();
         vast.topology = TopologySpec::FatTree {
             hosts_per_tor: i64::MAX as usize,
             host_gbps: 25.0,
             fabric_gbps: 12.5,
         };
-        assert!(vast.validate().is_ok());
+        assert!(vast.validate().unwrap_err().contains("hosts_per_tor"));
+        assert_eq!(vast.engine(EngineKind::Flow).validate(), Ok(()));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 use crate::algo::Algo;
 use crate::spec::{ParamSpec, ScenarioSpec, TraceScenario};
 use dcn_sim::{
-    build_star, cc_probe, host_throughput_probe, queue_probe, throughput_probe, Endpoint, FlowId,
-    NodeId, PortId, Simulator, SwitchConfig,
+    build_star, cc_probe, host_throughput_probe, queue_probe, star_host_id, throughput_probe,
+    Endpoint, FlowId, NodeId, PortId, Simulator, SwitchConfig,
 };
 use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry};
 use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig, TransportHost};
@@ -341,9 +341,8 @@ fn incast_trace(
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
     let sw_cfg = algo.switch_config(SwitchConfig::default(), host_bw);
 
-    // Node-id plan for the star: switch = 0, host i = 1 + i.
-    let receiver = NodeId(1);
-    let long_sender = NodeId(2);
+    let receiver = star_host_id(0);
+    let long_sender = star_host_id(1);
     let metrics: SharedMetrics = MetricsHub::new_shared();
     let tcfg = star_transport(8);
 
@@ -466,7 +465,7 @@ fn fairness_trace(
     let host_bw = spec.topology.host_bw();
     let horizon = spec.horizon();
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
-    let receiver = NodeId(1);
+    let receiver = star_host_id(0);
     let metrics: SharedMetrics = MetricsHub::new_shared();
     let tcfg = star_transport(flows as u32);
     let stagger = Tick::from_secs_f64(stagger_ms / 1e3);
@@ -492,7 +491,7 @@ fn fairness_trace(
         algo.switch_config(SwitchConfig::default(), host_bw),
         &mut mk,
     );
-    let senders: Vec<NodeId> = (0..flows).map(|i| NodeId(2 + i as u32)).collect();
+    let senders: Vec<NodeId> = (1..=flows).map(star_host_id).collect();
     let mut sim = Simulator::new(star.net);
 
     let sel = Sel(&trace.channels);
@@ -577,6 +576,7 @@ fn rdcn_trace(
     let base_rtt = cfg.base_rtt();
     let circuit_bw = cfg.circuit_bw;
     let h = cfg.hosts_per_tor;
+    let plan = cfg.clone();
     let metrics: SharedMetrics = MetricsHub::new_shared();
     let horizon = Tick::from_ps(schedule.week().as_ps() * weeks);
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
@@ -594,7 +594,7 @@ fn rdcn_trace(
         let slot = idx % h;
         let mut host = TransportHost::new(tcfg, m2.clone(), algo.cc_factory(tcfg));
         if rack == 0 {
-            let dst = NodeId((2 + (1 + h) + 1 + slot) as u32);
+            let dst = plan.host_node_id(1, slot);
             host.add_flow(FlowSpec {
                 id: FlowId(idx as u64 + 1),
                 src: id,

@@ -1,5 +1,5 @@
-//! The simulation engine: owns the network and the event queue, dispatches
-//! events, and applies node actions.
+//! The simulation engine: owns the network and the event queue, and
+//! dispatches events to the nodes.
 //!
 //! Single-threaded and fully deterministic: identical inputs produce
 //! bit-identical runs (guide idiom — CPU-bound simulation wants an event
@@ -7,25 +7,22 @@
 
 use crate::event::{Event, EventQueue};
 use crate::ids::{FlowId, NodeId, PortId};
-use crate::link::{Link, Links};
+use crate::link::Link;
 use crate::node::{
-    CustomAction, CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointAction, EndpointCtx, Host,
-    Node, PortView,
+    CustomAction, CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointCtx, Host, Node,
 };
 use crate::packet::{Packet, PacketKind, CTRL_PKT_BYTES};
 use crate::pool::{PacketPool, PoolStats};
 use crate::stats::SimStats;
-use crate::switch::{Sink, Switch};
-use powertcp_core::{IntHeader, IntHopMetadata, Tick};
+use crate::switch::{Sink, Switch, SwitchConfig};
+use powertcp_core::{Bandwidth, IntHeader, Tick};
 use std::time::Instant;
 
-/// The static network: nodes and links.
+/// The static network: the nodes, each owning the wires it transmits on.
 #[derive(Default)]
 pub struct Network {
     /// All nodes, indexed by [`NodeId`].
     pub nodes: Vec<Node>,
-    /// All simplex links.
-    pub links: Links,
 }
 
 impl Network {
@@ -49,12 +46,26 @@ impl Network {
 
     /// Shorthand: the switch at `id` (panics otherwise).
     pub fn switch(&self, id: NodeId) -> &Switch {
-        self.node(id).as_switch()
+        match self.node(id) {
+            Node::Switch(s) => s,
+            _ => panic!("node {id} is not a switch"),
+        }
+    }
+
+    /// Shorthand: the switch at `id`, mutably (panics otherwise).
+    pub fn switch_mut(&mut self, id: NodeId) -> &mut Switch {
+        match self.node_mut(id) {
+            Node::Switch(s) => s,
+            _ => panic!("node {id} is not a switch"),
+        }
     }
 
     /// Shorthand: the host at `id` (panics otherwise).
     pub fn host(&self, id: NodeId) -> &Host {
-        self.node(id).as_host()
+        match self.node(id) {
+            Node::Host(h) => h,
+            _ => panic!("node {id} is not a host"),
+        }
     }
 
     /// Number of nodes.
@@ -79,12 +90,7 @@ pub struct Simulator {
     sched: Scheduler,
     tracers: Vec<Tracer>,
     started: bool,
-    scratch_endpoint: Vec<EndpointAction>,
     scratch_custom: Vec<CustomAction>,
-    /// Reused per-custom-event port-view buffer: rebuilding the views is
-    /// cheap, but a fresh `Vec` per event was the last per-event
-    /// allocation on the rdcn hot path.
-    scratch_views: Vec<PortView>,
     /// Total packets delivered to hosts.
     pub delivered: u64,
     /// Events dispatched so far (all kinds, tracer samples included).
@@ -94,8 +100,9 @@ pub struct Simulator {
 }
 
 /// Everything handling an event writes to, apart from the node handling
-/// it — one struct, so it can be borrowed whole beside that node.
-struct Scheduler {
+/// it — one struct, so it can be borrowed whole beside that node (and
+/// lent to the endpoint running on it, see [`EndpointCtx`]).
+pub(crate) struct Scheduler {
     queue: EventQueue,
     /// Pending events that are not tracer samples; lets
     /// [`Simulator::run_until_idle`] terminate while tracers self-renew.
@@ -103,15 +110,25 @@ struct Scheduler {
     /// Recycled packet boxes (see [`crate::pool`]): endpoint sends draw
     /// from here, and every packet-consuming site returns boxes instead
     /// of freeing them, so the steady-state hot loop allocates nothing.
-    pool: PacketPool,
+    pub(crate) pool: PacketPool,
     /// PFC pause/resume frames emitted by switches.
     pfc_frames: u64,
+    /// Packets in flight on a wire: raised where one goes on
+    /// ([`Scheduler::land`]), lowered where one comes off (the `Arrival`
+    /// arm of `dispatch`). Read only by [`Simulator::audit`].
+    on_wire: u64,
 }
 
 impl Scheduler {
+    /// Current simulation time.
+    #[inline]
+    pub(crate) fn now(&self) -> Tick {
+        self.queue.now()
+    }
+
     /// Schedule a live (non-tracer) event.
     #[inline]
-    fn schedule(&mut self, at: Tick, ev: Event) {
+    pub(crate) fn schedule(&mut self, at: Tick, ev: Event) {
         self.live_events += 1;
         self.queue.schedule(at, ev);
     }
@@ -120,7 +137,7 @@ impl Scheduler {
     /// free again after `ser`, and the packet lands at the far end of
     /// `wire` one propagation delay later.
     #[inline]
-    fn put_on_wire(
+    pub(crate) fn put_on_wire(
         &mut self,
         node: NodeId,
         port: PortId,
@@ -130,12 +147,16 @@ impl Scheduler {
     ) {
         let done = self.queue.now() + ser;
         self.schedule(done, Event::TxDone { node, port });
-        let arrival = Event::Arrival {
-            node: wire.dst,
-            port: wire.dst_port,
-            pkt,
-        };
-        self.schedule(done + wire.delay, arrival);
+        self.land(done + wire.delay, wire, pkt);
+    }
+
+    /// `pkt` reaches the far end of `wire` at `at`: the one place a
+    /// packet goes on a wire.
+    #[inline]
+    fn land(&mut self, at: Tick, wire: &Link, pkt: Box<Packet>) {
+        self.on_wire += 1;
+        let (node, port) = (wire.dst, wire.dst_port);
+        self.schedule(at, Event::Arrival { node, port, pkt });
     }
 }
 
@@ -171,34 +192,13 @@ impl Sink for SwitchSink<'_> {
             sent_at: now,
             kind: PacketKind::Pfc { pause },
         });
-        let arrival = Event::Arrival {
-            node: wire.dst,
-            port: wire.dst_port,
-            pkt,
-        };
-        sched.schedule(now + wire.delay, arrival);
+        sched.land(now + wire.delay, wire, pkt);
     }
 
     #[inline]
     fn recycle(&mut self, pkt: Box<Packet>) {
         self.sched.pool.recycle(pkt);
     }
-}
-
-/// Start transmitting on a host NIC (uplink `wire`) if it is idle,
-/// unpaused, and has queued packets.
-fn host_kick(h: &mut Host, wire: &Link, sched: &mut Scheduler) {
-    if h.busy || h.paused {
-        return;
-    }
-    let Some(pkt) = h.txq.pop_front() else {
-        return;
-    };
-    let size = pkt.size as u64;
-    h.txq_bytes -= size;
-    h.busy = true;
-    h.tx_bytes += size;
-    sched.put_on_wire(h.id, PortId(0), pkt, wire.bandwidth.tx_time(size), wire);
 }
 
 impl Simulator {
@@ -211,12 +211,11 @@ impl Simulator {
                 live_events: 0,
                 pool: PacketPool::new(),
                 pfc_frames: 0,
+                on_wire: 0,
             },
             tracers: Vec::new(),
             started: false,
-            scratch_endpoint: Vec::new(),
             scratch_custom: Vec::new(),
-            scratch_views: Vec::new(),
             delivered: 0,
             events_processed: 0,
             #[expect(
@@ -238,7 +237,10 @@ impl Simulator {
         self.sched.pool.stats()
     }
 
-    /// Register a periodic tracer sampling every `every`.
+    /// Register a periodic tracer sampling every `every`, first one
+    /// interval from now. A tracer registered before the run starts also
+    /// gets a baseline row (see [`Simulator::prime`]); one registered
+    /// later gets none and starts one interval on.
     pub fn add_tracer(&mut self, every: Tick, f: impl FnMut(&Network, Tick) + 'static) {
         assert!(!every.is_zero(), "tracer interval must be positive");
         let idx = self.tracers.len() as u32;
@@ -246,9 +248,10 @@ impl Simulator {
             every,
             f: Box::new(f),
         });
+        let first = self.now() + every;
         self.sched
             .queue
-            .schedule(every, Event::Sample { tracer: idx });
+            .schedule(first, Event::Sample { tracer: idx });
     }
 
     /// Call every endpoint's / custom switch's `on_start` exactly once.
@@ -352,53 +355,67 @@ impl Simulator {
     /// XON level. Per host: `txq_bytes` = Σ queued sizes, nothing waiting
     /// on an idle NIC. With no live event pending (the state
     /// [`Simulator::run_until_idle`] ends in): nothing busy or paused, no
-    /// XOFF outstanding. The pool's free list never outgrows the boxes it
-    /// allocated (and holds exactly those at idle when every endpoint
-    /// recycles what it is delivered — see [`Simulator::pool_stats`]).
+    /// XOFF outstanding, nothing on a wire.
+    ///
+    /// Packets: every box in the engine's sight — in a switch queue, in a
+    /// NIC queue, on a wire — came out of the pool and has not gone back,
+    /// so they number at most `fresh − free`. The rest are where the
+    /// engine cannot look: inside a custom node's own queues, held or
+    /// dropped by an endpoint. [`Simulator::audit_closed`] is for runs
+    /// with no such place.
     pub fn audit(&self) -> Result<(), String> {
+        self.audit_boxes(false)
+    }
+
+    /// [`Simulator::audit`] for a simulation where every endpoint
+    /// recycles what it is delivered, between callbacks holds no box of
+    /// its own, and no custom node queues packets: the boxes the pool has
+    /// out are exactly the ones queued or on a wire.
+    pub fn audit_closed(&self) -> Result<(), String> {
+        self.audit_boxes(true)
+    }
+
+    fn audit_boxes(&self, closed: bool) -> Result<(), String> {
         let idle = self.sched.live_events == 0;
+        let on_wire = self.sched.on_wire;
+        if idle && on_wire != 0 {
+            return Err(format!("{on_wire} packets on a wire with no event pending"));
+        }
+        let mut queued = 0;
         for node in &self.net.nodes {
             match node {
-                Node::Switch(sw) => sw.audit(idle)?,
-                Node::Host(h) => {
-                    let id = h.id;
-                    let bytes: u64 = h.txq.iter().map(|p| p.size as u64).sum();
-                    if bytes != h.txq_bytes {
-                        return Err(format!(
-                            "host {id}: txq_bytes {} but {bytes} B are queued",
-                            h.txq_bytes
-                        ));
-                    }
-                    if bytes > 0 && !h.busy && !h.paused {
-                        return Err(format!(
-                            "host {id}: {bytes} B queued on an idle, unpaused NIC"
-                        ));
-                    }
-                    if idle && (h.busy || h.paused) {
-                        return Err(format!(
-                            "host {id}: busy = {}, paused = {} with no event pending",
-                            h.busy, h.paused
-                        ));
-                    }
+                Node::Switch(sw) => {
+                    sw.audit(idle)?;
+                    queued += sw.queued_packets();
                 }
+                Node::Host(Host { id, nic, .. }) => {
+                    let bytes: u64 = nic.txq.iter().map(|p| p.size as u64).sum();
+                    nic.tx
+                        .audit(nic.paused, nic.txq_bytes, bytes, idle)
+                        .map_err(|e| format!("host {id}: {e}"))?;
+                    queued += nic.txq.len();
+                }
+                // Its queues are the logic's own: only the ports show.
                 Node::Custom(c) => {
-                    if let Some(p) = c.ports.iter().position(|p| idle && p.busy) {
-                        return Err(format!(
-                            "custom node {} port {p}: busy with no event pending",
-                            c.id
-                        ));
+                    for (p, tx) in c.ports.iter().enumerate() {
+                        tx.audit(false, 0, 0, idle)
+                            .map_err(|e| format!("custom node {} port {p}: {e}", c.id))?;
                     }
                 }
             }
         }
         let pool = self.sched.pool.stats();
-        if pool.free as u64 > pool.fresh {
-            return Err(format!(
+        let in_sight = queued as u64 + on_wire;
+        match pool.fresh.checked_sub(pool.free as u64) {
+            None => Err(format!(
                 "packet pool: {} boxes on the free list, {} ever allocated",
                 pool.free, pool.fresh
-            ));
+            )),
+            Some(out) if out < in_sight || (closed && out != in_sight) => Err(format!(
+                "packet pool: {out} boxes out, but {queued} are queued and {on_wire} on a wire"
+            )),
+            Some(_) => Ok(()),
         }
-        Ok(())
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -408,13 +425,14 @@ impl Simulator {
         match ev {
             Event::Arrival { node, port, pkt } => {
                 sched.live_events -= 1;
+                sched.on_wire -= 1;
                 match &mut self.net.nodes[node.index()] {
                     Node::Switch(sw) => sw.receive(port, pkt, now, &mut SwitchSink { node, sched }),
                     Node::Host(h) => {
                         if let PacketKind::Pfc { pause } = pkt.kind {
                             sched.pool.recycle(pkt);
-                            h.paused = pause;
-                            host_kick(h, self.net.links.get(h.link), sched);
+                            h.nic.paused = pause;
+                            h.nic.kick(node, sched);
                         } else {
                             self.delivered += 1;
                             self.host_visit(node, |app, ctx| app.on_packet(pkt, ctx));
@@ -430,8 +448,8 @@ impl Simulator {
                 match &mut self.net.nodes[node.index()] {
                     Node::Switch(sw) => sw.tx_done(port, now, &mut SwitchSink { node, sched }),
                     Node::Host(h) => {
-                        h.busy = false;
-                        host_kick(h, self.net.links.get(h.link), sched);
+                        h.nic.tx.busy = false;
+                        h.nic.kick(node, sched);
                     }
                     Node::Custom(c) => {
                         c.ports[port.index()].busy = false;
@@ -457,8 +475,8 @@ impl Simulator {
         }
     }
 
-    /// Run one endpoint callback on host `node`, then apply the actions
-    /// it asked for, in the order it asked.
+    /// Run one endpoint callback on host `node`, with its NIC and the
+    /// scheduler in hand: what it sends and sets happens as it asks.
     fn host_visit(
         &mut self,
         node: NodeId,
@@ -467,27 +485,20 @@ impl Simulator {
         let Node::Host(h) = &mut self.net.nodes[node.index()] else {
             panic!("{node} is not a host");
         };
-        let (sched, actions) = (&mut self.sched, &mut self.scratch_endpoint);
-        let now = sched.queue.now();
-        let wire = self.net.links.get(h.link);
-        let mut ctx = EndpointCtx::with_pool(now, node, wire.bandwidth, actions, &mut sched.pool);
+        let mut ctx = EndpointCtx {
+            now: self.sched.now(),
+            node,
+            nic_bw: h.nic.tx.wire.bandwidth,
+            nic: &mut h.nic,
+            sched: &mut self.sched,
+        };
         f(h.app.as_mut(), &mut ctx);
-        for a in actions.drain(..) {
-            match a {
-                EndpointAction::Send(pkt) => {
-                    h.txq_bytes += pkt.size as u64;
-                    h.txq.push_back(pkt);
-                    host_kick(h, wire, sched);
-                }
-                EndpointAction::Timer { at, key } => {
-                    sched.schedule(at.max(now), Event::HostTimer { node, key });
-                }
-            }
-        }
     }
 
-    /// Run one callback of custom node `node`'s logic over a fresh view
-    /// of its ports, then apply the actions it asked for, in order.
+    /// Run one callback of custom node `node`'s logic over its ports,
+    /// then apply the actions it asked for, in order. (A list, where
+    /// hosts act at once: the logic's unit tests live in other crates and
+    /// read it — see DESIGN.md, "The forwarding hop".)
     fn custom_visit(
         &mut self,
         node: NodeId,
@@ -496,22 +507,11 @@ impl Simulator {
         let Node::Custom(c) = &mut self.net.nodes[node.index()] else {
             panic!("{node} is not a custom node");
         };
-        let (sched, links) = (&mut self.sched, &self.net.links);
-        let (views, actions) = (&mut self.scratch_views, &mut self.scratch_custom);
-        let now = sched.queue.now();
-        views.clear();
-        views.extend(c.ports.iter().map(|p| {
-            let l = links.get(p.link);
-            PortView {
-                bandwidth: l.bandwidth,
-                delay: l.delay,
-                busy: p.busy,
-                peer: l.dst,
-            }
-        }));
+        let (sched, actions) = (&mut self.sched, &mut self.scratch_custom);
+        let now = sched.now();
         f(
             c.logic.as_mut(),
-            &mut CustomCtx::new(now, node, views, actions),
+            &mut CustomCtx::new(now, node, &c.ports, actions),
         );
         for a in actions.drain(..) {
             match a {
@@ -520,25 +520,10 @@ impl Simulator {
                     mut pkt,
                     int_qlen,
                 } => {
-                    let raw = &mut c.ports[port.index()];
-                    assert!(!raw.busy, "StartTx on busy port {port} of {node}");
-                    raw.busy = true;
-                    let size = pkt.size as u64;
-                    raw.tx_bytes += size;
-                    let wire = links.get(raw.link);
-                    if let Some(qlen) = int_qlen {
-                        if pkt.int_enable && pkt.kind.collects_int() {
-                            pkt.int.push(IntHopMetadata {
-                                node: node.0,
-                                port: port.0,
-                                qlen_bytes: qlen,
-                                ts: now,
-                                tx_bytes: raw.tx_bytes,
-                                bandwidth: wire.bandwidth,
-                            });
-                        }
-                    }
-                    sched.put_on_wire(node, port, pkt, wire.bandwidth.tx_time(size), wire);
+                    let tx = &mut c.ports[port.index()];
+                    assert!(!tx.busy, "StartTx on busy port {port} of {node}");
+                    let ser = tx.begin(&mut pkt, node, port, now, int_qlen);
+                    sched.put_on_wire(node, port, pkt, ser, &tx.wire);
                 }
                 CustomAction::Timer { at, key } => {
                     sched.schedule(at.max(now), Event::NodeTimer { node, key });
@@ -553,22 +538,15 @@ impl Simulator {
 }
 
 /// Convenience builder for wiring nodes together with paired ports.
+#[derive(Default)]
 pub struct NetworkBuilder {
     net: Network,
-}
-
-impl Default for NetworkBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl NetworkBuilder {
     /// Start an empty network.
     pub fn new() -> Self {
-        NetworkBuilder {
-            net: Network::default(),
-        }
+        Self::default()
     }
 
     /// Number of nodes added so far (== the id the next node receives).
@@ -577,21 +555,20 @@ impl NetworkBuilder {
     }
 
     /// Add a switch with the given config.
-    pub fn add_switch(&mut self, cfg: crate::switch::SwitchConfig) -> NodeId {
+    pub fn add_switch(&mut self, cfg: SwitchConfig) -> NodeId {
         let id = self.next_node_id();
         self.net.add_node(Node::Switch(Switch::new(id, cfg)))
     }
 
-    /// Add a host running `app`. The host's NIC link is created by
-    /// [`NetworkBuilder::connect_host`]; until then it has a placeholder.
+    /// Add a host running `app`; [`NetworkBuilder::connect`] it to its
+    /// ToR before [`NetworkBuilder::build`].
     pub fn add_host(&mut self, app: Box<dyn Endpoint>) -> NodeId {
         let id = self.next_node_id();
-        self.net
-            .add_node(Node::Host(Host::new(id, crate::ids::LinkId(u32::MAX), app)))
+        self.net.add_node(Node::Host(Host::new(id, app)))
     }
 
-    /// Add a custom node with `n_ports` unconnected ports.
-    pub fn add_custom(&mut self, logic: Box<dyn crate::node::CustomSwitch>) -> NodeId {
+    /// Add a custom node; its ports come from [`NetworkBuilder::connect`].
+    pub fn add_custom(&mut self, logic: Box<dyn CustomSwitch>) -> NodeId {
         let id = self.next_node_id();
         self.net.add_node(Node::Custom(CustomNode {
             id,
@@ -601,203 +578,150 @@ impl NetworkBuilder {
         }))
     }
 
-    /// Register `link` and hang it off switch `sw` as its next egress port.
-    fn add_switch_port(&mut self, sw: NodeId, link: Link) -> PortId {
-        let id = self.net.links.add(link);
-        match &mut self.net.nodes[sw.index()] {
-            Node::Switch(s) => s.add_port(id, link),
-            _ => panic!("{sw} is not a switch"),
-        }
-    }
-
-    /// Connect a host to a switch port pair with symmetric bandwidth/delay.
-    /// Returns the switch-side port id.
-    pub fn connect_host(
-        &mut self,
-        host: NodeId,
-        sw: NodeId,
-        bw: powertcp_core::Bandwidth,
-        delay: Tick,
-    ) -> PortId {
-        // Determine the switch port index first (ports pair up).
-        let sw_port = PortId(self.net.nodes[sw.index()].as_switch().num_ports() as u16);
-        let up = self.net.links.add(Link {
-            bandwidth: bw,
-            delay,
-            dst: sw,
-            dst_port: sw_port,
-        });
-        match &mut self.net.nodes[host.index()] {
-            Node::Host(h) => h.link = up,
-            _ => panic!("{host} is not a host"),
-        }
-        let down = Link {
-            bandwidth: bw,
-            delay,
-            dst: host,
-            dst_port: PortId(0),
-        };
-        let p = self.add_switch_port(sw, down);
-        debug_assert_eq!(p, sw_port);
-        sw_port
-    }
-
-    /// Connect two switches with a symmetric link pair; returns
-    /// (port at `a`, port at `b`).
-    pub fn connect_switches(
+    /// Cable any two nodes with a symmetric pair of wires: each end gets
+    /// its next port (a host, its one NIC — port 0), and each wire lands
+    /// on the other end's. Returns (port at `a`, port at `b`).
+    pub fn connect(
         &mut self,
         a: NodeId,
         b: NodeId,
-        bw: powertcp_core::Bandwidth,
+        bw: Bandwidth,
         delay: Tick,
     ) -> (PortId, PortId) {
-        let pa = PortId(self.net.nodes[a.index()].as_switch().num_ports() as u16);
-        let pb = PortId(self.net.nodes[b.index()].as_switch().num_ports() as u16);
-        for (from, at, to, to_port) in [(a, pa, b, pb), (b, pb, a, pa)] {
-            let link = Link {
-                bandwidth: bw,
-                delay,
-                dst: to,
-                dst_port: to_port,
-            };
-            let p = self.add_switch_port(from, link);
-            debug_assert_eq!(p, at);
-        }
-        (pa, pb)
-    }
-
-    /// Connect a custom node's next port to a switch; returns
-    /// (custom port, switch port).
-    pub fn connect_custom_to_switch(
-        &mut self,
-        custom: NodeId,
-        sw: NodeId,
-        bw: powertcp_core::Bandwidth,
-        delay: Tick,
-    ) -> (PortId, PortId) {
-        let pc = PortId(match &self.net.nodes[custom.index()] {
-            Node::Custom(c) => c.ports.len() as u16,
-            _ => panic!("{custom} is not a custom node"),
-        });
-        let ps = PortId(self.net.nodes[sw.index()].as_switch().num_ports() as u16);
-        let c2s = self.net.links.add(Link {
+        assert_ne!(a, b, "cannot connect {a} to itself");
+        let wire = |dst, dst_port| Link {
             bandwidth: bw,
             delay,
-            dst: sw,
-            dst_port: ps,
-        });
-        let s2c = Link {
-            bandwidth: bw,
-            delay,
-            dst: custom,
-            dst_port: pc,
+            dst,
+            dst_port,
         };
-        let p = self.add_switch_port(sw, s2c);
-        debug_assert_eq!(p, ps);
-        match &mut self.net.nodes[custom.index()] {
-            Node::Custom(c) => c.ports.push(crate::node::RawPort {
-                link: c2s,
-                busy: false,
-                tx_bytes: 0,
-            }),
-            _ => unreachable!(),
-        }
-        (pc, ps)
-    }
-
-    /// Connect two custom nodes; returns (port at `a`, port at `b`).
-    pub fn connect_customs(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        bw: powertcp_core::Bandwidth,
-        delay: Tick,
-    ) -> (PortId, PortId) {
-        let pa = PortId(match &self.net.nodes[a.index()] {
-            Node::Custom(c) => c.ports.len() as u16,
-            _ => panic!("{a} is not a custom node"),
-        });
-        let pb = PortId(match &self.net.nodes[b.index()] {
-            Node::Custom(c) => c.ports.len() as u16,
-            _ => panic!("{b} is not a custom node"),
-        });
-        let ab = self.net.links.add(Link {
-            bandwidth: bw,
-            delay,
-            dst: b,
-            dst_port: pb,
-        });
-        let ba = self.net.links.add(Link {
-            bandwidth: bw,
-            delay,
-            dst: a,
-            dst_port: pa,
-        });
-        for (n, l) in [(a, ab), (b, ba)] {
-            match &mut self.net.nodes[n.index()] {
-                Node::Custom(c) => c.ports.push(crate::node::RawPort {
-                    link: l,
-                    busy: false,
-                    tx_bytes: 0,
-                }),
-                _ => unreachable!(),
-            }
-        }
+        // `a`'s wire has to name the port `b` is about to get.
+        let pb = self.net.node(b).next_port();
+        let pa = self.net.node_mut(a).attach(wire(b, pb));
+        let at_b = self.net.node_mut(b).attach(wire(a, pa));
+        assert_eq!(at_b, pb, "{b} grew a port between the two ends of a cable");
         (pa, pb)
     }
 
-    /// Connect a host directly to a custom node (RDCN topologies attach
-    /// hosts to VOQ ToRs). Returns the custom-side port.
-    pub fn connect_host_to_custom(
-        &mut self,
-        host: NodeId,
-        custom: NodeId,
-        bw: powertcp_core::Bandwidth,
-        delay: Tick,
-    ) -> PortId {
-        let pc = PortId(match &self.net.nodes[custom.index()] {
-            Node::Custom(c) => c.ports.len() as u16,
-            _ => panic!("{custom} is not a custom node"),
-        });
-        let up = self.net.links.add(Link {
-            bandwidth: bw,
-            delay,
-            dst: custom,
-            dst_port: pc,
-        });
-        let down = self.net.links.add(Link {
-            bandwidth: bw,
-            delay,
-            dst: host,
-            dst_port: PortId(0),
-        });
-        match &mut self.net.nodes[host.index()] {
-            Node::Host(h) => h.link = up,
-            _ => panic!("{host} is not a host"),
-        }
-        match &mut self.net.nodes[custom.index()] {
-            Node::Custom(c) => c.ports.push(crate::node::RawPort {
-                link: down,
-                busy: false,
-                tx_bytes: 0,
-            }),
-            _ => unreachable!(),
-        }
-        pc
-    }
-
-    /// Finish building: every switch's route table is arena-built here,
+    /// Finish building. Every switch's route table is arena-built here,
     /// sized to the final node count, so `set_route` is a checked store
     /// and `route_for` a plain index — no incremental `resize_with`
-    /// growth on any path after construction.
+    /// growth on any path after construction. Panics on a host that was
+    /// never connected: its first send would go nowhere.
     pub fn build(self) -> Network {
         let mut net = self.net;
         let n = net.nodes.len();
         for node in &mut net.nodes {
-            if let Node::Switch(s) = node {
-                s.init_routes(n);
+            match node {
+                Node::Switch(s) => s.init_routes(n),
+                Node::Host(h) => assert!(h.is_cabled(), "host {} was never connected", h.id),
+                Node::Custom(_) => {}
             }
         }
         net
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::Egress;
+    use crate::node::NullEndpoint;
+    use proptest::prelude::*;
+
+    struct Inert;
+
+    impl CustomSwitch for Inert {
+        fn on_packet(&mut self, _port: PortId, _pkt: Box<Packet>, _ctx: &mut CustomCtx<'_>) {}
+        fn on_tx_done(&mut self, _port: PortId, _ctx: &mut CustomCtx<'_>) {}
+        fn on_timer(&mut self, _key: u64, _ctx: &mut CustomCtx<'_>) {}
+    }
+
+    const BW: Bandwidth = Bandwidth::gbps(25);
+    const DELAY: Tick = Tick::from_micros(1);
+
+    fn add(b: &mut NetworkBuilder, kind: u8) -> NodeId {
+        match kind {
+            0 => b.add_switch(SwitchConfig::default()),
+            1 => b.add_custom(Box::new(Inert)),
+            _ => b.add_host(Box::new(NullEndpoint)),
+        }
+    }
+
+    fn egress(net: &Network, node: NodeId, port: PortId) -> &Egress {
+        match net.node(node) {
+            Node::Switch(s) => &s.port(port).tx,
+            Node::Custom(c) => &c.ports[port.index()],
+            Node::Host(h) => &h.nic.tx,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any `connect` sequence over a mixed bag of switches, custom
+        /// nodes and hosts numbers each node's ports densely in call
+        /// order, and the two wires of a cable land on each other's port.
+        #[test]
+        fn connect_numbers_ports_in_call_order_and_wires_reciprocally(
+            kinds in prop::collection::vec(0u8..3, 2..10),
+            cables in prop::collection::vec((0usize..10, 0usize..10), 0..40),
+        ) {
+            let mut b = NetworkBuilder::new();
+            let ids: Vec<NodeId> = kinds.iter().map(|&k| add(&mut b, k)).collect();
+            let mut ports = vec![0; ids.len()];
+            let mut made = Vec::new();
+            for (a, z) in cables {
+                let (a, z) = (a % ids.len(), z % ids.len());
+                // A host's second cable panics (its own test below).
+                let full = |n: usize| kinds[n] == 2 && ports[n] == 1;
+                if a == z || full(a) || full(z) {
+                    continue;
+                }
+                let (pa, pz) = b.connect(ids[a], ids[z], BW, DELAY);
+                prop_assert_eq!((pa.index(), pz.index()), (ports[a], ports[z]));
+                ports[a] += 1;
+                ports[z] += 1;
+                made.push((ids[a], pa, ids[z], pz));
+            }
+            for (a, pa, z, pz) in made {
+                for (from, port, to, to_port) in [(a, pa, z, pz), (z, pz, a, pa)] {
+                    let wire = egress(&b.net, from, port).wire;
+                    prop_assert_eq!((wire.dst, wire.dst_port), (to, to_port));
+                    prop_assert_eq!((wire.bandwidth, wire.delay), (BW, DELAY));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "host n1 is already connected to n0: a host has one NIC")]
+    fn a_host_takes_one_cable() {
+        let mut b = NetworkBuilder::new();
+        let ids = [0, 2, 0].map(|k| add(&mut b, k));
+        b.connect(ids[0], ids[1], BW, DELAY);
+        b.connect(ids[1], ids[2], BW, DELAY);
+    }
+
+    #[test]
+    #[should_panic(expected = "host n1 was never connected")]
+    fn build_refuses_a_host_left_unconnected() {
+        let mut b = NetworkBuilder::new();
+        add(&mut b, 0);
+        add(&mut b, 2);
+        b.build();
+    }
+
+    /// Port ids used to wrap here: host 65,539's downlink became port 3,
+    /// and its packets were delivered to host 3 with no drop counted.
+    #[test]
+    #[should_panic(expected = "n0 already has 65535 ports and cannot take another")]
+    fn a_switch_cannot_outgrow_its_port_ids() {
+        let mut b = NetworkBuilder::new();
+        let sw = add(&mut b, 0);
+        for _ in 0..=PortId::MAX_PORTS {
+            let h = add(&mut b, 2);
+            b.connect(sw, h, BW, DELAY);
+        }
     }
 }

@@ -25,28 +25,35 @@ impl fmt::Display for NodeId {
 pub struct PortId(pub u16);
 
 impl PortId {
+    /// Most ports one node can have: a port id, and the port count, is
+    /// 16 bits wide.
+    pub const MAX_PORTS: usize = u16::MAX as usize;
+
     /// Index into the node's port vector.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The id of `node`'s next port when it has `have` already — the one
+    /// place a port count becomes a port id. Panics past
+    /// [`PortId::MAX_PORTS`]: a wrapped id would deliver to another port
+    /// and the run would look fine.
+    pub(crate) fn next(node: NodeId, have: usize) -> PortId {
+        match u16::try_from(have + 1) {
+            Ok(count) => PortId(count - 1),
+            Err(_) => panic!(
+                "{node} already has {have} ports and cannot take another: \
+                 port ids are 16-bit ({} ports at most)",
+                Self::MAX_PORTS
+            ),
+        }
     }
 }
 
 impl fmt::Display for PortId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
-    }
-}
-
-/// Identifier of a simplex link.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct LinkId(pub u32);
-
-impl LinkId {
-    /// Index into `Network::links`.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
     }
 }
 

@@ -67,11 +67,11 @@ pub use ecn::EcnConfig;
 pub use engine::{Network, NetworkBuilder, Simulator};
 pub use event::{Event, EventQueue};
 pub use flow_table::FlowTable;
-pub use ids::{mix64, FlowId, LinkId, NodeId, PortId};
-pub use link::{Link, Links};
+pub use ids::{mix64, FlowId, NodeId, PortId};
+pub use link::{Egress, Link};
 pub use node::{
-    CcFlowSample, CustomAction, CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointAction,
-    EndpointCtx, Host, Node, NullEndpoint, PortView, RawPort,
+    CcFlowSample, CustomAction, CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointCtx, Host,
+    Nic, Node, NullEndpoint,
 };
 pub use packet::{
     AckPayload, GrantPayload, Packet, PacketKind, CTRL_PKT_BYTES, DEFAULT_MTU, NUM_PRIORITIES,
@@ -80,7 +80,7 @@ pub use pool::{PacketPool, PoolStats};
 pub use stats::SimStats;
 pub use switch::{PfcConfig, Switch, SwitchConfig, SwitchPort};
 pub use topology::{
-    build_dumbbell, build_fat_tree, build_star, star_base_rtt, AppFactory, Dumbbell,
+    build_dumbbell, build_fat_tree, build_star, star_base_rtt, star_host_id, AppFactory, Dumbbell,
     DumbbellConfig, FatTree, FatTreeConfig, Star,
 };
 pub use trace::{

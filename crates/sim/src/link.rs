@@ -1,12 +1,15 @@
-//! Simplex links.
+//! Simplex links and the egress ports that own them.
 //!
 //! Every connection between two nodes is a pair of simplex links (one per
 //! direction). A link has a configured bandwidth (serialization) and a
-//! propagation delay; the transmitting node owns the serialization decision
-//! and the link only records where packets land.
+//! propagation delay and records where packets land. It belongs to the
+//! [`Egress`] that transmits onto it — a switch port, a host NIC or a
+//! custom node's port — and never changes once the network is built, so
+//! there is no table of links to look one up in.
 
-use crate::ids::{LinkId, NodeId, PortId};
-use powertcp_core::{Bandwidth, Tick};
+use crate::ids::{NodeId, PortId};
+use crate::packet::Packet;
+use powertcp_core::{Bandwidth, IntHopMetadata, Tick};
 
 /// One direction of a cable.
 #[derive(Clone, Copy, Debug)]
@@ -21,81 +24,133 @@ pub struct Link {
     pub dst_port: PortId,
 }
 
-impl Link {
-    /// Total latency for a packet of `bytes` entering an idle link:
-    /// serialization plus propagation.
-    pub fn latency(&self, bytes: u64) -> Tick {
-        self.bandwidth.tx_time(bytes) + self.delay
-    }
+/// The transmit half of every port in the network: the wire it drives
+/// and its serialization state. Queueing in front of it is the owning
+/// node's business (strict-priority classes on a switch, a FIFO on a host
+/// NIC, whatever a custom node keeps).
+#[derive(Clone, Copy, Debug)]
+pub struct Egress {
+    /// The wire this port transmits onto.
+    pub wire: Link,
+    /// A packet is being serialized.
+    pub busy: bool,
+    /// Cumulative bytes transmitted (the INT `txBytes` counter).
+    pub tx_bytes: u64,
 }
 
-/// The set of links in a network, indexed by [`LinkId`]. Links are
-/// immutable once added: switch ports keep their own copy of their egress
-/// link (see [`crate::switch::Switch::add_port`]), so there is no mutable
-/// lookup for a copy to go stale against.
-#[derive(Default, Debug)]
-pub struct Links {
-    links: Vec<Link>,
-}
-
-impl Links {
-    /// Add a link, returning its id.
-    pub fn add(&mut self, link: Link) -> LinkId {
-        let id = LinkId(self.links.len() as u32);
-        self.links.push(link);
-        id
+impl Egress {
+    /// An idle port onto `wire`.
+    pub fn new(wire: Link) -> Self {
+        Egress {
+            wire,
+            busy: false,
+            tx_bytes: 0,
+        }
     }
 
-    /// Look up a link.
+    /// Start serializing `pkt` out of `node`'s `port` at `now`: mark the
+    /// port busy, count the bytes and — given the queue length the packet
+    /// leaves behind, on a packet that collects INT — stamp the hop's
+    /// `(qlen, ts, txBytes, b)` record, at transmission-scheduling time
+    /// as the paper specifies. Returns the serialization time.
     #[inline]
-    pub fn get(&self, id: LinkId) -> &Link {
-        &self.links[id.index()]
+    pub fn begin(
+        &mut self,
+        pkt: &mut Packet,
+        node: NodeId,
+        port: PortId,
+        now: Tick,
+        int_qlen: Option<u64>,
+    ) -> Tick {
+        debug_assert!(!self.busy, "{node} {port}: transmit on a busy port");
+        let size = pkt.size as u64;
+        self.busy = true;
+        self.tx_bytes += size;
+        if let Some(qlen_bytes) = int_qlen {
+            if pkt.int_enable && pkt.kind.collects_int() {
+                pkt.int.push(IntHopMetadata {
+                    node: node.0,
+                    port: port.0,
+                    qlen_bytes,
+                    ts: now,
+                    tx_bytes: self.tx_bytes,
+                    bandwidth: self.wire.bandwidth,
+                });
+            }
+        }
+        self.wire.bandwidth.tx_time(size)
     }
 
-    /// Number of links.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// True if no links exist.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+    /// This port's share of [`crate::engine::Simulator::audit`], whatever
+    /// queues in front of it: the owner's running count of waiting bytes
+    /// against the `queued` bytes found there, nothing waiting on a port
+    /// that is neither busy nor `paused`, and — when the simulation is
+    /// `idle` — nothing left busy or paused.
+    pub(crate) fn audit(
+        &self,
+        paused: bool,
+        counted: u64,
+        queued: u64,
+        idle: bool,
+    ) -> Result<(), String> {
+        let busy = self.busy;
+        if counted != queued {
+            Err(format!(
+                "counts {counted} B waiting but {queued} B are queued"
+            ))
+        } else if queued > 0 && !busy && !paused {
+            Err(format!("{queued} B queued on an idle, unpaused port"))
+        } else if idle && (busy || paused) {
+            Err(format!(
+                "busy = {busy}, paused = {paused} with no event pending"
+            ))
+        } else {
+            Ok(())
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::FlowId;
 
-    #[test]
-    fn latency_is_serialization_plus_propagation() {
-        let l = Link {
+    fn egress() -> Egress {
+        Egress::new(Link {
             bandwidth: Bandwidth::gbps(100),
             delay: Tick::from_micros(1),
             dst: NodeId(1),
             dst_port: PortId(0),
-        };
-        // 1000B at 100G = 80ns, + 1us.
-        assert_eq!(l.latency(1000), Tick::from_nanos(1080));
+        })
     }
 
     #[test]
-    fn links_indexing() {
-        let mut links = Links::default();
-        let a = links.add(Link {
-            bandwidth: Bandwidth::gbps(25),
-            delay: Tick::from_micros(1),
-            dst: NodeId(1),
-            dst_port: PortId(2),
-        });
-        let b = links.add(Link {
-            bandwidth: Bandwidth::gbps(100),
-            delay: Tick::from_micros(5),
-            dst: NodeId(0),
-            dst_port: PortId(0),
-        });
-        assert_eq!(links.len(), 2);
-        assert_eq!(links.get(a).dst, NodeId(1));
-        assert_eq!(links.get(b).bandwidth, Bandwidth::gbps(100));
+    fn begin_counts_bytes_and_returns_the_serialization_time() {
+        let mut e = egress();
+        let mut p = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 1000, false, Tick::ZERO);
+        // 1000 B at 100 G = 80 ns; no queue length given, no INT record.
+        let ser = e.begin(&mut p, NodeId(7), PortId(3), Tick::from_nanos(5), None);
+        assert_eq!(ser, Tick::from_nanos(80));
+        assert!(e.busy);
+        assert_eq!(e.tx_bytes, 1000);
+        assert!(p.int.is_empty());
+    }
+
+    #[test]
+    fn begin_stamps_int_only_on_packets_that_collect_it() {
+        let mut e = egress();
+        let now = Tick::from_nanos(5);
+        let mut data = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 1000, false, Tick::ZERO);
+        e.begin(&mut data, NodeId(7), PortId(3), now, Some(4_000));
+        let hop = data.int.hops()[0];
+        assert_eq!((hop.node, hop.port, hop.qlen_bytes), (7, 3, 4_000));
+        assert_eq!((hop.ts, hop.tx_bytes), (now, 1000));
+        assert_eq!(hop.bandwidth, Bandwidth::gbps(100));
+
+        e.busy = false;
+        let mut ack = Packet::ack_for(&data, 1000, false, now);
+        let echoed = ack.int.len();
+        e.begin(&mut ack, NodeId(7), PortId(3), now, Some(0));
+        assert_eq!(ack.int.len(), echoed, "control packets collect nothing");
     }
 }

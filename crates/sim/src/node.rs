@@ -2,32 +2,23 @@
 //! switches (pluggable forwarding logic, e.g. the RDCN VOQ ToR).
 //!
 //! The event engine owns all nodes; endpoint and custom-switch logic are
-//! the only dynamically-dispatched parts and communicate with the engine
-//! exclusively through action lists — no callbacks into the engine, no
-//! shared mutability, fully deterministic replay.
+//! the only dynamically-dispatched parts. An endpoint drives its host's
+//! NIC and the event queue directly through [`EndpointCtx`]; custom-switch
+//! logic hands the engine an action list — no callbacks into the engine,
+//! no shared mutability, fully deterministic replay either way.
 
-use crate::ids::{LinkId, NodeId, PortId};
+use crate::engine::Scheduler;
+use crate::event::Event;
+use crate::ids::{NodeId, PortId};
+use crate::link::{Egress, Link};
 use crate::packet::Packet;
-use crate::pool::PacketPool;
 use crate::switch::Switch;
 use powertcp_core::{Bandwidth, Tick};
 use std::collections::VecDeque;
 
-/// What an endpoint (host application/transport) may ask the engine to do.
-#[derive(Debug)]
-pub enum EndpointAction {
-    /// Transmit a packet out of the host NIC.
-    Send(Box<Packet>),
-    /// Request a [`crate::event::Event::HostTimer`] callback at `at`.
-    Timer {
-        /// Absolute firing time.
-        at: Tick,
-        /// Opaque key returned to the endpoint.
-        key: u64,
-    },
-}
-
-/// Context handed to endpoint callbacks.
+/// Context handed to endpoint callbacks: the host's NIC and the engine's
+/// event queue and packet pool. Every method acts at once, so the order
+/// an endpoint calls them in is the order their events are scheduled in.
 pub struct EndpointCtx<'a> {
     /// Current simulation time.
     pub now: Tick,
@@ -35,56 +26,16 @@ pub struct EndpointCtx<'a> {
     pub node: NodeId,
     /// Bandwidth of the host NIC link.
     pub nic_bw: Bandwidth,
-    actions: &'a mut Vec<EndpointAction>,
-    /// Recycled-box pool (engine-provided; `None` in standalone unit
-    /// tests, where boxes fall back to plain allocate/free).
-    pool: Option<&'a mut PacketPool>,
+    pub(crate) nic: &'a mut Nic,
+    pub(crate) sched: &'a mut Scheduler,
 }
 
-impl<'a> EndpointCtx<'a> {
-    /// Construct a pool-less context over an action buffer. Public so
-    /// endpoint and custom-switch implementations in other crates can
-    /// unit-test their logic without spinning up a simulator.
-    pub fn new(
-        now: Tick,
-        node: NodeId,
-        nic_bw: Bandwidth,
-        actions: &'a mut Vec<EndpointAction>,
-    ) -> Self {
-        EndpointCtx {
-            now,
-            node,
-            nic_bw,
-            actions,
-            pool: None,
-        }
-    }
-
-    /// Construct a context whose sends draw boxes from (and whose
-    /// [`EndpointCtx::recycle`] returns them to) the simulator's pool.
-    pub fn with_pool(
-        now: Tick,
-        node: NodeId,
-        nic_bw: Bandwidth,
-        actions: &'a mut Vec<EndpointAction>,
-        pool: &'a mut PacketPool,
-    ) -> Self {
-        EndpointCtx {
-            now,
-            node,
-            nic_bw,
-            actions,
-            pool: Some(pool),
-        }
-    }
-
-    /// Queue a packet for transmission on the host NIC.
+impl EndpointCtx<'_> {
+    /// Queue a packet for transmission on the host NIC, in a box drawn
+    /// from the simulator's pool.
     pub fn send(&mut self, pkt: Packet) {
-        let boxed = match &mut self.pool {
-            Some(pool) => pool.boxed(pkt),
-            None => Box::new(pkt),
-        };
-        self.actions.push(EndpointAction::Send(boxed));
+        let boxed = self.sched.pool.boxed(pkt);
+        self.send_boxed(boxed);
     }
 
     /// Queue an already-boxed packet for transmission — the zero-copy
@@ -92,23 +43,25 @@ impl<'a> EndpointCtx<'a> {
     /// (e.g. [`crate::packet::Packet::into_ack`]) and send the same box
     /// back instead of recycling it and building a fresh packet.
     pub fn send_boxed(&mut self, pkt: Box<Packet>) {
-        self.actions.push(EndpointAction::Send(pkt));
+        self.nic.txq_bytes += pkt.size as u64;
+        self.nic.txq.push_back(pkt);
+        self.nic.kick(self.node, self.sched);
     }
 
     /// Return a consumed packet's box to the simulator's pool. Endpoints
-    /// call this for every delivered packet they are done with; without a
-    /// pool (standalone tests) the box is simply freed.
+    /// call this for every delivered packet they are done with.
     pub fn recycle(&mut self, pkt: Box<Packet>) {
-        if let Some(pool) = &mut self.pool {
-            pool.recycle(pkt);
-        }
+        self.sched.pool.recycle(pkt);
     }
 
-    /// Schedule a timer callback at absolute time `at` with an opaque key.
-    /// Timers cannot be cancelled; stale timers should be recognized by key
-    /// and ignored by the endpoint (lazy cancellation).
+    /// Schedule a timer callback at absolute time `at` (no earlier than
+    /// now) with an opaque key. Timers cannot be cancelled; stale timers
+    /// should be recognized by key and ignored by the endpoint (lazy
+    /// cancellation).
     pub fn set_timer(&mut self, at: Tick, key: u64) {
-        self.actions.push(EndpointAction::Timer { at, key });
+        let node = self.node;
+        self.sched
+            .schedule(at.max(self.now), Event::HostTimer { node, key });
     }
 }
 
@@ -158,40 +111,71 @@ impl Endpoint for NullEndpoint {
     fn on_timer(&mut self, _key: u64, _ctx: &mut EndpointCtx<'_>) {}
 }
 
-/// A host: one NIC egress port plus endpoint logic.
-pub struct Host {
-    /// This host's id.
-    pub id: NodeId,
-    /// Uplink to the ToR.
-    pub link: LinkId,
-    /// NIC transmit queue (FIFO; the transport self-limits its depth
-    /// through windows and pacing, mirroring real NIC behaviour).
+/// A host's NIC: one egress port behind a FIFO.
+pub struct Nic {
+    /// The port and its uplink to the ToR.
+    pub tx: Egress,
+    /// Transmit queue (FIFO; the transport self-limits its depth through
+    /// windows and pacing, mirroring real NIC behaviour).
     pub txq: VecDeque<Box<Packet>>,
     /// Bytes currently queued in the NIC.
     pub txq_bytes: u64,
-    /// A packet is on the wire.
-    pub busy: bool,
     /// Paused by PFC from the ToR.
     pub paused: bool,
-    /// Cumulative bytes transmitted.
-    pub tx_bytes: u64,
+}
+
+impl Nic {
+    /// Start transmitting on `node`'s NIC if it is idle, unpaused, and
+    /// has queued packets.
+    pub(crate) fn kick(&mut self, node: NodeId, sched: &mut Scheduler) {
+        if self.tx.busy || self.paused {
+            return;
+        }
+        let Some(mut pkt) = self.txq.pop_front() else {
+            return;
+        };
+        self.txq_bytes -= pkt.size as u64;
+        let ser = self.tx.begin(&mut pkt, node, PortId(0), sched.now(), None);
+        sched.put_on_wire(node, PortId(0), pkt, ser, &self.tx.wire);
+    }
+}
+
+/// A host: one NIC plus endpoint logic.
+pub struct Host {
+    /// This host's id.
+    pub id: NodeId,
+    /// The NIC.
+    pub nic: Nic,
     /// Endpoint logic.
     pub app: Box<dyn Endpoint>,
 }
 
 impl Host {
-    /// Create a host attached via `link`.
-    pub fn new(id: NodeId, link: LinkId, app: Box<dyn Endpoint>) -> Self {
+    /// Create a host whose NIC is not cabled yet: its wire loops back to
+    /// the host itself until [`crate::engine::NetworkBuilder::connect`]
+    /// replaces it.
+    pub fn new(id: NodeId, app: Box<dyn Endpoint>) -> Self {
+        let loopback = Link {
+            bandwidth: Bandwidth::ZERO,
+            delay: Tick::ZERO,
+            dst: id,
+            dst_port: PortId(0),
+        };
         Host {
             id,
-            link,
-            txq: VecDeque::new(),
-            txq_bytes: 0,
-            busy: false,
-            paused: false,
-            tx_bytes: 0,
+            nic: Nic {
+                tx: Egress::new(loopback),
+                txq: VecDeque::new(),
+                txq_bytes: 0,
+                paused: false,
+            },
             app,
         }
+    }
+
+    /// Has the NIC been connected to a peer?
+    pub(crate) fn is_cabled(&self) -> bool {
+        self.nic.tx.wire.dst != self.id
     }
 }
 
@@ -225,27 +209,15 @@ pub enum CustomAction {
     },
 }
 
-/// Read-only port state exposed to custom switch logic.
-#[derive(Clone, Copy, Debug)]
-pub struct PortView {
-    /// Configured bandwidth of the egress link.
-    pub bandwidth: Bandwidth,
-    /// Propagation delay of the egress link.
-    pub delay: Tick,
-    /// Whether the port is currently serializing a packet.
-    pub busy: bool,
-    /// Node on the far end of this port's egress link.
-    pub peer: NodeId,
-}
-
 /// Context handed to custom-switch callbacks.
 pub struct CustomCtx<'a> {
     /// Current simulation time.
     pub now: Tick,
     /// This node.
     pub node: NodeId,
-    /// Per-port state.
-    pub ports: &'a [PortView],
+    /// Per-port state: the wire (bandwidth, delay, peer) and whether the
+    /// port is serializing.
+    pub ports: &'a [Egress],
     actions: &'a mut Vec<CustomAction>,
 }
 
@@ -255,7 +227,7 @@ impl<'a> CustomCtx<'a> {
     pub fn new(
         now: Tick,
         node: NodeId,
-        ports: &'a [PortView],
+        ports: &'a [Egress],
         actions: &'a mut Vec<CustomAction>,
     ) -> Self {
         CustomCtx {
@@ -308,24 +280,13 @@ pub trait CustomSwitch {
 pub struct CustomNode {
     /// This node's id.
     pub id: NodeId,
-    /// Raw egress ports (serialization state only; queueing is the custom
+    /// Egress ports (serialization state only; queueing is the custom
     /// logic's business).
-    pub ports: Vec<RawPort>,
+    pub ports: Vec<Egress>,
     /// The logic.
     pub logic: Box<dyn CustomSwitch>,
     /// Packets dropped by the logic.
     pub drops: u64,
-}
-
-/// Serialization state of one custom-node egress port.
-#[derive(Clone, Copy, Debug)]
-pub struct RawPort {
-    /// Egress link.
-    pub link: LinkId,
-    /// Currently serializing?
-    pub busy: bool,
-    /// Cumulative bytes transmitted (INT counter).
-    pub tx_bytes: u64,
 }
 
 /// A node in the network.
@@ -348,20 +309,34 @@ impl Node {
         }
     }
 
-    /// Convenience accessor; panics if not a switch.
-    pub fn as_switch(&self) -> &Switch {
+    /// The id [`Node::attach`] will give this node's next port. A host
+    /// has one NIC: asking for a second port panics.
+    pub(crate) fn next_port(&self) -> PortId {
         match self {
-            Node::Switch(s) => s,
-            _ => panic!("node {} is not a switch", self.id()),
+            Node::Switch(s) => PortId::next(s.id, s.num_ports()),
+            Node::Custom(c) => PortId::next(c.id, c.ports.len()),
+            Node::Host(h) => {
+                let peer = h.nic.tx.wire.dst;
+                assert!(
+                    !h.is_cabled(),
+                    "host {} is already connected to {peer}: a host has one NIC",
+                    h.id
+                );
+                PortId(0)
+            }
         }
     }
 
-    /// Convenience accessor; panics if not a host.
-    pub fn as_host(&self) -> &Host {
+    /// Cable this node's next port onto `wire`: a switch or a custom node
+    /// grows a port, a host plugs in its NIC. Returns the port's id.
+    pub(crate) fn attach(&mut self, wire: Link) -> PortId {
+        let port = self.next_port();
         match self {
-            Node::Host(h) => h,
-            _ => panic!("node {} is not a host", self.id()),
+            Node::Switch(s) => assert_eq!(s.add_port(wire), port),
+            Node::Custom(c) => c.ports.push(Egress::new(wire)),
+            Node::Host(h) => h.nic.tx.wire = wire,
         }
+        port
     }
 }
 
@@ -371,40 +346,16 @@ mod tests {
     use crate::ids::FlowId;
 
     #[test]
-    fn endpoint_ctx_collects_actions() {
-        let mut actions = Vec::new();
-        let mut ctx = EndpointCtx::new(
-            Tick::from_micros(3),
-            NodeId(1),
-            Bandwidth::gbps(25),
-            &mut actions,
-        );
-        ctx.set_timer(Tick::from_micros(5), 42);
-        ctx.send(Packet::data(
-            FlowId(1),
-            NodeId(1),
-            NodeId(2),
-            0,
-            100,
-            false,
-            ctx.now,
-        ));
-        assert_eq!(actions.len(), 2);
-        assert!(matches!(actions[0], EndpointAction::Timer { key: 42, .. }));
-        assert!(matches!(actions[1], EndpointAction::Send(_)));
-    }
-
-    #[test]
     fn custom_ctx_collects_actions() {
         let mut actions = Vec::new();
-        let ports = [PortView {
+        let ports = [Egress::new(Link {
             bandwidth: Bandwidth::gbps(100),
             delay: Tick::from_micros(1),
-            busy: false,
-            peer: NodeId(9),
-        }];
+            dst: NodeId(9),
+            dst_port: PortId(0),
+        })];
         let mut ctx = CustomCtx::new(Tick::ZERO, NodeId(5), &ports, &mut actions);
-        assert_eq!(ctx.ports[0].peer, NodeId(9));
+        assert_eq!(ctx.ports[0].wire.dst, NodeId(9));
         let p = Packet::data(FlowId(1), NodeId(0), NodeId(9), 0, 100, false, Tick::ZERO);
         ctx.start_tx(PortId(0), Box::new(p.clone()), Some(777));
         ctx.drop_packet(Box::new(p));

@@ -16,8 +16,8 @@
 //! into the reused box, so every field — including the accumulated INT
 //! stack — is exactly what the caller constructed, never a residue of the
 //! box's previous life. Recycling is purely an optimization: a box that
-//! is never recycled is simply freed by its normal `Drop`, so endpoints
-//! outside the engine (unit tests, pool-less contexts) stay correct.
+//! is never recycled is simply freed by its normal `Drop`, so an endpoint
+//! that drops what it is delivered stays correct.
 //!
 //! In steady state the free list reaches the peak number of concurrently
 //! live packets and the hot loop allocates nothing.

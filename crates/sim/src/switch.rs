@@ -10,10 +10,10 @@
 
 use crate::buffer::SharedBuffer;
 use crate::ecn::{EcnConfig, MarkRng};
-use crate::ids::{mix64, LinkId, NodeId, PortId};
-use crate::link::Link;
+use crate::ids::{mix64, NodeId, PortId};
+use crate::link::{Egress, Link};
 use crate::packet::{Packet, PacketKind, NUM_PRIORITIES};
-use powertcp_core::{IntHopMetadata, Tick};
+use powertcp_core::Tick;
 use std::collections::VecDeque;
 
 /// PFC (priority flow control) thresholds, in bytes of per-ingress-port
@@ -50,9 +50,11 @@ pub(crate) struct QueuedPacket {
 // One bit per class in `SwitchPort::occupied`.
 const _: () = assert!(NUM_PRIORITIES <= u8::BITS as usize);
 
-/// One egress port: eight strict-priority FIFO queues plus serialization
-/// state.
+/// One egress port: eight strict-priority FIFO queues in front of its
+/// transmit half.
 pub struct SwitchPort {
+    /// The wire and its serialization state.
+    pub(crate) tx: Egress,
     pub(crate) queues: [VecDeque<QueuedPacket>; NUM_PRIORITIES],
     /// Bit `i` set ⇔ `queues[i]` is non-empty. Data rides class 7, so
     /// without it every dequeue — and every `TxDone` on an idle port —
@@ -60,33 +62,20 @@ pub struct SwitchPort {
     occupied: u8,
     /// Total bytes across all priority queues of this port.
     pub(crate) queued_bytes: u64,
-    /// Cumulative bytes transmitted (the INT `txBytes` counter).
-    pub(crate) tx_bytes: u64,
-    /// Currently serializing a packet.
-    pub(crate) busy: bool,
     /// Paused by a peer's PFC XOFF.
     pub(crate) paused: bool,
-    /// The egress link's id in the network's link table.
-    link: LinkId,
-    /// The egress link itself. Links never change once the network is
-    /// built, so the port keeps its own copy and forwarding never visits
-    /// the link table.
-    wire: Link,
     /// Packets dropped at this port by buffer admission.
     pub(crate) drops: u64,
 }
 
 impl SwitchPort {
-    fn new(link: LinkId, wire: Link) -> Self {
+    fn new(wire: Link) -> Self {
         SwitchPort {
+            tx: Egress::new(wire),
             queues: Default::default(),
             occupied: 0,
             queued_bytes: 0,
-            tx_bytes: 0,
-            busy: false,
             paused: false,
-            link,
-            wire,
             drops: 0,
         }
     }
@@ -97,28 +86,17 @@ impl SwitchPort {
         self.queued_bytes
     }
 
-    /// Cumulative bytes transmitted.
+    /// The transmit half: the wire, whether a packet is being serialized,
+    /// and the cumulative bytes transmitted.
     #[inline]
-    pub fn tx_bytes(&self) -> u64 {
-        self.tx_bytes
+    pub fn tx(&self) -> &Egress {
+        &self.tx
     }
 
     /// Packets dropped at admission to this port.
     #[inline]
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// The egress link id.
-    #[inline]
-    pub fn link(&self) -> LinkId {
-        self.link
-    }
-
-    /// True while a packet is being serialized.
-    #[inline]
-    pub fn is_busy(&self) -> bool {
-        self.busy
     }
 
     /// True while paused by PFC.
@@ -248,15 +226,14 @@ impl Switch {
         }
     }
 
-    /// Add an egress port onto `wire`, which the network's link table
-    /// holds as `link`; returns the port id. Port indices pair up across
-    /// a cable: if A reaches B via A.p3, then B reaches A via B.p_k and
-    /// both ends agree (the topology builder maintains this), which is
-    /// what lets PFC frames go "back where the traffic came from" by
-    /// egressing the ingress port index.
-    pub fn add_port(&mut self, link: LinkId, wire: Link) -> PortId {
-        let id = PortId(self.ports.len() as u16);
-        self.ports.push(SwitchPort::new(link, wire));
+    /// Add an egress port onto `wire`; returns the port id. Port indices
+    /// pair up across a cable: if A reaches B via A.p3, then B reaches A
+    /// via B.p_k and both ends agree (the topology builder maintains
+    /// this), which is what lets PFC frames go "back where the traffic
+    /// came from" by egressing the ingress port index.
+    pub fn add_port(&mut self, wire: Link) -> PortId {
+        let id = PortId::next(self.id, self.ports.len());
+        self.ports.push(SwitchPort::new(wire));
         self.ingress_bytes.push(0);
         self.xoff_sent.push(false);
         id
@@ -367,7 +344,7 @@ impl Switch {
             out.recycle(pkt);
             let port = &mut self.ports[ingress.index()];
             port.paused = pause;
-            if !pause && !port.busy {
+            if !pause && !port.tx.busy {
                 self.try_transmit(ingress, now, out);
             }
             return;
@@ -414,7 +391,7 @@ impl Switch {
         port.push(class, QueuedPacket { pkt, ingress });
         self.forwarded += 1;
 
-        if !port.busy && !port.paused {
+        if !port.tx.busy && !port.paused {
             self.try_transmit(egress, now, out);
         }
         self.update_pfc(ingress, out);
@@ -423,38 +400,25 @@ impl Switch {
     /// A transmission on `port` completed.
     pub(crate) fn tx_done(&mut self, port: PortId, now: Tick, out: &mut impl Sink) {
         let p = &mut self.ports[port.index()];
-        p.busy = false;
+        p.tx.busy = false;
         if !p.paused {
             self.try_transmit(port, now, out);
         }
     }
 
-    /// Dequeue the next packet on `port` (if any) and put it on the wire:
-    /// the port stamps the INT record — queue length *excluding* the
-    /// packet now being serialized, at transmission-scheduling time, as
-    /// the paper specifies — and works out the serialization time from
-    /// its own copy of the link.
+    /// Dequeue the next packet on `port` (if any) and put it on the wire.
+    /// The INT record carries the queue length *excluding* the packet now
+    /// being serialized.
     fn try_transmit(&mut self, port_id: PortId, now: Tick, out: &mut impl Sink) {
         let port = &mut self.ports[port_id.index()];
-        debug_assert!(!port.busy);
         let Some(QueuedPacket { mut pkt, ingress }) = port.pop_highest() else {
             return;
         };
         let size = pkt.size as u64;
         self.shared.release(size);
-        port.busy = true;
-        port.tx_bytes += size;
-        let wire = port.wire;
-        if self.cfg.int_enabled && pkt.int_enable && pkt.kind.collects_int() {
-            pkt.int.push(IntHopMetadata {
-                node: self.id.0,
-                port: port_id.0,
-                qlen_bytes: port.queued_bytes,
-                ts: now,
-                tx_bytes: port.tx_bytes,
-                bandwidth: wire.bandwidth,
-            });
-        }
+        let int_qlen = self.cfg.int_enabled.then_some(port.queued_bytes);
+        let ser = port.tx.begin(&mut pkt, self.id, port_id, now, int_qlen);
+        let wire = port.tx.wire;
         if self.cfg.pfc.is_some() {
             let level = &mut self.ingress_bytes[ingress.index()];
             let left = level.checked_sub(size);
@@ -466,7 +430,7 @@ impl Switch {
             *level = left.unwrap_or(0);
             self.update_pfc(ingress, out);
         }
-        out.transmit(port_id, pkt, wire.bandwidth.tx_time(size), &wire);
+        out.transmit(port_id, pkt, ser, &wire);
     }
 
     /// Re-evaluate PFC state for one ingress port.
@@ -482,7 +446,13 @@ impl Switch {
             return;
         };
         self.xoff_sent[i] = pause;
-        out.pfc(ingress, &self.ports[i].wire, pause);
+        out.pfc(ingress, &self.ports[i].tx.wire, pause);
+    }
+
+    /// Packets waiting in this switch's queues.
+    pub(crate) fn queued_packets(&self) -> usize {
+        let queues = self.ports.iter().flat_map(|p| &p.queues);
+        queues.map(VecDeque::len).sum()
     }
 
     /// This switch's share of [`crate::engine::Simulator::audit`]: every
@@ -507,23 +477,9 @@ impl Switch {
                     from[qp.ingress.index()] += qp.pkt.size as u64;
                 }
             }
-            if bytes != port.queued_bytes {
-                return Err(format!(
-                    "switch {id} port {p}: queued_bytes {} but {bytes} B are queued",
-                    port.queued_bytes
-                ));
-            }
-            if bytes > 0 && !port.busy && !port.paused {
-                return Err(format!(
-                    "switch {id} port {p}: {bytes} B queued on an idle, unpaused port"
-                ));
-            }
-            if idle && (port.busy || port.paused) {
-                return Err(format!(
-                    "switch {id} port {p}: busy = {}, paused = {} with no event pending",
-                    port.busy, port.paused
-                ));
-            }
+            port.tx
+                .audit(port.paused, port.queued_bytes, bytes, idle)
+                .map_err(|e| format!("switch {id} port {p}: {e}"))?;
             total += bytes;
         }
         if total != self.shared.used() {
@@ -603,7 +559,7 @@ mod tests {
                 dst: NodeId(10 + l),
                 dst_port: PortId(0),
             };
-            sw.add_port(LinkId(l), wire);
+            sw.add_port(wire);
         }
         // Arena-sized as NetworkBuilder::build would for an 11-node
         // network (big enough that NodeId(77) below stays routeless).
@@ -631,7 +587,7 @@ mod tests {
         assert_eq!(sw.forwarded(), 1);
         // The packet is in flight, not queued.
         assert_eq!(sw.port(PortId(1)).queued_bytes(), 0);
-        assert!(sw.port(PortId(1)).is_busy());
+        assert!(sw.port(PortId(1)).tx().busy);
     }
 
     #[test]
@@ -849,7 +805,7 @@ mod tests {
                 dst: NodeId(1),
                 dst_port: PortId(0),
             };
-            let mut port = SwitchPort::new(LinkId(0), wire);
+            let mut port = SwitchPort::new(wire);
             let mut next_flow = 0;
             for (op, class, size) in ops {
                 if op > 0 {
@@ -900,7 +856,7 @@ mod tests {
                     dst: NodeId(l),
                     dst_port: PortId(0),
                 };
-                sw.add_port(LinkId(l), wire);
+                sw.add_port(wire);
             }
             sw.init_routes(nodes);
             let mut nested = NestedRoutes { id: sw.id, routes: vec![Vec::new(); nodes] };

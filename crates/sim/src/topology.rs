@@ -141,12 +141,6 @@ impl FatTree {
     pub fn rack_of(&self, host_index: usize) -> usize {
         host_index / self.cfg.hosts_per_tor
     }
-
-    /// ToR egress port facing host `host_index` (ports are created in
-    /// host order before uplinks).
-    pub fn tor_downlink_port(&self, host_index: usize) -> PortId {
-        PortId((host_index % self.cfg.hosts_per_tor) as u16)
-    }
 }
 
 /// Build the fat-tree, instantiating one endpoint per host via `apps`.
@@ -186,11 +180,13 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
     // `tors[i / hosts_per_tor]`. Ports 0..hosts_per_tor-1 on each ToR are
     // host downlinks (uplinks come after).
     let mut hosts = Vec::with_capacity(cfg.num_hosts());
+    let mut downlinks = Vec::with_capacity(cfg.num_hosts());
     for (t, &tor) in tors.iter().enumerate() {
         for h in 0..cfg.hosts_per_tor {
             let idx = t * cfg.hosts_per_tor + h;
             let host = b.add_host(apps(b.next_node_id(), idx));
-            b.connect_host(host, tor, cfg.host_bw, cfg.host_delay);
+            assert_eq!(host, cfg.host_node_id(idx), "fat-tree node-id plan");
+            downlinks.push(b.connect(tor, host, cfg.host_bw, cfg.host_delay).0);
             hosts.push(host);
         }
     }
@@ -204,8 +200,7 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
             let ti = pod * cfg.tors_per_pod + t;
             for a in 0..cfg.aggs_per_pod {
                 let ai = pod * cfg.aggs_per_pod + a;
-                let (pt, pa) =
-                    b.connect_switches(tors[ti], aggs[ai], cfg.fabric_bw, cfg.fabric_delay);
+                let (pt, pa) = b.connect(tors[ti], aggs[ai], cfg.fabric_bw, cfg.fabric_delay);
                 tor_uplinks[ti].push(pt);
                 agg_downlinks[ai].push((ti, pa));
             }
@@ -217,7 +212,7 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
     let mut core_downlinks = vec![Vec::new(); cores.len()];
     for (ai, &agg) in aggs.iter().enumerate() {
         for (ci, &core) in cores.iter().enumerate() {
-            let (pa, pc) = b.connect_switches(agg, core, cfg.fabric_bw, cfg.core_delay);
+            let (pa, pc) = b.connect(agg, core, cfg.fabric_bw, cfg.core_delay);
             agg_uplinks[ai].push(pa);
             core_downlinks[ci].push((ai, pc));
         }
@@ -233,15 +228,12 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
         let pod = pod_of_rack(rack);
         // ToRs.
         for (ti, &tor) in tors.iter().enumerate() {
-            let sw = match net.node_mut(tor) {
-                crate::node::Node::Switch(s) => s,
-                _ => unreachable!(),
-            };
-            if ti == rack {
-                sw.set_route(host, vec![PortId((hi % cfg.hosts_per_tor) as u16)]);
+            let ports = if ti == rack {
+                vec![downlinks[hi]]
             } else {
-                sw.set_route(host, tor_uplinks[ti].clone());
-            }
+                tor_uplinks[ti].clone()
+            };
+            net.switch_mut(tor).set_route(host, ports);
         }
         // Aggs.
         for (ai, _) in aggs.iter().enumerate() {
@@ -256,11 +248,7 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
             } else {
                 agg_uplinks[ai].clone()
             };
-            let sw = match net.node_mut(aggs[ai]) {
-                crate::node::Node::Switch(s) => s,
-                _ => unreachable!(),
-            };
-            sw.set_route(host, ports);
+            net.switch_mut(aggs[ai]).set_route(host, ports);
         }
         // Cores: ECMP over the dst pod's aggs.
         for (ci, _) in cores.iter().enumerate() {
@@ -269,11 +257,7 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
                 .filter(|(ai, _)| ai / cfg.aggs_per_pod == pod)
                 .map(|(_, p)| *p)
                 .collect();
-            let sw = match net.node_mut(cores[ci]) {
-                crate::node::Node::Switch(s) => s,
-                _ => unreachable!(),
-            };
-            sw.set_route(host, ports);
+            net.switch_mut(cores[ci]).set_route(host, ports);
         }
     }
 
@@ -324,6 +308,14 @@ pub struct DumbbellConfig {
 }
 
 impl DumbbellConfig {
+    /// The node id host index `i` will receive when the dumbbell is
+    /// built: the two switches come first, then the senders (`i <
+    /// pairs`, left side), then the receivers.
+    pub fn host_node_id(&self, i: usize) -> NodeId {
+        assert!(i < 2 * self.pairs);
+        NodeId((2 + i) as u32)
+    }
+
     /// Base RTT through the bottleneck for MTU data + control ACK — the
     /// value `build_dumbbell` stores in [`Dumbbell::base_rtt`],
     /// computable before the network (and its endpoints) exist.
@@ -356,49 +348,41 @@ pub fn build_dumbbell(cfg: DumbbellConfig, apps: &mut AppFactory<'_>) -> Dumbbel
     let mut b = NetworkBuilder::new();
     let left = b.add_switch(cfg.switch);
     let right = b.add_switch(cfg.switch);
-    let mut senders = Vec::new();
-    let mut receivers = Vec::new();
-    for i in 0..cfg.pairs {
+    // Hosts in index order — senders on the left switch, then receivers
+    // on the right; `down[i]` is the switch port facing host `i`.
+    let mut hosts = Vec::new();
+    let mut down = Vec::new();
+    for i in 0..2 * cfg.pairs {
+        let sw = if i < cfg.pairs { left } else { right };
         let h = b.add_host(apps(b.next_node_id(), i));
-        b.connect_host(h, left, cfg.host_bw, cfg.host_delay);
-        senders.push(h);
+        assert_eq!(h, cfg.host_node_id(i), "dumbbell node-id plan");
+        down.push(b.connect(sw, h, cfg.host_bw, cfg.host_delay).0);
+        hosts.push(h);
     }
-    for i in 0..cfg.pairs {
-        let h = b.add_host(apps(b.next_node_id(), cfg.pairs + i));
-        b.connect_host(h, right, cfg.host_bw, cfg.host_delay);
-        receivers.push(h);
-    }
-    let (_pl, _pr) = b.connect_switches(left, right, cfg.bottleneck_bw, cfg.bottleneck_delay);
+    let (trunk_left, trunk_right) = b.connect(left, right, cfg.bottleneck_bw, cfg.bottleneck_delay);
     let mut net = b.build();
 
-    for (i, &h) in senders.iter().enumerate() {
-        // Left switch reaches its own hosts directly.
-        if let crate::node::Node::Switch(s) = net.node_mut(left) {
-            s.set_route(h, vec![PortId(i as u16)]);
-        }
-        // Right switch sends return traffic over the bottleneck's reverse.
-        if let crate::node::Node::Switch(s) = net.node_mut(right) {
-            s.set_route(h, vec![PortId(cfg.pairs as u16)]);
-        }
-    }
-    for (i, &h) in receivers.iter().enumerate() {
-        if let crate::node::Node::Switch(s) = net.node_mut(right) {
-            s.set_route(h, vec![PortId(i as u16)]);
-        }
-        if let crate::node::Node::Switch(s) = net.node_mut(left) {
-            s.set_route(h, vec![PortId(cfg.pairs as u16)]);
-        }
+    // A host's own switch reaches it directly, the other one over the
+    // bottleneck.
+    for (i, &h) in hosts.iter().enumerate() {
+        let (near, far, far_trunk) = if i < cfg.pairs {
+            (left, right, trunk_right)
+        } else {
+            (right, left, trunk_left)
+        };
+        net.switch_mut(near).set_route(h, vec![down[i]]);
+        net.switch_mut(far).set_route(h, vec![far_trunk]);
     }
 
     let base_rtt = cfg.base_rtt();
-
+    let receivers = hosts.split_off(cfg.pairs);
     Dumbbell {
         net,
-        senders,
+        senders: hosts,
         receivers,
         left,
         right,
-        bottleneck_port: PortId(cfg.pairs as u16),
+        bottleneck_port: trunk_left,
         base_rtt,
     }
 }
@@ -425,6 +409,12 @@ pub fn star_base_rtt(host_bw: Bandwidth, host_delay: Tick) -> Tick {
         + host_bw.tx_time(CTRL_PKT_BYTES as u64) * 2
 }
 
+/// The node id host index `i` receives when a star is built: the switch
+/// is node 0, the hosts follow.
+pub fn star_host_id(i: usize) -> NodeId {
+    NodeId((1 + i) as u32)
+}
+
 /// Build a star of `n` hosts on one switch.
 pub fn build_star(
     n: usize,
@@ -437,16 +427,16 @@ pub fn build_star(
     let mut b = NetworkBuilder::new();
     let sw = b.add_switch(switch_cfg);
     let mut hosts = Vec::new();
+    let mut downlinks = Vec::new();
     for i in 0..n {
         let h = b.add_host(apps(b.next_node_id(), i));
-        b.connect_host(h, sw, host_bw, host_delay);
+        assert_eq!(h, star_host_id(i), "star node-id plan");
+        downlinks.push(b.connect(sw, h, host_bw, host_delay).0);
         hosts.push(h);
     }
     let mut net = b.build();
-    for (i, &h) in hosts.iter().enumerate() {
-        if let crate::node::Node::Switch(s) = net.node_mut(sw) {
-            s.set_route(h, vec![PortId(i as u16)]);
-        }
+    for (&h, &down) in hosts.iter().zip(&downlinks) {
+        net.switch_mut(sw).set_route(h, vec![down]);
     }
     let base_rtt = star_base_rtt(host_bw, host_delay);
     Star {
@@ -547,6 +537,10 @@ mod tests {
         let d = build_dumbbell(DumbbellConfig::default(), &mut mk);
         assert_eq!(d.senders.len(), 2);
         assert_eq!(d.receivers.len(), 2);
+        let plan = DumbbellConfig::default();
+        for (i, &h) in d.senders.iter().chain(&d.receivers).enumerate() {
+            assert_eq!(plan.host_node_id(i), h, "host {i}");
+        }
         // base RTT: 4*1us + 2*2us = 8us prop + serialization.
         assert!(d.base_rtt > Tick::from_micros(8));
         assert!(d.base_rtt < Tick::from_micros(10));
@@ -564,5 +558,8 @@ mod tests {
         );
         assert_eq!(s.hosts.len(), 4);
         assert_eq!(s.net.switch(s.switch).num_ports(), 4);
+        for (i, &h) in s.hosts.iter().enumerate() {
+            assert_eq!(star_host_id(i), h, "host {i}");
+        }
     }
 }

@@ -62,8 +62,27 @@ pub fn tx_bytes_probe(
     mut sink: impl FnMut(Tick, f64) + 'static,
 ) -> impl FnMut(&Network, Tick) + 'static {
     move |net, now| {
-        let tx = net.switch(switch).port(port).tx_bytes();
+        let tx = net.switch(switch).port(port).tx().tx_bytes;
         sink(now, tx as f64);
+    }
+}
+
+/// Probe sampling throughput (Gbps) of the egress port `tx_bytes` reads
+/// the cumulative TX counter of, computed between samples.
+fn rate_probe(
+    tx_bytes: impl Fn(&Network) -> u64 + 'static,
+    mut sink: impl FnMut(Tick, f64) + 'static,
+) -> impl FnMut(&Network, Tick) + 'static {
+    let mut last: Option<(Tick, u64)> = None;
+    move |net, now| {
+        let tx = tx_bytes(net);
+        if let Some((t0, tx0)) = last {
+            let dt = now.saturating_sub(t0).as_secs_f64();
+            if dt > 0.0 {
+                sink(now, (tx - tx0) as f64 * 8.0 / dt / 1e9);
+            }
+        }
+        last = Some((now, tx));
     }
 }
 
@@ -72,38 +91,18 @@ pub fn tx_bytes_probe(
 pub fn throughput_probe(
     switch: NodeId,
     port: PortId,
-    mut sink: impl FnMut(Tick, f64) + 'static,
+    sink: impl FnMut(Tick, f64) + 'static,
 ) -> impl FnMut(&Network, Tick) + 'static {
-    let mut last: Option<(Tick, u64)> = None;
-    move |net, now| {
-        let tx = net.switch(switch).port(port).tx_bytes();
-        if let Some((t0, tx0)) = last {
-            let dt = now.saturating_sub(t0).as_secs_f64();
-            if dt > 0.0 {
-                sink(now, (tx - tx0) as f64 * 8.0 / dt / 1e9);
-            }
-        }
-        last = Some((now, tx));
-    }
+    rate_probe(move |net| net.switch(switch).port(port).tx().tx_bytes, sink)
 }
 
 /// Probe sampling a host's transmit throughput (Gbps) from its cumulative
 /// NIC counter — per-sender rate series for fairness plots.
 pub fn host_throughput_probe(
     host: NodeId,
-    mut sink: impl FnMut(Tick, f64) + 'static,
+    sink: impl FnMut(Tick, f64) + 'static,
 ) -> impl FnMut(&Network, Tick) + 'static {
-    let mut last: Option<(Tick, u64)> = None;
-    move |net, now| {
-        let tx = net.host(host).tx_bytes;
-        if let Some((t0, tx0)) = last {
-            let dt = now.saturating_sub(t0).as_secs_f64();
-            if dt > 0.0 {
-                sink(now, (tx - tx0) as f64 * 8.0 / dt / 1e9);
-            }
-        }
-        last = Some((now, tx));
-    }
+    rate_probe(move |net| net.host(host).nic.tx.tx_bytes, sink)
 }
 
 /// Probe sampling a host endpoint's per-flow congestion-control state
@@ -196,6 +195,34 @@ mod tests {
         assert_eq!(bs.borrow().len(), 11);
         assert_eq!(qs.borrow()[0].0, Tick::ZERO, "baseline sample at t=0");
         assert!(qs.borrow().iter().all(|&(_, v)| v == 0.0));
+    }
+
+    /// A tracer registered after the clock has moved used to be scheduled
+    /// at the absolute time `every`: in the past (a debug build panicked,
+    /// a release build clamped and sampled at once).
+    #[test]
+    fn a_late_tracer_starts_one_interval_on() {
+        let mut mk =
+            |_: NodeId, _: usize| -> Box<dyn crate::node::Endpoint> { Box::new(NullEndpoint) };
+        let star = build_star(
+            2,
+            Bandwidth::gbps(25),
+            Tick::from_micros(1),
+            SwitchConfig::default(),
+            &mut mk,
+        );
+        let sw = star.switch;
+        let mut sim = Simulator::new(star.net);
+        // Something to pop, so the clock stands at 100 us.
+        sim.add_tracer(Tick::from_micros(100), |_, _| {});
+        sim.run_until(Tick::from_micros(100));
+        assert_eq!(sim.now(), Tick::from_micros(100));
+        let bs = series();
+        sim.add_tracer(Tick::from_micros(10), buffer_tracer(sw, bs.clone()));
+        sim.run_until(Tick::from_micros(130));
+        let at: Vec<u64> = bs.borrow().iter().map(|&(t, _)| t.as_ps()).collect();
+        // No baseline row, first sample one interval after registration.
+        assert_eq!(at, [110_000_000, 120_000_000, 130_000_000]);
     }
 
     #[test]

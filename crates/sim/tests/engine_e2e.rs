@@ -348,8 +348,13 @@ fn packet_pool_goes_allocation_free_in_steady_state() {
         &mut mk,
     );
     let mut sim = Simulator::new(star.net);
+    // Both sides recycle and hold nothing: mid-rally the one box out is
+    // the one in the network.
+    sim.run_until(Tick::from_micros(100));
+    sim.audit_closed().expect("conservation audit, mid-run");
+    assert_eq!(sim.pool_stats().free, 0, "the ball is in play");
     sim.run_until_idle();
-    sim.audit().expect("conservation audit");
+    sim.audit_closed().expect("conservation audit");
     assert_eq!(sim.delivered, 1001);
     let stats = sim.pool_stats();
     assert_eq!(

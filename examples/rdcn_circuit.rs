@@ -27,6 +27,7 @@ fn main() {
     let base_rtt = cfg.base_rtt();
     let circuit_bw = cfg.circuit_bw;
     let h = cfg.hosts_per_tor;
+    let plan = cfg.clone();
     let metrics = MetricsHub::new_shared();
 
     let m2 = metrics.clone();
@@ -47,7 +48,7 @@ fn main() {
         let rack = idx / h;
         let slot = idx % h;
         if rack == 0 {
-            let dst = NodeId((2 + (1 + h) + 1 + slot) as u32);
+            let dst = plan.host_node_id(1, slot);
             host.add_flow(FlowSpec {
                 id: FlowId(idx as u64 + 1),
                 src: id,
