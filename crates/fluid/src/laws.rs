@@ -113,11 +113,6 @@ impl Law {
     pub fn all() -> [Law; 4] {
         [Law::QueueLength, Law::Delay, Law::RttGradient, Law::Power]
     }
-
-    /// Is this a voltage-class law (unique equilibrium expected)?
-    pub fn is_voltage(self) -> bool {
-        matches!(self, Law::QueueLength | Law::Delay)
-    }
 }
 
 /// State of the single-bottleneck fluid model.

@@ -5,8 +5,8 @@
 //! buffering in the optical domain, but the electrical egress interface
 //! can hold a small FIFO while serializing back-to-back arrivals.
 //! Packets arriving during a night (possible only if a ToR ignores the
-//! guard time) are dropped and counted, mirroring light lost in a
-//! reconfiguring switch.
+//! guard time) are dropped and counted (the node's `drops`), mirroring
+//! light lost in a reconfiguring switch.
 
 use crate::schedule::RotorSchedule;
 use dcn_sim::{CustomCtx, CustomSwitch, Packet, PortId};
@@ -17,10 +17,6 @@ pub struct CircuitSwitch {
     schedule: RotorSchedule,
     /// Per-output FIFO while the port serializes.
     out_queues: Vec<VecDeque<Box<Packet>>>,
-    /// Packets that arrived during a night.
-    pub night_drops: u64,
-    /// Packets forwarded.
-    pub forwarded: u64,
 }
 
 impl CircuitSwitch {
@@ -29,13 +25,11 @@ impl CircuitSwitch {
         CircuitSwitch {
             schedule,
             out_queues: (0..schedule.n_tors).map(|_| VecDeque::new()).collect(),
-            night_drops: 0,
-            forwarded: 0,
         }
     }
 
     fn pump(&mut self, port: usize, ctx: &mut CustomCtx<'_>) {
-        if ctx.ports[port].busy {
+        if ctx.ports()[port].busy {
             return;
         }
         if let Some(pkt) = self.out_queues[port].pop_front() {
@@ -51,12 +45,10 @@ impl CustomSwitch for CircuitSwitch {
     fn on_packet(&mut self, port: PortId, pkt: Box<Packet>, ctx: &mut CustomCtx<'_>) {
         let p = self.schedule.at(ctx.now);
         if !p.in_day {
-            self.night_drops += 1;
             ctx.drop_packet(pkt);
             return;
         }
         let out = self.schedule.peer_of(port.index(), p.matching);
-        self.forwarded += 1;
         self.out_queues[out].push_back(pkt);
         self.pump(out, ctx);
     }
@@ -71,102 +63,68 @@ impl CustomSwitch for CircuitSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_sim::{CustomAction, Egress, FlowId, Link, NodeId};
+    use crate::bed::{self, Bed, DELAY};
+    use dcn_sim::{FlowId, NodeId};
     use powertcp_core::{Bandwidth, Tick};
 
-    fn views(n: usize) -> Vec<Egress> {
-        (0..n)
-            .map(|i| {
-                Egress::new(Link {
-                    bandwidth: Bandwidth::gbps(100),
-                    delay: Tick::from_micros(1),
-                    dst: NodeId(i as u32),
-                    dst_port: PortId(0),
-                })
-            })
-            .collect()
-    }
-
-    fn pkt() -> Box<Packet> {
-        Box::new(Packet::data(
+    fn pkt(size: u32) -> Packet {
+        Packet::data(
             FlowId(1),
             NodeId(100),
             NodeId(200),
             0,
-            1000,
+            size,
             false,
             Tick::ZERO,
-        ))
+        )
+    }
+
+    /// The paper's 25-port switch, packets of the given sizes reaching
+    /// port 3 back to back from `t`, run 1 us on.
+    fn run(t: Tick, sizes: &[u32]) -> Bed {
+        let arrivals: Vec<_> = sizes.iter().map(|&s| (3, t, pkt(s))).collect();
+        let sw = CircuitSwitch::new(RotorSchedule::paper_defaults());
+        let ports = [Bandwidth::gbps(100); 25];
+        bed::run(sw, &ports, &arrivals, t + Tick::from_micros(1))
     }
 
     #[test]
     fn forwards_by_current_matching() {
-        let s = RotorSchedule::paper_defaults();
-        let mut sw = CircuitSwitch::new(s);
-        let v = views(25);
-        let mut actions = Vec::new();
         // Day 0 (matching 0): port 3 -> port 4.
-        let mut ctx = CustomCtx::new(Tick::from_micros(10), NodeId(0), &v, &mut actions);
-        sw.on_packet(PortId(3), pkt(), &mut ctx);
-        assert_eq!(actions.len(), 1);
-        match &actions[0] {
-            CustomAction::StartTx { port, .. } => assert_eq!(*port, PortId(4)),
-            other => panic!("unexpected action {other:?}"),
-        }
-        assert_eq!(sw.forwarded, 1);
+        let bed = run(Tick::from_micros(10), &[1000]);
+        assert_eq!(bed.tx_bytes(), [(4, 1000)]);
+        assert_eq!(bed.got.len(), 1);
+        assert_eq!(bed.got[0].0, 4);
+        assert_eq!(bed.node().drops, 0);
     }
 
     #[test]
     fn night_arrivals_are_dropped() {
-        let s = RotorSchedule::paper_defaults();
-        let mut sw = CircuitSwitch::new(s);
-        let v = views(25);
-        let mut actions = Vec::new();
         // 230us is within the first night (225..245).
-        let mut ctx = CustomCtx::new(Tick::from_micros(230), NodeId(0), &v, &mut actions);
-        sw.on_packet(PortId(3), pkt(), &mut ctx);
-        assert_eq!(sw.night_drops, 1);
-        assert!(matches!(actions[0], CustomAction::Drop { .. }));
+        let bed = run(Tick::from_micros(230), &[1000]);
+        assert_eq!(bed.node().drops, 1);
+        assert_eq!(bed.tx_bytes(), []);
+        assert!(bed.got.is_empty());
     }
 
     #[test]
     fn second_day_uses_next_matching() {
-        let s = RotorSchedule::paper_defaults();
-        let mut sw = CircuitSwitch::new(s);
-        let v = views(25);
-        let mut actions = Vec::new();
         // 250us: day of matching 1: port 3 -> port 5.
-        let mut ctx = CustomCtx::new(Tick::from_micros(250), NodeId(0), &v, &mut actions);
-        sw.on_packet(PortId(3), pkt(), &mut ctx);
-        match &actions[0] {
-            CustomAction::StartTx { port, .. } => assert_eq!(*port, PortId(5)),
-            other => panic!("unexpected action {other:?}"),
-        }
+        let bed = run(Tick::from_micros(250), &[1000]);
+        assert_eq!(bed.tx_bytes(), [(5, 1000)]);
+        assert_eq!(bed.got[0].0, 5);
     }
 
     #[test]
     fn busy_output_queues_until_tx_done() {
-        let s = RotorSchedule::paper_defaults();
-        let mut sw = CircuitSwitch::new(s);
-        let mut v = views(25);
-        let mut actions = Vec::new();
-        {
-            let mut ctx = CustomCtx::new(Tick::from_micros(10), NodeId(0), &v, &mut actions);
-            sw.on_packet(PortId(3), pkt(), &mut ctx);
-        }
-        // Mark the port busy (the engine would) and deliver another.
-        v[4].busy = true;
-        {
-            let mut ctx = CustomCtx::new(Tick::from_micros(11), NodeId(0), &v, &mut actions);
-            sw.on_packet(PortId(3), pkt(), &mut ctx);
-        }
-        assert_eq!(actions.len(), 1, "second packet queued, not transmitted");
-        // TxDone frees the port.
-        v[4].busy = false;
-        {
-            let mut ctx = CustomCtx::new(Tick::from_micros(12), NodeId(0), &v, &mut actions);
-            sw.on_tx_done(PortId(4), &mut ctx);
-        }
-        assert_eq!(actions.len(), 2);
+        // 100 B at 100 G follow the 1000 B packet in 8 ns later, 8 ns into
+        // its 80 ns transmission: the second waits for the first's TxDone
+        // and leaves exactly then.
+        let t = Tick::from_micros(10);
+        let bed = run(t, &[1000, 100]);
+        assert_eq!(bed.tx_bytes(), [(4, 1100)]);
+        let at: Vec<_> = bed.got.iter().map(|(_, at, p)| (*at, p.size)).collect();
+        let first = t + Tick::from_nanos(80) + DELAY;
+        assert_eq!(at, [(first, 1000), (first + Tick::from_nanos(8), 100)]);
     }
 }

@@ -17,5 +17,8 @@ pub mod voq_tor;
 pub use circuit::CircuitSwitch;
 pub use schedule::{RotorSchedule, SchedulePoint};
 pub use signal::CircuitAwareHost;
-pub use topology::{build_rdcn, Rdcn, RdcnConfig};
+pub use topology::{build_rack_pair, build_rdcn, Rdcn, RdcnConfig};
 pub use voq_tor::{LatencySink, VoqGauge, VoqTor, VoqTorConfig};
+
+#[cfg(test)]
+mod bed;

@@ -49,11 +49,6 @@ impl CircuitAwareHost {
         }
     }
 
-    /// Access the wrapped transport (e.g. to add flows).
-    pub fn transport_mut(&mut self) -> &mut TransportHost {
-        &mut self.inner
-    }
-
     fn next_transition(&self, now: Tick) -> Tick {
         if self
             .schedule

@@ -4,8 +4,12 @@
 
 use crate::circuit::CircuitSwitch;
 use crate::schedule::RotorSchedule;
+use crate::signal::CircuitAwareHost;
 use crate::voq_tor::{LatencySink, VoqGauge, VoqTor, VoqTorConfig};
-use dcn_sim::{AppFactory, Network, NetworkBuilder, NodeId, PortId, SwitchConfig};
+use dcn_sim::{
+    AppFactory, Endpoint, FlowId, Network, NetworkBuilder, NodeId, PortId, SwitchConfig,
+};
+use dcn_transport::{CcFactory, FlowSpec, SharedMetrics, TransportConfig, TransportHost};
 use powertcp_core::{Bandwidth, Tick};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -195,6 +199,37 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
         latency_sinks,
         cfg,
     }
+}
+
+/// The Figure 8 fixture: every host of rack 0 sends one `flow_bytes` flow
+/// (id = host index + 1, from t = 0) to its same-slot peer in rack 1 from
+/// behind a [`CircuitAwareHost`] watching the `0 → 1` circuit; every
+/// other host is a plain [`TransportHost`]. `make_cc` is called once per
+/// host, in host order.
+pub fn build_rack_pair(
+    cfg: RdcnConfig,
+    metrics: &SharedMetrics,
+    tcfg: TransportConfig,
+    flow_bytes: u64,
+    make_cc: &mut dyn FnMut() -> CcFactory,
+) -> Rdcn {
+    let mut mk = |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
+        let mut host = TransportHost::new(tcfg, metrics.clone(), make_cc());
+        let (rack, slot) = (idx / cfg.hosts_per_tor, idx % cfg.hosts_per_tor);
+        if rack != 0 {
+            return Box::new(host);
+        }
+        host.add_flow(FlowSpec {
+            id: FlowId(idx as u64 + 1),
+            src: id,
+            dst: cfg.host_node_id(1, slot),
+            size_bytes: flow_bytes,
+            start: Tick::ZERO,
+        });
+        let (schedule, bw) = (cfg.schedule, cfg.circuit_bw);
+        Box::new(CircuitAwareHost::new(host, schedule, 0, 1, bw))
+    };
+    build_rdcn(cfg.clone(), &mut mk)
 }
 
 #[cfg(test)]

@@ -2,61 +2,32 @@
 //! circuit + packet hybrid fabric (the §5 case-study substrate).
 
 use cc_baselines::{ReTcp, ReTcpConfig};
-use dcn_sim::{Endpoint, FlowId, NodeId, Simulator};
-use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig, TransportHost};
+use dcn_sim::Simulator;
+use dcn_transport::{CcFactory, MetricsHub, SharedMetrics, TransportConfig};
 use powertcp_core::{CongestionControl, PowerTcp, PowerTcpConfig, Tick};
-use rdcn::{build_rdcn, CircuitAwareHost, Rdcn, RdcnConfig};
+use rdcn::{build_rack_pair, Rdcn, RdcnConfig};
 
 /// Build a small RDCN where every host of rack 0 sends a long flow to its
 /// counterpart in rack 1.
 fn rack_pair_setup(cfg: RdcnConfig, flow_bytes: u64, use_retcp: bool) -> (Rdcn, SharedMetrics) {
     let metrics = MetricsHub::new_shared();
-    let schedule = cfg.schedule;
-    let h = cfg.hosts_per_tor;
-    let base_rtt = cfg.base_rtt();
-    let circuit_bw = cfg.circuit_bw;
-    let plan = cfg.clone();
-    let m2 = metrics.clone();
-    let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
-        let tcfg = TransportConfig {
-            base_rtt,
-            rto: Tick::from_micros(2000),
-            expected_flows: 1,
-            ..TransportConfig::default()
-        };
-        let make_cc: dcn_transport::CcFactory = if use_retcp {
-            Box::new(move |_f, nic_bw| {
-                let ctx = tcfg.cc_context(nic_bw);
-                Box::new(ReTcp::new(ReTcpConfig::default(), ctx)) as Box<dyn CongestionControl>
-            })
-        } else {
-            Box::new(move |_f, nic_bw| {
-                let ctx = tcfg.cc_context(nic_bw);
-                Box::new(PowerTcp::new(PowerTcpConfig::default(), ctx))
-                    as Box<dyn CongestionControl>
-            })
-        };
-        let mut host = TransportHost::new(tcfg, m2.clone(), make_cc);
-        let rack = idx / h;
-        let slot = idx % h;
-        if rack == 0 {
-            // The peer: same slot, rack 1.
-            let dst = plan.host_node_id(1, slot);
-            host.add_flow(FlowSpec {
-                id: FlowId(idx as u64 + 1),
-                src: id,
-                dst,
-                size_bytes: flow_bytes,
-                start: Tick::ZERO,
-            });
-        }
-        if rack == 0 {
-            Box::new(CircuitAwareHost::new(host, schedule, 0, 1, circuit_bw))
-        } else {
-            Box::new(host)
-        }
+    let tcfg = TransportConfig {
+        base_rtt: cfg.base_rtt(),
+        rto: Tick::from_micros(2000),
+        expected_flows: 1,
+        ..TransportConfig::default()
     };
-    let r = build_rdcn(cfg, &mut mk);
+    let mut make_cc = || -> CcFactory {
+        Box::new(move |_f, nic_bw| -> Box<dyn CongestionControl> {
+            let ctx = tcfg.cc_context(nic_bw);
+            if use_retcp {
+                Box::new(ReTcp::new(ReTcpConfig::default(), ctx))
+            } else {
+                Box::new(PowerTcp::new(PowerTcpConfig::default(), ctx))
+            }
+        })
+    };
+    let r = build_rack_pair(cfg, &metrics, tcfg, flow_bytes, &mut make_cc);
     (r, metrics)
 }
 

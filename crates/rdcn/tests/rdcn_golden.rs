@@ -28,12 +28,10 @@
 //! `GOLDEN_REGEN=1 cargo test -p rdcn --test rdcn_golden`.
 
 use cc_baselines::{Hpcc, HpccConfig, ReTcp, ReTcpConfig};
-use dcn_sim::{
-    Endpoint, EndpointCtx, FlowId, Node, NodeId, Packet, PacketKind, SimStats, Simulator,
-};
-use dcn_transport::{CcFactory, FlowSpec, MetricsHub, TransportConfig, TransportHost};
+use dcn_sim::{Endpoint, EndpointCtx, Node, NullEndpoint, Packet, PacketKind, SimStats, Simulator};
+use dcn_transport::{CcFactory, MetricsHub, TransportConfig};
 use powertcp_core::{CongestionControl, PowerTcp, PowerTcpConfig, Tick};
-use rdcn::{build_rdcn, CircuitAwareHost, RdcnConfig, RotorSchedule};
+use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -143,11 +141,7 @@ fn run(r: &Run) -> (Stream, TorTx, SimStats) {
         prebuffer: r.prebuffer,
         ..RdcnConfig::default()
     };
-    let schedule = cfg.schedule;
     let base_rtt = cfg.base_rtt();
-    let circuit_bw = cfg.circuit_bw;
-    let h = cfg.hosts_per_tor;
-    let plan = cfg.clone();
     let law = r.law;
     let metrics = MetricsHub::new_shared();
     let stream = Rc::new(RefCell::new(Stream {
@@ -155,44 +149,37 @@ fn run(r: &Run) -> (Stream, TorTx, SimStats) {
         fnv: 0xcbf2_9ce4_8422_2325,
     }));
 
-    let taps = stream.clone();
-    let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
-        let tcfg = TransportConfig {
-            base_rtt,
-            rto: Tick::from_micros(2_000),
-            nack_guard: base_rtt,
-            expected_flows: 1,
-            mtu: 1000,
-        };
-        let make_cc: CcFactory = Box::new(move |_flow, nic_bw| -> Box<dyn CongestionControl> {
+    let tcfg = TransportConfig {
+        base_rtt,
+        rto: Tick::from_micros(2_000),
+        nack_guard: base_rtt,
+        expected_flows: 1,
+        mtu: 1000,
+    };
+    let mut make_cc = || -> CcFactory {
+        Box::new(move |_flow, nic_bw| -> Box<dyn CongestionControl> {
             let ctx = tcfg.cc_context(nic_bw);
             match law {
                 Law::PowerTcp => Box::new(PowerTcp::new(PowerTcpConfig::default(), ctx)),
                 Law::ReTcp => Box::new(ReTcp::new(ReTcpConfig::default(), ctx)),
                 Law::Hpcc => Box::new(Hpcc::new(HpccConfig::default(), ctx)),
             }
-        });
-        let mut host = TransportHost::new(tcfg, metrics.clone(), make_cc);
-        let (rack, slot) = (idx / h, idx % h);
-        let inner: Box<dyn Endpoint> = if rack == 0 {
-            host.add_flow(FlowSpec {
-                id: FlowId(idx as u64 + 1),
-                src: id,
-                dst: plan.host_node_id(1, slot),
-                // Enough bytes to stay active the whole run at 100 G.
-                size_bytes: circuit_bw.bytes_per_sec() as u64 / 100,
-                start: Tick::ZERO,
-            });
-            Box::new(CircuitAwareHost::new(host, schedule, 0, 1, circuit_bw))
-        } else {
-            Box::new(host)
-        };
-        Box::new(Tap {
-            inner,
-            stream: taps.clone(),
         })
     };
-    let rdcn = build_rdcn(cfg, &mut mk);
+    // Enough bytes to stay active the whole run at 100 G.
+    let flow_bytes = cfg.circuit_bw.bytes_per_sec() as u64 / 100;
+    let mut rdcn = build_rack_pair(cfg, &metrics, tcfg, flow_bytes, &mut make_cc);
+    // Every host goes behind a tap.
+    for &h in &rdcn.hosts {
+        let Node::Host(host) = rdcn.net.node_mut(h) else {
+            panic!("{h} is not a host");
+        };
+        let inner = std::mem::replace(&mut host.app, Box::new(NullEndpoint));
+        host.app = Box::new(Tap {
+            inner,
+            stream: stream.clone(),
+        });
+    }
     let tors = rdcn.tors.clone();
     let mut sim = Simulator::new(rdcn.net);
     sim.run_until(r.horizon);

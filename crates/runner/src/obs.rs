@@ -120,19 +120,9 @@ impl RunObserver {
             eprintln!();
         }
         spans.sort_by_key(|s| s.index);
-        let events = spans
-            .iter()
-            .filter_map(|s| s.stats.as_ref())
-            .map(|s| s.events_processed)
-            .sum();
-        let summary = SummaryRecord {
-            name: name.into(),
-            kind: kind.into(),
-            points: spans.len(),
-            cached: inner.cached,
-            wall_ms: self.t0.elapsed().as_secs_f64() * 1e3,
-            events,
-        };
+        let mut summary = SummaryRecord::new(name, kind);
+        spans.iter().for_each(|span| summary.add(span));
+        summary.wall_ms = self.t0.elapsed().as_secs_f64() * 1e3;
         if let Some(mut log) = inner.log {
             let _ = writeln!(log, "{}", summary.to_json());
             let _ = log.flush();

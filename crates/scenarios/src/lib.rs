@@ -96,8 +96,8 @@ pub use spec::{
     ScenarioSpec, SizeSpec, SweepSpec, TopologySpec, TraceScenario, TraceSpec, WorkloadSpec,
 };
 pub use sweep::{
-    compute, reduce, run_scenario, run_scenario_observed, run_sweep, run_trace, sweep_points,
-    work_items, Compute, Outcome, PointSource, ScenarioOutput, SweepPoint, WorkItem,
+    compute, panic_message, reduce, run_scenario, run_scenario_observed, run_sweep, run_trace,
+    sweep_points, work_items, Compute, Outcome, PointSource, ScenarioOutput, SweepPoint, WorkItem,
 };
 pub use trace_engine::{run_trace_entry_observed, trace_entries, TraceEntrySpec};
 // The workspace's one JSON string/number writer pair, re-exported for

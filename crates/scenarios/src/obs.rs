@@ -125,14 +125,35 @@ pub struct SummaryRecord {
     pub points: usize,
     /// Points served from the result cache.
     pub cached: usize,
-    /// Wall-clock milliseconds (total compute for runs; best repetition
-    /// for bench cases).
+    /// Wall-clock milliseconds (the run's elapsed time for runs; best
+    /// repetition for bench cases).
     pub wall_ms: f64,
     /// Simulation events dispatched across all points.
     pub events: u64,
 }
 
 impl SummaryRecord {
+    /// The summary of a run no span of which has completed yet.
+    pub fn new(name: &str, kind: &str) -> Self {
+        SummaryRecord {
+            name: name.into(),
+            kind: kind.into(),
+            points: 0,
+            cached: 0,
+            wall_ms: 0.0,
+            events: 0,
+        }
+    }
+
+    /// Count one more completed span. (`wall_ms` is not a sum of the
+    /// spans', which overlap whenever points run on more than one
+    /// thread: whoever timed the run sets it when the run ends.)
+    pub fn add(&mut self, span: &SpanRecord) {
+        self.points += 1;
+        self.cached += usize::from(span.cache == CacheStatus::Hit);
+        self.events += span.stats.as_ref().map_or(0, |s| s.events_processed);
+    }
+
     /// Events dispatched per wall-clock second (0 when nothing ran).
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_ms > 0.0 && self.events > 0 {

@@ -238,14 +238,20 @@ pub fn run_scenario_observed(
     match outcomes {
         Ok(outcomes) => reduce(spec, outcomes),
         Err((i, payload)) => {
-            let why = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
+            let why = panic_message(payload.as_ref());
             panic!("point {i} ({}): {why}", items[i].label());
         }
     }
+}
+
+/// The message a caught panic carried (`panic!` with a literal or with a
+/// format string; anything else has none to show).
+pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload")
 }
 
 /// [`run_scenario_observed`] computing every item in-process, unobserved.

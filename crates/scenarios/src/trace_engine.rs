@@ -19,10 +19,10 @@ use dcn_sim::{
     Endpoint, FlowId, NodeId, PortId, Simulator, SwitchConfig,
 };
 use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry};
-use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig, TransportHost};
+use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig};
 use fluid_model::{current_md, fig2c_cases, voltage_md};
 use powertcp_core::Tick;
-use rdcn::{build_rdcn, CircuitAwareHost, RdcnConfig, RotorSchedule};
+use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -573,42 +573,23 @@ fn rdcn_trace(
         ..RdcnConfig::default()
     };
     let schedule = cfg.schedule;
-    let base_rtt = cfg.base_rtt();
     let circuit_bw = cfg.circuit_bw;
-    let h = cfg.hosts_per_tor;
-    let plan = cfg.clone();
     let metrics: SharedMetrics = MetricsHub::new_shared();
     let horizon = Tick::from_ps(schedule.week().as_ps() * weeks);
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
 
-    let m2 = metrics.clone();
-    let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
-        let tcfg = TransportConfig {
-            base_rtt,
-            rto: Tick::from_micros(2_000),
-            nack_guard: base_rtt,
-            expected_flows: 1,
-            mtu: 1000,
-        };
-        let rack = idx / h;
-        let slot = idx % h;
-        let mut host = TransportHost::new(tcfg, m2.clone(), algo.cc_factory(tcfg));
-        if rack == 0 {
-            let dst = plan.host_node_id(1, slot);
-            host.add_flow(FlowSpec {
-                id: FlowId(idx as u64 + 1),
-                src: id,
-                dst,
-                // Enough bytes to stay active the whole run at 100 G.
-                size_bytes: circuit_bw.bytes_per_sec() as u64 / 100,
-                start: Tick::ZERO,
-            });
-            Box::new(CircuitAwareHost::new(host, schedule, 0, 1, circuit_bw))
-        } else {
-            Box::new(host)
-        }
+    let base_rtt = cfg.base_rtt();
+    let tcfg = TransportConfig {
+        base_rtt,
+        rto: Tick::from_micros(2_000),
+        nack_guard: base_rtt,
+        expected_flows: 1,
+        mtu: 1000,
     };
-    let r = build_rdcn(cfg, &mut mk);
+    // Enough bytes to stay active the whole run at 100 G.
+    let flow_bytes = circuit_bw.bytes_per_sec() as u64 / 100;
+    let mut make_cc = || algo.cc_factory(tcfg);
+    let r = build_rack_pair(cfg, &metrics, tcfg, flow_bytes, &mut make_cc);
     let gauge = r.voq_gauges[0].clone();
     let sink = r.latency_sinks[0].clone();
     let tor0 = r.tors[0];

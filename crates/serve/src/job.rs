@@ -23,7 +23,9 @@
 )]
 
 use crate::RunFn;
-use dcn_scenarios::{jstr, spec_kind, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
+use dcn_scenarios::{
+    jstr, panic_message, spec_kind, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord,
+};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -66,18 +68,18 @@ struct Progress {
     /// NDJSON event log: one span line per completed point, then one
     /// summary line. Streamed by `GET /jobs/<id>/events`.
     events: Vec<String>,
-    /// Points completed so far, by cache disposition.
-    done: usize,
-    hits: usize,
+    /// Roll-up of the spans completed so far (points done, cache hits,
+    /// simulation events); becomes the summary line at the end. Its
+    /// `wall_ms` is the job's total wall clock, frozen at completion —
+    /// as `xp run`'s summary has the run's, not Σ span clocks.
+    summary: SummaryRecord,
+    /// Cache misses among completed points.
     misses: usize,
-    /// Wall-clock milliseconds summed over completed spans (ETA basis).
+    /// Wall-clock milliseconds summed over completed spans (ETA basis
+    /// only: spans overlap across threads).
     span_wall_ms: f64,
-    /// Simulation events summed over completed spans (summary record).
-    sim_events: u64,
     /// When the worker claimed the job (ETA + wall_ms basis).
     started: Option<Instant>,
-    /// Total wall milliseconds, frozen at completion.
-    wall_ms: f64,
     /// Rendered reports, present once `Done`.
     report_json: Option<String>,
     report_csv: Option<String>,
@@ -166,26 +168,24 @@ impl JobSnapshot {
 impl Job {
     /// Wrap a parsed spec as a queued job.
     pub fn new(id: u64, spec: ScenarioSpec) -> Arc<Job> {
+        let kind = spec_kind(&spec);
         Arc::new(Job {
             id,
             name: spec.name.clone(),
-            kind: spec_kind(&spec),
+            kind,
             points: spec.num_points(),
-            spec,
             progress: Mutex::new(Progress {
                 state: JobState::Queued,
                 events: Vec::new(),
-                done: 0,
-                hits: 0,
+                summary: SummaryRecord::new(&spec.name, kind),
                 misses: 0,
                 span_wall_ms: 0.0,
-                sim_events: 0,
                 started: None,
-                wall_ms: 0.0,
                 report_json: None,
                 report_csv: None,
                 error: None,
             }),
+            spec,
             changed: Condvar::new(),
         })
     }
@@ -206,15 +206,10 @@ impl Job {
         // with us, and `span` finishes each update under the lock.)
         let result = catch_unwind(AssertUnwindSafe(|| run(&self.spec, self.as_ref())))
             .unwrap_or_else(|payload| {
-                let why = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic payload");
-                Err(format!("job panicked: {why}"))
+                Err(format!("job panicked: {}", panic_message(payload.as_ref())))
             });
         let mut p = self.progress.lock().unwrap();
-        p.wall_ms = match p.started {
+        p.summary.wall_ms = match p.started {
             Some(t0) => t0.elapsed().as_secs_f64() * 1e3,
             None => 0.0,
         };
@@ -224,18 +219,11 @@ impl Job {
                 // are exactly `xp run`'s, regardless of scheduling.
                 p.report_json = Some(output.to_json());
                 p.report_csv = Some(output.to_csv());
-                let summary = SummaryRecord {
-                    name: self.name.clone(),
-                    kind: self.kind.to_string(),
-                    points: p.done,
-                    cached: p.hits,
-                    wall_ms: p.span_wall_ms,
-                    events: p.sim_events,
-                };
                 // Summary before the terminal state, under one lock:
                 // event streams observe a complete log the moment they
                 // see a terminal state.
-                p.events.push(summary.to_json());
+                let summary = p.summary.to_json();
+                p.events.push(summary);
                 p.state = JobState::Done;
             }
             Err(e) => {
@@ -251,10 +239,11 @@ impl Job {
         let p = self.progress.lock().unwrap();
         let wall_ms = match (p.state, p.started) {
             (JobState::Running, Some(t0)) => t0.elapsed().as_secs_f64() * 1e3,
-            _ => p.wall_ms,
+            _ => p.summary.wall_ms,
         };
-        let eta_ms = if p.state == JobState::Running && p.done > 0 && self.points > p.done {
-            Some(p.span_wall_ms / p.done as f64 * (self.points - p.done) as f64)
+        let done = p.summary.points;
+        let eta_ms = if p.state == JobState::Running && done > 0 && self.points > done {
+            Some(p.span_wall_ms / done as f64 * (self.points - done) as f64)
         } else {
             None
         };
@@ -264,8 +253,8 @@ impl Job {
             kind: self.kind,
             state: p.state,
             points: self.points,
-            done: p.done,
-            hits: p.hits,
+            done,
+            hits: p.summary.cached,
             misses: p.misses,
             wall_ms,
             eta_ms,
@@ -309,30 +298,14 @@ impl Job {
         let lines = p.events.get(from..).unwrap_or(&[]).to_vec();
         (lines, p.state.is_terminal())
     }
-
-    /// Block until the job reaches a terminal state.
-    pub fn wait_terminal(&self) -> JobState {
-        let mut p = self.progress.lock().unwrap();
-        while !p.state.is_terminal() {
-            p = self.changed.wait(p).unwrap();
-        }
-        p.state
-    }
 }
 
 impl Observer for Job {
     fn span(&self, span: &SpanRecord) {
         let mut p = self.progress.lock().unwrap();
-        p.done += 1;
-        match span.cache {
-            dcn_scenarios::CacheStatus::Hit => p.hits += 1,
-            dcn_scenarios::CacheStatus::Miss => p.misses += 1,
-            dcn_scenarios::CacheStatus::Computed => {}
-        }
+        p.summary.add(span);
+        p.misses += usize::from(span.cache == CacheStatus::Miss);
         p.span_wall_ms += span.wall_ms;
-        if let Some(stats) = &span.stats {
-            p.sim_events += stats.events_processed;
-        }
         p.events.push(span.to_json());
         self.changed.notify_all();
     }
@@ -418,7 +391,7 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_scenarios::{builtin, CacheStatus};
+    use dcn_scenarios::builtin;
 
     fn tiny_job(id: u64) -> Arc<Job> {
         Job::new(id, builtin("fig6-small").expect("builtin spec"))
@@ -470,6 +443,37 @@ mod tests {
         assert!(status.contains("\"record\":\"job\""));
         assert!(status.contains("\"state\":\"done\""));
         assert!(status.contains("\"error\":null"));
+    }
+
+    /// Spans overlap when points run on several threads: the summary's
+    /// `wall_ms` is the job's own wall clock, as `xp run`'s is the run's.
+    #[test]
+    fn summary_wall_ms_is_the_jobs_wall_clock_not_the_sum_of_span_clocks() {
+        let job = tiny_job(4);
+        let run: RunFn = Arc::new(|spec, obs| {
+            for (i, item) in dcn_scenarios::work_items(spec).iter().enumerate() {
+                obs.span(&SpanRecord {
+                    index: i,
+                    label: item.label(),
+                    cache: CacheStatus::Hit,
+                    shard: None,
+                    wall_ms: 3_600_000.0,
+                    stats: None,
+                });
+            }
+            dcn_scenarios::run_scenario(spec, 1)
+        });
+        job.execute(&run);
+        let (events, _) = job.wait_events(job.points, Duration::from_millis(1));
+        let summary = dcn_scenarios::diff::parse_json(&events[0]).expect("summary line");
+        let wall_ms = summary.get("wall_ms").and_then(|v| v.as_f64()).unwrap();
+        let snap_ms = job.snapshot().wall_ms;
+        // `{:.3}` rounds to the nearest microsecond.
+        assert!(wall_ms <= snap_ms + 1e-3, "{wall_ms} vs {snap_ms}");
+        assert!(
+            wall_ms < 3_600_000.0,
+            "an hour per span, {wall_ms} ms in all"
+        );
     }
 
     #[test]

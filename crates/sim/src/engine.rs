@@ -8,9 +8,7 @@
 use crate::event::{Event, EventQueue};
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::link::Link;
-use crate::node::{
-    CustomAction, CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointCtx, Host, Node,
-};
+use crate::node::{CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointCtx, Host, Node};
 use crate::packet::{Packet, PacketKind, CTRL_PKT_BYTES};
 use crate::pool::{PacketPool, PoolStats};
 use crate::stats::SimStats;
@@ -90,7 +88,6 @@ pub struct Simulator {
     sched: Scheduler,
     tracers: Vec<Tracer>,
     started: bool,
-    scratch_custom: Vec<CustomAction>,
     /// Total packets delivered to hosts.
     pub delivered: u64,
     /// Events dispatched so far (all kinds, tracer samples included).
@@ -101,7 +98,7 @@ pub struct Simulator {
 
 /// Everything handling an event writes to, apart from the node handling
 /// it — one struct, so it can be borrowed whole beside that node (and
-/// lent to the endpoint running on it, see [`EndpointCtx`]).
+/// lent to the logic running on it: [`EndpointCtx`], [`CustomCtx`]).
 pub(crate) struct Scheduler {
     queue: EventQueue,
     /// Pending events that are not tracer samples; lets
@@ -215,7 +212,6 @@ impl Simulator {
             },
             tracers: Vec::new(),
             started: false,
-            scratch_custom: Vec::new(),
             delivered: 0,
             events_processed: 0,
             #[expect(
@@ -495,10 +491,9 @@ impl Simulator {
         f(h.app.as_mut(), &mut ctx);
     }
 
-    /// Run one callback of custom node `node`'s logic over its ports,
-    /// then apply the actions it asked for, in order. (A list, where
-    /// hosts act at once: the logic's unit tests live in other crates and
-    /// read it — see DESIGN.md, "The forwarding hop".)
+    /// Run one callback of custom node `node`'s logic, with its ports,
+    /// its drop counter and the scheduler in hand: what it transmits,
+    /// sets and drops happens as it asks.
     fn custom_visit(
         &mut self,
         node: NodeId,
@@ -507,33 +502,14 @@ impl Simulator {
         let Node::Custom(c) = &mut self.net.nodes[node.index()] else {
             panic!("{node} is not a custom node");
         };
-        let (sched, actions) = (&mut self.sched, &mut self.scratch_custom);
-        let now = sched.now();
-        f(
-            c.logic.as_mut(),
-            &mut CustomCtx::new(now, node, &c.ports, actions),
-        );
-        for a in actions.drain(..) {
-            match a {
-                CustomAction::StartTx {
-                    port,
-                    mut pkt,
-                    int_qlen,
-                } => {
-                    let tx = &mut c.ports[port.index()];
-                    assert!(!tx.busy, "StartTx on busy port {port} of {node}");
-                    let ser = tx.begin(&mut pkt, node, port, now, int_qlen);
-                    sched.put_on_wire(node, port, pkt, ser, &tx.wire);
-                }
-                CustomAction::Timer { at, key } => {
-                    sched.schedule(at.max(now), Event::NodeTimer { node, key });
-                }
-                CustomAction::Drop { pkt } => {
-                    c.drops += 1;
-                    sched.pool.recycle(pkt);
-                }
-            }
-        }
+        let mut ctx = CustomCtx {
+            now: self.sched.now(),
+            node,
+            ports: &mut c.ports,
+            drops: &mut c.drops,
+            sched: &mut self.sched,
+        };
+        f(c.logic.as_mut(), &mut ctx);
     }
 }
 
@@ -628,6 +604,8 @@ mod tests {
     use crate::link::Egress;
     use crate::node::NullEndpoint;
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct Inert;
 
@@ -639,6 +617,87 @@ mod tests {
 
     const BW: Bandwidth = Bandwidth::gbps(25);
     const DELAY: Tick = Tick::from_micros(1);
+
+    /// Bounces the packet it is sent back out of port 0 and sets timer 7
+    /// for the tick the `TxDone` falls on, `timer_first` deciding which of
+    /// the two it asks for first (and then, if `twice`, transmits again
+    /// on the port it has just made busy). Logs the callbacks it gets.
+    struct Ordered {
+        timer_first: bool,
+        twice: bool,
+        log: Rc<RefCell<Vec<&'static str>>>,
+    }
+
+    impl CustomSwitch for Ordered {
+        fn on_packet(&mut self, port: PortId, pkt: Box<Packet>, ctx: &mut CustomCtx<'_>) {
+            let again = pkt.clone();
+            let done = ctx.now + ctx.ports()[0].wire.bandwidth.tx_time(pkt.size as u64);
+            if self.timer_first {
+                ctx.set_timer(done, 7);
+            }
+            ctx.start_tx(port, pkt, None);
+            assert!(ctx.ports()[0].busy, "the port is busy as of the call");
+            if !self.timer_first {
+                ctx.set_timer(done, 7);
+            }
+            if self.twice {
+                ctx.start_tx(port, again, None);
+            }
+        }
+        fn on_tx_done(&mut self, _port: PortId, _ctx: &mut CustomCtx<'_>) {
+            self.log.borrow_mut().push("tx_done");
+        }
+        fn on_timer(&mut self, key: u64, _ctx: &mut CustomCtx<'_>) {
+            assert_eq!(key, 7);
+            self.log.borrow_mut().push("timer");
+        }
+    }
+
+    /// Sends one packet to node 0 on start, sinks what comes back.
+    struct Once;
+
+    impl Endpoint for Once {
+        fn on_start(&mut self, ctx: &mut EndpointCtx<'_>) {
+            let (src, dst) = (ctx.node, NodeId(0));
+            ctx.send(Packet::data(FlowId(1), src, dst, 0, 1000, false, ctx.now));
+        }
+        fn on_packet(&mut self, pkt: Box<Packet>, ctx: &mut EndpointCtx<'_>) {
+            ctx.recycle(pkt);
+        }
+        fn on_timer(&mut self, _key: u64, _ctx: &mut EndpointCtx<'_>) {}
+    }
+
+    /// Run an [`Ordered`] node cabled to one [`Once`] host; returns its log.
+    fn run_ordered(timer_first: bool, twice: bool) -> Vec<&'static str> {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut b = NetworkBuilder::new();
+        let node = b.add_custom(Box::new(Ordered {
+            timer_first,
+            twice,
+            log: log.clone(),
+        }));
+        let host = b.add_host(Box::new(Once));
+        b.connect(node, host, BW, DELAY);
+        let mut sim = Simulator::new(b.build());
+        sim.run_until_idle();
+        assert_eq!(sim.audit_closed(), Ok(()));
+        assert_eq!(sim.delivered, 1);
+        log.take()
+    }
+
+    /// What the deleted action list's drain order provided: a custom
+    /// node's same-tick events fire in the order it asked for them.
+    #[test]
+    fn custom_node_same_tick_events_fire_in_call_order() {
+        assert_eq!(run_ordered(true, false), ["timer", "tx_done"]);
+        assert_eq!(run_ordered(false, false), ["tx_done", "timer"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "start_tx on busy port p0 of n0")]
+    fn custom_start_tx_on_a_busy_port_panics_at_the_call() {
+        run_ordered(true, true);
+    }
 
     fn add(b: &mut NetworkBuilder, kind: u8) -> NodeId {
         match kind {

@@ -70,8 +70,8 @@ pub use flow_table::FlowTable;
 pub use ids::{mix64, FlowId, NodeId, PortId};
 pub use link::{Egress, Link};
 pub use node::{
-    CcFlowSample, CustomAction, CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointCtx, Host,
-    Nic, Node, NullEndpoint,
+    CcFlowSample, CustomCtx, CustomNode, CustomSwitch, Endpoint, EndpointCtx, Host, Nic, Node,
+    NullEndpoint,
 };
 pub use packet::{
     AckPayload, GrantPayload, Packet, PacketKind, CTRL_PKT_BYTES, DEFAULT_MTU, NUM_PRIORITIES,

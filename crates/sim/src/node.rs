@@ -3,9 +3,9 @@
 //!
 //! The event engine owns all nodes; endpoint and custom-switch logic are
 //! the only dynamically-dispatched parts. An endpoint drives its host's
-//! NIC and the event queue directly through [`EndpointCtx`]; custom-switch
-//! logic hands the engine an action list — no callbacks into the engine,
-//! no shared mutability, fully deterministic replay either way.
+//! NIC and the event queue directly through [`EndpointCtx`], custom-switch
+//! logic its node's ports through [`CustomCtx`] — no callbacks into the
+//! engine, no shared mutability, fully deterministic replay.
 
 use crate::engine::Scheduler;
 use crate::event::Event;
@@ -179,82 +179,53 @@ impl Host {
     }
 }
 
-/// What a custom switch may ask the engine to do.
-#[derive(Debug)]
-pub enum CustomAction {
-    /// Begin serializing `pkt` on `port`. The port must be idle (the
-    /// engine panics otherwise — transmitting on a busy port is a logic
-    /// error in the switch implementation, not a runtime condition).
-    StartTx {
-        /// Egress port.
-        port: PortId,
-        /// Packet to transmit.
-        pkt: Box<Packet>,
-        /// If `Some(qlen)`, append INT metadata with this queue length
-        /// (custom switches own their queues, so they report occupancy).
-        int_qlen: Option<u64>,
-    },
-    /// Request a [`crate::event::Event::NodeTimer`] callback.
-    Timer {
-        /// Absolute firing time.
-        at: Tick,
-        /// Opaque key.
-        key: u64,
-    },
-    /// Count a packet as dropped (for statistics). The engine recycles
-    /// the box into the simulator's packet pool.
-    Drop {
-        /// The dropped packet (consumed).
-        pkt: Box<Packet>,
-    },
-}
-
-/// Context handed to custom-switch callbacks.
+/// Context handed to custom-switch callbacks: the node's ports and drop
+/// counter and the engine's event queue and packet pool. Like
+/// [`EndpointCtx`], every method acts at once, so the order the logic
+/// calls them in is the order their events are scheduled in.
 pub struct CustomCtx<'a> {
     /// Current simulation time.
     pub now: Tick,
     /// This node.
     pub node: NodeId,
-    /// Per-port state: the wire (bandwidth, delay, peer) and whether the
-    /// port is serializing.
-    pub ports: &'a [Egress],
-    actions: &'a mut Vec<CustomAction>,
+    pub(crate) ports: &'a mut [Egress],
+    pub(crate) drops: &'a mut u64,
+    pub(crate) sched: &'a mut Scheduler,
 }
 
-impl<'a> CustomCtx<'a> {
-    /// Construct a context over an action buffer (public for out-of-crate
-    /// unit tests of custom switches).
-    pub fn new(
-        now: Tick,
-        node: NodeId,
-        ports: &'a [Egress],
-        actions: &'a mut Vec<CustomAction>,
-    ) -> Self {
-        CustomCtx {
-            now,
-            node,
-            ports,
-            actions,
-        }
+impl CustomCtx<'_> {
+    /// Per-port state: the wire (bandwidth, delay, peer) and whether the
+    /// port is serializing.
+    pub fn ports(&self) -> &[Egress] {
+        self.ports
     }
 
-    /// Begin transmitting on an idle port.
-    pub fn start_tx(&mut self, port: PortId, pkt: Box<Packet>, int_qlen: Option<u64>) {
-        self.actions.push(CustomAction::StartTx {
-            port,
-            pkt,
-            int_qlen,
-        });
+    /// Begin serializing `pkt` on `port`, which must be idle —
+    /// transmitting on a busy port is a logic error in the switch
+    /// implementation, not a runtime condition. If `int_qlen` is
+    /// `Some(qlen)`, INT metadata is appended with this queue length
+    /// (custom switches own their queues, so they report occupancy).
+    pub fn start_tx(&mut self, port: PortId, mut pkt: Box<Packet>, int_qlen: Option<u64>) {
+        let node = self.node;
+        let tx = &mut self.ports[port.index()];
+        assert!(!tx.busy, "start_tx on busy port {port} of {node}");
+        let ser = tx.begin(&mut pkt, node, port, self.now, int_qlen);
+        self.sched.put_on_wire(node, port, pkt, ser, &tx.wire);
     }
 
-    /// Schedule a timer.
+    /// Request a [`crate::event::Event::NodeTimer`] callback at absolute
+    /// time `at` (no earlier than now) with an opaque key.
     pub fn set_timer(&mut self, at: Tick, key: u64) {
-        self.actions.push(CustomAction::Timer { at, key });
+        let node = self.node;
+        self.sched
+            .schedule(at.max(self.now), Event::NodeTimer { node, key });
     }
 
-    /// Record a drop.
+    /// Count a packet as dropped (for statistics) and recycle its box
+    /// into the simulator's packet pool.
     pub fn drop_packet(&mut self, pkt: Box<Packet>) {
-        self.actions.push(CustomAction::Drop { pkt });
+        *self.drops += 1;
+        self.sched.pool.recycle(pkt);
     }
 }
 
@@ -337,29 +308,5 @@ impl Node {
             Node::Host(h) => h.nic.tx.wire = wire,
         }
         port
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ids::FlowId;
-
-    #[test]
-    fn custom_ctx_collects_actions() {
-        let mut actions = Vec::new();
-        let ports = [Egress::new(Link {
-            bandwidth: Bandwidth::gbps(100),
-            delay: Tick::from_micros(1),
-            dst: NodeId(9),
-            dst_port: PortId(0),
-        })];
-        let mut ctx = CustomCtx::new(Tick::ZERO, NodeId(5), &ports, &mut actions);
-        assert_eq!(ctx.ports[0].wire.dst, NodeId(9));
-        let p = Packet::data(FlowId(1), NodeId(0), NodeId(9), 0, 100, false, Tick::ZERO);
-        ctx.start_tx(PortId(0), Box::new(p.clone()), Some(777));
-        ctx.drop_packet(Box::new(p));
-        ctx.set_timer(Tick::from_micros(1), 7);
-        assert_eq!(actions.len(), 3);
     }
 }

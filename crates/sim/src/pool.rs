@@ -10,7 +10,7 @@
 //! called at every site that used to drop a packet (host delivery via
 //! [`EndpointCtx::recycle`](crate::node::EndpointCtx::recycle), PFC
 //! consumption, switch admission/no-route drops, and
-//! [`CustomAction::Drop`](crate::node::CustomAction::Drop)).
+//! [`CustomCtx::drop_packet`](crate::node::CustomCtx::drop_packet)).
 //!
 //! **No stale state can leak**: `boxed` move-assigns the entire [`Packet`]
 //! into the reused box, so every field — including the accumulated INT

@@ -37,7 +37,7 @@ pub struct SimStats {
     pub drops_no_route: u64,
     /// Switch drops: shared-buffer admission (Dynamic Thresholds) refusal.
     pub drops_buffer: u64,
-    /// Custom-node drops ([`CustomAction::Drop`](crate::node::CustomAction)).
+    /// Custom-node drops ([`CustomCtx::drop_packet`](crate::node::CustomCtx)).
     pub drops_custom: u64,
     /// PFC pause/resume frames emitted by switches (PFC is lossless —
     /// these are control frames sent, not drops).

@@ -132,11 +132,6 @@ pub struct FatTree {
 }
 
 impl FatTree {
-    /// The ToR a host hangs off.
-    pub fn tor_of(&self, host_index: usize) -> NodeId {
-        self.tors[host_index / self.cfg.hosts_per_tor]
-    }
-
     /// The rack (ToR index) of a host.
     pub fn rack_of(&self, host_index: usize) -> usize {
         host_index / self.cfg.hosts_per_tor

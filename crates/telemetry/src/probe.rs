@@ -118,11 +118,6 @@ impl Recorder {
         &self.channels
     }
 
-    /// Consume the recorder, returning its channels in creation order.
-    pub fn into_channels(self) -> Vec<Channel> {
-        self.channels
-    }
-
     /// Values of a channel (oldest → newest), dropping x coordinates.
     pub fn values(&self, ch: ChannelId) -> Vec<f64> {
         self.get(ch).ring.iter().map(|s| s.y).collect()

@@ -126,14 +126,6 @@ impl TransportHost {
         }
     }
 
-    /// Bytes remaining across all sender flows (diagnostics).
-    pub fn pending_bytes(&self) -> u64 {
-        self.senders
-            .iter()
-            .map(|f| f.spec.size_bytes - f.snd_una)
-            .sum()
-    }
-
     fn start_flow(&mut self, idx: usize, ctx: &mut EndpointCtx<'_>) {
         let nic_bw = ctx.nic_bw;
         let f = &mut self.senders[idx];

@@ -19,14 +19,6 @@ pub struct HostMap {
 }
 
 impl HostMap {
-    /// Build from a fat-tree.
-    pub fn from_fat_tree(ft: &dcn_sim::FatTree) -> Self {
-        HostMap {
-            hosts: ft.hosts.clone(),
-            rack_of: (0..ft.hosts.len()).map(|i| ft.rack_of(i)).collect(),
-        }
-    }
-
     /// Number of racks.
     pub fn num_racks(&self) -> usize {
         self.rack_of.iter().copied().max().map_or(0, |m| m + 1)

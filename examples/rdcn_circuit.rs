@@ -11,7 +11,8 @@
 //! discover and fill the circuit within an RTT of each day starting.
 
 use powertcp::prelude::*;
-use rdcn::{build_rdcn, CircuitAwareHost, RdcnConfig, RotorSchedule};
+use powertcp::transport::CcFactory;
+use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
 
 fn main() {
     let cfg = RdcnConfig {
@@ -24,44 +25,22 @@ fn main() {
         ..RdcnConfig::default()
     };
     let schedule = cfg.schedule;
-    let base_rtt = cfg.base_rtt();
-    let circuit_bw = cfg.circuit_bw;
-    let h = cfg.hosts_per_tor;
-    let plan = cfg.clone();
     let metrics = MetricsHub::new_shared();
-
-    let m2 = metrics.clone();
-    let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
-        let tcfg = TransportConfig {
-            base_rtt,
-            rto: Tick::from_micros(2000),
-            expected_flows: 1,
-            ..TransportConfig::default()
-        };
-        let make_cc = move |_f: FlowId, nic: Bandwidth| -> Box<dyn CongestionControl> {
+    let tcfg = TransportConfig {
+        base_rtt: cfg.base_rtt(),
+        rto: Tick::from_micros(2000),
+        expected_flows: 1,
+        ..TransportConfig::default()
+    };
+    let mut make_cc = || -> CcFactory {
+        Box::new(move |_f, nic| -> Box<dyn CongestionControl> {
             Box::new(PowerTcp::new(
                 PowerTcpConfig::default(),
                 tcfg.cc_context(nic),
             ))
-        };
-        let mut host = TransportHost::new(tcfg, m2.clone(), Box::new(make_cc));
-        let rack = idx / h;
-        let slot = idx % h;
-        if rack == 0 {
-            let dst = plan.host_node_id(1, slot);
-            host.add_flow(FlowSpec {
-                id: FlowId(idx as u64 + 1),
-                src: id,
-                dst,
-                size_bytes: 50_000_000,
-                start: Tick::ZERO,
-            });
-            Box::new(CircuitAwareHost::new(host, schedule, 0, 1, circuit_bw))
-        } else {
-            Box::new(host)
-        }
+        })
     };
-    let r = build_rdcn(cfg, &mut mk);
+    let r = build_rack_pair(cfg, &metrics, tcfg, 50_000_000, &mut make_cc);
     let tor0 = r.tors[0];
     let gauge = r.voq_gauges[0].clone();
     let hpt = r.cfg.hosts_per_tor;
