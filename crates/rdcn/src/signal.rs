@@ -13,8 +13,10 @@ use dcn_sim::{Endpoint, EndpointCtx, Packet};
 use dcn_transport::TransportHost;
 use powertcp_core::{Bandwidth, NetSignal, Tick};
 
-/// Timer-key namespace for the wrapper (top byte), chosen to never
-/// collide with `TransportHost`'s kinds.
+/// Timer-key namespace for the wrapper. This relies on `dcn-transport`'s
+/// key layout (`transport/src/timer_key.rs`: kind in the top byte, index
+/// below) and on `TransportHost` numbering its kinds from 1: no key of
+/// the wrapped host has all of `0x7F`'s bits set in its top byte.
 const K_SIGNAL: u64 = 0x7F << 56;
 
 /// Endpoint wrapper adding circuit-state signals to a [`TransportHost`].

@@ -52,7 +52,7 @@
 use dcn_runner::{diff_dirs, worker_main, ResultCache, RunConfig};
 use dcn_scenarios::{
     bench_check, bench_table, bench_to_json, builtin, builtin_specs, diff_csv, diff_reports,
-    run_bench, spec_kind, EngineKind, ScenarioSpec,
+    run_bench, EngineKind, ScenarioKind, ScenarioSpec,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -200,9 +200,9 @@ fn bench(args: &[String]) -> ExitCode {
 /// Engine column of `xp list`: the execution kind, with sweeps split by
 /// the engine that runs their points (packet simulator vs flow-level).
 fn engine_label(spec: &ScenarioSpec) -> &'static str {
-    match spec_kind(spec) {
-        "sweep" => spec.engine.key(),
-        other => other,
+    match &spec.kind {
+        ScenarioKind::Sweep(sweep) => sweep.engine.key(),
+        other => other.key(),
     }
 }
 
@@ -380,22 +380,25 @@ fn run(args: &[String]) -> ExitCode {
         }
     };
     if let Some(seeds) = &parsed.seeds {
-        spec = spec.seeds(seeds.iter().copied());
+        match spec.lineup_mut() {
+            Ok((_, mine)) => mine.clone_from(seeds),
+            Err(e) => {
+                eprintln!("error: --seeds: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     }
     eprintln!(
         "running {} scenario {:?}: {} {} on {}...",
-        if spec.analytic().is_some() {
-            "analytic"
-        } else if spec.trace().is_some() {
-            "trace"
-        } else if spec.engine == EngineKind::Flow {
-            "flow sweep"
-        } else {
-            "sweep"
+        match &spec.kind {
+            ScenarioKind::Analytic(_) => "analytic",
+            ScenarioKind::Timeseries(_) => "trace",
+            ScenarioKind::Sweep(sweep) if sweep.engine == EngineKind::Flow => "flow sweep",
+            ScenarioKind::Sweep(_) => "sweep",
         },
         spec.name,
         spec.num_points(),
-        if spec_kind(&spec) == "sweep" {
+        if matches!(spec.kind, ScenarioKind::Sweep(_)) {
             "points"
         } else {
             "entries"

@@ -15,7 +15,7 @@ use crate::key::item_key;
 use crate::obs::RunObserver;
 use crate::worker;
 use dcn_scenarios::{
-    compute, reduce, run_scenario_observed, spec_kind, work_items, CacheStatus, Outcome, PointObs,
+    compute, reduce, run_scenario_observed, work_items, CacheStatus, Outcome, PointObs,
     PointSource, ScenarioOutput, ScenarioSpec, SpanRecord, SummaryRecord, WorkItem,
 };
 use std::io::Write;
@@ -165,7 +165,7 @@ fn run_inproc(
 /// hit/miss counts — a span is a hit or it is not, so the counters are
 /// read off the table rather than kept beside it.
 fn run_stats(spec: &ScenarioSpec, obs: RunObserver, procs: usize) -> RunStats {
-    let (spans, summary) = obs.finish(&spec.name, spec_kind(spec));
+    let (spans, summary) = obs.finish(&spec.name, spec.kind.key());
     RunStats {
         points: spans.len(),
         cache_hits: summary.cached as u64,

@@ -16,7 +16,7 @@
 //! hash collision (or a stale file from an older format) is detected and
 //! treated as a miss, never served.
 
-use dcn_scenarios::{EngineKind, ScenarioSpec, SweepPoint, TraceEntrySpec, WorkItem};
+use dcn_scenarios::{EngineKind, ScenarioKind, ScenarioSpec, SweepPoint, TraceEntrySpec, WorkItem};
 
 /// Version of the canonical key encoding itself. Bump when the encoding
 /// below changes shape, so old entries miss instead of mis-validating.
@@ -66,15 +66,16 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// packet simulator either, so they carry the flow-engine version —
 /// bumping one engine leaves the other kinds' caches warm.
 fn preamble(spec: &ScenarioSpec) -> String {
-    let salt = if spec.analytic().is_some() {
-        format!("fluid-model-version={}", fluid_model::MODEL_VERSION)
-    } else {
+    let packet = || format!("engine-version={}", dcn_sim::ENGINE_VERSION);
+    let salt = match &spec.kind {
+        ScenarioKind::Analytic(_) => format!("fluid-model-version={}", fluid_model::MODEL_VERSION),
+        ScenarioKind::Timeseries(_) => packet(),
         // Exhaustive on purpose: a new engine does not compile until it
         // names its own behavioral version here.
-        match spec.engine {
+        ScenarioKind::Sweep(sweep) => match sweep.engine {
             EngineKind::Flow => format!("flow-engine-version={}", dcn_flow::FLOW_ENGINE_VERSION),
-            EngineKind::Packet => format!("engine-version={}", dcn_sim::ENGINE_VERSION),
-        }
+            EngineKind::Packet => packet(),
+        },
     };
     format!(
         "key-format={}\n{}\n--- spec ---\n{}",
@@ -106,25 +107,25 @@ pub fn point_key(spec: &ScenarioSpec, point: &SweepPoint) -> CacheKey {
     ))
 }
 
-/// Key of one timeseries *or analytic* lineup entry (both kinds carry
-/// exactly one placeholder seed; the label — algorithm/prebuffer for
-/// traces, the grid-point identity for analytic entries — distinguishes
-/// expanded entries, and the analytic grids themselves live in the spec
-/// fragment).
+/// Key of one timeseries *or analytic* lineup entry (the label —
+/// algorithm/prebuffer for traces, the grid-point identity for analytic
+/// entries — distinguishes expanded entries; the analytic grids
+/// themselves live in the spec fragment).
 pub fn entry_key(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> CacheKey {
-    let seed = spec.sweep.seeds.first().copied().unwrap_or(0);
-    let kind = if spec.analytic().is_some() {
-        "analytic"
-    } else {
-        "trace"
+    let first = |seeds: &[u64]| seeds.first().copied().unwrap_or(0);
+    let (kind, algo, seed) = match &spec.kind {
+        // An analytic entry has no algorithm and no seed: key format 2
+        // was laid down when every analytic spec still carried an unused
+        // PowerTCP / seed-42 lineup, and these are the bytes it left.
+        ScenarioKind::Analytic(_) => ("analytic", "powertcp".to_string(), 42),
+        ScenarioKind::Timeseries(ts) => ("trace", entry.algo.key(), first(&ts.lineup.seeds)),
+        ScenarioKind::Sweep(sweep) => ("trace", entry.algo.key(), first(&sweep.sweep.seeds)),
     };
     CacheKey::from_canon(format!(
-        "{}--- point ---\nkind={kind}\nlabel={}\nalgo={}\nprebuffer-ps={}\nseed={}\n",
+        "{}--- point ---\nkind={kind}\nlabel={}\nalgo={algo}\nprebuffer-ps={}\nseed={seed}\n",
         preamble(spec),
         entry.label,
-        entry.algo.key(),
         entry.prebuffer.as_ps(),
-        seed
     ))
 }
 
@@ -154,10 +155,8 @@ mod tests {
         }
         // Renaming the scenario or trimming the sweep grid does not move
         // point keys: the fragment excludes identity and axes.
-        let renamed = spec.clone().describe("something else");
-        let mut renamed = renamed;
+        let mut renamed = spec.clone().describe("something else").loads([0.2]);
         renamed.name = "other-name".into();
-        renamed.sweep.loads.truncate(1);
         assert_eq!(point_key(&renamed, &pts[0]), keys[0]);
     }
 
@@ -166,8 +165,7 @@ mod tests {
         let spec = builtin("fig6").unwrap();
         let p = sweep_points(&spec)[0];
         let base = point_key(&spec, &p);
-        let mut hotter = spec.clone();
-        hotter.horizon_ms += 1.0;
+        let hotter = spec.clone().horizon_ms(5.0);
         assert_ne!(point_key(&hotter, &p), base);
         let mut other_seed = p;
         other_seed.seed ^= 1;
@@ -206,8 +204,7 @@ mod tests {
         assert!(!fk.canon.contains("\nengine-version="), "{}", fk.canon);
         // Switching a spec's engine moves every point key: the engine
         // selects physics, so it must never alias across engines.
-        let mut as_packet = flow.clone();
-        as_packet.engine = dcn_scenarios::EngineKind::Packet;
+        let as_packet = flow.clone().engine(EngineKind::Packet);
         assert_ne!(point_key(&as_packet, &sweep_points(&flow)[0]), fk);
     }
 

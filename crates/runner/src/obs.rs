@@ -20,7 +20,7 @@
 //! with observation on or off.
 
 use crate::exec::RunStats;
-use dcn_scenarios::{spec_kind, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
+use dcn_scenarios::{CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
 use dcn_sim::SimStats;
 use dcn_telemetry::jstr;
 use std::fs::File;
@@ -165,7 +165,7 @@ pub fn meta_json(
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"meta_version\": {META_VERSION},\n"));
     s.push_str(&format!("  \"scenario\": {},\n", jstr(&spec.name)));
-    s.push_str(&format!("  \"kind\": \"{}\",\n", spec_kind(spec)));
+    s.push_str(&format!("  \"kind\": \"{}\",\n", spec.kind.key()));
     s.push_str(&format!("  \"points\": {},\n", stats.points));
     s.push_str(&format!("  \"threads\": {threads},\n"));
     s.push_str(&format!("  \"procs\": {},\n", stats.procs));

@@ -205,7 +205,7 @@ fn editing_the_spec_physics_invalidates_while_identity_does_not() {
     assert_eq!((s2.cache_hits, s2.cache_misses), (2, 0));
 
     // Changing the horizon is physics: full miss.
-    let hotter = spec.clone().horizon_ms(spec.horizon_ms + 1.0);
+    let hotter = spec.clone().horizon_ms(5.0);
     let (_, s3) = run(&hotter, &cfg).unwrap();
     assert_eq!(s3.cache_hits, 0);
     let _ = fs::remove_dir_all(&dir);

@@ -11,7 +11,8 @@
 //! * `xp bench --check` exits 0 against the committed `BENCH_sim.json`
 //!   and has no tolerance to set;
 //! * `xp run` refuses a packet-engine spec whose switch would outgrow
-//!   16-bit port ids, before simulating anything.
+//!   16-bit port ids, before simulating anything, and refuses `--seeds`
+//!   on a scenario kind that has none, naming the kind.
 
 use dcn_scenarios::diff::{parse_json, Json};
 use dcn_scenarios::{builtin, ScenarioSpec};
@@ -237,4 +238,31 @@ fn run_refuses_a_switch_wider_than_port_ids_before_simulating() {
         "{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An analytic scenario has no seeds to override (its grid is
+/// `[analytic]`): `--seeds` is an error naming the kind, never a panic
+/// from the builder and never a silently ignored flag.
+#[test]
+fn seeds_on_an_analytic_scenario_is_a_clean_error_naming_the_kind() {
+    let out = Command::new(XP)
+        .args(["run", "fig3", "--seeds", "1,2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no report: nothing ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: --seeds") && stderr.contains("\"fig3\" has kind = \"analytic\""),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    // A trace has one seed to set, a sweep a grid of them.
+    for name in ["fig2", "fig6-small"] {
+        let out = Command::new(XP)
+            .args(["run", name, "--seeds", "7", "--json", "-"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{name}");
+    }
 }

@@ -116,8 +116,7 @@ fn switching_engines_misses_while_identity_stays_warm() {
 
     // Flipping the engine back to packet is different physics under a
     // different salt: every point misses, nothing aliases.
-    let mut as_packet = spec.clone();
-    as_packet.engine = EngineKind::Packet;
+    let as_packet = spec.clone().engine(EngineKind::Packet);
     for (fp, pp) in sweep_points(&spec).iter().zip(&sweep_points(&as_packet)) {
         assert_ne!(point_key(&spec, fp), point_key(&as_packet, pp));
     }

@@ -265,6 +265,15 @@ fn invalid_specs_are_rejected_at_submission() {
     let resp = client::post(&addr, "/jobs", typo.as_bytes()).unwrap();
     assert_eq!(resp.status, 400, "{}", resp.text());
     assert!(resp.text().contains("host_gpbs"), "{}", resp.text());
+    // A run of 4e9 rotor weeks is more picoseconds than simulator time
+    // holds; it used to be queued and run a wrapped horizon (a debug
+    // worker panicked on the multiply).
+    let fig8 = builtin("fig8").unwrap().to_toml();
+    let too_long = fig8.replace("weeks = 2", "weeks = 4000000000");
+    assert_ne!(too_long, fig8);
+    let resp = client::post(&addr, "/jobs", too_long.as_bytes()).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("weeks"), "{}", resp.text());
 
     shutdown.shutdown();
     join.join().unwrap().unwrap();

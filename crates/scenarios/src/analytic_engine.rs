@@ -12,7 +12,7 @@
 //! determinism contract every [`crate::sweep::PointSource`] relies on —
 //! so reports are byte-identical at any thread or process count.
 
-use crate::spec::{AnalyticScenario, AnalyticSpec, ScenarioSpec};
+use crate::spec::{AnalyticScenario, AnalyticSpec};
 use crate::trace_engine::TraceEntrySpec;
 use dcn_telemetry::{decimate, ChannelTrace, Sample, TraceEntry};
 use fluid_model::{
@@ -80,13 +80,10 @@ fn analytic_points(analytic: &AnalyticSpec) -> Vec<AnalyticPoint> {
     }
 }
 
-/// Expand an analytic spec into lineup entries (the analytic counterpart
-/// of [`crate::trace_engine::trace_entries`]; the placeholder algorithm
+/// Expand an analytic spec into lineup entries (the analytic half of
+/// [`crate::trace_engine::trace_entries`]; the placeholder algorithm
 /// is never consulted).
-pub fn analytic_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
-    let Some(analytic) = spec.analytic() else {
-        return Vec::new();
-    };
+pub fn analytic_entries(analytic: &AnalyticSpec) -> Vec<TraceEntrySpec> {
     analytic_points(analytic)
         .iter()
         .enumerate()
@@ -101,8 +98,7 @@ pub fn analytic_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
 
 /// Run one analytic entry. Deterministic: identical arguments replay
 /// bit-for-bit, on any thread or in any worker process.
-pub fn run_analytic_entry(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
-    let analytic = spec.analytic().expect("analytic entry of an analytic spec");
+pub fn run_analytic_entry(analytic: &AnalyticSpec, entry: &TraceEntrySpec) -> TraceEntry {
     let mut points = analytic_points(analytic);
     if entry.index >= points.len() {
         panic!("analytic entry index {} out of range", entry.index);
@@ -378,11 +374,20 @@ fn theorem_entry(label: String, analytic: &AnalyticSpec, n: u8, tol: f64) -> Tra
 mod tests {
     use super::*;
     use crate::library::{ablations, fig3, theorems};
+    use crate::spec::{ScenarioKind, ScenarioSpec};
+
+    /// The `[analytic]` table of a (valid) analytic builtin.
+    fn analytic(spec: ScenarioSpec) -> AnalyticSpec {
+        spec.validate().unwrap();
+        let ScenarioKind::Analytic(analytic) = spec.kind else {
+            panic!("{} is not analytic", spec.name);
+        };
+        analytic
+    }
 
     #[test]
     fn fig3_entries_reproduce_the_paper_properties() {
-        let spec = fig3();
-        spec.validate().unwrap();
+        let spec = analytic(fig3());
         let entries = analytic_entries(&spec);
         assert_eq!(entries.len(), 3);
         let by_label = |l: &str| {
@@ -407,8 +412,7 @@ mod tests {
 
     #[test]
     fn ablation_entries_sweep_each_axis() {
-        let spec = ablations();
-        spec.validate().unwrap();
+        let spec = analytic(ablations());
         let entries = analytic_entries(&spec);
         assert!(entries.iter().any(|e| e.label.starts_with("gamma=")));
         assert!(entries.iter().any(|e| e.label.starts_with("beta_frac=")));
@@ -434,8 +438,7 @@ mod tests {
 
     #[test]
     fn theorem_entries_all_pass() {
-        let spec = theorems();
-        spec.validate().unwrap();
+        let spec = analytic(theorems());
         let entries = analytic_entries(&spec);
         assert_eq!(entries.len(), 3);
         for e in &entries {
@@ -447,10 +450,12 @@ mod tests {
     #[test]
     fn analytic_entries_replay_bit_for_bit() {
         for spec in [fig3(), ablations(), theorems()] {
+            let name = spec.name.clone();
+            let spec = analytic(spec);
             for e in analytic_entries(&spec) {
                 let a = run_analytic_entry(&spec, &e);
                 let b = run_analytic_entry(&spec, &e);
-                assert_eq!(a, b, "{}:{}", spec.name, e.label);
+                assert_eq!(a, b, "{name}:{}", e.label);
             }
         }
     }

@@ -11,7 +11,8 @@
 
 use crate::algo::Algo;
 use crate::spec::{
-    gbps, ParamSpec, PoissonSpec, ScenarioSpec, SizeSpec, TopologySpec, WorkloadSpec,
+    gbps, EngineKind, ParamSpec, PoissonSpec, ScenarioSpec, SizeSpec, SweepBody, TopologySpec,
+    WorkloadSpec,
 };
 use crate::sweep::SweepPoint;
 use dcn_sim::{
@@ -198,17 +199,18 @@ pub fn run_point(spec: &ScenarioSpec, algo: Algo, load: f64, seed: u64) -> Point
 /// overrides, and return the outcome with the engine's run counters (a
 /// read-only snapshot taken after the run).
 ///
-/// This is where `spec.engine` dispatches: everything above this call —
-/// the thread executor, the result cache, the worker protocol, the
-/// bench harness — is engine-agnostic.
+/// This is where the sweep's `engine` dispatches: everything above this
+/// call — the thread executor, the result cache, the worker protocol,
+/// the bench harness — is engine-agnostic. Panics if `spec` is no sweep.
 pub fn run_sweep_point_observed(
     spec: &ScenarioSpec,
     point: &SweepPoint,
 ) -> (PointOutcome, dcn_sim::SimStats) {
-    if spec.engine == crate::spec::EngineKind::Flow {
-        return crate::flow_engine::run_flow_point_observed(spec, point);
+    let sweep = spec.sweep_body("run_sweep_point_observed");
+    match sweep.engine {
+        EngineKind::Flow => crate::flow_engine::run_flow_point_observed(sweep, point),
+        EngineKind::Packet => run_packet_point(sweep, point),
     }
-    run_packet_point(spec, point)
 }
 
 /// The FCT reduction both sweep engines share: every offered flow's
@@ -341,9 +343,9 @@ pub(crate) fn offered_flows(
 }
 
 /// The packet engine behind [`run_sweep_point_observed`].
-fn run_packet_point(spec: &ScenarioSpec, point: &SweepPoint) -> (PointOutcome, dcn_sim::SimStats) {
-    let (topo, workload) = (&spec.topology, &spec.workload);
-    let (horizon, drain) = (spec.horizon(), spec.drain());
+fn run_packet_point(sweep: &SweepBody, point: &SweepPoint) -> (PointOutcome, dcn_sim::SimStats) {
+    let (topo, workload) = (&sweep.topology, &sweep.workload);
+    let (horizon, run_end) = (sweep.horizon(), sweep.run_end());
     let SweepPoint {
         algo,
         param,
@@ -442,7 +444,6 @@ fn run_packet_point(spec: &ScenarioSpec, point: &SweepPoint) -> (PointOutcome, d
             buffer_tracer(sw, buf_series.clone()),
         );
     }
-    let run_end = horizon + drain;
     sim.run_until(run_end);
     debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 

@@ -35,7 +35,7 @@
 //! come back empty and drops are zero by construction.
 
 use crate::engine::{self, FctReduction, PointOutcome};
-use crate::spec::{ScenarioSpec, TopologySpec};
+use crate::spec::{SweepBody, TopologySpec};
 use crate::sweep::SweepPoint;
 use dcn_flow::{simulate, FlowDef, FlowNet, LinkId};
 use dcn_sim::{NodeId, SimStats};
@@ -46,7 +46,7 @@ use std::time::Instant;
 /// Run one flow-engine sweep point. Deterministic: identical arguments
 /// replay bit-for-bit on any thread or process layout.
 pub(crate) fn run_flow_point_observed(
-    spec: &ScenarioSpec,
+    sweep: &SweepBody,
     point: &SweepPoint,
 ) -> (PointOutcome, SimStats) {
     #[expect(
@@ -54,20 +54,19 @@ pub(crate) fn run_flow_point_observed(
         reason = "executor span timing — observability only, never in report bytes"
     )]
     let t0 = Instant::now();
-    let plan = engine::plan(&spec.topology, point.algo);
-    let horizon = spec.horizon();
+    let plan = engine::plan(&sweep.topology, point.algo);
     let flows = engine::offered_flows(
-        &spec.topology,
-        &spec.workload,
+        &sweep.topology,
+        &sweep.workload,
         &plan,
-        horizon,
+        sweep.horizon(),
         point.load,
         point.seed,
     );
     let offered = flows.len();
 
-    let (net, defs) = build_network(&spec.topology, &plan, &flows);
-    let run_end = horizon + spec.drain();
+    let (net, defs) = build_network(&sweep.topology, &plan, &flows);
+    let run_end = sweep.run_end();
     let (results, fstats) = simulate(&net, &defs, run_end.as_secs_f64());
 
     // ---- Reduce. No switch buffers and no drops at this abstraction
@@ -184,7 +183,14 @@ fn build_network(
 mod tests {
     use super::*;
     use crate::algo::Algo;
-    use crate::spec::{EngineKind, IncastSpec, ParamSpec, SizeSpec};
+    use crate::spec::{EngineKind, IncastSpec, ParamSpec, ScenarioSpec, SizeSpec};
+
+    fn run_flow_point_observed(
+        spec: &ScenarioSpec,
+        point: &SweepPoint,
+    ) -> (PointOutcome, SimStats) {
+        super::run_flow_point_observed(spec.sweep_body("the flow engine"), point)
+    }
 
     fn flow_spec(topology: TopologySpec) -> ScenarioSpec {
         ScenarioSpec::new("flow-test", topology)

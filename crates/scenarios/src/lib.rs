@@ -87,13 +87,14 @@ pub use diff::{diff_csv, diff_reports, DiffOutcome};
 pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale, SIZE_BUCKETS};
 pub use library::{builtin, builtin_specs};
 pub use obs::{
-    point_label, sim_stats_from_json, sim_stats_json, spec_kind, CacheStatus, NullObserver,
-    Observer, PointObs, SpanRecord, SummaryRecord,
+    point_label, sim_stats_from_json, sim_stats_json, CacheStatus, NullObserver, Observer,
+    PointObs, SpanRecord, SummaryRecord,
 };
 pub use report::{AggregateReport, BucketReport, PointReport, SweepResult, BUFFER_CDF_PCTS};
 pub use spec::{
-    AnalyticScenario, AnalyticSpec, EngineKind, IncastSpec, ParamSpec, PoissonSpec, ScenarioKind,
-    ScenarioSpec, SizeSpec, SweepSpec, TopologySpec, TraceScenario, TraceSpec, WorkloadSpec,
+    AnalyticScenario, AnalyticSpec, EngineKind, IncastSpec, LineupSpec, ParamSpec, PoissonSpec,
+    ScenarioKind, ScenarioSpec, SizeSpec, SweepBody, SweepSpec, TimeseriesBody, TopologySpec,
+    TraceScenario, TraceSpec, WorkloadSpec,
 };
 pub use sweep::{
     compute, panic_message, reduce, run_scenario, run_scenario_observed, run_sweep, run_trace,

@@ -249,19 +249,26 @@ pub fn fig6_small() -> ScenarioSpec {
 /// horizon is milliseconds, not seconds — the per-horizon incast count
 /// matches the paper's setup.
 pub fn fig7() -> ScenarioSpec {
-    ScenarioSpec::new("fig7", tiny_fat_tree())
-        .describe(
-            "websearch at 40%/80% load with 2MB 8:1 incasts at the paper's \
-             16/s (time-scaled): short- and long-flow tails plus buffer \
-             occupancy, paper Figure 7",
-        )
+    fig7_websearch(
+        "fig7",
+        "websearch at 40%/80% load with 2MB 8:1 incasts at the paper's \
+         16/s (time-scaled): short- and long-flow tails plus buffer \
+         occupancy, paper Figure 7",
+    )
+    .incast(IncastSpec {
+        rate_per_sec: 16.0 * 50.0,
+        request_bytes: 2_000_000,
+        fan_in: 8,
+        periodic: false,
+    })
+}
+
+/// What [`fig7`] and its load panel share: websearch on the tiny
+/// fat-tree, PowerTCP vs θ-PowerTCP vs HPCC, before any incast overlay.
+fn fig7_websearch(name: &str, description: &str) -> ScenarioSpec {
+    ScenarioSpec::new(name, tiny_fat_tree())
+        .describe(description)
         .poisson(SizeSpec::Websearch)
-        .incast(IncastSpec {
-            rate_per_sec: 16.0 * 50.0,
-            request_bytes: 2_000_000,
-            fan_in: 8,
-            periodic: false,
-        })
         .algos([Algo::PowerTcp, Algo::ThetaPowerTcp, Algo::Hpcc])
         .loads([0.4, 0.8])
         .seeds([42])
@@ -414,16 +421,13 @@ fn fig4_large() -> ScenarioSpec {
 /// Figure 7a/7b/7g: websearch alone across the load axis, with the
 /// buffer-occupancy CDF (7g is its 80% rows).
 fn fig7_load() -> ScenarioSpec {
-    let mut spec = variant(
-        fig7(),
+    fig7_websearch(
         "fig7-load",
         "websearch at 20-80% load, no incasts: short- and long-flow tails vs \
          load plus the buffer-occupancy CDF, paper Figure 7a/7b/7g",
     )
     .loads([0.2, 0.4, 0.6, 0.8])
-    .buffer_cdf(true);
-    spec.workload.incast = None;
-    spec
+    .buffer_cdf(true)
 }
 
 /// Figure 7c–f and 7h: [`fig7`] at 80% load with the incast overlay's
@@ -561,7 +565,7 @@ mod tests {
     fn trace_builtins_are_timeseries_with_expected_lineups() {
         for name in ["fig2", "fig4", "fig5", "fig8"] {
             let spec = builtin(name).unwrap();
-            assert!(spec.trace().is_some(), "{name} must be a trace scenario");
+            assert_eq!(spec.kind.key(), "timeseries", "{name}");
         }
         assert_eq!(fig2().num_points(), 1);
         assert_eq!(fig4().num_points(), 6); // the paper's Figure 4/6 set
@@ -573,10 +577,11 @@ mod tests {
     fn fig7_covers_the_acceptance_scenario() {
         // websearch + incast, PowerTCP vs >= 2 baselines.
         let spec = fig7();
-        assert!(spec.workload.poisson.is_some());
-        assert!(spec.workload.incast.is_some());
-        assert!(spec.sweep.algos.contains(&Algo::PowerTcp));
-        assert!(spec.sweep.algos.len() >= 3);
+        let sweep = spec.sweep_body("fig7");
+        assert!(sweep.workload.poisson.is_some());
+        assert!(sweep.workload.incast.is_some());
+        assert!(sweep.sweep.algos.contains(&Algo::PowerTcp));
+        assert!(sweep.sweep.algos.len() >= 3);
         assert!(spec.num_points() >= 2);
     }
 }

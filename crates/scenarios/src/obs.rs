@@ -31,7 +31,6 @@
 //! `hit`, or `miss`.
 
 use crate::diff::Json;
-use crate::spec::ScenarioSpec;
 use crate::sweep::SweepPoint;
 use dcn_sim::SimStats;
 use dcn_telemetry::jstr;
@@ -207,18 +206,6 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {
     fn span(&self, _span: &SpanRecord) {}
-}
-
-/// The `kind` string of a spec (`sweep` / `timeseries` / `analytic`),
-/// as used in summary records and the `--meta` sidecar.
-pub fn spec_kind(spec: &ScenarioSpec) -> &'static str {
-    if spec.analytic().is_some() {
-        "analytic"
-    } else if spec.trace().is_some() {
-        "timeseries"
-    } else {
-        "sweep"
-    }
 }
 
 /// Span label of a sweep point: `algo[params]/loadL/seedS`, with the

@@ -130,7 +130,9 @@ impl SweepResult {
     /// alternative executors (the `dcn-runner` multi-process layer) can
     /// merge worker-computed outcomes through the exact same reduction;
     /// `outcomes` must be in [`crate::sweep::sweep_points`] order.
+    /// Panics if `spec` is no sweep.
     pub fn build(spec: &ScenarioSpec, outcomes: Vec<PointOutcome>) -> SweepResult {
+        let sweep = spec.sweep_body("SweepResult::build");
         // Algorithm-parameter overrides fold into the algo identity
         // strings ("powertcp[gamma=0.5]") instead of a new report field:
         // default-param reports stay byte-identical to their pre-params
@@ -172,7 +174,7 @@ impl SweepResult {
         // The expansion is algo → params → load → seed with seeds
         // innermost, so each (algo, param, load) cell is a consecutive
         // run of `seeds` outcomes.
-        let seeds = spec.sweep.seeds.len();
+        let seeds = sweep.sweep.seeds.len();
         let mut aggregates = Vec::new();
         for cell in outcomes.chunks(seeds) {
             let first = &cell[0];
@@ -218,7 +220,7 @@ impl SweepResult {
                 buffer_p99: percentile(&buffer, 99.0),
                 buffer_max: percentile(&buffer, 100.0),
                 buckets,
-                buffer_cdf: spec.buffer_cdf.then(|| {
+                buffer_cdf: sweep.buffer_cdf.then(|| {
                     BUFFER_CDF_PCTS
                         .iter()
                         .filter_map(|&p| percentile(&buffer, p).map(|v| (p, v)))

@@ -11,12 +11,16 @@
 //! A [`Section`] is one TOML table. Where the table is a tagged union
 //! (`kind = "star"`, `scenario = "incast"`) its [`Ty::Tag`] row names the
 //! variants, and a row of one variant simply does not apply (its `get`
-//! is `None`) while the value is another. Adding a key is adding a row.
+//! is `None`) while the value is another. A sub-table is a [`Ty::Table`]
+//! row binding the place in the parent that holds its value, so the
+//! layout of a file is rows too: reading, writing and checking a spec
+//! is one call on [`ROOT`]. Adding a key is adding a row.
 
 use crate::algo::Algo;
 use crate::spec::{
-    AnalyticScenario, AnalyticSpec, EngineKind, IncastSpec, ParamSpec, PoissonSpec, ScenarioKind,
-    ScenarioSpec, SizeSpec, SweepSpec, TopologySpec, TraceScenario, TraceSpec, WorkloadSpec,
+    AnalyticScenario, AnalyticSpec, EngineKind, IncastSpec, LineupSpec, ParamSpec, PoissonSpec,
+    ScenarioKind, ScenarioSpec, SizeSpec, SweepBody, SweepSpec, TimeseriesBody, TopologySpec,
+    TraceScenario, TraceSpec, WorkloadSpec,
 };
 use crate::toml::{self, Value};
 use fluid_model::Law;
@@ -209,8 +213,12 @@ pub(crate) struct Field<T> {
     /// kind's, another variant's, an unset override).
     pub get: fn(&T) -> Option<Val<'_>>,
     /// `None` when the TOML value is not of the field's type; `Err`
-    /// when its own parser refuses it (an unknown algorithm, say).
+    /// when its own parser refuses it (an unknown algorithm, say, or
+    /// anything inside a sub-table).
     pub set: fn(&mut T, &Value) -> Option<Result<(), String>>,
+    /// A [`Ty::Table`] row's recursion: [`Section::visit`] the child `t`
+    /// holds, if it holds one (a no-op on every other row).
+    visit: fn(&T, &mut Pass<'_>) -> Result<(), String>,
 }
 
 /// `path.key` as error messages name it.
@@ -338,28 +346,33 @@ impl<T> Section<T> {
         }
     }
 
-    /// Write or range-check this section of a spec.
+    /// Write or range-check this section of a spec, then the sections
+    /// of the sub-tables it holds, in row order.
     pub fn visit(&self, t: &T, pass: &mut Pass<'_>) -> Result<(), String> {
-        let (out, full) = match pass {
-            Pass::Check => return check_fields(self.path, self.fields, t),
-            Pass::Write { out, full } => (out, *full),
-        };
-        if !self.path.is_empty() {
-            let _ = writeln!(out, "\n[{}]", self.path.join("."));
-        }
-        for f in self.fields.iter().filter(|f| f.ty != Ty::Table) {
-            let Some(mut v) = (f.get)(t) else { continue };
-            if !full && f.role != Role::Physics {
-                v = f.ty.blank();
+        match pass {
+            Pass::Check => check_fields(self.path, self.fields, t)?,
+            Pass::Write { out, full } => {
+                // A section of sub-tables only (`[workload]`) writes no
+                // header of its own.
+                let values = || self.fields.iter().filter(|f| f.ty != Ty::Table);
+                if !self.path.is_empty() && values().next().is_some() {
+                    let _ = writeln!(out, "\n[{}]", self.path.join("."));
+                }
+                for f in values() {
+                    let Some(mut v) = (f.get)(t) else { continue };
+                    if !*full && f.role != Role::Physics {
+                        v = f.ty.blank();
+                    }
+                    if !matches!(&f.default, Dflt::Omit(d) if *d == v) {
+                        out.push_str(f.key);
+                        out.push_str(" = ");
+                        write_val(out, &v);
+                        out.push('\n');
+                    }
+                }
             }
-            if !matches!(&f.default, Dflt::Omit(d) if *d == v) {
-                out.push_str(f.key);
-                out.push_str(" = ");
-                write_val(out, &v);
-                out.push('\n');
-            }
         }
-        Ok(())
+        self.fields.iter().try_for_each(|f| (f.visit)(t, pass))
     }
 
     /// Whether `t`, in its current shape, has a key `key`.
@@ -407,7 +420,7 @@ impl<T> Section<T> {
 
     /// Parse this section from its table: the tag first (it shapes the
     /// value); a key that shape does not have is an error; then every
-    /// key it has is set, present or defaulted.
+    /// key it has is set, present or defaulted (a sub-table: read).
     pub fn read(&self, table: &Table) -> Result<T, String> {
         let mut t = (self.blank)();
         let is_tag = |f: &&Field<T>| f.ty == Ty::Tag;
@@ -424,18 +437,6 @@ impl<T> Section<T> {
         }
         Ok(t)
     }
-
-    /// This section's table in its parent table, if it is there (whether
-    /// it must or may be is the parent's own row for it).
-    pub fn table_in<'p>(&self, parent: &'p Table) -> Option<&'p Table> {
-        let key = self.path.last().expect("only sub-tables have a parent");
-        parent.get(*key).and_then(Value::as_table)
-    }
-
-    /// [`Self::read`] this section out of its parent table.
-    pub fn read_in(&self, parent: &Table) -> Result<Option<T>, String> {
-        self.table_in(parent).map(|t| self.read(t)).transpose()
-    }
 }
 
 // ---- accessors ----
@@ -448,6 +449,51 @@ trait Slot: Sized {
     fn put(&mut self, v: &Value) -> Option<Result<(), String>> {
         Some(Self::parse(v)?.map(|parsed| *self = parsed))
     }
+    /// A sub-table recurses into its own section; a value has none.
+    fn visit(&self, _: &mut Pass<'_>) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// The structs that are one TOML table each, read, written and checked
+/// by their own section. A parent holds one directly or, where the table
+/// may be absent, as an `Option` (the key exists either way).
+macro_rules! tables {
+    ($($T:ty: $section:ident;)*) => {$(
+        impl Slot for $T {
+            fn get(&self) -> Option<Val<'_>> {
+                Some(Val::Table)
+            }
+            fn parse(v: &Value) -> Option<Result<Self, String>> {
+                Some($section.read(v.as_table()?))
+            }
+            fn visit(&self, pass: &mut Pass<'_>) -> Result<(), String> {
+                $section.visit(self, pass)
+            }
+        }
+        impl Slot for Option<$T> {
+            fn get(&self) -> Option<Val<'_>> {
+                Some(Val::Table)
+            }
+            fn parse(v: &Value) -> Option<Result<Self, String>> {
+                Some(<$T>::parse(v)?.map(Some))
+            }
+            fn visit(&self, pass: &mut Pass<'_>) -> Result<(), String> {
+                self.iter().try_for_each(|t| t.visit(pass))
+            }
+        }
+    )*};
+}
+
+tables! {
+    TopologySpec: TOPOLOGY;
+    WorkloadSpec: WORKLOAD;
+    PoissonSpec: POISSON;
+    IncastSpec: INCAST;
+    SweepSpec: SWEEP;
+    LineupSpec: LINEUP;
+    TraceSpec: TRACE;
+    AnalyticSpec: ANALYTIC;
 }
 
 macro_rules! slots {
@@ -499,9 +545,12 @@ slots! {
 }
 
 /// A [`Field`] row: key, type, default, range, cache role => the pattern
-/// of `T` under which the key exists => the field it binds.
+/// of `T` under which the key exists => the field it binds (a `[..]`
+/// list of such pairs where shapes of `T` hold the key in different
+/// places). A [`Ty::Table`] row binds the field holding the sub-table.
 macro_rules! field {
-    ($key:expr, $ty:ident, $default:expr, $range:expr, $role:ident => $pat:pat => $f:ident) => {
+    ($key:expr, $ty:ident, $default:expr, $range:expr, $role:ident
+        => [$($pat:pat => $f:ident),+ $(,)?]) => {
         Field {
             key: $key,
             ty: Ty::$ty,
@@ -510,7 +559,7 @@ macro_rules! field {
             role: Role::$role,
             tags: &[],
             get: |t| match t {
-                $pat => Slot::get($f),
+                $($pat => Slot::get($f),)+
                 #[allow(
                     unreachable_patterns,
                     reason = "fires only in the expansions whose $pat is irrefutable, so not `expect`"
@@ -518,14 +567,25 @@ macro_rules! field {
                 _ => None,
             },
             set: |t, v| match t {
-                $pat => Slot::put($f, v),
+                $($pat => Slot::put($f, v),)+
                 #[allow(
                     unreachable_patterns,
                     reason = "fires only in the expansions whose $pat is irrefutable, so not `expect`"
                 )]
                 _ => unreachable!("a key is only set where it applies"),
             },
+            visit: |t, pass| match t {
+                $($pat => Slot::visit($f, pass),)+
+                #[allow(
+                    unreachable_patterns,
+                    reason = "fires only in the expansions whose $pat is irrefutable, so not `expect`"
+                )]
+                _ => Ok(()),
+            },
         }
+    };
+    ($key:expr, $ty:ident, $default:expr, $range:expr, $role:ident => $pat:pat => $f:ident) => {
+        field!($key, $ty, $default, $range, $role => [$pat => $f])
     };
 }
 
@@ -553,29 +613,7 @@ macro_rules! tag {
                 };
                 Some(Ok(()))
             },
-        }
-    };
-}
-
-/// A sub-table's row in its parent: which shapes of the parent carry it.
-macro_rules! table {
-    ($key:expr, $default:expr => $pat:pat) => {
-        Field {
-            key: $key,
-            ty: Ty::Table,
-            default: $default,
-            range: Any,
-            role: Role::Physics,
-            tags: &[],
-            get: |t| match t {
-                $pat => Some(Val::Table),
-                #[allow(
-                    unreachable_patterns,
-                    reason = "fires only in the expansions whose $pat is irrefutable, so not `expect`"
-                )]
-                _ => None,
-            },
-            set: |_, v| v.as_table().map(|_| Ok(())),
+            visit: |_, _| Ok(()),
         }
     };
 }
@@ -595,6 +633,7 @@ macro_rules! zeroed {
 
 use Dflt::{Omit, Required, Unset, Write};
 use Range::{Any, Min, NonNeg, Pos, Unit};
+use ScenarioKind::{Analytic, Sweep, Timeseries};
 use Val::{Bool as flag, Float as num, Floats as floats, Str as text, Uint as int};
 
 const TOPOLOGY_KEY: &str = "topology";
@@ -612,46 +651,51 @@ const DRAIN_MS: &str = "drain_ms";
 /// the tables it carries.
 pub(crate) static ROOT: Section<ScenarioSpec> = Section {
     path: &[],
-    blank: || ScenarioSpec::new("", ScenarioSpec::analytic_topology()),
+    blank: || ScenarioSpec::new("", (TOPOLOGY.blank)()),
     fields: &[
         field!("name", Str, Required, Any, Identity => ScenarioSpec { name, .. } => name),
         field!("description", Str, Write(text("")), Any, Identity
             => ScenarioSpec { description, .. } => description),
         tag!("kind", Omit(text(SWEEP_KIND)), [
-            SWEEP_KIND => ScenarioSpec { kind: ScenarioKind::Sweep, .. }
-                => ScenarioSpec::new("", ScenarioSpec::analytic_topology()),
-            "timeseries" => ScenarioSpec { kind: ScenarioKind::Timeseries(_), .. }
-                => ScenarioSpec::timeseries("", TraceSpec::new(TraceScenario::Response)),
-            "analytic" => ScenarioSpec { kind: ScenarioKind::Analytic(_), .. }
-                => ScenarioSpec::new_analytic("", AnalyticSpec::new(ANY_ANALYTIC)),
+            SWEEP_KIND => ScenarioSpec { kind: Sweep(_), .. } => (ROOT.blank)(),
+            "timeseries" => ScenarioSpec { kind: Timeseries(_), .. }
+                => ScenarioSpec::timeseries("", (TRACE.blank)()),
+            "analytic" => ScenarioSpec { kind: Analytic(_), .. }
+                => ScenarioSpec::new_analytic("", (ANALYTIC.blank)()),
         ]),
         field!("engine", Str, Omit(text("packet")), Any, Physics
-            => ScenarioSpec { kind: ScenarioKind::Sweep, engine, .. } => engine),
+            => ScenarioSpec { kind: Sweep(SweepBody { engine, .. }), .. } => engine),
         field!("buffer_cdf", Bool, Omit(flag(false)), Any, Render
-            => ScenarioSpec { kind: ScenarioKind::Sweep, buffer_cdf, .. } => buffer_cdf),
-        field!("horizon_ms", Float, Write(num(4.0)), Pos, Physics
-            => ScenarioSpec {
-                kind: ScenarioKind::Sweep | ScenarioKind::Timeseries(_), horizon_ms, ..
-            }
-            => horizon_ms),
+            => ScenarioSpec { kind: Sweep(SweepBody { buffer_cdf, .. }), .. } => buffer_cdf),
+        field!("horizon_ms", Float, Write(num(4.0)), Pos, Physics => [
+            ScenarioSpec { kind: Sweep(SweepBody { horizon_ms, .. }), .. } => horizon_ms,
+            ScenarioSpec { kind: Timeseries(TimeseriesBody { horizon_ms, .. }), .. } => horizon_ms,
+        ]),
         // Sweeps drain their flows after the horizon; traces just stop.
         field!(DRAIN_MS, Float, Write(num(6.0)), NonNeg, Physics
-            => ScenarioSpec { kind: ScenarioKind::Sweep, drain_ms, .. } => drain_ms),
+            => ScenarioSpec { kind: Sweep(SweepBody { drain_ms, .. }), .. } => drain_ms),
         field!(DRAIN_MS, Float, Write(num(0.0)), NonNeg, Physics
-            => ScenarioSpec { kind: ScenarioKind::Timeseries(_), drain_ms, .. } => drain_ms),
-        table!(TOPOLOGY_KEY, Required => ScenarioSpec { kind: ScenarioKind::Sweep, .. }),
-        table!(WORKLOAD_KEY, Unset => ScenarioSpec { kind: ScenarioKind::Sweep, .. }),
-        table!(TRACE_KEY, Required => ScenarioSpec { kind: ScenarioKind::Timeseries(_), .. }),
-        table!(ANALYTIC_KEY, Required => ScenarioSpec { kind: ScenarioKind::Analytic(_), .. }),
-        table!(SWEEP_KEY, Required
-            => ScenarioSpec { kind: ScenarioKind::Sweep | ScenarioKind::Timeseries(_), .. }),
+            => ScenarioSpec { kind: Timeseries(TimeseriesBody { drain_ms, .. }), .. } => drain_ms),
+        field!(TOPOLOGY_KEY, Table, Required, Any, Physics
+            => ScenarioSpec { kind: Sweep(SweepBody { topology, .. }), .. } => topology),
+        field!(WORKLOAD_KEY, Table, Unset, Any, Physics
+            => ScenarioSpec { kind: Sweep(SweepBody { workload, .. }), .. } => workload),
+        field!(TRACE_KEY, Table, Required, Any, Physics
+            => ScenarioSpec { kind: Timeseries(TimeseriesBody { trace, .. }), .. } => trace),
+        field!(ANALYTIC_KEY, Table, Required, Any, Physics
+            => ScenarioSpec { kind: Analytic(analytic), .. } => analytic),
+        // One key, two shapes: a sweep's four axes, a timeseries lineup.
+        field!(SWEEP_KEY, Table, Required, Any, Physics => [
+            ScenarioSpec { kind: Sweep(SweepBody { sweep, .. }), .. } => sweep,
+            ScenarioSpec { kind: Timeseries(TimeseriesBody { lineup, .. }), .. } => lineup,
+        ]),
     ],
 };
 
-/// `[topology]` of a sweep (timeseries topologies are derived).
+/// `[topology]` of a sweep (a trace scenario implies its own fixture).
 pub(crate) static TOPOLOGY: Section<TopologySpec> = Section {
     path: &[TOPOLOGY_KEY],
-    blank: ScenarioSpec::analytic_topology,
+    blank: || zeroed!(TopologySpec::Star: hosts, host_gbps),
     fields: &[
         tag!("kind", Required, [
             "fat-tree" => TopologySpec::FatTree { .. }
@@ -682,8 +726,8 @@ pub(crate) static WORKLOAD: Section<WorkloadSpec> = Section {
     path: &[WORKLOAD_KEY],
     blank: WorkloadSpec::default,
     fields: &[
-        table!(POISSON_KEY, Unset => _),
-        table!(INCAST_KEY, Unset => _),
+        field!(POISSON_KEY, Table, Unset, Any, Physics => WorkloadSpec { poisson, .. } => poisson),
+        field!(INCAST_KEY, Table, Unset, Any, Physics => WorkloadSpec { incast, .. } => incast),
     ],
 };
 
@@ -720,29 +764,27 @@ pub(crate) static INCAST: Section<IncastSpec> = Section {
     ],
 };
 
-const ALGOS: Field<SweepSpec> =
-    field!("algos", Algos, Required, Any, Axis => SweepSpec { algos, .. } => algos);
-const SEEDS: Field<SweepSpec> =
-    field!("seeds", Uints, Required, Any, Axis => SweepSpec { seeds, .. } => seeds);
-
 /// `[sweep]` of a sweep: the four axes.
 pub(crate) static SWEEP: Section<SweepSpec> = Section {
     path: &[SWEEP_KEY],
     blank: || zeroed!(SweepSpec: algos, params, loads, seeds),
     fields: &[
-        ALGOS,
+        field!("algos", Algos, Required, Any, Axis => SweepSpec { algos, .. } => algos),
         field!("params", Params, Omit(Val::Params(&[])), Any, Axis
             => SweepSpec { params, .. } => params),
         field!("loads", Floats, Write(floats(&[])), Any, Axis => SweepSpec { loads, .. } => loads),
-        SEEDS,
+        field!("seeds", Uints, Required, Any, Axis => SweepSpec { seeds, .. } => seeds),
     ],
 };
 
 /// `[sweep]` of a timeseries scenario: the lineup and its one seed.
-pub(crate) static LINEUP: Section<SweepSpec> = Section {
+pub(crate) static LINEUP: Section<LineupSpec> = Section {
     path: SWEEP.path,
-    blank: SWEEP.blank,
-    fields: &[ALGOS, SEEDS],
+    blank: || zeroed!(LineupSpec: algos, seeds),
+    fields: &[
+        field!("algos", Algos, Required, Any, Axis => LineupSpec { algos, .. } => algos),
+        field!("seeds", Uints, Required, Any, Axis => LineupSpec { seeds, .. } => seeds),
+    ],
 };
 
 /// The `key=value,…` entries of `sweep.params`
@@ -944,10 +986,10 @@ mod tests {
         .buffer_cdf(true)
         .loads([0.5]);
         let mut windowed = crate::library::fig4().channels(["queue"]);
-        let ScenarioKind::Timeseries(trace) = &mut windowed.kind else {
+        let ScenarioKind::Timeseries(timeseries) = &mut windowed.kind else {
             unreachable!()
         };
-        trace.window = 4;
+        timeseries.trace.window = 4;
         let specs = builtin_specs().into_iter().chain([dumbbell, windowed]);
         specs.map(|s| s.to_toml()).collect()
     }

@@ -64,16 +64,6 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// The host NIC bandwidth.
-    pub fn host_bw(&self) -> Bandwidth {
-        let g = match self {
-            TopologySpec::FatTree { host_gbps, .. } => *host_gbps,
-            TopologySpec::Star { host_gbps, .. } => *host_gbps,
-            TopologySpec::Dumbbell { host_gbps, .. } => *host_gbps,
-        };
-        gbps(g)
-    }
-
     /// Total host count.
     pub fn num_hosts(&self) -> usize {
         match self {
@@ -87,17 +77,6 @@ impl TopologySpec {
             }
             TopologySpec::Star { hosts, .. } => *hosts,
             TopologySpec::Dumbbell { pairs, .. } => pairs * 2,
-        }
-    }
-
-    /// Number of distinct "racks" the workload generators see (fat-tree:
-    /// ToRs; star: one per host, since there is no rack sharing; dumbbell:
-    /// the two sides).
-    pub fn num_racks(&self) -> usize {
-        match self {
-            TopologySpec::FatTree { hosts_per_tor, .. } => self.num_hosts() / hosts_per_tor.max(&1),
-            TopologySpec::Star { hosts, .. } => *hosts,
-            TopologySpec::Dumbbell { .. } => 2,
         }
     }
 
@@ -215,22 +194,113 @@ pub struct WorkloadSpec {
     pub incast: Option<IncastSpec>,
 }
 
-/// What a scenario produces when run.
+/// What a scenario produces when run, with everything only that kind of
+/// scenario has.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioKind {
     /// The default: an FCT sweep over (algorithm × params × load × seed),
     /// reduced to slowdown/buffer statistics ([`crate::sweep::run_sweep`]).
-    Sweep,
+    Sweep(SweepBody),
     /// Time-series traces: one instrumented run per algorithm (or lineup
     /// entry), producing sampled channels — queue depth, throughput,
     /// per-flow cwnd, PowerTCP Γ — instead of FCT statistics
     /// ([`crate::sweep::run_trace`]).
-    Timeseries(TraceSpec),
+    Timeseries(TimeseriesBody),
     /// Fluid-model experiments: no simulation at all — phase portraits,
     /// parameter ablations, and theorem checks over `fluid-model`, one
     /// deterministic computation per grid entry
-    /// ([`crate::analytic_engine`]).
+    /// ([`crate::analytic_engine`]); `[analytic]` is all there is.
     Analytic(AnalyticSpec),
+}
+
+impl ScenarioKind {
+    /// The TOML `kind` value (and that of summary records and `--meta`).
+    pub fn key(&self) -> &'static str {
+        match self {
+            ScenarioKind::Sweep(_) => "sweep",
+            ScenarioKind::Timeseries(_) => "timeseries",
+            ScenarioKind::Analytic(_) => "analytic",
+        }
+    }
+}
+
+/// An FCT sweep: a network, the traffic offered to it, a time box and
+/// the four axes whose cross-product is the sweep's points.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepBody {
+    /// Network under test.
+    pub topology: TopologySpec,
+    /// Offered traffic.
+    pub workload: WorkloadSpec,
+    /// Workload generation horizon, milliseconds.
+    pub horizon_ms: f64,
+    /// Extra drain time after the horizon, milliseconds.
+    pub drain_ms: f64,
+    /// Sweep axes.
+    pub sweep: SweepSpec,
+    /// Which engine runs the points.
+    pub engine: EngineKind,
+    /// Emit per-aggregate buffer-occupancy CDF columns in the report
+    /// (packet engine only; a report option, not physics — stripped
+    /// from [`ScenarioSpec::cache_fragment`]). Off by default so
+    /// existing baselines stay byte-identical.
+    pub buffer_cdf: bool,
+}
+
+impl SweepBody {
+    /// The generation horizon as simulator time.
+    pub fn horizon(&self) -> Tick {
+        Tick::from_secs_f64(self.horizon_ms / 1e3)
+    }
+
+    /// When the run stops: horizon plus drain (saturating, as the
+    /// conversion of an absurd horizon itself does).
+    pub fn run_end(&self) -> Tick {
+        let drain = Tick::from_secs_f64(self.drain_ms / 1e3);
+        Tick::from_ps(self.horizon().as_ps().saturating_add(drain.as_ps()))
+    }
+}
+
+/// A time-series scenario: the traced experiment (which implies its own
+/// fixture and traffic), a time box and the lineup traced one by one.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TimeseriesBody {
+    /// The `[trace]` table.
+    pub trace: TraceSpec,
+    /// Run length, milliseconds ([`Self::run_length`]: not `rdcn`'s).
+    pub horizon_ms: f64,
+    /// In the format and every cache key; traces stop at the horizon.
+    pub drain_ms: f64,
+    /// The algorithms traced and the one seed.
+    pub lineup: LineupSpec,
+}
+
+impl TimeseriesBody {
+    /// How long the traced run lasts: `rdcn`'s `weeks` of the rotor
+    /// schedule, else the horizon. `Err` if simulator time cannot hold it.
+    pub fn run_length(&self) -> Result<Tick, String> {
+        let TraceScenario::Rdcn { weeks, .. } = self.trace.scenario else {
+            return Ok(Tick::from_secs_f64(self.horizon_ms / 1e3));
+        };
+        let week = rdcn::RotorSchedule::paper_defaults().week().as_ps();
+        let ps = week.checked_mul(weeks).ok_or_else(|| {
+            format!(
+                "trace.weeks = {weeks} is too long a run: simulator time holds at most {} \
+                 rotor weeks of {week} ps",
+                u64::MAX / week
+            )
+        })?;
+        Ok(Tick::from_ps(ps))
+    }
+}
+
+/// `[sweep]` of a timeseries scenario: one traced run per algorithm.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LineupSpec {
+    /// Algorithms to trace.
+    pub algos: Vec<Algo>,
+    /// Exactly one seed (part of each entry's cache key).
+    pub seeds: Vec<u64>,
 }
 
 /// Probe configuration plus the traced experiment of a `timeseries`
@@ -279,8 +349,8 @@ impl TraceSpec {
 }
 
 /// The traced experiments: the paper's temporal figures as declarative
-/// data. Each defines its own fixture (the star / rotor topology is
-/// derived, not configured — see [`TraceScenario::implied_topology`]).
+/// data. Each defines its own fixture (a star sized by the scenario's
+/// own keys, or the `rdcn` crate's rotor fabric).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceScenario {
     /// Figure 2: the analytic voltage/current/power multiplicative-decrease
@@ -319,19 +389,14 @@ pub enum TraceScenario {
 }
 
 impl TraceScenario {
-    /// The fixture topology this trace scenario runs on. Timeseries
-    /// topologies are derived, not configured: the incast/fairness star is
-    /// sized by the scenario itself (the RDCN fixture is built by the
-    /// `rdcn` crate and the placeholder topology is unused).
-    pub fn implied_topology(&self) -> TopologySpec {
-        let hosts = match self {
-            TraceScenario::Incast { fan_in, .. } => fan_in + 2,
-            TraceScenario::Fairness { flows, .. } => flows + 1,
-            TraceScenario::Response | TraceScenario::Rdcn { .. } => 2,
-        };
-        TopologySpec::Star {
-            hosts,
-            host_gbps: 25.0,
+    /// Host count of the star the packet engine builds for this trace
+    /// scenario, with the key that sizes it (`None`: a fixed fixture).
+    fn star_hosts(&self) -> Option<(&'static str, usize)> {
+        match *self {
+            // Receiver + long-flow sender + burst senders.
+            TraceScenario::Incast { fan_in, .. } => Some(("fan_in", fan_in + 2)),
+            TraceScenario::Fairness { flows, .. } => Some(("flows", flows + 1)),
+            TraceScenario::Response | TraceScenario::Rdcn { .. } => None,
         }
     }
 
@@ -348,33 +413,9 @@ impl TraceScenario {
     /// Every channel name this trace scenario can record, in recording
     /// order — the vocabulary a `[trace] channels` filter may select
     /// from (fairness channels are per-flow, so the list depends on the
-    /// configured flow count).
+    /// configured flow count); the fixtures record from the same tables.
     pub fn channel_names(&self) -> Vec<String> {
-        match self {
-            TraceScenario::Response => [
-                "voltage-md-vs-rate",
-                "current-md-vs-rate",
-                "voltage-md-vs-queue",
-                "current-md-vs-queue",
-            ]
-            .map(String::from)
-            .to_vec(),
-            TraceScenario::Incast { .. } => ["throughput", "queue", "cwnd", "power"]
-                .map(String::from)
-                .to_vec(),
-            TraceScenario::Fairness { flows, .. } => (1..=*flows)
-                .flat_map(|i| {
-                    [
-                        format!("flow-{i}"),
-                        format!("cwnd-{i}"),
-                        format!("power-{i}"),
-                    ]
-                })
-                .collect(),
-            TraceScenario::Rdcn { .. } => ["throughput", "voq", "cwnd", "power"]
-                .map(String::from)
-                .to_vec(),
-        }
+        crate::trace_engine::channel_names(self)
     }
 }
 
@@ -473,17 +514,6 @@ pub enum AnalyticScenario {
     },
 }
 
-impl AnalyticScenario {
-    /// Stable TOML identifier.
-    pub fn key(&self) -> &'static str {
-        match self {
-            AnalyticScenario::Phase { .. } => "phase",
-            AnalyticScenario::Ablation { .. } => "ablation",
-            AnalyticScenario::Laws { .. } => "laws",
-        }
-    }
-}
-
 /// One point on the algorithm-parameter sweep axis: overrides applied to
 /// the swept algorithms' tunables. Every field is optional; an all-`None`
 /// spec is the algorithm's paper-default configuration. This is what lets
@@ -574,6 +604,16 @@ pub struct SweepSpec {
     pub seeds: Vec<u64>,
 }
 
+/// The lineup every constructor starts from: PowerTCP, seed 42.
+impl Default for LineupSpec {
+    fn default() -> Self {
+        LineupSpec {
+            algos: vec![Algo::PowerTcp],
+            seeds: vec![42],
+        }
+    }
+}
+
 /// A complete declarative experiment description.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioSpec {
@@ -581,120 +621,108 @@ pub struct ScenarioSpec {
     pub name: String,
     /// One-line description.
     pub description: String,
-    /// Network under test.
-    pub topology: TopologySpec,
-    /// What the scenario produces: an FCT sweep (default) or time-series
-    /// traces.
+    /// What the scenario produces — an FCT sweep (default), time-series
+    /// traces, a fluid-model analysis — and that kind's own fields.
     pub kind: ScenarioKind,
-    /// Offered traffic.
-    pub workload: WorkloadSpec,
-    /// Workload generation horizon, milliseconds.
-    pub horizon_ms: f64,
-    /// Extra drain time after the horizon, milliseconds.
-    pub drain_ms: f64,
-    /// Sweep axes.
-    pub sweep: SweepSpec,
-    /// Which engine runs the sweep points (sweep kind only).
-    pub engine: EngineKind,
-    /// Emit per-aggregate buffer-occupancy CDF columns in sweep reports
-    /// (packet engine only; a report option, not physics — stripped
-    /// from [`Self::cache_fragment`]). Off by default so existing
-    /// baselines stay byte-identical.
-    pub buffer_cdf: bool,
 }
 
 impl ScenarioSpec {
-    /// A new spec with an empty workload, a PowerTCP-only algorithm
+    /// A new sweep with an empty workload, a PowerTCP-only algorithm
     /// grid, seed 42, and a 4 ms + 6 ms time box (the `tiny` scale).
     pub fn new(name: impl Into<String>, topology: TopologySpec) -> Self {
-        Self::assemble(name.into(), topology, ScenarioKind::Sweep)
-    }
-
-    /// A new time-series scenario: the topology is derived from the trace
-    /// scenario, the workload is the trace scenario itself, and the
-    /// algorithm grid is the lineup. Defaults: PowerTCP only, seed 42,
-    /// 4 ms horizon, no drain.
-    pub fn timeseries(name: impl Into<String>, trace: TraceSpec) -> Self {
-        let topology = trace.scenario.implied_topology();
-        Self::assemble(name.into(), topology, ScenarioKind::Timeseries(trace))
-    }
-
-    /// A new analytic scenario: no topology (a fixed placeholder star, as
-    /// for the analytic `response` trace), no workload, no sweep axes —
-    /// the `[analytic]` table fully describes the experiment.
-    pub fn new_analytic(name: impl Into<String>, analytic: AnalyticSpec) -> Self {
-        // No clock of its own either: the `response` trace's shell rides
-        // along as an inert, never-written placeholder.
-        ScenarioSpec {
-            kind: ScenarioKind::Analytic(analytic),
-            ..Self::timeseries(name, TraceSpec::new(TraceScenario::Response))
-        }
-    }
-
-    /// The one constructor: the placeholder lineup, and every scalar of
-    /// the kind at its default in the top-level table.
-    fn assemble(name: String, topology: TopologySpec, kind: ScenarioKind) -> Self {
-        let mut spec = ScenarioSpec {
-            name,
-            description: String::new(),
+        let LineupSpec { algos, seeds } = LineupSpec::default();
+        let body = SweepBody {
             topology,
-            kind,
             workload: WorkloadSpec::default(),
             horizon_ms: 0.0,
             drain_ms: 0.0,
-            sweep: Self::analytic_sweep(),
+            sweep: SweepSpec {
+                algos,
+                params: Vec::new(),
+                loads: Vec::new(),
+                seeds,
+            },
             engine: EngineKind::Packet,
             buffer_cdf: false,
+        };
+        Self::assemble(name.into(), ScenarioKind::Sweep(body))
+    }
+
+    /// A new time-series scenario: fixture and traffic are the trace
+    /// scenario's own, and the algorithm grid is the lineup. Defaults:
+    /// PowerTCP only, seed 42, 4 ms horizon, no drain.
+    pub fn timeseries(name: impl Into<String>, trace: TraceSpec) -> Self {
+        let body = TimeseriesBody {
+            trace,
+            horizon_ms: 0.0,
+            drain_ms: 0.0,
+            lineup: LineupSpec::default(),
+        };
+        Self::assemble(name.into(), ScenarioKind::Timeseries(body))
+    }
+
+    /// A new analytic scenario: the `[analytic]` table fully describes
+    /// the experiment.
+    pub fn new_analytic(name: impl Into<String>, analytic: AnalyticSpec) -> Self {
+        Self::assemble(name.into(), ScenarioKind::Analytic(analytic))
+    }
+
+    /// The one constructor: every scalar the kind has in the top-level
+    /// table at its default.
+    fn assemble(name: String, kind: ScenarioKind) -> Self {
+        let mut spec = ScenarioSpec {
+            name,
+            description: String::new(),
+            kind,
         };
         schema::apply_defaults(schema::ROOT.fields, &mut spec);
         spec
     }
 
-    /// The placeholder topology of analytic scenarios (never built).
-    pub(crate) fn analytic_topology() -> TopologySpec {
-        TopologySpec::Star {
-            hosts: 2,
-            host_gbps: 25.0,
-        }
-    }
-
-    /// The lineup every constructor starts from, and the placeholder
-    /// sweep of analytic scenarios (the grid lives in `[analytic]`;
-    /// validation requires exactly this).
-    pub(crate) fn analytic_sweep() -> SweepSpec {
-        SweepSpec {
-            algos: vec![Algo::PowerTcp],
-            params: Vec::new(),
-            loads: Vec::new(),
-            seeds: vec![42],
-        }
-    }
-
-    /// The trace spec of a timeseries scenario (`None` otherwise).
-    pub fn trace(&self) -> Option<&TraceSpec> {
+    /// The sweep that `what` — a function only sweeps can answer or, for
+    /// the `_mut`s, a builder call — needs. Panics on another kind.
+    pub(crate) fn sweep_body(&self, what: &str) -> &SweepBody {
         match &self.kind {
-            ScenarioKind::Timeseries(t) => Some(t),
-            _ => None,
+            ScenarioKind::Sweep(body) => body,
+            other => panic!("{}", foreign(what, "sweep", &self.name, other.key())),
         }
     }
 
-    /// The analytic spec of an analytic scenario (`None` otherwise).
-    pub fn analytic(&self) -> Option<&AnalyticSpec> {
-        match &self.kind {
-            ScenarioKind::Analytic(a) => Some(a),
-            _ => None,
+    fn sweep_mut(&mut self, what: &str) -> &mut SweepBody {
+        let kind = self.kind.key();
+        match &mut self.kind {
+            ScenarioKind::Sweep(body) => body,
+            _ => panic!("{}", foreign(what, "sweep", &self.name, kind)),
         }
     }
 
-    /// Replace the trace scenario of a timeseries spec, re-deriving the
-    /// fixture topology (which validation requires to stay consistent).
-    /// Panics on a sweep spec.
+    fn timeseries_mut(&mut self, what: &str) -> &mut TimeseriesBody {
+        let kind = self.kind.key();
+        match &mut self.kind {
+            ScenarioKind::Timeseries(body) => body,
+            _ => panic!("{}", foreign(what, "timeseries", &self.name, kind)),
+        }
+    }
+
+    /// The algorithms and seeds of `[sweep]`, which an analytic scenario
+    /// (its grid is `[analytic]`) does not have: the `Err` says so.
+    pub fn lineup_mut(&mut self) -> Result<(&mut Vec<Algo>, &mut Vec<u64>), String> {
+        match &mut self.kind {
+            ScenarioKind::Sweep(s) => Ok((&mut s.sweep.algos, &mut s.sweep.seeds)),
+            ScenarioKind::Timeseries(ts) => Ok((&mut ts.lineup.algos, &mut ts.lineup.seeds)),
+            ScenarioKind::Analytic(_) => Err(foreign(
+                "a lineup of algorithms and seeds",
+                "sweep and timeseries",
+                &self.name,
+                "analytic",
+            )),
+        }
+    }
+
+    /// Replace the trace scenario of a timeseries spec. Panics on
+    /// another kind.
     pub fn trace_scenario(mut self, scenario: TraceScenario) -> Self {
-        let ScenarioKind::Timeseries(trace) = &mut self.kind else {
-            panic!("trace_scenario on a sweep spec");
-        };
-        trace.scenario = scenario;
-        self.topology = trace.scenario.implied_topology();
+        self.timeseries_mut("trace_scenario").trace.scenario = scenario;
         self
     }
 
@@ -704,75 +732,84 @@ impl ScenarioSpec {
         self
     }
 
-    /// Add Poisson background traffic with the given size distribution.
+    /// Add Poisson background traffic with the given size distribution
+    /// (panics on a scenario that is no sweep, as every sweep setting).
     pub fn poisson(mut self, sizes: SizeSpec) -> Self {
-        self.workload.poisson = Some(PoissonSpec { sizes });
+        self.sweep_mut("poisson").workload.poisson = Some(PoissonSpec { sizes });
         self
     }
 
     /// Add an incast overlay.
     pub fn incast(mut self, incast: IncastSpec) -> Self {
-        self.workload.incast = Some(incast);
+        self.sweep_mut("incast").workload.incast = Some(incast);
         self
     }
 
-    /// Set the generation horizon (ms).
+    /// Set the generation horizon (ms) of a sweep or timeseries
+    /// scenario. Panics on an analytic one, which has no clock.
     pub fn horizon_ms(mut self, ms: f64) -> Self {
-        self.horizon_ms = ms;
+        match &mut self.kind {
+            ScenarioKind::Sweep(s) => s.horizon_ms = ms,
+            _ => self.timeseries_mut("horizon_ms").horizon_ms = ms,
+        }
         self
     }
 
-    /// Set the post-horizon drain time (ms).
+    /// Set the post-horizon drain time (ms); as [`Self::horizon_ms`].
     pub fn drain_ms(mut self, ms: f64) -> Self {
-        self.drain_ms = ms;
+        match &mut self.kind {
+            ScenarioKind::Sweep(s) => s.drain_ms = ms,
+            _ => self.timeseries_mut("drain_ms").drain_ms = ms,
+        }
         self
     }
 
-    /// Set the algorithm grid.
+    /// Set the algorithm grid (the lineup of a timeseries scenario);
+    /// the panicking form of [`Self::lineup_mut`].
     pub fn algos(mut self, algos: impl IntoIterator<Item = Algo>) -> Self {
-        self.sweep.algos = algos.into_iter().collect();
+        let (mine, _) = self.lineup_mut().unwrap_or_else(|e| panic!("{e}"));
+        *mine = algos.into_iter().collect();
         self
     }
 
     /// Set the load grid.
     pub fn loads(mut self, loads: impl IntoIterator<Item = f64>) -> Self {
-        self.sweep.loads = loads.into_iter().collect();
+        self.sweep_mut("loads").sweep.loads = loads.into_iter().collect();
         self
     }
 
-    /// Set the seed grid.
+    /// Set the seed grid (the one seed of a timeseries scenario).
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.sweep.seeds = seeds.into_iter().collect();
+        let (_, mine) = self.lineup_mut().unwrap_or_else(|e| panic!("{e}"));
+        *mine = seeds.into_iter().collect();
         self
     }
 
     /// Set the algorithm-parameter grid (the ablation axis).
     pub fn params(mut self, params: impl IntoIterator<Item = ParamSpec>) -> Self {
-        self.sweep.params = params.into_iter().collect();
+        self.sweep_mut("params").sweep.params = params.into_iter().collect();
         self
     }
 
     /// Select the engine that runs the sweep points.
     pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+        self.sweep_mut("engine").engine = engine;
         self
     }
 
     /// Toggle per-aggregate buffer-occupancy CDF columns in the report
     /// (packet-engine sweeps only).
     pub fn buffer_cdf(mut self, on: bool) -> Self {
-        self.buffer_cdf = on;
+        self.sweep_mut("buffer_cdf").buffer_cdf = on;
         self
     }
 
     /// Restrict a timeseries spec to recording only the named channels
-    /// (validated against [`TraceScenario::channel_names`]). Panics on a
-    /// sweep spec.
+    /// (validated against [`TraceScenario::channel_names`]). Panics on
+    /// another kind.
     pub fn channels(mut self, channels: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        let ScenarioKind::Timeseries(trace) = &mut self.kind else {
-            panic!("channels on a sweep spec");
-        };
-        trace.channels = channels.into_iter().map(Into::into).collect();
+        self.timeseries_mut("channels").trace.channels =
+            channels.into_iter().map(Into::into).collect();
         self
     }
 
@@ -796,112 +833,82 @@ impl ScenarioSpec {
         self.render(false)
     }
 
-    /// The generation horizon as simulator time.
-    pub fn horizon(&self) -> Tick {
-        Tick::from_secs_f64(self.horizon_ms / 1e3)
-    }
-
-    /// The drain window as simulator time.
-    pub fn drain(&self) -> Tick {
-        Tick::from_secs_f64(self.drain_ms / 1e3)
-    }
-
-    /// The effective load grid: `[0.0]` when there is no Poisson traffic
-    /// (incast-only scenarios have no load axis).
-    pub fn effective_loads(&self) -> Vec<f64> {
-        if self.workload.poisson.is_some() {
-            self.sweep.loads.clone()
-        } else {
-            vec![0.0]
-        }
-    }
-
-    /// The effective algorithm-parameter grid: the single default entry
-    /// when no `params` axis is configured.
-    pub fn effective_params(&self) -> Vec<ParamSpec> {
-        if self.sweep.params.is_empty() {
-            vec![ParamSpec::default()]
-        } else {
-            self.sweep.params.clone()
-        }
-    }
-
-    /// Visit every section this spec carries, in file order: the one
-    /// layout behind [`Self::to_toml`], [`Self::cache_fragment`] and the
-    /// range half of [`Self::validate`].
-    fn walk(&self, pass: &mut Pass<'_>) -> Result<(), String> {
-        schema::ROOT.visit(self, pass)?;
-        match &self.kind {
-            ScenarioKind::Sweep => {
-                schema::TOPOLOGY.visit(&self.topology, pass)?;
-                if let Some(poisson) = &self.workload.poisson {
-                    schema::POISSON.visit(poisson, pass)?;
-                }
-                if let Some(incast) = &self.workload.incast {
-                    schema::INCAST.visit(incast, pass)?;
-                }
-                schema::SWEEP.visit(&self.sweep, pass)
-            }
-            ScenarioKind::Timeseries(trace) => {
-                schema::TRACE.visit(trace, pass)?;
-                schema::LINEUP.visit(&self.sweep, pass)
-            }
-            ScenarioKind::Analytic(analytic) => schema::ANALYTIC.visit(analytic, pass),
-        }
-    }
-
     /// Check internal consistency; returns a human-readable error. Every
     /// field's own range comes from the schema table; what follows it
-    /// here are the rules that relate several fields.
+    /// are the kind's rules that relate several fields.
     pub fn validate(&self) -> Result<(), String> {
         ensure!(!self.name.is_empty(), "scenario needs a name");
-        self.walk(&mut Pass::Check)?;
-        let sweep = matches!(self.kind, ScenarioKind::Sweep);
-        ensure!(
-            sweep || self.engine == EngineKind::Packet,
-            "engine = \"flow\" only applies to sweep scenarios: timeseries traces \
-             depend on per-packet INT probes and analytic scenarios never simulate"
-        );
-        ensure!(
-            sweep || !self.buffer_cdf,
-            "buffer_cdf is a sweep-report option; remove it"
-        );
-        // What the packet engine would have to build (the flow engine
-        // never builds the fabric; a trace's star is sized by its own
-        // key). A wrapped port id delivers to the wrong host, silently.
-        let fabric = match &self.kind {
-            ScenarioKind::Sweep if self.engine == EngineKind::Packet => {
-                Some(self.topology.widest_switch())
-            }
-            ScenarioKind::Timeseries(trace) => {
-                let key = match trace.scenario {
-                    TraceScenario::Incast { .. } => "fan_in",
-                    TraceScenario::Fairness { .. } => "flows",
-                    // Two hosts, whatever the spec says.
-                    TraceScenario::Response | TraceScenario::Rdcn { .. } => "hosts",
-                };
-                Some((key, trace.scenario.implied_topology().widest_switch().1))
-            }
-            _ => None,
-        };
-        if let Some((key, ports)) = fabric {
-            ensure!(
-                ports <= PortId::MAX_PORTS,
-                "{key} asks the packet engine for a switch with {ports} ports; \
-                 port ids are 16-bit, so {} is the most one switch can have",
-                PortId::MAX_PORTS
-            );
-        }
+        schema::ROOT.visit(self, &mut Pass::Check)?;
         match &self.kind {
-            ScenarioKind::Sweep => self.validate_sweep(),
-            ScenarioKind::Timeseries(trace) => self.validate_timeseries(trace),
-            ScenarioKind::Analytic(analytic) => self.validate_analytic(analytic),
+            ScenarioKind::Sweep(sweep) => sweep.validate(),
+            ScenarioKind::Timeseries(timeseries) => timeseries.validate(),
+            ScenarioKind::Analytic(analytic) => analytic.validate(),
         }
     }
 
-    /// Sweep-kind rules: a workload the topology can carry, a load grid
-    /// where Poisson traffic needs one, and non-empty axes.
-    fn validate_sweep(&self) -> Result<(), String> {
+    /// Total number of sweep points (algos × params × loads × seeds) for
+    /// sweeps, or lineup entries for timeseries/analytic scenarios: the
+    /// length of the executor's actual item list.
+    pub fn num_points(&self) -> usize {
+        crate::sweep::work_items(self).len()
+    }
+
+    // ---- TOML ----
+
+    /// The spec as TOML (`full`), or as its cache fragment.
+    fn render(&self, full: bool) -> String {
+        let mut out = String::new();
+        let pass = &mut Pass::Write {
+            out: &mut out,
+            full,
+        };
+        schema::ROOT
+            .visit(self, pass)
+            .expect("writing a spec cannot fail");
+        out
+    }
+
+    /// Render as TOML (the exact format [`ScenarioSpec::from_toml`]
+    /// reads back; `parse(to_toml(s)) == s`).
+    pub fn to_toml(&self) -> String {
+        self.render(true)
+    }
+
+    /// Parse a spec from TOML source. The result is validated.
+    pub fn from_toml(src: &str) -> Result<Self, String> {
+        let root = crate::toml::parse(src).map_err(|e| e.to_string())?;
+        let spec = schema::ROOT.read(&root)?;
+        spec.validate()?;
+        Ok(spec)
+    }
+}
+
+/// The complaint when `what` meets a scenario not of its `home` kind(s).
+fn foreign(what: &str, home: &str, name: &str, kind: &str) -> String {
+    format!("{what} is for {home} scenarios; {name:?} has kind = {kind:?}")
+}
+
+/// A switch of `ports` ports (sized by `key`) is one the packet engine
+/// can build: a wrapped port id delivers to the wrong host, silently.
+fn ensure_ports_fit(key: &str, ports: usize) -> Result<(), String> {
+    ensure!(
+        ports <= PortId::MAX_PORTS,
+        "{key} asks the packet engine for a switch with {ports} ports; \
+         port ids are 16-bit, so {} is the most one switch can have",
+        PortId::MAX_PORTS
+    );
+    Ok(())
+}
+
+impl SweepBody {
+    /// A fabric the engine can build, a workload the topology can
+    /// carry, a load grid where Poisson traffic needs one, non-empty axes.
+    fn validate(&self) -> Result<(), String> {
+        // The flow engine never builds the fabric.
+        if self.engine == EngineKind::Packet {
+            let (key, ports) = self.topology.widest_switch();
+            ensure_ports_fit(key, ports)?;
+        }
         ensure!(
             self.engine == EngineKind::Packet || !self.buffer_cdf,
             "buffer_cdf requires the packet engine: the flow engine models no \
@@ -963,35 +970,23 @@ impl ScenarioSpec {
         }
         Ok(())
     }
+}
 
-    /// Timeseries-kind rules: the constraints the trace engine relies on
-    /// (derived topology, no FCT workload, no load axis, one seed) and
-    /// each trace scenario's fit within the horizon and the lineup.
-    fn validate_timeseries(&self, trace: &TraceSpec) -> Result<(), String> {
-        let (horizon_ms, sweep) = (self.horizon_ms, &self.sweep);
+impl TimeseriesBody {
+    /// A star the engine can build, one seed, a run simulator time can
+    /// hold, and the trace scenario's fit within horizon and lineup.
+    fn validate(&self) -> Result<(), String> {
+        let (trace, horizon_ms, lineup) = (&self.trace, self.horizon_ms, &self.lineup);
+        if let Some((key, hosts)) = trace.scenario.star_hosts() {
+            ensure_ports_fit(key, hosts)?;
+        }
         ensure!(
-            self.workload == WorkloadSpec::default(),
-            "timeseries scenarios define traffic via [trace], not [workload]"
-        );
-        ensure!(
-            sweep.loads.is_empty(),
-            "timeseries scenarios have no load axis"
-        );
-        ensure!(
-            sweep.params.is_empty(),
-            "timeseries scenarios have no params axis"
-        );
-        ensure!(
-            !sweep.algos.is_empty(),
+            !lineup.algos.is_empty(),
             "timeseries lineup needs at least one algorithm"
         );
         ensure!(
-            sweep.seeds.len() == 1,
+            lineup.seeds.len() == 1,
             "timeseries scenarios take exactly one seed"
-        );
-        ensure!(
-            self.topology == trace.scenario.implied_topology(),
-            "timeseries topology is derived from the trace scenario; do not set it"
         );
         ensure!(
             trace.window <= trace.max_samples,
@@ -1009,9 +1004,10 @@ impl ScenarioSpec {
                 ));
             }
         }
+        self.run_length()?;
         match &trace.scenario {
             TraceScenario::Response => ensure!(
-                sweep.algos.len() == 1,
+                lineup.algos.len() == 1,
                 "the response trace is analytic (no algorithm runs); \
                  its lineup must be a single placeholder algorithm"
             ),
@@ -1027,32 +1023,25 @@ impl ScenarioSpec {
                 retcp_prebuffer_us, ..
             } => {
                 ensure!(
-                    !(sweep.algos.contains(&Algo::ReTcp) && retcp_prebuffer_us.is_empty()),
+                    !(lineup.algos.contains(&Algo::ReTcp) && retcp_prebuffer_us.is_empty()),
                     "rdcn lineup includes retcp but retcp_prebuffer_us is empty"
                 );
                 ensure!(
-                    !sweep.algos.iter().any(|a| a.is_homa()),
+                    !lineup.algos.iter().any(|a| a.is_homa()),
                     "the rdcn trace runs the windowed transport; HOMA is unsupported"
                 );
             }
         }
         Ok(())
     }
+}
 
-    /// Analytic-kind rules: nothing set outside `[analytic]`, and grids
-    /// whose entries label distinct lineup entries.
-    fn validate_analytic(&self, analytic: &AnalyticSpec) -> Result<(), String> {
-        let mut shell = Self::new_analytic(self.name.clone(), analytic.clone());
-        shell.description.clone_from(&self.description);
-        ensure!(
-            *self == shell,
-            "analytic scenarios have no topology, workload, sweep axes or time box of \
-             their own (the grid lives in [analytic]); remove [topology], [workload], \
-             [sweep], horizon_ms and drain_ms"
-        );
+impl AnalyticSpec {
+    /// Grids whose entries label distinct lineup entries, none empty.
+    fn validate(&self) -> Result<(), String> {
         // Every grid entry labels one lineup entry (and its cache key).
         for f in schema::ANALYTIC.fields {
-            let mut labels: Vec<String> = match (f.get)(analytic) {
+            let mut labels: Vec<String> = match (f.get)(self) {
                 Some(Val::Floats(xs)) => xs.iter().map(f64::to_string).collect(),
                 Some(Val::Laws(laws)) => laws.iter().map(|l| l.key().to_string()).collect(),
                 _ => continue,
@@ -1066,7 +1055,7 @@ impl ScenarioSpec {
                 f.key
             );
         }
-        match &analytic.scenario {
+        match &self.scenario {
             AnalyticScenario::Phase {
                 laws,
                 w_over_bdp,
@@ -1089,72 +1078,6 @@ impl ScenarioSpec {
             AnalyticScenario::Laws { .. } => {}
         }
         Ok(())
-    }
-
-    /// Total number of sweep points (algos × params × loads × seeds) for
-    /// sweeps, or lineup entries for timeseries/analytic scenarios.
-    pub fn num_points(&self) -> usize {
-        match &self.kind {
-            // Single source of truth for the lineup expansion: the count
-            // is the length of the engine's actual entry list.
-            ScenarioKind::Timeseries(_) => crate::trace_engine::trace_entries(self).len(),
-            ScenarioKind::Analytic(_) => crate::analytic_engine::analytic_entries(self).len(),
-            ScenarioKind::Sweep => {
-                self.sweep.algos.len()
-                    * self.effective_params().len()
-                    * self.effective_loads().len()
-                    * self.sweep.seeds.len()
-            }
-        }
-    }
-
-    // ---- TOML ----
-
-    /// The spec as TOML (`full`), or as its cache fragment.
-    fn render(&self, full: bool) -> String {
-        let mut out = String::new();
-        let pass = &mut Pass::Write {
-            out: &mut out,
-            full,
-        };
-        self.walk(pass).expect("writing a spec cannot fail");
-        out
-    }
-
-    /// Render as TOML (the exact format [`ScenarioSpec::from_toml`]
-    /// reads back; `parse(to_toml(s)) == s`).
-    pub fn to_toml(&self) -> String {
-        self.render(true)
-    }
-
-    /// Parse a spec from TOML source. The result is validated.
-    pub fn from_toml(src: &str) -> Result<Self, String> {
-        let root = crate::toml::parse(src).map_err(|e| e.to_string())?;
-        // The top-level section picks the kind and checks which tables
-        // are there; each table the kind carries is its own section.
-        let mut spec = schema::ROOT.read(&root)?;
-        let required = "the top-level row for the table requires it";
-        match &mut spec.kind {
-            ScenarioKind::Sweep => {
-                spec.topology = schema::TOPOLOGY.read_in(&root)?.expect(required);
-                if let Some(workload) = schema::WORKLOAD.table_in(&root) {
-                    schema::WORKLOAD.read(workload)?;
-                    spec.workload.poisson = schema::POISSON.read_in(workload)?;
-                    spec.workload.incast = schema::INCAST.read_in(workload)?;
-                }
-                spec.sweep = schema::SWEEP.read_in(&root)?.expect(required);
-            }
-            ScenarioKind::Timeseries(trace) => {
-                *trace = schema::TRACE.read_in(&root)?.expect(required);
-                spec.topology = trace.scenario.implied_topology();
-                spec.sweep = schema::LINEUP.read_in(&root)?.expect(required);
-            }
-            ScenarioKind::Analytic(analytic) => {
-                *analytic = schema::ANALYTIC.read_in(&root)?.expect(required);
-            }
-        }
-        spec.validate()?;
-        Ok(spec)
     }
 }
 
@@ -1218,20 +1141,19 @@ mod tests {
         let ok = sample_spec();
         assert!(ok.validate().is_ok());
 
-        let mut s = sample_spec();
-        s.sweep.loads = vec![2.0];
+        let s = sample_spec().loads([2.0]);
         assert!(s.validate().unwrap_err().contains("implausible load"));
 
         let mut s = sample_spec();
-        s.workload = WorkloadSpec::default();
+        s.sweep_mut("test").workload = WorkloadSpec::default();
         assert!(s.validate().is_err());
 
         let mut s = sample_spec();
-        s.workload.incast.as_mut().unwrap().fan_in = 1000;
+        let incast = &mut s.sweep_mut("test").workload.incast;
+        incast.as_mut().unwrap().fan_in = 1000;
         assert!(s.validate().unwrap_err().contains("fan_in"));
 
-        let mut s = sample_spec();
-        s.sweep.seeds.clear();
+        let s = sample_spec().seeds([]);
         assert!(s.validate().is_err());
 
         let s = ScenarioSpec::new(
@@ -1316,7 +1238,8 @@ mod tests {
         .algos([Algo::Homa(1), Algo::Homa(2)])
         .seeds([1, 2, 3]);
         assert!(spec.validate().is_ok());
-        assert_eq!(spec.effective_loads(), vec![0.0]);
+        let points = crate::sweep::sweep_points(&spec);
+        assert!(points.iter().all(|p| p.load == 0.0));
         assert_eq!(spec.num_points(), 6); // 2 algos x 1 pseudo-load x 3 seeds
     }
 
@@ -1380,11 +1303,6 @@ mod tests {
         });
         assert!(s.validate().unwrap_err().contains("at_ms"));
 
-        // Load axis is meaningless for traces.
-        let mut s = ts_spec(TraceScenario::Response);
-        s.sweep.loads = vec![0.5];
-        assert!(s.validate().unwrap_err().contains("load"));
-
         // Exactly one seed.
         let s = ts_spec(TraceScenario::Response).seeds([1, 2]);
         assert!(s.validate().unwrap_err().contains("seed"));
@@ -1401,17 +1319,35 @@ mod tests {
         })
         .algos([Algo::Homa(1)]);
         assert!(s.validate().unwrap_err().contains("HOMA"));
+    }
 
-        // Hand-set topology contradicting the derivation.
-        let mut s = ts_spec(TraceScenario::Fairness {
-            flows: 4,
-            stagger_ms: 1.0,
-        });
-        s.topology = TopologySpec::Star {
-            hosts: 99,
-            host_gbps: 25.0,
+    /// What the parent policed in `validate` (a load axis on a trace, a
+    /// seed on an analytic grid) is now a field the kind does not have:
+    /// the builder call for it panics naming both, and the fallible
+    /// `lineup_mut` says why.
+    #[test]
+    fn a_setting_the_kind_has_no_field_for_is_refused_at_the_call() {
+        let message = |call: fn() -> ScenarioSpec| {
+            let payload = std::panic::catch_unwind(call).expect_err("the call panics");
+            payload.downcast_ref::<String>().expect("a message").clone()
         };
-        assert!(s.validate().unwrap_err().contains("derived"));
+        let loads = message(|| ts_spec(TraceScenario::Response).loads([0.5]));
+        assert!(loads.contains("loads is for sweep scenarios"), "{loads}");
+        assert!(
+            loads.contains("\"ts\" has kind = \"timeseries\""),
+            "{loads}"
+        );
+        let channels = message(|| sample_spec().channels(["queue"]));
+        let for_traces = "channels is for timeseries scenarios";
+        assert!(channels.contains(for_traces), "{channels}");
+        fn laws() -> ScenarioSpec {
+            let laws = AnalyticScenario::Laws { tolerance: 0.1 };
+            ScenarioSpec::new_analytic("an", AnalyticSpec::new(laws))
+        }
+        let seeds = message(|| laws().seeds([7]));
+        assert!(seeds.contains("\"an\" has kind = \"analytic\""), "{seeds}");
+        assert_eq!(laws().lineup_mut().unwrap_err(), seeds);
+        assert!(sample_spec().lineup_mut().is_ok());
     }
 
     #[test]
@@ -1458,9 +1394,9 @@ mod tests {
         let a = sample_spec();
         let mut renamed = a.clone().describe("other words");
         renamed.name = "renamed".into();
-        renamed.sweep.seeds = vec![1, 2, 3];
+        let renamed = renamed.seeds([1, 2, 3]);
         assert_eq!(a.cache_fragment(), renamed.cache_fragment());
-        let hotter = a.clone().horizon_ms(a.horizon_ms * 2.0);
+        let hotter = a.clone().horizon_ms(8.0);
         assert_ne!(a.cache_fragment(), hotter.cache_fragment());
         let other_workload = a.clone().poisson(SizeSpec::Fixed(10));
         assert_ne!(a.cache_fragment(), other_workload.cache_fragment());
@@ -1529,10 +1465,6 @@ mod tests {
             )
         };
         assert!(base().validate().is_ok());
-
-        // Sweep axes are placeholders; touching them is an error.
-        let s = base().seeds([7]);
-        assert!(s.validate().unwrap_err().contains("sweep"));
 
         // Duplicate laws would collide entry labels (and cache keys).
         let mut s = base();
@@ -1759,10 +1691,7 @@ tolerance = 0.05
             flows: 2,
             stagger_ms: 1.0,
         });
-        let ScenarioKind::Timeseries(t) = &mut spec.kind else {
-            unreachable!()
-        };
-        t.window = 4;
+        spec.timeseries_mut("test").trace.window = 4;
         spec.validate().unwrap();
         let text = spec.to_toml();
         assert!(text.contains("window = 4"), "{text}");
@@ -1774,15 +1703,9 @@ tolerance = 0.05
         });
         assert!(!default.to_toml().contains("window"));
         // Window 0 and window > max_samples are rejected.
-        let ScenarioKind::Timeseries(t) = &mut spec.kind else {
-            unreachable!()
-        };
-        t.window = 0;
+        spec.timeseries_mut("test").trace.window = 0;
         assert!(spec.validate().unwrap_err().contains("window"));
-        let ScenarioKind::Timeseries(t) = &mut spec.kind else {
-            unreachable!()
-        };
-        t.window = 1_000_000;
+        spec.timeseries_mut("test").trace.window = 1_000_000;
         assert!(spec.validate().unwrap_err().contains("window"));
     }
 
@@ -1905,9 +1828,30 @@ seeds = [1]
         // The same through the builder: validate() is the gate.
         let spec = sample_spec().horizon_ms(f64::INFINITY);
         assert!(spec.validate().unwrap_err().contains("horizon_ms"));
-        let mut spec = sample_spec();
-        spec.sweep.loads = vec![f64::NAN];
+        let spec = sample_spec().loads([f64::NAN]);
         assert!(spec.validate().unwrap_err().contains("loads"));
+    }
+
+    /// `weeks` is unbounded above as a key; at the parent 4e9 of them
+    /// passed `from_toml` and the engine multiplied them into a wrapped
+    /// (debug: panicking) horizon.
+    #[test]
+    fn a_run_too_long_for_simulator_time_is_refused_naming_weeks() {
+        let fig8 = crate::library::fig8().to_toml();
+        let weeks = |n: u64| fig8.replace("weeks = 2", &format!("weeks = {n}"));
+        let err = ScenarioSpec::from_toml(&weeks(4_000_000_000)).unwrap_err();
+        assert!(err.contains("trace.weeks = 4000000000"), "{err}");
+        // The longest run that fits is a valid spec, and says how long.
+        let week = rdcn::RotorSchedule::paper_defaults().week().as_ps();
+        let most = u64::MAX / week;
+        let mut longest = ScenarioSpec::from_toml(&weeks(most)).unwrap();
+        let run = longest.timeseries_mut("test").run_length();
+        assert_eq!(run, Ok(Tick::from_ps(week * most)));
+        assert!(ScenarioSpec::from_toml(&weeks(most + 1)).is_err());
+        // Every other trace runs for its horizon.
+        let mut fig4 = crate::library::fig4();
+        let run = fig4.timeseries_mut("test").run_length();
+        assert_eq!(run, Ok(Tick::from_micros(5_000)));
     }
 
     #[test]
@@ -1922,12 +1866,13 @@ seeds = [1]
         let err = over.validate().unwrap_err();
         assert!(err.contains("seeds") && err.contains("2^63"), "{err}");
         let mut huge = sample_spec();
-        huge.workload.incast.as_mut().unwrap().request_bytes = u64::MAX;
+        let incast = &mut huge.sweep_mut("test").workload.incast;
+        incast.as_mut().unwrap().request_bytes = u64::MAX;
         assert!(huge.validate().unwrap_err().contains("request_bytes"));
         // A fat-tree too large to count is not an overflow: the flow
         // engine takes it, the packet engine names the key it cannot build.
         let mut vast = sample_spec();
-        vast.topology = TopologySpec::FatTree {
+        vast.sweep_mut("test").topology = TopologySpec::FatTree {
             hosts_per_tor: i64::MAX as usize,
             host_gbps: 25.0,
             fabric_gbps: 12.5,
@@ -1953,9 +1898,10 @@ seeds = [1]
             "name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"response\"\n\
              [sweep]\nalgos = [\"powertcp\"]\nseeds = [42]\n",
         );
-        let built = ScenarioSpec::timeseries("t", TraceSpec::new(TraceScenario::Response));
+        let mut built = ScenarioSpec::timeseries("t", TraceSpec::new(TraceScenario::Response));
         assert_eq!(ts, built);
-        let trace = built.trace().unwrap();
+        let built = built.timeseries_mut("test");
+        let trace = &built.trace;
         assert_eq!((trace.tick_us, trace.max_samples), (20.0, 4096));
         assert_eq!((trace.max_rows, trace.window), (120, 1));
         assert_eq!((built.horizon_ms, built.drain_ms), (4.0, 0.0));
@@ -1970,12 +1916,13 @@ seeds = [1]
         assert_eq!(AnalyticSpec::new(laws.clone()).scenario, laws);
         // Sweeps: 4 ms + 6 ms.
         let sweep = parsed(&star_sweep_with("[sweep]", ""));
+        let sweep = sweep.sweep_body("test");
         assert_eq!((sweep.horizon_ms, sweep.drain_ms), (4.0, 6.0));
         let built = ScenarioSpec::new("x", sweep.topology);
+        let built = built.sweep_body("test");
         assert_eq!((built.horizon_ms, built.drain_ms), (4.0, 6.0));
-        // Analytic scenarios carry the inert trace box they always did.
-        let an = ScenarioSpec::new_analytic("a", AnalyticSpec::new(laws));
-        assert_eq!((an.horizon_ms, an.drain_ms), (4.0, 0.0));
-        assert_eq!(an.topology, ScenarioSpec::analytic_topology());
+        // Analytic scenarios are their `[analytic]` table and nothing else.
+        let an = ScenarioSpec::new_analytic("a", AnalyticSpec::new(laws.clone()));
+        assert_eq!(an.kind, ScenarioKind::Analytic(AnalyticSpec::new(laws)));
     }
 }

@@ -15,7 +15,7 @@ use crate::algo::Algo;
 use crate::engine::{run_sweep_point_observed, PointOutcome};
 use crate::obs::{point_label, CacheStatus, NullObserver, Observer, PointObs, SpanRecord};
 use crate::report::SweepResult;
-use crate::spec::{ScenarioKind, ScenarioSpec};
+use crate::spec::{ParamSpec, ScenarioKind, ScenarioSpec};
 use crate::trace_engine::{run_trace_entry_observed, trace_entries, TraceEntrySpec};
 use dcn_sim::SimStats;
 use dcn_telemetry::{TraceEntry, TraceReport};
@@ -34,22 +34,36 @@ pub struct SweepPoint {
     /// Algorithm.
     pub algo: Algo,
     /// Algorithm-parameter overrides (default when no params axis).
-    pub param: crate::spec::ParamSpec,
+    pub param: ParamSpec,
     /// Load (0 for incast-only workloads).
     pub load: f64,
     /// Workload seed.
     pub seed: u64,
 }
 
-/// Expand a spec's sweep axes into points, in stable order.
+/// Expand a sweep's axes into points, in stable order (a scenario of
+/// another kind has none).
 pub fn sweep_points(spec: &ScenarioSpec) -> Vec<SweepPoint> {
-    let mut out = Vec::with_capacity(spec.num_points());
-    let params = spec.effective_params();
-    let loads = spec.effective_loads();
-    for &algo in &spec.sweep.algos {
-        for &param in &params {
-            for &load in &loads {
-                for &seed in &spec.sweep.seeds {
+    let ScenarioKind::Sweep(sweep) = &spec.kind else {
+        return Vec::new();
+    };
+    let axes = &sweep.sweep;
+    // No `params` axis is the one default entry; no Poisson traffic is
+    // the one pseudo-load 0 (incast-only workloads have no load axis).
+    let params = match axes.params.as_slice() {
+        [] => &[ParamSpec::default()],
+        params => params,
+    };
+    let loads = match sweep.workload.poisson {
+        Some(_) => axes.loads.as_slice(),
+        None => &[0.0],
+    };
+    let cells = axes.algos.len() * params.len() * loads.len() * axes.seeds.len();
+    let mut out = Vec::with_capacity(cells);
+    for &algo in &axes.algos {
+        for &param in params {
+            for &load in loads {
+                for &seed in &axes.seeds {
                     out.push(SweepPoint {
                         index: out.len(),
                         algo,
@@ -104,7 +118,7 @@ impl WorkItem {
 /// Expand a spec into its work items, in stable index order.
 pub fn work_items(spec: &ScenarioSpec) -> Vec<WorkItem> {
     match spec.kind {
-        ScenarioKind::Sweep => sweep_points(spec)
+        ScenarioKind::Sweep(_) => sweep_points(spec)
             .into_iter()
             .map(WorkItem::Point)
             .collect(),
@@ -146,7 +160,7 @@ pub fn compute(spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, Option<SimStat
 /// render through the exact same reduction. Errors when an outcome is
 /// not the kind the spec's items produce.
 pub fn reduce(spec: &ScenarioSpec, outcomes: Vec<Outcome>) -> Result<ScenarioOutput, String> {
-    if matches!(spec.kind, ScenarioKind::Sweep) {
+    if matches!(spec.kind, ScenarioKind::Sweep(_)) {
         let points = outcomes
             .into_iter()
             .map(|o| match o {
@@ -428,8 +442,7 @@ mod tests {
 
     #[test]
     fn invalid_spec_is_rejected_before_running() {
-        let mut spec = small_spec();
-        spec.sweep.algos.clear();
+        let spec = small_spec().algos([]);
         assert!(run_sweep(&spec, 2).is_err());
     }
 
@@ -494,7 +507,7 @@ mod tests {
             assert_eq!(spans, want, "{name}");
 
             // The typed wrappers are the same executor, unobserved.
-            let (json, csv) = match crate::obs::spec_kind(&spec) {
+            let (json, csv) = match spec.kind.key() {
                 "sweep" => {
                     assert!(run_trace(&spec, 1).is_err(), "{name} is not a trace");
                     let r = run_sweep(&spec, 1).expect(name);

@@ -13,7 +13,8 @@
 //! parallel and the report is byte-identical at any thread count.
 
 use crate::algo::Algo;
-use crate::spec::{ParamSpec, ScenarioSpec, TraceScenario};
+use crate::analytic_engine::{analytic_entries, run_analytic_entry};
+use crate::spec::{ParamSpec, ScenarioKind, ScenarioSpec, TraceScenario, TraceSpec};
 use dcn_sim::{
     build_star, cc_probe, host_throughput_probe, queue_probe, star_host_id, throughput_probe,
     Endpoint, FlowId, NodeId, PortId, Simulator, SwitchConfig,
@@ -21,7 +22,7 @@ use dcn_sim::{
 use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry};
 use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig};
 use fluid_model::{current_md, fig2c_cases, voltage_md};
-use powertcp_core::Tick;
+use powertcp_core::{Bandwidth, Tick};
 use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -44,13 +45,13 @@ pub struct TraceEntrySpec {
 /// Expand a timeseries spec's lineup into trace entries, in stable order:
 /// algo-major, with reTCP expanding to one entry per configured prebuffer.
 /// Analytic specs expand through [`crate::analytic_engine`] (same entry
-/// shape, so executors and the runner treat both kinds uniformly).
+/// shape, so executors and the runner treat both kinds uniformly); a
+/// sweep has none.
 pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
-    if spec.analytic().is_some() {
-        return crate::analytic_engine::analytic_entries(spec);
-    }
-    let Some(trace) = spec.trace() else {
-        return Vec::new();
+    let timeseries = match &spec.kind {
+        ScenarioKind::Sweep(_) => return Vec::new(),
+        ScenarioKind::Timeseries(timeseries) => timeseries,
+        ScenarioKind::Analytic(analytic) => return analytic_entries(analytic),
     };
     let mut out = Vec::new();
     let mut push = |label: String, algo: Algo, prebuffer: Tick| {
@@ -61,14 +62,15 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
             prebuffer,
         });
     };
-    match &trace.scenario {
+    let algos = &timeseries.lineup.algos;
+    match &timeseries.trace.scenario {
         TraceScenario::Response => {
             push("analytic".into(), Algo::PowerTcp, Tick::ZERO);
         }
         TraceScenario::Rdcn {
             retcp_prebuffer_us, ..
         } => {
-            for &algo in &spec.sweep.algos {
+            for &algo in algos {
                 if algo == Algo::ReTcp {
                     for &us in retcp_prebuffer_us {
                         let prebuffer = Tick::from_secs_f64(us / 1e6);
@@ -80,7 +82,7 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
             }
         }
         _ => {
-            for &algo in &spec.sweep.algos {
+            for &algo in algos {
                 push(algo.name(), algo, Tick::ZERO);
             }
         }
@@ -88,35 +90,80 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
     out
 }
 
-/// Run one trace entry and return it with the engine's run counters
+/// Run one lineup entry and return it with the engine's run counters
 /// when the entry actually ran a simulator (analytic/fluid entries
 /// return `None`). Deterministic: identical arguments replay
-/// bit-for-bit, on any thread. Analytic entries dispatch to
-/// [`crate::analytic_engine::run_analytic_entry`].
+/// bit-for-bit, on any thread. Panics if `spec` is a sweep (its work
+/// items are points) or its run length is one `validate` refuses.
 pub fn run_trace_entry_observed(
     spec: &ScenarioSpec,
     entry: &TraceEntrySpec,
 ) -> (TraceEntry, Option<dcn_sim::SimStats>) {
-    if spec.analytic().is_some() {
-        return (
-            crate::analytic_engine::run_analytic_entry(spec, entry),
-            None,
-        );
-    }
-    let trace = spec.trace().expect("trace entry of a timeseries spec");
+    let timeseries = match &spec.kind {
+        ScenarioKind::Sweep(_) => panic!("a lineup entry of the sweep {:?}", spec.name),
+        ScenarioKind::Timeseries(timeseries) => timeseries,
+        ScenarioKind::Analytic(analytic) => return (run_analytic_entry(analytic, entry), None),
+    };
+    let trace = &timeseries.trace;
+    let run = timeseries.run_length().unwrap_or_else(|e| panic!("{e}"));
     match &trace.scenario {
-        TraceScenario::Response => (response_trace(spec, entry), None),
+        TraceScenario::Response => (response_trace(trace, entry), None),
         TraceScenario::Incast {
             fan_in,
             burst_bytes,
             at_ms,
-        } => incast_trace(spec, entry, *fan_in, *burst_bytes, *at_ms),
+        } => incast_trace(trace, run, entry, *fan_in, *burst_bytes, *at_ms),
         TraceScenario::Fairness { flows, stagger_ms } => {
-            fairness_trace(spec, entry, *flows, *stagger_ms)
+            fairness_trace(trace, run, entry, *flows, *stagger_ms)
         }
         TraceScenario::Rdcn {
             weeks, packet_gbps, ..
-        } => rdcn_trace(spec, entry, *weeks, *packet_gbps),
+        } => rdcn_trace(trace, run, entry, *weeks, *packet_gbps),
+    }
+}
+
+/// One channel of a trace scenario's vocabulary: its name and unit. The
+/// tables below are the one list [`channel_names`] (what a `[trace]
+/// channels` filter may select) and the fixtures (what gets recorded)
+/// both read, in recording order.
+type ChannelRow = (&'static str, &'static str);
+
+/// `response`: the unit is the x-axis (the swept quantity); y is the
+/// multiplicative-decrease factor.
+const RESPONSE_CHANNELS: [ChannelRow; 4] = [
+    ("voltage-md-vs-rate", "qdot_over_bw"),
+    ("current-md-vs-rate", "qdot_over_bw"),
+    ("voltage-md-vs-queue", "queue_pkts"),
+    ("current-md-vs-queue", "queue_pkts"),
+];
+
+/// `incast` / `rdcn`: the bottleneck's throughput and backlog (the star's
+/// `queue`, the rotor ToR's `voq`), then the first sender's window and Γ.
+fn bottleneck_channels(backlog: &'static str) -> [ChannelRow; 4] {
+    [
+        ("throughput", "Gbps"),
+        (backlog, "bytes"),
+        ("cwnd", "bytes"),
+        ("power", "gamma"),
+    ]
+}
+
+/// `fairness`: the channels of the `i`-th flow (1-based).
+fn fairness_channels(i: usize) -> [(String, &'static str); 3] {
+    [("flow", "Gbps"), ("cwnd", "bytes"), ("power", "gamma")]
+        .map(|(what, unit)| (format!("{what}-{i}"), unit))
+}
+
+/// [`TraceScenario::channel_names`]: every name of the scenario's table.
+pub(crate) fn channel_names(scenario: &TraceScenario) -> Vec<String> {
+    let names = |table: &[ChannelRow]| table.iter().map(|(name, _)| name.to_string()).collect();
+    match scenario {
+        TraceScenario::Response => names(&RESPONSE_CHANNELS),
+        TraceScenario::Incast { .. } => names(&bottleneck_channels("queue")),
+        TraceScenario::Fairness { flows, .. } => (1..=*flows)
+            .flat_map(|i| fairness_channels(i).map(|(name, _)| name))
+            .collect(),
+        TraceScenario::Rdcn { .. } => names(&bottleneck_channels("voq")),
     }
 }
 
@@ -193,6 +240,20 @@ impl Sel<'_> {
     fn on(&self, name: &str) -> bool {
         self.0.is_empty() || self.0.iter().any(|c| c == name)
     }
+
+    /// Register the selected channels of a vocabulary table, in its
+    /// order (`None` for a channel filtered out).
+    fn open<const N: usize>(
+        &self,
+        rec: &SharedRecorder,
+        table: [(impl AsRef<str>, &str); N],
+    ) -> [Option<ChannelId>; N] {
+        let mut rec = rec.borrow_mut();
+        table.map(|(name, unit)| {
+            let name = name.as_ref();
+            self.on(name).then(|| rec.channel(name, unit))
+        })
+    }
 }
 
 /// A recorder sink that also feeds streaming window accumulators. The
@@ -214,7 +275,10 @@ fn record_and(
     }
 }
 
-/// Transport settings of the single-switch star fixtures (fig4, fig5).
+/// Host NIC bandwidth of the single-switch star fixtures (fig4, fig5).
+const STAR_HOST_BW: Bandwidth = Bandwidth::gbps(25);
+
+/// Transport settings of the star fixtures.
 /// The star's base RTT is ~6 µs; τ is configured generously like the
 /// paper (max RTT in topology).
 fn star_transport(expected_flows: u32) -> TransportConfig {
@@ -250,7 +314,7 @@ fn cc_sink(
     }
 }
 
-fn export(rec: &Recorder, trace: &crate::spec::TraceSpec) -> Vec<ChannelTrace> {
+fn export(rec: &Recorder, trace: &TraceSpec) -> Vec<ChannelTrace> {
     rec.channels()
         .iter()
         .map(|c| ChannelTrace::from_channel_windowed(c, trace.max_rows, trace.window))
@@ -264,22 +328,11 @@ fn export(rec: &Recorder, trace: &crate::spec::TraceSpec) -> Vec<ChannelTrace> {
 /// Figure 2: the orthogonal multiplicative-decrease responses of voltage-
 /// and current-based CC, plus the three blind-spot cases. Analytic (no
 /// simulation); channels use the swept quantity as their x-axis.
-fn response_trace(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
-    let trace = spec.trace().expect("timeseries");
+fn response_trace(trace: &TraceSpec, entry: &TraceEntrySpec) -> TraceEntry {
     let sel = Sel(&trace.channels);
     let mut rec = Recorder::new(Tick::from_micros(1), trace.max_samples);
-    let v_rate = sel
-        .on("voltage-md-vs-rate")
-        .then(|| rec.channel_with_x("voltage-md-vs-rate", "factor", "qdot_over_bw"));
-    let c_rate = sel
-        .on("current-md-vs-rate")
-        .then(|| rec.channel_with_x("current-md-vs-rate", "factor", "qdot_over_bw"));
-    let v_queue = sel
-        .on("voltage-md-vs-queue")
-        .then(|| rec.channel_with_x("voltage-md-vs-queue", "factor", "queue_pkts"));
-    let c_queue = sel
-        .on("current-md-vs-queue")
-        .then(|| rec.channel_with_x("current-md-vs-queue", "factor", "queue_pkts"));
+    let [v_rate, c_rate, v_queue, c_queue] = RESPONSE_CHANNELS
+        .map(|(name, x)| sel.on(name).then(|| rec.channel_with_x(name, "factor", x)));
 
     // 2a: MD vs queue buildup rate (queue fixed at one BDP).
     for r in 0..=8 {
@@ -326,17 +379,16 @@ fn response_trace(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
 /// star preserves the paper's bottleneck (the receiver's ToR downlink)
 /// without the unrelated fat-tree machinery.
 fn incast_trace(
-    spec: &ScenarioSpec,
+    trace: &TraceSpec,
+    horizon: Tick,
     entry: &TraceEntrySpec,
     fan_in: usize,
     burst_bytes: u64,
     at_ms: f64,
 ) -> (TraceEntry, Option<dcn_sim::SimStats>) {
-    let trace = spec.trace().expect("timeseries");
     let algo = entry.algo;
-    let host_bw = spec.topology.host_bw();
+    let host_bw = STAR_HOST_BW;
     let n = fan_in + 2; // receiver + long-flow sender + burst senders
-    let horizon = spec.horizon();
     let incast_at = Tick::from_secs_f64(at_ms / 1e3);
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
     let sw_cfg = algo.switch_config(SwitchConfig::default(), host_bw);
@@ -375,16 +427,7 @@ fn incast_trace(
 
     let sel = Sel(&trace.channels);
     let rec = Recorder::new_shared(tick, trace.max_samples);
-    let (thr_ch, q_ch, cwnd_ch, pw_ch) = {
-        let mut r = rec.borrow_mut();
-        let thr = sel
-            .on("throughput")
-            .then(|| r.channel("throughput", "Gbps"));
-        let q = sel.on("queue").then(|| r.channel("queue", "bytes"));
-        let cwnd = sel.on("cwnd").then(|| r.channel("cwnd", "bytes"));
-        let pw = sel.on("power").then(|| r.channel("power", "gamma"));
-        (thr, q, cwnd, pw)
-    };
+    let [thr_ch, q_ch, cwnd_ch, pw_ch] = sel.open(&rec, bottleneck_channels("queue"));
     // Reduction windows (in µs of trace time).
     let at_us = incast_at.as_micros_f64();
     let hor_us = horizon.as_micros_f64();
@@ -455,15 +498,14 @@ fn incast_trace(
 /// Figure 5: `flows` senders to one receiver joining at `stagger_ms`
 /// intervals; Jain index over the window where all are active.
 fn fairness_trace(
-    spec: &ScenarioSpec,
+    trace: &TraceSpec,
+    horizon: Tick,
     entry: &TraceEntrySpec,
     flows: usize,
     stagger_ms: f64,
 ) -> (TraceEntry, Option<dcn_sim::SimStats>) {
-    let trace = spec.trace().expect("timeseries");
     let algo = entry.algo;
-    let host_bw = spec.topology.host_bw();
-    let horizon = spec.horizon();
+    let host_bw = STAR_HOST_BW;
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
     let receiver = star_host_id(0);
     let metrics: SharedMetrics = MetricsHub::new_shared();
@@ -500,19 +542,7 @@ fn fairness_trace(
     let all_active_from = stagger_ms * (flows as f64 - 1.0) * 1e3 + 200.0;
     let mut means = Vec::new();
     for (i, &s) in senders.iter().enumerate() {
-        let (thr_ch, cwnd_ch, pw_ch) = {
-            let mut r = rec.borrow_mut();
-            let thr = sel
-                .on(&format!("flow-{}", i + 1))
-                .then(|| r.channel(format!("flow-{}", i + 1), "Gbps"));
-            let cwnd = sel
-                .on(&format!("cwnd-{}", i + 1))
-                .then(|| r.channel(format!("cwnd-{}", i + 1), "bytes"));
-            let pw = sel
-                .on(&format!("power-{}", i + 1))
-                .then(|| r.channel(format!("power-{}", i + 1), "gamma"));
-            (thr, cwnd, pw)
-        };
+        let [thr_ch, cwnd_ch, pw_ch] = sel.open(&rec, fairness_channels(i + 1));
         let w = Window::new(all_active_from, f64::INFINITY);
         means.push(w.clone());
         sim.add_tracer(
@@ -552,12 +582,12 @@ fn fairness_trace(
 /// and VOQ occupancy (`horizon_ms` is ignored — the rotor week defines
 /// the run length).
 fn rdcn_trace(
-    spec: &ScenarioSpec,
+    trace: &TraceSpec,
+    horizon: Tick,
     entry: &TraceEntrySpec,
     weeks: u64,
     packet_gbps: f64,
 ) -> (TraceEntry, Option<dcn_sim::SimStats>) {
-    let trace = spec.trace().expect("timeseries");
     let algo = entry.algo;
     let prebuffer = entry.prebuffer;
     let packet_bw = crate::spec::gbps(packet_gbps);
@@ -575,7 +605,6 @@ fn rdcn_trace(
     let schedule = cfg.schedule;
     let circuit_bw = cfg.circuit_bw;
     let metrics: SharedMetrics = MetricsHub::new_shared();
-    let horizon = Tick::from_ps(schedule.week().as_ps() * weeks);
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
 
     let base_rtt = cfg.base_rtt();
@@ -599,16 +628,7 @@ fn rdcn_trace(
 
     let sel = Sel(&trace.channels);
     let rec = Recorder::new_shared(tick, trace.max_samples);
-    let (thr_ch, voq_ch, cwnd_ch, pw_ch) = {
-        let mut rb = rec.borrow_mut();
-        let thr = sel
-            .on("throughput")
-            .then(|| rb.channel("throughput", "Gbps"));
-        let voq = sel.on("voq").then(|| rb.channel("voq", "bytes"));
-        let cwnd = sel.on("cwnd").then(|| rb.channel("cwnd", "bytes"));
-        let pw = sel.on("power").then(|| rb.channel("power", "gamma"));
-        (thr, voq, cwnd, pw)
-    };
+    let [thr_ch, voq_ch, cwnd_ch, pw_ch] = sel.open(&rec, bottleneck_channels("voq"));
     {
         // Rack-0 egress throughput towards rack 1 (circuit + packet).
         if let Some(thr_ch) = thr_ch {
@@ -685,7 +705,6 @@ fn rdcn_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{TraceScenario, TraceSpec};
 
     fn run_trace_entry(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
         run_trace_entry_observed(spec, entry).0
@@ -791,6 +810,36 @@ mod tests {
         assert_eq!(filtered.stats, full.stats);
     }
 
+    /// The filter vocabulary and the fixtures read one table: an
+    /// unfiltered run records exactly `channel_names()`, in order (a
+    /// name in one list only used to go unnoticed).
+    #[test]
+    fn an_unfiltered_run_records_exactly_the_channel_vocabulary() {
+        for scenario in [
+            TraceScenario::Response,
+            TraceScenario::Incast {
+                fan_in: 2,
+                burst_bytes: 20_000,
+                at_ms: 0.2,
+            },
+            TraceScenario::Fairness {
+                flows: 3,
+                stagger_ms: 0.1,
+            },
+            TraceScenario::Rdcn {
+                weeks: 1,
+                packet_gbps: 25.0,
+                retcp_prebuffer_us: vec![],
+            },
+        ] {
+            let spec = ts(scenario.clone()).horizon_ms(0.5);
+            spec.validate().unwrap();
+            let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
+            let recorded: Vec<&str> = e.channels.iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(recorded, scenario.channel_names(), "{}", scenario.key());
+        }
+    }
+
     #[test]
     fn channel_filter_applies_per_flow_in_fairness_traces() {
         let spec = ts(TraceScenario::Fairness {
@@ -816,19 +865,19 @@ mod tests {
         });
         let mut win_spec = raw_spec.clone();
         {
-            let crate::spec::ScenarioKind::Timeseries(t) = &mut win_spec.kind else {
+            let ScenarioKind::Timeseries(t) = &mut win_spec.kind else {
                 unreachable!()
             };
-            t.window = 4;
+            t.trace.window = 4;
             // Disable decimation so the window reduction is observable.
-            t.max_rows = 4096;
+            t.trace.max_rows = 4096;
         }
         let mut raw_rows = raw_spec.clone();
         {
-            let crate::spec::ScenarioKind::Timeseries(t) = &mut raw_rows.kind else {
+            let ScenarioKind::Timeseries(t) = &mut raw_rows.kind else {
                 unreachable!()
             };
-            t.max_rows = 4096;
+            t.trace.max_rows = 4096;
         }
         win_spec.validate().unwrap();
         let raw = run_trace_entry(&raw_rows, &trace_entries(&raw_rows)[0]);

@@ -3,11 +3,14 @@
 //! builder-constructed original (TOML is a faithful interface to the
 //! engine, not just to the data structure).
 
+mod support;
+
 use dcn_scenarios::{
-    builtin_specs, run_sweep, Algo, EngineKind, IncastSpec, ParamSpec, ScenarioKind, ScenarioSpec,
+    builtin_specs, run_sweep, work_items, Algo, EngineKind, IncastSpec, ScenarioKind, ScenarioSpec,
     SizeSpec, TopologySpec,
 };
 use proptest::prelude::*;
+use support::{corpus, mutate};
 
 /// A fig7-shaped scenario (websearch + incast on the fat-tree, PowerTCP
 /// vs two baselines) trimmed to one load and a short horizon so the
@@ -145,49 +148,6 @@ fn every_builtin_round_trips_through_toml() {
     }
 }
 
-/// Shapes no builtin has, so the golden also pins every omit-when-default
-/// key written out (`buffer_cdf`, `params`, `window`, `channels`), the
-/// dumbbell topology and fixed sizes.
-fn golden_extras() -> Vec<ScenarioSpec> {
-    let dumbbell = ScenarioSpec::new(
-        "extra-dumbbell",
-        TopologySpec::Dumbbell {
-            pairs: 4,
-            host_gbps: 25.0,
-            bottleneck_gbps: 12.5,
-        },
-    )
-    .describe("dumbbell, fixed sizes, every params key, \"quoted\" text")
-    .poisson(SizeSpec::Fixed(50_000))
-    .buffer_cdf(true)
-    .algos([Algo::PowerTcp, Algo::Hpcc])
-    .params([
-        ParamSpec {
-            gamma: Some(1.0),
-            expected_flows: Some(32),
-            hpcc_eta: Some(0.95),
-            dt_alpha: Some(0.25),
-        },
-        ParamSpec {
-            dt_alpha: Some(2.0),
-            ..ParamSpec::default()
-        },
-    ])
-    .loads([0.5, 1.0])
-    .seeds([1, 2])
-    .horizon_ms(1.0)
-    .drain_ms(0.0);
-    let mut windowed = dcn_scenarios::builtin("fig4")
-        .expect("fig4 is a builtin")
-        .channels(["queue", "cwnd"]);
-    windowed.name = "extra-windowed".into();
-    let ScenarioKind::Timeseries(trace) = &mut windowed.kind else {
-        unreachable!("fig4 is a timeseries scenario")
-    };
-    trace.window = 4;
-    vec![dumbbell, windowed]
-}
-
 /// The exact `to_toml()` and `cache_fragment()` text of every builtin,
 /// pinned byte-for-byte: round-trip identity alone would pass a key
 /// reorder that moves every cache key and orphans every `.xp-cache` on
@@ -197,7 +157,7 @@ fn golden_extras() -> Vec<ScenarioSpec> {
 fn builtin_spec_and_fragment_text_is_pinned() {
     const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/builtin_specs.golden");
     let mut text = String::new();
-    for spec in builtin_specs().into_iter().chain(golden_extras()) {
+    for spec in corpus() {
         text.push_str(&format!(
             "=== {} to_toml ===\n{}",
             spec.name,
@@ -226,50 +186,6 @@ fn builtin_spec_and_fragment_text_is_pinned() {
     );
 }
 
-/// One hostile edit of a valid spec text, drawn from `r`: a byte
-/// flipped, a line dropped, doubled or moved, or a number swapped for
-/// one from the pool every range check should have an opinion on.
-fn mutate(text: &str, r: &[u64; 3]) -> String {
-    const NUMBERS: [&str; 10] = [
-        "inf",
-        "-inf",
-        "1e999",
-        "nan",
-        "-1",
-        "0",
-        "0.0",
-        "1e300",
-        "9223372036854775807",
-        "9223372036854775808",
-    ];
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let i = (r[1] as usize) % lines.len();
-    match r[0] % 5 {
-        0 => {
-            let mut bytes = text.as_bytes().to_vec();
-            let at = (r[1] as usize) % bytes.len();
-            bytes[at] = r[2] as u8;
-            return String::from_utf8_lossy(&bytes).into_owned();
-        }
-        1 => drop(lines.remove(i)),
-        2 => lines.insert(i, lines[i].clone()),
-        3 => {
-            let line = lines.remove(i);
-            lines.insert((r[2] as usize) % (lines.len() + 1), line);
-        }
-        _ => {
-            if let Some((key, _)) = lines[i].clone().split_once(" = ") {
-                let number = NUMBERS[(r[2] as usize) % NUMBERS.len()];
-                lines[i] = match r[2] % 3 {
-                    0 => format!("{key} = [{number}]"),
-                    _ => format!("{key} = {number}"),
-                };
-            }
-        }
-    }
-    lines.join("\n")
-}
-
 /// What `from_toml` returning `Ok` promises.
 fn assert_sound(text: &str) {
     let Ok(spec) = ScenarioSpec::from_toml(text) else {
@@ -282,9 +198,20 @@ fn assert_sound(text: &str) {
         Ok(spec.clone()),
         "{text}"
     );
-    // None of these may panic (non-finite or negative time boxes did).
-    let _ = (spec.horizon(), spec.drain(), spec.cache_fragment());
-    assert!(spec.num_points() > 0, "{text}");
+    // None of these may panic (non-finite or negative time boxes did,
+    // and a run of 4e9 rotor weeks overflowed in the engine).
+    let _ = spec.cache_fragment();
+    match &spec.kind {
+        ScenarioKind::Sweep(sweep) => assert!(sweep.horizon() <= sweep.run_end(), "{text}"),
+        ScenarioKind::Timeseries(timeseries) => {
+            assert!(timeseries.run_length().is_ok(), "{text}")
+        }
+        ScenarioKind::Analytic(_) => {}
+    }
+    // Whatever it is, it expands to the work it says it has.
+    let items = work_items(&spec);
+    assert!(!items.is_empty(), "{text}");
+    assert_eq!(items.len(), spec.num_points(), "{text}");
 }
 
 proptest! {
@@ -311,7 +238,7 @@ proptest! {
         which in 0usize..64,
         edits in prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX), 1usize..=3),
     ) {
-        let specs: Vec<ScenarioSpec> = builtin_specs().into_iter().chain(golden_extras()).collect();
+        let specs = corpus();
         let mut text = specs[which % specs.len()].to_toml();
         for (a, b, c) in edits {
             text = mutate(&text, &[a, b, c]);

@@ -24,7 +24,7 @@
 
 use crate::RunFn;
 use dcn_scenarios::{
-    jstr, panic_message, spec_kind, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord,
+    jstr, panic_message, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord,
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -168,7 +168,7 @@ impl JobSnapshot {
 impl Job {
     /// Wrap a parsed spec as a queued job.
     pub fn new(id: u64, spec: ScenarioSpec) -> Arc<Job> {
-        let kind = spec_kind(&spec);
+        let kind = spec.kind.key();
         Arc::new(Job {
             id,
             name: spec.name.clone(),

@@ -25,6 +25,7 @@
 use crate::config::TransportConfig;
 use crate::flow::FlowSpec;
 use crate::metrics::SharedMetrics;
+use crate::timer_key::{key, split_key};
 use dcn_sim::{
     Endpoint, EndpointCtx, FlowId, FlowTable, GrantPayload, NodeId, Packet, PacketKind,
     CTRL_PKT_BYTES,
@@ -34,14 +35,6 @@ use powertcp_core::{Bandwidth, IntHeader, Tick};
 const K_MSG_START: u64 = 1;
 const K_PACE: u64 = 2;
 const K_STALL_SCAN: u64 = 3;
-
-fn key(kind: u64, idx: usize) -> u64 {
-    (kind << 56) | idx as u64
-}
-
-fn split_key(k: u64) -> (u64, usize) {
-    (k >> 56, (k & 0x00FF_FFFF_FFFF_FFFF) as usize)
-}
 
 /// HOMA configuration.
 #[derive(Clone, Copy, Debug)]
@@ -242,23 +235,15 @@ impl HomaHost {
             let desired = (r.prefix + self.cfg.rtt_bytes).min(r.msg_len);
             if desired > r.granted {
                 r.granted = desired;
-                grants.push((id, r.src, desired, prio, false));
+                grants.push((id, r.src, desired, prio));
             }
         }
-        for (id, src, offset, prio, resend) in grants {
-            self.send_grant(id, src, offset, prio, resend, ctx);
+        for (id, src, offset, prio) in grants {
+            self.send_grant(id, src, offset, prio, ctx);
         }
     }
 
-    fn send_grant(
-        &self,
-        id: FlowId,
-        to: NodeId,
-        offset: u64,
-        prio: u8,
-        resend: bool,
-        ctx: &mut EndpointCtx<'_>,
-    ) {
+    fn send_grant(&self, id: FlowId, to: NodeId, offset: u64, prio: u8, ctx: &mut EndpointCtx<'_>) {
         let pkt = Packet {
             flow: id,
             src: ctx.node,
@@ -271,15 +256,13 @@ impl HomaHost {
             int: IntHeader::new(),
             sent_at: ctx.now,
             kind: PacketKind::HomaGrant(GrantPayload {
+                // A resend grant has no flag of its own: its offset is
+                // at or below what the sender already sent, which
+                // `on_grant` treats as a rewind request.
                 grant_offset: offset,
-                // The resend flag rides in the top bit of priority? No —
-                // keep the payload honest: resend grants are encoded by
-                // offset <= already-granted, which senders treat as a
-                // rewind request. See `on_grant`.
                 priority: prio,
             }),
         };
-        let _ = resend;
         ctx.send(pkt);
     }
 
@@ -371,7 +354,7 @@ impl HomaHost {
         }
         for (id, src, prefix) in resends {
             // Rewind-to-prefix grant (offset <= sent signals resend).
-            self.send_grant(id, src, prefix, 5, true, ctx);
+            self.send_grant(id, src, prefix, 5, ctx);
         }
         if any_active {
             self.stall_scan_armed = true;

@@ -10,6 +10,7 @@
 use crate::config::TransportConfig;
 use crate::flow::FlowSpec;
 use crate::metrics::SharedMetrics;
+use crate::timer_key::{key, split_key};
 use dcn_sim::{CcFlowSample, Endpoint, EndpointCtx, FlowId, FlowTable, Packet, PacketKind};
 use powertcp_core::{AckInfo, Bandwidth, CongestionControl, LossKind, NetSignal, Tick};
 
@@ -18,14 +19,6 @@ const K_FLOW_START: u64 = 1;
 const K_PACE: u64 = 2;
 const K_RTO: u64 = 3;
 const K_CC: u64 = 4;
-
-fn key(kind: u64, idx: usize) -> u64 {
-    (kind << 56) | idx as u64
-}
-
-fn split_key(k: u64) -> (u64, usize) {
-    (k >> 56, (k & 0x00FF_FFFF_FFFF_FFFF) as usize)
-}
 
 /// Factory producing one congestion-control instance per flow.
 pub type CcFactory = Box<dyn FnMut(FlowId, Bandwidth) -> Box<dyn CongestionControl>>;

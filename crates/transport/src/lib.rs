@@ -20,6 +20,7 @@ pub mod flow;
 pub mod homa;
 pub mod host;
 pub mod metrics;
+mod timer_key;
 
 pub use config::TransportConfig;
 pub use flow::FlowSpec;
