@@ -89,7 +89,6 @@ pub mod powertcp;
 pub mod theta;
 pub mod time;
 pub mod units;
-pub mod wire;
 
 pub use cc::{
     clamp_cwnd, rate_from_cwnd, AckInfo, CcContext, CongestionControl, LossKind, NetSignal,
@@ -103,7 +102,3 @@ pub use powertcp::PowerTcp;
 pub use theta::ThetaPowerTcp;
 pub use time::Tick;
 pub use units::Bandwidth;
-pub use wire::{
-    decode as wire_decode, encode as wire_encode, unwrap_hops, WireError, WireHop,
-    MAX_TCP_OPTION_HOPS, TCP_OPTION_KIND,
-};

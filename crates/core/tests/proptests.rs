@@ -150,47 +150,6 @@ proptest! {
         }
     }
 
-    /// Wire encoding round-trips within documented quantization error for
-    /// arbitrary hop stacks.
-    #[test]
-    fn wire_roundtrip_within_quantization(
-        hops in prop::collection::vec(
-            (0u64..100_000_000, 1u64..16_000_000, 0u64..u32::MAX as u64, 1u64..800),
-            1..8usize),
-    ) {
-        use powertcp_core::{wire_decode, wire_encode, IntHopMetadata};
-        let mut h = IntHeader::new();
-        for &(q, ts_ns, tx, gbps) in &hops {
-            h.push(IntHopMetadata {
-                node: 0,
-                port: 0,
-                qlen_bytes: q,
-                ts: Tick::from_nanos(ts_ns),
-                tx_bytes: tx,
-                bandwidth: Bandwidth::gbps(gbps),
-            });
-        }
-        let mut buf = [0u8; 4 + 8 * 8];
-        let n = wire_encode(&h, 8, &mut buf).unwrap();
-        let wire = wire_decode(&buf[..n]).unwrap();
-        prop_assert_eq!(wire.len(), hops.len());
-        for (w, &(q, ts_ns, tx, gbps)) in wire.iter().zip(&hops) {
-            // Queue: quantized down by at most 128 B, saturating at 2^27.
-            let q_sat = q.min(((1u64 << 20) - 1) << 7);
-            prop_assert!(w.qlen_bytes <= q_sat);
-            prop_assert!(q_sat - w.qlen_bytes < 128);
-            // Timestamp: exact modulo 2^24 ns.
-            prop_assert_eq!(w.ts_ns_wrapped, ts_ns & ((1 << 24) - 1));
-            // Tx: quantized down by < 1 KiB, modulo 2^24.
-            let tx_mod = (tx >> 10 << 10) & ((1u64 << 24) - 1);
-            prop_assert_eq!(w.tx_bytes_wrapped, tx_mod);
-            // Bandwidth: within 10% (log-quantized).
-            let back = w.bandwidth.as_gbps_f64();
-            let rel_err = (back - gbps as f64).abs() / (gbps as f64);
-            prop_assert!(rel_err < 0.10);
-        }
-    }
-
     /// Tick arithmetic: (a + b) - b == a, saturating_sub never underflows,
     /// and tx_time is monotone in bytes.
     #[test]

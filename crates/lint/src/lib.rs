@@ -16,10 +16,9 @@
 //! and lint inheritance (R8, which is what stops a new crate from opting
 //! out of all of the above); [`rules`] has the table.
 //!
-//! Run it as `xp lint [--json] [--root DIR]`. Violations
-//! print as `file:line: rule[RXX] message` with a nonzero exit; `--json`
-//! emits NDJSON in the span-record style of the runner's `--log-json`
-//! stream.
+//! Run it as `xp lint`. Violations print as `file:line: rule[RXX]
+//! message` with a nonzero exit, or as NDJSON in the span-record style
+//! of the runner's `--log-json` stream.
 
 #![warn(missing_docs)]
 
@@ -132,10 +131,11 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// The `xp lint` entry point: parse `[--json] [--root DIR]`, lint, print, and return
-/// the process exit code (0 clean, 1 violations, 2 usage/IO error).
-pub fn cli_main(args: &[String]) -> u8 {
-    match lint_and_print(args) {
+/// The `xp lint` entry point: lint the workspace at `root` (default: the
+/// one at or above the working directory), print, and return the process
+/// exit code (0 clean, 1 violations, 2 IO error).
+pub fn cli_main(json: bool, root: Option<PathBuf>) -> u8 {
+    match lint_and_print(json, root) {
         Ok(true) => 0,
         Ok(false) => 1,
         Err(e) => {
@@ -146,21 +146,7 @@ pub fn cli_main(args: &[String]) -> u8 {
 }
 
 /// [`cli_main`] behind `?`: whether the workspace linted clean.
-fn lint_and_print(args: &[String]) -> Result<bool, String> {
-    let mut json = false;
-    let mut root = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--root" => root = Some(PathBuf::from(args.next().ok_or("--root needs a value")?)),
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}\nusage: lint [--json] [--root DIR]"
-                ))
-            }
-        }
-    }
+fn lint_and_print(json: bool, root: Option<PathBuf>) -> Result<bool, String> {
     let root = match root {
         Some(root) => root,
         None => {

@@ -1,95 +1,45 @@
-//! `xp` — the experiment CLI of the PowerTCP reproduction.
-//!
-//! ```text
-//! xp list                         # built-in scenarios
-//! xp show <name>                  # print a built-in spec as TOML
-//! xp run <spec.toml | name>       # execute a sweep or trace scenario
-//!        [--threads N]            # worker threads (default: all cores)
-//!        [--procs N]              # worker processes (default 1 = in-process)
-//!        [--cache]                # content-addressed result cache (.xp-cache)
-//!        [--cache-dir DIR]        # cache somewhere else (implies --cache)
-//!        [--json FILE | -]        # write JSON results (- = stdout)
-//!        [--csv FILE | -]         # write CSV results (- = stdout)
-//!        [--meta FILE | -]        # write JSON run metadata (spans, counters)
-//!        [--progress]             # live done/total (cached k) · ETA on stderr
-//!        [--log-json FILE]        # NDJSON span stream (one record per point)
-//!        [--seeds a,b,c]          # override the spec's seed grid
-//!        [--timeout-secs N]       # wall-clock budget per --procs worker
-//! xp serve                        # results daemon: HTTP job queue + dashboards
-//!        [--addr HOST:PORT]       # bind address (default 127.0.0.1:8080)
-//!        [--workers N]            # job worker threads (default 2)
-//!        [--threads N]            # executor threads per job (default: all cores)
-//!        [--cache-dir DIR]        # shared result cache (default .xp-cache)
-//!        [--no-cache]             # run jobs without the result cache
-//!        [--queue-cap N]          # queued-job bound, 503 beyond (default 64)
-//! xp diff <a.json> <b.json>       # compare two JSON reports
-//! xp diff <a.csv> <b.csv>         # ... or two CSV reports, cell-wise
-//! xp diff <dirA> <dirB>           # ... or two report directories (*.json
-//!        [--tol X]                #     and *.csv), paired by file name;
-//!                                 #     one aggregate exit code
-//! xp cache stat [--cache-dir DIR] # entry count and size of the result cache
-//!        [--json]                 #     as an NDJSON record with per-engine counts
-//! xp cache clear [--cache-dir DIR]# delete every cache entry
-//! xp bench                        # count events on (and time) the hot paths
-//!        [--runs N]               # timed repetitions per case (default 5)
-//!        [--json FILE | -]        # write BENCH_sim.json-style report
-//!        [--check]                # compare each case's event count with
-//!        [--baseline FILE]        #     BENCH_sim.json exactly; exit 1 on any change
-//! xp lint                         # salt coverage, offline deps, lint inheritance
-//!        [--json]                 #     NDJSON violation records
-//!        [--root DIR]             #     workspace root (default: ascend from cwd)
-//! xp worker                       # internal: one shard of an `xp run --procs`
-//! ```
+//! `xp` — the experiment CLI of the PowerTCP reproduction. Its
+//! subcommands and flags are the rows of [`dcn_runner::cli::XP`]; run
+//! `xp` with no arguments (or read README "CLI reference") for the text
+//! rendered from them.
 //!
 //! Results are deterministic: the same spec produces byte-identical JSON
-//! at any `--threads` / `--procs` value and any cache state — run
-//! metadata (cache hits/misses, process count) is surfaced on stderr and
-//! through `--meta`, never embedded in the byte-pinned reports.
+//! at any thread or process count and any cache state — run metadata
+//! (cache hits/misses, process count) is surfaced on stderr and through
+//! the meta sidecar, never embedded in the byte-pinned reports.
 //! Regression comparison across PRs is `xp run fig8 --json new.json &&
 //! xp diff baseline.json new.json`; a directory of baselines compares in
 //! one shot with `xp diff baselines/ fresh/ --tol 0`.
 
+use dcn_runner::cli::{self, Parsed};
 use dcn_runner::{diff_dirs, worker_main, ResultCache, RunConfig};
 use dcn_scenarios::{
-    bench_check, bench_table, bench_to_json, builtin, builtin_specs, diff_csv, diff_reports,
-    run_bench, EngineKind, ScenarioKind, ScenarioSpec,
+    builtin, builtin_specs, diff_csv, diff_reports, EngineKind, ScenarioKind, ScenarioSpec,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  xp list\n  xp show <name>\n  xp run <spec.toml | name> \
-         [--threads N] [--procs N] [--cache] [--cache-dir DIR]\n           \
-         [--json FILE|-] [--csv FILE|-] [--meta FILE|-]\n           \
-         [--progress] [--log-json FILE] [--seeds a,b,c] [--timeout-secs N]\n  \
-         xp serve [--addr HOST:PORT] [--workers N] [--threads N]\n           \
-         [--cache-dir DIR] [--no-cache] [--queue-cap N]\n  \
-         xp diff <a.json|dirA> <b.json|dirB> [--tol X]\n  \
-         xp cache <stat|clear> [--cache-dir DIR] [--json]\n  \
-         xp bench [--runs N] [--json FILE|-] [--check] [--baseline FILE]\n  \
-         xp lint [--json] [--root DIR]"
-    );
-    ExitCode::from(2)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => list(),
-        Some("show") => match args.get(1) {
-            Some(name) => show(name),
-            None => usage(),
-        },
-        Some("run") => run(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("diff") => diff(&args[1..]),
-        Some("cache") => cache_cmd(&args[1..]),
-        Some("bench") => bench(&args[1..]),
-        Some("lint") => ExitCode::from(dcn_lint::cli_main(&args[1..])),
-        Some("worker") => worker(),
-        _ => usage(),
-    }
+    let done = cli::parse(&args).and_then(|p| match p.command.name {
+        "list" => Ok(list()),
+        "show" => Ok(show(p.positional(0))),
+        "run" => run(&p),
+        "serve" => Ok(serve(&p)),
+        "diff" => Ok(diff(&p)),
+        "cache stat" => Ok(cache_stat(&p)),
+        "cache clear" => Ok(cache_clear(&p)),
+        "lint" => Ok(ExitCode::from(dcn_lint::cli_main(
+            p.switch("--json"),
+            p.path("--root"),
+        ))),
+        "worker" => Ok(worker()),
+        row => unreachable!("xp {row} is a table row without a handler"),
+    });
+    done.unwrap_or_else(|e| {
+        eprint!("error: {e}\n{}", cli::usage());
+        ExitCode::from(2)
+    })
 }
 
 /// `xp worker`: internal mode spawned by `xp run --procs N`. Reads a
@@ -104,97 +54,12 @@ fn worker() -> ExitCode {
     }
 }
 
-/// `xp bench [--runs N] [--json FILE|-] [--check] [--baseline FILE]`:
-/// run the simulator hot paths, print their event counts and timings,
-/// and optionally write the JSON report (`BENCH_sim.json`) and/or gate
-/// against the committed one — `--check` exits nonzero when any case's
-/// event count differs from the baseline's. The counts are
-/// deterministic, so the gate reads the same on every machine; timings
-/// are printed, never compared.
-fn bench(args: &[String]) -> ExitCode {
-    let mut runs = 5usize;
-    let mut json = None;
-    let mut check = false;
-    let mut baseline = String::from("BENCH_sim.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => check = true,
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => baseline = v.clone(),
-                    None => {
-                        eprintln!("error: --baseline needs a value");
-                        return usage();
-                    }
-                }
-            }
-            "--runs" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => runs = n,
-                    _ => {
-                        eprintln!("error: --runs expects a positive integer");
-                        return usage();
-                    }
-                }
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => json = Some(v.clone()),
-                    None => {
-                        eprintln!("error: --json needs a value");
-                        return usage();
-                    }
-                }
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}");
-                return usage();
-            }
-        }
-        i += 1;
-    }
-    eprintln!("running simulator hot paths ({runs} run(s) per case)...");
-    let cases = run_bench(runs);
-    eprint!("{}", bench_table(&cases));
-    if let Some(dest) = json {
-        if let Err(e) = emit("JSON", &dest, &bench_to_json(&cases, runs)) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if check {
-        let base = match std::fs::read_to_string(&baseline) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: reading baseline {baseline}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let res = match bench_check(&cases, &base) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: baseline {baseline}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for line in &res.lines {
-            eprintln!("check: {line}");
-        }
-        if !res.failures.is_empty() {
-            eprintln!(
-                "bench check FAILED: {} case(s) differ from {baseline}; if the change is \
-                 intended, re-pin with `xp bench --json {baseline}`",
-                res.failures.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("bench check passed: event counts match {baseline}");
-    }
-    ExitCode::SUCCESS
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+fn default_cache_dir() -> PathBuf {
+    PathBuf::from(ResultCache::DEFAULT_DIR)
 }
 
 /// Engine column of `xp list`: the execution kind, with sweeps split by
@@ -246,103 +111,8 @@ fn show(name: &str) -> ExitCode {
     }
 }
 
-struct RunArgs {
-    target: String,
-    cfg: RunConfig,
-    json: Option<String>,
-    csv: Option<String>,
-    meta: Option<String>,
-    seeds: Option<Vec<u64>>,
-}
-
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let mut target = None;
-    let mut cfg = RunConfig {
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        ..RunConfig::default()
-    };
-    let mut cache = false;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut json = None;
-    let mut csv = None;
-    let mut meta = None;
-    let mut seeds = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--threads" => {
-                cfg.threads = take(&mut i)?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_string())?;
-                if cfg.threads == 0 {
-                    return Err("--threads expects a positive integer".into());
-                }
-            }
-            "--procs" => {
-                cfg.procs = take(&mut i)?
-                    .parse()
-                    .map_err(|_| "--procs expects a positive integer".to_string())?;
-                if cfg.procs == 0 {
-                    return Err("--procs expects a positive integer".into());
-                }
-            }
-            "--cache" => cache = true,
-            "--cache-dir" => {
-                cache = true;
-                cache_dir = Some(PathBuf::from(take(&mut i)?));
-            }
-            "--json" => json = Some(take(&mut i)?),
-            "--csv" => csv = Some(take(&mut i)?),
-            "--meta" => meta = Some(take(&mut i)?),
-            "--progress" => cfg.progress = true,
-            "--log-json" => cfg.log_json = Some(PathBuf::from(take(&mut i)?)),
-            "--timeout-secs" => {
-                let secs = take(&mut i)?
-                    .parse::<u64>()
-                    .map_err(|_| "--timeout-secs expects a positive integer".to_string())?;
-                if secs == 0 {
-                    return Err("--timeout-secs expects a positive integer".into());
-                }
-                cfg.timeout_secs = Some(secs);
-            }
-            "--seeds" => {
-                let list = take(&mut i)?;
-                let parsed: Result<Vec<u64>, _> =
-                    list.split(',').map(|s| s.trim().parse::<u64>()).collect();
-                seeds = Some(parsed.map_err(|_| {
-                    "--seeds expects a comma-separated list of non-negative integers".to_string()
-                })?);
-            }
-            other if target.is_none() && !other.starts_with("--") => {
-                target = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-        i += 1;
-    }
-    if cache {
-        cfg.cache_dir = Some(cache_dir.unwrap_or_else(|| PathBuf::from(ResultCache::DEFAULT_DIR)));
-    }
-    Ok(RunArgs {
-        target: target.ok_or("missing spec file or scenario name")?,
-        cfg,
-        json,
-        csv,
-        meta,
-        seeds,
-    })
-}
-
 fn load_spec(target: &str) -> Result<ScenarioSpec, String> {
-    if Path::new(target).exists() {
+    if Path::new(target).is_file() {
         let src =
             std::fs::read_to_string(target).map_err(|e| format!("cannot read {target}: {e}"))?;
         ScenarioSpec::from_toml(&src).map_err(|e| format!("{target}: {e}"))
@@ -364,29 +134,51 @@ fn emit(kind: &str, dest: &str, content: &str) -> Result<(), String> {
     }
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let parsed = match parse_run_args(args) {
-        Ok(p) => p,
+/// The documents a run can write: label, and the flag naming where to.
+const DOCUMENTS: [(&str, &str); 3] = [("JSON", "--json"), ("CSV", "--csv"), ("meta", "--meta")];
+
+/// `xp run`. `Err` is the one usage error the table cannot express: two
+/// documents sent to stdout.
+fn run(p: &Parsed) -> Result<ExitCode, String> {
+    let piped: Vec<&str> = DOCUMENTS
+        .iter()
+        .filter(|(_, flag)| p.text(flag) == Some("-"))
+        .map(|(_, flag)| *flag)
+        .collect();
+    if piped.len() > 1 {
+        return Err(format!(
+            "only one of {} can be `-` (stdout)",
+            piped.join(", ")
+        ));
+    }
+    let cfg = RunConfig {
+        threads: p.positive("--threads").unwrap_or_else(all_cores),
+        procs: p.positive("--procs").unwrap_or(1),
+        cache_dir: p
+            .path("--cache-dir")
+            .or_else(|| p.switch("--cache").then(default_cache_dir)),
+        progress: p.switch("--progress"),
+        log_json: p.path("--log-json"),
+        timeout_secs: p.positive("--timeout-secs").map(|n| n as u64),
+        ..RunConfig::default()
+    };
+    Ok(match execute(p, &cfg, !piped.is_empty()) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return usage();
+            ExitCode::FAILURE
         }
-    };
-    let mut spec = match load_spec(&parsed.target) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(seeds) = &parsed.seeds {
-        match spec.lineup_mut() {
-            Ok((_, mine)) => mine.clone_from(seeds),
-            Err(e) => {
-                eprintln!("error: --seeds: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    })
+}
+
+/// Load, run and write. With a document on stdout the table goes to
+/// stderr, so stdout is that document and nothing else.
+fn execute(p: &Parsed, cfg: &RunConfig, stdout_is_a_document: bool) -> Result<(), String> {
+    let mut spec = load_spec(p.positional(0))?;
+    let flag = "--seeds";
+    if let Some(seeds) = p.u64_list(flag) {
+        let (_, mine) = spec.lineup_mut().map_err(|e| format!("{flag}: {e}"))?;
+        *mine = seeds.to_vec();
     }
     eprintln!(
         "running {} scenario {:?}: {} {} on {}...",
@@ -403,34 +195,22 @@ fn run(args: &[String]) -> ExitCode {
         } else {
             "entries"
         },
-        if parsed.cfg.procs > 1 {
-            format!("{} process(es)", parsed.cfg.procs)
+        if cfg.procs > 1 {
+            format!("{} process(es)", cfg.procs)
         } else {
-            format!("{} thread(s)", parsed.cfg.threads)
+            format!("{} thread(s)", cfg.threads)
         }
     );
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "stderr \"done in\" timing, never in report bytes"
-    )]
-    let t0 = std::time::Instant::now();
-    let (result, stats) = match dcn_runner::run(&spec, &parsed.cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match &stats.summary {
+    let (result, stats) = dcn_runner::run(&spec, cfg)?;
+    if let Some(sum) = &stats.summary {
         // The roll-up renders through the same SummaryRecord the
         // --log-json stream writes, so the two views cannot drift.
-        Some(sum) => eprintln!("{}", sum.table_row()),
-        None => eprintln!("done in {:.2?}", t0.elapsed()),
+        eprintln!("{}", sum.table_row());
     }
     if let Some(why) = &stats.fallback {
         eprintln!("note: fell back to in-process threads ({why})");
     }
-    if let Some(dir) = &parsed.cfg.cache_dir {
+    if let Some(dir) = &cfg.cache_dir {
         eprintln!(
             "cache: {} hit(s), {} miss(es) in {}",
             stats.cache_hits,
@@ -439,82 +219,39 @@ fn run(args: &[String]) -> ExitCode {
         );
     }
 
-    println!("{}", result.table());
-    for (kind, dest, content) in [
-        ("JSON", &parsed.json, result.to_json()),
-        ("CSV", &parsed.csv, result.to_csv()),
-        (
-            "meta",
-            &parsed.meta,
-            dcn_runner::meta_json(
-                &spec,
-                parsed.cfg.threads,
-                parsed.cfg.cache_dir.is_some(),
-                &stats,
-            ),
-        ),
-    ] {
-        if let Some(dest) = dest {
-            if let Err(e) = emit(kind, dest, &content) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+    if stdout_is_a_document {
+        eprintln!("{}", result.table());
+    } else {
+        println!("{}", result.table());
+    }
+    let render: [&dyn Fn() -> String; 3] = [&|| result.to_json(), &|| result.to_csv(), &|| {
+        dcn_runner::meta_json(&spec, cfg.threads, cfg.cache_dir.is_some(), &stats)
+    }];
+    for ((kind, flag), render) in DOCUMENTS.iter().zip(render) {
+        if let Some(dest) = p.text(flag) {
+            emit(kind, dest, &render())?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `xp serve [--addr A] [--workers N] [--threads N] [--cache-dir DIR]
-/// [--no-cache] [--queue-cap N]`: the long-running results daemon.
-/// Submissions dedup through the shared result cache; reports served
-/// over HTTP are byte-identical to `xp run` output for the same spec.
-fn serve(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut workers = 2usize;
-    let mut threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut cache_dir = Some(PathBuf::from(ResultCache::DEFAULT_DIR));
-    let mut queue_cap = 64usize;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{} needs a value", args[*i - 1]))
-        };
-        let positive = |v: Result<String, String>, flag: &str| -> Result<usize, String> {
-            match v?.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("{flag} expects a positive integer")),
-            }
-        };
-        let step = match args[i].as_str() {
-            "--addr" => take(&mut i).map(|v| addr = v),
-            "--workers" => positive(take(&mut i), "--workers").map(|n| workers = n),
-            "--threads" => positive(take(&mut i), "--threads").map(|n| threads = n),
-            "--queue-cap" => positive(take(&mut i), "--queue-cap").map(|n| queue_cap = n),
-            "--cache-dir" => take(&mut i).map(|v| cache_dir = Some(PathBuf::from(v))),
-            "--no-cache" => {
-                cache_dir = None;
-                Ok(())
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = step {
-            eprintln!("error: {e}");
-            return usage();
-        }
-        i += 1;
-    }
+/// `xp serve`: the long-running results daemon. Submissions dedup
+/// through the shared result cache; reports served over HTTP are
+/// byte-identical to `xp run` output for the same spec.
+fn serve(p: &Parsed) -> ExitCode {
+    let addr = p.text("--addr").unwrap_or("127.0.0.1:8080");
+    let workers = p.positive("--workers").unwrap_or(2);
+    let threads = p.positive("--threads").unwrap_or_else(all_cores);
+    let queue_cap = p.positive("--queue-cap").unwrap_or(64);
+    let cache_dir =
+        (!p.switch("--no-cache")).then(|| p.path("--cache-dir").unwrap_or_else(default_cache_dir));
     let cfg = dcn_serve::ServeConfig {
         workers,
         queue_cap,
         run: dcn_runner::serve_run_fn(cache_dir.clone(), threads),
         cache_stat: cache_dir.clone().map(dcn_runner::serve_stat_fn),
     };
-    let server = match dcn_serve::Server::bind(&addr, cfg) {
+    let server = match dcn_serve::Server::bind(addr, cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -544,102 +281,49 @@ fn serve(args: &[String]) -> ExitCode {
     }
 }
 
-/// `xp cache stat|clear [--cache-dir DIR] [--json]`.
-fn cache_cmd(args: &[String]) -> ExitCode {
-    let mut dir = PathBuf::from(ResultCache::DEFAULT_DIR);
-    let mut action = None;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => dir = PathBuf::from(v),
-                    None => {
-                        eprintln!("error: --cache-dir needs a value");
-                        return usage();
-                    }
-                }
-            }
-            "--json" => json = true,
-            a @ ("stat" | "clear") if action.is_none() => action = Some(a.to_string()),
-            other => {
-                eprintln!("error: unknown argument {other:?}");
-                return usage();
-            }
-        }
-        i += 1;
+fn cache_of(p: &Parsed) -> ResultCache {
+    ResultCache::new(p.path("--cache-dir").unwrap_or_else(default_cache_dir))
+}
+
+fn cache_stat(p: &Parsed) -> ExitCode {
+    let cache = cache_of(p);
+    if p.switch("--json") {
+        // One NDJSON record in the span-record grammar family, for
+        // the serve daemon and CI; the human text path is unchanged.
+        println!("{}", cache.stat_detailed().to_ndjson());
+    } else {
+        let s = cache.stat();
+        println!(
+            "{}: {} entr{}, {} bytes",
+            cache.dir().display(),
+            s.entries,
+            if s.entries == 1 { "y" } else { "ies" },
+            s.bytes
+        );
     }
-    let cache = ResultCache::new(&dir);
-    match action.as_deref() {
-        Some("stat") if json => {
-            // One NDJSON record in the span-record grammar family, for
-            // the serve daemon and CI; the human text path is unchanged.
-            println!("{}", cache.stat_detailed().to_ndjson());
+    ExitCode::SUCCESS
+}
+
+fn cache_clear(p: &Parsed) -> ExitCode {
+    match cache_of(p).clear() {
+        Ok(n) => {
+            eprintln!("removed {n} cache entr{}", if n == 1 { "y" } else { "ies" });
             ExitCode::SUCCESS
         }
-        Some("stat") => {
-            let s = cache.stat();
-            println!(
-                "{}: {} entr{}, {} bytes",
-                dir.display(),
-                s.entries,
-                if s.entries == 1 { "y" } else { "ies" },
-                s.bytes
-            );
-            ExitCode::SUCCESS
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
-        Some("clear") => match cache.clear() {
-            Ok(n) => {
-                eprintln!("removed {n} cache entr{}", if n == 1 { "y" } else { "ies" });
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => usage(),
     }
 }
 
-/// `xp diff a b [--tol X]`: two report files, or two directories of
-/// reports paired by file name. Exit 0 when everything matches within
-/// the relative tolerance, 1 on drift, 2 on usage/IO errors.
-fn diff(args: &[String]) -> ExitCode {
-    let mut files: Vec<&String> = Vec::new();
-    let mut tol = 0.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tol" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    eprintln!("error: --tol needs a value");
-                    return usage();
-                };
-                tol = match v.parse::<f64>() {
-                    Ok(t) if t >= 0.0 && t.is_finite() => t,
-                    _ => {
-                        eprintln!("error: --tol expects a non-negative number");
-                        return usage();
-                    }
-                };
-            }
-            other if !other.starts_with("--") => files.push(&args[i]),
-            other => {
-                eprintln!("error: unknown argument {other:?}");
-                return usage();
-            }
-        }
-        i += 1;
-    }
-    let [a, b] = files.as_slice() else {
-        eprintln!("error: diff takes exactly two report files or directories");
-        return usage();
-    };
-    let (pa, pb) = (Path::new(a.as_str()), Path::new(b.as_str()));
+/// `xp diff`: two report files, or two directories of reports paired
+/// by file name. Exit 0 when everything matches within the relative
+/// tolerance, 1 on drift, 2 on usage/IO errors.
+fn diff(p: &Parsed) -> ExitCode {
+    let (a, b) = (p.positional(0), p.positional(1));
+    let tol = p.non_negative("--tol").unwrap_or(0.0);
+    let (pa, pb) = (Path::new(a), Path::new(b));
     match (pa.is_dir(), pb.is_dir()) {
         (true, true) => diff_dir_pair(pa, pb, tol),
         (false, false) => diff_file_pair(a, b, tol),

@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cli;
 pub mod codec;
 pub mod dirdiff;
 pub mod exec;

@@ -8,8 +8,10 @@
 //!   text rendering stays unchanged;
 //! * `xp lint` exits 0 on this workspace and 1, with `R5`/`R6`/`R8`
 //!   records, on a dirty one;
-//! * `xp bench --check` exits 0 against the committed `BENCH_sim.json`
-//!   and has no tolerance to set;
+//! * every row of the CLI table (`dcn_runner::cli::XP`) refuses misuse
+//!   the same way — `error: …` naming the argument, the usage text,
+//!   exit 2 — and nothing on a command line goes unread;
+//! * a `-` destination puts that document, and nothing else, on stdout;
 //! * `xp run` refuses a packet-engine spec whose switch would outgrow
 //!   16-bit port ids, before simulating anything, and refuses `--seeds`
 //!   on a scenario kind that has none, naming the kind.
@@ -188,33 +190,148 @@ fn lint_exits_nonzero_on_a_dirty_tree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The committed `BENCH_sim.json` pins six event counts that are the
-/// same on every machine; one pass of the suite must reproduce them.
-/// (The exit-1 path is the `bench_check` unit test plus a CI step on a
-/// bumped copy — not a second debug-profile pass here.)
-#[test]
-fn bench_check_passes_against_the_committed_baseline_and_has_no_tolerance() {
-    let baseline = workspace_root().join("BENCH_sim.json");
-    let out = Command::new(XP)
-        .args(["bench", "--runs", "1", "--check", "--baseline"])
-        .arg(&baseline)
-        .output()
-        .expect("run xp bench");
+/// Run `xp` with `args`, require a usage error: exit 2, nothing on
+/// stdout, `error: ` + every needle on the first stderr line, then the
+/// usage text.
+fn refused(args: &[&str], needles: &[&str]) {
+    let out = Command::new(XP).args(args).output().expect("spawn xp");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(stderr.contains("bench check passed"), "{stderr}");
-    assert_eq!(stderr.matches(": ok  ").count(), 6, "{stderr}");
+    assert_eq!(out.status.code(), Some(2), "xp {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "xp {args:?} wrote to stdout");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.starts_with("error: "), "xp {args:?}: {first}");
+    for needle in needles {
+        assert!(first.contains(needle), "xp {args:?}: {first}");
+    }
+    assert!(
+        stderr.ends_with(&dcn_runner::cli::usage()),
+        "xp {args:?}: {stderr}"
+    );
+}
+
+fn with<'a>(base: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
+    [base, extra].concat()
+}
+
+/// Every row of the CLI table, through the real binary: each subcommand
+/// refuses a surplus positional and an unknown flag; each flag refuses
+/// to appear twice, each valued flag refuses to come without its value,
+/// and each typed flag refuses a value outside its type — all with the
+/// same `error: …` + usage, exit 2, and a message naming the offender.
+#[test]
+fn every_table_row_refuses_misuse_with_exit_2_naming_the_argument() {
+    use dcn_runner::cli::{Value, XP as TABLE};
+    for cmd in TABLE {
+        let mut base: Vec<&str> = cmd.name.split(' ').collect();
+        base.extend(cmd.positionals.iter().map(|_| "x"));
+
+        refused(
+            &with(&base, &["surplus"]),
+            &["unexpected argument \"surplus\""],
+        );
+        refused(
+            &with(&base, &["--no-such"]),
+            &["unknown argument \"--no-such\""],
+        );
+        for flag in cmd.flags {
+            let (good, bad): (&str, &[&str]) = match flag.value {
+                Value::Switch => {
+                    refused(&with(&base, &[flag.name, flag.name]), &[flag.name, "twice"]);
+                    continue;
+                }
+                Value::Text(_) => ("x", &[]),
+                Value::Positive => ("1", &["0", "-1", "1.5", "x", ""]),
+                Value::NonNegative => ("0", &["-1", "nan", "inf", "x"]),
+                Value::U64List => ("1,2", &["1,x", "-1", "1,,2"]),
+            };
+            refused(&with(&base, &[flag.name]), &[flag.name, "needs a value"]);
+            refused(
+                &with(&base, &[flag.name, good, flag.name, good]),
+                &[flag.name, "twice"],
+            );
+            for value in bad {
+                refused(
+                    &with(&base, &[flag.name, value]),
+                    &[flag.name, "expects", &format!("{value:?}")],
+                );
+            }
+        }
+    }
+}
+
+/// What used to be silently ignored or silently won, and what is not a
+/// subcommand (any more): each is a usage error.
+#[test]
+fn arguments_nobody_looked_at_are_errors() {
+    refused(&["list", "x"], &["\"x\""]);
+    refused(&["show", "fig6", "x"], &["\"x\""]);
+    refused(&["cache", "clear", "--json"], &["\"--json\""]);
+    refused(
+        &["run", "fig6", "--threads", "1", "--threads", "2"],
+        &["--threads"],
+    );
+    refused(&["run"], &["missing <spec.toml | name>"]);
+    refused(&["diff", "a.json"], &["missing <b>"]);
+    refused(&[], &["missing subcommand"]);
+    refused(&["bench", "--check"], &["unknown subcommand \"bench\""]);
+}
+
+/// `-` means stdout, and only the document goes there: the table moves
+/// to stderr, so the bytes pipe straight into a JSON parser.
+#[test]
+fn a_dash_destination_puts_the_document_alone_on_stdout() {
+    let file = Command::new(XP).args(["run", "fig2"]).output().unwrap();
+    let table = String::from_utf8(file.stdout).unwrap();
+    assert!(table.contains("## fig2"), "no `-`: the table is on stdout");
 
     let out = Command::new(XP)
-        .args(["bench", "--tol-pct", "20"])
+        .args(["run", "fig2", "--json", "-"])
         .output()
-        .expect("run xp bench");
-    assert_eq!(out.status.code(), Some(2), "--tol-pct is gone: usage error");
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let doc = parse_json(&stdout).expect("stdout is the JSON document alone");
+    assert_eq!(doc.field("scenario", Json::as_str), Ok("fig2"));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("unknown argument \"--tol-pct\""),
-        "{stderr}"
+        stderr.contains(table.trim_end()),
+        "the table moved: {stderr}"
     );
+
+    for flag in ["--csv", "--meta"] {
+        let out = Command::new(XP)
+            .args(["run", "fig2", flag, "-"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            out.status.success() && !stdout.contains("## fig2"),
+            "{flag}"
+        );
+    }
+    refused(
+        &["run", "fig2", "--json", "-", "--csv", "-"],
+        &["--json", "--csv", "stdout"],
+    );
+}
+
+/// A directory that happens to be named like a builtin is not a spec
+/// file: the builtin runs (it used to answer "Is a directory").
+#[test]
+fn a_directory_named_like_a_builtin_does_not_shadow_it() {
+    let dir = scratch("dir-shadow");
+    std::fs::create_dir(dir.join("fig2")).unwrap();
+    let out = Command::new(XP)
+        .args(["run", "fig2"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A 65,600-host star used to build (port ids wrapped at 65,536), deliver

@@ -165,5 +165,8 @@ fn meta_sidecar_carries_versioned_span_rollup() {
     assert!(matches!(meta.get("drops"), Some(Json::Obj(_))));
     assert!(matches!(meta.get("pool"), Some(Json::Obj(_))));
     assert!(meta.field("events_per_sec", Json::as_f64).is_ok());
+    // The one full-stack event count pinned at tier-1 (it was `xp bench`'s
+    // fig6_small_sweep case): a change that moves it moved the simulation.
+    assert_eq!(meta.field("events", Json::as_u64), Ok(1_581_127));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,8 +6,8 @@
 //! hand-rolled JSON parser below covers exactly what the deterministic
 //! report renderers emit (and standard JSON generally); keeping it local
 //! avoids a serde dependency the offline build cannot take. It is also
-//! the workspace's one JSON *reader*: cache entries, worker lines, shard
-//! manifests and bench baselines are all outside input, parsed by
+//! the workspace's one JSON *reader*: cache entries, worker lines and
+//! shard manifests are all outside input, parsed by
 //! [`parse_json`] (bounded nesting, errors never panics) and read through
 //! the range-exact accessors on [`Json`].
 

@@ -67,7 +67,6 @@
 
 pub mod algo;
 pub mod analytic_engine;
-pub mod bench;
 pub mod diff;
 pub mod engine;
 pub mod flow_engine;
@@ -82,7 +81,6 @@ pub mod trace_engine;
 
 pub use algo::Algo;
 pub use analytic_engine::{analytic_entries, run_analytic_entry};
-pub use bench::{bench_check, bench_table, bench_to_json, run_bench, BenchCase, BenchCheck};
 pub use diff::{diff_csv, diff_reports, DiffOutcome};
 pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale, SIZE_BUCKETS};
 pub use library::{builtin, builtin_specs};

@@ -110,22 +110,20 @@ impl SpanRecord {
     }
 }
 
-/// Scalar summary of a completed run (or one bench case): the struct
-/// behind the final NDJSON record, the `xp run` stderr line, and the
-/// `xp bench` table rows, so the machine and human renderings cannot
-/// drift apart.
+/// Scalar summary of a completed run: the struct behind the final
+/// NDJSON record and the `xp run` stderr line, so the machine and human
+/// renderings cannot drift apart.
 #[derive(Clone, Debug)]
 pub struct SummaryRecord {
-    /// Scenario or bench-case name.
+    /// Scenario name.
     pub name: String,
-    /// `sweep` / `timeseries` / `analytic` / `bench`.
+    /// `sweep` / `timeseries` / `analytic`.
     pub kind: String,
-    /// Points (or bench repetitions) that ran.
+    /// Points that ran.
     pub points: usize,
     /// Points served from the result cache.
     pub cached: usize,
-    /// Wall-clock milliseconds (the run's elapsed time for runs; best
-    /// repetition for bench cases).
+    /// Wall-clock milliseconds: the run's elapsed time.
     pub wall_ms: f64,
     /// Simulation events dispatched across all points.
     pub events: u64,

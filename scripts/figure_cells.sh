@@ -3,9 +3,11 @@
 #
 #   scripts/figure_cells.sh [xp=target/release/xp] [golden=crates/scenarios/tests/figure_cells.golden]
 #
-# Runs every builtin the golden file names once (`xp run <name> --csv -`,
-# under `timeout 120`) and checks each golden line: some output line must
-# contain all of its tab-separated needles. Prints every miss; exit 1 on any.
+# Runs every builtin the golden file names once (`xp run <name> --csv - 2>&1`,
+# under `timeout 120`: with a `-` destination the CSV is alone on stdout and
+# the table is on stderr, and the needles match lines of both) and checks
+# each golden line: some output line must contain all of its tab-separated
+# needles. Prints every miss; exit 1 on any.
 set -eu
 
 xp=${1:-target/release/xp}
@@ -14,7 +16,7 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 for name in $(grep -v '^#' "$golden" | cut -f1 | sort -u); do
-    timeout 120 "$xp" run "$name" --csv - > "$out/$name" 2> /dev/null
+    timeout 120 "$xp" run "$name" --csv - > "$out/$name" 2>&1
 done
 
 tab=$(printf '\t')
