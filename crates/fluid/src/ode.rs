@@ -1,4 +1,29 @@
 //! Fixed-step RK4 integration of the two-state fluid model.
+//!
+//! [`rk4_step`] defines one step of one state. Everything that takes more
+//! than one step goes through [`integrate`], which advances a *batch* of
+//! independent starts in lockstep: each RK4 stage is evaluated for every
+//! live lane before the next stage begins. One step of this model is a
+//! serial chain of up to sixteen dependent divides (`q/b`, `w/θ`, `q̇/b`, `1/g`
+//! in each of four stages), so a single trajectory waits on divider
+//! latency; a phase portrait's starts are independent, and side by side
+//! their divides overlap (≈ 3× fewer ns per step at Figure 3's 15 lanes).
+//!
+//! **Bit identity.** A lane evaluates exactly `rk4_step`'s expression
+//! tree, in its order, on its own `f64`s: nothing is reassociated across
+//! or within lanes, Rust never contracts `a*b + c` into an FMA, and IEEE
+//! division rounds the same in any company. So every state, endpoint and
+//! step count equals what a loop of `rk4_step` from that start gives
+//! (`tests/lanes_match_scalar.rs` holds it to `to_bits` equality) and
+//! [`crate::MODEL_VERSION`] does not move.
+//!
+//! **Compaction.** Lanes finish at different steps: one retires the step
+//! its ‖Δ‖ falls below the settle tolerance (once sampling is over), and
+//! the last live lane is swapped into its slot, so the live lanes stay a
+//! dense prefix of the columns however unevenly a law settles. The
+//! RTT-gradient law never does: it has no unique equilibrium (Appendix C,
+//! Figure 3b) — wherever `q̇ = 0` the additive term still pushes the
+//! window up by `γr·β̂` — so all its lanes run to the cut-off together.
 
 use crate::laws::{q_dot, w_dot, FluidParams, Law, State};
 
@@ -32,44 +57,225 @@ pub fn rk4_step(law: Law, p: &FluidParams, s: State, dt: f64) -> State {
     })
 }
 
-/// Integrate from `s0` for `steps` of `dt`, recording every
+/// The columns of a batch of independent states: slot `i` is the state
+/// `(w[i], q[i])`, the slopes of its four RK4 stages sit beside it in
+/// `kw`/`kq`, and `nw`/`nq` receive its next state.
+struct Lanes {
+    w: Vec<f64>,
+    q: Vec<f64>,
+    kw: [Vec<f64>; 4],
+    kq: [Vec<f64>; 4],
+    nw: Vec<f64>,
+    nq: Vec<f64>,
+}
+
+/// One RK4 stage for every lane: the slopes at `clamp(s + h·k_in)`.
+fn stage(
+    law: Law,
+    p: &FluidParams,
+    h: f64,
+    (w, q): (&[f64], &[f64]),
+    (kw_in, kq_in): (&[f64], &[f64]),
+    (kw, kq): (&mut [f64], &mut [f64]),
+) {
+    for i in 0..w.len() {
+        let s = State {
+            w: (w[i] + h * kw_in[i]).max(0.0),
+            q: (q[i] + h * kq_in[i]).max(0.0),
+        };
+        kw[i] = w_dot(law, p, s);
+        kq[i] = q_dot(p, s);
+    }
+}
+
+impl Lanes {
+    fn new(starts: &[State]) -> Lanes {
+        let zeros = || vec![0.0; starts.len()];
+        Lanes {
+            w: starts.iter().map(|s| s.w).collect(),
+            q: starts.iter().map(|s| s.q).collect(),
+            kw: std::array::from_fn(|_| zeros()),
+            kq: std::array::from_fn(|_| zeros()),
+            nw: zeros(),
+            nq: zeros(),
+        }
+    }
+
+    /// [`rk4_step`] for lanes `0..live`, stage by stage: the next states
+    /// land in `nw`/`nq`. Every lane evaluates `rk4_step`'s expression
+    /// tree in `rk4_step`'s order, so each result is bit-identical to it.
+    fn step(&mut self, law: Law, p: &FluidParams, dt: f64, live: usize) {
+        let (w, q) = (&self.w[..live], &self.q[..live]);
+        let [k1w, k2w, k3w, k4w] = self.kw.each_mut().map(|k| &mut k[..live]);
+        let [k1q, k2q, k3q, k4q] = self.kq.each_mut().map(|k| &mut k[..live]);
+        let (nw, nq) = (&mut self.nw[..live], &mut self.nq[..live]);
+        for i in 0..live {
+            let s = State { w: w[i], q: q[i] };
+            k1w[i] = w_dot(law, p, s);
+            k1q[i] = q_dot(p, s);
+        }
+        stage(law, p, 0.5 * dt, (w, q), (k1w, k1q), (k2w, k2q));
+        stage(law, p, 0.5 * dt, (w, q), (k2w, k2q), (k3w, k3q));
+        stage(law, p, dt, (w, q), (k3w, k3q), (k4w, k4q));
+        for i in 0..live {
+            nw[i] = (w[i] + dt / 6.0 * (k1w[i] + 2.0 * k2w[i] + 2.0 * k3w[i] + k4w[i])).max(0.0);
+            nq[i] = (q[i] + dt / 6.0 * (k1q[i] + 2.0 * k2q[i] + 2.0 * k3q[i] + k4q[i])).max(0.0);
+        }
+    }
+}
+
+/// When [`integrate`] samples its lanes and when it lets one stop.
+#[derive(Clone, Copy, Debug)]
+pub struct Schedule {
+    /// Step size in seconds.
+    pub dt: f64,
+    /// Every lane takes at least this many steps, and its state is
+    /// recorded at the start and after each `sample_every`-th of them.
+    pub sample_steps: usize,
+    /// Sampling stride in steps.
+    pub sample_every: usize,
+    /// The settle test (‖Δ‖ of one step below 1e-9 BDP) runs on the
+    /// steps after this one.
+    pub settle_from: usize,
+    /// A lane that has not passed the settle test this many steps after
+    /// `settle_from` is cut off there.
+    pub settle_steps: usize,
+}
+
+/// What [`integrate`] found for one start.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Lane {
+    /// The start, then every `sample_every`-th state through
+    /// `sample_steps`.
+    pub samples: Vec<State>,
+    /// The state after the step that passed the settle test, or at the
+    /// cut-off.
+    pub end: State,
+    /// Steps from `settle_from` to `end` — this lane's own count.
+    pub steps: usize,
+}
+
+/// Integrate every start under `plan`, all lanes in lockstep: one RK4
+/// step advances every live lane together, a lane retires once it has
+/// settled (or been cut off) and `sample_steps` have passed, and the
+/// lanes still live are kept at the front of the columns. Lanes never
+/// interact: each result is what a loop of [`rk4_step`] from that start
+/// would give, bit for bit.
+pub fn integrate(law: Law, p: &FluidParams, starts: &[State], plan: &Schedule) -> Vec<Lane> {
+    assert!(plan.dt > 0.0 && plan.sample_every > 0);
+    let tol = p.bdp() * 1e-9;
+    let cutoff = plan.settle_from + plan.settle_steps;
+    let mut out: Vec<Lane> = starts
+        .iter()
+        .map(|&s| {
+            let mut samples = Vec::with_capacity(plan.sample_steps / plan.sample_every + 1);
+            samples.push(s);
+            Lane {
+                samples,
+                end: s,
+                steps: 0,
+            }
+        })
+        .collect();
+    let mut lanes = Lanes::new(starts);
+    // Slot `i` of the columns holds lane `lane_of[i]`.
+    let mut lane_of: Vec<usize> = (0..starts.len()).collect();
+    let mut settled = vec![cutoff == 0; starts.len()];
+    let mut live = starts.len();
+    let mut step = 0;
+    loop {
+        if step >= plan.sample_steps {
+            let mut i = 0;
+            while i < live {
+                if settled[i] {
+                    live -= 1;
+                    lanes.w.swap(i, live);
+                    lanes.q.swap(i, live);
+                    lane_of.swap(i, live);
+                    settled.swap(i, live);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        if live == 0 {
+            return out;
+        }
+        lanes.step(law, p, plan.dt, live);
+        step += 1;
+        // Outside the settle phase only the cut-off can end a lane.
+        if step > plan.settle_from || step == cutoff {
+            for i in 0..live {
+                let delta = (lanes.nw[i] - lanes.w[i]).abs() + (lanes.nq[i] - lanes.q[i]).abs();
+                if !settled[i] && (delta < tol || step == cutoff) {
+                    settled[i] = true;
+                    let lane = &mut out[lane_of[i]];
+                    lane.end = State {
+                        w: lanes.nw[i],
+                        q: lanes.nq[i],
+                    };
+                    lane.steps = step - plan.settle_from;
+                }
+            }
+        }
+        std::mem::swap(&mut lanes.w, &mut lanes.nw);
+        std::mem::swap(&mut lanes.q, &mut lanes.nq);
+        if step <= plan.sample_steps && step % plan.sample_every == 0 {
+            for i in 0..live {
+                out[lane_of[i]].samples.push(State {
+                    w: lanes.w[i],
+                    q: lanes.q[i],
+                });
+            }
+        }
+    }
+}
+
+/// Integrate every start for `steps` of `dt`, recording each lane's every
 /// `sample_every`-th state (including the initial one).
 pub fn trajectory(
     law: Law,
     p: &FluidParams,
-    s0: State,
+    starts: &[State],
     dt: f64,
     steps: usize,
     sample_every: usize,
-) -> Vec<State> {
-    assert!(dt > 0.0 && steps > 0 && sample_every > 0);
-    let mut out = Vec::with_capacity(steps / sample_every + 2);
-    let mut s = s0;
-    out.push(s);
-    for i in 1..=steps {
-        s = rk4_step(law, p, s, dt);
-        if i % sample_every == 0 {
-            out.push(s);
-        }
-    }
-    out
+) -> Vec<Vec<State>> {
+    assert!(steps > 0);
+    let plan = Schedule {
+        dt,
+        sample_steps: steps,
+        sample_every,
+        settle_from: steps,
+        settle_steps: 0,
+    };
+    integrate(law, p, starts, &plan)
+        .into_iter()
+        .map(|lane| lane.samples)
+        .collect()
 }
 
-/// Integrate until the state stops moving (‖Δ‖ per step below `tol`
-/// relative to BDP) or `max_steps` elapse; returns the final state and
-/// the number of steps taken.
-pub fn settle(law: Law, p: &FluidParams, s0: State, dt: f64, max_steps: usize) -> (State, usize) {
-    let tol = p.bdp() * 1e-9;
-    let mut s = s0;
-    for i in 0..max_steps {
-        let next = rk4_step(law, p, s, dt);
-        let delta = (next.w - s.w).abs() + (next.q - s.q).abs();
-        s = next;
-        if delta < tol {
-            return (s, i + 1);
-        }
-    }
-    (s, max_steps)
+/// Integrate every start until its state stops moving (‖Δ‖ per step
+/// below `tol` relative to BDP) or `max_steps` elapse; returns each
+/// lane's final state and the number of steps it took.
+pub fn settle(
+    law: Law,
+    p: &FluidParams,
+    starts: &[State],
+    dt: f64,
+    max_steps: usize,
+) -> Vec<(State, usize)> {
+    let plan = Schedule {
+        dt,
+        sample_steps: 0,
+        sample_every: 1,
+        settle_from: 0,
+        settle_steps: max_steps,
+    };
+    integrate(law, p, starts, &plan)
+        .into_iter()
+        .map(|lane| (lane.end, lane.steps))
+        .collect()
 }
 
 #[cfg(test)]
@@ -85,7 +291,7 @@ mod tests {
     fn power_law_settles_to_analytic_equilibrium() {
         let params = p();
         let eq = analytic_equilibrium(&params);
-        for s0 in [
+        let starts = [
             State {
                 w: 10_000.0,
                 q: 0.0,
@@ -98,8 +304,9 @@ mod tests {
                 w: 250_000.0,
                 q: 0.0,
             },
-        ] {
-            let (s, _) = settle(Law::Power, &params, s0, 1e-7, 4_000_000);
+        ];
+        let ends = settle(Law::Power, &params, &starts, 1e-7, 4_000_000);
+        for (s0, (s, _)) in starts.iter().zip(ends) {
             assert!(
                 (s.w - eq.w).abs() / eq.w < 0.01,
                 "from {s0:?}: settled w {} vs {}",
@@ -122,13 +329,13 @@ mod tests {
         let (s, _) = settle(
             Law::QueueLength,
             &params,
-            State {
+            &[State {
                 w: 600_000.0,
                 q: 300_000.0,
-            },
+            }],
             1e-7,
             4_000_000,
-        );
+        )[0];
         assert!((s.w - eq.w).abs() / eq.w < 0.02, "w={} eq={}", s.w, eq.w);
     }
 
@@ -141,52 +348,26 @@ mod tests {
         // either way, no unique equilibrium exists.
         let mut params = p();
         params.beta_hat = 0.0;
-        let (a, _) = settle(
-            Law::RttGradient,
-            &params,
+        let starts = [
             State {
                 w: 260_000.0,
                 q: 0.0,
             },
-            1e-7,
-            1_000_000,
-        );
-        let (b, _) = settle(
-            Law::RttGradient,
-            &params,
             State {
                 w: 800_000.0,
                 q: 500_000.0,
             },
-            1e-7,
-            1_000_000,
-        );
+        ];
+        let ends = settle(Law::RttGradient, &params, &starts, 1e-7, 1_000_000);
+        let (a, b) = (ends[0].0, ends[1].0);
         assert!(
             (a.q - b.q).abs() > 0.2 * params.bdp(),
             "gradient law must not collapse to one equilibrium: {a:?} vs {b:?}"
         );
         // Sanity: the voltage law from the same two starts DOES collapse.
         let params = p();
-        let (va, _) = settle(
-            Law::QueueLength,
-            &params,
-            State {
-                w: 260_000.0,
-                q: 0.0,
-            },
-            1e-7,
-            2_000_000,
-        );
-        let (vb, _) = settle(
-            Law::QueueLength,
-            &params,
-            State {
-                w: 800_000.0,
-                q: 500_000.0,
-            },
-            1e-7,
-            2_000_000,
-        );
+        let ends = settle(Law::QueueLength, &params, &starts, 1e-7, 2_000_000);
+        let (va, vb) = (ends[0].0, ends[1].0);
         assert!((va.q - vb.q).abs() < 0.05 * params.bdp());
     }
 
@@ -196,15 +377,15 @@ mod tests {
         let t = trajectory(
             Law::Power,
             &params,
-            State {
+            &[State {
                 w: 100_000.0,
                 q: 0.0,
-            },
+            }],
             1e-7,
             1000,
             100,
         );
-        assert_eq!(t.len(), 11);
+        assert_eq!(t[0].len(), 11);
     }
 
     #[test]
@@ -214,15 +395,15 @@ mod tests {
             let t = trajectory(
                 law,
                 &params,
-                State {
+                &[State {
                     w: 1_500_000.0,
                     q: 1_000_000.0,
-                },
+                }],
                 1e-7,
                 200_000,
                 1000,
             );
-            for s in t {
+            for s in &t[0] {
                 assert!(s.w.is_finite() && s.q.is_finite(), "{law:?}");
                 assert!(s.w >= 0.0 && s.q >= 0.0, "{law:?}");
             }

@@ -7,7 +7,7 @@
 //! equilibrium), and PowerTCP tracks straight to the unique equilibrium.
 
 use crate::laws::{inflight, FluidParams, Law, State};
-use crate::ode::{settle, trajectory};
+use crate::ode::{integrate, Schedule};
 
 /// One phase-plot trajectory: (window, inflight) points plus endpoint.
 #[derive(Clone, Debug)]
@@ -53,29 +53,10 @@ pub fn default_grid(p: &FluidParams) -> Vec<State> {
     grid(p, &DEFAULT_W_FRACS, &DEFAULT_Q_FRACS)
 }
 
-/// Integrate one trajectory for the phase plot.
+/// Integrate one trajectory for the phase plot (the one-lane case of
+/// [`phase_portrait_grid`]).
 pub fn phase_trajectory(law: Law, p: &FluidParams, start: State) -> PhaseTrajectory {
-    let dt = p.base_rtt / 400.0;
-    let steps = 400 * 60; // 60 base RTTs
-    let states = trajectory(law, p, start, dt, steps, 40);
-    let bdp = p.bdp();
-    let mut was_above = start.w >= bdp;
-    let mut throughput_loss = false;
-    for s in &states {
-        if s.w >= bdp {
-            was_above = true;
-        }
-        if was_above && inflight(p, *s) < bdp * 0.99 {
-            throughput_loss = true;
-        }
-    }
-    let (end, _) = settle(law, p, *states.last().unwrap(), dt, steps * 4);
-    PhaseTrajectory {
-        start,
-        points: states.iter().map(|s| (s.w, inflight(p, *s))).collect(),
-        end,
-        throughput_loss,
-    }
+    phase_portrait_grid(law, p, &[start]).remove(0)
 }
 
 /// Run the full default grid for one law.
@@ -84,9 +65,45 @@ pub fn phase_portrait(law: Law, p: &FluidParams) -> Vec<PhaseTrajectory> {
 }
 
 /// Run an explicit grid of initial states for one law (the parameterized
-/// entry point behind analytic `phase` scenarios).
+/// entry point behind analytic `phase` scenarios): every start is one
+/// lane of a single [`integrate`] call, sampled for 60 base RTTs and then
+/// given four times as long to settle.
 pub fn phase_portrait_grid(law: Law, p: &FluidParams, grid: &[State]) -> Vec<PhaseTrajectory> {
-    grid.iter().map(|&s| phase_trajectory(law, p, s)).collect()
+    let steps = 400 * 60; // 60 base RTTs
+    let plan = Schedule {
+        dt: p.base_rtt / 400.0,
+        sample_steps: steps,
+        sample_every: 40,
+        settle_from: steps,
+        settle_steps: steps * 4,
+    };
+    let bdp = p.bdp();
+    integrate(law, p, grid, &plan)
+        .into_iter()
+        .zip(grid)
+        .map(|(lane, &start)| {
+            let mut was_above = start.w >= bdp;
+            let mut throughput_loss = false;
+            for s in &lane.samples {
+                if s.w >= bdp {
+                    was_above = true;
+                }
+                if was_above && inflight(p, *s) < bdp * 0.99 {
+                    throughput_loss = true;
+                }
+            }
+            PhaseTrajectory {
+                start,
+                points: lane
+                    .samples
+                    .iter()
+                    .map(|s| (s.w, inflight(p, *s)))
+                    .collect(),
+                end: lane.end,
+                throughput_loss,
+            }
+        })
+        .collect()
 }
 
 /// Spread of endpoints (max pairwise distance in inflight space) — small

@@ -1,0 +1,154 @@
+//! The lane kernel against a plain loop of `rk4_step`, bit for bit: every
+//! sampled state, every endpoint and every per-lane step count of
+//! `integrate` (and of `trajectory` / `settle`, its two plain schedules)
+//! must equal what one start integrated alone gives — for all four laws
+//! (`Delay` appears in no builtin, so no baseline pins it), from the
+//! `q = 0` boundary, with lanes that settle at different steps and lanes
+//! that never do.
+
+use fluid_model::{integrate, rk4_step, settle, trajectory, FluidParams, Law, Schedule, State};
+use proptest::prelude::*;
+
+/// One start alone: `steps` of `dt`, every `sample_every`-th state kept.
+fn scalar_trajectory(
+    law: Law,
+    p: &FluidParams,
+    s0: State,
+    dt: f64,
+    steps: usize,
+    sample_every: usize,
+) -> Vec<State> {
+    let mut out = vec![s0];
+    let mut s = s0;
+    for i in 1..=steps {
+        s = rk4_step(law, p, s, dt);
+        if i % sample_every == 0 {
+            out.push(s);
+        }
+    }
+    out
+}
+
+/// One start alone: step until ‖Δ‖ < 1e-9 BDP or `max_steps`.
+fn scalar_settle(
+    law: Law,
+    p: &FluidParams,
+    s0: State,
+    dt: f64,
+    max_steps: usize,
+) -> (State, usize) {
+    let tol = p.bdp() * 1e-9;
+    let mut s = s0;
+    for i in 0..max_steps {
+        let next = rk4_step(law, p, s, dt);
+        let delta = (next.w - s.w).abs() + (next.q - s.q).abs();
+        s = next;
+        if delta < tol {
+            return (s, i + 1);
+        }
+    }
+    (s, max_steps)
+}
+
+fn bits(s: State) -> (u64, u64) {
+    (s.w.to_bits(), s.q.to_bits())
+}
+
+fn all_bits(states: &[State]) -> Vec<(u64, u64)> {
+    states.iter().copied().map(bits).collect()
+}
+
+/// `integrate` under `plan` equals, lane by lane, the scalar trajectory
+/// over `sample_steps` plus the scalar settle from the state at
+/// `settle_from`. Returns the per-lane step counts.
+fn assert_lanes_match(law: Law, p: &FluidParams, starts: &[State], plan: &Schedule) -> Vec<usize> {
+    let lanes = integrate(law, p, starts, plan);
+    assert_eq!(lanes.len(), starts.len());
+    for (i, (lane, &s0)) in lanes.iter().zip(starts).enumerate() {
+        let what = format!(
+            "{law:?} lane {i} of {} from {s0:?} under {plan:?}",
+            starts.len()
+        );
+        let want = scalar_trajectory(law, p, s0, plan.dt, plan.sample_steps, plan.sample_every);
+        assert_eq!(all_bits(&lane.samples), all_bits(&want), "samples: {what}");
+        let from = *scalar_trajectory(law, p, s0, plan.dt, plan.settle_from, 1)
+            .last()
+            .unwrap();
+        let (end, steps) = scalar_settle(law, p, from, plan.dt, plan.settle_steps);
+        assert_eq!(bits(lane.end), bits(end), "end: {what}");
+        assert_eq!(lane.steps, steps, "steps: {what}");
+    }
+    lanes.iter().map(|l| l.steps).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn lanes_equal_the_scalar_step_bit_for_bit(
+        law in (0usize..4).prop_map(|i| Law::all()[i]),
+        // w ∈ (0, 8] BDP; q ∈ [0, 4] BDP, a third of the lanes exactly 0.
+        fracs in prop::collection::vec((0.0..8.0f64, 0.0..4.0f64, 0usize..3), 1..=32),
+        coarse in 0usize..2,
+        sample_steps in 0usize..=400,
+        sample_every in 1usize..=60,
+        settle_from in 0usize..=500,
+        settle_steps in 0usize..=1500,
+    ) {
+        let p = FluidParams::paper_example();
+        let starts: Vec<State> = fracs
+            .iter()
+            .map(|&(wf, qf, zero)| State {
+                w: p.bdp() * (8.0 - wf),
+                q: if zero == 0 { 0.0 } else { p.bdp() * qf },
+            })
+            .collect();
+        // The builtins' step, or ten times it (so the unique-equilibrium
+        // laws settle inside `settle_steps`).
+        let dt = p.base_rtt / if coarse == 1 { 40.0 } else { 400.0 };
+        let plan = Schedule { dt, sample_steps, sample_every, settle_from, settle_steps };
+        assert_lanes_match(law, &p, &starts, &plan);
+
+        // The two plain schedules.
+        let steps = sample_steps.max(1);
+        let tracks = trajectory(law, &p, &starts, dt, steps, sample_every);
+        let ends = settle(law, &p, &starts, dt, settle_steps);
+        for ((track, &(end, n)), &s0) in tracks.iter().zip(&ends).zip(&starts) {
+            let want = scalar_trajectory(law, &p, s0, dt, steps, sample_every);
+            prop_assert_eq!(all_bits(track), all_bits(&want));
+            let (want_end, want_n) = scalar_settle(law, &p, s0, dt, settle_steps);
+            prop_assert_eq!((bits(end), n), (bits(want_end), want_n));
+        }
+    }
+}
+
+#[test]
+fn lanes_retire_at_their_own_step_or_never() {
+    let p = FluidParams::paper_example();
+    let starts: Vec<State> = [(0.05, 0.0), (0.3, 0.5), (1.0, 0.0), (2.0, 2.0), (8.0, 4.0)]
+        .iter()
+        .map(|&(wf, qf)| State {
+            w: p.bdp() * wf,
+            q: p.bdp() * qf,
+        })
+        .collect();
+    let cap = 2_000;
+    let plan = Schedule {
+        dt: p.base_rtt / 40.0,
+        sample_steps: 120,
+        sample_every: 40,
+        settle_from: 0,
+        settle_steps: cap,
+    };
+    for law in [Law::QueueLength, Law::Delay, Law::Power] {
+        let mut steps = assert_lanes_match(law, &p, &starts, &plan);
+        assert!(steps.iter().all(|&n| n < cap), "{law:?} settles: {steps:?}");
+        steps.sort_unstable();
+        steps.dedup();
+        assert!(steps.len() > 1, "{law:?} lanes settle at different steps");
+    }
+    // No unique equilibrium (Appendix C): the window drifts up by γr·β̂
+    // forever, so no lane ever passes the settle test.
+    let steps = assert_lanes_match(Law::RttGradient, &p, &starts, &plan);
+    assert_eq!(steps, vec![cap; starts.len()]);
+}

@@ -17,8 +17,8 @@ use crate::trace_engine::TraceEntrySpec;
 use dcn_telemetry::{decimate, ChannelTrace, Sample, TraceEntry};
 use fluid_model::{
     analytic_equilibrium, analytic_windows, eigenvalues_2x2, endpoint_spread, equilibrium_windows,
-    grid, inflight, measure_power_convergence, phase_portrait_grid, powertcp_jacobian, settle,
-    trajectory, Law, State,
+    grid, inflight, integrate, measure_power_convergence, phase_portrait_grid, powertcp_jacobian,
+    Lane, Law, Schedule, State,
 };
 use powertcp_core::Tick;
 
@@ -221,24 +221,34 @@ fn phase_entry(
 fn ablation_entry(label: String, tuned: &AnalyticSpec, law: Law) -> TraceEntry {
     let p = tuned.fluid_params();
     let bdp = p.bdp();
-    let dt = p.base_rtt / 400.0;
-
-    // Settle from a canonical under-filled start (0.1 BDP, empty queue).
+    // One pass from a canonical under-filled start (0.1 BDP, empty
+    // queue): sampled over 60 base RTTs, settle-tested from the first
+    // step and cut off after 240.
     let start = State {
         w: 0.1 * bdp,
         q: 0.0,
     };
-    let (end, steps) = settle(law, &p, start, dt, 400 * 240);
+    let plan = Schedule {
+        dt: p.base_rtt / 400.0,
+        sample_steps: 400 * 60,
+        sample_every: 40,
+        settle_from: 0,
+        settle_steps: 400 * 240,
+    };
+    let Lane {
+        samples: states,
+        end,
+        steps,
+    } = integrate(law, &p, &[start], &plan).remove(0);
 
     // Overshoot: peak window along the way, relative to the settled one.
-    let states = trajectory(law, &p, start, dt, 400 * 60, 40);
     let peak_w = states.iter().map(|s| s.w).fold(f64::MIN, f64::max);
     // Response channel: window over time (µs).
     let samples: Vec<Sample> = states
         .iter()
         .enumerate()
         .map(|(i, s)| Sample {
-            x: (i * 40) as f64 * dt * 1e6,
+            x: (i * plan.sample_every) as f64 * plan.dt * 1e6,
             y: s.w,
         })
         .collect();

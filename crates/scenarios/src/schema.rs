@@ -20,7 +20,7 @@ use crate::algo::Algo;
 use crate::spec::{
     AnalyticScenario, AnalyticSpec, EngineKind, IncastSpec, LineupSpec, ParamSpec, PoissonSpec,
     ScenarioKind, ScenarioSpec, SizeSpec, SweepBody, SweepSpec, TimeseriesBody, TopologySpec,
-    TraceScenario, TraceSpec, WorkloadSpec,
+    TraceScenario, TraceSpec, WorkloadSpec, MAX_PHASE_START_OVER_BDP,
 };
 use crate::toml::{self, Value};
 use fluid_model::Law;
@@ -150,8 +150,10 @@ pub(crate) enum Range {
     Pos,
     /// `>= 0`.
     NonNeg,
-    /// `(0, 1]`.
-    Unit,
+    /// `(0, max]`.
+    PosUpTo(f64),
+    /// `[0, max]`.
+    UpTo(f64),
     /// Integers `>= n`.
     Min(u64),
 }
@@ -162,7 +164,8 @@ impl Range {
             && match self {
                 Range::Pos => x > 0.0,
                 Range::NonNeg => x >= 0.0,
-                Range::Unit => x > 0.0 && x <= 1.0,
+                Range::PosUpTo(max) => x > 0.0 && x <= max,
+                Range::UpTo(max) => x >= 0.0 && x <= max,
                 Range::Any | Range::Min(_) => true,
             }
     }
@@ -176,7 +179,8 @@ impl Range {
         match (self, ty) {
             (Range::Pos, _) => "finite and > 0".into(),
             (Range::NonNeg, _) => "finite and >= 0".into(),
-            (Range::Unit, _) => "in (0, 1]".into(),
+            (Range::PosUpTo(max), _) => format!("in (0, {max}]"),
+            (Range::UpTo(max), _) => format!("in [0, {max}]"),
             (Range::Min(m), _) => format!("in [{m}, 2^63)"),
             (Range::Any, Ty::Uint | Ty::Uints) => "below 2^63".into(),
             (Range::Any, Ty::Float | Ty::Floats) => "finite".into(),
@@ -632,7 +636,7 @@ macro_rules! zeroed {
 // default, range, cache role => where the key exists => the field bound.
 
 use Dflt::{Omit, Required, Unset, Write};
-use Range::{Any, Min, NonNeg, Pos, Unit};
+use Range::{Any, Min, NonNeg, Pos, PosUpTo, UpTo};
 use ScenarioKind::{Analytic, Sweep, Timeseries};
 use Val::{Bool as flag, Float as num, Floats as floats, Str as text, Uint as int};
 
@@ -790,9 +794,9 @@ pub(crate) static LINEUP: Section<LineupSpec> = Section {
 /// The `key=value,…` entries of `sweep.params`
 /// ([`ParamSpec::label`] / [`ParamSpec::parse`]).
 pub(crate) static PARAMS: &[Field<ParamSpec>] = &[
-    field!("gamma", Float, Unset, Unit, Axis => ParamSpec { gamma, .. } => gamma),
+    field!("gamma", Float, Unset, PosUpTo(1.0), Axis => ParamSpec { gamma, .. } => gamma),
     field!("n", Uint, Unset, Min(1), Axis => ParamSpec { expected_flows, .. } => expected_flows),
-    field!("eta", Float, Unset, Unit, Axis => ParamSpec { hpcc_eta, .. } => hpcc_eta),
+    field!("eta", Float, Unset, PosUpTo(1.0), Axis => ParamSpec { hpcc_eta, .. } => hpcc_eta),
     field!("alpha", Float, Unset, Pos, Axis => ParamSpec { dt_alpha, .. } => dt_alpha),
 ];
 
@@ -870,28 +874,30 @@ pub(crate) static ANALYTIC: Section<AnalyticSpec> = Section {
             => AnalyticSpec { bandwidth_gbps, .. } => bandwidth_gbps),
         field!("base_rtt_us", Float, Write(num(20.0)), Pos, Physics
             => AnalyticSpec { base_rtt_us, .. } => base_rtt_us),
-        field!("gamma", Float, Write(num(0.9)), Unit, Physics
+        field!("gamma", Float, Write(num(0.9)), PosUpTo(1.0), Physics
             => AnalyticSpec { gamma, .. } => gamma),
         field!("updates_per_rtt", Float, Write(num(10.0)), Pos, Physics
             => AnalyticSpec { updates_per_rtt, .. } => updates_per_rtt),
         field!("beta_frac", Float, Write(num(0.1)), Pos, Physics
             => AnalyticSpec { beta_frac, .. } => beta_frac),
-        field!("hpcc_eta", Float, Write(num(1.0)), Unit, Physics
+        field!("hpcc_eta", Float, Write(num(1.0)), PosUpTo(1.0), Physics
             => AnalyticSpec { hpcc_eta, .. } => hpcc_eta),
         field!("laws", Laws, Write(FIG3_LAWS), Any, Physics
             => AnalyticSpec { scenario: AnalyticScenario::Phase { laws, .. }, .. } => laws),
-        field!("w_over_bdp", Floats, Write(floats(&fluid_model::DEFAULT_W_FRACS)), Pos, Physics
+        field!("w_over_bdp", Floats, Write(floats(&fluid_model::DEFAULT_W_FRACS)),
+            PosUpTo(MAX_PHASE_START_OVER_BDP), Physics
             => AnalyticSpec { scenario: AnalyticScenario::Phase { w_over_bdp, .. }, .. }
             => w_over_bdp),
-        field!("q_over_bdp", Floats, Write(floats(&fluid_model::DEFAULT_Q_FRACS)), NonNeg, Physics
+        field!("q_over_bdp", Floats, Write(floats(&fluid_model::DEFAULT_Q_FRACS)),
+            UpTo(MAX_PHASE_START_OVER_BDP), Physics
             => AnalyticSpec { scenario: AnalyticScenario::Phase { q_over_bdp, .. }, .. }
             => q_over_bdp),
-        field!("gammas", Floats, Write(floats(&[])), Unit, Axis
+        field!("gammas", Floats, Write(floats(&[])), PosUpTo(1.0), Axis
             => AnalyticSpec { scenario: AnalyticScenario::Ablation { gammas, .. }, .. } => gammas),
         field!("beta_fracs", Floats, Write(floats(&[])), Pos, Axis
             => AnalyticSpec { scenario: AnalyticScenario::Ablation { beta_fracs, .. }, .. }
             => beta_fracs),
-        field!("etas", Floats, Write(floats(&[])), Unit, Axis
+        field!("etas", Floats, Write(floats(&[])), PosUpTo(1.0), Axis
             => AnalyticSpec { scenario: AnalyticScenario::Ablation { etas, .. }, .. } => etas),
         field!("tolerance", Float, Write(num(0.05)), Pos, Physics
             => AnalyticSpec { scenario: AnalyticScenario::Laws { tolerance }, .. } => tolerance),

@@ -479,6 +479,15 @@ impl AnalyticSpec {
     }
 }
 
+/// Most starts one phase portrait integrates (`w_over_bdp` entries ×
+/// `q_over_bdp` entries): each start is 601 sampled states and up to
+/// 120,000 RK4 steps, so the grid's size is the run's memory and time.
+pub const MAX_PHASE_CELLS: usize = 1024;
+
+/// Largest phase-grid start, in BDPs. The paper's Figure 3 spans 0.05–4;
+/// far beyond it the model says nothing and the numbers stop being finite.
+pub const MAX_PHASE_START_OVER_BDP: f64 = 1000.0;
+
 /// The analytic experiments: the paper's fluid-model figures and appendix
 /// checks as declarative data.
 #[derive(Clone, Debug, PartialEq)]
@@ -1066,6 +1075,14 @@ impl AnalyticSpec {
                     !(w_over_bdp.is_empty() || q_over_bdp.is_empty()),
                     "analytic phase needs non-empty w_over_bdp and q_over_bdp"
                 );
+                let cells = w_over_bdp.len().saturating_mul(q_over_bdp.len());
+                ensure!(
+                    cells <= MAX_PHASE_CELLS,
+                    "analytic phase grid has {cells} starts ({} w_over_bdp × {} q_over_bdp); \
+                     at most {MAX_PHASE_CELLS}",
+                    w_over_bdp.len(),
+                    q_over_bdp.len()
+                );
             }
             AnalyticScenario::Ablation {
                 gammas,
@@ -1497,6 +1514,34 @@ mod tests {
             etas: vec![],
         };
         assert!(s.validate().unwrap_err().contains("at least one"));
+
+        // A phase grid is bounded before anything is allocated for it: in
+        // its cell count (3,000 × 3,000 starts aborted the process) ...
+        let phase = |w_over_bdp: Vec<f64>, q_over_bdp: Vec<f64>| {
+            let mut s = base();
+            let ScenarioKind::Analytic(a) = &mut s.kind else {
+                unreachable!()
+            };
+            a.scenario = AnalyticScenario::Phase {
+                laws: vec![Law::Power],
+                w_over_bdp,
+                q_over_bdp,
+            };
+            s.validate()
+        };
+        let fracs = |n: usize| (1..=n).map(|i| i as f64 / 8.0).collect::<Vec<f64>>();
+        assert_eq!(phase(fracs(32), fracs(32)), Ok(()));
+        let err = phase(fracs(3000), fracs(3000)).unwrap_err();
+        assert!(
+            err.contains("9000000 starts") && err.contains(&MAX_PHASE_CELLS.to_string()),
+            "{err}"
+        );
+        // ... and in each start (1e300 BDPs integrated to non-finite stats).
+        assert_eq!(phase(vec![MAX_PHASE_START_OVER_BDP], vec![0.0]), Ok(()));
+        for (w, q, key) in [(1e300, 0.0, "w_over_bdp"), (1.0, 1e300, "q_over_bdp")] {
+            let err = phase(vec![w], vec![q]).unwrap_err();
+            assert!(err.contains(key) && err.contains("1000]"), "{err}");
+        }
     }
 
     #[test]

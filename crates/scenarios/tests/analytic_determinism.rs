@@ -1,7 +1,7 @@
-//! Determinism contract of the analytic engine: the built-in `fig3` and
-//! `ablations` fluid-model scenarios produce byte-identical JSON/CSV
-//! regardless of worker thread count, across repeated runs, and — via
-//! the pinned golden files — across PRs (`dcn-runner` extends the same
+//! Determinism contract of the analytic engine: the built-in `fig3`,
+//! `ablations` and `theorems` fluid-model scenarios produce
+//! byte-identical JSON/CSV regardless of worker thread count, across
+//! repeated runs, and — via the pinned golden files — across PRs (`dcn-runner` extends the same
 //! pin to `--procs` sharding and cache states).
 //!
 //! To regenerate the goldens after an intentional fluid-model change
@@ -57,6 +57,13 @@ fn fig3_is_byte_identical_and_pinned() {
 #[test]
 fn ablations_is_byte_identical_and_pinned() {
     check_pinned("ablations");
+}
+
+#[test]
+fn theorems_is_byte_identical_and_pinned() {
+    // The `pass` flags alone would hide a drift in the convergence fit or
+    // the fairness iteration that still passes.
+    check_pinned("theorems");
 }
 
 #[test]
