@@ -110,8 +110,13 @@ fn float_bits(j: &Json) -> Option<f64> {
     j.as_u64().map(f64::from_bits)
 }
 
-fn float_vec(j: &Json) -> Option<Vec<f64>> {
-    j.as_arr()?.iter().map(float_bits).collect()
+/// A sweep sample vector, NaN refused: the engine never emits one and the
+/// report's sort cannot rank one, so a NaN read from outside (a cache
+/// entry, a worker line) is a miss or the in-process fallback instead of
+/// a panic in the reduction. `±inf` and `-0.0` pass.
+fn sample_vec(j: &Json) -> Option<Vec<f64>> {
+    let sample = |x| float_bits(x).filter(|x| !x.is_nan());
+    j.as_arr()?.iter().map(sample).collect()
 }
 
 /// A two-element array read as `(first, second)`.
@@ -134,12 +139,12 @@ pub fn decode(j: &Json) -> Result<Outcome, String> {
             param: dcn_scenarios::ParamSpec::parse(j.field("param", Json::as_str)?)?,
             load: j.field("load", float_bits)?,
             seed: j.field("seed", Json::as_u64)?,
-            buckets: j.field("buckets", |b| b.as_arr()?.iter().map(float_vec).collect())?,
-            short: j.field("short", float_vec)?,
-            medium: j.field("medium", float_vec)?,
-            long: j.field("long", float_vec)?,
-            all: j.field("all", float_vec)?,
-            buffer: j.field("buffer", float_vec)?,
+            buckets: j.field("buckets", |b| b.as_arr()?.iter().map(sample_vec).collect())?,
+            short: j.field("short", sample_vec)?,
+            medium: j.field("medium", sample_vec)?,
+            long: j.field("long", sample_vec)?,
+            all: j.field("all", sample_vec)?,
+            buffer: j.field("buffer", sample_vec)?,
             completed: j.field("completed", Json::as_usize)?,
             offered: j.field("offered", Json::as_usize)?,
             drops: j.field("drops", Json::as_u64)?,
@@ -224,7 +229,7 @@ mod tests {
             0.6,
             42,
         );
-        out.buffer = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        out.buffer = vec![f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
         let encoded = encode(&Outcome::Sweep(Box::new(out.clone())));
         let Outcome::Sweep(back) = decode_str(&encoded).unwrap() else {
             panic!()
@@ -232,6 +237,22 @@ mod tests {
         let bits: Vec<u64> = back.buffer.iter().map(|x| x.to_bits()).collect();
         let want: Vec<u64> = out.buffer.iter().map(|x| x.to_bits()).collect();
         assert_eq!(bits, want);
+        // A NaN sample — any vector, any NaN payload — is refused.
+        for nan in [f64::NAN, -f64::NAN, f64::from_bits(0x7ff0_0000_0000_0001)] {
+            for slot in 0..6 {
+                let mut bad = out.clone();
+                match slot {
+                    0 => bad.buckets[2].push(nan),
+                    1 => bad.short.push(nan),
+                    2 => bad.medium.push(nan),
+                    3 => bad.long.push(nan),
+                    4 => bad.all.push(nan),
+                    _ => bad.buffer.push(nan),
+                }
+                let err = decode_str(&encode(&Outcome::Sweep(Box::new(bad)))).unwrap_err();
+                assert!(err.contains("out of range"), "slot {slot}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -80,7 +80,8 @@ fn shaped(indices: &[usize]) -> String {
 }
 
 /// A small sweep outcome (built by hand: no simulation needed to have
-/// every field populated, NaN and signed zero included).
+/// every field populated, infinities and signed zero included — a NaN
+/// sample is refused, see [`a_nan_sample_is_refused_by_both_outcome_readers`]).
 fn sweep_outcome() -> Outcome {
     let mut buckets = vec![Vec::new(); SIZE_BUCKETS.len()];
     buckets[0] = vec![1.25, 2.5];
@@ -91,7 +92,7 @@ fn sweep_outcome() -> Outcome {
         seed: 42,
         buckets,
         short: vec![1.25, 2.5],
-        medium: vec![f64::NAN],
+        medium: vec![f64::NEG_INFINITY],
         long: vec![-0.0, f64::INFINITY],
         all: vec![1.25, 2.5, 7.0],
         buffer: vec![0.0, 54_000.0],
@@ -303,6 +304,88 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The report sorts every sweep sample vector and NaN has no rank, so a
+/// NaN that reaches decoding — from a cache file or a worker's stdout —
+/// is an `Err` there: a miss, or the in-process fallback.
+#[test]
+fn a_nan_sample_is_refused_by_both_outcome_readers() {
+    let good = sweep_outcome();
+    let Outcome::Sweep(o) = &good else {
+        unreachable!()
+    };
+    assert!(decode_str(&encode(&good)).is_ok());
+    let mut bad = o.clone();
+    bad.medium = vec![f64::NAN];
+    let bad = Outcome::Sweep(bad);
+    assert!(decode_str(&encode(&bad)).is_err());
+    assert!(parse_result_line(&result_line(0, true, 1.0, None, &bad)).is_err());
+}
+
+/// A NaN written into one sample of one warm entry used to abort `xp run`
+/// in the percentile sort (exit 101). Now the entry misses, the point is
+/// recomputed to the uncached bytes, and the rewrite heals the cache.
+#[test]
+fn a_nan_poisoned_cache_entry_is_recomputed_through_the_cli() {
+    let dir = scratch("nan");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("cache");
+    let xp = |tag: &str, cached: bool| {
+        let json = dir.join(format!("{tag}.json"));
+        let meta = dir.join(format!("{tag}.meta.json"));
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_xp"));
+        cmd.args(["run", "fig6-small", "--json", json.to_str().unwrap()]);
+        cmd.args(["--meta", meta.to_str().unwrap()]);
+        if cached {
+            cmd.args(["--cache-dir", cache.to_str().unwrap()]);
+        }
+        let out = cmd.output().expect("spawn xp");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let meta = std::fs::read_to_string(meta).unwrap();
+        let counts = ["hits", "misses"].map(|what| {
+            let key = format!("\"cache_{what}\": ");
+            let at = meta.find(&key).expect("meta counts the cache") + key.len();
+            let digits = meta[at..].bytes().take_while(u8::is_ascii_digit).count();
+            meta[at..at + digits].parse::<u64>().unwrap()
+        });
+        (std::fs::read_to_string(json).unwrap(), counts)
+    };
+    let (plain, _) = xp("plain", false);
+    let (cold, counts) = xp("cold", true);
+    assert_eq!((cold == plain, counts), (true, [0, 2]));
+
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    entries.sort();
+    let text = std::fs::read_to_string(&entries[0]).unwrap();
+    let at = text.find("\"all\":[").expect("a sweep payload") + "\"all\":[".len();
+    let digits = text[at..].bytes().take_while(u8::is_ascii_digit).count();
+    assert!(digits > 0, "the point completed flows");
+    let nan = f64::NAN.to_bits().to_string();
+    std::fs::write(
+        &entries[0],
+        format!("{}{nan}{}", &text[..at], &text[at + digits..]),
+    )
+    .unwrap();
+
+    let (poisoned, counts) = xp("poisoned", true);
+    assert_eq!((poisoned == plain, counts), (true, [1, 1]));
+    assert_eq!(
+        std::fs::read_to_string(&entries[0]).unwrap(),
+        text,
+        "healed"
+    );
+    let (healed, counts) = xp("healed", true);
+    assert_eq!((healed == plain, counts), (true, [2, 0]));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The acceptance shape, end to end: every entry of a warm cache damaged

@@ -200,11 +200,23 @@ impl<'a> Parser<'a> {
     }
 
     fn number(&mut self) -> Result<Json, String> {
+        let in_token =
+            |b: Option<u8>| matches!(b, Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'));
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
+        // The digits are summed as they are scanned: a token that is
+        // nothing but ≤ 19 of them fits a u64 and is done — every counter
+        // and every non-negative `f64`'s bits (< 2^63) the codec writes.
+        // Anything else — a sign, a fraction, an exponent, a 20th digit —
+        // reads below.
+        let mut acc = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            acc = acc.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            self.pos += 1;
+        }
+        if (1..=19).contains(&(self.pos - start)) && !in_token(self.peek()) {
+            return Ok(Json::Int(i128::from(acc)));
+        }
+        while in_token(self.peek()) {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
@@ -659,6 +671,53 @@ mod tests {
         );
         assert_eq!(parse_json("-42").unwrap(), Json::Int(-42));
         assert_eq!(parse_json("4.0").unwrap(), Json::Num(4.0));
+    }
+
+    /// How a number token read before digits were summed in the scan,
+    /// kept as the oracle: `str::parse` of the whole token.
+    fn oracle_number(text: &str) -> Option<Json> {
+        if !text.bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+            if let Ok(i) = text.parse::<i128>() {
+                return Some(Json::Int(i));
+            }
+        }
+        text.parse::<f64>().ok().map(Json::Num)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// 1–40 digits (leading zeros included), optionally signed and
+        /// followed by `.5` or `e3`: the in-scan sum and `str::parse`
+        /// agree on every token, alone and inside an array.
+        #[test]
+        fn integer_shaped_tokens_read_as_str_parse_does(
+            digits in proptest::prop::collection::vec(0u8..10, 1usize..=40),
+            sign in 0usize..2,
+            suffix in 0usize..3,
+        ) {
+            let body: String = digits.iter().map(|d| char::from(b'0' + d)).collect();
+            let text = format!("{}{body}{}", ["", "-"][sign], ["", ".5", "e3"][suffix]);
+            let want = oracle_number(&text).expect("a well-formed number");
+            proptest::prop_assert_eq!(parse_json(&text), Ok(want.clone()), "{}", text);
+            let listed = Json::Arr(vec![want, Json::Int(1)]);
+            proptest::prop_assert_eq!(parse_json(&format!("[{text},1]")), Ok(listed));
+        }
+    }
+
+    #[test]
+    fn scanned_integers_stop_at_u64_digits() {
+        assert_eq!(
+            parse_json("9999999999999999999").unwrap(),
+            Json::Int(9_999_999_999_999_999_999)
+        );
+        assert_eq!(
+            parse_json("18446744073709551616").unwrap(),
+            Json::Int(18_446_744_073_709_551_616)
+        );
+        assert_eq!(parse_json("007").unwrap(), Json::Int(7));
+        assert!(parse_json("12+3").is_err());
+        assert!(parse_json("1-").is_err());
     }
 
     #[test]

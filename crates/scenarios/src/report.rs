@@ -9,7 +9,7 @@
 
 use crate::engine::{PointOutcome, SIZE_BUCKETS};
 use crate::spec::ScenarioSpec;
-use dcn_stats::{percentile, Summary};
+use dcn_stats::{Sorted, Summary};
 use dcn_telemetry::{jf, jstr};
 
 /// Slowdown summary of one Figure-6 size bucket (flows with size ≤
@@ -120,17 +120,13 @@ pub struct SweepResult {
     pub aggregates: Vec<AggregateReport>,
 }
 
-fn credible_tail(xs: &[f64]) -> Option<(f64, f64)> {
-    let pct = Summary::credible_tail_pct(xs.len());
-    percentile(xs, pct).map(|v| (pct, v))
-}
-
 impl SweepResult {
     /// Reduce raw outcomes (in sweep-point order) to reports. Public so
     /// alternative executors (the `dcn-runner` multi-process layer) can
     /// merge worker-computed outcomes through the exact same reduction;
     /// `outcomes` must be in [`crate::sweep::sweep_points`] order.
-    /// Panics if `spec` is no sweep.
+    /// Each sample vector is sorted once ([`Sorted`]) and every cut of it
+    /// read off that one sort. Panics if `spec` is no sweep.
     pub fn build(spec: &ScenarioSpec, outcomes: Vec<PointOutcome>) -> SweepResult {
         let sweep = spec.sweep_body("SweepResult::build");
         // Algorithm-parameter overrides fold into the algo identity
@@ -152,6 +148,7 @@ impl SweepResult {
             .iter()
             .map(|o| {
                 let (algo_key, algo_name) = keyed(o);
+                let buffer = Sorted::of(&o.buffer);
                 PointReport {
                     algo_key,
                     algo_name,
@@ -164,9 +161,9 @@ impl SweepResult {
                     medium: Summary::of(&o.medium),
                     long: Summary::of(&o.long),
                     all: Summary::of(&o.all),
-                    buffer_p50: percentile(&o.buffer, 50.0),
-                    buffer_p99: percentile(&o.buffer, 99.0),
-                    buffer_max: percentile(&o.buffer, 100.0),
+                    buffer_p50: buffer.percentile(50.0),
+                    buffer_p99: buffer.percentile(99.0),
+                    buffer_max: buffer.percentile(100.0),
                 }
             })
             .collect();
@@ -178,8 +175,9 @@ impl SweepResult {
         let mut aggregates = Vec::new();
         for cell in outcomes.chunks(seeds) {
             let first = &cell[0];
-            let pool = |f: fn(&PointOutcome) -> &Vec<f64>| -> Vec<f64> {
-                cell.iter().flat_map(|o| f(o).iter().copied()).collect()
+            // Each pool is built here, so it is sorted in place.
+            let pool = |f: fn(&PointOutcome) -> &Vec<f64>| -> Sorted {
+                Sorted::new(cell.iter().flat_map(|o| f(o).iter().copied()).collect())
             };
             let short = pool(|o| &o.short);
             let medium = pool(|o| &o.medium);
@@ -191,13 +189,12 @@ impl SweepResult {
                 .iter()
                 .enumerate()
                 .map(|(b, &le_bytes)| {
-                    let pooled: Vec<f64> = cell
+                    let pooled = cell
                         .iter()
-                        .flat_map(|o| o.buckets.get(b).into_iter().flatten().copied())
-                        .collect();
+                        .flat_map(|o| o.buckets.get(b).into_iter().flatten().copied());
                     BucketReport {
                         le_bytes,
-                        summary: Summary::of(&pooled),
+                        summary: Sorted::new(pooled.collect()).summary(),
                     }
                 })
                 .collect();
@@ -210,20 +207,20 @@ impl SweepResult {
                 offered: cell.iter().map(|o| o.offered).sum(),
                 completed: cell.iter().map(|o| o.completed).sum(),
                 drops: cell.iter().map(|o| o.drops).sum(),
-                short_tail: credible_tail(&short),
-                long_tail: credible_tail(&long),
-                short: Summary::of(&short),
-                medium: Summary::of(&medium),
-                long: Summary::of(&long),
-                all: Summary::of(&all),
-                buffer_p50: percentile(&buffer, 50.0),
-                buffer_p99: percentile(&buffer, 99.0),
-                buffer_max: percentile(&buffer, 100.0),
+                short_tail: short.credible_tail(),
+                long_tail: long.credible_tail(),
+                short: short.summary(),
+                medium: medium.summary(),
+                long: long.summary(),
+                all: all.summary(),
+                buffer_p50: buffer.percentile(50.0),
+                buffer_p99: buffer.percentile(99.0),
+                buffer_max: buffer.percentile(100.0),
                 buckets,
                 buffer_cdf: sweep.buffer_cdf.then(|| {
                     BUFFER_CDF_PCTS
                         .iter()
-                        .filter_map(|&p| percentile(&buffer, p).map(|v| (p, v)))
+                        .filter_map(|&p| buffer.percentile(p).map(|v| (p, v)))
                         .collect()
                 }),
             });

@@ -682,9 +682,9 @@ fn rdcn_trace(
     let day_utilization = circuit_bytes as f64 / (circuit_bw.bytes_per_sec() * day_seconds);
     let mean_goodput = (circuit_bytes + uplink_bytes) as f64 * 8.0 / horizon.as_secs_f64() / 1e9;
 
-    let latency: Vec<f64> = sink.borrow().clone();
+    let latency = dcn_stats::Sorted::of(&sink.borrow());
     let (completed, offered) = metrics.borrow().completion_ratio();
-    let tail = |pct: f64| dcn_stats::percentile(&latency, pct).unwrap_or(0.0) * 1e6;
+    let tail = |pct: f64| latency.percentile(pct).unwrap_or(0.0) * 1e6;
     let stats = vec![
         ("day_utilization".into(), day_utilization),
         ("mean_goodput_gbps".into(), mean_goodput),

@@ -47,7 +47,7 @@ pub mod prelude {
         Dumbbell, DumbbellConfig, EcnConfig, Endpoint, EndpointCtx, FatTree, FatTreeConfig, FlowId,
         Network, NodeId, Packet, PacketKind, PfcConfig, PortId, Simulator, Star, SwitchConfig,
     };
-    pub use dcn_stats::{ideal_fct, jain_index, percentile, slowdown, Summary};
+    pub use dcn_stats::{ideal_fct, jain_index, slowdown, Sorted, Summary};
     pub use dcn_transport::{
         FlowSpec, HomaConfig, HomaHost, MetricsHub, SharedMetrics, TransportConfig, TransportHost,
     };
