@@ -29,10 +29,6 @@ fn main() -> ExitCode {
         "diff" => Ok(diff(&p)),
         "cache stat" => Ok(cache_stat(&p)),
         "cache clear" => Ok(cache_clear(&p)),
-        "lint" => Ok(ExitCode::from(dcn_lint::cli_main(
-            p.switch("--json"),
-            p.path("--root"),
-        ))),
         "worker" => Ok(worker()),
         row => unreachable!("xp {row} is a table row without a handler"),
     });

@@ -110,10 +110,6 @@ pub static XP: &[Command] = commands! {
     "cache clear" [] "delete every cache entry" {
         "--cache-dir" Text("DIR"), "which cache (default .xp-cache)";
     }
-    "lint" [] "salt coverage, offline deps, lint inheritance" {
-        "--json" Switch, "NDJSON violation records";
-        "--root" Text("DIR"), "workspace root (default: ascend from cwd)";
-    }
     "worker" [] "internal: one shard of an `xp run --procs` (manifest on stdin)" {}
 };
 

@@ -6,8 +6,6 @@
 //! * `xp cache stat --json` emits one NDJSON record in the span-record
 //!   grammar family (entries, bytes, per-engine counts) while the human
 //!   text rendering stays unchanged;
-//! * `xp lint` exits 0 on this workspace and 1, with `R5`/`R6`/`R8`
-//!   records, on a dirty one;
 //! * every row of the CLI table (`dcn_runner::cli::XP`) refuses misuse
 //!   the same way — `error: …` naming the argument, the usage text,
 //!   exit 2 — and nothing on a command line goes unread;
@@ -131,65 +129,6 @@ fn cache_stat_json_is_one_record_with_per_engine_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
-}
-
-#[test]
-fn lint_exits_zero_on_the_real_workspace() {
-    let out = Command::new(XP)
-        .args(["lint", "--root"])
-        .arg(workspace_root())
-        .output()
-        .expect("run xp lint");
-    assert!(
-        out.status.success(),
-        "xp lint failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
-fn lint_exits_nonzero_on_a_dirty_tree() {
-    // A tiny throwaway workspace: a registry dependency (R6) in a package
-    // that does not inherit the workspace lints (R8), exporting a version
-    // salt no key.rs mentions (R5).
-    let dir = scratch("dirty-ws");
-    let src = dir.join("crates/app/src");
-    std::fs::create_dir_all(&src).expect("mkdir");
-    std::fs::write(
-        dir.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"crates/app\"]\n",
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("crates/app").join("Cargo.toml"),
-        "[package]\nname = \"app\"\n\n[dependencies]\nrand = \"0.8\"\n",
-    )
-    .unwrap();
-    std::fs::write(src.join("lib.rs"), "pub const APP_VERSION: u32 = 1;\n").unwrap();
-    let key = dir.join("crates/runner/src");
-    std::fs::create_dir_all(&key).expect("mkdir");
-    std::fs::write(key.join("key.rs"), "// salts nothing\n").unwrap();
-
-    let out = Command::new(XP)
-        .args(["lint", "--json", "--root"])
-        .arg(&dir)
-        .output()
-        .expect("run xp lint");
-    assert_eq!(out.status.code(), Some(1), "expected exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in ["R5", "R6", "R8"] {
-        assert!(stdout.contains(&format!("\"rule\":\"{rule}\"")), "{stdout}");
-    }
-    assert_eq!(stdout.matches("\"record\":\"violation\"").count(), 3);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Run `xp` with `args`, require a usage error: exit 2, nothing on
 /// stdout, `error: ` + every needle on the first stderr line, then the
 /// usage text.
@@ -274,6 +213,7 @@ fn arguments_nobody_looked_at_are_errors() {
     refused(&["diff", "a.json"], &["missing <b>"]);
     refused(&[], &["missing subcommand"]);
     refused(&["bench", "--check"], &["unknown subcommand \"bench\""]);
+    refused(&["lint"], &["unknown subcommand \"lint\""]);
 }
 
 /// `-` means stdout, and only the document goes there: the table moves

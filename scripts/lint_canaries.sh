@@ -7,11 +7,12 @@
 # Extracts <rev> under target/lint_canaries/tree (git archive, as ab.sh does:
 # nothing is registered in .git and the working tree is never touched) and
 # builds it into target/lint_canaries/target, so a second run on the same
-# revision is warm. Each canary is appended to a file of the copy, the
+# revision is warm. Each canary is planted in a file of the copy, the
 # command is run and must exit non-zero *with the named diagnostic* (a build
 # broken some other way is not a pass), and the file is restored. Six go
 # through cargo clippy / cargo check (clippy.toml and [workspace.lints]),
-# three through `xp lint` (the workspace-shape rules).
+# three through `cargo test --test workspace_shape` (the workspace-shape
+# rules; a registry dependency is refused by the offline resolve first).
 #
 # Exit status: 0 when all nine were rejected as expected, else 1.
 set -eu
@@ -27,21 +28,26 @@ CARGO_TARGET_DIR="$work/target"
 export CARGO_TARGET_DIR
 
 cd "$tree"
+shape() { cargo test --offline -q -p dcn-runner --test workspace_shape; }
 # The copy itself must be clean, or a canary's failure proves nothing.
 cargo clippy --quiet --offline -p dcn-stats -p powertcp-core --all-targets -- -D warnings
-cargo build --quiet --offline --bin xp
-xp="$CARGO_TARGET_DIR/debug/xp"
-"$xp" lint --root "$tree" 2>/dev/null
+shape
 
 bad=0
-# canary <name> <file> <diagnostic> <command...>: append stdin to <file> (a
-# new file is removed afterwards), run the command, expect the diagnostic.
+# canary [-e <sed script>] <name> <file> <diagnostic> <command...>: append
+# stdin to <file> (a new file is removed afterwards), or with -e edit <file>
+# in place, then run the command and expect the diagnostic.
 canary() {
+    script=
+    if [ "$1" = -e ]; then
+        script=$2
+        shift 2
+    fi
     name=$1 file=$2 want=$3
     shift 3
     mkdir -p "$(dirname "$file")"
     if [ -f "$file" ]; then cp "$file" "$work/saved"; else rm -f "$work/saved"; fi
-    cat >>"$file"
+    if [ -n "$script" ]; then sed -i "$script" "$file"; else cat >>"$file"; fi
     if "$@" >"$work/log" 2>&1; then
         echo "FAIL $name: the command passed"
         bad=1
@@ -56,6 +62,7 @@ canary() {
 }
 clippy() { cargo clippy --quiet --offline -p "$1" --all-targets -- -D warnings; }
 src=crates/stats/src/lib.rs
+manifest=crates/stats/Cargo.toml
 
 canary aliased-clock $src 'disallowed method `std::time::Instant::now`' clippy dcn-stats <<'EOF'
 pub fn canary() -> std::time::Instant {
@@ -96,19 +103,13 @@ canary allow-without-reason $src 'attribute without specifying a reason' clippy 
 fn canary() {}
 EOF
 
-canary registry-dep crates/x/Cargo.toml 'rule\[R6\] dependency `serde`' "$xp" lint --root "$tree" <<'EOF'
-[package]
-name = "x"
-[lints]
-workspace = true
-[dependencies]
+canary registry-dep $manifest 'package named `serde`' shape <<'EOF'
+[target.'cfg(unix)'.dependencies]
 serde = "1"
 EOF
-canary no-lints-table crates/x/Cargo.toml 'rule\[R8\]' "$xp" lint --root "$tree" <<'EOF'
-[package]
-name = "x"
-EOF
-canary unsalted-version $src 'rule\[R5\] engine version salt `FOO_VERSION`' "$xp" lint --root "$tree" <<'EOF'
+canary -e '/^\[lints\]$/d; /^workspace = true$/d' no-lints-table $manifest \
+    "$manifest:1: rule\\[R8\\]" shape </dev/null
+canary unsalted-version $src 'rule\[R5\] engine version salt `FOO_VERSION`' shape <<'EOF'
 pub const FOO_VERSION: u32 = 1;
 EOF
 
