@@ -6,16 +6,19 @@
 //! {"format": 1, "canon": "<canonical key encoding>", "payload": {...}}
 //! ```
 //!
-//! The stored `canon` string is compared **byte-for-byte** against the
-//! recomputed canonical encoding on every load; anything that fails to
-//! read, parse, validate, or decode is a miss (the point recomputes and
-//! the entry is overwritten). Writes go through a per-process temp file
+//! A load reads the file in one pass with `dcn_scenarios::diff::Parser`:
+//! `format`, then `canon` compared **byte-for-byte** against the
+//! recomputed canonical encoding as it is scanned, then the payload
+//! decoded in place by [`codec`] — the members in exactly this order, and
+//! nothing after the closing `}`. Anything that fails to read, parse,
+//! validate, or decode is a miss (the point recomputes and the entry is
+//! overwritten). Writes go through a per-process temp file
 //! plus atomic rename, so concurrently-running workers (or sweeps) never
 //! observe half-written entries.
 
 use crate::codec::{self, Outcome};
 use crate::key::CacheKey;
-use dcn_scenarios::diff::parse_json;
+use dcn_scenarios::diff::Parser;
 use dcn_telemetry::jstr;
 use std::fs;
 use std::io;
@@ -96,20 +99,23 @@ impl ResultCache {
     }
 
     /// Load and validate the outcome stored under `key`. Any failure —
-    /// missing file, unparseable JSON, format or canonical-key mismatch,
-    /// undecodable payload — is `None` (a miss), never an error.
+    /// missing file, malformed JSON, format or canonical-key mismatch,
+    /// undecodable payload, a member out of place — is `None` (a miss),
+    /// never an error.
     pub fn load(&self, key: &CacheKey) -> Option<Outcome> {
-        let text = fs::read_to_string(self.dir.join(key.file_name())).ok()?;
-        let entry = parse_json(&text).ok()?;
-        if entry.get("format")?.as_u64()? != u64::from(CACHE_FORMAT) {
-            return None;
-        }
+        let bytes = fs::read(self.dir.join(key.file_name())).ok()?;
+        let mut p = Parser::new(&bytes);
+        open_envelope(&mut p).ok()?;
         // Byte-for-byte key validation: a colliding or stale entry must
         // not be served.
-        if entry.get("canon")?.as_str()? != key.canon {
+        if !p.str_eq(&key.canon).ok()? {
             return None;
         }
-        codec::decode(entry.get("payload")?).ok()
+        p.key("payload").ok()?;
+        let outcome = codec::read(&mut p).ok()?;
+        p.close_obj().ok()?;
+        p.finish().ok()?;
+        Some(outcome)
     }
 
     /// Persist `outcome` under `key` (atomic rename; concurrent writers
@@ -186,11 +192,13 @@ impl ResultCache {
     }
 
     /// The salt line (line 2 of the canonical key) of the entry at
-    /// `path`; `None` when the file cannot be read or parsed.
+    /// `path`; `None` when the file cannot be read or its envelope is
+    /// malformed up to and including `canon` (the payload is not read).
     fn entry_salt(path: &Path) -> Option<String> {
-        let text = fs::read_to_string(path).ok()?;
-        let entry = parse_json(&text).ok()?;
-        let canon = entry.get("canon")?.as_str()?;
+        let bytes = fs::read(path).ok()?;
+        let mut p = Parser::new(&bytes);
+        open_envelope(&mut p).ok()?;
+        let canon = p.str().ok()?;
         canon.lines().nth(1).map(str::to_string)
     }
 
@@ -213,6 +221,16 @@ impl ResultCache {
         paths.sort();
         paths
     }
+}
+
+/// An entry's envelope up to its canonical key: `{`, `"format"` equal to
+/// [`CACHE_FORMAT`], then `"canon":`, leaving `p` at the key's string.
+fn open_envelope(p: &mut Parser) -> Result<(), String> {
+    p.open_obj()?;
+    if p.field("format", Parser::u64)? != u64::from(CACHE_FORMAT) {
+        return Err("another cache format".into());
+    }
+    p.key("canon")
 }
 
 #[cfg(test)]

@@ -5,12 +5,17 @@
 //! on it — so every `f64` is encoded as its IEEE-754 bit pattern (a JSON
 //! integer), never as a decimal rendering. The encoding is single-line
 //! JSON: one outcome is one line of the worker stdout protocol and the
-//! `payload` member of a cache entry. Parsing reuses the strict JSON
-//! parser of `dcn-scenarios::diff` (its `Int` arm keeps `u64` bit
-//! patterns exact).
+//! `payload` member of a cache entry.
+//!
+//! Decoding drives `dcn_scenarios::diff::Parser`, the workspace's one
+//! JSON reader, straight into the outcome's fields: members are read in
+//! the order [`encode`] writes them, and anything else — a member missing,
+//! unknown, repeated or out of order, bytes after the closing `}` — is
+//! refused. A refusal is a cache miss, or the in-process fallback for a
+//! worker line; it never yields a different outcome.
 
-use dcn_scenarios::diff::{parse_json, Json};
-use dcn_scenarios::{Algo, PointOutcome};
+use dcn_scenarios::diff::Parser;
+use dcn_scenarios::{Algo, ParamSpec, PointOutcome};
 use dcn_telemetry::{jstr, ChannelTrace, Sample, TraceEntry};
 
 /// The transportable point result, under its original path (it lives
@@ -106,82 +111,116 @@ pub fn encode(outcome: &Outcome) -> String {
 
 // ---- decoding ----
 
-fn float_bits(j: &Json) -> Option<f64> {
-    j.as_u64().map(f64::from_bits)
+/// Read one outcome at `p`'s position: the members in the order
+/// [`encode`] writes them, each straight into its field. A member that is
+/// missing, unknown, repeated or out of place is an `Err`.
+pub(crate) fn read(p: &mut Parser) -> Result<Outcome, String> {
+    p.open_obj()?;
+    let outcome = match p.field("kind", Parser::str)?.as_str() {
+        "sweep" => Outcome::Sweep(Box::new(read_sweep(p)?)),
+        "trace" => Outcome::Trace(Box::new(read_trace(p)?)),
+        other => return Err(format!("unknown outcome kind {other:?}")),
+    };
+    p.close_obj()?;
+    Ok(outcome)
+}
+
+/// Decode an outcome from its textual encoding; nothing but whitespace
+/// may follow it.
+pub fn decode_str(s: &str) -> Result<Outcome, String> {
+    let mut p = Parser::new(s.as_bytes());
+    let outcome = read(&mut p)?;
+    p.finish()?;
+    Ok(outcome)
+}
+
+// A struct expression evaluates its fields in the order written, so the
+// two readers below pull the members in `encode`'s order.
+
+fn read_sweep(p: &mut Parser) -> Result<PointOutcome, String> {
+    Ok(PointOutcome {
+        algo: Algo::parse(&p.field("algo", Parser::str)?)?,
+        param: ParamSpec::parse(&p.field("param", Parser::str)?)?,
+        load: p.field("load", bits)?,
+        seed: p.field("seed", Parser::u64)?,
+        buckets: p.field("buckets", |p| list(p, samples))?,
+        short: p.field("short", samples)?,
+        medium: p.field("medium", samples)?,
+        long: p.field("long", samples)?,
+        all: p.field("all", samples)?,
+        buffer: p.field("buffer", samples)?,
+        completed: p.field("completed", Parser::usize)?,
+        offered: p.field("offered", Parser::usize)?,
+        drops: p.field("drops", Parser::u64)?,
+    })
+}
+
+fn read_trace(p: &mut Parser) -> Result<TraceEntry, String> {
+    Ok(TraceEntry {
+        label: p.field("label", Parser::str)?,
+        stats: p.field("stats", |p| list(p, |p| pair(p, Parser::str, bits)))?,
+        channels: {
+            p.key("channels")?;
+            list(p, read_channel)?
+        },
+    })
+}
+
+fn read_channel(p: &mut Parser) -> Result<ChannelTrace, String> {
+    p.open_obj()?;
+    let channel = ChannelTrace {
+        name: p.field("name", Parser::str)?,
+        unit: p.field("unit", Parser::str)?,
+        x_unit: p.field("x_unit", Parser::str)?,
+        total_samples: p.field("total_samples", Parser::u64)?,
+        evicted: p.field("evicted", Parser::u64)?,
+        samples: p.field("samples", |p| {
+            list(p, |p| pair(p, bits, bits).map(|(x, y)| Sample { x, y }))
+        })?,
+    };
+    p.close_obj()?;
+    Ok(channel)
+}
+
+/// An `f64` from its bit pattern.
+fn bits(p: &mut Parser) -> Result<f64, String> {
+    p.u64().map(f64::from_bits)
 }
 
 /// A sweep sample vector, NaN refused: the engine never emits one and the
 /// report's sort cannot rank one, so a NaN read from outside (a cache
 /// entry, a worker line) is a miss or the in-process fallback instead of
 /// a panic in the reduction. `±inf` and `-0.0` pass.
-fn sample_vec(j: &Json) -> Option<Vec<f64>> {
-    let sample = |x| float_bits(x).filter(|x| !x.is_nan());
-    j.as_arr()?.iter().map(sample).collect()
+fn samples(p: &mut Parser) -> Result<Vec<f64>, String> {
+    list(p, |p| match bits(p)? {
+        x if x.is_nan() => Err("a NaN sample".into()),
+        x => Ok(x),
+    })
 }
 
-/// A two-element array read as `(first, second)`.
+/// An array, each item read by `item`.
+fn list<'a, T>(
+    p: &mut Parser<'a>,
+    mut item: impl FnMut(&mut Parser<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    p.open_arr()?;
+    let mut out = Vec::new();
+    while p.item()? {
+        out.push(item(p)?);
+    }
+    Ok(out)
+}
+
+/// A two-item array read as `(first, second)`.
 fn pair<'a, A, B>(
-    first: impl Fn(&'a Json) -> Option<A>,
-    second: impl Fn(&'a Json) -> Option<B>,
-) -> impl Fn(&'a Json) -> Option<(A, B)> {
-    move |j| match j.as_arr()? {
-        [a, b] => Some((first(a)?, second(b)?)),
-        _ => None,
-    }
-}
-
-/// Decode an outcome from its parsed JSON encoding.
-pub fn decode(j: &Json) -> Result<Outcome, String> {
-    let text = |j: &Json, key| j.field(key, Json::as_str).map(str::to_string);
-    match j.field("kind", Json::as_str)? {
-        "sweep" => Ok(Outcome::Sweep(Box::new(PointOutcome {
-            algo: Algo::parse(j.field("algo", Json::as_str)?)?,
-            param: dcn_scenarios::ParamSpec::parse(j.field("param", Json::as_str)?)?,
-            load: j.field("load", float_bits)?,
-            seed: j.field("seed", Json::as_u64)?,
-            buckets: j.field("buckets", |b| b.as_arr()?.iter().map(sample_vec).collect())?,
-            short: j.field("short", sample_vec)?,
-            medium: j.field("medium", sample_vec)?,
-            long: j.field("long", sample_vec)?,
-            all: j.field("all", sample_vec)?,
-            buffer: j.field("buffer", sample_vec)?,
-            completed: j.field("completed", Json::as_usize)?,
-            offered: j.field("offered", Json::as_usize)?,
-            drops: j.field("drops", Json::as_u64)?,
-        }))),
-        "trace" => {
-            let stat = pair(|k| k.as_str().map(str::to_string), float_bits);
-            let sample = pair(float_bits, float_bits);
-            let channels = j
-                .field("channels", Json::as_arr)?
-                .iter()
-                .map(|c| {
-                    Ok(ChannelTrace {
-                        name: text(c, "name")?,
-                        unit: text(c, "unit")?,
-                        x_unit: text(c, "x_unit")?,
-                        total_samples: c.field("total_samples", Json::as_u64)?,
-                        evicted: c.field("evicted", Json::as_u64)?,
-                        samples: c.field("samples", |s| {
-                            let xy = s.as_arr()?.iter().map(&sample);
-                            xy.map(|p| p.map(|(x, y)| Sample { x, y })).collect()
-                        })?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(Outcome::Trace(Box::new(TraceEntry {
-                label: text(j, "label")?,
-                stats: j.field("stats", |s| s.as_arr()?.iter().map(&stat).collect())?,
-                channels,
-            })))
-        }
-        other => Err(format!("unknown outcome kind {other:?}")),
-    }
-}
-
-/// Decode an outcome from its textual encoding.
-pub fn decode_str(s: &str) -> Result<Outcome, String> {
-    decode(&parse_json(s)?)
+    p: &mut Parser<'a>,
+    first: impl FnOnce(&mut Parser<'a>) -> Result<A, String>,
+    second: impl FnOnce(&mut Parser<'a>) -> Result<B, String>,
+) -> Result<(A, B), String> {
+    p.open_arr()?;
+    let both = (first(p)?, second(p)?);
+    p.close_arr()?;
+    Ok(both)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@
 use crate::cache::ResultCache;
 use crate::codec::{self, Outcome};
 use crate::exec::CachingSource;
-use dcn_scenarios::diff::{parse_json, Json};
+use dcn_scenarios::diff::{parse_json, Json, Parser};
 use dcn_scenarios::{
     sim_stats_from_json, sim_stats_json, work_items, CacheStatus, PointSource, ScenarioSpec,
 };
@@ -135,20 +135,35 @@ pub fn result_line(
     )
 }
 
-/// Parse one worker result line.
+/// Parse one worker result line: its members in the order
+/// [`result_line`] writes them, the outcome decoded in place. A `wall_ms`
+/// that is negative or not finite is refused, here and inside `sim`: the
+/// parent would render it into its own NDJSON as a non-number.
 pub fn parse_result_line(line: &str) -> Result<WorkerResult, String> {
-    let r = parse_json(line.trim())?;
-    let sim = match r.field("sim", Some)? {
-        Json::Null => None,
-        j => Some(sim_stats_from_json(j).ok_or("sim must be a stats object or null")?),
+    let mut p = Parser::new(line.trim().as_bytes());
+    p.open_obj()?;
+    // A struct expression evaluates its fields in the order written. (A
+    // refusal's text is `field`'s, naming the member.)
+    let r = WorkerResult {
+        index: p.field("index", Parser::usize)?,
+        cached: p.field("cached", |p| p.value()?.as_bool().ok_or_else(String::new))?,
+        wall_ms: p.field("wall_ms", |p| {
+            let ms = p.value()?.as_f64();
+            ms.filter(|ms| ms.is_finite() && *ms >= 0.0)
+                .ok_or_else(String::new)
+        })?,
+        sim: match p.field("sim", Parser::value)? {
+            Json::Null => None,
+            j => Some(sim_stats_from_json(&j).ok_or("sim must be a stats object or null")?),
+        },
+        outcome: {
+            p.key("outcome")?;
+            codec::read(&mut p)?
+        },
     };
-    Ok(WorkerResult {
-        index: r.field("index", Json::as_usize)?,
-        cached: r.field("cached", Json::as_bool)?,
-        wall_ms: r.field("wall_ms", Json::as_f64)?,
-        sim,
-        outcome: codec::decode(r.field("outcome", Some)?)?,
-    })
+    p.close_obj()?;
+    p.finish()?;
+    Ok(r)
 }
 
 /// Render a point-index list for shard-context messages (`0, 2, 4`).

@@ -85,9 +85,10 @@ fn cache_stat_json_is_one_record_with_per_engine_counts() {
     assert_eq!(int(&obj, "entries"), 0);
     assert_eq!(int(&obj, "bytes"), 0);
 
-    // Populate with a packet-engine sweep and a flow-engine sweep, then
-    // re-stat: entries split by engine salt.
-    for spec in ["fig6-small", "fig7-flow"] {
+    // Populate with a packet-engine sweep, a flow-engine sweep and an
+    // analytic grid, plus one file that is no entry, then re-stat:
+    // entries split by engine salt.
+    for spec in ["fig6-small", "fig7-flow", "theorems"] {
         let run = Command::new(XP)
             .args(["run", spec, "--cache-dir", cache_arg])
             .output()
@@ -98,19 +99,22 @@ fn cache_stat_json_is_one_record_with_per_engine_counts() {
             String::from_utf8_lossy(&run.stderr)
         );
     }
+    std::fs::write(cache.join("0123456789abcdef.json"), "[\"not an entry\"]").unwrap();
     let packet_points = builtin("fig6-small").unwrap().num_points();
     let flow_points = builtin("fig7-flow").unwrap().num_points();
+    let analytic_points = builtin("theorems").unwrap().num_points();
     let out = Command::new(XP)
         .args(["cache", "stat", "--json", "--cache-dir", cache_arg])
         .output()
         .unwrap();
     let text = String::from_utf8(out.stdout).unwrap();
     let obj = parse_json(text.trim()).expect("record parses");
-    assert_eq!(int(&obj, "entries"), packet_points + flow_points);
+    let entries = packet_points + flow_points + analytic_points + 1;
+    assert_eq!(int(&obj, "entries"), entries);
     assert_eq!(int(&obj, "packet"), packet_points);
     assert_eq!(int(&obj, "flow"), flow_points);
-    assert_eq!(int(&obj, "analytic"), 0);
-    assert_eq!(int(&obj, "other"), 0);
+    assert_eq!(int(&obj, "analytic"), analytic_points);
+    assert_eq!(int(&obj, "other"), 1);
     assert!(int(&obj, "bytes") > 0);
 
     // The human rendering is unchanged by the new flag's existence.
@@ -120,7 +124,7 @@ fn cache_stat_json_is_one_record_with_per_engine_counts() {
         .unwrap();
     let human_text = String::from_utf8(human.stdout).unwrap();
     assert!(
-        human_text.contains(&format!("{} entries", packet_points + flow_points)),
+        human_text.contains(&format!("{entries} entries")),
         "{human_text}"
     );
     assert!(human_text.contains("bytes"), "{human_text}");

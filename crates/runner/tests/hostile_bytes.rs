@@ -426,3 +426,437 @@ fn a_run_over_a_damaged_cache_is_byte_identical_to_an_uncached_run() {
     assert_eq!((healed.cache_hits, healed.cache_misses), (3, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// The pull decode is never more accepting than the tree decode it
+// replaced, and a worker line cannot put a non-number into the stream.
+// ---------------------------------------------------------------------
+
+use dcn_runner::worker::WorkerResult;
+use dcn_runner::{CacheKey, CACHE_FORMAT};
+use dcn_scenarios::diff::Json;
+use dcn_scenarios::sim_stats_from_json;
+use dcn_telemetry::{ChannelTrace, Sample, TraceEntry};
+
+/// The oracle: the tree decode as it stood before the pull reader,
+/// verbatim — parse the whole document, then look each member up.
+mod tree {
+    use super::*;
+
+    fn float_bits(j: &Json) -> Option<f64> {
+        j.as_u64().map(f64::from_bits)
+    }
+
+    fn sample_vec(j: &Json) -> Option<Vec<f64>> {
+        let sample = |x| float_bits(x).filter(|x| !x.is_nan());
+        j.as_arr()?.iter().map(sample).collect()
+    }
+
+    fn pair<'a, A, B>(
+        first: impl Fn(&'a Json) -> Option<A>,
+        second: impl Fn(&'a Json) -> Option<B>,
+    ) -> impl Fn(&'a Json) -> Option<(A, B)> {
+        move |j| match j.as_arr()? {
+            [a, b] => Some((first(a)?, second(b)?)),
+            _ => None,
+        }
+    }
+
+    pub fn decode(j: &Json) -> Result<Outcome, String> {
+        let text = |j: &Json, key| j.field(key, Json::as_str).map(str::to_string);
+        match j.field("kind", Json::as_str)? {
+            "sweep" => Ok(Outcome::Sweep(Box::new(PointOutcome {
+                algo: Algo::parse(j.field("algo", Json::as_str)?)?,
+                param: dcn_scenarios::ParamSpec::parse(j.field("param", Json::as_str)?)?,
+                load: j.field("load", float_bits)?,
+                seed: j.field("seed", Json::as_u64)?,
+                buckets: j.field("buckets", |b| b.as_arr()?.iter().map(sample_vec).collect())?,
+                short: j.field("short", sample_vec)?,
+                medium: j.field("medium", sample_vec)?,
+                long: j.field("long", sample_vec)?,
+                all: j.field("all", sample_vec)?,
+                buffer: j.field("buffer", sample_vec)?,
+                completed: j.field("completed", Json::as_usize)?,
+                offered: j.field("offered", Json::as_usize)?,
+                drops: j.field("drops", Json::as_u64)?,
+            }))),
+            "trace" => {
+                let stat = pair(|k| k.as_str().map(str::to_string), float_bits);
+                let sample = pair(float_bits, float_bits);
+                let channels = j
+                    .field("channels", Json::as_arr)?
+                    .iter()
+                    .map(|c| {
+                        Ok(ChannelTrace {
+                            name: text(c, "name")?,
+                            unit: text(c, "unit")?,
+                            x_unit: text(c, "x_unit")?,
+                            total_samples: c.field("total_samples", Json::as_u64)?,
+                            evicted: c.field("evicted", Json::as_u64)?,
+                            samples: c.field("samples", |s| {
+                                let xy = s.as_arr()?.iter().map(&sample);
+                                xy.map(|p| p.map(|(x, y)| Sample { x, y })).collect()
+                            })?,
+                        })
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
+                Ok(Outcome::Trace(Box::new(TraceEntry {
+                    label: text(j, "label")?,
+                    stats: j.field("stats", |s| s.as_arr()?.iter().map(&stat).collect())?,
+                    channels,
+                })))
+            }
+            other => Err(format!("unknown outcome kind {other:?}")),
+        }
+    }
+
+    pub fn decode_str(s: &str) -> Result<Outcome, String> {
+        decode(&parse_json(s)?)
+    }
+
+    pub fn parse_result_line(line: &str) -> Result<WorkerResult, String> {
+        let r = parse_json(line.trim())?;
+        let sim = match r.field("sim", Some)? {
+            Json::Null => None,
+            j => Some(sim_stats_from_json(j).ok_or("sim must be a stats object or null")?),
+        };
+        Ok(WorkerResult {
+            index: r.field("index", Json::as_usize)?,
+            cached: r.field("cached", Json::as_bool)?,
+            wall_ms: r.field("wall_ms", Json::as_f64)?,
+            sim,
+            outcome: decode(r.field("outcome", Some)?)?,
+        })
+    }
+
+    /// `ResultCache::load` on a file holding `text`.
+    pub fn load(text: &str, key: &CacheKey) -> Option<Outcome> {
+        let entry = parse_json(text).ok()?;
+        if entry.get("format")?.as_u64()? != u64::from(CACHE_FORMAT) {
+            return None;
+        }
+        if entry.get("canon")?.as_str()? != key.canon {
+            return None;
+        }
+        decode(entry.get("payload")?).ok()
+    }
+}
+
+/// Characters a label may need escaped (`"`, `\`, controls as `\u00XX`),
+/// plus plain and multi-byte ones.
+const LABEL_CHARS: &[char] = &[
+    'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', '🦀',
+];
+
+fn label(picks: &[usize]) -> String {
+    picks
+        .iter()
+        .map(|&i| LABEL_CHARS[i % LABEL_CHARS.len()])
+        .collect()
+}
+
+/// A float drawn to hit the bit patterns a decimal reader would lose:
+/// ±inf, ±0, NaN payloads (where the codec lets NaN through) and raw bits.
+fn float((pick, bits): (usize, u64), nan_ok: bool) -> f64 {
+    match pick % 8 {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        2 => -0.0,
+        3 => 0.0,
+        4 => 1.25,
+        5 if nan_ok => f64::from_bits(0x7ff8_0000_0000_0000 | bits >> 13),
+        _ => Some(f64::from_bits(bits))
+            .filter(|x| !x.is_nan())
+            .unwrap_or(0.5),
+    }
+}
+
+type FloatDraw = (usize, u64);
+type SweepDraw = (
+    (usize, usize, FloatDraw, u64),
+    Vec<Vec<FloatDraw>>,
+    (usize, usize, u64),
+);
+type ChannelDraw = (
+    (Vec<usize>, Vec<usize>, Vec<usize>),
+    (u64, u64),
+    Vec<(FloatDraw, FloatDraw)>,
+);
+type TraceDraw = (Vec<usize>, Vec<(Vec<usize>, FloatDraw)>, Vec<ChannelDraw>);
+
+fn float_draw() -> impl Strategy<Value = FloatDraw> {
+    (0usize..8, 0u64..u64::MAX)
+}
+
+fn label_draw() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..64, 0usize..6)
+}
+
+/// Eight size buckets then the five named vectors, each 0–5 samples.
+fn sweep_draw() -> impl Strategy<Value = SweepDraw> {
+    (
+        (0usize..11, 0usize..3, float_draw(), 0u64..u64::MAX),
+        prop::collection::vec(prop::collection::vec(float_draw(), 0usize..6), 13usize),
+        (0usize..usize::MAX, 0usize..1000, 0u64..u64::MAX),
+    )
+}
+
+fn trace_draw() -> impl Strategy<Value = TraceDraw> {
+    let channel = (
+        (label_draw(), label_draw(), label_draw()),
+        (0u64..u64::MAX, 0u64..u64::MAX),
+        prop::collection::vec((float_draw(), float_draw()), 0usize..5),
+    );
+    (
+        label_draw(),
+        prop::collection::vec((label_draw(), float_draw()), 0usize..4),
+        prop::collection::vec(channel, 0usize..3),
+    )
+}
+
+fn sweep_of(
+    ((algo, param, load, seed), mut vecs, (completed, offered, drops)): SweepDraw,
+) -> Outcome {
+    const ALGOS: [Algo; 11] = [
+        Algo::PowerTcp,
+        Algo::ThetaPowerTcp,
+        Algo::Hpcc,
+        Algo::Dcqcn,
+        Algo::Timely,
+        Algo::Swift,
+        Algo::Dctcp,
+        Algo::NewReno,
+        Algo::Homa(1),
+        Algo::Homa(4),
+        Algo::ReTcp,
+    ];
+    let mut samples = || -> Vec<f64> {
+        let draws = vecs.pop().unwrap_or_default();
+        draws.into_iter().map(|d| float(d, false)).collect()
+    };
+    let buckets = (0..SIZE_BUCKETS.len()).map(|_| samples()).collect();
+    Outcome::Sweep(Box::new(PointOutcome {
+        algo: ALGOS[algo],
+        param: ParamSpec::parse(["", "gamma=0.5", "gamma=0.25,n=32,eta=0.95,alpha=2"][param])
+            .expect("a valid param label"),
+        load: float(load, true),
+        seed,
+        buckets,
+        short: samples(),
+        medium: samples(),
+        long: samples(),
+        all: samples(),
+        buffer: samples(),
+        completed,
+        offered,
+        drops,
+    }))
+}
+
+fn trace_of((name, stats, channels): TraceDraw) -> Outcome {
+    Outcome::Trace(Box::new(TraceEntry {
+        label: label(&name),
+        stats: stats
+            .into_iter()
+            .map(|(k, v)| (label(&k), float(v, true)))
+            .collect(),
+        channels: channels
+            .into_iter()
+            .map(
+                |((name, unit, x_unit), (total_samples, evicted), samples)| ChannelTrace {
+                    name: label(&name),
+                    unit: label(&unit),
+                    x_unit: label(&x_unit),
+                    total_samples,
+                    evicted,
+                    samples: samples
+                        .into_iter()
+                        .map(|(x, y)| Sample {
+                            x: float(x, true),
+                            y: float(y, true),
+                        })
+                        .collect(),
+                },
+            )
+            .collect(),
+    }))
+}
+
+/// Whatever the new reader accepts, the tree oracle accepts as the same
+/// outcome (compared through `encode`, which writes every float's bits).
+fn assert_no_more_accepting(text: &str, key: &CacheKey, dir: &std::path::Path) {
+    if let Ok(new) = decode_str(text) {
+        let old = tree::decode_str(text).expect("the tree decode accepts it too");
+        assert_eq!(encode(&new), encode(&old), "{text}");
+    }
+    if let Ok(new) = parse_result_line(text) {
+        let old = tree::parse_result_line(text).expect("the tree reader accepts it too");
+        let render = |r: &WorkerResult| {
+            result_line(r.index, r.cached, r.wall_ms, r.sim.as_ref(), &r.outcome)
+        };
+        assert_eq!(render(&new), render(&old), "{text}");
+    }
+    std::fs::write(dir.join(key.file_name()), text).unwrap();
+    if let Some(new) = ResultCache::new(dir).load(key) {
+        let old = tree::load(text, key).expect("the tree load hits too");
+        assert_eq!(encode(&new), encode(&old), "{text}");
+    }
+}
+
+fn theorems_key() -> CacheKey {
+    let spec = builtin("theorems").unwrap();
+    let dcn_scenarios::WorkItem::Entry(entry) = &work_items(&spec)[0] else {
+        panic!("theorems expands to entries");
+    };
+    entry_key(&spec, entry)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Random outcomes: the pull decode and the tree oracle both return
+    /// exactly what was encoded.
+    #[test]
+    fn pull_and_tree_decodes_agree_to_the_bit(
+        sweep in sweep_draw(),
+        trace in trace_draw(),
+    ) {
+        for outcome in [sweep_of(sweep), trace_of(trace)] {
+            let text = encode(&outcome);
+            let new = decode_str(&text).expect("own encoding decodes");
+            let old = tree::decode_str(&text).expect("the oracle decodes it");
+            prop_assert_eq!(encode(&new), text.clone());
+            prop_assert_eq!(encode(&old), text);
+        }
+    }
+
+    /// Up to three hostile edits of an encoding, a worker line or a cache
+    /// entry: the pull readers never accept what the tree readers refuse,
+    /// nor read it differently.
+    #[test]
+    fn mutated_documents_are_never_accepted_beyond_the_tree_oracle(
+        sweep in sweep_draw(),
+        trace in trace_draw(),
+        shape in 0usize..6,
+        edits in prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX), 1usize..=3),
+    ) {
+        let outcome = if shape % 2 == 0 { sweep_of(sweep) } else { trace_of(trace) };
+        let key = theorems_key();
+        let dir = scratch("oracle");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut text = match shape / 2 {
+            0 => encode(&outcome),
+            1 => result_line(3, shape == 3, 1.5, None, &outcome),
+            _ => {
+                ResultCache::new(&dir).store(&key, &outcome).unwrap();
+                std::fs::read_to_string(dir.join(key.file_name())).unwrap()
+            }
+        };
+        assert_no_more_accepting(&text, &key, &dir);
+        for edit in edits {
+            if text.is_empty() {
+                break; // `mutate` needs a byte to edit
+            }
+            text = mutate(&text, edit);
+            assert_no_more_accepting(&text, &key, &dir);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The tree reader looked members up by name; the pull reader reads them
+/// where `encode` and `store` write them. A member moved, repeated or
+/// added, and bytes after the envelope, are each a refusal — a miss.
+#[test]
+fn a_member_out_of_place_is_a_miss() {
+    let good = encode(&sweep_outcome());
+    let payload = [
+        (
+            "reordered",
+            good.replacen(
+                "\"algo\":\"homa:3\",\"param\":\"gamma=0.5\"",
+                "\"param\":\"gamma=0.5\",\"algo\":\"homa:3\"",
+                1,
+            ),
+        ),
+        (
+            "duplicated",
+            good.replacen("\"seed\":42,", "\"seed\":42,\"seed\":42,", 1),
+        ),
+        (
+            "unknown",
+            good.replacen("\"seed\":42,", "\"seed\":42,\"note\":0,", 1),
+        ),
+        ("trailing", format!("{good} {{}}")),
+    ];
+    for (case, text) in &payload {
+        assert_ne!(text, &good, "{case}");
+        assert!(decode_str(text).is_err(), "{case}");
+    }
+    // The tree reader took the first three as the same outcome.
+    for (case, text) in &payload[..3] {
+        assert!(tree::decode_str(text).is_ok(), "{case}");
+    }
+
+    let key = theorems_key();
+    let dir = scratch("members");
+    let cache = ResultCache::new(&dir);
+    cache.store(&key, &trace_outcome()).unwrap();
+    let path = dir.join(key.file_name());
+    let full = std::fs::read_to_string(&path).unwrap();
+    let (head, payload) = full.split_at(full.find(", \"payload\"").unwrap());
+    let (format, canon) = head.split_at(head.find(", \"canon\"").unwrap());
+    let format = format.trim_start_matches('{');
+    let canon = canon.trim_start_matches(", ");
+    let envelope = [
+        ("reordered", format!("{{{canon}, {format}{payload}")),
+        (
+            "duplicated",
+            format!("{{{format}, {format}, {canon}{payload}"),
+        ),
+        (
+            "unknown",
+            format!("{{{format}, \"note\": 0, {canon}{payload}"),
+        ),
+        ("trailing", format!("{full}{{}}\n")),
+    ];
+    for (case, text) in &envelope {
+        assert_ne!(text, &full, "{case}");
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(cache.load(&key), None, "{case}");
+    }
+    std::fs::write(&path, &full).unwrap();
+    assert_eq!(cache.load(&key), Some(trace_outcome()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `"wall_ms": 3.1e999` read as `inf`, and the rendering of that `inf`
+/// was not JSON: the parent refused its own line, and `--log-json` /
+/// `--meta` carried it. The reader now refuses a non-finite or negative
+/// wall clock, on the line and inside `sim`.
+#[test]
+fn a_worker_line_cannot_carry_a_wall_clock_json_cannot_write() {
+    let line = result_line(1, false, 3.5, None, &sweep_outcome());
+    for bad in ["3.1e999", "-3.1e999", "-1.5"] {
+        let text = line.replacen("\"wall_ms\": 3.500", &format!("\"wall_ms\": {bad}"), 1);
+        assert_ne!(text, line);
+        let err = parse_result_line(&text).unwrap_err();
+        assert_eq!(err, "\"wall_ms\" has the wrong type or is out of range");
+        assert_sound(&text);
+    }
+    assert!(parse_result_line(&line.replacen("3.500", "0", 1)).is_ok());
+
+    let stats = dcn_sim::SimStats {
+        events_processed: 1_000,
+        wall_ms: 2.0,
+        ..Default::default()
+    };
+    let line = result_line(1, false, 3.5, Some(&stats), &sweep_outcome());
+    assert!(parse_result_line(&line).is_ok());
+    for bad in ["3.1e999", "-2.0", "1e-320"] {
+        let text = line.replacen("\"wall_ms\":2.000", &format!("\"wall_ms\":{bad}"), 1);
+        assert_ne!(text, line);
+        assert!(parse_result_line(&text).is_err(), "{bad}");
+        assert_sound(&text);
+    }
+}

@@ -245,10 +245,12 @@ pub fn sim_stats_json(s: &SimStats) -> String {
 }
 
 /// Parse a [`sim_stats_json`] object back (the worker protocol ships
-/// stats across the process boundary). Returns `None` on shape mismatch.
+/// stats across the process boundary). Returns `None` on shape mismatch,
+/// and on a `wall_ms` that is negative, not finite, or so small that
+/// events/sec overflows: [`sim_stats_json`] could not render it as JSON.
 pub fn sim_stats_from_json(j: &Json) -> Option<SimStats> {
     let u = |k: &str| j.get(k)?.as_u64();
-    Some(SimStats {
+    let stats = SimStats {
         events_processed: u("events")?,
         events_scheduled: u("scheduled")?,
         overflow_scheduled: u("overflow")?,
@@ -262,8 +264,12 @@ pub fn sim_stats_from_json(j: &Json) -> Option<SimStats> {
         pfc_frames: u("pfc_frames")?,
         pool_fresh: u("pool_fresh")?,
         pool_reused: u("pool_reused")?,
-        wall_ms: j.get("wall_ms")?.as_f64()?,
-    })
+        wall_ms: j
+            .get("wall_ms")?
+            .as_f64()
+            .filter(|ms| ms.is_finite() && *ms >= 0.0)?,
+    };
+    stats.events_per_sec().is_finite().then_some(stats)
 }
 
 #[cfg(test)]
@@ -296,6 +302,19 @@ mod tests {
         let j = parse_json(&sim_stats_json(&s)).expect("valid json");
         assert_eq!(sim_stats_from_json(&j), Some(s));
         assert_eq!(sim_stats_from_json(&Json::Null), None);
+    }
+
+    #[test]
+    fn a_wall_clock_the_writer_cannot_render_is_refused() {
+        let text = sim_stats_json(&stats());
+        let with = |ms: &str| text.replace("\"wall_ms\":6.250", &format!("\"wall_ms\":{ms}"));
+        assert_ne!(with("1"), text);
+        for ms in ["3.1e999", "-3.1e999", "-1.5", "1e-320"] {
+            let j = parse_json(&with(ms)).expect("valid json");
+            assert_eq!(sim_stats_from_json(&j), None, "{ms}");
+        }
+        let j = parse_json(&with("0")).expect("valid json");
+        assert!(sim_stats_from_json(&j).is_some_and(|s| s.events_per_sec() == 0.0));
     }
 
     #[test]
