@@ -264,7 +264,7 @@ fn serve(p: &Parsed) -> ExitCode {
             None => "off".into(),
         }
     ));
-    note("POST /jobs takes a TOML spec; GET / is the dashboard; POST /shutdown drains");
+    note("POST /jobs takes a TOML spec; GET /jobs lists them; POST /shutdown drains");
     match server.serve() {
         Ok(()) => {
             note("xp serve drained and stopped");

@@ -92,7 +92,7 @@ pub static XP: &[Command] = commands! {
         "--seeds" U64List, "override the spec's seed grid";
         "--timeout-secs" Positive, "wall-clock budget per --procs worker";
     }
-    "serve" [] "results daemon: HTTP job queue + dashboards" {
+    "serve" [] "results daemon: HTTP job queue + NDJSON records" {
         "--addr" Text("HOST:PORT"), "bind address (default 127.0.0.1:8080)";
         "--workers" Positive, "job worker threads (default 2)";
         "--threads" Positive, "executor threads per job (default: all cores)";

@@ -20,7 +20,7 @@
 //! with observation on or off.
 
 use crate::exec::RunStats;
-use dcn_scenarios::{CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
+use dcn_scenarios::{eta, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord};
 use dcn_sim::SimStats;
 use dcn_telemetry::jstr;
 use std::fs::File;
@@ -94,15 +94,13 @@ impl RunObserver {
         inner.spans.push(span);
         if self.progress {
             let done = inner.spans.len();
-            let elapsed = self.t0.elapsed().as_secs_f64();
-            let eta = if done > 0 && done < self.total {
-                elapsed / done as f64 * (self.total - done) as f64
-            } else {
-                0.0
-            };
+            let secs_left = eta(self.t0.elapsed().as_secs_f64(), done, self.total);
             eprint!(
                 "\r{}/{} ({} cached) · ETA {:.1}s ",
-                done, self.total, inner.cached, eta
+                done,
+                self.total,
+                inner.cached,
+                secs_left.unwrap_or(0.0)
             );
             if done >= self.total {
                 eprintln!();

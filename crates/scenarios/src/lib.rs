@@ -85,7 +85,7 @@ pub use diff::{diff_csv, diff_reports, DiffOutcome};
 pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale, SIZE_BUCKETS};
 pub use library::{builtin, builtin_specs};
 pub use obs::{
-    point_label, sim_stats_from_json, sim_stats_json, CacheStatus, NullObserver, Observer,
+    eta, point_label, sim_stats_from_json, sim_stats_json, CacheStatus, NullObserver, Observer,
     PointObs, SpanRecord, SummaryRecord,
 };
 pub use report::{AggregateReport, BucketReport, PointReport, SweepResult, BUFFER_CDF_PCTS};

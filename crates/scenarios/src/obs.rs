@@ -206,6 +206,16 @@ impl Observer for NullObserver {
     fn span(&self, _span: &SpanRecord) {}
 }
 
+/// Time left in a run of `total` points, `done` of which finished in
+/// `elapsed` (any unit; the answer is in the same one): elapsed ÷ done ×
+/// remaining. `None` before the first point and after the last. The one
+/// ETA formula, behind `--progress` and the daemon's job record alike:
+/// it reads the run's own clock, never a sum of span clocks, which
+/// overlap whenever points run on more than one thread.
+pub fn eta(elapsed: f64, done: usize, total: usize) -> Option<f64> {
+    (done > 0 && done < total).then(|| elapsed / done as f64 * (total - done) as f64)
+}
+
 /// Span label of a sweep point: `algo[params]/loadL/seedS`, with the
 /// param suffix folded into the algo exactly like report keys.
 pub fn point_label(point: &SweepPoint) -> String {
@@ -367,6 +377,14 @@ mod tests {
         assert!(row.contains("fig6-small"));
         assert!(row.contains("1000000 ev"));
         assert!(row.contains("500000 ev/s"));
+    }
+
+    #[test]
+    fn eta_is_elapsed_per_done_point_times_the_rest() {
+        assert_eq!(eta(30.0, 1, 4), Some(90.0));
+        assert_eq!(eta(30.0, 3, 4), Some(10.0));
+        assert_eq!(eta(30.0, 0, 4), None, "no point done yet");
+        assert_eq!(eta(30.0, 4, 4), None, "nothing left");
     }
 
     #[test]

@@ -30,23 +30,8 @@ pub struct Request {
     pub method: String,
     /// Request target path, query string stripped (`/jobs/3/events`).
     pub path: String,
-    /// Raw query string after `?`, empty when absent.
-    pub query: String,
-    /// Header name/value pairs; names lowercased for lookup.
-    pub headers: Vec<(String, String)>,
     /// Request body (`Content-Length`-framed; empty when absent).
     pub body: Vec<u8>,
-}
-
-impl Request {
-    /// First value of a header (name matched case-insensitively).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let want = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == want)
-            .map(|(_, v)| v.as_str())
-    }
 }
 
 /// Parse one request from a stream. Reads exactly the head plus the
@@ -60,30 +45,31 @@ pub fn parse_request(stream: &mut dyn Read) -> Result<Request, (u16, String)> {
     let mut lines = text.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
-    let method = parts.next().unwrap_or("").to_string();
-    let target = parts.next().unwrap_or("").to_string();
+    let method = parts.next().unwrap_or("");
+    let target = parts.next().unwrap_or("");
     let version = parts.next().unwrap_or("");
     if method.is_empty() || target.is_empty() || !version.starts_with("HTTP/1.") {
         return Err(bad(format!("malformed request line: {request_line:?}")));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target, String::new()),
-    };
+    let path = target.split_once('?').map_or(target, |(path, _query)| path);
 
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
+    // Every header line must be well formed; the first of each framing
+    // header is the one that counts.
+    let (mut length, mut coding) = (None, None);
+    for line in lines.filter(|line| !line.is_empty()) {
         let Some((name, value)) = line.split_once(':') else {
             return Err(bad(format!("malformed header line: {line:?}")));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        let slot = match name.trim().to_ascii_lowercase().as_str() {
+            "content-length" => &mut length,
+            "transfer-encoding" => &mut coding,
+            _ => continue,
+        };
+        slot.get_or_insert(value.trim());
     }
 
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        Some((_, v)) => v
+    let content_length = match length {
+        Some(v) => v
             .parse::<usize>()
             .map_err(|_| bad(format!("bad Content-Length: {v:?}")))?,
         None => 0,
@@ -94,7 +80,7 @@ pub fn parse_request(stream: &mut dyn Read) -> Result<Request, (u16, String)> {
     }
     // Read as an empty body, a chunked upload would leave its chunks
     // unread on the socket and the spec silently ignored.
-    if let Some((_, coding)) = headers.iter().find(|(n, _)| n == "transfer-encoding") {
+    if let Some(coding) = coding {
         return Err(bad(format!(
             "Transfer-Encoding: {coding} is not supported; frame the body with Content-Length"
         )));
@@ -113,10 +99,8 @@ pub fn parse_request(stream: &mut dyn Read) -> Result<Request, (u16, String)> {
     }
 
     Ok(Request {
-        method,
-        path,
-        query,
-        headers,
+        method: method.to_string(),
+        path: path.to_string(),
         body,
     })
 }
@@ -153,7 +137,6 @@ pub fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         503 => "Service Unavailable",
-        500 => "Internal Server Error",
         _ => "Unknown",
     }
 }
@@ -206,9 +189,6 @@ mod tests {
         let req = parse_request(&mut &raw[..]).expect("parses");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/jobs");
-        assert_eq!(req.query, "pretty=1");
-        assert_eq!(req.header("host"), Some("x"));
-        assert_eq!(req.header("HOST"), Some("x"));
         assert_eq!(req.body, b"hello");
     }
 
@@ -218,7 +198,6 @@ mod tests {
         let req = parse_request(&mut &raw[..]).expect("parses");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/jobs/3/events");
-        assert!(req.query.is_empty());
         assert!(req.body.is_empty());
     }
 

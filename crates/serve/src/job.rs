@@ -1,20 +1,20 @@
-//! The job subsystem: per-submission lifecycle, progress accounting,
-//! and the bounded FIFO queue feeding the worker pool.
+//! The job subsystem: per-submission lifecycle and progress accounting.
 //!
 //! A [`Job`] is born `queued` when `POST /jobs` accepts a spec, turns
 //! `running` when a worker picks it up, and ends `done` (reports
 //! rendered) or `failed` (error returned, or panic caught). The job
 //! itself implements [`Observer`]: the executor reports each completed
-//! point straight into the job, which appends the span's NDJSON line to the event log and
-//! updates the hit/miss/done counters that drive status ETAs and the
-//! dashboard. The event log finishes with the same summary record `xp
-//! run --log-json` emits, so a job's event stream and a batch run's
-//! stream share one grammar.
+//! point straight into the job, which appends the span's NDJSON line to
+//! the event log and updates the hit/miss/done counters of the job
+//! record. The event log finishes with the same summary record `xp run
+//! --log-json` emits, so a job's event stream and a batch run's stream
+//! share one grammar.
 //!
 //! Wall-clock time lives here and only here in this crate (span
 //! timestamps come from the executor; this module only times the job
 //! itself for ETA math). Reports never see any of it: the report bytes
-//! are rendered from the returned [`ScenarioOutput`] alone.
+//! are rendered from the returned
+//! [`ScenarioOutput`](dcn_scenarios::ScenarioOutput) alone.
 
 #![expect(
     clippy::disallowed_methods,
@@ -22,11 +22,10 @@
               the crate's three clock reads are confined to this module"
 )]
 
-use crate::RunFn;
+use crate::{unpoisoned, RunFn};
 use dcn_scenarios::{
-    jstr, panic_message, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord,
+    eta, jstr, panic_message, CacheStatus, Observer, ScenarioSpec, SpanRecord, SummaryRecord,
 };
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -75,9 +74,6 @@ struct Progress {
     summary: SummaryRecord,
     /// Cache misses among completed points.
     misses: usize,
-    /// Wall-clock milliseconds summed over completed spans (ETA basis
-    /// only: spans overlap across threads).
-    span_wall_ms: f64,
     /// When the worker claimed the job (ETA + wall_ms basis).
     started: Option<Instant>,
     /// Rendered reports, present once `Done`.
@@ -179,7 +175,6 @@ impl Job {
                 events: Vec::new(),
                 summary: SummaryRecord::new(&spec.name, kind),
                 misses: 0,
-                span_wall_ms: 0.0,
                 started: None,
                 report_json: None,
                 report_csv: None,
@@ -194,7 +189,7 @@ impl Job {
     /// Called by exactly one worker; every transition notifies waiters.
     pub fn execute(self: &Arc<Job>, run: &RunFn) {
         {
-            let mut p = self.progress.lock().unwrap();
+            let mut p = unpoisoned(self.progress.lock());
             p.state = JobState::Running;
             p.started = Some(Instant::now());
             self.changed.notify_all();
@@ -204,21 +199,24 @@ impl Job {
         // `running` for ever, its event streams open, and the pool one
         // thread short. (Unwind-safe: the run shares only `progress`
         // with us, and `span` finishes each update under the lock.)
-        let result = catch_unwind(AssertUnwindSafe(|| run(&self.spec, self.as_ref())))
-            .unwrap_or_else(|payload| {
-                Err(format!("job panicked: {}", panic_message(payload.as_ref())))
-            });
-        let mut p = self.progress.lock().unwrap();
+        // Reports are rendered from the output alone — the bytes are
+        // exactly `xp run`'s, regardless of scheduling — and in here, so
+        // the lock below only stores them.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run(&self.spec, self.as_ref()).map(|out| (out.to_json(), out.to_csv()))
+        }))
+        .unwrap_or_else(|payload| {
+            Err(format!("job panicked: {}", panic_message(payload.as_ref())))
+        });
+        let mut p = unpoisoned(self.progress.lock());
         p.summary.wall_ms = match p.started {
             Some(t0) => t0.elapsed().as_secs_f64() * 1e3,
             None => 0.0,
         };
         match result {
-            Ok(output) => {
-                // Reports are rendered from the output alone — the bytes
-                // are exactly `xp run`'s, regardless of scheduling.
-                p.report_json = Some(output.to_json());
-                p.report_csv = Some(output.to_csv());
+            Ok((json, csv)) => {
+                p.report_json = Some(json);
+                p.report_csv = Some(csv);
                 // Summary before the terminal state, under one lock:
                 // event streams observe a complete log the moment they
                 // see a terminal state.
@@ -234,18 +232,18 @@ impl Job {
         self.changed.notify_all();
     }
 
-    /// Status snapshot for `GET /jobs` and `GET /jobs/<id>`.
+    /// Status snapshot for `GET /jobs` and `GET /jobs/<id>`. While the
+    /// job runs, its wall clock counts from the moment a worker claimed
+    /// it, and the ETA extrapolates that clock over the points left.
     pub fn snapshot(&self) -> JobSnapshot {
-        let p = self.progress.lock().unwrap();
-        let wall_ms = match (p.state, p.started) {
-            (JobState::Running, Some(t0)) => t0.elapsed().as_secs_f64() * 1e3,
-            _ => p.summary.wall_ms,
-        };
+        let p = unpoisoned(self.progress.lock());
         let done = p.summary.points;
-        let eta_ms = if p.state == JobState::Running && done > 0 && self.points > done {
-            Some(p.span_wall_ms / done as f64 * (self.points - done) as f64)
-        } else {
-            None
+        let (wall_ms, eta_ms) = match (p.state, p.started) {
+            (JobState::Running, Some(t0)) => {
+                let ms = t0.elapsed().as_secs_f64() * 1e3;
+                (ms, eta(ms, done, self.points))
+            }
+            _ => (p.summary.wall_ms, None),
         };
         JobSnapshot {
             id: self.id,
@@ -264,17 +262,17 @@ impl Job {
 
     /// Current lifecycle state.
     pub fn state(&self) -> JobState {
-        self.progress.lock().unwrap().state
+        unpoisoned(self.progress.lock()).state
     }
 
     /// The JSON report, once done.
     pub fn report_json(&self) -> Option<String> {
-        self.progress.lock().unwrap().report_json.clone()
+        unpoisoned(self.progress.lock()).report_json.clone()
     }
 
     /// The CSV report, once done.
     pub fn report_csv(&self) -> Option<String> {
-        self.progress.lock().unwrap().report_csv.clone()
+        unpoisoned(self.progress.lock()).report_csv.clone()
     }
 
     /// Event lines from `from` onward, blocking until at least one new
@@ -282,14 +280,14 @@ impl Job {
     /// and whether the job is terminal (stream may end). Waits time out
     /// periodically so a shutting-down server can drop readers.
     pub fn wait_events(&self, from: usize, max_wait: Duration) -> (Vec<String>, bool) {
-        let mut p = self.progress.lock().unwrap();
+        let mut p = unpoisoned(self.progress.lock());
         let deadline = Instant::now() + max_wait;
         while p.events.len() <= from && !p.state.is_terminal() {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let (next, timeout) = self.changed.wait_timeout(p, deadline - now).unwrap();
+            let (next, timeout) = unpoisoned(self.changed.wait_timeout(p, deadline - now));
             p = next;
             if timeout.timed_out() {
                 break;
@@ -302,89 +300,11 @@ impl Job {
 
 impl Observer for Job {
     fn span(&self, span: &SpanRecord) {
-        let mut p = self.progress.lock().unwrap();
+        let mut p = unpoisoned(self.progress.lock());
         p.summary.add(span);
         p.misses += usize::from(span.cache == CacheStatus::Miss);
-        p.span_wall_ms += span.wall_ms;
         p.events.push(span.to_json());
         self.changed.notify_all();
-    }
-}
-
-/// Bounded FIFO job queue between the accept loop and the worker pool.
-/// `push` fails fast when full (the server answers 503 — backpressure,
-/// not buffering); `pop` blocks until a job arrives or the queue is
-/// closed and drained, which is how graceful shutdown ends the workers.
-pub struct JobQueue {
-    inner: Mutex<QueueInner>,
-    nonempty: Condvar,
-    cap: usize,
-}
-
-struct QueueInner {
-    queue: VecDeque<Arc<Job>>,
-    closed: bool,
-}
-
-impl JobQueue {
-    /// An open queue holding at most `cap` undispatched jobs.
-    pub fn new(cap: usize) -> JobQueue {
-        JobQueue {
-            inner: Mutex::new(QueueInner {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            nonempty: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Enqueue a job. `Err` when the queue is full or closed; the
-    /// message is the client-facing explanation.
-    pub fn push(&self, job: Arc<Job>) -> Result<(), String> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed {
-            return Err("server is shutting down".into());
-        }
-        if inner.queue.len() >= self.cap {
-            return Err(format!("job queue is full ({} queued)", self.cap));
-        }
-        inner.queue.push_back(job);
-        self.nonempty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeue the oldest job, blocking while the queue is open and
-    /// empty. `None` once the queue is closed **and** drained — the
-    /// worker's signal to exit after finishing queued work.
-    pub fn pop(&self) -> Option<Arc<Job>> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(job) = inner.queue.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.nonempty.wait(inner).unwrap();
-        }
-    }
-
-    /// Close the queue: no new pushes; pops drain what remains.
-    pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.closed = true;
-        self.nonempty.notify_all();
-    }
-
-    /// Undispatched jobs currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().queue.len()
-    }
-
-    /// Whether no jobs are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -476,6 +396,34 @@ mod tests {
         );
     }
 
+    /// The ETA extrapolates the job's own clock, not the sum of span
+    /// clocks: point 0 of 2 reports an hour (as one of many executor
+    /// threads may), yet the job has run for a few milliseconds.
+    #[test]
+    fn eta_reads_the_jobs_clock_not_the_sum_of_span_clocks() {
+        let job = tiny_job(5);
+        assert_eq!(job.points, 2);
+        let seen = Arc::new(Mutex::new(None));
+        let (me, out) = (Arc::clone(&job), Arc::clone(&seen));
+        let run: RunFn = Arc::new(move |spec, obs| {
+            obs.span(&SpanRecord {
+                index: 0,
+                label: dcn_scenarios::work_items(spec)[0].label(),
+                cache: CacheStatus::Miss,
+                shard: None,
+                wall_ms: 3_600_000.0,
+                stats: None,
+            });
+            *out.lock().unwrap() = Some(me.snapshot());
+            Err("stopped after point 0".into())
+        });
+        job.execute(&run);
+        let snap = seen.lock().unwrap().take().expect("snapshot taken mid-run");
+        assert_eq!((snap.state, snap.done), (JobState::Running, 1));
+        let eta_ms = snap.eta_ms.expect("an ETA once a point is done");
+        assert!(eta_ms < 3_600_000.0, "ETA {eta_ms} ms");
+    }
+
     #[test]
     fn lifecycle_failed_captures_error() {
         let job = tiny_job(2);
@@ -498,29 +446,5 @@ mod tests {
         // Waiters are released: the stream is terminal, not hung.
         let (events, terminal) = job.wait_events(0, Duration::from_millis(1));
         assert!(terminal && events.is_empty());
-    }
-
-    #[test]
-    fn queue_is_fifo_bounded_and_drains_after_close() {
-        let q = JobQueue::new(2);
-        q.push(tiny_job(1)).unwrap();
-        q.push(tiny_job(2)).unwrap();
-        let err = q.push(tiny_job(3)).unwrap_err();
-        assert!(err.contains("full"), "{err}");
-        q.close();
-        assert!(q.push(tiny_job(4)).is_err());
-        assert_eq!(q.pop().map(|j| j.id), Some(1));
-        assert_eq!(q.pop().map(|j| j.id), Some(2));
-        assert_eq!(q.pop().map(|j| j.id), None);
-    }
-
-    #[test]
-    fn pop_blocks_until_push_from_another_thread() {
-        let q = Arc::new(JobQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop().map(|j| j.id));
-        std::thread::sleep(Duration::from_millis(20));
-        q.push(tiny_job(7)).unwrap();
-        assert_eq!(h.join().unwrap(), Some(7));
     }
 }

@@ -12,16 +12,13 @@
 //!   parser and FNV hasher: hand-rolled request parsing, explicit
 //!   response writing, one request per connection (`Connection: close`).
 //! * [`job`] — the job subsystem: a [`Job`] per submitted scenario with
-//!   `queued → running → done | failed` states, a bounded FIFO
-//!   [`JobQueue`] feeding the worker pool, and the per-job NDJSON event
-//!   log (span/summary records in the exact grammar of
+//!   `queued → running → done | failed` states and the per-job NDJSON
+//!   event log (span/summary records in the exact grammar of
 //!   `xp run --log-json`).
-//! * [`server`] — the [`Server`]: accept loop, request routing, worker
-//!   pool, and graceful shutdown (stop accepting, drain every queued and
-//!   in-flight job, then return).
-//! * [`html`] — the live dashboards: `GET /` (job table) and
-//!   `GET /jobs/<id>/html` (per-job report tables rendered from the
-//!   byte-stable CSV export).
+//! * [`server`] — the [`Server`]: accept loop, request routing, a
+//!   bounded channel feeding the worker pool, and graceful shutdown
+//!   (stop accepting, drain every queued and in-flight job, then
+//!   return).
 //! * [`client`] — a minimal HTTP client over `std::net::TcpStream`, used
 //!   by the integration tests and handy for scripting against the
 //!   daemon without curl.
@@ -34,21 +31,20 @@
 //! against the shared `.xp-cache/` — the same executor `xp run` uses),
 //! so concurrent users dedup work through the content-addressed cache
 //! while this crate stays a pure scheduling and transport layer: the
-//! [`JobQueue`] schedules *jobs*; the points inside a job belong to the
-//! executor. The report bytes a job serves are the
+//! bounded channel schedules *jobs*; the points inside a job belong to
+//! the executor. The report bytes a job serves are the
 //! `ScenarioOutput::to_json` / `to_csv` renderings — **byte-identical to
 //! `xp run` output by construction**, and pinned by integration tests.
 
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod html;
 pub mod http;
 pub mod job;
 pub mod server;
 
 use dcn_scenarios::{Observer, ScenarioOutput, ScenarioSpec};
-use std::sync::Arc;
+use std::sync::{Arc, LockResult};
 
 /// How the daemon executes one scenario: the injected run function.
 /// Implementations must report one span per point through the observer
@@ -57,10 +53,18 @@ use std::sync::Arc;
 pub type RunFn =
     Arc<dyn Fn(&ScenarioSpec, &dyn Observer) -> Result<ScenarioOutput, String> + Send + Sync>;
 
-/// Renders a cache statistics NDJSON record for the dashboard and the
-/// `GET /cache` endpoint (`dcn-runner` wires `xp cache stat --json`'s
-/// renderer here).
+/// Renders a cache statistics NDJSON record for the `GET /cache`
+/// endpoint (`dcn-runner` wires `xp cache stat --json`'s renderer here).
 pub type StatFn = Arc<dyn Fn() -> String + Send + Sync>;
 
-pub use job::{Job, JobQueue, JobSnapshot, JobState};
+pub use job::{Job, JobSnapshot, JobState};
 pub use server::{ServeConfig, Server};
+
+/// Every lock this crate takes goes through here. None is held across
+/// code that can panic: a job's lock guards counters and pushed strings
+/// (the run and its report rendering execute outside it), the registry
+/// a find, a push / pop or a round of snapshots, and the channel ends a
+/// send, a `take` or a receive. So no lock is ever poisoned.
+fn unpoisoned<T>(lock: LockResult<T>) -> T {
+    lock.expect("no dcn-serve lock is held across code that can panic")
+}

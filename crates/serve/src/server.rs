@@ -11,26 +11,26 @@
 //! | GET    | `/jobs/<id>/events`      | NDJSON live stream: spans, then summary    |
 //! | GET    | `/jobs/<id>/report.json` | the `xp run --json` bytes                  |
 //! | GET    | `/jobs/<id>/report.csv`  | the `xp run --csv` bytes                   |
-//! | GET    | `/jobs/<id>/html`        | per-job dashboard                          |
-//! | GET    | `/`                      | job-table dashboard                        |
 //! | GET    | `/cache`                 | cache-stat NDJSON record (via [`StatFn`])  |
 //! | POST   | `/shutdown`              | 200, then graceful drain                   |
 //!
 //! ## Shutdown
 //!
-//! `POST /shutdown` (or [`Server::shutdown`]) closes the queue and
-//! stops the accept loop; [`Server::serve`] then joins the workers —
-//! which drain every queued job — and the open connection handlers
-//! before returning. Nothing accepted is ever dropped.
+//! `POST /shutdown` (or [`ShutdownHandle::shutdown`]) drops the job
+//! channel's sender and stops the accept loop; [`Server::serve`] then
+//! joins the workers — which drain every queued job — and the open
+//! connection handlers before returning. Nothing accepted is ever
+//! dropped.
 
 use crate::http::{parse_request, write_response, write_stream_head, Request};
-use crate::job::{Job, JobQueue, JobState};
-use crate::{html, RunFn, StatFn};
+use crate::job::{Job, JobState};
+use crate::{unpoisoned, RunFn, StatFn};
 use dcn_scenarios::ScenarioSpec;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// How the daemon is wired: pool sizing plus the injected execution and
@@ -46,38 +46,45 @@ pub struct ServeConfig {
     pub cache_stat: Option<StatFn>,
 }
 
-/// Shared server state: the job registry, the queue, and the stop flag.
+/// Shared server state: the job registry, the queue's sending half,
+/// and the stop flag.
 struct Shared {
     jobs: Mutex<Vec<Arc<Job>>>,
-    queue: JobQueue,
+    /// Bounded FIFO into the worker pool; `None` once shutdown closed it.
+    queue: Mutex<Option<SyncSender<Arc<Job>>>>,
+    queue_cap: usize,
     stopping: AtomicBool,
     run: RunFn,
     cache_stat: Option<StatFn>,
 }
 
 impl Shared {
-    fn job(&self, id: u64) -> Option<Arc<Job>> {
-        let jobs = self.jobs.lock().unwrap();
-        jobs.iter().find(|j| j.id == id).cloned()
+    fn registry(&self) -> MutexGuard<'_, Vec<Arc<Job>>> {
+        unpoisoned(self.jobs.lock())
     }
 
-    fn snapshots(&self) -> Vec<crate::JobSnapshot> {
-        let jobs = self.jobs.lock().unwrap();
-        jobs.iter().map(|j| j.snapshot()).collect()
+    fn job(&self, id: u64) -> Option<Arc<Job>> {
+        self.registry().iter().find(|j| j.id == id).cloned()
     }
 
     fn submit(&self, spec: ScenarioSpec) -> Result<Arc<Job>, (u16, String)> {
-        let mut jobs = self.jobs.lock().unwrap();
+        let mut jobs = self.registry();
         let id = jobs.len() as u64 + 1;
         let job = Job::new(id, spec);
         // Register before queueing so a worker that grabs the job
         // instantly still has it visible under /jobs/<id>.
         jobs.push(Arc::clone(&job));
-        if let Err(e) = self.queue.push(Arc::clone(&job)) {
-            jobs.pop();
-            return Err((503, e));
-        }
-        Ok(job)
+        let queue = unpoisoned(self.queue.lock());
+        let why = match queue.as_ref().map(|tx| tx.try_send(Arc::clone(&job))) {
+            Some(Ok(())) => return Ok(job),
+            Some(Err(TrySendError::Full(_))) => {
+                format!("job queue is full ({} queued)", self.queue_cap)
+            }
+            // Closed by shutdown, or no receiver left: nothing would run it.
+            None | Some(Err(TrySendError::Disconnected(_))) => "server is shutting down".into(),
+        };
+        jobs.pop();
+        Err((503, why))
     }
 }
 
@@ -86,6 +93,8 @@ impl Shared {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
+    /// The queue's receiving half, shared by the workers once serving.
+    queue: Receiver<Arc<Job>>,
     workers: usize,
 }
 
@@ -94,15 +103,19 @@ impl Server {
     /// port — the integration tests' friend).
     pub fn bind(addr: &str, cfg: ServeConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+        let queue_cap = cfg.queue_cap.max(1);
+        let (tx, rx) = sync_channel(queue_cap);
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 jobs: Mutex::new(Vec::new()),
-                queue: JobQueue::new(cfg.queue_cap),
+                queue: Mutex::new(Some(tx)),
+                queue_cap,
                 stopping: AtomicBool::new(false),
                 run: cfg.run,
                 cache_stat: cfg.cache_stat,
             }),
+            queue: rx,
             workers: cfg.workers.max(1),
         })
     }
@@ -126,13 +139,14 @@ impl Server {
     /// worker pool, then drain. Returns once every queued job has run
     /// and every open connection handler has finished.
     pub fn serve(self) -> Result<(), String> {
+        let queue = Arc::new(Mutex::new(self.queue));
         let mut worker_handles = Vec::with_capacity(self.workers);
         for _ in 0..self.workers {
-            let shared = Arc::clone(&self.shared);
+            let (shared, queue) = (Arc::clone(&self.shared), Arc::clone(&queue));
             worker_handles.push(std::thread::spawn(move || {
-                // Pop returns None only when the queue is closed and
-                // drained, so queued jobs always complete.
-                while let Some(job) = shared.queue.pop() {
+                // `recv` fails only once the sender is gone *and* the
+                // buffer is empty, so queued jobs always complete.
+                while let Some(job) = next_job(&queue) {
                     job.execute(&shared.run);
                 }
             }));
@@ -155,7 +169,7 @@ impl Server {
 
         // Drain: close the queue (workers finish queued jobs and exit),
         // then wait for workers and any open connections.
-        self.shared.queue.close();
+        close_queue(&self.shared);
         for h in worker_handles {
             let _ = h.join();
         }
@@ -186,10 +200,22 @@ fn request_shutdown(shared: &Shared, addr: std::net::SocketAddr) {
     if shared.stopping.swap(true, Ordering::SeqCst) {
         return;
     }
-    shared.queue.close();
+    close_queue(shared);
     // The accept loop blocks in `incoming()`; a no-op connection wakes
     // it so it can observe the stop flag.
     let _ = TcpStream::connect(addr);
+}
+
+/// Close the queue: later submissions are refused, and the workers
+/// drain what it holds. Idempotent.
+fn close_queue(shared: &Shared) {
+    unpoisoned(shared.queue.lock()).take();
+}
+
+/// The oldest queued job, blocking while the queue is open and empty;
+/// `None` once it is closed and drained.
+fn next_job(queue: &Mutex<Receiver<Arc<Job>>>) -> Option<Arc<Job>> {
+    unpoisoned(queue.lock()).recv().ok()
 }
 
 /// How long an events stream waits for news before emitting nothing and
@@ -214,15 +240,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 fn route(stream: &mut TcpStream, req: &Request, shared: &Shared) {
     let parts: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), parts.as_slice()) {
-        ("GET", []) => {
-            let page = html::dashboard(&shared.snapshots(), shared.queue.len());
-            let _ = write_response(stream, 200, "text/html; charset=utf-8", page.as_bytes());
-        }
         ("POST", ["jobs"]) => post_job(stream, req, shared),
         ("GET", ["jobs"]) => {
             let mut body = String::new();
-            for snap in shared.snapshots() {
-                body.push_str(&snap.to_json());
+            for job in shared.registry().iter() {
+                body.push_str(&job.snapshot().to_json());
                 body.push('\n');
             }
             let _ = write_response(stream, 200, "application/x-ndjson", body.as_bytes());
@@ -250,10 +272,6 @@ fn route(stream: &mut TcpStream, req: &Request, shared: &Shared) {
                 None => respond_no_report(stream, job),
             })
         }
-        ("GET", ["jobs", id, "html"]) => with_job(stream, id, shared, |stream, job| {
-            let page = html::job_page(&job.snapshot(), job.report_csv().as_deref());
-            let _ = write_response(stream, 200, "text/html; charset=utf-8", page.as_bytes());
-        }),
         ("GET", ["cache"]) => match &shared.cache_stat {
             Some(stat) => {
                 let body = format!("{}\n", stat());
@@ -270,8 +288,8 @@ fn route(stream: &mut TcpStream, req: &Request, shared: &Shared) {
         }
         // A resource that exists, asked with the wrong verb. (An unknown
         // path under /jobs is a 404 like any other unknown path.)
-        (_, [] | ["jobs"] | ["jobs", _] | ["cache"] | ["shutdown"])
-        | (_, ["jobs", _, "events" | "report.json" | "report.csv" | "html"]) => {
+        (_, ["jobs"] | ["jobs", _] | ["cache"] | ["shutdown"])
+        | (_, ["jobs", _, "events" | "report.json" | "report.csv"]) => {
             respond_error(
                 stream,
                 405,
@@ -365,4 +383,36 @@ fn respond_no_report(stream: &mut TcpStream, job: &Arc<Job>) {
 fn respond_error(stream: &mut TcpStream, status: u16, msg: &str) {
     let body = format!("{{\"error\":{}}}\n", dcn_scenarios::jstr(msg));
     let _ = write_response(stream, status, "application/json", body.as_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The refusals a client is owed, at `Shared::submit`. Nothing calls
+    /// `serve()`, so no worker drains the queue under the test.
+    #[test]
+    fn submit_refuses_a_full_or_closed_queue_and_rolls_the_job_back() {
+        let cfg = ServeConfig {
+            workers: 1,
+            queue_cap: 2,
+            run: Arc::new(|_, _| Err("never run".into())),
+            cache_stat: None,
+        };
+        let server = Server::bind("127.0.0.1:0", cfg).expect("bind an ephemeral port");
+        let submit = || {
+            let spec = dcn_scenarios::builtin("fig6-small").expect("builtin spec");
+            server.shared.submit(spec).map(|job| job.id)
+        };
+        assert_eq!(submit(), Ok(1));
+        assert_eq!(submit(), Ok(2));
+        let full = (503, "job queue is full (2 queued)".to_string());
+        assert_eq!(submit(), Err(full));
+        assert_eq!(server.shared.registry().len(), 2, "refused, rolled out");
+        let fifo: Vec<u64> = server.queue.try_iter().map(|job| job.id).collect();
+        assert_eq!(fifo, [1, 2]);
+        server.shutdown_handle().shutdown();
+        let closed = (503, "server is shutting down".to_string());
+        assert_eq!(submit(), Err(closed));
+    }
 }
