@@ -163,6 +163,9 @@ struct LinkSlot {
     /// Path hops of active flows on this link (a path listing the link
     /// twice counts twice). Zero marks a free slot.
     count: u32,
+    /// `count` changed since the last [`LinkSlots::sync`], so the slot's
+    /// key in `order`, if it has one, is stale.
+    marked: bool,
 }
 
 /// The allocator's persistent view of contended links: a slab whose
@@ -175,6 +178,13 @@ struct LinkSlots {
     free: Vec<u32>,
     /// `(link id, slot)` sorted by id; consulted only on admit/retire.
     index: Vec<(u32, u32)>,
+    /// Progressive filling's opening candidates, ascending: one
+    /// [`key`] at `cap / count` per counted slot, as of the last sync.
+    order: Vec<u128>,
+    /// The marked slots, each listed once.
+    marked: Vec<u32>,
+    /// `sync`'s scratch: the marked slots' new keys.
+    fresh: Vec<u128>,
 }
 
 impl LinkSlots {
@@ -184,18 +194,23 @@ impl LinkSlots {
             let s = match self.index.binary_search_by_key(&l.0, |&(id, _)| id) {
                 Ok(p) => self.index[p].1,
                 Err(p) => {
-                    let slot = LinkSlot {
-                        id: l.0,
-                        cap: net.caps[l.0 as usize],
-                        count: 0,
-                    };
+                    let cap = net.caps[l.0 as usize];
                     let s = match self.free.pop() {
                         Some(s) => {
-                            self.slots[s as usize] = slot;
+                            // Re-labelled in place: a mark the slot took
+                            // when it was freed still stands.
+                            let slot = &mut self.slots[s as usize];
+                            slot.id = l.0;
+                            slot.cap = cap;
                             s
                         }
                         None => {
-                            self.slots.push(slot);
+                            self.slots.push(LinkSlot {
+                                id: l.0,
+                                cap,
+                                count: 0,
+                                marked: false,
+                            });
                             (self.slots.len() - 1) as u32
                         }
                     };
@@ -204,6 +219,7 @@ impl LinkSlots {
                 }
             };
             self.slots[s as usize].count += 1;
+            self.mark(s);
             out.push(s);
         }
     }
@@ -220,6 +236,46 @@ impl LinkSlots {
                     .expect("a live slot is indexed");
                 self.index.remove(p);
                 self.free.push(s);
+            }
+            self.mark(s);
+        }
+    }
+
+    fn mark(&mut self, s: u32) {
+        let slot = &mut self.slots[s as usize];
+        if !slot.marked {
+            slot.marked = true;
+            self.marked.push(s);
+        }
+    }
+
+    /// Bring `order` up to date: keep the unmarked slots' keys, sort the
+    /// marked slots' new ones and merge the two. O(L + D log D) for D
+    /// marks, however many events left them.
+    fn sync(&mut self) {
+        let slots = &mut self.slots;
+        self.order.retain(|&k| !slots[k as u32 as usize].marked);
+        self.fresh.clear();
+        for s in self.marked.drain(..) {
+            let l = &mut slots[s as usize];
+            l.marked = false;
+            if l.count > 0 {
+                let share = l.cap / l.count as f64;
+                self.fresh.push(key(share.to_bits(), l.id, s));
+            }
+        }
+        self.fresh.sort_unstable();
+        // Merge from the back, so no key moves twice. Keys are distinct:
+        // each names its slot.
+        let (mut i, mut j) = (self.order.len(), self.fresh.len());
+        self.order.resize(i + j, 0);
+        while j > 0 {
+            if i > 0 && self.order[i - 1] > self.fresh[j - 1] {
+                self.order[i + j - 1] = self.order[i - 1];
+                i -= 1;
+            } else {
+                self.order[i + j - 1] = self.fresh[j - 1];
+                j -= 1;
             }
         }
     }
@@ -346,7 +402,7 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
         }
         // Recompute every active flow's max-min fair rate.
         if !active.is_empty() && !try_single_bottleneck(&links, &mut active, &mut stats) {
-            fill.run(&links, &mut active, &mut stats);
+            fill.run(&mut links, &mut active, &mut stats);
         }
         stats.events += 1;
     }
@@ -386,6 +442,7 @@ fn try_single_bottleneck(links: &LinkSlots, active: &mut [Active], stats: &mut F
         f.rate = share;
     }
     stats.fastpath_allocs += 1;
+    tally(Branch::FastPath);
     true
 }
 
@@ -400,6 +457,10 @@ struct SlotFill {
     end: u32,
     /// Last filling round (1-based) that changed `rem`/`cnt`.
     touched_in: u32,
+    /// Share bits of the slot's one designated candidate: the opening
+    /// key in `LinkSlots::order` or an entry in the heap. It is never
+    /// above the current share while the slot is live.
+    queued: u64,
 }
 
 impl SlotFill {
@@ -408,11 +469,14 @@ impl SlotFill {
     }
 }
 
-/// A bottleneck candidate: `(share bits, link id, slot)`, reversed into
-/// a min-heap. Shares are non-negative, so their bit patterns order like
-/// their values; the link id breaks ties the way an ascending-id scan
-/// with a strict `<` does. The slot only rides along.
-type Candidate = Reverse<(u64, u32, u32)>;
+/// A bottleneck candidate packed as `share bits << 64 | link id << 32 |
+/// slot`, so it orders like the tuple. Shares are non-negative, so their
+/// bit patterns order like their values; the link id breaks ties the way
+/// an ascending-id scan with a strict `<` does. The slot only rides
+/// along.
+fn key(share_bits: u64, id: u32, slot: u32) -> u128 {
+    (share_bits as u128) << 64 | (id as u128) << 32 | slot as u128
+}
 
 /// Progressive filling, with scratch buffers that outlive the event so
 /// an allocation allocates nothing once they have grown.
@@ -422,14 +486,25 @@ struct Waterfill {
     /// Slot → active-flow indices, CSR body (one entry per path hop).
     members: Vec<u32>,
     frozen: Vec<bool>,
-    heap: BinaryHeap<Candidate>,
+    /// Candidates re-keyed by this run, as a min-heap.
+    heap: BinaryHeap<Reverse<u128>>,
     touched: Vec<u32>,
 }
 
 impl Waterfill {
     /// Repeatedly saturate the most contended link — minimum fair share,
     /// ties to the lowest link id — and freeze the flows crossing it.
-    fn run(&mut self, links: &LinkSlots, active: &mut [Active], stats: &mut FlowStats) {
+    ///
+    /// Candidates come from two ascending streams: the opening keys in
+    /// `links.order` and a lazy heap of slots a round re-keyed. A slot
+    /// re-enters the heap only when its share falls below the key it has
+    /// queued, or when that key is popped stale. So each live slot keeps
+    /// one candidate at or below its share, and the first live pop is
+    /// the minimum `(share, link id)`: the rounds run in the order a heap
+    /// of every slot at its exact share would give.
+    fn run(&mut self, links: &mut LinkSlots, active: &mut [Active], stats: &mut FlowStats) {
+        tally(Branch::Sync);
+        links.sync();
         // Lay the slot → members table out from the hop counts.
         self.slots.clear();
         let mut end = 0u32;
@@ -439,8 +514,12 @@ impl Waterfill {
                 cnt: l.count,
                 end,
                 touched_in: 0,
+                queued: 0,
             });
             end += l.count;
+        }
+        for &k in &links.order {
+            self.slots[k as u32 as usize].queued = (k >> 64) as u64;
         }
         self.members.clear();
         self.members.resize(end as usize, 0);
@@ -455,23 +534,38 @@ impl Waterfill {
         self.frozen.resize(active.len(), false);
 
         self.heap.clear();
-        self.heap.extend(
-            (links.slots.iter().zip(&self.slots).enumerate())
-                .filter(|(_, (_, f))| f.cnt > 0)
-                .map(|(s, (l, f))| Reverse((f.share().to_bits(), l.id, s as u32))),
-        );
-
+        let mut opening = links.order.iter().copied().peekable();
         let mut unfrozen = active.len();
         let mut round = 0u32;
         while unfrozen > 0 {
+            let top = self.heap.peek().map(|e| e.0);
+            let k = match opening.peek() {
+                Some(&o) if top.is_none_or(|h| o < h) => {
+                    opening.next();
+                    o
+                }
+                _ => {
+                    let e = self.heap.pop();
+                    e.expect("every unfrozen flow keeps a candidate").0
+                }
+            };
+            let (bits, b) = ((k >> 64) as u64, k as u32 as usize);
             // Entries are never removed when a slot changes; one is live
             // iff it still states the slot's current share.
-            let Reverse((bits, _, bottleneck)) = self
-                .heap
-                .pop()
-                .expect("every unfrozen flow keeps its links in the heap");
-            let b = bottleneck as usize;
-            if self.slots[b].cnt == 0 || self.slots[b].share().to_bits() != bits {
+            let f = &mut self.slots[b];
+            if f.cnt == 0 {
+                continue;
+            }
+            let now = f.share().to_bits();
+            if now != bits {
+                // Stale. If it was the slot's designated candidate, the
+                // share has risen past it: queue the slot at its share.
+                if bits == f.queued {
+                    f.queued = now;
+                    let id = links.slots[b].id;
+                    self.heap.push(Reverse(key(now, id, b as u32)));
+                    tally(Branch::RekeyedAtPop);
+                }
                 continue;
             }
             let share = f64::from_bits(bits);
@@ -502,17 +596,45 @@ impl Waterfill {
             // The bottleneck is exactly saturated; pin it against rounding.
             self.slots[b].rem = 0.0;
             self.slots[b].cnt = 0;
+            // A touched share almost always rises, and then the slot's
+            // queued candidate still lies at or below it. It falls only
+            // through rounding: a share that tied this round's and was
+            // rounded up loses `share` and can round below its key
+            // (`fl(100/3) > fl((100 - fl(100/3)) / 2)`), and a subnormal
+            // share can round down to zero (`fl(5e-324 / 2) == 0`).
             for s in self.touched.drain(..) {
-                let f = &self.slots[s as usize];
-                if f.cnt > 0 {
+                let f = &mut self.slots[s as usize];
+                if f.cnt == 0 {
+                    continue;
+                }
+                let now = f.share().to_bits();
+                if now < f.queued {
+                    f.queued = now;
                     let id = links.slots[s as usize].id;
-                    self.heap.push(Reverse((f.share().to_bits(), id, s)));
+                    self.heap.push(Reverse(key(now, id, s)));
+                    tally(Branch::FellBelowQueued);
                 }
             }
         }
         stats.waterfill_rounds += round as u64;
     }
 }
+
+/// A branch of the allocator whose coverage the property tests assert.
+/// Outside tests [`tally`] ignores it.
+enum Branch {
+    /// The fast path served an event.
+    FastPath,
+    /// A general run synced the marks.
+    Sync,
+    /// A slot's designated candidate popped stale and was re-keyed.
+    RekeyedAtPop,
+    /// A touched slot's share fell below its queued key.
+    FellBelowQueued,
+}
+
+#[cfg(not(test))]
+fn tally(_: Branch) {}
 
 /// One-shot allocation over `paths` (none empty), for the allocator's
 /// property tests: the rates, and whether the fast path produced them.
@@ -537,9 +659,41 @@ fn rates(net: &FlowNet, paths: &[Vec<LinkId>], fast_path: bool) -> (Vec<f64>, bo
     let mut stats = FlowStats::default();
     let fast = fast_path && try_single_bottleneck(&links, &mut active, &mut stats);
     if !fast {
-        Waterfill::default().run(&links, &mut active, &mut stats);
+        Waterfill::default().run(&mut links, &mut active, &mut stats);
     }
     (active.iter().map(|f| f.rate).collect(), fast)
+}
+
+/// How often this thread's allocations took each [`Branch`].
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    rekeyed_at_pop: u32,
+    fell_below_queued: u32,
+    /// Syncs of marks that ≥ 2 fast-path events left.
+    synced_after_fast_paths: u32,
+    /// Fast-path events since the last sync.
+    fast_since_sync: u32,
+}
+
+#[cfg(test)]
+thread_local! {
+    static TALLY: std::cell::Cell<Tally> = std::cell::Cell::default();
+}
+
+#[cfg(test)]
+fn tally(branch: Branch) {
+    let mut t = TALLY.get();
+    match branch {
+        Branch::FastPath => t.fast_since_sync += 1,
+        Branch::Sync => {
+            t.synced_after_fast_paths += (t.fast_since_sync >= 2) as u32;
+            t.fast_since_sync = 0;
+        }
+        Branch::RekeyedAtPop => t.rekeyed_at_pop += 1,
+        Branch::FellBelowQueued => t.fell_below_queued += 1,
+    }
+    TALLY.set(t);
 }
 
 #[cfg(test)]
@@ -785,10 +939,12 @@ mod tests {
     fn simulate_matches_the_reference_bit_for_bit() {
         let strategy = sim_case();
         let mut rng = proptest::TestRng::deterministic("simulate_matches_the_reference");
-        let mut seen = [0u32; 6];
+        let mut seen = [0u32; 8];
         for _ in 0..400 {
             let (net, defs, end_s) = strategy.sample(&mut rng);
+            TALLY.take();
             let (res, stats) = assert_matches_reference(&net, &defs, end_s);
+            let taken = TALLY.take();
 
             let on = |l: LinkId| {
                 defs.iter()
@@ -836,6 +992,8 @@ mod tests {
                 rate_zero,
                 slot_reuse,
                 stats.waterfill_rounds > 0 && stats.fastpath_allocs > 0,
+                taken.rekeyed_at_pop > 0,
+                taken.synced_after_fast_paths > 0,
             ]
             .into_iter()
             .zip(&mut seen)
@@ -862,6 +1020,114 @@ mod tests {
         ];
         let (_, stats) = assert_matches_reference(&net, &defs, 100.0);
         assert!(stats.waterfill_rounds >= 2);
+    }
+
+    #[test]
+    fn a_share_rounded_below_its_queued_key_fills_before_a_tie() {
+        // Three 100 B/s links, three hops each: all open at fl(100/3),
+        // which rounds up. Link 0 fills first (lowest id) and takes C off
+        // link 2, whose share then rounds *below* its opening key. Link 2
+        // must fill next, ahead of link 1 still at fl(100/3): if the
+        // allocator left link 2 at its opening key, link 1 would win the
+        // id tie and G would leave at fl(100/3).
+        let s = 100.0f64 / 3.0;
+        let fell = (100.0 - s) / 2.0;
+        assert!(fell < s);
+        let net = net_of(&[1, 1, 1]);
+        let (l0, l1, l2) = (LinkId(0), LinkId(1), LinkId(2));
+        let paths = [
+            vec![l0],
+            vec![l0],
+            vec![l0, l2], // C
+            vec![l1],
+            vec![l1],
+            vec![l1, l2], // G
+            vec![l2],
+        ];
+        TALLY.take();
+        let (rates, _) = rates(&net, &paths, false);
+        assert!(TALLY.take().fell_below_queued > 0);
+        assert_eq!(rates[2].to_bits(), s.to_bits());
+        assert_eq!(rates[5].to_bits(), fell.to_bits());
+        assert_eq!(rates[6].to_bits(), fell.to_bits());
+        let defs: Vec<FlowDef> = (0..paths.len() as u64)
+            .map(|i| flow(i, 100 + 10 * i, 0.0, paths[i as usize].clone()))
+            .collect();
+        assert_matches_reference(&net, &defs, 100.0);
+    }
+
+    /// After any admit/retire sequence, `sync` leaves `order` exactly as
+    /// rebuilding it from the live paths and sorting would: one opening
+    /// key per counted slot, and no mark left standing.
+    #[test]
+    fn synced_order_is_a_sorted_rebuild_of_the_live_paths() {
+        // An op is (kind, path, pick): kinds 0–4 admit `path`, 5–8 retire
+        // live flow `pick`, 9 syncs. The last op is always followed by a
+        // sync.
+        let case = (1usize..=5).prop_flat_map(|nlinks| {
+            let link = (0..nlinks as u32).prop_map(LinkId);
+            let op = (0u32..10, prop::collection::vec(link, 1..=4), 0usize..64);
+            (
+                prop::collection::vec(0usize..5, nlinks),
+                prop::collection::vec(op, 1..=48),
+            )
+        });
+        let mut rng = proptest::TestRng::deterministic("synced_order_is_a_sorted_rebuild");
+        let mut seen = [0u32; 3];
+        for _ in 0..400 {
+            let (caps, ops) = case.sample(&mut rng);
+            let net = net_of(&caps);
+            let mut links = LinkSlots::default();
+            let mut live: Vec<Vec<u32>> = Vec::new();
+            // Per slot, the link it counted at the last sync.
+            let mut counted_at_sync: Vec<Option<u32>> = Vec::new();
+            let mut unsynced = 0;
+            let mut hit = [false; 3];
+            let last = ops.len() - 1;
+            for (i, (kind, path, pick)) in ops.into_iter().enumerate() {
+                match kind {
+                    0..=4 => {
+                        hit[0] |= (1..path.len()).any(|i| path[..i].contains(&path[i]));
+                        let mut slots = Vec::new();
+                        links.admit(&net, &path, &mut slots);
+                        live.push(slots);
+                        unsynced += 1;
+                    }
+                    5..=8 if !live.is_empty() => {
+                        links.retire(&live.swap_remove(pick % live.len()));
+                        unsynced += 1;
+                    }
+                    _ => {}
+                }
+                if kind != 9 && i != last {
+                    continue;
+                }
+                let mut count = vec![0u32; links.slots.len()];
+                for s in live.iter().flatten() {
+                    count[*s as usize] += 1;
+                }
+                // A slot freed and re-admitted for another link.
+                hit[1] |= (counted_at_sync.iter().zip(&links.slots).zip(&count))
+                    .any(|((was, l), &n)| n > 0 && was.is_some_and(|id| id != l.id));
+                hit[2] |= unsynced >= 12;
+                links.sync();
+                let mut want: Vec<u128> = (links.slots.iter().zip(&count).enumerate())
+                    .filter(|(_, (_, &n))| n > 0)
+                    .map(|(s, (l, &n))| key((l.cap / n as f64).to_bits(), l.id, s as u32))
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(links.order, want);
+                assert!(links.marked.is_empty() && links.slots.iter().all(|l| !l.marked));
+                counted_at_sync = (links.slots.iter().zip(&count))
+                    .map(|(l, &n)| (n > 0).then_some(l.id))
+                    .collect();
+                unsynced = 0;
+            }
+            for (hit, n) in hit.into_iter().zip(&mut seen) {
+                *n += hit as u32;
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 40), "generator coverage {seen:?}");
     }
 
     /// Per-link load of an allocation, counting a repeated hop each time.

@@ -304,6 +304,43 @@ mod tests {
         assert_eq!(via_dispatch, direct);
     }
 
+    /// The allocator's work at scale, which no report byte shows in full:
+    /// `waterfill_rounds` is the round order in count form, and the hash
+    /// covers every `finish_s` bit pattern (a censored flow hashes as
+    /// `u64::MAX`). The values were written by the allocator that
+    /// heapified every contended link on every run.
+    #[test]
+    fn fattree_100k_smoke_allocator_work_is_pinned() {
+        let spec = crate::library::fattree_100k_smoke();
+        let sweep = spec.sweep_body("the flow engine");
+        let p = point(Algo::PowerTcp, 0.6, 42);
+        let plan = engine::plan(&sweep.topology, p.algo);
+        let flows = engine::offered_flows(
+            &sweep.topology,
+            &sweep.workload,
+            &plan,
+            sweep.horizon(),
+            p.load,
+            p.seed,
+        );
+        let (net, defs) = build_network(&sweep.topology, &plan, &flows);
+        let (results, stats) = simulate(&net, &defs, sweep.run_end().as_secs_f64());
+        let fnv = (results.iter())
+            .flat_map(|r| r.finish_s.map_or(u64::MAX, f64::to_bits).to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let want = dcn_flow::FlowStats {
+            events: 2556,
+            arrivals: 1278,
+            completed: 1278,
+            censored: 0,
+            waterfill_rounds: 72_991,
+            fastpath_allocs: 6,
+        };
+        assert_eq!((stats, fnv), (want, 0x063f_e70d_0aa6_7c8a));
+    }
+
     #[test]
     fn heavier_load_means_worse_slowdowns() {
         let spec = flow_spec(TopologySpec::FatTree {

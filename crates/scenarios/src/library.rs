@@ -304,9 +304,9 @@ pub fn fig7_flow() -> ScenarioSpec {
 /// 4-pod / 8-ToR layout; 25G hosts against 2×100G of fabric per rack —
 /// 1,562× oversubscription at the ToR) offering the heavy-tailed
 /// websearch+hadoop mixture for a full second of simulated time —
-/// roughly a quarter-million flows. Far beyond what per-packet
-/// simulation can touch; the flow engine completes it in seconds on
-/// one machine, deterministically.
+/// about 32 k flows. Far beyond what per-packet simulation can touch;
+/// the flow engine completes it in a fraction of a second on one
+/// machine, deterministically.
 pub fn fattree_100k() -> ScenarioSpec {
     ScenarioSpec::new(
         "fattree-100k",
@@ -329,8 +329,8 @@ pub fn fattree_100k() -> ScenarioSpec {
 }
 
 /// A reduced [`fattree_100k`] for CI smoke: same 100k-host topology and
-/// mix, a 40 ms horizon (thousands of flows instead of hundreds of
-/// thousands) so the job completes well inside a wall-clock budget.
+/// mix, a 40 ms horizon (about 1,300 flows instead of 32 k) so the job
+/// completes well inside a wall-clock budget.
 pub fn fattree_100k_smoke() -> ScenarioSpec {
     let mut spec = fattree_100k()
         .horizon_ms(40.0)

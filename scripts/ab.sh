@@ -31,12 +31,17 @@ if [ ! -d "$parent" ]; then
     mkdir -p "$parent"
     git -C "$root" archive "$sha" | tar -x -C "$parent"
 fi
+
+# An offline build rewrites benchmark/Cargo.lock, which is committed and
+# read-only outside a benchmark-only change: put it back on any exit.
+lock=$(mktemp)
+runs=$(mktemp)
+cp "$root/benchmark/Cargo.lock" "$lock"
+trap 'cp "$lock" "$root/benchmark/Cargo.lock"; rm -f "$lock" "$runs"' EXIT
+trap 'exit 130' HUP INT TERM
 for tree in "$parent" "$root"; do
     cargo build --release --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 done
-
-runs=$(mktemp)
-trap 'rm -f "$runs"' EXIT
 bad=0
 
 # num <metric>: its value in the result object $json.
