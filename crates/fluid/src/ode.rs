@@ -7,15 +7,19 @@
 //! serial chain of up to sixteen dependent divides (`q/b`, `w/θ`, `q̇/b`, `1/g`
 //! in each of four stages), so a single trajectory waits on divider
 //! latency; a phase portrait's starts are independent, and side by side
-//! their divides overlap (≈ 3× fewer ns per step at Figure 3's 15 lanes).
+//! their divides overlap. The law is matched once per step, outside the
+//! lane loops, so each loop is compiled for one law and the x86-64
+//! baseline packs it two lanes per `divpd`: the gradient law's 112 ns per
+//! step alone is 13.5 ns per lane-step at Figure 3's 15 lanes (power 70 →
+//! 8, queue-length 73 → 10; 2-core Xeon).
 //!
 //! **Bit identity.** A lane evaluates exactly `rk4_step`'s expression
 //! tree, in its order, on its own `f64`s: nothing is reassociated across
 //! or within lanes, Rust never contracts `a*b + c` into an FMA, and IEEE
-//! division rounds the same in any company. So every state, endpoint and
-//! step count equals what a loop of `rk4_step` from that start gives
-//! (`tests/lanes_match_scalar.rs` holds it to `to_bits` equality) and
-//! [`crate::MODEL_VERSION`] does not move.
+//! division rounds the same in any company, packed or not. So every
+//! state, endpoint and step count equals what a loop of `rk4_step` from
+//! that start gives (`tests/lanes_match_scalar.rs` holds it to `to_bits`
+//! equality) and [`crate::MODEL_VERSION`] does not move.
 //!
 //! **Compaction.** Lanes finish at different steps: one retires the step
 //! its ‖Δ‖ falls below the settle tolerance (once sampling is over), and
@@ -69,9 +73,10 @@ struct Lanes {
     nq: Vec<f64>,
 }
 
-/// One RK4 stage for every lane: the slopes at `clamp(s + h·k_in)`.
+/// One RK4 stage for every lane, with `wd` as ẇ: the slopes at
+/// `clamp(s + h·k_in)`.
 fn stage(
-    law: Law,
+    wd: &impl Fn(&FluidParams, State) -> f64,
     p: &FluidParams,
     h: f64,
     (w, q): (&[f64], &[f64]),
@@ -83,7 +88,7 @@ fn stage(
             w: (w[i] + h * kw_in[i]).max(0.0),
             q: (q[i] + h * kq_in[i]).max(0.0),
         };
-        kw[i] = w_dot(law, p, s);
+        kw[i] = wd(p, s);
         kq[i] = q_dot(p, s);
     }
 }
@@ -102,21 +107,40 @@ impl Lanes {
     }
 
     /// [`rk4_step`] for lanes `0..live`, stage by stage: the next states
-    /// land in `nw`/`nq`. Every lane evaluates `rk4_step`'s expression
-    /// tree in `rk4_step`'s order, so each result is bit-identical to it.
+    /// land in `nw`/`nq`. The law is matched here, once, so each lane loop
+    /// below is compiled for one law with no branch on it inside, which
+    /// is what lets the compiler pack two lanes per divide.
     fn step(&mut self, law: Law, p: &FluidParams, dt: f64, live: usize) {
+        match law {
+            Law::QueueLength => self.step_with(p, dt, live, |p, s| w_dot(Law::QueueLength, p, s)),
+            Law::Delay => self.step_with(p, dt, live, |p, s| w_dot(Law::Delay, p, s)),
+            Law::RttGradient => self.step_with(p, dt, live, |p, s| w_dot(Law::RttGradient, p, s)),
+            Law::Power => self.step_with(p, dt, live, |p, s| w_dot(Law::Power, p, s)),
+        }
+    }
+
+    /// [`Lanes::step`] with `wd` as ẇ. Every lane evaluates `rk4_step`'s
+    /// expression tree in `rk4_step`'s order, so each result is
+    /// bit-identical to it.
+    fn step_with(
+        &mut self,
+        p: &FluidParams,
+        dt: f64,
+        live: usize,
+        wd: impl Fn(&FluidParams, State) -> f64,
+    ) {
         let (w, q) = (&self.w[..live], &self.q[..live]);
         let [k1w, k2w, k3w, k4w] = self.kw.each_mut().map(|k| &mut k[..live]);
         let [k1q, k2q, k3q, k4q] = self.kq.each_mut().map(|k| &mut k[..live]);
         let (nw, nq) = (&mut self.nw[..live], &mut self.nq[..live]);
         for i in 0..live {
             let s = State { w: w[i], q: q[i] };
-            k1w[i] = w_dot(law, p, s);
+            k1w[i] = wd(p, s);
             k1q[i] = q_dot(p, s);
         }
-        stage(law, p, 0.5 * dt, (w, q), (k1w, k1q), (k2w, k2q));
-        stage(law, p, 0.5 * dt, (w, q), (k2w, k2q), (k3w, k3q));
-        stage(law, p, dt, (w, q), (k3w, k3q), (k4w, k4q));
+        stage(&wd, p, 0.5 * dt, (w, q), (k1w, k1q), (k2w, k2q));
+        stage(&wd, p, 0.5 * dt, (w, q), (k2w, k2q), (k3w, k3q));
+        stage(&wd, p, dt, (w, q), (k3w, k3q), (k4w, k4q));
         for i in 0..live {
             nw[i] = (w[i] + dt / 6.0 * (k1w[i] + 2.0 * k2w[i] + 2.0 * k3w[i] + k4w[i])).max(0.0);
             nq[i] = (q[i] + dt / 6.0 * (k1q[i] + 2.0 * k2q[i] + 2.0 * k3q[i] + k4q[i])).max(0.0);

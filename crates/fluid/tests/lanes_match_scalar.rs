@@ -2,12 +2,15 @@
 //! sampled state, every endpoint and every per-lane step count of
 //! `integrate` (and of `trajectory` / `settle`, its two plain schedules)
 //! must equal what one start integrated alone gives — for all four laws
-//! (`Delay` appears in no builtin, so no baseline pins it), from the
-//! `q = 0` boundary, with lanes that settle at different steps and lanes
-//! that never do.
+//! (`Delay` appears in no builtin, so no baseline pins it), over the
+//! parameters the analytic builtins use, at lane counts that leave a lane
+//! outside the packed pairs or not, from the `q = 0` boundary, with lanes
+//! that settle at different steps and lanes that never do.
 
-use fluid_model::{integrate, rk4_step, settle, trajectory, FluidParams, Law, Schedule, State};
-use proptest::prelude::*;
+use fluid_model::{
+    integrate, q_dot, rk4_step, settle, trajectory, FluidParams, Law, Schedule, State,
+};
+use proptest::{Strategy, TestRng};
 
 /// One start alone: `steps` of `dt`, every `sample_every`-th state kept.
 fn scalar_trajectory(
@@ -81,45 +84,114 @@ fn assert_lanes_match(law: Law, p: &FluidParams, starts: &[State], plan: &Schedu
     lanes.iter().map(|l| l.steps).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Parameters over the ranges the `ablations` and `theorems` builtins
+/// reach and past them: 10–400 G, τ 2–100 µs, β̂ 0 (exactly, a quarter
+/// of the time) to ½ BDP, γ 0.3–2 per τ/10, η 0.5–1.
+fn params(rng: &mut TestRng) -> FluidParams {
+    let (gbps, rtt_us, beta_frac, gamma, eta) = (
+        10.0..400.0f64,
+        2.0..100.0f64,
+        0.0..0.5f64,
+        0.3..2.0f64,
+        0.5..1.0f64,
+    )
+        .sample(rng);
+    let (bandwidth, base_rtt) = (gbps * 1e9 / 8.0, rtt_us * 1e-6);
+    FluidParams {
+        bandwidth,
+        base_rtt,
+        beta_hat: if rng.below(4) == 0 {
+            0.0
+        } else {
+            bandwidth * base_rtt * beta_frac
+        },
+        gamma_r: gamma / (base_rtt / 10.0),
+        hpcc_eta: eta,
+    }
+}
 
-    #[test]
-    fn lanes_equal_the_scalar_step_bit_for_bit(
-        law in (0usize..4).prop_map(|i| Law::all()[i]),
-        // w ∈ (0, 8] BDP; q ∈ [0, 4] BDP, a third of the lanes exactly 0.
-        fracs in prop::collection::vec((0.0..8.0f64, 0.0..4.0f64, 0usize..3), 1..=32),
-        coarse in 0usize..2,
-        sample_steps in 0usize..=400,
-        sample_every in 1usize..=60,
-        settle_from in 0usize..=500,
-        settle_steps in 0usize..=1500,
-    ) {
-        let p = FluidParams::paper_example();
-        let starts: Vec<State> = fracs
-            .iter()
-            .map(|&(wf, qf, zero)| State {
-                w: p.bdp() * (8.0 - wf),
-                q: if zero == 0 { 0.0 } else { p.bdp() * qf },
+/// Every lane count the kernel treats differently: one lane, an even and
+/// an odd count of packed pairs, each side of a multiple of 16, and past
+/// 32. Lanes retiring mid-run move the odd lane out of the packed body.
+const LANE_COUNTS: [usize; 7] = [1, 2, 3, 15, 16, 17, 33];
+
+#[test]
+fn lanes_equal_the_scalar_step_bit_for_bit() {
+    let mut rng = TestRng::deterministic("lanes_equal_the_scalar_step_bit_for_bit");
+    // [a lane retired while others stayed live, a step from the `q = 0`
+    // boundary with the queue pushed negative, the gradient law's
+    // `g.max(1e-6)` clamp]
+    let mut seen = [0u32; 3];
+    for _ in 0..128 {
+        let law = Law::all()[rng.below(4)];
+        let p = params(&mut rng);
+        // w ∈ (0, 8] BDP; q ∈ [0, 4] BDP. A quarter of the lanes start
+        // at q = 0 and a quarter with w < 1e-6 BDP, where the queue
+        // drains at nearly the line rate.
+        let starts: Vec<State> = (0..LANE_COUNTS[rng.below(LANE_COUNTS.len())])
+            .map(|_| {
+                let (wf, qf, kind) = (0.0..8.0f64, 0.0..4.0f64, 0usize..4).sample(&mut rng);
+                let w = p.bdp() * if kind == 1 { wf * 1e-7 } else { 8.0 - wf };
+                let q = if kind == 0 { 0.0 } else { p.bdp() * qf };
+                State { w, q }
             })
             .collect();
+        let (coarse, sample_steps, sample_every, settle_from, settle_steps) = (
+            0usize..2,
+            0usize..=400,
+            1usize..=60,
+            0usize..=500,
+            0usize..=1500,
+        )
+            .sample(&mut rng);
         // The builtins' step, or ten times it (so the unique-equilibrium
         // laws settle inside `settle_steps`).
         let dt = p.base_rtt / if coarse == 1 { 40.0 } else { 400.0 };
-        let plan = Schedule { dt, sample_steps, sample_every, settle_from, settle_steps };
-        assert_lanes_match(law, &p, &starts, &plan);
+        let plan = Schedule {
+            dt,
+            sample_steps,
+            sample_every,
+            settle_from,
+            settle_steps,
+        };
+        let steps = assert_lanes_match(law, &p, &starts, &plan);
 
         // The two plain schedules.
-        let steps = sample_steps.max(1);
-        let tracks = trajectory(law, &p, &starts, dt, steps, sample_every);
+        let steps_run = sample_steps.max(1);
+        let tracks = trajectory(law, &p, &starts, dt, steps_run, sample_every);
         let ends = settle(law, &p, &starts, dt, settle_steps);
         for ((track, &(end, n)), &s0) in tracks.iter().zip(&ends).zip(&starts) {
-            let want = scalar_trajectory(law, &p, s0, dt, steps, sample_every);
-            prop_assert_eq!(all_bits(track), all_bits(&want));
+            let want = scalar_trajectory(law, &p, s0, dt, steps_run, sample_every);
+            assert_eq!(
+                all_bits(track),
+                all_bits(&want),
+                "{law:?} from {s0:?}, {p:?}"
+            );
             let (want_end, want_n) = scalar_settle(law, &p, s0, dt, settle_steps);
-            prop_assert_eq!((bits(end), n), (bits(want_end), want_n));
+            assert_eq!(
+                (bits(end), n),
+                (bits(want_end), want_n),
+                "{law:?} from {s0:?}, {p:?}"
+            );
+        }
+
+        // `integrate` stops stepping a lane once it has settled and
+        // sampling is over; `trajectory` steps every start at least once.
+        let retired = steps.iter().map(|&n| (settle_from + n).max(sample_steps));
+        let q0 = |s: &State| s.q == 0.0 && s.w / p.base_rtt < p.bandwidth;
+        let g_clamp = |s: &State| q_dot(&p, *s) / p.bandwidth + 1.0 < 1e-6;
+        for (hit, n) in [
+            retired.clone().min() < retired.max(),
+            starts.iter().any(q0),
+            law == Law::RttGradient && starts.iter().any(g_clamp),
+        ]
+        .into_iter()
+        .zip(&mut seen)
+        {
+            *n += hit as u32;
         }
     }
+    assert!(seen.iter().all(|&n| n >= 16), "generator coverage {seen:?}");
 }
 
 #[test]

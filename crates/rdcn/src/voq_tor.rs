@@ -83,6 +83,8 @@ pub struct VoqTor {
     /// Per-destination-rack VOQs.
     voqs: Vec<VecDeque<QueuedPkt>>,
     voq_bytes: Vec<u64>,
+    /// Bit `d` of word `d / 64` ⇔ `voqs[d]` is non-empty.
+    nonempty: Vec<u64>,
     /// Control-packet queue (always packet network, ahead of data).
     ctrl_q: VecDeque<Box<Packet>>,
     /// Round-robin pointer for uplink VOQ service.
@@ -101,6 +103,7 @@ impl VoqTor {
             host_q_bytes: vec![0; cfg.n_hosts],
             voqs: (0..n_tors).map(|_| VecDeque::new()).collect(),
             voq_bytes: vec![0; n_tors],
+            nonempty: vec![0; n_tors.div_ceil(64)],
             ctrl_q: VecDeque::new(),
             rr: 0,
             cfg,
@@ -134,11 +137,53 @@ impl VoqTor {
         next.saturating_sub(now) <= self.cfg.prebuffer
     }
 
-    /// May VOQ `d` drain over the packet network right now?
-    fn uplink_eligible(&self, d: usize, now: Tick) -> bool {
-        d != self.cfg.tor_index
-            && !self.cfg.schedule.circuit_up(self.cfg.tor_index, d, now)
-            && !self.prebuffer_hold(d, now)
+    /// Round-robin over the VOQs: pop the head of the first non-empty one
+    /// from `rr` on, wrapping once, that may drain over the packet
+    /// network at `now` — its circuit is not up and it is not held for
+    /// prebuffering — and move `rr` past it. Returns the packet with the
+    /// bytes it leaves behind.
+    fn uplink_next(&mut self, now: Tick) -> Option<(Box<Packet>, u64)> {
+        let (tor, schedule) = (self.cfg.tor_index, &self.cfg.schedule);
+        let p = schedule.at(now);
+        let circuit = p.in_day.then(|| schedule.peer_of(tor, p.matching));
+        let (w0, b0) = (self.rr / 64, self.rr % 64);
+        // `rr`'s word from `rr` up, the words after it, the words before
+        // it, then `rr`'s word below `rr`.
+        let rest = (w0 + 1..self.nonempty.len()).chain(0..w0);
+        let spans = std::iter::once((w0, !0u64 << b0))
+            .chain(rest.map(|w| (w, !0)))
+            .chain(std::iter::once((w0, (1u64 << b0) - 1)));
+        for (w, mask) in spans {
+            let mut bits = self.nonempty[w] & mask;
+            while bits != 0 {
+                let d = w * 64 + bits.trailing_zeros() as usize;
+                if d != tor && Some(d) != circuit && !self.prebuffer_hold(d, now) {
+                    self.rr = (d + 1) % self.voqs.len();
+                    return Some(self.dequeue(d, now));
+                }
+                bits &= bits - 1;
+            }
+        }
+        None
+    }
+
+    fn enqueue(&mut self, d: usize, pkt: Box<Packet>, now: Tick) {
+        self.voq_bytes[d] += pkt.size as u64;
+        self.voqs[d].push_back(QueuedPkt { pkt, enqueued: now });
+        self.nonempty[d / 64] |= 1 << (d % 64);
+        self.set_gauge(d);
+    }
+
+    /// Pop VOQ `d`'s head at `now`; returns it with the bytes left behind.
+    fn dequeue(&mut self, d: usize, now: Tick) -> (Box<Packet>, u64) {
+        let QueuedPkt { pkt, enqueued } = self.voqs[d].pop_front().expect("VOQ picked non-empty");
+        if self.voqs[d].is_empty() {
+            self.nonempty[d / 64] &= !(1 << (d % 64));
+        }
+        self.voq_bytes[d] -= pkt.size as u64;
+        self.set_gauge(d);
+        self.record_latency(enqueued, now);
+        (pkt, self.voq_bytes[d])
     }
 
     fn record_latency(&self, enq: Tick, now: Tick) {
@@ -173,18 +218,11 @@ impl VoqTor {
             return;
         };
         // Guard time: the packet must fully serialize before the night.
-        let ser = ctx.ports()[cport]
-            .wire
-            .bandwidth
-            .tx_time(front.pkt.size as u64);
+        let ser = ctx.ports()[cport].ser_time(front.pkt.size as u64);
         if ctx.now + ser > p.phase_end {
             return;
         }
-        let QueuedPkt { pkt, enqueued } = self.voqs[d].pop_front().expect("front checked");
-        self.voq_bytes[d] -= pkt.size as u64;
-        self.set_gauge(d);
-        self.record_latency(enqueued, ctx.now);
-        let qlen = self.voq_bytes[d];
+        let (pkt, qlen) = self.dequeue(d, ctx.now);
         ctx.start_tx(PortId(cport as u16), pkt, Some(qlen));
     }
 
@@ -198,21 +236,8 @@ impl VoqTor {
             ctx.start_tx(PortId(uport as u16), pkt, None);
             return;
         }
-        // Round-robin over eligible VOQs.
-        let n = self.voqs.len();
-        for i in 0..n {
-            let d = (self.rr + i) % n;
-            if self.voqs[d].is_empty() || !self.uplink_eligible(d, ctx.now) {
-                continue;
-            }
-            let QueuedPkt { pkt, enqueued } = self.voqs[d].pop_front().expect("nonempty");
-            self.voq_bytes[d] -= pkt.size as u64;
-            self.set_gauge(d);
-            self.record_latency(enqueued, ctx.now);
-            let qlen = self.voq_bytes[d];
-            self.rr = (d + 1) % n;
+        if let Some((pkt, qlen)) = self.uplink_next(ctx.now) {
             ctx.start_tx(PortId(uport as u16), pkt, Some(qlen));
-            return;
         }
     }
 
@@ -246,12 +271,7 @@ impl CustomSwitch for VoqTor {
             self.pump_uplink(ctx);
             return;
         }
-        self.voq_bytes[dst_rack] += pkt.size as u64;
-        self.voqs[dst_rack].push_back(QueuedPkt {
-            pkt,
-            enqueued: ctx.now,
-        });
-        self.set_gauge(dst_rack);
+        self.enqueue(dst_rack, pkt, ctx.now);
         self.pump_circuit(ctx);
         self.pump_uplink(ctx);
     }
@@ -405,6 +425,139 @@ mod tests {
         assert_eq!((bed.tx_bytes(), held), (vec![], 2000));
         let (bed, held) = run(Tick::from_micros(50), 0, t, &pkts, t + US * 40);
         assert_eq!((bed.tx_bytes(), held), (vec![(3, 2000)], 0));
+    }
+
+    /// `uplink_next` as it was before the occupancy bitset: every VOQ from
+    /// `rr` on, with a `%` and a schedule read per step.
+    fn scan_next(tor: &mut VoqTor, now: Tick) -> Option<(Box<Packet>, u64)> {
+        let (me, n) = (tor.cfg.tor_index, tor.voqs.len());
+        for i in 0..n {
+            let d = (tor.rr + i) % n;
+            if tor.voqs[d].is_empty()
+                || d == me
+                || tor.cfg.schedule.circuit_up(me, d, now)
+                || tor.prebuffer_hold(d, now)
+            {
+                continue;
+            }
+            tor.rr = (d + 1) % n;
+            return Some(tor.dequeue(d, now));
+        }
+        None
+    }
+
+    /// An instant on or within a nanosecond of a day start, a night
+    /// start, a week boundary or the opening of `me → d`'s prebuffering
+    /// window, over the first three weeks.
+    fn edge(rng: &mut proptest::TestRng, tor: &VoqTor) -> Tick {
+        let (s, me) = (tor.cfg.schedule, tor.cfg.tor_index);
+        let slot = s.slot() * rng.below(3 * s.num_matchings()) as u64;
+        let at = match rng.below(4) {
+            0 => slot,
+            1 => slot + s.day,
+            2 => s.week() * rng.below(4) as u64,
+            _ => {
+                let d = (me + 1 + rng.below(s.n_tors - 1)) % s.n_tors;
+                let opens = s.next_day_start(me, d, slot);
+                opens.saturating_sub(tor.cfg.prebuffer)
+            }
+        };
+        let nudge = [0, 1, 1_000][rng.below(3)];
+        match rng.below(3) {
+            0 => at,
+            1 => at + Tick::from_ps(nudge),
+            _ => at.saturating_sub(Tick::from_ps(nudge)),
+        }
+    }
+
+    /// The bitset chooser picks the VOQ the linear scan picked and leaves
+    /// `rr` where it left it, pump after pump, with and without
+    /// prebuffering, on rotors of 3 to 70 ToRs (one or two words in the
+    /// set) and of 120 to 200 (three or four, so the order the words
+    /// after `rr`'s are visited in shows).
+    #[test]
+    fn uplink_next_matches_the_scan_it_replaced() {
+        use proptest::Strategy;
+        let mut rng = proptest::TestRng::deterministic("uplink_next_matches_the_scan_it_replaced");
+        // [a non-empty VOQ held for prebuffering, one whose circuit is
+        // up, a pick that wrapped past the last VOQ, one in another word
+        // than `rr`, nothing eligible with a VOQ non-empty]
+        let mut seen = [0u32; 5];
+        for _ in 0..300 {
+            let (fewest, most) = [(3, 70), (60, 70), (120, 200usize)][rng.below(3)];
+            let n_tors = (fewest..=most).sample(&mut rng);
+            let me = rng.below(n_tors);
+            let prebuffer = [0, 50, 600, 1800][rng.below(4)];
+            let rr = rng.below(n_tors);
+            let make = || {
+                let mut tor = VoqTor::new(VoqTorConfig {
+                    tor_index: me,
+                    n_hosts: 0,
+                    schedule: RotorSchedule {
+                        n_tors,
+                        ..RotorSchedule::paper_defaults()
+                    },
+                    prebuffer: Tick::from_micros(prebuffer),
+                    rack_of_node: vec![],
+                    local_port_of: vec![],
+                    voq_gauge: None,
+                    latency_sink: None,
+                });
+                tor.rr = rr;
+                tor
+            };
+            let (mut tor, mut oracle) = (make(), make());
+            // From every VOQ empty (fill 0) to every one holding 1–3
+            // packets (fill 4); VOQ `d`'s packets are 100 + d bytes.
+            let fill = rng.below(5);
+            for d in (0..n_tors).filter(|&d| d != me) {
+                let packets = if rng.below(4) < fill {
+                    1 + rng.below(3)
+                } else {
+                    0
+                };
+                for _ in 0..packets {
+                    let len = 100 + d as u32;
+                    let pkt =
+                        Packet::data(FlowId(1), NodeId(1), NodeId(2), 0, len, false, Tick::ZERO);
+                    for t in [&mut tor, &mut oracle] {
+                        t.enqueue(d, Box::new(pkt.clone()), Tick::ZERO);
+                    }
+                }
+            }
+            let mut hit = [false; 5];
+            loop {
+                let now = edge(&mut rng, &tor);
+                let (from, s) = (tor.rr, tor.cfg.schedule);
+                let p = s.at(now);
+                let nonempty: Vec<usize> =
+                    (0..n_tors).filter(|&d| !tor.voqs[d].is_empty()).collect();
+                hit[0] |= nonempty.iter().any(|&d| tor.prebuffer_hold(d, now));
+                hit[1] |= p.in_day && nonempty.contains(&s.peer_of(me, p.matching));
+                let got = tor.uplink_next(now).map(|(pkt, qlen)| (pkt.size, qlen));
+                let want = scan_next(&mut oracle, now).map(|(pkt, qlen)| (pkt.size, qlen));
+                let what = format!(
+                    "{n_tors} ToRs, me {me}, rr {from}, at {now:?}, prebuffer {prebuffer} us"
+                );
+                assert_eq!(got, want, "{what}");
+                assert_eq!(
+                    (tor.rr, &tor.voq_bytes),
+                    (oracle.rr, &oracle.voq_bytes),
+                    "{what}"
+                );
+                if got.is_none() {
+                    hit[4] |= !nonempty.is_empty();
+                    break;
+                }
+                let d = (tor.rr + n_tors - 1) % n_tors;
+                hit[2] |= d < from;
+                hit[3] |= d / 64 != from / 64;
+            }
+            for (hit, n) in hit.into_iter().zip(&mut seen) {
+                *n += hit as u32;
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 40), "generator coverage {seen:?}");
     }
 
     #[test]

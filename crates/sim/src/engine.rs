@@ -484,7 +484,7 @@ impl Simulator {
         let mut ctx = EndpointCtx {
             now: self.sched.now(),
             node,
-            nic_bw: h.nic.tx.wire.bandwidth,
+            nic_bw: h.nic.tx.wire().bandwidth,
             nic: &mut h.nic,
             sched: &mut self.sched,
         };
@@ -631,7 +631,7 @@ mod tests {
     impl CustomSwitch for Ordered {
         fn on_packet(&mut self, port: PortId, pkt: Box<Packet>, ctx: &mut CustomCtx<'_>) {
             let again = pkt.clone();
-            let done = ctx.now + ctx.ports()[0].wire.bandwidth.tx_time(pkt.size as u64);
+            let done = ctx.now + ctx.ports()[0].ser_time(pkt.size as u64);
             if self.timer_first {
                 ctx.set_timer(done, 7);
             }
@@ -745,7 +745,7 @@ mod tests {
             }
             for (a, pa, z, pz) in made {
                 for (from, port, to, to_port) in [(a, pa, z, pz), (z, pz, a, pa)] {
-                    let wire = egress(&b.net, from, port).wire;
+                    let wire = egress(&b.net, from, port).wire();
                     prop_assert_eq!((wire.dst, wire.dst_port), (to, to_port));
                     prop_assert_eq!((wire.bandwidth, wire.delay), (BW, DELAY));
                 }

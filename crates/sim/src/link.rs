@@ -9,7 +9,9 @@
 
 use crate::ids::{NodeId, PortId};
 use crate::packet::Packet;
+use powertcp_core::time::PS_PER_SEC;
 use powertcp_core::{Bandwidth, IntHopMetadata, Tick};
+use std::num::NonZeroU64;
 
 /// One direction of a cable.
 #[derive(Clone, Copy, Debug)]
@@ -31,7 +33,11 @@ pub struct Link {
 #[derive(Clone, Copy, Debug)]
 pub struct Egress {
     /// The wire this port transmits onto.
-    pub wire: Link,
+    wire: Link,
+    /// The wire's picoseconds per byte, when that is a whole number:
+    /// true of every rate that divides 8·10¹² bps, which is every rate
+    /// the builtins use. Set with `wire`, in [`Egress::new`] only.
+    ps_per_byte: Option<NonZeroU64>,
     /// A packet is being serialized.
     pub busy: bool,
     /// Cumulative bytes transmitted (the INT `txBytes` counter).
@@ -41,10 +47,32 @@ pub struct Egress {
 impl Egress {
     /// An idle port onto `wire`.
     pub fn new(wire: Link) -> Self {
+        let ps_per_byte = match wire.bandwidth.bps() {
+            0 => None,
+            bps if (8 * PS_PER_SEC).is_multiple_of(bps) => NonZeroU64::new(8 * PS_PER_SEC / bps),
+            _ => None,
+        };
         Egress {
             wire,
+            ps_per_byte,
             busy: false,
             tx_bytes: 0,
+        }
+    }
+
+    /// The wire this port transmits onto.
+    pub fn wire(&self) -> &Link {
+        &self.wire
+    }
+
+    /// Time to serialize `bytes` onto the wire: exactly
+    /// [`Bandwidth::tx_time`], as one multiply when the wire's rate has a
+    /// whole number of picoseconds per byte (and the product fits).
+    #[inline]
+    pub fn ser_time(&self, bytes: u64) -> Tick {
+        match self.ps_per_byte.and_then(|r| bytes.checked_mul(r.get())) {
+            Some(ps) => Tick::from_ps(ps),
+            None => self.wire.bandwidth.tx_time(bytes),
         }
     }
 
@@ -78,7 +106,7 @@ impl Egress {
                 });
             }
         }
-        self.wire.bandwidth.tx_time(size)
+        self.ser_time(size)
     }
 
     /// This port's share of [`crate::engine::Simulator::audit`], whatever
@@ -115,13 +143,68 @@ mod tests {
     use super::*;
     use crate::ids::FlowId;
 
-    fn egress() -> Egress {
-        Egress::new(Link {
-            bandwidth: Bandwidth::gbps(100),
+    fn wire(bandwidth: Bandwidth) -> Link {
+        Link {
+            bandwidth,
             delay: Tick::from_micros(1),
             dst: NodeId(1),
             dst_port: PortId(0),
-        })
+        }
+    }
+
+    fn egress() -> Egress {
+        Egress::new(wire(Bandwidth::gbps(100)))
+    }
+
+    /// The multiply is `tx_time` exactly: at every builtin rate (the
+    /// multiply), at rates with no whole number of ps per byte (the
+    /// divide), for every packet size and the largest `u32`, where a slow
+    /// exact rate overflows the multiply and falls back to the divide.
+    #[test]
+    fn ser_time_is_tx_time() {
+        let builtin = [10_000, 12_500, 25_000, 40_000, 50_000, 100_000, 400_000];
+        let exact = builtin.map(Bandwidth::mbps);
+        let slow = [1, 1_000].map(Bandwidth::from_bps);
+        let inexact = [3, 33_300_000_000].map(Bandwidth::from_bps);
+        for bw in exact.into_iter().chain(slow).chain(inexact) {
+            let e = Egress::new(wire(bw));
+            let divides = inexact.contains(&bw);
+            assert_eq!(e.ps_per_byte.is_none(), divides, "{bw}");
+            for bytes in (0..=9000).chain([u32::MAX as u64]) {
+                assert_eq!(e.ser_time(bytes), bw.tx_time(bytes), "{bytes} B at {bw}");
+            }
+        }
+        for bw in slow {
+            let r = Egress::new(wire(bw)).ps_per_byte.expect("exact").get();
+            assert_eq!(
+                r.checked_mul(u32::MAX as u64),
+                None,
+                "{bw} overflows the multiply"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tx_time on zero-bandwidth link")]
+    fn ser_time_on_a_zero_bandwidth_wire_panics() {
+        Egress::new(wire(Bandwidth::ZERO)).ser_time(1);
+    }
+
+    /// A host NIC starts on `Host::new`'s zero-bandwidth loopback; the
+    /// wire it is cabled to replaces the per-byte time along with it.
+    #[test]
+    fn a_host_nic_multiplies_at_the_rate_it_is_cabled_to() {
+        use crate::node::{Host, Node, NullEndpoint};
+        let nic = |node: &Node| match node {
+            Node::Host(h) => h.nic.tx,
+            _ => unreachable!(),
+        };
+        let mut node = Node::Host(Host::new(NodeId(0), Box::new(NullEndpoint)));
+        assert_eq!(nic(&node).ps_per_byte, None);
+        node.attach(wire(Bandwidth::gbps(25)));
+        let tx = nic(&node);
+        assert_eq!(tx.ps_per_byte.map(NonZeroU64::get), Some(320));
+        assert_eq!(tx.ser_time(1000), Tick::from_nanos(320));
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl Nic {
         };
         self.txq_bytes -= pkt.size as u64;
         let ser = self.tx.begin(&mut pkt, node, PortId(0), sched.now(), None);
-        sched.put_on_wire(node, PortId(0), pkt, ser, &self.tx.wire);
+        sched.put_on_wire(node, PortId(0), pkt, ser, self.tx.wire());
     }
 }
 
@@ -175,7 +175,7 @@ impl Host {
 
     /// Has the NIC been connected to a peer?
     pub(crate) fn is_cabled(&self) -> bool {
-        self.nic.tx.wire.dst != self.id
+        self.nic.tx.wire().dst != self.id
     }
 }
 
@@ -210,7 +210,7 @@ impl CustomCtx<'_> {
         let tx = &mut self.ports[port.index()];
         assert!(!tx.busy, "start_tx on busy port {port} of {node}");
         let ser = tx.begin(&mut pkt, node, port, self.now, int_qlen);
-        self.sched.put_on_wire(node, port, pkt, ser, &tx.wire);
+        self.sched.put_on_wire(node, port, pkt, ser, tx.wire());
     }
 
     /// Request a [`crate::event::Event::NodeTimer`] callback at absolute
@@ -287,7 +287,7 @@ impl Node {
             Node::Switch(s) => PortId::next(s.id, s.num_ports()),
             Node::Custom(c) => PortId::next(c.id, c.ports.len()),
             Node::Host(h) => {
-                let peer = h.nic.tx.wire.dst;
+                let peer = h.nic.tx.wire().dst;
                 assert!(
                     !h.is_cabled(),
                     "host {} is already connected to {peer}: a host has one NIC",
@@ -305,7 +305,8 @@ impl Node {
         match self {
             Node::Switch(s) => assert_eq!(s.add_port(wire), port),
             Node::Custom(c) => c.ports.push(Egress::new(wire)),
-            Node::Host(h) => h.nic.tx.wire = wire,
+            // A fresh port: the loopback one never transmitted.
+            Node::Host(h) => h.nic.tx = Egress::new(wire),
         }
         port
     }

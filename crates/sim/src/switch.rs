@@ -418,7 +418,7 @@ impl Switch {
         self.shared.release(size);
         let int_qlen = self.cfg.int_enabled.then_some(port.queued_bytes);
         let ser = port.tx.begin(&mut pkt, self.id, port_id, now, int_qlen);
-        let wire = port.tx.wire;
+        let wire = *port.tx.wire();
         if self.cfg.pfc.is_some() {
             let level = &mut self.ingress_bytes[ingress.index()];
             let left = level.checked_sub(size);
@@ -446,7 +446,7 @@ impl Switch {
             return;
         };
         self.xoff_sent[i] = pause;
-        out.pfc(ingress, &self.ports[i].tx.wire, pause);
+        out.pfc(ingress, self.ports[i].tx.wire(), pause);
     }
 
     /// Packets waiting in this switch's queues.
