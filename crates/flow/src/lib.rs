@@ -22,6 +22,17 @@
 //! floating-point arithmetic — identical inputs produce bit-identical
 //! outputs on any thread or process layout.
 //!
+//! An event changes the path counts of a few links, so the allocator
+//! keeps, from one event to the next, everything an event does not touch:
+//! - each contended link is a stable slot that lists its active flows,
+//!   one entry per path hop, and each hop of a flow records where its
+//!   entry sits; admitting or retiring a flow costs O(1) per hop;
+//! - the opening candidates of progressive filling, one key per
+//!   contended link, stay sorted, and a re-allocation re-keys in place
+//!   only the links whose counts changed;
+//! - a filling run starts a link's state the first time it reaches the
+//!   link, so it costs the links it touches, not every contended one.
+//!
 //! What the abstraction gives up is transport dynamics: no slow start,
 //! no congestion-control law, no switch buffers, no drops or PFC. A
 //! flow's rate converges instantly to its fair share, so flow-level
@@ -40,7 +51,7 @@ use std::collections::BinaryHeap;
 /// **any** change that can move a simulated byte (allocator order,
 /// completion epsilon, event scheduling), and stale flow-engine cache
 /// entries die while packet and analytic entries stay warm.
-pub const FLOW_ENGINE_VERSION: &str = "flow-engine-v1";
+pub const FLOW_ENGINE_VERSION: &str = "flow-engine-v2";
 
 /// Completion slack in bytes: a flow whose remaining volume drops to or
 /// below this after an advance is complete. Absorbs the rounding of
@@ -136,17 +147,22 @@ pub struct FlowStats {
     pub fastpath_allocs: u64,
 }
 
-/// One active flow inside the event loop.
-#[derive(Debug)]
+/// One active flow inside the event loop. It keeps its entry in the
+/// flow slab from admission to retirement, so member lists can name it.
+#[derive(Debug, Default)]
 struct Active {
     /// Index into the caller's `flows` slice.
     idx: usize,
     remaining: f64,
     rate: f64,
+    /// The [`Waterfill`] run that froze this flow. Runs are numbered
+    /// upward, so a stamp from any earlier run reads as unfrozen.
+    frozen_in: u64,
     /// The flow's path as [`LinkSlots`] slots — same order and
     /// multiplicity as `FlowDef::path`, resolved once at admission so the
-    /// per-event allocator never searches for a link.
-    slots: Vec<u32>,
+    /// per-event allocator never searches for a link — each with the
+    /// position of its entry in the slot's member list.
+    slots: Vec<Hop>,
 }
 
 impl Active {
@@ -156,22 +172,65 @@ impl Active {
     }
 }
 
+/// One hop of an active flow: its slot, and the back-pointer to the
+/// hop's entry in that slot's member list.
+#[derive(Clone, Copy, Debug)]
+struct Hop {
+    slot: u32,
+    at: u32,
+}
+
+/// One entry of a slot's member list: a flow-slab index and which of
+/// that flow's hops crosses the slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Member {
+    flow: u32,
+    hop: u32,
+}
+
 /// One contended link: a stable slot in [`LinkSlots`].
 struct LinkSlot {
     id: u32,
     cap: f64,
-    /// Path hops of active flows on this link (a path listing the link
-    /// twice counts twice). Zero marks a free slot.
-    count: u32,
-    /// `count` changed since the last [`LinkSlots::sync`], so the slot's
-    /// key in `order`, if it has one, is stale.
+    /// The active flows' hops on this link, one entry per hop (a path
+    /// listing the link twice has two), in no particular order. Empty
+    /// marks a free slot.
+    members: Vec<Member>,
+    /// Distinct flows among `members`.
+    flows: u32,
+    /// The slot's key in `LinkSlots::order`: present iff the slot had
+    /// members at the last sync.
+    key: Option<u128>,
+    /// `members` changed since the last [`LinkSlots::sync`], so `key`
+    /// may be stale.
     marked: bool,
+}
+
+impl LinkSlot {
+    /// Path hops of active flows on this link.
+    fn count(&self) -> u32 {
+        self.members.len() as u32
+    }
+
+    /// List this slot (number `s`) in `marked`, once per sync.
+    fn mark(&mut self, s: u32, marked: &mut Vec<u32>) {
+        if !self.marked {
+            self.marked = true;
+            marked.push(s);
+        }
+    }
 }
 
 /// The allocator's persistent view of contended links: a slab whose
 /// slots stay put while a link has active flows, so each flow can carry
 /// its path as slot numbers. Sized by the links under contention, never
 /// by the network.
+///
+/// Invariants between events: a slot's `members` are exactly the live
+/// flows' hops on it, each flow's [`Hop::at`] names its own entry, and
+/// `flows` counts the distinct flows there. After a sync, `order` holds
+/// exactly the counted slots' keys, ascending, and each of those slots
+/// stores its key.
 #[derive(Default)]
 struct LinkSlots {
     slots: Vec<LinkSlot>,
@@ -183,14 +242,13 @@ struct LinkSlots {
     order: Vec<u128>,
     /// The marked slots, each listed once.
     marked: Vec<u32>,
-    /// `sync`'s scratch: the marked slots' new keys.
-    fresh: Vec<u128>,
 }
 
 impl LinkSlots {
-    /// Count `path`'s hops in and append their slots to `out`.
-    fn admit(&mut self, net: &FlowNet, path: &[LinkId], out: &mut Vec<u32>) {
-        for l in path {
+    /// Enter flow `me`'s hops along `path` in their slots' member lists,
+    /// appending each hop to `out` (empty on entry).
+    fn admit(&mut self, net: &FlowNet, path: &[LinkId], me: u32, out: &mut Vec<Hop>) {
+        for (hop, l) in path.iter().enumerate() {
             let s = match self.index.binary_search_by_key(&l.0, |&(id, _)| id) {
                 Ok(p) => self.index[p].1,
                 Err(p) => {
@@ -208,7 +266,9 @@ impl LinkSlots {
                             self.slots.push(LinkSlot {
                                 id: l.0,
                                 cap,
-                                count: 0,
+                                members: Vec::new(),
+                                flows: 0,
+                                key: None,
                                 marked: false,
                             });
                             (self.slots.len() - 1) as u32
@@ -218,18 +278,39 @@ impl LinkSlots {
                     s
                 }
             };
-            self.slots[s as usize].count += 1;
-            self.mark(s);
-            out.push(s);
+            let slot = &mut self.slots[s as usize];
+            // A path that lists the link again adds a hop, not a flow.
+            if !out.iter().any(|h| h.slot == s) {
+                slot.flows += 1;
+            }
+            out.push(Hop {
+                slot: s,
+                at: slot.count(),
+            });
+            slot.members.push(Member {
+                flow: me,
+                hop: hop as u32,
+            });
+            slot.mark(s, &mut self.marked);
         }
     }
 
-    /// Count a retiring flow's hops out, freeing slots that empty.
-    fn retire(&mut self, path: &[u32]) {
-        for &s in path {
+    /// Take flow `me`'s hops out of their member lists, freeing slots
+    /// that empty. Each entry leaves by swap-remove, and the entry moved
+    /// into its place has its back-pointer fixed, so nothing is searched.
+    fn retire(&mut self, pool: &mut [Active], me: u32) {
+        for i in 0..pool[me as usize].slots.len() {
+            let Hop { slot: s, at } = pool[me as usize].slots[i];
             let slot = &mut self.slots[s as usize];
-            slot.count -= 1;
-            if slot.count == 0 {
+            slot.members.swap_remove(at as usize);
+            // The moved entry may be a later hop of this very flow.
+            if let Some(&m) = slot.members.get(at as usize) {
+                pool[m.flow as usize].slots[m.hop as usize].at = at;
+            }
+            if !pool[me as usize].slots[i + 1..].iter().any(|h| h.slot == s) {
+                slot.flows -= 1;
+            }
+            if slot.members.is_empty() {
                 let p = self
                     .index
                     .binary_search_by_key(&slot.id, |&(id, _)| id)
@@ -237,45 +318,30 @@ impl LinkSlots {
                 self.index.remove(p);
                 self.free.push(s);
             }
-            self.mark(s);
+            slot.mark(s, &mut self.marked);
         }
     }
 
-    fn mark(&mut self, s: u32) {
-        let slot = &mut self.slots[s as usize];
-        if !slot.marked {
-            slot.marked = true;
-            self.marked.push(s);
-        }
-    }
-
-    /// Bring `order` up to date: keep the unmarked slots' keys, sort the
-    /// marked slots' new ones and merge the two. O(L + D log D) for D
-    /// marks, however many events left them.
+    /// Bring `order` up to date by patching it in place: each marked
+    /// slot's stored key comes out and its new key goes in, both found by
+    /// binary search, so the unmarked keys are only shifted. Keys are
+    /// distinct: each names its slot.
     fn sync(&mut self) {
-        let slots = &mut self.slots;
-        self.order.retain(|&k| !slots[k as u32 as usize].marked);
-        self.fresh.clear();
         for s in self.marked.drain(..) {
-            let l = &mut slots[s as usize];
+            let l = &mut self.slots[s as usize];
             l.marked = false;
-            if l.count > 0 {
-                let share = l.cap / l.count as f64;
-                self.fresh.push(key(share.to_bits(), l.id, s));
+            let new = (l.count() > 0).then(|| key((l.cap / l.count() as f64).to_bits(), l.id, s));
+            let old = std::mem::replace(&mut l.key, new);
+            if old == new {
+                continue;
             }
-        }
-        self.fresh.sort_unstable();
-        // Merge from the back, so no key moves twice. Keys are distinct:
-        // each names its slot.
-        let (mut i, mut j) = (self.order.len(), self.fresh.len());
-        self.order.resize(i + j, 0);
-        while j > 0 {
-            if i > 0 && self.order[i - 1] > self.fresh[j - 1] {
-                self.order[i + j - 1] = self.order[i - 1];
-                i -= 1;
-            } else {
-                self.order[i + j - 1] = self.fresh[j - 1];
-                j -= 1;
+            if let Some(old) = old {
+                let p = self.order.binary_search(&old);
+                self.order.remove(p.expect("a stored key is in order"));
+            }
+            if let Some(new) = new {
+                let p = self.order.binary_search(&new);
+                self.order.insert(p.expect_err("keys are distinct"), new);
             }
         }
     }
@@ -312,10 +378,14 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
 
     let mut finish: Vec<Option<f64>> = vec![None; flows.len()];
     let mut stats = FlowStats::default();
-    let mut active: Vec<Active> = Vec::new();
+    // Flows in flight live in `pool`, a slab whose entries stay put from
+    // admission to retirement so member lists can name them; `active`
+    // lists them in admission order.
+    let mut pool: Vec<Active> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
+    let mut active: Vec<u32> = Vec::new();
     let mut links = LinkSlots::default();
     let mut fill = Waterfill::default();
-    let mut spare: Vec<Vec<u32>> = Vec::new(); // retired slot paths, reused on admit
     let mut next = 0usize; // cursor into `order`
     let mut t = 0.0f64;
 
@@ -331,7 +401,8 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
             // Next event: earliest completion, next arrival, or the end
             // of time — whichever comes first.
             let mut dt_done = f64::INFINITY;
-            for f in &active {
+            for &k in &active {
+                let f = &pool[k as usize];
                 if f.rate > 0.0 {
                     dt_done = dt_done.min(f.time_left());
                 }
@@ -344,7 +415,8 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
             if dt > 0.0 {
                 // Eager on purpose: settling `remaining` lazily would
                 // reassociate this arithmetic and move bytes.
-                for f in &mut active {
+                for &k in &active {
+                    let f = &mut pool[k as usize];
                     f.remaining -= f.rate * dt;
                 }
             } else {
@@ -352,7 +424,8 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
                 // so `dt == 0` means `t + dt_done == t`: the earliest
                 // completion is closer than `t`'s resolution. Nothing
                 // would ever change again — retire the flow(s) due then.
-                for f in &mut active {
+                for &k in &active {
+                    let f = &mut pool[k as usize];
                     if f.rate > 0.0 && f.time_left() == dt_done {
                         f.remaining = 0.0;
                     }
@@ -361,18 +434,17 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
             t = t_next;
             // Retire completions. They all finish at `t`, so their
             // relative order is unobservable.
-            let mut k = 0;
-            while k < active.len() {
-                if active[k].remaining <= EPS_BYTES {
-                    let done = active.remove(k);
-                    finish[done.idx] = Some(t);
-                    stats.completed += 1;
-                    links.retire(&done.slots);
-                    spare.push(done.slots);
-                } else {
-                    k += 1;
+            active.retain(|&k| {
+                let f = &pool[k as usize];
+                if f.remaining > EPS_BYTES {
+                    return true;
                 }
-            }
+                finish[f.idx] = Some(t);
+                stats.completed += 1;
+                links.retire(&mut pool, k);
+                free.push(k);
+                false
+            });
             if t >= end_s {
                 break;
             }
@@ -389,20 +461,22 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
                 stats.completed += 1;
                 continue;
             }
-            let mut slots = spare.pop().unwrap_or_default();
-            slots.clear();
-            links.admit(net, &flows[i].path, &mut slots);
-            active.push(Active {
-                idx: i,
-                remaining: (flows[i].size_bytes as f64).max(EPS_BYTES * 2.0),
-                rate: 0.0,
-                slots,
+            let k = free.pop().unwrap_or_else(|| {
+                pool.push(Active::default());
+                (pool.len() - 1) as u32
             });
+            let f = &mut pool[k as usize];
+            f.idx = i;
+            f.remaining = (flows[i].size_bytes as f64).max(EPS_BYTES * 2.0);
+            f.rate = 0.0;
+            f.slots.clear();
+            links.admit(net, &flows[i].path, k, &mut f.slots);
+            active.push(k);
             stats.arrivals += 1;
         }
         // Recompute every active flow's max-min fair rate.
-        if !active.is_empty() && !try_single_bottleneck(&links, &mut active, &mut stats) {
-            fill.run(&mut links, &mut active, &mut stats);
+        if !active.is_empty() && !try_single_bottleneck(&links, &mut pool, &active, &mut stats) {
+            fill.run(&mut links, &mut pool, active.len(), &mut stats);
         }
         stats.events += 1;
     }
@@ -417,44 +491,55 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
     )
 }
 
-/// Fast path: when one link is crossed by *every* active flow and its
-/// equal split is feasible on all other links, the max-min allocation
-/// is the uniform rate `cap / n`. Detects the full-mesh / incast shape
-/// in one scan instead of a filling loop. Only the minimum share's
-/// *value* is used, so the slab's slot order cannot show in a rate.
-fn try_single_bottleneck(links: &LinkSlots, active: &mut [Active], stats: &mut FlowStats) -> bool {
+/// Fast path: when one link is crossed exactly once by *every* active
+/// flow and its equal split is feasible on all other links, the max-min
+/// allocation is the uniform rate `cap / n`. Detects the full-mesh /
+/// incast shape without a filling loop. Such a link lies on every flow's
+/// path, the first one's included, so only that path's slots are
+/// candidates, and a slot qualifies when its `n` hops come from `n`
+/// distinct flows. Only the minimum share's *value* is used, so the
+/// slab's slot order cannot show in a rate.
+fn try_single_bottleneck(
+    links: &LinkSlots,
+    pool: &mut [Active],
+    active: &[u32],
+    stats: &mut FlowStats,
+) -> bool {
     let n = active.len() as u32;
-    let share = links
+    let share = pool[active[0] as usize]
         .slots
         .iter()
-        .filter(|l| l.count == n)
+        .map(|h| &links.slots[h.slot as usize])
+        .filter(|l| l.count() == n && l.flows == n)
         .map(|l| l.cap / n as f64)
         .min_by(f64::total_cmp);
     let Some(share) = share else {
         return false;
     };
-    for l in links.slots.iter().filter(|l| l.count > 0) {
-        if l.cap / l.count as f64 + 1e-15 < share {
+    for l in links.slots.iter().filter(|l| l.count() > 0) {
+        if l.cap / l.count() as f64 + 1e-15 < share {
             return false;
         }
     }
-    for f in active.iter_mut() {
-        f.rate = share;
+    for &k in active {
+        pool[k as usize].rate = share;
     }
     stats.fastpath_allocs += 1;
     tally(Branch::FastPath);
     true
 }
 
-/// Per-slot state of one progressive-filling run.
+/// Per-slot state of one progressive-filling run. It starts lazily: the
+/// first time a run pops the slot or freezes a flow through it, [`fill`]
+/// resets it from the slot's [`LinkSlot`].
+#[derive(Default)]
 struct SlotFill {
+    /// The run this state belongs to; any other value means stale.
+    run: u64,
     /// Capacity not yet handed to frozen flows.
     rem: f64,
     /// Path hops of still-unfrozen flows.
     cnt: u32,
-    /// One past the slot's last entry in `Waterfill::members`; the
-    /// slot's members are the `LinkSlot::count` entries before it.
-    end: u32,
     /// Last filling round (1-based) that changed `rem`/`cnt`.
     touched_in: u32,
     /// Share bits of the slot's one designated candidate: the opening
@@ -469,6 +554,24 @@ impl SlotFill {
     }
 }
 
+/// Slot `s`'s state in run `run`, reset on first use to what the run
+/// opens with: the link's whole capacity, every hop on it, and its
+/// opening key as the designated candidate.
+fn fill<'a>(fills: &'a mut [SlotFill], run: u64, links: &LinkSlots, s: u32) -> &'a mut SlotFill {
+    let f = &mut fills[s as usize];
+    if f.run != run {
+        let l = &links.slots[s as usize];
+        *f = SlotFill {
+            run,
+            rem: l.cap,
+            cnt: l.count(),
+            touched_in: 0,
+            queued: (l.key.expect("a synced counted slot is keyed") >> 64) as u64,
+        };
+    }
+    f
+}
+
 /// A bottleneck candidate packed as `share bits << 64 | link id << 32 |
 /// slot`, so it orders like the tuple. Shares are non-negative, so their
 /// bit patterns order like their values; the link id breaks ties the way
@@ -480,12 +583,17 @@ fn key(share_bits: u64, id: u32, slot: u32) -> u128 {
 
 /// Progressive filling, with scratch buffers that outlive the event so
 /// an allocation allocates nothing once they have grown.
+///
+/// Nothing here is laid out per run: members come from the slab's
+/// persistent lists, a flow's frozen mark is a run stamp on it, and a
+/// slot's [`SlotFill`] starts on first use. A run therefore costs the
+/// marks it syncs, the candidates it takes and the hops it freezes.
 #[derive(Default)]
 struct Waterfill {
+    /// One per slab slot, grown with the slab.
     slots: Vec<SlotFill>,
-    /// Slot → active-flow indices, CSR body (one entry per path hop).
-    members: Vec<u32>,
-    frozen: Vec<bool>,
+    /// Runs so far; the current run's stamp.
+    run: u64,
     /// Candidates re-keyed by this run, as a min-heap.
     heap: BinaryHeap<Reverse<u128>>,
     touched: Vec<u32>,
@@ -493,7 +601,7 @@ struct Waterfill {
 
 impl Waterfill {
     /// Repeatedly saturate the most contended link — minimum fair share,
-    /// ties to the lowest link id — and freeze the flows crossing it.
+    /// ties to the lowest link id — and freeze the `n` active flows.
     ///
     /// Candidates come from two ascending streams: the opening keys in
     /// `links.order` and a lazy heap of slots a round re-keyed. A slot
@@ -502,40 +610,19 @@ impl Waterfill {
     /// one candidate at or below its share, and the first live pop is
     /// the minimum `(share, link id)`: the rounds run in the order a heap
     /// of every slot at its exact share would give.
-    fn run(&mut self, links: &mut LinkSlots, active: &mut [Active], stats: &mut FlowStats) {
+    fn run(&mut self, links: &mut LinkSlots, pool: &mut [Active], n: usize, stats: &mut FlowStats) {
         tally(Branch::Sync);
         links.sync();
-        // Lay the slot → members table out from the hop counts.
-        self.slots.clear();
-        let mut end = 0u32;
-        for l in &links.slots {
-            self.slots.push(SlotFill {
-                rem: l.cap,
-                cnt: l.count,
-                end,
-                touched_in: 0,
-                queued: 0,
-            });
-            end += l.count;
+        let links = &*links;
+        self.run += 1;
+        let run = self.run;
+        if self.slots.len() < links.slots.len() {
+            self.slots.resize_with(links.slots.len(), SlotFill::default);
         }
-        for &k in &links.order {
-            self.slots[k as u32 as usize].queued = (k >> 64) as u64;
-        }
-        self.members.clear();
-        self.members.resize(end as usize, 0);
-        for (k, f) in active.iter().enumerate() {
-            for &s in &f.slots {
-                let at = &mut self.slots[s as usize].end;
-                self.members[*at as usize] = k as u32;
-                *at += 1;
-            }
-        }
-        self.frozen.clear();
-        self.frozen.resize(active.len(), false);
 
         self.heap.clear();
         let mut opening = links.order.iter().copied().peekable();
-        let mut unfrozen = active.len();
+        let mut unfrozen = n;
         let mut round = 0u32;
         while unfrozen > 0 {
             let top = self.heap.peek().map(|e| e.0);
@@ -549,10 +636,10 @@ impl Waterfill {
                     e.expect("every unfrozen flow keeps a candidate").0
                 }
             };
-            let (bits, b) = ((k >> 64) as u64, k as u32 as usize);
+            let (bits, b) = ((k >> 64) as u64, k as u32);
             // Entries are never removed when a slot changes; one is live
             // iff it still states the slot's current share.
-            let f = &mut self.slots[b];
+            let f = fill(&mut self.slots, run, links, b);
             if f.cnt == 0 {
                 continue;
             }
@@ -562,40 +649,39 @@ impl Waterfill {
                 // share has risen past it: queue the slot at its share.
                 if bits == f.queued {
                     f.queued = now;
-                    let id = links.slots[b].id;
-                    self.heap.push(Reverse(key(now, id, b as u32)));
+                    let id = links.slots[b as usize].id;
+                    self.heap.push(Reverse(key(now, id, b)));
                     tally(Branch::RekeyedAtPop);
                 }
                 continue;
             }
             let share = f64::from_bits(bits);
             round += 1;
-            let members =
-                (self.slots[b].end - links.slots[b].count) as usize..self.slots[b].end as usize;
-            for &k in &self.members[members] {
-                let k = k as usize;
-                if self.frozen[k] {
+            for m in &links.slots[b as usize].members {
+                let a = &mut pool[m.flow as usize];
+                if a.frozen_in == run {
                     continue;
                 }
-                self.frozen[k] = true;
+                a.frozen_in = run;
                 unfrozen -= 1;
-                active[k].rate = share;
+                a.rate = share;
                 // Every flow frozen this round subtracts the same
                 // `share`, so the order they freeze in cannot change a
                 // bit of `rem`.
-                for &s in &active[k].slots {
-                    let f = &mut self.slots[s as usize];
+                for h in &a.slots {
+                    let f = fill(&mut self.slots, run, links, h.slot);
                     f.rem = (f.rem - share).max(0.0);
                     f.cnt -= 1;
                     if f.touched_in != round {
                         f.touched_in = round;
-                        self.touched.push(s);
+                        self.touched.push(h.slot);
                     }
                 }
             }
             // The bottleneck is exactly saturated; pin it against rounding.
-            self.slots[b].rem = 0.0;
-            self.slots[b].cnt = 0;
+            let f = &mut self.slots[b as usize];
+            f.rem = 0.0;
+            f.cnt = 0;
             // A touched share almost always rises, and then the slot's
             // queued candidate still lies at or below it. It falls only
             // through rounding: a share that tied this round's and was
@@ -642,26 +728,23 @@ fn tally(_: Branch) {}
 #[cfg(test)]
 fn rates(net: &FlowNet, paths: &[Vec<LinkId>], fast_path: bool) -> (Vec<f64>, bool) {
     let mut links = LinkSlots::default();
-    let mut active: Vec<Active> = paths
-        .iter()
-        .enumerate()
-        .map(|(idx, path)| {
-            let mut slots = Vec::new();
-            links.admit(net, path, &mut slots);
-            Active {
-                idx,
-                remaining: 1.0,
-                rate: 0.0,
-                slots,
-            }
-        })
-        .collect();
-    let mut stats = FlowStats::default();
-    let fast = fast_path && try_single_bottleneck(&links, &mut active, &mut stats);
-    if !fast {
-        Waterfill::default().run(&mut links, &mut active, &mut stats);
+    let mut pool: Vec<Active> = Vec::new();
+    for (idx, path) in paths.iter().enumerate() {
+        let mut f = Active {
+            idx,
+            remaining: 1.0,
+            ..Active::default()
+        };
+        links.admit(net, path, idx as u32, &mut f.slots);
+        pool.push(f);
     }
-    (active.iter().map(|f| f.rate).collect(), fast)
+    let active: Vec<u32> = (0..pool.len() as u32).collect();
+    let mut stats = FlowStats::default();
+    let fast = fast_path && try_single_bottleneck(&links, &mut pool, &active, &mut stats);
+    if !fast {
+        Waterfill::default().run(&mut links, &mut pool, active.len(), &mut stats);
+    }
+    (pool.iter().map(|f| f.rate).collect(), fast)
 }
 
 /// How often this thread's allocations took each [`Branch`].
@@ -891,8 +974,10 @@ mod tests {
     }
 
     /// A small net and a flow set over it: few links, short paths drawn
-    /// *with* replacement (repeated links), sizes and starts from small
-    /// palettes (simultaneous arrivals and completions), colliding seqs.
+    /// *with* replacement (repeated links) or, for about half the flows,
+    /// without (so the fast path's shape, a link every flow crosses once,
+    /// stays common), sizes and starts from small palettes (simultaneous
+    /// arrivals and completions), colliding seqs.
     fn sim_case() -> impl Strategy<Value = (FlowNet, Vec<FlowDef>, f64)> {
         (1usize..=6).prop_flat_map(|nlinks| {
             let link = (0..nlinks as u32).prop_map(LinkId);
@@ -901,6 +986,7 @@ mod tests {
                 0..SIZES.len(),
                 0..STARTS.len(),
                 prop::collection::vec(link, 0..=4),
+                0u32..2,
             );
             (
                 prop::collection::vec(0..CAPS.len(), nlinks),
@@ -910,7 +996,15 @@ mod tests {
                 .prop_map(|(caps, flows, end)| {
                     let defs = flows
                         .into_iter()
-                        .map(|(seq, size, start, path)| flow(seq, SIZES[size], STARTS[start], path))
+                        .map(|(seq, size, start, drawn, repeats)| {
+                            let mut path = Vec::new();
+                            for l in drawn {
+                                if repeats == 1 || !path.contains(&l) {
+                                    path.push(l);
+                                }
+                            }
+                            flow(seq, SIZES[size], STARTS[start], path)
+                        })
                         .collect();
                     (net_of(&caps), defs, ENDS[end])
                 })
@@ -1023,6 +1117,24 @@ mod tests {
     }
 
     #[test]
+    fn fast_path_counts_flows_not_hops() {
+        // Link x carries 100 B/s and y 1000 B/s; A runs on [x, x], B on
+        // [y]. x has two hops for two flows, yet B never crosses it:
+        // water-filling gives A 100 / 2 and B all of y, so both finish at
+        // t = 1. Read off the hop count alone, the fast path gave B 50 B/s
+        // as well, and B finished at 1.95 s.
+        let mut net = FlowNet::new();
+        let x = net.add_link(100.0);
+        let y = net.add_link(1000.0);
+        let (rates, fast) = rates(&net, &[vec![x, x], vec![y]], true);
+        assert_eq!((rates, fast), (vec![50.0, 1000.0], false));
+        let defs = [flow(0, 50, 0.0, vec![x, x]), flow(1, 1000, 0.0, vec![y])];
+        let (res, _) = assert_matches_reference(&net, &defs, 10.0);
+        assert_eq!(res[0].finish_s, Some(1.0));
+        assert_eq!(res[1].finish_s, Some(1.0));
+    }
+
+    #[test]
     fn a_share_rounded_below_its_queued_key_fills_before_a_tie() {
         // Three 100 B/s links, three hops each: all open at fl(100/3),
         // which rounds up. Link 0 fills first (lowest id) and takes C off
@@ -1056,9 +1168,11 @@ mod tests {
         assert_matches_reference(&net, &defs, 100.0);
     }
 
-    /// After any admit/retire sequence, `sync` leaves `order` exactly as
-    /// rebuilding it from the live paths and sorting would: one opening
-    /// key per counted slot, and no mark left standing.
+    /// After any admit/retire sequence, the persistent state equals a
+    /// rebuild from the live paths: each slot's member list is the live
+    /// hops on it, every back-pointer names its own entry, the distinct
+    /// flow counts match, and `sync` leaves `order` as sorting every
+    /// counted slot's opening key would, with no mark left standing.
     #[test]
     fn synced_order_is_a_sorted_rebuild_of_the_live_paths() {
         // An op is (kind, path, pick): kinds 0–4 admit `path`, 5–8 retire
@@ -1073,28 +1187,36 @@ mod tests {
             )
         });
         let mut rng = proptest::TestRng::deterministic("synced_order_is_a_sorted_rebuild");
-        let mut seen = [0u32; 3];
+        let mut seen = [0u32; 4];
         for _ in 0..400 {
             let (caps, ops) = case.sample(&mut rng);
             let net = net_of(&caps);
             let mut links = LinkSlots::default();
-            let mut live: Vec<Vec<u32>> = Vec::new();
+            let mut pool: Vec<Active> = Vec::new();
+            let mut live: Vec<u32> = Vec::new();
             // Per slot, the link it counted at the last sync.
             let mut counted_at_sync: Vec<Option<u32>> = Vec::new();
             let mut unsynced = 0;
-            let mut hit = [false; 3];
+            let mut hit = [false; 4];
             let last = ops.len() - 1;
             for (i, (kind, path, pick)) in ops.into_iter().enumerate() {
                 match kind {
                     0..=4 => {
                         hit[0] |= (1..path.len()).any(|i| path[..i].contains(&path[i]));
-                        let mut slots = Vec::new();
-                        links.admit(&net, &path, &mut slots);
-                        live.push(slots);
+                        let me = pool.len() as u32;
+                        let mut f = Active::default();
+                        links.admit(&net, &path, me, &mut f.slots);
+                        pool.push(f);
+                        live.push(me);
                         unsynced += 1;
                     }
                     5..=8 if !live.is_empty() => {
-                        links.retire(&live.swap_remove(pick % live.len()));
+                        let me = live.swap_remove(pick % live.len());
+                        let hops = &pool[me as usize].slots;
+                        // A retire that moves this flow's own later entry.
+                        hit[3] |= (1..hops.len())
+                            .any(|i| hops[..i].iter().any(|h| h.slot == hops[i].slot));
+                        links.retire(&mut pool, me);
                         unsynced += 1;
                     }
                     _ => {}
@@ -1102,19 +1224,48 @@ mod tests {
                 if kind != 9 && i != last {
                     continue;
                 }
-                let mut count = vec![0u32; links.slots.len()];
-                for s in live.iter().flatten() {
-                    count[*s as usize] += 1;
+                // The rebuild: per slot, the live hops and distinct flows.
+                let mut members = vec![Vec::new(); links.slots.len()];
+                let mut flows = vec![0u32; links.slots.len()];
+                for &me in &live {
+                    let hops = &pool[me as usize].slots;
+                    for (hop, h) in hops.iter().enumerate() {
+                        members[h.slot as usize].push(Member {
+                            flow: me,
+                            hop: hop as u32,
+                        });
+                        flows[h.slot as usize] +=
+                            !hops[..hop].iter().any(|g| g.slot == h.slot) as u32;
+                        assert_eq!(
+                            links.slots[h.slot as usize].members[h.at as usize],
+                            Member {
+                                flow: me,
+                                hop: hop as u32
+                            },
+                            "a back-pointer names its own entry"
+                        );
+                    }
                 }
+                for ((l, want), &n) in links.slots.iter().zip(&mut members).zip(&flows) {
+                    let mut got = l.members.clone();
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(&got, want, "member list of link {}", l.id);
+                    assert_eq!(l.flows, n, "distinct flows on link {}", l.id);
+                }
+                let count: Vec<u32> = members.iter().map(|m| m.len() as u32).collect();
                 // A slot freed and re-admitted for another link.
                 hit[1] |= (counted_at_sync.iter().zip(&links.slots).zip(&count))
                     .any(|((was, l), &n)| n > 0 && was.is_some_and(|id| id != l.id));
                 hit[2] |= unsynced >= 12;
                 links.sync();
-                let mut want: Vec<u128> = (links.slots.iter().zip(&count).enumerate())
-                    .filter(|(_, (_, &n))| n > 0)
-                    .map(|(s, (l, &n))| key((l.cap / n as f64).to_bits(), l.id, s as u32))
+                let want: Vec<Option<u128>> = (links.slots.iter().zip(&count).enumerate())
+                    .map(|(s, (l, &n))| {
+                        (n > 0).then(|| key((l.cap / n as f64).to_bits(), l.id, s as u32))
+                    })
                     .collect();
+                assert!(links.slots.iter().zip(&want).all(|(l, w)| l.key == *w));
+                let mut want: Vec<u128> = want.into_iter().flatten().collect();
                 want.sort_unstable();
                 assert_eq!(links.order, want);
                 assert!(links.marked.is_empty() && links.slots.iter().all(|l| !l.marked));
@@ -1181,13 +1332,10 @@ mod tests {
         /// rates progressive filling would.
         #[test]
         fn fast_path_rates_equal_water_filling((net, mut paths) in rates_case()) {
-            // Route every flow over link 0 so the shape applies often, and
-            // drop repeated hops: the fast path counts hops, not flows, so
-            // a link listed twice can pass for one every flow crosses.
+            // Route every flow over link 0 so the shape applies often.
+            // Paths keep their repeated hops, link 0's included.
             for p in &mut paths {
                 p.push(LinkId(0));
-                p.sort();
-                p.dedup();
             }
             let (fast, applied) = rates(&net, &paths, true);
             let (general, _) = rates(&net, &paths, false);

@@ -9,9 +9,11 @@
 //! Its round order — minimum share, ties to the lowest link id — is the
 //! contract the production heap key `(share bits, link id)` reproduces.
 //!
-//! The one deviation from the code as it shipped is the zero-progress
-//! guard in the event loop (marked below): without it the inputs that
-//! guard exists for never terminate, here or there.
+//! Two deviations from the code as it shipped are marked below: the
+//! zero-progress guard in the event loop, without which the inputs that
+//! guard exists for never terminate, here or there; and the fast path's
+//! test that every flow crosses its link exactly once, which the shipped
+//! code read off the hop count alone.
 
 use super::{FlowDef, FlowNet, FlowResult, FlowStats, LinkId, EPS_BYTES};
 
@@ -206,7 +208,7 @@ fn allocate(
     flows: &[FlowDef],
     stats: &mut FlowStats,
 ) {
-    if try_single_bottleneck(net, active, load, stats) {
+    if try_single_bottleneck(net, active, load, flows, stats) {
         return;
     }
     // Progressive filling: repeatedly saturate the most contended link.
@@ -260,20 +262,24 @@ fn allocate(
     }
 }
 
-/// Fast path: when one link is crossed by *every* active flow and its
-/// equal split is feasible on all other links, the max-min allocation
-/// is the uniform rate `cap / n`. Detects the full-mesh / incast shape
-/// in one scan instead of a filling loop.
+/// Fast path: when one link is crossed exactly once by *every* active
+/// flow and its equal split is feasible on all other links, the max-min
+/// allocation is the uniform rate `cap / n`. Detects the full-mesh /
+/// incast shape in one scan instead of a filling loop.
 fn try_single_bottleneck(
     net: &FlowNet,
     active: &mut [Active],
     load: &LinkLoad,
+    flows: &[FlowDef],
     stats: &mut FlowStats,
 ) -> bool {
     let n = active.len() as u32;
     let mut shared: Option<(usize, f64)> = None;
     for (l, (&id, &c)) in load.ids.iter().zip(&load.counts).enumerate() {
-        if c == n {
+        // Deviation from the shipped parent: `c == n` alone also passes a
+        // link one path lists twice while another flow misses it.
+        let once = |f: &Active| flows[f.idx].path.iter().filter(|h| h.0 == id).count() == 1;
+        if c == n && active.iter().all(once) {
             let share = net.caps[id as usize] / n as f64;
             if shared.is_none_or(|(_, s)| share < s) {
                 shared = Some((l, share));
