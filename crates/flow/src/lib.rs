@@ -11,9 +11,7 @@
 //! water-filling (progressive filling) over the links it crosses:
 //! repeatedly find the most contended link, freeze every flow crossing
 //! it at that link's fair share, subtract the frozen bandwidth, and
-//! recurse on the rest. When all active flows share one global
-//! bottleneck — the full-mesh/incast shape — a fast path allocates
-//! `capacity / n` to everyone in a single scan.
+//! recurse on the rest. Every event re-runs this one fill.
 //!
 //! The engine is exactly deterministic: events are processed in
 //! `(time, seq)` order (same tie-breaking contract as the packet
@@ -51,7 +49,7 @@ use std::collections::BinaryHeap;
 /// **any** change that can move a simulated byte (allocator order,
 /// completion epsilon, event scheduling), and stale flow-engine cache
 /// entries die while packet and analytic entries stay warm.
-pub const FLOW_ENGINE_VERSION: &str = "flow-engine-v2";
+pub const FLOW_ENGINE_VERSION: &str = "flow-engine-v3";
 
 /// Completion slack in bytes: a flow whose remaining volume drops to or
 /// below this after an advance is complete. Absorbs the rounding of
@@ -141,10 +139,8 @@ pub struct FlowStats {
     pub completed: u64,
     /// Flows censored at the simulation end (includes never-started).
     pub censored: u64,
-    /// Progressive-filling rounds across all general allocations.
+    /// Progressive-filling rounds across all allocations.
     pub waterfill_rounds: u64,
-    /// Allocations served by the single-bottleneck fast path.
-    pub fastpath_allocs: u64,
 }
 
 /// One active flow inside the event loop. It keeps its entry in the
@@ -196,8 +192,6 @@ struct LinkSlot {
     /// listing the link twice has two), in no particular order. Empty
     /// marks a free slot.
     members: Vec<Member>,
-    /// Distinct flows among `members`.
-    flows: u32,
     /// The slot's key in `LinkSlots::order`: present iff the slot had
     /// members at the last sync.
     key: Option<u128>,
@@ -227,10 +221,9 @@ impl LinkSlot {
 /// by the network.
 ///
 /// Invariants between events: a slot's `members` are exactly the live
-/// flows' hops on it, each flow's [`Hop::at`] names its own entry, and
-/// `flows` counts the distinct flows there. After a sync, `order` holds
-/// exactly the counted slots' keys, ascending, and each of those slots
-/// stores its key.
+/// flows' hops on it, and each flow's [`Hop::at`] names its own entry.
+/// After a sync, `order` holds exactly the counted slots' keys,
+/// ascending, and each of those slots stores its key.
 #[derive(Default)]
 struct LinkSlots {
     slots: Vec<LinkSlot>,
@@ -267,7 +260,6 @@ impl LinkSlots {
                                 id: l.0,
                                 cap,
                                 members: Vec::new(),
-                                flows: 0,
                                 key: None,
                                 marked: false,
                             });
@@ -279,10 +271,6 @@ impl LinkSlots {
                 }
             };
             let slot = &mut self.slots[s as usize];
-            // A path that lists the link again adds a hop, not a flow.
-            if !out.iter().any(|h| h.slot == s) {
-                slot.flows += 1;
-            }
             out.push(Hop {
                 slot: s,
                 at: slot.count(),
@@ -306,9 +294,6 @@ impl LinkSlots {
             // The moved entry may be a later hop of this very flow.
             if let Some(&m) = slot.members.get(at as usize) {
                 pool[m.flow as usize].slots[m.hop as usize].at = at;
-            }
-            if !pool[me as usize].slots[i + 1..].iter().any(|h| h.slot == s) {
-                slot.flows -= 1;
             }
             if slot.members.is_empty() {
                 let p = self
@@ -475,7 +460,7 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
             stats.arrivals += 1;
         }
         // Recompute every active flow's max-min fair rate.
-        if !active.is_empty() && !try_single_bottleneck(&links, &mut pool, &active, &mut stats) {
+        if !active.is_empty() {
             fill.run(&mut links, &mut pool, active.len(), &mut stats);
         }
         stats.events += 1;
@@ -489,44 +474,6 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
             .collect(),
         stats,
     )
-}
-
-/// Fast path: when one link is crossed exactly once by *every* active
-/// flow and its equal split is feasible on all other links, the max-min
-/// allocation is the uniform rate `cap / n`. Detects the full-mesh /
-/// incast shape without a filling loop. Such a link lies on every flow's
-/// path, the first one's included, so only that path's slots are
-/// candidates, and a slot qualifies when its `n` hops come from `n`
-/// distinct flows. Only the minimum share's *value* is used, so the
-/// slab's slot order cannot show in a rate.
-fn try_single_bottleneck(
-    links: &LinkSlots,
-    pool: &mut [Active],
-    active: &[u32],
-    stats: &mut FlowStats,
-) -> bool {
-    let n = active.len() as u32;
-    let share = pool[active[0] as usize]
-        .slots
-        .iter()
-        .map(|h| &links.slots[h.slot as usize])
-        .filter(|l| l.count() == n && l.flows == n)
-        .map(|l| l.cap / n as f64)
-        .min_by(f64::total_cmp);
-    let Some(share) = share else {
-        return false;
-    };
-    for l in links.slots.iter().filter(|l| l.count() > 0) {
-        if l.cap / l.count() as f64 + 1e-15 < share {
-            return false;
-        }
-    }
-    for &k in active {
-        pool[k as usize].rate = share;
-    }
-    stats.fastpath_allocs += 1;
-    tally(Branch::FastPath);
-    true
 }
 
 /// Per-slot state of one progressive-filling run. It starts lazily: the
@@ -611,7 +558,6 @@ impl Waterfill {
     /// the minimum `(share, link id)`: the rounds run in the order a heap
     /// of every slot at its exact share would give.
     fn run(&mut self, links: &mut LinkSlots, pool: &mut [Active], n: usize, stats: &mut FlowStats) {
-        tally(Branch::Sync);
         links.sync();
         let links = &*links;
         self.run += 1;
@@ -709,10 +655,6 @@ impl Waterfill {
 /// A branch of the allocator whose coverage the property tests assert.
 /// Outside tests [`tally`] ignores it.
 enum Branch {
-    /// The fast path served an event.
-    FastPath,
-    /// A general run synced the marks.
-    Sync,
     /// A slot's designated candidate popped stale and was re-keyed.
     RekeyedAtPop,
     /// A touched slot's share fell below its queued key.
@@ -723,10 +665,9 @@ enum Branch {
 fn tally(_: Branch) {}
 
 /// One-shot allocation over `paths` (none empty), for the allocator's
-/// property tests: the rates, and whether the fast path produced them.
-/// `fast_path = false` forces progressive filling.
+/// property tests.
 #[cfg(test)]
-fn rates(net: &FlowNet, paths: &[Vec<LinkId>], fast_path: bool) -> (Vec<f64>, bool) {
+fn rates(net: &FlowNet, paths: &[Vec<LinkId>]) -> Vec<f64> {
     let mut links = LinkSlots::default();
     let mut pool: Vec<Active> = Vec::new();
     for (idx, path) in paths.iter().enumerate() {
@@ -738,13 +679,9 @@ fn rates(net: &FlowNet, paths: &[Vec<LinkId>], fast_path: bool) -> (Vec<f64>, bo
         links.admit(net, path, idx as u32, &mut f.slots);
         pool.push(f);
     }
-    let active: Vec<u32> = (0..pool.len() as u32).collect();
-    let mut stats = FlowStats::default();
-    let fast = fast_path && try_single_bottleneck(&links, &mut pool, &active, &mut stats);
-    if !fast {
-        Waterfill::default().run(&mut links, &mut pool, active.len(), &mut stats);
-    }
-    (pool.iter().map(|f| f.rate).collect(), fast)
+    let n = pool.len();
+    Waterfill::default().run(&mut links, &mut pool, n, &mut FlowStats::default());
+    pool.iter().map(|f| f.rate).collect()
 }
 
 /// How often this thread's allocations took each [`Branch`].
@@ -753,10 +690,6 @@ fn rates(net: &FlowNet, paths: &[Vec<LinkId>], fast_path: bool) -> (Vec<f64>, bo
 struct Tally {
     rekeyed_at_pop: u32,
     fell_below_queued: u32,
-    /// Syncs of marks that ≥ 2 fast-path events left.
-    synced_after_fast_paths: u32,
-    /// Fast-path events since the last sync.
-    fast_since_sync: u32,
 }
 
 #[cfg(test)]
@@ -768,11 +701,6 @@ thread_local! {
 fn tally(branch: Branch) {
     let mut t = TALLY.get();
     match branch {
-        Branch::FastPath => t.fast_since_sync += 1,
-        Branch::Sync => {
-            t.synced_after_fast_paths += (t.fast_since_sync >= 2) as u32;
-            t.fast_since_sync = 0;
-        }
         Branch::RekeyedAtPop => t.rekeyed_at_pop += 1,
         Branch::FellBelowQueued => t.fell_below_queued += 1,
     }
@@ -808,8 +736,7 @@ mod tests {
         assert_eq!(res[0].finish_s, Some(3.0));
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.censored, 0);
-        // A single flow trivially satisfies the shared-bottleneck shape.
-        assert!(stats.fastpath_allocs > 0);
+        assert_eq!(stats.waterfill_rounds, 1, "one flow, one round");
     }
 
     #[test]
@@ -843,15 +770,13 @@ mod tests {
             assert_eq!(r.finish_s, Some(1.0), "all rates must be max-min exact");
         }
         assert!(stats.waterfill_rounds >= 2, "two filling rounds expected");
-        assert_eq!(stats.fastpath_allocs, 0, "no link is crossed by all flows");
     }
 
     #[test]
-    fn fast_path_agrees_with_general_water_filling() {
+    fn incast_splits_the_shared_downlink_equally() {
         // Incast shape: many flows share one downlink; per-flow uplinks
-        // are never binding. The fast path must produce the same rates
-        // (observable through finish times) as progressive filling
-        // would: cap/n each.
+        // are never binding. Progressive filling saturates the downlink
+        // in its first round and freezes everyone at cap/n.
         let mut net = FlowNet::new();
         let down = net.add_link(80.0);
         let ups: Vec<LinkId> = (0..4).map(|_| net.add_link(100.0)).collect();
@@ -860,12 +785,12 @@ mod tests {
             .enumerate()
             .map(|(i, &up)| flow(i as u64, 40, 0.0, vec![up, down]))
             .collect();
-        let (res, stats) = simulate(&net, &defs, 10.0);
+        let (res, stats) = assert_matches_reference(&net, &defs, 10.0);
         // 4 flows at 80/4 = 20 B/s, 40 bytes each -> t=2.
         for r in &res {
             assert_eq!(r.finish_s, Some(2.0));
         }
-        assert!(stats.fastpath_allocs > 0);
+        assert_eq!(stats.waterfill_rounds, 1, "the downlink alone binds");
     }
 
     #[test]
@@ -975,8 +900,7 @@ mod tests {
 
     /// A small net and a flow set over it: few links, short paths drawn
     /// *with* replacement (repeated links) or, for about half the flows,
-    /// without (so the fast path's shape, a link every flow crosses once,
-    /// stays common), sizes and starts from small palettes (simultaneous
+    /// without (so a link many flows each cross once stays common), sizes and starts from small palettes (simultaneous
     /// arrivals and completions), colliding seqs.
     fn sim_case() -> impl Strategy<Value = (FlowNet, Vec<FlowDef>, f64)> {
         (1usize..=6).prop_flat_map(|nlinks| {
@@ -1033,11 +957,11 @@ mod tests {
     fn simulate_matches_the_reference_bit_for_bit() {
         let strategy = sim_case();
         let mut rng = proptest::TestRng::deterministic("simulate_matches_the_reference");
-        let mut seen = [0u32; 8];
+        let mut seen = [0u32; 6];
         for _ in 0..400 {
             let (net, defs, end_s) = strategy.sample(&mut rng);
             TALLY.take();
-            let (res, stats) = assert_matches_reference(&net, &defs, end_s);
+            let (res, _) = assert_matches_reference(&net, &defs, end_s);
             let taken = TALLY.take();
 
             let on = |l: LinkId| {
@@ -1085,9 +1009,7 @@ mod tests {
                 censored_in_flight,
                 rate_zero,
                 slot_reuse,
-                stats.waterfill_rounds > 0 && stats.fastpath_allocs > 0,
                 taken.rekeyed_at_pop > 0,
-                taken.synced_after_fast_paths > 0,
             ]
             .into_iter()
             .zip(&mut seen)
@@ -1117,17 +1039,16 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_counts_flows_not_hops() {
+    fn a_repeated_hop_is_not_a_second_flow() {
         // Link x carries 100 B/s and y 1000 B/s; A runs on [x, x], B on
         // [y]. x has two hops for two flows, yet B never crosses it:
         // water-filling gives A 100 / 2 and B all of y, so both finish at
-        // t = 1. Read off the hop count alone, the fast path gave B 50 B/s
-        // as well, and B finished at 1.95 s.
+        // t = 1. A split read off x's hop count alone would give B 50 B/s
+        // as well, and B would finish at 1.95 s.
         let mut net = FlowNet::new();
         let x = net.add_link(100.0);
         let y = net.add_link(1000.0);
-        let (rates, fast) = rates(&net, &[vec![x, x], vec![y]], true);
-        assert_eq!((rates, fast), (vec![50.0, 1000.0], false));
+        assert_eq!(rates(&net, &[vec![x, x], vec![y]]), vec![50.0, 1000.0]);
         let defs = [flow(0, 50, 0.0, vec![x, x]), flow(1, 1000, 0.0, vec![y])];
         let (res, _) = assert_matches_reference(&net, &defs, 10.0);
         assert_eq!(res[0].finish_s, Some(1.0));
@@ -1157,7 +1078,7 @@ mod tests {
             vec![l2],
         ];
         TALLY.take();
-        let (rates, _) = rates(&net, &paths, false);
+        let rates = rates(&net, &paths);
         assert!(TALLY.take().fell_below_queued > 0);
         assert_eq!(rates[2].to_bits(), s.to_bits());
         assert_eq!(rates[5].to_bits(), fell.to_bits());
@@ -1170,9 +1091,9 @@ mod tests {
 
     /// After any admit/retire sequence, the persistent state equals a
     /// rebuild from the live paths: each slot's member list is the live
-    /// hops on it, every back-pointer names its own entry, the distinct
-    /// flow counts match, and `sync` leaves `order` as sorting every
-    /// counted slot's opening key would, with no mark left standing.
+    /// hops on it, every back-pointer names its own entry, and `sync`
+    /// leaves `order` as sorting every counted slot's opening key would,
+    /// with no mark left standing.
     #[test]
     fn synced_order_is_a_sorted_rebuild_of_the_live_paths() {
         // An op is (kind, path, pick): kinds 0–4 admit `path`, 5–8 retire
@@ -1224,9 +1145,8 @@ mod tests {
                 if kind != 9 && i != last {
                     continue;
                 }
-                // The rebuild: per slot, the live hops and distinct flows.
+                // The rebuild: per slot, the live hops.
                 let mut members = vec![Vec::new(); links.slots.len()];
-                let mut flows = vec![0u32; links.slots.len()];
                 for &me in &live {
                     let hops = &pool[me as usize].slots;
                     for (hop, h) in hops.iter().enumerate() {
@@ -1234,8 +1154,6 @@ mod tests {
                             flow: me,
                             hop: hop as u32,
                         });
-                        flows[h.slot as usize] +=
-                            !hops[..hop].iter().any(|g| g.slot == h.slot) as u32;
                         assert_eq!(
                             links.slots[h.slot as usize].members[h.at as usize],
                             Member {
@@ -1246,12 +1164,11 @@ mod tests {
                         );
                     }
                 }
-                for ((l, want), &n) in links.slots.iter().zip(&mut members).zip(&flows) {
+                for (l, want) in links.slots.iter().zip(&mut members) {
                     let mut got = l.members.clone();
                     got.sort_unstable();
                     want.sort_unstable();
                     assert_eq!(&got, want, "member list of link {}", l.id);
-                    assert_eq!(l.flows, n, "distinct flows on link {}", l.id);
                 }
                 let count: Vec<u32> = members.iter().map(|m| m.len() as u32).collect();
                 // A slot freed and re-admitted for another link.
@@ -1312,7 +1229,7 @@ mod tests {
         /// no rate can rise without lowering a smaller-or-equal one.
         #[test]
         fn water_filling_is_max_min_fair((net, paths) in rates_case()) {
-            let (rates, _) = rates(&net, &paths, false);
+            let rates = rates(&net, &paths);
             let load = link_load(&net, &paths, &rates);
             for (l, &used) in load.iter().enumerate() {
                 prop_assert!(used <= net.caps[l] * (1.0 + 1e-9), "link {l} over capacity");
@@ -1325,26 +1242,6 @@ mod tests {
                         })
                 });
                 prop_assert!(bottlenecked, "flow at {rate} on {path:?} has no bottleneck");
-            }
-        }
-
-        /// Where the single-bottleneck fast path applies, it hands out the
-        /// rates progressive filling would.
-        #[test]
-        fn fast_path_rates_equal_water_filling((net, mut paths) in rates_case()) {
-            // Route every flow over link 0 so the shape applies often.
-            // Paths keep their repeated hops, link 0's included.
-            for p in &mut paths {
-                p.push(LinkId(0));
-            }
-            let (fast, applied) = rates(&net, &paths, true);
-            let (general, _) = rates(&net, &paths, false);
-            if applied {
-                for (f, g) in fast.iter().zip(&general) {
-                    prop_assert!((f - g).abs() <= g * 1e-9, "fast {f} vs general {g}");
-                }
-            } else {
-                prop_assert_eq!(fast, general);
             }
         }
     }

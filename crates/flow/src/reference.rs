@@ -9,11 +9,10 @@
 //! Its round order — minimum share, ties to the lowest link id — is the
 //! contract the production heap key `(share bits, link id)` reproduces.
 //!
-//! Two deviations from the code as it shipped are marked below: the
-//! zero-progress guard in the event loop, without which the inputs that
-//! guard exists for never terminate, here or there; and the fast path's
-//! test that every flow crosses its link exactly once, which the shipped
-//! code read off the hop count alone.
+//! Two deviations from the code as it shipped: the zero-progress guard
+//! in the event loop, marked below, without which the inputs that guard
+//! exists for never terminate, here or there; and no single-bottleneck
+//! fast path, so every allocation is the progressive filling below.
 
 use super::{FlowDef, FlowNet, FlowResult, FlowStats, LinkId, EPS_BYTES};
 
@@ -208,9 +207,6 @@ fn allocate(
     flows: &[FlowDef],
     stats: &mut FlowStats,
 ) {
-    if try_single_bottleneck(net, active, load, flows, stats) {
-        return;
-    }
     // Progressive filling: repeatedly saturate the most contended link.
     let nlinks = load.ids.len();
     let mut rem: Vec<f64> = load.ids.iter().map(|&id| net.caps[id as usize]).collect();
@@ -260,43 +256,4 @@ fn allocate(
         cnt[bottleneck] = 0;
         stats.waterfill_rounds += 1;
     }
-}
-
-/// Fast path: when one link is crossed exactly once by *every* active
-/// flow and its equal split is feasible on all other links, the max-min
-/// allocation is the uniform rate `cap / n`. Detects the full-mesh /
-/// incast shape in one scan instead of a filling loop.
-fn try_single_bottleneck(
-    net: &FlowNet,
-    active: &mut [Active],
-    load: &LinkLoad,
-    flows: &[FlowDef],
-    stats: &mut FlowStats,
-) -> bool {
-    let n = active.len() as u32;
-    let mut shared: Option<(usize, f64)> = None;
-    for (l, (&id, &c)) in load.ids.iter().zip(&load.counts).enumerate() {
-        // Deviation from the shipped parent: `c == n` alone also passes a
-        // link one path lists twice while another flow misses it.
-        let once = |f: &Active| flows[f.idx].path.iter().filter(|h| h.0 == id).count() == 1;
-        if c == n && active.iter().all(once) {
-            let share = net.caps[id as usize] / n as f64;
-            if shared.is_none_or(|(_, s)| share < s) {
-                shared = Some((l, share));
-            }
-        }
-    }
-    let Some((_, share)) = shared else {
-        return false;
-    };
-    for (&id, &c) in load.ids.iter().zip(&load.counts) {
-        if net.caps[id as usize] / c as f64 + 1e-15 < share {
-            return false;
-        }
-    }
-    for f in active.iter_mut() {
-        f.rate = share;
-    }
-    stats.fastpath_allocs += 1;
-    true
 }

@@ -308,7 +308,9 @@ mod tests {
     /// `waterfill_rounds` is the round order in count form, and the hash
     /// covers every `finish_s` bit pattern (a censored flow hashes as
     /// `u64::MAX`). The values were written by the allocator that
-    /// heapified every contended link on every run.
+    /// heapified every contended link on every run. `waterfill_rounds`
+    /// was 72,991 while a single-bottleneck fast path served 6 events;
+    /// each of those is now one filling round, and the hash held.
     #[test]
     fn fattree_100k_smoke_allocator_work_is_pinned() {
         let spec = crate::library::fattree_100k_smoke();
@@ -335,8 +337,7 @@ mod tests {
             arrivals: 1278,
             completed: 1278,
             censored: 0,
-            waterfill_rounds: 72_991,
-            fastpath_allocs: 6,
+            waterfill_rounds: 72_997,
         };
         assert_eq!((stats, fnv), (want, 0x063f_e70d_0aa6_7c8a));
     }

@@ -366,7 +366,7 @@ pub fn fig9to11() -> ScenarioSpec {
     .drain_ms(6.0)
 }
 
-/// The `incast_battle` example as a spec: PowerTCP vs HPCC vs TIMELY
+/// Incast battle: PowerTCP vs HPCC vs TIMELY
 /// absorbing 16:1 bursts on a star (the Figure 4 scenario, reduced to
 /// FCT/buffer statistics).
 pub fn incast_battle() -> ScenarioSpec {
