@@ -5,7 +5,9 @@
 //! on it — so every `f64` is encoded as its IEEE-754 bit pattern (a JSON
 //! integer), never as a decimal rendering. The encoding is single-line
 //! JSON: one outcome is one line of the worker stdout protocol and the
-//! `payload` member of a cache entry.
+//! `payload` member of a cache entry. A sweep outcome carries each flow
+//! once, as `"flows":[[size,slowdown bits],…]`; the report cuts them
+//! into size buckets and classes, so no bucket layout is stored here.
 //!
 //! Decoding drives `dcn_scenarios::diff::Parser`, the workspace's one
 //! JSON reader, straight into the outcome's fields: members are read in
@@ -45,27 +47,21 @@ pub fn encode(outcome: &Outcome) -> String {
                 o.load.to_bits(),
                 o.seed
             ));
-            out.push_str("\"buckets\":[");
-            for (i, b) in o.buckets.iter().enumerate() {
+            out.push_str("\"flows\":[");
+            for (i, (size, s)) in o.flows.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                push_bits_vec(&mut out, b);
-            }
-            out.push_str("],");
-            for (name, xs) in [
-                ("short", &o.short),
-                ("medium", &o.medium),
-                ("long", &o.long),
-                ("all", &o.all),
-                ("buffer", &o.buffer),
-            ] {
-                out.push_str(&format!("\"{name}\":"));
-                push_bits_vec(&mut out, xs);
+                out.push('[');
+                out.push_str(&size.to_string());
                 out.push(',');
+                out.push_str(&s.to_bits().to_string());
+                out.push(']');
             }
+            out.push_str("],\"buffer\":");
+            push_bits_vec(&mut out, &o.buffer);
             out.push_str(&format!(
-                "\"completed\":{},\"offered\":{},\"drops\":{}}}",
+                ",\"completed\":{},\"offered\":{},\"drops\":{}}}",
                 o.completed, o.offered, o.drops
             ));
         }
@@ -143,12 +139,8 @@ fn read_sweep(p: &mut Parser) -> Result<PointOutcome, String> {
         param: ParamSpec::parse(&p.field("param", Parser::str)?)?,
         load: p.field("load", bits)?,
         seed: p.field("seed", Parser::u64)?,
-        buckets: p.field("buckets", |p| list(p, samples))?,
-        short: p.field("short", samples)?,
-        medium: p.field("medium", samples)?,
-        long: p.field("long", samples)?,
-        all: p.field("all", samples)?,
-        buffer: p.field("buffer", samples)?,
+        flows: p.field("flows", |p| list(p, |p| pair(p, Parser::u64, sample)))?,
+        buffer: p.field("buffer", |p| list(p, sample))?,
         completed: p.field("completed", Parser::usize)?,
         offered: p.field("offered", Parser::usize)?,
         drops: p.field("drops", Parser::u64)?,
@@ -187,15 +179,16 @@ fn bits(p: &mut Parser) -> Result<f64, String> {
     p.u64().map(f64::from_bits)
 }
 
-/// A sweep sample vector, NaN refused: the engine never emits one and the
-/// report's sort cannot rank one, so a NaN read from outside (a cache
-/// entry, a worker line) is a miss or the in-process fallback instead of
-/// a panic in the reduction. `±inf` and `-0.0` pass.
-fn samples(p: &mut Parser) -> Result<Vec<f64>, String> {
-    list(p, |p| match bits(p)? {
+/// A sweep sample (a flow's slowdown, a buffer reading), NaN refused: the
+/// engine never emits one and the report's sort cannot rank one, so a NaN
+/// read from outside (a cache entry, a worker line) is a miss or the
+/// in-process fallback instead of a panic in the reduction. `±inf` and
+/// `-0.0` pass.
+fn sample(p: &mut Parser) -> Result<f64, String> {
+    match bits(p)? {
         x if x.is_nan() => Err("a NaN sample".into()),
         x => Ok(x),
-    })
+    }
 }
 
 /// An array, each item read by `item`.
@@ -243,8 +236,8 @@ mod tests {
         assert_eq!(*back, out);
         // PartialEq on f64 treats -0.0 == 0.0 and misses NaN; pin the
         // actual bits too.
-        for (a, b) in out.all.iter().zip(back.all.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for (a, b) in out.flows.iter().zip(back.flows.iter()) {
+            assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
         }
     }
 
@@ -278,14 +271,10 @@ mod tests {
         assert_eq!(bits, want);
         // A NaN sample — any vector, any NaN payload — is refused.
         for nan in [f64::NAN, -f64::NAN, f64::from_bits(0x7ff0_0000_0000_0001)] {
-            for slot in 0..6 {
+            for slot in 0..2 {
                 let mut bad = out.clone();
                 match slot {
-                    0 => bad.buckets[2].push(nan),
-                    1 => bad.short.push(nan),
-                    2 => bad.medium.push(nan),
-                    3 => bad.long.push(nan),
-                    4 => bad.all.push(nan),
+                    0 => bad.flows[2].1 = nan,
                     _ => bad.buffer.push(nan),
                 }
                 let err = decode_str(&encode(&Outcome::Sweep(Box::new(bad)))).unwrap_err();

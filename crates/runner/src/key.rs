@@ -18,11 +18,11 @@
 
 use dcn_scenarios::{EngineKind, ScenarioKind, ScenarioSpec, SweepPoint, TraceEntrySpec, WorkItem};
 
-/// Version of the canonical key encoding itself. Bump when the encoding
-/// below changes shape, so old entries miss instead of mis-validating.
-/// (2: `param=` line in sweep-point keys; analytic kind salted by the
-/// fluid-model version.)
-pub const KEY_FORMAT: u32 = 2;
+/// Version of the canonical key encoding and of the payload it addresses.
+/// Bump when the encoding below or the codec's outcome layout changes
+/// shape, so old entries miss instead of mis-validating. (3: a sweep
+/// payload is one `flows` list of `[size, slowdown]` pairs.)
+pub const KEY_FORMAT: u32 = 3;
 
 /// A derived cache key: the content hash (file name) plus the canonical
 /// encoding it was derived from (stored in the entry for validation).

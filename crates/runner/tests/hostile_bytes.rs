@@ -15,9 +15,7 @@ use dcn_runner::codec::{decode_str, encode, Outcome};
 use dcn_runner::worker::{manifest_json, parse_manifest, parse_result_line, result_line};
 use dcn_runner::{entry_key, run, ResultCache, RunConfig};
 use dcn_scenarios::diff::parse_json;
-use dcn_scenarios::{
-    builtin, compute, diff_reports, work_items, Algo, ParamSpec, PointOutcome, SIZE_BUCKETS,
-};
+use dcn_scenarios::{builtin, compute, diff_reports, work_items, Algo, ParamSpec, PointOutcome};
 use dcn_serve::http::{parse_request, MAX_HEAD};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -83,18 +81,19 @@ fn shaped(indices: &[usize]) -> String {
 /// every field populated, infinities and signed zero included — a NaN
 /// sample is refused, see [`a_nan_sample_is_refused_by_both_outcome_readers`]).
 fn sweep_outcome() -> Outcome {
-    let mut buckets = vec![Vec::new(); SIZE_BUCKETS.len()];
-    buckets[0] = vec![1.25, 2.5];
     Outcome::Sweep(Box::new(PointOutcome {
         algo: Algo::Homa(3),
         param: ParamSpec::parse("gamma=0.5").unwrap(),
         load: 0.6,
         seed: 42,
-        buckets,
-        short: vec![1.25, 2.5],
-        medium: vec![f64::NEG_INFINITY],
-        long: vec![-0.0, f64::INFINITY],
-        all: vec![1.25, 2.5, 7.0],
+        flows: vec![
+            (1_000, 1.25),
+            (4_000, 2.5),
+            (200_000, f64::NEG_INFINITY),
+            (2_000_000, -0.0),
+            (30_000_001, f64::INFINITY),
+            (50_000, 7.0),
+        ],
         buffer: vec![0.0, 54_000.0],
         completed: 3,
         offered: 4,
@@ -317,7 +316,7 @@ fn a_nan_sample_is_refused_by_both_outcome_readers() {
     };
     assert!(decode_str(&encode(&good)).is_ok());
     let mut bad = o.clone();
-    bad.medium = vec![f64::NAN];
+    bad.flows[2].1 = f64::NAN;
     let bad = Outcome::Sweep(bad);
     assert!(decode_str(&encode(&bad)).is_err());
     assert!(parse_result_line(&result_line(0, true, 1.0, None, &bad)).is_err());
@@ -366,7 +365,9 @@ fn a_nan_poisoned_cache_entry_is_recomputed_through_the_cli() {
         .collect();
     entries.sort();
     let text = std::fs::read_to_string(&entries[0]).unwrap();
-    let at = text.find("\"all\":[").expect("a sweep payload") + "\"all\":[".len();
+    // The slowdown of the first flow: past `"flows":[[`, its size and `,`.
+    let flows = text.find("\"flows\":[[").expect("a sweep payload") + "\"flows\":[[".len();
+    let at = flows + text[flows..].find(',').expect("a [size,slowdown] pair") + 1;
     let digits = text[at..].bytes().take_while(u8::is_ascii_digit).count();
     assert!(digits > 0, "the point completed flows");
     let nan = f64::NAN.to_bits().to_string();
@@ -438,8 +439,9 @@ use dcn_scenarios::diff::Json;
 use dcn_scenarios::sim_stats_from_json;
 use dcn_telemetry::{ChannelTrace, Sample, TraceEntry};
 
-/// The oracle: the tree decode as it stood before the pull reader,
-/// verbatim — parse the whole document, then look each member up.
+/// The oracle: the tree decode as it stood before the pull reader —
+/// parse the whole document, then look each member up — reading the
+/// sweep payload's members as `encode` writes them now.
 mod tree {
     use super::*;
 
@@ -447,8 +449,11 @@ mod tree {
         j.as_u64().map(f64::from_bits)
     }
 
+    fn sample(j: &Json) -> Option<f64> {
+        float_bits(j).filter(|x| !x.is_nan())
+    }
+
     fn sample_vec(j: &Json) -> Option<Vec<f64>> {
-        let sample = |x| float_bits(x).filter(|x| !x.is_nan());
         j.as_arr()?.iter().map(sample).collect()
     }
 
@@ -470,11 +475,9 @@ mod tree {
                 param: dcn_scenarios::ParamSpec::parse(j.field("param", Json::as_str)?)?,
                 load: j.field("load", float_bits)?,
                 seed: j.field("seed", Json::as_u64)?,
-                buckets: j.field("buckets", |b| b.as_arr()?.iter().map(sample_vec).collect())?,
-                short: j.field("short", sample_vec)?,
-                medium: j.field("medium", sample_vec)?,
-                long: j.field("long", sample_vec)?,
-                all: j.field("all", sample_vec)?,
+                flows: j.field("flows", |f| {
+                    f.as_arr()?.iter().map(pair(Json::as_u64, sample)).collect()
+                })?,
                 buffer: j.field("buffer", sample_vec)?,
                 completed: j.field("completed", Json::as_usize)?,
                 offered: j.field("offered", Json::as_usize)?,
@@ -574,7 +577,7 @@ fn float((pick, bits): (usize, u64), nan_ok: bool) -> f64 {
 type FloatDraw = (usize, u64);
 type SweepDraw = (
     (usize, usize, FloatDraw, u64),
-    Vec<Vec<FloatDraw>>,
+    (Vec<(u64, FloatDraw)>, Vec<FloatDraw>),
     (usize, usize, u64),
 );
 type ChannelDraw = (
@@ -592,11 +595,14 @@ fn label_draw() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(0usize..64, 0usize..6)
 }
 
-/// Eight size buckets then the five named vectors, each 0–5 samples.
+/// 0–12 `(size, slowdown)` flows and 0–5 buffer samples.
 fn sweep_draw() -> impl Strategy<Value = SweepDraw> {
     (
         (0usize..11, 0usize..3, float_draw(), 0u64..u64::MAX),
-        prop::collection::vec(prop::collection::vec(float_draw(), 0usize..6), 13usize),
+        (
+            prop::collection::vec((0u64..u64::MAX, float_draw()), 0usize..13),
+            prop::collection::vec(float_draw(), 0usize..6),
+        ),
         (0usize..usize::MAX, 0usize..1000, 0u64..u64::MAX),
     )
 }
@@ -615,7 +621,7 @@ fn trace_draw() -> impl Strategy<Value = TraceDraw> {
 }
 
 fn sweep_of(
-    ((algo, param, load, seed), mut vecs, (completed, offered, drops)): SweepDraw,
+    ((algo, param, load, seed), (flows, buffer), (completed, offered, drops)): SweepDraw,
 ) -> Outcome {
     const ALGOS: [Algo; 11] = [
         Algo::PowerTcp,
@@ -630,23 +636,16 @@ fn sweep_of(
         Algo::Homa(4),
         Algo::ReTcp,
     ];
-    let mut samples = || -> Vec<f64> {
-        let draws = vecs.pop().unwrap_or_default();
-        draws.into_iter().map(|d| float(d, false)).collect()
-    };
-    let buckets = (0..SIZE_BUCKETS.len()).map(|_| samples()).collect();
     Outcome::Sweep(Box::new(PointOutcome {
         algo: ALGOS[algo],
         param: ParamSpec::parse(["", "gamma=0.5", "gamma=0.25,n=32,eta=0.95,alpha=2"][param])
             .expect("a valid param label"),
         load: float(load, true),
         seed,
-        buckets,
-        short: samples(),
-        medium: samples(),
-        long: samples(),
-        all: samples(),
-        buffer: samples(),
+        flows: (flows.into_iter())
+            .map(|(size, s)| (size, float(s, false)))
+            .collect(),
+        buffer: buffer.into_iter().map(|d| float(d, false)).collect(),
         completed,
         offered,
         drops,
@@ -827,6 +826,35 @@ fn a_member_out_of_place_is_a_miss() {
     }
     std::fs::write(&path, &full).unwrap();
     assert_eq!(cache.load(&key), Some(trace_outcome()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sweep entry the `xp` before `KEY_FORMAT` 3 wrote, for the point of
+/// `parent_cache/tiny.toml`: its payload holds per-bucket and per-class
+/// vectors where a `flows` list now goes. Both readers refuse the
+/// payload, and the entry misses even under the current key's file name,
+/// so an old entry is never served as a new outcome.
+#[test]
+fn a_key_format_2_sweep_entry_is_refused() {
+    let text = include_str!("key_format_2/f6cba9182206c818.json");
+    let at = text.find("\"payload\": ").expect("an entry") + "\"payload\": ".len();
+    let payload = text[at..]
+        .trim_end()
+        .strip_suffix('}')
+        .expect("the envelope closes");
+    assert!(payload.contains("\"buckets\":[["), "the old layout");
+    let err = decode_str(payload).unwrap_err();
+    assert!(err.contains("\"flows\""), "{err}");
+    assert!(tree::decode_str(payload).is_err());
+
+    let tiny = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/parent_cache/tiny.toml");
+    let spec = dcn_scenarios::ScenarioSpec::from_toml(&std::fs::read_to_string(tiny).unwrap())
+        .expect("tiny.toml parses");
+    let key = dcn_runner::item_key(&spec, &work_items(&spec)[0]);
+    let dir = scratch("key-format-2");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(key.file_name()), text).unwrap();
+    assert_eq!(ResultCache::new(&dir).load(&key), None);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,10 +1,13 @@
 //! A cache written by an earlier `xp` stays readable. `tests/parent_cache/`
-//! holds two entries that the `xp` of the commit before the pull reader
-//! wrote — `xp run tests/parent_cache/tiny.toml --cache-dir D` (one
+//! holds two entries that the `xp` which moved `KEY_FORMAT` to 3 (the
+//! child of commit `545517a`; a sweep payload is one `flows` list) wrote
+//! — `xp run tests/parent_cache/tiny.toml --cache-dir D` (one
 //! packet-engine sweep point) and the first of `xp run theorems
 //! --cache-dir D` (an analytic entry). Each must load as a hit and equal
 //! what `compute` yields now, bit for bit: a reader change that misses on
-//! old entries, or decodes them to something else, fails here.
+//! old entries, or decodes them to something else, fails here. The sweep
+//! entry `KEY_FORMAT` 2 wrote is kept in `tests/key_format_2/`, where
+//! `hostile_bytes.rs` holds it to a miss.
 
 use dcn_runner::codec::encode;
 use dcn_runner::{item_key, ResultCache};

@@ -25,13 +25,10 @@ use dcn_workloads::{incast_flows, poisson_flows, HostMap, IncastConfig, PoissonC
 use powertcp_core::{Bandwidth, Tick};
 use std::collections::BTreeMap;
 
-/// The Figure 6 x-axis buckets (bytes).
-pub const SIZE_BUCKETS: [u64; 8] = [
-    5_000, 20_000, 50_000, 100_000, 400_000, 800_000, 5_000_000, 30_000_000,
-];
-
-/// Raw outcome of one sweep point (one simulation). Slowdown vectors are
-/// kept unsummarized so seeds can be merged before percentiles are taken.
+/// Raw outcome of one sweep point (one simulation). Each flow's slowdown
+/// is kept once, unsummarized and uncut, so seeds can be merged before
+/// percentiles are taken; the report ([`crate::report`]) takes the
+/// Figure 6 size buckets and the Figure 7 size classes from `flows`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PointOutcome {
     /// Algorithm that ran.
@@ -43,16 +40,10 @@ pub struct PointOutcome {
     pub load: f64,
     /// Workload seed.
     pub seed: u64,
-    /// Per-size-bucket slowdowns (`SIZE_BUCKETS` boundaries).
-    pub buckets: Vec<Vec<f64>>,
-    /// Short-flow (<10KB) slowdowns.
-    pub short: Vec<f64>,
-    /// Medium-flow (100KB–1MB) slowdowns.
-    pub medium: Vec<f64>,
-    /// Long-flow (≥1MB) slowdowns.
-    pub long: Vec<f64>,
-    /// All flow slowdowns.
-    pub all: Vec<f64>,
+    /// Every offered flow's `(size in bytes, slowdown)`, in the order the
+    /// engine accounted them; an unfinished flow's slowdown is censored
+    /// at the run end.
+    pub flows: Vec<(u64, f64)>,
     /// Edge-switch shared-buffer occupancy samples (bytes).
     pub buffer: Vec<f64>,
     /// Flows completed before the run ended.
@@ -213,12 +204,11 @@ pub fn run_sweep_point_observed(
     }
 }
 
-/// The FCT reduction both sweep engines share: every offered flow's
-/// slowdown goes into its Figure-6 size bucket, its size class and
-/// `all` of the point's outcome. Flows still unfinished at the end of
-/// the run are *censored* at the run end rather than dropped —
-/// excluding them would silently reward protocols that stall flows
-/// (survivorship bias).
+/// The FCT reduction both sweep engines share: every offered flow's size
+/// and slowdown go into `flows` of the point's outcome. Flows still
+/// unfinished at the end of the run are *censored* at the run end rather
+/// than dropped — excluding them would silently reward protocols that
+/// stall flows (survivorship bias).
 pub(crate) struct FctReduction {
     base_rtt: Tick,
     host_bw: Bandwidth,
@@ -239,11 +229,7 @@ impl FctReduction {
                 param: point.param,
                 load: point.load,
                 seed: point.seed,
-                buckets: vec![Vec::new(); SIZE_BUCKETS.len()],
-                short: Vec::new(),
-                medium: Vec::new(),
-                long: Vec::new(),
-                all: Vec::new(),
+                flows: Vec::with_capacity(offered),
                 buffer: Vec::new(),
                 completed: 0,
                 offered,
@@ -263,17 +249,8 @@ impl FctReduction {
             None => self.run_end.saturating_sub(flow.start),
         };
         let size = flow.size_bytes;
-        let s = slowdown(fct, size, self.base_rtt, self.host_bw);
-        if let Some(b) = SIZE_BUCKETS.iter().position(|&ub| size <= ub) {
-            o.buckets[b].push(s);
-        }
-        match dcn_workloads::size_class(size) {
-            dcn_workloads::SizeClass::Short => o.short.push(s),
-            dcn_workloads::SizeClass::Medium => o.medium.push(s),
-            dcn_workloads::SizeClass::Long => o.long.push(s),
-            dcn_workloads::SizeClass::SmallMedium => {}
-        }
-        o.all.push(s);
+        o.flows
+            .push((size, slowdown(fct, size, self.base_rtt, self.host_bw)));
     }
 }
 
@@ -547,9 +524,9 @@ mod tests {
             r.completed,
             r.offered
         );
-        assert!(!r.short.is_empty());
+        assert!(r.flows.iter().any(|&(size, _)| size < 10_000));
         assert!(!r.buffer.is_empty());
-        assert_eq!(SIZE_BUCKETS.len(), r.buckets.len());
+        assert_eq!(r.flows.len(), r.offered);
     }
 
     #[test]
@@ -665,7 +642,7 @@ mod tests {
             gamma: Some(0.2),
             ..ParamSpec::default()
         }));
-        assert_ne!(base.all, slow.all, "gamma override must change FCTs");
+        assert_ne!(base.flows, slow.flows, "gamma override must change FCTs");
         // DT α caps what one hot port may take of the shared buffer.
         // It bites on *lossy* fabrics (PFC-lossless admission bypasses
         // the per-port threshold), so probe it under HOMA: a starved

@@ -5,10 +5,9 @@
 //! ([`crate::engine::offered_flows`]) verbatim, so a flow-engine sweep
 //! offers the *exact same flow population* as its packet twin, then
 //! progresses those flows with max-min fair water-filling instead of
-//! per-packet simulation. The reduction (size buckets, size classes,
-//! slowdown, censoring) is the packet engine's own
-//! ([`engine::FctReduction`]), so the same [`crate::SweepResult`] rows
-//! come out.
+//! per-packet simulation. The reduction (slowdown, censoring) is the
+//! packet engine's own ([`engine::FctReduction`]), so the same
+//! [`crate::SweepResult`] rows come out.
 //!
 //! ## Path model (the fidelity envelope)
 //!
@@ -248,7 +247,7 @@ mod tests {
             assert_eq!(out.drops, 0);
             assert!(stats.events_processed > 0);
             // Slowdowns are well-formed: >= 1 by construction.
-            assert!(out.all.iter().all(|&s| s >= 1.0));
+            assert!(out.flows.iter().all(|&(_, s)| s >= 1.0));
         }
     }
 
@@ -286,10 +285,14 @@ mod tests {
             3,
         );
         assert_eq!(flow_out.offered, packet_out.offered);
-        // Same flows means same per-bucket counts, even though the
-        // slowdown values differ.
-        let counts = |o: &PointOutcome| o.buckets.iter().map(Vec::len).collect::<Vec<_>>();
-        assert_eq!(counts(&flow_out), counts(&packet_out));
+        // Same flows means the same sizes, even though the slowdown
+        // values differ.
+        let sizes = |o: &PointOutcome| {
+            let mut sizes: Vec<u64> = o.flows.iter().map(|&(size, _)| size).collect();
+            sizes.sort_unstable();
+            sizes
+        };
+        assert_eq!(sizes(&flow_out), sizes(&packet_out));
     }
 
     #[test]
@@ -350,14 +353,15 @@ mod tests {
             fabric_gbps: 25.0,
         })
         .loads([0.2, 0.9]);
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let mean =
+            |o: &PointOutcome| o.flows.iter().map(|f| f.1).sum::<f64>() / o.flows.len() as f64;
         let light = run_flow_point_observed(&spec, &point(Algo::PowerTcp, 0.2, 5)).0;
         let heavy = run_flow_point_observed(&spec, &point(Algo::PowerTcp, 0.9, 5)).0;
         assert!(
-            mean(&heavy.all) > mean(&light.all),
+            mean(&heavy) > mean(&light),
             "contention must show up: {} vs {}",
-            mean(&heavy.all),
-            mean(&light.all)
+            mean(&heavy),
+            mean(&light)
         );
     }
 }

@@ -17,8 +17,9 @@
 //! * [`algo`] — the [`Algo`] registry mapping the paper's protocol names
 //!   to CC constructors, switch requirements, and transports.
 //! * [`engine`] — one sweep point = one deterministic single-threaded
-//!   `Simulator` run, reduced to FCT slowdowns, completion counts, drops
-//!   and buffer occupancy ([`PointOutcome`]).
+//!   `Simulator` run, reduced to each flow's size and FCT slowdown,
+//!   completion counts, drops and buffer occupancy ([`PointOutcome`]);
+//!   [`report`] cuts the flows into the figures' size buckets and classes.
 //! * [`trace_engine`] / [`analytic_engine`] — one lineup entry = one
 //!   instrumented simulation (or one fluid-model integration), reduced
 //!   to a telemetry `TraceEntry`.
@@ -82,13 +83,15 @@ pub mod trace_engine;
 pub use algo::Algo;
 pub use analytic_engine::{analytic_entries, run_analytic_entry};
 pub use diff::{diff_csv, diff_reports, DiffOutcome};
-pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale, SIZE_BUCKETS};
+pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale};
 pub use library::{builtin, builtin_specs};
 pub use obs::{
     eta, point_label, sim_stats_from_json, sim_stats_json, CacheStatus, NullObserver, Observer,
     PointObs, SpanRecord, SummaryRecord,
 };
-pub use report::{AggregateReport, BucketReport, PointReport, SweepResult, BUFFER_CDF_PCTS};
+pub use report::{
+    AggregateReport, BucketReport, PointReport, SweepResult, BUFFER_CDF_PCTS, SIZE_BUCKETS,
+};
 pub use spec::{
     AnalyticScenario, AnalyticSpec, EngineKind, IncastSpec, LineupSpec, ParamSpec, PoissonSpec,
     ScenarioKind, ScenarioSpec, SizeSpec, SweepBody, SweepSpec, TimeseriesBody, TopologySpec,

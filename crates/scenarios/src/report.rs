@@ -7,10 +7,55 @@
 //! thread counts (the determinism contract tested in
 //! `tests/determinism.rs`).
 
-use crate::engine::{PointOutcome, SIZE_BUCKETS};
+use crate::engine::PointOutcome;
 use crate::spec::ScenarioSpec;
 use dcn_stats::{Sorted, Summary};
 use dcn_telemetry::{jf, jstr};
+use dcn_workloads::{size_class, SizeClass};
+
+/// The Figure 6 x-axis buckets (bytes): a flow falls in the first bucket
+/// whose boundary is at least its size, and a flow larger than the last
+/// boundary in none.
+pub const SIZE_BUCKETS: [u64; 8] = [
+    5_000, 20_000, 50_000, 100_000, 400_000, 800_000, 5_000_000, 30_000_000,
+];
+
+/// The slowdown cuts of one point's flows the report summarizes: the
+/// Figure 6 size buckets, the Figure 7 size classes
+/// ([`dcn_workloads::size_class`]; 10 KB–100 KB flows are in no class)
+/// and all flows. Each cut keeps the flows' order.
+struct Cuts {
+    buckets: [Vec<f64>; SIZE_BUCKETS.len()],
+    short: Vec<f64>,
+    medium: Vec<f64>,
+    long: Vec<f64>,
+    all: Vec<f64>,
+}
+
+impl Cuts {
+    fn of(flows: &[(u64, f64)]) -> Cuts {
+        let mut c = Cuts {
+            buckets: Default::default(),
+            short: Vec::new(),
+            medium: Vec::new(),
+            long: Vec::new(),
+            all: Vec::with_capacity(flows.len()),
+        };
+        for &(size, s) in flows {
+            if let Some(b) = SIZE_BUCKETS.iter().position(|&ub| size <= ub) {
+                c.buckets[b].push(s);
+            }
+            match size_class(size) {
+                SizeClass::Short => c.short.push(s),
+                SizeClass::Medium => c.medium.push(s),
+                SizeClass::Long => c.long.push(s),
+                SizeClass::SmallMedium => {}
+            }
+            c.all.push(s);
+        }
+        c
+    }
+}
 
 /// Slowdown summary of one Figure-6 size bucket (flows with size ≤
 /// `le_bytes` and above the previous boundary), pooled across seeds.
@@ -125,7 +170,8 @@ impl SweepResult {
     /// alternative executors (the `dcn-runner` multi-process layer) can
     /// merge worker-computed outcomes through the exact same reduction;
     /// `outcomes` must be in [`crate::sweep::sweep_points`] order.
-    /// Each sample vector is sorted once ([`Sorted`]) and every cut of it
+    /// Each point's flows are cut once ([`Cuts`]), a cell at a time; each
+    /// pooled sample vector is sorted once ([`Sorted`]) and every summary
     /// read off that one sort. Panics if `spec` is no sweep.
     pub fn build(spec: &ScenarioSpec, outcomes: Vec<PointOutcome>) -> SweepResult {
         let sweep = spec.sweep_body("SweepResult::build");
@@ -144,12 +190,18 @@ impl SweepResult {
                 )
             }
         };
-        let points: Vec<PointReport> = outcomes
-            .iter()
-            .map(|o| {
+        // The expansion is algo → params → load → seed with seeds
+        // innermost, so each (algo, param, load) cell is a consecutive
+        // run of `seeds` outcomes, and cell order is point order.
+        let seeds = sweep.sweep.seeds.len();
+        let mut points = Vec::with_capacity(outcomes.len());
+        let mut aggregates = Vec::new();
+        for cell in outcomes.chunks(seeds) {
+            let cell_cuts: Vec<Cuts> = cell.iter().map(|o| Cuts::of(&o.flows)).collect();
+            for (o, c) in cell.iter().zip(&cell_cuts) {
                 let (algo_key, algo_name) = keyed(o);
                 let buffer = Sorted::of(&o.buffer);
-                PointReport {
+                points.push(PointReport {
                     algo_key,
                     algo_name,
                     load: o.load,
@@ -157,45 +209,28 @@ impl SweepResult {
                     offered: o.offered,
                     completed: o.completed,
                     drops: o.drops,
-                    short: Summary::of(&o.short),
-                    medium: Summary::of(&o.medium),
-                    long: Summary::of(&o.long),
-                    all: Summary::of(&o.all),
+                    short: Summary::of(&c.short),
+                    medium: Summary::of(&c.medium),
+                    long: Summary::of(&c.long),
+                    all: Summary::of(&c.all),
                     buffer_p50: buffer.percentile(50.0),
                     buffer_p99: buffer.percentile(99.0),
                     buffer_max: buffer.percentile(100.0),
-                }
-            })
-            .collect();
-
-        // The expansion is algo → params → load → seed with seeds
-        // innermost, so each (algo, param, load) cell is a consecutive
-        // run of `seeds` outcomes.
-        let seeds = sweep.sweep.seeds.len();
-        let mut aggregates = Vec::new();
-        for cell in outcomes.chunks(seeds) {
+                });
+            }
             let first = &cell[0];
-            // Each pool is built here, so it is sorted in place.
-            let pool = |f: fn(&PointOutcome) -> &Vec<f64>| -> Sorted {
-                Sorted::new(cell.iter().flat_map(|o| f(o).iter().copied()).collect())
-            };
-            let short = pool(|o| &o.short);
-            let medium = pool(|o| &o.medium);
-            let long = pool(|o| &o.long);
-            let all = pool(|o| &o.all);
-            let buffer = pool(|o| &o.buffer);
+            let short = pool(&cell_cuts, |c| &c.short);
+            let medium = pool(&cell_cuts, |c| &c.medium);
+            let long = pool(&cell_cuts, |c| &c.long);
+            let all = pool(&cell_cuts, |c| &c.all);
+            let buffer = pool(cell, |o| &o.buffer);
             // Pool each Figure-6 size bucket across the cell's seeds.
             let buckets: Vec<BucketReport> = SIZE_BUCKETS
                 .iter()
                 .enumerate()
-                .map(|(b, &le_bytes)| {
-                    let pooled = cell
-                        .iter()
-                        .flat_map(|o| o.buckets.get(b).into_iter().flatten().copied());
-                    BucketReport {
-                        le_bytes,
-                        summary: Sorted::new(pooled.collect()).summary(),
-                    }
+                .map(|(b, &le_bytes)| BucketReport {
+                    le_bytes,
+                    summary: pool(&cell_cuts, |c| &c.buckets[b]).summary(),
                 })
                 .collect();
             let (algo_key, algo_name) = keyed(first);
@@ -459,6 +494,16 @@ impl SweepResult {
     }
 }
 
+/// One sample vector of each of a cell's points, concatenated in point
+/// order. The pool is built here, so it is sorted in place.
+fn pool<T>(cell: &[T], samples: impl Fn(&T) -> &[f64]) -> Sorted {
+    Sorted::new(
+        cell.iter()
+            .flat_map(|x| samples(x).iter().copied())
+            .collect(),
+    )
+}
+
 fn push_classes(
     out: &mut String,
     short: &Option<Summary>,
@@ -542,19 +587,14 @@ mod tests {
     use crate::spec::{ScenarioSpec, SizeSpec, TopologySpec};
 
     fn fake_outcome(algo: Algo, load: f64, seed: u64, base: f64) -> PointOutcome {
-        let mut buckets = vec![Vec::new(); crate::engine::SIZE_BUCKETS.len()];
-        buckets[0] = vec![base, base * 2.0]; // <= 5 KB bucket
-        buckets[4] = vec![base * 3.0]; // <= 400 KB bucket
         PointOutcome {
             algo,
             param: crate::spec::ParamSpec::default(),
             load,
             seed,
-            buckets,
-            short: vec![base, base * 2.0],
-            medium: vec![base * 3.0],
-            long: Vec::new(),
-            all: vec![base, base * 2.0, base * 3.0],
+            // Two short flows in the <= 5 KB bucket, one medium flow in
+            // the <= 400 KB bucket.
+            flows: vec![(1_000, base), (2_000, base * 2.0), (200_000, base * 3.0)],
             buffer: vec![1000.0, 2000.0],
             completed: 3,
             offered: 3,
@@ -597,11 +637,43 @@ mod tests {
         assert_eq!(a.short.unwrap().count, 4);
         assert!(a.long.is_none());
         // Buckets pool across seeds too: [1, 2] + [2, 4] in bucket 0.
-        assert_eq!(a.buckets.len(), crate::engine::SIZE_BUCKETS.len());
+        assert_eq!(a.buckets.len(), SIZE_BUCKETS.len());
         assert_eq!(a.buckets[0].le_bytes, 5_000);
         assert_eq!(a.buckets[0].summary.unwrap().count, 4);
         assert_eq!(a.buckets[4].summary.unwrap().count, 2);
         assert!(a.buckets[1].summary.is_none());
+    }
+
+    /// One flow on each side of every bucket and class edge, its slowdown
+    /// its position: each cut holds the flows it should, in flow order.
+    #[test]
+    fn flows_land_in_the_cuts_their_sizes_name() {
+        let sizes = [
+            5_000, 5_001, 9_999, 10_000, 99_999, 100_000, 999_999, 1_000_000, 30_000_000,
+            30_000_001,
+        ];
+        let flows: Vec<(u64, f64)> = (1..).zip(sizes).map(|(i, size)| (size, i as f64)).collect();
+        let c = Cuts::of(&flows);
+        let buckets: [&[f64]; 8] = [
+            &[1.0],
+            &[2.0, 3.0, 4.0],
+            &[],
+            &[5.0, 6.0],
+            &[],
+            &[],
+            &[7.0, 8.0],
+            &[9.0],
+        ];
+        // 30,000,001 B is past the last boundary: in no bucket.
+        for (b, want) in buckets.iter().enumerate() {
+            assert_eq!(c.buckets[b], *want, "bucket {b}");
+        }
+        // 10,000 and 99,999 B are in no class.
+        assert_eq!(c.short, [1.0, 2.0, 3.0]);
+        assert_eq!(c.medium, [6.0, 7.0]);
+        assert_eq!(c.long, [8.0, 9.0, 10.0]);
+        let all: Vec<f64> = flows.iter().map(|f| f.1).collect();
+        assert_eq!(c.all, all);
     }
 
     #[test]

@@ -364,25 +364,6 @@ pub(crate) fn write_array<T>(out: &mut String, items: &[T], item: impl Fn(&mut S
     out.push(']');
 }
 
-/// Render a value as TOML source (scalars and arrays only; tables are
-/// emitted by the spec serializer, which controls section order).
-pub fn write_value(v: &Value) -> String {
-    let mut out = String::new();
-    write_into(&mut out, v);
-    out
-}
-
-fn write_into(out: &mut String, v: &Value) {
-    match v {
-        Value::Str(s) => write_str(out, s),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => write_float(out, *f),
-        Value::Bool(b) => out.push_str(&b.to_string()),
-        Value::Array(items) => write_array(out, items, write_into),
-        Value::Table(_) => panic!("tables are serialized by the spec writer"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,16 +410,19 @@ seeds = [1, 2, 3]
 
     #[test]
     fn string_escapes_round_trip() {
-        let v = Value::Str("a \"b\"\n\\c".into());
-        let written = format!("k = {}", write_value(&v));
+        let s = "a \"b\"\n\\c";
+        let mut written = "k = ".to_string();
+        write_str(&mut written, s);
         let t = parse(&written).unwrap();
-        assert_eq!(t["k"], v);
+        assert_eq!(t["k"], Value::Str(s.into()));
     }
 
     #[test]
     fn floats_written_reparse_as_floats() {
         for f in [2.0, -0.5, 1e15, 9.223372036854776e18, -1e300, 1e-7] {
-            let t = parse(&format!("x = {}", write_value(&Value::Float(f)))).unwrap();
+            let mut written = "x = ".to_string();
+            write_float(&mut written, f);
+            let t = parse(&written).unwrap();
             assert_eq!(t["x"], Value::Float(f));
         }
     }

@@ -13,9 +13,10 @@
 //! * [`probe`] — [`Recorder`]: named channels ("queue", "throughput",
 //!   "cwnd", "power", …) on a configurable sampling tick; simulator
 //!   tracers record into a [`SharedRecorder`] handle.
-//! * [`reduce`] — deterministic downsampling (stride [`decimate`],
-//!   [`window_mean`]) and scalar reductions ([`summarize`],
-//!   [`mean_after`], [`max_after`], [`min_within`]).
+//! * [`reduce`] — deterministic post-hoc downsampling (stride
+//!   [`decimate`], [`window_mean`]) and the tail peak [`max_after`]. The
+//!   windowed reductions a traced run reports are streamed instead, by
+//!   `dcn-scenarios::trace_engine`.
 //! * [`export`] — [`TraceReport`]: fixed-field-order JSON, long-format
 //!   CSV, and markdown stat tables, byte-identical across runs and
 //!   thread counts.
@@ -62,7 +63,5 @@ pub mod ring;
 
 pub use export::{jf, jstr, ChannelTrace, TraceEntry, TraceReport};
 pub use probe::{Channel, ChannelId, Recorder, Sample, SharedRecorder, X_TIME_US};
-pub use reduce::{
-    decimate, max_after, mean_after, min_within, summarize, window_mean, SeriesSummary,
-};
+pub use reduce::{decimate, max_after, window_mean};
 pub use ring::RingBuffer;

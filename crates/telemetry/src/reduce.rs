@@ -54,55 +54,6 @@ pub fn window_mean(samples: &[Sample], window: usize) -> Vec<Sample> {
         .collect()
 }
 
-/// Summary statistics of one channel's values.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SeriesSummary {
-    /// Samples reduced.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Last (newest) value.
-    pub last: f64,
-}
-
-/// Summarize a value stream; `None` when empty.
-pub fn summarize(values: &[f64]) -> Option<SeriesSummary> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut sum = 0.0;
-    for &v in values {
-        min = min.min(v);
-        max = max.max(v);
-        sum += v;
-    }
-    Some(SeriesSummary {
-        count: values.len(),
-        mean: sum / values.len() as f64,
-        min,
-        max,
-        last: *values.last().unwrap(),
-    })
-}
-
-/// Mean of the kept values with `x >= from`, `None` when the window holds
-/// no samples — a post-hoc "post-event tail" reduction (see the
-/// module-level eviction caveat).
-pub fn mean_after(samples: &[Sample], from: f64) -> Option<f64> {
-    let (mut sum, mut n) = (0.0, 0u64);
-    for s in samples.iter().filter(|s| s.x >= from) {
-        sum += s.y;
-        n += 1;
-    }
-    (n > 0).then(|| sum / n as f64)
-}
-
 /// Maximum kept value with `x >= from`, `None` when the window holds no
 /// samples. (An earlier version folded from a `0.0` seed, which reported
 /// 0 for an all-negative series and conflated "no samples" with a genuine
@@ -113,17 +64,6 @@ pub fn max_after(samples: &[Sample], from: f64) -> Option<f64> {
         .filter(|s| s.x >= from)
         .map(|s| s.y)
         .reduce(f64::max)
-}
-
-/// Minimum kept value within `from <= x < to` — e.g. the post-incast
-/// recovery-window throughput dip — `None` when the window holds no
-/// samples.
-pub fn min_within(samples: &[Sample], from: f64, to: f64) -> Option<f64> {
-    samples
-        .iter()
-        .filter(|s| s.x >= from && s.x < to)
-        .map(|s| s.y)
-        .reduce(f64::min)
 }
 
 #[cfg(test)]
@@ -187,24 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn summaries_and_tail_reductions() {
-        let s = samples(10);
-        let sum = summarize(&s.iter().map(|p| p.y).collect::<Vec<_>>()).unwrap();
-        assert_eq!(sum.count, 10);
-        assert_eq!(sum.min, 0.0);
-        assert_eq!(sum.max, 90.0);
-        assert_eq!(sum.last, 90.0);
-        assert_eq!(sum.mean, 45.0);
-        assert!(summarize(&[]).is_none());
-
-        assert_eq!(mean_after(&s, 8.0), Some(85.0));
-        assert_eq!(mean_after(&s, 100.0), None);
-        assert_eq!(max_after(&s, 5.0), Some(90.0));
-        assert_eq!(min_within(&s, 3.0, 6.0), Some(30.0));
-        assert_eq!(min_within(&s, 50.0, 60.0), None);
-    }
-
-    #[test]
     fn window_reductions_survive_negative_series_and_genuine_zeros() {
         // Regression: folding from a 0.0 seed reported 0 for an
         // all-negative series and made "empty window" look like a real 0.
@@ -214,17 +136,14 @@ mod tests {
                 y: -10.0 * (i + 1) as f64,
             })
             .collect();
+        assert_eq!(max_after(&samples(10), 5.0), Some(90.0));
         assert_eq!(max_after(&neg, 0.0), Some(-10.0));
         assert_eq!(max_after(&neg, 2.0), Some(-30.0));
-        assert_eq!(min_within(&neg, 0.0, 4.0), Some(-40.0));
-        assert_eq!(mean_after(&neg, 2.0), Some(-35.0));
         // Empty windows are None, not zero.
         assert_eq!(max_after(&neg, 99.0), None);
-        assert_eq!(min_within(&neg, 99.0, 100.0), None);
         assert_eq!(max_after(&[], 0.0), None);
         // A window holding a genuine zero reports it.
         let z = [Sample { x: 1.0, y: 0.0 }];
         assert_eq!(max_after(&z, 0.0), Some(0.0));
-        assert_eq!(min_within(&z, 0.0, 2.0), Some(0.0));
     }
 }

@@ -5,7 +5,12 @@
 //! cargo run --release --example fairness_demo
 //! ```
 
-use powertcp::prelude::*;
+use dcn_sim::{
+    build_star, host_throughput_tracer, series, Endpoint, FlowId, NodeId, Simulator, SwitchConfig,
+};
+use dcn_stats::jain_index;
+use dcn_transport::{FlowSpec, MetricsHub, TransportConfig, TransportHost};
+use powertcp_core::{Bandwidth, CongestionControl, PowerTcpConfig, ThetaPowerTcp, Tick};
 
 fn main() {
     let metrics = MetricsHub::new_shared();
@@ -85,5 +90,3 @@ fn main() {
          evenly within\na few RTTs — 25 → 12.5 → 8.3 → 6.25 Gbps with Jain ≈ 1."
     );
 }
-
-use powertcp::sim::host_throughput_tracer;

@@ -5,7 +5,7 @@
 //! cargo run --release --example fluid_phase
 //! ```
 
-use powertcp::fluid::{analytic_equilibrium, inflight, phase_trajectory, FluidParams, Law, State};
+use fluid_model::{analytic_equilibrium, inflight, phase_trajectory, FluidParams, Law, State};
 
 /// Render trajectories on a log-log grid of (window, inflight).
 fn render(law: Law, p: &FluidParams) {

@@ -9,7 +9,12 @@
 //! go-back-N transport), and prints flow completion times plus bottleneck
 //! queue statistics.
 
-use powertcp::prelude::*;
+use dcn_sim::{
+    build_dumbbell, queue_tracer, series, DumbbellConfig, Endpoint, FlowId, NodeId, Simulator,
+};
+use dcn_stats::slowdown;
+use dcn_transport::{FlowSpec, MetricsHub, TransportConfig, TransportHost};
+use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, PowerTcpConfig, Tick};
 
 fn main() {
     // Shared metrics hub: endpoints report completions here.

@@ -10,8 +10,9 @@
 //! rest of the time traffic shares a 25 G packet path. Watch PowerTCP
 //! discover and fill the circuit within an RTT of each day starting.
 
-use powertcp::prelude::*;
-use powertcp::transport::CcFactory;
+use dcn_sim::{series, Simulator};
+use dcn_transport::{CcFactory, MetricsHub, TransportConfig};
+use powertcp_core::{CongestionControl, PowerTcp, PowerTcpConfig, Tick};
 use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
 
 fn main() {
@@ -51,7 +52,7 @@ fn main() {
         let thr = thr.clone();
         let mut last: Option<(Tick, u64)> = None;
         sim.add_tracer(Tick::from_micros(25), move |net, now| {
-            if let powertcp::sim::Node::Custom(c) = net.node(tor0) {
+            if let dcn_sim::Node::Custom(c) = net.node(tor0) {
                 let total = c.ports[hpt].tx_bytes + c.ports[hpt + 1].tx_bytes;
                 if let Some((t0, b0)) = last {
                     let dt = now.saturating_sub(t0).as_secs_f64();

@@ -1,7 +1,14 @@
 //! Cross-crate integration tests: the paper's headline claims checked
-//! end-to-end through the public API of the umbrella crate.
+//! end-to-end through the public APIs of the workspace crates.
 
-use powertcp::prelude::*;
+use dcn_sim::{
+    build_dumbbell, build_fat_tree, build_star, queue_tracer, series, DumbbellConfig, Endpoint,
+    FatTreeConfig, FlowId, NodeId, PortId, Simulator, SwitchConfig,
+};
+use dcn_stats::{slowdown, Summary};
+use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig, TransportHost};
+use dcn_workloads::{poisson_flows, HostMap, PoissonConfig, SizeCdf};
+use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, PowerTcpConfig, ThetaPowerTcp, Tick};
 
 /// A tiny shared harness: N senders → 1 receiver on a star, one algorithm.
 fn star_incast_queue(
