@@ -155,8 +155,13 @@ mod tests {
         }
         // Renaming the scenario or trimming the sweep grid does not move
         // point keys: the fragment excludes identity and axes.
-        let mut renamed = spec.clone().describe("something else").loads([0.2]);
+        let mut renamed = spec.clone();
         renamed.name = "other-name".into();
+        renamed.description = "something else".into();
+        let ScenarioKind::Sweep(body) = &mut renamed.kind else {
+            unreachable!("a sweep")
+        };
+        body.sweep.loads = vec![0.2];
         assert_eq!(point_key(&renamed, &pts[0]), keys[0]);
     }
 
@@ -204,7 +209,11 @@ mod tests {
         assert!(!fk.canon.contains("\nengine-version="), "{}", fk.canon);
         // Switching a spec's engine moves every point key: the engine
         // selects physics, so it must never alias across engines.
-        let as_packet = flow.clone().engine(EngineKind::Packet);
+        let mut as_packet = flow.clone();
+        let ScenarioKind::Sweep(body) = &mut as_packet.kind else {
+            unreachable!("fig7-flow is a sweep")
+        };
+        body.engine = EngineKind::Packet;
         assert_ne!(point_key(&as_packet, &sweep_points(&flow)[0]), fk);
     }
 

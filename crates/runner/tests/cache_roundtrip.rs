@@ -107,7 +107,8 @@ fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
     }
 
     // Renaming / re-describing the scenario moves no key.
-    let mut renamed = spec.clone().describe("different words");
+    let mut renamed = spec.clone();
+    renamed.description = "different words".into();
     renamed.name = "fig3-small-renamed".into();
     for (e, k) in entries.iter().zip(&base) {
         assert_eq!(entry_key(&renamed, e), *k, "identity must not move keys");
@@ -199,7 +200,8 @@ fn editing_the_spec_physics_invalidates_while_identity_does_not() {
     assert_eq!(s1.cache_misses, 2);
 
     // Renaming/redescribing is identity, not physics: still 100% hits.
-    let mut renamed = spec.clone().describe("renamed");
+    let mut renamed = spec.clone();
+    renamed.description = "renamed".into();
     renamed.name = "fig6-small-renamed".into();
     let (_, s2) = run(&renamed, &cfg).unwrap();
     assert_eq!((s2.cache_hits, s2.cache_misses), (2, 0));

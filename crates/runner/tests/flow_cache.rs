@@ -5,7 +5,7 @@
 //! cache warm (and flow-engine PRs leave every packet baseline warm).
 
 use dcn_runner::{point_key, run, RunConfig};
-use dcn_scenarios::{builtin, sweep_points, EngineKind, ScenarioOutput};
+use dcn_scenarios::{builtin, sweep_points, EngineKind, ScenarioKind, ScenarioOutput};
 use std::fs;
 use std::path::PathBuf;
 
@@ -109,14 +109,19 @@ fn switching_engines_misses_while_identity_stays_warm() {
     assert_eq!(s1.cache_misses, n);
 
     // Rename/redescribe is identity: still 100% hits.
-    let mut renamed = spec.clone().describe("same physics, new words");
+    let mut renamed = spec.clone();
+    renamed.description = "same physics, new words".into();
     renamed.name = "fig7-flow-renamed".into();
     let (_, s2) = run(&renamed, &cfg).unwrap();
     assert_eq!((s2.cache_hits, s2.cache_misses), (n, 0));
 
     // Flipping the engine back to packet is different physics under a
     // different salt: every point misses, nothing aliases.
-    let as_packet = spec.clone().engine(EngineKind::Packet);
+    let mut as_packet = spec.clone();
+    let ScenarioKind::Sweep(body) = &mut as_packet.kind else {
+        unreachable!("fig7-flow is a sweep")
+    };
+    body.engine = EngineKind::Packet;
     for (fp, pp) in sweep_points(&spec).iter().zip(&sweep_points(&as_packet)) {
         assert_ne!(point_key(&spec, fp), point_key(&as_packet, pp));
     }

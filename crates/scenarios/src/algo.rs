@@ -38,18 +38,6 @@ pub enum Algo {
 }
 
 impl Algo {
-    /// The paper's Figure 4/6/7 comparison set.
-    pub fn paper_set() -> Vec<Algo> {
-        vec![
-            Algo::PowerTcp,
-            Algo::ThetaPowerTcp,
-            Algo::Hpcc,
-            Algo::Dcqcn,
-            Algo::Timely,
-            Algo::Homa(1),
-        ]
-    }
-
     /// Every variant (HOMA at overcommitment 1), for `xp list` and spec
     /// validation messages.
     pub fn all() -> Vec<Algo> {
@@ -255,22 +243,6 @@ mod tests {
     use powertcp_core::Tick;
 
     #[test]
-    fn paper_set_matches_figure6_legend() {
-        let names: Vec<String> = Algo::paper_set().iter().map(|a| a.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "PowerTCP-INT",
-                "PowerTCP-Delay",
-                "HPCC",
-                "DCQCN",
-                "TIMELY",
-                "HOMA(oc=1)"
-            ]
-        );
-    }
-
-    #[test]
     fn switch_requirements() {
         assert!(Algo::PowerTcp.needs_int());
         assert!(!Algo::PowerTcp.needs_ecn());
@@ -315,6 +287,18 @@ mod tests {
     fn keys_round_trip_through_parse() {
         for algo in Algo::all() {
             assert_eq!(Algo::parse(&algo.key()), Ok(algo), "{}", algo.key());
+        }
+        // The labels of Figure 6's legend, which reports print.
+        let labels = [
+            (Algo::PowerTcp, "PowerTCP-INT"),
+            (Algo::ThetaPowerTcp, "PowerTCP-Delay"),
+            (Algo::Hpcc, "HPCC"),
+            (Algo::Dcqcn, "DCQCN"),
+            (Algo::Timely, "TIMELY"),
+            (Algo::Homa(1), "HOMA(oc=1)"),
+        ];
+        for (algo, label) in labels {
+            assert_eq!(algo.name(), label);
         }
         assert_eq!(Algo::parse("homa:4"), Ok(Algo::Homa(4)));
         assert_eq!(Algo::parse("theta"), Ok(Algo::ThetaPowerTcp));

@@ -383,11 +383,12 @@ fn theorem_entry(label: String, analytic: &AnalyticSpec, n: u8, tol: f64) -> Tra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::{ablations, fig3, theorems};
-    use crate::spec::{ScenarioKind, ScenarioSpec};
+    use crate::library::builtin;
+    use crate::spec::ScenarioKind;
 
     /// The `[analytic]` table of a (valid) analytic builtin.
-    fn analytic(spec: ScenarioSpec) -> AnalyticSpec {
+    fn analytic(name: &str) -> AnalyticSpec {
+        let spec = builtin(name).expect("a builtin");
         spec.validate().unwrap();
         let ScenarioKind::Analytic(analytic) = spec.kind else {
             panic!("{} is not analytic", spec.name);
@@ -397,7 +398,7 @@ mod tests {
 
     #[test]
     fn fig3_entries_reproduce_the_paper_properties() {
-        let spec = analytic(fig3());
+        let spec = analytic("fig3");
         let entries = analytic_entries(&spec);
         assert_eq!(entries.len(), 3);
         let by_label = |l: &str| {
@@ -422,7 +423,7 @@ mod tests {
 
     #[test]
     fn ablation_entries_sweep_each_axis() {
-        let spec = analytic(ablations());
+        let spec = analytic("ablations");
         let entries = analytic_entries(&spec);
         assert!(entries.iter().any(|e| e.label.starts_with("gamma=")));
         assert!(entries.iter().any(|e| e.label.starts_with("beta_frac=")));
@@ -448,7 +449,7 @@ mod tests {
 
     #[test]
     fn theorem_entries_all_pass() {
-        let spec = analytic(theorems());
+        let spec = analytic("theorems");
         let entries = analytic_entries(&spec);
         assert_eq!(entries.len(), 3);
         for e in &entries {
@@ -459,9 +460,8 @@ mod tests {
 
     #[test]
     fn analytic_entries_replay_bit_for_bit() {
-        for spec in [fig3(), ablations(), theorems()] {
-            let name = spec.name.clone();
-            let spec = analytic(spec);
+        for name in ["fig3", "ablations", "theorems"] {
+            let spec = analytic(name);
             for e in analytic_entries(&spec) {
                 let a = run_analytic_entry(&spec, &e);
                 let b = run_analytic_entry(&spec, &e);

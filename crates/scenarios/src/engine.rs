@@ -543,7 +543,8 @@ mod tests {
     #[test]
     fn incast_overlay_adds_flows() {
         let plain = Scale::tiny().spec("tiny");
-        let overlaid = plain.clone().incast(IncastSpec {
+        let mut overlaid = plain.clone();
+        overlaid.sweep_mut("test").workload.incast = Some(IncastSpec {
             rate_per_sec: 1000.0,
             request_bytes: 200_000,
             fan_in: 4,
@@ -555,21 +556,22 @@ mod tests {
     }
 
     fn star_incast_spec() -> ScenarioSpec {
-        ScenarioSpec::new(
+        let mut spec = ScenarioSpec::new(
             "star-incast",
             TopologySpec::Star {
                 hosts: 8,
                 host_gbps: 25.0,
             },
         )
-        .incast(IncastSpec {
+        .horizon_ms(2.0)
+        .drain_ms(4.0);
+        spec.sweep_mut("test").workload.incast = Some(IncastSpec {
             rate_per_sec: 2_000.0,
             request_bytes: 400_000,
             fan_in: 4,
             periodic: true,
-        })
-        .horizon_ms(2.0)
-        .drain_ms(4.0)
+        });
+        spec
     }
 
     #[test]

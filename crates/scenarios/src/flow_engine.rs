@@ -192,12 +192,14 @@ mod tests {
     }
 
     fn flow_spec(topology: TopologySpec) -> ScenarioSpec {
-        ScenarioSpec::new("flow-test", topology)
-            .engine(EngineKind::Flow)
+        let mut spec = ScenarioSpec::new("flow-test", topology)
             .poisson(SizeSpec::Websearch)
-            .loads([0.4])
             .horizon_ms(2.0)
-            .drain_ms(4.0)
+            .drain_ms(4.0);
+        let sweep = spec.sweep_mut("test");
+        sweep.engine = EngineKind::Flow;
+        sweep.sweep.loads = vec![0.4];
+        spec
     }
 
     fn point(algo: Algo, load: f64, seed: u64) -> SweepPoint {
@@ -266,24 +268,20 @@ mod tests {
     fn same_flow_population_as_the_packet_engine() {
         // The whole cross-check rests on this: both engines must offer
         // identical flows for identical (spec-physics, load, seed).
-        let spec = flow_spec(TopologySpec::FatTree {
+        let mut spec = flow_spec(TopologySpec::FatTree {
             hosts_per_tor: 2,
             host_gbps: 25.0,
             fabric_gbps: 12.5,
-        })
-        .incast(IncastSpec {
+        });
+        spec.sweep_mut("test").workload.incast = Some(IncastSpec {
             rate_per_sec: 8_000.0,
             request_bytes: 100_000,
             fan_in: 4,
             periodic: false,
         });
         let (flow_out, _) = run_flow_point_observed(&spec, &point(Algo::PowerTcp, 0.4, 3));
-        let packet_out = engine::run_point(
-            &spec.clone().engine(EngineKind::Packet),
-            Algo::PowerTcp,
-            0.4,
-            3,
-        );
+        spec.sweep_mut("test").engine = EngineKind::Packet;
+        let packet_out = engine::run_point(&spec, Algo::PowerTcp, 0.4, 3);
         assert_eq!(flow_out.offered, packet_out.offered);
         // Same flows means the same sizes, even though the slowdown
         // values differ.
@@ -316,7 +314,7 @@ mod tests {
     /// each of those is now one filling round, and the hash held.
     #[test]
     fn fattree_100k_smoke_allocator_work_is_pinned() {
-        let spec = crate::library::fattree_100k_smoke();
+        let spec = crate::library::builtin("fattree-100k-smoke").expect("a builtin");
         let sweep = spec.sweep_body("the flow engine");
         let p = point(Algo::PowerTcp, 0.6, 42);
         let plan = engine::plan(&sweep.topology, p.algo);
@@ -347,12 +345,12 @@ mod tests {
 
     #[test]
     fn heavier_load_means_worse_slowdowns() {
-        let spec = flow_spec(TopologySpec::FatTree {
+        let mut spec = flow_spec(TopologySpec::FatTree {
             hosts_per_tor: 4,
             host_gbps: 25.0,
             fabric_gbps: 25.0,
-        })
-        .loads([0.2, 0.9]);
+        });
+        spec.sweep_mut("test").sweep.loads = vec![0.2, 0.9];
         let mean =
             |o: &PointOutcome| o.flows.iter().map(|f| f.1).sum::<f64>() / o.flows.len() as f64;
         let light = run_flow_point_observed(&spec, &point(Algo::PowerTcp, 0.2, 5)).0;

@@ -3,9 +3,9 @@
 //! The experiment-orchestration subsystem of the PowerTCP reproduction:
 //! instead of one hand-written binary per figure, an experiment is a
 //! declarative [`ScenarioSpec`] — topology × workload × sweep axes —
-//! that can be written in TOML, built in code, or taken from the
-//! built-in [`library`] of paper scenarios, and executed by a parallel,
-//! deterministic sweep runner.
+//! written in TOML (the built-in [`library`] of paper scenarios is one
+//! TOML file each) and executed by a parallel, deterministic sweep
+//! runner.
 //!
 //! ## The pieces
 //!
@@ -31,7 +31,9 @@
 //!   byte-identical at any thread count.
 //! * [`report`] — structured [`SweepResult`]: per-point and pooled
 //!   per-(algo, load) summaries as JSON, CSV, or a markdown table.
-//! * [`library`] — fig6 / fig7 / fig9to11 / incast-battle as specs.
+//! * [`library`] — every figure and panel of the paper as a TOML file
+//!   under `builtins/`, compiled in and looked up by name ([`builtin`],
+//!   [`builtin_specs`]).
 //!
 //! The executor is generic over a one-method [`PointSource`] ("where
 //! does the outcome of item *i* come from?"); the default [`Compute`]
@@ -44,21 +46,31 @@
 //! ## Example
 //!
 //! ```
-//! use dcn_scenarios::{run_sweep, Algo, IncastSpec, ScenarioSpec, TopologySpec};
+//! use dcn_scenarios::{run_sweep, ScenarioSpec};
 //!
-//! let spec = ScenarioSpec::new(
-//!     "quick-incast",
-//!     TopologySpec::Star { hosts: 6, host_gbps: 25.0 },
+//! let spec = ScenarioSpec::from_toml(
+//!     r#"
+//! name = "quick-incast"
+//! horizon_ms = 1.0
+//! drain_ms = 2.0
+//!
+//! [topology]
+//! kind = "star"
+//! hosts = 6
+//! host_gbps = 25.0
+//!
+//! [workload.incast]
+//! rate_per_sec = 1000.0
+//! request_bytes = 120000
+//! fan_in = 3
+//! periodic = true
+//!
+//! [sweep]
+//! algos = ["powertcp", "hpcc"]
+//! seeds = [42]
+//! "#,
 //! )
-//! .incast(IncastSpec {
-//!     rate_per_sec: 1000.0,
-//!     request_bytes: 120_000,
-//!     fan_in: 3,
-//!     periodic: true,
-//! })
-//! .algos([Algo::PowerTcp, Algo::Hpcc])
-//! .horizon_ms(1.0)
-//! .drain_ms(2.0);
+//! .unwrap();
 //!
 //! let result = run_sweep(&spec, 2).unwrap();
 //! assert_eq!(result.aggregates.len(), 2); // one per algorithm

@@ -603,7 +603,7 @@ mod tests {
     }
 
     fn spec2x2() -> ScenarioSpec {
-        ScenarioSpec::new(
+        let mut spec = ScenarioSpec::new(
             "r",
             TopologySpec::Star {
                 hosts: 4,
@@ -611,9 +611,11 @@ mod tests {
             },
         )
         .poisson(SizeSpec::Websearch)
-        .algos([Algo::PowerTcp, Algo::Hpcc])
-        .loads([0.5])
-        .seeds([1, 2])
+        .seeds([1, 2]);
+        let sweep = &mut spec.sweep_mut("test").sweep;
+        sweep.algos = vec![Algo::PowerTcp, Algo::Hpcc];
+        sweep.loads = vec![0.5];
+        spec
     }
 
     #[test]
@@ -691,7 +693,9 @@ mod tests {
         assert!(!off.to_json().contains("buffer_cdf"));
         assert!(!off.to_csv().contains("pct,buffer_bytes"));
 
-        let on = SweepResult::build(&spec2x2().buffer_cdf(true), outcomes());
+        let mut with_cdf = spec2x2();
+        with_cdf.sweep_mut("test").buffer_cdf = true;
+        let on = SweepResult::build(&with_cdf, outcomes());
         let cdf = on.aggregates[0].buffer_cdf.as_ref().unwrap();
         assert_eq!(cdf.len(), BUFFER_CDF_PCTS.len());
         // Pooled samples [1000, 2000] x 2 seeds: min 1000, max 2000,

@@ -980,7 +980,7 @@ mod tests {
     /// Specs that between them write every key of every section: the
     /// builtins plus the shapes no builtin has.
     fn corpus() -> Vec<String> {
-        let dumbbell = ScenarioSpec::new(
+        let mut dumbbell = ScenarioSpec::new(
             "dumbbell",
             TopologySpec::Dumbbell {
                 pairs: 4,
@@ -988,14 +988,16 @@ mod tests {
                 bottleneck_gbps: 12.5,
             },
         )
-        .poisson(SizeSpec::Fixed(50_000))
-        .buffer_cdf(true)
-        .loads([0.5]);
-        let mut windowed = crate::library::fig4().channels(["queue"]);
+        .poisson(SizeSpec::Fixed(50_000));
+        let sweep = dumbbell.sweep_mut("test");
+        sweep.buffer_cdf = true;
+        sweep.sweep.loads = vec![0.5];
+        let mut windowed = crate::library::builtin("fig4").expect("fig4 is a builtin");
         let ScenarioKind::Timeseries(timeseries) = &mut windowed.kind else {
             unreachable!()
         };
         timeseries.trace.window = 4;
+        timeseries.trace.channels = vec!["queue".into()];
         let specs = builtin_specs().into_iter().chain([dumbbell, windowed]);
         specs.map(|s| s.to_toml()).collect()
     }
@@ -1132,7 +1134,9 @@ mod tests {
         }
         // The params mini-grammar's floats, too.
         for bad in ["gamma=inf", "eta=-inf", "alpha=1e999", "gamma=nan"] {
-            let spec = crate::library::gamma_sweep().params([ParamSpec::parse(bad).unwrap()]);
+            let mut spec =
+                crate::library::builtin("gamma-sweep").expect("gamma-sweep is a builtin");
+            spec.sweep_mut("test").sweep.params = vec![ParamSpec::parse(bad).unwrap()];
             let err = spec.validate().expect_err(bad);
             assert!(err.contains(bad.split('=').next().unwrap()), "{bad}: {err}");
         }

@@ -4,10 +4,11 @@
 //! (fat-tree / star / dumbbell), a workload (Poisson background traffic,
 //! an incast overlay, or both), a time horizon, and the sweep axes
 //! (algorithm grid × load grid × seed grid). Specs are plain data: they
-//! can be built in code (builder methods), loaded from TOML (`xp run
-//! spec.toml`), or taken from the built-in library
-//! ([`crate::library`]), and the cross-product of their sweep axes is
-//! executed by [`crate::sweep::run_sweep`].
+//! are read from TOML (`xp run spec.toml`, and every builtin of
+//! [`crate::library`] is a TOML file), or assembled in code from a
+//! constructor, a few builder methods and the public fields; the
+//! cross-product of their sweep axes is executed by
+//! [`crate::sweep::run_sweep`].
 
 use crate::algo::Algo;
 use crate::schema::{self, Pass, Ty, Val};
@@ -697,7 +698,7 @@ impl ScenarioSpec {
         }
     }
 
-    fn sweep_mut(&mut self, what: &str) -> &mut SweepBody {
+    pub(crate) fn sweep_mut(&mut self, what: &str) -> &mut SweepBody {
         let kind = self.kind.key();
         match &mut self.kind {
             ScenarioKind::Sweep(body) => body,
@@ -728,29 +729,10 @@ impl ScenarioSpec {
         }
     }
 
-    /// Replace the trace scenario of a timeseries spec. Panics on
-    /// another kind.
-    pub fn trace_scenario(mut self, scenario: TraceScenario) -> Self {
-        self.timeseries_mut("trace_scenario").trace.scenario = scenario;
-        self
-    }
-
-    /// Set the description.
-    pub fn describe(mut self, d: impl Into<String>) -> Self {
-        self.description = d.into();
-        self
-    }
-
     /// Add Poisson background traffic with the given size distribution
-    /// (panics on a scenario that is no sweep, as every sweep setting).
+    /// (panics on a scenario that is no sweep).
     pub fn poisson(mut self, sizes: SizeSpec) -> Self {
         self.sweep_mut("poisson").workload.poisson = Some(PoissonSpec { sizes });
-        self
-    }
-
-    /// Add an incast overlay.
-    pub fn incast(mut self, incast: IncastSpec) -> Self {
-        self.sweep_mut("incast").workload.incast = Some(incast);
         self
     }
 
@@ -773,52 +755,10 @@ impl ScenarioSpec {
         self
     }
 
-    /// Set the algorithm grid (the lineup of a timeseries scenario);
-    /// the panicking form of [`Self::lineup_mut`].
-    pub fn algos(mut self, algos: impl IntoIterator<Item = Algo>) -> Self {
-        let (mine, _) = self.lineup_mut().unwrap_or_else(|e| panic!("{e}"));
-        *mine = algos.into_iter().collect();
-        self
-    }
-
-    /// Set the load grid.
-    pub fn loads(mut self, loads: impl IntoIterator<Item = f64>) -> Self {
-        self.sweep_mut("loads").sweep.loads = loads.into_iter().collect();
-        self
-    }
-
     /// Set the seed grid (the one seed of a timeseries scenario).
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         let (_, mine) = self.lineup_mut().unwrap_or_else(|e| panic!("{e}"));
         *mine = seeds.into_iter().collect();
-        self
-    }
-
-    /// Set the algorithm-parameter grid (the ablation axis).
-    pub fn params(mut self, params: impl IntoIterator<Item = ParamSpec>) -> Self {
-        self.sweep_mut("params").sweep.params = params.into_iter().collect();
-        self
-    }
-
-    /// Select the engine that runs the sweep points.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.sweep_mut("engine").engine = engine;
-        self
-    }
-
-    /// Toggle per-aggregate buffer-occupancy CDF columns in the report
-    /// (packet-engine sweeps only).
-    pub fn buffer_cdf(mut self, on: bool) -> Self {
-        self.sweep_mut("buffer_cdf").buffer_cdf = on;
-        self
-    }
-
-    /// Restrict a timeseries spec to recording only the named channels
-    /// (validated against [`TraceScenario::channel_names`]). Panics on
-    /// another kind.
-    pub fn channels(mut self, channels: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        self.timeseries_mut("channels").trace.channels =
-            channels.into_iter().map(Into::into).collect();
         self
     }
 
@@ -1103,25 +1043,27 @@ mod tests {
     use super::*;
 
     fn sample_spec() -> ScenarioSpec {
-        ScenarioSpec::new(
-            "sample",
-            TopologySpec::FatTree {
-                hosts_per_tor: 2,
-                host_gbps: 25.0,
-                fabric_gbps: 12.5,
-            },
-        )
-        .describe("a sample scenario")
-        .poisson(SizeSpec::Websearch)
-        .incast(IncastSpec {
-            rate_per_sec: 1000.0,
-            request_bytes: 200_000,
-            fan_in: 4,
-            periodic: false,
-        })
-        .algos([Algo::PowerTcp, Algo::Hpcc, Algo::Homa(2)])
-        .loads([0.2, 0.6])
-        .seeds([7, 11])
+        let text = r#"
+name = "sample"
+description = "a sample scenario"
+[topology]
+kind = "fat-tree"
+hosts_per_tor = 2
+host_gbps = 25.0
+fabric_gbps = 12.5
+[workload.poisson]
+sizes = "websearch"
+[workload.incast]
+rate_per_sec = 1000.0
+request_bytes = 200000
+fan_in = 4
+periodic = false
+[sweep]
+algos = ["powertcp", "hpcc", "homa:2"]
+loads = [0.2, 0.6]
+seeds = [7, 11]
+"#;
+        ScenarioSpec::from_toml(text).expect("the sample spec parses")
     }
 
     #[test]
@@ -1145,10 +1087,10 @@ mod tests {
                 bottleneck_gbps: 25.0,
             },
         ] {
-            let spec = ScenarioSpec::new("t", topo)
+            let mut spec = ScenarioSpec::new("t", topo)
                 .poisson(SizeSpec::Fixed(50_000))
-                .loads([0.5])
                 .seeds([1]);
+            spec.sweep_mut("test").sweep.loads = vec![0.5];
             assert_eq!(ScenarioSpec::from_toml(&spec.to_toml()).unwrap(), spec);
         }
     }
@@ -1158,7 +1100,8 @@ mod tests {
         let ok = sample_spec();
         assert!(ok.validate().is_ok());
 
-        let s = sample_spec().loads([2.0]);
+        let mut s = sample_spec();
+        s.sweep_mut("test").sweep.loads = vec![2.0];
         assert!(s.validate().unwrap_err().contains("implausible load"));
 
         let mut s = sample_spec();
@@ -1173,24 +1116,24 @@ mod tests {
         let s = sample_spec().seeds([]);
         assert!(s.validate().is_err());
 
-        let s = ScenarioSpec::new(
+        let mut s = ScenarioSpec::new(
             "s",
             TopologySpec::Star {
                 hosts: 1,
                 host_gbps: 25.0,
             },
         )
-        .poisson(SizeSpec::Websearch)
-        .loads([0.5]);
+        .poisson(SizeSpec::Websearch);
+        s.sweep_mut("test").sweep.loads = vec![0.5];
         assert!(s.validate().is_err());
     }
 
     #[test]
     fn a_switch_wider_than_port_ids_is_refused_for_the_packet_engine() {
         let sweep = |topology| {
-            ScenarioSpec::new("wide", topology)
-                .poisson(SizeSpec::Websearch)
-                .loads([0.5])
+            let mut spec = ScenarioSpec::new("wide", topology).poisson(SizeSpec::Websearch);
+            spec.sweep_mut("test").sweep.loads = vec![0.5];
+            spec
         };
         let star = |hosts| TopologySpec::Star {
             hosts,
@@ -1218,7 +1161,8 @@ mod tests {
             assert!(err.contains(key) && err.contains("65535"), "{key}: {err}");
             // The flow engine never builds the fabric (fattree-100k is
             // 12,500 hosts per ToR; nothing stops 70,000).
-            let flow = sweep(too_wide).engine(EngineKind::Flow);
+            let mut flow = sweep(too_wide);
+            flow.sweep_mut("test").engine = EngineKind::Flow;
             assert_eq!(flow.validate(), Ok(()), "{key} on the flow engine");
         }
         // A trace's star is sized by the trace scenario's own key.
@@ -1239,29 +1183,29 @@ mod tests {
 
     #[test]
     fn incast_only_scenarios_have_one_pseudo_load() {
-        let spec = ScenarioSpec::new(
-            "i",
-            TopologySpec::Star {
-                hosts: 6,
-                host_gbps: 25.0,
-            },
-        )
-        .incast(IncastSpec {
-            rate_per_sec: 2000.0,
-            request_bytes: 500_000,
-            fan_in: 4,
-            periodic: true,
-        })
-        .algos([Algo::Homa(1), Algo::Homa(2)])
-        .seeds([1, 2, 3]);
-        assert!(spec.validate().is_ok());
+        let text = r#"
+name = "i"
+[topology]
+kind = "star"
+hosts = 6
+host_gbps = 25.0
+[workload.incast]
+rate_per_sec = 2000.0
+request_bytes = 500000
+fan_in = 4
+periodic = true
+[sweep]
+algos = ["homa:1", "homa:2"]
+seeds = [1, 2, 3]
+"#;
+        let spec = ScenarioSpec::from_toml(text).expect("an incast-only sweep");
         let points = crate::sweep::sweep_points(&spec);
         assert!(points.iter().all(|p| p.load == 0.0));
         assert_eq!(spec.num_points(), 6); // 2 algos x 1 pseudo-load x 3 seeds
     }
 
     fn ts_spec(scenario: TraceScenario) -> ScenarioSpec {
-        ScenarioSpec::timeseries(
+        let mut spec = ScenarioSpec::timeseries(
             "ts",
             TraceSpec {
                 scenario,
@@ -1272,9 +1216,10 @@ mod tests {
                 channels: Vec::new(),
             },
         )
-        .describe("a timeseries scenario")
-        .algos([Algo::PowerTcp, Algo::Hpcc])
-        .horizon_ms(5.0)
+        .horizon_ms(5.0);
+        spec.description = "a timeseries scenario".into();
+        *spec.lineup_mut().unwrap().0 = vec![Algo::PowerTcp, Algo::Hpcc];
+        spec
     }
 
     #[test]
@@ -1299,7 +1244,7 @@ mod tests {
             let analytic = matches!(scenario, TraceScenario::Response);
             let mut spec = ts_spec(scenario);
             if analytic {
-                spec = spec.algos([Algo::PowerTcp]);
+                *spec.lineup_mut().unwrap().0 = vec![Algo::PowerTcp];
             }
             spec.validate().unwrap_or_else(|e| panic!("{e}"));
             let text = spec.to_toml();
@@ -1329,18 +1274,18 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("analytic"));
 
         // HOMA cannot run the RDCN trace.
-        let s = ts_spec(TraceScenario::Rdcn {
+        let mut s = ts_spec(TraceScenario::Rdcn {
             weeks: 1,
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![],
-        })
-        .algos([Algo::Homa(1)]);
+        });
+        *s.lineup_mut().unwrap().0 = vec![Algo::Homa(1)];
         assert!(s.validate().unwrap_err().contains("HOMA"));
     }
 
     /// What the parent policed in `validate` (a load axis on a trace, a
     /// seed on an analytic grid) is now a field the kind does not have:
-    /// the builder call for it panics naming both, and the fallible
+    /// a call that needs it panics naming both, and the fallible
     /// `lineup_mut` says why.
     #[test]
     fn a_setting_the_kind_has_no_field_for_is_refused_at_the_call() {
@@ -1348,13 +1293,20 @@ mod tests {
             let payload = std::panic::catch_unwind(call).expect_err("the call panics");
             payload.downcast_ref::<String>().expect("a message").clone()
         };
-        let loads = message(|| ts_spec(TraceScenario::Response).loads([0.5]));
-        assert!(loads.contains("loads is for sweep scenarios"), "{loads}");
+        let poisson = message(|| ts_spec(TraceScenario::Response).poisson(SizeSpec::Websearch));
         assert!(
-            loads.contains("\"ts\" has kind = \"timeseries\""),
-            "{loads}"
+            poisson.contains("poisson is for sweep scenarios"),
+            "{poisson}"
         );
-        let channels = message(|| sample_spec().channels(["queue"]));
+        assert!(
+            poisson.contains("\"ts\" has kind = \"timeseries\""),
+            "{poisson}"
+        );
+        let channels = message(|| {
+            let mut spec = sample_spec();
+            spec.timeseries_mut("channels").trace.channels.clear();
+            spec
+        });
         let for_traces = "channels is for timeseries scenarios";
         assert!(channels.contains(for_traces), "{channels}");
         fn laws() -> ScenarioSpec {
@@ -1369,12 +1321,12 @@ mod tests {
 
     #[test]
     fn trace_channel_filter_round_trips_and_validates() {
-        let spec = ts_spec(TraceScenario::Incast {
+        let mut spec = ts_spec(TraceScenario::Incast {
             fan_in: 4,
             burst_bytes: 1000,
             at_ms: 1.0,
-        })
-        .channels(["queue", "cwnd"]);
+        });
+        spec.timeseries_mut("test").trace.channels = vec!["queue".into(), "cwnd".into()];
         spec.validate().unwrap();
         let text = spec.to_toml();
         assert!(text.contains("channels = [\"queue\", \"cwnd\"]"), "{text}");
@@ -1382,34 +1334,38 @@ mod tests {
 
         // An empty filter (record everything) is the default and is not
         // written out.
-        let all = ts_spec(TraceScenario::Response).algos([Algo::PowerTcp]);
-        assert!(!all.to_toml().contains("channels"));
+        assert!(!ts_spec(TraceScenario::Response)
+            .to_toml()
+            .contains("channels"));
 
         // Unknown names are a validation error naming the vocabulary.
-        let bad = ts_spec(TraceScenario::Incast {
+        let mut bad = ts_spec(TraceScenario::Incast {
             fan_in: 4,
             burst_bytes: 1000,
             at_ms: 1.0,
-        })
-        .channels(["voq"]);
+        });
+        bad.timeseries_mut("test").trace.channels = vec!["voq".into()];
         let err = bad.validate().unwrap_err();
         assert!(err.contains("unknown trace channel"), "{err}");
         assert!(err.contains("throughput, queue, cwnd, power"), "{err}");
 
         // Fairness names are per-flow, so validity depends on the flow
         // count.
-        let fair = ts_spec(TraceScenario::Fairness {
+        let mut fair = ts_spec(TraceScenario::Fairness {
             flows: 2,
             stagger_ms: 1.0,
         });
-        assert!(fair.clone().channels(["flow-2"]).validate().is_ok());
-        assert!(fair.channels(["flow-3"]).validate().is_err());
+        fair.timeseries_mut("test").trace.channels = vec!["flow-2".into()];
+        assert!(fair.validate().is_ok());
+        fair.timeseries_mut("test").trace.channels = vec!["flow-3".into()];
+        assert!(fair.validate().is_err());
     }
 
     #[test]
     fn cache_fragment_tracks_physics_not_identity() {
         let a = sample_spec();
-        let mut renamed = a.clone().describe("other words");
+        let mut renamed = a.clone();
+        renamed.description = "other words".into();
         renamed.name = "renamed".into();
         let renamed = renamed.seeds([1, 2, 3]);
         assert_eq!(a.cache_fragment(), renamed.cache_fragment());
@@ -1424,18 +1380,19 @@ mod tests {
             burst_bytes: 1000,
             at_ms: 1.0,
         });
-        let filtered = t.clone().channels(["queue"]);
+        let mut filtered = t.clone();
+        filtered.timeseries_mut("test").trace.channels = vec!["queue".into()];
         assert_ne!(t.cache_fragment(), filtered.cache_fragment());
     }
 
     #[test]
     fn timeseries_entry_counts_expand_retcp_prebuffers() {
-        let s = ts_spec(TraceScenario::Rdcn {
+        let mut s = ts_spec(TraceScenario::Rdcn {
             weeks: 2,
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![600.0, 1800.0],
-        })
-        .algos([Algo::PowerTcp, Algo::ReTcp, Algo::Hpcc]);
+        });
+        *s.lineup_mut().unwrap().0 = vec![Algo::PowerTcp, Algo::ReTcp, Algo::Hpcc];
         assert_eq!(s.num_points(), 4); // powertcp + 2x retcp + hpcc
         assert_eq!(ts_spec(TraceScenario::Response).num_points(), 1);
     }
@@ -1456,8 +1413,8 @@ mod tests {
             },
             AnalyticScenario::Laws { tolerance: 0.02 },
         ] {
-            let spec = ScenarioSpec::new_analytic("an", AnalyticSpec::new(scenario))
-                .describe("an analytic scenario");
+            let mut spec = ScenarioSpec::new_analytic("an", AnalyticSpec::new(scenario));
+            spec.description = "an analytic scenario".into();
             spec.validate().unwrap_or_else(|e| panic!("{e}"));
             let text = spec.to_toml();
             assert!(text.contains("kind = \"analytic\""), "{text}");
@@ -1673,7 +1630,10 @@ tolerance = 0.05
         assert!(ParamSpec::parse("gamma").is_err());
         assert!(ParamSpec::parse("zeta=1").is_err());
 
-        let spec = sample_spec().algos([Algo::PowerTcp, Algo::Hpcc]).params([
+        let mut spec = sample_spec();
+        let sweep = &mut spec.sweep_mut("test").sweep;
+        sweep.algos = vec![Algo::PowerTcp, Algo::Hpcc];
+        sweep.params = vec![
             ParamSpec {
                 gamma: Some(0.5),
                 ..ParamSpec::default()
@@ -1682,7 +1642,7 @@ tolerance = 0.05
                 gamma: Some(0.9),
                 ..ParamSpec::default()
             },
-        ]);
+        ];
         spec.validate().unwrap();
         // 2 algos x 2 params x 2 loads x 2 seeds.
         assert_eq!(spec.num_points(), 16);
@@ -1698,20 +1658,26 @@ tolerance = 0.05
 
     #[test]
     fn param_validation_catches_mistakes() {
-        let with = |p: ParamSpec| sample_spec().algos([Algo::PowerTcp]).params([p]);
-        assert!(with(ParamSpec {
+        let with = |params: Vec<ParamSpec>| {
+            let mut spec = sample_spec();
+            let sweep = &mut spec.sweep_mut("test").sweep;
+            sweep.algos = vec![Algo::PowerTcp];
+            sweep.params = params;
+            spec
+        };
+        assert!(with(vec![ParamSpec {
             gamma: Some(0.0),
             ..ParamSpec::default()
-        })
+        }])
         .validate()
         .unwrap_err()
         .contains("gamma"));
-        assert!(with(ParamSpec::default())
+        assert!(with(vec![ParamSpec::default()])
             .validate()
             .unwrap_err()
             .contains("at least one override"));
         // Duplicates collide cache keys and report labels.
-        let dup = sample_spec().algos([Algo::PowerTcp]).params([
+        let dup = with(vec![
             ParamSpec {
                 gamma: Some(0.5),
                 ..ParamSpec::default()
@@ -1723,10 +1689,11 @@ tolerance = 0.05
         ]);
         assert!(dup.validate().unwrap_err().contains("duplicate"));
         // HOMA has no CC params.
-        let homa = sample_spec().algos([Algo::Homa(1)]).params([ParamSpec {
+        let mut homa = with(vec![ParamSpec {
             gamma: Some(0.5),
             ..ParamSpec::default()
         }]);
+        homa.sweep_mut("test").sweep.algos = vec![Algo::Homa(1)];
         assert!(homa.validate().unwrap_err().contains("HOMA"));
     }
 
@@ -1847,7 +1814,7 @@ seeds = [1]
             assert!(err.contains(named), "{extra}: {err}");
         }
         // Another trace scenario's key, and a sweep axis on a lineup.
-        let fig5 = crate::library::fig5().to_toml();
+        let fig5 = crate::library::builtin("fig5").unwrap().to_toml();
         for extra in ["fan_in = 4", "weeks = 2"] {
             let text = fig5.replace("flows = 4", &format!("flows = 4\n{extra}"));
             let err = ScenarioSpec::from_toml(&text).expect_err(extra);
@@ -1870,10 +1837,11 @@ seeds = [1]
                 assert!(err.contains(key), "{err}");
             }
         }
-        // The same through the builder: validate() is the gate.
+        // The same in code: validate() is the gate.
         let spec = sample_spec().horizon_ms(f64::INFINITY);
         assert!(spec.validate().unwrap_err().contains("horizon_ms"));
-        let spec = sample_spec().loads([f64::NAN]);
+        let mut spec = sample_spec();
+        spec.sweep_mut("test").sweep.loads = vec![f64::NAN];
         assert!(spec.validate().unwrap_err().contains("loads"));
     }
 
@@ -1882,7 +1850,7 @@ seeds = [1]
     /// (debug: panicking) horizon.
     #[test]
     fn a_run_too_long_for_simulator_time_is_refused_naming_weeks() {
-        let fig8 = crate::library::fig8().to_toml();
+        let fig8 = crate::library::builtin("fig8").unwrap().to_toml();
         let weeks = |n: u64| fig8.replace("weeks = 2", &format!("weeks = {n}"));
         let err = ScenarioSpec::from_toml(&weeks(4_000_000_000)).unwrap_err();
         assert!(err.contains("trace.weeks = 4000000000"), "{err}");
@@ -1894,7 +1862,7 @@ seeds = [1]
         assert_eq!(run, Ok(Tick::from_ps(week * most)));
         assert!(ScenarioSpec::from_toml(&weeks(most + 1)).is_err());
         // Every other trace runs for its horizon.
-        let mut fig4 = crate::library::fig4();
+        let mut fig4 = crate::library::builtin("fig4").unwrap();
         let run = fig4.timeseries_mut("test").run_length();
         assert_eq!(run, Ok(Tick::from_micros(5_000)));
     }
@@ -1923,7 +1891,8 @@ seeds = [1]
             fabric_gbps: 12.5,
         };
         assert!(vast.validate().unwrap_err().contains("hosts_per_tor"));
-        assert_eq!(vast.engine(EngineKind::Flow).validate(), Ok(()));
+        vast.sweep_mut("test").engine = EngineKind::Flow;
+        assert_eq!(vast.validate(), Ok(()));
     }
 
     #[test]

@@ -392,28 +392,30 @@ fn run_indexed<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{IncastSpec, SizeSpec, TopologySpec};
 
     fn small_spec() -> ScenarioSpec {
-        ScenarioSpec::new(
-            "exec-test",
-            TopologySpec::Star {
-                hosts: 6,
-                host_gbps: 25.0,
-            },
-        )
-        .poisson(SizeSpec::Fixed(30_000))
-        .incast(IncastSpec {
-            rate_per_sec: 1_000.0,
-            request_bytes: 120_000,
-            fan_in: 3,
-            periodic: true,
-        })
-        .algos([Algo::PowerTcp, Algo::Hpcc])
-        .loads([0.3, 0.5])
-        .seeds([1, 2])
-        .horizon_ms(1.0)
-        .drain_ms(2.0)
+        let text = r#"
+name = "exec-test"
+horizon_ms = 1.0
+drain_ms = 2.0
+[topology]
+kind = "star"
+hosts = 6
+host_gbps = 25.0
+[workload.poisson]
+sizes = "fixed"
+fixed_bytes = 30000
+[workload.incast]
+rate_per_sec = 1000.0
+request_bytes = 120000
+fan_in = 3
+periodic = true
+[sweep]
+algos = ["powertcp", "hpcc"]
+loads = [0.3, 0.5]
+seeds = [1, 2]
+"#;
+        ScenarioSpec::from_toml(text).expect("the test sweep parses")
     }
 
     #[test]
@@ -442,7 +444,8 @@ mod tests {
 
     #[test]
     fn invalid_spec_is_rejected_before_running() {
-        let spec = small_spec().algos([]);
+        let mut spec = small_spec();
+        spec.sweep_mut("test").sweep.algos.clear();
         assert!(run_sweep(&spec, 2).is_err());
     }
 

@@ -771,12 +771,12 @@ mod tests {
 
     #[test]
     fn rdcn_trace_fills_the_circuit() {
-        let spec = ts(TraceScenario::Rdcn {
+        let mut spec = ts(TraceScenario::Rdcn {
             weeks: 2,
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![600.0],
-        })
-        .algos([Algo::PowerTcp, Algo::ReTcp]);
+        });
+        *spec.lineup_mut().unwrap().0 = vec![Algo::PowerTcp, Algo::ReTcp];
         let entries = trace_entries(&spec);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[1].label, "reTCP-600us");
@@ -796,7 +796,11 @@ mod tests {
             burst_bytes: 100_000,
             at_ms: 1.0,
         });
-        let filtered_spec = full_spec.clone().channels(["queue", "power"]);
+        let mut filtered_spec = full_spec.clone();
+        let ScenarioKind::Timeseries(t) = &mut filtered_spec.kind else {
+            unreachable!()
+        };
+        t.trace.channels = vec!["queue".into(), "power".into()];
         filtered_spec.validate().unwrap();
         let full = run_trace_entry(&full_spec, &trace_entries(&full_spec)[0]);
         let filtered = run_trace_entry(&filtered_spec, &trace_entries(&filtered_spec)[0]);
@@ -842,11 +846,14 @@ mod tests {
 
     #[test]
     fn channel_filter_applies_per_flow_in_fairness_traces() {
-        let spec = ts(TraceScenario::Fairness {
+        let mut spec = ts(TraceScenario::Fairness {
             flows: 3,
             stagger_ms: 0.5,
-        })
-        .channels(["flow-1", "flow-3"]);
+        });
+        let ScenarioKind::Timeseries(t) = &mut spec.kind else {
+            unreachable!()
+        };
+        t.trace.channels = vec!["flow-1".into(), "flow-3".into()];
         spec.validate().unwrap();
         let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
         let names: Vec<&str> = e.channels.iter().map(|c| c.name.as_str()).collect();

@@ -3,31 +3,32 @@
 //! count, and across repeated runs in the same process.
 
 use dcn_scenarios::{
-    builtin, diff_reports, run_sweep, sweep_points, Algo, IncastSpec, ScenarioSpec, SizeSpec,
-    TopologySpec,
+    builtin, diff_reports, run_sweep, sweep_points, Algo, ScenarioKind, ScenarioSpec,
 };
 
 fn multi_point_spec() -> ScenarioSpec {
-    ScenarioSpec::new(
-        "determinism",
-        TopologySpec::Star {
-            hosts: 8,
-            host_gbps: 25.0,
-        },
-    )
-    .describe("multi-axis sweep used to pin the determinism contract")
-    .poisson(SizeSpec::Websearch)
-    .incast(IncastSpec {
-        rate_per_sec: 1_500.0,
-        request_bytes: 200_000,
-        fan_in: 4,
-        periodic: false,
-    })
-    .algos([Algo::PowerTcp, Algo::Hpcc, Algo::Homa(2)])
-    .loads([0.3, 0.6])
-    .seeds([7, 11])
-    .horizon_ms(1.0)
-    .drain_ms(3.0)
+    let text = r#"
+name = "determinism"
+description = "multi-axis sweep used to pin the determinism contract"
+horizon_ms = 1.0
+drain_ms = 3.0
+[topology]
+kind = "star"
+hosts = 8
+host_gbps = 25.0
+[workload.poisson]
+sizes = "websearch"
+[workload.incast]
+rate_per_sec = 1500.0
+request_bytes = 200000
+fan_in = 4
+periodic = false
+[sweep]
+algos = ["powertcp", "hpcc", "homa:2"]
+loads = [0.3, 0.6]
+seeds = [7, 11]
+"#;
+    ScenarioSpec::from_toml(text).expect("the determinism sweep parses")
 }
 
 #[test]
@@ -84,7 +85,12 @@ fn fig6_small_sweep_matches_pinned_baseline() {
 #[test]
 fn different_seeds_actually_change_results() {
     // Guard against a degenerate "deterministic because constant" engine.
-    let spec = multi_point_spec().loads([0.5]).algos([Algo::PowerTcp]);
+    let mut spec = multi_point_spec();
+    let ScenarioKind::Sweep(body) = &mut spec.kind else {
+        unreachable!("a sweep")
+    };
+    body.sweep.loads = vec![0.5];
+    body.sweep.algos = vec![Algo::PowerTcp];
     let a = run_sweep(&spec.clone().seeds([1]), 2).unwrap();
     let b = run_sweep(&spec.seeds([2]), 2).unwrap();
     assert_ne!(a.to_json(), b.to_json());

@@ -11,8 +11,8 @@
 //! `GOLDEN_REGEN=1 cargo test -p dcn-scenarios --test flow_determinism`.
 
 use dcn_scenarios::{
-    builtin, diff_reports, run_sweep, Algo, EngineKind, IncastSpec, ParamSpec, ScenarioSpec,
-    SizeSpec, TopologySpec,
+    builtin, diff_reports, run_sweep, Algo, EngineKind, ParamSpec, ScenarioKind, ScenarioSpec,
+    SweepBody,
 };
 
 #[test]
@@ -53,32 +53,44 @@ fn fig7_flow_is_byte_identical_and_pinned() {
 /// A fig7-class scenario (websearch + incast on the tiny fat-tree)
 /// small enough to run under both engines in seconds.
 fn xcheck_spec() -> ScenarioSpec {
-    ScenarioSpec::new(
-        "xcheck",
-        TopologySpec::FatTree {
-            hosts_per_tor: 2,
-            host_gbps: 25.0,
-            fabric_gbps: 12.5,
-        },
-    )
-    .poisson(SizeSpec::Websearch)
-    .incast(IncastSpec {
-        rate_per_sec: 800.0,
-        request_bytes: 400_000,
-        fan_in: 4,
-        periodic: false,
-    })
-    .algos([Algo::PowerTcp, Algo::ThetaPowerTcp, Algo::Hpcc])
-    .loads([0.4, 0.8])
-    .seeds([42])
-    .horizon_ms(2.0)
-    .drain_ms(4.0)
+    let text = r#"
+name = "xcheck"
+horizon_ms = 2.0
+drain_ms = 4.0
+[topology]
+kind = "fat-tree"
+hosts_per_tor = 2
+host_gbps = 25.0
+fabric_gbps = 12.5
+[workload.poisson]
+sizes = "websearch"
+[workload.incast]
+rate_per_sec = 800.0
+request_bytes = 400000
+fan_in = 4
+periodic = false
+[sweep]
+algos = ["powertcp", "theta-powertcp", "hpcc"]
+loads = [0.4, 0.8]
+seeds = [42]
+"#;
+    ScenarioSpec::from_toml(text).expect("the cross-check sweep parses")
+}
+
+/// The sweep body of a sweep spec, to edit.
+fn body(spec: &mut ScenarioSpec) -> &mut SweepBody {
+    let ScenarioKind::Sweep(body) = &mut spec.kind else {
+        unreachable!("{} is a sweep", spec.name)
+    };
+    body
 }
 
 #[test]
 fn flow_slowdowns_track_the_packet_engine_within_the_pinned_band() {
     let packet = run_sweep(&xcheck_spec(), 4).expect("packet sweep");
-    let flow = run_sweep(&xcheck_spec().engine(EngineKind::Flow), 4).expect("flow sweep");
+    let mut flow_spec = xcheck_spec();
+    body(&mut flow_spec).engine = EngineKind::Flow;
+    let flow = run_sweep(&flow_spec, 4).expect("flow sweep");
     assert_eq!(packet.aggregates.len(), flow.aggregates.len());
     for (p, f) in packet.aggregates.iter().zip(flow.aggregates.iter()) {
         assert_eq!((p.algo_key.as_str(), p.load), (f.algo_key.as_str(), f.load));
@@ -120,20 +132,21 @@ fn params_axis_rides_the_flow_engine_unchanged() {
     // engine = "flow" exactly like any other axis. The flow model is
     // CC-agnostic, so differently-parameterized cells report identical
     // physics under distinct report keys.
-    let spec = xcheck_spec()
-        .engine(EngineKind::Flow)
-        .algos([Algo::PowerTcp])
-        .loads([0.4])
-        .params([
-            ParamSpec {
-                gamma: Some(0.5),
-                ..ParamSpec::default()
-            },
-            ParamSpec {
-                gamma: Some(0.9),
-                ..ParamSpec::default()
-            },
-        ]);
+    let mut spec = xcheck_spec();
+    let sweep = body(&mut spec);
+    sweep.engine = EngineKind::Flow;
+    sweep.sweep.algos = vec![Algo::PowerTcp];
+    sweep.sweep.loads = vec![0.4];
+    sweep.sweep.params = vec![
+        ParamSpec {
+            gamma: Some(0.5),
+            ..ParamSpec::default()
+        },
+        ParamSpec {
+            gamma: Some(0.9),
+            ..ParamSpec::default()
+        },
+    ];
     let r = run_sweep(&spec, 2).expect("flow sweep with params axis");
     assert_eq!(r.aggregates.len(), 2);
     assert_eq!(r.aggregates[0].algo_key, "powertcp[gamma=0.5]");

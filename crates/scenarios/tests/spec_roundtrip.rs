@@ -1,22 +1,25 @@
 //! Spec round-trip: a scenario written as TOML parses back to the same
 //! spec, and the parsed spec *runs* — producing the same results as the
-//! builder-constructed original (TOML is a faithful interface to the
-//! engine, not just to the data structure).
+//! spec built in code (TOML is a faithful interface to the engine, not
+//! just to the data structure). Every builtin is a TOML file, pinned
+//! here to the text its spec writes.
 
 mod support;
 
+use dcn_scenarios::library::BUILTINS;
 use dcn_scenarios::{
-    builtin_specs, run_sweep, work_items, Algo, EngineKind, IncastSpec, ScenarioKind, ScenarioSpec,
-    SizeSpec, TopologySpec,
+    builtin, builtin_specs, run_sweep, work_items, Algo, EngineKind, IncastSpec, ScenarioKind,
+    ScenarioSpec, SizeSpec, SweepBody, TopologySpec,
 };
 use proptest::prelude::*;
-use support::{corpus, mutate};
+use std::collections::BTreeSet;
+use support::{corpus, mutate, EXTRAS};
 
 /// A fig7-shaped scenario (websearch + incast on the fat-tree, PowerTCP
 /// vs two baselines) trimmed to one load and a short horizon so the
 /// round-trip test runs in seconds.
 fn fig7_trimmed() -> ScenarioSpec {
-    ScenarioSpec::new(
+    let mut spec = ScenarioSpec::new(
         "fig7-trimmed",
         TopologySpec::FatTree {
             hosts_per_tor: 2,
@@ -24,19 +27,29 @@ fn fig7_trimmed() -> ScenarioSpec {
             fabric_gbps: 12.5,
         },
     )
-    .describe("fig7 acceptance scenario: websearch + incast, 3 protocols")
     .poisson(SizeSpec::Websearch)
-    .incast(IncastSpec {
+    .seeds([42])
+    .horizon_ms(2.0)
+    .drain_ms(4.0);
+    spec.description = "fig7 acceptance scenario: websearch + incast, 3 protocols".into();
+    let sweep = body(&mut spec);
+    sweep.workload.incast = Some(IncastSpec {
         rate_per_sec: 800.0,
         request_bytes: 400_000,
         fan_in: 4,
         periodic: false,
-    })
-    .algos([Algo::PowerTcp, Algo::ThetaPowerTcp, Algo::Hpcc])
-    .loads([0.4])
-    .seeds([42])
-    .horizon_ms(2.0)
-    .drain_ms(4.0)
+    });
+    sweep.sweep.algos = vec![Algo::PowerTcp, Algo::ThetaPowerTcp, Algo::Hpcc];
+    sweep.sweep.loads = vec![0.4];
+    spec
+}
+
+/// The sweep body of a sweep spec, to edit.
+fn body(spec: &mut ScenarioSpec) -> &mut SweepBody {
+    let ScenarioKind::Sweep(body) = &mut spec.kind else {
+        unreachable!("{} is a sweep", spec.name)
+    };
+    body
 }
 
 #[test]
@@ -86,14 +99,16 @@ fn engine_and_buffer_cdf_round_trip_and_default_away() {
     assert!(!text.contains("buffer_cdf"), "{text}");
 
     // Non-defaults render, parse back, and reach a fixpoint.
-    let flow = fig7_trimmed().engine(EngineKind::Flow);
+    let mut flow = fig7_trimmed();
+    body(&mut flow).engine = EngineKind::Flow;
     let text = flow.to_toml();
     assert!(text.contains("engine = \"flow\""), "{text}");
     let parsed = ScenarioSpec::from_toml(&text).expect("re-parse");
     assert_eq!(parsed, flow);
     assert_eq!(parsed.to_toml(), text);
 
-    let cdf = fig7_trimmed().buffer_cdf(true);
+    let mut cdf = fig7_trimmed();
+    body(&mut cdf).buffer_cdf = true;
     let text = cdf.to_toml();
     assert!(text.contains("buffer_cdf = true"), "{text}");
     let parsed = ScenarioSpec::from_toml(&text).expect("re-parse");
@@ -109,9 +124,11 @@ fn engine_and_buffer_cdf_round_trip_and_default_away() {
 fn flow_engine_rejects_per_packet_features_with_clear_errors() {
     // engine = "flow" + buffer_cdf: the flow model has no switch
     // buffers to sample.
-    let err = fig7_trimmed()
-        .engine(EngineKind::Flow)
-        .buffer_cdf(true)
+    let mut spec = fig7_trimmed();
+    let sweep = body(&mut spec);
+    sweep.engine = EngineKind::Flow;
+    sweep.buffer_cdf = true;
+    let err = spec
         .validate()
         .expect_err("flow + buffer_cdf must not validate");
     assert!(
@@ -138,31 +155,63 @@ fn flow_engine_rejects_per_packet_features_with_clear_errors() {
     assert!(err.contains("expected packet or flow"), "{err}");
 }
 
+/// `text` less its whole-line `#` comments is exactly what the spec it
+/// parses to writes, and that text reads back as the same spec.
+fn assert_canonical(label: &str, text: &str) -> ScenarioSpec {
+    let spec = ScenarioSpec::from_toml(text).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let bare: String = (text.split_inclusive('\n'))
+        .filter(|line| !line.starts_with('#'))
+        .collect();
+    assert_eq!(bare, spec.to_toml(), "{label}: rewrite it from `xp show`");
+    assert_eq!(ScenarioSpec::from_toml(&bare), Ok(spec.clone()), "{label}");
+    spec
+}
+
+/// Every builtin is `builtins/<name>.toml`, listed once in `BUILTINS`,
+/// and holds the exact `to_toml()` text of its spec plus whole-line
+/// comments: a key reorder there would move every cache key and orphan
+/// every `.xp-cache` on disk. The shapes no builtin has are held to the
+/// same identity.
 #[test]
 fn every_builtin_round_trips_through_toml() {
-    for spec in builtin_specs() {
-        let text = spec.to_toml();
-        let parsed =
-            ScenarioSpec::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        assert_eq!(parsed, spec, "{}", spec.name);
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/builtins");
+    let mut names = BTreeSet::new();
+    for &(name, text) in BUILTINS {
+        assert!(
+            names.insert(format!("{name}.toml")),
+            "{name} is listed twice"
+        );
+        let file = std::fs::read_to_string(format!("{dir}/{name}.toml"))
+            .unwrap_or_else(|e| panic!("builtins/{name}.toml: {e}"));
+        assert_eq!(file, text, "the {name} row is not builtins/{name}.toml");
+        let spec = assert_canonical(name, text);
+        assert_eq!(spec.name, name);
+        assert_eq!(builtin(name), Some(spec));
+    }
+    assert!(builtin("nope").is_none());
+    let listed: Vec<String> = builtin_specs().into_iter().map(|s| s.name).collect();
+    let rows: Vec<&str> = BUILTINS.iter().map(|&(name, _)| name).collect();
+    assert_eq!(listed, rows, "builtin_specs() is BUILTINS in order");
+    let files: BTreeSet<String> = std::fs::read_dir(dir)
+        .expect("the builtins directory")
+        .map(|entry| entry.expect("a directory entry").file_name())
+        .map(|name| name.into_string().expect("a UTF-8 file name"))
+        .collect();
+    assert_eq!(files, names, "builtins/ holds exactly the listed files");
+    for text in EXTRAS {
+        assert_canonical("extra", text);
     }
 }
 
-/// The exact `to_toml()` and `cache_fragment()` text of every builtin,
-/// pinned byte-for-byte: round-trip identity alone would pass a key
-/// reorder that moves every cache key and orphans every `.xp-cache` on
-/// disk. Regenerate deliberately with
+/// The exact `cache_fragment()` text of every builtin and extra, pinned
+/// byte-for-byte: the other half of every cache key (the spec text
+/// itself is pinned by the files, above). Regenerate deliberately with
 /// `GOLDEN_REGEN=1 cargo test -p dcn-scenarios --test spec_roundtrip`.
 #[test]
 fn builtin_spec_and_fragment_text_is_pinned() {
     const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/builtin_specs.golden");
     let mut text = String::new();
     for spec in corpus() {
-        text.push_str(&format!(
-            "=== {} to_toml ===\n{}",
-            spec.name,
-            spec.to_toml()
-        ));
         text.push_str(&format!(
             "=== {} cache_fragment ===\n{}",
             spec.name,

@@ -1,58 +1,67 @@
 //! Spec shapes and hostile edits shared by `spec_roundtrip.rs` and
 //! `dcn-runner`'s `cache_keys.rs` (which includes this file by path).
 
-use dcn_scenarios::{
-    builtin_specs, Algo, ParamSpec, ScenarioKind, ScenarioSpec, SizeSpec, TopologySpec,
-};
+use dcn_scenarios::{builtin_specs, ScenarioSpec};
 
 /// Every builtin, then the shapes no builtin has: what the goldens pin
 /// and the hostile-edit properties start from.
 pub fn corpus() -> Vec<ScenarioSpec> {
-    builtin_specs().into_iter().chain(golden_extras()).collect()
+    let extras = EXTRAS
+        .iter()
+        .map(|text| ScenarioSpec::from_toml(text).expect("an extra parses"));
+    builtin_specs().into_iter().chain(extras).collect()
 }
 
 /// Shapes no builtin has, so the goldens also pin every omit-when-default
 /// key written out (`buffer_cdf`, `params`, `window`, `channels`), the
-/// dumbbell topology and fixed sizes.
-fn golden_extras() -> Vec<ScenarioSpec> {
-    let dumbbell = ScenarioSpec::new(
-        "extra-dumbbell",
-        TopologySpec::Dumbbell {
-            pairs: 4,
-            host_gbps: 25.0,
-            bottleneck_gbps: 12.5,
-        },
-    )
-    .describe("dumbbell, fixed sizes, every params key, \"quoted\" text")
-    .poisson(SizeSpec::Fixed(50_000))
-    .buffer_cdf(true)
-    .algos([Algo::PowerTcp, Algo::Hpcc])
-    .params([
-        ParamSpec {
-            gamma: Some(1.0),
-            expected_flows: Some(32),
-            hpcc_eta: Some(0.95),
-            dt_alpha: Some(0.25),
-        },
-        ParamSpec {
-            dt_alpha: Some(2.0),
-            ..ParamSpec::default()
-        },
-    ])
-    .loads([0.5, 1.0])
-    .seeds([1, 2])
-    .horizon_ms(1.0)
-    .drain_ms(0.0);
-    let mut windowed = dcn_scenarios::builtin("fig4")
-        .expect("fig4 is a builtin")
-        .channels(["queue", "cwnd"]);
-    windowed.name = "extra-windowed".into();
-    let ScenarioKind::Timeseries(timeseries) = &mut windowed.kind else {
-        unreachable!("fig4 is a timeseries scenario")
-    };
-    timeseries.trace.window = 4;
-    vec![dumbbell, windowed]
-}
+/// dumbbell topology and fixed sizes. Each text is its spec's `to_toml()`,
+/// which `spec_roundtrip.rs::every_builtin_round_trips_through_toml`
+/// checks as it checks the builtin files.
+pub const EXTRAS: [&str; 2] = [
+    r#"name = "extra-dumbbell"
+description = "dumbbell, fixed sizes, every params key, \"quoted\" text"
+buffer_cdf = true
+horizon_ms = 1.0
+drain_ms = 0.0
+
+[topology]
+kind = "dumbbell"
+pairs = 4
+host_gbps = 25.0
+bottleneck_gbps = 12.5
+
+[workload.poisson]
+sizes = "fixed"
+fixed_bytes = 50000
+
+[sweep]
+algos = ["powertcp", "hpcc"]
+params = ["gamma=1,n=32,eta=0.95,alpha=0.25", "alpha=2"]
+loads = [0.5, 1.0]
+seeds = [1, 2]
+"#,
+    r#"name = "extra-windowed"
+description = "10:1 incast onto a 25G downlink: queue/throughput/cwnd/power traces per protocol, paper Figure 4 (top row; scale fan_in for the bottom row)"
+kind = "timeseries"
+horizon_ms = 5.0
+drain_ms = 0.0
+
+[trace]
+scenario = "incast"
+tick_us = 20.0
+max_samples = 4096
+max_rows = 120
+window = 4
+channels = ["queue", "cwnd"]
+fan_in = 10
+burst_bytes = 150000
+at_ms = 1.0
+
+[sweep]
+algos = ["powertcp", "theta-powertcp", "hpcc", "dcqcn", "timely", "homa:1"]
+seeds = [42]
+"#,
+];
 
 /// One hostile edit of a valid spec text, drawn from `r`: a byte
 /// flipped, a line dropped, doubled or moved, or a number swapped for

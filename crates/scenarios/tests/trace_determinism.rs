@@ -13,7 +13,7 @@ use dcn_scenarios::{
 /// sim + transport + probe path and entry-level parallelism, small enough
 /// to run in well under a second.
 fn golden_spec() -> ScenarioSpec {
-    ScenarioSpec::timeseries(
+    let mut spec = ScenarioSpec::timeseries(
         "golden-fairness",
         TraceSpec {
             scenario: TraceScenario::Fairness {
@@ -27,9 +27,10 @@ fn golden_spec() -> ScenarioSpec {
             channels: Vec::new(),
         },
     )
-    .describe("pinned golden trace for cross-PR regression detection")
-    .algos([Algo::PowerTcp, Algo::Hpcc])
-    .horizon_ms(2.0)
+    .horizon_ms(2.0);
+    spec.description = "pinned golden trace for cross-PR regression detection".into();
+    *spec.lineup_mut().expect("a lineup").0 = vec![Algo::PowerTcp, Algo::Hpcc];
+    spec
 }
 
 const GOLDEN_PATH: &str = concat!(
