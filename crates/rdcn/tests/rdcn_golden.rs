@@ -18,8 +18,8 @@
 //!
 //! Only PowerTCP runs the two rotor weeks. Under reTCP past 1.5 ms and
 //! HPCC past 0.4 ms a go-back-N sender on this fabric is ACKed beyond a
-//! `snd_nxt` it has just rewound, and `dcn-transport` then computes
-//! `snd_nxt - snd_una`: a debug build traps, a release build wraps
+//! next-to-send byte it has just rewound, and `dcn-transport`'s `SendSeq`
+//! then computes `nxt - una`: a debug build traps, a release build wraps
 //! (ROADMAP, open defects). Those two runs stop short of it, so the file
 //! pins neither behaviour.
 //!

@@ -238,19 +238,24 @@ impl FctReduction {
         }
     }
 
+    /// The RTT in `flow`'s ideal FCT, for both sweep engines: `τ` for
+    /// every flow, whatever its own path (ROADMAP item 3(a)).
+    pub(crate) fn ideal_rtt(&self, _flow: &FlowSpec) -> Tick {
+        self.base_rtt
+    }
+
     /// Account one flow; `fct` is `None` when it did not finish.
     pub(crate) fn push(&mut self, flow: &FlowSpec, fct: Option<Tick>) {
-        let o = &mut self.outcome;
         let fct = match fct {
             Some(f) => {
-                o.completed += 1;
+                self.outcome.completed += 1;
                 f
             }
             None => self.run_end.saturating_sub(flow.start),
         };
         let size = flow.size_bytes;
-        o.flows
-            .push((size, slowdown(fct, size, self.base_rtt, self.host_bw)));
+        let sd = slowdown(fct, size, self.ideal_rtt(flow), self.host_bw);
+        self.outcome.flows.push((size, sd));
     }
 }
 
@@ -527,6 +532,54 @@ mod tests {
         assert!(r.flows.iter().any(|&(size, _)| size < 10_000));
         assert!(!r.buffer.is_empty());
         assert_eq!(r.flows.len(), r.offered);
+    }
+
+    /// A flow that finishes in exactly its ideal FCT — the first-byte
+    /// term the flow engine adds, `ideal_rtt / 2`, plus its bytes at the
+    /// host rate — reads slowdown 1.0 through `push`, and a picosecond
+    /// later reads more: the flow engine's term and the reduction's
+    /// ideal FCT are one quantity on every topology kind.
+    #[test]
+    fn a_lone_flow_at_its_ideal_fct_reads_slowdown_one() {
+        let topologies = [
+            Scale::tiny().topology(),
+            TopologySpec::Star {
+                hosts: 4,
+                host_gbps: 25.0,
+            },
+            TopologySpec::Dumbbell {
+                pairs: 2,
+                host_gbps: 25.0,
+                bottleneck_gbps: 10.0,
+            },
+        ];
+        let point = SweepPoint {
+            index: 0,
+            algo: Algo::PowerTcp,
+            param: ParamSpec::default(),
+            load: 0.0,
+            seed: 1,
+        };
+        for topo in &topologies {
+            let plan = plan(topo, Algo::PowerTcp);
+            let hosts = &plan.map.hosts;
+            for size_bytes in [1, 1_000, 123_457, 10_000_000] {
+                let flow = FlowSpec {
+                    id: dcn_sim::FlowId(1),
+                    src: hosts[0],
+                    dst: hosts[hosts.len() - 1],
+                    size_bytes,
+                    start: Tick::from_micros(3),
+                };
+                let mut fcts = FctReduction::new(&point, &plan, Tick::from_millis(100), 2);
+                let ideal = fcts.ideal_rtt(&flow) / 2 + plan.host_bw.tx_time(size_bytes);
+                fcts.push(&flow, Some(ideal));
+                fcts.push(&flow, Some(ideal + Tick::from_ps(1)));
+                let read = &fcts.outcome.flows;
+                assert_eq!(read[0], (size_bytes, 1.0), "{topo:?}");
+                assert!(read[1].1 > 1.0, "{topo:?}: {}", read[1].1);
+            }
+        }
     }
 
     #[test]

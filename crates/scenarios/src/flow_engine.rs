@@ -73,11 +73,11 @@ pub(crate) fn run_flow_point_observed(
     // `drops`.
     let mut fcts = FctReduction::new(point, &plan, run_end, offered);
     for (f, r) in flows.iter().zip(&results) {
-        // First-byte delivery (half an RTT, as in the ideal-FCT model)
-        // plus the fair-share transfer time.
-        let fct = r
-            .finish_s
-            .map(|finish| plan.base_rtt / 2 + Tick::from_secs_f64(finish - f.start.as_secs_f64()));
+        // First-byte delivery (half the ideal FCT's RTT) plus the
+        // fair-share transfer time.
+        let fct = r.finish_s.map(|finish| {
+            fcts.ideal_rtt(f) / 2 + Tick::from_secs_f64(finish - f.start.as_secs_f64())
+        });
         fcts.push(f, fct);
     }
     let outcome = fcts.outcome;

@@ -91,27 +91,41 @@ impl FatTreeConfig {
         NodeId((self.num_switches() + idx) as u32)
     }
 
-    /// Worst-case base RTT across the topology: round-trip propagation
-    /// through the core plus per-hop serialization of an MTU data packet
-    /// one way and a control packet back. This is the value the paper
-    /// configures as `τ` ("base-RTT set to the maximum RTT in our
-    /// topology").
-    pub fn max_base_rtt(&self) -> Tick {
-        let prop_one_way = self.host_delay
-            + self.fabric_delay
-            + self.core_delay
-            + self.core_delay
-            + self.fabric_delay
-            + self.host_delay;
-        let mtu = DEFAULT_MTU as u64;
-        let ctl = CTRL_PKT_BYTES as u64;
-        // Data path: host NIC (host_bw) + 4 fabric hops + ToR downlink.
-        let data_ser =
-            self.host_bw.tx_time(mtu) + self.fabric_bw.tx_time(mtu) * 4 + self.host_bw.tx_time(mtu);
-        let ack_ser =
-            self.host_bw.tx_time(ctl) + self.fabric_bw.tx_time(ctl) * 4 + self.host_bw.tx_time(ctl);
-        prop_one_way * 2 + data_ser + ack_ser
+    /// Base RTT between host indices `a` and `b`: a same-ToR pair turns
+    /// at the ToR, a same-pod pair at an aggregation switch, any other
+    /// pair at a core switch.
+    pub fn pair_rtt(&self, a: usize, b: usize) -> Tick {
+        let (rack_a, rack_b) = (a / self.hosts_per_tor, b / self.hosts_per_tor);
+        let host = (self.host_bw, self.host_delay);
+        let agg = (self.fabric_bw, self.fabric_delay);
+        let core = (self.fabric_bw, self.core_delay);
+        if rack_a == rack_b {
+            path_rtt(&[host, host])
+        } else if rack_a / self.tors_per_pod == rack_b / self.tors_per_pod {
+            path_rtt(&[host, agg, agg, host])
+        } else {
+            path_rtt(&[host, agg, core, core, agg, host])
+        }
     }
+
+    /// Worst-case base RTT across the topology: the `pair_rtt` of the
+    /// first and last host, a cross-pod pair whenever there are two pods
+    /// or more. This is the value the paper configures as `τ` ("base-RTT
+    /// set to the maximum RTT in our topology").
+    pub fn max_base_rtt(&self) -> Tick {
+        self.pair_rtt(0, self.num_hosts() - 1)
+    }
+}
+
+/// Base RTT of a path of `(bandwidth, propagation delay)` hops: each
+/// hop's delay both ways, an MTU data packet's serialization on every hop
+/// out and a control packet's on every hop back. Every base RTT here is
+/// this sum.
+fn path_rtt(hops: &[(Bandwidth, Tick)]) -> Tick {
+    let (mtu, ctl) = (DEFAULT_MTU as u64, CTRL_PKT_BYTES as u64);
+    hops.iter()
+        .map(|&(bw, d)| d * 2 + bw.tx_time(mtu) + bw.tx_time(ctl))
+        .sum()
 }
 
 /// A built fat-tree.
@@ -281,8 +295,6 @@ pub struct Dumbbell {
     pub right: NodeId,
     /// Egress port on A toward B — the bottleneck queue to observe.
     pub bottleneck_port: PortId,
-    /// Base RTT through the bottleneck for MTU data + control ACK.
-    pub base_rtt: Tick,
 }
 
 /// Dumbbell parameters.
@@ -311,16 +323,11 @@ impl DumbbellConfig {
         NodeId((2 + i) as u32)
     }
 
-    /// Base RTT through the bottleneck for MTU data + control ACK — the
-    /// value `build_dumbbell` stores in [`Dumbbell::base_rtt`],
+    /// Base RTT through the bottleneck for MTU data + control ACK,
     /// computable before the network (and its endpoints) exist.
     pub fn base_rtt(&self) -> Tick {
-        self.host_delay * 4
-            + self.bottleneck_delay * 2
-            + self.host_bw.tx_time(DEFAULT_MTU as u64) * 2
-            + self.bottleneck_bw.tx_time(DEFAULT_MTU as u64)
-            + self.host_bw.tx_time(CTRL_PKT_BYTES as u64) * 2
-            + self.bottleneck_bw.tx_time(CTRL_PKT_BYTES as u64)
+        let host = (self.host_bw, self.host_delay);
+        path_rtt(&[host, (self.bottleneck_bw, self.bottleneck_delay), host])
     }
 }
 
@@ -369,7 +376,6 @@ pub fn build_dumbbell(cfg: DumbbellConfig, apps: &mut AppFactory<'_>) -> Dumbbel
         net.switch_mut(far).set_route(h, vec![far_trunk]);
     }
 
-    let base_rtt = cfg.base_rtt();
     let receivers = hosts.split_off(cfg.pairs);
     Dumbbell {
         net,
@@ -378,7 +384,6 @@ pub fn build_dumbbell(cfg: DumbbellConfig, apps: &mut AppFactory<'_>) -> Dumbbel
         left,
         right,
         bottleneck_port: trunk_left,
-        base_rtt,
     }
 }
 
@@ -391,17 +396,12 @@ pub struct Star {
     pub hosts: Vec<NodeId>,
     /// The switch.
     pub switch: NodeId,
-    /// Base RTT host-to-host.
-    pub base_rtt: Tick,
 }
 
-/// Base RTT host-to-host on a star (MTU data out, control ACK back) —
-/// the value `build_star` stores in [`Star::base_rtt`], computable
-/// before the network (and its endpoints) exist.
+/// Base RTT host-to-host on a star (MTU data out, control ACK back),
+/// computable before the network (and its endpoints) exist.
 pub fn star_base_rtt(host_bw: Bandwidth, host_delay: Tick) -> Tick {
-    host_delay * 4
-        + host_bw.tx_time(DEFAULT_MTU as u64) * 2
-        + host_bw.tx_time(CTRL_PKT_BYTES as u64) * 2
+    path_rtt(&[(host_bw, host_delay); 2])
 }
 
 /// The node id host index `i` receives when a star is built: the switch
@@ -433,12 +433,10 @@ pub fn build_star(
     for (&h, &down) in hosts.iter().zip(&downlinks) {
         net.switch_mut(sw).set_route(h, vec![down]);
     }
-    let base_rtt = star_base_rtt(host_bw, host_delay);
     Star {
         net,
         hosts,
         switch: sw,
-        base_rtt,
     }
 }
 
@@ -488,6 +486,32 @@ mod tests {
             rtt > Tick::from_micros(28) && rtt < Tick::from_micros(31),
             "rtt = {rtt}"
         );
+        // Exact picoseconds, as the hand-written hop formula gave them
+        // before the hop sum replaced it: the default (paper) fat-tree,
+        // the builtins' tiny one (2 hosts per ToR, 12.5G fabric) and the
+        // 100k-host one (12,500 per ToR, 100G fabric).
+        assert_eq!(rtt.as_ps(), 29_021_440);
+        let tiny = FatTreeConfig {
+            hosts_per_tor: 2,
+            fabric_bw: Bandwidth::from_bps(12_500_000_000),
+            ..cfg
+        };
+        assert_eq!(tiny.max_base_rtt().as_ps(), 31_404_800);
+        let wide = FatTreeConfig {
+            hosts_per_tor: 12_500,
+            ..cfg
+        };
+        assert_eq!(wide.max_base_rtt().as_ps(), 29_021_440);
+        // A pair's RTT grows with the tier it turns at, and the maximum
+        // is the cross-pod pair's.
+        for c in [cfg, tiny, wide] {
+            let (tor, pod) = (c.hosts_per_tor, c.hosts_per_tor * c.tors_per_pod);
+            let same_tor = c.pair_rtt(0, tor - 1);
+            let same_pod = c.pair_rtt(0, tor);
+            let cross_pod = c.pair_rtt(0, pod);
+            assert!(same_tor < same_pod && same_pod < cross_pod, "{c:?}");
+            assert_eq!(cross_pod, c.max_base_rtt());
+        }
     }
 
     #[test]
@@ -537,8 +561,10 @@ mod tests {
             assert_eq!(plan.host_node_id(i), h, "host {i}");
         }
         // base RTT: 4*1us + 2*2us = 8us prop + serialization.
-        assert!(d.base_rtt > Tick::from_micros(8));
-        assert!(d.base_rtt < Tick::from_micros(10));
+        let rtt = plan.base_rtt();
+        assert!(rtt > Tick::from_micros(8));
+        assert!(rtt < Tick::from_micros(10));
+        assert_eq!(rtt.as_ps(), 9_021_440);
     }
 
     #[test]
@@ -556,5 +582,9 @@ mod tests {
         for (i, &h) in s.hosts.iter().enumerate() {
             assert_eq!(star_host_id(i), h, "host {i}");
         }
+        // 4 µs of propagation plus two hops of MTU and control
+        // serialization at 25G.
+        let rtt = star_base_rtt(Bandwidth::gbps(25), Tick::from_micros(1));
+        assert_eq!(rtt.as_ps(), 4_680_960);
     }
 }

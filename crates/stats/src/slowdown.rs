@@ -1,9 +1,12 @@
 //! FCT slowdown — the paper's y-axis for Figures 6 and 7.
 //!
 //! Slowdown normalizes a measured flow completion time by the *ideal* FCT
-//! the flow would achieve alone on an unloaded network: base RTT for the
-//! handshake-free first byte plus serialization of the whole flow at the
-//! narrowest (host) link. A slowdown of 1 is optimal.
+//! the flow would achieve alone on an unloaded network: half a base RTT
+//! for the handshake-free first byte plus serialization of the whole
+//! flow at the narrowest (host) link. A slowdown of 1 is optimal.
+//!
+//! The caller picks the RTT: the sweep engines take it from one method,
+//! `FctReduction::ideal_rtt` (`dcn-scenarios`), `τ` for every flow.
 
 use powertcp_core::{Bandwidth, Tick};
 

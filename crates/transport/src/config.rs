@@ -11,7 +11,7 @@ pub struct TransportConfig {
     /// Base RTT `τ` configured into the CC algorithms (the paper uses the
     /// topology's maximum RTT).
     pub base_rtt: Tick,
-    /// Retransmission timeout. Go-back-N rewinds to `snd_una` on expiry.
+    /// Retransmission timeout: on expiry `SendSeq::rewind` goes back N.
     pub rto: Tick,
     /// Minimum spacing between two NACK-triggered go-back-N rewinds (one
     /// rewind per window, conventionally one base RTT).

@@ -13,6 +13,7 @@ use crate::metrics::SharedMetrics;
 use crate::timer_key::{key, split_key};
 use dcn_sim::{CcFlowSample, Endpoint, EndpointCtx, FlowId, FlowTable, Packet, PacketKind};
 use powertcp_core::{AckInfo, Bandwidth, CongestionControl, LossKind, NetSignal, Tick};
+use seq::SendSeq;
 
 /// Timer-key kinds (top byte of the `u64` key).
 const K_FLOW_START: u64 = 1;
@@ -26,8 +27,7 @@ pub type CcFactory = Box<dyn FnMut(FlowId, Bandwidth) -> Box<dyn CongestionContr
 struct SenderFlow {
     spec: FlowSpec,
     cc: Box<dyn CongestionControl>,
-    snd_nxt: u64,
-    snd_una: u64,
+    seq: SendSeq,
     next_send: Tick,
     /// Pacing timer armed for this deadline (suppress duplicates).
     pace_armed_for: Option<Tick>,
@@ -38,15 +38,6 @@ struct SenderFlow {
     last_rewind: Tick,
     cc_timer_armed_for: Option<Tick>,
     done: bool,
-}
-
-impl SenderFlow {
-    fn inflight(&self) -> u64 {
-        self.snd_nxt - self.snd_una
-    }
-    fn remaining(&self) -> u64 {
-        self.spec.size_bytes - self.snd_nxt
-    }
 }
 
 struct ReceiverFlow {
@@ -96,8 +87,7 @@ impl TransportHost {
             // The CC is created lazily at flow start so it sees the real
             // NIC bandwidth; placeholder until then.
             cc: Box::new(HoldCc),
-            snd_nxt: 0,
-            snd_una: 0,
+            seq: SendSeq::new(spec.size_bytes),
             next_send: Tick::ZERO,
             pace_armed_for: None,
             rto_deadline: Tick::MAX,
@@ -137,11 +127,11 @@ impl TransportHost {
         let mtu = self.cfg.mtu as u64;
         loop {
             let f = &mut self.senders[idx];
-            if f.done || f.remaining() == 0 {
+            if f.done || f.seq.remaining() == 0 {
                 return;
             }
             let cwnd = f.cc.cwnd();
-            if (f.inflight() as f64) >= cwnd {
+            if (f.seq.inflight() as f64) >= cwnd {
                 return; // window-limited: ACK clock re-arms.
             }
             if ctx.now < f.next_send {
@@ -153,13 +143,10 @@ impl TransportHost {
                 return;
             }
             // Emit one packet.
-            let len = mtu.min(f.remaining()) as u32;
-            let seq = f.snd_nxt;
-            let is_last = seq + len as u64 == f.spec.size_bytes;
+            let (seq, len, is_last) = f.seq.send(mtu);
             let pkt = Packet::data(
                 f.spec.id, f.spec.src, f.spec.dst, seq, len, is_last, ctx.now,
             );
-            f.snd_nxt += len as u64;
             let rate = f.cc.pacing_rate();
             // Floor the pacing rate: a zero rate would wedge the flow.
             let rate = if rate.bps() < 1_000_000 {
@@ -184,8 +171,7 @@ impl TransportHost {
         if f.done {
             return;
         }
-        let newly = pl.cum_ack.saturating_sub(f.snd_una);
-        f.snd_una = f.snd_una.max(pl.cum_ack);
+        let newly = f.seq.ack(pl.cum_ack);
         // Feed the control law (an ACK carries the echoed INT stack in
         // its own header field — see `Packet::into_ack`).
         let rtt = ctx.now.saturating_sub(pl.echo_ts);
@@ -194,7 +180,7 @@ impl TransportHost {
             now: ctx.now,
             ack_seq: pl.cum_ack,
             newly_acked: newly,
-            snd_nxt: f.snd_nxt,
+            snd_nxt: f.seq.nxt(),
             rtt,
             int,
             ecn_marked: pl.ecn_echo,
@@ -202,15 +188,14 @@ impl TransportHost {
         // Go-back-N on NACK, at most once per guard interval.
         if pl.nack && ctx.now.saturating_sub(f.last_rewind) >= self.cfg.nack_guard {
             f.last_rewind = ctx.now;
-            let rewound = f.snd_nxt - f.snd_una;
-            f.snd_nxt = f.snd_una;
+            let rewound = f.seq.rewind();
             f.cc.on_loss(ctx.now, LossKind::Reorder);
             self.metrics
                 .borrow_mut()
                 .add_retransmission(f.spec.id, rewound);
         }
         // Completion (sender view): all bytes acked.
-        if f.snd_una >= f.spec.size_bytes {
+        if f.seq.acked_all() {
             f.done = true;
             return;
         }
@@ -282,12 +267,11 @@ impl TransportHost {
             ctx.set_timer(f.rto_deadline, key(K_RTO, idx));
             return;
         }
-        if f.inflight() == 0 && f.remaining() == 0 {
+        if f.seq.inflight() == 0 && f.seq.remaining() == 0 {
             return;
         }
         // Timeout: rewind and back off via the CC.
-        let rewound = f.snd_nxt - f.snd_una;
-        f.snd_nxt = f.snd_una;
+        let rewound = f.seq.rewind();
         f.next_send = ctx.now;
         f.cc.on_loss(ctx.now, LossKind::Timeout);
         {
@@ -384,6 +368,138 @@ impl Endpoint for TransportHost {
                 }
             }
             _ => {}
+        }
+    }
+}
+
+/// The go-back-N sender's byte sequence, in its own module so that
+/// nothing else in this file can write its fields.
+mod seq {
+    /// Bytes `[0, una)` are acknowledged, `[una, nxt)` are in flight and
+    /// `[nxt, size)` are still to send. Every update of the sender's
+    /// sequence is one of the methods below.
+    pub(super) struct SendSeq {
+        size: u64,
+        una: u64,
+        nxt: u64,
+    }
+
+    impl SendSeq {
+        /// A flow of `size` bytes, nothing sent.
+        pub(super) fn new(size: u64) -> Self {
+            SendSeq {
+                size,
+                una: 0,
+                nxt: 0,
+            }
+        }
+
+        /// Take the next segment of at most `mtu` bytes: its
+        /// `(seq, len, is_last)`.
+        pub(super) fn send(&mut self, mtu: u64) -> (u64, u32, bool) {
+            let len = mtu.min(self.remaining());
+            let seq = self.nxt;
+            self.nxt += len;
+            (seq, len as u32, self.nxt == self.size)
+        }
+
+        /// Apply a cumulative ACK; returns the bytes it newly acknowledges.
+        pub(super) fn ack(&mut self, cum: u64) -> u64 {
+            let newly = cum.saturating_sub(self.una);
+            // ROADMAP item 1(a): `nxt` stays where a rewind put it, so an
+            // ACK for data sent before the rewind lifts `una` past `nxt`.
+            (self.una, self.nxt) = (self.una.max(cum), self.nxt);
+            newly
+        }
+
+        /// Go back N: resend from the first unacknowledged byte. Returns
+        /// the bytes taken back out of flight.
+        pub(super) fn rewind(&mut self) -> u64 {
+            let rewound = self.inflight();
+            self.nxt = self.una;
+            rewound
+        }
+
+        /// Bytes sent and not yet acknowledged.
+        pub(super) fn inflight(&self) -> u64 {
+            self.nxt - self.una
+        }
+
+        /// Bytes never sent (or rewound and not yet resent).
+        pub(super) fn remaining(&self) -> u64 {
+            self.size - self.nxt
+        }
+
+        /// The next byte to send.
+        pub(super) fn nxt(&self) -> u64 {
+            self.nxt
+        }
+
+        /// Every byte is acknowledged.
+        pub(super) fn acked_all(&self) -> bool {
+            self.una >= self.size
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::SendSeq;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any run of sends, in-range cumulative ACKs and rewinds
+            /// keeps `una <= nxt <= size`, splits the unacknowledged
+            /// bytes into in flight and unsent, and reports each byte as
+            /// newly acknowledged exactly once.
+            #[test]
+            fn sends_acks_and_rewinds_conserve_bytes(
+                size in 1u64..=50_000,
+                mtu in 1u64..=4_000,
+                ops in prop::collection::vec((0u8..3, 0u64..u64::MAX), 0usize..=300),
+            ) {
+                let mut s = SendSeq::new(size);
+                let mut newly_sum = 0;
+                for (op, draw) in ops {
+                    match op {
+                        0 => {
+                            if s.remaining() > 0 {
+                                let nxt = s.nxt;
+                                let (seq, len, is_last) = s.send(mtu);
+                                prop_assert_eq!(seq, nxt);
+                                prop_assert!(len > 0 && u64::from(len) <= mtu);
+                                prop_assert_eq!(is_last, s.nxt == size);
+                            }
+                        }
+                        1 => newly_sum += s.ack(draw % (s.nxt + 1)),
+                        _ => {
+                            let inflight = s.inflight();
+                            prop_assert_eq!(s.rewind(), inflight);
+                        }
+                    }
+                    prop_assert!(s.una <= s.nxt && s.nxt <= size);
+                    prop_assert_eq!(s.inflight() + s.remaining(), size - s.una);
+                    prop_assert_eq!(newly_sum, s.una);
+                    prop_assert_eq!(s.acked_all(), s.una == size);
+                }
+            }
+        }
+
+        /// ROADMAP item 1(a) as it stands: three segments out, a rewind,
+        /// then an ACK for pre-rewind data lifts `una` past `nxt` (and
+        /// `inflight` would underflow). The 1(a) switch — `ack` lifts
+        /// `nxt` to `cum` — makes this false; flip the last assertion to
+        /// `s.una <= s.nxt` with it.
+        #[test]
+        fn a_stale_ack_after_a_rewind_leaves_una_past_nxt() {
+            let mut s = SendSeq::new(3_000);
+            for _ in 0..3 {
+                s.send(1_000);
+            }
+            assert_eq!(s.rewind(), 3_000);
+            assert_eq!(s.ack(2_000), 2_000);
+            assert!(s.una > s.nxt, "una {} nxt {}", s.una, s.nxt);
         }
     }
 }

@@ -7,11 +7,12 @@
 #   scripts/checked_builtins.sh [xp=target/checked/xp]
 #
 # Every builtin must exit 0 — except the ones listed in `known` below,
-# each of which must FAIL, at the go-back-N sender's `snd_nxt - snd_una`
-# (ROADMAP item 1(a): a NACK/RTO rewind followed by a cumulative ACK for
-# pre-rewind data leaves `snd_una > snd_nxt`). The fix for 1(a) has to
-# empty this list; a new builtin that wraps an integer fails here the day
-# it is added. ≈ 7 s for all 31 on a 2-core box.
+# each of which must FAIL, at the go-back-N sender's `nxt - una` in
+# `SendSeq::inflight` (transport/src/host.rs; ROADMAP item 1(a): a
+# NACK/RTO rewind followed by a cumulative ACK for pre-rewind data leaves
+# `una > nxt`). The fix for 1(a), `SendSeq::ack` lifting `nxt` to the
+# ACK, has to empty this list; a new builtin that wraps an integer fails
+# here the day it is added. ≈ 7 s for all 31 on a 2-core box.
 set -eu
 
 xp=${1:-target/checked/xp}
