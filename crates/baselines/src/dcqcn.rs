@@ -13,6 +13,11 @@
 //!   gap to `Rt` for the first `F` rounds, then additive (`Rt += R_AI`),
 //!   then hyper (`Rt += R_HAI`) increase.
 //!
+//! Constants (the paper's and common NIC defaults; no spec sets them):
+//! `g = 1/256`, CNP interval 50 µs, α timer 55 µs, increase timer
+//! 300 µs, byte counter 10 MB, `F = 5` fast-recovery rounds,
+//! `R_AI = 40 Mb/s`, `R_HAI = 200 Mb/s`, and a 10 Mb/s rate floor.
+//!
 //! DCQCN is *voltage-based* in the paper's classification (reacts to ECN
 //! marks — a queue-threshold signal) and needs a standing queue at the
 //! marking threshold, which is exactly what Figures 6–7 show as inflated
@@ -20,49 +25,28 @@
 
 use powertcp_core::{AckInfo, Bandwidth, CcContext, CongestionControl, LossKind, Tick};
 
-/// DCQCN parameters (paper / common NIC defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct DcqcnConfig {
-    /// EWMA gain `g` for α.
-    pub g: f64,
-    /// Minimum interval between rate-decrease reactions (CNP interval).
-    pub cnp_interval: Tick,
-    /// α decay timer.
-    pub alpha_timer: Tick,
-    /// Rate-increase timer period.
-    pub increase_timer: Tick,
-    /// Byte counter threshold for rate increase.
-    pub byte_counter: u64,
-    /// Fast-recovery rounds before additive increase.
-    pub fast_recovery_rounds: u32,
-    /// Additive increase step.
-    pub rate_ai: Bandwidth,
-    /// Hyper increase step.
-    pub rate_hai: Bandwidth,
-    /// Minimum rate floor.
-    pub min_rate: Bandwidth,
-}
-
-impl Default for DcqcnConfig {
-    fn default() -> Self {
-        DcqcnConfig {
-            g: 1.0 / 256.0,
-            cnp_interval: Tick::from_micros(50),
-            alpha_timer: Tick::from_micros(55),
-            increase_timer: Tick::from_micros(300),
-            byte_counter: 10_000_000,
-            fast_recovery_rounds: 5,
-            rate_ai: Bandwidth::mbps(40),
-            rate_hai: Bandwidth::mbps(200),
-            min_rate: Bandwidth::mbps(10),
-        }
-    }
-}
+/// EWMA gain `g` for α.
+const G: f64 = 1.0 / 256.0;
+/// Minimum interval between rate-decrease reactions (CNP interval).
+const CNP_INTERVAL: Tick = Tick::from_micros(50);
+/// α decay timer.
+const ALPHA_TIMER: Tick = Tick::from_micros(55);
+/// Rate-increase timer period.
+const INCREASE_TIMER: Tick = Tick::from_micros(300);
+/// Byte counter threshold for rate increase.
+const BYTE_COUNTER: u64 = 10_000_000;
+/// Fast-recovery rounds `F` before additive increase.
+const FAST_RECOVERY_ROUNDS: u32 = 5;
+/// Additive increase step `R_AI`.
+const RATE_AI: Bandwidth = Bandwidth::mbps(40);
+/// Hyper increase step `R_HAI`.
+const RATE_HAI: Bandwidth = Bandwidth::mbps(200);
+/// Minimum rate floor.
+const MIN_RATE: Bandwidth = Bandwidth::mbps(10);
 
 /// The DCQCN rate-based sender.
 #[derive(Clone, Debug)]
 pub struct Dcqcn {
-    cfg: DcqcnConfig,
     ctx: CcContext,
     /// Current rate `Rc` (bytes/s kept as f64 for precision).
     rc: f64,
@@ -84,10 +68,9 @@ pub struct Dcqcn {
 impl Dcqcn {
     /// Create a DCQCN instance for one flow; starts at line rate, like
     /// hardware (DCQCN has no slow start).
-    pub fn new(cfg: DcqcnConfig, ctx: CcContext) -> Self {
+    pub fn new(ctx: CcContext) -> Self {
         let line = ctx.host_bw.bytes_per_sec();
         Dcqcn {
-            cfg,
             ctx,
             rc: line,
             rt: line,
@@ -97,8 +80,8 @@ impl Dcqcn {
             bytes_since_increase: 0,
             timer_rounds: 0,
             byte_rounds: 0,
-            next_alpha_update: Tick::from_ps(0) + cfg.alpha_timer,
-            next_increase: Tick::from_ps(0) + cfg.increase_timer,
+            next_alpha_update: ALPHA_TIMER,
+            next_increase: INCREASE_TIMER,
             line_rate: line,
         }
     }
@@ -115,25 +98,25 @@ impl Dcqcn {
 
     fn decrease(&mut self, now: Tick) {
         self.rt = self.rc;
-        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(self.cfg.min_rate.bytes_per_sec());
-        self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
+        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(MIN_RATE.bytes_per_sec());
+        self.alpha = (1.0 - G) * self.alpha + G;
         self.timer_rounds = 0;
         self.byte_rounds = 0;
         self.bytes_since_increase = 0;
         self.last_decrease = Some(now);
-        self.next_increase = now + self.cfg.increase_timer;
+        self.next_increase = now + INCREASE_TIMER;
     }
 
     fn increase(&mut self) {
         let rounds = self.timer_rounds.max(self.byte_rounds);
-        if rounds < self.cfg.fast_recovery_rounds {
+        if rounds < FAST_RECOVERY_ROUNDS {
             // Fast recovery: close half the gap to the target.
-        } else if rounds < self.cfg.fast_recovery_rounds * 2 {
+        } else if rounds < FAST_RECOVERY_ROUNDS * 2 {
             // Additive increase.
-            self.rt = (self.rt + self.cfg.rate_ai.bytes_per_sec()).min(self.line_rate);
+            self.rt = (self.rt + RATE_AI.bytes_per_sec()).min(self.line_rate);
         } else {
             // Hyper increase.
-            self.rt = (self.rt + self.cfg.rate_hai.bytes_per_sec()).min(self.line_rate);
+            self.rt = (self.rt + RATE_HAI.bytes_per_sec()).min(self.line_rate);
         }
         self.rc = ((self.rc + self.rt) / 2.0).min(self.line_rate);
     }
@@ -141,15 +124,15 @@ impl Dcqcn {
     fn run_clocks(&mut self, now: Tick) {
         while now >= self.next_alpha_update {
             // α decays only if no CNP arrived during the last period.
-            if now.saturating_sub(self.last_cnp) >= self.cfg.alpha_timer {
-                self.alpha *= 1.0 - self.cfg.g;
+            if now.saturating_sub(self.last_cnp) >= ALPHA_TIMER {
+                self.alpha *= 1.0 - G;
             }
-            self.next_alpha_update += self.cfg.alpha_timer;
+            self.next_alpha_update += ALPHA_TIMER;
         }
         while now >= self.next_increase {
             self.timer_rounds += 1;
             self.increase();
-            self.next_increase += self.cfg.increase_timer;
+            self.next_increase += INCREASE_TIMER;
         }
     }
 }
@@ -159,7 +142,7 @@ impl CongestionControl for Dcqcn {
         self.run_clocks(ack.now);
         // Byte-counter driven increase.
         self.bytes_since_increase += ack.newly_acked;
-        if self.bytes_since_increase >= self.cfg.byte_counter {
+        if self.bytes_since_increase >= BYTE_COUNTER {
             self.bytes_since_increase = 0;
             self.byte_rounds += 1;
             self.increase();
@@ -169,7 +152,7 @@ impl CongestionControl for Dcqcn {
             self.last_cnp = ack.now;
             let allowed = self
                 .last_decrease
-                .is_none_or(|t| ack.now.saturating_sub(t) >= self.cfg.cnp_interval);
+                .is_none_or(|t| ack.now.saturating_sub(t) >= CNP_INTERVAL);
             if allowed {
                 self.decrease(ack.now);
             }
@@ -229,13 +212,13 @@ mod tests {
 
     #[test]
     fn starts_at_line_rate() {
-        let d = Dcqcn::new(DcqcnConfig::default(), ctx());
+        let d = Dcqcn::new(ctx());
         assert_eq!(d.pacing_rate(), Bandwidth::gbps(25));
     }
 
     #[test]
     fn cnp_halves_rate_with_full_alpha() {
-        let mut d = Dcqcn::new(DcqcnConfig::default(), ctx());
+        let mut d = Dcqcn::new(ctx());
         let line = Bandwidth::gbps(25).bytes_per_sec();
         d.on_ack(&ack(Tick::from_micros(100), true));
         // α starts at ~1 (one decay period may elapse): Rc -> ~Rc/2.
@@ -244,7 +227,7 @@ mod tests {
 
     #[test]
     fn cnp_reactions_are_rate_limited() {
-        let mut d = Dcqcn::new(DcqcnConfig::default(), ctx());
+        let mut d = Dcqcn::new(ctx());
         d.on_ack(&ack(Tick::from_micros(100), true));
         let r1 = d.rate_bytes();
         // A second CNP within the interval must not decrease again.
@@ -257,7 +240,7 @@ mod tests {
 
     #[test]
     fn alpha_decays_without_cnps() {
-        let mut d = Dcqcn::new(DcqcnConfig::default(), ctx());
+        let mut d = Dcqcn::new(ctx());
         d.on_ack(&ack(Tick::from_micros(10), true));
         let a0 = d.alpha();
         // 1 ms of unmarked ACKs: many alpha-timer periods elapse.
@@ -269,7 +252,7 @@ mod tests {
 
     #[test]
     fn rate_recovers_toward_line_rate() {
-        let mut d = Dcqcn::new(DcqcnConfig::default(), ctx());
+        let mut d = Dcqcn::new(ctx());
         d.on_ack(&ack(Tick::from_micros(10), true));
         let dropped = d.rate_bytes();
         // 10 ms without marks: timer-driven fast recovery + additive.
@@ -288,7 +271,7 @@ mod tests {
 
     #[test]
     fn poll_timer_reports_next_clock() {
-        let mut d = Dcqcn::new(DcqcnConfig::default(), ctx());
+        let mut d = Dcqcn::new(ctx());
         let next = d.poll_timer(Tick::from_micros(1)).unwrap();
         assert!(next > Tick::from_micros(1));
         assert!(next <= Tick::from_micros(300));
@@ -296,10 +279,10 @@ mod tests {
 
     #[test]
     fn rate_never_below_floor() {
-        let mut d = Dcqcn::new(DcqcnConfig::default(), ctx());
+        let mut d = Dcqcn::new(ctx());
         for i in 0..200u64 {
             d.on_ack(&ack(Tick::from_micros(i * 60), true));
         }
-        assert!(d.rate_bytes() >= DcqcnConfig::default().min_rate.bytes_per_sec());
+        assert!(d.rate_bytes() >= MIN_RATE.bytes_per_sec());
     }
 }

@@ -8,36 +8,25 @@
 //! queue around the marking threshold K — the structural latency cost the
 //! paper's §2.2 calls out ("flows oscillate around the marking threshold
 //! K > b·τ/7").
+//!
+//! Constants (no spec sets them): `g = 1/16` (the DCTCP paper), additive
+//! increase of one MTU per RTT, and a 1000-byte window floor. The window
+//! starts at, and is capped by, one host BDP.
 
 use powertcp_core::{
     clamp_cwnd, rate_from_cwnd, AckInfo, Bandwidth, CcContext, CongestionControl, LossKind, Tick,
 };
 
-/// DCTCP parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DctcpConfig {
-    /// EWMA gain `g` for the marked fraction (paper: 1/16).
-    pub g: f64,
-    /// Additive increase per RTT in MTUs.
-    pub ai_mtus: f64,
-    /// Minimum window in bytes.
-    pub min_cwnd_bytes: f64,
-}
-
-impl Default for DctcpConfig {
-    fn default() -> Self {
-        DctcpConfig {
-            g: 1.0 / 16.0,
-            ai_mtus: 1.0,
-            min_cwnd_bytes: 1000.0,
-        }
-    }
-}
+/// EWMA gain `g` for the marked fraction (paper: 1/16).
+const G: f64 = 1.0 / 16.0;
+/// Additive increase per RTT in MTUs.
+const AI_MTUS: f64 = 1.0;
+/// Minimum window in bytes.
+const MIN_CWND_BYTES: f64 = 1000.0;
 
 /// The DCTCP sender.
 #[derive(Clone, Debug)]
 pub struct Dctcp {
-    cfg: DctcpConfig,
     ctx: CcContext,
     cwnd: f64,
     alpha: f64,
@@ -51,10 +40,9 @@ impl Dctcp {
     /// Create a DCTCP instance for one flow. Starts at the host BDP for
     /// parity with the other algorithms (the paper's setup lets every
     /// protocol transmit at line rate in the first RTT).
-    pub fn new(cfg: DctcpConfig, ctx: CcContext) -> Self {
+    pub fn new(ctx: CcContext) -> Self {
         let init = ctx.host_bdp_bytes();
         Dctcp {
-            cfg,
             ctx,
             cwnd: init,
             alpha: 0.0,
@@ -88,13 +76,13 @@ impl CongestionControl for Dctcp {
             self.window_end_seq = ack.snd_nxt;
             if self.total_bytes > 0 {
                 let f = self.marked_bytes as f64 / self.total_bytes as f64;
-                self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g * f;
+                self.alpha = (1.0 - G) * self.alpha + G * f;
                 if self.marked_bytes > 0 {
                     self.cwnd *= 1.0 - self.alpha / 2.0;
                 } else {
-                    self.cwnd += self.cfg.ai_mtus * self.ctx.mtu as f64;
+                    self.cwnd += AI_MTUS * self.ctx.mtu as f64;
                 }
-                self.cwnd = clamp_cwnd(self.cwnd, self.cfg.min_cwnd_bytes, self.max_cwnd);
+                self.cwnd = clamp_cwnd(self.cwnd, MIN_CWND_BYTES, self.max_cwnd);
             }
             self.marked_bytes = 0;
             self.total_bytes = 0;
@@ -106,7 +94,7 @@ impl CongestionControl for Dctcp {
             LossKind::Reorder => 0.5,
             LossKind::Timeout => 0.25,
         };
-        self.cwnd = clamp_cwnd(self.cwnd * factor, self.cfg.min_cwnd_bytes, self.max_cwnd);
+        self.cwnd = clamp_cwnd(self.cwnd * factor, MIN_CWND_BYTES, self.max_cwnd);
     }
 
     fn cwnd(&self) -> f64 {
@@ -149,7 +137,7 @@ mod tests {
 
     #[test]
     fn unmarked_windows_grow_additively() {
-        let mut d = Dctcp::new(DctcpConfig::default(), ctx());
+        let mut d = Dctcp::new(ctx());
         d.cwnd = 10_000.0;
         let w0 = d.cwnd();
         // Each ack crosses the window gate (snd_nxt = seq+10k); the first
@@ -164,7 +152,7 @@ mod tests {
 
     #[test]
     fn fully_marked_windows_converge_to_half() {
-        let mut d = Dctcp::new(DctcpConfig::default(), ctx());
+        let mut d = Dctcp::new(ctx());
         // All bytes marked for many windows: α -> 1, decrease -> /2 per RTT.
         let mut seq = 0;
         for _ in 0..200 {
@@ -177,7 +165,7 @@ mod tests {
 
     #[test]
     fn alpha_tracks_marking_fraction() {
-        let mut d = Dctcp::new(DctcpConfig::default(), ctx());
+        let mut d = Dctcp::new(ctx());
         // Alternate marked/unmarked windows: α converges near the marked
         // fraction of windows... (per-window F is 1 then 0; EWMA averages).
         let mut seq = 0;
@@ -194,7 +182,7 @@ mod tests {
 
     #[test]
     fn partial_marks_give_gentle_decrease() {
-        let mut d = Dctcp::new(DctcpConfig::default(), ctx());
+        let mut d = Dctcp::new(ctx());
         // Window of 10 packets, 1 marked: F=0.1, alpha small, decrease tiny.
         for i in 0..10u64 {
             let mut a = ack(i * 1000, i == 0);
@@ -213,7 +201,7 @@ mod tests {
 
     #[test]
     fn loss_reactions() {
-        let mut d = Dctcp::new(DctcpConfig::default(), ctx());
+        let mut d = Dctcp::new(ctx());
         let w0 = d.cwnd();
         d.on_loss(Tick::from_micros(1), LossKind::Reorder);
         assert!((d.cwnd() - w0 * 0.5).abs() < 1e-9);

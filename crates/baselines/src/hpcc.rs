@@ -9,6 +9,11 @@
 //! at most `maxStage` consecutive additive-increase rounds between
 //! multiplicative adjustments.
 //!
+//! Constants (the HPCC paper's): [`ETA`] `= 0.95`, the default target
+//! utilization and the one value a spec can change; `maxStage = 5`;
+//! `W_AI = W_init·(1−η)/N`; and a 256-byte window floor. The window
+//! starts at, and is capped by, `W_init`, one host BDP.
+//!
 //! In the PowerTCP paper's classification this is *voltage-based* CC: it
 //! reacts to queue length plus rate (absolute state), not to the queue's
 //! rate of change — which is exactly why it under-reacts at congestion
@@ -19,35 +24,18 @@ use powertcp_core::{
     LossKind, Tick, MAX_INT_HOPS,
 };
 
-/// HPCC parameters (paper defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct HpccConfig {
-    /// Target utilization η (paper: 0.95).
-    pub eta: f64,
-    /// Max consecutive additive-increase stages (paper: 5).
-    pub max_stage: u32,
-    /// Additive increase W_AI in bytes; `None` derives the paper's rule
-    /// `W_init·(1−η)/N`.
-    pub wai_override_bytes: Option<f64>,
-    /// Lower window clamp in bytes.
-    pub min_cwnd_bytes: f64,
-}
-
-impl Default for HpccConfig {
-    fn default() -> Self {
-        HpccConfig {
-            eta: 0.95,
-            max_stage: 5,
-            wai_override_bytes: None,
-            min_cwnd_bytes: 256.0,
-        }
-    }
-}
+/// The HPCC paper's target utilization η. A spec sets η per sweep point
+/// (`sweep.params`, `eta=…`).
+pub const ETA: f64 = 0.95;
+/// Max consecutive additive-increase stages (paper: 5).
+const MAX_STAGE: u32 = 5;
+/// Lower window clamp in bytes.
+const MIN_CWND_BYTES: f64 = 256.0;
 
 /// The HPCC sender.
 #[derive(Clone, Debug)]
 pub struct Hpcc {
-    cfg: HpccConfig,
+    eta: f64,
     ctx: CcContext,
     cwnd: f64,
     /// Reference window `Wc`, updated once per RTT.
@@ -63,11 +51,12 @@ pub struct Hpcc {
 }
 
 impl Hpcc {
-    /// Create an HPCC instance for one flow.
-    pub fn new(cfg: HpccConfig, ctx: CcContext) -> Self {
+    /// Create an HPCC instance for one flow with target utilization `eta`
+    /// ([`ETA`] is the paper's value).
+    pub fn new(eta: f64, ctx: CcContext) -> Self {
         let init = ctx.host_bdp_bytes();
         Hpcc {
-            cfg,
+            eta,
             ctx,
             cwnd: init,
             wc: init,
@@ -81,11 +70,9 @@ impl Hpcc {
         }
     }
 
-    /// The additive increase W_AI in bytes.
+    /// The additive increase `W_AI = W_init·(1−η)/N` in bytes.
     pub fn wai(&self) -> f64 {
-        self.cfg.wai_override_bytes.unwrap_or_else(|| {
-            self.ctx.host_bdp_bytes() * (1.0 - self.cfg.eta) / self.ctx.expected_flows.max(1) as f64
-        })
+        self.ctx.host_bdp_bytes() * (1.0 - self.eta) / self.ctx.expected_flows.max(1) as f64
     }
 
     /// Smoothed inflight estimate (diagnostics).
@@ -134,17 +121,17 @@ impl Hpcc {
     /// ComputeWind of Algorithm 1.
     fn compute_wind(&mut self, u: f64, update_wc: bool) {
         let wai = self.wai();
-        if u >= self.cfg.eta || self.inc_stage >= self.cfg.max_stage {
+        if u >= self.eta || self.inc_stage >= MAX_STAGE {
             // Multiplicative adjustment towards η utilization.
-            let w = self.wc / (u / self.cfg.eta) + wai;
-            self.cwnd = clamp_cwnd(w, self.cfg.min_cwnd_bytes, self.max_cwnd);
+            let w = self.wc / (u / self.eta) + wai;
+            self.cwnd = clamp_cwnd(w, MIN_CWND_BYTES, self.max_cwnd);
             if update_wc {
                 self.inc_stage = 0;
                 self.wc = self.cwnd;
             }
         } else {
             let w = self.wc + wai;
-            self.cwnd = clamp_cwnd(w, self.cfg.min_cwnd_bytes, self.max_cwnd);
+            self.cwnd = clamp_cwnd(w, MIN_CWND_BYTES, self.max_cwnd);
             if update_wc {
                 self.inc_stage += 1;
                 self.wc = self.cwnd;
@@ -173,7 +160,7 @@ impl CongestionControl for Hpcc {
 
     fn on_loss(&mut self, _now: Tick, kind: LossKind) {
         if kind == LossKind::Timeout {
-            self.cwnd = clamp_cwnd(self.cwnd * 0.5, self.cfg.min_cwnd_bytes, self.max_cwnd);
+            self.cwnd = clamp_cwnd(self.cwnd * 0.5, MIN_CWND_BYTES, self.max_cwnd);
             self.wc = self.cwnd;
         }
     }
@@ -232,7 +219,7 @@ mod tests {
 
     #[test]
     fn initial_window_and_wai() {
-        let h = Hpcc::new(HpccConfig::default(), ctx());
+        let h = Hpcc::new(ETA, ctx());
         assert!((h.cwnd() - 62_500.0).abs() < 1e-9);
         // W_init (1-eta)/N = 62500*0.05/8.
         assert!((h.wai() - 390.625).abs() < 1e-9);
@@ -240,7 +227,7 @@ mod tests {
 
     #[test]
     fn overutilized_link_shrinks_window() {
-        let mut h = Hpcc::new(HpccConfig::default(), ctx());
+        let mut h = Hpcc::new(ETA, ctx());
         let b = Bandwidth::gbps(25).bytes_per_sec();
         let dt = Tick::from_micros(2);
         let full = (b * dt.as_secs_f64()).round() as u64;
@@ -259,7 +246,7 @@ mod tests {
 
     #[test]
     fn underutilized_link_grows_multiplicatively_after_stages() {
-        let mut h = Hpcc::new(HpccConfig::default(), ctx());
+        let mut h = Hpcc::new(ETA, ctx());
         h.cwnd = 10_000.0;
         h.wc = 10_000.0;
         let b = Bandwidth::gbps(25).bytes_per_sec();
@@ -285,7 +272,7 @@ mod tests {
 
     #[test]
     fn additive_stage_counting_respects_max_stage() {
-        let mut h = Hpcc::new(HpccConfig::default(), ctx());
+        let mut h = Hpcc::new(ETA, ctx());
         // Start deflated so multiplicative increase is observable below
         // the window clamp; feed utilization below η to exercise AI.
         h.cwnd = 20_000.0;
@@ -316,7 +303,7 @@ mod tests {
 
     #[test]
     fn window_bounded_under_noise() {
-        let mut h = Hpcc::new(HpccConfig::default(), ctx());
+        let mut h = Hpcc::new(ETA, ctx());
         let mut now = Tick::from_micros(100);
         let mut tx = 0u64;
         for i in 0..300u64 {
@@ -325,7 +312,7 @@ mod tests {
             let q = (i * 48_611) % 3_000_000;
             h.on_ack(&ack(now, i * 1000, &hdr(now, q, tx)));
             assert!(h.cwnd().is_finite());
-            assert!(h.cwnd() >= h.cfg.min_cwnd_bytes && h.cwnd() <= h.max_cwnd);
+            assert!(h.cwnd() >= MIN_CWND_BYTES && h.cwnd() <= h.max_cwnd);
         }
     }
 }

@@ -14,6 +14,12 @@
 //! | [`NewReno`] | RFC 6582                    | voltage (loss) |
 //! | [`ReTcp`]   | Mukerjee et al., NSDI 2020  | loss + circuit-aware scaling |
 //!
+//! Each law is built from the flow's [`powertcp_core::CcContext`] alone
+//! (`Dcqcn::new(ctx)`, …), except HPCC, which also takes its target
+//! utilization η ([`hpcc::ETA`] `= 0.95` is the paper's value) because a
+//! spec can sweep it. Every other parameter is a constant of its law's
+//! module, listed in that module's doc with its source.
+//!
 //! HOMA — the receiver-driven baseline — is a transport, not a CC law, and
 //! lives in `dcn-transport`.
 
@@ -27,10 +33,10 @@ pub mod retcp;
 pub mod swift;
 pub mod timely;
 
-pub use dcqcn::{Dcqcn, DcqcnConfig};
-pub use dctcp::{Dctcp, DctcpConfig};
-pub use hpcc::{Hpcc, HpccConfig};
-pub use newreno::{NewReno, NewRenoConfig};
-pub use retcp::{ReTcp, ReTcpConfig};
-pub use swift::{Swift, SwiftConfig};
-pub use timely::{Timely, TimelyConfig};
+pub use dcqcn::Dcqcn;
+pub use dctcp::Dctcp;
+pub use hpcc::Hpcc;
+pub use newreno::NewReno;
+pub use retcp::ReTcp;
+pub use swift::Swift;
+pub use timely::Timely;

@@ -1,37 +1,27 @@
 //! TCP NewReno: classic loss-based AIMD with slow start — the Figure-1
 //! "loss/ECN-based" anchor of the paper's taxonomy, and the substrate
 //! reTCP builds on in the RDCN case study.
+//!
+//! Constants (no spec sets them): an initial window of 10 MTUs (RFC 6928),
+//! a 1000-byte window floor, and a cap of 4 host BDPs. Slow start, the
+//! halving on a fast retransmit and the one-MTU restart after a timeout
+//! follow RFC 5681 / RFC 6582.
 
 use powertcp_core::{
     clamp_cwnd, rate_from_cwnd, AckInfo, Bandwidth, CcContext, CongestionControl, LossKind, Tick,
 };
 
-/// NewReno parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct NewRenoConfig {
-    /// Initial window in MTUs (RFC 6928-style IW10 by default — DC
-    /// deployments do not start from 1).
-    pub initial_window_mtus: f64,
-    /// Minimum window in bytes.
-    pub min_cwnd_bytes: f64,
-    /// Maximum window as a multiple of host BDP.
-    pub max_cwnd_factor: f64,
-}
-
-impl Default for NewRenoConfig {
-    fn default() -> Self {
-        NewRenoConfig {
-            initial_window_mtus: 10.0,
-            min_cwnd_bytes: 1000.0,
-            max_cwnd_factor: 4.0,
-        }
-    }
-}
+/// Initial window in MTUs (RFC 6928's IW10: DC deployments do not start
+/// from 1).
+const INITIAL_WINDOW_MTUS: f64 = 10.0;
+/// Minimum window in bytes.
+const MIN_CWND_BYTES: f64 = 1000.0;
+/// Maximum window as a multiple of host BDP.
+const MAX_CWND_FACTOR: f64 = 4.0;
 
 /// The NewReno sender.
 #[derive(Clone, Debug)]
 pub struct NewReno {
-    cfg: NewRenoConfig,
     ctx: CcContext,
     cwnd: f64,
     ssthresh: f64,
@@ -42,12 +32,11 @@ pub struct NewReno {
 
 impl NewReno {
     /// Create a NewReno instance for one flow.
-    pub fn new(cfg: NewRenoConfig, ctx: CcContext) -> Self {
-        let max = ctx.host_bdp_bytes() * cfg.max_cwnd_factor;
+    pub fn new(ctx: CcContext) -> Self {
+        let max = ctx.host_bdp_bytes() * MAX_CWND_FACTOR;
         NewReno {
-            cfg,
             ctx,
-            cwnd: cfg.initial_window_mtus * ctx.mtu as f64,
+            cwnd: INITIAL_WINDOW_MTUS * ctx.mtu as f64,
             ssthresh: max,
             last_decrease: Tick::ZERO,
             max_cwnd: max,
@@ -62,7 +51,7 @@ impl NewReno {
     /// Scale the window by an external factor (reTCP's circuit-up/down
     /// explicit scaling uses this hook).
     pub(crate) fn scale_window(&mut self, factor: f64) {
-        self.cwnd = clamp_cwnd(self.cwnd * factor, self.cfg.min_cwnd_bytes, self.max_cwnd);
+        self.cwnd = clamp_cwnd(self.cwnd * factor, MIN_CWND_BYTES, self.max_cwnd);
         self.ssthresh = self.ssthresh.max(self.cwnd);
     }
 }
@@ -77,7 +66,7 @@ impl CongestionControl for NewReno {
             // Congestion avoidance: +1 MTU per window.
             self.cwnd += mtu * (ack.newly_acked as f64) / self.cwnd.max(mtu);
         }
-        self.cwnd = clamp_cwnd(self.cwnd, self.cfg.min_cwnd_bytes, self.max_cwnd);
+        self.cwnd = clamp_cwnd(self.cwnd, MIN_CWND_BYTES, self.max_cwnd);
     }
 
     fn on_loss(&mut self, now: Tick, kind: LossKind) {
@@ -95,7 +84,7 @@ impl CongestionControl for NewReno {
                 self.last_decrease = now;
             }
         }
-        self.cwnd = clamp_cwnd(self.cwnd, self.cfg.min_cwnd_bytes, self.max_cwnd);
+        self.cwnd = clamp_cwnd(self.cwnd, MIN_CWND_BYTES, self.max_cwnd);
     }
 
     fn cwnd(&self) -> f64 {
@@ -138,7 +127,7 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut r = NewReno::new(NewRenoConfig::default(), ctx());
+        let mut r = NewReno::new(ctx());
         let w0 = r.cwnd();
         assert!(r.in_slow_start());
         // ACK a full window: slow start doubles.
@@ -148,7 +137,7 @@ mod tests {
 
     #[test]
     fn congestion_avoidance_is_linear() {
-        let mut r = NewReno::new(NewRenoConfig::default(), ctx());
+        let mut r = NewReno::new(ctx());
         r.ssthresh = 10_000.0;
         r.cwnd = 20_000.0;
         assert!(!r.in_slow_start());
@@ -158,7 +147,7 @@ mod tests {
 
     #[test]
     fn fast_retransmit_halves_once_per_rtt() {
-        let mut r = NewReno::new(NewRenoConfig::default(), ctx());
+        let mut r = NewReno::new(ctx());
         r.cwnd = 40_000.0;
         r.ssthresh = 10_000.0;
         r.on_loss(Tick::from_micros(100), LossKind::Reorder);
@@ -171,7 +160,7 @@ mod tests {
 
     #[test]
     fn timeout_collapses_to_one_mtu() {
-        let mut r = NewReno::new(NewRenoConfig::default(), ctx());
+        let mut r = NewReno::new(ctx());
         r.cwnd = 40_000.0;
         r.on_loss(Tick::from_micros(100), LossKind::Timeout);
         assert_eq!(r.cwnd(), 1000.0);
@@ -180,7 +169,7 @@ mod tests {
 
     #[test]
     fn scale_window_hook() {
-        let mut r = NewReno::new(NewRenoConfig::default(), ctx());
+        let mut r = NewReno::new(ctx());
         r.cwnd = 10_000.0;
         r.scale_window(4.0);
         assert_eq!(r.cwnd(), 40_000.0);

@@ -6,46 +6,34 @@
 //! scales with 1/√cwnd (flow-count scaling); additive increase below
 //! target, multiplicative decrease proportional to the overshoot above it,
 //! with decreases paced to once per RTT and bounded by `max_mdf`.
+//!
+//! Constants (the Swift paper's defaults, expressed against the base RTT;
+//! no spec sets them): a base target of 1.25 τ, a flow-scaling range of
+//! 0.5 τ per 1/√cwnd (capped at four times that), additive increase of one
+//! MTU per RTT, `β = 0.8`, `max_mdf = 0.5`, and a 256-byte window floor.
+//! The window starts at, and is capped by, one host BDP.
 
 use powertcp_core::{
     clamp_cwnd, rate_from_cwnd, AckInfo, Bandwidth, CcContext, CongestionControl, LossKind, Tick,
 };
 
-/// Swift parameters (paper defaults, expressed against base RTT).
-#[derive(Clone, Copy, Debug)]
-pub struct SwiftConfig {
-    /// Base target delay as a multiple of base RTT.
-    pub base_target_factor: f64,
-    /// Additive increase per RTT, in MTUs.
-    pub ai_mtus: f64,
-    /// Multiplicative-decrease aggressiveness β.
-    pub beta: f64,
-    /// Maximum decrease per RTT.
-    pub max_mdf: f64,
-    /// Flow-scaling range: extra target delay per 1/√cwnd (in MTUs of
-    /// serialization at host rate), 0 disables scaling.
-    pub fs_range_factor: f64,
-    /// Minimum window in bytes.
-    pub min_cwnd_bytes: f64,
-}
-
-impl Default for SwiftConfig {
-    fn default() -> Self {
-        SwiftConfig {
-            base_target_factor: 1.25,
-            ai_mtus: 1.0,
-            beta: 0.8,
-            max_mdf: 0.5,
-            fs_range_factor: 0.5,
-            min_cwnd_bytes: 256.0,
-        }
-    }
-}
+/// Base target delay as a multiple of base RTT.
+const BASE_TARGET_FACTOR: f64 = 1.25;
+/// Additive increase per RTT, in MTUs.
+const AI_MTUS: f64 = 1.0;
+/// Multiplicative-decrease aggressiveness β.
+const BETA: f64 = 0.8;
+/// Maximum decrease per RTT.
+const MAX_MDF: f64 = 0.5;
+/// Flow-scaling range: extra target delay per 1/√cwnd, as a multiple of
+/// base RTT.
+const FS_RANGE_FACTOR: f64 = 0.5;
+/// Minimum window in bytes.
+const MIN_CWND_BYTES: f64 = 256.0;
 
 /// The Swift sender.
 #[derive(Clone, Debug)]
 pub struct Swift {
-    cfg: SwiftConfig,
     ctx: CcContext,
     cwnd: f64,
     last_decrease: Tick,
@@ -54,10 +42,9 @@ pub struct Swift {
 
 impl Swift {
     /// Create a Swift instance for one flow.
-    pub fn new(cfg: SwiftConfig, ctx: CcContext) -> Self {
+    pub fn new(ctx: CcContext) -> Self {
         let init = ctx.host_bdp_bytes();
         Swift {
-            cfg,
             ctx,
             cwnd: init,
             last_decrease: Tick::ZERO,
@@ -68,15 +55,11 @@ impl Swift {
     /// Current target delay for the current window.
     pub fn target_delay(&self) -> f64 {
         let tau = self.ctx.base_rtt.as_secs_f64();
-        let base = tau * self.cfg.base_target_factor;
-        if self.cfg.fs_range_factor <= 0.0 {
-            return base;
-        }
+        let base = tau * BASE_TARGET_FACTOR;
         // Flow scaling: smaller windows (more competing flows) tolerate
         // more queueing; clamp the extra range.
         let cwnd_pkts = (self.cwnd / self.ctx.mtu as f64).max(0.0625);
-        let extra = (tau * self.cfg.fs_range_factor / cwnd_pkts.sqrt())
-            .min(tau * self.cfg.fs_range_factor * 4.0);
+        let extra = (tau * FS_RANGE_FACTOR / cwnd_pkts.sqrt()).min(tau * FS_RANGE_FACTOR * 4.0);
         base + extra
     }
 }
@@ -89,25 +72,21 @@ impl CongestionControl for Swift {
         if delay < target {
             // Additive increase, scaled per-ack (ai per RTT overall).
             let cwnd_pkts = (self.cwnd / mtu).max(1.0);
-            self.cwnd += self.cfg.ai_mtus * mtu * (ack.newly_acked as f64 / mtu) / cwnd_pkts;
+            self.cwnd += AI_MTUS * mtu * (ack.newly_acked as f64 / mtu) / cwnd_pkts;
         } else if ack.now.saturating_sub(self.last_decrease) >= self.ctx.base_rtt {
             // Multiplicative decrease proportional to overshoot, at most
             // once per RTT and bounded by max_mdf.
-            let md = (self.cfg.beta * (delay - target) / delay).min(self.cfg.max_mdf);
+            let md = (BETA * (delay - target) / delay).min(MAX_MDF);
             self.cwnd *= 1.0 - md;
             self.last_decrease = ack.now;
         }
-        self.cwnd = clamp_cwnd(self.cwnd, self.cfg.min_cwnd_bytes, self.max_cwnd);
+        self.cwnd = clamp_cwnd(self.cwnd, MIN_CWND_BYTES, self.max_cwnd);
     }
 
     fn on_loss(&mut self, now: Tick, kind: LossKind) {
         if kind == LossKind::Timeout && now.saturating_sub(self.last_decrease) >= self.ctx.base_rtt
         {
-            self.cwnd = clamp_cwnd(
-                self.cwnd * (1.0 - self.cfg.max_mdf),
-                self.cfg.min_cwnd_bytes,
-                self.max_cwnd,
-            );
+            self.cwnd = clamp_cwnd(self.cwnd * (1.0 - MAX_MDF), MIN_CWND_BYTES, self.max_cwnd);
             self.last_decrease = now;
         }
     }
@@ -152,7 +131,7 @@ mod tests {
 
     #[test]
     fn below_target_grows_additively() {
-        let mut s = Swift::new(SwiftConfig::default(), ctx());
+        let mut s = Swift::new(ctx());
         s.cwnd = 20_000.0;
         let w0 = s.cwnd();
         for i in 0..20 {
@@ -164,7 +143,7 @@ mod tests {
 
     #[test]
     fn above_target_decreases_once_per_rtt() {
-        let mut s = Swift::new(SwiftConfig::default(), ctx());
+        let mut s = Swift::new(ctx());
         let w0 = s.cwnd();
         // Two back-to-back over-target ACKs within one RTT: one decrease.
         s.on_ack(&ack(100, 60));
@@ -179,7 +158,7 @@ mod tests {
 
     #[test]
     fn decrease_bounded_by_max_mdf() {
-        let mut s = Swift::new(SwiftConfig::default(), ctx());
+        let mut s = Swift::new(ctx());
         let w0 = s.cwnd();
         s.on_ack(&ack(100, 100_000)); // absurd RTT
         assert!(s.cwnd() >= w0 * (1.0 - 0.5) - 1.0);
@@ -187,7 +166,7 @@ mod tests {
 
     #[test]
     fn target_scales_with_window() {
-        let mut s = Swift::new(SwiftConfig::default(), ctx());
+        let mut s = Swift::new(ctx());
         s.cwnd = 62_500.0;
         let t_large = s.target_delay();
         s.cwnd = 1_000.0;
@@ -200,11 +179,11 @@ mod tests {
 
     #[test]
     fn window_bounded_under_noise() {
-        let mut s = Swift::new(SwiftConfig::default(), ctx());
+        let mut s = Swift::new(ctx());
         for i in 0..300u64 {
             let rtt = 15 + (i * 7919) % 200;
             s.on_ack(&ack(100 + i, rtt));
-            assert!(s.cwnd() >= s.cfg.min_cwnd_bytes);
+            assert!(s.cwnd() >= MIN_CWND_BYTES);
             assert!(s.cwnd() <= s.max_cwnd);
         }
     }

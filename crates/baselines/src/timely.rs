@@ -12,50 +12,37 @@
 //! increase `δ` below Tlow / on negative gradient (with HAI after five
 //! consecutive negative-gradient updates), and multiplicative decrease
 //! proportional to the positive gradient.
+//!
+//! Constants (no spec sets them). The paper's absolute thresholds (tuned
+//! for 10G, 10–100 µs fabrics) are expressed relative to the base RTT τ so
+//! the algorithm works across our topologies: `T_low = 1.1 τ`,
+//! `T_high = 3 τ`; an EWMA weight of 0.125 for a new RTT difference
+//! (the paper's α = 0.875 retained), `β = 0.8`, `δ` = 1 % of line rate,
+//! hyper-AI (5δ) after 5 consecutive negative-gradient updates, and a
+//! rate floor of 1 % of line rate.
 
 use powertcp_core::{AckInfo, Bandwidth, CcContext, CongestionControl, LossKind, Tick};
 
-/// TIMELY parameters. The paper's absolute thresholds (tuned for 10G,
-/// 10–100 µs fabrics) are expressed here relative to the base RTT so the
-/// algorithm is usable across our topologies.
-#[derive(Clone, Copy, Debug)]
-pub struct TimelyConfig {
-    /// EWMA weight for RTT-difference smoothing (paper: α = 0.875 retained
-    /// fraction; we store the *new-sample* weight).
-    pub ewma_weight: f64,
-    /// Multiplicative-decrease aggressiveness β.
-    pub beta: f64,
-    /// Additive increase δ as a fraction of line rate.
-    pub delta_fraction: f64,
-    /// Low RTT threshold as a multiple of base RTT (below: pure AI).
-    pub t_low_factor: f64,
-    /// High RTT threshold as a multiple of base RTT (above: proportional
-    /// MD regardless of gradient).
-    pub t_high_factor: f64,
-    /// Consecutive negative-gradient updates before hyper-AI.
-    pub hai_threshold: u32,
-    /// Minimum rate floor as a fraction of line rate.
-    pub min_rate_fraction: f64,
-}
-
-impl Default for TimelyConfig {
-    fn default() -> Self {
-        TimelyConfig {
-            ewma_weight: 0.125,
-            beta: 0.8,
-            delta_fraction: 0.01,
-            t_low_factor: 1.1,
-            t_high_factor: 3.0,
-            hai_threshold: 5,
-            min_rate_fraction: 0.01,
-        }
-    }
-}
+/// EWMA weight of a new RTT-difference sample (the paper's α = 0.875 is
+/// the retained fraction).
+const EWMA_WEIGHT: f64 = 0.125;
+/// Multiplicative-decrease aggressiveness β.
+const BETA: f64 = 0.8;
+/// Additive increase δ as a fraction of line rate.
+const DELTA_FRACTION: f64 = 0.01;
+/// Low RTT threshold as a multiple of base RTT (below: pure AI).
+const T_LOW_FACTOR: f64 = 1.1;
+/// High RTT threshold as a multiple of base RTT (above: proportional MD
+/// regardless of gradient).
+const T_HIGH_FACTOR: f64 = 3.0;
+/// Consecutive negative-gradient updates before hyper-AI.
+const HAI_THRESHOLD: u32 = 5;
+/// Minimum rate floor as a fraction of line rate.
+const MIN_RATE_FRACTION: f64 = 0.01;
 
 /// The TIMELY rate-based sender.
 #[derive(Clone, Debug)]
 pub struct Timely {
-    cfg: TimelyConfig,
     ctx: CcContext,
     rate: f64, // bytes/s
     prev_rtt: Option<Tick>,
@@ -69,10 +56,9 @@ pub struct Timely {
 
 impl Timely {
     /// Create a TIMELY instance for one flow; starts at line rate.
-    pub fn new(cfg: TimelyConfig, ctx: CcContext) -> Self {
+    pub fn new(ctx: CcContext) -> Self {
         let line = ctx.host_bw.bytes_per_sec();
         Timely {
-            cfg,
             ctx,
             rate: line,
             prev_rtt: None,
@@ -94,7 +80,7 @@ impl Timely {
     }
 
     fn delta(&self) -> f64 {
-        self.line_rate * self.cfg.delta_fraction
+        self.line_rate * DELTA_FRACTION
     }
 
     fn update(&mut self, rtt: Tick) {
@@ -104,12 +90,11 @@ impl Timely {
             None => return,
         };
         let diff = rtt.as_secs_f64() - prev.as_secs_f64();
-        self.rtt_diff_smoothed =
-            (1.0 - self.cfg.ewma_weight) * self.rtt_diff_smoothed + self.cfg.ewma_weight * diff;
+        self.rtt_diff_smoothed = (1.0 - EWMA_WEIGHT) * self.rtt_diff_smoothed + EWMA_WEIGHT * diff;
         let gradient = self.rtt_diff_smoothed / tau;
         let rtt_s = rtt.as_secs_f64();
-        let t_low = tau * self.cfg.t_low_factor;
-        let t_high = tau * self.cfg.t_high_factor;
+        let t_low = tau * T_LOW_FACTOR;
+        let t_high = tau * T_HIGH_FACTOR;
 
         if rtt_s < t_low {
             // Well under target: additive increase, gradient ignored.
@@ -118,10 +103,10 @@ impl Timely {
         } else if rtt_s > t_high {
             // Far over target: proportional decrease regardless of trend.
             self.neg_gradient_count = 0;
-            self.rate *= 1.0 - self.cfg.beta * (1.0 - t_high / rtt_s);
+            self.rate *= 1.0 - BETA * (1.0 - t_high / rtt_s);
         } else if gradient <= 0.0 {
             self.neg_gradient_count += 1;
-            let n = if self.neg_gradient_count >= self.cfg.hai_threshold {
+            let n = if self.neg_gradient_count >= HAI_THRESHOLD {
                 5.0
             } else {
                 1.0
@@ -129,11 +114,11 @@ impl Timely {
             self.rate += n * self.delta();
         } else {
             self.neg_gradient_count = 0;
-            self.rate *= 1.0 - self.cfg.beta * gradient.min(1.0);
+            self.rate *= 1.0 - BETA * gradient.min(1.0);
         }
         self.rate = self
             .rate
-            .clamp(self.line_rate * self.cfg.min_rate_fraction, self.line_rate);
+            .clamp(self.line_rate * MIN_RATE_FRACTION, self.line_rate);
     }
 }
 
@@ -149,7 +134,7 @@ impl CongestionControl for Timely {
 
     fn on_loss(&mut self, _now: Tick, kind: LossKind) {
         if kind == LossKind::Timeout {
-            self.rate = (self.rate * 0.5).max(self.line_rate * self.cfg.min_rate_fraction);
+            self.rate = (self.rate * 0.5).max(self.line_rate * MIN_RATE_FRACTION);
         }
     }
 
@@ -193,7 +178,7 @@ mod tests {
 
     #[test]
     fn rising_rtt_cuts_rate() {
-        let mut t = Timely::new(TimelyConfig::default(), ctx());
+        let mut t = Timely::new(ctx());
         let r0 = t.rate_bytes();
         // RTT ramping 24 -> 43 us: positive gradient inside the band.
         for i in 0..20u64 {
@@ -212,7 +197,7 @@ mod tests {
     fn flat_rtt_at_any_level_grows_rate() {
         // The defining current-based blindness: a *stable* 2-BDP queue
         // (RTT inside the band, zero gradient) still increases the rate.
-        let mut t = Timely::new(TimelyConfig::default(), ctx());
+        let mut t = Timely::new(ctx());
         t.rate = t.line_rate * 0.5;
         let r0 = t.rate_bytes();
         for i in 0..10u64 {
@@ -226,7 +211,7 @@ mod tests {
 
     #[test]
     fn low_rtt_additive_increase() {
-        let mut t = Timely::new(TimelyConfig::default(), ctx());
+        let mut t = Timely::new(ctx());
         t.rate = t.line_rate * 0.25;
         let r0 = t.rate_bytes();
         for i in 0..10u64 {
@@ -240,7 +225,7 @@ mod tests {
 
     #[test]
     fn very_high_rtt_decreases_even_with_negative_gradient() {
-        let mut t = Timely::new(TimelyConfig::default(), ctx());
+        let mut t = Timely::new(ctx());
         // RTT falling but far above Thigh (60us = 3x base): must decrease.
         t.on_ack(&ack(100, 0, Tick::from_micros(200)));
         let r0 = t.rate_bytes();
@@ -250,7 +235,7 @@ mod tests {
 
     #[test]
     fn rate_stays_in_bounds_under_noise() {
-        let mut t = Timely::new(TimelyConfig::default(), ctx());
+        let mut t = Timely::new(ctx());
         for i in 0..500u64 {
             let rtt = Tick::from_nanos(20_000 + (i * 104_729) % 150_000);
             t.on_ack(&ack(100 + i, i, rtt));
@@ -261,7 +246,7 @@ mod tests {
 
     #[test]
     fn timeout_halves_rate() {
-        let mut t = Timely::new(TimelyConfig::default(), ctx());
+        let mut t = Timely::new(ctx());
         let r0 = t.rate_bytes();
         t.on_loss(Tick::from_micros(10), LossKind::Timeout);
         assert!((t.rate_bytes() - r0 / 2.0).abs() < 1.0);

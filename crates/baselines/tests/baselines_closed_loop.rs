@@ -3,10 +3,7 @@
 //! defining queue signature (the property the PowerTCP paper's taxonomy
 //! hangs on).
 
-use cc_baselines::{
-    Dcqcn, DcqcnConfig, Dctcp, DctcpConfig, Hpcc, HpccConfig, NewReno, NewRenoConfig, Swift,
-    SwiftConfig, Timely, TimelyConfig,
-};
+use cc_baselines::{hpcc::ETA, Dcqcn, Dctcp, Hpcc, NewReno, Swift, Timely};
 use dcn_sim::{
     build_star, queue_tracer, series, EcnConfig, Endpoint, FlowId, NodeId, PfcConfig, PortId,
     Simulator, SwitchConfig,
@@ -83,7 +80,7 @@ fn run(make: MkCc, ecn: bool, pfc: bool) -> (usize, usize, f64, f64, u64) {
 #[test]
 fn hpcc_completes_with_near_zero_steady_queue() {
     let (done, total, _, steady, _) = run(
-        Box::new(|t, nic| Box::new(Hpcc::new(HpccConfig::default(), t.cc_context(nic)))),
+        Box::new(|t, nic| Box::new(Hpcc::new(ETA, t.cc_context(nic)))),
         false,
         true,
     );
@@ -97,7 +94,7 @@ fn hpcc_completes_with_near_zero_steady_queue() {
 #[test]
 fn dcqcn_completes_and_oscillates_around_marking_threshold() {
     let (done, total, peak, steady, _) = run(
-        Box::new(|t, nic| Box::new(Dcqcn::new(DcqcnConfig::default(), t.cc_context(nic)))),
+        Box::new(|t, nic| Box::new(Dcqcn::new(t.cc_context(nic)))),
         true,
         true,
     );
@@ -116,13 +113,13 @@ fn dcqcn_completes_and_oscillates_around_marking_threshold() {
 #[test]
 fn timely_completes_but_does_not_control_queue() {
     let (done, total, _, t_steady, _) = run(
-        Box::new(|t, nic| Box::new(Timely::new(TimelyConfig::default(), t.cc_context(nic)))),
+        Box::new(|t, nic| Box::new(Timely::new(t.cc_context(nic)))),
         false,
         true,
     );
     assert_eq!(done, total);
     let (_, _, _, h_steady, _) = run(
-        Box::new(|t, nic| Box::new(Hpcc::new(HpccConfig::default(), t.cc_context(nic)))),
+        Box::new(|t, nic| Box::new(Hpcc::new(ETA, t.cc_context(nic)))),
         false,
         true,
     );
@@ -135,7 +132,7 @@ fn timely_completes_but_does_not_control_queue() {
 #[test]
 fn swift_completes_and_bounds_delay() {
     let (done, total, _, steady, _) = run(
-        Box::new(|t, nic| Box::new(Swift::new(SwiftConfig::default(), t.cc_context(nic)))),
+        Box::new(|t, nic| Box::new(Swift::new(t.cc_context(nic)))),
         false,
         true,
     );
@@ -148,7 +145,7 @@ fn swift_completes_and_bounds_delay() {
 #[test]
 fn dctcp_completes_with_ecn() {
     let (done, total, _, _, drops) = run(
-        Box::new(|t, nic| Box::new(Dctcp::new(DctcpConfig::default(), t.cc_context(nic)))),
+        Box::new(|t, nic| Box::new(Dctcp::new(t.cc_context(nic)))),
         true,
         true,
     );
@@ -160,7 +157,7 @@ fn dctcp_completes_with_ecn() {
 fn newreno_completes_on_lossy_fabric() {
     // The loss-based anchor runs without ECN or PFC: drops are its signal.
     let (done, total, _, _, _) = run(
-        Box::new(|t, nic| Box::new(NewReno::new(NewRenoConfig::default(), t.cc_context(nic)))),
+        Box::new(|t, nic| Box::new(NewReno::new(t.cc_context(nic)))),
         false,
         false,
     );

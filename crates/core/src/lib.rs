@@ -32,7 +32,10 @@
 //! ## What lives here
 //!
 //! * [`PowerTcp`] — the INT-based algorithm (Algorithm 1),
-//! * [`ThetaPowerTcp`] — the delay-based standalone variant (Algorithm 2),
+//! * [`ThetaPowerTcp`] — the delay-based standalone variant (Algorithm 2);
+//!   both steer one Eq. 7 window and take one tunable, the EWMA gain γ
+//!   ([`GAMMA`] `= 0.9` is the paper's value; `β` derives from the
+//!   [`CcContext`]),
 //! * [`PowerEstimator`] — power computation from consecutive INT snapshots,
 //! * [`IntHeader`]/[`IntHopMetadata`] — HPCC-compatible telemetry types,
 //! * [`CongestionControl`] — the trait every algorithm (including the
@@ -48,7 +51,7 @@
 //! ```
 //! use powertcp_core::{
 //!     AckInfo, Bandwidth, CcContext, CongestionControl, IntHeader,
-//!     IntHopMetadata, PowerTcp, PowerTcpConfig, Tick,
+//!     IntHopMetadata, PowerTcp, Tick, GAMMA,
 //! };
 //!
 //! let ctx = CcContext {
@@ -57,7 +60,7 @@
 //!     mtu: 1000,
 //!     expected_flows: 4,
 //! };
-//! let mut cc = PowerTcp::new(PowerTcpConfig::default(), ctx);
+//! let mut cc = PowerTcp::new(GAMMA, ctx);
 //! assert_eq!(cc.cwnd() as u64, 62_500); // HostBw × τ
 //!
 //! // Feed an ACK carrying an INT snapshot of the bottleneck egress port.
@@ -82,18 +85,17 @@
 #![warn(missing_docs)]
 
 pub mod cc;
-pub mod config;
 pub mod int;
 pub mod power;
 pub mod powertcp;
 pub mod theta;
 pub mod time;
 pub mod units;
+mod window;
 
 pub use cc::{
     clamp_cwnd, rate_from_cwnd, AckInfo, CcContext, CongestionControl, LossKind, NetSignal,
 };
-pub use config::{PowerTcpConfig, UpdateInterval};
 pub use int::{IntHeader, IntHopMetadata, MAX_INT_HOPS};
 pub use power::{
     norm_power_closed_form, PowerEstimator, PowerSample, MAX_NORM_POWER, MIN_NORM_POWER,
@@ -102,3 +104,4 @@ pub use powertcp::PowerTcp;
 pub use theta::ThetaPowerTcp;
 pub use time::Tick;
 pub use units::Bandwidth;
+pub use window::GAMMA;

@@ -14,60 +14,47 @@
 //! link is 10% or 100% busy), so it falls back to slow additive increase
 //! for ramp-up, and in multi-bottleneck settings it reacts to the *sum* of
 //! queueing delays instead of the single most-bottlenecked hop. It updates
-//! once per RTT rather than per ACK.
+//! once per RTT rather than per ACK. The update itself (Eq. 7, its clamps
+//! and the timeout back-off) is the window PowerTCP shares (`window.rs`,
+//! which lists the constants); this file measures `Γ_norm` from the RTT
+//! and gates the update.
 
-use crate::cc::{clamp_cwnd, rate_from_cwnd, AckInfo, CcContext, CongestionControl, LossKind};
-use crate::config::PowerTcpConfig;
+use crate::cc::{AckInfo, CcContext, CongestionControl, LossKind};
 use crate::power::{MAX_NORM_POWER, MIN_NORM_POWER};
 use crate::time::Tick;
 use crate::units::Bandwidth;
-
-/// Back-off on timeout, mirroring [`crate::powertcp::PowerTcp`].
-const TIMEOUT_BACKOFF: f64 = 0.5;
+use crate::window::Window;
 
 /// The delay-based θ-PowerTCP sender.
 #[derive(Clone, Debug)]
 pub struct ThetaPowerTcp {
-    cfg: PowerTcpConfig,
     ctx: CcContext,
-    cwnd: f64,
-    cwnd_old: f64,
+    window: Window,
     /// Sequence gate for once-per-RTT window updates (`lastUpdated`).
     last_updated_seq: u64,
-    /// Sequence gate for the `w_old` snapshot.
-    update_seq: u64,
     prev_rtt: Option<Tick>,
     /// Receive time of the previous ACK (`t_c^prev`).
     prev_ack_time: Option<Tick>,
     smoothed_power: f64,
-    min_cwnd: f64,
-    max_cwnd: f64,
 }
 
 impl ThetaPowerTcp {
-    /// Create a θ-PowerTCP instance for one flow.
-    pub fn new(cfg: PowerTcpConfig, ctx: CcContext) -> Self {
-        let init = ctx.host_bdp_bytes();
+    /// Create a θ-PowerTCP instance for one flow with EWMA gain `gamma`
+    /// ([`GAMMA`](crate::GAMMA) is the paper's value).
+    pub fn new(gamma: f64, ctx: CcContext) -> Self {
         ThetaPowerTcp {
-            cfg,
             ctx,
-            cwnd: init,
-            cwnd_old: init,
+            window: Window::new(gamma, ctx),
             last_updated_seq: 0,
-            update_seq: 0,
             prev_rtt: None,
             prev_ack_time: None,
             smoothed_power: 1.0,
-            min_cwnd: cfg.min_cwnd_bytes,
-            max_cwnd: init * cfg.max_cwnd_factor,
         }
     }
 
     /// Additive increase β in bytes.
     pub fn beta(&self) -> f64 {
-        self.cfg
-            .beta_override_bytes
-            .unwrap_or_else(|| self.ctx.beta_bytes())
+        self.window.beta()
     }
 
     /// NORMPOWER of Algorithm 2: `Γ_norm = (θ̇ + 1) · θ / τ`, smoothed over
@@ -109,29 +96,22 @@ impl CongestionControl for ThetaPowerTcp {
         if ack.ack_seq < self.last_updated_seq {
             return;
         }
-        let gamma = self.cfg.gamma;
-        let new = gamma * (self.cwnd_old / power + self.beta()) + (1.0 - gamma) * self.cwnd;
-        self.cwnd = clamp_cwnd(new, self.min_cwnd, self.max_cwnd);
+        self.window.update(power, ack);
         self.last_updated_seq = ack.snd_nxt;
-        if ack.ack_seq >= self.update_seq {
-            self.cwnd_old = self.cwnd;
-            self.update_seq = ack.snd_nxt;
-        }
     }
 
     fn on_loss(&mut self, _now: Tick, kind: LossKind) {
         if kind == LossKind::Timeout {
-            self.cwnd = clamp_cwnd(self.cwnd * TIMEOUT_BACKOFF, self.min_cwnd, self.max_cwnd);
-            self.cwnd_old = self.cwnd;
+            self.window.on_timeout();
         }
     }
 
     fn cwnd(&self) -> f64 {
-        self.cwnd
+        self.window.cwnd
     }
 
     fn pacing_rate(&self) -> Bandwidth {
-        rate_from_cwnd(self.cwnd, self.ctx.base_rtt, self.ctx.host_bw)
+        self.window.pacing_rate()
     }
 
     fn norm_power(&self) -> Option<f64> {
@@ -146,6 +126,7 @@ impl CongestionControl for ThetaPowerTcp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::{GAMMA, MIN_CWND_BYTES};
 
     fn ctx() -> CcContext {
         CcContext {
@@ -170,7 +151,7 @@ mod tests {
 
     #[test]
     fn needs_two_acks_to_act() {
-        let mut p = ThetaPowerTcp::new(PowerTcpConfig::default(), ctx());
+        let mut p = ThetaPowerTcp::new(GAMMA, ctx());
         let w0 = p.cwnd();
         p.on_ack(&ack(Tick::from_micros(100), 1000, Tick::from_micros(20)));
         assert_eq!(p.cwnd(), w0);
@@ -179,9 +160,9 @@ mod tests {
     #[test]
     fn rtt_at_base_with_positive_beta_grows_additively() {
         // RTT pinned at τ: power = 1, so each per-RTT update adds ≈ γ·β.
-        let mut p = ThetaPowerTcp::new(PowerTcpConfig::default(), ctx());
-        p.cwnd = 10_000.0;
-        p.cwnd_old = 10_000.0;
+        let mut p = ThetaPowerTcp::new(GAMMA, ctx());
+        p.window.cwnd = 10_000.0;
+        p.window.cwnd_old = 10_000.0;
         let mut now = Tick::from_micros(100);
         let mut seq = 100_000u64; // past last_updated gate
         let w0 = p.cwnd();
@@ -198,7 +179,7 @@ mod tests {
 
     #[test]
     fn inflated_rtt_shrinks_window() {
-        let mut p = ThetaPowerTcp::new(PowerTcpConfig::default(), ctx());
+        let mut p = ThetaPowerTcp::new(GAMMA, ctx());
         let mut now = Tick::from_micros(100);
         let mut seq = 100_000u64;
         let w0 = p.cwnd();
@@ -213,7 +194,7 @@ mod tests {
 
     #[test]
     fn once_per_rtt_gate_holds() {
-        let mut p = ThetaPowerTcp::new(PowerTcpConfig::default(), ctx());
+        let mut p = ThetaPowerTcp::new(GAMMA, ctx());
         let now0 = Tick::from_micros(100);
         p.on_ack(&ack(now0, 1000, Tick::from_micros(40)));
         // Second ack triggers an update and sets the gate to snd_nxt.
@@ -239,7 +220,7 @@ mod tests {
     fn gradient_spike_reacts_before_queue_is_large() {
         // Rapidly rising RTT with small absolute queueing: the gradient
         // term must already push power above 1.
-        let mut p = ThetaPowerTcp::new(PowerTcpConfig::default(), ctx());
+        let mut p = ThetaPowerTcp::new(GAMMA, ctx());
         let mut now = Tick::from_micros(100);
         p.on_ack(&ack(now, 1000, Tick::from_micros(20)));
         // +2us RTT per 2us of time: θ̇ = 1, power ≈ (1+1)·θ/τ ≈ 2.
@@ -257,14 +238,14 @@ mod tests {
 
     #[test]
     fn window_bounded_under_noise() {
-        let mut p = ThetaPowerTcp::new(PowerTcpConfig::default(), ctx());
+        let mut p = ThetaPowerTcp::new(GAMMA, ctx());
         let mut now = Tick::from_micros(100);
         for i in 0..300u64 {
             now += Tick::from_nanos(137 + (i * 7919) % 5000);
             let rtt = Tick::from_nanos(20_000 + (i * 104_729) % 80_000);
             p.on_ack(&ack(now, i * 1000, rtt));
             assert!(p.cwnd().is_finite());
-            assert!(p.cwnd() >= p.min_cwnd && p.cwnd() <= p.max_cwnd);
+            assert!(p.cwnd() >= MIN_CWND_BYTES && p.cwnd() <= p.window.max_cwnd);
         }
     }
 }

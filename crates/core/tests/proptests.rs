@@ -2,7 +2,7 @@
 
 use powertcp_core::{
     norm_power_closed_form, AckInfo, Bandwidth, CcContext, CongestionControl, IntHeader,
-    IntHopMetadata, PowerEstimator, PowerTcp, PowerTcpConfig, ThetaPowerTcp, Tick, MAX_NORM_POWER,
+    IntHopMetadata, PowerEstimator, PowerTcp, ThetaPowerTcp, Tick, GAMMA, MAX_NORM_POWER,
     MIN_NORM_POWER,
 };
 use proptest::prelude::*;
@@ -100,7 +100,7 @@ proptest! {
         steps in prop::collection::vec(
             (1u64..10_000_000, 0u64..20_000_000, 0u64..1_000_000_000), 2..80),
     ) {
-        let mut cc = PowerTcp::new(PowerTcpConfig::default(), ctx());
+        let mut cc = PowerTcp::new(GAMMA, ctx());
         let max = ctx().host_bdp_bytes() * 2.0;
         let mut ts = Tick::from_micros(1);
         let mut seq = 0u64;
@@ -129,7 +129,7 @@ proptest! {
         steps in prop::collection::vec(
             (1u64..10_000_000, 15_000u64..400_000), 2..120),
     ) {
-        let mut cc = ThetaPowerTcp::new(PowerTcpConfig::default(), ctx());
+        let mut cc = ThetaPowerTcp::new(GAMMA, ctx());
         let max = ctx().host_bdp_bytes() * 2.0;
         let mut ts = Tick::from_micros(1);
         let mut seq = 0u64;

@@ -1,10 +1,10 @@
 //! End-to-end RDCN tests: real transports over the rotor-scheduled
 //! circuit + packet hybrid fabric (the §5 case-study substrate).
 
-use cc_baselines::{ReTcp, ReTcpConfig};
+use cc_baselines::ReTcp;
 use dcn_sim::Simulator;
 use dcn_transport::{CcFactory, MetricsHub, SharedMetrics, TransportConfig};
-use powertcp_core::{CongestionControl, PowerTcp, PowerTcpConfig, Tick};
+use powertcp_core::{CongestionControl, PowerTcp, Tick, GAMMA};
 use rdcn::{build_rack_pair, Rdcn, RdcnConfig};
 
 /// Build a small RDCN where every host of rack 0 sends a long flow to its
@@ -21,9 +21,9 @@ fn rack_pair_setup(cfg: RdcnConfig, flow_bytes: u64, use_retcp: bool) -> (Rdcn, 
         Box::new(move |_f, nic_bw| -> Box<dyn CongestionControl> {
             let ctx = tcfg.cc_context(nic_bw);
             if use_retcp {
-                Box::new(ReTcp::new(ReTcpConfig::default(), ctx))
+                Box::new(ReTcp::new(ctx))
             } else {
-                Box::new(PowerTcp::new(PowerTcpConfig::default(), ctx))
+                Box::new(PowerTcp::new(GAMMA, ctx))
             }
         })
     };

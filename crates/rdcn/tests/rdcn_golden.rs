@@ -27,10 +27,10 @@
 //! `ENGINE_VERSION` bump):
 //! `GOLDEN_REGEN=1 cargo test -p rdcn --test rdcn_golden`.
 
-use cc_baselines::{Hpcc, HpccConfig, ReTcp, ReTcpConfig};
+use cc_baselines::{hpcc::ETA, Hpcc, ReTcp};
 use dcn_sim::{Endpoint, EndpointCtx, Node, NullEndpoint, Packet, PacketKind, SimStats, Simulator};
 use dcn_transport::{CcFactory, MetricsHub, TransportConfig};
-use powertcp_core::{CongestionControl, PowerTcp, PowerTcpConfig, Tick};
+use powertcp_core::{CongestionControl, PowerTcp, Tick, GAMMA};
 use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -160,9 +160,9 @@ fn run(r: &Run) -> (Stream, TorTx, SimStats) {
         Box::new(move |_flow, nic_bw| -> Box<dyn CongestionControl> {
             let ctx = tcfg.cc_context(nic_bw);
             match law {
-                Law::PowerTcp => Box::new(PowerTcp::new(PowerTcpConfig::default(), ctx)),
-                Law::ReTcp => Box::new(ReTcp::new(ReTcpConfig::default(), ctx)),
-                Law::Hpcc => Box::new(Hpcc::new(HpccConfig::default(), ctx)),
+                Law::PowerTcp => Box::new(PowerTcp::new(GAMMA, ctx)),
+                Law::ReTcp => Box::new(ReTcp::new(ctx)),
+                Law::Hpcc => Box::new(Hpcc::new(ETA, ctx)),
             }
         })
     };

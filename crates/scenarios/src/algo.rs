@@ -2,15 +2,12 @@
 //! constructors, switch requirements (INT / ECN), and transport choices.
 
 use crate::spec::ParamSpec;
-use cc_baselines::{
-    Dcqcn, DcqcnConfig, Dctcp, DctcpConfig, Hpcc, HpccConfig, NewReno, NewRenoConfig, ReTcp,
-    ReTcpConfig, Swift, SwiftConfig, Timely, TimelyConfig,
-};
+use cc_baselines::{hpcc::ETA, Dcqcn, Dctcp, Hpcc, NewReno, ReTcp, Swift, Timely};
 use dcn_sim::{EcnConfig, Endpoint, PfcConfig, SwitchConfig};
 use dcn_transport::{
     CcFactory, FlowSpec, HomaConfig, HomaHost, SharedMetrics, TransportConfig, TransportHost,
 };
-use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, PowerTcpConfig, ThetaPowerTcp};
+use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, ThetaPowerTcp, GAMMA};
 
 /// The protocols under evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,26 +181,17 @@ impl Algo {
         assert!(!self.is_homa(), "HOMA runs on its own transport");
         Box::new(move |_flow, nic_bw| -> Box<dyn CongestionControl> {
             let ctx = tcfg.cc_context(nic_bw);
-            let ptcfg = || PowerTcpConfig {
-                gamma: param.gamma.unwrap_or(PowerTcpConfig::default().gamma),
-                ..PowerTcpConfig::default()
-            };
+            let gamma = param.gamma.unwrap_or(GAMMA);
             match self {
-                Algo::PowerTcp => Box::new(PowerTcp::new(ptcfg(), ctx)),
-                Algo::ThetaPowerTcp => Box::new(ThetaPowerTcp::new(ptcfg(), ctx)),
-                Algo::Hpcc => Box::new(Hpcc::new(
-                    HpccConfig {
-                        eta: param.hpcc_eta.unwrap_or(HpccConfig::default().eta),
-                        ..HpccConfig::default()
-                    },
-                    ctx,
-                )),
-                Algo::Dcqcn => Box::new(Dcqcn::new(DcqcnConfig::default(), ctx)),
-                Algo::Timely => Box::new(Timely::new(TimelyConfig::default(), ctx)),
-                Algo::Swift => Box::new(Swift::new(SwiftConfig::default(), ctx)),
-                Algo::Dctcp => Box::new(Dctcp::new(DctcpConfig::default(), ctx)),
-                Algo::NewReno => Box::new(NewReno::new(NewRenoConfig::default(), ctx)),
-                Algo::ReTcp => Box::new(ReTcp::new(ReTcpConfig::default(), ctx)),
+                Algo::PowerTcp => Box::new(PowerTcp::new(gamma, ctx)),
+                Algo::ThetaPowerTcp => Box::new(ThetaPowerTcp::new(gamma, ctx)),
+                Algo::Hpcc => Box::new(Hpcc::new(param.hpcc_eta.unwrap_or(ETA), ctx)),
+                Algo::Dcqcn => Box::new(Dcqcn::new(ctx)),
+                Algo::Timely => Box::new(Timely::new(ctx)),
+                Algo::Swift => Box::new(Swift::new(ctx)),
+                Algo::Dctcp => Box::new(Dctcp::new(ctx)),
+                Algo::NewReno => Box::new(NewReno::new(ctx)),
+                Algo::ReTcp => Box::new(ReTcp::new(ctx)),
                 Algo::Homa(_) => unreachable!(),
             }
         })

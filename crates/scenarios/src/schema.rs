@@ -1132,8 +1132,18 @@ mod tests {
                 }
             }
         }
-        // The params mini-grammar's floats, too.
-        for bad in ["gamma=inf", "eta=-inf", "alpha=1e999", "gamma=nan"] {
+        // The params mini-grammar's floats, too, and the range (0, 1] of
+        // γ and η: the only check on the two values a spec hands a law.
+        for bad in [
+            "gamma=inf",
+            "eta=-inf",
+            "alpha=1e999",
+            "gamma=nan",
+            "gamma=0",
+            "gamma=1.5",
+            "eta=0",
+            "eta=1.5",
+        ] {
             let mut spec =
                 crate::library::builtin("gamma-sweep").expect("gamma-sweep is a builtin");
             spec.sweep_mut("test").sweep.params = vec![ParamSpec::parse(bad).unwrap()];

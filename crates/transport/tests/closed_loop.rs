@@ -11,7 +11,7 @@ use dcn_transport::{
     FlowSpec, HomaConfig, HomaHost, MetricsHub, SharedMetrics, TransportConfig, TransportHost,
 };
 use powertcp_core::{
-    Bandwidth, CcContext, CongestionControl, PowerTcp, PowerTcpConfig, ThetaPowerTcp, Tick,
+    Bandwidth, CcContext, CongestionControl, PowerTcp, ThetaPowerTcp, Tick, GAMMA,
 };
 
 fn powertcp_factory(
@@ -19,7 +19,7 @@ fn powertcp_factory(
 ) -> impl FnMut(FlowId, Bandwidth) -> Box<dyn CongestionControl> {
     move |_id, nic_bw| {
         let ctx: CcContext = cfg.cc_context(nic_bw);
-        Box::new(PowerTcp::new(PowerTcpConfig::default(), ctx))
+        Box::new(PowerTcp::new(GAMMA, ctx))
     }
 }
 
@@ -28,7 +28,7 @@ fn theta_factory(
 ) -> impl FnMut(FlowId, Bandwidth) -> Box<dyn CongestionControl> {
     move |_id, nic_bw| {
         let ctx: CcContext = cfg.cc_context(nic_bw);
-        Box::new(ThetaPowerTcp::new(PowerTcpConfig::default(), ctx))
+        Box::new(ThetaPowerTcp::new(GAMMA, ctx))
     }
 }
 

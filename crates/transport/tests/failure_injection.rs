@@ -6,7 +6,7 @@ use dcn_sim::{
     build_star, Endpoint, EndpointCtx, FlowId, NodeId, Packet, PacketKind, Simulator, SwitchConfig,
 };
 use dcn_transport::{FlowSpec, MetricsHub, TransportConfig, TransportHost};
-use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, PowerTcpConfig, Tick};
+use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, Tick, GAMMA};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -15,10 +15,7 @@ fn powertcp_host(tcfg: TransportConfig, metrics: dcn_transport::SharedMetrics) -
         tcfg,
         metrics,
         Box::new(move |_f, nic| -> Box<dyn CongestionControl> {
-            Box::new(PowerTcp::new(
-                PowerTcpConfig::default(),
-                tcfg.cc_context(nic),
-            ))
+            Box::new(PowerTcp::new(GAMMA, tcfg.cc_context(nic)))
         }),
     )
 }

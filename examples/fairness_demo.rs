@@ -10,7 +10,7 @@ use dcn_sim::{
 };
 use dcn_stats::jain_index;
 use dcn_transport::{FlowSpec, MetricsHub, TransportConfig, TransportHost};
-use powertcp_core::{Bandwidth, CongestionControl, PowerTcpConfig, ThetaPowerTcp, Tick};
+use powertcp_core::{Bandwidth, CongestionControl, ThetaPowerTcp, Tick, GAMMA};
 
 fn main() {
     let metrics = MetricsHub::new_shared();
@@ -24,10 +24,7 @@ fn main() {
     let m2 = metrics.clone();
     let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
         let make_cc = move |_f: FlowId, nic: Bandwidth| -> Box<dyn CongestionControl> {
-            Box::new(ThetaPowerTcp::new(
-                PowerTcpConfig::default(),
-                tcfg.cc_context(nic),
-            ))
+            Box::new(ThetaPowerTcp::new(GAMMA, tcfg.cc_context(nic)))
         };
         let mut host = TransportHost::new(tcfg, m2.clone(), Box::new(make_cc));
         if idx >= 1 {

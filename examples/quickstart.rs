@@ -14,7 +14,7 @@ use dcn_sim::{
 };
 use dcn_stats::slowdown;
 use dcn_transport::{FlowSpec, MetricsHub, TransportConfig, TransportHost};
-use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, PowerTcpConfig, Tick};
+use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, Tick, GAMMA};
 
 fn main() {
     // Shared metrics hub: endpoints report completions here.
@@ -34,10 +34,7 @@ fn main() {
         let make_cc = {
             let tcfg = tcfg;
             move |_flow: FlowId, nic_bw: Bandwidth| -> Box<dyn CongestionControl> {
-                Box::new(PowerTcp::new(
-                    PowerTcpConfig::default(),
-                    tcfg.cc_context(nic_bw),
-                ))
+                Box::new(PowerTcp::new(GAMMA, tcfg.cc_context(nic_bw)))
             }
         };
         let mut host = TransportHost::new(tcfg, m2.clone(), Box::new(make_cc));

@@ -12,7 +12,7 @@
 
 use dcn_sim::{series, Simulator};
 use dcn_transport::{CcFactory, MetricsHub, TransportConfig};
-use powertcp_core::{CongestionControl, PowerTcp, PowerTcpConfig, Tick};
+use powertcp_core::{CongestionControl, PowerTcp, Tick, GAMMA};
 use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
 
 fn main() {
@@ -35,10 +35,7 @@ fn main() {
     };
     let mut make_cc = || -> CcFactory {
         Box::new(move |_f, nic| -> Box<dyn CongestionControl> {
-            Box::new(PowerTcp::new(
-                PowerTcpConfig::default(),
-                tcfg.cc_context(nic),
-            ))
+            Box::new(PowerTcp::new(GAMMA, tcfg.cc_context(nic)))
         })
     };
     let r = build_rack_pair(cfg, &metrics, tcfg, 50_000_000, &mut make_cc);

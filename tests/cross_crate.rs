@@ -8,7 +8,7 @@ use dcn_sim::{
 use dcn_stats::{slowdown, Summary};
 use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig, TransportHost};
 use dcn_workloads::{poisson_flows, HostMap, PoissonConfig, SizeCdf};
-use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, PowerTcpConfig, ThetaPowerTcp, Tick};
+use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, ThetaPowerTcp, Tick, GAMMA};
 
 /// A tiny shared harness: N senders → 1 receiver on a star, one algorithm.
 fn star_incast_queue(
@@ -72,22 +72,12 @@ fn powertcp_beats_timely_on_steady_state_queue() {
     // §2's thesis end-to-end: power-based CC controls the absolute queue;
     // gradient-based CC does not.
     let (_, p_steady, pm) = star_incast_queue(
-        |tcfg, nic| {
-            Box::new(PowerTcp::new(
-                PowerTcpConfig::default(),
-                tcfg.cc_context(nic),
-            ))
-        },
+        |tcfg, nic| Box::new(PowerTcp::new(GAMMA, tcfg.cc_context(nic))),
         8,
         1_500_000,
     );
     let (_, t_steady, tm) = star_incast_queue(
-        |tcfg, nic| {
-            Box::new(cc_baselines::Timely::new(
-                cc_baselines::TimelyConfig::default(),
-                tcfg.cc_context(nic),
-            ))
-        },
+        |tcfg, nic| Box::new(cc_baselines::Timely::new(tcfg.cc_context(nic))),
         8,
         1_500_000,
     );
@@ -115,10 +105,7 @@ fn theta_powertcp_needs_no_switch_support() {
             tcfg,
             m2.clone(),
             Box::new(move |_f, nic| -> Box<dyn CongestionControl> {
-                Box::new(ThetaPowerTcp::new(
-                    PowerTcpConfig::default(),
-                    tcfg.cc_context(nic),
-                ))
+                Box::new(ThetaPowerTcp::new(GAMMA, tcfg.cc_context(nic)))
             }),
         );
         if idx >= 1 {
@@ -164,10 +151,7 @@ fn powertcp_requires_int_and_holds_without_it() {
             tcfg,
             m2.clone(),
             Box::new(move |_f, nic| -> Box<dyn CongestionControl> {
-                Box::new(PowerTcp::new(
-                    PowerTcpConfig::default(),
-                    tcfg.cc_context(nic),
-                ))
+                Box::new(PowerTcp::new(GAMMA, tcfg.cc_context(nic)))
             }),
         );
         if idx == 1 {
@@ -214,10 +198,7 @@ fn fluid_and_packet_models_agree_on_equilibrium() {
             tcfg,
             m2.clone(),
             Box::new(move |_f, nic| -> Box<dyn CongestionControl> {
-                Box::new(PowerTcp::new(
-                    PowerTcpConfig::default(),
-                    tcfg.cc_context(nic),
-                ))
+                Box::new(PowerTcp::new(GAMMA, tcfg.cc_context(nic)))
             }),
         );
         if idx == 0 {
@@ -301,10 +282,7 @@ fn workload_generator_drives_fat_tree_experiment() {
             tcfg,
             m2.clone(),
             Box::new(move |_f, nic| -> Box<dyn CongestionControl> {
-                Box::new(PowerTcp::new(
-                    PowerTcpConfig::default(),
-                    tcfg.cc_context(nic),
-                ))
+                Box::new(PowerTcp::new(GAMMA, tcfg.cc_context(nic)))
             }),
         );
         for f in &per_host[idx] {
@@ -337,12 +315,7 @@ fn workload_generator_drives_fat_tree_experiment() {
 fn deterministic_across_full_public_api() {
     let run = || {
         let (peak, tail, m) = star_incast_queue(
-            |tcfg, nic| {
-                Box::new(PowerTcp::new(
-                    PowerTcpConfig::default(),
-                    tcfg.cc_context(nic),
-                ))
-            },
+            |tcfg, nic| Box::new(PowerTcp::new(GAMMA, tcfg.cc_context(nic))),
             6,
             700_000,
         );
