@@ -11,7 +11,7 @@
 //! [`crate::obs::RunObserver`] and never feeds the report path.
 
 use crate::cache::ResultCache;
-use crate::key::item_key;
+use crate::key::SpecKeys;
 use crate::obs::RunObserver;
 use crate::worker;
 use dcn_scenarios::{
@@ -88,21 +88,28 @@ pub struct RunStats {
 }
 
 /// A [`PointSource`] that consults a [`ResultCache`] before computing,
-/// and stores every computed outcome back.
-pub struct CachingSource {
-    cache: Option<ResultCache>,
+/// and stores every computed outcome back. It serves the one spec it was
+/// built for, whose key preamble it derives once ([`SpecKeys`]).
+pub struct CachingSource<'a> {
+    cache: Option<(ResultCache, SpecKeys<'a>)>,
 }
 
-impl CachingSource {
-    /// A source backed by `cache` (`None` = always compute).
-    pub fn new(cache: Option<ResultCache>) -> Self {
-        CachingSource { cache }
+impl<'a> CachingSource<'a> {
+    /// A source for `spec`'s work items backed by `cache` (`None` =
+    /// always compute).
+    pub fn new(cache: Option<ResultCache>, spec: &'a ScenarioSpec) -> Self {
+        CachingSource {
+            cache: cache.map(|c| (c, SpecKeys::new(spec))),
+        }
     }
 }
 
-impl PointSource for CachingSource {
+impl PointSource for CachingSource<'_> {
     fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
-        let keyed = self.cache.as_ref().map(|c| (c, item_key(spec, item)));
+        let keyed = self.cache.as_ref().map(|(c, keys)| {
+            debug_assert!(keys.spec() == spec, "a CachingSource serves one spec");
+            (c, keys.item(item))
+        });
         if let Some((cache, key)) = &keyed {
             // A payload of the other outcome kind is a miss like any
             // other invalid entry: recompute and overwrite.
@@ -155,7 +162,7 @@ fn run_inproc(
     cfg: &RunConfig,
     threads: usize,
 ) -> Result<(ScenarioOutput, RunStats), String> {
-    let source = CachingSource::new(cfg.cache_dir.as_ref().map(ResultCache::new));
+    let source = CachingSource::new(cfg.cache_dir.as_ref().map(ResultCache::new), spec);
     let obs = RunObserver::new(spec.num_points(), cfg.progress, cfg.log_json.as_deref())?;
     let output = run_scenario_observed(spec, threads.max(1), &source, &obs)?;
     Ok((output, run_stats(spec, obs, 1)))
@@ -401,7 +408,7 @@ fn clock_now() -> Instant {
 /// store, and spans flow straight into the job's event log.
 pub fn serve_run_fn(cache_dir: Option<PathBuf>, threads: usize) -> dcn_serve::RunFn {
     Arc::new(move |spec, obs| {
-        let source = CachingSource::new(cache_dir.as_ref().map(ResultCache::new));
+        let source = CachingSource::new(cache_dir.as_ref().map(ResultCache::new), spec);
         run_scenario_observed(spec, threads.max(1), &source, obs)
     })
 }
@@ -415,6 +422,7 @@ pub fn serve_stat_fn(cache_dir: PathBuf) -> dcn_serve::StatFn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::item_key;
     use dcn_scenarios::builtin;
     use std::path::Path;
 

@@ -85,26 +85,77 @@ fn preamble(spec: &ScenarioSpec) -> String {
     )
 }
 
+/// A spec's keys: its preamble (format line, engine salt, spec fragment)
+/// derived once, then one canon per work item. A run derives it once
+/// for its whole expansion ([`crate::CachingSource`]); [`item_key`],
+/// [`point_key`] and [`entry_key`] derive it per call.
+#[derive(Clone, Debug)]
+pub struct SpecKeys<'a> {
+    spec: &'a ScenarioSpec,
+    preamble: String,
+}
+
+impl<'a> SpecKeys<'a> {
+    /// Derive `spec`'s preamble.
+    pub fn new(spec: &'a ScenarioSpec) -> SpecKeys<'a> {
+        let preamble = preamble(spec);
+        SpecKeys { spec, preamble }
+    }
+
+    /// The spec these keys address.
+    pub fn spec(&self) -> &'a ScenarioSpec {
+        self.spec
+    }
+
+    /// Key of one work item: a sweep point or a lineup entry.
+    pub fn item(&self, item: &WorkItem) -> CacheKey {
+        match item {
+            WorkItem::Point(p) => self.point(p),
+            WorkItem::Entry(e) => self.entry(e),
+        }
+    }
+
+    fn point(&self, point: &SweepPoint) -> CacheKey {
+        CacheKey::from_canon(format!(
+            "{}--- point ---\nkind=sweep\nalgo={}\nparam={}\nload-bits={:016x}\nseed={}\n",
+            self.preamble,
+            point.algo.key(),
+            point.param.label(),
+            point.load.to_bits(),
+            point.seed
+        ))
+    }
+
+    fn entry(&self, entry: &TraceEntrySpec) -> CacheKey {
+        let first = |seeds: &[u64]| seeds.first().copied().unwrap_or(0);
+        let (kind, algo, seed) = match &self.spec.kind {
+            // An analytic entry has no algorithm and no seed: key format 2
+            // was laid down when every analytic spec still carried an
+            // unused PowerTCP / seed-42 lineup, and these are the bytes it
+            // left.
+            ScenarioKind::Analytic(_) => ("analytic", "powertcp".to_string(), 42),
+            ScenarioKind::Timeseries(ts) => ("trace", entry.algo.key(), first(&ts.lineup.seeds)),
+            ScenarioKind::Sweep(sweep) => ("trace", entry.algo.key(), first(&sweep.sweep.seeds)),
+        };
+        CacheKey::from_canon(format!(
+            "{}--- point ---\nkind={kind}\nlabel={}\nalgo={algo}\nprebuffer-ps={}\nseed={seed}\n",
+            self.preamble,
+            entry.label,
+            entry.prebuffer.as_ps(),
+        ))
+    }
+}
+
 /// Key of one work item: [`point_key`] or [`entry_key`] by item kind.
 pub fn item_key(spec: &ScenarioSpec, item: &WorkItem) -> CacheKey {
-    match item {
-        WorkItem::Point(p) => point_key(spec, p),
-        WorkItem::Entry(e) => entry_key(spec, e),
-    }
+    SpecKeys::new(spec).item(item)
 }
 
 /// Key of one FCT sweep point. The load is encoded as its exact IEEE-754
 /// bit pattern — two loads that differ in the last ulp are different
 /// points.
 pub fn point_key(spec: &ScenarioSpec, point: &SweepPoint) -> CacheKey {
-    CacheKey::from_canon(format!(
-        "{}--- point ---\nkind=sweep\nalgo={}\nparam={}\nload-bits={:016x}\nseed={}\n",
-        preamble(spec),
-        point.algo.key(),
-        point.param.label(),
-        point.load.to_bits(),
-        point.seed
-    ))
+    SpecKeys::new(spec).point(point)
 }
 
 /// Key of one timeseries *or analytic* lineup entry (the label —
@@ -112,21 +163,7 @@ pub fn point_key(spec: &ScenarioSpec, point: &SweepPoint) -> CacheKey {
 /// entries — distinguishes expanded entries; the analytic grids
 /// themselves live in the spec fragment).
 pub fn entry_key(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> CacheKey {
-    let first = |seeds: &[u64]| seeds.first().copied().unwrap_or(0);
-    let (kind, algo, seed) = match &spec.kind {
-        // An analytic entry has no algorithm and no seed: key format 2
-        // was laid down when every analytic spec still carried an unused
-        // PowerTCP / seed-42 lineup, and these are the bytes it left.
-        ScenarioKind::Analytic(_) => ("analytic", "powertcp".to_string(), 42),
-        ScenarioKind::Timeseries(ts) => ("trace", entry.algo.key(), first(&ts.lineup.seeds)),
-        ScenarioKind::Sweep(sweep) => ("trace", entry.algo.key(), first(&sweep.sweep.seeds)),
-    };
-    CacheKey::from_canon(format!(
-        "{}--- point ---\nkind={kind}\nlabel={}\nalgo={algo}\nprebuffer-ps={}\nseed={seed}\n",
-        preamble(spec),
-        entry.label,
-        entry.prebuffer.as_ps(),
-    ))
+    SpecKeys::new(spec).entry(entry)
 }
 
 #[cfg(test)]

@@ -12,10 +12,11 @@
 //! one non-default `PointSource`, and the process runner only decides
 //! *where* an item is produced.
 //!
-//! * [`key`] — content-addressed cache keys ([`key::item_key`]): a
-//!   canonical byte encoding of `(spec fragment, work item)` salted
-//!   with [`dcn_sim::ENGINE_VERSION`] and hashed with a vendored FNV-1a;
-//!   validated byte-for-byte on every hit.
+//! * [`key`] — content-addressed cache keys ([`key::SpecKeys`], whose
+//!   spec preamble a run derives once): a canonical byte encoding of
+//!   `(spec fragment, work item)` salted with [`dcn_sim::ENGINE_VERSION`]
+//!   and hashed with a vendored FNV-1a; validated byte-for-byte on every
+//!   hit.
 //! * [`codec`] — bit-exact `Outcome` serialization (`f64` as IEEE-754
 //!   bit patterns): cached and worker-transported results are
 //!   indistinguishable from freshly computed ones.
@@ -56,6 +57,6 @@ pub use cache::{CacheStat, CacheStatDetail, ResultCache, CACHE_FORMAT};
 pub use codec::Outcome;
 pub use dirdiff::{diff_dirs, DirDiffOutcome, FileDiff};
 pub use exec::{run, serve_run_fn, serve_stat_fn, CachingSource, RunConfig, RunStats};
-pub use key::{entry_key, fnv1a64, item_key, point_key, CacheKey, KEY_FORMAT};
+pub use key::{entry_key, fnv1a64, item_key, point_key, CacheKey, SpecKeys, KEY_FORMAT};
 pub use obs::{meta_json, RunObserver, META_VERSION};
 pub use worker::worker_main;

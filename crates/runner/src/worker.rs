@@ -196,7 +196,7 @@ pub fn worker_main(input: &mut dyn Read, output: &mut dyn Write) -> Result<(), S
 
 fn run_shard(m: &Manifest, output: &mut dyn Write) -> Result<(), String> {
     m.spec.validate()?;
-    let source = CachingSource::new(m.cache_dir.as_ref().map(ResultCache::new));
+    let source = CachingSource::new(m.cache_dir.as_ref().map(ResultCache::new), &m.spec);
     let items = work_items(&m.spec);
     for &i in &m.indices {
         let item = items

@@ -5,12 +5,14 @@
 #[path = "../../scenarios/tests/support/mod.rs"]
 mod support;
 
-use dcn_runner::{fnv1a64, item_key};
+use dcn_runner::{fnv1a64, item_key, SpecKeys};
 use dcn_scenarios::{work_items, ScenarioSpec};
 use proptest::prelude::*;
 
 /// `name index hash` for every work item of every builtin and of the
-/// shapes no builtin has. The file was generated at the commit before
+/// shapes no builtin has, derived as a run derives them: one
+/// [`SpecKeys`] per spec (the `CachingSource` path), each key equal to
+/// the one-call [`item_key`]. The file was generated at the commit before
 /// the scenario kinds came to own their fields; regenerate deliberately
 /// (a `KEY_FORMAT` or `*_VERSION` bump) with
 /// `GOLDEN_REGEN=1 cargo test -p dcn-runner --test cache_keys`.
@@ -19,8 +21,16 @@ fn every_work_item_key_is_pinned() {
     const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/cache_keys.golden");
     let mut text = String::new();
     for spec in support::corpus() {
+        let keys = SpecKeys::new(&spec);
         for item in work_items(&spec) {
-            let key = item_key(&spec, &item);
+            let key = keys.item(&item);
+            assert_eq!(
+                key,
+                item_key(&spec, &item),
+                "{} {}",
+                spec.name,
+                item.index()
+            );
             text.push_str(&format!(
                 "{} {} {:016x}\n",
                 spec.name,

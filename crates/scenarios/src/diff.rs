@@ -623,7 +623,7 @@ fn note(out: &mut DiffOutcome, msg: String) {
 
 /// Split one CSV line into cells, honoring the quoting the report
 /// renderers emit (`"..."` with `""` escaping a quote).
-fn csv_cells(line: &str) -> Vec<String> {
+pub(crate) fn csv_cells(line: &str) -> Vec<String> {
     let mut cells = Vec::new();
     let mut cur = String::new();
     let mut chars = line.chars().peekable();

@@ -10,8 +10,9 @@
 use crate::engine::PointOutcome;
 use crate::spec::ScenarioSpec;
 use dcn_stats::{Sorted, Summary};
-use dcn_telemetry::{jf, jstr};
+use dcn_telemetry::{csv_escape, fmt_compact, jstr, push_jf};
 use dcn_workloads::{size_class, SizeClass};
+use std::fmt::Write;
 
 /// The Figure 6 x-axis buckets (bytes): a flow falls in the first bucket
 /// whose boundary is at least its size, and a flow larger than the last
@@ -270,30 +271,27 @@ impl SweepResult {
     }
 
     /// Render as JSON (fixed field order, shortest-round-trip floats;
-    /// byte-identical for identical sweeps).
+    /// byte-identical for identical sweeps). Every number is written
+    /// straight into the output ([`push_jf`]).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"scenario\": {},\n", jstr(&self.name)));
-        out.push_str(&format!(
-            "  \"description\": {},\n",
-            jstr(&self.description)
-        ));
-        out.push_str("  \"points\": [\n");
+        out.push_str("{\n  \"scenario\": ");
+        out.push_str(&jstr(&self.name));
+        out.push_str(",\n  \"description\": ");
+        out.push_str(&jstr(&self.description));
+        out.push_str(",\n  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!(
-                "\"algo\": {}, \"load\": {}, \"seed\": {}, \"offered\": {}, \
-                 \"completed\": {}, \"drops\": {}, ",
-                jstr(&p.algo_key),
-                jf(p.load),
-                p.seed,
-                p.offered,
-                p.completed,
-                p.drops
-            ));
-            push_classes(&mut out, &p.short, &p.medium, &p.long, &p.all);
-            push_buffer(&mut out, p.buffer_p50, p.buffer_p99, p.buffer_max);
+            out.push_str("    {\"algo\": ");
+            out.push_str(&jstr(&p.algo_key));
+            out.push_str(", \"load\": ");
+            push_jf(&mut out, p.load);
+            let _ = write!(
+                out,
+                ", \"seed\": {}, \"offered\": {}, \"completed\": {}, \"drops\": {}, ",
+                p.seed, p.offered, p.completed, p.drops
+            );
+            push_classes(&mut out, [&p.short, &p.medium, &p.long, &p.all]);
+            push_buffer(&mut out, [p.buffer_p50, p.buffer_p99, p.buffer_max]);
             out.push('}');
             out.push_str(if i + 1 < self.points.len() {
                 ",\n"
@@ -304,35 +302,35 @@ impl SweepResult {
         out.push_str("  ],\n");
         out.push_str("  \"aggregates\": [\n");
         for (i, a) in self.aggregates.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!(
-                "\"algo\": {}, \"algo_name\": {}, \"load\": {}, \"seeds\": {}, \
-                 \"offered\": {}, \"completed\": {}, \"drops\": {}, ",
-                jstr(&a.algo_key),
-                jstr(&a.algo_name),
-                jf(a.load),
-                a.seeds,
-                a.offered,
-                a.completed,
-                a.drops
-            ));
-            out.push_str(&format!(
-                "\"short_tail\": {}, \"long_tail\": {}, ",
-                jtail(a.short_tail),
-                jtail(a.long_tail)
-            ));
-            push_classes(&mut out, &a.short, &a.medium, &a.long, &a.all);
-            push_buffer(&mut out, a.buffer_p50, a.buffer_p99, a.buffer_max);
+            out.push_str("    {\"algo\": ");
+            out.push_str(&jstr(&a.algo_key));
+            out.push_str(", \"algo_name\": ");
+            out.push_str(&jstr(&a.algo_name));
+            out.push_str(", \"load\": ");
+            push_jf(&mut out, a.load);
+            let _ = write!(
+                out,
+                ", \"seeds\": {}, \"offered\": {}, \"completed\": {}, \"drops\": {}, ",
+                a.seeds, a.offered, a.completed, a.drops
+            );
+            for (key, tail) in [("short_tail", a.short_tail), ("long_tail", a.long_tail)] {
+                push_key(&mut out, key);
+                match tail {
+                    Some((pct, value)) => push_object(&mut out, &[("pct", pct), ("value", value)]),
+                    None => out.push_str("null"),
+                }
+                out.push_str(", ");
+            }
+            push_classes(&mut out, [&a.short, &a.medium, &a.long, &a.all]);
+            push_buffer(&mut out, [a.buffer_p50, a.buffer_p99, a.buffer_max]);
             out.push_str(", \"buckets\": [");
             for (j, b) in a.buckets.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!(
-                    "{{\"le_bytes\": {}, \"summary\": {}}}",
-                    b.le_bytes,
-                    jsummary(&b.summary)
-                ));
+                let _ = write!(out, "{{\"le_bytes\": {}, \"summary\": ", b.le_bytes);
+                push_summary(&mut out, &b.summary);
+                out.push('}');
             }
             out.push(']');
             // Opt-in CDF rows go *after* every always-on field, so specs
@@ -340,15 +338,11 @@ impl SweepResult {
             // reports produced before the field existed.
             if let Some(cdf) = &a.buffer_cdf {
                 out.push_str(", \"buffer_cdf\": [");
-                for (j, (pct, bytes)) in cdf.iter().enumerate() {
+                for (j, &(pct, bytes)) in cdf.iter().enumerate() {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    out.push_str(&format!(
-                        "{{\"pct\": {}, \"bytes\": {}}}",
-                        jf(*pct),
-                        jf(*bytes)
-                    ));
+                    push_object(&mut out, &[("pct", pct), ("bytes", bytes)]);
                 }
                 out.push(']');
             }
@@ -363,7 +357,9 @@ impl SweepResult {
         out
     }
 
-    /// Render the aggregates as CSV (one row per (algo, param, load) cell).
+    /// Render the aggregates as CSV (one row per (algo, param, load)
+    /// cell), then the size-bucket table and the opt-in buffer CDF.
+    /// Every number is written straight into the output ([`push_jf`]).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         out.push_str(
@@ -372,35 +368,40 @@ impl SweepResult {
              medium_n,medium_mean,long_n,long_mean,long_tail_pct,long_tail,\
              all_n,all_mean,buffer_p50_bytes,buffer_p99_bytes,buffer_max_bytes\n",
         );
+        let name = csv_escape(&self.name);
+        // `scenario,algo,load`, the three cells every table's rows open with.
+        let head = |out: &mut String, a: &AggregateReport| {
+            out.push_str(&name);
+            out.push(',');
+            out.push_str(&csv_escape(&a.algo_key));
+            out.push(',');
+            push_jf(out, a.load);
+        };
         for a in &self.aggregates {
-            let class = |s: &Option<Summary>| match s {
-                Some(s) => (s.count.to_string(), jf(s.mean)),
-                None => ("0".into(), String::new()),
+            head(&mut out, a);
+            let _ = write!(
+                out,
+                ",{},{},{},{}",
+                a.seeds, a.offered, a.completed, a.drops
+            );
+            let class = |out: &mut String, s: &Option<Summary>| {
+                let _ = write!(out, ",{}", s.map_or(0, |s| s.count));
+                push_cell(out, s.map(|s| s.mean));
             };
-            let (sn, sm) = class(&a.short);
-            let (mn, mm) = class(&a.medium);
-            let (ln, lm) = class(&a.long);
-            let (an, am) = class(&a.all);
-            let tail = |t: Option<(f64, f64)>| match t {
-                Some((p, v)) => (jf(p), jf(v)),
-                None => (String::new(), String::new()),
+            let tail = |out: &mut String, t: Option<(f64, f64)>| {
+                push_cell(out, t.map(|t| t.0));
+                push_cell(out, t.map(|t| t.1));
             };
-            let (stp, stv) = tail(a.short_tail);
-            let (ltp, ltv) = tail(a.long_tail);
-            let buf = |b: Option<f64>| b.map(jf).unwrap_or_default();
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{sn},{sm},{stp},{stv},{mn},{mm},{ln},{lm},{ltp},{ltv},{an},{am},{},{},{}\n",
-                csv_escape(&self.name),
-                a.algo_key,
-                jf(a.load),
-                a.seeds,
-                a.offered,
-                a.completed,
-                a.drops,
-                buf(a.buffer_p50),
-                buf(a.buffer_p99),
-                buf(a.buffer_max),
-            ));
+            class(&mut out, &a.short);
+            tail(&mut out, a.short_tail);
+            class(&mut out, &a.medium);
+            class(&mut out, &a.long);
+            tail(&mut out, a.long_tail);
+            class(&mut out, &a.all);
+            for b in [a.buffer_p50, a.buffer_p99, a.buffer_max] {
+                push_cell(&mut out, b);
+            }
+            out.push('\n');
         }
         // Second table: one row per (algo, load, size bucket) — the
         // Figure 6 x-axis, pooled across seeds.
@@ -408,33 +409,18 @@ impl SweepResult {
         out.push_str("scenario,algo,load,bucket_le_bytes,n,mean,p50,p95,p99,p999,max\n");
         for a in &self.aggregates {
             for b in &a.buckets {
-                let (n, mean, p50, p95, p99, p999, max) = match b.summary {
-                    Some(s) => (
-                        s.count.to_string(),
-                        jf(s.mean),
-                        jf(s.p50),
-                        jf(s.p95),
-                        jf(s.p99),
-                        jf(s.p999),
-                        jf(s.max),
-                    ),
-                    None => (
-                        "0".into(),
-                        String::new(),
-                        String::new(),
-                        String::new(),
-                        String::new(),
-                        String::new(),
-                        String::new(),
-                    ),
-                };
-                out.push_str(&format!(
-                    "{},{},{},{},{n},{mean},{p50},{p95},{p99},{p999},{max}\n",
-                    csv_escape(&self.name),
-                    a.algo_key,
-                    jf(a.load),
-                    b.le_bytes,
-                ));
+                head(&mut out, a);
+                let _ = write!(out, ",{}", b.le_bytes);
+                match b.summary {
+                    Some(s) => {
+                        let _ = write!(out, ",{}", s.count);
+                        for x in [s.mean, s.p50, s.p95, s.p99, s.p999, s.max] {
+                            push_cell(&mut out, Some(x));
+                        }
+                    }
+                    None => out.push_str(",0,,,,,,"),
+                }
+                out.push('\n');
             }
         }
         // Third table, opt-in (`buffer_cdf = true`): one row per
@@ -445,15 +431,11 @@ impl SweepResult {
             out.push('\n');
             out.push_str("scenario,algo,load,pct,buffer_bytes\n");
             for a in &self.aggregates {
-                for (pct, bytes) in a.buffer_cdf.iter().flatten() {
-                    out.push_str(&format!(
-                        "{},{},{},{},{}\n",
-                        csv_escape(&self.name),
-                        a.algo_key,
-                        jf(a.load),
-                        jf(*pct),
-                        jf(*bytes),
-                    ));
+                for &(pct, bytes) in a.buffer_cdf.iter().flatten() {
+                    head(&mut out, a);
+                    push_cell(&mut out, Some(pct));
+                    push_cell(&mut out, Some(bytes));
+                    out.push('\n');
                 }
             }
         }
@@ -470,7 +452,7 @@ impl SweepResult {
         out.push_str("|---|---|---|---|---|---|---|---|\n");
         for a in &self.aggregates {
             let tail = |t: Option<(f64, f64)>| match t {
-                Some((p, v)) => format!("{} (p{p})", fmt(v)),
+                Some((p, v)) => format!("{} (p{p})", fmt_compact(v)),
                 None => "-".into(),
             };
             out.push_str(&format!(
@@ -483,11 +465,15 @@ impl SweepResult {
                 },
                 tail(a.short_tail),
                 tail(a.long_tail),
-                a.all.map(|s| fmt(s.mean)).unwrap_or_else(|| "-".into()),
+                a.all
+                    .map(|s| fmt_compact(s.mean))
+                    .unwrap_or_else(|| "-".into()),
                 a.completed,
                 a.offered,
                 a.drops,
-                a.buffer_p99.map(|b| fmt(b / 1000.0)).unwrap_or_default(),
+                a.buffer_p99
+                    .map(|b| fmt_compact(b / 1000.0))
+                    .unwrap_or_default(),
             ));
         }
         out
@@ -504,78 +490,78 @@ fn pool<T>(cell: &[T], samples: impl Fn(&T) -> &[f64]) -> Sorted {
     )
 }
 
-fn push_classes(
-    out: &mut String,
-    short: &Option<Summary>,
-    medium: &Option<Summary>,
-    long: &Option<Summary>,
-    all: &Option<Summary>,
-) {
-    out.push_str(&format!(
-        "\"short\": {}, \"medium\": {}, \"long\": {}, \"all\": {}, ",
-        jsummary(short),
-        jsummary(medium),
-        jsummary(long),
-        jsummary(all)
-    ));
+/// `"key": `.
+fn push_key(out: &mut String, key: &str) {
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\": ");
 }
 
-fn push_buffer(out: &mut String, p50: Option<f64>, p99: Option<f64>, max: Option<f64>) {
-    out.push_str(&format!(
-        "\"buffer_p50\": {}, \"buffer_p99\": {}, \"buffer_max\": {}",
-        jopt(p50),
-        jopt(p99),
-        jopt(max)
-    ));
-}
-
-fn jopt(x: Option<f64>) -> String {
-    x.map(jf).unwrap_or_else(|| "null".into())
-}
-
-fn jtail(t: Option<(f64, f64)>) -> String {
-    match t {
-        Some((p, v)) => format!("{{\"pct\": {}, \"value\": {}}}", jf(p), jf(v)),
-        None => "null".into(),
+/// `"k": x, …` over `fields`, in order.
+fn push_fields(out: &mut String, fields: &[(&str, f64)]) {
+    for (i, &(key, x)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_key(out, key);
+        push_jf(out, x);
     }
 }
 
-fn jsummary(s: &Option<Summary>) -> String {
-    match s {
-        Some(s) => format!(
-            "{{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \
-             \"p999\": {}, \"max\": {}}}",
-            s.count,
-            jf(s.mean),
-            jf(s.p50),
-            jf(s.p95),
-            jf(s.p99),
-            jf(s.p999),
-            jf(s.max)
-        ),
-        None => "null".into(),
+/// `{"k": x, …}` over `fields`, in order.
+fn push_object(out: &mut String, fields: &[(&str, f64)]) {
+    out.push('{');
+    push_fields(out, fields);
+    out.push('}');
+}
+
+/// A summary as a JSON object, or `null`.
+fn push_summary(out: &mut String, s: &Option<Summary>) {
+    let Some(s) = s else {
+        return out.push_str("null");
+    };
+    let _ = write!(out, "{{\"count\": {}, ", s.count);
+    let fields = [
+        ("mean", s.mean),
+        ("p50", s.p50),
+        ("p95", s.p95),
+        ("p99", s.p99),
+        ("p999", s.p999),
+        ("max", s.max),
+    ];
+    push_fields(out, &fields);
+    out.push('}');
+}
+
+/// `"short": …, "medium": …, "long": …, "all": …, `.
+fn push_classes(out: &mut String, classes: [&Option<Summary>; 4]) {
+    for (key, s) in ["short", "medium", "long", "all"].into_iter().zip(classes) {
+        push_key(out, key);
+        push_summary(out, s);
+        out.push_str(", ");
     }
 }
 
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+/// `"buffer_p50": …, "buffer_p99": …, "buffer_max": …`, `null` when absent.
+fn push_buffer(out: &mut String, buffer: [Option<f64>; 3]) {
+    let keys = ["buffer_p50", "buffer_p99", "buffer_max"];
+    for (i, (key, x)) in keys.into_iter().zip(buffer).enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_key(out, key);
+        match x {
+            Some(x) => push_jf(out, x),
+            None => out.push_str("null"),
+        }
     }
 }
 
-/// Compact float for table cells: integers from 100 up, two decimals
-/// from 1, four below.
-pub fn fmt(x: f64) -> String {
-    if x == 0.0 {
-        "0".into()
-    } else if x.abs() >= 100.0 {
-        format!("{x:.0}")
-    } else if x.abs() >= 1.0 {
-        format!("{x:.2}")
-    } else {
-        format!("{x:.4}")
+/// A CSV cell after its comma: the number, or empty when absent.
+fn push_cell(out: &mut String, x: Option<f64>) {
+    out.push(',');
+    if let Some(x) = x {
+        push_jf(out, x);
     }
 }
 
@@ -735,37 +721,49 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_row_per_aggregate() {
-        let spec = spec2x2();
-        let outcomes = vec![
-            fake_outcome(Algo::PowerTcp, 0.5, 1, 1.0),
-            fake_outcome(Algo::PowerTcp, 0.5, 2, 2.0),
-            fake_outcome(Algo::Hpcc, 0.5, 1, 4.0),
-            fake_outcome(Algo::Hpcc, 0.5, 2, 8.0),
-        ];
-        let r = SweepResult::build(&spec, outcomes);
-        let csv = r.to_csv();
-        // Header + 2 aggregate rows, a blank separator, then the bucket
-        // table: header + 8 buckets x 2 aggregates.
-        assert_eq!(csv.lines().count(), 3 + 1 + 1 + 16);
-        assert!(csv
-            .lines()
-            .next()
-            .unwrap()
-            .starts_with("scenario,algo,load"));
-        assert!(csv.contains("r,hpcc,0.5,2,6,6,2"));
-        assert!(csv.contains("scenario,algo,load,bucket_le_bytes,n,mean"));
-        // Bucket 0 of powertcp pooled [1,2,2,4]: n=4, mean 2.25.
-        assert!(csv.contains("r,powertcp,0.5,5000,4,2.25"));
-        // Empty bucket rows keep the schema with n=0.
-        assert!(csv.contains("r,powertcp,0.5,20000,0,,"));
-    }
-
-    #[test]
-    fn float_formatting() {
-        assert_eq!(fmt(0.0), "0");
-        assert_eq!(fmt(123.456), "123");
-        assert_eq!(fmt(2.6543), "2.65");
-        assert_eq!(fmt(0.001234), "0.0012");
+        // A multi-key param puts a comma in the algo label, which must be
+        // quoted in all three tables (the CDF table is opted in for it).
+        let multi = crate::spec::ParamSpec::parse("gamma=0.5,n=32").unwrap();
+        for param in [crate::spec::ParamSpec::default(), multi] {
+            let mut spec = spec2x2();
+            spec.sweep_mut("test").buffer_cdf = !param.is_default();
+            let outcomes = [
+                fake_outcome(Algo::PowerTcp, 0.5, 1, 1.0),
+                fake_outcome(Algo::PowerTcp, 0.5, 2, 2.0),
+                fake_outcome(Algo::Hpcc, 0.5, 1, 4.0),
+                fake_outcome(Algo::Hpcc, 0.5, 2, 8.0),
+            ];
+            let outcomes = outcomes.map(|o| PointOutcome { param, ..o }).to_vec();
+            let csv = SweepResult::build(&spec, outcomes).to_csv();
+            // Every row of every table has its header's cell count.
+            for table in csv.split("\n\n") {
+                let mut rows = table.lines().map(crate::diff::csv_cells);
+                let header = rows.next().unwrap().len();
+                for (i, row) in rows.enumerate() {
+                    assert_eq!(row.len(), header, "row {i} of {table}");
+                }
+            }
+            if !param.is_default() {
+                assert!(csv.contains("r,\"powertcp[gamma=0.5,n=32]\",0.5,2,6,6,2,"));
+                assert!(csv.contains("r,\"hpcc[gamma=0.5,n=32]\",0.5,5000,4,"));
+                assert!(csv.contains("r,\"hpcc[gamma=0.5,n=32]\",0.5,0,1000\n"));
+                continue;
+            }
+            // Header + 2 aggregate rows, a blank separator, then the bucket
+            // table: header + 8 buckets x 2 aggregates.
+            assert_eq!(csv.lines().count(), 3 + 1 + 1 + 16);
+            assert!(csv
+                .lines()
+                .next()
+                .unwrap()
+                .starts_with("scenario,algo,load"));
+            assert!(csv.contains("r,hpcc,0.5,2,6,6,2"));
+            assert!(csv.contains("scenario,algo,load,bucket_le_bytes,n,mean"));
+            // Bucket 0 of powertcp pooled [1,2,2,4]: n=4, mean 2.25.
+            assert!(csv.contains("r,powertcp,0.5,5000,4,2.25"));
+            // Empty bucket rows keep the schema with n=0.
+            assert!(csv.contains("r,powertcp,0.5,20000,0,,"));
+        }
     }
 
     #[test]

@@ -4,18 +4,48 @@
 /// [`Sorted::summary`]) shares the one sort, however many cuts are taken.
 /// The mean is summed at construction over the **input** order — an `f64`
 /// sum depends on order, and reports pin the input-order bits.
+///
+/// The order is exactly a stable comparison sort's, bit for bit:
+/// ascending by value, and among values that compare equal the input
+/// order. Among non-NaN floats only `-0.0` and `+0.0` compare equal
+/// without being identical, so the run of zeros keeps its signs in input
+/// order and every other tie is invisible. NaN has no rank: a NaN among
+/// two or more values panics with "NaN in percentile input"; a lone NaN
+/// is a one-element set (a one-element sort compares nothing).
 #[derive(Debug)]
 pub struct Sorted {
     values: Vec<f64>,
     mean: Option<f64>,
 }
 
+/// A `u64` whose unsigned order is the value order of non-NaN floats: a
+/// negative's bits are flipped whole, a positive's sign bit is set. The
+/// one pair of equal values it separates is `-0.0` (keyed just below
+/// `+0.0`), so the zeros still sort as one run.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
 impl Sorted {
-    /// Sort `values` in place (stable, so equal elements such as `-0.0` /
-    /// `0.0` keep their input order). Panics on NaN, which has no rank.
+    /// Sort `values` in place: one unstable sort on [`order_key`], then
+    /// the run of zeros rewritten in input order (only needed when a
+    /// `-0.0` is among them). Panics on NaN among two or more values.
     pub fn new(mut values: Vec<f64>) -> Sorted {
         let mean = mean(&values);
-        values.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+        let mut neg_zero = false;
+        for &x in &values {
+            assert!(!x.is_nan() || values.len() < 2, "NaN in percentile input");
+            neg_zero |= x == 0.0 && x.is_sign_negative();
+        }
+        let zeros: Vec<f64> = if neg_zero {
+            values.iter().copied().filter(|&x| x == 0.0).collect()
+        } else {
+            Vec::new()
+        };
+        values.sort_unstable_by_key(|&x| order_key(x));
+        let lo = values.partition_point(|&x| x < 0.0);
+        values[lo..lo + zeros.len()].copy_from_slice(&zeros);
         Sorted { values, mean }
     }
 
@@ -140,6 +170,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The stable `partial_cmp` sort [`Sorted::new`] replaced: the one
+    /// place it survives, as the oracle.
+    fn oracle_sort(values: &[f64]) -> Vec<f64> {
+        let mut v: Vec<f64> = values.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+        v
+    }
+
     /// The sort-per-call definition the view replaced, kept verbatim as
     /// the oracle.
     fn oracle_percentile(values: &[f64], p: f64) -> Option<f64> {
@@ -147,8 +185,7 @@ mod tests {
             return None;
         }
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        let mut v: Vec<f64> = values.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+        let v = oracle_sort(values);
         let n = v.len();
         if n == 1 {
             return Some(v[0]);
@@ -198,46 +235,79 @@ mod tests {
     }
 
     /// A sample drawn from a small pool so duplicates are common, with
-    /// both zeros and both infinities among the draws.
+    /// both zeros, both infinities and subnormals of either sign (the
+    /// zeros' nearest neighbours) among the draws.
     fn sample(draw: u32, scale: f64) -> f64 {
-        match draw % 12 {
+        let tiny = || f64::from_bits(u64::from(draw / 14 % 3) + 1);
+        match draw % 14 {
             0 => 0.0,
             1 => -0.0,
             2 => f64::INFINITY,
             3 => f64::NEG_INFINITY,
-            k => (draw / 12 % 7) as f64 * scale * if k % 2 == 0 { 1.0 } else { -0.5 },
+            4 => tiny(),
+            5 => -tiny(),
+            k => (draw / 14 % 7) as f64 * scale * if k % 2 == 0 { 1.0 } else { -0.5 },
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    fn all_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
-        /// Every cut the reports take — the summary's five, each credible
-        /// tail, the 0–100 buffer-CDF ladder — read off one sort equals
-        /// the old sort-per-call, bit for bit.
-        #[test]
-        fn sorted_view_matches_sort_per_call(
-            draws in prop::collection::vec(0u32..u32::MAX, 0usize..=2_000),
-            scale in 0.001f64..1e6,
-        ) {
+    /// The whole sorted array equals the stable `partial_cmp` sort's, bit
+    /// for bit, and so does every cut the reports take — the summary's
+    /// five, each credible tail, the 0–100 buffer-CDF ladder. The
+    /// generator must reach zero runs whose signs the unstable sort could
+    /// have reordered.
+    #[test]
+    fn sorted_view_matches_sort_per_call() {
+        let draws = prop::collection::vec(0u32..u32::MAX, 0usize..=2_000);
+        let scales = 0.001f64..1e6;
+        let mut rng = proptest::TestRng::deterministic("sorted_view_matches_sort_per_call");
+        let mut mixed_zero_runs = 0;
+        for _ in 0..64 {
+            let draws = draws.sample(&mut rng);
+            let scale = scales.sample(&mut rng);
             let values: Vec<f64> = draws.iter().map(|&d| sample(d, scale)).collect();
             let view = Sorted::of(&values);
-            prop_assert_eq!(view.len(), values.len());
+            let sorted = oracle_sort(&values);
+            assert_eq!(all_bits(&view.values), all_bits(&sorted));
+            let zeros: Vec<bool> = sorted
+                .iter()
+                .filter(|&&x| x == 0.0)
+                .map(|x| x.is_sign_negative())
+                .collect();
+            mixed_zero_runs += usize::from(zeros.contains(&true) && zeros.contains(&false));
             let pcts = [0.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0];
             for p in pcts {
-                prop_assert_eq!(bits(view.percentile(p)), bits(oracle_percentile(&values, p)));
+                assert_eq!(
+                    bits(view.percentile(p)),
+                    bits(oracle_percentile(&values, p))
+                );
             }
-            prop_assert_eq!(summary_bits(view.summary()), summary_bits(oracle_summary(&values)));
-            prop_assert_eq!(summary_bits(Summary::of(&values)), summary_bits(oracle_summary(&values)));
+            assert_eq!(
+                summary_bits(view.summary()),
+                summary_bits(oracle_summary(&values))
+            );
+            assert_eq!(
+                summary_bits(Summary::of(&values)),
+                summary_bits(oracle_summary(&values))
+            );
             let pct = Summary::credible_tail_pct(values.len());
-            prop_assert_eq!(
-                view.credible_tail().map(|(p, v)| (p.to_bits(), v.to_bits())),
+            assert_eq!(
+                view.credible_tail()
+                    .map(|(p, v)| (p.to_bits(), v.to_bits())),
                 oracle_percentile(&values, pct).map(|v| (pct.to_bits(), v.to_bits()))
             );
             // Sorting an owned vector in place reads the same.
             let owned = Sorted::new(values.clone());
-            prop_assert_eq!(summary_bits(owned.summary()), summary_bits(view.summary()));
+            assert_eq!(all_bits(&owned.values), all_bits(&view.values));
+            assert_eq!(summary_bits(owned.summary()), summary_bits(view.summary()));
         }
+        assert!(
+            mixed_zero_runs >= 40,
+            "mixed-sign zero runs in {mixed_zero_runs} of 64 cases"
+        );
     }
 
     /// Every `credible_tail_pct` rung, on sizes straddling each boundary.
@@ -331,5 +401,31 @@ mod tests {
     #[should_panic(expected = "NaN in percentile input")]
     fn nan_panics() {
         Sorted::new(vec![1.0, f64::NAN]);
+    }
+
+    /// A NaN among two or more values panics wherever it sits, as the
+    /// stable sort's `partial_cmp` did; a lone NaN is sorted without a
+    /// comparison and reads back as itself.
+    #[test]
+    fn nan_is_pinned_as_the_stable_sort_had_it() {
+        for n in [2, 3, 17] {
+            for at in 0..n {
+                let mut values: Vec<f64> = (0..n).map(|i| sample(i as u32, 1.5)).collect();
+                values[at] = f64::NAN;
+                for sort in [
+                    |v: &[f64]| drop(Sorted::of(v)),
+                    |v: &[f64]| drop(oracle_sort(v)),
+                ] {
+                    let err = std::panic::catch_unwind(|| sort(&values)).unwrap_err();
+                    let msg = err.downcast_ref::<&str>().copied();
+                    let msg = msg.or(err.downcast_ref::<String>().map(String::as_str));
+                    assert_eq!(msg, Some("NaN in percentile input"), "n={n} at={at}");
+                }
+            }
+        }
+        let lone = Sorted::new(vec![f64::NAN]);
+        assert!(lone.percentile(50.0).unwrap().is_nan());
+        assert!(lone.summary().unwrap().mean.is_nan());
+        assert!(oracle_sort(&[f64::NAN])[0].is_nan());
     }
 }

@@ -8,6 +8,8 @@
 
 use crate::probe::{Channel, Sample};
 use crate::reduce::{decimate, window_mean};
+use std::borrow::Cow;
+use std::fmt::Write;
 
 /// One exported channel: metadata plus (decimated) samples.
 #[derive(Clone, Debug, PartialEq)]
@@ -230,25 +232,38 @@ pub fn jstr(s: &str) -> String {
     out
 }
 
-/// JSON number (shortest round-trip; non-finite becomes null).
+/// JSON number (shortest round-trip; non-finite becomes null): the
+/// [`push_jf`] form that returns a fresh `String`.
 pub fn jf(x: f64) -> String {
+    let mut out = String::new();
+    push_jf(&mut out, x);
+    out
+}
+
+/// [`jf`] written straight onto the end of `out` — the workspace's one
+/// JSON number form; writers that emit many numbers call this and
+/// allocate nothing per number.
+pub fn push_jf(out: &mut String, x: f64) {
     if x.is_finite() {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     } else {
-        "null".into()
+        out.push_str("null");
     }
 }
 
-fn csv_escape(s: &str) -> String {
+/// A CSV cell: quoted (with `""` for a quote) when it holds a comma, a
+/// quote or a newline, borrowed verbatim otherwise.
+pub fn csv_escape(s: &str) -> Cow<'_, str> {
     if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
     } else {
-        s.to_string()
+        Cow::Borrowed(s)
     }
 }
 
-/// Compact float for tables.
-fn fmt_compact(x: f64) -> String {
+/// Compact float for table cells: integers from 100 up, two decimals
+/// from 1, four below.
+pub fn fmt_compact(x: f64) -> String {
     if x == 0.0 {
         "0".into()
     } else if x.abs() >= 100.0 {
@@ -343,5 +358,30 @@ mod tests {
     fn json_string_escaping() {
         assert_eq!(jstr("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(jf(f64::NAN), "null");
+        let mut out = String::from("[");
+        for x in [0.5, -0.0, 1e300, f64::INFINITY] {
+            push_jf(&mut out, x);
+            out.push(',');
+        }
+        assert_eq!(out, format!("[0.5,-0,{},null,", 1e300));
+    }
+
+    #[test]
+    fn float_formatting() {
+        assert_eq!(fmt_compact(0.0), "0");
+        assert_eq!(fmt_compact(123.456), "123");
+        assert_eq!(fmt_compact(2.6543), "2.65");
+        assert_eq!(fmt_compact(0.001234), "0.0012");
+    }
+
+    #[test]
+    fn csv_cells_are_quoted_only_when_they_must_be() {
+        assert_eq!(csv_escape("powertcp"), "powertcp");
+        assert_eq!(
+            csv_escape("powertcp[gamma=0.5,n=32]"),
+            "\"powertcp[gamma=0.5,n=32]\""
+        );
+        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(csv_escape("a\nb"), "\"a\nb\"");
     }
 }

@@ -61,7 +61,9 @@ pub mod probe;
 pub mod reduce;
 pub mod ring;
 
-pub use export::{jf, jstr, ChannelTrace, TraceEntry, TraceReport};
+pub use export::{
+    csv_escape, fmt_compact, jf, jstr, push_jf, ChannelTrace, TraceEntry, TraceReport,
+};
 pub use probe::{Channel, ChannelId, Recorder, Sample, SharedRecorder, X_TIME_US};
 pub use reduce::{decimate, max_after, window_mean};
 pub use ring::RingBuffer;
