@@ -682,7 +682,7 @@ fn rdcn_trace(
     let day_utilization = circuit_bytes as f64 / (circuit_bw.bytes_per_sec() * day_seconds);
     let mean_goodput = (circuit_bytes + uplink_bytes) as f64 * 8.0 / horizon.as_secs_f64() / 1e9;
 
-    let latency = dcn_stats::Sorted::of(&sink.borrow());
+    let latency = dcn_stats::Sorted::new(std::mem::take(&mut *sink.borrow_mut()));
     let (completed, offered) = metrics.borrow().completion_ratio();
     let tail = |pct: f64| latency.percentile(pct).unwrap_or(0.0) * 1e6;
     let stats = vec![

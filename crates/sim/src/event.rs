@@ -28,11 +28,17 @@
 //! pool: a bucket that drains retires its (empty) buffer to a LIFO spare
 //! stack, and a bucket receiving its first event adopts the most recently
 //! retired one. Live buffers are therefore exactly the non-empty buckets,
-//! the pool is as large as the most buckets ever occupied at once, and
-//! the next `schedule` writes into memory the drain just touched — where
-//! a buffer per slot would keep every slot's high-water capacity for ever
-//! and walk all of it, cold, once per wrap
-//! ([`EventQueue::buffered_records`] is the quantity).
+//! the pool has as many buffers as the most buckets ever occupied at
+//! once, and the next `schedule` writes into memory the drain just
+//! touched — where a buffer per slot would keep every slot's high-water
+//! capacity for ever and walk all of it, cold, once per wrap.
+//!
+//! Bursts do not stay behind either: a buffer that a burst grew past
+//! `SPARE_KEEP` records is freed as its bucket drains. So the storage
+//! ([`EventQueue::buffered_records`]) is at most `SPARE_KEEP` records per
+//! buffer plus, for each live bucket that outgrew that, under twice its
+//! fullest length since it was last empty — not the sum of every burst
+//! each buffer ever held.
 //!
 //! Ordering is **bit-compatible** with the previous binary-heap
 //! implementation: events pop in `(time, insertion-seq)` order, FIFO among
@@ -130,6 +136,15 @@ impl Ord for Scheduled {
 /// an append. Chosen with `NUM_BUCKETS` from a measured grid (DESIGN.md,
 /// "Calendar event queue").
 const BUCKET_SHIFT: u32 = 13;
+/// Most records a spare bucket buffer keeps (32 B each: 2 KiB); a buffer
+/// that a burst grew past it is freed when its bucket drains. At the
+/// width above nearly every bucket visit fits: on `fattree256_websearch`
+/// (ledger seed 42) 1,056,261 of 1,056,348 visits held ≤ 32 events (7
+/// held 33–64, 80 held 65–256), while the 128:1 same-tick fan-in of
+/// `incast_star128`'s DCQCN point made 1,231 visits of 65–400. Ledger
+/// peak RSS at a keep of 16 / 64 / 256: incast 8.6 / 8.6 / 10.7 MB,
+/// fat-tree 6.5 / 6.7 / 7.1 MB (DESIGN.md, "Calendar event queue").
+const SPARE_KEEP: usize = 64;
 /// Ring size (power of two): horizon = `NUM_BUCKETS << BUCKET_SHIFT` ps
 /// = 2²⁹ ps ≈ 537 µs, which keeps per-packet events and the common
 /// transport timers (pacing gaps, ~100 µs RTOs, tracer ticks, rotor
@@ -374,7 +389,12 @@ impl EventQueue {
         self.ring_len -= 1;
         if b.is_empty() {
             // A bucket that drains hands its buffer to the spare stack:
-            // live buffers are exactly the non-empty buckets.
+            // live buffers are exactly the non-empty buckets. A buffer a
+            // burst grew past `SPARE_KEEP` is freed first, so no spare
+            // holds more than that.
+            if b.capacity() > SPARE_KEEP {
+                *b = Vec::new();
+            }
             self.occupied[slot >> 6] &= !(1 << (slot & 63));
             self.cursor_sorted = false;
             self.spare.push(buf);
@@ -412,8 +432,11 @@ impl EventQueue {
     }
 
     /// Event records the queue's bucket buffers have room for, in use or
-    /// spare — the ring's storage footprint, which follows the largest
-    /// pending set seen rather than the number of buckets ever touched.
+    /// spare — the ring's storage footprint: at most `SPARE_KEEP` per
+    /// buffer (one per bucket occupied at once, at most) plus, for a live
+    /// bucket that outgrew that, under twice its fullest length since it
+    /// was last empty. Neither the buckets ever touched nor past bursts
+    /// count.
     pub fn buffered_records(&self) -> usize {
         self.bufs.iter().map(Vec::capacity).sum()
     }
@@ -610,42 +633,96 @@ mod tests {
         assert_eq!(popped(q.pop_until(Tick::MAX)), None);
     }
 
-    #[test]
-    fn buffers_follow_the_pending_set_not_the_ring() {
-        // A bounded pending set — P events, each rescheduled when it
-        // fires, 0.3–3 µs out with a rare ms-scale timer — churned through
-        // eight ring wraps reschedules each event over a thousand times
-        // and lands in buckets all round the ring. Buffer space must stay
-        // within a small multiple of P (a buffer holds at least 4 records
-        // and doubles), not grow with the buckets touched.
-        const P: usize = 256;
+    /// Peaks of a [`churn`] run.
+    struct Churn {
+        q: EventQueue,
+        pops: u64,
+        peak_records: usize,
+        peak_len: usize,
+    }
+
+    /// Keep `P` background events pending — each rescheduled when it
+    /// fires, 0.3–3 µs out with a rare ms-scale timer — for `wraps` ring
+    /// wraps, reading [`EventQueue::buffered_records`] after every pop.
+    /// With `bursts`, every 2–8 µs a bucket 1–3 µs out also receives a
+    /// same-tick burst of 128–400 events that are not rescheduled: the
+    /// synchronized fan-in of a 128:1 incast.
+    fn churn(name: &str, wraps: u64, bursts: bool) -> Churn {
+        const P: u64 = 256;
         let mut q = EventQueue::new();
-        let mut rng = proptest::TestRng::deterministic("buffers_follow_the_pending_set");
-        let mut delay = || {
+        let mut rng = proptest::TestRng::deterministic(name);
+        let delay = |rng: &mut proptest::TestRng| {
             if rng.below(4096) == 0 {
                 Tick::from_micros(1000 + rng.below(2000) as u64)
             } else {
                 Tick::from_nanos(300 + rng.below(2700) as u64)
             }
         };
-        for k in 0..P as u64 {
-            q.schedule(delay(), timer(k));
+        for k in 0..P {
+            q.schedule(delay(&mut rng), timer(k));
         }
-        let end = 8 * ((NUM_BUCKETS as u64) << BUCKET_SHIFT);
-        let mut pops = 0u64;
+        let end = wraps * ((NUM_BUCKETS as u64) << BUCKET_SHIFT);
+        let mut next_burst = Tick::ZERO;
+        let (mut pops, mut peak_records, mut peak_len) = (0, 0, 0);
         while q.now().as_ps() < end {
+            if bursts && q.now() >= next_burst {
+                let at = q.now() + Tick::from_nanos(1000 + rng.below(2000) as u64);
+                for _ in 0..128 + rng.below(273) {
+                    q.schedule(at, timer(P));
+                }
+                next_burst = q.now() + Tick::from_nanos(2000 + rng.below(6000) as u64);
+            }
+            peak_len = peak_len.max(q.len());
             let (_, ev) = q.pop().expect("the pending set never drains");
-            q.schedule_in(delay(), ev);
+            if key_of(&ev) < P {
+                q.schedule_in(delay(&mut rng), ev);
+            }
             pops += 1;
+            peak_records = peak_records.max(q.buffered_records());
         }
-        assert_eq!(q.len(), P);
-        assert!(pops > 1000 * P as u64, "only {pops} pops");
         assert!(q.overflow_scheduled() > 0, "no ms timer drawn");
-        // Buffer space never shrinks, so the final value is the peak.
+        Churn {
+            q,
+            pops,
+            peak_records,
+            peak_len,
+        }
+    }
+
+    #[test]
+    fn buffers_follow_the_pending_set_not_the_ring() {
+        // Eight ring wraps reschedule each of 256 events over a thousand
+        // times into buckets all round the ring. Buffer space must stay
+        // within a small multiple of the pending set (a buffer holds at
+        // least 4 records and doubles), not grow with the buckets touched.
+        let run = churn("buffers_follow_the_pending_set", 8, false);
+        assert_eq!(run.q.len(), 256);
+        assert!(run.pops > 1000 * 256, "only {} pops", run.pops);
         assert!(
-            q.buffered_records() <= 8 * P,
-            "{} records buffered for {P} pending events",
-            q.buffered_records()
+            run.peak_records <= 8 * 256,
+            "{} records buffered for 256 pending events",
+            run.peak_records
+        );
+    }
+
+    #[test]
+    fn buffers_follow_the_pending_set_through_bursts() {
+        // Hundreds of bursts, each grown to 128–512 records of buffer in a
+        // bucket of its own. A spare keeps at most `SPARE_KEEP` records,
+        // and a live buffer past that has doubled only past its length,
+        // whose sum over the live buckets is at most the pending set plus
+        // the draining bucket's. So the storage is bounded by the buffers
+        // occupied at once × `SPARE_KEEP` plus a few pending sets — where
+        // keeping each burst's capacity would grow with the bursts seen.
+        let run = churn("buffers_follow_the_pending_set_through_bursts", 2, true);
+        assert!(run.pops > 100_000, "only {} pops", run.pops);
+        let bound = SPARE_KEEP * run.q.bufs.len() + 4 * run.peak_len;
+        assert!(
+            run.peak_records <= bound,
+            "{} records buffered, bound {bound} ({} buffers, {} pending at most)",
+            run.peak_records,
+            run.q.bufs.len(),
+            run.peak_len
         );
     }
 

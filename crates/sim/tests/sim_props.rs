@@ -193,11 +193,21 @@ struct HeapModel {
     cursor_ahead: Option<u64>,
     /// Something has been popped, so `now`'s bucket has held an event.
     has_popped: bool,
+    /// Per pending instant: events pending there, and the most pending
+    /// there at once since the instant last drained.
+    at_count: std::collections::BTreeMap<Tick, (usize, usize)>,
+    /// The most events pending at once at `now`, if the last pop drained
+    /// that instant (else 0).
+    drained_peak: usize,
     seen: Coverage,
 }
 
 /// The ring's horizon: 2²⁹ ps whatever the bucket width.
 const HORIZON_PS: u64 = 1 << 29;
+
+/// The queue's `SPARE_KEEP`: a drained bucket whose buffer grew past this
+/// many records frees it before the buffer rejoins the spare stack.
+const SPARE_KEEP: usize = 64;
 
 /// Which calendar paths a case reached, judged conservatively: each
 /// predicate holds for every power-of-two bucket width up to 2¹⁸ ps (the
@@ -214,6 +224,11 @@ struct Coverage {
     /// A schedule that pulled the cursor back, after a peek or a declined
     /// `pop_until` advanced it, onto an empty (buffer-less) bucket.
     retreats: u32,
+    /// A refill of a bucket that held more than [`SPARE_KEEP`] events at
+    /// once: the drain freed the buffer's storage, and the refill adopts
+    /// the buffer and grows it anew. Events pending at one instant share
+    /// a bucket at every width, so they count towards its length.
+    regrowths: u32,
 }
 
 /// Two instants in different blocks are in different buckets, and any
@@ -237,6 +252,9 @@ impl HeapModel {
             self.seen.retreats += 1;
             self.cursor_ahead = None;
         }
+        let (pending, peak) = self.at_count.entry(at).or_default();
+        *pending += 1;
+        *peak = (*peak).max(*pending);
         self.heap.push(Reverse((at, self.seq)));
         self.keys.insert(self.seq, key);
         self.seq += 1;
@@ -249,6 +267,13 @@ impl HeapModel {
             self.seen.migrations += (migrated >= 2) as u32;
         }
         self.heap.pop();
+        let (pending, peak) = self.at_count.get_mut(&at).expect("counted");
+        *pending -= 1;
+        self.drained_peak = 0;
+        if *pending == 0 {
+            self.drained_peak = *peak;
+            self.at_count.remove(&at);
+        }
         self.now = at;
         self.has_popped = true;
         self.cursor_ahead = None;
@@ -304,6 +329,7 @@ impl Lockstep {
         let at = Tick::from_ps(self.q.now().as_ps() + delay_ps);
         if delay_ps == 0 && self.model.has_popped && self.model.now_bucket_drained() {
             self.model.seen.refills += 1;
+            self.model.seen.regrowths += (self.model.drained_peak > SPARE_KEEP) as u32;
         }
         self.q.schedule(at, timer_ev(self.next_key));
         self.model.schedule(at, self.next_key);
@@ -322,6 +348,20 @@ impl Lockstep {
     }
     fn peek(&mut self) {
         assert_eq!(self.q.peek_time(), self.model.peek());
+    }
+    /// A same-instant burst of 65–264 events up to 2 µs out, popped
+    /// until that instant drains, then a schedule at `now`: the fan-in
+    /// of an incast, and the refill that reuses the burst's buffer.
+    fn burst(&mut self, delta: u64) {
+        let delay_ps = delta % 2_000_000;
+        let at = Tick::from_ps(self.q.now().as_ps() + delay_ps);
+        for _ in 0..65 + delta % 200 {
+            self.schedule_in(delay_ps);
+        }
+        while self.model.at_count.contains_key(&at) {
+            self.pop();
+        }
+        self.schedule_in(0);
     }
     /// Drain both completely; order must agree to the last event, and
     /// the model must have placed every event where the queue did.
@@ -344,11 +384,11 @@ fn queue_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
 /// Run 60 generated op streams through `step` and require every path in
 /// [`Coverage`] to have been reached in at least 40 of them — the cursor
 /// retreat only where `step` `peeks` (nothing else moves the cursor ahead
-/// of `now`).
+/// of `now`). Both steps spend ops from 240 up on [`Lockstep::burst`].
 fn check_queue(name: &str, peeks: bool, step: impl Fn(&mut Lockstep, u8, u64)) {
     let strategy = queue_ops();
     let mut rng = proptest::TestRng::deterministic(name);
-    let mut reached = [0u32; 3];
+    let mut reached = [0u32; 4];
     for _ in 0..60 {
         let mut run = Lockstep::default();
         for (op, delta) in strategy.sample(&mut rng) {
@@ -361,6 +401,7 @@ fn check_queue(name: &str, peeks: bool, step: impl Fn(&mut Lockstep, u8, u64)) {
             seen.migrations >= 2,
             seen.refills > 0,
             seen.retreats > 0 || !peeks,
+            seen.regrowths > 0,
         ];
         for (n, hit) in reached.iter_mut().zip(hits) {
             *n += hit as u32;
@@ -368,7 +409,7 @@ fn check_queue(name: &str, peeks: bool, step: impl Fn(&mut Lockstep, u8, u64)) {
     }
     assert!(
         reached.iter().all(|&n| n >= 40),
-        "generator coverage {reached:?} of 60 (multi-wrap migration, refill, retreat)"
+        "generator coverage {reached:?} of 60 (multi-wrap migration, refill, retreat, regrowth)"
     );
 }
 
@@ -379,6 +420,7 @@ fn check_queue(name: &str, peeks: bool, step: impl Fn(&mut Lockstep, u8, u64)) {
 fn event_queue_matches_heap_model() {
     check_queue("event_queue_matches_heap_model", false, |run, op, delta| {
         match op % 16 {
+            _ if op >= 240 => run.burst(delta),
             // Schedule. op chooses the delay scale; delta 0 and the small
             // scale generate plenty of same-tick collisions.
             0..=2 => run.schedule_in(delta % 2_000), // within one bucket (ps)
@@ -399,6 +441,7 @@ fn event_queue_matches_heap_model() {
 fn event_queue_peek_is_transparent() {
     check_queue("event_queue_peek_is_transparent", true, |run, op, delta| {
         match op % 16 {
+            _ if op >= 240 => run.burst(delta),
             0..=2 => run.schedule_in(delta),
             3..=5 => run.schedule_in(delta % 200_000_000),
             6 | 7 => run.peek(),
