@@ -9,9 +9,10 @@
 //! bandwidth through feedback), so the same harness runs all algorithms.
 
 use crate::schedule::RotorSchedule;
+use crate::topology::CIRCUIT_BW;
 use dcn_sim::{Endpoint, EndpointCtx, Packet};
 use dcn_transport::TransportHost;
-use powertcp_core::{Bandwidth, NetSignal, Tick};
+use powertcp_core::{NetSignal, Tick};
 
 /// Timer-key namespace for the wrapper. This relies on `dcn-transport`'s
 /// key layout (`transport/src/timer_key.rs`: kind in the top byte, index
@@ -27,18 +28,17 @@ pub struct CircuitAwareHost {
     /// The rack whose circuit matters to this host's flows (the harness
     /// points it at the destination rack).
     target_rack: usize,
-    circuit_bw: Bandwidth,
     was_up: bool,
 }
 
 impl CircuitAwareHost {
-    /// Wrap `inner`, signalling circuit state for `my_rack → target_rack`.
+    /// Wrap `inner`, signalling circuit state for `my_rack → target_rack`
+    /// (a circuit that comes up carries [`CIRCUIT_BW`]).
     pub fn new(
         inner: TransportHost,
         schedule: RotorSchedule,
         my_rack: usize,
         target_rack: usize,
-        circuit_bw: Bandwidth,
     ) -> Self {
         assert_ne!(my_rack, target_rack);
         CircuitAwareHost {
@@ -46,7 +46,6 @@ impl CircuitAwareHost {
             schedule,
             my_rack,
             target_rack,
-            circuit_bw,
             was_up: false,
         }
     }
@@ -74,7 +73,7 @@ impl CircuitAwareHost {
                 ctx.now,
                 NetSignal::Circuit {
                     up,
-                    bandwidth: self.circuit_bw,
+                    bandwidth: CIRCUIT_BW,
                 },
             );
         }
@@ -121,7 +120,7 @@ mod tests {
             dcn_transport::MetricsHub::new_shared(),
             Box::new(|_, _| unreachable!("no flows in this test")),
         );
-        let h = CircuitAwareHost::new(inner, s, 0, 1, Bandwidth::gbps(100));
+        let h = CircuitAwareHost::new(inner, s, 0, 1);
         // During the day, next transition = day end.
         assert_eq!(
             h.next_transition(Tick::from_micros(10)),

@@ -1,6 +1,17 @@
 //! The RDCN topology of §5: 25 VOQ ToRs × 10 servers, one optical circuit
 //! switch (100 G, rotor schedule), and a separate packet-switched network
 //! (25 G) — "our setup is in line with prior work [reTCP]".
+//!
+//! A spec turns the schedule, the servers per ToR, the packet-network rate
+//! (Figure 8b sweeps it) and reTCP's prebuffering window. The rest of §5's
+//! fabric is fixed here:
+//!
+//! * host links run at 25 G ([`HOST_BW`]), the circuit at 100 G
+//!   ([`CIRCUIT_BW`]);
+//! * propagation is 2 µs on a host link ([`HOST_DELAY`]) and 3 µs from a
+//!   ToR to either the packet switch ([`PACKET_DELAY`]) or the circuit
+//!   switch ([`CIRCUIT_DELAY`]);
+//! * the packet switch is a default [`SwitchConfig`].
 
 use crate::circuit::CircuitSwitch;
 use crate::schedule::RotorSchedule;
@@ -14,29 +25,29 @@ use powertcp_core::{Bandwidth, Tick};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// RDCN topology parameters (paper §5 defaults).
+/// Host link bandwidth (§5: 25 G).
+pub const HOST_BW: Bandwidth = Bandwidth::gbps(25);
+/// Circuit bandwidth (§5: 100 G).
+pub const CIRCUIT_BW: Bandwidth = Bandwidth::gbps(100);
+/// Host link propagation delay.
+pub const HOST_DELAY: Tick = Tick::from_micros(2);
+/// ToR ↔ packet switch propagation delay.
+pub const PACKET_DELAY: Tick = Tick::from_micros(3);
+/// ToR ↔ circuit switch propagation delay.
+pub const CIRCUIT_DELAY: Tick = Tick::from_micros(3);
+
+/// RDCN topology parameters (paper §5 defaults); the fixed links are the
+/// module's constants.
 #[derive(Clone)]
 pub struct RdcnConfig {
     /// Rotor schedule (ToR count lives here).
     pub schedule: RotorSchedule,
     /// Servers per ToR (paper: 10).
     pub hosts_per_tor: usize,
-    /// Host link bandwidth (paper: 25 G).
-    pub host_bw: Bandwidth,
     /// ToR ↔ packet-switch bandwidth (paper: 25 G; Figure 8b sweeps it).
     pub packet_bw: Bandwidth,
-    /// Circuit bandwidth (paper: 100 G).
-    pub circuit_bw: Bandwidth,
-    /// Host link propagation delay.
-    pub host_delay: Tick,
-    /// ToR ↔ packet switch propagation delay.
-    pub packet_delay: Tick,
-    /// ToR ↔ circuit switch propagation delay.
-    pub circuit_delay: Tick,
     /// reTCP prebuffering window (0 for PowerTCP/HPCC runs).
     pub prebuffer: Tick,
-    /// Packet-switch config.
-    pub packet_switch: SwitchConfig,
 }
 
 impl Default for RdcnConfig {
@@ -44,14 +55,8 @@ impl Default for RdcnConfig {
         RdcnConfig {
             schedule: RotorSchedule::paper_defaults(),
             hosts_per_tor: 10,
-            host_bw: Bandwidth::gbps(25),
             packet_bw: Bandwidth::gbps(25),
-            circuit_bw: Bandwidth::gbps(100),
-            host_delay: Tick::from_micros(2),
-            packet_delay: Tick::from_micros(3),
-            circuit_delay: Tick::from_micros(3),
             prebuffer: Tick::ZERO,
-            packet_switch: SwitchConfig::default(),
         }
     }
 }
@@ -139,7 +144,7 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
     let mut latency_sinks = Vec::new();
 
     let mut b = NetworkBuilder::new();
-    let packet_switch = b.add_switch(cfg.packet_switch);
+    let packet_switch = b.add_switch(SwitchConfig::default());
     let circuit_switch = b.add_custom(Box::new(CircuitSwitch::new(cfg.schedule)));
     let mut tors = Vec::new();
     let mut hosts = Vec::new();
@@ -155,8 +160,8 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
             prebuffer: cfg.prebuffer,
             rack_of_node: rack_of_node.clone(),
             local_port_of: local_port_of.clone(),
-            voq_gauge: Some(gauge),
-            latency_sink: Some(sink),
+            voq_gauge: gauge,
+            latency_sink: sink,
         })));
         assert_eq!(tor, cfg.tor_node_id(r), "rdcn node-id plan");
         tors.push(tor);
@@ -164,7 +169,7 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
             let idx = r * h + j;
             let host = b.add_host(apps(b.next_node_id(), idx));
             assert_eq!(host, cfg.host_node_id(r, j), "rdcn node-id plan");
-            b.connect(tor, host, cfg.host_bw, cfg.host_delay);
+            b.connect(tor, host, HOST_BW, HOST_DELAY);
             hosts.push(host);
         }
     }
@@ -173,9 +178,9 @@ pub fn build_rdcn(cfg: RdcnConfig, apps: &mut AppFactory<'_>) -> Rdcn {
     // order so circuit-switch port r faces ToR r).
     let mut uplink_switch_ports = Vec::new();
     for (r, &tor) in tors.iter().enumerate() {
-        let (_pt, ps) = b.connect(tor, packet_switch, cfg.packet_bw, cfg.packet_delay);
+        let (_pt, ps) = b.connect(tor, packet_switch, cfg.packet_bw, PACKET_DELAY);
         uplink_switch_ports.push(ps);
-        let (pt, pc) = b.connect(tor, circuit_switch, cfg.circuit_bw, cfg.circuit_delay);
+        let (pt, pc) = b.connect(tor, circuit_switch, CIRCUIT_BW, CIRCUIT_DELAY);
         assert_eq!(pt, PortId((h + 1) as u16), "ToR circuit port layout");
         assert_eq!(pc, PortId(r as u16), "circuit switch port r faces ToR r");
     }
@@ -226,8 +231,7 @@ pub fn build_rack_pair(
             size_bytes: flow_bytes,
             start: Tick::ZERO,
         });
-        let (schedule, bw) = (cfg.schedule, cfg.circuit_bw);
-        Box::new(CircuitAwareHost::new(host, schedule, 0, 1, bw))
+        Box::new(CircuitAwareHost::new(host, cfg.schedule, 0, 1))
     };
     build_rdcn(cfg.clone(), &mut mk)
 }

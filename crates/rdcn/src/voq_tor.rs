@@ -51,10 +51,10 @@ pub struct VoqTorConfig {
     pub rack_of_node: Vec<u16>,
     /// `local_port_of[node_id]` = host port on its ToR.
     pub local_port_of: Vec<u16>,
-    /// Optional live VOQ occupancy gauge (length `n_tors`).
-    pub voq_gauge: Option<VoqGauge>,
-    /// Optional VOQ queueing-latency sink.
-    pub latency_sink: Option<LatencySink>,
+    /// Live VOQ occupancy gauge (length `n_tors`).
+    pub voq_gauge: VoqGauge,
+    /// VOQ queueing-latency sink.
+    pub latency_sink: LatencySink,
 }
 
 /// Port layout constants.
@@ -95,9 +95,7 @@ impl VoqTor {
     /// Create a ToR.
     pub fn new(cfg: VoqTorConfig) -> Self {
         let n_tors = cfg.schedule.n_tors;
-        if let Some(g) = &cfg.voq_gauge {
-            g.borrow_mut().resize(n_tors, 0);
-        }
+        cfg.voq_gauge.borrow_mut().resize(n_tors, 0);
         VoqTor {
             host_q: (0..cfg.n_hosts).map(|_| VecDeque::new()).collect(),
             host_q_bytes: vec![0; cfg.n_hosts],
@@ -123,9 +121,7 @@ impl VoqTor {
     }
 
     fn set_gauge(&self, d: usize) {
-        if let Some(g) = &self.cfg.voq_gauge {
-            g.borrow_mut()[d] = self.voq_bytes[d];
-        }
+        self.cfg.voq_gauge.borrow_mut()[d] = self.voq_bytes[d];
     }
 
     /// Is VOQ `d` currently held for prebuffering? (Only outside its day.)
@@ -187,10 +183,10 @@ impl VoqTor {
     }
 
     fn record_latency(&self, enq: Tick, now: Tick) {
-        if let Some(sink) = &self.cfg.latency_sink {
-            sink.borrow_mut()
-                .push(now.saturating_sub(enq).as_secs_f64());
-        }
+        self.cfg
+            .latency_sink
+            .borrow_mut()
+            .push(now.saturating_sub(enq).as_secs_f64());
     }
 
     fn pump_host(&mut self, port: usize, ctx: &mut CustomCtx<'_>) {
@@ -324,8 +320,8 @@ mod tests {
             prebuffer,
             rack_of_node,
             local_port_of,
-            voq_gauge: Some(gauge.clone()),
-            latency_sink: None,
+            voq_gauge: gauge.clone(),
+            latency_sink: LatencySink::default(),
         };
         (cfg, gauge)
     }
@@ -500,8 +496,8 @@ mod tests {
                     prebuffer: Tick::from_micros(prebuffer),
                     rack_of_node: vec![],
                     local_port_of: vec![],
-                    voq_gauge: None,
-                    latency_sink: None,
+                    voq_gauge: VoqGauge::default(),
+                    latency_sink: LatencySink::default(),
                 });
                 tor.rr = rr;
                 tor

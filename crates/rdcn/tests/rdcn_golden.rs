@@ -31,7 +31,7 @@ use cc_baselines::{hpcc::ETA, Hpcc, ReTcp};
 use dcn_sim::{Endpoint, EndpointCtx, Node, NullEndpoint, Packet, PacketKind, SimStats, Simulator};
 use dcn_transport::{CcFactory, MetricsHub, TransportConfig};
 use powertcp_core::{CongestionControl, PowerTcp, Tick, GAMMA};
-use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
+use rdcn::{build_rack_pair, topology::CIRCUIT_BW, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -167,7 +167,7 @@ fn run(r: &Run) -> (Stream, TorTx, SimStats) {
         })
     };
     // Enough bytes to stay active the whole run at 100 G.
-    let flow_bytes = cfg.circuit_bw.bytes_per_sec() as u64 / 100;
+    let flow_bytes = CIRCUIT_BW.bytes_per_sec() as u64 / 100;
     let mut rdcn = build_rack_pair(cfg, &metrics, tcfg, flow_bytes, &mut make_cc);
     // Every host goes behind a tap.
     for &h in &rdcn.hosts {

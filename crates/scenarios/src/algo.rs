@@ -4,9 +4,7 @@
 use crate::spec::ParamSpec;
 use cc_baselines::{hpcc::ETA, Dcqcn, Dctcp, Hpcc, NewReno, ReTcp, Swift, Timely};
 use dcn_sim::{EcnConfig, Endpoint, PfcConfig, SwitchConfig};
-use dcn_transport::{
-    CcFactory, FlowSpec, HomaConfig, HomaHost, SharedMetrics, TransportConfig, TransportHost,
-};
+use dcn_transport::{CcFactory, FlowSpec, HomaHost, SharedMetrics, TransportConfig, TransportHost};
 use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, ThetaPowerTcp, GAMMA};
 
 /// The protocols under evaluation.
@@ -133,16 +131,20 @@ impl Algo {
         matches!(self, Algo::Dcqcn | Algo::Dctcp)
     }
 
-    /// Apply this algorithm's switch requirements to a base config.
+    /// The switch config this algorithm runs on: the default switch with
+    /// its requirements applied, then the params axis' Dynamic-Thresholds
+    /// α (the buffer-sizing ablation) when `param` sets one.
     /// ECN thresholds follow the DCQCN recommendation scaled to the
     /// narrowest (host) link bandwidth. The windowed-transport algorithms
     /// run on a *lossless* fabric (PFC), matching their RDMA deployment
     /// context in the paper (DCQCN/TIMELY/HPCC/PowerTCP all assume it);
     /// HOMA runs lossy — the paper explicitly attributes part of HOMA's
     /// behaviour to limited, DT-shared buffers.
-    pub fn switch_config(self, base: SwitchConfig, host_bw: Bandwidth) -> SwitchConfig {
-        let mut cfg = base;
-        cfg.int_enabled = self.needs_int();
+    pub fn switch_config(self, host_bw: Bandwidth, param: ParamSpec) -> SwitchConfig {
+        let mut cfg = SwitchConfig {
+            int_enabled: self.needs_int(),
+            ..SwitchConfig::default()
+        };
         if !self.is_homa() {
             cfg.pfc = Some(PfcConfig {
                 xoff_bytes: 100_000,
@@ -161,6 +163,9 @@ impl Algo {
                 // DCTCP: step marking at ~1.2 KB per Gbps.
                 _ => EcnConfig::step((1_200.0 * gbps) as u64),
             });
+        }
+        if let Some(alpha) = param.dt_alpha {
+            cfg.dt_alpha = alpha;
         }
         cfg
     }
@@ -211,9 +216,7 @@ impl Algo {
         flows: &[FlowSpec],
     ) -> Box<dyn Endpoint> {
         if let Algo::Homa(oc) = self {
-            let mut hcfg = HomaConfig::paper_defaults(host_bw, tcfg.base_rtt);
-            hcfg.overcommit = oc;
-            let mut h = HomaHost::new(hcfg, metrics.clone());
+            let mut h = HomaHost::new(tcfg, oc, host_bw, metrics.clone());
             flows.iter().for_each(|f| h.add_flow(*f));
             Box::new(h)
         } else {
@@ -236,7 +239,7 @@ mod tests {
         assert!(!Algo::PowerTcp.needs_ecn());
         assert!(Algo::Dcqcn.needs_ecn());
         assert!(!Algo::Timely.needs_int());
-        let cfg = Algo::Dcqcn.switch_config(SwitchConfig::default(), Bandwidth::gbps(25));
+        let cfg = Algo::Dcqcn.switch_config(Bandwidth::gbps(25), ParamSpec::default());
         let ecn = cfg.ecn.expect("DCQCN needs ECN");
         assert_eq!(ecn.kmin_bytes, 25_000);
         assert_eq!(ecn.kmax_bytes, 100_000);

@@ -17,7 +17,7 @@ use crate::spec::{
 use crate::sweep::SweepPoint;
 use dcn_sim::{
     buffer_tracer, build_dumbbell, build_fat_tree, build_star, series, star_base_rtt, star_host_id,
-    DumbbellConfig, Endpoint, FatTreeConfig, Network, NodeId, Simulator, SwitchConfig,
+    topology::HOST_DELAY, DumbbellConfig, Endpoint, FatTreeConfig, Network, NodeId, Simulator,
 };
 use dcn_stats::slowdown;
 use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig};
@@ -66,9 +66,9 @@ pub(crate) struct Plan {
     pub(crate) capacity: Bandwidth,
 }
 
-/// The `FatTreeConfig` a fat-tree topology spec denotes (default 4-pod
-/// layout; switch features per `algo` when given).
-pub(crate) fn fat_tree_config(topo: &TopologySpec, algo: Option<Algo>) -> FatTreeConfig {
+/// The `FatTreeConfig` a fat-tree topology spec denotes, on `algo`'s
+/// switches under `param`.
+pub(crate) fn fat_tree_config(topo: &TopologySpec, algo: Algo, param: ParamSpec) -> FatTreeConfig {
     let TopologySpec::FatTree {
         hosts_per_tor,
         host_gbps,
@@ -78,24 +78,23 @@ pub(crate) fn fat_tree_config(topo: &TopologySpec, algo: Option<Algo>) -> FatTre
         panic!("fat_tree_config on a non-fat-tree topology");
     };
     let host_bw = gbps(host_gbps);
-    let mut cfg = FatTreeConfig {
+    FatTreeConfig {
         hosts_per_tor,
         host_bw,
         fabric_bw: gbps(fabric_gbps),
-        ..FatTreeConfig::default()
-    };
-    if let Some(algo) = algo {
-        cfg.switch = algo.switch_config(SwitchConfig::default(), host_bw);
+        switch: algo.switch_config(host_bw, param),
     }
-    cfg
 }
 
-/// Propagation delay of host links in the star and dumbbell fixtures
-/// (matches the `timeseries` fixtures of [`crate::trace_engine`]).
-const EDGE_HOST_DELAY: Tick = Tick::from_micros(1);
+/// Propagation delay of a star's host links, in both engines (sweep
+/// points here, the `timeseries` fixtures of [`crate::trace_engine`]):
+/// the fat-tree's and the dumbbell's host delay, so every fixture's edge
+/// is the same 1 µs.
+pub(crate) const EDGE_HOST_DELAY: Tick = HOST_DELAY;
 
-/// The `DumbbellConfig` a dumbbell topology spec denotes.
-fn dumbbell_config(topo: &TopologySpec, algo: Algo) -> DumbbellConfig {
+/// The `DumbbellConfig` a dumbbell topology spec denotes, on `algo`'s
+/// switches under `param`.
+fn dumbbell_config(topo: &TopologySpec, algo: Algo, param: ParamSpec) -> DumbbellConfig {
     let TopologySpec::Dumbbell {
         pairs,
         host_gbps,
@@ -109,17 +108,14 @@ fn dumbbell_config(topo: &TopologySpec, algo: Algo) -> DumbbellConfig {
         pairs,
         host_bw,
         bottleneck_bw: gbps(bottleneck_gbps),
-        host_delay: EDGE_HOST_DELAY,
-        bottleneck_delay: Tick::from_micros(2),
-        switch: algo.switch_config(SwitchConfig::default(), host_bw),
+        switch: algo.switch_config(host_bw, param),
     }
 }
 
 pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
     match *topo {
         TopologySpec::FatTree { hosts_per_tor, .. } => {
-            let cfg = fat_tree_config(topo, Some(algo));
-            let tors = cfg.pods * cfg.tors_per_pod;
+            let cfg = fat_tree_config(topo, algo, ParamSpec::default());
             Plan {
                 map: HostMap {
                     hosts: (0..cfg.num_hosts()).map(|i| cfg.host_node_id(i)).collect(),
@@ -127,11 +123,7 @@ pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
                 },
                 base_rtt: cfg.max_base_rtt(),
                 host_bw: cfg.host_bw,
-                // Aggregate ToR-uplink capacity (the paper's load
-                // denominator).
-                capacity: Bandwidth::from_bps(
-                    cfg.fabric_bw.bps() * (tors * cfg.aggs_per_pod) as u64,
-                ),
+                capacity: cfg.uplink_capacity(),
             }
         }
         TopologySpec::Star { hosts, host_gbps } => {
@@ -153,7 +145,7 @@ pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
             }
         }
         TopologySpec::Dumbbell { pairs, .. } => {
-            let cfg = dumbbell_config(topo, algo);
+            let cfg = dumbbell_config(topo, algo, ParamSpec::default());
             // Senders are rack 0, receivers rack 1.
             Plan {
                 map: HostMap {
@@ -376,20 +368,10 @@ fn run_packet_point(sweep: &SweepBody, point: &SweepPoint) -> (PointOutcome, dcn
 
     // ---- Build the fabric. `traced` switches get buffer-occupancy
     // sampling (the edge switches whose shared buffer the paper reports);
-    // `all_switches` are polled for drops. The params axis may override
-    // the Dynamic-Thresholds α of every switch (the buffer-sizing
-    // ablation).
-    let tune_switch = |mut cfg: SwitchConfig| {
-        if let Some(a) = param.dt_alpha {
-            cfg.dt_alpha = a;
-        }
-        cfg
-    };
+    // `all_switches` are polled for drops.
     let (net, traced, all_switches): (Network, Vec<NodeId>, Vec<NodeId>) = match *topo {
         TopologySpec::FatTree { .. } => {
-            let mut cfg = fat_tree_config(topo, Some(algo));
-            cfg.switch = tune_switch(cfg.switch);
-            let ft = build_fat_tree(cfg, &mut mk);
+            let ft = build_fat_tree(fat_tree_config(topo, algo, param), &mut mk);
             let all: Vec<NodeId> = ft
                 .tors
                 .iter()
@@ -404,15 +386,13 @@ fn run_packet_point(sweep: &SweepBody, point: &SweepPoint) -> (PointOutcome, dcn
                 hosts,
                 host_bw,
                 EDGE_HOST_DELAY,
-                tune_switch(algo.switch_config(SwitchConfig::default(), host_bw)),
+                algo.switch_config(host_bw, param),
                 &mut mk,
             );
             (star.net, vec![star.switch], vec![star.switch])
         }
         TopologySpec::Dumbbell { .. } => {
-            let mut cfg = dumbbell_config(topo, algo);
-            cfg.switch = tune_switch(cfg.switch);
-            let db = build_dumbbell(cfg, &mut mk);
+            let db = build_dumbbell(dumbbell_config(topo, algo, param), &mut mk);
             (db.net, vec![db.left, db.right], vec![db.left, db.right])
         }
     };
@@ -461,7 +441,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Tiny: for unit tests and criterion benches (seconds of wall time).
+    /// Tiny: for unit tests (seconds of wall time).
     /// 2:1 oversubscription (exact 4:1 would need sub-line-rate uplinks at
     /// this size, which distorts more than it preserves).
     pub fn tiny() -> Self {
@@ -504,13 +484,13 @@ impl Scale {
 
     /// The fat-tree configuration for this scale under `algo`.
     pub fn fat_tree_config(&self, algo: Algo) -> FatTreeConfig {
-        fat_tree_config(&self.topology(), Some(algo))
+        fat_tree_config(&self.topology(), algo, ParamSpec::default())
     }
 
-    /// Aggregate ToR-uplink capacity (the paper's load denominator).
+    /// Aggregate ToR-uplink capacity (the paper's load denominator):
+    /// [`FatTreeConfig::uplink_capacity`].
     pub fn fabric_uplink_capacity(&self, cfg: &FatTreeConfig) -> Bandwidth {
-        let tors = cfg.pods * cfg.tors_per_pod;
-        Bandwidth::from_bps(cfg.fabric_bw.bps() * (tors * cfg.aggs_per_pod) as u64)
+        cfg.uplink_capacity()
     }
 }
 

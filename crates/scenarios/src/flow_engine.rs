@@ -15,11 +15,12 @@
 //! steady-state throughput:
 //!
 //! * every host NIC, in both directions (`host_bw` each way);
-//! * **fat-tree**: one aggregate up- and one aggregate downlink per ToR
-//!   at `fabric_bw × aggs_per_pod` — the rack's total fabric capacity.
-//!   The agg/core layers are treated as non-blocking (per-path ECMP
-//!   imbalance is averaged away), which is the standard flow-model
-//!   simplification and matches the paper's load denominator;
+//! * **fat-tree**: one aggregate up- and one aggregate downlink per ToR,
+//!   each an equal share of the plan's load denominator
+//!   (`FatTreeConfig::uplink_capacity`): `fabric_bw × AGGS_PER_POD`, the
+//!   rack's total fabric capacity. The agg/core layers are treated as
+//!   non-blocking (per-path ECMP imbalance is averaged away), which is
+//!   the standard flow-model simplification;
 //! * **star**: NICs only (the hub is non-blocking);
 //! * **dumbbell**: NICs plus one capacitated link per bottleneck
 //!   direction.
@@ -123,9 +124,8 @@ fn build_network(
     }
     let fabric = match *topo {
         TopologySpec::FatTree { .. } => {
-            let cfg = engine::fat_tree_config(topo, None);
             let racks = plan.map.num_racks();
-            let rack_bytes = cfg.fabric_bw.bytes_per_sec() * cfg.aggs_per_pod as f64;
+            let rack_bytes = plan.capacity.bytes_per_sec() / racks as f64;
             Fabric::Racks {
                 tor_up: (0..racks).map(|_| net.add_link(rack_bytes)).collect(),
                 tor_down: (0..racks).map(|_| net.add_link(rack_bytes)).collect(),
@@ -341,6 +341,33 @@ mod tests {
             waterfill_rounds: 72_997,
         };
         assert_eq!((stats, fnv), (want, 0x063f_e70d_0aa6_7c8a));
+    }
+
+    /// The flow engine's ToR uplinks add up to the packet engine's load
+    /// denominator, on the builtins' three fat-tree shapes: each rack
+    /// gets `fabric_bw × AGGS_PER_POD`, and both sides are exact in `f64`.
+    #[test]
+    fn both_sweep_engines_see_one_fabric() {
+        for (hosts_per_tor, fabric_gbps) in [(2, 12.5), (32, 100.0), (12_500, 100.0)] {
+            let topo = TopologySpec::FatTree {
+                hosts_per_tor,
+                host_gbps: 25.0,
+                fabric_gbps,
+            };
+            let cfg = engine::fat_tree_config(&topo, Algo::PowerTcp, ParamSpec::default());
+            assert_eq!(topo.num_hosts(), cfg.num_hosts(), "{topo:?}");
+            let plan = engine::plan(&topo, Algo::PowerTcp);
+            let (net, _) = build_network(&topo, &plan, &[]);
+            // Host up- and downlinks come first, then each rack's ToR
+            // uplink.
+            let n = plan.map.hosts.len();
+            let racks = (2 * n..2 * n + dcn_sim::topology::TORS).map(|l| LinkId(l as u32));
+            let rack_bytes: Vec<f64> = racks.map(|l| net.capacity(l)).collect();
+            let per_rack = cfg.fabric_bw.bytes_per_sec() * dcn_sim::topology::AGGS_PER_POD as f64;
+            assert!(rack_bytes.iter().all(|&b| b == per_rack), "{topo:?}");
+            let total: f64 = rack_bytes.iter().sum();
+            assert_eq!(plan.capacity.bps() as f64, 8.0 * total, "{topo:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::algo::Algo;
 use crate::schema::{self, Pass, Ty, Val};
 use crate::toml::Value;
+use dcn_sim::topology::{AGGS_PER_POD, CORES, PODS, TORS, TORS_PER_POD};
 use dcn_sim::PortId;
 use fluid_model::{FluidParams, Law};
 use powertcp_core::{Bandwidth, Tick};
@@ -34,7 +35,8 @@ macro_rules! ensure {
 pub enum TopologySpec {
     /// The paper's oversubscribed fat-tree (§4.1). Oversubscription is
     /// set by `hosts_per_tor × host_gbps` versus the ToR uplink capacity
-    /// (`aggs_per_pod × fabric_gbps`, 2 uplinks by default).
+    /// (`AGGS_PER_POD × fabric_gbps`: 2 uplinks; the shape is
+    /// [`dcn_sim::topology`]'s constants).
     FatTree {
         /// Hosts per ToR (paper: 32; `tiny` scale: 2).
         hosts_per_tor: usize,
@@ -68,14 +70,8 @@ impl TopologySpec {
     /// Total host count.
     pub fn num_hosts(&self) -> usize {
         match self {
-            TopologySpec::FatTree { hosts_per_tor, .. } => {
-                // pods × tors_per_pod × hosts_per_tor with the default
-                // 4-pod, 2-ToR layout of `FatTreeConfig::default()`
-                // (saturating: validation asks before it has bounded
-                // anything).
-                let cfg = crate::engine::fat_tree_config(self, None);
-                (cfg.pods * cfg.tors_per_pod).saturating_mul(*hosts_per_tor)
-            }
+            // Saturating: validation asks before it has bounded anything.
+            TopologySpec::FatTree { hosts_per_tor, .. } => TORS.saturating_mul(*hosts_per_tor),
             TopologySpec::Star { hosts, .. } => *hosts,
             TopologySpec::Dumbbell { pairs, .. } => pairs * 2,
         }
@@ -87,8 +83,11 @@ impl TopologySpec {
     fn widest_switch(&self) -> (&'static str, usize) {
         match *self {
             TopologySpec::FatTree { hosts_per_tor, .. } => {
-                let uplinks = crate::engine::fat_tree_config(self, None).aggs_per_pod;
-                ("hosts_per_tor", hosts_per_tor.saturating_add(uplinks))
+                // A ToR's hosts and uplinks, an agg's ToRs and cores, a
+                // core's aggs.
+                let tor = hosts_per_tor.saturating_add(AGGS_PER_POD);
+                let widest = tor.max(TORS_PER_POD + CORES).max(PODS * AGGS_PER_POD);
+                ("hosts_per_tor", widest)
             }
             TopologySpec::Star { hosts, .. } => ("hosts", hosts),
             TopologySpec::Dumbbell { pairs, .. } => ("pairs", pairs.saturating_add(1)),
@@ -1179,6 +1178,32 @@ seeds = [7, 11]
         assert_eq!(incast(65_533).validate(), Ok(()));
         let err = incast(65_534).validate().unwrap_err();
         assert!(err.contains("fan_in") && err.contains("65535"), "{err}");
+    }
+
+    #[test]
+    fn widest_switch_is_the_widest_the_fat_tree_builder_lays() {
+        // Below 6 hosts per ToR a core (8 ports, one per agg) is wider
+        // than a ToR (hosts + 2 uplinks).
+        for hosts_per_tor in 1..=8 {
+            let topo = TopologySpec::FatTree {
+                hosts_per_tor,
+                host_gbps: 25.0,
+                fabric_gbps: 100.0,
+            };
+            let cfg = dcn_sim::FatTreeConfig {
+                hosts_per_tor,
+                ..Default::default()
+            };
+            let mut null = |_, _| -> Box<dyn dcn_sim::Endpoint> { Box::new(dcn_sim::NullEndpoint) };
+            let ft = dcn_sim::build_fat_tree(cfg, &mut null);
+            let built = ft.tors.iter().chain(&ft.aggs).chain(&ft.cores);
+            let widest = built.map(|&sw| ft.net.switch(sw).num_ports()).max();
+            assert_eq!(
+                Some(topo.widest_switch()),
+                widest.map(|ports| ("hosts_per_tor", ports)),
+                "hosts_per_tor = {hosts_per_tor}"
+            );
+        }
     }
 
     #[test]

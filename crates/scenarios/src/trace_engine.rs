@@ -14,16 +14,17 @@
 
 use crate::algo::Algo;
 use crate::analytic_engine::{analytic_entries, run_analytic_entry};
+use crate::engine::EDGE_HOST_DELAY;
 use crate::spec::{ParamSpec, ScenarioKind, ScenarioSpec, TraceScenario, TraceSpec};
 use dcn_sim::{
     build_star, cc_probe, host_throughput_probe, queue_probe, star_host_id, throughput_probe,
-    Endpoint, FlowId, NodeId, PortId, Simulator, SwitchConfig,
+    Endpoint, FlowId, NodeId, PortId, Simulator,
 };
 use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry};
 use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig};
 use fluid_model::{current_md, fig2c_cases, voltage_md};
 use powertcp_core::{Bandwidth, Tick};
-use rdcn::{build_rack_pair, RdcnConfig, RotorSchedule};
+use rdcn::{build_rack_pair, topology::CIRCUIT_BW, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -391,7 +392,7 @@ fn incast_trace(
     let n = fan_in + 2; // receiver + long-flow sender + burst senders
     let incast_at = Tick::from_secs_f64(at_ms / 1e3);
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
-    let sw_cfg = algo.switch_config(SwitchConfig::default(), host_bw);
+    let sw_cfg = algo.switch_config(host_bw, ParamSpec::default());
 
     let receiver = star_host_id(0);
     let long_sender = star_host_id(1);
@@ -421,7 +422,7 @@ fn incast_trace(
         }
         algo.endpoint(tcfg, ParamSpec::default(), host_bw, &m2, &flows)
     };
-    let star = build_star(n, host_bw, Tick::from_micros(1), sw_cfg, &mut mk);
+    let star = build_star(n, host_bw, EDGE_HOST_DELAY, sw_cfg, &mut mk);
     let sw = star.switch;
     let mut sim = Simulator::new(star.net);
 
@@ -529,8 +530,8 @@ fn fairness_trace(
     let star = build_star(
         flows + 1,
         host_bw,
-        Tick::from_micros(1),
-        algo.switch_config(SwitchConfig::default(), host_bw),
+        EDGE_HOST_DELAY,
+        algo.switch_config(host_bw, ParamSpec::default()),
         &mut mk,
     );
     let senders: Vec<NodeId> = (1..=flows).map(star_host_id).collect();
@@ -600,10 +601,8 @@ fn rdcn_trace(
         hosts_per_tor: 4,
         packet_bw,
         prebuffer,
-        ..RdcnConfig::default()
     };
     let schedule = cfg.schedule;
-    let circuit_bw = cfg.circuit_bw;
     let metrics: SharedMetrics = MetricsHub::new_shared();
     let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
 
@@ -616,7 +615,7 @@ fn rdcn_trace(
         mtu: 1000,
     };
     // Enough bytes to stay active the whole run at 100 G.
-    let flow_bytes = circuit_bw.bytes_per_sec() as u64 / 100;
+    let flow_bytes = CIRCUIT_BW.bytes_per_sec() as u64 / 100;
     let mut make_cc = || algo.cc_factory(tcfg);
     let r = build_rack_pair(cfg, &metrics, tcfg, flow_bytes, &mut make_cc);
     let gauge = r.voq_gauges[0].clone();
@@ -679,7 +678,7 @@ fn rdcn_trace(
     let circuit_bytes = c.ports[hpt + 1].tx_bytes;
     let uplink_bytes = c.ports[hpt].tx_bytes;
     let day_seconds = schedule.day.as_secs_f64() * weeks as f64;
-    let day_utilization = circuit_bytes as f64 / (circuit_bw.bytes_per_sec() * day_seconds);
+    let day_utilization = circuit_bytes as f64 / (CIRCUIT_BW.bytes_per_sec() * day_seconds);
     let mean_goodput = (circuit_bytes + uplink_bytes) as f64 * 8.0 / horizon.as_secs_f64() / 1e9;
 
     let latency = dcn_stats::Sorted::new(std::mem::take(&mut *sink.borrow_mut()));

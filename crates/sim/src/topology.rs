@@ -1,5 +1,17 @@
 //! Topology builders: the paper's fat-tree (§4.1), plus dumbbell and
 //! single-switch stars for controlled experiments.
+//!
+//! A spec turns only the host count and the link rates. Everything else
+//! about a fabric is fixed here:
+//!
+//! * the fat-tree's shape, §4.1: [`PODS`] pods of [`TORS_PER_POD`] ToRs
+//!   and [`AGGS_PER_POD`] aggregation switches, [`CORES`] core switches;
+//! * its delays, §4.1: 1 µs on host links ([`HOST_DELAY`]) and ToR–agg
+//!   links ([`FABRIC_DELAY`]), 5 µs on agg–core links ([`CORE_DELAY`]);
+//! * the dumbbell's links: [`HOST_DELAY`] on host links and 2 µs on the
+//!   bottleneck ([`BOTTLENECK_DELAY`]).
+//!
+//! The star's host delay stays an argument of [`build_star`].
 
 use crate::engine::{Network, NetworkBuilder};
 use crate::ids::{NodeId, PortId};
@@ -11,34 +23,41 @@ use powertcp_core::{Bandwidth, Tick};
 /// Factory for per-host endpoint logic: called with (host id, host index).
 pub type AppFactory<'a> = dyn FnMut(NodeId, usize) -> Box<dyn Endpoint> + 'a;
 
+/// Pods in the fat-tree (§4.1).
+pub const PODS: usize = 4;
+/// ToR switches per pod (§4.1).
+pub const TORS_PER_POD: usize = 2;
+/// Aggregation switches per pod (§4.1): each ToR has this many uplinks.
+pub const AGGS_PER_POD: usize = 2;
+/// Core switches (§4.1): each agg has this many uplinks.
+pub const CORES: usize = 2;
+/// ToR switches in the fat-tree: one rack each.
+pub const TORS: usize = PODS * TORS_PER_POD;
+/// Propagation delay of a host link, in the fat-tree (§4.1) and the
+/// dumbbell.
+pub const HOST_DELAY: Tick = Tick::from_micros(1);
+/// Propagation delay of a ToR–agg link (§4.1).
+pub const FABRIC_DELAY: Tick = Tick::from_micros(1);
+/// Propagation delay of an agg–core link (§4.1).
+pub const CORE_DELAY: Tick = Tick::from_micros(5);
+/// Propagation delay of the dumbbell's bottleneck link.
+pub const BOTTLENECK_DELAY: Tick = Tick::from_micros(2);
+
 /// Configuration of the paper's fat-tree (§4.1 defaults).
 ///
 /// 256 servers in 4 pods; each pod has 2 ToRs and 2 aggregation switches;
 /// 2 core switches; 25 Gbps host links, 100 Gbps fabric links, 4:1
 /// oversubscription at the ToR; 1 µs edge/fabric propagation, 5 µs on core
-/// links; shared-buffer switches with Dynamic Thresholds.
+/// links; shared-buffer switches with Dynamic Thresholds. The shape and
+/// the delays are the module's constants.
 #[derive(Clone, Copy, Debug)]
 pub struct FatTreeConfig {
-    /// Number of pods.
-    pub pods: usize,
-    /// ToR switches per pod.
-    pub tors_per_pod: usize,
-    /// Aggregation switches per pod.
-    pub aggs_per_pod: usize,
-    /// Core switches.
-    pub cores: usize,
     /// Hosts attached to each ToR.
     pub hosts_per_tor: usize,
     /// Host NIC bandwidth.
     pub host_bw: Bandwidth,
     /// Switch-to-switch bandwidth.
     pub fabric_bw: Bandwidth,
-    /// Host link propagation delay.
-    pub host_delay: Tick,
-    /// ToR-Agg propagation delay.
-    pub fabric_delay: Tick,
-    /// Agg-Core propagation delay.
-    pub core_delay: Tick,
     /// Switch template (buffers are scaled per tier by the builder).
     pub switch: SwitchConfig,
 }
@@ -46,16 +65,9 @@ pub struct FatTreeConfig {
 impl Default for FatTreeConfig {
     fn default() -> Self {
         FatTreeConfig {
-            pods: 4,
-            tors_per_pod: 2,
-            aggs_per_pod: 2,
-            cores: 2,
             hosts_per_tor: 32,
             host_bw: Bandwidth::gbps(25),
             fabric_bw: Bandwidth::gbps(100),
-            host_delay: Tick::from_micros(1),
-            fabric_delay: Tick::from_micros(1),
-            core_delay: Tick::from_micros(5),
             switch: SwitchConfig::default(),
         }
     }
@@ -73,13 +85,20 @@ impl FatTreeConfig {
 
     /// Total number of hosts.
     pub fn num_hosts(&self) -> usize {
-        self.pods * self.tors_per_pod * self.hosts_per_tor
+        TORS * self.hosts_per_tor
     }
 
     /// Number of switch nodes the builder creates before any host (ToRs +
     /// aggs + cores); node ids are assigned in that order.
     pub fn num_switches(&self) -> usize {
-        self.pods * (self.tors_per_pod + self.aggs_per_pod) + self.cores
+        TORS + PODS * AGGS_PER_POD + CORES
+    }
+
+    /// Aggregate ToR-uplink capacity: every ToR's [`AGGS_PER_POD`]
+    /// uplinks at `fabric_bw`. The paper's load denominator; the flow
+    /// engine gives each rack an equal share of it.
+    pub fn uplink_capacity(&self) -> Bandwidth {
+        Bandwidth::from_bps(self.fabric_bw.bps() * (TORS * AGGS_PER_POD) as u64)
     }
 
     /// The node id host index `idx` will receive when the topology is
@@ -96,12 +115,12 @@ impl FatTreeConfig {
     /// pair at a core switch.
     pub fn pair_rtt(&self, a: usize, b: usize) -> Tick {
         let (rack_a, rack_b) = (a / self.hosts_per_tor, b / self.hosts_per_tor);
-        let host = (self.host_bw, self.host_delay);
-        let agg = (self.fabric_bw, self.fabric_delay);
-        let core = (self.fabric_bw, self.core_delay);
+        let host = (self.host_bw, HOST_DELAY);
+        let agg = (self.fabric_bw, FABRIC_DELAY);
+        let core = (self.fabric_bw, CORE_DELAY);
         if rack_a == rack_b {
             path_rtt(&[host, host])
-        } else if rack_a / self.tors_per_pod == rack_b / self.tors_per_pod {
+        } else if rack_a / TORS_PER_POD == rack_b / TORS_PER_POD {
             path_rtt(&[host, agg, agg, host])
         } else {
             path_rtt(&[host, agg, core, core, agg, host])
@@ -145,26 +164,18 @@ pub struct FatTree {
     pub cfg: FatTreeConfig,
 }
 
-impl FatTree {
-    /// The rack (ToR index) of a host.
-    pub fn rack_of(&self, host_index: usize) -> usize {
-        host_index / self.cfg.hosts_per_tor
-    }
-}
-
 /// Build the fat-tree, instantiating one endpoint per host via `apps`.
 pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree {
-    assert!(cfg.pods > 0 && cfg.tors_per_pod > 0 && cfg.hosts_per_tor > 0);
-    assert!(cfg.cores > 0 && cfg.aggs_per_pod > 0);
+    assert!(cfg.hosts_per_tor > 0);
     let mut b = NetworkBuilder::new();
 
     // Buffer sizing per the paper: proportional to switch capacity using
     // the Tofino bandwidth-buffer ratio (~6.9 KB per Gbps of capacity).
     const BYTES_PER_GBPS: f64 = 6_875.0;
     let tor_capacity_gbps = cfg.hosts_per_tor as f64 * cfg.host_bw.as_gbps_f64()
-        + cfg.aggs_per_pod as f64 * cfg.fabric_bw.as_gbps_f64();
-    let agg_capacity_gbps = (cfg.tors_per_pod + cfg.cores) as f64 * cfg.fabric_bw.as_gbps_f64();
-    let core_capacity_gbps = (cfg.pods * cfg.aggs_per_pod) as f64 * cfg.fabric_bw.as_gbps_f64();
+        + AGGS_PER_POD as f64 * cfg.fabric_bw.as_gbps_f64();
+    let agg_capacity_gbps = (TORS_PER_POD + CORES) as f64 * cfg.fabric_bw.as_gbps_f64();
+    let core_capacity_gbps = (PODS * AGGS_PER_POD) as f64 * cfg.fabric_bw.as_gbps_f64();
     let scaled = |gbps: f64| SwitchConfig {
         buffer_bytes: (gbps * BYTES_PER_GBPS) as u64,
         ..cfg.switch
@@ -173,15 +184,15 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
     // Create switches first (ids dense and predictable), then hosts.
     let mut tors = Vec::new();
     let mut aggs = Vec::new();
-    for _ in 0..cfg.pods {
-        for _ in 0..cfg.tors_per_pod {
+    for _ in 0..PODS {
+        for _ in 0..TORS_PER_POD {
             tors.push(b.add_switch(scaled(tor_capacity_gbps)));
         }
-        for _ in 0..cfg.aggs_per_pod {
+        for _ in 0..AGGS_PER_POD {
             aggs.push(b.add_switch(scaled(agg_capacity_gbps)));
         }
     }
-    let cores: Vec<NodeId> = (0..cfg.cores)
+    let cores: Vec<NodeId> = (0..CORES)
         .map(|_| b.add_switch(scaled(core_capacity_gbps)))
         .collect();
 
@@ -195,21 +206,21 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
             let idx = t * cfg.hosts_per_tor + h;
             let host = b.add_host(apps(b.next_node_id(), idx));
             assert_eq!(host, cfg.host_node_id(idx), "fat-tree node-id plan");
-            downlinks.push(b.connect(tor, host, cfg.host_bw, cfg.host_delay).0);
+            downlinks.push(b.connect(tor, host, cfg.host_bw, HOST_DELAY).0);
             hosts.push(host);
         }
     }
 
     // ToR uplinks to every agg in the pod.
-    // tor_uplinks[t][a] = port on tors[t] toward aggs[pod*aggs_per_pod+a].
+    // tor_uplinks[t][a] = port on tors[t] toward aggs[pod*AGGS_PER_POD+a].
     let mut tor_uplinks = vec![Vec::new(); tors.len()];
     let mut agg_downlinks = vec![Vec::new(); aggs.len()];
-    for pod in 0..cfg.pods {
-        for t in 0..cfg.tors_per_pod {
-            let ti = pod * cfg.tors_per_pod + t;
-            for a in 0..cfg.aggs_per_pod {
-                let ai = pod * cfg.aggs_per_pod + a;
-                let (pt, pa) = b.connect(tors[ti], aggs[ai], cfg.fabric_bw, cfg.fabric_delay);
+    for pod in 0..PODS {
+        for t in 0..TORS_PER_POD {
+            let ti = pod * TORS_PER_POD + t;
+            for a in 0..AGGS_PER_POD {
+                let ai = pod * AGGS_PER_POD + a;
+                let (pt, pa) = b.connect(tors[ti], aggs[ai], cfg.fabric_bw, FABRIC_DELAY);
                 tor_uplinks[ti].push(pt);
                 agg_downlinks[ai].push((ti, pa));
             }
@@ -221,7 +232,7 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
     let mut core_downlinks = vec![Vec::new(); cores.len()];
     for (ai, &agg) in aggs.iter().enumerate() {
         for (ci, &core) in cores.iter().enumerate() {
-            let (pa, pc) = b.connect(agg, core, cfg.fabric_bw, cfg.core_delay);
+            let (pa, pc) = b.connect(agg, core, cfg.fabric_bw, CORE_DELAY);
             agg_uplinks[ai].push(pa);
             core_downlinks[ci].push((ai, pc));
         }
@@ -231,7 +242,7 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
 
     // Routing tables.
     let rack_of = |host_index: usize| host_index / cfg.hosts_per_tor;
-    let pod_of_rack = |rack: usize| rack / cfg.tors_per_pod;
+    let pod_of_rack = |rack: usize| rack / TORS_PER_POD;
     for (hi, &host) in hosts.iter().enumerate() {
         let rack = rack_of(hi);
         let pod = pod_of_rack(rack);
@@ -246,7 +257,7 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
         }
         // Aggs.
         for (ai, _) in aggs.iter().enumerate() {
-            let my_pod = ai / cfg.aggs_per_pod;
+            let my_pod = ai / AGGS_PER_POD;
             let ports = if my_pod == pod {
                 // Downlink to the dst ToR.
                 agg_downlinks[ai]
@@ -263,7 +274,7 @@ pub fn build_fat_tree(cfg: FatTreeConfig, apps: &mut AppFactory<'_>) -> FatTree 
         for (ci, _) in cores.iter().enumerate() {
             let ports: Vec<PortId> = core_downlinks[ci]
                 .iter()
-                .filter(|(ai, _)| ai / cfg.aggs_per_pod == pod)
+                .filter(|(ai, _)| ai / AGGS_PER_POD == pod)
                 .map(|(_, p)| *p)
                 .collect();
             net.switch_mut(cores[ci]).set_route(host, ports);
@@ -306,10 +317,6 @@ pub struct DumbbellConfig {
     pub host_bw: Bandwidth,
     /// Bottleneck bandwidth.
     pub bottleneck_bw: Bandwidth,
-    /// Host link propagation delay.
-    pub host_delay: Tick,
-    /// Bottleneck propagation delay.
-    pub bottleneck_delay: Tick,
     /// Switch template.
     pub switch: SwitchConfig,
 }
@@ -326,8 +333,8 @@ impl DumbbellConfig {
     /// Base RTT through the bottleneck for MTU data + control ACK,
     /// computable before the network (and its endpoints) exist.
     pub fn base_rtt(&self) -> Tick {
-        let host = (self.host_bw, self.host_delay);
-        path_rtt(&[host, (self.bottleneck_bw, self.bottleneck_delay), host])
+        let host = (self.host_bw, HOST_DELAY);
+        path_rtt(&[host, (self.bottleneck_bw, BOTTLENECK_DELAY), host])
     }
 }
 
@@ -337,8 +344,6 @@ impl Default for DumbbellConfig {
             pairs: 2,
             host_bw: Bandwidth::gbps(25),
             bottleneck_bw: Bandwidth::gbps(25),
-            host_delay: Tick::from_micros(1),
-            bottleneck_delay: Tick::from_micros(2),
             switch: SwitchConfig::default(),
         }
     }
@@ -358,10 +363,10 @@ pub fn build_dumbbell(cfg: DumbbellConfig, apps: &mut AppFactory<'_>) -> Dumbbel
         let sw = if i < cfg.pairs { left } else { right };
         let h = b.add_host(apps(b.next_node_id(), i));
         assert_eq!(h, cfg.host_node_id(i), "dumbbell node-id plan");
-        down.push(b.connect(sw, h, cfg.host_bw, cfg.host_delay).0);
+        down.push(b.connect(sw, h, cfg.host_bw, HOST_DELAY).0);
         hosts.push(h);
     }
-    let (trunk_left, trunk_right) = b.connect(left, right, cfg.bottleneck_bw, cfg.bottleneck_delay);
+    let (trunk_left, trunk_right) = b.connect(left, right, cfg.bottleneck_bw, BOTTLENECK_DELAY);
     let mut net = b.build();
 
     // A host's own switch reaches it directly, the other one over the
@@ -505,7 +510,7 @@ mod tests {
         // A pair's RTT grows with the tier it turns at, and the maximum
         // is the cross-pod pair's.
         for c in [cfg, tiny, wide] {
-            let (tor, pod) = (c.hosts_per_tor, c.hosts_per_tor * c.tors_per_pod);
+            let (tor, pod) = (c.hosts_per_tor, c.hosts_per_tor * TORS_PER_POD);
             let same_tor = c.pair_rtt(0, tor - 1);
             let same_pod = c.pair_rtt(0, tor);
             let cross_pod = c.pair_rtt(0, pod);

@@ -19,8 +19,14 @@
 //!   `resend`, telling the sender to rewind to the prefix (HOMA's RESEND
 //!   in go-back-N form — sufficient for a drop-rare fabric).
 //!
-//! The paper's RTTBytes knob maps to `HostBw × τ`, and the overcommitment
-//! level is the `overcommit` config field (1–6 in Appendix D).
+//! The overcommitment level `K` is the one value a spec sets (1–6 in
+//! Appendix D; §4.1 uses 1). Everything else is derived from the caller's
+//! [`TransportConfig`] (its `mtu` and base RTT `τ`) and the host rate:
+//!
+//! * **RTTbytes** is the bandwidth-delay product `HostBw × τ`, by
+//!   definition ("It's Time to Replace TCP in the Datacenter");
+//! * the **stall-scan interval** that triggers a resend is `20 τ`
+//!   (`RESEND_RTTS`).
 
 use crate::config::TransportConfig;
 use crate::flow::FlowSpec;
@@ -36,36 +42,9 @@ const K_MSG_START: u64 = 1;
 const K_PACE: u64 = 2;
 const K_STALL_SCAN: u64 = 3;
 
-/// HOMA configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct HomaConfig {
-    /// Transport basics (mtu, base RTT).
-    pub transport: TransportConfig,
-    /// Overcommitment level `K`: how many messages a receiver grants
-    /// concurrently (paper Appendix D sweeps 1–6; §4.1 uses 1).
-    pub overcommit: usize,
-    /// RTTbytes: unscheduled budget and per-message incoming cap. The
-    /// paper configures `HostBw × base-RTT`.
-    pub rtt_bytes: u64,
-    /// Stall scan interval for lost-packet recovery (a few RTTs).
-    pub resend_interval: Tick,
-}
-
-impl HomaConfig {
-    /// Paper-style defaults for a 25G host and the given base RTT.
-    pub fn paper_defaults(host_bw: Bandwidth, base_rtt: Tick) -> Self {
-        let transport = TransportConfig {
-            base_rtt,
-            ..TransportConfig::default()
-        };
-        HomaConfig {
-            transport,
-            overcommit: 1,
-            rtt_bytes: host_bw.bdp_bytes(base_rtt) as u64,
-            resend_interval: base_rtt * 20,
-        }
-    }
-}
+/// Base RTTs a message may go without progress before the receiver asks
+/// for a resend (the stall-scan interval).
+const RESEND_RTTS: u64 = 20;
 
 struct HomaSender {
     spec: FlowSpec,
@@ -93,7 +72,15 @@ struct HomaReceiver {
 
 /// HOMA endpoint; one per host (acts as sender and receiver).
 pub struct HomaHost {
-    cfg: HomaConfig,
+    /// Data payload per packet.
+    mtu: u64,
+    /// Overcommitment level `K`: how many messages a receiver grants
+    /// concurrently.
+    overcommit: usize,
+    /// RTTbytes: unscheduled budget and per-message incoming cap.
+    rtt_bytes: u64,
+    /// Stall-scan interval for lost-packet recovery.
+    resend_interval: Tick,
     metrics: SharedMetrics,
     senders: Vec<HomaSender>,
     // FlowTable, not BTreeMap: per-packet lookups are slab indexes over
@@ -109,11 +96,20 @@ pub struct HomaHost {
 }
 
 impl HomaHost {
-    /// Create a HOMA endpoint.
-    pub fn new(cfg: HomaConfig, metrics: SharedMetrics) -> Self {
-        assert!(cfg.overcommit >= 1, "overcommit must be >= 1");
+    /// Create a HOMA endpoint granting `overcommit` messages at once on a
+    /// `host_bw` NIC, with `tcfg`'s MTU and base RTT.
+    pub fn new(
+        tcfg: TransportConfig,
+        overcommit: usize,
+        host_bw: Bandwidth,
+        metrics: SharedMetrics,
+    ) -> Self {
+        assert!(overcommit >= 1, "overcommit must be >= 1");
         HomaHost {
-            cfg,
+            mtu: tcfg.mtu as u64,
+            overcommit,
+            rtt_bytes: host_bw.bdp_bytes(tcfg.base_rtt) as u64,
+            resend_interval: tcfg.base_rtt * RESEND_RTTS,
             metrics,
             senders: Vec::new(),
             sender_index: FlowTable::new(),
@@ -145,9 +141,9 @@ impl HomaHost {
     /// and RTTbytes preserve the behaviour that matters — short messages
     /// preempt long ones).
     fn unscheduled_prio(&self, len: u64) -> u8 {
-        if len <= self.cfg.transport.mtu as u64 {
+        if len <= self.mtu {
             0
-        } else if len <= self.cfg.rtt_bytes {
+        } else if len <= self.rtt_bytes {
             1
         } else {
             2
@@ -156,12 +152,12 @@ impl HomaHost {
 
     fn send_window(&self, s: &HomaSender) -> u64 {
         // Unscheduled budget plus everything granted.
-        self.cfg.rtt_bytes.max(s.granted).min(s.spec.size_bytes)
+        self.rtt_bytes.max(s.granted).min(s.spec.size_bytes)
     }
 
     /// Pump one sender message.
     fn pump(&mut self, idx: usize, ctx: &mut EndpointCtx<'_>) {
-        let mtu = self.cfg.transport.mtu as u64;
+        let mtu = self.mtu;
         let unsched_prio = self.unscheduled_prio(self.senders[idx].spec.size_bytes);
         loop {
             let limit = self.send_window(&self.senders[idx]);
@@ -178,7 +174,7 @@ impl HomaHost {
             }
             let len = mtu.min(s.spec.size_bytes - s.sent).min(limit - s.sent) as u32;
             let offset = s.sent;
-            let unscheduled = offset < self.cfg.rtt_bytes;
+            let unscheduled = offset < self.rtt_bytes;
             let prio = if unscheduled {
                 unsched_prio
             } else {
@@ -226,13 +222,13 @@ impl HomaHost {
             })
             .collect();
         active.sort();
-        let k = self.cfg.overcommit.min(active.len());
+        let k = self.overcommit.min(active.len());
         let mut grants = Vec::new();
         for (rank, &(_, id)) in active.iter().take(k).enumerate() {
             let r = self.receivers.get_mut(id).expect("active message");
             // Scheduled priorities: classes 3..7, better rank = higher.
             let prio = (3 + rank).min(7) as u8;
-            let desired = (r.prefix + self.cfg.rtt_bytes).min(r.msg_len);
+            let desired = (r.prefix + self.rtt_bytes).min(r.msg_len);
             if desired > r.granted {
                 r.granted = desired;
                 grants.push((id, r.src, desired, prio));
@@ -283,7 +279,7 @@ impl HomaHost {
                     src: pkt.src,
                     msg_len,
                     prefix: 0,
-                    granted: self.cfg.rtt_bytes.min(msg_len),
+                    granted: self.rtt_bytes.min(msg_len),
                     complete: false,
                     last_progress: ctx.now,
                 },
@@ -304,7 +300,7 @@ impl HomaHost {
         self.regrant(ctx);
         if !self.stall_scan_armed {
             self.stall_scan_armed = true;
-            ctx.set_timer(ctx.now + self.cfg.resend_interval, key(K_STALL_SCAN, 0));
+            ctx.set_timer(ctx.now + self.resend_interval, key(K_STALL_SCAN, 0));
         }
     }
 
@@ -346,9 +342,7 @@ impl HomaHost {
             // (or unscheduled bytes) never arrived; ungranted messages are
             // merely waiting their SRPT turn.
             let expected_missing = r.prefix < r.granted;
-            if expected_missing
-                && ctx.now.saturating_sub(r.last_progress) >= self.cfg.resend_interval
-            {
+            if expected_missing && ctx.now.saturating_sub(r.last_progress) >= self.resend_interval {
                 resends.push((*id, r.src, r.prefix));
             }
         }
@@ -358,7 +352,7 @@ impl HomaHost {
         }
         if any_active {
             self.stall_scan_armed = true;
-            ctx.set_timer(ctx.now + self.cfg.resend_interval, key(K_STALL_SCAN, 0));
+            ctx.set_timer(ctx.now + self.resend_interval, key(K_STALL_SCAN, 0));
         }
     }
 }
@@ -418,10 +412,27 @@ mod tests {
         }
     }
 
+    fn host(overcommit: usize) -> HomaHost {
+        let tcfg = TransportConfig {
+            base_rtt: Tick::from_micros(20),
+            ..TransportConfig::default()
+        };
+        let metrics = crate::metrics::MetricsHub::new_shared();
+        HomaHost::new(tcfg, overcommit, Bandwidth::gbps(25), metrics)
+    }
+
+    #[test]
+    fn budgets_derive_from_the_transport_and_the_nic() {
+        // RTTbytes is 25G × 20 µs; a stall scan waits 20 base RTTs.
+        let h = host(1);
+        assert_eq!(h.mtu, 1000);
+        assert_eq!(h.rtt_bytes, 62_500);
+        assert_eq!(h.resend_interval, Tick::from_micros(400));
+    }
+
     #[test]
     fn unscheduled_priority_cutoffs() {
-        let cfg = HomaConfig::paper_defaults(Bandwidth::gbps(25), Tick::from_micros(20));
-        let h = HomaHost::new(cfg, crate::metrics::MetricsHub::new_shared());
+        let h = host(1);
         assert_eq!(h.unscheduled_prio(500), 0);
         assert_eq!(h.unscheduled_prio(10_000), 1);
         assert_eq!(h.unscheduled_prio(10_000_000), 2);
@@ -430,8 +441,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_overcommit_rejected() {
-        let mut cfg = HomaConfig::paper_defaults(Bandwidth::gbps(25), Tick::from_micros(20));
-        cfg.overcommit = 0;
-        HomaHost::new(cfg, crate::metrics::MetricsHub::new_shared());
+        host(0);
     }
 }

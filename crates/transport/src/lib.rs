@@ -24,6 +24,6 @@ mod timer_key;
 
 pub use config::TransportConfig;
 pub use flow::FlowSpec;
-pub use homa::{HomaConfig, HomaHost};
+pub use homa::HomaHost;
 pub use host::{CcFactory, TransportHost};
 pub use metrics::{FlowRecord, MetricsHub, SharedMetrics};

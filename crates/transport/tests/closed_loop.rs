@@ -8,7 +8,7 @@ use dcn_sim::{
     PortId, Simulator, SwitchConfig,
 };
 use dcn_transport::{
-    FlowSpec, HomaConfig, HomaHost, MetricsHub, SharedMetrics, TransportConfig, TransportHost,
+    FlowSpec, HomaHost, MetricsHub, SharedMetrics, TransportConfig, TransportHost,
 };
 use powertcp_core::{
     Bandwidth, CcContext, CongestionControl, PowerTcp, ThetaPowerTcp, Tick, GAMMA,
@@ -251,8 +251,11 @@ fn homa_messages_complete() {
     let base_rtt = Tick::from_micros(10);
     let m2 = metrics.clone();
     let mut mk = move |_id: NodeId, idx: usize| -> Box<dyn Endpoint> {
-        let cfg = HomaConfig::paper_defaults(Bandwidth::gbps(25), base_rtt);
-        let mut host = HomaHost::new(cfg, m2.clone());
+        let tcfg = TransportConfig {
+            base_rtt,
+            ..TransportConfig::default()
+        };
+        let mut host = HomaHost::new(tcfg, 1, Bandwidth::gbps(25), m2.clone());
         if idx >= 1 {
             host.add_flow(FlowSpec {
                 id: FlowId(idx as u64),
@@ -289,8 +292,11 @@ fn homa_short_message_single_rtt() {
     let base_rtt = Tick::from_micros(10);
     let m2 = metrics.clone();
     let mut mk = move |_id: NodeId, idx: usize| -> Box<dyn Endpoint> {
-        let cfg = HomaConfig::paper_defaults(Bandwidth::gbps(25), base_rtt);
-        let mut host = HomaHost::new(cfg, m2.clone());
+        let tcfg = TransportConfig {
+            base_rtt,
+            ..TransportConfig::default()
+        };
+        let mut host = HomaHost::new(tcfg, 1, Bandwidth::gbps(25), m2.clone());
         if idx == 1 {
             host.add_flow(FlowSpec {
                 id: FlowId(1),
