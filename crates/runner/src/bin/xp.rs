@@ -173,8 +173,7 @@ fn execute(p: &Parsed, cfg: &RunConfig, stdout_is_a_document: bool) -> Result<()
     let mut spec = load_spec(p.positional(0))?;
     let flag = "--seeds";
     if let Some(seeds) = p.u64_list(flag) {
-        let (_, mine) = spec.lineup_mut().map_err(|e| format!("{flag}: {e}"))?;
-        *mine = seeds.to_vec();
+        *spec.seeds_mut().map_err(|e| format!("{flag}: {e}"))? = seeds.to_vec();
     }
     eprintln!(
         "running {} scenario {:?}: {} {} on {}...",

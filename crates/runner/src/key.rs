@@ -127,18 +127,16 @@ impl<'a> SpecKeys<'a> {
     }
 
     fn entry(&self, entry: &TraceEntrySpec) -> CacheKey {
-        let first = |seeds: &[u64]| seeds.first().copied().unwrap_or(0);
-        let (kind, algo, seed) = match &self.spec.kind {
-            // An analytic entry has no algorithm and no seed: key format 2
-            // was laid down when every analytic spec still carried an
-            // unused PowerTCP / seed-42 lineup, and these are the bytes it
-            // left.
-            ScenarioKind::Analytic(_) => ("analytic", "powertcp".to_string(), 42),
-            ScenarioKind::Timeseries(ts) => ("trace", entry.algo.key(), first(&ts.lineup.seeds)),
-            ScenarioKind::Sweep(sweep) => ("trace", entry.algo.key(), first(&sweep.sweep.seeds)),
+        // No entry has a seed, and an analytic one has no algorithm: key
+        // format 2 was laid down when every trace and analytic spec still
+        // carried a seed-42 lineup (an analytic one an unused PowerTCP),
+        // and these are the bytes it left.
+        let (kind, algo) = match &self.spec.kind {
+            ScenarioKind::Analytic(_) => ("analytic", "powertcp".to_string()),
+            _ => ("trace", entry.algo.key()),
         };
         CacheKey::from_canon(format!(
-            "{}--- point ---\nkind={kind}\nlabel={}\nalgo={algo}\nprebuffer-ps={}\nseed={seed}\n",
+            "{}--- point ---\nkind={kind}\nlabel={}\nalgo={algo}\nprebuffer-ps={}\nseed=42\n",
             self.preamble,
             entry.label,
             entry.prebuffer.as_ps(),

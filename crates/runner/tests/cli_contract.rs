@@ -12,7 +12,8 @@
 //! * a `-` destination puts that document, and nothing else, on stdout;
 //! * `xp run` refuses a packet-engine spec whose switch would outgrow
 //!   16-bit port ids, before simulating anything, and refuses `--seeds`
-//!   on a scenario kind that has none, naming the kind.
+//!   on a scenario kind that has none (a trace, an analytic grid),
+//!   naming the kind.
 
 use dcn_scenarios::diff::{parse_json, Json};
 use dcn_scenarios::{builtin, ScenarioSpec};
@@ -301,29 +302,35 @@ fn run_refuses_a_switch_wider_than_port_ids_before_simulating() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An analytic scenario has no seeds to override (its grid is
-/// `[analytic]`): `--seeds` is an error naming the kind, never a panic
-/// from the builder and never a silently ignored flag.
+/// Only a sweep has seeds to override: an analytic grid (`[analytic]`)
+/// and a trace have nothing random in them. `--seeds` on either is an
+/// error naming the kind, never a panic from the builder and never a
+/// silently ignored flag.
 #[test]
 fn seeds_on_an_analytic_scenario_is_a_clean_error_naming_the_kind() {
-    let out = Command::new(XP)
-        .args(["run", "fig3", "--seeds", "1,2"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(out.stdout.is_empty(), "no report: nothing ran");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("error: --seeds") && stderr.contains("\"fig3\" has kind = \"analytic\""),
-        "{stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    // A trace has one seed to set, a sweep a grid of them.
-    for name in ["fig2", "fig6-small"] {
+    for (name, kind) in [
+        ("fig3", "analytic"),
+        ("fig2", "timeseries"),
+        ("fig4", "timeseries"),
+    ] {
         let out = Command::new(XP)
             .args(["run", name, "--seeds", "7", "--json", "-"])
             .output()
             .unwrap();
-        assert!(out.status.success(), "{name}");
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        assert!(out.stdout.is_empty(), "{name}: no report, nothing ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let has = format!("\"{name}\" has kind = \"{kind}\"");
+        assert!(
+            stderr.contains("error: --seeds") && stderr.contains(&has),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
     }
+    // A sweep has a grid of them.
+    let out = Command::new(XP)
+        .args(["run", "fig6-small", "--seeds", "7", "--json", "-"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "fig6-small");
 }

@@ -408,37 +408,54 @@ impl<T> Section<T> {
                 expected.join(", ")
             );
         };
+        let Some(Val::Str(is)) = (tag.get)(t) else {
+            unreachable!("a tag is a string that always applies")
+        };
+        let remove = match value {
+            Value::Table(_) => format!("[{key}]"),
+            _ => "it".into(),
+        };
+        if owners.contains(&is) {
+            // The variant has the key, but not under what its sub-tables
+            // hold (`[sweep]` beside a `response` trace).
+            let held = |f: &&Field<T>| f.ty == Ty::Table && (f.get)(t).is_some();
+            let by: Vec<&str> = self.fields.iter().filter(held).map(|f| f.key).collect();
+            return format!(
+                "{key} does not apply to this {} = {is:?} spec, given its [{}] — remove {remove}",
+                tag.key,
+                by.join("] and [")
+            );
+        }
         let owners = owners.join("/");
-        let mut is = String::new();
-        write_val(&mut is, &(tag.get)(t).expect("a tag always applies"));
         format!(
-            "{key} is a{} {owners} setting; {} = {is} has no {key} — remove {}",
+            "{key} is a{} {owners} setting; {} = {is:?} has no {key} — remove {remove}",
             if owners.starts_with('a') { "n" } else { "" },
             tag.key,
-            match value {
-                Value::Table(_) => format!("[{key}]"),
-                _ => "it".into(),
-            }
         )
     }
 
     /// Parse this section from its table: the tag first (it shapes the
     /// value); a key that shape does not have is an error; then every
-    /// key it has is set, present or defaulted (a sub-table: read).
+    /// key it has is set, present or defaulted (a sub-table: read), in
+    /// row order. A sub-table read may rule out a later key (`[sweep]`
+    /// beside a `response` trace), so the keys are checked once more.
     pub fn read(&self, table: &Table) -> Result<T, String> {
         let mut t = (self.blank)();
         let is_tag = |f: &&Field<T>| f.ty == Ty::Tag;
         for f in self.fields.iter().filter(is_tag) {
             f.read(self.path, table, &mut t)?;
         }
-        if let Some((key, value)) = table.iter().find(|(key, _)| !self.has(&t, key)) {
-            return Err(self.refuse(key, value, &t));
-        }
+        let stray = |t: &T| {
+            let stray = table.iter().find(|(key, _)| !self.has(t, key));
+            stray.map_or(Ok(()), |(key, value)| Err(self.refuse(key, value, t)))
+        };
+        stray(&t)?;
         for f in self.fields.iter().filter(|f| !is_tag(f)) {
             if (f.get)(&t).is_some() {
                 f.read(self.path, table, &mut t)?;
             }
         }
+        stray(&t)?;
         Ok(t)
     }
 }
@@ -649,7 +666,6 @@ const ANALYTIC_KEY: &str = "analytic";
 const SWEEP_KEY: &str = "sweep";
 /// The scenario kind a spec without a `kind` key is.
 const SWEEP_KIND: &str = "sweep";
-const DRAIN_MS: &str = "drain_ms";
 
 /// The top level: identity, the scenario kind, the kind's scalars and
 /// the tables it carries.
@@ -671,15 +687,10 @@ pub(crate) static ROOT: Section<ScenarioSpec> = Section {
             => ScenarioSpec { kind: Sweep(SweepBody { engine, .. }), .. } => engine),
         field!("buffer_cdf", Bool, Omit(flag(false)), Any, Render
             => ScenarioSpec { kind: Sweep(SweepBody { buffer_cdf, .. }), .. } => buffer_cdf),
-        field!("horizon_ms", Float, Write(num(4.0)), Pos, Physics => [
-            ScenarioSpec { kind: Sweep(SweepBody { horizon_ms, .. }), .. } => horizon_ms,
-            ScenarioSpec { kind: Timeseries(TimeseriesBody { horizon_ms, .. }), .. } => horizon_ms,
-        ]),
-        // Sweeps drain their flows after the horizon; traces just stop.
-        field!(DRAIN_MS, Float, Write(num(6.0)), NonNeg, Physics
+        field!("horizon_ms", Float, Write(num(4.0)), Pos, Physics
+            => ScenarioSpec { kind: Sweep(SweepBody { horizon_ms, .. }), .. } => horizon_ms),
+        field!("drain_ms", Float, Write(num(6.0)), NonNeg, Physics
             => ScenarioSpec { kind: Sweep(SweepBody { drain_ms, .. }), .. } => drain_ms),
-        field!(DRAIN_MS, Float, Write(num(0.0)), NonNeg, Physics
-            => ScenarioSpec { kind: Timeseries(TimeseriesBody { drain_ms, .. }), .. } => drain_ms),
         field!(TOPOLOGY_KEY, Table, Required, Any, Physics
             => ScenarioSpec { kind: Sweep(SweepBody { topology, .. }), .. } => topology),
         field!(WORKLOAD_KEY, Table, Unset, Any, Physics
@@ -688,10 +699,15 @@ pub(crate) static ROOT: Section<ScenarioSpec> = Section {
             => ScenarioSpec { kind: Timeseries(TimeseriesBody { trace, .. }), .. } => trace),
         field!(ANALYTIC_KEY, Table, Required, Any, Physics
             => ScenarioSpec { kind: Analytic(analytic), .. } => analytic),
-        // One key, two shapes: a sweep's four axes, a timeseries lineup.
+        // One key, two shapes: a sweep's four axes, a trace's lineup
+        // (`response` runs no algorithm, so it has none).
         field!(SWEEP_KEY, Table, Required, Any, Physics => [
             ScenarioSpec { kind: Sweep(SweepBody { sweep, .. }), .. } => sweep,
-            ScenarioSpec { kind: Timeseries(TimeseriesBody { lineup, .. }), .. } => lineup,
+            ScenarioSpec { kind: Timeseries(TimeseriesBody { lineup, trace: TraceSpec {
+                scenario: TraceScenario::Incast { .. } | TraceScenario::Fairness { .. }
+                    | TraceScenario::Rdcn { .. },
+                ..
+            } }), .. } => lineup,
         ]),
     ],
 };
@@ -781,14 +797,11 @@ pub(crate) static SWEEP: Section<SweepSpec> = Section {
     ],
 };
 
-/// `[sweep]` of a timeseries scenario: the lineup and its one seed.
+/// `[sweep]` of a timeseries scenario: the lineup.
 pub(crate) static LINEUP: Section<LineupSpec> = Section {
     path: SWEEP.path,
-    blank: || zeroed!(LineupSpec: algos, seeds),
-    fields: &[
-        field!("algos", Algos, Required, Any, Axis => LineupSpec { algos, .. } => algos),
-        field!("seeds", Uints, Required, Any, Axis => LineupSpec { seeds, .. } => seeds),
-    ],
+    blank: LineupSpec::default,
+    fields: &[field!("algos", Algos, Required, Any, Axis => LineupSpec { algos } => algos)],
 };
 
 /// The `key=value,…` entries of `sweep.params`
@@ -804,15 +817,18 @@ pub(crate) static PARAMS: &[Field<ParamSpec>] = &[
 /// each scenario's own keys.
 pub(crate) static TRACE: Section<TraceSpec> = Section {
     path: &[TRACE_KEY],
-    blank: || TraceSpec::new(TraceScenario::Response),
+    // A trace with a lineup, so that a blank timeseries has `[sweep]`
+    // (refused only beside a `response` trace).
+    blank: || {
+        TraceSpec::new(zeroed!(TraceScenario::Incast: fan_in, burst_bytes, at_ms, horizon_ms))
+    },
     fields: &[
         tag!("scenario", Required, [
             "response" => TraceSpec { scenario: TraceScenario::Response, .. }
                 => TraceSpec::new(TraceScenario::Response),
-            "incast" => TraceSpec { scenario: TraceScenario::Incast { .. }, .. }
-                => TraceSpec::new(zeroed!(TraceScenario::Incast: fan_in, burst_bytes, at_ms)),
+            "incast" => TraceSpec { scenario: TraceScenario::Incast { .. }, .. } => (TRACE.blank)(),
             "fairness" => TraceSpec { scenario: TraceScenario::Fairness { .. }, .. }
-                => TraceSpec::new(zeroed!(TraceScenario::Fairness: flows, stagger_ms)),
+                => TraceSpec::new(zeroed!(TraceScenario::Fairness: flows, stagger_ms, horizon_ms)),
             "rdcn" => TraceSpec { scenario: TraceScenario::Rdcn { .. }, .. }
                 => TraceSpec::new(
                     zeroed!(TraceScenario::Rdcn: weeks, packet_gbps, retcp_prebuffer_us)
@@ -839,6 +855,12 @@ pub(crate) static TRACE: Section<TraceSpec> = Section {
         field!("stagger_ms", Float, Write(num(1.0)), Pos, Physics
             => TraceSpec { scenario: TraceScenario::Fairness { stagger_ms, .. }, .. }
             => stagger_ms),
+        // Only the traces that stop at a horizon: `rdcn` runs its weeks,
+        // `response` simulates nothing.
+        field!("horizon_ms", Float, Write(num(4.0)), Pos, Physics
+            => TraceSpec { scenario: TraceScenario::Incast { horizon_ms, .. }
+                | TraceScenario::Fairness { horizon_ms, .. }, .. }
+            => horizon_ms),
         field!("weeks", Uint, Required, Min(1), Physics
             => TraceSpec { scenario: TraceScenario::Rdcn { weeks, .. }, .. } => weeks),
         field!("packet_gbps", Float, Write(num(25.0)), Pos, Physics

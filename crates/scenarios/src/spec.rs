@@ -262,36 +262,29 @@ impl SweepBody {
 }
 
 /// A time-series scenario: the traced experiment (which implies its own
-/// fixture and traffic), a time box and the lineup traced one by one.
+/// fixture, traffic and run length) and the lineup traced one by one.
+/// Nothing in it is random, so it has no seed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TimeseriesBody {
     /// The `[trace]` table.
     pub trace: TraceSpec,
-    /// Run length, milliseconds ([`Self::run_length`]: not `rdcn`'s).
-    pub horizon_ms: f64,
-    /// In the format and every cache key; traces stop at the horizon.
-    pub drain_ms: f64,
-    /// The algorithms traced and the one seed.
+    /// The algorithms traced. `response` runs none: its one entry is a
+    /// PowerTCP placeholder, and its spec has no `[sweep]`.
     pub lineup: LineupSpec,
 }
 
-impl TimeseriesBody {
-    /// How long the traced run lasts: `rdcn`'s `weeks` of the rotor
-    /// schedule, else the horizon. `Err` if simulator time cannot hold it.
-    pub fn run_length(&self) -> Result<Tick, String> {
-        let TraceScenario::Rdcn { weeks, .. } = self.trace.scenario else {
-            return Ok(Tick::from_secs_f64(self.horizon_ms / 1e3));
-        };
-        let week = rdcn::RotorSchedule::paper_defaults().week().as_ps();
-        let ps = week.checked_mul(weeks).ok_or_else(|| {
-            format!(
-                "trace.weeks = {weeks} is too long a run: simulator time holds at most {} \
-                 rotor weeks of {week} ps",
-                u64::MAX / week
-            )
-        })?;
-        Ok(Tick::from_ps(ps))
-    }
+/// How long `rdcn`'s `weeks` of the rotor schedule run. `Err` if
+/// simulator time cannot hold them.
+pub fn rotor_run_length(weeks: u64) -> Result<Tick, String> {
+    let week = rdcn::RotorSchedule::paper_defaults().week().as_ps();
+    let ps = week.checked_mul(weeks).ok_or_else(|| {
+        format!(
+            "trace.weeks = {weeks} is too long a run: simulator time holds at most {} \
+             rotor weeks of {week} ps",
+            u64::MAX / week
+        )
+    })?;
+    Ok(Tick::from_ps(ps))
 }
 
 /// `[sweep]` of a timeseries scenario: one traced run per algorithm.
@@ -299,8 +292,6 @@ impl TimeseriesBody {
 pub struct LineupSpec {
     /// Algorithms to trace.
     pub algos: Vec<Algo>,
-    /// Exactly one seed (part of each entry's cache key).
-    pub seeds: Vec<u64>,
 }
 
 /// Probe configuration plus the traced experiment of a `timeseries`
@@ -365,6 +356,8 @@ pub enum TraceScenario {
         burst_bytes: u64,
         /// When the incast fires, milliseconds into the run.
         at_ms: f64,
+        /// Run length, milliseconds.
+        horizon_ms: f64,
     },
     /// Figure 5: `flows` long flows joining one shared bottleneck at
     /// `stagger_ms` intervals — fairness and convergence.
@@ -373,12 +366,14 @@ pub enum TraceScenario {
         flows: usize,
         /// Join interval, milliseconds.
         stagger_ms: f64,
+        /// Run length, milliseconds.
+        horizon_ms: f64,
     },
     /// Figure 8: the reconfigurable-DCN case study — rack-pair throughput
     /// and VOQ occupancy over the rotor schedule.
     Rdcn {
-        /// Rotor weeks to simulate (the run horizon; `horizon_ms` is
-        /// ignored for this scenario).
+        /// Rotor weeks to simulate: the run's length
+        /// ([`rotor_run_length`]).
         weeks: u64,
         /// Packet-network (non-circuit) bandwidth in Gbps.
         packet_gbps: f64,
@@ -613,12 +608,11 @@ pub struct SweepSpec {
     pub seeds: Vec<u64>,
 }
 
-/// The lineup every constructor starts from: PowerTCP, seed 42.
+/// The lineup every constructor starts from: PowerTCP.
 impl Default for LineupSpec {
     fn default() -> Self {
         LineupSpec {
             algos: vec![Algo::PowerTcp],
-            seeds: vec![42],
         }
     }
 }
@@ -639,17 +633,16 @@ impl ScenarioSpec {
     /// A new sweep with an empty workload, a PowerTCP-only algorithm
     /// grid, seed 42, and a 4 ms + 6 ms time box (the `tiny` scale).
     pub fn new(name: impl Into<String>, topology: TopologySpec) -> Self {
-        let LineupSpec { algos, seeds } = LineupSpec::default();
         let body = SweepBody {
             topology,
             workload: WorkloadSpec::default(),
             horizon_ms: 0.0,
             drain_ms: 0.0,
             sweep: SweepSpec {
-                algos,
+                algos: LineupSpec::default().algos,
                 params: Vec::new(),
                 loads: Vec::new(),
-                seeds,
+                seeds: vec![42],
             },
             engine: EngineKind::Packet,
             buffer_cdf: false,
@@ -657,14 +650,12 @@ impl ScenarioSpec {
         Self::assemble(name.into(), ScenarioKind::Sweep(body))
     }
 
-    /// A new time-series scenario: fixture and traffic are the trace
-    /// scenario's own, and the algorithm grid is the lineup. Defaults:
-    /// PowerTCP only, seed 42, 4 ms horizon, no drain.
+    /// A new time-series scenario: fixture, traffic and run length are
+    /// the trace scenario's own, and the algorithm grid is the lineup
+    /// (PowerTCP only).
     pub fn timeseries(name: impl Into<String>, trace: TraceSpec) -> Self {
         let body = TimeseriesBody {
             trace,
-            horizon_ms: 0.0,
-            drain_ms: 0.0,
             lineup: LineupSpec::default(),
         };
         Self::assemble(name.into(), ScenarioKind::Timeseries(body))
@@ -705,26 +696,12 @@ impl ScenarioSpec {
         }
     }
 
-    fn timeseries_mut(&mut self, what: &str) -> &mut TimeseriesBody {
-        let kind = self.kind.key();
+    /// The seed grid of a sweep, which a trace or an analytic grid
+    /// (nothing random in either) does not have: the `Err` says so.
+    pub fn seeds_mut(&mut self) -> Result<&mut Vec<u64>, String> {
         match &mut self.kind {
-            ScenarioKind::Timeseries(body) => body,
-            _ => panic!("{}", foreign(what, "timeseries", &self.name, kind)),
-        }
-    }
-
-    /// The algorithms and seeds of `[sweep]`, which an analytic scenario
-    /// (its grid is `[analytic]`) does not have: the `Err` says so.
-    pub fn lineup_mut(&mut self) -> Result<(&mut Vec<Algo>, &mut Vec<u64>), String> {
-        match &mut self.kind {
-            ScenarioKind::Sweep(s) => Ok((&mut s.sweep.algos, &mut s.sweep.seeds)),
-            ScenarioKind::Timeseries(ts) => Ok((&mut ts.lineup.algos, &mut ts.lineup.seeds)),
-            ScenarioKind::Analytic(_) => Err(foreign(
-                "a lineup of algorithms and seeds",
-                "sweep and timeseries",
-                &self.name,
-                "analytic",
-            )),
+            ScenarioKind::Sweep(s) => Ok(&mut s.sweep.seeds),
+            other => Err(foreign("seeds", "sweep", &self.name, other.key())),
         }
     }
 
@@ -735,29 +712,23 @@ impl ScenarioSpec {
         self
     }
 
-    /// Set the generation horizon (ms) of a sweep or timeseries
-    /// scenario. Panics on an analytic one, which has no clock.
+    /// Set the generation horizon (ms) of a sweep (panics on another
+    /// kind: a trace that stops at a horizon has it in `[trace]`).
     pub fn horizon_ms(mut self, ms: f64) -> Self {
-        match &mut self.kind {
-            ScenarioKind::Sweep(s) => s.horizon_ms = ms,
-            _ => self.timeseries_mut("horizon_ms").horizon_ms = ms,
-        }
+        self.sweep_mut("horizon_ms").horizon_ms = ms;
         self
     }
 
-    /// Set the post-horizon drain time (ms); as [`Self::horizon_ms`].
+    /// Set the post-horizon drain time (ms) of a sweep; as
+    /// [`Self::horizon_ms`].
     pub fn drain_ms(mut self, ms: f64) -> Self {
-        match &mut self.kind {
-            ScenarioKind::Sweep(s) => s.drain_ms = ms,
-            _ => self.timeseries_mut("drain_ms").drain_ms = ms,
-        }
+        self.sweep_mut("drain_ms").drain_ms = ms;
         self
     }
 
-    /// Set the seed grid (the one seed of a timeseries scenario).
+    /// Set the seed grid of a sweep; as [`Self::horizon_ms`].
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        let (_, mine) = self.lineup_mut().unwrap_or_else(|e| panic!("{e}"));
-        *mine = seeds.into_iter().collect();
+        *self.seeds_mut().unwrap_or_else(|e| panic!("{e}")) = seeds.into_iter().collect();
         self
     }
 
@@ -921,20 +892,16 @@ impl SweepBody {
 }
 
 impl TimeseriesBody {
-    /// A star the engine can build, one seed, a run simulator time can
-    /// hold, and the trace scenario's fit within horizon and lineup.
+    /// A star the engine can build, a run simulator time can hold, and
+    /// the trace scenario's fit within its horizon and the lineup.
     fn validate(&self) -> Result<(), String> {
-        let (trace, horizon_ms, lineup) = (&self.trace, self.horizon_ms, &self.lineup);
+        let (trace, lineup) = (&self.trace, &self.lineup);
         if let Some((key, hosts)) = trace.scenario.star_hosts() {
             ensure_ports_fit(key, hosts)?;
         }
         ensure!(
             !lineup.algos.is_empty(),
             "timeseries lineup needs at least one algorithm"
-        );
-        ensure!(
-            lineup.seeds.len() == 1,
-            "timeseries scenarios take exactly one seed"
         );
         ensure!(
             trace.window <= trace.max_samples,
@@ -952,24 +919,28 @@ impl TimeseriesBody {
                 ));
             }
         }
-        self.run_length()?;
         match &trace.scenario {
-            TraceScenario::Response => ensure!(
-                lineup.algos.len() == 1,
-                "the response trace is analytic (no algorithm runs); \
-                 its lineup must be a single placeholder algorithm"
-            ),
-            TraceScenario::Incast { at_ms, .. } => ensure!(
-                *at_ms < horizon_ms,
+            TraceScenario::Response => {}
+            TraceScenario::Incast {
+                at_ms, horizon_ms, ..
+            } => ensure!(
+                at_ms < horizon_ms,
                 "incast at_ms {at_ms} must lie within [0, horizon_ms {horizon_ms})"
             ),
-            TraceScenario::Fairness { flows, stagger_ms } => ensure!(
-                (*flows as f64 - 1.0) * stagger_ms < horizon_ms,
+            TraceScenario::Fairness {
+                flows,
+                stagger_ms,
+                horizon_ms,
+            } => ensure!(
+                (*flows as f64 - 1.0) * stagger_ms < *horizon_ms,
                 "fairness: last flow would join after the horizon"
             ),
             TraceScenario::Rdcn {
-                retcp_prebuffer_us, ..
+                weeks,
+                retcp_prebuffer_us,
+                ..
             } => {
+                rotor_run_length(*weeks)?;
                 ensure!(
                     !(lineup.algos.contains(&Algo::ReTcp) && retcp_prebuffer_us.is_empty()),
                     "rdcn lineup includes retcp but retcp_prebuffer_us is empty"
@@ -1040,6 +1011,17 @@ impl AnalyticSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ScenarioSpec {
+        /// The timeseries that `what` edits. Panics on another kind.
+        fn timeseries_mut(&mut self, what: &str) -> &mut TimeseriesBody {
+            let kind = self.kind.key();
+            match &mut self.kind {
+                ScenarioKind::Timeseries(body) => body,
+                _ => panic!("{}", foreign(what, "timeseries", &self.name, kind)),
+            }
+        }
+    }
 
     fn sample_spec() -> ScenarioSpec {
         let text = r#"
@@ -1172,6 +1154,7 @@ seeds = [7, 11]
                     fan_in,
                     burst_bytes: 1_000,
                     at_ms: 1.0,
+                    horizon_ms: 5.0,
                 }),
             )
         };
@@ -1240,10 +1223,9 @@ seeds = [1, 2, 3]
                 window: 1,
                 channels: Vec::new(),
             },
-        )
-        .horizon_ms(5.0);
+        );
         spec.description = "a timeseries scenario".into();
-        *spec.lineup_mut().unwrap().0 = vec![Algo::PowerTcp, Algo::Hpcc];
+        spec.timeseries_mut("test").lineup.algos = vec![Algo::PowerTcp, Algo::Hpcc];
         spec
     }
 
@@ -1255,10 +1237,12 @@ seeds = [1, 2, 3]
                 fan_in: 10,
                 burst_bytes: 150_000,
                 at_ms: 1.0,
+                horizon_ms: 5.0,
             },
             TraceScenario::Fairness {
                 flows: 4,
                 stagger_ms: 1.0,
+                horizon_ms: 5.0,
             },
             TraceScenario::Rdcn {
                 weeks: 2,
@@ -1269,12 +1253,18 @@ seeds = [1, 2, 3]
             let analytic = matches!(scenario, TraceScenario::Response);
             let mut spec = ts_spec(scenario);
             if analytic {
-                *spec.lineup_mut().unwrap().0 = vec![Algo::PowerTcp];
+                // Response runs no algorithm: the lineup is not written.
+                spec.timeseries_mut("test").lineup = LineupSpec::default();
             }
             spec.validate().unwrap_or_else(|e| panic!("{e}"));
             let text = spec.to_toml();
             assert!(text.contains("kind = \"timeseries\""), "{text}");
             assert!(!text.contains("[topology]"), "derived, not written");
+            assert_eq!(text.contains("[sweep]"), !analytic, "{text}");
+            assert!(
+                !text.contains("seeds") && !text.contains("drain_ms"),
+                "{text}"
+            );
             let back = ScenarioSpec::from_toml(&text).expect("reparse");
             assert_eq!(back, spec);
         }
@@ -1287,16 +1277,17 @@ seeds = [1, 2, 3]
             fan_in: 4,
             burst_bytes: 1000,
             at_ms: 9.0,
+            horizon_ms: 5.0,
         });
         assert!(s.validate().unwrap_err().contains("at_ms"));
 
-        // Exactly one seed.
-        let s = ts_spec(TraceScenario::Response).seeds([1, 2]);
-        assert!(s.validate().unwrap_err().contains("seed"));
-
-        // The analytic response scenario takes no algorithm lineup.
-        let s = ts_spec(TraceScenario::Response).seeds([1]);
-        assert!(s.validate().unwrap_err().contains("analytic"));
+        // The last fairness flow joins after the horizon.
+        let s = ts_spec(TraceScenario::Fairness {
+            flows: 4,
+            stagger_ms: 2.0,
+            horizon_ms: 6.0,
+        });
+        assert!(s.validate().unwrap_err().contains("horizon"));
 
         // HOMA cannot run the RDCN trace.
         let mut s = ts_spec(TraceScenario::Rdcn {
@@ -1304,14 +1295,14 @@ seeds = [1, 2, 3]
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![],
         });
-        *s.lineup_mut().unwrap().0 = vec![Algo::Homa(1)];
+        s.timeseries_mut("test").lineup.algos = vec![Algo::Homa(1)];
         assert!(s.validate().unwrap_err().contains("HOMA"));
     }
 
     /// What the parent policed in `validate` (a load axis on a trace, a
     /// seed on an analytic grid) is now a field the kind does not have:
     /// a call that needs it panics naming both, and the fallible
-    /// `lineup_mut` says why.
+    /// `seeds_mut` says why.
     #[test]
     fn a_setting_the_kind_has_no_field_for_is_refused_at_the_call() {
         let message = |call: fn() -> ScenarioSpec| {
@@ -1340,8 +1331,14 @@ seeds = [1, 2, 3]
         }
         let seeds = message(|| laws().seeds([7]));
         assert!(seeds.contains("\"an\" has kind = \"analytic\""), "{seeds}");
-        assert_eq!(laws().lineup_mut().unwrap_err(), seeds);
-        assert!(sample_spec().lineup_mut().is_ok());
+        assert_eq!(laws().seeds_mut().unwrap_err(), seeds);
+        assert!(sample_spec().seeds_mut().is_ok());
+        // A trace has nothing random in it either.
+        let trace = message(|| ts_spec(TraceScenario::Response).seeds([7]));
+        assert!(trace.contains("seeds is for sweep scenarios"), "{trace}");
+        assert!(trace.contains("has kind = \"timeseries\""), "{trace}");
+        let horizon = message(|| ts_spec(TraceScenario::Response).horizon_ms(1.0));
+        assert!(horizon.contains("horizon_ms is for sweep"), "{horizon}");
     }
 
     #[test]
@@ -1350,6 +1347,7 @@ seeds = [1, 2, 3]
             fan_in: 4,
             burst_bytes: 1000,
             at_ms: 1.0,
+            horizon_ms: 5.0,
         });
         spec.timeseries_mut("test").trace.channels = vec!["queue".into(), "cwnd".into()];
         spec.validate().unwrap();
@@ -1368,6 +1366,7 @@ seeds = [1, 2, 3]
             fan_in: 4,
             burst_bytes: 1000,
             at_ms: 1.0,
+            horizon_ms: 5.0,
         });
         bad.timeseries_mut("test").trace.channels = vec!["voq".into()];
         let err = bad.validate().unwrap_err();
@@ -1379,6 +1378,7 @@ seeds = [1, 2, 3]
         let mut fair = ts_spec(TraceScenario::Fairness {
             flows: 2,
             stagger_ms: 1.0,
+            horizon_ms: 5.0,
         });
         fair.timeseries_mut("test").trace.channels = vec!["flow-2".into()];
         assert!(fair.validate().is_ok());
@@ -1404,6 +1404,7 @@ seeds = [1, 2, 3]
             fan_in: 4,
             burst_bytes: 1000,
             at_ms: 1.0,
+            horizon_ms: 5.0,
         });
         let mut filtered = t.clone();
         filtered.timeseries_mut("test").trace.channels = vec!["queue".into()];
@@ -1417,7 +1418,7 @@ seeds = [1, 2, 3]
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![600.0, 1800.0],
         });
-        *s.lineup_mut().unwrap().0 = vec![Algo::PowerTcp, Algo::ReTcp, Algo::Hpcc];
+        s.timeseries_mut("test").lineup.algos = vec![Algo::PowerTcp, Algo::ReTcp, Algo::Hpcc];
         assert_eq!(s.num_points(), 4); // powertcp + 2x retcp + hpcc
         assert_eq!(ts_spec(TraceScenario::Response).num_points(), 1);
     }
@@ -1727,6 +1728,7 @@ tolerance = 0.05
         let mut spec = ts_spec(TraceScenario::Fairness {
             flows: 2,
             stagger_ms: 1.0,
+            horizon_ms: 5.0,
         });
         spec.timeseries_mut("test").trace.window = 4;
         spec.validate().unwrap();
@@ -1737,6 +1739,7 @@ tolerance = 0.05
         let default = ts_spec(TraceScenario::Fairness {
             flows: 2,
             stagger_ms: 1.0,
+            horizon_ms: 5.0,
         });
         assert!(!default.to_toml().contains("window"));
         // Window 0 and window > max_samples are rejected.
@@ -1772,9 +1775,6 @@ kind = "timeseries"
 scenario = "response"
 [workload.poisson]
 sizes = "websearch"
-[sweep]
-algos = ["powertcp"]
-seeds = [1]
 "#;
         assert!(ScenarioSpec::from_toml(ts_with_workload)
             .unwrap_err()
@@ -1846,9 +1846,29 @@ seeds = [1]
             let key = extra.split(' ').next().unwrap();
             assert!(err.contains(key) && err.contains("fairness"), "{err}");
         }
-        let with_loads = fig5.replace("seeds = [42]", "seeds = [42]\nloads = [0.5]");
+        let with_loads = fig5.replace("[sweep]\n", "[sweep]\nloads = [0.5]\n");
         let err = ScenarioSpec::from_toml(&with_loads).unwrap_err();
         assert!(err.contains("loads"), "{err}");
+        // A trace in the format from before traces lost the keys none
+        // reads: a seed, a drain, a top-level horizon, a horizon on a
+        // trace that runs rotor weeks, fig2's placeholder lineup.
+        let text = |name| crate::library::builtin(name).unwrap().to_toml();
+        let (fig2, fig4, fig8) = (text("fig2"), text("fig4"), text("fig8"));
+        let kind = "kind = \"timeseries\"\n";
+        let root_horizon = "kind = \"timeseries\" has no horizon_ms";
+        let lineup = "[sweep]\nalgos = [\"powertcp\"]";
+        for (spec, marker, extra, named) in [
+            (&fig4, "[sweep]\n", "seeds = [42]", "\"seeds\""),
+            (&fig4, kind, "drain_ms = 0.0", "drain_ms"),
+            (&fig4, kind, "horizon_ms = 5.0", root_horizon),
+            (&fig8, "weeks = 2\n", "horizon_ms = 4.0", "horizon_ms"),
+            (&fig2, "max_rows = 120\n", lineup, "given its [trace]"),
+        ] {
+            assert!(spec.contains(marker), "{marker}");
+            let edited = spec.replacen(marker, &format!("{marker}{extra}\n"), 1);
+            let err = ScenarioSpec::from_toml(&edited).expect_err(&edited);
+            assert!(err.contains(named), "{extra}: {err}");
+        }
     }
 
     #[test]
@@ -1882,14 +1902,9 @@ seeds = [1]
         // The longest run that fits is a valid spec, and says how long.
         let week = rdcn::RotorSchedule::paper_defaults().week().as_ps();
         let most = u64::MAX / week;
-        let mut longest = ScenarioSpec::from_toml(&weeks(most)).unwrap();
-        let run = longest.timeseries_mut("test").run_length();
-        assert_eq!(run, Ok(Tick::from_ps(week * most)));
+        assert!(ScenarioSpec::from_toml(&weeks(most)).is_ok());
+        assert_eq!(rotor_run_length(most), Ok(Tick::from_ps(week * most)));
         assert!(ScenarioSpec::from_toml(&weeks(most + 1)).is_err());
-        // Every other trace runs for its horizon.
-        let mut fig4 = crate::library::builtin("fig4").unwrap();
-        let run = fig4.timeseries_mut("test").run_length();
-        assert_eq!(run, Ok(Tick::from_micros(5_000)));
     }
 
     #[test]
@@ -1933,22 +1948,31 @@ seeds = [1]
     fn constructors_and_the_reader_share_the_table_defaults() {
         let parsed = |text: &str| ScenarioSpec::from_toml(text).unwrap_or_else(|e| panic!("{e}"));
         // [trace]: tick, ring, rows, window, channels.
-        let ts = parsed(
-            "name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"response\"\n\
-             [sweep]\nalgos = [\"powertcp\"]\nseeds = [42]\n",
-        );
+        let ts = parsed("name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"response\"\n");
         let mut built = ScenarioSpec::timeseries("t", TraceSpec::new(TraceScenario::Response));
         assert_eq!(ts, built);
-        let built = built.timeseries_mut("test");
-        let trace = &built.trace;
+        let trace = &built.timeseries_mut("test").trace;
         assert_eq!((trace.tick_us, trace.max_samples), (20.0, 4096));
         assert_eq!((trace.max_rows, trace.window), (120, 1));
-        assert_eq!((built.horizon_ms, built.drain_ms), (4.0, 0.0));
+        // A trace that stops at a horizon: 4 ms, an incast at 1 ms.
+        let mut incast = parsed(
+            "name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"incast\"\n\
+             fan_in = 2\nburst_bytes = 9\n[sweep]\nalgos = [\"powertcp\"]\n",
+        );
+        let scenario = &incast.timeseries_mut("test").trace.scenario;
+        let TraceScenario::Incast {
+            at_ms, horizon_ms, ..
+        } = *scenario
+        else {
+            unreachable!("an incast trace")
+        };
+        assert_eq!((at_ms, horizon_ms), (1.0, 4.0));
         // A given scenario goes in untouched by its own keys' defaults.
         let incast = TraceScenario::Incast {
             fan_in: 3,
             burst_bytes: 9,
             at_ms: 0.25,
+            horizon_ms: 5.0,
         };
         assert_eq!(TraceSpec::new(incast.clone()).scenario, incast);
         let laws = AnalyticScenario::Laws { tolerance: 0.5 };

@@ -15,10 +15,12 @@
 use crate::algo::Algo;
 use crate::analytic_engine::{analytic_entries, run_analytic_entry};
 use crate::engine::EDGE_HOST_DELAY;
-use crate::spec::{ParamSpec, ScenarioKind, ScenarioSpec, TraceScenario, TraceSpec};
+use crate::spec::{
+    rotor_run_length, ParamSpec, ScenarioKind, ScenarioSpec, TraceScenario, TraceSpec,
+};
 use dcn_sim::{
-    build_star, cc_probe, host_throughput_probe, queue_probe, star_host_id, throughput_probe,
-    Endpoint, FlowId, NodeId, PortId, Simulator,
+    build_star, cc_probe, host_throughput_probe, queue_probe, rate_probe, star_host_id,
+    throughput_probe, Endpoint, FlowId, NodeId, PortId, Simulator,
 };
 use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry};
 use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig};
@@ -95,7 +97,7 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
 /// when the entry actually ran a simulator (analytic/fluid entries
 /// return `None`). Deterministic: identical arguments replay
 /// bit-for-bit, on any thread. Panics if `spec` is a sweep (its work
-/// items are points) or its run length is one `validate` refuses.
+/// items are points) or its `rdcn` weeks are more than `validate` takes.
 pub fn run_trace_entry_observed(
     spec: &ScenarioSpec,
     entry: &TraceEntrySpec,
@@ -106,20 +108,23 @@ pub fn run_trace_entry_observed(
         ScenarioKind::Analytic(analytic) => return (run_analytic_entry(analytic, entry), None),
     };
     let trace = &timeseries.trace;
-    let run = timeseries.run_length().unwrap_or_else(|e| panic!("{e}"));
+    let ms = |ms: f64| Tick::from_secs_f64(ms / 1e3);
     match &trace.scenario {
         TraceScenario::Response => (response_trace(trace, entry), None),
         TraceScenario::Incast {
             fan_in,
             burst_bytes,
             at_ms,
-        } => incast_trace(trace, run, entry, *fan_in, *burst_bytes, *at_ms),
-        TraceScenario::Fairness { flows, stagger_ms } => {
-            fairness_trace(trace, run, entry, *flows, *stagger_ms)
-        }
+            horizon_ms,
+        } => incast_trace(trace, ms(*horizon_ms), entry, *fan_in, *burst_bytes, *at_ms),
+        TraceScenario::Fairness {
+            flows,
+            stagger_ms,
+            horizon_ms,
+        } => fairness_trace(trace, ms(*horizon_ms), entry, *flows, *stagger_ms),
         TraceScenario::Rdcn {
             weeks, packet_gbps, ..
-        } => rdcn_trace(trace, run, entry, *weeks, *packet_gbps),
+        } => rdcn_trace(trace, entry, *weeks, *packet_gbps),
     }
 }
 
@@ -580,15 +585,14 @@ fn fairness_trace(
 
 /// Figure 8: every host of rack 0 sends a long flow to its counterpart in
 /// rack 1 for `weeks` of the rotor schedule; traces rack-pair throughput
-/// and VOQ occupancy (`horizon_ms` is ignored — the rotor week defines
-/// the run length).
+/// and VOQ occupancy.
 fn rdcn_trace(
     trace: &TraceSpec,
-    horizon: Tick,
     entry: &TraceEntrySpec,
     weeks: u64,
     packet_gbps: f64,
 ) -> (TraceEntry, Option<dcn_sim::SimStats>) {
+    let run = rotor_run_length(weeks).unwrap_or_else(|e| panic!("{e}"));
     let algo = entry.algo;
     let prebuffer = entry.prebuffer;
     let packet_bw = crate::spec::gbps(packet_gbps);
@@ -632,24 +636,14 @@ fn rdcn_trace(
         // Rack-0 egress throughput towards rack 1 (circuit + packet).
         if let Some(thr_ch) = thr_ch {
             let rec2 = rec.clone();
-            let mut last: Option<(Tick, u64)> = None;
-            sim.add_tracer(tick, move |net, now| {
+            let tx_bytes = move |net: &dcn_sim::Network| {
                 let dcn_sim::Node::Custom(c) = net.node(tor0) else {
-                    return;
+                    panic!("ToR is a custom node")
                 };
-                let total = c.ports[hpt].tx_bytes + c.ports[hpt + 1].tx_bytes;
-                if let Some((t0, b0)) = last {
-                    let dt = now.saturating_sub(t0).as_secs_f64();
-                    if dt > 0.0 {
-                        rec2.borrow_mut().record_at(
-                            thr_ch,
-                            now,
-                            (total - b0) as f64 * 8.0 / dt / 1e9,
-                        );
-                    }
-                }
-                last = Some((now, total));
-            });
+                c.ports[hpt].tx_bytes + c.ports[hpt + 1].tx_bytes
+            };
+            let sink = move |now, gbps| rec2.borrow_mut().record_at(thr_ch, now, gbps);
+            sim.add_tracer(tick, rate_probe(tx_bytes, sink));
         }
         // Rack-0 → rack-1 VOQ occupancy.
         if let Some(voq_ch) = voq_ch {
@@ -667,7 +661,7 @@ fn rdcn_trace(
             );
         }
     }
-    sim.run_until(horizon);
+    sim.run_until(run);
     debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 
     // Day utilization: circuit bytes transmitted / (circuit capacity ×
@@ -679,7 +673,7 @@ fn rdcn_trace(
     let uplink_bytes = c.ports[hpt].tx_bytes;
     let day_seconds = schedule.day.as_secs_f64() * weeks as f64;
     let day_utilization = circuit_bytes as f64 / (CIRCUIT_BW.bytes_per_sec() * day_seconds);
-    let mean_goodput = (circuit_bytes + uplink_bytes) as f64 * 8.0 / horizon.as_secs_f64() / 1e9;
+    let mean_goodput = (circuit_bytes + uplink_bytes) as f64 * 8.0 / run.as_secs_f64() / 1e9;
 
     let latency = dcn_stats::Sorted::new(std::mem::take(&mut *sink.borrow_mut()));
     let (completed, offered) = metrics.borrow().completion_ratio();
@@ -717,7 +711,6 @@ mod tests {
                 ..TraceSpec::new(scenario)
             },
         )
-        .horizon_ms(3.0)
     }
 
     #[test]
@@ -726,6 +719,7 @@ mod tests {
             fan_in: 4,
             burst_bytes: 100_000,
             at_ms: 1.0,
+            horizon_ms: 3.0,
         });
         let entries = trace_entries(&spec);
         assert_eq!(entries.len(), 1);
@@ -754,8 +748,8 @@ mod tests {
         let spec = ts(TraceScenario::Fairness {
             flows: 4,
             stagger_ms: 0.5,
-        })
-        .horizon_ms(5.0);
+            horizon_ms: 5.0,
+        });
         let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
         let jain = e.stat("jain_all_active").unwrap();
         assert!(jain > 0.9, "PowerTCP should share fairly (jain={jain})");
@@ -775,7 +769,10 @@ mod tests {
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![600.0],
         });
-        *spec.lineup_mut().unwrap().0 = vec![Algo::PowerTcp, Algo::ReTcp];
+        let ScenarioKind::Timeseries(t) = &mut spec.kind else {
+            unreachable!()
+        };
+        t.lineup.algos = vec![Algo::PowerTcp, Algo::ReTcp];
         let entries = trace_entries(&spec);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[1].label, "reTCP-600us");
@@ -794,6 +791,7 @@ mod tests {
             fan_in: 4,
             burst_bytes: 100_000,
             at_ms: 1.0,
+            horizon_ms: 3.0,
         });
         let mut filtered_spec = full_spec.clone();
         let ScenarioKind::Timeseries(t) = &mut filtered_spec.kind else {
@@ -824,10 +822,12 @@ mod tests {
                 fan_in: 2,
                 burst_bytes: 20_000,
                 at_ms: 0.2,
+                horizon_ms: 0.5,
             },
             TraceScenario::Fairness {
                 flows: 3,
                 stagger_ms: 0.1,
+                horizon_ms: 0.5,
             },
             TraceScenario::Rdcn {
                 weeks: 1,
@@ -835,7 +835,7 @@ mod tests {
                 retcp_prebuffer_us: vec![],
             },
         ] {
-            let spec = ts(scenario.clone()).horizon_ms(0.5);
+            let spec = ts(scenario.clone());
             spec.validate().unwrap();
             let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
             let recorded: Vec<&str> = e.channels.iter().map(|c| c.name.as_str()).collect();
@@ -848,6 +848,7 @@ mod tests {
         let mut spec = ts(TraceScenario::Fairness {
             flows: 3,
             stagger_ms: 0.5,
+            horizon_ms: 3.0,
         });
         let ScenarioKind::Timeseries(t) = &mut spec.kind else {
             unreachable!()
@@ -868,6 +869,7 @@ mod tests {
             fan_in: 4,
             burst_bytes: 100_000,
             at_ms: 1.0,
+            horizon_ms: 3.0,
         });
         let mut win_spec = raw_spec.clone();
         {

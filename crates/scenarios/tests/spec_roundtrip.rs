@@ -7,9 +7,10 @@
 mod support;
 
 use dcn_scenarios::library::BUILTINS;
+use dcn_scenarios::spec::rotor_run_length;
 use dcn_scenarios::{
     builtin, builtin_specs, run_sweep, work_items, Algo, EngineKind, IncastSpec, ScenarioKind,
-    ScenarioSpec, SizeSpec, SweepBody, TopologySpec,
+    ScenarioSpec, SizeSpec, SweepBody, TopologySpec, TraceScenario,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -253,7 +254,9 @@ fn assert_sound(text: &str) {
     match &spec.kind {
         ScenarioKind::Sweep(sweep) => assert!(sweep.horizon() <= sweep.run_end(), "{text}"),
         ScenarioKind::Timeseries(timeseries) => {
-            assert!(timeseries.run_length().is_ok(), "{text}")
+            if let TraceScenario::Rdcn { weeks, .. } = timeseries.trace.scenario {
+                assert!(rotor_run_length(weeks).is_ok(), "{text}")
+            }
         }
         ScenarioKind::Analytic(_) => {}
     }

@@ -43,8 +43,6 @@ seeds = [1, 2]
     r#"name = "extra-windowed"
 description = "10:1 incast onto a 25G downlink: queue/throughput/cwnd/power traces per protocol, paper Figure 4 (top row; scale fan_in for the bottom row)"
 kind = "timeseries"
-horizon_ms = 5.0
-drain_ms = 0.0
 
 [trace]
 scenario = "incast"
@@ -56,10 +54,10 @@ channels = ["queue", "cwnd"]
 fan_in = 10
 burst_bytes = 150000
 at_ms = 1.0
+horizon_ms = 5.0
 
 [sweep]
 algos = ["powertcp", "theta-powertcp", "hpcc", "dcqcn", "timely", "homa:1"]
-seeds = [42]
 "#,
 ];
 

@@ -6,7 +6,8 @@
 //! `GOLDEN_REGEN=1 cargo test -p dcn-scenarios --test trace_determinism`.
 
 use dcn_scenarios::{
-    diff_reports, run_trace, trace_entries, Algo, ScenarioSpec, TraceScenario, TraceSpec,
+    diff_reports, run_trace, trace_entries, Algo, ScenarioKind, ScenarioSpec, TraceScenario,
+    TraceSpec,
 };
 
 /// A small two-entry fairness trace: big enough to exercise the full
@@ -19,6 +20,7 @@ fn golden_spec() -> ScenarioSpec {
             scenario: TraceScenario::Fairness {
                 flows: 2,
                 stagger_ms: 0.5,
+                horizon_ms: 2.0,
             },
             tick_us: 50.0,
             max_samples: 256,
@@ -26,10 +28,12 @@ fn golden_spec() -> ScenarioSpec {
             window: 1,
             channels: Vec::new(),
         },
-    )
-    .horizon_ms(2.0);
+    );
     spec.description = "pinned golden trace for cross-PR regression detection".into();
-    *spec.lineup_mut().expect("a lineup").0 = vec![Algo::PowerTcp, Algo::Hpcc];
+    let ScenarioKind::Timeseries(body) = &mut spec.kind else {
+        unreachable!("a trace")
+    };
+    body.lineup.algos = vec![Algo::PowerTcp, Algo::Hpcc];
     spec
 }
 

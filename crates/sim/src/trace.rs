@@ -67,9 +67,9 @@ pub fn tx_bytes_probe(
     }
 }
 
-/// Probe sampling throughput (Gbps) of the egress port `tx_bytes` reads
-/// the cumulative TX counter of, computed between samples.
-fn rate_probe(
+/// Probe sampling throughput (Gbps) of the egress port(s) `tx_bytes`
+/// reads the cumulative TX counter of, computed between samples.
+pub fn rate_probe(
     tx_bytes: impl Fn(&Network) -> u64 + 'static,
     mut sink: impl FnMut(Tick, f64) + 'static,
 ) -> impl FnMut(&Network, Tick) + 'static {
