@@ -67,9 +67,16 @@ pub struct LinkId(pub u32);
 /// There is no graph here — routing already happened. A link is just a
 /// capacity in bytes/second; a flow's path is the list of links it
 /// consumes bandwidth on.
+///
+/// Capacities are stored as runs of equal value: a builder lays links
+/// out class by class (every host NIC, then every rack aggregate), so a
+/// 200,016-link fat-tree is two runs, not 200,016 `f64`s.
 #[derive(Clone, Debug, Default)]
 pub struct FlowNet {
-    caps: Vec<f64>,
+    /// `(first link id, bytes/s)`, ascending by id; a run reaches the
+    /// next run's first id, the last one reaches `len`.
+    runs: Vec<(u32, f64)>,
+    len: u32,
 }
 
 impl FlowNet {
@@ -81,25 +88,44 @@ impl FlowNet {
     /// Add a link with the given capacity in bytes per second.
     ///
     /// # Panics
-    /// If the capacity is not strictly positive and finite.
+    /// If the capacity is not strictly positive and finite, or the net
+    /// already has `u32::MAX` links.
     pub fn add_link(&mut self, bytes_per_sec: f64) -> LinkId {
         assert!(
             bytes_per_sec > 0.0 && bytes_per_sec.is_finite(),
             "link capacity must be positive and finite, got {bytes_per_sec}"
         );
-        let id = LinkId(self.caps.len() as u32);
-        self.caps.push(bytes_per_sec);
+        let id = LinkId(self.len);
+        match self.runs.last() {
+            Some(&(_, cap)) if cap.to_bits() == bytes_per_sec.to_bits() => {}
+            _ => self.runs.push((id.0, bytes_per_sec)),
+        }
+        self.len = self
+            .len
+            .checked_add(1)
+            .expect("a net holds at most u32::MAX links");
         id
     }
 
     /// Number of links.
     pub fn num_links(&self) -> usize {
-        self.caps.len()
+        self.len as usize
     }
 
     /// Capacity of a link in bytes per second.
+    ///
+    /// # Panics
+    /// If the link was never added.
     pub fn capacity(&self, link: LinkId) -> f64 {
-        self.caps[link.0 as usize]
+        assert!(
+            link.0 < self.len,
+            "unknown link {} in a net of {} links",
+            link.0,
+            self.len
+        );
+        // The run holding `link` is the last one starting at or before it.
+        let run = self.runs.partition_point(|&(first, _)| first <= link.0);
+        self.runs[run - 1].1
     }
 }
 
@@ -245,7 +271,7 @@ impl LinkSlots {
             let s = match self.index.binary_search_by_key(&l.0, |&(id, _)| id) {
                 Ok(p) => self.index[p].1,
                 Err(p) => {
-                    let cap = net.caps[l.0 as usize];
+                    let cap = net.capacity(*l);
                     let s = match self.free.pop() {
                         Some(s) => {
                             // Re-labelled in place: a mark the slot took
@@ -1232,7 +1258,8 @@ mod tests {
             let rates = rates(&net, &paths);
             let load = link_load(&net, &paths, &rates);
             for (l, &used) in load.iter().enumerate() {
-                prop_assert!(used <= net.caps[l] * (1.0 + 1e-9), "link {l} over capacity");
+                let cap = net.capacity(LinkId(l as u32));
+                prop_assert!(used <= cap * (1.0 + 1e-9), "link {l} over capacity");
             }
             for (path, &rate) in paths.iter().zip(&rates) {
                 let bottlenecked = path.iter().any(|l| {
@@ -1244,5 +1271,100 @@ mod tests {
                 prop_assert!(bottlenecked, "flow at {rate} on {path:?} has no bottleneck");
             }
         }
+    }
+
+    // ---- Capacity runs against a dense model -----------------------------
+
+    /// Capacities for the run-length property: equal neighbours extend a
+    /// run only when their bits match, so `0.1 + 0.2` and `0.3` (equal to
+    /// the eye, one ulp apart) must land in two runs.
+    const RUN_CAPS: [f64; 6] = [
+        3_125_000_000.0,
+        25_000_000_000.0,
+        0.1 + 0.2,
+        0.3,
+        5e-324,
+        1.5e-323,
+    ];
+
+    /// Check `net` against `model`, the capacities it was built from:
+    /// every link reads back its own bits, the link count agrees, and
+    /// there is one run per change of bits.
+    fn assert_runs_match(net: &FlowNet, model: &[f64]) {
+        assert_eq!(net.num_links(), model.len());
+        for (l, cap) in model.iter().enumerate() {
+            let got = net.capacity(LinkId(l as u32));
+            assert_eq!(got.to_bits(), cap.to_bits(), "link {l}");
+        }
+        let changes = model
+            .windows(2)
+            .filter(|w| w[0].to_bits() != w[1].to_bits());
+        assert_eq!(net.runs.len(), model.len().min(1) + changes.count());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Any `add_link` sequence — long runs, alternating values, equal
+        /// values built differently — reads back as a plain `Vec<f64>`.
+        #[test]
+        fn capacity_runs_agree_with_a_dense_vec(
+            blocks in prop::collection::vec((0..RUN_CAPS.len(), 0u32..4, 1usize..=40), 0..=24)
+        ) {
+            let (mut net, mut model) = (FlowNet::new(), Vec::new());
+            for (cap, shape, len) in blocks {
+                // Shape 0 alternates the palette entry with its neighbour;
+                // the rest repeat it, shape 3 for a long run.
+                let len = if shape == 3 { len * 50 } else { len };
+                for i in 0..len {
+                    let c = if shape == 0 && i % 2 == 1 {
+                        RUN_CAPS[(cap + 1) % RUN_CAPS.len()]
+                    } else {
+                        RUN_CAPS[cap]
+                    };
+                    prop_assert_eq!(net.add_link(c), LinkId(model.len() as u32));
+                    model.push(c);
+                }
+            }
+            assert_runs_match(&net, &model);
+        }
+    }
+
+    /// The `fattree-100k` shape: 200,000 host links at 25 Gb/s, then 8
+    /// ToR uplinks and 8 downlinks at 200 Gb/s — two runs, each checked
+    /// at both ends.
+    #[test]
+    fn a_fattree_100k_net_is_two_runs() {
+        let (host, rack) = (3_125_000_000.0, 25_000_000_000.0);
+        let model: Vec<f64> = [(host, 200_000), (rack, 16)]
+            .into_iter()
+            .flat_map(|(cap, n)| std::iter::repeat_n(cap, n))
+            .collect();
+        let mut net = FlowNet::new();
+        for &cap in &model {
+            net.add_link(cap);
+        }
+        assert_eq!(net.runs, [(0, host), (200_000, rack)]);
+        for (l, want) in [(0, host), (199_999, host), (200_000, rack), (200_015, rack)] {
+            assert_eq!(
+                net.capacity(LinkId(l)).to_bits(),
+                f64::to_bits(want),
+                "link {l}"
+            );
+        }
+        assert_runs_match(&net, &model);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown link 200016")]
+    fn an_unknown_link_panics_naming_it() {
+        let mut net = FlowNet::new();
+        for _ in 0..200_000 {
+            net.add_link(3_125_000_000.0);
+        }
+        for _ in 0..16 {
+            net.add_link(25_000_000_000.0);
+        }
+        net.capacity(LinkId(200_016));
     }
 }

@@ -209,7 +209,11 @@ fn allocate(
 ) {
     // Progressive filling: repeatedly saturate the most contended link.
     let nlinks = load.ids.len();
-    let mut rem: Vec<f64> = load.ids.iter().map(|&id| net.caps[id as usize]).collect();
+    let mut rem: Vec<f64> = load
+        .ids
+        .iter()
+        .map(|&id| net.capacity(LinkId(id)))
+        .collect();
     let mut cnt: Vec<u32> = load.counts.clone();
     let mut frozen = vec![false; active.len()];
     let mut unfrozen = active.len();

@@ -40,6 +40,7 @@ use crate::sweep::SweepPoint;
 use dcn_flow::{simulate, FlowDef, FlowNet, LinkId};
 use dcn_sim::{NodeId, SimStats};
 use dcn_transport::FlowSpec;
+use dcn_workloads::HostMap;
 use powertcp_core::Tick;
 use std::time::Instant;
 
@@ -54,7 +55,7 @@ pub(crate) fn run_flow_point_observed(
         reason = "executor span timing — observability only, never in report bytes"
     )]
     let t0 = Instant::now();
-    let plan = engine::plan(&sweep.topology, point.algo);
+    let mut plan = engine::plan(&sweep.topology, point.algo);
     let flows = engine::offered_flows(
         &sweep.topology,
         &sweep.workload,
@@ -66,8 +67,15 @@ pub(crate) fn run_flow_point_observed(
     let offered = flows.len();
 
     let (net, defs) = build_network(&sweep.topology, &plan, &flows);
+    // The host map is the point's only per-host state; the paths are
+    // laid, so nothing reads it again.
+    plan.map = HostMap {
+        hosts: Vec::new(),
+        rack_of: Vec::new(),
+    };
     let run_end = sweep.run_end();
     let (results, fstats) = simulate(&net, &defs, run_end.as_secs_f64());
+    drop((net, defs));
 
     // ---- Reduce. No switch buffers and no drops at this abstraction
     // level: the outcome keeps the reduction's empty `buffer` and zero
@@ -100,7 +108,8 @@ pub(crate) fn run_flow_point_observed(
 /// Link layout (ids are assigned in this order so runs are reproducible
 /// from the spec alone): host uplinks `0..n`, host downlinks `n..2n`,
 /// then per-rack ToR uplinks/downlinks (fat-tree) or the two bottleneck
-/// directions (dumbbell).
+/// directions (dumbbell). Host `i`'s links are therefore ids `i` and
+/// `n + i`, with no table.
 fn build_network(
     topo: &TopologySpec,
     plan: &engine::Plan,
@@ -109,8 +118,9 @@ fn build_network(
     let n = plan.map.hosts.len();
     let host_bytes = plan.host_bw.bytes_per_sec();
     let mut net = FlowNet::new();
-    let up: Vec<LinkId> = (0..n).map(|_| net.add_link(host_bytes)).collect();
-    let down: Vec<LinkId> = (0..n).map(|_| net.add_link(host_bytes)).collect();
+    for _ in 0..2 * n {
+        net.add_link(host_bytes);
+    }
     enum Fabric {
         /// Per-rack aggregate ToR up/downlinks (fat-tree).
         Racks {
@@ -155,7 +165,7 @@ fn build_network(
         .iter()
         .map(|f| {
             let (src, dst) = (index_of(f.src), index_of(f.dst));
-            let mut path = vec![up[src], down[dst]];
+            let mut path = vec![LinkId(src as u32), LinkId((n + dst) as u32)];
             let (rs, rd) = (plan.map.rack_of[src], plan.map.rack_of[dst]);
             match &fabric {
                 Fabric::Racks { tor_up, tor_down } if rs != rd => {
@@ -357,11 +367,41 @@ mod tests {
             let cfg = engine::fat_tree_config(&topo, Algo::PowerTcp, ParamSpec::default());
             assert_eq!(topo.num_hosts(), cfg.num_hosts(), "{topo:?}");
             let plan = engine::plan(&topo, Algo::PowerTcp);
-            let (net, _) = build_network(&topo, &plan, &[]);
+            // One flow each way between the first and the last host: host
+            // `i`'s links are ids `i` and `n + i`, so these paths name
+            // both ends of the host uplink and downlink runs.
+            let (first, last) = (plan.map.hosts[0], *plan.map.hosts.last().unwrap());
+            let flows = [(first, last), (last, first)].map(|(src, dst)| FlowSpec {
+                id: dcn_sim::FlowId(1),
+                src,
+                dst,
+                size_bytes: 1,
+                start: Tick::ZERO,
+            });
+            let (net, defs) = build_network(&topo, &plan, &flows);
             // Host up- and downlinks come first, then each rack's ToR
-            // uplink.
+            // uplink, then each rack's ToR downlink.
             let n = plan.map.hosts.len();
-            let racks = (2 * n..2 * n + dcn_sim::topology::TORS).map(|l| LinkId(l as u32));
+            let tors = dcn_sim::topology::TORS;
+            assert_eq!(net.num_links(), 2 * n + 2 * tors, "{topo:?}");
+            let ids = |ls: [usize; 4]| ls.map(|l| LinkId(l as u32)).to_vec();
+            assert_eq!(
+                defs[0].path,
+                ids([0, 2 * n - 1, 2 * n, 2 * n + 2 * tors - 1])
+            );
+            assert_eq!(
+                defs[1].path,
+                ids([n - 1, n, 2 * n + tors - 1, 2 * n + tors])
+            );
+            let host_bytes = cfg.host_bw.bytes_per_sec();
+            for l in [0, n - 1, n, 2 * n - 1] {
+                assert_eq!(
+                    net.capacity(LinkId(l as u32)),
+                    host_bytes,
+                    "{topo:?} link {l}"
+                );
+            }
+            let racks = (2 * n..2 * n + tors).map(|l| LinkId(l as u32));
             let rack_bytes: Vec<f64> = racks.map(|l| net.capacity(l)).collect();
             let per_rack = cfg.fabric_bw.bytes_per_sec() * dcn_sim::topology::AGGS_PER_POD as f64;
             assert!(rack_bytes.iter().all(|&b| b == per_rack), "{topo:?}");

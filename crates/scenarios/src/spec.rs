@@ -920,7 +920,12 @@ impl TimeseriesBody {
             }
         }
         match &trace.scenario {
-            TraceScenario::Response => {}
+            // The trace writes no lineup, so only the default would
+            // round-trip.
+            TraceScenario::Response => ensure!(
+                *lineup == LineupSpec::default(),
+                "the response trace runs no algorithm, so it takes no lineup"
+            ),
             TraceScenario::Incast {
                 at_ms, horizon_ms, ..
             } => ensure!(
@@ -1253,7 +1258,8 @@ seeds = [1, 2, 3]
             let analytic = matches!(scenario, TraceScenario::Response);
             let mut spec = ts_spec(scenario);
             if analytic {
-                // Response runs no algorithm: the lineup is not written.
+                // Response runs no algorithm and writes no lineup, so
+                // validation requires the default.
                 spec.timeseries_mut("test").lineup = LineupSpec::default();
             }
             spec.validate().unwrap_or_else(|e| panic!("{e}"));
@@ -1297,6 +1303,15 @@ seeds = [1, 2, 3]
         });
         s.timeseries_mut("test").lineup.algos = vec![Algo::Homa(1)];
         assert!(s.validate().unwrap_err().contains("HOMA"));
+
+        // A response trace runs no algorithm: a code-built lineup would
+        // run the placeholder and vanish from `to_toml`.
+        let mut s = ts_spec(TraceScenario::Response);
+        s.timeseries_mut("test").lineup.algos = vec![Algo::Hpcc, Algo::Dcqcn];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("response trace"), "{err}");
+        s.timeseries_mut("test").lineup = LineupSpec::default();
+        s.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// What the parent policed in `validate` (a load axis on a trace, a
