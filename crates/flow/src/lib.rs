@@ -144,7 +144,44 @@ pub struct FlowDef {
     pub path: Vec<LinkId>,
 }
 
-/// Per-flow outcome, aligned with the input slice by index.
+/// The offered flows, read by index `0..count()`. A path is produced when
+/// its flow is admitted, so a caller that can compute its routes (say,
+/// from host indices) keeps no path per flow.
+pub trait Flows {
+    /// Number of flows.
+    fn count(&self) -> usize;
+    /// Flow `i`'s tie-breaker: flows arriving at the same instant are
+    /// admitted in ascending `seq` order.
+    fn seq(&self, i: usize) -> u64;
+    /// Flow `i`'s volume in bytes.
+    fn size_bytes(&self, i: usize) -> u64;
+    /// Flow `i`'s arrival time in seconds.
+    fn start_s(&self, i: usize) -> f64;
+    /// Append flow `i`'s path to `out`; see [`FlowDef::path`].
+    fn path(&self, i: usize, out: &mut Vec<LinkId>);
+}
+
+/// Stored paths: `&[FlowDef]`, `&Vec<FlowDef>` and `&[FlowDef; N]` pass
+/// straight to [`simulate`].
+impl<T: AsRef<[FlowDef]> + ?Sized> Flows for T {
+    fn count(&self) -> usize {
+        self.as_ref().len()
+    }
+    fn seq(&self, i: usize) -> u64 {
+        self.as_ref()[i].seq
+    }
+    fn size_bytes(&self, i: usize) -> u64 {
+        self.as_ref()[i].size_bytes
+    }
+    fn start_s(&self, i: usize) -> f64 {
+        self.as_ref()[i].start_s
+    }
+    fn path(&self, i: usize, out: &mut Vec<LinkId>) {
+        out.extend_from_slice(&self.as_ref()[i].path);
+    }
+}
+
+/// Per-flow outcome, aligned with the input flows by index.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlowResult {
     /// Transfer-complete time in seconds, or `None` if the flow was
@@ -173,7 +210,7 @@ pub struct FlowStats {
 /// flow slab from admission to retirement, so member lists can name it.
 #[derive(Debug, Default)]
 struct Active {
-    /// Index into the caller's `flows` slice.
+    /// Index of the flow in the caller's `flows`.
     idx: usize,
     remaining: f64,
     rate: f64,
@@ -181,7 +218,7 @@ struct Active {
     /// upward, so a stamp from any earlier run reads as unfrozen.
     frozen_in: u64,
     /// The flow's path as [`LinkSlots`] slots — same order and
-    /// multiplicity as `FlowDef::path`, resolved once at admission so the
+    /// multiplicity as [`Flows::path`], resolved once at admission so the
     /// per-event allocator never searches for a link — each with the
     /// position of its entry in the slot's member list.
     slots: Vec<Hop>,
@@ -363,15 +400,24 @@ impl LinkSlots {
 /// Returns one [`FlowResult`] per input flow (same order) and the
 /// engine counters. Flows still unfinished at `end_s` — including flows
 /// whose `start_s` is at or beyond it — come back censored
-/// (`finish_s == None`).
+/// (`finish_s == None`). Each path is read into one reused vector, twice:
+/// by the up-front link check, and when its flow is admitted.
 ///
 /// # Panics
 /// If a flow references a link outside `net`, or a start time is not
 /// finite.
-pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult>, FlowStats) {
-    for f in flows {
-        assert!(f.start_s.is_finite(), "flow start must be finite");
-        for l in &f.path {
+pub fn simulate<F: Flows + ?Sized>(
+    net: &FlowNet,
+    flows: &F,
+    end_s: f64,
+) -> (Vec<FlowResult>, FlowStats) {
+    let n = flows.count();
+    let mut path: Vec<LinkId> = Vec::new();
+    for i in 0..n {
+        assert!(flows.start_s(i).is_finite(), "flow start must be finite");
+        path.clear();
+        flows.path(i, &mut path);
+        for l in &path {
             assert!(
                 (l.0 as usize) < net.num_links(),
                 "flow path references unknown link {}",
@@ -379,15 +425,15 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
             );
         }
     }
-    let mut order: Vec<usize> = (0..flows.len()).collect();
+    let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
-        flows[a]
-            .start_s
-            .total_cmp(&flows[b].start_s)
-            .then(flows[a].seq.cmp(&flows[b].seq))
+        flows
+            .start_s(a)
+            .total_cmp(&flows.start_s(b))
+            .then(flows.seq(a).cmp(&flows.seq(b)))
     });
 
-    let mut finish: Vec<Option<f64>> = vec![None; flows.len()];
+    let mut finish: Vec<Option<f64>> = vec![None; n];
     let mut stats = FlowStats::default();
     // Flows in flight live in `pool`, a slab whose entries stay put from
     // admission to retirement so member lists can name them; `active`
@@ -404,7 +450,7 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
         if active.is_empty() {
             // Jump straight to the next arrival batch.
             let Some(&first) = order.get(next) else { break };
-            t = t.max(flows[first].start_s);
+            t = t.max(flows.start_s(first));
             if t >= end_s {
                 break;
             }
@@ -420,7 +466,7 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
             }
             let t_arrival = order
                 .get(next)
-                .map_or(f64::INFINITY, |&i| flows[i].start_s.max(t));
+                .map_or(f64::INFINITY, |&i| flows.start_s(i).max(t));
             let t_next = (t + dt_done).min(t_arrival).min(end_s);
             let dt = t_next - t;
             if dt > 0.0 {
@@ -462,11 +508,13 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
         }
         // Admit every flow that has arrived by now, in (start, seq) order.
         while let Some(&i) = order.get(next) {
-            if flows[i].start_s > t {
+            if flows.start_s(i) > t {
                 break;
             }
             next += 1;
-            if flows[i].path.is_empty() {
+            path.clear();
+            flows.path(i, &mut path);
+            if path.is_empty() {
                 // Zero-cost loopback: transfers instantly.
                 finish[i] = Some(t);
                 stats.completed += 1;
@@ -478,10 +526,10 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
             });
             let f = &mut pool[k as usize];
             f.idx = i;
-            f.remaining = (flows[i].size_bytes as f64).max(EPS_BYTES * 2.0);
+            f.remaining = (flows.size_bytes(i) as f64).max(EPS_BYTES * 2.0);
             f.rate = 0.0;
             f.slots.clear();
-            links.admit(net, &flows[i].path, k, &mut f.slots);
+            links.admit(net, &path, k, &mut f.slots);
             active.push(k);
             stats.arrivals += 1;
         }
@@ -492,7 +540,7 @@ pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult
         stats.events += 1;
     }
     stats.censored += active.len() as u64;
-    stats.censored += (flows.len() - next) as u64;
+    stats.censored += (n - next) as u64;
     (
         finish
             .into_iter()

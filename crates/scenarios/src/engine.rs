@@ -21,9 +21,8 @@ use dcn_sim::{
 };
 use dcn_stats::slowdown;
 use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig};
-use dcn_workloads::{incast_flows, poisson_flows, HostMap, IncastConfig, PoissonConfig, SizeCdf};
+use dcn_workloads::{incast_flows, poisson_flows, Hosts, IncastConfig, PoissonConfig, SizeCdf};
 use powertcp_core::{Bandwidth, Tick};
-use std::collections::BTreeMap;
 
 /// Raw outcome of one sweep point (one simulation). Each flow's slowdown
 /// is kept once, unsummarized and uncut, so seeds can be merged before
@@ -60,7 +59,7 @@ pub struct PointOutcome {
 /// Shared with the flow engine ([`crate::flow_engine`]), which consumes
 /// the same plan without ever building the packet fabric.
 pub(crate) struct Plan {
-    pub(crate) map: HostMap,
+    pub(crate) map: HostRange,
     pub(crate) base_rtt: Tick,
     pub(crate) host_bw: Bandwidth,
     pub(crate) capacity: Bandwidth,
@@ -112,14 +111,53 @@ fn dumbbell_config(topo: &TopologySpec, algo: Algo, param: ParamSpec) -> Dumbbel
     }
 }
 
+/// Where a topology's hosts sit: every builder numbers its hosts
+/// consecutively from `first`, rack by rack, `per_rack` to a rack.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HostRange {
+    pub(crate) first: NodeId,
+    pub(crate) count: usize,
+    pub(crate) per_rack: usize,
+}
+
+impl HostRange {
+    /// The host index of node `node`.
+    ///
+    /// # Panics
+    /// If `node` is not one of the planned hosts.
+    pub(crate) fn index_of(&self, node: NodeId) -> usize {
+        (node.0.checked_sub(self.first.0))
+            .map(|i| i as usize)
+            .filter(|&i| i < self.count)
+            .expect("flow endpoint is a planned host")
+    }
+}
+
+impl Hosts for HostRange {
+    fn count(&self) -> usize {
+        self.count
+    }
+    fn host(&self, i: usize) -> NodeId {
+        assert!(i < self.count, "host {i} of {}", self.count);
+        NodeId(self.first.0 + i as u32)
+    }
+    fn rack(&self, i: usize) -> usize {
+        i / self.per_rack
+    }
+    fn racks(&self) -> usize {
+        self.count.div_ceil(self.per_rack)
+    }
+}
+
 pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
     match *topo {
         TopologySpec::FatTree { hosts_per_tor, .. } => {
             let cfg = fat_tree_config(topo, algo, ParamSpec::default());
             Plan {
-                map: HostMap {
-                    hosts: (0..cfg.num_hosts()).map(|i| cfg.host_node_id(i)).collect(),
-                    rack_of: (0..cfg.num_hosts()).map(|i| i / hosts_per_tor).collect(),
+                map: HostRange {
+                    first: cfg.host_node_id(0),
+                    count: cfg.num_hosts(),
+                    per_rack: hosts_per_tor,
                 },
                 base_rtt: cfg.max_base_rtt(),
                 host_bw: cfg.host_bw,
@@ -132,9 +170,10 @@ pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
             // so inter-rack-only Poisson means src != dst and incast
             // responders are simply other hosts.
             Plan {
-                map: HostMap {
-                    hosts: (0..hosts).map(star_host_id).collect(),
-                    rack_of: (0..hosts).collect(),
+                map: HostRange {
+                    first: star_host_id(0),
+                    count: hosts,
+                    per_rack: 1,
                 },
                 base_rtt: star_base_rtt(host_bw, EDGE_HOST_DELAY),
                 host_bw,
@@ -148,9 +187,10 @@ pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
             let cfg = dumbbell_config(topo, algo, ParamSpec::default());
             // Senders are rack 0, receivers rack 1.
             Plan {
-                map: HostMap {
-                    hosts: (0..2 * pairs).map(|i| cfg.host_node_id(i)).collect(),
-                    rack_of: (0..2 * pairs).map(|i| i / pairs).collect(),
+                map: HostRange {
+                    first: cfg.host_node_id(0),
+                    count: 2 * pairs,
+                    per_rack: pairs,
                 },
                 base_rtt: cfg.base_rtt(),
                 host_bw: cfg.host_bw,
@@ -287,13 +327,12 @@ pub(crate) fn offered_flows(
             // Orient all background traffic left -> right (mirroring each
             // endpoint to its same-index counterpart on the other side),
             // so `load` loads the instrumented bottleneck direction.
-            let first = plan.map.hosts[0].0;
             for f in &mut flows {
-                let src_idx = (f.src.0 - first) as usize;
-                let dst_idx = (f.dst.0 - first) as usize;
+                let src_idx = plan.map.index_of(f.src);
+                let dst_idx = plan.map.index_of(f.dst);
                 if src_idx >= pairs {
-                    f.src = plan.map.hosts[src_idx - pairs];
-                    f.dst = plan.map.hosts[dst_idx + pairs];
+                    f.src = plan.map.host(src_idx - pairs);
+                    f.dst = plan.map.host(dst_idx + pairs);
                 }
             }
         }
@@ -336,16 +375,9 @@ fn run_packet_point(sweep: &SweepBody, point: &SweepPoint) -> (PointOutcome, dcn
     let offered = flows.len();
 
     // ---- Group flows by source host index.
-    let index_of: BTreeMap<NodeId, usize> = plan
-        .map
-        .hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
-    let mut per_host: Vec<Vec<FlowSpec>> = vec![Vec::new(); plan.map.hosts.len()];
+    let mut per_host: Vec<Vec<FlowSpec>> = vec![Vec::new(); plan.map.count];
     for f in &flows {
-        per_host[index_of[&f.src]].push(*f);
+        per_host[plan.map.index_of(f.src)].push(*f);
     }
 
     // ---- Endpoints.
@@ -495,9 +527,81 @@ impl Scale {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::IncastSpec;
+    use dcn_workloads::HostMap;
+
+    /// The host tables `plan` laid out before hosts became a
+    /// [`HostRange`], kept as the oracle for the arithmetic.
+    pub(crate) fn laid_host_map(topo: &TopologySpec) -> HostMap {
+        match *topo {
+            TopologySpec::FatTree { hosts_per_tor, .. } => {
+                let cfg = fat_tree_config(topo, Algo::PowerTcp, ParamSpec::default());
+                HostMap {
+                    hosts: (0..cfg.num_hosts()).map(|i| cfg.host_node_id(i)).collect(),
+                    rack_of: (0..cfg.num_hosts()).map(|i| i / hosts_per_tor).collect(),
+                }
+            }
+            TopologySpec::Star { hosts, .. } => HostMap {
+                hosts: (0..hosts).map(star_host_id).collect(),
+                rack_of: (0..hosts).collect(),
+            },
+            TopologySpec::Dumbbell { pairs, .. } => {
+                let cfg = dumbbell_config(topo, Algo::PowerTcp, ParamSpec::default());
+                HostMap {
+                    hosts: (0..2 * pairs).map(|i| cfg.host_node_id(i)).collect(),
+                    rack_of: (0..2 * pairs).map(|i| i / pairs).collect(),
+                }
+            }
+        }
+    }
+
+    /// Every sweep builtin's topology, each once, and a dumbbell (no
+    /// builtin sweeps one).
+    #[test]
+    fn host_ranges_agree_with_the_laid_host_maps() {
+        let mut topos = vec![TopologySpec::Dumbbell {
+            pairs: 4,
+            host_gbps: 25.0,
+            bottleneck_gbps: 10.0,
+        }];
+        for spec in crate::library::builtin_specs() {
+            if let crate::spec::ScenarioKind::Sweep(body) = &spec.kind {
+                if !topos.contains(&body.topology) {
+                    topos.push(body.topology);
+                }
+            }
+        }
+        for kind in ["FatTree", "Star"] {
+            let named = topos.iter().any(|t| format!("{t:?}").starts_with(kind));
+            assert!(named, "no builtin sweeps a {kind}");
+        }
+        for topo in &topos {
+            let (range, map) = (plan(topo, Algo::PowerTcp).map, laid_host_map(topo));
+            assert_eq!(range.count(), map.count(), "{topo:?}");
+            for i in 0..map.count() {
+                assert_eq!(range.host(i), map.hosts[i], "{topo:?} host {i}");
+                assert_eq!(range.rack(i), map.rack_of[i], "{topo:?} host {i}");
+            }
+            let max = map.rack_of.iter().max().expect("a planned host");
+            assert_eq!(range.racks(), max + 1, "{topo:?}");
+            let last = map.count() - 1;
+            assert_eq!(range.index_of(map.hosts[0]), 0, "{topo:?}");
+            assert_eq!(range.index_of(map.hosts[last]), last, "{topo:?}");
+            for outside in [map.hosts[0].0 - 1, map.hosts[last].0 + 1] {
+                let miss = std::panic::catch_unwind(|| range.index_of(NodeId(outside)));
+                let payload = miss.expect_err("a node outside the hosts is refused");
+                let msg = (payload.downcast_ref::<String>().map(String::as_str))
+                    .or_else(|| payload.downcast_ref::<&str>().copied());
+                assert_eq!(
+                    msg,
+                    Some("flow endpoint is a planned host"),
+                    "{topo:?} node {outside}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn tiny_experiment_completes_for_powertcp() {
@@ -542,12 +646,12 @@ mod tests {
         };
         for topo in &topologies {
             let plan = plan(topo, Algo::PowerTcp);
-            let hosts = &plan.map.hosts;
+            let hosts = plan.map;
             for size_bytes in [1, 1_000, 123_457, 10_000_000] {
                 let flow = FlowSpec {
                     id: dcn_sim::FlowId(1),
-                    src: hosts[0],
-                    dst: hosts[hosts.len() - 1],
+                    src: hosts.host(0),
+                    dst: hosts.host(hosts.count - 1),
                     size_bytes,
                     start: Tick::from_micros(3),
                 };

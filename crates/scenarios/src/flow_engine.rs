@@ -34,13 +34,13 @@
 //! spec layer rejects them for flow sweeps. Buffer-occupancy samples
 //! come back empty and drops are zero by construction.
 
-use crate::engine::{self, FctReduction, PointOutcome};
+use crate::engine::{self, FctReduction, HostRange, PointOutcome};
 use crate::spec::{SweepBody, TopologySpec};
 use crate::sweep::SweepPoint;
-use dcn_flow::{simulate, FlowDef, FlowNet, LinkId};
-use dcn_sim::{NodeId, SimStats};
+use dcn_flow::{simulate, FlowNet, Flows, LinkId};
+use dcn_sim::SimStats;
 use dcn_transport::FlowSpec;
-use dcn_workloads::HostMap;
+use dcn_workloads::Hosts;
 use powertcp_core::Tick;
 use std::time::Instant;
 
@@ -55,7 +55,7 @@ pub(crate) fn run_flow_point_observed(
         reason = "executor span timing — observability only, never in report bytes"
     )]
     let t0 = Instant::now();
-    let mut plan = engine::plan(&sweep.topology, point.algo);
+    let plan = engine::plan(&sweep.topology, point.algo);
     let flows = engine::offered_flows(
         &sweep.topology,
         &sweep.workload,
@@ -66,16 +66,9 @@ pub(crate) fn run_flow_point_observed(
     );
     let offered = flows.len();
 
-    let (net, defs) = build_network(&sweep.topology, &plan, &flows);
-    // The host map is the point's only per-host state; the paths are
-    // laid, so nothing reads it again.
-    plan.map = HostMap {
-        hosts: Vec::new(),
-        rack_of: Vec::new(),
-    };
+    let (net, routes) = build_network(&sweep.topology, &plan, &flows);
     let run_end = sweep.run_end();
-    let (results, fstats) = simulate(&net, &defs, run_end.as_secs_f64());
-    drop((net, defs));
+    let (results, fstats) = simulate(&net, &routes, run_end.as_secs_f64());
 
     // ---- Reduce. No switch buffers and no drops at this abstraction
     // level: the outcome keeps the reduction's empty `buffer` and zero
@@ -103,42 +96,35 @@ pub(crate) fn run_flow_point_observed(
     (outcome, stats)
 }
 
-/// Build the capacitated link set and per-flow paths for a topology.
+/// Build the capacitated link set for a topology, and the offered flows
+/// as [`simulate`] reads them.
 ///
 /// Link layout (ids are assigned in this order so runs are reproducible
 /// from the spec alone): host uplinks `0..n`, host downlinks `n..2n`,
-/// then per-rack ToR uplinks/downlinks (fat-tree) or the two bottleneck
-/// directions (dumbbell). Host `i`'s links are therefore ids `i` and
-/// `n + i`, with no table.
-fn build_network(
+/// then per-rack ToR uplinks and downlinks (fat-tree) or the two
+/// bottleneck directions (dumbbell). Every link id is arithmetic on host
+/// indices, so no path is stored.
+fn build_network<'a>(
     topo: &TopologySpec,
     plan: &engine::Plan,
-    flows: &[FlowSpec],
-) -> (FlowNet, Vec<FlowDef>) {
-    let n = plan.map.hosts.len();
+    flows: &'a [FlowSpec],
+) -> (FlowNet, Routes<'a>) {
+    let n = plan.map.count();
     let host_bytes = plan.host_bw.bytes_per_sec();
     let mut net = FlowNet::new();
     for _ in 0..2 * n {
         net.add_link(host_bytes);
     }
-    enum Fabric {
-        /// Per-rack aggregate ToR up/downlinks (fat-tree).
-        Racks {
-            tor_up: Vec<LinkId>,
-            tor_down: Vec<LinkId>,
-        },
-        /// Non-blocking hub (star).
-        Hub,
-        /// One capacitated link per direction (dumbbell).
-        Bottleneck { lr: LinkId, rl: LinkId },
-    }
     let fabric = match *topo {
         TopologySpec::FatTree { .. } => {
-            let racks = plan.map.num_racks();
+            let racks = plan.map.racks();
             let rack_bytes = plan.capacity.bytes_per_sec() / racks as f64;
+            for _ in 0..2 * racks {
+                net.add_link(rack_bytes);
+            }
             Fabric::Racks {
-                tor_up: (0..racks).map(|_| net.add_link(rack_bytes)).collect(),
-                tor_down: (0..racks).map(|_| net.add_link(rack_bytes)).collect(),
+                up: (2 * n) as u32,
+                down: (2 * n + racks) as u32,
             }
         }
         TopologySpec::Star { .. } => Fabric::Hub,
@@ -152,40 +138,63 @@ fn build_network(
             }
         }
     };
-    // Every plan numbers its hosts in ascending node-id order, so the
-    // host list is its own index (a miss or an unsorted list panics; it
-    // cannot resolve to the wrong host).
-    let index_of = |node: NodeId| {
-        plan.map
-            .hosts
-            .binary_search(&node)
-            .expect("flow endpoint is a planned host")
+    let routes = Routes {
+        flows,
+        hosts: plan.map,
+        fabric,
     };
-    let defs = flows
-        .iter()
-        .map(|f| {
-            let (src, dst) = (index_of(f.src), index_of(f.dst));
-            let mut path = vec![LinkId(src as u32), LinkId((n + dst) as u32)];
-            let (rs, rd) = (plan.map.rack_of[src], plan.map.rack_of[dst]);
-            match &fabric {
-                Fabric::Racks { tor_up, tor_down } if rs != rd => {
-                    path.push(tor_up[rs]);
-                    path.push(tor_down[rd]);
-                }
-                Fabric::Bottleneck { lr, rl } if rs != rd => {
-                    path.push(if rs < rd { *lr } else { *rl });
-                }
-                _ => {}
+    (net, routes)
+}
+
+/// What a flow crosses between its source's and destination's racks.
+enum Fabric {
+    /// Rack `r`'s aggregate ToR uplink is link `up + r`, its downlink
+    /// `down + r` (fat-tree).
+    Racks { up: u32, down: u32 },
+    /// Non-blocking hub (star).
+    Hub,
+    /// One capacitated link per direction (dumbbell).
+    Bottleneck { lr: LinkId, rl: LinkId },
+}
+
+/// The offered flows with their paths computed on demand: source uplink,
+/// destination downlink, then the fabric's links when the racks differ.
+struct Routes<'a> {
+    flows: &'a [FlowSpec],
+    hosts: HostRange,
+    fabric: Fabric,
+}
+
+impl Flows for Routes<'_> {
+    fn count(&self) -> usize {
+        self.flows.len()
+    }
+    fn seq(&self, i: usize) -> u64 {
+        self.flows[i].id.0
+    }
+    fn size_bytes(&self, i: usize) -> u64 {
+        self.flows[i].size_bytes
+    }
+    fn start_s(&self, i: usize) -> f64 {
+        self.flows[i].start.as_secs_f64()
+    }
+    fn path(&self, i: usize, out: &mut Vec<LinkId>) {
+        let f = &self.flows[i];
+        let (src, dst) = (self.hosts.index_of(f.src), self.hosts.index_of(f.dst));
+        out.push(LinkId(src as u32));
+        out.push(LinkId((self.hosts.count + dst) as u32));
+        let (rs, rd) = (self.hosts.rack(src), self.hosts.rack(dst));
+        match self.fabric {
+            Fabric::Racks { up, down } if rs != rd => {
+                out.push(LinkId(up + rs as u32));
+                out.push(LinkId(down + rd as u32));
             }
-            FlowDef {
-                seq: f.id.0,
-                size_bytes: f.size_bytes,
-                start_s: f.start.as_secs_f64(),
-                path,
+            Fabric::Bottleneck { lr, rl } if rs != rd => {
+                out.push(if rs < rd { lr } else { rl });
             }
-        })
-        .collect();
-    (net, defs)
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +202,7 @@ mod tests {
     use super::*;
     use crate::algo::Algo;
     use crate::spec::{EngineKind, IncastSpec, ParamSpec, ScenarioSpec, SizeSpec};
+    use dcn_workloads::HostMap;
 
     fn run_flow_point_observed(
         spec: &ScenarioSpec,
@@ -370,7 +380,8 @@ mod tests {
             // One flow each way between the first and the last host: host
             // `i`'s links are ids `i` and `n + i`, so these paths name
             // both ends of the host uplink and downlink runs.
-            let (first, last) = (plan.map.hosts[0], *plan.map.hosts.last().unwrap());
+            let n = plan.map.count();
+            let (first, last) = (plan.map.host(0), plan.map.host(n - 1));
             let flows = [(first, last), (last, first)].map(|(src, dst)| FlowSpec {
                 id: dcn_sim::FlowId(1),
                 src,
@@ -378,21 +389,19 @@ mod tests {
                 size_bytes: 1,
                 start: Tick::ZERO,
             });
-            let (net, defs) = build_network(&topo, &plan, &flows);
+            let (net, routes) = build_network(&topo, &plan, &flows);
             // Host up- and downlinks come first, then each rack's ToR
             // uplink, then each rack's ToR downlink.
-            let n = plan.map.hosts.len();
             let tors = dcn_sim::topology::TORS;
             assert_eq!(net.num_links(), 2 * n + 2 * tors, "{topo:?}");
             let ids = |ls: [usize; 4]| ls.map(|l| LinkId(l as u32)).to_vec();
-            assert_eq!(
-                defs[0].path,
-                ids([0, 2 * n - 1, 2 * n, 2 * n + 2 * tors - 1])
-            );
-            assert_eq!(
-                defs[1].path,
-                ids([n - 1, n, 2 * n + tors - 1, 2 * n + tors])
-            );
+            let path = |i| {
+                let mut path = Vec::new();
+                routes.path(i, &mut path);
+                path
+            };
+            assert_eq!(path(0), ids([0, 2 * n - 1, 2 * n, 2 * n + 2 * tors - 1]));
+            assert_eq!(path(1), ids([n - 1, n, 2 * n + tors - 1, 2 * n + tors]));
             let host_bytes = cfg.host_bw.bytes_per_sec();
             for l in [0, n - 1, n, 2 * n - 1] {
                 assert_eq!(
@@ -407,6 +416,147 @@ mod tests {
             assert!(rack_bytes.iter().all(|&b| b == per_rack), "{topo:?}");
             let total: f64 = rack_bytes.iter().sum();
             assert_eq!(plan.capacity.bps() as f64, 8.0 * total, "{topo:?}");
+        }
+    }
+
+    /// `build_network` as it was before paths were computed: one laid
+    /// `Vec` per flow over the plan's host tables. The oracle for
+    /// [`Routes`].
+    fn laid_paths(
+        topo: &TopologySpec,
+        plan: &engine::Plan,
+        map: &HostMap,
+        flows: &[FlowSpec],
+    ) -> (FlowNet, Vec<Vec<LinkId>>) {
+        let n = map.hosts.len();
+        let host_bytes = plan.host_bw.bytes_per_sec();
+        let mut net = FlowNet::new();
+        for _ in 0..2 * n {
+            net.add_link(host_bytes);
+        }
+        enum Laid {
+            Racks {
+                tor_up: Vec<LinkId>,
+                tor_down: Vec<LinkId>,
+            },
+            Hub,
+            Bottleneck {
+                lr: LinkId,
+                rl: LinkId,
+            },
+        }
+        let fabric = match *topo {
+            TopologySpec::FatTree { .. } => {
+                let racks = map.racks();
+                let rack_bytes = plan.capacity.bytes_per_sec() / racks as f64;
+                Laid::Racks {
+                    tor_up: (0..racks).map(|_| net.add_link(rack_bytes)).collect(),
+                    tor_down: (0..racks).map(|_| net.add_link(rack_bytes)).collect(),
+                }
+            }
+            TopologySpec::Star { .. } => Laid::Hub,
+            TopologySpec::Dumbbell {
+                bottleneck_gbps, ..
+            } => {
+                let bn = crate::spec::gbps(bottleneck_gbps).bytes_per_sec();
+                Laid::Bottleneck {
+                    lr: net.add_link(bn),
+                    rl: net.add_link(bn),
+                }
+            }
+        };
+        let index_of = |node: dcn_sim::NodeId| {
+            map.hosts
+                .binary_search(&node)
+                .expect("flow endpoint is a planned host")
+        };
+        let paths = flows
+            .iter()
+            .map(|f| {
+                let (src, dst) = (index_of(f.src), index_of(f.dst));
+                let mut path = vec![LinkId(src as u32), LinkId((n + dst) as u32)];
+                let (rs, rd) = (map.rack_of[src], map.rack_of[dst]);
+                match &fabric {
+                    Laid::Racks { tor_up, tor_down } if rs != rd => {
+                        path.push(tor_up[rs]);
+                        path.push(tor_down[rd]);
+                    }
+                    Laid::Bottleneck { lr, rl } if rs != rd => {
+                        path.push(if rs < rd { *lr } else { *rl });
+                    }
+                    _ => {}
+                }
+                path
+            })
+            .collect();
+        (net, paths)
+    }
+
+    /// Every flow's computed path is the `Vec` the laid tables gave it,
+    /// on a star, a dumbbell and the builtins' three fat-tree shapes,
+    /// over a Poisson population that mixes same-rack pairs and both
+    /// directions; the two nets agree link for link.
+    #[test]
+    fn computed_paths_match_the_laid_paths() {
+        let fat_tree = |hosts_per_tor, fabric_gbps| TopologySpec::FatTree {
+            hosts_per_tor,
+            host_gbps: 25.0,
+            fabric_gbps,
+        };
+        for topo in [
+            TopologySpec::Star {
+                hosts: 8,
+                host_gbps: 25.0,
+            },
+            TopologySpec::Dumbbell {
+                pairs: 4,
+                host_gbps: 25.0,
+                bottleneck_gbps: 10.0,
+            },
+            fat_tree(2, 12.5),
+            fat_tree(32, 100.0),
+            fat_tree(12_500, 100.0),
+        ] {
+            let plan = engine::plan(&topo, Algo::PowerTcp);
+            let map = engine::tests::laid_host_map(&topo);
+            let flows = dcn_workloads::poisson_flows(
+                &dcn_workloads::PoissonConfig {
+                    load: 0.6,
+                    fabric_uplink_capacity: plan.capacity,
+                    sizes: dcn_workloads::SizeCdf::fixed(10_000),
+                    horizon: Tick::from_millis(2),
+                    inter_rack_only: false,
+                    seed: 11,
+                    first_flow_id: 1,
+                },
+                &map,
+            );
+            assert!(flows.len() >= 100, "{topo:?}: {} flows", flows.len());
+            let (want_net, want) = laid_paths(&topo, &plan, &map, &flows);
+            let (net, routes) = build_network(&topo, &plan, &flows);
+            assert_eq!(routes.count(), want.len(), "{topo:?}");
+            let mut path = Vec::new();
+            let (mut same_rack, mut fabric) = (0, 0);
+            for (i, want) in want.iter().enumerate() {
+                path.clear();
+                routes.path(i, &mut path);
+                assert_eq!(&path, want, "{topo:?} flow {i}");
+                if path.len() == 2 {
+                    same_rack += 1;
+                } else {
+                    fabric += 1;
+                }
+            }
+            if !matches!(topo, TopologySpec::Star { .. }) {
+                assert!(
+                    same_rack > 0 && fabric > 0,
+                    "{topo:?}: {same_rack}/{fabric}"
+                );
+            }
+            assert_eq!(net.num_links(), want_net.num_links(), "{topo:?}");
+            for l in (0..net.num_links()).map(|l| LinkId(l as u32)) {
+                assert_eq!(net.capacity(l), want_net.capacity(l), "{topo:?} {l:?}");
+            }
         }
     }
 

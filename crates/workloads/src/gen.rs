@@ -8,8 +8,23 @@ use powertcp_core::{Bandwidth, Tick};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Host placement information the generators need: which rack each host
-/// is in (index into `hosts` == host index used by topology builders).
+/// Host placement as the generators read it: host `i` (`i < count()`)
+/// is node `host(i)` in rack `rack(i)`, and racks are numbered
+/// `0..racks()`. [`incast_flows`] also needs the hosts numbered rack by
+/// rack, `count() / racks()` to a rack.
+pub trait Hosts {
+    /// Number of hosts.
+    fn count(&self) -> usize;
+    /// Node id of host `i`.
+    fn host(&self, i: usize) -> NodeId;
+    /// Rack of host `i`.
+    fn rack(&self, i: usize) -> usize;
+    /// Number of racks.
+    fn racks(&self) -> usize;
+}
+
+/// Host placement as explicit tables (index into `hosts` == host index
+/// used by topology builders).
 #[derive(Clone, Debug)]
 pub struct HostMap {
     /// Host node ids, in host-index order.
@@ -18,9 +33,17 @@ pub struct HostMap {
     pub rack_of: Vec<usize>,
 }
 
-impl HostMap {
-    /// Number of racks.
-    pub fn num_racks(&self) -> usize {
+impl Hosts for HostMap {
+    fn count(&self) -> usize {
+        self.hosts.len()
+    }
+    fn host(&self, i: usize) -> NodeId {
+        self.hosts[i]
+    }
+    fn rack(&self, i: usize) -> usize {
+        self.rack_of[i]
+    }
+    fn racks(&self) -> usize {
         self.rack_of.iter().copied().max().map_or(0, |m| m + 1)
     }
 }
@@ -48,13 +71,13 @@ pub struct PoissonConfig {
 }
 
 /// Generate Poisson flow arrivals hitting the target load.
-pub fn poisson_flows(cfg: &PoissonConfig, map: &HostMap) -> Vec<FlowSpec> {
+pub fn poisson_flows(cfg: &PoissonConfig, map: &impl Hosts) -> Vec<FlowSpec> {
     assert!(
         cfg.load > 0.0 && cfg.load < 1.5,
         "implausible load {}",
         cfg.load
     );
-    assert!(map.hosts.len() >= 2);
+    assert!(map.count() >= 2);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mean_size = cfg.sizes.mean();
     let bytes_per_sec = cfg.fabric_uplink_capacity.bytes_per_sec() * cfg.load;
@@ -70,21 +93,21 @@ pub fn poisson_flows(cfg: &PoissonConfig, map: &HostMap) -> Vec<FlowSpec> {
         if t >= horizon {
             break;
         }
-        let src_idx = rng.random_range(0..map.hosts.len());
+        let src_idx = rng.random_range(0..map.count());
         let dst_idx = loop {
-            let d = rng.random_range(0..map.hosts.len());
+            let d = rng.random_range(0..map.count());
             if d == src_idx {
                 continue;
             }
-            if cfg.inter_rack_only && map.rack_of[d] == map.rack_of[src_idx] {
+            if cfg.inter_rack_only && map.rack(d) == map.rack(src_idx) {
                 continue;
             }
             break d;
         };
         out.push(FlowSpec {
             id: FlowId(id),
-            src: map.hosts[src_idx],
-            dst: map.hosts[dst_idx],
+            src: map.host(src_idx),
+            dst: map.host(dst_idx),
             size_bytes: cfg.sizes.sample(&mut rng).max(1),
             start: Tick::from_secs_f64(t),
         });
@@ -118,9 +141,13 @@ pub struct IncastConfig {
 }
 
 /// Generate incast responder flows.
-pub fn incast_flows(cfg: &IncastConfig, map: &HostMap) -> Vec<FlowSpec> {
+pub fn incast_flows(cfg: &IncastConfig, map: &impl Hosts) -> Vec<FlowSpec> {
     assert!(cfg.fan_in >= 1);
-    assert!(map.num_racks() >= 2, "incast needs at least two racks");
+    let (n, racks) = (map.count(), map.racks());
+    assert!(racks >= 2, "incast needs at least two racks");
+    let per_rack = n / racks;
+    assert_eq!(per_rack * racks, n, "incast needs racks of equal size");
+    assert!(n - per_rack >= cfg.fan_in, "not enough remote hosts");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut out = Vec::new();
     let mut id = cfg.first_flow_id;
@@ -137,16 +164,16 @@ pub fn incast_flows(cfg: &IncastConfig, map: &HostMap) -> Vec<FlowSpec> {
         if t >= horizon {
             break;
         }
-        let requester = rng.random_range(0..map.hosts.len());
-        let req_rack = map.rack_of[requester];
-        // Responders: uniform from hosts in other racks, distinct.
-        let candidates: Vec<usize> = (0..map.hosts.len())
-            .filter(|&h| map.rack_of[h] != req_rack)
-            .collect();
-        assert!(candidates.len() >= cfg.fan_in, "not enough remote hosts");
+        let requester = rng.random_range(0..n);
+        let req_rack = map.rack(requester);
+        // Responders: uniform from hosts in other racks, distinct. The
+        // remote hosts, in index order, skip the requester's rack.
+        let skip = req_rack * per_rack;
         let mut chosen = Vec::with_capacity(cfg.fan_in);
         while chosen.len() < cfg.fan_in {
-            let c = candidates[rng.random_range(0..candidates.len())];
+            let c = rng.random_range(0..n - per_rack);
+            let c = if c < skip { c } else { c + per_rack };
+            assert_ne!(map.rack(c), req_rack, "hosts are numbered rack by rack");
             if !chosen.contains(&c) {
                 chosen.push(c);
             }
@@ -155,8 +182,8 @@ pub fn incast_flows(cfg: &IncastConfig, map: &HostMap) -> Vec<FlowSpec> {
         for c in chosen {
             out.push(FlowSpec {
                 id: FlowId(id),
-                src: map.hosts[c],
-                dst: map.hosts[requester],
+                src: map.host(c),
+                dst: map.host(requester),
                 size_bytes: per_flow,
                 start,
             });
@@ -296,6 +323,88 @@ mod tests {
             srcs.sort();
             srcs.dedup();
             assert_eq!(srcs.len(), 8);
+        }
+    }
+
+    /// The responder draw as it was before it became arithmetic: every
+    /// remote host listed for each request. The oracle for
+    /// [`incast_flows`].
+    fn incast_by_candidate_list(cfg: &IncastConfig, map: &HostMap) -> Vec<FlowSpec> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut out = Vec::new();
+        let mut id = cfg.first_flow_id;
+        let horizon = cfg.horizon.as_secs_f64();
+        let per_flow = (cfg.request_size_bytes / cfg.fan_in as u64).max(1);
+        let mut t = 0.0f64;
+        loop {
+            t += if cfg.periodic {
+                1.0 / cfg.request_rate_per_sec
+            } else {
+                let u: f64 = rng.random::<f64>().max(1e-12);
+                -u.ln() / cfg.request_rate_per_sec
+            };
+            if t >= horizon {
+                break;
+            }
+            let requester = rng.random_range(0..map.hosts.len());
+            let req_rack = map.rack_of[requester];
+            let candidates: Vec<usize> = (0..map.hosts.len())
+                .filter(|&h| map.rack_of[h] != req_rack)
+                .collect();
+            let mut chosen = Vec::with_capacity(cfg.fan_in);
+            while chosen.len() < cfg.fan_in {
+                let c = candidates[rng.random_range(0..candidates.len())];
+                if !chosen.contains(&c) {
+                    chosen.push(c);
+                }
+            }
+            let start = Tick::from_secs_f64(t);
+            for c in chosen {
+                out.push(FlowSpec {
+                    id: FlowId(id),
+                    src: map.hosts[c],
+                    dst: map.hosts[requester],
+                    size_bytes: per_flow,
+                    start,
+                });
+                id += 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn incast_draws_match_the_candidate_list() {
+        // (racks, hosts per rack, fan-in): the fat-tree's 8 racks, a
+        // star's one-host racks and the dumbbell's two sides, each up to
+        // every remote host.
+        for (racks, per_rack, fan_in) in
+            [(8, 2, 4), (8, 2, 14), (16, 1, 15), (2, 4, 4), (8, 32, 64)]
+        {
+            let n = racks * per_rack;
+            // Node ids start past the switches, as every topology's do.
+            let map = HostMap {
+                hosts: (0..n).map(|i| NodeId(5 + i as u32)).collect(),
+                rack_of: (0..n).map(|i| i / per_rack).collect(),
+            };
+            for (seed, periodic) in [(1, true), (2, false), (3, false)] {
+                let cfg = IncastConfig {
+                    request_rate_per_sec: 2_000.0,
+                    request_size_bytes: 1_000_000,
+                    fan_in,
+                    horizon: Tick::from_millis(20),
+                    seed,
+                    first_flow_id: 9,
+                    periodic,
+                };
+                let want = incast_by_candidate_list(&cfg, &map);
+                assert!(want.len() >= 20 * fan_in, "{} flows", want.len());
+                assert_eq!(
+                    incast_flows(&cfg, &map),
+                    want,
+                    "{racks}x{per_rack}/{fan_in}"
+                );
+            }
         }
     }
 

@@ -12,5 +12,5 @@ pub mod gen;
 
 pub use dist::{CdfPoint, SizeCdf};
 pub use gen::{
-    incast_flows, poisson_flows, size_class, HostMap, IncastConfig, PoissonConfig, SizeClass,
+    incast_flows, poisson_flows, size_class, HostMap, Hosts, IncastConfig, PoissonConfig, SizeClass,
 };
