@@ -98,7 +98,7 @@ pub static XP: &[Command] = commands! {
         "--threads" Positive, "executor threads per job (default: all cores)";
         "--cache-dir" Text("DIR"), "shared result cache (default .xp-cache)";
         "--no-cache" Switch, "run jobs without the result cache";
-        "--queue-cap" Positive, "queued-job bound, 503 beyond (default 64)";
+        "--queue-cap" Positive, "queued-job bound (503 beyond) and finished jobs kept (default 64)";
     }
     "diff" ["<a>", "<b>"] "compare two reports (JSON or CSV) or two directories of them" {
         "--tol" NonNegative, "relative tolerance (default 0); exit 1 on drift beyond it";

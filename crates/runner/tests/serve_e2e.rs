@@ -342,6 +342,63 @@ fn a_panicking_job_fails_alone_and_the_daemon_runs_the_next() {
     join.join().unwrap().unwrap();
 }
 
+/// The daemon keeps the newest `queue_cap` (16) finished jobs. Twenty
+/// jobs run one at a time, each done before the next is submitted, so
+/// the submissions of jobs 18, 19 and 20 each find 17 finished and drop
+/// the oldest: jobs 1–3 are gone and 4–20 are kept. An evicted id
+/// answers 410 on every path and names the bound; an id never issued is
+/// still a 404.
+#[test]
+fn evicted_jobs_answer_410_and_the_newest_are_kept() {
+    let spec = builtin("fig6-small").unwrap();
+    let output = dcn_scenarios::run_scenario(&spec, 2).expect("fig6-small runs");
+    let run: dcn_serve::RunFn = std::sync::Arc::new(move |_, _| Ok(output.clone()));
+    let (addr, shutdown, join) = start_daemon_with(run, None, 1);
+    let body = spec.to_toml();
+    for id in 1..=20u64 {
+        let resp = client::post(&addr, "/jobs", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.text());
+        assert!(
+            resp.text().contains(&format!("\"id\":{id},")),
+            "{}",
+            resp.text()
+        );
+        wait_done(&addr, id);
+    }
+
+    for path in ["/jobs/1", "/jobs/1/events", "/jobs/1/report.json"] {
+        let resp = client::get(&addr, path).unwrap();
+        assert_eq!(resp.status, 410, "{path}: {}", resp.text());
+        assert!(
+            resp.text().contains("keeps the newest 16 finished jobs"),
+            "{path}: {}",
+            resp.text()
+        );
+    }
+    assert_eq!(client::get(&addr, "/jobs/3").unwrap().status, 410);
+    assert_eq!(client::get(&addr, "/jobs/999").unwrap().status, 404);
+
+    let list = client::get(&addr, "/jobs").unwrap().text();
+    let ids: Vec<usize> = list
+        .lines()
+        .map(|line| {
+            parse_json(line)
+                .unwrap()
+                .field("id", Json::as_usize)
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(ids, (4..=20).collect::<Vec<_>>());
+
+    let report = client::get(&addr, "/jobs/20/report.json").unwrap();
+    assert_eq!(report.status, 200);
+    let baseline = std::fs::read_to_string(BASELINE).unwrap();
+    assert_eq!(report.text(), baseline, "the newest job's report is served");
+
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn shutdown_drains_queued_jobs() {
     let cache = scratch("drain");

@@ -135,6 +135,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        410 => "Gone",
         413 => "Payload Too Large",
         503 => "Service Unavailable",
         _ => "Unknown",

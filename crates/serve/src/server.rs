@@ -14,6 +14,20 @@
 //! | GET    | `/cache`                 | cache-stat NDJSON record (via [`StatFn`])  |
 //! | POST   | `/shutdown`              | 200, then graceful drain                   |
 //!
+//! A `/jobs/<id>` path answers 404 for an id never issued and 410 for
+//! one whose job was evicted.
+//!
+//! ## Retention
+//!
+//! Ids come from a counter; a submission refused with 503 uses none.
+//! Each submission first drops the oldest finished (`done` /
+//! `failed`) jobs by id until `queue_cap` remain; queued and running
+//! jobs are never dropped. So the table holds at most 2·`queue_cap` +
+//! `workers` jobs: `queue_cap` finished, `queue_cap` in the channel and
+//! one in each worker's hands. A read does not refresh a job: the order
+//! is submission order, not last use. A handler that already holds a
+//! job finishes its response from that reference.
+//!
 //! ## Shutdown
 //!
 //! `POST /shutdown` (or [`ShutdownHandle::shutdown`]) drops the job
@@ -38,7 +52,8 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Worker threads executing jobs (≥ 1).
     pub workers: usize,
-    /// Bound on undispatched jobs; pushes beyond it get 503.
+    /// Bound on undispatched jobs (pushes beyond it get 503), and the
+    /// number of finished jobs kept.
     pub queue_cap: usize,
     /// Executes one scenario, reporting spans to the job.
     pub run: RunFn,
@@ -49,43 +64,81 @@ pub struct ServeConfig {
 /// Shared server state: the job registry, the queue's sending half,
 /// and the stop flag.
 struct Shared {
-    jobs: Mutex<Vec<Arc<Job>>>,
+    jobs: Mutex<Registry>,
     /// Bounded FIFO into the worker pool; `None` once shutdown closed it.
     queue: Mutex<Option<SyncSender<Arc<Job>>>>,
+    /// The queue's bound, and the number of finished jobs kept.
     queue_cap: usize,
     stopping: AtomicBool,
     run: RunFn,
     cache_stat: Option<StatFn>,
 }
 
+/// The job table: the kept jobs in id order, and the next id to issue.
+/// Every id below `next` was issued; one not in `jobs` was evicted.
+struct Registry {
+    jobs: Vec<Arc<Job>>,
+    next: u64,
+}
+
 impl Shared {
-    fn registry(&self) -> MutexGuard<'_, Vec<Arc<Job>>> {
+    fn registry(&self) -> MutexGuard<'_, Registry> {
         unpoisoned(self.jobs.lock())
     }
 
-    fn job(&self, id: u64) -> Option<Arc<Job>> {
-        self.registry().iter().find(|j| j.id == id).cloned()
+    /// The job with this id: 404 if it was never issued, 410 if it was
+    /// evicted.
+    fn job(&self, id: u64) -> Result<Arc<Job>, (u16, String)> {
+        let reg = self.registry();
+        match reg.jobs.binary_search_by_key(&id, |j| j.id) {
+            Ok(at) => Ok(Arc::clone(&reg.jobs[at])),
+            Err(_) if (1..reg.next).contains(&id) => Err((
+                410,
+                format!(
+                    "job {id} was evicted: the daemon keeps the newest {} finished jobs",
+                    self.queue_cap
+                ),
+            )),
+            Err(_) => Err((404, format!("no such job: {id}"))),
+        }
     }
 
     fn submit(&self, spec: ScenarioSpec) -> Result<Arc<Job>, (u16, String)> {
-        let mut jobs = self.registry();
-        let id = jobs.len() as u64 + 1;
-        let job = Job::new(id, spec);
+        let mut reg = self.registry();
+        // Before the push: a worker may finish the new job before
+        // `submit` returns, and it must not count against the others.
+        evict_finished(&mut reg.jobs, self.queue_cap);
+        let job = Job::new(reg.next, spec);
         // Register before queueing so a worker that grabs the job
         // instantly still has it visible under /jobs/<id>.
-        jobs.push(Arc::clone(&job));
+        reg.jobs.push(Arc::clone(&job));
         let queue = unpoisoned(self.queue.lock());
         let why = match queue.as_ref().map(|tx| tx.try_send(Arc::clone(&job))) {
-            Some(Ok(())) => return Ok(job),
+            Some(Ok(())) => {
+                reg.next += 1;
+                return Ok(job);
+            }
             Some(Err(TrySendError::Full(_))) => {
                 format!("job queue is full ({} queued)", self.queue_cap)
             }
             // Closed by shutdown, or no receiver left: nothing would run it.
             None | Some(Err(TrySendError::Disconnected(_))) => "server is shutting down".into(),
         };
-        jobs.pop();
+        reg.jobs.pop();
         Err((503, why))
     }
+}
+
+/// Drop the oldest terminal jobs until `keep` remain; queued and
+/// running ones stay wherever they sit in id order.
+fn evict_finished(jobs: &mut Vec<Arc<Job>>, keep: usize) {
+    let finished = jobs.iter().filter(|j| j.state().is_terminal()).count();
+    let mut excess = finished.saturating_sub(keep);
+    jobs.retain(|j| {
+        let drop = excess > 0 && j.state().is_terminal();
+        excess -= usize::from(drop);
+        !drop
+    });
 }
 
 /// The `xp serve` daemon: bind, then [`serve`](Server::serve) until a
@@ -108,7 +161,10 @@ impl Server {
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
-                jobs: Mutex::new(Vec::new()),
+                jobs: Mutex::new(Registry {
+                    jobs: Vec::new(),
+                    next: 1,
+                }),
                 queue: Mutex::new(Some(tx)),
                 queue_cap,
                 stopping: AtomicBool::new(false),
@@ -243,7 +299,7 @@ fn route(stream: &mut TcpStream, req: &Request, shared: &Shared) {
         ("POST", ["jobs"]) => post_job(stream, req, shared),
         ("GET", ["jobs"]) => {
             let mut body = String::new();
-            for job in shared.registry().iter() {
+            for job in shared.registry().jobs.iter() {
                 body.push_str(&job.snapshot().to_json());
                 body.push('\n');
             }
@@ -362,8 +418,8 @@ fn with_job(
         return;
     };
     match shared.job(id) {
-        Some(job) => f(stream, &job),
-        None => respond_error(stream, 404, &format!("no such job: {id}")),
+        Ok(job) => f(stream, &job),
+        Err((status, e)) => respond_error(stream, status, &e),
     }
 }
 
@@ -408,11 +464,79 @@ mod tests {
         assert_eq!(submit(), Ok(2));
         let full = (503, "job queue is full (2 queued)".to_string());
         assert_eq!(submit(), Err(full));
-        assert_eq!(server.shared.registry().len(), 2, "refused, rolled out");
+        assert_eq!(
+            server.shared.registry().jobs.len(),
+            2,
+            "refused, rolled out"
+        );
         let fifo: Vec<u64> = server.queue.try_iter().map(|job| job.id).collect();
         assert_eq!(fifo, [1, 2]);
         server.shutdown_handle().shutdown();
         let closed = (503, "server is shutting down".to_string());
         assert_eq!(submit(), Err(closed));
+    }
+
+    /// A thousand jobs through one registry, on this thread: the test is
+    /// the worker, taking each job off the channel and executing it.
+    /// Half the runs return a report and half fail, so both terminal
+    /// states are evicted. Every 100th cycle fills the queue first, so
+    /// the refusal beyond it is exercised and must use up no id.
+    #[test]
+    fn a_thousand_jobs_keep_the_registry_bounded_and_never_reuse_an_id() {
+        let spec = dcn_scenarios::builtin("fig6-small").expect("builtin spec");
+        let output = dcn_scenarios::run_scenario(&spec, 1).expect("fig6-small runs");
+        let runs = std::sync::atomic::AtomicUsize::new(0);
+        let queue_cap = 4;
+        let cfg = ServeConfig {
+            workers: 1,
+            queue_cap,
+            run: Arc::new(move |_, _| match runs.fetch_add(1, Ordering::Relaxed) % 2 {
+                0 => Ok(output.clone()),
+                _ => Err("fake failure".into()),
+            }),
+            cache_stat: None,
+        };
+        let server = Server::bind("127.0.0.1:0", cfg).expect("bind an ephemeral port");
+        let shared = &server.shared;
+        let terminal = || {
+            let reg = shared.registry();
+            let ids: Vec<u64> = reg.jobs.iter().map(|j| j.id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "id order: {ids:?}");
+            let done = reg.jobs.iter().filter(|j| j.state().is_terminal());
+            (done.count(), reg.jobs.len())
+        };
+        let (mut last, mut finished, mut refused) = (0u64, 0usize, 0usize);
+        while finished < 1000 {
+            let burst = if finished % 100 == 0 { queue_cap } else { 1 };
+            for _ in 0..burst {
+                let job = shared.submit(spec.clone()).expect("room in the queue");
+                assert_eq!(job.id, last + 1, "ids are issued in order, none skipped");
+                last = job.id;
+                let (kept, _) = terminal();
+                assert!(
+                    kept <= queue_cap,
+                    "{kept} finished jobs kept after job {last}"
+                );
+            }
+            if burst == queue_cap {
+                let full = (503, format!("job queue is full ({queue_cap} queued)"));
+                assert_eq!(shared.submit(spec.clone()).map(|j| j.id), Err(full));
+                refused += 1;
+            }
+            for job in server.queue.try_iter() {
+                job.execute(&shared.run);
+                finished += 1;
+            }
+            let (_, len) = terminal();
+            assert!(len <= 2 * queue_cap + 1, "{len} jobs held after job {last}");
+        }
+        assert_eq!((last, refused), (1000, 10));
+        assert_eq!(shared.job(last).map(|j| j.id), Ok(last));
+        assert_eq!(shared.job(1).map(|j| j.id).map_err(|e| e.0), Err(410));
+        assert_eq!(shared.job(0).map(|j| j.id).map_err(|e| e.0), Err(404));
+        assert_eq!(
+            shared.job(last + 1).map(|j| j.id).map_err(|e| e.0),
+            Err(404)
+        );
     }
 }
