@@ -399,6 +399,47 @@ fn evicted_jobs_answer_410_and_the_newest_are_kept() {
     join.join().unwrap().unwrap();
 }
 
+/// Idle peers cannot make the daemon start threads without bound: past
+/// `MAX_CONNECTIONS` open connections the accept thread answers 503
+/// itself, and once they close, requests are served again.
+#[test]
+fn a_connection_past_the_cap_gets_503_until_the_open_ones_close() {
+    use dcn_serve::server::MAX_CONNECTIONS;
+    let (addr, shutdown, join) = start_daemon(None, 1);
+    let idle: Vec<std::net::TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| std::net::TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    // Connections are accepted in order, and every idle one holds a
+    // handler reading its request, so the next one is over the cap.
+    let refused = raw(&addr, b"GET /jobs HTTP/1.1\r\n\r\n");
+    assert!(refused.starts_with("HTTP/1.1 503 "), "{refused}");
+    assert!(refused.contains("{\"error\":"), "{refused}");
+    assert!(
+        refused.contains(&format!("{MAX_CONNECTIONS} connections")),
+        "{refused}"
+    );
+
+    // Each handler reads EOF and ends; the accept loop counts again at
+    // the next connection, so poll until the handlers are gone.
+    drop(idle);
+    let mut last = None;
+    for _ in 0..400 {
+        last = client::get(&addr, "/jobs").ok().map(|r| r.status);
+        if last == Some(200) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert_eq!(
+        last,
+        Some(200),
+        "GET /jobs after the idle connections closed"
+    );
+
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn shutdown_drains_queued_jobs() {
     let cache = scratch("drain");

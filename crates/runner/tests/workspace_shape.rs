@@ -1,7 +1,16 @@
 //! The workspace's shape: the rules no compiler lint sees, because they
-//! need the whole file set rather than one crate's AST. Each is a plain
-//! function over `(path, text)`, and each failure reads
-//! `file:line: rule[RXX] message`.
+//! need the whole file set rather than one crate's AST. Each failure reads
+//! `file:line: rule[RXX] message` (a path that does not exist has no line).
+//!
+//! Most rules are source bans, one row each of [`RULES`]: none of a list
+//! of needles appears on a line of a `.rs` file under some paths. One
+//! matcher, [`banned`], applies every row; a path a row names that does not
+//! exist fails too, so a renamed file cannot leave a rule reading nothing.
+//! The rules of another form are functions: R5, R6, R8 and R9 below, and
+//! the few in [`CHECKS`]. This file spells out every needle, so no rule
+//! reads it. [`PLANTED`] holds a hazard for every rule from R10 on (R5,
+//! R6, R8 and R9 have tests of their own), and each must fail naming its
+//! rule.
 //!
 //! | Rule | What fails |
 //! |------|------------|
@@ -9,6 +18,39 @@
 //! | R6 | a `source =` line in `Cargo.lock` or `benchmark/Cargo.lock`: a package resolved from a registry or git, not a path |
 //! | R8 | a member, or the root package, without `[lints]` `workspace = true`: it opts out of `[workspace.lints]` and the clippy determinism rules |
 //! | R9 | a root `default-members` that is not `"."` plus `members`: plain `cargo test` skips the missing member's tests |
+//! | R10 | `lint:allow(` or `allow(clippy::disallowed_` anywhere: an exempt site carries one `#[expect]` |
+//! | R11 | `forbid(unsafe_code)` anywhere: the root `[workspace.lints]` sets it once |
+//! | R12 | `pop_now_if` or `set_batching` under `crates/`, tests included: the engine has one dispatcher |
+//! | R13 | a link table, an action list or a hand-built `CustomCtx` under `sim` or `rdcn` |
+//! | R14 | a placeholder topology or sweep, or a hand-written section walk, under `scenarios/src` |
+//! | R15 | `expect("timeseries")` in `trace_engine.rs`: an engine takes its kind's body |
+//! | R16 | `ScenarioKind::` inside `ScenarioSpec::from_toml`'s body: it is one call on `schema::ROOT` |
+//! | R17 | a spec constructor in `library.rs` other than `ScenarioSpec::from_toml(`: a builtin is a TOML file |
+//! | R18 | one of the deleted spec builders (`fn describe(`, `fn paper_set(`, …) under `scenarios/src` |
+//! | R19 | `parse_json` or `Json` in `runner/src/codec.rs` or `cache.rs`: a cache hit builds no tree |
+//! | R20 | `fn skip_ws` or `u escape` in a file under `crates/` other than `scenarios/src/diff.rs`: one JSON tokenizer |
+//! | R21 | the Figure 6/7 cuts (`SIZE_BUCKETS`, `size_class`, `"buckets"`) in `scenarios/src/engine.rs` or `runner/src/codec.rs` |
+//! | R22 | `snd_una`, or `snd_nxt` outside the `AckInfo` field, in `transport/src/host.rs`: `SendSeq` owns the sequence |
+//! | R23 | `base_rtt / 2` under `scenarios/src`: `FctReduction::ideal_rtt` is the ideal FCT's RTT |
+//! | R24 | `CTRL_PKT_BYTES` on more than one non-`use` line of `sim/src/topology.rs`: `path_rtt` is the one hop sum |
+//! | R25 | a `struct *Config`, `UpdateInterval` or `_override` under `core/src` or `baselines/src`: a law has only γ or η |
+//! | R26 | a fat-tree shape or fixed-delay field in `sim/src/topology.rs` |
+//! | R27 | a fixed rate, delay or switch-config field in `rdcn/src/topology.rs` |
+//! | R28 | `HomaConfig` anywhere: HOMA derives its constants |
+//! | R29 | an optional VOQ gauge or latency sink under `rdcn/src` |
+//! | R30 | `switch_config(SwitchConfig::default()` under `scenarios/src`: the switch starts from the default itself |
+//! | R31 | `partial_cmp` above the tests of `stats/src/percentile.rs`: `Sorted` sorts on an integer key |
+//! | R32 | a second `jsummary`, `jopt`, `jtail`, `csv_escape` or `fmt` in `scenarios/src/report.rs` |
+//! | R33 | a `seeds` or `drain_ms` key, or a top-level `horizon_ms`, in a timeseries builtin (or no timeseries builtin at all) |
+//! | R34 | `seeds` inside `LineupSpec`'s body in `scenarios/src/spec.rs` |
+//! | R35 | a binary other than `crates/runner/src/bin/xp.rs`: a `src/bin/*.rs` or a `main.rs` |
+//! | R36 | `crates/serve/src/html.rs` exists: the daemon's NDJSON records are its one rendering |
+//! | R37 | `text/html`, `JobQueue` or `struct QueueInner` under `serve/src` |
+//! | R38 | `heap.extend(` or `BinaryHeap::from` in `flow/src/lib.rs`: no per-run heapify |
+//! | R39 | `members.resize(`, `frozen.resize(` or `order.retain(` in `flow/src/lib.rs`: nothing laid out per event |
+//! | R40 | `try_single_bottleneck` or `fastpath` in `flow/src/lib.rs` or `reference.rs`: one allocator |
+//! | R41 | `caps: Vec<f64>` in `flow/src/lib.rs`: capacities are runs |
+//! | R42 | a `let up` / `let down` `Vec<LinkId>` table in `scenarios/src/flow_engine.rs`: host links are arithmetic |
 //!
 //! R6's other half is the offline resolve itself, which refuses a registry
 //! dependency before this test compiles. DESIGN.md "Static analysis" has
@@ -17,6 +59,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Workspace-relative path → text, for every file a rule reads.
 type Tree = BTreeMap<String, String>;
@@ -24,6 +67,16 @@ type Tree = BTreeMap<String, String>;
 const KEY_RS: &str = "crates/runner/src/key.rs";
 const LOCKS: [&str; 2] = ["Cargo.lock", "benchmark/Cargo.lock"];
 const SALTS: [&str; 3] = ["ENGINE_VERSION", "FLOW_ENGINE_VERSION", "MODEL_VERSION"];
+/// This file: it lists the needles, so every rule leaves it out.
+const SELF: &str = "crates/runner/tests/workspace_shape.rs";
+/// Every directory of Rust sources.
+const RUST: [&str; 4] = ["crates", "src", "tests", "examples"];
+const BUILTINS: &str = "crates/scenarios/builtins";
+const SPEC_RS: &str = "crates/scenarios/src/spec.rs";
+const TOPOLOGY_RS: &str = "crates/sim/src/topology.rs";
+const TOKENIZER: &str = "crates/scenarios/src/diff.rs";
+const XP: &str = "crates/runner/src/bin/xp.rs";
+const HTML_RS: &str = "crates/serve/src/html.rs";
 
 fn root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -33,30 +86,40 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
 }
 
-/// The tree on disk: the root manifest, every member's manifest, both
-/// lock files, `key.rs` and every non-runner `crates/**/src/**.rs`.
+/// The tree on disk, read once per test binary: the root manifest, every
+/// member's manifest, both lock files, every `.rs` under [`RUST`] and
+/// every builtin's `.toml`.
 fn on_disk() -> Tree {
-    let mut tree = Tree::new();
-    for rel in ["Cargo.toml", KEY_RS].into_iter().chain(LOCKS) {
-        tree.insert(rel.to_string(), read(rel));
-    }
-    for member in list(&tree["Cargo.toml"], "members").1 {
-        let rel = format!("{member}/Cargo.toml");
-        tree.insert(rel.clone(), read(&rel));
-    }
-    add_sources(&mut tree, "crates");
-    tree
+    static DISK: OnceLock<Tree> = OnceLock::new();
+    DISK.get_or_init(|| {
+        let mut tree = Tree::new();
+        for rel in ["Cargo.toml"].into_iter().chain(LOCKS) {
+            tree.insert(rel.to_string(), read(rel));
+        }
+        for member in list(&tree["Cargo.toml"], "members").1 {
+            let rel = format!("{member}/Cargo.toml");
+            tree.insert(rel.clone(), read(&rel));
+        }
+        for dir in RUST {
+            add_files(&mut tree, dir, ".rs");
+        }
+        add_files(&mut tree, BUILTINS, ".toml");
+        tree
+    })
+    .clone()
 }
 
-fn add_sources(tree: &mut Tree, dir: &str) {
-    let entries = std::fs::read_dir(root().join(dir)).unwrap_or_else(|e| panic!("{dir}: {e}"));
+/// Every file under `dir` whose name ends in `ext`. A missing directory
+/// adds nothing, and the rules that read it fail naming it.
+fn add_files(tree: &mut Tree, dir: &str, ext: &str) {
+    let Ok(entries) = std::fs::read_dir(root().join(dir)) else {
+        return;
+    };
     for entry in entries {
         let rel = format!("{dir}/{}", entry.expect(dir).file_name().to_string_lossy());
         if root().join(&rel).is_dir() {
-            if rel != "crates/runner" {
-                add_sources(tree, &rel);
-            }
-        } else if rel.ends_with(".rs") && rel.contains("/src/") {
+            add_files(tree, &rel, ext);
+        } else if rel.ends_with(ext) {
             let text = read(&rel);
             tree.insert(rel, text);
         }
@@ -76,6 +139,394 @@ fn failures(tree: &Tree) -> Vec<String> {
         out.extend(path_only(lock, &tree[lock]));
     }
     out.extend(salts_keyed(tree));
+    for rule in RULES {
+        out.extend(banned(tree, rule));
+    }
+    for (id, check) in CHECKS {
+        out.extend(check(tree, id));
+    }
+    out
+}
+
+/// A source ban: no line of a `.rs` file under `paths` holds one of
+/// `forbids`.
+struct Rule {
+    id: &'static str,
+    /// Files, or directories read recursively; each must exist.
+    paths: &'static [&'static str],
+    /// The needles, each as [`holds`] reads it.
+    forbids: &'static [&'static str],
+    /// A line that holds one of these is not read.
+    exempt: &'static [&'static str],
+    /// Whether a file is read only above its first `#[cfg(test)]`.
+    above_tests: bool,
+    /// Why the rule exists.
+    why: &'static str,
+}
+
+/// One [`Rule`] per row: `id paths [forbids] [exempt] above_tests why;`.
+/// (rustfmt leaves a brace macro alone, so a row stays a few lines.)
+macro_rules! rules {
+    ($($id:literal $paths:tt [$($forbid:literal),* $(,)?] [$($exempt:literal),*] $above:literal
+       $why:literal;)*) => {
+        &[$(Rule {
+            id: $id,
+            paths: &$paths,
+            forbids: &[$($forbid),*],
+            exempt: &[$($exempt),*],
+            above_tests: $above,
+            why: $why,
+        }),*]
+    };
+}
+
+const RULES: &[Rule] = rules! {
+    "R10" RUST ["lint:allow(", "allow(clippy::disallowed_"] [] false
+        "an exempt read carries one `#[expect(.., reason = \"..\")]`, on its statement";
+    "R11" RUST ["forbid(unsafe_code)"] [] false
+        "`unsafe_code = \"forbid\"` is set once, in the root `[workspace.lints]`";
+    "R12" ["crates"] ["pop_now_if", "set_batching"] [] false
+        "the engine has one dispatcher: no batching hook, not even behind a test";
+    // `dcn_flow::LinkId` is the flow engine's own type; `crates/flow` and
+    // `scenarios/src/flow_engine.rs` are outside these paths.
+    "R13" ["crates/sim", "crates/rdcn"] [
+        r"\bLinks\b", r"\bLinkId\b", "PortView", "RawPort", "EndpointAction",
+        "scratch_endpoint", "scratch_views", "with_pool", r"connect_host\b",
+        r"connect_switches\b", r"connect_customs\b", r"connect_custom_to_switch\b",
+        r"connect_host_to_custom\b", "CustomAction", "scratch_custom", "CustomCtx::new",
+    ] [] false
+        "one port model and one way to wire it: no link table, no action list, no context \
+         built outside the engine";
+    // `fn walk(&self` is the spec's section walk; `diff.rs`'s JSON
+    // `walk(a, b, ..)` is not it.
+    "R14" ["crates/scenarios/src"]
+        ["analytic_topology", "analytic_sweep", "implied_topology", "fn walk(&self"] [] false
+        "a scenario holds only what its kind has: no placeholder field, no hand-written \
+         section walk";
+    "R15" ["crates/scenarios/src/trace_engine.rs"] ["expect(\"timeseries\")"] [] false
+        "an engine takes its kind's body, so it never unwraps a spec's kind";
+    "R17" ["crates/scenarios/src/library.rs"]
+        ["ScenarioSpec::", "TopologySpec::", "TraceScenario::", "AnalyticScenario::"]
+        ["ScenarioSpec::from_toml("] false
+        "a builtin is a TOML file, never Rust: library.rs parses its files and builds no spec";
+    "R18" ["crates/scenarios/src"] [
+        "fn describe(", "fn algos(", "fn loads(", "fn params(", "fn engine(",
+        "fn buffer_cdf(", "fn channels(", "fn incast(", "fn trace_scenario(", "fn paper_set(",
+    ] [] false
+        "a builtin is a TOML file: the deleted spec builders stay deleted";
+    "R19" ["crates/runner/src/codec.rs", "crates/runner/src/cache.rs"]
+        ["parse_json", r"\bJson\b"] [] false
+        "a cache hit builds no tree: the codec and the cache envelope pull members in written \
+         order";
+    "R21" ["crates/scenarios/src/engine.rs", "crates/runner/src/codec.rs"]
+        ["SIZE_BUCKETS", "size_class", "\"buckets\"", "\"buckets\\\""] [] false
+        "the Figure 6/7 cuts are taken once, by the report: an outcome stores each flow once";
+    "R22" ["crates/transport/src/host.rs"] ["snd_una", "snd_nxt"] ["snd_nxt: f.seq.nxt(),"] false
+        "`SendSeq` owns go-back-N's sequence; the one `snd_nxt` left is the `AckInfo` field";
+    "R23" ["crates/scenarios/src"] ["base_rtt / 2"] [] false
+        "`FctReduction::ideal_rtt` is the ideal FCT's RTT for both sweep engines";
+    "R25" ["crates/core/src", "crates/baselines/src"]
+        ["struct *Config", "UpdateInterval", "_override"] [] false
+        "a control law has only the knobs a spec can turn: γ and η are constructor arguments, \
+         every other value is a const in its module";
+    // The fields of a built `FatTree` hold node ids (`cores: Vec<NodeId>`).
+    "R26" [TOPOLOGY_RS] [
+        "pub pods:", "pub tors_per_pod:", "pub aggs_per_pod:", "pub cores: usize",
+        "pub cores: Tick", "pub host_delay:", "pub fabric_delay:", "pub core_delay:",
+        "pub bottleneck_delay:",
+    ] [] false
+        "the fat-tree's shape and every fixed link delay are consts of `dcn_sim::topology`";
+    // An `Rdcn`'s `packet_switch` is a node id.
+    "R27" ["crates/rdcn/src/topology.rs"] [
+        "pub host_bw:", "pub circuit_bw:", "pub host_delay:", "pub packet_delay:",
+        "pub circuit_delay:", "pub packet_switch: Bandwidth", "pub packet_switch: Tick",
+        "pub packet_switch: SwitchConfig",
+    ] [] false
+        "an RDCN's fixed rates and delays are consts, and its packet switch starts from the \
+         default";
+    "R28" RUST ["HomaConfig"] [] false
+        "HOMA derives RTTbytes and its resend interval in `HomaHost::new`";
+    "R29" ["crates/rdcn/src"] ["Option<VoqGauge>", "Option<LatencySink>"] [] false
+        "`build_rdcn` always supplies a VOQ gauge and a latency sink";
+    "R30" ["crates/scenarios/src"] ["switch_config(SwitchConfig::default()"] [] false
+        "`Algo::switch_config(host_bw, param)` starts from the default switch itself";
+    "R31" ["crates/stats/src/percentile.rs"] ["partial_cmp"] [] true
+        "`Sorted` sorts once on an integer key; the stable comparison sort survives only as \
+         the tests' oracle";
+    "R32" ["crates/scenarios/src/report.rs"]
+        [r"fn jsummary\b", r"fn jopt\b", r"fn jtail\b", r"fn csv_escape\b", r"fn fmt\b"] [] false
+        "the sweep writers push numbers with `dcn_telemetry::push_jf`; escaping and compact \
+         floats are `dcn_telemetry::{csv_escape, fmt_compact}`";
+    "R37" ["crates/serve/src"] ["text/html", "JobQueue", "struct QueueInner"] [] false
+        "the daemon has one rendering, its NDJSON records, and its queue is a std \
+         `sync_channel`";
+    "R38" ["crates/flow/src/lib.rs"] ["heap.extend(", "BinaryHeap::from"] [] false
+        "the water-fill heapifies no candidates per run: opening keys stay sorted across events";
+    "R39" ["crates/flow/src/lib.rs"] ["members.resize(", "frozen.resize(", "order.retain("] []
+        false
+        "the water-fill lays nothing out per event: member lists persist, slot fills start \
+         lazily, `order` is patched in place";
+    "R40" ["crates/flow/src/lib.rs", "crates/flow/src/reference.rs"]
+        ["try_single_bottleneck", "fastpath"] [] false
+        "the water-fill is the one allocator: no single-bottleneck fast path beside it, nor in \
+         its oracle";
+    "R41" ["crates/flow/src/lib.rs"] ["caps: Vec<f64>"] [] false
+        "capacities are runs of equal bits, not one `f64` per link (200,016 at 100k hosts)";
+    "R42" ["crates/scenarios/src/flow_engine.rs"]
+        ["let up: Vec<LinkId>", "let down: Vec<LinkId>"] [] false
+        "host `i`'s links are ids `i` and `n + i`, not an up/down table per host";
+};
+
+/// The rules that are not a ban under some paths, each a function of the
+/// tree and its id.
+type Check = fn(&Tree, &str) -> Vec<String>;
+
+const CHECKS: &[(&str, Check)] = &[
+    ("R16", |tree, id| {
+        body_lacks(
+            tree,
+            id,
+            ("pub fn from_toml", "    }"),
+            "ScenarioKind::",
+            "`from_toml` is one call on `schema::ROOT`, with no per-kind match",
+        )
+    }),
+    ("R20", one_tokenizer),
+    ("R24", one_hop_sum),
+    ("R33", trace_keys),
+    ("R34", |tree, id| {
+        body_lacks(
+            tree,
+            id,
+            ("pub struct LineupSpec", "}"),
+            "seeds",
+            "a trace is deterministic: a timeseries lineup has no seeds",
+        )
+    }),
+    ("R35", one_binary),
+    ("R36", |tree, id| {
+        if !tree.contains_key(HTML_RS) {
+            return Vec::new();
+        }
+        let why = "the daemon's NDJSON records are its one rendering: no HTML";
+        vec![format!("{HTML_RS}: rule[{id}] {why}")]
+    }),
+];
+
+/// The `.rs` files under `dir` (a file or a directory), this one left out.
+fn sources<'t>(tree: &'t Tree, dir: &'t str) -> impl Iterator<Item = (&'t str, &'t str)> {
+    let under = format!("{dir}/");
+    tree.iter()
+        .filter(move |(p, _)| {
+            p.ends_with(".rs") && p.as_str() != SELF && (*p == dir || p.starts_with(&under))
+        })
+        .map(|(p, t)| (p.as_str(), t.as_str()))
+}
+
+fn missing(path: &str, id: &str) -> String {
+    format!("{path}: rule[{id}] no such file or directory: the rule would pass reading nothing")
+}
+
+/// Every line under a row's paths that holds one of its needles, and
+/// every path of the row that does not exist.
+fn banned(tree: &Tree, rule: &Rule) -> Vec<String> {
+    let mut out = Vec::new();
+    for &path in rule.paths {
+        let mut read = false;
+        for (file, text) in sources(tree, path) {
+            read = true;
+            // Most files hold no needle: one scan of the text rules them out.
+            if !rule.forbids.iter().any(|n| text.contains(stem(n))) {
+                continue;
+            }
+            for (i, line) in text.lines().enumerate() {
+                if rule.above_tests && line.contains("#[cfg(test)]") {
+                    break;
+                }
+                if rule.exempt.iter().any(|e| line.contains(e)) {
+                    continue;
+                }
+                if let Some(needle) = rule.forbids.iter().find(|n| holds(line, n)) {
+                    out.push(format!(
+                        "{file}:{}: rule[{}] `{needle}`: {}",
+                        i + 1,
+                        rule.id,
+                        rule.why
+                    ));
+                }
+            }
+        }
+        if !read {
+            out.push(missing(path, rule.id));
+        }
+    }
+    out
+}
+
+/// Whether `line` holds `needle`, a literal in which a leading or trailing
+/// `\b` asks for a word boundary there (as in grep), and one `*` stands for
+/// a run of identifier characters (`struct *Config`).
+fn holds(line: &str, needle: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let head = stem(needle);
+    let tail = needle
+        .split_once('*')
+        .map_or("", |(_, t)| t.trim_end_matches(r"\b"));
+    line.match_indices(head).any(|(at, _)| {
+        let after = &line[at + head.len()..];
+        let run = if needle.contains('*') {
+            after.find(|c| !is_ident(c)).unwrap_or(after.len())
+        } else {
+            0
+        };
+        let bounded = |i: usize| !after[i + tail.len()..].starts_with(is_ident);
+        (!needle.starts_with(r"\b") || !line[..at].ends_with(is_ident))
+            && (0..=run).any(|i| {
+                after.is_char_boundary(i)
+                    && after[i..].starts_with(tail)
+                    && (!needle.ends_with(r"\b") || bounded(i))
+            })
+    })
+}
+
+/// The literal part of `needle` before any `*`, without a leading `\b`:
+/// every line that holds the needle holds its stem.
+fn stem(needle: &str) -> &str {
+    let lit = needle.trim_start_matches(r"\b");
+    lit.split_once('*')
+        .map_or(lit.trim_end_matches(r"\b"), |(head, _)| head)
+}
+
+/// R16, R34: in `spec.rs`, the block from the first line that starts,
+/// indentation aside, with `from` to the next line equal to `to` holds no
+/// `needle`.
+fn body_lacks(
+    tree: &Tree,
+    id: &str,
+    (from, to): (&str, &str),
+    needle: &str,
+    why: &str,
+) -> Vec<String> {
+    let Some(text) = tree.get(SPEC_RS) else {
+        return vec![missing(SPEC_RS, id)];
+    };
+    let lines: Vec<&str> = text.lines().collect();
+    let Some(start) = lines.iter().position(|l| l.trim_start().starts_with(from)) else {
+        return vec![format!(
+            "{SPEC_RS}: rule[{id}] no line starts with `{from}`: the rule would pass reading \
+             nothing"
+        )];
+    };
+    let end = lines[start..]
+        .iter()
+        .position(|l| *l == to)
+        .map_or(lines.len(), |n| start + n + 1);
+    (start..end)
+        .filter(|&i| lines[i].contains(needle))
+        .map(|i| {
+            format!(
+                "{SPEC_RS}:{}: rule[{id}] `{needle}` in the body of `{from}`: {why}",
+                i + 1
+            )
+        })
+        .collect()
+}
+
+/// R20: the one JSON tokenizer is the one file under `crates/` that skips
+/// JSON whitespace and decodes a `\u` escape.
+fn one_tokenizer(tree: &Tree, id: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut home = false;
+    let tokenizes = |text: &str| text.contains("fn skip_ws") || text.contains("u escape");
+    for (path, text) in sources(tree, "crates").filter(|(_, text)| tokenizes(text)) {
+        if path == TOKENIZER {
+            home = true;
+            continue;
+        }
+        for (i, _) in text.lines().enumerate().filter(|(_, l)| tokenizes(l)) {
+            out.push(format!(
+                "{path}:{}: rule[{id}] a second JSON tokenizer: {TOKENIZER}'s `Parser` is the one",
+                i + 1
+            ));
+        }
+    }
+    if !home {
+        out.push(format!(
+            "{TOKENIZER}: rule[{id}] no `fn skip_ws` or `u escape`: the rule would pass with no \
+             tokenizer"
+        ));
+    }
+    out
+}
+
+/// R24: `topology.rs` names `CTRL_PKT_BYTES` on at most one line that is
+/// not a `use`: the one in `path_rtt`.
+fn one_hop_sum(tree: &Tree, id: &str) -> Vec<String> {
+    let Some(text) = tree.get(TOPOLOGY_RS) else {
+        return vec![missing(TOPOLOGY_RS, id)];
+    };
+    let lines: Vec<usize> = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.starts_with("use ") && l.contains("CTRL_PKT_BYTES"))
+        .map(|(i, _)| i + 1)
+        .collect();
+    match lines[..] {
+        [_, second, ..] => vec![format!(
+            "{TOPOLOGY_RS}:{second}: rule[{id}] `CTRL_PKT_BYTES` on lines {lines:?}: `path_rtt` \
+             is the one hop sum"
+        )],
+        _ => Vec::new(),
+    }
+}
+
+/// R33: a timeseries builtin has no `seeds` or `drain_ms` key, and a
+/// `horizon_ms` only below its first table header; and there is one.
+fn trace_keys(tree: &Tree, id: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut traces = 0;
+    let builtins = tree
+        .iter()
+        .filter(|(p, _)| p.starts_with(BUILTINS) && p.ends_with(".toml"));
+    for (path, text) in builtins {
+        if !text.lines().any(|l| l.starts_with("kind = \"timeseries\"")) {
+            continue;
+        }
+        traces += 1;
+        let mut top = true;
+        for (i, line) in text.lines().enumerate() {
+            top &= !line.starts_with('[');
+            let keys = ["seeds", "drain_ms"]
+                .into_iter()
+                .chain(top.then_some("horizon_ms"));
+            for key in keys.filter(|k| line.starts_with(&format!("{k} = "))) {
+                out.push(format!(
+                    "{path}:{}: rule[{id}] `{key}` in a timeseries spec: a trace has no seeds \
+                     and no drain, and a horizon only inside `[trace]`",
+                    i + 1
+                ));
+            }
+        }
+    }
+    if traces == 0 {
+        out.push(missing(&format!("{BUILTINS}/<a timeseries builtin>"), id));
+    }
+    out
+}
+
+/// R35: Cargo builds every `src/bin/*.rs` and `src/main.rs` without a
+/// `[[bin]]` section, so the binaries are files, and `xp` is the only one.
+fn one_binary(tree: &Tree, id: &str) -> Vec<String> {
+    let mut out: Vec<String> = tree
+        .keys()
+        .filter(|p| p.starts_with("crates/") || p.starts_with("src/"))
+        .filter(|p| format!("/{p}").contains("/src/bin/") || p.ends_with("/main.rs"))
+        .filter(|p| *p != XP)
+        .map(|p| format!("{p}: rule[{id}] a second binary: `xp` ({XP}) is the only front door"))
+        .collect();
+    if !tree.contains_key(XP) {
+        out.push(missing(XP, id));
+    }
     out
 }
 
@@ -156,13 +607,16 @@ fn path_only(path: &str, lock: &str) -> Vec<String> {
     out
 }
 
-/// R5: every `pub const *_VERSION` of a non-runner source is named in
-/// `key.rs` outside a `//` comment (its module docs name every salt).
+/// R5: every `pub const *_VERSION` of a non-runner `crates/*/src/` file is
+/// named in `key.rs` outside a `//` comment (its module docs name every
+/// salt).
 fn salts_keyed(tree: &Tree) -> Vec<String> {
     let key: Vec<&str> = tree[KEY_RS].lines().map(code).collect();
     let mut out = Vec::new();
     for (path, text) in tree {
-        if !path.ends_with(".rs") || path.starts_with("crates/runner/") {
+        let engine = path.starts_with("crates/") && path.contains("/src/");
+        let runner = path.starts_with("crates/runner/");
+        if !path.ends_with(".rs") || !engine || runner || !text.contains("_VERSION") {
             continue;
         }
         for (i, line) in text.lines().enumerate() {
@@ -191,19 +645,14 @@ fn code(line: &str) -> &str {
 /// Whether `code` names `ident` as a whole identifier
 /// (`FLOW_ENGINE_VERSION` does not name `ENGINE_VERSION`).
 fn names(code: &str, ident: &str) -> bool {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    code.match_indices(ident).any(|(at, _)| {
-        !code[..at].ends_with(is_ident) && !code[at + ident.len()..].starts_with(is_ident)
-    })
+    holds(code, &format!(r"\b{ident}\b"))
 }
 
 /// The failures of the tree on disk with `rel`'s text put through `edit`,
-/// which must change it.
+/// which must change it. A file the tree lacks starts empty.
 fn doctored(rel: &str, edit: impl FnOnce(&str) -> String) -> Vec<String> {
     let mut tree = on_disk();
-    let text = tree
-        .get_mut(rel)
-        .unwrap_or_else(|| panic!("{rel} is not read"));
+    let text = tree.entry(rel.to_string()).or_default();
     let edited = edit(text);
     assert_ne!(&edited, text, "the edit of {rel} changed nothing");
     *text = edited;
@@ -234,10 +683,149 @@ fn salt_lines(text: &str, salt: &str, f: impl Fn(&str) -> Option<String>) -> Str
         .collect()
 }
 
+/// A planted hazard's change to one file.
+#[derive(Clone, Copy)]
+enum Edit {
+    /// Append these lines (to a new file if the tree lacks it).
+    Append(&'static str),
+    /// Replace the first occurrence of the first text with the second.
+    Swap(&'static str, &'static str),
+    /// Move the file to this path.
+    Rename(&'static str),
+}
+
+use Edit::{Append, Rename, Swap};
+
+/// Passes: a planted text the rules must accept.
+const PASSES: &str = "";
+
+/// What `SELF` may hold and every other `crates/runner/tests/*.rs` may not.
+const RUNNER_TEST_NEEDLE: &str = "fn pop_now_if() {}\n";
+
+/// The `(rule, path, edit)` rows of [`PLANTED`], one line each.
+macro_rules! planted {
+    ($($rule:tt $path:tt $edit:expr;)*) => {
+        &[$(($rule, $path, $edit)),*]
+    };
+}
+
+/// One hazard per rule, and the edges of the matcher: `(rule, path,
+/// edit)`, where the edit of `path` must give exactly one failure, of
+/// `rule` and naming `path`, or none for [`PASSES`].
+const PLANTED: &[(&str, &str, Edit)] = planted! {
+    "R10" "crates/stats/src/lib.rs" Append("// lint:allow(R2): a second annotation\n");
+    "R11" "tests/cross_crate.rs" Append("#![forbid(unsafe_code)]\n");
+    // A rule that reads whole files reads a `#[cfg(test)]` tail.
+    "R12" "crates/sim/src/event.rs"
+        Append("#[cfg(test)]\nmod planted {\n    fn pop_now_if() {}\n}\n");
+    "R13" "crates/rdcn/src/voq_tor.rs" Append("let ctx = CustomCtx::new(now, node);\n");
+    // `\b`: a longer identifier is not the needle, the needle alone is.
+    PASSES "crates/sim/src/link.rs" Append("struct PlantedLinkIds;\n");
+    "R13" "crates/sim/src/link.rs" Append("pub struct Links;\n");
+    "R14" SPEC_RS Append("fn implied_topology() {}\n");
+    "R15" "crates/scenarios/src/trace_engine.rs"
+        Append("let body = spec.timeseries().expect(\"timeseries\");\n");
+    "R16" SPEC_RS Swap(
+        "let spec = schema::ROOT.read(&root)?;",
+        "let spec = match ScenarioKind::of(&root)? { _ => schema::ROOT.read(&root)? };",
+    );
+    "R17" "crates/scenarios/src/library.rs"
+        Append("let s = ScenarioSpec::timeseries(\"planted\");\n");
+    PASSES "crates/scenarios/src/library.rs" Append("let s = ScenarioSpec::from_toml(text);\n");
+    "R18" "crates/scenarios/src/library.rs" Append("fn paper_set() {}\n");
+    "R19" "crates/runner/src/cache.rs" Append("let tree: Json = parse_json(bytes)?;\n");
+    "R20" "crates/runner/src/worker.rs" Append("fn skip_ws(b: &[u8]) {}\n");
+    "R21" "crates/runner/src/codec.rs" Append("w.key(\"buckets\");\n");
+    "R22" "crates/transport/src/host.rs" Append("f.snd_una = ack;\n");
+    "R23" "crates/scenarios/src/engine.rs" Append("let rtt = base_rtt / 2;\n");
+    "R24" TOPOLOGY_RS Append("pub const HEADER: u64 = CTRL_PKT_BYTES as u64;\n");
+    "R25" "crates/baselines/src/hpcc.rs" Append("pub struct HpccConfig {\n    pub eta: f64,\n}\n");
+    "R26" TOPOLOGY_RS Append("pub struct Shape {\n    pub pods: usize,\n}\n");
+    "R27" "crates/rdcn/src/topology.rs"
+        Append("pub struct Delays {\n    pub circuit_delay: Tick,\n}\n");
+    "R28" "examples/quickstart.rs" Append("let homa = HomaConfig::default();\n");
+    "R29" "crates/rdcn/src/voq_tor.rs" Append("struct Planted(Option<VoqGauge>);\n");
+    "R30" "crates/scenarios/src/engine.rs"
+        Append("let sw = algo.switch_config(SwitchConfig::default(), p);\n");
+    "R31" "crates/stats/src/percentile.rs" Swap(
+        "#[cfg(test)]",
+        "fn order(a: f64, b: f64) -> bool { a.partial_cmp(&b).is_some() }\n#[cfg(test)]",
+    );
+    // A rule that stops at `#[cfg(test)]` does not read the tail.
+    PASSES "crates/stats/src/percentile.rs"
+        Append("#[cfg(test)]\nfn order(a: f64, b: f64) -> bool { a.partial_cmp(&b).is_some() }\n");
+    "R32" "crates/scenarios/src/report.rs" Append("fn jopt(v: Option<f64>) {}\n");
+    "R33" "crates/scenarios/builtins/fig4.toml"
+        Swap("kind = \"timeseries\"\n", "kind = \"timeseries\"\nhorizon_ms = 5.0\n");
+    "R33" "crates/scenarios/builtins/fig5.toml" Append("seeds = [1, 2]\n");
+    "R34" SPEC_RS
+        Swap("pub struct LineupSpec {\n", "pub struct LineupSpec {\n    pub seeds: Vec<u64>,\n");
+    "R35" "crates/runner/src/bin/xp2.rs" Append("fn main() {}\n");
+    "R35" "crates/sim/src/main.rs" Append("fn main() {}\n");
+    "R36" HTML_RS Append("pub fn page() {}\n");
+    "R37" "crates/serve/src/http.rs" Append("const HTML: &str = \"text/html\";\n");
+    "R38" "crates/flow/src/lib.rs" Append("heap.extend(candidates);\n");
+    "R39" "crates/flow/src/lib.rs" Append("order.retain(|k| live(k));\n");
+    "R40" "crates/flow/src/reference.rs" Append("fn try_single_bottleneck() {}\n");
+    // A rule cannot go vacuous: the file it names moved.
+    "R40" "crates/flow/src/reference.rs" Rename("crates/flow/src/oracle.rs");
+    "R41" "crates/flow/src/lib.rs" Append("caps: Vec<f64>,\n");
+    "R42" "crates/scenarios/src/flow_engine.rs" Append("let up: Vec<LinkId> = Vec::new();\n");
+    // This file lists the needles; every other runner test is read (below).
+    PASSES SELF Append(RUNNER_TEST_NEEDLE);
+};
+
 #[test]
 fn the_tree_has_the_workspace_shape() {
     let failures = failures(&on_disk());
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn every_planted_hazard_fails_naming_its_rule() {
+    let ids = RULES.iter().map(|r| r.id).chain(CHECKS.iter().map(|c| c.0));
+    for id in ids {
+        assert!(
+            PLANTED.iter().any(|p| p.0 == id),
+            "{id} has no planted hazard"
+        );
+    }
+    let runner_tests = on_disk()
+        .into_keys()
+        .filter(|p| p.starts_with("crates/runner/tests/") && p.ends_with(".rs") && p != SELF);
+    let cases: Vec<(&str, String, Edit)> = PLANTED
+        .iter()
+        .map(|&(rule, rel, edit)| (rule, rel.to_string(), edit))
+        .chain(runner_tests.map(|rel| ("R12", rel, Append(RUNNER_TEST_NEEDLE))))
+        .collect();
+    // Each case runs every rule over a whole tree: two threads halve the wait.
+    let (first, second) = cases.split_at(cases.len() / 2);
+    std::thread::scope(|s| {
+        s.spawn(|| first.iter().for_each(planted));
+        second.iter().for_each(planted);
+    });
+}
+
+/// One planted case: `rule`'s one failure naming `rel`, or none for
+/// [`PASSES`].
+fn planted((rule, rel, edit): &(&str, String, Edit)) {
+    let failures = match *edit {
+        Append(lines) => doctored(rel, |text| format!("{text}{lines}")),
+        Swap(from, to) => doctored(rel, |text| text.replacen(from, to, 1)),
+        Rename(to) => {
+            let mut tree = on_disk();
+            let text = tree
+                .remove(rel)
+                .unwrap_or_else(|| panic!("{rel} is not read"));
+            tree.insert(to.to_string(), text);
+            failures(&tree)
+        }
+    };
+    if *rule == PASSES {
+        assert!(failures.is_empty(), "{rel}: {failures:#?}");
+    } else {
+        only(&failures, rule, rel);
+    }
 }
 
 #[test]

@@ -28,6 +28,13 @@
 //! is submission order, not last use. A handler that already holds a
 //! job finishes its response from that reference.
 //!
+//! ## Connections
+//!
+//! Each accepted connection is served on a thread of its own, and at
+//! most [`MAX_CONNECTIONS`] are open at once. A connection accepted at
+//! the cap is answered 503 on the accept thread and closed, so idle
+//! peers cannot make the daemon start threads without bound.
+//!
 //! ## Shutdown
 //!
 //! `POST /shutdown` (or [`ShutdownHandle::shutdown`]) drops the job
@@ -36,12 +43,12 @@
 //! connection handlers before returning. Nothing accepted is ever
 //! dropped.
 
-use crate::http::{parse_request, write_response, write_stream_head, Request};
+use crate::http::{parse_request, write_response, write_stream_head, Request, MAX_HEAD};
 use crate::job::{Job, JobState};
 use crate::{unpoisoned, RunFn, StatFn};
 use dcn_scenarios::ScenarioSpec;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -214,13 +221,16 @@ impl Server {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Reap finished handlers: the ones left are the open count.
+            conn_handles.retain(|h| !h.is_finished());
+            if conn_handles.len() >= MAX_CONNECTIONS {
+                refuse(stream);
+                continue;
+            }
             let shared = Arc::clone(&self.shared);
             conn_handles.push(std::thread::spawn(move || {
                 handle_connection(stream, &shared)
             }));
-            // Opportunistically reap finished handlers so a long-lived
-            // daemon doesn't accumulate join handles.
-            conn_handles.retain(|h| !h.is_finished());
         }
 
         // Drain: close the queue (workers finish queued jobs and exit),
@@ -272,6 +282,31 @@ fn close_queue(shared: &Shared) {
 /// `None` once it is closed and drained.
 fn next_job(queue: &Mutex<Receiver<Arc<Job>>>) -> Option<Arc<Job>> {
     unpoisoned(queue.lock()).recv().ok()
+}
+
+/// The most connections served at once; the next one is refused with
+/// 503 until one of them closes.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long the accept thread waits on each read from a refused peer.
+const REFUSAL_LINGER: Duration = Duration::from_millis(100);
+
+/// Answer a connection past [`MAX_CONNECTIONS`] on the accept thread,
+/// then read what the peer sent, up to a request head: closing on unread
+/// bytes sends a reset, which can destroy the 503 before the peer reads
+/// it.
+fn refuse(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(REFUSAL_LINGER));
+    let _ = stream.set_read_timeout(Some(REFUSAL_LINGER));
+    let why = format!("the daemon is serving {MAX_CONNECTIONS} connections; retry later");
+    respond_error(&mut stream, 503, &why);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut buf = [0u8; 4096];
+    for _ in 0..MAX_HEAD / buf.len() {
+        if !matches!(stream.read(&mut buf), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 /// How long an events stream waits for news before emitting nothing and
