@@ -52,7 +52,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How the daemon is wired: pool sizing plus the injected execution and
 /// cache-stat functions (see [`RunFn`], [`StatFn`]).
@@ -288,21 +288,30 @@ fn next_job(queue: &Mutex<Receiver<Arc<Job>>>) -> Option<Arc<Job>> {
 /// 503 until one of them closes.
 pub const MAX_CONNECTIONS: usize = 64;
 
-/// How long the accept thread waits on each read from a refused peer.
+/// How long the accept thread reads from a refused peer, in all.
 const REFUSAL_LINGER: Duration = Duration::from_millis(100);
 
 /// Answer a connection past [`MAX_CONNECTIONS`] on the accept thread,
-/// then read what the peer sent, up to a request head: closing on unread
-/// bytes sends a reset, which can destroy the 503 before the peer reads
-/// it.
+/// then read what the peer sent, up to a request head and for at most
+/// [`REFUSAL_LINGER`]: closing on unread bytes sends a reset, which can
+/// destroy the 503 before the peer reads it. The answer fits a new
+/// socket's send buffer, so writing it does not wait on the peer.
 fn refuse(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(REFUSAL_LINGER));
-    let _ = stream.set_read_timeout(Some(REFUSAL_LINGER));
     let why = format!("the daemon is serving {MAX_CONNECTIONS} connections; retry later");
     respond_error(&mut stream, 503, &why);
     let _ = stream.shutdown(Shutdown::Write);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a refused peer's read budget is scheduling only, never report bytes"
+    )]
+    let start = Instant::now();
     let mut buf = [0u8; 4096];
     for _ in 0..MAX_HEAD / buf.len() {
+        let left = REFUSAL_LINGER.saturating_sub(start.elapsed());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         if !matches!(stream.read(&mut buf), Ok(n) if n > 0) {
             break;
         }
@@ -509,6 +518,43 @@ mod tests {
         server.shutdown_handle().shutdown();
         let closed = (503, "server is shutting down".to_string());
         assert_eq!(submit(), Err(closed));
+    }
+
+    /// A refused peer that trickles its request holds the accept thread
+    /// for about `REFUSAL_LINGER` in all, not that per byte, and still
+    /// reads the whole 503.
+    #[test]
+    fn a_refused_peer_that_trickles_bytes_is_dropped_after_the_linger() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let addr = listener.local_addr().expect("local addr");
+        let peer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // One byte every 50 ms: the old per-read timeout never fired.
+            for _ in 0..20 {
+                if stream.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            let mut answer = String::new();
+            let _ = stream.read_to_string(&mut answer);
+            answer
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test times the accept thread, never report bytes"
+        )]
+        let start = Instant::now();
+        refuse(stream);
+        let held = start.elapsed();
+        assert!(
+            held < REFUSAL_LINGER * 4,
+            "refuse held the accept thread {held:?}"
+        );
+        let answer = peer.join().expect("peer thread");
+        assert!(answer.starts_with("HTTP/1.1 503 "), "{answer}");
+        assert!(answer.contains("{\"error\":"), "{answer}");
     }
 
     /// A thousand jobs through one registry, on this thread: the test is
