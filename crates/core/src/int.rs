@@ -16,14 +16,20 @@
 //!
 //! The stack is a fixed-capacity inline array: no allocation per packet, and
 //! a hard bound mirroring the real-world header budget (the paper's TCP
-//! option encoding supports 4 round-trip hops; our default of 8 covers the
-//! forward path of a 3-tier fat-tree with room to spare).
+//! option encoding supports 4 round-trip hops). The bound is 5, the
+//! deepest route any topology here builds: a 3-tier fat-tree's inter-pod
+//! path stamps ToR, agg, core, agg and ToR (an RDCN path stamps 3, a
+//! dumbbell 2, a star 1). Every slot rides in every queued packet, so a
+//! slot no route fills is pure memory: the 5-slot stack is already 208 of
+//! a `Packet`'s 272 bytes. The simulator's stamping site asserts (in debug
+//! builds) that no push is refused, so a deeper topology fails loudly
+//! instead of truncating its telemetry.
 
 use crate::time::Tick;
 use crate::units::Bandwidth;
 
 /// Maximum number of per-hop entries an [`IntHeader`] can carry.
-pub const MAX_INT_HOPS: usize = 8;
+pub const MAX_INT_HOPS: usize = 5;
 
 /// Telemetry pushed by one switch egress port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

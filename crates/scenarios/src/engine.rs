@@ -245,8 +245,9 @@ pub(crate) struct FctReduction {
     base_rtt: Tick,
     host_bw: Bandwidth,
     run_end: Tick,
-    /// The outcome so far (no buffer samples, no drops: the packet
-    /// engine adds its own).
+    /// The outcome so far: the count of completed flows. Each engine
+    /// stores the `flows` samples (and the packet engine its buffer
+    /// samples and drops).
     pub(crate) outcome: PointOutcome,
 }
 
@@ -261,7 +262,7 @@ impl FctReduction {
                 param: point.param,
                 load: point.load,
                 seed: point.seed,
-                flows: Vec::with_capacity(offered),
+                flows: Vec::new(),
                 buffer: Vec::new(),
                 completed: 0,
                 offered,
@@ -276,8 +277,11 @@ impl FctReduction {
         self.base_rtt
     }
 
-    /// Account one flow; `fct` is `None` when it did not finish.
-    pub(crate) fn push(&mut self, flow: &FlowSpec, fct: Option<Tick>) {
+    /// Account one flow and return its `(size, slowdown)` sample; `fct`
+    /// is `None` when it did not finish. The caller stores the samples in
+    /// `outcome.flows`, in flow order, so each engine can build them in
+    /// whichever allocation it already holds.
+    pub(crate) fn sample(&mut self, flow: &FlowSpec, fct: Option<Tick>) -> (u64, f64) {
         let fct = match fct {
             Some(f) => {
                 self.outcome.completed += 1;
@@ -287,7 +291,7 @@ impl FctReduction {
         };
         let size = flow.size_bytes;
         let sd = slowdown(fct, size, self.ideal_rtt(flow), self.host_bw);
-        self.outcome.flows.push((size, sd));
+        (size, sd)
     }
 }
 
@@ -443,10 +447,12 @@ fn run_packet_point(sweep: &SweepBody, point: &SweepPoint) -> (PointOutcome, dcn
 
     // ---- Reduce.
     let mut fcts = FctReduction::new(point, &plan, run_end, offered);
+    let mut flows = Vec::with_capacity(offered);
     for rec in metrics.borrow().records() {
-        fcts.push(&rec.spec, rec.fct());
+        flows.push(fcts.sample(&rec.spec, rec.fct()));
     }
     let mut outcome = fcts.outcome;
+    outcome.flows = flows;
     outcome.buffer = buf_series.borrow().iter().map(|&(_, v)| v).collect();
     outcome.drops = all_switches
         .iter()
@@ -657,9 +663,10 @@ pub(crate) mod tests {
                 };
                 let mut fcts = FctReduction::new(&point, &plan, Tick::from_millis(100), 2);
                 let ideal = fcts.ideal_rtt(&flow) / 2 + plan.host_bw.tx_time(size_bytes);
-                fcts.push(&flow, Some(ideal));
-                fcts.push(&flow, Some(ideal + Tick::from_ps(1)));
-                let read = &fcts.outcome.flows;
+                let read = [
+                    fcts.sample(&flow, Some(ideal)),
+                    fcts.sample(&flow, Some(ideal + Tick::from_ps(1))),
+                ];
                 assert_eq!(read[0], (size_bytes, 1.0), "{topo:?}");
                 assert!(read[1].1 > 1.0, "{topo:?}: {}", read[1].1);
             }

@@ -72,17 +72,24 @@ pub(crate) fn run_flow_point_observed(
 
     // ---- Reduce. No switch buffers and no drops at this abstraction
     // level: the outcome keeps the reduction's empty `buffer` and zero
-    // `drops`.
+    // `drops`. A sample is as large as a `FlowResult`, so the collect
+    // builds the samples in the results' own allocation instead of
+    // holding a second per-flow buffer beside them.
     let mut fcts = FctReduction::new(point, &plan, run_end, offered);
-    for (f, r) in flows.iter().zip(&results) {
-        // First-byte delivery (half the ideal FCT's RTT) plus the
-        // fair-share transfer time.
-        let fct = r.finish_s.map(|finish| {
-            fcts.ideal_rtt(f) / 2 + Tick::from_secs_f64(finish - f.start.as_secs_f64())
-        });
-        fcts.push(f, fct);
-    }
-    let outcome = fcts.outcome;
+    let samples = results
+        .into_iter()
+        .zip(&flows)
+        .map(|(r, f)| {
+            // First-byte delivery (half the ideal FCT's RTT) plus the
+            // fair-share transfer time.
+            let fct = r.finish_s.map(|finish| {
+                fcts.ideal_rtt(f) / 2 + Tick::from_secs_f64(finish - f.start.as_secs_f64())
+            });
+            fcts.sample(f, fct)
+        })
+        .collect();
+    let mut outcome = fcts.outcome;
+    outcome.flows = samples;
     // Observability sidecar (never a report input): map the flow
     // engine's counters onto the shared SimStats shape — events are
     // allocation events, `delivered` is completed flows.

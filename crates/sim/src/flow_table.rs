@@ -19,6 +19,15 @@
 //!   region by the invariant). `MetricsHub::records` and every report
 //!   derived from it see the same order a `BTreeMap` produced.
 //!
+//! - **Memory follows the live entries.** The slab may grow to cover an
+//!   id only while that id is below twice the live entry count plus a
+//!   small slack, so its length stays within `2 * (most entries ever
+//!   live) + DENSE_SLACK`. The global metrics table, filled with ids
+//!   `0, 1, 2, …` in order, ends fully dense; a host's table, keyed by
+//!   the *global* ids of its own few flows (an incast sender of 128
+//!   holds ids `i`, `128 + i`, `256 + i`), keeps them in the spillover
+//!   and costs O(own flows), not O(largest global id).
+//!
 //! Completion does not shrink anything: [`FlowTable::remove`] vacates
 //! the slot in place and a later insert of the same id reuses it (the
 //! slab is its own free list — no indirection table, no reallocation in
@@ -27,12 +36,14 @@
 use crate::ids::FlowId;
 use std::collections::BTreeMap;
 
-/// Ids may grow the dense region to `2 * len + DENSE_SLACK` slots; ids
-/// beyond that spill to the ordered map. Sequential ids (the generated
-/// workloads) therefore always stay dense, while an adversarially sparse
-/// id (say `1 << 60`) costs one `BTreeMap` node instead of an
-/// exabyte-sized `Vec`.
-const DENSE_SLACK: u64 = 1024;
+/// An id below `2 * self.len() + DENSE_SLACK` (live entries, not slots)
+/// may grow the dense region to cover it; any other id not already
+/// covered spills to the ordered map. Ids inserted in sequence (the
+/// metrics hub's registration) therefore always stay dense, while a
+/// table holding a few far-apart ids (a host's own flows) or an
+/// adversarially sparse one (say `1 << 60`) costs `BTreeMap` nodes
+/// sized by its entries instead of a slab sized by its largest id.
+const DENSE_SLACK: u64 = 16;
 
 /// A map from [`FlowId`] to `T`, `Vec`-backed for dense ids with an
 /// ordered spillover for sparse ones. See the module docs for the
@@ -80,10 +91,11 @@ impl<T> FlowTable<T> {
         (id.0 as usize) < self.dense.len()
     }
 
-    /// Whether the dense region may grow to cover `id` (bounded growth:
-    /// at most doubling plus slack, so sparse ids cannot balloon it).
+    /// Whether the dense region may grow to cover `id`: only while `id`
+    /// is below twice the live entries plus slack, so the slab never
+    /// outgrows what the table holds.
     fn may_grow_to(&self, id: FlowId) -> bool {
-        id.0 < 2 * self.dense.len() as u64 + DENSE_SLACK
+        id.0 < 2 * self.len() as u64 + DENSE_SLACK
     }
 
     /// Grow the dense region to cover `id`, migrating any spilled
@@ -245,20 +257,52 @@ mod tests {
     #[test]
     fn growth_migrates_spilled_entries_below_the_new_length() {
         let mut t = FlowTable::new();
-        // Within slack of an empty table, so this grows the slab.
-        t.insert(FlowId(1000), 1);
-        assert_eq!(t.dense_slots(), 1001);
-        // Beyond 2*1001+1024 = 3026: spills.
-        t.insert(FlowId(5000), 5);
+        // Within slack of an empty table (10 < 2*0+16), so this grows the slab.
+        t.insert(FlowId(10), 10);
+        assert_eq!(t.dense_slots(), 11);
+        // Beyond 2*1+16 = 18: spills.
+        t.insert(FlowId(40), 40);
         assert_eq!(t.spilled(), 1);
-        // Within the rule (3000 < 3026): grows, 5000 stays spilled.
-        t.insert(FlowId(3000), 3);
-        assert_eq!((t.dense_slots(), t.spilled()), (3001, 1));
-        // Growing past 5000 (6000 < 2*3001+1024) pulls it into the slab.
-        t.insert(FlowId(6000), 6);
-        assert_eq!(t.spilled(), 0);
-        assert_eq!(t.get(FlowId(5000)), Some(&5));
-        assert_eq!(t.len(), 4);
+        // Within the rule (17 < 2*2+16): grows, 40 stays spilled.
+        t.insert(FlowId(17), 17);
+        assert_eq!((t.dense_slots(), t.spilled()), (18, 1));
+        // Ten more live entries, all inside the slab, raise the bound to
+        // 2*13+16 = 42 without growing it ...
+        for i in 0..10 {
+            t.insert(FlowId(i), i);
+        }
+        assert_eq!((t.dense_slots(), t.spilled()), (18, 1));
+        // ... so growing to 41 pulls 40 into the slab.
+        t.insert(FlowId(41), 41);
+        assert_eq!((t.dense_slots(), t.spilled()), (42, 0));
+        assert_eq!(t.get(FlowId(40)), Some(&40));
+        assert_eq!(t.len(), 14);
+    }
+
+    /// The incast pattern: 128 senders, each keyed by the global ids of
+    /// its 3 flows `{i, 128+i, 256+i}`. A slab sized by the largest id
+    /// would hold ≈ 128 × 320 slots in all; sized by its own entries a
+    /// table holds at most `2*3+16`, and only the first 16 senders (whose
+    /// first id is inside the slack) hold any.
+    #[test]
+    fn incast_senders_tables_cost_their_own_flows() {
+        let tables: Vec<FlowTable<u64>> = (0..128u64)
+            .map(|i| {
+                let mut t = FlowTable::new();
+                for id in [i, 128 + i, 256 + i] {
+                    t.insert(FlowId(id), id);
+                }
+                t
+            })
+            .collect();
+        let slots: usize = tables.iter().map(FlowTable::dense_slots).sum();
+        assert!(slots <= 128 * (2 * 3 + 16), "{slots} dense slots");
+        assert_eq!(slots, (1..=16).sum::<usize>());
+        for (i, t) in (0..128u64).zip(&tables) {
+            let keys: Vec<u64> = t.iter().map(|(k, _)| k.0).collect();
+            assert_eq!(keys, [i, 128 + i, 256 + i]);
+            assert_eq!(t.get(FlowId(256 + i)), Some(&(256 + i)));
+        }
     }
 
     #[test]

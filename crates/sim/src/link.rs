@@ -10,7 +10,7 @@
 use crate::ids::{NodeId, PortId};
 use crate::packet::Packet;
 use powertcp_core::time::PS_PER_SEC;
-use powertcp_core::{Bandwidth, IntHopMetadata, Tick};
+use powertcp_core::{Bandwidth, IntHopMetadata, Tick, MAX_INT_HOPS};
 use std::num::NonZeroU64;
 
 /// One direction of a cable.
@@ -96,7 +96,7 @@ impl Egress {
         self.tx_bytes += size;
         if let Some(qlen_bytes) = int_qlen {
             if pkt.int_enable && pkt.kind.collects_int() {
-                pkt.int.push(IntHopMetadata {
+                let stamped = pkt.int.push(IntHopMetadata {
                     node: node.0,
                     port: port.0,
                     qlen_bytes,
@@ -104,6 +104,10 @@ impl Egress {
                     tx_bytes: self.tx_bytes,
                     bandwidth: self.wire.bandwidth,
                 });
+                debug_assert!(
+                    stamped,
+                    "{node} {port}: INT stack full ({MAX_INT_HOPS} hops): a route deeper than the stack"
+                );
             }
         }
         self.ser_time(size)
@@ -235,5 +239,17 @@ mod tests {
         let echoed = ack.int.len();
         e.begin(&mut ack, NodeId(7), PortId(3), now, Some(0));
         assert_eq!(ack.int.len(), echoed, "control packets collect nothing");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "INT stack full")]
+    fn a_refused_int_push_is_loud() {
+        let mut e = egress();
+        let mut data = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 1000, false, Tick::ZERO);
+        for _ in 0..=MAX_INT_HOPS {
+            e.busy = false;
+            e.begin(&mut data, NodeId(7), PortId(3), Tick::ZERO, Some(0));
+        }
     }
 }

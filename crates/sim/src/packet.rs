@@ -26,7 +26,7 @@ pub const CTRL_PKT_BYTES: u32 = 64;
 /// the packet's own [`Packet::int`] field (dead weight for ACKs
 /// otherwise, since switches never append to control packets), which is
 /// what lets [`Packet::into_ack`] turn a data packet into its ACK
-/// without copying the ~330-byte header once per ACK.
+/// without copying the ~210-byte header once per ACK.
 #[derive(Clone, Copy, Debug)]
 pub struct AckPayload {
     /// Next byte expected by the receiver (cumulative ACK).
@@ -209,6 +209,17 @@ impl Packet {
 mod tests {
     use super::*;
     use powertcp_core::{Bandwidth, IntHopMetadata};
+
+    /// Every queued packet pays for the whole INT stack, 208 of these
+    /// bytes at 5 hops. A field or a slot that grows it shows here first.
+    #[test]
+    fn a_packet_fits_a_five_hop_int_stack() {
+        assert!(
+            std::mem::size_of::<Packet>() <= 272,
+            "{}",
+            std::mem::size_of::<Packet>()
+        );
+    }
 
     #[test]
     fn data_packet_defaults() {

@@ -2,11 +2,11 @@
 //! with exact timing, INT accumulation, ECN marking, and PFC behaviour.
 
 use dcn_sim::{
-    build_dumbbell, build_star, queue_tracer, series, Dumbbell, DumbbellConfig, EcnConfig,
-    Endpoint, EndpointCtx, FlowId, NodeId, Packet, PacketKind, PfcConfig, PortId, Simulator, Star,
-    SwitchConfig, DEFAULT_MTU,
+    build_dumbbell, build_fat_tree, build_star, queue_tracer, series, Dumbbell, DumbbellConfig,
+    EcnConfig, Endpoint, EndpointCtx, FatTreeConfig, FlowId, NodeId, Packet, PacketKind, PfcConfig,
+    PortId, Simulator, Star, SwitchConfig, DEFAULT_MTU,
 };
-use powertcp_core::{Bandwidth, Tick};
+use powertcp_core::{Bandwidth, Tick, MAX_INT_HOPS};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -363,4 +363,67 @@ fn packet_pool_goes_allocation_free_in_steady_state() {
     );
     assert_eq!(stats.reused, 1000, "every pong must reuse: {stats:?}");
     assert_eq!(stats.free, 1, "the last box parks on the free list");
+}
+
+#[test]
+fn an_inter_pod_ack_echoes_a_full_int_stack() {
+    // The deepest route any builder makes: ToR, agg, core, agg, ToR. Each
+    // stamps one hop, which fills the stack exactly (a sixth would trip
+    // the stamping site's debug assertion).
+    type Echoes = Rc<RefCell<Vec<Vec<u32>>>>;
+    struct Ends {
+        peer: NodeId,
+        send: u64,
+        echoes: Echoes,
+    }
+    impl Endpoint for Ends {
+        fn on_start(&mut self, ctx: &mut EndpointCtx<'_>) {
+            for i in 0..self.send {
+                let pkt = Packet::data(FlowId(1), ctx.node, self.peer, i, 1000, false, ctx.now);
+                ctx.send(pkt);
+            }
+        }
+        fn on_packet(&mut self, mut pkt: Box<Packet>, ctx: &mut EndpointCtx<'_>) {
+            match pkt.kind {
+                PacketKind::Data { .. } => {
+                    pkt.into_ack(0, false, ctx.now);
+                    ctx.send_boxed(pkt);
+                }
+                _ => {
+                    let hops = pkt.int.hops().iter().map(|h| h.node).collect();
+                    self.echoes.borrow_mut().push(hops);
+                    ctx.recycle(pkt);
+                }
+            }
+        }
+        fn on_timer(&mut self, _key: u64, _ctx: &mut EndpointCtx<'_>) {}
+    }
+    let cfg = FatTreeConfig::small();
+    let last = cfg.num_hosts() - 1;
+    const SENT: u64 = 4;
+    let echoes = Echoes::default();
+    let log = echoes.clone();
+    // Host ids are dense after the switches': host 0 sends to the last
+    // host, in the last pod.
+    let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
+        Box::new(Ends {
+            peer: NodeId(id.0 + last as u32),
+            send: if idx == 0 { SENT } else { 0 },
+            echoes: log.clone(),
+        })
+    };
+    let ft = build_fat_tree(cfg, &mut mk);
+    assert_eq!(ft.hosts[last].0, ft.hosts[0].0 + last as u32);
+    let (tors, cores) = (ft.tors.clone(), ft.cores.clone());
+    let mut sim = Simulator::new(ft.net);
+    sim.run_until_idle();
+    sim.audit().expect("conservation audit");
+    let echoes = echoes.borrow();
+    assert_eq!(echoes.len(), SENT as usize);
+    for hops in echoes.iter() {
+        assert_eq!(hops.len(), MAX_INT_HOPS, "{hops:?}");
+        assert_eq!(hops[0], tors[0].0, "{hops:?}");
+        assert!(cores.iter().any(|c| c.0 == hops[2]), "{hops:?}");
+        assert_eq!(hops[4], tors[tors.len() - 1].0, "{hops:?}");
+    }
 }
