@@ -36,20 +36,48 @@ pub struct FluidParams {
     pub hpcc_eta: f64,
 }
 
+/// The paper's per-update EWMA gain γ (its recommendation, 0.9).
+pub const PAPER_GAMMA: f64 = 0.9;
+
+/// The paper example's aggregate additive increase β̂, as a fraction of
+/// BDP: a modest additive share.
+pub const PAPER_BETA_FRAC: f64 = 0.1;
+
+/// Control updates per base RTT (per-ACK updates): γr = γ·updates/τ.
+const UPDATES_PER_RTT: f64 = 10.0;
+
 impl FluidParams {
     /// The paper's running example: 100 Gbps bottleneck, 20 µs base RTT
-    /// (Figure 3 caption).
+    /// (Figure 3 caption), γ = [`PAPER_GAMMA`], β̂ = [`PAPER_BETA_FRAC`]
+    /// of BDP, η = 1. The `fig3`, `ablations` and `theorems` baselines
+    /// pin these bits, so the arithmetic is theirs (`20.0 * 1e-6` is not
+    /// `20e-6` in the last bit).
     pub fn paper_example() -> Self {
-        let bandwidth = 100e9 / 8.0;
-        let base_rtt = 20e-6;
         FluidParams {
-            bandwidth,
-            base_rtt,
-            // A modest additive share: 1/10 of BDP in aggregate.
-            beta_hat: bandwidth * base_rtt / 10.0,
-            // γ = 0.9 per update interval of ~τ/10 (per-ACK updates).
-            gamma_r: 0.9 / (20e-6 / 10.0),
+            bandwidth: 100.0 * 1e9 / 8.0,
+            base_rtt: 20.0 * 1e-6,
+            beta_hat: 0.0,
+            gamma_r: 0.0,
             hpcc_eta: 1.0,
+        }
+        .with_beta_frac(PAPER_BETA_FRAC)
+        .with_gamma(PAPER_GAMMA)
+    }
+
+    /// These parameters at per-update gain `gamma`, one update every
+    /// τ/10.
+    pub fn with_gamma(self, gamma: f64) -> Self {
+        FluidParams {
+            gamma_r: gamma / (self.base_rtt / UPDATES_PER_RTT),
+            ..self
+        }
+    }
+
+    /// These parameters with β̂ at `beta_frac` of BDP.
+    pub fn with_beta_frac(self, beta_frac: f64) -> Self {
+        FluidParams {
+            beta_hat: self.bdp() * beta_frac,
+            ..self
         }
     }
 

@@ -26,7 +26,10 @@ pub mod stability;
 
 pub use convergence::{measure_power_convergence, ConvergenceFit};
 pub use fairness::{analytic_windows, equilibrium_windows};
-pub use laws::{analytic_equilibrium, inflight, q_dot, w_dot, FluidParams, Law, State};
+pub use laws::{
+    analytic_equilibrium, inflight, q_dot, w_dot, FluidParams, Law, State, PAPER_BETA_FRAC,
+    PAPER_GAMMA,
+};
 pub use ode::{integrate, rk4_step, settle, trajectory, Lane, Schedule};
 pub use phase::{
     default_grid, endpoint_spread, grid, phase_portrait, phase_portrait_grid, phase_trajectory,

@@ -19,6 +19,29 @@ use dcn_scenarios::{
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Every stdout write of `xp`: `out!`/`outln!` are `print!`/`println!`
+/// through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_out(format_args!($($arg)*)) };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Write to stdout. A reader that closed the pipe early (`xp list | head
+/// -3`) has read all it asked for, so that ends `xp` quietly, as a
+/// success; any other failure to write is an error.
+fn write_out(text: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let done = cli::parse(&args).and_then(|p| match p.command.name {
@@ -68,9 +91,9 @@ fn engine_label(spec: &ScenarioSpec) -> &'static str {
 }
 
 fn list() -> ExitCode {
-    println!("built-in scenarios (run with `xp run <name>`):\n");
+    outln!("built-in scenarios (run with `xp run <name>`):\n");
     for spec in builtin_specs() {
-        println!(
+        outln!(
             "  {:<18} {:>4} points  {:<10} {}",
             spec.name,
             spec.num_points(),
@@ -78,7 +101,7 @@ fn list() -> ExitCode {
             spec.description
         );
     }
-    println!("\ncustom scenarios: `xp show <name> > my.toml`, edit, `xp run my.toml`");
+    outln!("\ncustom scenarios: `xp show <name> > my.toml`, edit, `xp run my.toml`");
     ExitCode::SUCCESS
 }
 
@@ -95,7 +118,7 @@ fn show(name: &str) -> ExitCode {
             // Notes go to stderr so stdout stays valid, pipeable TOML
             // (pinned by the cli_contract integration test).
             note(&format!("{}: {} scenario", spec.name, engine_label(&spec)));
-            print!("{}", spec.to_toml());
+            out!("{}", spec.to_toml());
             ExitCode::SUCCESS
         }
         None => {
@@ -121,7 +144,7 @@ fn load_spec(target: &str) -> Result<ScenarioSpec, String> {
 
 fn emit(kind: &str, dest: &str, content: &str) -> Result<(), String> {
     if dest == "-" {
-        print!("{content}");
+        out!("{content}");
         Ok(())
     } else {
         std::fs::write(dest, content).map_err(|e| format!("cannot write {kind} {dest}: {e}"))?;
@@ -217,7 +240,7 @@ fn execute(p: &Parsed, cfg: &RunConfig, stdout_is_a_document: bool) -> Result<()
     if stdout_is_a_document {
         eprintln!("{}", result.table());
     } else {
-        println!("{}", result.table());
+        outln!("{}", result.table());
     }
     let render: [&dyn Fn() -> String; 3] = [&|| result.to_json(), &|| result.to_csv(), &|| {
         dcn_runner::meta_json(&spec, cfg.threads, cfg.cache_dir.is_some(), &stats)
@@ -285,10 +308,10 @@ fn cache_stat(p: &Parsed) -> ExitCode {
     if p.switch("--json") {
         // One NDJSON record in the span-record grammar family, for
         // the serve daemon and CI; the human text path is unchanged.
-        println!("{}", cache.stat_detailed().to_ndjson());
+        outln!("{}", cache.stat_detailed().to_ndjson());
     } else {
         let s = cache.stat();
-        println!(
+        outln!(
             "{}: {} entr{}, {} bytes",
             cache.dir().display(),
             s.entries,
@@ -342,7 +365,7 @@ fn diff_dir_pair(a: &Path, b: &Path, tol: f64) -> ExitCode {
             eprintln!("  {}: ok ({} values)", file.name, file.compared);
         } else {
             for line in &file.differences {
-                println!("{}: {line}", file.name);
+                outln!("{}: {line}", file.name);
             }
         }
     }
@@ -390,10 +413,10 @@ fn diff_file_pair(a: &str, b: &str, tol: f64) -> ExitCode {
         }
         Ok(d) => {
             for line in &d.differences {
-                println!("{line}");
+                outln!("{line}");
             }
             if d.truncated {
-                println!("... (more differences suppressed)");
+                outln!("... (more differences suppressed)");
             }
             eprintln!(
                 "reports DIFFER: {} difference(s) shown, {} values compared (tol {tol:e})",

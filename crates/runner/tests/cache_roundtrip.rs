@@ -83,7 +83,7 @@ fn cold_then_warm_is_byte_identical_across_scenario_kinds() {
 #[test]
 fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
     use dcn_runner::entry_key;
-    use dcn_scenarios::{trace_entries, ScenarioKind};
+    use dcn_scenarios::{trace_entries, AnalyticScenario, ScenarioKind};
 
     let spec = builtin("fig3-small").unwrap();
     let entries = trace_entries(&spec);
@@ -114,20 +114,21 @@ fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
         assert_eq!(entry_key(&renamed, e), *k, "identity must not move keys");
     }
 
-    // Changing any fluid parameter moves every key.
+    // Changing the phase grid, which every law entry integrates whole,
+    // moves every key.
     let mut tuned = spec.clone();
-    let ScenarioKind::Analytic(a) = &mut tuned.kind else {
-        panic!("fig3-small is analytic");
+    let ScenarioKind::Analytic(AnalyticScenario::Phase { w_over_bdp, .. }) = &mut tuned.kind else {
+        panic!("fig3-small is a phase portrait");
     };
-    a.gamma = 0.8;
+    w_over_bdp[0] = 0.4;
     for (e, k) in entries.iter().zip(&base) {
         assert_ne!(entry_key(&tuned, e), *k, "fluid physics must move keys");
     }
     let mut wider = spec.clone();
-    let ScenarioKind::Analytic(a) = &mut wider.kind else {
+    let ScenarioKind::Analytic(AnalyticScenario::Phase { q_over_bdp, .. }) = &mut wider.kind else {
         panic!()
     };
-    a.bandwidth_gbps = 400.0;
+    q_over_bdp.push(4.0);
     for (e, k) in entries.iter().zip(&base) {
         assert_ne!(entry_key(&wider, e), *k);
     }

@@ -10,6 +10,7 @@
 //!   the same way — `error: …` naming the argument, the usage text,
 //!   exit 2 — and nothing on a command line goes unread;
 //! * a `-` destination puts that document, and nothing else, on stdout;
+//! * a reader that closes stdout early ends `xp` quietly, with success;
 //! * `xp run` refuses a packet-engine spec whose switch would outgrow
 //!   16-bit port ids, before simulating anything, and refuses `--seeds`
 //!   on a scenario kind that has none (a trace, an analytic grid),
@@ -48,6 +49,22 @@ fn show_stdout_is_clean_toml_and_notes_go_to_stderr() {
         for line in stderr.lines() {
             assert!(line.starts_with("# "), "stray stderr line: {line:?}");
         }
+    }
+}
+
+/// A reader that closed stdout before `xp` wrote to it (`xp list | head
+/// -3`) has all it asked for: `xp` stops quietly, with no panic and no
+/// exit 101.
+#[test]
+fn a_closed_stdout_ends_xp_quietly() {
+    for args in [&["list"][..], &["show", "fig6"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(XP).args(args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert!(!stderr.contains("panicked"), "xp {args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "xp {args:?}: {stderr}");
+        assert!(out.status.success(), "xp {args:?}: {stderr}");
     }
 }
 

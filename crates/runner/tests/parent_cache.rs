@@ -3,7 +3,9 @@
 //! child of commit `545517a`; a sweep payload is one `flows` list) wrote
 //! — `xp run tests/parent_cache/tiny.toml --cache-dir D` (one
 //! packet-engine sweep point) and the first of `xp run theorems
-//! --cache-dir D` (an analytic entry). Each must load as a hit and equal
+//! --cache-dir D` (an analytic entry; its `canon` and file name were
+//! re-keyed when `[analytic]` lost the fluid constants no builtin
+//! turned, its payload bytes kept). Each must load as a hit and equal
 //! what `compute` yields now, bit for bit: a reader change that misses on
 //! old entries, or decodes them to something else, fails here. The sweep
 //! entry `KEY_FORMAT` 2 wrote is kept in `tests/key_format_2/`, where

@@ -12,18 +12,21 @@
 //! determinism contract every [`crate::sweep::PointSource`] relies on —
 //! so reports are byte-identical at any thread or process count.
 
-use crate::spec::{AnalyticScenario, AnalyticSpec};
+use crate::spec::AnalyticScenario;
 use crate::trace_engine::TraceEntrySpec;
 use dcn_telemetry::{decimate, ChannelTrace, Sample, TraceEntry};
 use fluid_model::{
     analytic_equilibrium, analytic_windows, eigenvalues_2x2, endpoint_spread, equilibrium_windows,
     grid, inflight, integrate, measure_power_convergence, phase_portrait_grid, powertcp_jacobian,
-    Lane, Law, Schedule, State,
+    FluidParams, Lane, Law, Schedule, State, PAPER_BETA_FRAC, PAPER_GAMMA,
 };
 use powertcp_core::Tick;
 
-/// Exported rows per trajectory channel (matches the timeseries default).
-const MAX_CHANNEL_ROWS: usize = 120;
+/// Exported rows per channel, of trajectories here and of trace probes.
+pub(crate) const MAX_CHANNEL_ROWS: usize = 120;
+
+/// Relative tolerance of the theorem checks.
+const THEOREM_TOLERANCE: f64 = 0.02;
 
 /// One enumerated grid point of an analytic scenario (internal: entries
 /// expose only `(index, label)` through [`TraceEntrySpec`], and the
@@ -60,8 +63,8 @@ impl AnalyticPoint {
 /// The enumerated grid points of an analytic spec, in stable order:
 /// laws in declaration order for `phase`, γ then β̂ then η sweeps for
 /// `ablation`, theorems 1–3 for `laws`.
-fn analytic_points(analytic: &AnalyticSpec) -> Vec<AnalyticPoint> {
-    match &analytic.scenario {
+fn analytic_points(analytic: &AnalyticScenario) -> Vec<AnalyticPoint> {
+    match analytic {
         AnalyticScenario::Phase { laws, .. } => {
             laws.iter().map(|&l| AnalyticPoint::PhaseLaw(l)).collect()
         }
@@ -76,14 +79,14 @@ fn analytic_points(analytic: &AnalyticSpec) -> Vec<AnalyticPoint> {
             out.extend(etas.iter().map(|&e| AnalyticPoint::AblationEta(e)));
             out
         }
-        AnalyticScenario::Laws { .. } => (1..=3).map(AnalyticPoint::Theorem).collect(),
+        AnalyticScenario::Laws => (1..=3).map(AnalyticPoint::Theorem).collect(),
     }
 }
 
 /// Expand an analytic spec into lineup entries (the analytic half of
 /// [`crate::trace_engine::trace_entries`]; the placeholder algorithm
 /// is never consulted).
-pub fn analytic_entries(analytic: &AnalyticSpec) -> Vec<TraceEntrySpec> {
+pub fn analytic_entries(analytic: &AnalyticScenario) -> Vec<TraceEntrySpec> {
     analytic_points(analytic)
         .iter()
         .enumerate()
@@ -98,7 +101,7 @@ pub fn analytic_entries(analytic: &AnalyticSpec) -> Vec<TraceEntrySpec> {
 
 /// Run one analytic entry. Deterministic: identical arguments replay
 /// bit-for-bit, on any thread or in any worker process.
-pub fn run_analytic_entry(analytic: &AnalyticSpec, entry: &TraceEntrySpec) -> TraceEntry {
+pub fn run_analytic_entry(analytic: &AnalyticScenario, entry: &TraceEntrySpec) -> TraceEntry {
     let mut points = analytic_points(analytic);
     if entry.index >= points.len() {
         panic!("analytic entry index {} out of range", entry.index);
@@ -112,33 +115,20 @@ pub fn run_analytic_entry(analytic: &AnalyticSpec, entry: &TraceEntrySpec) -> Tr
                 w_over_bdp,
                 q_over_bdp,
                 ..
-            } = &analytic.scenario
+            } = analytic
             else {
                 unreachable!("phase point of a phase scenario");
             };
-            phase_entry(analytic, law, w_over_bdp, q_over_bdp)
+            phase_entry(law, w_over_bdp, q_over_bdp)
         }
         AnalyticPoint::AblationGamma(g) => {
-            let mut tuned = analytic.clone();
-            tuned.gamma = g;
-            ablation_entry(label, &tuned, Law::Power)
+            ablation_entry(label, Law::Power, g, PAPER_BETA_FRAC, 1.0)
         }
-        AnalyticPoint::AblationBeta(b) => {
-            let mut tuned = analytic.clone();
-            tuned.beta_frac = b;
-            ablation_entry(label, &tuned, Law::Power)
-        }
+        AnalyticPoint::AblationBeta(b) => ablation_entry(label, Law::Power, PAPER_GAMMA, b, 1.0),
         AnalyticPoint::AblationEta(e) => {
-            let mut tuned = analytic.clone();
-            tuned.hpcc_eta = e;
-            ablation_entry(label, &tuned, Law::QueueLength)
+            ablation_entry(label, Law::QueueLength, PAPER_GAMMA, PAPER_BETA_FRAC, e)
         }
-        AnalyticPoint::Theorem(n) => {
-            let AnalyticScenario::Laws { tolerance } = &analytic.scenario else {
-                unreachable!("theorem point of a laws scenario");
-            };
-            theorem_entry(label, analytic, n, *tolerance)
-        }
+        AnalyticPoint::Theorem(n) => theorem_entry(label, n),
     }
 }
 
@@ -161,13 +151,8 @@ fn trajectory_channel(name: String, samples: Vec<Sample>) -> ChannelTrace {
 /// One law's phase portrait over the configured grid: per-trajectory
 /// channels (window → inflight) plus the two properties the paper reads
 /// off the plots — endpoint uniqueness (spread) and throughput loss.
-fn phase_entry(
-    analytic: &AnalyticSpec,
-    law: Law,
-    w_over_bdp: &[f64],
-    q_over_bdp: &[f64],
-) -> TraceEntry {
-    let p = analytic.fluid_params();
+fn phase_entry(law: Law, w_over_bdp: &[f64], q_over_bdp: &[f64]) -> TraceEntry {
+    let p = FluidParams::paper_example();
     let starts = grid(&p, w_over_bdp, q_over_bdp);
     let trajs = phase_portrait_grid(law, &p, &starts);
     let eq = analytic_equilibrium(&p);
@@ -215,11 +200,24 @@ fn phase_entry(
 // ablations — 1-D fluid-model parameter response sweeps
 // ---------------------------------------------------------------------
 
-/// One swept parameter value: integrate the perturbed model under `law`,
-/// measure the settled state, convergence fit (power law only — the fit
-/// assumes Theorem 2's exponential form), and overshoot behaviour.
-fn ablation_entry(label: String, tuned: &AnalyticSpec, law: Law) -> TraceEntry {
-    let p = tuned.fluid_params();
+/// One swept parameter value: integrate the paper example at per-update
+/// gain `gamma`, β̂ at `beta_frac` of BDP and HPCC target `hpcc_eta`
+/// under `law`, measure the settled state, convergence fit (power law
+/// only — the fit assumes Theorem 2's exponential form), and overshoot
+/// behaviour.
+fn ablation_entry(
+    label: String,
+    law: Law,
+    gamma: f64,
+    beta_frac: f64,
+    hpcc_eta: f64,
+) -> TraceEntry {
+    let p = FluidParams {
+        hpcc_eta,
+        ..FluidParams::paper_example()
+            .with_gamma(gamma)
+            .with_beta_frac(beta_frac)
+    };
     let bdp = p.bdp();
     // One pass from a canonical under-filled start (0.1 BDP, empty
     // queue): sampled over 60 base RTTs, settle-tested from the first
@@ -254,9 +252,9 @@ fn ablation_entry(label: String, tuned: &AnalyticSpec, law: Law) -> TraceEntry {
         .collect();
 
     let mut stats = vec![
-        ("gamma".to_string(), tuned.gamma),
-        ("beta_frac".to_string(), tuned.beta_frac),
-        ("hpcc_eta".to_string(), tuned.hpcc_eta),
+        ("gamma".to_string(), gamma),
+        ("beta_frac".to_string(), beta_frac),
+        ("hpcc_eta".to_string(), hpcc_eta),
         ("gamma_r_per_s".to_string(), p.gamma_r),
         ("bdp_bytes".to_string(), bdp),
         ("settled_w_frac_bdp".to_string(), end.w / bdp),
@@ -292,9 +290,10 @@ fn ablation_entry(label: String, tuned: &AnalyticSpec, law: Law) -> TraceEntry {
 // theorems — numeric checks of Appendix A
 // ---------------------------------------------------------------------
 
-/// One theorem check with pass/fail under the configured tolerance.
-fn theorem_entry(label: String, analytic: &AnalyticSpec, n: u8, tol: f64) -> TraceEntry {
-    let p = analytic.fluid_params();
+/// One theorem check with pass/fail under [`THEOREM_TOLERANCE`].
+fn theorem_entry(label: String, n: u8) -> TraceEntry {
+    let p = FluidParams::paper_example();
+    let tol = THEOREM_TOLERANCE;
     let rel = |got: f64, want: f64| (got - want).abs() / want.abs().max(1e-12);
     match n {
         1 => {
@@ -359,7 +358,7 @@ fn theorem_entry(label: String, analytic: &AnalyticSpec, n: u8, tol: f64) -> Tra
             // N-flow iteration's equilibrium windows match the analytic
             // (β̂ + bτ)/β̂ · β_i.
             let betas = [1_000.0, 2_000.0, 4_000.0, 8_000.0];
-            let sim = equilibrium_windows(&p, &betas, analytic.gamma, 50_000);
+            let sim = equilibrium_windows(&p, &betas, PAPER_GAMMA, 50_000);
             let ana = analytic_windows(&p, &betas);
             let mut stats = Vec::new();
             let mut max_rel = 0.0f64;
@@ -387,7 +386,7 @@ mod tests {
     use crate::spec::ScenarioKind;
 
     /// The `[analytic]` table of a (valid) analytic builtin.
-    fn analytic(name: &str) -> AnalyticSpec {
+    fn analytic(name: &str) -> AnalyticScenario {
         let spec = builtin(name).expect("a builtin");
         spec.validate().unwrap();
         let ScenarioKind::Analytic(analytic) = spec.kind else {

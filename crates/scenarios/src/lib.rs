@@ -105,9 +105,9 @@ pub use report::{
     AggregateReport, BucketReport, PointReport, SweepResult, BUFFER_CDF_PCTS, SIZE_BUCKETS,
 };
 pub use spec::{
-    AnalyticScenario, AnalyticSpec, EngineKind, IncastSpec, LineupSpec, ParamSpec, PoissonSpec,
-    ScenarioKind, ScenarioSpec, SizeSpec, SweepBody, SweepSpec, TimeseriesBody, TopologySpec,
-    TraceScenario, TraceSpec, WorkloadSpec,
+    AnalyticScenario, EngineKind, IncastSpec, LineupSpec, ParamSpec, PoissonSpec, ScenarioKind,
+    ScenarioSpec, SizeSpec, SweepBody, SweepSpec, TimeseriesBody, TopologySpec, TraceScenario,
+    WorkloadSpec,
 };
 pub use sweep::{
     compute, panic_message, reduce, run_scenario, run_scenario_observed, run_sweep, run_trace,

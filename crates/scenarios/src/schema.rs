@@ -18,9 +18,9 @@
 
 use crate::algo::Algo;
 use crate::spec::{
-    AnalyticScenario, AnalyticSpec, EngineKind, IncastSpec, LineupSpec, ParamSpec, PoissonSpec,
-    ScenarioKind, ScenarioSpec, SizeSpec, SweepBody, SweepSpec, TimeseriesBody, TopologySpec,
-    TraceScenario, TraceSpec, WorkloadSpec, MAX_PHASE_START_OVER_BDP,
+    AnalyticScenario, EngineKind, IncastSpec, LineupSpec, ParamSpec, PoissonSpec, ScenarioKind,
+    ScenarioSpec, SizeSpec, SweepBody, SweepSpec, TimeseriesBody, TopologySpec, TraceScenario,
+    WorkloadSpec, MAX_PHASE_START_OVER_BDP,
 };
 use crate::toml::{self, Value};
 use fluid_model::Law;
@@ -42,7 +42,6 @@ pub(crate) enum Val<'a> {
     Uint(u64),
     Floats(&'a [f64]),
     Uints(&'a [u64]),
-    Strs(&'a [String]),
     Algos(&'a [Algo]),
     Laws(&'a [Law]),
     Params(&'a [ParamSpec]),
@@ -63,7 +62,6 @@ impl Val<'_> {
             Val::Uint(n) => Value::Int(n as i64),
             Val::Floats(xs) => array(xs, |x| Value::Float(*x)),
             Val::Uints(ns) => array(ns, |n| Value::Int(*n as i64)),
-            Val::Strs(ss) => array(ss, |s| Value::Str(s.clone())),
             Val::Algos(algos) => array(algos, |a| Value::Str(a.key())),
             Val::Laws(laws) => array(laws, |l| Value::Str(l.key().to_string())),
             Val::Params(ps) => array(ps, |p| Value::Str(p.label())),
@@ -84,7 +82,6 @@ pub(crate) enum Ty {
     Uint,
     Floats,
     Uints,
-    Strs,
     Algos,
     Laws,
     Params,
@@ -101,7 +98,7 @@ impl Ty {
             Ty::Uint => "a non-negative integer",
             Ty::Floats => "an array of numbers",
             Ty::Uints => "an array of non-negative integers",
-            Ty::Strs | Ty::Algos | Ty::Laws | Ty::Params => "an array of strings",
+            Ty::Algos | Ty::Laws | Ty::Params => "an array of strings",
         }
     }
 
@@ -116,7 +113,6 @@ impl Ty {
             Ty::Uint => Val::Uint(0),
             Ty::Floats => Val::Floats(&[]),
             Ty::Uints => Val::Uints(&[]),
-            Ty::Strs => Val::Strs(&[]),
             Ty::Algos => Val::Algos(&[]),
             Ty::Laws => Val::Laws(&[]),
             Ty::Params => Val::Params(&[]),
@@ -315,7 +311,6 @@ fn write_val(out: &mut String, v: &Val<'_>) {
         Val::Uint(n) => uint(out, n),
         Val::Floats(xs) => list(out, xs, |out, x| write_float(out, *x)),
         Val::Uints(ns) => list(out, ns, uint),
-        Val::Strs(ss) => list(out, ss, |out, s| write_str(out, s)),
         Val::Algos(algos) => list(out, algos, |out, a| write_str(out, &a.key())),
         Val::Laws(laws) => list(out, laws, |out, l| write_str(out, l.key())),
         Val::Params(ps) => list(out, ps, |out, p| write_str(out, &p.label())),
@@ -513,8 +508,8 @@ tables! {
     IncastSpec: INCAST;
     SweepSpec: SWEEP;
     LineupSpec: LINEUP;
-    TraceSpec: TRACE;
-    AnalyticSpec: ANALYTIC;
+    TraceScenario: TRACE;
+    AnalyticScenario: ANALYTIC;
 }
 
 macro_rules! slots {
@@ -534,9 +529,6 @@ macro_rules! slots {
 fn uint(v: &Value) -> Option<u64> {
     v.as_i64().and_then(|i| u64::try_from(i).ok())
 }
-fn string(v: &Value) -> Option<Result<String, String>> {
-    v.as_str().map(|s| Ok(s.to_string()))
-}
 /// An array each of whose entries `item` reads.
 fn list<T>(
     v: &Value,
@@ -551,11 +543,10 @@ slots! {
     f64: |x| Some(Val::Float(*x)), |v| v.as_f64().map(Ok);
     u64: |x| Some(Val::Uint(*x)), |v| uint(v).map(Ok);
     usize: |x| Some(Val::Uint(*x as u64)), |v| uint(v).map(|n| Ok(n as usize));
-    String: |x| Some(Val::Str(x)), |v| string(v);
+    String: |x| Some(Val::Str(x)), |v| v.as_str().map(|s| Ok(s.to_string()));
     EngineKind: |x| Some(Val::Str(x.key())), |v| v.as_str().map(EngineKind::parse);
     Vec<f64>: |x| Some(Val::Floats(x)), |v| list(v, |x| x.as_f64().map(Ok));
     Vec<u64>: |x| Some(Val::Uints(x)), |v| list(v, |x| uint(x).map(Ok));
-    Vec<String>: |x| Some(Val::Strs(x)), |v| list(v, string);
     Vec<Algo>: |x| Some(Val::Algos(x)), |v| list(v, |x| x.as_str().map(Algo::parse));
     Vec<Law>: |x| Some(Val::Laws(x)), |v| list(v, |x| x.as_str().map(Law::parse));
     Vec<ParamSpec>: |x| Some(Val::Params(x)), |v| list(v, |x| x.as_str().map(ParamSpec::parse));
@@ -655,7 +646,7 @@ macro_rules! zeroed {
 use Dflt::{Omit, Required, Unset, Write};
 use Range::{Any, Min, NonNeg, Pos, PosUpTo, UpTo};
 use ScenarioKind::{Analytic, Sweep, Timeseries};
-use Val::{Bool as flag, Float as num, Floats as floats, Str as text, Uint as int};
+use Val::{Bool as flag, Float as num, Floats as floats, Str as text};
 
 const TOPOLOGY_KEY: &str = "topology";
 const WORKLOAD_KEY: &str = "workload";
@@ -703,11 +694,10 @@ pub(crate) static ROOT: Section<ScenarioSpec> = Section {
         // (`response` runs no algorithm, so it has none).
         field!(SWEEP_KEY, Table, Required, Any, Physics => [
             ScenarioSpec { kind: Sweep(SweepBody { sweep, .. }), .. } => sweep,
-            ScenarioSpec { kind: Timeseries(TimeseriesBody { lineup, trace: TraceSpec {
-                scenario: TraceScenario::Incast { .. } | TraceScenario::Fairness { .. }
+            ScenarioSpec { kind: Timeseries(TimeseriesBody { lineup, trace:
+                TraceScenario::Incast { .. } | TraceScenario::Fairness { .. }
                     | TraceScenario::Rdcn { .. },
-                ..
-            } }), .. } => lineup,
+            }), .. } => lineup,
         ]),
     ],
 };
@@ -813,116 +803,75 @@ pub(crate) static PARAMS: &[Field<ParamSpec>] = &[
     field!("alpha", Float, Unset, Pos, Axis => ParamSpec { dt_alpha, .. } => dt_alpha),
 ];
 
-/// `[trace]`: the probe configuration every trace scenario shares, then
-/// each scenario's own keys.
-pub(crate) static TRACE: Section<TraceSpec> = Section {
+/// `[trace]`: the traced experiment and its own keys.
+pub(crate) static TRACE: Section<TraceScenario> = Section {
     path: &[TRACE_KEY],
     // A trace with a lineup, so that a blank timeseries has `[sweep]`
     // (refused only beside a `response` trace).
-    blank: || {
-        TraceSpec::new(zeroed!(TraceScenario::Incast: fan_in, burst_bytes, at_ms, horizon_ms))
-    },
+    blank: || zeroed!(TraceScenario::Incast: tick_us, fan_in, burst_bytes, horizon_ms),
     fields: &[
         tag!("scenario", Required, [
-            "response" => TraceSpec { scenario: TraceScenario::Response, .. }
-                => TraceSpec::new(TraceScenario::Response),
-            "incast" => TraceSpec { scenario: TraceScenario::Incast { .. }, .. } => (TRACE.blank)(),
-            "fairness" => TraceSpec { scenario: TraceScenario::Fairness { .. }, .. }
-                => TraceSpec::new(zeroed!(TraceScenario::Fairness: flows, stagger_ms, horizon_ms)),
-            "rdcn" => TraceSpec { scenario: TraceScenario::Rdcn { .. }, .. }
-                => TraceSpec::new(
-                    zeroed!(TraceScenario::Rdcn: weeks, packet_gbps, retcp_prebuffer_us)
-                ),
+            "response" => TraceScenario::Response => TraceScenario::Response,
+            "incast" => TraceScenario::Incast { .. } => (TRACE.blank)(),
+            "fairness" => TraceScenario::Fairness { .. }
+                => zeroed!(TraceScenario::Fairness: tick_us, flows, horizon_ms),
+            "rdcn" => TraceScenario::Rdcn { .. }
+                => zeroed!(TraceScenario::Rdcn: tick_us, weeks, packet_gbps, retcp_prebuffer_us),
         ]),
+        // Every trace that simulates: `response` computes its curves.
         field!("tick_us", Float, Write(num(20.0)), Pos, Physics
-            => TraceSpec { tick_us, .. } => tick_us),
-        field!("max_samples", Uint, Write(int(4096)), Min(16), Physics
-            => TraceSpec { max_samples, .. } => max_samples),
-        field!("max_rows", Uint, Write(int(120)), Min(2), Physics
-            => TraceSpec { max_rows, .. } => max_rows),
-        field!("window", Uint, Omit(int(1)), Min(1), Physics => TraceSpec { window, .. } => window),
-        field!("channels", Strs, Omit(Val::Strs(&[])), Any, Physics
-            => TraceSpec { channels, .. } => channels),
+            => TraceScenario::Incast { tick_us, .. } | TraceScenario::Fairness { tick_us, .. }
+                | TraceScenario::Rdcn { tick_us, .. }
+            => tick_us),
         field!("fan_in", Uint, Required, Min(1), Physics
-            => TraceSpec { scenario: TraceScenario::Incast { fan_in, .. }, .. } => fan_in),
+            => TraceScenario::Incast { fan_in, .. } => fan_in),
         field!("burst_bytes", Uint, Required, Min(1), Physics
-            => TraceSpec { scenario: TraceScenario::Incast { burst_bytes, .. }, .. }
-            => burst_bytes),
-        field!("at_ms", Float, Write(num(1.0)), NonNeg, Physics
-            => TraceSpec { scenario: TraceScenario::Incast { at_ms, .. }, .. } => at_ms),
+            => TraceScenario::Incast { burst_bytes, .. } => burst_bytes),
         field!("flows", Uint, Required, Min(2), Physics
-            => TraceSpec { scenario: TraceScenario::Fairness { flows, .. }, .. } => flows),
-        field!("stagger_ms", Float, Write(num(1.0)), Pos, Physics
-            => TraceSpec { scenario: TraceScenario::Fairness { stagger_ms, .. }, .. }
-            => stagger_ms),
-        // Only the traces that stop at a horizon: `rdcn` runs its weeks,
-        // `response` simulates nothing.
+            => TraceScenario::Fairness { flows, .. } => flows),
+        // Only the traces that stop at a horizon: `rdcn` runs its weeks.
         field!("horizon_ms", Float, Write(num(4.0)), Pos, Physics
-            => TraceSpec { scenario: TraceScenario::Incast { horizon_ms, .. }
-                | TraceScenario::Fairness { horizon_ms, .. }, .. }
+            => TraceScenario::Incast { horizon_ms, .. } | TraceScenario::Fairness { horizon_ms, .. }
             => horizon_ms),
         field!("weeks", Uint, Required, Min(1), Physics
-            => TraceSpec { scenario: TraceScenario::Rdcn { weeks, .. }, .. } => weeks),
+            => TraceScenario::Rdcn { weeks, .. } => weeks),
         field!("packet_gbps", Float, Write(num(25.0)), Pos, Physics
-            => TraceSpec { scenario: TraceScenario::Rdcn { packet_gbps, .. }, .. } => packet_gbps),
+            => TraceScenario::Rdcn { packet_gbps, .. } => packet_gbps),
         field!("retcp_prebuffer_us", Floats, Write(floats(&[])), NonNeg, Physics
-            => TraceSpec { scenario: TraceScenario::Rdcn { retcp_prebuffer_us, .. }, .. }
-            => retcp_prebuffer_us),
+            => TraceScenario::Rdcn { retcp_prebuffer_us, .. } => retcp_prebuffer_us),
     ],
 };
 
 /// The paper's Figure 3 lineup: one law per signal class.
 const FIG3_LAWS: Val<'static> = Val::Laws(&[Law::QueueLength, Law::RttGradient, Law::Power]);
-/// An analytic scenario, where only being one matters.
-const ANY_ANALYTIC: AnalyticScenario = AnalyticScenario::Laws { tolerance: 0.0 };
 
-/// `[analytic]`: the fluid parameters every analytic scenario shares,
-/// then each scenario's own grid.
-pub(crate) static ANALYTIC: Section<AnalyticSpec> = Section {
+/// `[analytic]`: the analytic experiment and its own grid, all over
+/// [`fluid_model::FluidParams::paper_example`].
+pub(crate) static ANALYTIC: Section<AnalyticScenario> = Section {
     path: &[ANALYTIC_KEY],
-    blank: || AnalyticSpec::new(ANY_ANALYTIC),
+    blank: || AnalyticScenario::Laws,
     fields: &[
         tag!("scenario", Required, [
-            "phase" => AnalyticSpec { scenario: AnalyticScenario::Phase { .. }, .. }
-                => AnalyticSpec::new(
-                    zeroed!(AnalyticScenario::Phase: laws, w_over_bdp, q_over_bdp)
-                ),
-            "ablation" => AnalyticSpec { scenario: AnalyticScenario::Ablation { .. }, .. }
-                => AnalyticSpec::new(zeroed!(AnalyticScenario::Ablation: gammas, beta_fracs, etas)),
-            "laws" => AnalyticSpec { scenario: AnalyticScenario::Laws { .. }, .. }
-                => AnalyticSpec::new(ANY_ANALYTIC),
+            "phase" => AnalyticScenario::Phase { .. }
+                => zeroed!(AnalyticScenario::Phase: laws, w_over_bdp, q_over_bdp),
+            "ablation" => AnalyticScenario::Ablation { .. }
+                => zeroed!(AnalyticScenario::Ablation: gammas, beta_fracs, etas),
+            "laws" => AnalyticScenario::Laws => AnalyticScenario::Laws,
         ]),
-        field!("bandwidth_gbps", Float, Write(num(100.0)), Pos, Physics
-            => AnalyticSpec { bandwidth_gbps, .. } => bandwidth_gbps),
-        field!("base_rtt_us", Float, Write(num(20.0)), Pos, Physics
-            => AnalyticSpec { base_rtt_us, .. } => base_rtt_us),
-        field!("gamma", Float, Write(num(0.9)), PosUpTo(1.0), Physics
-            => AnalyticSpec { gamma, .. } => gamma),
-        field!("updates_per_rtt", Float, Write(num(10.0)), Pos, Physics
-            => AnalyticSpec { updates_per_rtt, .. } => updates_per_rtt),
-        field!("beta_frac", Float, Write(num(0.1)), Pos, Physics
-            => AnalyticSpec { beta_frac, .. } => beta_frac),
-        field!("hpcc_eta", Float, Write(num(1.0)), PosUpTo(1.0), Physics
-            => AnalyticSpec { hpcc_eta, .. } => hpcc_eta),
         field!("laws", Laws, Write(FIG3_LAWS), Any, Physics
-            => AnalyticSpec { scenario: AnalyticScenario::Phase { laws, .. }, .. } => laws),
+            => AnalyticScenario::Phase { laws, .. } => laws),
         field!("w_over_bdp", Floats, Write(floats(&fluid_model::DEFAULT_W_FRACS)),
             PosUpTo(MAX_PHASE_START_OVER_BDP), Physics
-            => AnalyticSpec { scenario: AnalyticScenario::Phase { w_over_bdp, .. }, .. }
-            => w_over_bdp),
+            => AnalyticScenario::Phase { w_over_bdp, .. } => w_over_bdp),
         field!("q_over_bdp", Floats, Write(floats(&fluid_model::DEFAULT_Q_FRACS)),
             UpTo(MAX_PHASE_START_OVER_BDP), Physics
-            => AnalyticSpec { scenario: AnalyticScenario::Phase { q_over_bdp, .. }, .. }
-            => q_over_bdp),
+            => AnalyticScenario::Phase { q_over_bdp, .. } => q_over_bdp),
         field!("gammas", Floats, Write(floats(&[])), PosUpTo(1.0), Axis
-            => AnalyticSpec { scenario: AnalyticScenario::Ablation { gammas, .. }, .. } => gammas),
+            => AnalyticScenario::Ablation { gammas, .. } => gammas),
         field!("beta_fracs", Floats, Write(floats(&[])), Pos, Axis
-            => AnalyticSpec { scenario: AnalyticScenario::Ablation { beta_fracs, .. }, .. }
-            => beta_fracs),
+            => AnalyticScenario::Ablation { beta_fracs, .. } => beta_fracs),
         field!("etas", Floats, Write(floats(&[])), PosUpTo(1.0), Axis
-            => AnalyticSpec { scenario: AnalyticScenario::Ablation { etas, .. }, .. } => etas),
-        field!("tolerance", Float, Write(num(0.05)), Pos, Physics
-            => AnalyticSpec { scenario: AnalyticScenario::Laws { tolerance }, .. } => tolerance),
+            => AnalyticScenario::Ablation { etas, .. } => etas),
     ],
 };
 
@@ -938,6 +887,8 @@ mod tests {
         default: String,
         range: String,
         role: Role,
+        /// What an absent key reads as (`None`: required or unset).
+        fallback: Option<Value>,
         /// The tag values under which the key exists (empty: all).
         applies: Vec<&'static str>,
         tags: &'static [&'static str],
@@ -978,6 +929,10 @@ mod tests {
                 },
                 range: f.range.text(f.ty),
                 role: f.role,
+                fallback: match &f.default {
+                    Write(v) | Omit(v) => Some(v.to_value()),
+                    Required | Unset => None,
+                },
                 applies,
                 tags: f.tags,
             }
@@ -1014,13 +969,7 @@ mod tests {
         let sweep = dumbbell.sweep_mut("test");
         sweep.buffer_cdf = true;
         sweep.sweep.loads = vec![0.5];
-        let mut windowed = crate::library::builtin("fig4").expect("fig4 is a builtin");
-        let ScenarioKind::Timeseries(timeseries) = &mut windowed.kind else {
-            unreachable!()
-        };
-        timeseries.trace.window = 4;
-        timeseries.trace.channels = vec!["queue".into()];
-        let specs = builtin_specs().into_iter().chain([dumbbell, windowed]);
+        let specs = builtin_specs().into_iter().chain([dumbbell]);
         specs.map(|s| s.to_toml()).collect()
     }
 
@@ -1171,6 +1120,69 @@ mod tests {
             spec.sweep_mut("test").sweep.params = vec![ParamSpec::parse(bad).unwrap()];
             let err = spec.validate().expect_err(bad);
             assert!(err.contains(bad.split('=').next().unwrap()), "{bad}: {err}");
+        }
+    }
+
+    /// A defaulted physics row that every builtin reaching it leaves at
+    /// one value is a constant that costs a schema row, a struct field,
+    /// a README row and a place in the cache key: it becomes a constant.
+    #[test]
+    fn every_defaulted_physics_row_takes_two_values_among_the_builtins() {
+        /// The rows kept at one value, and why.
+        const ONE_VALUE: [(&str, &str); 2] = [
+            ("host_gbps", "the benchmark's spec texts write it"),
+            ("retcp_prebuffer_us", "each value is its own lineup entry"),
+        ];
+        let builtins: Vec<Table> = builtin_specs()
+            .iter()
+            .map(|s| toml::parse(&s.to_toml()).expect("a builtin's text parses"))
+            .collect();
+        let mut one_valued = Vec::new();
+        for (label, rows) in sections() {
+            let path = label.trim_matches(['[', ']']);
+            let path: Vec<&str> = path.split('.').filter(|_| label != "top-level").collect();
+            let tag = rows.iter().find(|r| r.ty == Ty::Tag);
+            let mut values: BTreeMap<&str, std::collections::BTreeSet<String>> = BTreeMap::new();
+            for root in &builtins {
+                let mut table = Some(root);
+                for key in &path {
+                    table = table.and_then(|t| t.get(*key)?.as_table());
+                }
+                let Some(table) = table else { continue };
+                let read = |r: &Row| table.get(r.key).cloned().or_else(|| r.fallback.clone());
+                let is = tag.and_then(read);
+                for row in &rows {
+                    let reaches = row.applies.is_empty()
+                        || row
+                            .applies
+                            .iter()
+                            .any(|a| is == Some(Value::Str(a.to_string())));
+                    let defaulted_physics =
+                        row.role == Role::Physics && row.ty != Ty::Table && row.fallback.is_some();
+                    if let Some(v) = read(row).filter(|_| reaches && defaulted_physics) {
+                        values.entry(row.key).or_default().insert(format!("{v:?}"));
+                    }
+                }
+            }
+            for (key, seen) in values.into_iter().filter(|(_, seen)| seen.len() < 2) {
+                one_valued.push((key, format!("{label} {key} = {seen:?}")));
+            }
+        }
+        let unexplained: Vec<&String> = one_valued
+            .iter()
+            .filter(|(key, _)| !ONE_VALUE.iter().any(|(k, _)| k == key))
+            .map(|(_, row)| row)
+            .collect();
+        assert!(
+            unexplained.is_empty(),
+            "every builtin leaves these rows at one value; make each a constant:\n{unexplained:#?}"
+        );
+        for (key, why) in ONE_VALUE {
+            let listed = one_valued.iter().any(|(k, _)| *k == key);
+            assert!(
+                listed,
+                "{key} ({why}) takes two values now: drop it from ONE_VALUE"
+            );
         }
     }
 

@@ -15,7 +15,7 @@ use crate::schema::{self, Pass, Ty, Val};
 use crate::toml::Value;
 use dcn_sim::topology::{AGGS_PER_POD, CORES, PODS, TORS, TORS_PER_POD};
 use dcn_sim::PortId;
-use fluid_model::{FluidParams, Law};
+use fluid_model::Law;
 use powertcp_core::{Bandwidth, Tick};
 use std::fmt::Write as _;
 
@@ -210,7 +210,7 @@ pub enum ScenarioKind {
     /// parameter ablations, and theorem checks over `fluid-model`, one
     /// deterministic computation per grid entry
     /// ([`crate::analytic_engine`]); `[analytic]` is all there is.
-    Analytic(AnalyticSpec),
+    Analytic(AnalyticScenario),
 }
 
 impl ScenarioKind {
@@ -267,7 +267,7 @@ impl SweepBody {
 #[derive(Clone, Debug, PartialEq)]
 pub struct TimeseriesBody {
     /// The `[trace]` table.
-    pub trace: TraceSpec,
+    pub trace: TraceScenario,
     /// The algorithms traced. `response` runs none: its one entry is a
     /// PowerTCP placeholder, and its spec has no `[sweep]`.
     pub lineup: LineupSpec,
@@ -294,84 +294,49 @@ pub struct LineupSpec {
     pub algos: Vec<Algo>,
 }
 
-/// Probe configuration plus the traced experiment of a `timeseries`
-/// scenario.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceSpec {
-    /// The traced experiment.
-    pub scenario: TraceScenario,
-    /// Sampling tick of all probes, microseconds.
-    pub tick_us: f64,
-    /// Ring capacity per channel (oldest samples evicted beyond this).
-    pub max_samples: usize,
-    /// Maximum exported rows per channel (stride decimation).
-    pub max_rows: usize,
-    /// Probe selection: record only these channels (empty = all). Names
-    /// must come from [`TraceScenario::channel_names`]; filtered-out
-    /// probes are not registered at all, but scalar stats are unaffected
-    /// (their windowed accumulators run regardless).
-    pub channels: Vec<String>,
-    /// Windowed-mean reducer: average consecutive windows of this many
-    /// samples before decimation (low-pass smoothing of exported
-    /// channels; 1 = off). Scalar stats are unaffected — their streaming
-    /// accumulators see every raw sample.
-    pub window: usize,
-}
+/// When an `incast` trace's burst fires, milliseconds into the run.
+pub(crate) const INCAST_AT_MS: f64 = 1.0;
 
-impl TraceSpec {
-    /// A trace spec with the `[trace]` table's default probe
-    /// configuration: 20 µs tick, 4096-sample rings, 120 exported rows,
-    /// no windowing, every channel.
-    pub fn new(scenario: TraceScenario) -> Self {
-        // Defaulted under the keyless scenario, so that only the probe
-        // keys are touched and the caller's scenario goes in as given.
-        let mut trace = TraceSpec {
-            scenario: TraceScenario::Response,
-            tick_us: 0.0,
-            max_samples: 0,
-            max_rows: 0,
-            channels: Vec::new(),
-            window: 0,
-        };
-        schema::apply_defaults(schema::TRACE.fields, &mut trace);
-        trace.scenario = scenario;
-        trace
-    }
-}
+/// How far apart a `fairness` trace's flows join, milliseconds.
+pub(crate) const FAIRNESS_STAGGER_MS: f64 = 1.0;
 
-/// The traced experiments: the paper's temporal figures as declarative
-/// data. Each defines its own fixture (a star sized by the scenario's
-/// own keys, or the `rdcn` crate's rotor fabric).
+/// The traced experiment of a `timeseries` scenario: the paper's
+/// temporal figures as declarative data. Each defines its own fixture (a
+/// star sized by the scenario's own keys, or the `rdcn` crate's rotor
+/// fabric); every probe of a simulated one samples on its `tick_us`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceScenario {
     /// Figure 2: the analytic voltage/current/power multiplicative-decrease
     /// response curves of the fluid model (no simulation).
     Response,
-    /// Figure 4: a long flow to one receiver; at `at_ms`, `fan_in` other
-    /// hosts burst `burst_bytes` each into the same 25G downlink.
+    /// Figure 4: a long flow to one receiver; at `INCAST_AT_MS` (1 ms),
+    /// `fan_in` other hosts burst `burst_bytes` each into the same 25G
+    /// downlink.
     Incast {
+        /// Sampling tick of all probes, microseconds.
+        tick_us: f64,
         /// Incast fan-in (number of burst senders).
         fan_in: usize,
         /// Bytes each burst sender transmits.
         burst_bytes: u64,
-        /// When the incast fires, milliseconds into the run.
-        at_ms: f64,
         /// Run length, milliseconds.
         horizon_ms: f64,
     },
-    /// Figure 5: `flows` long flows joining one shared bottleneck at
-    /// `stagger_ms` intervals — fairness and convergence.
+    /// Figure 5: `flows` long flows joining one shared bottleneck
+    /// `FAIRNESS_STAGGER_MS` (1 ms) apart — fairness and convergence.
     Fairness {
+        /// Sampling tick of all probes, microseconds.
+        tick_us: f64,
         /// Number of staggered senders.
         flows: usize,
-        /// Join interval, milliseconds.
-        stagger_ms: f64,
         /// Run length, milliseconds.
         horizon_ms: f64,
     },
     /// Figure 8: the reconfigurable-DCN case study — rack-pair throughput
     /// and VOQ occupancy over the rotor schedule.
     Rdcn {
+        /// Sampling tick of all probes, microseconds.
+        tick_us: f64,
         /// Rotor weeks to simulate: the run's length
         /// ([`rotor_run_length`]).
         weeks: u64,
@@ -404,74 +369,6 @@ impl TraceScenario {
             TraceScenario::Rdcn { .. } => "rdcn",
         }
     }
-
-    /// Every channel name this trace scenario can record, in recording
-    /// order — the vocabulary a `[trace] channels` filter may select
-    /// from (fairness channels are per-flow, so the list depends on the
-    /// configured flow count); the fixtures record from the same tables.
-    pub fn channel_names(&self) -> Vec<String> {
-        crate::trace_engine::channel_names(self)
-    }
-}
-
-/// Shared fluid-model configuration plus the analytic experiment of a
-/// `kind = "analytic"` scenario. These scenarios never build a simulator:
-/// each grid entry is a pure computation over `fluid-model`, and results
-/// flow through the same executor / cache / multi-process pipeline as
-/// simulated points (cache keys are salted with
-/// [`fluid_model::MODEL_VERSION`] instead of the sim engine version).
-#[derive(Clone, Debug, PartialEq)]
-pub struct AnalyticSpec {
-    /// The analytic experiment.
-    pub scenario: AnalyticScenario,
-    /// Bottleneck bandwidth in Gbps (paper example: 100).
-    pub bandwidth_gbps: f64,
-    /// Base RTT τ in microseconds (paper example: 20).
-    pub base_rtt_us: f64,
-    /// Per-update EWMA gain γ ∈ (0, 1] (paper recommendation: 0.9).
-    pub gamma: f64,
-    /// Control updates per base RTT (per-ACK updates ≈ 10); together with
-    /// `gamma` this sets the continuous-time gain γr = γ·updates/τ.
-    pub updates_per_rtt: f64,
-    /// Aggregate additive increase β̂ as a fraction of BDP.
-    pub beta_frac: f64,
-    /// Target utilization η of the queue-length (HPCC-class) law.
-    pub hpcc_eta: f64,
-}
-
-impl AnalyticSpec {
-    /// An analytic spec over the paper's running example, the
-    /// `[analytic]` table's defaults (100 Gbps, 20 µs, γ = 0.9 at 10
-    /// updates/RTT, β̂ = BDP/10, η = 1).
-    pub fn new(scenario: AnalyticScenario) -> Self {
-        // Defaulted under a placeholder scenario (whose own keys get
-        // theirs too), so the caller's scenario goes in as given.
-        let mut analytic = AnalyticSpec {
-            scenario: AnalyticScenario::Laws { tolerance: 0.0 },
-            bandwidth_gbps: 0.0,
-            base_rtt_us: 0.0,
-            gamma: 0.0,
-            updates_per_rtt: 0.0,
-            beta_frac: 0.0,
-            hpcc_eta: 0.0,
-        };
-        schema::apply_defaults(schema::ANALYTIC.fields, &mut analytic);
-        analytic.scenario = scenario;
-        analytic
-    }
-
-    /// The [`FluidParams`] this spec denotes.
-    pub fn fluid_params(&self) -> FluidParams {
-        let bandwidth = self.bandwidth_gbps * 1e9 / 8.0;
-        let base_rtt = self.base_rtt_us * 1e-6;
-        FluidParams {
-            bandwidth,
-            base_rtt,
-            beta_hat: bandwidth * base_rtt * self.beta_frac,
-            gamma_r: self.gamma / (base_rtt / self.updates_per_rtt),
-            hpcc_eta: self.hpcc_eta,
-        }
-    }
 }
 
 /// Most starts one phase portrait integrates (`w_over_bdp` entries ×
@@ -483,8 +380,14 @@ pub const MAX_PHASE_CELLS: usize = 1024;
 /// far beyond it the model says nothing and the numbers stop being finite.
 pub const MAX_PHASE_START_OVER_BDP: f64 = 1000.0;
 
-/// The analytic experiments: the paper's fluid-model figures and appendix
-/// checks as declarative data.
+/// The analytic experiment of a `kind = "analytic"` scenario: the
+/// paper's fluid-model figures and appendix checks as declarative data,
+/// all over [`fluid_model::FluidParams::paper_example`]. These scenarios
+/// never build a simulator: each grid entry is a pure computation over
+/// `fluid-model`, and results flow through the same executor / cache /
+/// multi-process pipeline as simulated points (cache keys are salted
+/// with [`fluid_model::MODEL_VERSION`] instead of the sim engine
+/// version).
 #[derive(Clone, Debug, PartialEq)]
 pub enum AnalyticScenario {
     /// Figure 3: phase portraits — integrate a grid of initial
@@ -511,11 +414,8 @@ pub enum AnalyticScenario {
         etas: Vec<f64>,
     },
     /// Theorems 1–3 (Appendix A) verified numerically, one grid entry per
-    /// theorem, with pass/fail stats under `tolerance`.
-    Laws {
-        /// Relative tolerance of the numeric checks.
-        tolerance: f64,
-    },
+    /// theorem, with pass/fail stats.
+    Laws,
 }
 
 /// One point on the algorithm-parameter sweep axis: overrides applied to
@@ -653,7 +553,7 @@ impl ScenarioSpec {
     /// A new time-series scenario: fixture, traffic and run length are
     /// the trace scenario's own, and the algorithm grid is the lineup
     /// (PowerTCP only).
-    pub fn timeseries(name: impl Into<String>, trace: TraceSpec) -> Self {
+    pub fn timeseries(name: impl Into<String>, trace: TraceScenario) -> Self {
         let body = TimeseriesBody {
             trace,
             lineup: LineupSpec::default(),
@@ -663,7 +563,7 @@ impl ScenarioSpec {
 
     /// A new analytic scenario: the `[analytic]` table fully describes
     /// the experiment.
-    pub fn new_analytic(name: impl Into<String>, analytic: AnalyticSpec) -> Self {
+    pub fn new_analytic(name: impl Into<String>, analytic: AnalyticScenario) -> Self {
         Self::assemble(name.into(), ScenarioKind::Analytic(analytic))
     }
 
@@ -896,48 +796,29 @@ impl TimeseriesBody {
     /// the trace scenario's fit within its horizon and the lineup.
     fn validate(&self) -> Result<(), String> {
         let (trace, lineup) = (&self.trace, &self.lineup);
-        if let Some((key, hosts)) = trace.scenario.star_hosts() {
+        if let Some((key, hosts)) = trace.star_hosts() {
             ensure_ports_fit(key, hosts)?;
         }
         ensure!(
             !lineup.algos.is_empty(),
             "timeseries lineup needs at least one algorithm"
         );
-        ensure!(
-            trace.window <= trace.max_samples,
-            "trace window {} exceeds max_samples {} (every export would collapse to one row)",
-            trace.window,
-            trace.max_samples
-        );
-        if !trace.channels.is_empty() {
-            let known = trace.scenario.channel_names();
-            if let Some(ch) = trace.channels.iter().find(|ch| !known.contains(ch)) {
-                return Err(format!(
-                    "unknown trace channel {ch:?} for the {} scenario (known: {})",
-                    trace.scenario.key(),
-                    known.join(", ")
-                ));
-            }
-        }
-        match &trace.scenario {
+        match trace {
             // The trace writes no lineup, so only the default would
             // round-trip.
             TraceScenario::Response => ensure!(
                 *lineup == LineupSpec::default(),
                 "the response trace runs no algorithm, so it takes no lineup"
             ),
-            TraceScenario::Incast {
-                at_ms, horizon_ms, ..
-            } => ensure!(
-                at_ms < horizon_ms,
-                "incast at_ms {at_ms} must lie within [0, horizon_ms {horizon_ms})"
+            TraceScenario::Incast { horizon_ms, .. } => ensure!(
+                INCAST_AT_MS < *horizon_ms,
+                "incast horizon_ms {horizon_ms} must exceed the burst's start at \
+                 {INCAST_AT_MS} ms"
             ),
             TraceScenario::Fairness {
-                flows,
-                stagger_ms,
-                horizon_ms,
+                flows, horizon_ms, ..
             } => ensure!(
-                (*flows as f64 - 1.0) * stagger_ms < *horizon_ms,
+                (*flows as f64 - 1.0) * FAIRNESS_STAGGER_MS < *horizon_ms,
                 "fairness: last flow would join after the horizon"
             ),
             TraceScenario::Rdcn {
@@ -960,7 +841,7 @@ impl TimeseriesBody {
     }
 }
 
-impl AnalyticSpec {
+impl AnalyticScenario {
     /// Grids whose entries label distinct lineup entries, none empty.
     fn validate(&self) -> Result<(), String> {
         // Every grid entry labels one lineup entry (and its cache key).
@@ -979,7 +860,7 @@ impl AnalyticSpec {
                 f.key
             );
         }
-        match &self.scenario {
+        match self {
             AnalyticScenario::Phase {
                 laws,
                 w_over_bdp,
@@ -1007,7 +888,7 @@ impl AnalyticSpec {
                 !(gammas.is_empty() && beta_fracs.is_empty() && etas.is_empty()),
                 "analytic ablation needs at least one of gammas, beta_fracs, or etas"
             ),
-            AnalyticScenario::Laws { .. } => {}
+            AnalyticScenario::Laws => {}
         }
         Ok(())
     }
@@ -1155,12 +1036,12 @@ seeds = [7, 11]
         let incast = |fan_in| {
             ScenarioSpec::timeseries(
                 "wide",
-                TraceSpec::new(TraceScenario::Incast {
+                TraceScenario::Incast {
+                    tick_us: 20.0,
                     fan_in,
                     burst_bytes: 1_000,
-                    at_ms: 1.0,
                     horizon_ms: 5.0,
-                }),
+                },
             )
         };
         assert_eq!(incast(65_533).validate(), Ok(()));
@@ -1218,17 +1099,7 @@ seeds = [1, 2, 3]
     }
 
     fn ts_spec(scenario: TraceScenario) -> ScenarioSpec {
-        let mut spec = ScenarioSpec::timeseries(
-            "ts",
-            TraceSpec {
-                scenario,
-                tick_us: 20.0,
-                max_samples: 1024,
-                max_rows: 50,
-                window: 1,
-                channels: Vec::new(),
-            },
-        );
+        let mut spec = ScenarioSpec::timeseries("ts", scenario);
         spec.description = "a timeseries scenario".into();
         spec.timeseries_mut("test").lineup.algos = vec![Algo::PowerTcp, Algo::Hpcc];
         spec
@@ -1239,17 +1110,18 @@ seeds = [1, 2, 3]
         for scenario in [
             TraceScenario::Response,
             TraceScenario::Incast {
+                tick_us: 20.0,
                 fan_in: 10,
                 burst_bytes: 150_000,
-                at_ms: 1.0,
                 horizon_ms: 5.0,
             },
             TraceScenario::Fairness {
+                tick_us: 50.0,
                 flows: 4,
-                stagger_ms: 1.0,
                 horizon_ms: 5.0,
             },
             TraceScenario::Rdcn {
+                tick_us: 10.0,
                 weeks: 2,
                 packet_gbps: 25.0,
                 retcp_prebuffer_us: vec![600.0, 1800.0],
@@ -1278,25 +1150,26 @@ seeds = [1, 2, 3]
 
     #[test]
     fn timeseries_validation_catches_mistakes() {
-        // Incast burst after the horizon.
+        // A horizon that ends before the incast's burst.
         let s = ts_spec(TraceScenario::Incast {
+            tick_us: 20.0,
             fan_in: 4,
             burst_bytes: 1000,
-            at_ms: 9.0,
-            horizon_ms: 5.0,
+            horizon_ms: 1.0,
         });
-        assert!(s.validate().unwrap_err().contains("at_ms"));
+        assert!(s.validate().unwrap_err().contains("horizon_ms 1"));
 
-        // The last fairness flow joins after the horizon.
+        // The last fairness flow joins at the horizon.
         let s = ts_spec(TraceScenario::Fairness {
+            tick_us: 20.0,
             flows: 4,
-            stagger_ms: 2.0,
-            horizon_ms: 6.0,
+            horizon_ms: 3.0,
         });
         assert!(s.validate().unwrap_err().contains("horizon"));
 
         // HOMA cannot run the RDCN trace.
         let mut s = ts_spec(TraceScenario::Rdcn {
+            tick_us: 20.0,
             weeks: 1,
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![],
@@ -1333,16 +1206,15 @@ seeds = [1, 2, 3]
             poisson.contains("\"ts\" has kind = \"timeseries\""),
             "{poisson}"
         );
-        let channels = message(|| {
+        let lineup = message(|| {
             let mut spec = sample_spec();
-            spec.timeseries_mut("channels").trace.channels.clear();
+            spec.timeseries_mut("lineup").lineup.algos.clear();
             spec
         });
-        let for_traces = "channels is for timeseries scenarios";
-        assert!(channels.contains(for_traces), "{channels}");
+        let for_traces = "lineup is for timeseries scenarios";
+        assert!(lineup.contains(for_traces), "{lineup}");
         fn laws() -> ScenarioSpec {
-            let laws = AnalyticScenario::Laws { tolerance: 0.1 };
-            ScenarioSpec::new_analytic("an", AnalyticSpec::new(laws))
+            ScenarioSpec::new_analytic("an", AnalyticScenario::Laws)
         }
         let seeds = message(|| laws().seeds([7]));
         assert!(seeds.contains("\"an\" has kind = \"analytic\""), "{seeds}");
@@ -1357,51 +1229,6 @@ seeds = [1, 2, 3]
     }
 
     #[test]
-    fn trace_channel_filter_round_trips_and_validates() {
-        let mut spec = ts_spec(TraceScenario::Incast {
-            fan_in: 4,
-            burst_bytes: 1000,
-            at_ms: 1.0,
-            horizon_ms: 5.0,
-        });
-        spec.timeseries_mut("test").trace.channels = vec!["queue".into(), "cwnd".into()];
-        spec.validate().unwrap();
-        let text = spec.to_toml();
-        assert!(text.contains("channels = [\"queue\", \"cwnd\"]"), "{text}");
-        assert_eq!(ScenarioSpec::from_toml(&text).unwrap(), spec);
-
-        // An empty filter (record everything) is the default and is not
-        // written out.
-        assert!(!ts_spec(TraceScenario::Response)
-            .to_toml()
-            .contains("channels"));
-
-        // Unknown names are a validation error naming the vocabulary.
-        let mut bad = ts_spec(TraceScenario::Incast {
-            fan_in: 4,
-            burst_bytes: 1000,
-            at_ms: 1.0,
-            horizon_ms: 5.0,
-        });
-        bad.timeseries_mut("test").trace.channels = vec!["voq".into()];
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("unknown trace channel"), "{err}");
-        assert!(err.contains("throughput, queue, cwnd, power"), "{err}");
-
-        // Fairness names are per-flow, so validity depends on the flow
-        // count.
-        let mut fair = ts_spec(TraceScenario::Fairness {
-            flows: 2,
-            stagger_ms: 1.0,
-            horizon_ms: 5.0,
-        });
-        fair.timeseries_mut("test").trace.channels = vec!["flow-2".into()];
-        assert!(fair.validate().is_ok());
-        fair.timeseries_mut("test").trace.channels = vec!["flow-3".into()];
-        assert!(fair.validate().is_err());
-    }
-
-    #[test]
     fn cache_fragment_tracks_physics_not_identity() {
         let a = sample_spec();
         let mut renamed = a.clone();
@@ -1413,22 +1240,22 @@ seeds = [1, 2, 3]
         assert_ne!(a.cache_fragment(), hotter.cache_fragment());
         let other_workload = a.clone().poisson(SizeSpec::Fixed(10));
         assert_ne!(a.cache_fragment(), other_workload.cache_fragment());
-        // Trace config (including the channel filter) is physics for
-        // timeseries specs: it changes the recorded output.
-        let t = ts_spec(TraceScenario::Incast {
-            fan_in: 4,
-            burst_bytes: 1000,
-            at_ms: 1.0,
-            horizon_ms: 5.0,
-        });
-        let mut filtered = t.clone();
-        filtered.timeseries_mut("test").trace.channels = vec!["queue".into()];
-        assert_ne!(t.cache_fragment(), filtered.cache_fragment());
+        // A trace's probe tick is physics: it changes the recorded output.
+        let incast = |tick_us| {
+            ts_spec(TraceScenario::Incast {
+                tick_us,
+                fan_in: 4,
+                burst_bytes: 1000,
+                horizon_ms: 5.0,
+            })
+        };
+        assert_ne!(incast(20.0).cache_fragment(), incast(10.0).cache_fragment());
     }
 
     #[test]
     fn timeseries_entry_counts_expand_retcp_prebuffers() {
         let mut s = ts_spec(TraceScenario::Rdcn {
+            tick_us: 10.0,
             weeks: 2,
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![600.0, 1800.0],
@@ -1452,9 +1279,9 @@ seeds = [1, 2, 3]
                 beta_fracs: vec![0.05, 0.2],
                 etas: vec![0.95],
             },
-            AnalyticScenario::Laws { tolerance: 0.02 },
+            AnalyticScenario::Laws,
         ] {
-            let mut spec = ScenarioSpec::new_analytic("an", AnalyticSpec::new(scenario));
+            let mut spec = ScenarioSpec::new_analytic("an", scenario);
             spec.description = "an analytic scenario".into();
             spec.validate().unwrap_or_else(|e| panic!("{e}"));
             let text = spec.to_toml();
@@ -1472,11 +1299,11 @@ seeds = [1, 2, 3]
         let base = || {
             ScenarioSpec::new_analytic(
                 "an",
-                AnalyticSpec::new(AnalyticScenario::Phase {
+                AnalyticScenario::Phase {
                     laws: vec![Law::Power],
                     w_over_bdp: vec![1.0],
                     q_over_bdp: vec![0.0],
-                }),
+                },
             )
         };
         assert!(base().validate().is_ok());
@@ -1486,27 +1313,31 @@ seeds = [1, 2, 3]
         let ScenarioKind::Analytic(a) = &mut s.kind else {
             unreachable!()
         };
-        a.scenario = AnalyticScenario::Phase {
+        *a = AnalyticScenario::Phase {
             laws: vec![Law::Power, Law::Power],
             w_over_bdp: vec![1.0],
             q_over_bdp: vec![0.0],
         };
         assert!(s.validate().unwrap_err().contains("distinct"));
 
-        // Fluid parameters are range-checked.
+        // Swept fluid parameters are range-checked.
         let mut s = base();
         let ScenarioKind::Analytic(a) = &mut s.kind else {
             unreachable!()
         };
-        a.gamma = 1.5;
-        assert!(s.validate().unwrap_err().contains("gamma"));
+        *a = AnalyticScenario::Ablation {
+            gammas: vec![1.5],
+            beta_fracs: vec![],
+            etas: vec![],
+        };
+        assert!(s.validate().unwrap_err().contains("gammas"));
 
         // An empty ablation sweeps nothing.
         let mut s = base();
         let ScenarioKind::Analytic(a) = &mut s.kind else {
             unreachable!()
         };
-        a.scenario = AnalyticScenario::Ablation {
+        *a = AnalyticScenario::Ablation {
             gammas: vec![],
             beta_fracs: vec![],
             etas: vec![],
@@ -1520,7 +1351,7 @@ seeds = [1, 2, 3]
             let ScenarioKind::Analytic(a) = &mut s.kind else {
                 unreachable!()
             };
-            a.scenario = AnalyticScenario::Phase {
+            *a = AnalyticScenario::Phase {
                 laws: vec![Law::Power],
                 w_over_bdp,
                 q_over_bdp,
@@ -1598,14 +1429,18 @@ w_over_bdp = [0.1, 1.0]
 "#;
         let err = ScenarioSpec::from_toml(ablation_with_grid).unwrap_err();
         assert!(err.contains("w_over_bdp"), "{err}");
-        let laws_with_tolerance_ok = r#"
+        let laws_with_tolerance = r#"
 name = "x"
 kind = "analytic"
 [analytic]
 scenario = "laws"
 tolerance = 0.05
 "#;
-        assert!(ScenarioSpec::from_toml(laws_with_tolerance_ok).is_ok());
+        let err = ScenarioSpec::from_toml(laws_with_tolerance).unwrap_err();
+        assert!(
+            err.contains("unknown [analytic] key \"tolerance\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1613,42 +1448,35 @@ tolerance = 0.05
         use fluid_model::Law;
         // Extending an ablation axis must not move the other entries'
         // cache keys: the axes are sweep axes, each entry's identity is
-        // its label plus the shared fluid parameters.
+        // its label.
         let small = ScenarioSpec::new_analytic(
             "ab",
-            AnalyticSpec::new(AnalyticScenario::Ablation {
+            AnalyticScenario::Ablation {
                 gammas: vec![0.5],
                 beta_fracs: vec![],
                 etas: vec![],
-            }),
+            },
         );
         let mut wider = small.clone();
         let ScenarioKind::Analytic(a) = &mut wider.kind else {
             unreachable!()
         };
-        a.scenario = AnalyticScenario::Ablation {
+        *a = AnalyticScenario::Ablation {
             gammas: vec![0.5, 0.9],
             beta_fracs: vec![0.1],
             etas: vec![],
         };
         assert_eq!(small.cache_fragment(), wider.cache_fragment());
-        // Shared fluid parameters ARE per-entry physics.
-        let mut tuned = small.clone();
-        let ScenarioKind::Analytic(a) = &mut tuned.kind else {
-            unreachable!()
-        };
-        a.base_rtt_us = 40.0;
-        assert_ne!(small.cache_fragment(), tuned.cache_fragment());
         // Phase grids stay in the fragment: every law entry integrates
         // the whole grid.
         let phase = |w: Vec<f64>| {
             ScenarioSpec::new_analytic(
                 "ph",
-                AnalyticSpec::new(AnalyticScenario::Phase {
+                AnalyticScenario::Phase {
                     laws: vec![Law::Power],
                     w_over_bdp: w,
                     q_over_bdp: vec![0.0],
-                }),
+                },
             )
         };
         assert_ne!(
@@ -1736,32 +1564,6 @@ tolerance = 0.05
         }]);
         homa.sweep_mut("test").sweep.algos = vec![Algo::Homa(1)];
         assert!(homa.validate().unwrap_err().contains("HOMA"));
-    }
-
-    #[test]
-    fn trace_window_round_trips_and_validates() {
-        let mut spec = ts_spec(TraceScenario::Fairness {
-            flows: 2,
-            stagger_ms: 1.0,
-            horizon_ms: 5.0,
-        });
-        spec.timeseries_mut("test").trace.window = 4;
-        spec.validate().unwrap();
-        let text = spec.to_toml();
-        assert!(text.contains("window = 4"), "{text}");
-        assert_eq!(ScenarioSpec::from_toml(&text).unwrap(), spec);
-        // The default (1) is not written out.
-        let default = ts_spec(TraceScenario::Fairness {
-            flows: 2,
-            stagger_ms: 1.0,
-            horizon_ms: 5.0,
-        });
-        assert!(!default.to_toml().contains("window"));
-        // Window 0 and window > max_samples are rejected.
-        spec.timeseries_mut("test").trace.window = 0;
-        assert!(spec.validate().unwrap_err().contains("window"));
-        spec.timeseries_mut("test").trace.window = 1_000_000;
-        assert!(spec.validate().unwrap_err().contains("window"));
     }
 
     #[test]
@@ -1877,12 +1679,56 @@ seeds = [1]
             (&fig4, kind, "drain_ms = 0.0", "drain_ms"),
             (&fig4, kind, "horizon_ms = 5.0", root_horizon),
             (&fig8, "weeks = 2\n", "horizon_ms = 4.0", "horizon_ms"),
-            (&fig2, "max_rows = 120\n", lineup, "given its [trace]"),
+            (
+                &fig2,
+                "scenario = \"response\"\n",
+                lineup,
+                "given its [trace]",
+            ),
         ] {
             assert!(spec.contains(marker), "{marker}");
             let edited = spec.replacen(marker, &format!("{marker}{extra}\n"), 1);
             let err = ScenarioSpec::from_toml(&edited).expect_err(&edited);
             assert!(err.contains(named), "{extra}: {err}");
+        }
+    }
+
+    /// The keys every builtin left at one value are constants now: a
+    /// spec that still sets one is refused naming it, as any unknown key.
+    #[test]
+    fn keys_that_became_constants_are_refused_naming_them() {
+        let text = |name| crate::library::builtin(name).unwrap().to_toml();
+        let (fig2, fig4, fig5, theorems) =
+            (text("fig2"), text("fig4"), text("fig5"), text("theorems"));
+        let trace = "[trace]\n";
+        let analytic = "[analytic]\n";
+        let mut cases = vec![(&fig2, trace, "tick_us = 1.0", "has no tick_us")];
+        for extra in [
+            "max_samples = 4096",
+            "max_rows = 120",
+            "window = 1",
+            "channels = []",
+            "at_ms = 1.0",
+        ] {
+            cases.push((&fig4, trace, extra, "unknown [trace] key"));
+        }
+        cases.push((&fig5, trace, "stagger_ms = 1.0", "unknown [trace] key"));
+        for extra in [
+            "bandwidth_gbps = 100.0",
+            "base_rtt_us = 20.0",
+            "gamma = 0.9",
+            "updates_per_rtt = 10.0",
+            "beta_frac = 0.1",
+            "hpcc_eta = 1.0",
+            "tolerance = 0.02",
+        ] {
+            cases.push((&theorems, analytic, extra, "unknown [analytic] key"));
+        }
+        for (spec, marker, extra, named) in cases {
+            let edited = spec.replacen(marker, &format!("{marker}{extra}\n"), 1);
+            let err = ScenarioSpec::from_toml(&edited).expect_err(&edited);
+            let key = extra.split(' ').next().unwrap();
+            assert!(err.contains(named) && err.contains(key), "{extra}: {err}");
         }
     }
 
@@ -1962,36 +1808,23 @@ seeds = [1]
     #[test]
     fn constructors_and_the_reader_share_the_table_defaults() {
         let parsed = |text: &str| ScenarioSpec::from_toml(text).unwrap_or_else(|e| panic!("{e}"));
-        // [trace]: tick, ring, rows, window, channels.
+        // [trace]: a response trace is its tag; a trace that stops at a
+        // horizon samples every 20 µs for 4 ms.
         let ts = parsed("name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"response\"\n");
-        let mut built = ScenarioSpec::timeseries("t", TraceSpec::new(TraceScenario::Response));
-        assert_eq!(ts, built);
-        let trace = &built.timeseries_mut("test").trace;
-        assert_eq!((trace.tick_us, trace.max_samples), (20.0, 4096));
-        assert_eq!((trace.max_rows, trace.window), (120, 1));
-        // A trace that stops at a horizon: 4 ms, an incast at 1 ms.
+        assert_eq!(ts, ScenarioSpec::timeseries("t", TraceScenario::Response));
         let mut incast = parsed(
             "name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"incast\"\n\
              fan_in = 2\nburst_bytes = 9\n[sweep]\nalgos = [\"powertcp\"]\n",
         );
-        let scenario = &incast.timeseries_mut("test").trace.scenario;
         let TraceScenario::Incast {
-            at_ms, horizon_ms, ..
-        } = *scenario
+            tick_us,
+            horizon_ms,
+            ..
+        } = incast.timeseries_mut("test").trace
         else {
             unreachable!("an incast trace")
         };
-        assert_eq!((at_ms, horizon_ms), (1.0, 4.0));
-        // A given scenario goes in untouched by its own keys' defaults.
-        let incast = TraceScenario::Incast {
-            fan_in: 3,
-            burst_bytes: 9,
-            at_ms: 0.25,
-            horizon_ms: 5.0,
-        };
-        assert_eq!(TraceSpec::new(incast.clone()).scenario, incast);
-        let laws = AnalyticScenario::Laws { tolerance: 0.5 };
-        assert_eq!(AnalyticSpec::new(laws.clone()).scenario, laws);
+        assert_eq!((tick_us, horizon_ms), (20.0, 4.0));
         // Sweeps: 4 ms + 6 ms.
         let sweep = parsed(&star_sweep_with("[sweep]", ""));
         let sweep = sweep.sweep_body("test");
@@ -2000,7 +1833,7 @@ seeds = [1]
         let built = built.sweep_body("test");
         assert_eq!((built.horizon_ms, built.drain_ms), (4.0, 6.0));
         // Analytic scenarios are their `[analytic]` table and nothing else.
-        let an = ScenarioSpec::new_analytic("a", AnalyticSpec::new(laws.clone()));
-        assert_eq!(an.kind, ScenarioKind::Analytic(AnalyticSpec::new(laws)));
+        let an = ScenarioSpec::new_analytic("a", AnalyticScenario::Laws);
+        assert_eq!(an.kind, ScenarioKind::Analytic(AnalyticScenario::Laws));
     }
 }

@@ -13,10 +13,11 @@
 //! parallel and the report is byte-identical at any thread count.
 
 use crate::algo::Algo;
-use crate::analytic_engine::{analytic_entries, run_analytic_entry};
+use crate::analytic_engine::{analytic_entries, run_analytic_entry, MAX_CHANNEL_ROWS};
 use crate::engine::EDGE_HOST_DELAY;
 use crate::spec::{
-    rotor_run_length, ParamSpec, ScenarioKind, ScenarioSpec, TraceScenario, TraceSpec,
+    rotor_run_length, ParamSpec, ScenarioKind, ScenarioSpec, TraceScenario, FAIRNESS_STAGGER_MS,
+    INCAST_AT_MS,
 };
 use dcn_sim::{
     build_star, cc_probe, host_throughput_probe, queue_probe, rate_probe, star_host_id,
@@ -66,7 +67,7 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
         });
     };
     let algos = &timeseries.lineup.algos;
-    match &timeseries.trace.scenario {
+    match &timeseries.trace {
         TraceScenario::Response => {
             push("analytic".into(), Algo::PowerTcp, Tick::ZERO);
         }
@@ -107,31 +108,36 @@ pub fn run_trace_entry_observed(
         ScenarioKind::Timeseries(timeseries) => timeseries,
         ScenarioKind::Analytic(analytic) => return (run_analytic_entry(analytic, entry), None),
     };
-    let trace = &timeseries.trace;
     let ms = |ms: f64| Tick::from_secs_f64(ms / 1e3);
-    match &trace.scenario {
-        TraceScenario::Response => (response_trace(trace, entry), None),
+    let us = |us: f64| Tick::from_secs_f64(us / 1e6);
+    match &timeseries.trace {
+        TraceScenario::Response => (response_trace(entry), None),
         TraceScenario::Incast {
+            tick_us,
             fan_in,
             burst_bytes,
-            at_ms,
             horizon_ms,
-        } => incast_trace(trace, ms(*horizon_ms), entry, *fan_in, *burst_bytes, *at_ms),
+        } => incast_trace(us(*tick_us), ms(*horizon_ms), entry, *fan_in, *burst_bytes),
         TraceScenario::Fairness {
+            tick_us,
             flows,
-            stagger_ms,
             horizon_ms,
-        } => fairness_trace(trace, ms(*horizon_ms), entry, *flows, *stagger_ms),
+        } => fairness_trace(us(*tick_us), ms(*horizon_ms), entry, *flows),
         TraceScenario::Rdcn {
-            weeks, packet_gbps, ..
-        } => rdcn_trace(trace, entry, *weeks, *packet_gbps),
+            tick_us,
+            weeks,
+            packet_gbps,
+            ..
+        } => rdcn_trace(us(*tick_us), entry, *weeks, *packet_gbps),
     }
 }
 
-/// One channel of a trace scenario's vocabulary: its name and unit. The
-/// tables below are the one list [`channel_names`] (what a `[trace]
-/// channels` filter may select) and the fixtures (what gets recorded)
-/// both read, in recording order.
+/// Samples each channel's ring keeps (the oldest are evicted beyond
+/// this; no builtin's run reaches it).
+const RING_SAMPLES: usize = 4096;
+
+/// One channel of a trace scenario: its name and unit. The fixtures
+/// register their channels from these tables, in recording order.
 type ChannelRow = (&'static str, &'static str);
 
 /// `response`: the unit is the x-axis (the swept quantity); y is the
@@ -158,19 +164,6 @@ fn bottleneck_channels(backlog: &'static str) -> [ChannelRow; 4] {
 fn fairness_channels(i: usize) -> [(String, &'static str); 3] {
     [("flow", "Gbps"), ("cwnd", "bytes"), ("power", "gamma")]
         .map(|(what, unit)| (format!("{what}-{i}"), unit))
-}
-
-/// [`TraceScenario::channel_names`]: every name of the scenario's table.
-pub(crate) fn channel_names(scenario: &TraceScenario) -> Vec<String> {
-    let names = |table: &[ChannelRow]| table.iter().map(|(name, _)| name.to_string()).collect();
-    match scenario {
-        TraceScenario::Response => names(&RESPONSE_CHANNELS),
-        TraceScenario::Incast { .. } => names(&bottleneck_channels("queue")),
-        TraceScenario::Fairness { flows, .. } => (1..=*flows)
-            .flat_map(|i| fairness_channels(i).map(|(name, _)| name))
-            .collect(),
-        TraceScenario::Rdcn { .. } => names(&bottleneck_channels("voq")),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -235,45 +228,23 @@ impl Window {
     }
 }
 
-/// The spec-level probe selection (`[trace] channels`): empty selects
-/// everything. Filtered-out probes are never registered (or record into
-/// no channel when they also feed stat windows), so a filtered run does
-/// strictly less work — and, because tracers are read-only observers,
-/// the channels that *are* recorded stay byte-identical to a full run.
-struct Sel<'a>(&'a [String]);
-
-impl Sel<'_> {
-    fn on(&self, name: &str) -> bool {
-        self.0.is_empty() || self.0.iter().any(|c| c == name)
-    }
-
-    /// Register the selected channels of a vocabulary table, in its
-    /// order (`None` for a channel filtered out).
-    fn open<const N: usize>(
-        &self,
-        rec: &SharedRecorder,
-        table: [(impl AsRef<str>, &str); N],
-    ) -> [Option<ChannelId>; N] {
-        let mut rec = rec.borrow_mut();
-        table.map(|(name, unit)| {
-            let name = name.as_ref();
-            self.on(name).then(|| rec.channel(name, unit))
-        })
-    }
+/// Register every channel of a table, in its order.
+fn open<const N: usize>(
+    rec: &SharedRecorder,
+    table: [(impl AsRef<str>, &str); N],
+) -> [ChannelId; N] {
+    let mut rec = rec.borrow_mut();
+    table.map(|(name, unit)| rec.channel(name.as_ref(), unit))
 }
 
-/// A recorder sink that also feeds streaming window accumulators. The
-/// channel is optional so a probe whose channel is filtered out can keep
-/// feeding the windows that scalar stats are reduced from.
+/// A recorder sink that also feeds streaming window accumulators.
 fn record_and(
     rec: SharedRecorder,
-    ch: Option<ChannelId>,
+    ch: ChannelId,
     windows: Vec<Rc<RefCell<Window>>>,
 ) -> impl FnMut(Tick, f64) + 'static {
     move |t, v| {
-        if let Some(ch) = ch {
-            rec.borrow_mut().record_at(ch, t, v);
-        }
+        rec.borrow_mut().record_at(ch, t, v);
         let x = t.as_micros_f64();
         for w in &windows {
             w.borrow_mut().push(x, v);
@@ -298,32 +269,28 @@ fn star_transport(expected_flows: u32) -> TransportConfig {
     }
 }
 
-/// Sample one host's first active flow into cwnd / power channels
-/// (either may be filtered out; callers skip the probe entirely when
-/// both are).
+/// Sample one host's first active flow into cwnd / power channels.
 fn cc_sink(
     rec: SharedRecorder,
-    cwnd_ch: Option<ChannelId>,
-    power_ch: Option<ChannelId>,
+    cwnd_ch: ChannelId,
+    power_ch: ChannelId,
 ) -> impl FnMut(Tick, &[dcn_sim::CcFlowSample]) + 'static {
     move |t, flows| {
         let Some(f) = flows.first() else {
             return;
         };
         let mut r = rec.borrow_mut();
-        if let Some(ch) = cwnd_ch {
-            r.record_at(ch, t, f.cwnd_bytes);
-        }
-        if let (Some(ch), Some(p)) = (power_ch, f.norm_power) {
-            r.record_at(ch, t, p);
+        r.record_at(cwnd_ch, t, f.cwnd_bytes);
+        if let Some(p) = f.norm_power {
+            r.record_at(power_ch, t, p);
         }
     }
 }
 
-fn export(rec: &Recorder, trace: &TraceSpec) -> Vec<ChannelTrace> {
+fn export(rec: &Recorder) -> Vec<ChannelTrace> {
     rec.channels()
         .iter()
-        .map(|c| ChannelTrace::from_channel_windowed(c, trace.max_rows, trace.window))
+        .map(|c| ChannelTrace::from_channel(c, MAX_CHANNEL_ROWS))
         .collect()
 }
 
@@ -334,32 +301,23 @@ fn export(rec: &Recorder, trace: &TraceSpec) -> Vec<ChannelTrace> {
 /// Figure 2: the orthogonal multiplicative-decrease responses of voltage-
 /// and current-based CC, plus the three blind-spot cases. Analytic (no
 /// simulation); channels use the swept quantity as their x-axis.
-fn response_trace(trace: &TraceSpec, entry: &TraceEntrySpec) -> TraceEntry {
-    let sel = Sel(&trace.channels);
-    let mut rec = Recorder::new(Tick::from_micros(1), trace.max_samples);
-    let [v_rate, c_rate, v_queue, c_queue] = RESPONSE_CHANNELS
-        .map(|(name, x)| sel.on(name).then(|| rec.channel_with_x(name, "factor", x)));
+fn response_trace(entry: &TraceEntrySpec) -> TraceEntry {
+    let mut rec = Recorder::new(Tick::from_micros(1), RING_SAMPLES);
+    let [v_rate, c_rate, v_queue, c_queue] =
+        RESPONSE_CHANNELS.map(|(name, x)| rec.channel_with_x(name, "factor", x));
 
     // 2a: MD vs queue buildup rate (queue fixed at one BDP).
     for r in 0..=8 {
         let r = r as f64;
-        if let Some(ch) = v_rate {
-            rec.record(ch, r, voltage_md(1.0));
-        }
-        if let Some(ch) = c_rate {
-            rec.record(ch, r, current_md(r));
-        }
+        rec.record(v_rate, r, voltage_md(1.0));
+        rec.record(c_rate, r, current_md(r));
     }
     // 2b: MD vs queue length in 1KB packets (BDP = 20 pkts, no buildup).
     let bdp_pkts = 20.0;
     for i in 0..=6 {
         let q_pkts = i as f64 * 10.0;
-        if let Some(ch) = v_queue {
-            rec.record(ch, q_pkts, voltage_md(q_pkts / bdp_pkts));
-        }
-        if let Some(ch) = c_queue {
-            rec.record(ch, q_pkts, current_md(0.0));
-        }
+        rec.record(v_queue, q_pkts, voltage_md(q_pkts / bdp_pkts));
+        rec.record(c_queue, q_pkts, current_md(0.0));
     }
     // 2c: the three blind-spot cases as stats.
     let mut stats = Vec::new();
@@ -372,7 +330,7 @@ fn response_trace(trace: &TraceSpec, entry: &TraceEntrySpec) -> TraceEntry {
     TraceEntry {
         label: entry.label.clone(),
         stats,
-        channels: export(&rec, trace),
+        channels: export(&rec),
     }
 }
 
@@ -380,23 +338,21 @@ fn response_trace(trace: &TraceSpec, entry: &TraceEntrySpec) -> TraceEntry {
 // fig4 — incast reaction on a star
 // ---------------------------------------------------------------------
 
-/// Figure 4: a long flow to one receiver; at `at_ms`, `fan_in` other
-/// hosts send `burst_bytes` each to the same receiver. A single-switch
-/// star preserves the paper's bottleneck (the receiver's ToR downlink)
-/// without the unrelated fat-tree machinery.
+/// Figure 4: a long flow to one receiver; at [`INCAST_AT_MS`], `fan_in`
+/// other hosts send `burst_bytes` each to the same receiver. A
+/// single-switch star preserves the paper's bottleneck (the receiver's
+/// ToR downlink) without the unrelated fat-tree machinery.
 fn incast_trace(
-    trace: &TraceSpec,
+    tick: Tick,
     horizon: Tick,
     entry: &TraceEntrySpec,
     fan_in: usize,
     burst_bytes: u64,
-    at_ms: f64,
 ) -> (TraceEntry, Option<dcn_sim::SimStats>) {
     let algo = entry.algo;
     let host_bw = STAR_HOST_BW;
     let n = fan_in + 2; // receiver + long-flow sender + burst senders
-    let incast_at = Tick::from_secs_f64(at_ms / 1e3);
-    let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
+    let incast_at = Tick::from_secs_f64(INCAST_AT_MS / 1e3);
     let sw_cfg = algo.switch_config(host_bw, ParamSpec::default());
 
     let receiver = star_host_id(0);
@@ -431,9 +387,8 @@ fn incast_trace(
     let sw = star.switch;
     let mut sim = Simulator::new(star.net);
 
-    let sel = Sel(&trace.channels);
-    let rec = Recorder::new_shared(tick, trace.max_samples);
-    let [thr_ch, q_ch, cwnd_ch, pw_ch] = sel.open(&rec, bottleneck_channels("queue"));
+    let rec = Recorder::new_shared(tick, RING_SAMPLES);
+    let [thr_ch, q_ch, cwnd_ch, pw_ch] = open(&rec, bottleneck_channels("queue"));
     // Reduction windows (in µs of trace time).
     let at_us = incast_at.as_micros_f64();
     let hor_us = horizon.as_micros_f64();
@@ -468,12 +423,10 @@ fn incast_trace(
             record_and(rec.clone(), q_ch, vec![peak_q.clone(), tail_q.clone()]),
         ),
     );
-    if cwnd_ch.is_some() || pw_ch.is_some() {
-        sim.add_tracer(
-            tick,
-            cc_probe(long_sender, cc_sink(rec.clone(), cwnd_ch, pw_ch)),
-        );
-    }
+    sim.add_tracer(
+        tick,
+        cc_probe(long_sender, cc_sink(rec.clone(), cwnd_ch, pw_ch)),
+    );
     sim.run_until(horizon);
     debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 
@@ -488,7 +441,7 @@ fn incast_trace(
         ("tail_throughput_mean_gbps".into(), tail_t.borrow().mean()),
         ("drops".into(), drops as f64),
     ];
-    let channels = export(&rec.borrow(), trace);
+    let channels = export(&rec.borrow());
     let trace_entry = TraceEntry {
         label: entry.label.clone(),
         stats,
@@ -501,22 +454,21 @@ fn incast_trace(
 // fig5 — fairness on a shared bottleneck
 // ---------------------------------------------------------------------
 
-/// Figure 5: `flows` senders to one receiver joining at `stagger_ms`
-/// intervals; Jain index over the window where all are active.
+/// Figure 5: `flows` senders to one receiver joining
+/// [`FAIRNESS_STAGGER_MS`] apart; Jain index over the window where all
+/// are active.
 fn fairness_trace(
-    trace: &TraceSpec,
+    tick: Tick,
     horizon: Tick,
     entry: &TraceEntrySpec,
     flows: usize,
-    stagger_ms: f64,
 ) -> (TraceEntry, Option<dcn_sim::SimStats>) {
     let algo = entry.algo;
     let host_bw = STAR_HOST_BW;
-    let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
     let receiver = star_host_id(0);
     let metrics: SharedMetrics = MetricsHub::new_shared();
     let tcfg = star_transport(flows as u32);
-    let stagger = Tick::from_secs_f64(stagger_ms / 1e3);
+    let stagger = Tick::from_secs_f64(FAIRNESS_STAGGER_MS / 1e3);
     let m2 = metrics.clone();
     let mut mk = move |id: NodeId, idx: usize| -> Box<dyn Endpoint> {
         let mut specs = Vec::new();
@@ -542,22 +494,19 @@ fn fairness_trace(
     let senders: Vec<NodeId> = (1..=flows).map(star_host_id).collect();
     let mut sim = Simulator::new(star.net);
 
-    let sel = Sel(&trace.channels);
-    let rec = Recorder::new_shared(tick, trace.max_samples);
+    let rec = Recorder::new_shared(tick, RING_SAMPLES);
     // Jain window: all flows active, allowing 0.2 ms of join transient.
-    let all_active_from = stagger_ms * (flows as f64 - 1.0) * 1e3 + 200.0;
+    let all_active_from = FAIRNESS_STAGGER_MS * (flows as f64 - 1.0) * 1e3 + 200.0;
     let mut means = Vec::new();
     for (i, &s) in senders.iter().enumerate() {
-        let [thr_ch, cwnd_ch, pw_ch] = sel.open(&rec, fairness_channels(i + 1));
+        let [thr_ch, cwnd_ch, pw_ch] = open(&rec, fairness_channels(i + 1));
         let w = Window::new(all_active_from, f64::INFINITY);
         means.push(w.clone());
         sim.add_tracer(
             tick,
             host_throughput_probe(s, record_and(rec.clone(), thr_ch, vec![w])),
         );
-        if cwnd_ch.is_some() || pw_ch.is_some() {
-            sim.add_tracer(tick, cc_probe(s, cc_sink(rec.clone(), cwnd_ch, pw_ch)));
-        }
+        sim.add_tracer(tick, cc_probe(s, cc_sink(rec.clone(), cwnd_ch, pw_ch)));
     }
     sim.run_until(horizon);
     debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
@@ -570,7 +519,7 @@ fn fairness_trace(
     for (i, share) in shares.iter().enumerate() {
         stats.push((format!("flow-{}_mean_gbps", i + 1), *share));
     }
-    let channels = export(&rec.borrow(), trace);
+    let channels = export(&rec.borrow());
     let trace_entry = TraceEntry {
         label: entry.label.clone(),
         stats,
@@ -587,7 +536,7 @@ fn fairness_trace(
 /// rack 1 for `weeks` of the rotor schedule; traces rack-pair throughput
 /// and VOQ occupancy.
 fn rdcn_trace(
-    trace: &TraceSpec,
+    tick: Tick,
     entry: &TraceEntrySpec,
     weeks: u64,
     packet_gbps: f64,
@@ -608,7 +557,6 @@ fn rdcn_trace(
     };
     let schedule = cfg.schedule;
     let metrics: SharedMetrics = MetricsHub::new_shared();
-    let tick = Tick::from_secs_f64(trace.tick_us / 1e6);
 
     let base_rtt = cfg.base_rtt();
     let tcfg = TransportConfig {
@@ -629,38 +577,28 @@ fn rdcn_trace(
     let hpt = r.cfg.hosts_per_tor;
     let mut sim = Simulator::new(r.net);
 
-    let sel = Sel(&trace.channels);
-    let rec = Recorder::new_shared(tick, trace.max_samples);
-    let [thr_ch, voq_ch, cwnd_ch, pw_ch] = sel.open(&rec, bottleneck_channels("voq"));
-    {
-        // Rack-0 egress throughput towards rack 1 (circuit + packet).
-        if let Some(thr_ch) = thr_ch {
-            let rec2 = rec.clone();
-            let tx_bytes = move |net: &dcn_sim::Network| {
-                let dcn_sim::Node::Custom(c) = net.node(tor0) else {
-                    panic!("ToR is a custom node")
-                };
-                c.ports[hpt].tx_bytes + c.ports[hpt + 1].tx_bytes
-            };
-            let sink = move |now, gbps| rec2.borrow_mut().record_at(thr_ch, now, gbps);
-            sim.add_tracer(tick, rate_probe(tx_bytes, sink));
-        }
-        // Rack-0 → rack-1 VOQ occupancy.
-        if let Some(voq_ch) = voq_ch {
-            let rec2 = rec.clone();
-            let g = gauge.clone();
-            sim.add_tracer(tick, move |_net, now| {
-                let v = g.borrow().get(1).copied().unwrap_or(0);
-                rec2.borrow_mut().record_at(voq_ch, now, v as f64);
-            });
-        }
-        if cwnd_ch.is_some() || pw_ch.is_some() {
-            sim.add_tracer(
-                tick,
-                cc_probe(first_sender, cc_sink(rec.clone(), cwnd_ch, pw_ch)),
-            );
-        }
-    }
+    let rec = Recorder::new_shared(tick, RING_SAMPLES);
+    let [thr_ch, voq_ch, cwnd_ch, pw_ch] = open(&rec, bottleneck_channels("voq"));
+    // Rack-0 egress throughput towards rack 1 (circuit + packet).
+    let rec2 = rec.clone();
+    let tx_bytes = move |net: &dcn_sim::Network| {
+        let dcn_sim::Node::Custom(c) = net.node(tor0) else {
+            panic!("ToR is a custom node")
+        };
+        c.ports[hpt].tx_bytes + c.ports[hpt + 1].tx_bytes
+    };
+    let record = move |now, gbps| rec2.borrow_mut().record_at(thr_ch, now, gbps);
+    sim.add_tracer(tick, rate_probe(tx_bytes, record));
+    // Rack-0 → rack-1 VOQ occupancy.
+    let rec2 = rec.clone();
+    sim.add_tracer(tick, move |_net, now| {
+        let v = gauge.borrow().get(1).copied().unwrap_or(0);
+        rec2.borrow_mut().record_at(voq_ch, now, v as f64);
+    });
+    sim.add_tracer(
+        tick,
+        cc_probe(first_sender, cc_sink(rec.clone(), cwnd_ch, pw_ch)),
+    );
     sim.run_until(run);
     debug_assert_eq!(sim.audit(), Ok(()), "conservation audit");
 
@@ -686,7 +624,7 @@ fn rdcn_trace(
         ("completed".into(), completed as f64),
         ("offered".into(), offered as f64),
     ];
-    let channels = export(&rec.borrow(), trace);
+    let channels = export(&rec.borrow());
     let trace_entry = TraceEntry {
         label: entry.label.clone(),
         stats,
@@ -704,23 +642,21 @@ mod tests {
     }
 
     fn ts(scenario: TraceScenario) -> ScenarioSpec {
-        ScenarioSpec::timeseries(
-            "t",
-            TraceSpec {
-                max_rows: 60,
-                ..TraceSpec::new(scenario)
-            },
-        )
+        ScenarioSpec::timeseries("t", scenario)
+    }
+
+    fn incast_until(horizon_ms: f64) -> TraceScenario {
+        TraceScenario::Incast {
+            tick_us: 20.0,
+            fan_in: 4,
+            burst_bytes: 100_000,
+            horizon_ms,
+        }
     }
 
     #[test]
     fn incast_trace_builds_and_drains_a_queue() {
-        let spec = ts(TraceScenario::Incast {
-            fan_in: 4,
-            burst_bytes: 100_000,
-            at_ms: 1.0,
-            horizon_ms: 3.0,
-        });
+        let spec = ts(incast_until(3.0));
         let entries = trace_entries(&spec);
         assert_eq!(entries.len(), 1);
         let e = run_trace_entry(&spec, &entries[0]);
@@ -740,14 +676,14 @@ mod tests {
         // The cwnd and power probes saw the long flow.
         assert!(!e.channel("cwnd").unwrap().samples.is_empty());
         assert!(!e.channel("power").unwrap().samples.is_empty());
-        assert!(e.channel("queue").unwrap().samples.len() <= 60);
+        assert!(e.channel("queue").unwrap().samples.len() <= MAX_CHANNEL_ROWS);
     }
 
     #[test]
     fn fairness_trace_shares_fairly_under_powertcp() {
         let spec = ts(TraceScenario::Fairness {
+            tick_us: 20.0,
             flows: 4,
-            stagger_ms: 0.5,
             horizon_ms: 5.0,
         });
         let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
@@ -765,6 +701,7 @@ mod tests {
     #[test]
     fn rdcn_trace_fills_the_circuit() {
         let mut spec = ts(TraceScenario::Rdcn {
+            tick_us: 10.0,
             weeks: 2,
             packet_gbps: 25.0,
             retcp_prebuffer_us: vec![600.0],
@@ -785,124 +722,49 @@ mod tests {
         );
     }
 
-    #[test]
-    fn channel_filter_records_only_selected_probes_without_moving_bytes() {
-        let full_spec = ts(TraceScenario::Incast {
-            fan_in: 4,
-            burst_bytes: 100_000,
-            at_ms: 1.0,
-            horizon_ms: 3.0,
-        });
-        let mut filtered_spec = full_spec.clone();
-        let ScenarioKind::Timeseries(t) = &mut filtered_spec.kind else {
-            unreachable!()
-        };
-        t.trace.channels = vec!["queue".into(), "power".into()];
-        filtered_spec.validate().unwrap();
-        let full = run_trace_entry(&full_spec, &trace_entries(&full_spec)[0]);
-        let filtered = run_trace_entry(&filtered_spec, &trace_entries(&filtered_spec)[0]);
-        // Only the requested channels exist, in recording order.
-        let names: Vec<&str> = filtered.channels.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["queue", "power"]);
-        // The recorded channels and the scalar stats are identical to the
-        // unfiltered run: skipping read-only probes must not move a byte.
-        assert_eq!(filtered.channel("queue"), full.channel("queue"));
-        assert_eq!(filtered.channel("power"), full.channel("power"));
-        assert_eq!(filtered.stats, full.stats);
-    }
-
-    /// The filter vocabulary and the fixtures read one table: an
-    /// unfiltered run records exactly `channel_names()`, in order (a
-    /// name in one list only used to go unnoticed).
+    /// Every run records its scenario's whole channel table, in order:
+    /// the report's columns.
     #[test]
     fn an_unfiltered_run_records_exactly_the_channel_vocabulary() {
-        for scenario in [
-            TraceScenario::Response,
-            TraceScenario::Incast {
-                fan_in: 2,
-                burst_bytes: 20_000,
-                at_ms: 0.2,
-                horizon_ms: 0.5,
-            },
-            TraceScenario::Fairness {
-                flows: 3,
-                stagger_ms: 0.1,
-                horizon_ms: 0.5,
-            },
-            TraceScenario::Rdcn {
-                weeks: 1,
-                packet_gbps: 25.0,
-                retcp_prebuffer_us: vec![],
-            },
+        let bottleneck = |backlog| ["throughput", backlog, "cwnd", "power"].to_vec();
+        for (scenario, names) in [
+            (
+                TraceScenario::Response,
+                RESPONSE_CHANNELS.map(|(name, _)| name).to_vec(),
+            ),
+            (
+                TraceScenario::Incast {
+                    tick_us: 20.0,
+                    fan_in: 2,
+                    burst_bytes: 20_000,
+                    horizon_ms: 1.5,
+                },
+                bottleneck("queue"),
+            ),
+            (
+                TraceScenario::Fairness {
+                    tick_us: 20.0,
+                    flows: 2,
+                    horizon_ms: 1.5,
+                },
+                ["flow-1", "cwnd-1", "power-1", "flow-2", "cwnd-2", "power-2"].to_vec(),
+            ),
+            (
+                TraceScenario::Rdcn {
+                    tick_us: 20.0,
+                    weeks: 1,
+                    packet_gbps: 25.0,
+                    retcp_prebuffer_us: vec![],
+                },
+                bottleneck("voq"),
+            ),
         ] {
             let spec = ts(scenario.clone());
             spec.validate().unwrap();
             let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
             let recorded: Vec<&str> = e.channels.iter().map(|c| c.name.as_str()).collect();
-            assert_eq!(recorded, scenario.channel_names(), "{}", scenario.key());
+            assert_eq!(recorded, names, "{}", scenario.key());
         }
-    }
-
-    #[test]
-    fn channel_filter_applies_per_flow_in_fairness_traces() {
-        let mut spec = ts(TraceScenario::Fairness {
-            flows: 3,
-            stagger_ms: 0.5,
-            horizon_ms: 3.0,
-        });
-        let ScenarioKind::Timeseries(t) = &mut spec.kind else {
-            unreachable!()
-        };
-        t.trace.channels = vec!["flow-1".into(), "flow-3".into()];
-        spec.validate().unwrap();
-        let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
-        let names: Vec<&str> = e.channels.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["flow-1", "flow-3"]);
-        // The Jain stat still reduces over every flow.
-        assert!(e.stat("jain_all_active").is_some());
-        assert!(e.stat("flow-2_mean_gbps").is_some());
-    }
-
-    #[test]
-    fn window_option_smooths_exported_channels_but_not_stats() {
-        let raw_spec = ts(TraceScenario::Incast {
-            fan_in: 4,
-            burst_bytes: 100_000,
-            at_ms: 1.0,
-            horizon_ms: 3.0,
-        });
-        let mut win_spec = raw_spec.clone();
-        {
-            let ScenarioKind::Timeseries(t) = &mut win_spec.kind else {
-                unreachable!()
-            };
-            t.trace.window = 4;
-            // Disable decimation so the window reduction is observable.
-            t.trace.max_rows = 4096;
-        }
-        let mut raw_rows = raw_spec.clone();
-        {
-            let ScenarioKind::Timeseries(t) = &mut raw_rows.kind else {
-                unreachable!()
-            };
-            t.trace.max_rows = 4096;
-        }
-        win_spec.validate().unwrap();
-        let raw = run_trace_entry(&raw_rows, &trace_entries(&raw_rows)[0]);
-        let win = run_trace_entry(&win_spec, &trace_entries(&win_spec)[0]);
-        let rq = raw.channel("queue").unwrap();
-        let wq = win.channel("queue").unwrap();
-        // Windows of 4 collapse to one row each (partial tail included).
-        assert_eq!(wq.samples.len(), rq.samples.len().div_ceil(4));
-        // Each exported sample is the mean of its window, anchored at the
-        // window's first x.
-        assert_eq!(wq.samples[0].x, rq.samples[0].x);
-        let mean0: f64 = rq.samples[..4].iter().map(|s| s.y).sum::<f64>() / 4.0;
-        assert_eq!(wq.samples[0].y, mean0);
-        // Raw-sample accounting and scalar stats are untouched: windowing
-        // is an export reduction, not a recording change.
-        assert_eq!(wq.total_samples, rq.total_samples);
-        assert_eq!(win.stats, raw.stats);
     }
 
     #[test]

@@ -254,7 +254,7 @@ fn assert_sound(text: &str) {
     match &spec.kind {
         ScenarioKind::Sweep(sweep) => assert!(sweep.horizon() <= sweep.run_end(), "{text}"),
         ScenarioKind::Timeseries(timeseries) => {
-            if let TraceScenario::Rdcn { weeks, .. } = timeseries.trace.scenario {
+            if let TraceScenario::Rdcn { weeks, .. } = timeseries.trace {
                 assert!(rotor_run_length(weeks).is_ok(), "{text}")
             }
         }

@@ -13,10 +13,11 @@ pub fn corpus() -> Vec<ScenarioSpec> {
 }
 
 /// Shapes no builtin has, so the goldens also pin every omit-when-default
-/// key written out (`buffer_cdf`, `params`, `window`, `channels`), the
-/// dumbbell topology and fixed sizes. Each text is its spec's `to_toml()`,
-/// which `spec_roundtrip.rs::every_builtin_round_trips_through_toml`
-/// checks as it checks the builtin files.
+/// key written out (`buffer_cdf`, `params`), the dumbbell topology, fixed
+/// sizes and the one law no builtin portraits (`delay`). Each text is its
+/// spec's `to_toml()`, which
+/// `spec_roundtrip.rs::every_builtin_round_trips_through_toml` checks as
+/// it checks the builtin files.
 pub const EXTRAS: [&str; 2] = [
     r#"name = "extra-dumbbell"
 description = "dumbbell, fixed sizes, every params key, \"quoted\" text"
@@ -40,24 +41,15 @@ params = ["gamma=1,n=32,eta=0.95,alpha=0.25", "alpha=2"]
 loads = [0.5, 1.0]
 seeds = [1, 2]
 "#,
-    r#"name = "extra-windowed"
-description = "10:1 incast onto a 25G downlink: queue/throughput/cwnd/power traces per protocol, paper Figure 4 (top row; scale fan_in for the bottom row)"
-kind = "timeseries"
+    r#"name = "extra-delay-phase"
+description = "a phase portrait of the delay law, which no builtin draws"
+kind = "analytic"
 
-[trace]
-scenario = "incast"
-tick_us = 20.0
-max_samples = 4096
-max_rows = 120
-window = 4
-channels = ["queue", "cwnd"]
-fan_in = 10
-burst_bytes = 150000
-at_ms = 1.0
-horizon_ms = 5.0
-
-[sweep]
-algos = ["powertcp", "theta-powertcp", "hpcc", "dcqcn", "timely", "homa:1"]
+[analytic]
+scenario = "phase"
+laws = ["delay"]
+w_over_bdp = [0.3, 2.0]
+q_over_bdp = [0.0]
 "#,
 ];
 

@@ -7,7 +7,6 @@
 
 use dcn_scenarios::{
     diff_reports, run_trace, trace_entries, Algo, ScenarioKind, ScenarioSpec, TraceScenario,
-    TraceSpec,
 };
 
 /// A small two-entry fairness trace: big enough to exercise the full
@@ -16,17 +15,10 @@ use dcn_scenarios::{
 fn golden_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::timeseries(
         "golden-fairness",
-        TraceSpec {
-            scenario: TraceScenario::Fairness {
-                flows: 2,
-                stagger_ms: 0.5,
-                horizon_ms: 2.0,
-            },
+        TraceScenario::Fairness {
             tick_us: 50.0,
-            max_samples: 256,
-            max_rows: 24,
-            window: 1,
-            channels: Vec::new(),
+            flows: 2,
+            horizon_ms: 2.0,
         },
     );
     spec.description = "pinned golden trace for cross-PR regression detection".into();

@@ -7,7 +7,7 @@
 //! determinism contract golden-tested in `crates/scenarios/tests/`).
 
 use crate::probe::{Channel, Sample};
-use crate::reduce::{decimate, window_mean};
+use crate::reduce::decimate;
 use std::borrow::Cow;
 use std::fmt::Write;
 
@@ -32,28 +32,13 @@ pub struct ChannelTrace {
 impl ChannelTrace {
     /// Export a recorder channel, decimating to at most `max_rows` rows.
     pub fn from_channel(ch: &Channel, max_rows: usize) -> Self {
-        Self::from_channel_windowed(ch, max_rows, 1)
-    }
-
-    /// Export a recorder channel through the windowed-mean reducer
-    /// (consecutive windows of `window` kept samples averaged; 1 = off)
-    /// before decimating to at most `max_rows` rows. `total_samples` and
-    /// `evicted` keep counting *raw* samples — windowing is an export
-    /// reduction, not a recording change.
-    pub fn from_channel_windowed(ch: &Channel, max_rows: usize, window: usize) -> Self {
-        let kept = ch.ring.to_vec();
-        let reduced = if window > 1 {
-            window_mean(&kept, window)
-        } else {
-            kept
-        };
         ChannelTrace {
             name: ch.name.clone(),
             unit: ch.unit.clone(),
             x_unit: ch.x_unit.clone(),
             total_samples: ch.ring.len() as u64 + ch.ring.evicted(),
             evicted: ch.ring.evicted(),
-            samples: decimate(&reduced, max_rows),
+            samples: decimate(&ch.ring.to_vec(), max_rows),
         }
     }
 }
