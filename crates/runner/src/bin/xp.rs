@@ -7,15 +7,13 @@
 //! at any thread or process count and any cache state — run metadata
 //! (cache hits/misses, process count) is surfaced on stderr and through
 //! the meta sidecar, never embedded in the byte-pinned reports.
-//! Regression comparison across PRs is `xp run fig8 --json new.json &&
-//! xp diff baseline.json new.json`; a directory of baselines compares in
-//! one shot with `xp diff baselines/ fresh/ --tol 0`.
+//! A report is pinned with `cmp baseline.json new.json`; when that
+//! fails, `xp diff baseline.json new.json` names the JSON paths that
+//! moved.
 
 use dcn_runner::cli::{self, Parsed};
-use dcn_runner::{diff_dirs, worker_main, ResultCache, RunConfig};
-use dcn_scenarios::{
-    builtin, builtin_specs, diff_csv, diff_reports, EngineKind, ScenarioKind, ScenarioSpec,
-};
+use dcn_runner::{worker_main, ResultCache, RunConfig};
+use dcn_scenarios::{builtin, builtin_specs, diff_reports, EngineKind, ScenarioKind, ScenarioSpec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -335,80 +333,19 @@ fn cache_clear(p: &Parsed) -> ExitCode {
     }
 }
 
-/// `xp diff`: two report files, or two directories of reports paired
-/// by file name. Exit 0 when everything matches within the relative
-/// tolerance, 1 on drift, 2 on usage/IO errors.
+/// `xp diff`: where two JSON reports differ. The byte pin is `cmp`;
+/// this names the JSON paths behind a failing one. Exit 0 when the
+/// parsed documents are equal, 1 on drift, 2 when an operand cannot be
+/// read or parsed as JSON.
 fn diff(p: &Parsed) -> ExitCode {
-    let (a, b) = (p.positional(0), p.positional(1));
-    let tol = p.non_negative("--tol").unwrap_or(0.0);
-    let (pa, pb) = (Path::new(a), Path::new(b));
-    match (pa.is_dir(), pb.is_dir()) {
-        (true, true) => diff_dir_pair(pa, pb, tol),
-        (false, false) => diff_file_pair(a, b, tol),
-        _ => {
-            eprintln!("error: cannot diff a directory against a file");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn diff_dir_pair(a: &Path, b: &Path, tol: f64) -> ExitCode {
-    let outcome = match diff_dirs(a, b, tol) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    for file in &outcome.files {
-        if file.differences.is_empty() {
-            eprintln!("  {}: ok ({} values)", file.name, file.compared);
-        } else {
-            for line in &file.differences {
-                outln!("{}: {line}", file.name);
-            }
-        }
-    }
-    if outcome.is_match() {
-        eprintln!(
-            "directories match: {} file(s), {} values compared (tol {tol:e})",
-            outcome.files.len(),
-            outcome.compared()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "directories DIFFER: {}/{} file(s) drifted (tol {tol:e})",
-            outcome.mismatched(),
-            outcome.files.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn diff_file_pair(a: &str, b: &str, tol: f64) -> ExitCode {
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-    let (sa, sb) = match (read(a), read(b)) {
-        (Ok(x), Ok(y)) => (x, y),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // CSV reports diff cell-wise; everything else parses as JSON. Mixed
-    // extensions make no sense to compare.
-    let (csv_a, csv_b) = (a.ends_with(".csv"), b.ends_with(".csv"));
-    if csv_a != csv_b {
-        eprintln!("error: cannot diff a CSV report against a JSON report");
-        return ExitCode::from(2);
-    }
-    let diff = if csv_a { diff_csv } else { diff_reports };
-    match diff(&sa, &sb, tol) {
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let outcome = read(p.positional(0))
+        .and_then(|a| read(p.positional(1)).map(|b| (a, b)))
+        .and_then(|(a, b)| diff_reports(&a, &b, 0.0));
+    match outcome {
         Ok(d) if d.is_match() => {
-            eprintln!(
-                "reports match: {} values compared (tol {tol:e})",
-                d.compared
-            );
+            eprintln!("reports match: {} values compared", d.compared);
             ExitCode::SUCCESS
         }
         Ok(d) => {
@@ -419,7 +356,7 @@ fn diff_file_pair(a: &str, b: &str, tol: f64) -> ExitCode {
                 outln!("... (more differences suppressed)");
             }
             eprintln!(
-                "reports DIFFER: {} difference(s) shown, {} values compared (tol {tol:e})",
+                "reports DIFFER: {} difference(s) shown, {} values compared",
                 d.differences.len(),
                 d.compared
             );

@@ -17,8 +17,6 @@ pub enum Value {
     Text(&'static str),
     /// An integer ≥ 1.
     Positive,
-    /// A finite number ≥ 0.
-    NonNegative,
     /// Comma-separated non-negative integers.
     U64List,
 }
@@ -29,7 +27,6 @@ impl Value {
             Value::Switch => None,
             Value::Text(metavar) => Some(metavar),
             Value::Positive => Some("N"),
-            Value::NonNegative => Some("X"),
             Value::U64List => Some("a,b,c"),
         }
     }
@@ -73,7 +70,7 @@ macro_rules! commands {
     };
 }
 
-use Value::{NonNegative, Positive, Switch, Text, U64List};
+use Value::{Positive, Switch, Text, U64List};
 
 /// The `xp` command line.
 pub static XP: &[Command] = commands! {
@@ -100,9 +97,7 @@ pub static XP: &[Command] = commands! {
         "--no-cache" Switch, "run jobs without the result cache";
         "--queue-cap" Positive, "queued-job bound (503 beyond) and finished jobs kept (default 64)";
     }
-    "diff" ["<a>", "<b>"] "compare two reports (JSON or CSV) or two directories of them" {
-        "--tol" NonNegative, "relative tolerance (default 0); exit 1 on drift beyond it";
-    }
+    "diff" ["<a>", "<b>"] "name the JSON paths where two JSON reports differ (exit 1 if any)" {}
     "cache stat" [] "entry count and size of the result cache" {
         "--cache-dir" Text("DIR"), "which cache (default .xp-cache)";
         "--json" Switch, "as one NDJSON record with per-engine counts";
@@ -144,7 +139,6 @@ enum Given<'a> {
     Switch,
     Text(&'a str),
     Positive(usize),
-    NonNegative(f64),
     U64List(Vec<u64>),
 }
 
@@ -218,10 +212,6 @@ fn check<'a>(row: &Flag, v: &'a str) -> Result<Given<'a>, String> {
             Ok(n) if n >= 1 => Ok(Given::Positive(n)),
             _ => Err(expects("a positive integer")),
         },
-        NonNegative => match v.parse::<f64>() {
-            Ok(x) if x >= 0.0 && x.is_finite() => Ok(Given::NonNegative(x)),
-            _ => Err(expects("a non-negative number")),
-        },
         U64List => v
             .split(',')
             .map(|s| s.trim().parse::<u64>())
@@ -272,14 +262,6 @@ impl<'a> Parsed<'a> {
         self.given(name).map(|g| match g {
             Given::Positive(n) => *n,
             other => panic!("{name} is {other:?}, not a positive integer"),
-        })
-    }
-
-    /// The value of a [`Value::NonNegative`] flag.
-    pub fn non_negative(&self, name: &str) -> Option<f64> {
-        self.given(name).map(|g| match g {
-            Given::NonNegative(x) => *x,
-            other => panic!("{name} is {other:?}, not a number"),
         })
     }
 

@@ -33,7 +33,6 @@
 //!   engine counters), one loop over the shard's items.
 //! * [`obs`] — the [`obs::RunObserver`] behind `xp run --progress` and
 //!   `--log-json`, and the versioned `--meta` sidecar renderer.
-//! * [`dirdiff`] — `xp diff` over directories of reports.
 //!
 //! The `xp serve` daemon lives in `dcn-serve` (a pure scheduling and
 //! transport layer); this crate injects the execution half through
@@ -47,7 +46,6 @@
 pub mod cache;
 pub mod cli;
 pub mod codec;
-pub mod dirdiff;
 pub mod exec;
 pub mod key;
 pub mod obs;
@@ -55,7 +53,6 @@ pub mod worker;
 
 pub use cache::{CacheStat, CacheStatDetail, ResultCache, CACHE_FORMAT};
 pub use codec::Outcome;
-pub use dirdiff::{diff_dirs, DirDiffOutcome, FileDiff};
 pub use exec::{run, serve_run_fn, serve_stat_fn, CachingSource, RunConfig, RunStats};
 pub use key::{entry_key, fnv1a64, item_key, point_key, CacheKey, SpecKeys, KEY_FORMAT};
 pub use obs::{meta_json, RunObserver, META_VERSION};

@@ -11,6 +11,9 @@
 //!   exit 2 — and nothing on a command line goes unread;
 //! * a `-` destination puts that document, and nothing else, on stdout;
 //! * a reader that closes stdout early ends `xp` quietly, with success;
+//! * `xp diff` names the JSON path behind a byte pin that fails, exits 0
+//!   on equal reports, 1 on drift and 2 on an operand that is not a JSON
+//!   file;
 //! * `xp run` refuses a packet-engine spec whose switch would outgrow
 //!   16-bit port ids, before simulating anything, and refuses `--seeds`
 //!   on a scenario kind that has none (a trace, an analytic grid),
@@ -202,7 +205,6 @@ fn every_table_row_refuses_misuse_with_exit_2_naming_the_argument() {
                 }
                 Value::Text(_) => ("x", &[]),
                 Value::Positive => ("1", &["0", "-1", "1.5", "x", ""]),
-                Value::NonNegative => ("0", &["-1", "nan", "inf", "x"]),
                 Value::U64List => ("1,2", &["1,x", "-1", "1,,2"]),
             };
             refused(&with(&base, &[flag.name]), &[flag.name, "needs a value"]);
@@ -233,9 +235,105 @@ fn arguments_nobody_looked_at_are_errors() {
     );
     refused(&["run"], &["missing <spec.toml | name>"]);
     refused(&["diff", "a.json"], &["missing <b>"]);
+    refused(
+        &["diff", "a", "b", "--tol", "0"],
+        &["unknown argument \"--tol\""],
+    );
     refused(&[], &["missing subcommand"]);
     refused(&["bench", "--check"], &["unknown subcommand \"bench\""]);
     refused(&["lint"], &["unknown subcommand \"lint\""]);
+}
+
+/// The byte range of the first number token with a fraction or an
+/// exponent in `json`, strings skipped.
+fn first_fraction_token(json: &str) -> std::ops::Range<usize> {
+    let bytes = json.as_bytes();
+    let in_number = |b: &u8| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9');
+    let (mut i, mut in_string) = (0, false);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if in_string => i += 1,
+            b'"' => in_string = !in_string,
+            b'-' | b'0'..=b'9' if !in_string => {
+                let end = i + bytes[i..].iter().take_while(|b| in_number(b)).count();
+                if json[i..end].contains(['.', 'e', 'E']) {
+                    return i..end;
+                }
+                i = end;
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    panic!("no fractional number in the document");
+}
+
+/// The first non-integer number of `j` in document order, and its path as
+/// `xp diff` prints it.
+fn first_fraction(j: &Json, path: String) -> Option<(String, f64)> {
+    match j {
+        Json::Num(x) => Some((path, *x)),
+        Json::Arr(items) => items
+            .iter()
+            .enumerate()
+            .find_map(|(i, v)| first_fraction(v, format!("{path}[{i}]"))),
+        Json::Obj(members) => members
+            .iter()
+            .find_map(|(k, v)| first_fraction(v, format!("{path}.{k}"))),
+        _ => None,
+    }
+}
+
+/// A byte pin is `cmp`; `xp diff` says where a failing one moved. One ulp
+/// on fig3's first fractional number fails the pin, and `xp diff` exits 1
+/// naming its path; an unedited copy exits 0; and an operand that is a
+/// directory or a CSV report is not a JSON file, so it exits 2.
+#[test]
+fn xp_diff_locates_a_one_ulp_drift_and_reads_only_json_files() {
+    let dir = scratch("diff");
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/tests/fig3_baseline.json"
+    );
+    let text = std::fs::read_to_string(baseline).unwrap();
+    let token = first_fraction_token(&text);
+    let (path, x) = first_fraction(&parse_json(&text).unwrap(), "$".into()).unwrap();
+    assert_eq!(text[token.clone()].parse::<f64>(), Ok(x), "{path}");
+    let next = f64::from_bits(x.to_bits() + 1);
+    let moved = format!("{}{next:?}{}", &text[..token.start], &text[token.end..]);
+    let (copy, drifted) = (dir.join("copy.json"), dir.join("drifted.json"));
+    std::fs::write(&copy, &text).unwrap();
+    std::fs::write(&drifted, &moved).unwrap();
+    assert_ne!(
+        std::fs::read(baseline).unwrap(),
+        std::fs::read(&drifted).unwrap(),
+        "cmp must fail on a one-ulp drift"
+    );
+
+    let diff = |a: &std::path::Path, b: &std::path::Path| {
+        Command::new(XP).arg("diff").arg(a).arg(b).output().unwrap()
+    };
+    let out = diff(baseline.as_ref(), &drifted);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.lines().any(|l| l.starts_with(&format!("{path}: "))),
+        "want {path} on stdout, got {stdout}"
+    );
+    let out = diff(baseline.as_ref(), &copy);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(out.stdout.is_empty());
+
+    let csv = dir.join("fig3.csv");
+    std::fs::write(&csv, "scenario,entry\nfig3,queue-length\n").unwrap();
+    for (a, b) in [(&dir, &dir), (&csv, &csv)] {
+        let out = diff(a, b);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{a:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{a:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `-` means stdout, and only the document goes there: the table moves

@@ -51,6 +51,7 @@
 //! | R40 | `try_single_bottleneck` or `fastpath` in `flow/src/lib.rs` or `reference.rs`: one allocator |
 //! | R41 | `caps: Vec<f64>` in `flow/src/lib.rs`: capacities are runs |
 //! | R42 | a `let up` / `let down` `Vec<LinkId>` table in `scenarios/src/flow_engine.rs`: host links are arithmetic |
+//! | R43 | a `crates/scenarios/tests/*_baseline.json` that is no operand of a `cmp` line of `.github/workflows/ci.yml`, or a line there that holds `--tol`: a report is pinned byte for byte |
 //!
 //! R6's other half is the offline resolve itself, which refuses a registry
 //! dependency before this test compiles. DESIGN.md "Static analysis" has
@@ -77,6 +78,9 @@ const TOPOLOGY_RS: &str = "crates/sim/src/topology.rs";
 const TOKENIZER: &str = "crates/scenarios/src/diff.rs";
 const XP: &str = "crates/runner/src/bin/xp.rs";
 const HTML_RS: &str = "crates/serve/src/html.rs";
+const CI_YML: &str = ".github/workflows/ci.yml";
+/// Where the committed `*_baseline.json` reports live.
+const BASELINES: &str = "crates/scenarios/tests/";
 
 fn root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -86,14 +90,14 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
 }
 
-/// The tree on disk, read once per test binary: the root manifest, every
-/// member's manifest, both lock files and every file under [`RUST`]
-/// (builtins and test data included).
+/// The tree on disk, read once per test binary: the root manifest, the CI
+/// workflow, every member's manifest, both lock files and every file under
+/// [`RUST`] (builtins and test data included).
 fn on_disk() -> Tree {
     static DISK: OnceLock<Tree> = OnceLock::new();
     DISK.get_or_init(|| {
         let mut tree = Tree::new();
-        for rel in ["Cargo.toml"].into_iter().chain(LOCKS) {
+        for rel in ["Cargo.toml", CI_YML].into_iter().chain(LOCKS) {
             tree.insert(rel.to_string(), read(rel));
         }
         for member in list(&tree["Cargo.toml"], "members").1 {
@@ -505,6 +509,7 @@ const CHECKS: &[(&str, Check)] = &[
         let why = "the daemon's NDJSON records are its one rendering: no HTML";
         vec![format!("{HTML_RS}: rule[{id}] {why}")]
     }),
+    ("R43", byte_pins),
 ];
 
 /// The files under `dir` (a file or a directory), this one left out.
@@ -731,6 +736,50 @@ fn one_binary(tree: &Tree, id: &str, _: &dyn Fn(&str) -> bool) -> Vec<String> {
         .collect();
     if !tree.contains_key(XP) {
         out.push(missing(XP, id));
+    }
+    out
+}
+
+/// R43: every committed `*_baseline.json` is an operand of some `cmp`
+/// line of `ci.yml`, and no line there holds `--tol`: a report is pinned
+/// byte for byte, and `xp diff` only locates what a failing `cmp` found.
+fn byte_pins(tree: &Tree, id: &str, _: &dyn Fn(&str) -> bool) -> Vec<String> {
+    let Some(ci) = tree.get(CI_YML) else {
+        return vec![missing(CI_YML, id)];
+    };
+    let operands: Vec<&str> = ci
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("cmp "))
+        .flat_map(|rest| rest.split_whitespace().take(2))
+        .collect();
+    let mut out: Vec<String> = ci
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("--tol"))
+        .map(|(i, _)| {
+            format!(
+                "{CI_YML}:{}: rule[{id}] `--tol`: a report is pinned with `cmp`, byte for byte",
+                i + 1
+            )
+        })
+        .collect();
+    let baselines: Vec<&String> = tree
+        .keys()
+        .filter(|p| {
+            p.strip_prefix(BASELINES)
+                .is_some_and(|file| !file.contains('/') && file.ends_with("_baseline.json"))
+        })
+        .collect();
+    for path in &baselines {
+        if !operands.contains(&path.as_str()) {
+            out.push(format!(
+                "{CI_YML}: rule[{id}] `{path}` is the operand of no `cmp` line: a committed \
+                 baseline is pinned byte for byte"
+            ));
+        }
+    }
+    if baselines.is_empty() {
+        out.push(missing(&format!("{BASELINES}<a *_baseline.json>"), id));
     }
     out
 }
@@ -1124,6 +1173,20 @@ const PLANTED: &[(&str, &str, Edit)] = &[
         "R42",
         "crates/scenarios/src/flow_engine.rs",
         Append("let up: Vec<LinkId> = Vec::new();\n"),
+    ),
+    (
+        "R43",
+        CI_YML,
+        Swap(
+            "          cmp crates/scenarios/tests/fig3_baseline.json warm.json || { \
+             ./target/release/xp diff crates/scenarios/tests/fig3_baseline.json warm.json; exit 1; }\n",
+            "",
+        ),
+    ),
+    (
+        "R43",
+        CI_YML,
+        Append("          ./target/release/xp diff a.json b.json --tol 0\n"),
     ),
     // This file lists the needles; every other runner test is read (below).
     (PASSES, SELF, Append(RUNNER_TEST_NEEDLE)),

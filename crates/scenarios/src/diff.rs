@@ -1,8 +1,9 @@
-//! Report diffing for cross-PR regression comparison.
+//! Report diffing: where two JSON reports differ.
 //!
-//! `xp diff a.json b.json [--tol 1e-6]` compares two sweep or trace
-//! reports structurally: strings/booleans exactly, numbers within a
-//! relative tolerance, arrays and objects element-by-element.
+//! A report is pinned byte for byte with `cmp`; `xp diff a.json b.json`
+//! locates the drift behind a failing pin. It compares the two parsed
+//! documents structurally (strings, booleans and numbers by value, arrays
+//! and objects element by element) and prints the path of each difference.
 //!
 //! [`Parser`] is the workspace's one JSON reader: a hand-rolled pull
 //! reader over standard JSON (keeping it local avoids a serde dependency
@@ -580,7 +581,9 @@ pub const MAX_DIFFERENCES: usize = 20;
 
 /// Compare two report documents. Numbers drift-match within relative
 /// tolerance `tol` (`|a−b| ≤ tol · max(1, |a|, |b|)`; `tol = 0` demands
-/// exact equality); everything else compares exactly.
+/// exact equality); everything else compares exactly. `xp diff` and
+/// every caller in the workspace pass `0.0`; the parameter stays while
+/// the benchmark harness passes it.
 pub fn diff_reports(a: &str, b: &str, tol: f64) -> Result<DiffOutcome, String> {
     let a = parse_json(a).map_err(|e| format!("first report: {e}"))?;
     let b = parse_json(b).map_err(|e| format!("second report: {e}"))?;
@@ -615,103 +618,6 @@ fn note(out: &mut DiffOutcome, msg: String) {
     } else {
         out.truncated = true;
     }
-}
-
-// ---------------------------------------------------------------------
-// CSV reports
-// ---------------------------------------------------------------------
-
-/// Split one CSV line into cells, honoring the quoting the report
-/// renderers emit (`"..."` with `""` escaping a quote).
-pub(crate) fn csv_cells(line: &str) -> Vec<String> {
-    let mut cells = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut quoted = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    quoted = false;
-                }
-            }
-            '"' if cur.is_empty() => quoted = true,
-            ',' if !quoted => cells.push(std::mem::take(&mut cur)),
-            c => cur.push(c),
-        }
-    }
-    cells.push(cur);
-    cells
-}
-
-/// Compare two CSV report documents cell by cell: numeric cells (both
-/// sides parse as numbers) drift-match within relative tolerance `tol` —
-/// integer-looking cells compare exactly in `i128` first, like JSON
-/// integer tokens — and everything else (headers, labels, empty cells)
-/// compares as strings. Row and column counts must match. Same contract
-/// as [`diff_reports`]: `tol = 0` demands exact numeric equality.
-pub fn diff_csv(a: &str, b: &str, tol: f64) -> Result<DiffOutcome, String> {
-    let mut out = DiffOutcome {
-        differences: Vec::new(),
-        truncated: false,
-        compared: 0,
-    };
-    let rows_a: Vec<&str> = a.lines().collect();
-    let rows_b: Vec<&str> = b.lines().collect();
-    if rows_a.len() != rows_b.len() {
-        note(
-            &mut out,
-            format!("row count {} != {}", rows_a.len(), rows_b.len()),
-        );
-    }
-    for (i, (ra, rb)) in rows_a.iter().zip(&rows_b).enumerate() {
-        let ca = csv_cells(ra);
-        let cb = csv_cells(rb);
-        let row = i + 1;
-        if ca.len() != cb.len() {
-            note(
-                &mut out,
-                format!("row {row}: column count {} != {}", ca.len(), cb.len()),
-            );
-            continue;
-        }
-        for (j, (x, y)) in ca.iter().zip(&cb).enumerate() {
-            let path = format!("row {row} col {}", j + 1);
-            out.compared += 1;
-            let int_like =
-                |s: &str| !s.is_empty() && !s.bytes().any(|b| matches!(b, b'.' | b'e' | b'E'));
-            if int_like(x) && int_like(y) {
-                if let (Ok(ix), Ok(iy)) = (x.parse::<i128>(), y.parse::<i128>()) {
-                    if ix != iy {
-                        let drift = ix.abs_diff(iy) as f64;
-                        let scale = 1.0f64.max((ix as f64).abs()).max((iy as f64).abs());
-                        if !(tol > 0.0 && drift <= tol * scale) {
-                            note(
-                                &mut out,
-                                format!(
-                                    "{path}: {x} vs {y} (drift {:.3e} > tol {tol:.3e})",
-                                    drift / scale
-                                ),
-                            );
-                        }
-                    }
-                    continue;
-                }
-            }
-            match (x.parse::<f64>(), y.parse::<f64>()) {
-                (Ok(fx), Ok(fy)) => note_float_drift(fx, fy, tol, &path, &mut out),
-                _ => {
-                    if x != y {
-                        note(&mut out, format!("{path}: {x:?} != {y:?}"));
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 fn walk(a: &Json, b: &Json, tol: f64, path: &str, out: &mut DiffOutcome) {
@@ -957,50 +863,6 @@ mod tests {
         assert!(!diff_reports(r#"{"v": 4}"#, r#"{"v": 4.5}"#, 0.0)
             .unwrap()
             .is_match());
-    }
-
-    #[test]
-    fn csv_cells_honor_quoting() {
-        assert_eq!(csv_cells("a,b,c"), vec!["a", "b", "c"]);
-        assert_eq!(csv_cells("a,,c"), vec!["a", "", "c"]);
-        assert_eq!(
-            csv_cells(r#""x, y",1,"he said ""hi""""#),
-            vec!["x, y", "1", "he said \"hi\""]
-        );
-    }
-
-    #[test]
-    fn csv_diff_matches_identical_and_flags_drift() {
-        let a = "scenario,algo,load,mean\nr,powertcp,0.5,1.25\nr,hpcc,0.5,2.5\n";
-        let d = diff_csv(a, a, 0.0).unwrap();
-        assert!(d.is_match());
-        assert_eq!(d.compared, 12);
-
-        // Numeric drift obeys the tolerance; headers/labels never do.
-        let b = "scenario,algo,load,mean\nr,powertcp,0.5,1.26\nr,hpcc,0.5,2.5\n";
-        assert!(!diff_csv(a, b, 0.0).unwrap().is_match());
-        assert!(!diff_csv(a, b, 1e-6).unwrap().is_match());
-        assert!(diff_csv(a, b, 0.01).unwrap().is_match());
-        let c = "scenario,algo,load,mean\nr,dcqcn,0.5,1.25\nr,hpcc,0.5,2.5\n";
-        assert!(!diff_csv(a, c, 100.0).unwrap().is_match());
-
-        // Shape changes are always drift.
-        let short = "scenario,algo,load,mean\nr,powertcp,0.5,1.25\n";
-        let narrow = "scenario,algo,load\nr,powertcp,0.5\nr,hpcc,0.5\n";
-        assert!(!diff_csv(a, short, 1.0).unwrap().is_match());
-        assert!(!diff_csv(a, narrow, 1.0).unwrap().is_match());
-    }
-
-    #[test]
-    fn csv_integer_cells_above_2_53_compare_exactly() {
-        let a = "tx\n9007199254740993\n";
-        let b = "tx\n9007199254740992\n";
-        assert!(!diff_csv(a, b, 0.0).unwrap().is_match());
-        assert!(diff_csv(a, b, 1e-9).unwrap().is_match());
-        assert!(diff_csv(a, a, 0.0).unwrap().is_match());
-        // Empty cells match empty cells, not zeros.
-        assert!(diff_csv("a,\n", "a,\n", 0.0).unwrap().is_match());
-        assert!(!diff_csv("a,\n", "a,0\n", 0.0).unwrap().is_match());
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub mod trace_engine;
 
 pub use algo::Algo;
 pub use analytic_engine::{analytic_entries, run_analytic_entry};
-pub use diff::{diff_csv, diff_reports, DiffOutcome};
+pub use diff::{diff_reports, DiffOutcome};
 pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale};
 pub use library::{builtin, builtin_specs};
 pub use obs::{

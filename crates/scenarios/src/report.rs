@@ -719,6 +719,42 @@ mod tests {
         assert!(j.contains("\"algo\": \"powertcp\""));
     }
 
+    /// Split one CSV line into cells, honoring the quoting the report
+    /// writers emit (`"..."` with `""` escaping a quote).
+    fn csv_cells(line: &str) -> Vec<String> {
+        let mut cells = Vec::new();
+        let mut cur = String::new();
+        let mut chars = line.chars().peekable();
+        let mut quoted = false;
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted => {
+                    if chars.peek() == Some(&'"') {
+                        chars.next();
+                        cur.push('"');
+                    } else {
+                        quoted = false;
+                    }
+                }
+                '"' if cur.is_empty() => quoted = true,
+                ',' if !quoted => cells.push(std::mem::take(&mut cur)),
+                c => cur.push(c),
+            }
+        }
+        cells.push(cur);
+        cells
+    }
+
+    #[test]
+    fn csv_cells_honor_quoting() {
+        assert_eq!(csv_cells("a,b,c"), vec!["a", "b", "c"]);
+        assert_eq!(csv_cells("a,,c"), vec!["a", "", "c"]);
+        assert_eq!(
+            csv_cells(r#""x, y",1,"he said ""hi""""#),
+            vec!["x, y", "1", "he said \"hi\""]
+        );
+    }
+
     #[test]
     fn csv_has_header_and_one_row_per_aggregate() {
         // A multi-key param puts a comma in the algo label, which must be
@@ -737,7 +773,7 @@ mod tests {
             let csv = SweepResult::build(&spec, outcomes).to_csv();
             // Every row of every table has its header's cell count.
             for table in csv.split("\n\n") {
-                let mut rows = table.lines().map(crate::diff::csv_cells);
+                let mut rows = table.lines().map(csv_cells);
                 let header = rows.next().unwrap().len();
                 for (i, row) in rows.enumerate() {
                     assert_eq!(row.len(), header, "row {i} of {table}");

@@ -7,7 +7,7 @@
 //! determinism contract golden-tested in `crates/scenarios/tests/`).
 
 use crate::probe::{Channel, Sample};
-use crate::reduce::decimate;
+use crate::reduce::kept_rows;
 use std::borrow::Cow;
 use std::fmt::Write;
 
@@ -30,7 +30,9 @@ pub struct ChannelTrace {
 }
 
 impl ChannelTrace {
-    /// Export a recorder channel, decimating to at most `max_rows` rows.
+    /// Export a recorder channel, decimating to at most `max_rows` rows:
+    /// the rows [`decimate`](crate::decimate) keeps of the ring's samples,
+    /// read from the ring without copying it.
     pub fn from_channel(ch: &Channel, max_rows: usize) -> Self {
         ChannelTrace {
             name: ch.name.clone(),
@@ -38,7 +40,13 @@ impl ChannelTrace {
             x_unit: ch.x_unit.clone(),
             total_samples: ch.ring.len() as u64 + ch.ring.evicted(),
             evicted: ch.ring.evicted(),
-            samples: decimate(&ch.ring.to_vec(), max_rows),
+            samples: kept_rows(ch.ring.len(), max_rows)
+                .map(|i| {
+                    *ch.ring
+                        .get(i)
+                        .expect("a kept row is below the ring's length")
+                })
+                .collect(),
         }
     }
 }
@@ -330,6 +338,29 @@ mod tests {
         assert_eq!(t.evicted, 12);
         assert!(t.samples.len() <= 4);
         assert_eq!(t.samples[0].x, 12.0); // oldest kept sample
+    }
+
+    /// Picking rows from the ring in place exports what decimating a copy
+    /// of it did: rings that wrapped and rings that did not, with a row
+    /// budget below, at and above the samples held.
+    #[test]
+    fn rows_picked_from_the_ring_are_a_decimated_copy() {
+        for (capacity, pushed) in [(8, 5), (8, 8), (8, 20), (8, 23), (1, 3), (120, 4096)] {
+            let mut r = Recorder::new(Tick::from_micros(1), capacity);
+            let c = r.channel("c", "u");
+            for i in 0..pushed {
+                r.record(c, i as f64, (i * i) as f64);
+            }
+            let ch = r.get(c);
+            let len = ch.ring.len();
+            for max_rows in [0, 1, 2, len.saturating_sub(1), len, len + 1, 120] {
+                assert_eq!(
+                    ChannelTrace::from_channel(ch, max_rows).samples,
+                    crate::decimate(&ch.ring.to_vec(), max_rows),
+                    "capacity {capacity}, {pushed} pushed, max_rows {max_rows}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,25 +18,33 @@ use crate::probe::Sample;
 
 /// Decimate to exactly `min(len, max_rows)` samples by fractional-index
 /// picking (order preserved; the first and last samples are always kept,
-/// so a trace's endpoint never disappears from a plot).
+/// so a trace's endpoint never disappears from a plot): the samples at
+/// [`kept_rows`].
+pub fn decimate(samples: &[Sample], max_rows: usize) -> Vec<Sample> {
+    kept_rows(samples.len(), max_rows)
+        .map(|i| samples[i])
+        .collect()
+}
+
+/// The indices, in order, of the `min(len, max_rows)` samples of `len`
+/// that [`decimate`] keeps; exporting a ring picks them from it in place.
 ///
 /// Row `i` takes the sample at `⌊i·(len−1)/(max_rows−1)⌋`, which spreads
 /// the row budget evenly instead of the integer-stride rule that could
 /// return barely half of `max_rows` (e.g. `len=11, max_rows=10` kept only
 /// 6 samples and dropped the final one). With `max_rows = 1` the last
 /// sample wins (the always-keep-the-last rule takes precedence).
-pub fn decimate(samples: &[Sample], max_rows: usize) -> Vec<Sample> {
+pub(crate) fn kept_rows(len: usize, max_rows: usize) -> impl Iterator<Item = usize> {
     let max_rows = max_rows.max(1);
-    let len = samples.len();
-    if len <= max_rows {
-        return samples.to_vec();
-    }
-    if max_rows == 1 {
-        return vec![*samples.last().expect("len > max_rows >= 1")];
-    }
-    (0..max_rows)
-        .map(|i| samples[i * (len - 1) / (max_rows - 1)])
-        .collect()
+    (0..len.min(max_rows)).map(move |i| {
+        if len <= max_rows {
+            i
+        } else if max_rows == 1 {
+            len - 1
+        } else {
+            i * (len - 1) / (max_rows - 1)
+        }
+    })
 }
 
 /// Average consecutive windows of `window` samples (partial tail window

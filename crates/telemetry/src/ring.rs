@@ -59,6 +59,12 @@ impl<T> RingBuffer<T> {
         }
     }
 
+    /// The `i`-th element counted from the oldest (`None` past the newest).
+    pub fn get(&self, i: usize) -> Option<&T> {
+        // Until the ring is full, `head` is 0 and the oldest is `buf[0]`.
+        (i < self.buf.len()).then(|| &self.buf[(self.head + i) % self.buf.len()])
+    }
+
     /// Iterate oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         let (tail, head) = self.buf.split_at(self.head);
@@ -103,6 +109,24 @@ mod tests {
         }
         assert_eq!(r.to_vec(), vec![995, 996, 997, 998, 999]);
         assert_eq!(r.evicted(), 995);
+    }
+
+    #[test]
+    fn get_indexes_from_the_oldest() {
+        let mut r = RingBuffer::new(4);
+        for i in 0..3 {
+            r.push(i);
+        }
+        assert_eq!(
+            (0..4).map(|i| r.get(i)).collect::<Vec<_>>(),
+            [Some(&0), Some(&1), Some(&2), None]
+        );
+        for i in 3..10 {
+            r.push(i);
+            let got: Vec<i32> = (0..r.len()).map(|i| *r.get(i).unwrap()).collect();
+            assert_eq!(got, r.to_vec());
+            assert_eq!(r.get(r.len()), None);
+        }
     }
 
     #[test]
