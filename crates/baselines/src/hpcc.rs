@@ -9,8 +9,8 @@
 //! at most `maxStage` consecutive additive-increase rounds between
 //! multiplicative adjustments.
 //!
-//! Constants (the HPCC paper's): [`ETA`] `= 0.95`, the default target
-//! utilization and the one value a spec can change; `maxStage = 5`;
+//! Constants (the HPCC paper's): [`ETA`] `= 0.95`, the target
+//! utilization; `maxStage = 5`;
 //! `W_AI = W_init·(1−η)/N`; and a 256-byte window floor. The window
 //! starts at, and is capped by, `W_init`, one host BDP.
 //!
@@ -24,8 +24,7 @@ use powertcp_core::{
     LossKind, Tick, MAX_INT_HOPS,
 };
 
-/// The HPCC paper's target utilization η. A spec sets η per sweep point
-/// (`sweep.params`, `eta=…`).
+/// The HPCC paper's target utilization η.
 pub const ETA: f64 = 0.95;
 /// Max consecutive additive-increase stages (paper: 5).
 const MAX_STAGE: u32 = 5;
@@ -35,7 +34,6 @@ const MIN_CWND_BYTES: f64 = 256.0;
 /// The HPCC sender.
 #[derive(Clone, Debug)]
 pub struct Hpcc {
-    eta: f64,
     ctx: CcContext,
     cwnd: f64,
     /// Reference window `Wc`, updated once per RTT.
@@ -51,12 +49,10 @@ pub struct Hpcc {
 }
 
 impl Hpcc {
-    /// Create an HPCC instance for one flow with target utilization `eta`
-    /// ([`ETA`] is the paper's value).
-    pub fn new(eta: f64, ctx: CcContext) -> Self {
+    /// Create an HPCC instance for one flow.
+    pub fn new(ctx: CcContext) -> Self {
         let init = ctx.host_bdp_bytes();
         Hpcc {
-            eta,
             ctx,
             cwnd: init,
             wc: init,
@@ -72,7 +68,7 @@ impl Hpcc {
 
     /// The additive increase `W_AI = W_init·(1−η)/N` in bytes.
     pub fn wai(&self) -> f64 {
-        self.ctx.host_bdp_bytes() * (1.0 - self.eta) / self.ctx.expected_flows.max(1) as f64
+        self.ctx.host_bdp_bytes() * (1.0 - ETA) / self.ctx.expected_flows.max(1) as f64
     }
 
     /// Smoothed inflight estimate (diagnostics).
@@ -121,9 +117,9 @@ impl Hpcc {
     /// ComputeWind of Algorithm 1.
     fn compute_wind(&mut self, u: f64, update_wc: bool) {
         let wai = self.wai();
-        if u >= self.eta || self.inc_stage >= MAX_STAGE {
+        if u >= ETA || self.inc_stage >= MAX_STAGE {
             // Multiplicative adjustment towards η utilization.
-            let w = self.wc / (u / self.eta) + wai;
+            let w = self.wc / (u / ETA) + wai;
             self.cwnd = clamp_cwnd(w, MIN_CWND_BYTES, self.max_cwnd);
             if update_wc {
                 self.inc_stage = 0;
@@ -219,7 +215,7 @@ mod tests {
 
     #[test]
     fn initial_window_and_wai() {
-        let h = Hpcc::new(ETA, ctx());
+        let h = Hpcc::new(ctx());
         assert!((h.cwnd() - 62_500.0).abs() < 1e-9);
         // W_init (1-eta)/N = 62500*0.05/8.
         assert!((h.wai() - 390.625).abs() < 1e-9);
@@ -227,7 +223,7 @@ mod tests {
 
     #[test]
     fn overutilized_link_shrinks_window() {
-        let mut h = Hpcc::new(ETA, ctx());
+        let mut h = Hpcc::new(ctx());
         let b = Bandwidth::gbps(25).bytes_per_sec();
         let dt = Tick::from_micros(2);
         let full = (b * dt.as_secs_f64()).round() as u64;
@@ -246,7 +242,7 @@ mod tests {
 
     #[test]
     fn underutilized_link_grows_multiplicatively_after_stages() {
-        let mut h = Hpcc::new(ETA, ctx());
+        let mut h = Hpcc::new(ctx());
         h.cwnd = 10_000.0;
         h.wc = 10_000.0;
         let b = Bandwidth::gbps(25).bytes_per_sec();
@@ -272,7 +268,7 @@ mod tests {
 
     #[test]
     fn additive_stage_counting_respects_max_stage() {
-        let mut h = Hpcc::new(ETA, ctx());
+        let mut h = Hpcc::new(ctx());
         // Start deflated so multiplicative increase is observable below
         // the window clamp; feed utilization below η to exercise AI.
         h.cwnd = 20_000.0;
@@ -303,7 +299,7 @@ mod tests {
 
     #[test]
     fn window_bounded_under_noise() {
-        let mut h = Hpcc::new(ETA, ctx());
+        let mut h = Hpcc::new(ctx());
         let mut now = Tick::from_micros(100);
         let mut tx = 0u64;
         for i in 0..300u64 {

@@ -1,38 +1,53 @@
 //! Every control law's trajectory, pinned bit for bit.
 //!
-//! One fixed synthetic event stream drives all nine laws: ACKs carrying a
+//! One fixed synthetic event stream drives every windowed law of the
+//! `Algo` registry, and NewReno, reTCP's base law: ACKs carrying a
 //! two-hop INT stack whose queue lengths and transmit counters move,
 //! rising and falling RTTs, ECN marks, timer polls over several
 //! milliseconds, reorder and timeout losses, and circuit up/down signals.
 //! After every event each law's `cwnd` bits, pacing rate, normalised
 //! power bits and (on a poll) next deadline fold into one FNV-1a digest
-//! per law. Swift, DCTCP and NewReno run in no builtin, so no report
-//! comparison would see a mistyped constant in them; this test does.
+//! per law. A builtin report runs each law only along its own few
+//! paths; this stream reaches every clamp, timer and loss branch.
 //!
 //! A digest that moves means a law's arithmetic moved. The failure
 //! message prints every law's digest. Changing any one of the laws'
 //! module constants (γ, η, every clamp, gain, timer and threshold) moves
 //! at least one digest.
 
-use cc_baselines::{hpcc::ETA, Dcqcn, Dctcp, Hpcc, NewReno, ReTcp, Swift, Timely};
+use cc_baselines::NewReno;
+use dcn_scenarios::Algo;
+use dcn_sim::FlowId;
+use dcn_transport::TransportConfig;
 use powertcp_core::{
     AckInfo, Bandwidth, CcContext, CongestionControl, IntHeader, IntHopMetadata, LossKind,
-    NetSignal, PowerTcp, ThetaPowerTcp, Tick, GAMMA,
+    NetSignal, Tick,
 };
 
-/// The laws, built the way `Algo::cc_factory` builds them.
+/// The registry's windowed laws (HOMA is a transport, not a law).
+fn windowed() -> impl Iterator<Item = Algo> {
+    Algo::all().into_iter().filter(|a| !a.is_homa())
+}
+
+/// The laws' names, in [`laws`] order.
+fn names() -> Vec<String> {
+    windowed()
+        .map(Algo::key)
+        .chain(["newreno".into()])
+        .collect()
+}
+
+/// The laws, each built by `Algo::cc_factory`, then NewReno.
 fn laws(ctx: CcContext) -> Vec<Box<dyn CongestionControl>> {
-    vec![
-        Box::new(PowerTcp::new(GAMMA, ctx)),
-        Box::new(ThetaPowerTcp::new(GAMMA, ctx)),
-        Box::new(Hpcc::new(ETA, ctx)),
-        Box::new(Dcqcn::new(ctx)),
-        Box::new(Timely::new(ctx)),
-        Box::new(Swift::new(ctx)),
-        Box::new(Dctcp::new(ctx)),
-        Box::new(NewReno::new(ctx)),
-        Box::new(ReTcp::new(ctx)),
-    ]
+    let tcfg = TransportConfig {
+        base_rtt: ctx.base_rtt,
+        mtu: ctx.mtu,
+        expected_flows: ctx.expected_flows,
+        ..TransportConfig::default()
+    };
+    let registry = windowed().map(|algo| algo.cc_factory(tcfg)(FlowId(1), ctx.host_bw));
+    let base: Box<dyn CongestionControl> = Box::new(NewReno::new(ctx));
+    registry.chain([base]).collect()
 }
 
 /// One stretch of the stream: `acks` ACKs `gap_ns` apart, the bottleneck
@@ -223,9 +238,7 @@ fn drive(ctx: CcContext, digests: &mut [Fnv]) {
 
 #[test]
 fn every_law_follows_its_pinned_trajectory() {
-    let names = [
-        "powertcp", "theta", "hpcc", "dcqcn", "timely", "swift", "dctcp", "newreno", "retcp",
-    ];
+    let names = names();
     let mut digests: Vec<Fnv> = names.iter().map(|_| Fnv(0xcbf2_9ce4_8422_2325)).collect();
     // Many flows per NIC (a small β) lets the windows reach their floors;
     // few flows lets them reach their caps.
@@ -240,7 +253,7 @@ fn every_law_follows_its_pinned_trajectory() {
     }
     let got: Vec<(&str, u64)> = names
         .iter()
-        .copied()
+        .map(String::as_str)
         .zip(digests.iter().map(|d| d.0))
         .collect();
     assert_eq!(got, EXPECTED, "a law's trajectory moved");
@@ -248,14 +261,12 @@ fn every_law_follows_its_pinned_trajectory() {
 
 /// Taken from the laws while their parameters were still config-struct
 /// defaults; the constants that replaced them must reproduce every bit.
-const EXPECTED: [(&str, u64); 9] = [
+const EXPECTED: [(&str, u64); 7] = [
     ("powertcp", 9915048454432671610),
-    ("theta", 15824202551895861589),
+    ("theta-powertcp", 15824202551895861589),
     ("hpcc", 17967967318521217729),
     ("dcqcn", 15124862163827007813),
     ("timely", 3633125445179015165),
-    ("swift", 15890734506175903177),
-    ("dctcp", 3337940768768945189),
-    ("newreno", 4578082194682728081),
     ("retcp", 8824097775454240713),
+    ("newreno", 4578082194682728081),
 ];

@@ -14,9 +14,12 @@
 //! ```
 //!
 //! differing only in the equilibrium point `e` and feedback `f(t)`
-//! (Eq. 20/21): queue-length based (HPCC-class), delay based (Swift/FAST
-//! class), RTT-gradient based (TIMELY class), and PowerTCP's power-based
-//! law, for which `w·e/f` reduces exactly to `b·τ` via Property 1.
+//! (Eq. 20/21): queue-length based (HPCC-class), RTT-gradient based
+//! (TIMELY class), and PowerTCP's power-based law, for which `w·e/f`
+//! reduces exactly to `b·τ` via Property 1. The paper's delay-based
+//! voltage law (Swift/FAST class, `e = τ`, `f = q/b + τ`) has the
+//! queue-length law's dynamics exactly at η = 1, so it is not a law of
+//! its own here.
 
 /// Shared fluid-model parameters.
 #[derive(Clone, Copy, Debug)]
@@ -87,13 +90,11 @@ impl FluidParams {
     }
 }
 
-/// The four law families the paper analyses.
+/// The law families the paper analyses, one per signal class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Law {
     /// Queue-length based (voltage): `e = b·τ`, `f = q + b·τ` — HPCC.
     QueueLength,
-    /// Delay based (voltage): `e = τ`, `f = q/b + τ` — FAST/Swift.
-    Delay,
     /// RTT-gradient based (current): `e = 1`, `f = q̇/b + 1` — TIMELY.
     RttGradient,
     /// Power based: `e = b²τ`, `f = Γ = (q+bτ)(q̇+µ)` — PowerTCP. With
@@ -106,7 +107,6 @@ impl Law {
     pub fn name(self) -> &'static str {
         match self {
             Law::QueueLength => "queue-length (voltage)",
-            Law::Delay => "delay (voltage)",
             Law::RttGradient => "rtt-gradient (current)",
             Law::Power => "power (PowerTCP)",
         }
@@ -117,7 +117,6 @@ impl Law {
     pub fn key(self) -> &'static str {
         match self {
             Law::QueueLength => "queue-length",
-            Law::Delay => "delay",
             Law::RttGradient => "rtt-gradient",
             Law::Power => "power",
         }
@@ -125,21 +124,20 @@ impl Law {
 
     /// Parse a spec identifier (any [`Law::key`]).
     pub fn parse(s: &str) -> Result<Law, String> {
-        match s.trim() {
-            "queue-length" => Ok(Law::QueueLength),
-            "delay" => Ok(Law::Delay),
-            "rtt-gradient" => Ok(Law::RttGradient),
-            "power" => Ok(Law::Power),
-            other => Err(format!(
-                "unknown control law {other:?} (expected one of: queue-length, \
-                 delay, rtt-gradient, power)"
-            )),
-        }
+        let s = s.trim();
+        let all = Law::all();
+        all.into_iter().find(|l| l.key() == s).ok_or_else(|| {
+            let keys: Vec<&str> = all.iter().map(|l| l.key()).collect();
+            format!(
+                "unknown control law {s:?} (expected one of: {})",
+                keys.join(", ")
+            )
+        })
     }
 
     /// Every law family, in the paper's presentation order.
-    pub fn all() -> [Law; 4] {
-        [Law::QueueLength, Law::Delay, Law::RttGradient, Law::Power]
+    pub fn all() -> [Law; 3] {
+        [Law::QueueLength, Law::RttGradient, Law::Power]
     }
 }
 
@@ -169,7 +167,6 @@ pub fn w_dot(law: Law, p: &FluidParams, s: State) -> f64 {
     let tau = p.base_rtt;
     let ratio = match law {
         Law::QueueLength => (p.hpcc_eta * b * tau) / (s.q + b * tau),
-        Law::Delay => tau / (s.q / b + tau),
         Law::RttGradient => {
             let g = q_dot(p, s) / b + 1.0;
             1.0 / g.max(1e-6)
@@ -215,7 +212,7 @@ mod tests {
     fn equilibrium_zeroes_derivatives_for_voltage_and_power() {
         let params = p();
         let eq = analytic_equilibrium(&params);
-        for law in [Law::QueueLength, Law::Delay, Law::Power] {
+        for law in [Law::QueueLength, Law::Power] {
             let wd = w_dot(law, &params, eq);
             // Scale-relative tolerance (w ~ 2.75e5, gamma_r ~ 4.5e5).
             assert!(
@@ -267,13 +264,16 @@ mod tests {
 
     #[test]
     fn queue_and_delay_laws_are_equivalent() {
-        // Eq. 20/21: the two voltage laws have identical fluid dynamics.
+        // Eq. 20/21: the delay law (`e = τ`, `f = q/b + τ`) has the
+        // queue-length law's fluid dynamics at η = 1, which is why it is
+        // not a `Law` of its own.
         let params = p();
+        let (b, tau) = (params.bandwidth, params.base_rtt);
         for (w, q) in [(100_000.0, 0.0), (300_000.0, 100_000.0)] {
             let s = State { w, q };
-            let a = w_dot(Law::QueueLength, &params, s);
-            let b = w_dot(Law::Delay, &params, s);
-            assert!((a - b).abs() < 1e-6 * a.abs().max(1.0));
+            let queue = w_dot(Law::QueueLength, &params, s);
+            let delay = params.gamma_r * (w * tau / (q / b + tau) - w + params.beta_hat);
+            assert!((queue - delay).abs() < 1e-6 * queue.abs().max(1.0));
         }
     }
 
@@ -298,7 +298,7 @@ mod tests {
         };
         assert!(w_dot(Law::QueueLength, &tight, s) < w_dot(Law::QueueLength, &base, s));
         // η has no effect on the other laws.
-        for law in [Law::Delay, Law::RttGradient, Law::Power] {
+        for law in [Law::RttGradient, Law::Power] {
             assert_eq!(w_dot(law, &tight, s), w_dot(law, &base, s), "{law:?}");
         }
     }

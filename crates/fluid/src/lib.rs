@@ -1,7 +1,7 @@
 //! # fluid-model
 //!
 //! The paper's analytical machinery, executable: fluid-model ODEs for the
-//! four control-law families (§2.2, Appendix C), RK4 integration, the
+//! control-law families (§2.2, Appendix C), RK4 integration, the
 //! Figure 2 response curves and Figure 3 phase portraits, and numerical
 //! verification of Theorems 1 (stability), 2 (exponential convergence
 //! with time constant δt/γ), and 3 (β-weighted proportional fairness).

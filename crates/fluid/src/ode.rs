@@ -113,7 +113,6 @@ impl Lanes {
     fn step(&mut self, law: Law, p: &FluidParams, dt: f64, live: usize) {
         match law {
             Law::QueueLength => self.step_with(p, dt, live, |p, s| w_dot(Law::QueueLength, p, s)),
-            Law::Delay => self.step_with(p, dt, live, |p, s| w_dot(Law::Delay, p, s)),
             Law::RttGradient => self.step_with(p, dt, live, |p, s| w_dot(Law::RttGradient, p, s)),
             Law::Power => self.step_with(p, dt, live, |p, s| w_dot(Law::Power, p, s)),
         }
@@ -415,7 +414,7 @@ mod tests {
     #[test]
     fn states_remain_finite_and_nonnegative() {
         let params = p();
-        for law in [Law::QueueLength, Law::Delay, Law::RttGradient, Law::Power] {
+        for law in Law::all() {
             let t = trajectory(
                 law,
                 &params,

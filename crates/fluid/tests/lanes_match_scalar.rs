@@ -1,8 +1,7 @@
 //! The lane kernel against a plain loop of `rk4_step`, bit for bit: every
 //! sampled state, every endpoint and every per-lane step count of
 //! `integrate` (and of `trajectory` / `settle`, its two plain schedules)
-//! must equal what one start integrated alone gives — for all four laws
-//! (`Delay` appears in no builtin, so no baseline pins it), over the
+//! must equal what one start integrated alone gives — for every law, over the
 //! parameters the analytic builtins use, at lane counts that leave a lane
 //! outside the packed pairs or not, from the `q = 0` boundary, with lanes
 //! that settle at different steps and lanes that never do.
@@ -123,7 +122,7 @@ fn lanes_equal_the_scalar_step_bit_for_bit() {
     // `g.max(1e-6)` clamp]
     let mut seen = [0u32; 3];
     for _ in 0..128 {
-        let law = Law::all()[rng.below(4)];
+        let law = Law::all()[rng.below(Law::all().len())];
         let p = params(&mut rng);
         // w ∈ (0, 8] BDP; q ∈ [0, 4] BDP. A quarter of the lanes start
         // at q = 0 and a quarter with w < 1e-6 BDP, where the queue
@@ -212,7 +211,7 @@ fn lanes_retire_at_their_own_step_or_never() {
         settle_from: 0,
         settle_steps: cap,
     };
-    for law in [Law::QueueLength, Law::Delay, Law::Power] {
+    for law in [Law::QueueLength, Law::Power] {
         let mut steps = assert_lanes_match(law, &p, &starts, &plan);
         assert!(steps.iter().all(|&n| n < cap), "{law:?} settles: {steps:?}");
         steps.sort_unstable();

@@ -27,7 +27,7 @@
 //! `ENGINE_VERSION` bump):
 //! `GOLDEN_REGEN=1 cargo test -p rdcn --test rdcn_golden`.
 
-use cc_baselines::{hpcc::ETA, Hpcc, ReTcp};
+use cc_baselines::{Hpcc, ReTcp};
 use dcn_sim::{Endpoint, EndpointCtx, Node, NullEndpoint, Packet, PacketKind, SimStats, Simulator};
 use dcn_transport::{CcFactory, MetricsHub, TransportConfig};
 use powertcp_core::{CongestionControl, PowerTcp, Tick, GAMMA};
@@ -162,7 +162,7 @@ fn run(r: &Run) -> (Stream, TorTx, SimStats) {
             match law {
                 Law::PowerTcp => Box::new(PowerTcp::new(GAMMA, ctx)),
                 Law::ReTcp => Box::new(ReTcp::new(ctx)),
-                Law::Hpcc => Box::new(Hpcc::new(ETA, ctx)),
+                Law::Hpcc => Box::new(Hpcc::new(ctx)),
             }
         })
     };

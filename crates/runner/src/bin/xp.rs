@@ -9,7 +9,7 @@
 //! the meta sidecar, never embedded in the byte-pinned reports.
 //! A report is pinned with `cmp baseline.json new.json`; when that
 //! fails, `xp diff baseline.json new.json` names the JSON paths that
-//! moved.
+//! moved (or, when only the format moved, the first differing byte).
 
 use dcn_runner::cli::{self, Parsed};
 use dcn_runner::{worker_main, ResultCache, RunConfig};
@@ -334,21 +334,30 @@ fn cache_clear(p: &Parsed) -> ExitCode {
 }
 
 /// `xp diff`: where two JSON reports differ. The byte pin is `cmp`;
-/// this names the JSON paths behind a failing one. Exit 0 when the
-/// parsed documents are equal, 1 on drift, 2 when an operand cannot be
-/// read or parsed as JSON.
+/// this names the JSON paths behind a failing one, or, when every value
+/// and token kind matches, the line and column of the first byte that
+/// differs. Exit 0 when the files are equal, 1 on drift, 2 when an
+/// operand cannot be read or parsed as JSON.
 fn diff(p: &Parsed) -> ExitCode {
     let read =
         |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
     let outcome = read(p.positional(0))
         .and_then(|a| read(p.positional(1)).map(|b| (a, b)))
-        .and_then(|(a, b)| diff_reports(&a, &b, 0.0));
+        .and_then(|(a, b)| Ok((diff_reports(&a, &b, 0.0)?, first_difference(&a, &b))));
     match outcome {
-        Ok(d) if d.is_match() => {
+        Ok((d, None)) if d.is_match() => {
             eprintln!("reports match: {} values compared", d.compared);
             ExitCode::SUCCESS
         }
-        Ok(d) => {
+        Ok((d, Some((line, column)))) if d.is_match() => {
+            outln!("{line}:{column}: the bytes differ");
+            eprintln!(
+                "reports DIFFER in format only: {} values compared, all equal",
+                d.compared
+            );
+            ExitCode::FAILURE
+        }
+        Ok((d, _)) => {
             for line in &d.differences {
                 outln!("{line}");
             }
@@ -367,4 +376,18 @@ fn diff(p: &Parsed) -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// The 1-based line and byte column of the first byte where `a` and `b`
+/// differ (`None` when they are equal).
+fn first_difference(a: &str, b: &str) -> Option<(usize, usize)> {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let at = a.iter().zip(b).position(|(x, y)| x != y);
+    let at = at.or((a.len() != b.len()).then(|| a.len().min(b.len())))?;
+    let line_start = a[..at]
+        .iter()
+        .rposition(|&c| c == b'\n')
+        .map_or(0, |i| i + 1);
+    let line = 1 + a[..at].iter().filter(|&&c| c == b'\n').count();
+    Some((line, at - line_start + 1))
 }

@@ -97,7 +97,7 @@ pub static XP: &[Command] = commands! {
         "--no-cache" Switch, "run jobs without the result cache";
         "--queue-cap" Positive, "queued-job bound (503 beyond) and finished jobs kept (default 64)";
     }
-    "diff" ["<a>", "<b>"] "name the JSON paths where two JSON reports differ (exit 1 if any)" {}
+    "diff" ["<a>", "<b>"] "name where two JSON reports differ: JSON paths, else line:column (exit 1 if any)" {}
     "cache stat" [] "entry count and size of the result cache" {
         "--cache-dir" Text("DIR"), "which cache (default .xp-cache)";
         "--json" Switch, "as one NDJSON record with per-engine counts";

@@ -11,9 +11,10 @@
 //!   exit 2 — and nothing on a command line goes unread;
 //! * a `-` destination puts that document, and nothing else, on stdout;
 //! * a reader that closes stdout early ends `xp` quietly, with success;
-//! * `xp diff` names the JSON path behind a byte pin that fails, exits 0
-//!   on equal reports, 1 on drift and 2 on an operand that is not a JSON
-//!   file;
+//! * `xp diff` names the JSON path behind a byte pin that fails (or the
+//!   first differing line:column when only the format moved), exits 0
+//!   on equal reports, 1 on any difference and 2 on an operand that is
+//!   not a JSON file;
 //! * `xp run` refuses a packet-engine spec whose switch would outgrow
 //!   16-bit port ids, before simulating anything, and refuses `--seeds`
 //!   on a scenario kind that has none (a trace, an analytic grid),
@@ -332,6 +333,43 @@ fn xp_diff_locates_a_one_ulp_drift_and_reads_only_json_files() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{a:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{a:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A byte pin fails on a format-only edit too, and so does `xp diff`: an
+/// integer token rewritten as a number names its path, and a whitespace
+/// edit, where every value matches, names the first differing line and
+/// column.
+#[test]
+fn xp_diff_fails_on_format_only_drift() {
+    let dir = scratch("format");
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/tests/fig3_baseline.json"
+    );
+    let text = std::fs::read_to_string(baseline).unwrap();
+    let (token, spaced) = (dir.join("token.json"), dir.join("spaced.json"));
+    let int = "\"eq_w_bytes\": 275000,";
+    assert!(text.contains(int));
+    std::fs::write(&token, text.replacen(int, "\"eq_w_bytes\": 275000.0,", 1)).unwrap();
+    std::fs::write(&spaced, text.replacen(int, "\"eq_w_bytes\":  275000,", 1)).unwrap();
+    for (edited, want) in [
+        (
+            &token,
+            "$.entries[0].stats.eq_w_bytes: integer 275000 vs number 275000.0",
+        ),
+        (&spaced, "8:64: the bytes differ"),
+    ] {
+        let out = Command::new(XP)
+            .arg("diff")
+            .arg(baseline)
+            .arg(edited)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{edited:?}: {stdout}");
+        assert_eq!(stdout.lines().next(), Some(want), "{edited:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -598,7 +598,12 @@ fn label_draw() -> impl Strategy<Value = Vec<usize>> {
 /// 0–12 `(size, slowdown)` flows and 0–5 buffer samples.
 fn sweep_draw() -> impl Strategy<Value = SweepDraw> {
     (
-        (0usize..11, 0usize..3, float_draw(), 0u64..u64::MAX),
+        (
+            0usize..Algo::all().len(),
+            0usize..3,
+            float_draw(),
+            0u64..u64::MAX,
+        ),
         (
             prop::collection::vec((0u64..u64::MAX, float_draw()), 0usize..13),
             prop::collection::vec(float_draw(), 0usize..6),
@@ -623,22 +628,9 @@ fn trace_draw() -> impl Strategy<Value = TraceDraw> {
 fn sweep_of(
     ((algo, param, load, seed), (flows, buffer), (completed, offered, drops)): SweepDraw,
 ) -> Outcome {
-    const ALGOS: [Algo; 11] = [
-        Algo::PowerTcp,
-        Algo::ThetaPowerTcp,
-        Algo::Hpcc,
-        Algo::Dcqcn,
-        Algo::Timely,
-        Algo::Swift,
-        Algo::Dctcp,
-        Algo::NewReno,
-        Algo::Homa(1),
-        Algo::Homa(4),
-        Algo::ReTcp,
-    ];
     Outcome::Sweep(Box::new(PointOutcome {
-        algo: ALGOS[algo],
-        param: ParamSpec::parse(["", "gamma=0.5", "gamma=0.25,n=32,eta=0.95,alpha=2"][param])
+        algo: Algo::all()[algo],
+        param: ParamSpec::parse(["", "gamma=0.5", "gamma=0.25"][param])
             .expect("a valid param label"),
         load: float(load, true),
         seed,

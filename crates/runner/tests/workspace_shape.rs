@@ -52,6 +52,7 @@
 //! | R41 | `caps: Vec<f64>` in `flow/src/lib.rs`: capacities are runs |
 //! | R42 | a `let up` / `let down` `Vec<LinkId>` table in `scenarios/src/flow_engine.rs`: host links are arithmetic |
 //! | R43 | a `crates/scenarios/tests/*_baseline.json` that is no operand of a `cmp` line of `.github/workflows/ci.yml`, or a line there that holds `--tol`: a report is pinned byte for byte |
+//! | R44 | a `PR <n>` token in DESIGN.md: it states the system as it is, and a PR's history is CHANGES.md's |
 //!
 //! R6's other half is the offline resolve itself, which refuses a registry
 //! dependency before this test compiles. DESIGN.md "Static analysis" has
@@ -79,6 +80,7 @@ const TOKENIZER: &str = "crates/scenarios/src/diff.rs";
 const XP: &str = "crates/runner/src/bin/xp.rs";
 const HTML_RS: &str = "crates/serve/src/html.rs";
 const CI_YML: &str = ".github/workflows/ci.yml";
+const DESIGN_MD: &str = "DESIGN.md";
 /// Where the committed `*_baseline.json` reports live.
 const BASELINES: &str = "crates/scenarios/tests/";
 
@@ -91,13 +93,13 @@ fn read(rel: &str) -> String {
 }
 
 /// The tree on disk, read once per test binary: the root manifest, the CI
-/// workflow, every member's manifest, both lock files and every file under
-/// [`RUST`] (builtins and test data included).
+/// workflow, DESIGN.md, every member's manifest, both lock files and every
+/// file under [`RUST`] (builtins and test data included).
 fn on_disk() -> Tree {
     static DISK: OnceLock<Tree> = OnceLock::new();
     DISK.get_or_init(|| {
         let mut tree = Tree::new();
-        for rel in ["Cargo.toml", CI_YML].into_iter().chain(LOCKS) {
+        for rel in ["Cargo.toml", CI_YML, DESIGN_MD].into_iter().chain(LOCKS) {
             tree.insert(rel.to_string(), read(rel));
         }
         for member in list(&tree["Cargo.toml"], "members").1 {
@@ -392,7 +394,7 @@ const RULES: &[Rule] = &[
         forbids: &["switch_config(SwitchConfig::default()"],
         exempt: &[],
         above_tests: false,
-        why: "`Algo::switch_config(host_bw, param)` starts from the default switch itself",
+        why: "`Algo::switch_config(host_bw)` starts from the default switch itself",
     },
     Rule {
         id: "R31",
@@ -510,6 +512,7 @@ const CHECKS: &[(&str, Check)] = &[
         vec![format!("{HTML_RS}: rule[{id}] {why}")]
     }),
     ("R43", byte_pins),
+    ("R44", no_pr_history),
 ];
 
 /// The files under `dir` (a file or a directory), this one left out.
@@ -782,6 +785,32 @@ fn byte_pins(tree: &Tree, id: &str, _: &dyn Fn(&str) -> bool) -> Vec<String> {
         out.push(missing(&format!("{BASELINES}<a *_baseline.json>"), id));
     }
     out
+}
+
+/// R44: no line of DESIGN.md names a `PR <n>`. The document states the
+/// system as it is, each fact with its reason; what a PR changed, and
+/// when, is CHANGES.md's.
+fn no_pr_history(tree: &Tree, id: &str, _: &dyn Fn(&str) -> bool) -> Vec<String> {
+    let Some(design) = tree.get(DESIGN_MD) else {
+        return vec![missing(DESIGN_MD, id)];
+    };
+    let names_a_pr = |line: &str| {
+        line.match_indices("PR ").any(|(at, _)| {
+            !line[..at].ends_with(char::is_alphanumeric)
+                && line[at + 3..].starts_with(|c: char| c.is_ascii_digit())
+        })
+    };
+    let lines = design.lines().enumerate();
+    lines
+        .filter(|(_, line)| names_a_pr(line))
+        .map(|(i, _)| {
+            format!(
+                "{DESIGN_MD}:{}: rule[{id}] a `PR <n>`: state the reason, not the PR \
+                 (its history is CHANGES.md's)",
+                i + 1
+            )
+        })
+        .collect()
 }
 
 /// The 1-based line of `key = [` in `manifest` and the quoted entries of
@@ -1188,6 +1217,8 @@ const PLANTED: &[(&str, &str, Edit)] = &[
         CI_YML,
         Append("          ./target/release/xp diff a.json b.json --tol 0\n"),
     ),
+    // A pull-request number, spelt in two pieces.
+    ("R44", DESIGN_MD, Append(concat!("PR", " 7\n"))),
     // This file lists the needles; every other runner test is read (below).
     (PASSES, SELF, Append(RUNNER_TEST_NEEDLE)),
 ];

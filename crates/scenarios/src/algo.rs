@@ -2,7 +2,7 @@
 //! constructors, switch requirements (INT / ECN), and transport choices.
 
 use crate::spec::ParamSpec;
-use cc_baselines::{hpcc::ETA, Dcqcn, Dctcp, Hpcc, NewReno, ReTcp, Swift, Timely};
+use cc_baselines::{Dcqcn, Hpcc, ReTcp, Timely};
 use dcn_sim::{EcnConfig, Endpoint, PfcConfig, SwitchConfig};
 use dcn_transport::{CcFactory, FlowSpec, HomaHost, SharedMetrics, TransportConfig, TransportHost};
 use powertcp_core::{Bandwidth, CongestionControl, PowerTcp, ThetaPowerTcp, GAMMA};
@@ -20,12 +20,6 @@ pub enum Algo {
     Dcqcn,
     /// TIMELY (RTT-gradient baseline).
     Timely,
-    /// Swift (delay baseline; extension beyond the paper's Figure 6 set).
-    Swift,
-    /// DCTCP (ECN baseline; extension).
-    Dctcp,
-    /// TCP NewReno (loss-based anchor; extension).
-    NewReno,
     /// HOMA receiver-driven transport with an overcommitment level.
     Homa(usize),
     /// reTCP (RDCN case study only).
@@ -33,18 +27,15 @@ pub enum Algo {
 }
 
 impl Algo {
-    /// Every variant (HOMA at overcommitment 1), for `xp list` and spec
-    /// validation messages.
-    pub fn all() -> Vec<Algo> {
-        vec![
+    /// Every variant (HOMA at overcommitment 1): the registry that
+    /// [`Algo::parse`] looks names up in and its error message lists.
+    pub fn all() -> [Algo; 7] {
+        [
             Algo::PowerTcp,
             Algo::ThetaPowerTcp,
             Algo::Hpcc,
             Algo::Dcqcn,
             Algo::Timely,
-            Algo::Swift,
-            Algo::Dctcp,
-            Algo::NewReno,
             Algo::Homa(1),
             Algo::ReTcp,
         ]
@@ -58,9 +49,6 @@ impl Algo {
             Algo::Hpcc => "HPCC".into(),
             Algo::Dcqcn => "DCQCN".into(),
             Algo::Timely => "TIMELY".into(),
-            Algo::Swift => "Swift".into(),
-            Algo::Dctcp => "DCTCP".into(),
-            Algo::NewReno => "NewReno".into(),
             Algo::Homa(oc) => format!("HOMA(oc={oc})"),
             Algo::ReTcp => "reTCP".into(),
         }
@@ -75,16 +63,13 @@ impl Algo {
             Algo::Hpcc => "hpcc".into(),
             Algo::Dcqcn => "dcqcn".into(),
             Algo::Timely => "timely".into(),
-            Algo::Swift => "swift".into(),
-            Algo::Dctcp => "dctcp".into(),
-            Algo::NewReno => "newreno".into(),
             Algo::Homa(oc) => format!("homa:{oc}"),
             Algo::ReTcp => "retcp".into(),
         }
     }
 
-    /// Parse a spec identifier: any [`Algo::key`] plus the aliases
-    /// `theta` and bare `homa` (= `homa:1`).
+    /// Parse a spec identifier: the [`Algo::key`] of an [`Algo::all`]
+    /// entry, or `homa:K` at any overcommitment `K >= 1`.
     pub fn parse(s: &str) -> Result<Algo, String> {
         let s = s.trim();
         if let Some(oc) = s.strip_prefix("homa:") {
@@ -96,23 +81,21 @@ impl Algo {
             }
             return Ok(Algo::Homa(oc));
         }
-        match s {
-            "powertcp" => Ok(Algo::PowerTcp),
-            "theta-powertcp" | "theta" => Ok(Algo::ThetaPowerTcp),
-            "hpcc" => Ok(Algo::Hpcc),
-            "dcqcn" => Ok(Algo::Dcqcn),
-            "timely" => Ok(Algo::Timely),
-            "swift" => Ok(Algo::Swift),
-            "dctcp" => Ok(Algo::Dctcp),
-            "newreno" => Ok(Algo::NewReno),
-            "homa" => Ok(Algo::Homa(1)),
-            "retcp" => Ok(Algo::ReTcp),
-            other => Err(format!(
-                "unknown algorithm {other:?} (expected one of: powertcp, \
-                 theta-powertcp, hpcc, dcqcn, timely, swift, dctcp, newreno, \
-                 homa[:N], retcp)"
-            )),
-        }
+        let all = Algo::all();
+        all.into_iter().find(|a| a.key() == s).ok_or_else(|| {
+            let key = |a: &Algo| {
+                if a.is_homa() {
+                    "homa:K".into()
+                } else {
+                    a.key()
+                }
+            };
+            let keys: Vec<String> = all.iter().map(key).collect();
+            format!(
+                "unknown algorithm {s:?} (expected one of: {})",
+                keys.join(", ")
+            )
+        })
     }
 
     /// Whether this algorithm runs on the HOMA transport (everything else
@@ -128,19 +111,18 @@ impl Algo {
 
     /// Does it need ECN marking at switches?
     pub fn needs_ecn(self) -> bool {
-        matches!(self, Algo::Dcqcn | Algo::Dctcp)
+        matches!(self, Algo::Dcqcn)
     }
 
     /// The switch config this algorithm runs on: the default switch with
-    /// its requirements applied, then the params axis' Dynamic-Thresholds
-    /// α (the buffer-sizing ablation) when `param` sets one.
+    /// its requirements applied.
     /// ECN thresholds follow the DCQCN recommendation scaled to the
     /// narrowest (host) link bandwidth. The windowed-transport algorithms
     /// run on a *lossless* fabric (PFC), matching their RDMA deployment
     /// context in the paper (DCQCN/TIMELY/HPCC/PowerTCP all assume it);
     /// HOMA runs lossy — the paper explicitly attributes part of HOMA's
     /// behaviour to limited, DT-shared buffers.
-    pub fn switch_config(self, host_bw: Bandwidth, param: ParamSpec) -> SwitchConfig {
+    pub fn switch_config(self, host_bw: Bandwidth) -> SwitchConfig {
         let mut cfg = SwitchConfig {
             int_enabled: self.needs_int(),
             ..SwitchConfig::default()
@@ -152,20 +134,13 @@ impl Algo {
             });
         }
         if self.needs_ecn() {
+            // DCQCN: Kmin/Kmax/Pmax per [HPCC §5 config], scaled by bw.
             let gbps = host_bw.as_gbps_f64();
-            cfg.ecn = Some(match self {
-                // DCQCN: Kmin/Kmax/Pmax per [HPCC §5 config], scaled by bw.
-                Algo::Dcqcn => EcnConfig {
-                    kmin_bytes: (1_000.0 * gbps) as u64,
-                    kmax_bytes: (4_000.0 * gbps) as u64,
-                    pmax: 0.2,
-                },
-                // DCTCP: step marking at ~1.2 KB per Gbps.
-                _ => EcnConfig::step((1_200.0 * gbps) as u64),
+            cfg.ecn = Some(EcnConfig {
+                kmin_bytes: (1_000.0 * gbps) as u64,
+                kmax_bytes: (4_000.0 * gbps) as u64,
+                pmax: 0.2,
             });
-        }
-        if let Some(alpha) = param.dt_alpha {
-            cfg.dt_alpha = alpha;
         }
         cfg
     }
@@ -177,11 +152,9 @@ impl Algo {
     }
 
     /// [`Algo::cc_factory`] with algorithm-parameter overrides applied:
-    /// `gamma` reconfigures PowerTCP / θ-PowerTCP's EWMA gain, `hpcc_eta`
-    /// HPCC's target utilization. (`expected_flows` acts through `tcfg`,
-    /// which the caller adjusts — it shapes β for every windowed law.)
-    /// Overrides that do not apply to `self` are ignored, so one params
-    /// grid can sweep a mixed lineup.
+    /// `gamma` reconfigures PowerTCP / θ-PowerTCP's EWMA gain. A law it
+    /// does not apply to ignores it, so one params grid can sweep a mixed
+    /// lineup.
     pub fn cc_factory_tuned(self, tcfg: TransportConfig, param: ParamSpec) -> CcFactory {
         assert!(!self.is_homa(), "HOMA runs on its own transport");
         Box::new(move |_flow, nic_bw| -> Box<dyn CongestionControl> {
@@ -190,12 +163,9 @@ impl Algo {
             match self {
                 Algo::PowerTcp => Box::new(PowerTcp::new(gamma, ctx)),
                 Algo::ThetaPowerTcp => Box::new(ThetaPowerTcp::new(gamma, ctx)),
-                Algo::Hpcc => Box::new(Hpcc::new(param.hpcc_eta.unwrap_or(ETA), ctx)),
+                Algo::Hpcc => Box::new(Hpcc::new(ctx)),
                 Algo::Dcqcn => Box::new(Dcqcn::new(ctx)),
                 Algo::Timely => Box::new(Timely::new(ctx)),
-                Algo::Swift => Box::new(Swift::new(ctx)),
-                Algo::Dctcp => Box::new(Dctcp::new(ctx)),
-                Algo::NewReno => Box::new(NewReno::new(ctx)),
                 Algo::ReTcp => Box::new(ReTcp::new(ctx)),
                 Algo::Homa(_) => unreachable!(),
             }
@@ -239,7 +209,7 @@ mod tests {
         assert!(!Algo::PowerTcp.needs_ecn());
         assert!(Algo::Dcqcn.needs_ecn());
         assert!(!Algo::Timely.needs_int());
-        let cfg = Algo::Dcqcn.switch_config(Bandwidth::gbps(25), ParamSpec::default());
+        let cfg = Algo::Dcqcn.switch_config(Bandwidth::gbps(25));
         let ecn = cfg.ecn.expect("DCQCN needs ECN");
         assert_eq!(ecn.kmin_bytes, 25_000);
         assert_eq!(ecn.kmax_bytes, 100_000);
@@ -251,17 +221,7 @@ mod tests {
             base_rtt: Tick::from_micros(20),
             ..TransportConfig::default()
         };
-        for algo in [
-            Algo::PowerTcp,
-            Algo::ThetaPowerTcp,
-            Algo::Hpcc,
-            Algo::Dcqcn,
-            Algo::Timely,
-            Algo::Swift,
-            Algo::Dctcp,
-            Algo::NewReno,
-            Algo::ReTcp,
-        ] {
+        for algo in Algo::all().into_iter().filter(|a| !a.is_homa()) {
             let mut f = algo.cc_factory(tcfg);
             let cc = f(dcn_sim::FlowId(1), Bandwidth::gbps(25));
             assert!(cc.cwnd() > 0.0, "{}", algo.name());
@@ -292,9 +252,11 @@ mod tests {
             assert_eq!(algo.name(), label);
         }
         assert_eq!(Algo::parse("homa:4"), Ok(Algo::Homa(4)));
-        assert_eq!(Algo::parse("theta"), Ok(Algo::ThetaPowerTcp));
-        assert_eq!(Algo::parse("homa"), Ok(Algo::Homa(1)));
-        assert!(Algo::parse("bbr").is_err());
         assert!(Algo::parse("homa:0").is_err());
+        // A name outside the registry is refused naming it, and the
+        // error lists the registry.
+        let err = Algo::parse("homa").unwrap_err();
+        assert!(err.contains("\"homa\""), "{err}");
+        assert!(err.contains("timely, homa:K, retcp)"), "{err}");
     }
 }

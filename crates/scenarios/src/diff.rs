@@ -652,15 +652,16 @@ fn walk(a: &Json, b: &Json, tol: f64, path: &str, out: &mut DiffOutcome) {
                 }
             }
         }
-        // Mixed integer/float tokens (a renderer format change, e.g.
-        // `1` vs `1.0`): compare by numeric value.
+        // An integer token against a number token (`1` vs `1.0`): the
+        // renderer's format moved, which fails a byte pin whatever the
+        // values are.
         (Json::Int(x), Json::Num(y)) => {
             out.compared += 1;
-            note_float_drift(*x as f64, *y, tol, path, out);
+            note(out, format!("{path}: integer {x} vs number {y:?}"));
         }
         (Json::Num(x), Json::Int(y)) => {
             out.compared += 1;
-            note_float_drift(*x, *y as f64, tol, path, out);
+            note(out, format!("{path}: number {x:?} vs integer {y}"));
         }
         (Json::Str(x), Json::Str(y)) => {
             out.compared += 1;
@@ -786,6 +787,16 @@ mod tests {
     }
 
     #[test]
+    fn an_integer_token_against_a_number_token_is_drift() {
+        // A renderer switching `4` to `4.0` fails a byte pin, so the
+        // locator names it, at any tolerance.
+        let d = diff_reports(r#"{"v": 275000}"#, r#"{"v": 275000.0}"#, 1.0).unwrap();
+        assert_eq!(d.differences, ["$.v: integer 275000 vs number 275000.0"]);
+        let d = diff_reports(r#"[1.0]"#, r#"[1]"#, 1.0).unwrap();
+        assert_eq!(d.differences, ["$[0]: number 1.0 vs integer 1"]);
+    }
+
+    #[test]
     fn integers_above_2_53_compare_exactly() {
         // 9007199254740993 = 2^53 + 1 rounds to 2^53 as f64, so the old
         // f64-only parser saw these two different counters as equal.
@@ -851,18 +862,6 @@ mod tests {
         assert_eq!(parse_json("007").unwrap(), Json::Int(7));
         assert!(parse_json("12+3").is_err());
         assert!(parse_json("1-").is_err());
-    }
-
-    #[test]
-    fn mixed_integer_float_tokens_compare_by_value() {
-        // A renderer switching `4` to `4.0` is a format change, not a
-        // value change.
-        assert!(diff_reports(r#"{"v": 4}"#, r#"{"v": 4.0}"#, 0.0)
-            .unwrap()
-            .is_match());
-        assert!(!diff_reports(r#"{"v": 4}"#, r#"{"v": 4.5}"#, 0.0)
-            .unwrap()
-            .is_match());
     }
 
     #[test]

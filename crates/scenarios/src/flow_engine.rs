@@ -381,7 +381,7 @@ mod tests {
                 host_gbps: 25.0,
                 fabric_gbps,
             };
-            let cfg = engine::fat_tree_config(&topo, Algo::PowerTcp, ParamSpec::default());
+            let cfg = engine::fat_tree_config(&topo, Algo::PowerTcp);
             assert_eq!(topo.num_hosts(), cfg.num_hosts(), "{topo:?}");
             let plan = engine::plan(&topo, Algo::PowerTcp);
             // One flow each way between the first and the last host: host

@@ -400,10 +400,7 @@ mod tests {
         };
         assert_eq!(point_label(&p), "powertcp/load0.60/seed1");
         let tuned = SweepPoint {
-            param: ParamSpec {
-                gamma: Some(0.2),
-                ..ParamSpec::default()
-            },
+            param: ParamSpec { gamma: Some(0.2) },
             ..p
         };
         assert_eq!(point_label(&tuned), "powertcp[gamma=0.2]/load0.60/seed1");

@@ -757,12 +757,15 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_row_per_aggregate() {
-        // A multi-key param puts a comma in the algo label, which must be
-        // quoted in all three tables (the CDF table is opted in for it).
-        let multi = crate::spec::ParamSpec::parse("gamma=0.5,n=32").unwrap();
-        for param in [crate::spec::ParamSpec::default(), multi] {
+        // A comma in the spec's name must be quoted in all three tables
+        // (the CDF table is opted in for it), beside a param's algo label.
+        let tuned = crate::spec::ParamSpec { gamma: Some(0.5) };
+        for param in [crate::spec::ParamSpec::default(), tuned] {
             let mut spec = spec2x2();
             spec.sweep_mut("test").buffer_cdf = !param.is_default();
+            if !param.is_default() {
+                spec.name = "r,x".into();
+            }
             let outcomes = [
                 fake_outcome(Algo::PowerTcp, 0.5, 1, 1.0),
                 fake_outcome(Algo::PowerTcp, 0.5, 2, 2.0),
@@ -780,9 +783,9 @@ mod tests {
                 }
             }
             if !param.is_default() {
-                assert!(csv.contains("r,\"powertcp[gamma=0.5,n=32]\",0.5,2,6,6,2,"));
-                assert!(csv.contains("r,\"hpcc[gamma=0.5,n=32]\",0.5,5000,4,"));
-                assert!(csv.contains("r,\"hpcc[gamma=0.5,n=32]\",0.5,0,1000\n"));
+                assert!(csv.contains("\"r,x\",powertcp[gamma=0.5],0.5,2,6,6,2,"));
+                assert!(csv.contains("\"r,x\",hpcc[gamma=0.5],0.5,5000,4,"));
+                assert!(csv.contains("\"r,x\",hpcc[gamma=0.5],0.5,0,1000\n"));
                 continue;
             }
             // Header + 2 aggregate rows, a blank separator, then the bucket

@@ -550,10 +550,8 @@ slots! {
     Vec<Algo>: |x| Some(Val::Algos(x)), |v| list(v, |x| x.as_str().map(Algo::parse));
     Vec<Law>: |x| Some(Val::Laws(x)), |v| list(v, |x| x.as_str().map(Law::parse));
     Vec<ParamSpec>: |x| Some(Val::Params(x)), |v| list(v, |x| x.as_str().map(ParamSpec::parse));
-    // The `params` overrides: no key at all while unset.
+    // The `params` override: no key at all while unset.
     Option<f64>: |x| x.map(Val::Float), |v| v.as_f64().map(|x| Ok(Some(x)));
-    Option<u32>: |x| x.map(|n| Val::Uint(n.into())),
-        |v| Some(Ok(Some(u32::try_from(uint(v)?).ok()?)));
 }
 
 /// A [`Field`] row: key, type, default, range, cache role => the pattern
@@ -796,12 +794,8 @@ pub(crate) static LINEUP: Section<LineupSpec> = Section {
 
 /// The `key=value,…` entries of `sweep.params`
 /// ([`ParamSpec::label`] / [`ParamSpec::parse`]).
-pub(crate) static PARAMS: &[Field<ParamSpec>] = &[
-    field!("gamma", Float, Unset, PosUpTo(1.0), Axis => ParamSpec { gamma, .. } => gamma),
-    field!("n", Uint, Unset, Min(1), Axis => ParamSpec { expected_flows, .. } => expected_flows),
-    field!("eta", Float, Unset, PosUpTo(1.0), Axis => ParamSpec { hpcc_eta, .. } => hpcc_eta),
-    field!("alpha", Float, Unset, Pos, Axis => ParamSpec { dt_alpha, .. } => dt_alpha),
-];
+pub(crate) static PARAMS: &[Field<ParamSpec>] =
+    &[field!("gamma", Float, Unset, PosUpTo(1.0), Axis => ParamSpec { gamma } => gamma)];
 
 /// `[trace]`: the traced experiment and its own keys.
 pub(crate) static TRACE: Section<TraceScenario> = Section {
@@ -1104,16 +1098,14 @@ mod tests {
             }
         }
         // The params mini-grammar's floats, too, and the range (0, 1] of
-        // γ and η: the only check on the two values a spec hands a law.
+        // γ: the only check on the value a spec hands a law.
         for bad in [
             "gamma=inf",
-            "eta=-inf",
-            "alpha=1e999",
+            "gamma=-inf",
+            "gamma=1e999",
             "gamma=nan",
             "gamma=0",
             "gamma=1.5",
-            "eta=0",
-            "eta=1.5",
         ] {
             let mut spec =
                 crate::library::builtin("gamma-sweep").expect("gamma-sweep is a builtin");
@@ -1123,26 +1115,18 @@ mod tests {
         }
     }
 
-    /// A defaulted physics row that every builtin reaching it leaves at
-    /// one value is a constant that costs a schema row, a struct field,
-    /// a README row and a place in the cache key: it becomes a constant.
-    #[test]
-    fn every_defaulted_physics_row_takes_two_values_among_the_builtins() {
-        /// The rows kept at one value, and why.
-        const ONE_VALUE: [(&str, &str); 2] = [
-            ("host_gbps", "the benchmark's spec texts write it"),
-            ("retcp_prebuffer_us", "each value is its own lineup entry"),
-        ];
+    /// Call `f` with every value a builtin gives a row it reaches, a
+    /// default read through the row's `fallback`: (section label, row,
+    /// value).
+    fn each_builtin_value(mut f: impl FnMut(&str, &Row, Value)) {
         let builtins: Vec<Table> = builtin_specs()
             .iter()
             .map(|s| toml::parse(&s.to_toml()).expect("a builtin's text parses"))
             .collect();
-        let mut one_valued = Vec::new();
         for (label, rows) in sections() {
             let path = label.trim_matches(['[', ']']);
             let path: Vec<&str> = path.split('.').filter(|_| label != "top-level").collect();
             let tag = rows.iter().find(|r| r.ty == Ty::Tag);
-            let mut values: BTreeMap<&str, std::collections::BTreeSet<String>> = BTreeMap::new();
             for root in &builtins {
                 let mut table = Some(root);
                 for key in &path {
@@ -1157,17 +1141,37 @@ mod tests {
                             .applies
                             .iter()
                             .any(|a| is == Some(Value::Str(a.to_string())));
-                    let defaulted_physics =
-                        row.role == Role::Physics && row.ty != Ty::Table && row.fallback.is_some();
-                    if let Some(v) = read(row).filter(|_| reaches && defaulted_physics) {
-                        values.entry(row.key).or_default().insert(format!("{v:?}"));
+                    if let Some(v) = read(row).filter(|_| reaches) {
+                        f(&label, row, v);
                     }
                 }
             }
-            for (key, seen) in values.into_iter().filter(|(_, seen)| seen.len() < 2) {
-                one_valued.push((key, format!("{label} {key} = {seen:?}")));
-            }
         }
+    }
+
+    /// A defaulted physics row that every builtin reaching it leaves at
+    /// one value is a constant that costs a schema row, a struct field,
+    /// a README row and a place in the cache key: it becomes a constant.
+    #[test]
+    fn every_defaulted_physics_row_takes_two_values_among_the_builtins() {
+        /// The rows kept at one value, and why.
+        const ONE_VALUE: [(&str, &str); 2] = [
+            ("host_gbps", "the benchmark's spec texts write it"),
+            ("retcp_prebuffer_us", "each value is its own lineup entry"),
+        ];
+        let mut values: BTreeMap<(String, &str), std::collections::BTreeSet<String>> =
+            BTreeMap::new();
+        each_builtin_value(|label, row, v| {
+            if row.role == Role::Physics && row.ty != Ty::Table && row.fallback.is_some() {
+                let seen = values.entry((label.to_string(), row.key)).or_default();
+                seen.insert(format!("{v:?}"));
+            }
+        });
+        let one_valued: Vec<(&str, String)> = values
+            .into_iter()
+            .filter(|(_, seen)| seen.len() < 2)
+            .map(|((label, key), seen)| (key, format!("{label} {key} = {seen:?}")))
+            .collect();
         let unexplained: Vec<&String> = one_valued
             .iter()
             .filter(|(key, _)| !ONE_VALUE.iter().any(|(k, _)| k == key))
@@ -1186,6 +1190,76 @@ mod tests {
         }
     }
 
+    /// A value a spec may name but no builtin does is vocabulary that
+    /// costs code, a README row and tests of its own while no report
+    /// runs it: it leaves the vocabulary. The values are every key of
+    /// the algorithm and fluid-law registries (HOMA is any `homa:K`),
+    /// every `params` key and every variant of every tag.
+    #[test]
+    fn every_named_value_is_named_by_a_builtin() {
+        /// The values kept although no builtin names them, and why.
+        const UNNAMED: [(&str, &str); 2] = [
+            (
+                "dumbbell",
+                "the engines' orientation and flow/packet agreement tests build it, \
+                 and the long-flow share check on the dumbbell (ROADMAP 24(d)) needs it",
+            ),
+            ("fixed", "the benchmark's sweep96_spec writes it"),
+        ];
+        let homa = |key: String| match key.starts_with("homa:") {
+            true => "homa:K".to_string(),
+            false => key,
+        };
+        let mut named = std::collections::BTreeSet::new();
+        each_builtin_value(|_, row, v| {
+            let strings = match v {
+                Value::Str(s) => vec![s],
+                Value::Array(xs) => xs.iter().filter_map(|x| Some(x.as_str()?.into())).collect(),
+                _ => Vec::new(),
+            };
+            let kind = match row.ty {
+                Ty::Tag => "tag",
+                Ty::Algos => "algo",
+                Ty::Laws => "law",
+                Ty::Params => "param",
+                _ => return,
+            };
+            for s in strings {
+                // A params entry names its keys (`gamma=0.5` names gamma).
+                if kind == "param" {
+                    let keys = s.split(',').filter_map(|kv| kv.split('=').next());
+                    named.extend(keys.map(|k| (kind, k.to_string())));
+                } else {
+                    named.insert((kind, homa(s)));
+                }
+            }
+        });
+        let algos = Algo::all().into_iter().map(|a| ("algo", homa(a.key())));
+        let laws = Law::all().into_iter().map(|l| ("law", l.key().to_string()));
+        let params = PARAMS.iter().map(|f| ("param", f.key.to_string()));
+        let tags = sections().into_iter().flat_map(|(_, rows)| rows);
+        let tags = tags.flat_map(|r| r.tags).map(|t| ("tag", t.to_string()));
+        let vocabulary = algos.chain(laws).chain(params).chain(tags);
+        let unnamed: Vec<(&str, String)> = vocabulary.filter(|v| !named.contains(v)).collect();
+        let unexplained: Vec<String> = unnamed
+            .iter()
+            .filter(|(_, value)| !UNNAMED.iter().any(|(u, _)| u == value))
+            .map(|(kind, value)| format!("{kind} {value}"))
+            .collect();
+        assert!(
+            unexplained.is_empty(),
+            "no builtin names these values; delete each from the spec vocabulary: {}",
+            unexplained.join(", ")
+        );
+        for (value, why) in UNNAMED {
+            let unnamed = unnamed.iter().any(|(_, v)| v == value);
+            assert!(
+                unnamed,
+                "a builtin names {value} ({why}) now: drop it from UNNAMED"
+            );
+        }
+    }
+
     /// The README's "Spec reference" block, rendered from the tables.
     fn reference() -> String {
         let mut out = String::new();
@@ -1198,7 +1272,7 @@ mod tests {
         all.push(rows(&params));
         for (label, rows) in all {
             let what = match label.as_str() {
-                "[sweep.params]" => "entries of `[sweep] params`, each `\"key=value,…\"`".into(),
+                "[sweep.params]" => "entries of `[sweep] params`, each `\"key=value\"`".into(),
                 "top-level" => "the top level".into(),
                 _ => format!("`{label}`"),
             };

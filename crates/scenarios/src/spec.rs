@@ -11,7 +11,7 @@
 //! [`crate::sweep::run_sweep`].
 
 use crate::algo::Algo;
-use crate::schema::{self, Pass, Ty, Val};
+use crate::schema::{self, Pass, Val};
 use crate::toml::Value;
 use dcn_sim::topology::{AGGS_PER_POD, CORES, PODS, TORS, TORS_PER_POD};
 use dcn_sim::PortId;
@@ -419,24 +419,14 @@ pub enum AnalyticScenario {
 }
 
 /// One point on the algorithm-parameter sweep axis: overrides applied to
-/// the swept algorithms' tunables. Every field is optional; an all-`None`
-/// spec is the algorithm's paper-default configuration. This is what lets
-/// *simulation* specs run ablation grids (γ, β's flow count N, HPCC η)
-/// through the same executor/cache/sharding pipeline as load and seed
-/// grids.
+/// the swept algorithms' tunables. An all-`None` spec is the algorithm's
+/// paper-default configuration. This is what lets *simulation* specs run
+/// ablation grids (γ) through the same executor/cache/sharding pipeline
+/// as load and seed grids.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ParamSpec {
     /// PowerTCP / θ-PowerTCP EWMA gain γ ∈ (0, 1].
     pub gamma: Option<f64>,
-    /// Expected flow count N in the additive-increase rule β = HostBw·τ/N
-    /// (applies to every windowed-transport algorithm).
-    pub expected_flows: Option<u32>,
-    /// HPCC target utilization η ∈ (0, 1].
-    pub hpcc_eta: Option<f64>,
-    /// Dynamic-Thresholds α of every switch in the topology — how much
-    /// of the shared buffer one hot port may take (the buffer-sizing
-    /// ablation of DESIGN.md).
-    pub dt_alpha: Option<f64>,
 }
 
 impl ParamSpec {
@@ -453,16 +443,14 @@ impl ParamSpec {
         let mut out = String::new();
         for f in schema::PARAMS {
             let sep = if out.is_empty() { "" } else { "," };
-            let _ = match (f.get)(self) {
-                Some(Val::Float(x)) => write!(out, "{sep}{}={x}", f.key),
-                Some(Val::Uint(n)) => write!(out, "{sep}{}={n}", f.key),
-                _ => Ok(()),
-            };
+            if let Some(Val::Float(x)) = (f.get)(self) {
+                let _ = write!(out, "{sep}{}={x}", f.key);
+            }
         }
         out
     }
 
-    /// Parse a [`ParamSpec::label`]-shaped string (`"gamma=0.5,n=32"`).
+    /// Parse a [`ParamSpec::label`]-shaped string (`"gamma=0.5"`).
     pub fn parse(s: &str) -> Result<ParamSpec, String> {
         let mut out = ParamSpec::default();
         for part in s.split(',').filter(|p| !p.trim().is_empty()) {
@@ -480,10 +468,7 @@ impl ParamSpec {
             if (f.get)(&out).is_some() {
                 return Err(format!("param key {k:?} is repeated in {s:?}"));
             }
-            let value = match f.ty {
-                Ty::Uint => v.parse().ok().map(Value::Int),
-                _ => v.parse().ok().map(Value::Float),
-            };
+            let value = v.parse().ok().map(Value::Float);
             let set = value.and_then(|value| (f.set)(&mut out, &value));
             set.unwrap_or_else(|| Err(format!("bad {k} value {v:?}")))?;
         }
@@ -763,17 +748,11 @@ impl SweepBody {
             !self.sweep.seeds.is_empty(),
             "sweep needs at least one seed"
         );
-        // CC-law overrides (γ, N, η) only exist on the windowed
-        // transport; switch-level overrides (DT α) apply to any lineup —
-        // and matter most under lossy HOMA, where DT actually drops
-        // (PFC-lossless fabrics bypass the per-port threshold).
+        // The params tune windowed-transport CC laws, which HOMA has none of.
         let params = &self.sweep.params;
-        let tunes_cc =
-            |p: &ParamSpec| p.gamma.is_some() || p.expected_flows.is_some() || p.hpcc_eta.is_some();
         ensure!(
-            !(params.iter().any(tunes_cc) && self.sweep.algos.iter().any(|a| a.is_homa())),
-            "the gamma/n/eta params tune windowed-transport CC laws; HOMA takes \
-             only switch-level params (alpha)"
+            params.is_empty() || !self.sweep.algos.iter().any(|a| a.is_homa()),
+            "params tune windowed-transport CC laws; a lineup with HOMA takes none"
         );
         for (i, p) in params.iter().enumerate() {
             ensure!(
@@ -1487,13 +1466,8 @@ tolerance = 0.05
 
     #[test]
     fn param_specs_round_trip_and_expand_the_sweep() {
-        let p = ParamSpec {
-            gamma: Some(0.5),
-            expected_flows: Some(32),
-            hpcc_eta: Some(0.95),
-            dt_alpha: Some(0.25),
-        };
-        assert_eq!(p.label(), "gamma=0.5,n=32,eta=0.95,alpha=0.25");
+        let p = ParamSpec { gamma: Some(0.5) };
+        assert_eq!(p.label(), "gamma=0.5");
         assert_eq!(ParamSpec::parse(&p.label()), Ok(p));
         assert_eq!(ParamSpec::parse(""), Ok(ParamSpec::default()));
         assert!(ParamSpec::parse("gamma").is_err());
@@ -1503,14 +1477,8 @@ tolerance = 0.05
         let sweep = &mut spec.sweep_mut("test").sweep;
         sweep.algos = vec![Algo::PowerTcp, Algo::Hpcc];
         sweep.params = vec![
-            ParamSpec {
-                gamma: Some(0.5),
-                ..ParamSpec::default()
-            },
-            ParamSpec {
-                gamma: Some(0.9),
-                ..ParamSpec::default()
-            },
+            ParamSpec { gamma: Some(0.5) },
+            ParamSpec { gamma: Some(0.9) },
         ];
         spec.validate().unwrap();
         // 2 algos x 2 params x 2 loads x 2 seeds.
@@ -1534,34 +1502,22 @@ tolerance = 0.05
             sweep.params = params;
             spec
         };
-        assert!(with(vec![ParamSpec {
-            gamma: Some(0.0),
-            ..ParamSpec::default()
-        }])
-        .validate()
-        .unwrap_err()
-        .contains("gamma"));
+        assert!(with(vec![ParamSpec { gamma: Some(0.0) }])
+            .validate()
+            .unwrap_err()
+            .contains("gamma"));
         assert!(with(vec![ParamSpec::default()])
             .validate()
             .unwrap_err()
             .contains("at least one override"));
         // Duplicates collide cache keys and report labels.
         let dup = with(vec![
-            ParamSpec {
-                gamma: Some(0.5),
-                ..ParamSpec::default()
-            },
-            ParamSpec {
-                gamma: Some(0.5),
-                ..ParamSpec::default()
-            },
+            ParamSpec { gamma: Some(0.5) },
+            ParamSpec { gamma: Some(0.5) },
         ]);
         assert!(dup.validate().unwrap_err().contains("duplicate"));
         // HOMA has no CC params.
-        let mut homa = with(vec![ParamSpec {
-            gamma: Some(0.5),
-            ..ParamSpec::default()
-        }]);
+        let mut homa = with(vec![ParamSpec { gamma: Some(0.5) }]);
         homa.sweep_mut("test").sweep.algos = vec![Algo::Homa(1)];
         assert!(homa.validate().unwrap_err().contains("HOMA"));
     }
@@ -1796,13 +1752,44 @@ seeds = [1]
         assert_eq!(vast.validate(), Ok(()));
     }
 
+    /// The values no builtin named left the vocabulary: a spec naming
+    /// one fails at parse, and the error names it.
+    #[test]
+    fn a_spec_naming_a_removed_value_is_refused_naming_it() {
+        let sweep = crate::library::builtin("gamma-sweep").unwrap().to_toml();
+        let fig3 = crate::library::builtin("fig3").unwrap().to_toml();
+        let algos = "algos = [\"powertcp\"]";
+        let params = "params = [\"gamma=0.5\", \"gamma=0.9\"]";
+        let laws = "laws = [\"queue-length\", \"rtt-gradient\", \"power\"]";
+        let mut cases = Vec::new();
+        for algo in ["swift", "dctcp", "newreno", "theta", "homa"] {
+            let edit = format!("algos = [\"powertcp\", \"{algo}\"]");
+            cases.push((sweep.replacen(algos, &edit, 1), algo));
+        }
+        for key in ["n", "eta", "alpha"] {
+            let edit = format!("params = [\"gamma=0.5\", \"{key}=1\"]");
+            cases.push((sweep.replacen(params, &edit, 1), key));
+        }
+        cases.push((
+            fig3.replacen(laws, "laws = [\"power\", \"delay\"]", 1),
+            "delay",
+        ));
+        for (text, named) in cases {
+            assert!(
+                text.contains(&format!("\"{named}")),
+                "{named}: the edit applies"
+            );
+            let err = ScenarioSpec::from_toml(&text).expect_err(named);
+            assert!(err.contains(&format!("{named:?}")), "{named}: {err}");
+        }
+    }
+
     #[test]
     fn a_repeated_param_key_is_an_error() {
         let err = ParamSpec::parse("gamma=0.5,gamma=0.7").unwrap_err();
         assert!(err.contains("gamma") && err.contains("repeated"), "{err}");
-        assert!(ParamSpec::parse("gamma=0.5,n=8").is_ok());
-        assert!(ParamSpec::parse("n=5000000000").is_err());
-        assert!(ParamSpec::parse("n=1.5").is_err());
+        assert!(ParamSpec::parse("gamma=0.5,").is_ok());
+        assert!(ParamSpec::parse("gamma=x").is_err());
     }
 
     #[test]

@@ -353,7 +353,7 @@ fn incast_trace(
     let host_bw = STAR_HOST_BW;
     let n = fan_in + 2; // receiver + long-flow sender + burst senders
     let incast_at = Tick::from_secs_f64(INCAST_AT_MS / 1e3);
-    let sw_cfg = algo.switch_config(host_bw, ParamSpec::default());
+    let sw_cfg = algo.switch_config(host_bw);
 
     let receiver = star_host_id(0);
     let long_sender = star_host_id(1);
@@ -488,7 +488,7 @@ fn fairness_trace(
         flows + 1,
         host_bw,
         EDGE_HOST_DELAY,
-        algo.switch_config(host_bw, ParamSpec::default()),
+        algo.switch_config(host_bw),
         &mut mk,
     );
     let senders: Vec<NodeId> = (1..=flows).map(star_host_id).collect();

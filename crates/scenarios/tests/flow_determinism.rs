@@ -138,14 +138,8 @@ fn params_axis_rides_the_flow_engine_unchanged() {
     sweep.sweep.algos = vec![Algo::PowerTcp];
     sweep.sweep.loads = vec![0.4];
     sweep.sweep.params = vec![
-        ParamSpec {
-            gamma: Some(0.5),
-            ..ParamSpec::default()
-        },
-        ParamSpec {
-            gamma: Some(0.9),
-            ..ParamSpec::default()
-        },
+        ParamSpec { gamma: Some(0.5) },
+        ParamSpec { gamma: Some(0.9) },
     ];
     let r = run_sweep(&spec, 2).expect("flow sweep with params axis");
     assert_eq!(r.aggregates.len(), 2);

@@ -13,14 +13,12 @@ pub fn corpus() -> Vec<ScenarioSpec> {
 }
 
 /// Shapes no builtin has, so the goldens also pin every omit-when-default
-/// key written out (`buffer_cdf`, `params`), the dumbbell topology, fixed
-/// sizes and the one law no builtin portraits (`delay`). Each text is its
-/// spec's `to_toml()`, which
+/// key written out (`buffer_cdf`, `params`), the dumbbell topology and
+/// fixed sizes. Each text is its spec's `to_toml()`, which
 /// `spec_roundtrip.rs::every_builtin_round_trips_through_toml` checks as
 /// it checks the builtin files.
-pub const EXTRAS: [&str; 2] = [
-    r#"name = "extra-dumbbell"
-description = "dumbbell, fixed sizes, every params key, \"quoted\" text"
+pub const EXTRAS: [&str; 1] = [r#"name = "extra-dumbbell"
+description = "dumbbell, fixed sizes, a params axis, \"quoted\" text"
 buffer_cdf = true
 horizon_ms = 1.0
 drain_ms = 0.0
@@ -37,21 +35,10 @@ fixed_bytes = 50000
 
 [sweep]
 algos = ["powertcp", "hpcc"]
-params = ["gamma=1,n=32,eta=0.95,alpha=0.25", "alpha=2"]
+params = ["gamma=1", "gamma=0.25"]
 loads = [0.5, 1.0]
 seeds = [1, 2]
-"#,
-    r#"name = "extra-delay-phase"
-description = "a phase portrait of the delay law, which no builtin draws"
-kind = "analytic"
-
-[analytic]
-scenario = "phase"
-laws = ["delay"]
-w_over_bdp = [0.3, 2.0]
-q_over_bdp = [0.0]
-"#,
-];
+"#];
 
 /// One hostile edit of a valid spec text, drawn from `r`: a byte
 /// flipped, a line dropped, doubled or moved, or a number swapped for

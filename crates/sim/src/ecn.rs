@@ -1,10 +1,10 @@
-//! ECN marking (RED-style, as configured for DCQCN/DCTCP deployments).
+//! ECN marking (RED-style, as configured for DCQCN deployments).
 //!
 //! Packets are marked Congestion-Experienced at enqueue based on the
 //! instantaneous egress queue length: never below `kmin`, always at or
 //! above `kmax`, and with probability rising linearly from 0 to `pmax` in
 //! between. DCQCN's recommended switch configuration is exactly this
-//! (Zhu et al., SIGCOMM 2015); DCTCP's step marking is the special case
+//! (Zhu et al., SIGCOMM 2015); step marking is the special case
 //! `kmin == kmax`.
 
 /// RED/ECN marking parameters for a switch.
@@ -19,15 +19,6 @@ pub struct EcnConfig {
 }
 
 impl EcnConfig {
-    /// DCTCP-style step marking at threshold `k`.
-    pub fn step(k_bytes: u64) -> Self {
-        EcnConfig {
-            kmin_bytes: k_bytes,
-            kmax_bytes: k_bytes,
-            pmax: 1.0,
-        }
-    }
-
     /// Marking probability for a queue currently `qlen` bytes deep.
     pub fn mark_probability(&self, qlen: u64) -> f64 {
         if qlen < self.kmin_bytes {
@@ -82,7 +73,11 @@ mod tests {
 
     #[test]
     fn step_marking() {
-        let c = EcnConfig::step(100_000);
+        let c = EcnConfig {
+            kmin_bytes: 100_000,
+            kmax_bytes: 100_000,
+            pmax: 1.0,
+        };
         assert_eq!(c.mark_probability(99_999), 0.0);
         assert_eq!(c.mark_probability(100_000), 1.0);
         assert_eq!(c.mark_probability(1_000_000), 1.0);

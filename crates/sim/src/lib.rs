@@ -12,7 +12,7 @@
 //! * **Output-queued shared-buffer switches** with the Dynamic Thresholds
 //!   algorithm of Choudhury & Hahne — the buffer management the paper
 //!   enables on every switch (§4.1) — eight strict-priority classes per
-//!   port (used by HOMA), RED/ECN marking (used by DCQCN/DCTCP), and
+//!   port (used by HOMA), RED/ECN marking (used by DCQCN), and
 //!   optional PFC for lossless operation.
 //! * **HPCC-style INT**: every egress appends `(qlen, ts, txBytes, b)` at
 //!   transmission-scheduling time; receivers echo the stack on ACKs.

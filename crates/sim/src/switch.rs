@@ -659,7 +659,11 @@ mod tests {
 
     #[test]
     fn ecn_marks_above_threshold() {
-        let ecn = EcnConfig::step(5_000);
+        let ecn = EcnConfig {
+            kmin_bytes: 5_000,
+            kmax_bytes: 5_000,
+            pmax: 1.0,
+        };
         let mut sw = mk_switch(Some(ecn), None);
         let mut out = Vec::new();
         // 20 packets: first transmits, next 5 fill to threshold unmarked,

@@ -161,7 +161,11 @@ fn dynamic_thresholds_drop_under_extreme_incast() {
 #[test]
 fn ecn_marks_are_carried_to_receiver() {
     let cfg = SwitchConfig {
-        ecn: Some(EcnConfig::step(10_000)),
+        ecn: Some(EcnConfig {
+            kmin_bytes: 10_000,
+            kmax_bytes: 10_000,
+            pmax: 1.0,
+        }),
         ..SwitchConfig::default()
     };
     let marked = Rc::new(RefCell::new(0u64));

@@ -13,7 +13,7 @@
 //!   (switches with Dynamic Thresholds, ECN, PFC, INT; fat-tree
 //!   topologies);
 //! * `dcn-transport` — RDMA-style windowed transport and HOMA;
-//! * `cc-baselines` — HPCC, DCQCN, TIMELY, Swift, DCTCP, NewReno, reTCP;
+//! * `cc-baselines` — HPCC, DCQCN, TIMELY, reTCP (over NewReno);
 //! * `dcn-workloads` — websearch sizes, Poisson load, incast;
 //! * `rdcn` — reconfigurable-DCN substrate (circuit switch, VOQ ToRs,
 //!   prebuffering);
