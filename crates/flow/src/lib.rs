@@ -425,8 +425,11 @@ pub fn simulate<F: Flows + ?Sized>(
             );
         }
     }
-    let mut order: Vec<usize> = (0..n).collect();
+    // The flows in (start, seq) order, as `u32` indices: 4 bytes a flow,
+    // alive for the whole loop.
+    let mut order: Vec<u32> = (0..u32::try_from(n).expect("flow count fits in u32")).collect();
     order.sort_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
         flows
             .start_s(a)
             .total_cmp(&flows.start_s(b))
@@ -450,7 +453,7 @@ pub fn simulate<F: Flows + ?Sized>(
         if active.is_empty() {
             // Jump straight to the next arrival batch.
             let Some(&first) = order.get(next) else { break };
-            t = t.max(flows.start_s(first));
+            t = t.max(flows.start_s(first as usize));
             if t >= end_s {
                 break;
             }
@@ -466,7 +469,7 @@ pub fn simulate<F: Flows + ?Sized>(
             }
             let t_arrival = order
                 .get(next)
-                .map_or(f64::INFINITY, |&i| flows.start_s(i).max(t));
+                .map_or(f64::INFINITY, |&i| flows.start_s(i as usize).max(t));
             let t_next = (t + dt_done).min(t_arrival).min(end_s);
             let dt = t_next - t;
             if dt > 0.0 {
@@ -508,6 +511,7 @@ pub fn simulate<F: Flows + ?Sized>(
         }
         // Admit every flow that has arrived by now, in (start, seq) order.
         while let Some(&i) = order.get(next) {
+            let i = i as usize;
             if flows.start_s(i) > t {
                 break;
             }

@@ -602,13 +602,18 @@ fn note_float_drift(x: f64, y: f64, tol: f64, path: &str, out: &mut DiffOutcome)
     let drift = (x - y).abs();
     let scale = 1.0f64.max(x.abs()).max(y.abs());
     if !(drift <= tol * scale || (tol == 0.0 && x == y)) {
-        note(
-            out,
-            format!(
-                "{path}: {x} vs {y} (drift {:.3e} > tol {tol:.3e})",
-                drift / scale
-            ),
-        );
+        let past = past_tol(drift / scale, tol);
+        note(out, format!("{path}: {x} vs {y}{past}"));
+    }
+}
+
+/// What a difference adds past a tolerance: the relative drift and the
+/// tolerance it exceeds. Nothing at `tol = 0`, which has none to name.
+fn past_tol(rel: f64, tol: f64) -> String {
+    if tol > 0.0 {
+        format!(" (drift {rel:.3e} > tol {tol:.3e})")
+    } else {
+        String::new()
     }
 }
 
@@ -642,13 +647,8 @@ fn walk(a: &Json, b: &Json, tol: f64, path: &str, out: &mut DiffOutcome) {
                 let drift = x.abs_diff(*y) as f64;
                 let scale = 1.0f64.max((*x as f64).abs()).max((*y as f64).abs());
                 if !(tol > 0.0 && drift <= tol * scale) {
-                    note(
-                        out,
-                        format!(
-                            "{path}: {x} vs {y} (drift {:.3e} > tol {tol:.3e})",
-                            drift / scale
-                        ),
-                    );
+                    let past = past_tol(drift / scale, tol);
+                    note(out, format!("{path}: {x} vs {y}{past}"));
                 }
             }
         }
@@ -767,9 +767,17 @@ mod tests {
     fn drift_detected_and_tolerated() {
         let a = r#"{"v": 100.0}"#;
         let b = r#"{"v": 100.4}"#;
-        assert!(!diff_reports(a, b, 0.0).unwrap().is_match());
-        assert!(!diff_reports(a, b, 1e-6).unwrap().is_match());
+        // Without a tolerance, a difference names no drift or tolerance.
+        let d = diff_reports(a, b, 0.0).unwrap();
+        assert_eq!(d.differences, ["$.v: 100 vs 100.4"]);
+        let d = diff_reports(a, b, 1e-6).unwrap();
+        assert_eq!(
+            d.differences,
+            ["$.v: 100 vs 100.4 (drift 3.984e-3 > tol 1.000e-6)"]
+        );
         assert!(diff_reports(a, b, 0.01).unwrap().is_match());
+        let d = diff_reports(r#"{"n": 7}"#, r#"{"n": 8}"#, 0.0).unwrap();
+        assert_eq!(d.differences, ["$.n: 7 vs 8"]);
     }
 
     #[test]

@@ -21,40 +21,67 @@ pub const SIZE_BUCKETS: [u64; 8] = [
     5_000, 20_000, 50_000, 100_000, 400_000, 800_000, 5_000_000, 30_000_000,
 ];
 
-/// The slowdown cuts of one point's flows the report summarizes: the
-/// Figure 6 size buckets, the Figure 7 size classes
-/// ([`dcn_workloads::size_class`]; 10 KB–100 KB flows are in no class)
-/// and all flows. Each cut keeps the flows' order.
+/// Cut indices of [`Cuts`]: all flows, the three Figure 7 size classes,
+/// then one per [`SIZE_BUCKETS`] boundary from `BUCKET0` on.
+const ALL: usize = 0;
+const SHORT: usize = 1;
+const MEDIUM: usize = 2;
+const LONG: usize = 3;
+const BUCKET0: usize = 4;
+/// The cuts a point's report summarizes: all flows and the three classes.
+const CLASSES: usize = BUCKET0;
+const CUTS: usize = BUCKET0 + SIZE_BUCKETS.len();
+
+/// The slowdown cuts of one point's flows the report summarizes: all
+/// flows, the Figure 7 size classes ([`dcn_workloads::size_class`];
+/// 10 KB–100 KB flows are in no class) and the Figure 6 size buckets.
+/// The cuts lie one after another in one exact-sized buffer, each in
+/// the flows' order; cut `k` is `values[starts[k]..starts[k + 1]]`.
 struct Cuts {
-    buckets: [Vec<f64>; SIZE_BUCKETS.len()],
-    short: Vec<f64>,
-    medium: Vec<f64>,
-    long: Vec<f64>,
-    all: Vec<f64>,
+    values: Vec<f64>,
+    starts: [usize; CUTS + 1],
 }
 
 impl Cuts {
+    /// Count each cut, then fill the buffer: two passes over `flows`,
+    /// one allocation.
     fn of(flows: &[(u64, f64)]) -> Cuts {
-        let mut c = Cuts {
-            buckets: Default::default(),
-            short: Vec::new(),
-            medium: Vec::new(),
-            long: Vec::new(),
-            all: Vec::with_capacity(flows.len()),
-        };
-        for &(size, s) in flows {
-            if let Some(b) = SIZE_BUCKETS.iter().position(|&ub| size <= ub) {
-                c.buckets[b].push(s);
+        let mut starts = [0; CUTS + 1];
+        for &(size, _) in flows {
+            for k in Self::cuts_of(size).into_iter().flatten() {
+                starts[k + 1] += 1;
             }
-            match size_class(size) {
-                SizeClass::Short => c.short.push(s),
-                SizeClass::Medium => c.medium.push(s),
-                SizeClass::Long => c.long.push(s),
-                SizeClass::SmallMedium => {}
-            }
-            c.all.push(s);
         }
-        c
+        for k in 0..CUTS {
+            starts[k + 1] += starts[k];
+        }
+        let mut values = vec![0.0; starts[CUTS]];
+        let mut next = starts;
+        for &(size, s) in flows {
+            for k in Self::cuts_of(size).into_iter().flatten() {
+                values[next[k]] = s;
+                next[k] += 1;
+            }
+        }
+        Cuts { values, starts }
+    }
+
+    /// The cuts a flow of `size` bytes lies in: all, its class (if
+    /// any) and its bucket (if any).
+    fn cuts_of(size: u64) -> [Option<usize>; 3] {
+        let class = match size_class(size) {
+            SizeClass::Short => Some(SHORT),
+            SizeClass::Medium => Some(MEDIUM),
+            SizeClass::Long => Some(LONG),
+            SizeClass::SmallMedium => None,
+        };
+        let bucket = SIZE_BUCKETS.iter().position(|&ub| size <= ub);
+        [Some(ALL), class, bucket.map(|b| BUCKET0 + b)]
+    }
+
+    /// Cut `k`, in flow order.
+    fn get(&self, k: usize) -> &[f64] {
+        &self.values[self.starts[k]..self.starts[k + 1]]
     }
 }
 
@@ -171,9 +198,12 @@ impl SweepResult {
     /// alternative executors (the `dcn-runner` multi-process layer) can
     /// merge worker-computed outcomes through the exact same reduction;
     /// `outcomes` must be in [`crate::sweep::sweep_points`] order.
-    /// Each point's flows are cut once ([`Cuts`]), a cell at a time; each
-    /// pooled sample vector is sorted once ([`Sorted`]) and every summary
-    /// read off that one sort. Panics if `spec` is no sweep.
+    /// Each point's flows are cut once into one buffer ([`Cuts`]), a cell
+    /// at a time, and the cuts are reduced one after another: a cut's
+    /// point summaries, then its pool — the cell's copies of that cut,
+    /// sorted once ([`Sorted`]) with every aggregate read off that sort —
+    /// so at most one pool is alive. A one-point cell's pool is its
+    /// point's only sort. Panics if `spec` is no sweep.
     pub fn build(spec: &ScenarioSpec, outcomes: Vec<PointOutcome>) -> SweepResult {
         let sweep = spec.sweep_body("SweepResult::build");
         // Algorithm-parameter overrides fold into the algo identity
@@ -198,8 +228,31 @@ impl SweepResult {
         let mut points = Vec::with_capacity(outcomes.len());
         let mut aggregates = Vec::new();
         for cell in outcomes.chunks(seeds) {
-            let cell_cuts: Vec<Cuts> = cell.iter().map(|o| Cuts::of(&o.flows)).collect();
-            for (o, c) in cell.iter().zip(&cell_cuts) {
+            let cuts: Vec<Cuts> = cell.iter().map(|o| Cuts::of(&o.flows)).collect();
+            let mut classes = vec![[None; CLASSES]; cell.len()];
+            let mut pooled = [None; CUTS];
+            let (mut short_tail, mut long_tail) = (None, None);
+            // A one-point cell's pool is its point's cut: one summary
+            // serves both.
+            let one = cell.len() == 1;
+            for k in 0..CUTS {
+                if k < CLASSES && !one {
+                    for (s, c) in classes.iter_mut().zip(&cuts) {
+                        s[k] = Summary::of(c.get(k));
+                    }
+                }
+                let pool = pool(&cuts, |c| c.get(k));
+                pooled[k] = pool.summary();
+                if k < CLASSES && one {
+                    classes[0][k] = pooled[k];
+                }
+                match k {
+                    SHORT => short_tail = pool.credible_tail(),
+                    LONG => long_tail = pool.credible_tail(),
+                    _ => {}
+                }
+            }
+            for (o, s) in cell.iter().zip(classes) {
                 let (algo_key, algo_name) = keyed(o);
                 let buffer = Sorted::of(&o.buffer);
                 points.push(PointReport {
@@ -210,29 +263,21 @@ impl SweepResult {
                     offered: o.offered,
                     completed: o.completed,
                     drops: o.drops,
-                    short: Summary::of(&c.short),
-                    medium: Summary::of(&c.medium),
-                    long: Summary::of(&c.long),
-                    all: Summary::of(&c.all),
+                    short: s[SHORT],
+                    medium: s[MEDIUM],
+                    long: s[LONG],
+                    all: s[ALL],
                     buffer_p50: buffer.percentile(50.0),
                     buffer_p99: buffer.percentile(99.0),
                     buffer_max: buffer.percentile(100.0),
                 });
             }
             let first = &cell[0];
-            let short = pool(&cell_cuts, |c| &c.short);
-            let medium = pool(&cell_cuts, |c| &c.medium);
-            let long = pool(&cell_cuts, |c| &c.long);
-            let all = pool(&cell_cuts, |c| &c.all);
             let buffer = pool(cell, |o| &o.buffer);
-            // Pool each Figure-6 size bucket across the cell's seeds.
             let buckets: Vec<BucketReport> = SIZE_BUCKETS
                 .iter()
-                .enumerate()
-                .map(|(b, &le_bytes)| BucketReport {
-                    le_bytes,
-                    summary: pool(&cell_cuts, |c| &c.buckets[b]).summary(),
-                })
+                .zip(&pooled[BUCKET0..])
+                .map(|(&le_bytes, &summary)| BucketReport { le_bytes, summary })
                 .collect();
             let (algo_key, algo_name) = keyed(first);
             aggregates.push(AggregateReport {
@@ -243,12 +288,12 @@ impl SweepResult {
                 offered: cell.iter().map(|o| o.offered).sum(),
                 completed: cell.iter().map(|o| o.completed).sum(),
                 drops: cell.iter().map(|o| o.drops).sum(),
-                short_tail: short.credible_tail(),
-                long_tail: long.credible_tail(),
-                short: short.summary(),
-                medium: medium.summary(),
-                long: long.summary(),
-                all: all.summary(),
+                short_tail,
+                long_tail,
+                short: pooled[SHORT],
+                medium: pooled[MEDIUM],
+                long: pooled[LONG],
+                all: pooled[ALL],
                 buffer_p50: buffer.percentile(50.0),
                 buffer_p99: buffer.percentile(99.0),
                 buffer_max: buffer.percentile(100.0),
@@ -480,14 +525,15 @@ impl SweepResult {
     }
 }
 
-/// One sample vector of each of a cell's points, concatenated in point
-/// order. The pool is built here, so it is sorted in place.
+/// One sample vector of each of a cell's points, concatenated unsorted
+/// in point order into one exact-sized copy — the order its mean is
+/// summed in — which is then sorted in place.
 fn pool<T>(cell: &[T], samples: impl Fn(&T) -> &[f64]) -> Sorted {
-    Sorted::new(
-        cell.iter()
-            .flat_map(|x| samples(x).iter().copied())
-            .collect(),
-    )
+    let mut all = Vec::with_capacity(cell.iter().map(|x| samples(x).len()).sum());
+    for x in cell {
+        all.extend_from_slice(samples(x));
+    }
+    Sorted::new(all)
 }
 
 /// `"key": `.
@@ -654,14 +700,154 @@ mod tests {
         ];
         // 30,000,001 B is past the last boundary: in no bucket.
         for (b, want) in buckets.iter().enumerate() {
-            assert_eq!(c.buckets[b], *want, "bucket {b}");
+            assert_eq!(c.get(BUCKET0 + b), *want, "bucket {b}");
         }
         // 10,000 and 99,999 B are in no class.
-        assert_eq!(c.short, [1.0, 2.0, 3.0]);
-        assert_eq!(c.medium, [6.0, 7.0]);
-        assert_eq!(c.long, [8.0, 9.0, 10.0]);
+        let classes: [&[f64]; 3] = [&[1.0, 2.0, 3.0], &[6.0, 7.0], &[8.0, 9.0, 10.0]];
+        for (k, want) in [SHORT, MEDIUM, LONG].into_iter().zip(classes) {
+            assert_eq!(c.get(k), want, "class cut {k}");
+        }
         let all: Vec<f64> = flows.iter().map(|f| f.1).collect();
-        assert_eq!(c.all, all);
+        assert_eq!(c.get(ALL), all);
+        // One exact-sized buffer: every flow, plus each flow in a class,
+        // plus each flow in a bucket.
+        let in_cuts = |cuts: &[&[f64]]| cuts.iter().map(|c| c.len()).sum::<usize>();
+        assert_eq!(
+            c.values.len(),
+            flows.len() + in_cuts(&classes) + in_cuts(&buckets)
+        );
+        assert_eq!(c.values.capacity(), c.values.len());
+    }
+
+    /// The reduction [`SweepResult::build`] replaced, kept as the oracle:
+    /// a `Vec` per cut, `Summary::of` per point, and a pool that copies
+    /// each cut again.
+    struct OracleCuts {
+        buckets: [Vec<f64>; SIZE_BUCKETS.len()],
+        short: Vec<f64>,
+        medium: Vec<f64>,
+        long: Vec<f64>,
+        all: Vec<f64>,
+    }
+
+    impl OracleCuts {
+        fn of(flows: &[(u64, f64)]) -> OracleCuts {
+            let mut c = OracleCuts {
+                buckets: Default::default(),
+                short: Vec::new(),
+                medium: Vec::new(),
+                long: Vec::new(),
+                all: Vec::with_capacity(flows.len()),
+            };
+            for &(size, s) in flows {
+                if let Some(b) = SIZE_BUCKETS.iter().position(|&ub| size <= ub) {
+                    c.buckets[b].push(s);
+                }
+                match size_class(size) {
+                    SizeClass::Short => c.short.push(s),
+                    SizeClass::Medium => c.medium.push(s),
+                    SizeClass::Long => c.long.push(s),
+                    SizeClass::SmallMedium => {}
+                }
+                c.all.push(s);
+            }
+            c
+        }
+    }
+
+    fn oracle_pool(cell: &[OracleCuts], samples: impl Fn(&OracleCuts) -> &[f64]) -> Sorted {
+        Sorted::new(
+            cell.iter()
+                .flat_map(|x| samples(x).iter().copied())
+                .collect(),
+        )
+    }
+
+    /// Every bit of a summary, so `-0.0` and `+0.0` differ.
+    fn bits(s: Option<Summary>) -> Option<[u64; 7]> {
+        s.map(|s| {
+            let f = [s.mean, s.p50, s.p95, s.p99, s.p999, s.max];
+            let mut b = [s.count as u64; 7];
+            for (b, x) in b[1..].iter_mut().zip(f) {
+                *b = x.to_bits();
+            }
+            b
+        })
+    }
+
+    fn tail_bits(t: Option<(f64, f64)>) -> Option<(u64, u64)> {
+        t.map(|(p, v)| (p.to_bits(), v.to_bits()))
+    }
+
+    /// Random cells of 1 and 3 points — sizes on both sides of every
+    /// bucket and class edge, repeated slowdowns, `±0.0`, empty cuts and
+    /// points with no flows — reduce to the oracle's summaries, tails and
+    /// buckets bit for bit.
+    #[test]
+    fn build_matches_the_per_cut_oracle_bit_for_bit() {
+        let mut edges = vec![10_000, 100_000, 1_000_000];
+        edges.extend(SIZE_BUCKETS);
+        let sizes: Vec<u64> = edges
+            .iter()
+            .flat_map(|&e| [e - 1, e, e + 1])
+            .chain([1, 64_000])
+            .collect();
+        let values = [0.0, -0.0, 1.0, 1.0, 2.5, 7.0, 1e-300, 3.75];
+        let mut rng = proptest::TestRng::deterministic("build_matches_the_per_cut_oracle");
+        for case in 0..300 {
+            let seeds = if case % 2 == 0 { 1 } else { 3 };
+            let mut spec = spec2x2().seeds(1..=seeds);
+            spec.sweep_mut("test").sweep.algos = vec![Algo::PowerTcp];
+            // Mostly small points (empty cuts are common); now and then
+            // one large enough to move the credible tail off p50.
+            let cap = if rng.below(8) == 0 { 400 } else { 12 };
+            let outcomes: Vec<PointOutcome> = (1..=seeds)
+                .map(|seed| {
+                    let mut o = fake_outcome(Algo::PowerTcp, 0.5, seed, 1.0);
+                    o.flows = (0..rng.below(cap + 1))
+                        .map(|_| {
+                            let size = if rng.below(4) == 0 {
+                                1 + rng.below(40_000_000) as u64
+                            } else {
+                                sizes[rng.below(sizes.len())]
+                            };
+                            let s = if rng.below(3) == 0 {
+                                rng.unit_f64() * 100.0
+                            } else {
+                                values[rng.below(values.len())]
+                            };
+                            (size, s)
+                        })
+                        .collect();
+                    o
+                })
+                .collect();
+            let oracle: Vec<OracleCuts> =
+                outcomes.iter().map(|o| OracleCuts::of(&o.flows)).collect();
+            let r = SweepResult::build(&spec, outcomes);
+            for (p, c) in r.points.iter().zip(&oracle) {
+                let got = [p.short, p.medium, p.long, p.all].map(bits);
+                let want = [&c.short, &c.medium, &c.long, &c.all].map(|v| bits(Summary::of(v)));
+                assert_eq!(got, want, "case {case}, seed {}", p.seed);
+            }
+            let [a] = &r.aggregates[..] else {
+                panic!("one cell")
+            };
+            let short = oracle_pool(&oracle, |c| &c.short);
+            let long = oracle_pool(&oracle, |c| &c.long);
+            let medium = oracle_pool(&oracle, |c| &c.medium);
+            let all = oracle_pool(&oracle, |c| &c.all);
+            let got = [a.short, a.medium, a.long, a.all].map(bits);
+            let want = [&short, &medium, &long, &all].map(|s| bits(s.summary()));
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(tail_bits(a.short_tail), tail_bits(short.credible_tail()));
+            assert_eq!(tail_bits(a.long_tail), tail_bits(long.credible_tail()));
+            for (b, got) in a.buckets.iter().enumerate() {
+                assert_eq!(got.le_bytes, SIZE_BUCKETS[b]);
+                let want = oracle_pool(&oracle, |c| &c.buckets[b]).summary();
+                assert_eq!(bits(got.summary), bits(want), "case {case}, bucket {b}");
+            }
+        }
     }
 
     #[test]
