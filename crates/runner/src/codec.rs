@@ -219,9 +219,7 @@ fn pair<'a, A, B>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_scenarios::{
-        builtin, run_point, run_trace_entry_observed, sweep_points, trace_entries,
-    };
+    use dcn_scenarios::{builtin, compute, run_point, sweep_points, work_items};
 
     #[test]
     fn sweep_outcome_round_trips_bit_for_bit() {
@@ -244,13 +242,14 @@ mod tests {
     #[test]
     fn trace_outcome_round_trips_bit_for_bit() {
         let spec = builtin("fig2").unwrap();
-        let e = &trace_entries(&spec)[0];
-        let entry = run_trace_entry_observed(&spec, e).0;
-        let encoded = encode(&Outcome::Trace(Box::new(entry.clone())));
+        let (Outcome::Trace(entry), _) = compute(&spec, &work_items(&spec)[0]) else {
+            panic!("fig2 is a lineup entry");
+        };
+        let encoded = encode(&Outcome::Trace(entry.clone()));
         let Outcome::Trace(back) = decode_str(&encoded).unwrap() else {
             panic!("kind flipped");
         };
-        assert_eq!(*back, entry);
+        assert_eq!(back, entry);
     }
 
     #[test]

@@ -255,7 +255,10 @@ mod tests {
     #[test]
     fn trace_entry_keys_separate_lineup_entries() {
         let spec = builtin("fig8").unwrap();
-        let entries = trace_entries(&spec);
+        let ScenarioKind::Timeseries(body) = &spec.kind else {
+            unreachable!("fig8 is a trace")
+        };
+        let entries = trace_entries(body);
         assert!(entries.len() >= 3);
         let keys: Vec<CacheKey> = entries.iter().map(|e| entry_key(&spec, e)).collect();
         for (i, a) in keys.iter().enumerate() {

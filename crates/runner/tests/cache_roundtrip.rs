@@ -64,7 +64,7 @@ fn check_cold_warm(name: &str) {
 
 #[test]
 fn cold_then_warm_is_byte_identical_across_scenario_kinds() {
-    // One fat-tree sweep, one star incast sweep, one analytic trace, one
+    // One fat-tree sweep, one star incast sweep, the response curves, one
     // simulated trace, one fluid-model analytic grid, one theorem check,
     // one params-axis sweep: every executor path.
     for name in [
@@ -83,10 +83,13 @@ fn cold_then_warm_is_byte_identical_across_scenario_kinds() {
 #[test]
 fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
     use dcn_runner::entry_key;
-    use dcn_scenarios::{trace_entries, AnalyticScenario, ScenarioKind};
+    use dcn_scenarios::{analytic_entries, AnalyticScenario, ScenarioKind};
 
     let spec = builtin("fig3-small").unwrap();
-    let entries = trace_entries(&spec);
+    let ScenarioKind::Analytic(analytic) = &spec.kind else {
+        panic!("fig3-small is analytic");
+    };
+    let entries = analytic_entries(analytic);
     let base: Vec<_> = entries.iter().map(|e| entry_key(&spec, e)).collect();
 
     // The salt is the fluid-model version, not the sim engine version:
@@ -146,6 +149,42 @@ fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
     let (_, s3) = run(&tuned, &cfg).unwrap();
     assert_eq!(s3.cache_misses, entries.len() as u64, "retune must miss");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A key's salt names the engine that computes its entry: the fluid
+/// model's version exactly where no simulator runs, so a bump of either
+/// misses every entry it could have moved. The salt is chosen by kind,
+/// so the first builtin of each shape (kind and `scenario` tag) stands
+/// for the others: `fig4-large`, an `incast` trace as `fig4` is, reaches
+/// the go-back-N underflow of ROADMAP item 1(a) in a debug build.
+#[test]
+fn the_salt_names_the_engine_that_computes_the_entry() {
+    use dcn_runner::item_key;
+    use dcn_scenarios::{builtin_specs, compute, work_items, ScenarioKind};
+
+    let mut shapes = std::collections::BTreeSet::new();
+    for spec in builtin_specs() {
+        if matches!(spec.kind, ScenarioKind::Sweep(_)) {
+            continue;
+        }
+        let text = spec.to_toml();
+        let tag = text.lines().find(|l| l.starts_with("scenario = "));
+        if !shapes.insert((spec.kind.key(), tag.map(str::to_owned))) {
+            continue;
+        }
+        let item = &work_items(&spec)[0];
+        let (_, stats) = compute(&spec, item);
+        let canon = item_key(&spec, item).canon;
+        let fluid = canon.lines().any(|l| l.starts_with("fluid-model-version="));
+        assert_eq!(
+            fluid,
+            stats.is_none(),
+            "{}: fluid-model salt {fluid}, simulator ran {}",
+            spec.name,
+            stats.is_some()
+        );
+    }
+    assert_eq!(shapes.len(), 7, "{shapes:?}");
 }
 
 #[test]

@@ -463,7 +463,7 @@ fn run_refuses_a_switch_wider_than_port_ids_before_simulating() {
 fn seeds_on_an_analytic_scenario_is_a_clean_error_naming_the_kind() {
     for (name, kind) in [
         ("fig3", "analytic"),
-        ("fig2", "timeseries"),
+        ("fig2", "analytic"),
         ("fig4", "timeseries"),
     ] {
         let out = Command::new(XP)

@@ -1,8 +1,8 @@
 //! The analytic engine: run one `analytic` scenario entry as a pure
 //! fluid-model computation — no simulator, no randomness, no clocks.
 //!
-//! The fluid-model experiments run here (`fig3` phase portraits,
-//! `ablations` parameter sweeps, `theorems` checks): each
+//! The fluid-model experiments run here (`fig2` response curves, `fig3`
+//! phase portraits, `ablations` parameter sweeps, `theorems` checks): each
 //! [`AnalyticScenario`] expands into lineup entries exactly like a timeseries scenario
 //! ([`analytic_entries`] mirrors `trace_entries`), each entry reduces to
 //! a [`TraceEntry`] (scalar stats plus trajectory channels), and the
@@ -13,17 +13,15 @@
 //! so reports are byte-identical at any thread or process count.
 
 use crate::spec::AnalyticScenario;
-use crate::trace_engine::TraceEntrySpec;
+use crate::trace_engine::{TraceEntrySpec, MAX_CHANNEL_ROWS};
 use dcn_telemetry::{decimate, ChannelTrace, Sample, TraceEntry};
 use fluid_model::{
-    analytic_equilibrium, analytic_windows, eigenvalues_2x2, endpoint_spread, equilibrium_windows,
-    grid, inflight, integrate, measure_power_convergence, phase_portrait_grid, powertcp_jacobian,
-    FluidParams, Lane, Law, Schedule, State, PAPER_BETA_FRAC, PAPER_GAMMA,
+    analytic_equilibrium, analytic_windows, current_md, eigenvalues_2x2, endpoint_spread,
+    equilibrium_windows, fig2c_cases, grid, inflight, integrate, measure_power_convergence,
+    phase_portrait_grid, powertcp_jacobian, voltage_md, FluidParams, Lane, Law, Schedule, State,
+    PAPER_BETA_FRAC, PAPER_GAMMA,
 };
 use powertcp_core::Tick;
-
-/// Exported rows per channel, of trajectories here and of trace probes.
-pub(crate) const MAX_CHANNEL_ROWS: usize = 120;
 
 /// Relative tolerance of the theorem checks.
 const THEOREM_TOLERANCE: f64 = 0.02;
@@ -32,6 +30,8 @@ const THEOREM_TOLERANCE: f64 = 0.02;
 /// expose only `(index, label)` through [`TraceEntrySpec`], and the
 /// worker protocol re-derives points from the spec).
 enum AnalyticPoint {
+    /// The Figure 2 response curves and blind-spot cases.
+    Response,
     /// One control law's full phase portrait.
     PhaseLaw(Law),
     /// One swept γ value (power law).
@@ -47,6 +47,7 @@ enum AnalyticPoint {
 impl AnalyticPoint {
     fn label(&self) -> String {
         match self {
+            AnalyticPoint::Response => "analytic".into(),
             AnalyticPoint::PhaseLaw(law) => law.key().to_string(),
             AnalyticPoint::AblationGamma(g) => format!("gamma={g}"),
             AnalyticPoint::AblationBeta(b) => format!("beta_frac={b}"),
@@ -61,10 +62,11 @@ impl AnalyticPoint {
 }
 
 /// The enumerated grid points of an analytic spec, in stable order:
-/// laws in declaration order for `phase`, γ then β̂ then η sweeps for
-/// `ablation`, theorems 1–3 for `laws`.
+/// the one `response` point, laws in declaration order for `phase`, γ
+/// then β̂ then η sweeps for `ablation`, theorems 1–3 for `laws`.
 fn analytic_points(analytic: &AnalyticScenario) -> Vec<AnalyticPoint> {
     match analytic {
+        AnalyticScenario::Response => vec![AnalyticPoint::Response],
         AnalyticScenario::Phase { laws, .. } => {
             laws.iter().map(|&l| AnalyticPoint::PhaseLaw(l)).collect()
         }
@@ -83,9 +85,9 @@ fn analytic_points(analytic: &AnalyticScenario) -> Vec<AnalyticPoint> {
     }
 }
 
-/// Expand an analytic spec into lineup entries (the analytic half of
-/// [`crate::trace_engine::trace_entries`]; the placeholder algorithm
-/// is never consulted).
+/// Expand an analytic spec into lineup entries, as
+/// [`crate::trace_engine::trace_entries`] does a timeseries (the
+/// placeholder algorithm is never consulted).
 pub fn analytic_entries(analytic: &AnalyticScenario) -> Vec<TraceEntrySpec> {
     analytic_points(analytic)
         .iter()
@@ -110,6 +112,7 @@ pub fn run_analytic_entry(analytic: &AnalyticScenario, entry: &TraceEntrySpec) -
     debug_assert_eq!(point.label(), entry.label, "entry drifted from the spec");
     let label = point.label();
     match point {
+        AnalyticPoint::Response => response_entry(label),
         AnalyticPoint::PhaseLaw(law) => {
             let AnalyticScenario::Phase {
                 w_over_bdp,
@@ -141,6 +144,57 @@ fn trajectory_channel(name: String, samples: Vec<Sample>) -> ChannelTrace {
         total_samples: samples.len() as u64,
         evicted: 0,
         samples: decimate(&samples, MAX_CHANNEL_ROWS),
+    }
+}
+
+// ---------------------------------------------------------------------
+// fig2 — multiplicative-decrease responses
+// ---------------------------------------------------------------------
+
+/// Figure 2: the orthogonal multiplicative-decrease responses of voltage-
+/// and current-based CC, plus the three blind-spot cases as stats. A
+/// channel's x-axis is the swept quantity; y is the decrease factor.
+fn response_entry(label: String) -> TraceEntry {
+    let curve = |name: &str, x_unit: &str, xs: &[f64], md: &dyn Fn(f64) -> f64| {
+        let samples: Vec<Sample> = xs.iter().map(|&x| Sample { x, y: md(x) }).collect();
+        ChannelTrace {
+            name: name.to_string(),
+            unit: "factor".to_string(),
+            x_unit: x_unit.to_string(),
+            total_samples: samples.len() as u64,
+            evicted: 0,
+            samples,
+        }
+    };
+    // 2a: MD vs queue buildup rate (queue fixed at one BDP).
+    let rates: Vec<f64> = (0..=8).map(f64::from).collect();
+    // 2b: MD vs queue length in 1KB packets (BDP = 20 pkts, no buildup).
+    let queues: Vec<f64> = (0..=6).map(|i| f64::from(i) * 10.0).collect();
+    let bdp_pkts = 20.0;
+    let channels = vec![
+        curve("voltage-md-vs-rate", "qdot_over_bw", &rates, &|_| {
+            voltage_md(1.0)
+        }),
+        curve("current-md-vs-rate", "qdot_over_bw", &rates, &current_md),
+        curve("voltage-md-vs-queue", "queue_pkts", &queues, &|q| {
+            voltage_md(q / bdp_pkts)
+        }),
+        curve("current-md-vs-queue", "queue_pkts", &queues, &|_| {
+            current_md(0.0)
+        }),
+    ];
+    // 2c: the three blind-spot cases as stats.
+    let mut stats = Vec::new();
+    for (i, case) in fig2c_cases().iter().enumerate() {
+        let n = i + 1;
+        stats.push((format!("case{n}_voltage_md"), case.voltage()));
+        stats.push((format!("case{n}_current_md"), case.current()));
+        stats.push((format!("case{n}_power_md"), case.power()));
+    }
+    TraceEntry {
+        label,
+        stats,
+        channels,
     }
 }
 
@@ -396,6 +450,23 @@ mod tests {
     }
 
     #[test]
+    fn response_entry_reproduces_the_fig2c_annotations() {
+        let spec = analytic("fig2");
+        let entries = analytic_entries(&spec);
+        assert_eq!(entries.len(), 1);
+        let e = run_analytic_entry(&spec, &entries[0]);
+        assert!((e.stat("case1_voltage_md").unwrap() - 3.24).abs() < 1e-9);
+        assert!((e.stat("case1_current_md").unwrap() - 9.0).abs() < 1e-9);
+        assert!((e.stat("case2_current_md").unwrap() - 1.0).abs() < 1e-9);
+        // Power separates all three cases.
+        let p: Vec<f64> = (1..=3)
+            .map(|i| e.stat(&format!("case{i}_power_md")).unwrap())
+            .collect();
+        assert!(p[0] != p[1] && p[1] != p[2] && p[0] != p[2]);
+        assert_eq!(e.channels.len(), 4);
+    }
+
+    #[test]
     fn fig3_entries_reproduce_the_paper_properties() {
         let spec = analytic("fig3");
         let entries = analytic_entries(&spec);
@@ -459,7 +530,7 @@ mod tests {
 
     #[test]
     fn analytic_entries_replay_bit_for_bit() {
-        for name in ["fig3", "ablations", "theorems"] {
+        for name in ["fig2", "fig3", "ablations", "theorems"] {
             let spec = analytic(name);
             for e in analytic_entries(&spec) {
                 let a = run_analytic_entry(&spec, &e);

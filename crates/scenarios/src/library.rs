@@ -82,9 +82,11 @@ mod tests {
     #[test]
     fn trace_builtins_are_timeseries_with_expected_lineups() {
         let spec = |name| builtin(name).expect("a builtin");
-        for name in ["fig2", "fig4", "fig5", "fig8"] {
+        for name in ["fig4", "fig5", "fig8"] {
             assert_eq!(spec(name).kind.key(), "timeseries", "{name}");
         }
+        // Figure 2 is the fluid model's response curves: one analytic entry.
+        assert_eq!(spec("fig2").kind.key(), "analytic");
         assert_eq!(spec("fig2").num_points(), 1);
         assert_eq!(spec("fig4").num_points(), 6); // the paper's Figure 4/6 set
         assert_eq!(spec("fig5").num_points(), 4);

@@ -410,17 +410,6 @@ impl<T> Section<T> {
             Value::Table(_) => format!("[{key}]"),
             _ => "it".into(),
         };
-        if owners.contains(&is) {
-            // The variant has the key, but not under what its sub-tables
-            // hold (`[sweep]` beside a `response` trace).
-            let held = |f: &&Field<T>| f.ty == Ty::Table && (f.get)(t).is_some();
-            let by: Vec<&str> = self.fields.iter().filter(held).map(|f| f.key).collect();
-            return format!(
-                "{key} does not apply to this {} = {is:?} spec, given its [{}] — remove {remove}",
-                tag.key,
-                by.join("] and [")
-            );
-        }
         let owners = owners.join("/");
         format!(
             "{key} is a{} {owners} setting; {} = {is:?} has no {key} — remove {remove}",
@@ -432,25 +421,21 @@ impl<T> Section<T> {
     /// Parse this section from its table: the tag first (it shapes the
     /// value); a key that shape does not have is an error; then every
     /// key it has is set, present or defaulted (a sub-table: read), in
-    /// row order. A sub-table read may rule out a later key (`[sweep]`
-    /// beside a `response` trace), so the keys are checked once more.
+    /// row order.
     pub fn read(&self, table: &Table) -> Result<T, String> {
         let mut t = (self.blank)();
         let is_tag = |f: &&Field<T>| f.ty == Ty::Tag;
         for f in self.fields.iter().filter(is_tag) {
             f.read(self.path, table, &mut t)?;
         }
-        let stray = |t: &T| {
-            let stray = table.iter().find(|(key, _)| !self.has(t, key));
-            stray.map_or(Ok(()), |(key, value)| Err(self.refuse(key, value, t)))
-        };
-        stray(&t)?;
+        if let Some((key, value)) = table.iter().find(|(key, _)| !self.has(&t, key)) {
+            return Err(self.refuse(key, value, &t));
+        }
         for f in self.fields.iter().filter(|f| !is_tag(f)) {
             if (f.get)(&t).is_some() {
                 f.read(self.path, table, &mut t)?;
             }
         }
-        stray(&t)?;
         Ok(t)
     }
 }
@@ -688,14 +673,10 @@ pub(crate) static ROOT: Section<ScenarioSpec> = Section {
             => ScenarioSpec { kind: Timeseries(TimeseriesBody { trace, .. }), .. } => trace),
         field!(ANALYTIC_KEY, Table, Required, Any, Physics
             => ScenarioSpec { kind: Analytic(analytic), .. } => analytic),
-        // One key, two shapes: a sweep's four axes, a trace's lineup
-        // (`response` runs no algorithm, so it has none).
+        // One key, two shapes: a sweep's four axes, a trace's lineup.
         field!(SWEEP_KEY, Table, Required, Any, Physics => [
             ScenarioSpec { kind: Sweep(SweepBody { sweep, .. }), .. } => sweep,
-            ScenarioSpec { kind: Timeseries(TimeseriesBody { lineup, trace:
-                TraceScenario::Incast { .. } | TraceScenario::Fairness { .. }
-                    | TraceScenario::Rdcn { .. },
-            }), .. } => lineup,
+            ScenarioSpec { kind: Timeseries(TimeseriesBody { lineup, .. }), .. } => lineup,
         ]),
     ],
 };
@@ -800,19 +781,15 @@ pub(crate) static PARAMS: &[Field<ParamSpec>] =
 /// `[trace]`: the traced experiment and its own keys.
 pub(crate) static TRACE: Section<TraceScenario> = Section {
     path: &[TRACE_KEY],
-    // A trace with a lineup, so that a blank timeseries has `[sweep]`
-    // (refused only beside a `response` trace).
     blank: || zeroed!(TraceScenario::Incast: tick_us, fan_in, burst_bytes, horizon_ms),
     fields: &[
         tag!("scenario", Required, [
-            "response" => TraceScenario::Response => TraceScenario::Response,
             "incast" => TraceScenario::Incast { .. } => (TRACE.blank)(),
             "fairness" => TraceScenario::Fairness { .. }
                 => zeroed!(TraceScenario::Fairness: tick_us, flows, horizon_ms),
             "rdcn" => TraceScenario::Rdcn { .. }
                 => zeroed!(TraceScenario::Rdcn: tick_us, weeks, packet_gbps, retcp_prebuffer_us),
         ]),
-        // Every trace that simulates: `response` computes its curves.
         field!("tick_us", Float, Write(num(20.0)), Pos, Physics
             => TraceScenario::Incast { tick_us, .. } | TraceScenario::Fairness { tick_us, .. }
                 | TraceScenario::Rdcn { tick_us, .. }
@@ -839,13 +816,13 @@ pub(crate) static TRACE: Section<TraceScenario> = Section {
 /// The paper's Figure 3 lineup: one law per signal class.
 const FIG3_LAWS: Val<'static> = Val::Laws(&[Law::QueueLength, Law::RttGradient, Law::Power]);
 
-/// `[analytic]`: the analytic experiment and its own grid, all over
-/// [`fluid_model::FluidParams::paper_example`].
+/// `[analytic]`: the analytic experiment and its own grid.
 pub(crate) static ANALYTIC: Section<AnalyticScenario> = Section {
     path: &[ANALYTIC_KEY],
     blank: || AnalyticScenario::Laws,
     fields: &[
         tag!("scenario", Required, [
+            "response" => AnalyticScenario::Response => AnalyticScenario::Response,
             "phase" => AnalyticScenario::Phase { .. }
                 => zeroed!(AnalyticScenario::Phase: laws, w_over_bdp, q_over_bdp),
             "ablation" => AnalyticScenario::Ablation { .. }

@@ -268,8 +268,7 @@ impl SweepBody {
 pub struct TimeseriesBody {
     /// The `[trace]` table.
     pub trace: TraceScenario,
-    /// The algorithms traced. `response` runs none: its one entry is a
-    /// PowerTCP placeholder, and its spec has no `[sweep]`.
+    /// The algorithms traced.
     pub lineup: LineupSpec,
 }
 
@@ -303,12 +302,9 @@ pub(crate) const FAIRNESS_STAGGER_MS: f64 = 1.0;
 /// The traced experiment of a `timeseries` scenario: the paper's
 /// temporal figures as declarative data. Each defines its own fixture (a
 /// star sized by the scenario's own keys, or the `rdcn` crate's rotor
-/// fabric); every probe of a simulated one samples on its `tick_us`.
+/// fabric); every probe samples on its `tick_us`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceScenario {
-    /// Figure 2: the analytic voltage/current/power multiplicative-decrease
-    /// response curves of the fluid model (no simulation).
-    Response,
     /// Figure 4: a long flow to one receiver; at `INCAST_AT_MS` (1 ms),
     /// `fan_in` other hosts burst `burst_bytes` each into the same 25G
     /// downlink.
@@ -356,14 +352,13 @@ impl TraceScenario {
             // Receiver + long-flow sender + burst senders.
             TraceScenario::Incast { fan_in, .. } => Some(("fan_in", fan_in + 2)),
             TraceScenario::Fairness { flows, .. } => Some(("flows", flows + 1)),
-            TraceScenario::Response | TraceScenario::Rdcn { .. } => None,
+            TraceScenario::Rdcn { .. } => None,
         }
     }
 
     /// Stable TOML identifier.
     pub fn key(&self) -> &'static str {
         match self {
-            TraceScenario::Response => "response",
             TraceScenario::Incast { .. } => "incast",
             TraceScenario::Fairness { .. } => "fairness",
             TraceScenario::Rdcn { .. } => "rdcn",
@@ -381,15 +376,19 @@ pub const MAX_PHASE_CELLS: usize = 1024;
 pub const MAX_PHASE_START_OVER_BDP: f64 = 1000.0;
 
 /// The analytic experiment of a `kind = "analytic"` scenario: the
-/// paper's fluid-model figures and appendix checks as declarative data,
-/// all over [`fluid_model::FluidParams::paper_example`]. These scenarios
-/// never build a simulator: each grid entry is a pure computation over
-/// `fluid-model`, and results flow through the same executor / cache /
+/// paper's fluid-model figures and appendix checks as declarative data.
+/// These scenarios never build a simulator: each grid entry is a pure
+/// computation over `fluid-model` (every integration runs
+/// [`fluid_model::FluidParams::paper_example`]), and results flow through the same executor / cache /
 /// multi-process pipeline as simulated points (cache keys are salted
 /// with [`fluid_model::MODEL_VERSION`] instead of the sim engine
 /// version).
 #[derive(Clone, Debug, PartialEq)]
 pub enum AnalyticScenario {
+    /// Figure 2: the voltage/current/power multiplicative-decrease
+    /// responses of §2.2, against queue buildup rate and queue length,
+    /// and the three blind-spot cases; one entry.
+    Response,
     /// Figure 3: phase portraits — integrate a grid of initial
     /// `(window, queue)` states under each control law; one grid entry
     /// per law, with per-trajectory channels and endpoint statistics.
@@ -783,12 +782,6 @@ impl TimeseriesBody {
             "timeseries lineup needs at least one algorithm"
         );
         match trace {
-            // The trace writes no lineup, so only the default would
-            // round-trip.
-            TraceScenario::Response => ensure!(
-                *lineup == LineupSpec::default(),
-                "the response trace runs no algorithm, so it takes no lineup"
-            ),
             TraceScenario::Incast { horizon_ms, .. } => ensure!(
                 INCAST_AT_MS < *horizon_ms,
                 "incast horizon_ms {horizon_ms} must exceed the burst's start at \
@@ -867,7 +860,7 @@ impl AnalyticScenario {
                 !(gammas.is_empty() && beta_fracs.is_empty() && etas.is_empty()),
                 "analytic ablation needs at least one of gammas, beta_fracs, or etas"
             ),
-            AnalyticScenario::Laws => {}
+            AnalyticScenario::Response | AnalyticScenario::Laws => {}
         }
         Ok(())
     }
@@ -1087,7 +1080,6 @@ seeds = [1, 2, 3]
     #[test]
     fn timeseries_round_trips_all_scenarios() {
         for scenario in [
-            TraceScenario::Response,
             TraceScenario::Incast {
                 tick_us: 20.0,
                 fan_in: 10,
@@ -1106,18 +1098,12 @@ seeds = [1, 2, 3]
                 retcp_prebuffer_us: vec![600.0, 1800.0],
             },
         ] {
-            let analytic = matches!(scenario, TraceScenario::Response);
-            let mut spec = ts_spec(scenario);
-            if analytic {
-                // Response runs no algorithm and writes no lineup, so
-                // validation requires the default.
-                spec.timeseries_mut("test").lineup = LineupSpec::default();
-            }
+            let spec = ts_spec(scenario);
             spec.validate().unwrap_or_else(|e| panic!("{e}"));
             let text = spec.to_toml();
             assert!(text.contains("kind = \"timeseries\""), "{text}");
             assert!(!text.contains("[topology]"), "derived, not written");
-            assert_eq!(text.contains("[sweep]"), !analytic, "{text}");
+            assert!(text.contains("[sweep]"), "{text}");
             assert!(
                 !text.contains("seeds") && !text.contains("drain_ms"),
                 "{text}"
@@ -1155,15 +1141,6 @@ seeds = [1, 2, 3]
         });
         s.timeseries_mut("test").lineup.algos = vec![Algo::Homa(1)];
         assert!(s.validate().unwrap_err().contains("HOMA"));
-
-        // A response trace runs no algorithm: a code-built lineup would
-        // run the placeholder and vanish from `to_toml`.
-        let mut s = ts_spec(TraceScenario::Response);
-        s.timeseries_mut("test").lineup.algos = vec![Algo::Hpcc, Algo::Dcqcn];
-        let err = s.validate().unwrap_err();
-        assert!(err.contains("response trace"), "{err}");
-        s.timeseries_mut("test").lineup = LineupSpec::default();
-        s.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// What the parent policed in `validate` (a load axis on a trace, a
@@ -1176,7 +1153,14 @@ seeds = [1, 2, 3]
             let payload = std::panic::catch_unwind(call).expect_err("the call panics");
             payload.downcast_ref::<String>().expect("a message").clone()
         };
-        let poisson = message(|| ts_spec(TraceScenario::Response).poisson(SizeSpec::Websearch));
+        fn fairness() -> ScenarioSpec {
+            ts_spec(TraceScenario::Fairness {
+                tick_us: 20.0,
+                flows: 4,
+                horizon_ms: 5.0,
+            })
+        }
+        let poisson = message(|| fairness().poisson(SizeSpec::Websearch));
         assert!(
             poisson.contains("poisson is for sweep scenarios"),
             "{poisson}"
@@ -1200,10 +1184,10 @@ seeds = [1, 2, 3]
         assert_eq!(laws().seeds_mut().unwrap_err(), seeds);
         assert!(sample_spec().seeds_mut().is_ok());
         // A trace has nothing random in it either.
-        let trace = message(|| ts_spec(TraceScenario::Response).seeds([7]));
+        let trace = message(|| fairness().seeds([7]));
         assert!(trace.contains("seeds is for sweep scenarios"), "{trace}");
         assert!(trace.contains("has kind = \"timeseries\""), "{trace}");
-        let horizon = message(|| ts_spec(TraceScenario::Response).horizon_ms(1.0));
+        let horizon = message(|| fairness().horizon_ms(1.0));
         assert!(horizon.contains("horizon_ms is for sweep"), "{horizon}");
     }
 
@@ -1241,13 +1225,13 @@ seeds = [1, 2, 3]
         });
         s.timeseries_mut("test").lineup.algos = vec![Algo::PowerTcp, Algo::ReTcp, Algo::Hpcc];
         assert_eq!(s.num_points(), 4); // powertcp + 2x retcp + hpcc
-        assert_eq!(ts_spec(TraceScenario::Response).num_points(), 1);
     }
 
     #[test]
     fn analytic_specs_round_trip_and_validate() {
         use fluid_model::Law;
         for scenario in [
+            AnalyticScenario::Response,
             AnalyticScenario::Phase {
                 laws: vec![Law::QueueLength, Law::RttGradient, Law::Power],
                 w_over_bdp: vec![0.05, 1.0, 4.0],
@@ -1530,7 +1514,7 @@ name = "x"
 kind = "star"
 hosts = 4
 [trace]
-scenario = "response"
+scenario = "fairness"
 [workload.poisson]
 sizes = "websearch"
 [sweep]
@@ -1545,7 +1529,7 @@ seeds = [1]
 name = "x"
 kind = "timeseries"
 [trace]
-scenario = "response"
+scenario = "fairness"
 [workload.poisson]
 sizes = "websearch"
 "#;
@@ -1624,7 +1608,8 @@ seeds = [1]
         assert!(err.contains("loads"), "{err}");
         // A trace in the format from before traces lost the keys none
         // reads: a seed, a drain, a top-level horizon, a horizon on a
-        // trace that runs rotor weeks, fig2's placeholder lineup.
+        // trace that runs rotor weeks; and a lineup beside fig2's
+        // analytic grid, which runs no algorithm.
         let text = |name| crate::library::builtin(name).unwrap().to_toml();
         let (fig2, fig4, fig8) = (text("fig2"), text("fig4"), text("fig8"));
         let kind = "kind = \"timeseries\"\n";
@@ -1639,7 +1624,7 @@ seeds = [1]
                 &fig2,
                 "scenario = \"response\"\n",
                 lineup,
-                "given its [trace]",
+                "kind = \"analytic\" has no sweep",
             ),
         ] {
             assert!(spec.contains(marker), "{marker}");
@@ -1647,6 +1632,18 @@ seeds = [1]
             let err = ScenarioSpec::from_toml(&edited).expect_err(&edited);
             assert!(err.contains(named), "{extra}: {err}");
         }
+        // fig2 as a trace, the format from before it became analytic.
+        let old_fig2 = fig2.replacen(
+            "kind = \"analytic\"\n\n[analytic]",
+            "kind = \"timeseries\"\n\n[trace]",
+            1,
+        );
+        assert!(old_fig2.contains("[trace]"), "{old_fig2}");
+        let err = ScenarioSpec::from_toml(&old_fig2).unwrap_err();
+        assert!(
+            err.contains("\"response\"") && err.contains("incast, fairness, rdcn"),
+            "{err}"
+        );
     }
 
     /// The keys every builtin left at one value are constants now: a
@@ -1658,7 +1655,7 @@ seeds = [1]
             (text("fig2"), text("fig4"), text("fig5"), text("theorems"));
         let trace = "[trace]\n";
         let analytic = "[analytic]\n";
-        let mut cases = vec![(&fig2, trace, "tick_us = 1.0", "has no tick_us")];
+        let mut cases = vec![(&fig2, analytic, "tick_us = 1.0", "unknown [analytic] key")];
         for extra in [
             "max_samples = 4096",
             "max_rows = 120",
@@ -1795,10 +1792,8 @@ seeds = [1]
     #[test]
     fn constructors_and_the_reader_share_the_table_defaults() {
         let parsed = |text: &str| ScenarioSpec::from_toml(text).unwrap_or_else(|e| panic!("{e}"));
-        // [trace]: a response trace is its tag; a trace that stops at a
-        // horizon samples every 20 µs for 4 ms.
-        let ts = parsed("name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"response\"\n");
-        assert_eq!(ts, ScenarioSpec::timeseries("t", TraceScenario::Response));
+        // [trace]: a trace that stops at a horizon samples every 20 µs
+        // for 4 ms.
         let mut incast = parsed(
             "name = \"t\"\nkind = \"timeseries\"\n[trace]\nscenario = \"incast\"\n\
              fan_in = 2\nburst_bytes = 9\n[sweep]\nalgos = [\"powertcp\"]\n",
@@ -1819,8 +1814,15 @@ seeds = [1]
         let built = ScenarioSpec::new("x", sweep.topology);
         let built = built.sweep_body("test");
         assert_eq!((built.horizon_ms, built.drain_ms), (4.0, 6.0));
-        // Analytic scenarios are their `[analytic]` table and nothing else.
+        // Analytic scenarios are their `[analytic]` table and nothing else:
+        // a response grid is its tag.
         let an = ScenarioSpec::new_analytic("a", AnalyticScenario::Laws);
         assert_eq!(an.kind, ScenarioKind::Analytic(AnalyticScenario::Laws));
+        let response = "name = \"a\"\nkind = \"analytic\"\n[analytic]\nscenario = \"response\"\n";
+        let response = parsed(response);
+        assert_eq!(
+            response,
+            ScenarioSpec::new_analytic("a", AnalyticScenario::Response)
+        );
     }
 }

@@ -12,6 +12,7 @@
 //! matter how many threads run it.
 
 use crate::algo::Algo;
+use crate::analytic_engine::{analytic_entries, run_analytic_entry};
 use crate::engine::{run_sweep_point_observed, PointOutcome};
 use crate::obs::{point_label, CacheStatus, NullObserver, Observer, PointObs, SpanRecord};
 use crate::report::SweepResult;
@@ -115,18 +116,20 @@ impl WorkItem {
     }
 }
 
-/// Expand a spec into its work items, in stable index order.
+/// Expand a spec into its work items, in stable index order: the one
+/// place, with [`compute`], that picks the engine by the spec's kind.
 pub fn work_items(spec: &ScenarioSpec) -> Vec<WorkItem> {
-    match spec.kind {
-        ScenarioKind::Sweep(_) => sweep_points(spec)
-            .into_iter()
-            .map(WorkItem::Point)
-            .collect(),
-        _ => trace_entries(spec)
-            .into_iter()
-            .map(WorkItem::Entry)
-            .collect(),
-    }
+    let entries = match &spec.kind {
+        ScenarioKind::Sweep(_) => {
+            return sweep_points(spec)
+                .into_iter()
+                .map(WorkItem::Point)
+                .collect()
+        }
+        ScenarioKind::Timeseries(timeseries) => trace_entries(timeseries),
+        ScenarioKind::Analytic(analytic) => analytic_entries(analytic),
+    };
+    entries.into_iter().map(WorkItem::Entry).collect()
 }
 
 /// The result of one work item. Boxed so cached and worker-transported
@@ -141,16 +144,24 @@ pub enum Outcome {
 
 /// Compute one work item in-process with a fresh deterministic engine
 /// run, returning the engine's counters when a simulator ran
-/// (analytic/fluid entries have none).
+/// (analytic/fluid entries have none). Panics on an item of another
+/// kind than the spec's.
 pub fn compute(spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, Option<SimStats>) {
-    match item {
-        WorkItem::Point(p) => {
+    match (item, &spec.kind) {
+        (WorkItem::Point(p), _) => {
             let (out, stats) = run_sweep_point_observed(spec, p);
             (Outcome::Sweep(Box::new(out)), Some(stats))
         }
-        WorkItem::Entry(e) => {
-            let (out, stats) = run_trace_entry_observed(spec, e);
-            (Outcome::Trace(Box::new(out)), stats)
+        (WorkItem::Entry(e), ScenarioKind::Timeseries(timeseries)) => {
+            let (out, stats) = run_trace_entry_observed(timeseries, e);
+            (Outcome::Trace(Box::new(out)), Some(stats))
+        }
+        (WorkItem::Entry(e), ScenarioKind::Analytic(analytic)) => {
+            let out = run_analytic_entry(analytic, e);
+            (Outcome::Trace(Box::new(out)), None)
+        }
+        (WorkItem::Entry(_), ScenarioKind::Sweep(_)) => {
+            panic!("a lineup entry of the sweep {:?}", spec.name)
         }
     }
 }

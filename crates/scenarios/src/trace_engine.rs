@@ -2,22 +2,20 @@
 //! instrumented simulation, sampling probes into ring-buffered telemetry
 //! channels.
 //!
-//! The paper's temporal figures (fig2/fig4/fig5/fig8 and the HOMA
-//! traces of fig9–11) run here: each
+//! The paper's temporal figures (fig4/fig5/fig8 and the HOMA traces of
+//! fig9–11) run here: each
 //! [`TraceScenario`] builds its fixture, registers `dcn-sim` probes
 //! (switch queues, link TX counters, per-flow cwnd / pacing / PowerTCP Γ
 //! via `Endpoint::cc_samples`) on the spec's tick grid, records into a
 //! `dcn-telemetry` [`Recorder`], and reduces to scalar stats. One call to
-//! [`run_trace_entry_observed`] is a pure function of `(spec, entry)` — the
+//! [`run_trace_entry_observed`] is a pure function of `(timeseries, entry)` — the
 //! property the executor ([`crate::sweep`]) relies on — so entries run in
 //! parallel and the report is byte-identical at any thread count.
 
 use crate::algo::Algo;
-use crate::analytic_engine::{analytic_entries, run_analytic_entry, MAX_CHANNEL_ROWS};
 use crate::engine::EDGE_HOST_DELAY;
 use crate::spec::{
-    rotor_run_length, ParamSpec, ScenarioKind, ScenarioSpec, TraceScenario, FAIRNESS_STAGGER_MS,
-    INCAST_AT_MS,
+    rotor_run_length, ParamSpec, TimeseriesBody, TraceScenario, FAIRNESS_STAGGER_MS, INCAST_AT_MS,
 };
 use dcn_sim::{
     build_star, cc_probe, host_throughput_probe, queue_probe, rate_probe, star_host_id,
@@ -25,7 +23,6 @@ use dcn_sim::{
 };
 use dcn_telemetry::{ChannelId, ChannelTrace, Recorder, SharedRecorder, TraceEntry};
 use dcn_transport::{FlowSpec, MetricsHub, SharedMetrics, TransportConfig};
-use fluid_model::{current_md, fig2c_cases, voltage_md};
 use powertcp_core::{Bandwidth, Tick};
 use rdcn::{build_rack_pair, topology::CIRCUIT_BW, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
@@ -39,24 +36,16 @@ pub struct TraceEntrySpec {
     pub index: usize,
     /// Display label ("PowerTCP-INT", "reTCP-600us", …).
     pub label: String,
-    /// Algorithm under trace (placeholder for the analytic `response`
-    /// scenario, which has no algorithm).
+    /// Algorithm under trace (a placeholder in an analytic entry, which
+    /// runs none).
     pub algo: Algo,
     /// reTCP prebuffering (RDCN scenario only; zero elsewhere).
     pub prebuffer: Tick,
 }
 
-/// Expand a timeseries spec's lineup into trace entries, in stable order:
+/// Expand a timeseries lineup into trace entries, in stable order:
 /// algo-major, with reTCP expanding to one entry per configured prebuffer.
-/// Analytic specs expand through [`crate::analytic_engine`] (same entry
-/// shape, so executors and the runner treat both kinds uniformly); a
-/// sweep has none.
-pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
-    let timeseries = match &spec.kind {
-        ScenarioKind::Sweep(_) => return Vec::new(),
-        ScenarioKind::Timeseries(timeseries) => timeseries,
-        ScenarioKind::Analytic(analytic) => return analytic_entries(analytic),
-    };
+pub fn trace_entries(timeseries: &TimeseriesBody) -> Vec<TraceEntrySpec> {
     let mut out = Vec::new();
     let mut push = |label: String, algo: Algo, prebuffer: Tick| {
         out.push(TraceEntrySpec {
@@ -68,9 +57,6 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
     };
     let algos = &timeseries.lineup.algos;
     match &timeseries.trace {
-        TraceScenario::Response => {
-            push("analytic".into(), Algo::PowerTcp, Tick::ZERO);
-        }
         TraceScenario::Rdcn {
             retcp_prebuffer_us, ..
         } => {
@@ -94,24 +80,16 @@ pub fn trace_entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
     out
 }
 
-/// Run one lineup entry and return it with the engine's run counters
-/// when the entry actually ran a simulator (analytic/fluid entries
-/// return `None`). Deterministic: identical arguments replay
-/// bit-for-bit, on any thread. Panics if `spec` is a sweep (its work
-/// items are points) or its `rdcn` weeks are more than `validate` takes.
+/// Run one lineup entry and return it with the simulator's run
+/// counters. Deterministic: identical arguments replay bit-for-bit, on
+/// any thread. Panics if the `rdcn` weeks are more than `validate` takes.
 pub fn run_trace_entry_observed(
-    spec: &ScenarioSpec,
+    timeseries: &TimeseriesBody,
     entry: &TraceEntrySpec,
-) -> (TraceEntry, Option<dcn_sim::SimStats>) {
-    let timeseries = match &spec.kind {
-        ScenarioKind::Sweep(_) => panic!("a lineup entry of the sweep {:?}", spec.name),
-        ScenarioKind::Timeseries(timeseries) => timeseries,
-        ScenarioKind::Analytic(analytic) => return (run_analytic_entry(analytic, entry), None),
-    };
+) -> (TraceEntry, dcn_sim::SimStats) {
     let ms = |ms: f64| Tick::from_secs_f64(ms / 1e3);
     let us = |us: f64| Tick::from_secs_f64(us / 1e6);
     match &timeseries.trace {
-        TraceScenario::Response => (response_trace(entry), None),
         TraceScenario::Incast {
             tick_us,
             fan_in,
@@ -136,18 +114,13 @@ pub fn run_trace_entry_observed(
 /// this; no builtin's run reaches it).
 const RING_SAMPLES: usize = 4096;
 
+/// Exported rows per channel, of trace probes here and of analytic
+/// trajectories.
+pub(crate) const MAX_CHANNEL_ROWS: usize = 120;
+
 /// One channel of a trace scenario: its name and unit. The fixtures
 /// register their channels from these tables, in recording order.
 type ChannelRow = (&'static str, &'static str);
-
-/// `response`: the unit is the x-axis (the swept quantity); y is the
-/// multiplicative-decrease factor.
-const RESPONSE_CHANNELS: [ChannelRow; 4] = [
-    ("voltage-md-vs-rate", "qdot_over_bw"),
-    ("current-md-vs-rate", "qdot_over_bw"),
-    ("voltage-md-vs-queue", "queue_pkts"),
-    ("current-md-vs-queue", "queue_pkts"),
-];
 
 /// `incast` / `rdcn`: the bottleneck's throughput and backlog (the star's
 /// `queue`, the rotor ToR's `voq`), then the first sender's window and Γ.
@@ -295,46 +268,6 @@ fn export(rec: &Recorder) -> Vec<ChannelTrace> {
 }
 
 // ---------------------------------------------------------------------
-// fig2 — analytic response curves (fluid model)
-// ---------------------------------------------------------------------
-
-/// Figure 2: the orthogonal multiplicative-decrease responses of voltage-
-/// and current-based CC, plus the three blind-spot cases. Analytic (no
-/// simulation); channels use the swept quantity as their x-axis.
-fn response_trace(entry: &TraceEntrySpec) -> TraceEntry {
-    let mut rec = Recorder::new(Tick::from_micros(1), RING_SAMPLES);
-    let [v_rate, c_rate, v_queue, c_queue] =
-        RESPONSE_CHANNELS.map(|(name, x)| rec.channel_with_x(name, "factor", x));
-
-    // 2a: MD vs queue buildup rate (queue fixed at one BDP).
-    for r in 0..=8 {
-        let r = r as f64;
-        rec.record(v_rate, r, voltage_md(1.0));
-        rec.record(c_rate, r, current_md(r));
-    }
-    // 2b: MD vs queue length in 1KB packets (BDP = 20 pkts, no buildup).
-    let bdp_pkts = 20.0;
-    for i in 0..=6 {
-        let q_pkts = i as f64 * 10.0;
-        rec.record(v_queue, q_pkts, voltage_md(q_pkts / bdp_pkts));
-        rec.record(c_queue, q_pkts, current_md(0.0));
-    }
-    // 2c: the three blind-spot cases as stats.
-    let mut stats = Vec::new();
-    for (i, case) in fig2c_cases().iter().enumerate() {
-        let n = i + 1;
-        stats.push((format!("case{n}_voltage_md"), case.voltage()));
-        stats.push((format!("case{n}_current_md"), case.current()));
-        stats.push((format!("case{n}_power_md"), case.power()));
-    }
-    TraceEntry {
-        label: entry.label.clone(),
-        stats,
-        channels: export(&rec),
-    }
-}
-
-// ---------------------------------------------------------------------
 // fig4 — incast reaction on a star
 // ---------------------------------------------------------------------
 
@@ -348,7 +281,7 @@ fn incast_trace(
     entry: &TraceEntrySpec,
     fan_in: usize,
     burst_bytes: u64,
-) -> (TraceEntry, Option<dcn_sim::SimStats>) {
+) -> (TraceEntry, dcn_sim::SimStats) {
     let algo = entry.algo;
     let host_bw = STAR_HOST_BW;
     let n = fan_in + 2; // receiver + long-flow sender + burst senders
@@ -447,7 +380,7 @@ fn incast_trace(
         stats,
         channels,
     };
-    (trace_entry, Some(sim.stats()))
+    (trace_entry, sim.stats())
 }
 
 // ---------------------------------------------------------------------
@@ -462,7 +395,7 @@ fn fairness_trace(
     horizon: Tick,
     entry: &TraceEntrySpec,
     flows: usize,
-) -> (TraceEntry, Option<dcn_sim::SimStats>) {
+) -> (TraceEntry, dcn_sim::SimStats) {
     let algo = entry.algo;
     let host_bw = STAR_HOST_BW;
     let receiver = star_host_id(0);
@@ -525,7 +458,7 @@ fn fairness_trace(
         stats,
         channels,
     };
-    (trace_entry, Some(sim.stats()))
+    (trace_entry, sim.stats())
 }
 
 // ---------------------------------------------------------------------
@@ -540,7 +473,7 @@ fn rdcn_trace(
     entry: &TraceEntrySpec,
     weeks: u64,
     packet_gbps: f64,
-) -> (TraceEntry, Option<dcn_sim::SimStats>) {
+) -> (TraceEntry, dcn_sim::SimStats) {
     let run = rotor_run_length(weeks).unwrap_or_else(|e| panic!("{e}"));
     let algo = entry.algo;
     let prebuffer = entry.prebuffer;
@@ -630,19 +563,31 @@ fn rdcn_trace(
         stats,
         channels,
     };
-    (trace_entry, Some(sim.stats()))
+    (trace_entry, sim.stats())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn run_trace_entry(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
-        run_trace_entry_observed(spec, entry).0
-    }
+    use crate::spec::{ScenarioKind, ScenarioSpec};
 
     fn ts(scenario: TraceScenario) -> ScenarioSpec {
         ScenarioSpec::timeseries("t", scenario)
+    }
+
+    fn body(spec: &ScenarioSpec) -> &TimeseriesBody {
+        match &spec.kind {
+            ScenarioKind::Timeseries(timeseries) => timeseries,
+            _ => unreachable!("a trace spec"),
+        }
+    }
+
+    fn entries(spec: &ScenarioSpec) -> Vec<TraceEntrySpec> {
+        trace_entries(body(spec))
+    }
+
+    fn run_trace_entry(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> TraceEntry {
+        run_trace_entry_observed(body(spec), entry).0
     }
 
     fn incast_until(horizon_ms: f64) -> TraceScenario {
@@ -657,7 +602,7 @@ mod tests {
     #[test]
     fn incast_trace_builds_and_drains_a_queue() {
         let spec = ts(incast_until(3.0));
-        let entries = trace_entries(&spec);
+        let entries = entries(&spec);
         assert_eq!(entries.len(), 1);
         let e = run_trace_entry(&spec, &entries[0]);
         assert_eq!(e.label, "PowerTCP-INT");
@@ -686,7 +631,7 @@ mod tests {
             flows: 4,
             horizon_ms: 5.0,
         });
-        let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
+        let e = run_trace_entry(&spec, &entries(&spec)[0]);
         let jain = e.stat("jain_all_active").unwrap();
         assert!(jain > 0.9, "PowerTCP should share fairly (jain={jain})");
         assert_eq!(
@@ -710,7 +655,7 @@ mod tests {
             unreachable!()
         };
         t.lineup.algos = vec![Algo::PowerTcp, Algo::ReTcp];
-        let entries = trace_entries(&spec);
+        let entries = entries(&spec);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[1].label, "reTCP-600us");
         let e = run_trace_entry(&spec, &entries[0]);
@@ -728,10 +673,6 @@ mod tests {
     fn an_unfiltered_run_records_exactly_the_channel_vocabulary() {
         let bottleneck = |backlog| ["throughput", backlog, "cwnd", "power"].to_vec();
         for (scenario, names) in [
-            (
-                TraceScenario::Response,
-                RESPONSE_CHANNELS.map(|(name, _)| name).to_vec(),
-            ),
             (
                 TraceScenario::Incast {
                     tick_us: 20.0,
@@ -761,24 +702,9 @@ mod tests {
         ] {
             let spec = ts(scenario.clone());
             spec.validate().unwrap();
-            let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
+            let e = run_trace_entry(&spec, &entries(&spec)[0]);
             let recorded: Vec<&str> = e.channels.iter().map(|c| c.name.as_str()).collect();
             assert_eq!(recorded, names, "{}", scenario.key());
         }
-    }
-
-    #[test]
-    fn response_trace_reproduces_the_fig2c_annotations() {
-        let spec = ts(TraceScenario::Response);
-        let e = run_trace_entry(&spec, &trace_entries(&spec)[0]);
-        assert!((e.stat("case1_voltage_md").unwrap() - 3.24).abs() < 1e-9);
-        assert!((e.stat("case1_current_md").unwrap() - 9.0).abs() < 1e-9);
-        assert!((e.stat("case2_current_md").unwrap() - 1.0).abs() < 1e-9);
-        // Power separates all three cases.
-        let p: Vec<f64> = (1..=3)
-            .map(|i| e.stat(&format!("case{i}_power_md")).unwrap())
-            .collect();
-        assert!(p[0] != p[1] && p[1] != p[2] && p[0] != p[2]);
-        assert_eq!(e.channels.len(), 4);
     }
 }

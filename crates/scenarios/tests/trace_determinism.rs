@@ -6,7 +6,7 @@
 //! `GOLDEN_REGEN=1 cargo test -p dcn-scenarios --test trace_determinism`.
 
 use dcn_scenarios::{
-    diff_reports, run_trace, trace_entries, Algo, ScenarioKind, ScenarioSpec, TraceScenario,
+    diff_reports, run_scenario, run_trace, Algo, ScenarioKind, ScenarioSpec, TraceScenario,
 };
 
 /// A small two-entry fairness trace: big enough to exercise the full
@@ -37,7 +37,7 @@ const GOLDEN_PATH: &str = concat!(
 #[test]
 fn golden_trace_is_byte_identical_at_any_thread_count() {
     let spec = golden_spec();
-    assert_eq!(trace_entries(&spec).len(), 2);
+    assert_eq!(spec.num_points(), 2);
 
     let t1 = run_trace(&spec, 1).expect("1 thread");
     let t4 = run_trace(&spec, 4).expect("4 threads");
@@ -101,4 +101,8 @@ fn builtin_fig2_trace_is_stable() {
     let b = run_trace(&spec, 3).expect("second");
     assert_eq!(a.to_json(), b.to_json());
     assert!(a.to_json().contains("\"case1_voltage_md\": 3.24"));
+    // The report is pinned byte for byte (CI `cmp`s the same file).
+    let json = run_scenario(&spec, 2).expect("fig2").to_json();
+    let want = include_str!("fig2_baseline.json");
+    assert!(json == want, "{:?}", diff_reports(&json, want, 0.0));
 }

@@ -91,12 +91,6 @@ impl SharedBuffer {
     pub fn drops(&self) -> u64 {
         self.drops
     }
-
-    /// The DT α parameter.
-    #[inline]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 #[cfg(test)]

@@ -126,13 +126,16 @@ impl SwitchPort {
     }
 }
 
+/// Dynamic Thresholds α of every switch's shared buffer: a queue may
+/// hold up to the free pool (the common default; Broadcom's DT exposes
+/// powers of two around 1).
+const DT_ALPHA: f64 = 1.0;
+
 /// Per-switch configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SwitchConfig {
     /// Shared buffer pool size in bytes.
     pub buffer_bytes: u64,
-    /// Dynamic Thresholds α.
-    pub dt_alpha: f64,
     /// Append INT metadata on dequeue of data packets.
     pub int_enabled: bool,
     /// RED/ECN marking, if any.
@@ -148,7 +151,6 @@ impl Default for SwitchConfig {
             // sizes buffers by the bandwidth-buffer ratio of Tofino
             // (~22 MB per 3.2 Tbps ≈ 6.9 KB per Gbps).
             buffer_bytes: 7_000_000,
-            dt_alpha: 1.0,
             int_enabled: true,
             ecn: None,
             pfc: None,
@@ -214,7 +216,7 @@ impl Switch {
         Switch {
             id,
             ports: Vec::new(),
-            shared: SharedBuffer::new(cfg.buffer_bytes, cfg.dt_alpha),
+            shared: SharedBuffer::new(cfg.buffer_bytes, DT_ALPHA),
             route_index: Vec::new(),
             route_ports: Vec::new(),
             cfg,
@@ -546,7 +548,6 @@ mod tests {
     fn mk_switch(ecn: Option<EcnConfig>, pfc: Option<PfcConfig>) -> Switch {
         let cfg = SwitchConfig {
             buffer_bytes: 100_000,
-            dt_alpha: 1.0,
             int_enabled: true,
             ecn,
             pfc,

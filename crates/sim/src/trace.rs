@@ -143,16 +143,6 @@ pub fn buffer_tracer(switch: NodeId, out: Series) -> impl FnMut(&Network, Tick) 
     buffer_probe(switch, into_series(out))
 }
 
-/// Tracer sampling throughput (Gbps) of a switch egress port, computed
-/// from the cumulative `tx_bytes` counter between samples.
-pub fn throughput_tracer(
-    switch: NodeId,
-    port: PortId,
-    out: Series,
-) -> impl FnMut(&Network, Tick) + 'static {
-    throughput_probe(switch, port, into_series(out))
-}
-
 /// Tracer sampling a host's cumulative transmitted bytes as throughput
 /// (Gbps) — per-sender rate series for fairness plots.
 pub fn host_throughput_tracer(host: NodeId, out: Series) -> impl FnMut(&Network, Tick) + 'static {

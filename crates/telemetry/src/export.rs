@@ -6,7 +6,7 @@
 //! same trace renders byte-identically across runs and thread counts (the
 //! determinism contract golden-tested in `crates/scenarios/tests/`).
 
-use crate::probe::{Channel, Sample};
+use crate::probe::{Channel, Sample, X_TIME_US};
 use crate::reduce::kept_rows;
 use std::borrow::Cow;
 use std::fmt::Write;
@@ -32,12 +32,13 @@ pub struct ChannelTrace {
 impl ChannelTrace {
     /// Export a recorder channel, decimating to at most `max_rows` rows:
     /// the rows [`decimate`](crate::decimate) keeps of the ring's samples,
-    /// read from the ring without copying it.
+    /// read from the ring without copying it. Its x-axis is simulated
+    /// time ([`X_TIME_US`]).
     pub fn from_channel(ch: &Channel, max_rows: usize) -> Self {
         ChannelTrace {
             name: ch.name.clone(),
             unit: ch.unit.clone(),
-            x_unit: ch.x_unit.clone(),
+            x_unit: X_TIME_US.to_string(),
             total_samples: ch.ring.len() as u64 + ch.ring.evicted(),
             evicted: ch.ring.evicted(),
             samples: kept_rows(ch.ring.len(), max_rows)
@@ -277,23 +278,26 @@ mod tests {
     fn sample_report() -> TraceReport {
         let mut r = Recorder::new(Tick::from_micros(10), 64);
         let q = r.channel("queue", "bytes");
-        let p = r.channel_with_x("md", "factor", "qdot_over_bw");
         for i in 0..5 {
             r.record_at(q, Tick::from_micros(10 * (i + 1)), (i * 100) as f64);
         }
-        r.record(p, 0.0, 1.0);
-        r.record(p, 8.0, 9.0);
+        // A channel over another x-axis than time, as analytic entries
+        // build them.
+        let md = ChannelTrace {
+            name: "md".into(),
+            unit: "factor".into(),
+            x_unit: "qdot_over_bw".into(),
+            total_samples: 2,
+            evicted: 0,
+            samples: vec![Sample { x: 0.0, y: 1.0 }, Sample { x: 8.0, y: 9.0 }],
+        };
         TraceReport {
             name: "t".into(),
             description: "test trace".into(),
             entries: vec![TraceEntry {
                 label: "PowerTCP-INT".into(),
                 stats: vec![("peak".into(), 400.0), ("jain".into(), 0.987)],
-                channels: r
-                    .channels()
-                    .iter()
-                    .map(|c| ChannelTrace::from_channel(c, 4))
-                    .collect(),
+                channels: vec![ChannelTrace::from_channel(r.get(q), 4), md],
             }],
         }
     }
@@ -331,7 +335,7 @@ mod tests {
         let mut r = Recorder::new(Tick::from_micros(1), 8);
         let c = r.channel("c", "u");
         for i in 0..20 {
-            r.record(c, i as f64, i as f64);
+            r.record_at(c, Tick::from_micros(i), i as f64);
         }
         let t = ChannelTrace::from_channel(r.get(c), 4);
         assert_eq!(t.total_samples, 20);
@@ -349,7 +353,7 @@ mod tests {
             let mut r = Recorder::new(Tick::from_micros(1), capacity);
             let c = r.channel("c", "u");
             for i in 0..pushed {
-                r.record(c, i as f64, (i * i) as f64);
+                r.record_at(c, Tick::from_micros(i), (i * i) as f64);
             }
             let ch = r.get(c);
             let len = ch.ring.len();

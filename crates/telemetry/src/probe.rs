@@ -3,7 +3,7 @@
 //! A [`Recorder`] is the collection point of one traced run. Experiment
 //! harnesses create one per simulation, open channels ("queue",
 //! "throughput", "cwnd", "power", …), and register simulator tracers that
-//! [`record`](Recorder::record) into them on the recorder's tick grid.
+//! [`record_at`](Recorder::record_at) into them on the recorder's tick grid.
 //! Channels are ring-buffered ([`crate::ring::RingBuffer`]) so arbitrarily
 //! long runs collect in bounded memory, and everything is ordinary
 //! single-threaded data — determinism is inherited from the simulator, and
@@ -14,13 +14,14 @@ use powertcp_core::Tick;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// The default x-axis of simulator probes: microseconds of simulated time.
+/// The x-axis of simulator probes: microseconds of simulated time.
 pub const X_TIME_US: &str = "time_us";
 
-/// One sampled point: an x coordinate (usually time in µs) and a value.
+/// One sampled point: an x coordinate (time in µs, for a recorder
+/// channel) and a value.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sample {
-    /// X coordinate (unit named by the channel's `x_unit`).
+    /// X coordinate (unit named by the exported channel's `x_unit`).
     pub x: f64,
     /// Sampled value (unit named by the channel's `unit`).
     pub y: f64,
@@ -30,15 +31,13 @@ pub struct Sample {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChannelId(usize);
 
-/// One named sample stream.
+/// One named sample stream over simulated time ([`X_TIME_US`]).
 #[derive(Clone, Debug)]
 pub struct Channel {
     /// Channel name ("queue", "throughput", "cwnd", …).
     pub name: String,
     /// Value unit ("bytes", "Gbps", …).
     pub unit: String,
-    /// X-axis unit (default [`X_TIME_US`]).
-    pub x_unit: String,
     /// The ring-buffered samples.
     pub ring: RingBuffer<Sample>,
 }
@@ -77,35 +76,19 @@ impl Recorder {
 
     /// Open a time-indexed channel; returns its handle.
     pub fn channel(&mut self, name: impl Into<String>, unit: impl Into<String>) -> ChannelId {
-        self.channel_with_x(name, unit, X_TIME_US)
-    }
-
-    /// Open a channel with a custom x-axis (analytic sweeps use e.g.
-    /// `qdot_over_bw` instead of time).
-    pub fn channel_with_x(
-        &mut self,
-        name: impl Into<String>,
-        unit: impl Into<String>,
-        x_unit: impl Into<String>,
-    ) -> ChannelId {
         let id = ChannelId(self.channels.len());
         self.channels.push(Channel {
             name: name.into(),
             unit: unit.into(),
-            x_unit: x_unit.into(),
             ring: RingBuffer::new(self.capacity),
         });
         id
     }
 
-    /// Record one sample.
-    pub fn record(&mut self, ch: ChannelId, x: f64, y: f64) {
-        self.channels[ch.0].ring.push(Sample { x, y });
-    }
-
     /// Record one sample at a simulation time (x = µs).
     pub fn record_at(&mut self, ch: ChannelId, t: Tick, y: f64) {
-        self.record(ch, t.as_micros_f64(), y);
+        let x = t.as_micros_f64();
+        self.channels[ch.0].ring.push(Sample { x, y });
     }
 
     /// Read a channel.
@@ -135,14 +118,15 @@ mod tests {
     fn channels_record_independently() {
         let mut r = Recorder::new(Tick::from_micros(10), 100);
         let q = r.channel("queue", "bytes");
-        let t = r.channel_with_x("md", "x", "qdot_over_bw");
+        let t = r.channel("cwnd", "bytes");
         r.record_at(q, Tick::from_micros(10), 500.0);
         r.record_at(q, Tick::from_micros(20), 700.0);
-        r.record(t, 2.0, 3.0);
+        r.record_at(t, Tick::from_micros(2), 3.0);
         assert_eq!(r.get(q).ring.len(), 2);
         assert_eq!(r.values(q), vec![500.0, 700.0]);
         assert_eq!(r.get(q).ring.to_vec()[0].x, 10.0);
-        assert_eq!(r.get(t).x_unit, "qdot_over_bw");
+        assert_eq!(r.values(t), vec![3.0]);
+        assert_eq!(r.get(t).ring.to_vec()[0].x, 2.0);
         assert_eq!(r.channels().len(), 2);
     }
 
@@ -151,7 +135,7 @@ mod tests {
         let mut r = Recorder::new(Tick::from_micros(1), 4);
         let c = r.channel("c", "u");
         for i in 0..10 {
-            r.record(c, i as f64, i as f64);
+            r.record_at(c, Tick::from_micros(i), i as f64);
         }
         assert_eq!(r.get(c).ring.len(), 4);
         assert_eq!(r.get(c).ring.evicted(), 6);
