@@ -20,8 +20,8 @@
 //! onset and briefly loses throughput after draining (Figure 4d).
 
 use powertcp_core::{
-    clamp_cwnd, rate_from_cwnd, AckInfo, Bandwidth, CcContext, CongestionControl, IntHopMetadata,
-    LossKind, Tick, MAX_INT_HOPS,
+    clamp_cwnd, rate_from_cwnd, AckInfo, Bandwidth, CcContext, CongestionControl, IntHop, LossKind,
+    Tick, MAX_INT_HOPS,
 };
 
 /// The HPCC paper's target utilization η.
@@ -42,7 +42,7 @@ pub struct Hpcc {
     last_update_seq: u64,
     /// Smoothed inflight estimate `U`.
     u: f64,
-    prev: [IntHopMetadata; MAX_INT_HOPS],
+    prev: [IntHop; MAX_INT_HOPS],
     prev_len: usize,
     have_prev: bool,
     max_cwnd: f64,
@@ -59,7 +59,7 @@ impl Hpcc {
             inc_stage: 0,
             last_update_seq: 0,
             u: 1.0,
-            prev: [IntHopMetadata::default(); MAX_INT_HOPS],
+            prev: [IntHop::default(); MAX_INT_HOPS],
             prev_len: 0,
             have_prev: false,
             max_cwnd: init,
@@ -77,7 +77,7 @@ impl Hpcc {
     }
 
     /// MeasureInflight of Algorithm 1; returns the updated EWMA U.
-    fn measure_inflight(&mut self, hops: &[IntHopMetadata]) -> Option<f64> {
+    fn measure_inflight(&mut self, hops: &[IntHop]) -> Option<f64> {
         if hops.is_empty() {
             return None;
         }
@@ -135,7 +135,7 @@ impl Hpcc {
         }
     }
 
-    fn store_prev(&mut self, hops: &[IntHopMetadata]) {
+    fn store_prev(&mut self, hops: &[IntHop]) {
         self.prev[..hops.len()].copy_from_slice(hops);
         self.prev_len = hops.len();
     }
@@ -190,9 +190,7 @@ mod tests {
 
     fn hdr(ts: Tick, qlen: u64, tx: u64) -> IntHeader {
         let mut h = IntHeader::new();
-        h.push(IntHopMetadata {
-            node: 1,
-            port: 0,
+        h.push(IntHop {
             qlen_bytes: qlen,
             ts,
             tx_bytes: tx,

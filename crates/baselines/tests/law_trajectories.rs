@@ -20,8 +20,7 @@ use dcn_scenarios::Algo;
 use dcn_sim::FlowId;
 use dcn_transport::TransportConfig;
 use powertcp_core::{
-    AckInfo, Bandwidth, CcContext, CongestionControl, IntHeader, IntHopMetadata, LossKind,
-    NetSignal, Tick,
+    AckInfo, Bandwidth, CcContext, CongestionControl, IntHeader, IntHop, LossKind, NetSignal, Tick,
 };
 
 /// The registry's windowed laws (HOMA is a transport, not a law).
@@ -176,17 +175,13 @@ fn drive(ctx: CcContext, digests: &mut [Fnv]) {
             let q = seg.queue.0 + (seg.queue.1 - seg.queue.0) * x + jitter * 10.0;
             let rtt_ns = 1e3 * (seg.rtt_us.0 + (seg.rtt_us.1 - seg.rtt_us.0) * x) + jitter;
             let mut int = IntHeader::new();
-            int.push(IntHopMetadata {
-                node: 1,
-                port: 0,
+            int.push(IntHop {
                 qlen_bytes: q as u64,
                 ts: now - Tick::from_micros(2),
                 tx_bytes: tx0 as u64,
                 bandwidth: bottleneck,
             });
-            int.push(IntHopMetadata {
-                node: 2,
-                port: 3,
+            int.push(IntHop {
                 qlen_bytes: (q / 8.0) as u64,
                 ts: now - Tick::from_micros(1),
                 tx_bytes: tx1 as u64,

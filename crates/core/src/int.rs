@@ -20,10 +20,11 @@
 //! deepest route any topology here builds: a 3-tier fat-tree's inter-pod
 //! path stamps ToR, agg, core, agg and ToR (an RDCN path stamps 3, a
 //! dumbbell 2, a star 1). Every slot rides in every queued packet, so a
-//! slot no route fills is pure memory: the 5-slot stack is already 208 of
-//! a `Packet`'s 272 bytes. The simulator's stamping site asserts (in debug
-//! builds) that no push is refused, so a deeper topology fails loudly
-//! instead of truncating its telemetry.
+//! slot stores only what a law reads: an [`IntHop`] is the four fields
+//! above, 32 bytes, and the 5-slot stack is 168 of a `Packet`'s 232 bytes.
+//! The simulator's stamping site asserts (in debug builds) that no push is
+//! refused, so a deeper topology fails loudly instead of truncating its
+//! telemetry.
 
 use crate::time::Tick;
 use crate::units::Bandwidth;
@@ -31,7 +32,22 @@ use crate::units::Bandwidth;
 /// Maximum number of per-hop entries an [`IntHeader`] can carry.
 pub const MAX_INT_HOPS: usize = 5;
 
-/// Telemetry pushed by one switch egress port.
+/// One hop's slot in an [`IntHeader`]: the `(qlen, ts, txBytes, b)`
+/// record every law reads, and nothing else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub struct IntHop {
+    /// Egress queue length in bytes at transmission-scheduling time.
+    pub qlen_bytes: u64,
+    /// Egress timestamp.
+    pub ts: Tick,
+    /// Cumulative bytes transmitted by this egress port.
+    pub tx_bytes: u64,
+    /// Configured bandwidth of the egress link.
+    pub bandwidth: Bandwidth,
+}
+
+/// An [`IntHop`] with the switch and port that pushed it. The header
+/// stores only the hop: [`IntHeader::push`] drops `node` and `port`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct IntHopMetadata {
     /// Identifier of the switch that pushed this entry (diagnostics only —
@@ -52,17 +68,26 @@ pub struct IntHopMetadata {
 /// A stack of per-hop telemetry entries accumulated along a path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct IntHeader {
-    hops: [IntHopMetadata; MAX_INT_HOPS],
+    hops: [IntHop; MAX_INT_HOPS],
     len: u8,
+}
+
+impl From<IntHopMetadata> for IntHop {
+    fn from(m: IntHopMetadata) -> Self {
+        IntHop {
+            qlen_bytes: m.qlen_bytes,
+            ts: m.ts,
+            tx_bytes: m.tx_bytes,
+            bandwidth: m.bandwidth,
+        }
+    }
 }
 
 impl IntHeader {
     /// An empty header (inserted by the sender, filled by switches).
     pub const fn new() -> Self {
         IntHeader {
-            hops: [IntHopMetadata {
-                node: 0,
-                port: 0,
+            hops: [IntHop {
                 qlen_bytes: 0,
                 ts: Tick(0),
                 tx_bytes: 0,
@@ -88,9 +113,9 @@ impl IntHeader {
     /// the stack is full — matching hardware behaviour where a packet simply
     /// stops accumulating metadata once the header budget is exhausted.
     #[inline]
-    pub fn push(&mut self, hop: IntHopMetadata) -> bool {
+    pub fn push(&mut self, hop: impl Into<IntHop>) -> bool {
         if (self.len as usize) < MAX_INT_HOPS {
-            self.hops[self.len as usize] = hop;
+            self.hops[self.len as usize] = hop.into();
             self.len += 1;
             true
         } else {
@@ -100,7 +125,7 @@ impl IntHeader {
 
     /// The recorded hops, in path order.
     #[inline]
-    pub fn hops(&self) -> &[IntHopMetadata] {
+    pub fn hops(&self) -> &[IntHop] {
         &self.hops[..self.len as usize]
     }
 
@@ -125,13 +150,12 @@ impl IntHeader {
 mod tests {
     use super::*;
 
-    fn hop(node: u32, q: u64) -> IntHopMetadata {
-        IntHopMetadata {
-            node,
-            port: 0,
+    /// Hop `i` of a path: stamped at `i` ns, `10·i` bytes sent.
+    fn hop(i: u64, q: u64) -> IntHop {
+        IntHop {
             qlen_bytes: q,
-            ts: Tick::from_nanos(node as u64),
-            tx_bytes: 10 * node as u64,
+            ts: Tick::from_nanos(i),
+            tx_bytes: 10 * i,
             bandwidth: Bandwidth::gbps(100),
         }
     }
@@ -143,20 +167,35 @@ mod tests {
         assert!(h.push(hop(1, 100)));
         assert!(h.push(hop(2, 200)));
         assert_eq!(h.len(), 2);
-        assert_eq!(h.hops()[0].node, 1);
-        assert_eq!(h.hops()[1].qlen_bytes, 200);
+        assert_eq!(h.hops(), [hop(1, 100), hop(2, 200)]);
+    }
+
+    #[test]
+    fn a_pushed_metadata_record_keeps_what_the_laws_read() {
+        let mut h = IntHeader::new();
+        assert!(h.push(IntHopMetadata {
+            node: 7,
+            port: 3,
+            qlen_bytes: 100,
+            ts: Tick::from_nanos(1),
+            tx_bytes: 10,
+            bandwidth: Bandwidth::gbps(100),
+        }));
+        assert_eq!(h.hops(), [hop(1, 100)]);
     }
 
     #[test]
     fn overflow_is_dropped_not_panicking() {
         let mut h = IntHeader::new();
-        for i in 0..MAX_INT_HOPS {
-            assert!(h.push(hop(i as u32, 0)));
+        for i in 0..MAX_INT_HOPS as u64 {
+            assert!(h.push(hop(i, 0)));
         }
         assert!(!h.push(hop(99, 0)));
         assert_eq!(h.len(), MAX_INT_HOPS);
         // The overflowing hop must not have clobbered anything.
-        assert!(h.hops().iter().all(|m| m.node != 99));
+        for (i, m) in h.hops().iter().enumerate() {
+            assert_eq!(*m, hop(i as u64, 0));
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!   ([`GAMMA`] `= 0.9` is the paper's value; `β` derives from the
 //!   [`CcContext`]),
 //! * [`PowerEstimator`] — power computation from consecutive INT snapshots,
-//! * [`IntHeader`]/[`IntHopMetadata`] — HPCC-compatible telemetry types,
+//! * [`IntHeader`]/[`IntHop`] — HPCC-compatible telemetry types,
 //! * [`CongestionControl`] — the trait every algorithm (including the
 //!   baselines in `cc-baselines`) implements,
 //! * [`Tick`]/[`Bandwidth`] — exact integer time (picoseconds) and
@@ -51,7 +51,7 @@
 //! ```
 //! use powertcp_core::{
 //!     AckInfo, Bandwidth, CcContext, CongestionControl, IntHeader,
-//!     IntHopMetadata, PowerTcp, Tick, GAMMA,
+//!     IntHop, PowerTcp, Tick, GAMMA,
 //! };
 //!
 //! let ctx = CcContext {
@@ -65,8 +65,7 @@
 //!
 //! // Feed an ACK carrying an INT snapshot of the bottleneck egress port.
 //! let mut int = IntHeader::new();
-//! int.push(IntHopMetadata {
-//!     node: 7, port: 1,
+//! int.push(IntHop {
 //!     qlen_bytes: 0,
 //!     ts: Tick::from_micros(100),
 //!     tx_bytes: 0,
@@ -96,7 +95,7 @@ mod window;
 pub use cc::{
     clamp_cwnd, rate_from_cwnd, AckInfo, CcContext, CongestionControl, LossKind, NetSignal,
 };
-pub use int::{IntHeader, IntHopMetadata, MAX_INT_HOPS};
+pub use int::{IntHeader, IntHop, IntHopMetadata, MAX_INT_HOPS};
 pub use power::{
     norm_power_closed_form, PowerEstimator, PowerSample, MAX_NORM_POWER, MIN_NORM_POWER,
 };

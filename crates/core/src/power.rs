@@ -18,7 +18,7 @@
 //! takes the most-congested hop (max normalized power), and smooths the
 //! result over one base RTT.
 
-use crate::int::{IntHeader, IntHopMetadata, MAX_INT_HOPS};
+use crate::int::{IntHeader, IntHop, MAX_INT_HOPS};
 use crate::time::Tick;
 
 /// Lower clamp for normalized power.
@@ -53,7 +53,7 @@ pub struct PowerSample {
 #[derive(Clone, Debug)]
 pub struct PowerEstimator {
     base_rtt: Tick,
-    prev: [IntHopMetadata; MAX_INT_HOPS],
+    prev: [IntHop; MAX_INT_HOPS],
     prev_len: usize,
     smoothed: f64,
     initialized: bool,
@@ -65,7 +65,7 @@ impl PowerEstimator {
         assert!(!base_rtt.is_zero(), "base RTT must be positive");
         PowerEstimator {
             base_rtt,
-            prev: [IntHopMetadata::default(); MAX_INT_HOPS],
+            prev: [IntHop::default(); MAX_INT_HOPS],
             prev_len: 0,
             smoothed: 1.0,
             initialized: false,
@@ -150,7 +150,7 @@ impl PowerEstimator {
         })
     }
 
-    fn store_prev(&mut self, hops: &[IntHopMetadata]) {
+    fn store_prev(&mut self, hops: &[IntHop]) {
         self.prev[..hops.len()].copy_from_slice(hops);
         self.prev_len = hops.len();
     }
@@ -175,10 +175,8 @@ mod tests {
     const B: Bandwidth = Bandwidth::gbps(100);
     const TAU: Tick = Tick::from_micros(20);
 
-    fn hop(ts: Tick, qlen: u64, tx_bytes: u64) -> IntHopMetadata {
-        IntHopMetadata {
-            node: 1,
-            port: 0,
+    fn hop(ts: Tick, qlen: u64, tx_bytes: u64) -> IntHop {
+        IntHop {
             qlen_bytes: qlen,
             ts,
             tx_bytes,
@@ -186,7 +184,7 @@ mod tests {
         }
     }
 
-    fn header(hops: &[IntHopMetadata]) -> IntHeader {
+    fn header(hops: &[IntHop]) -> IntHeader {
         let mut h = IntHeader::new();
         for &m in hops {
             h.push(m);

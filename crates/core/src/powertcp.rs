@@ -92,7 +92,7 @@ impl CongestionControl for PowerTcp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::int::{IntHeader, IntHopMetadata};
+    use crate::int::{IntHeader, IntHop};
     use crate::window::{GAMMA, MIN_CWND_BYTES};
 
     fn ctx() -> CcContext {
@@ -106,9 +106,7 @@ mod tests {
 
     fn int_header(ts: Tick, qlen: u64, tx_bytes: u64, bw: Bandwidth) -> IntHeader {
         let mut h = IntHeader::new();
-        h.push(IntHopMetadata {
-            node: 1,
-            port: 0,
+        h.push(IntHop {
             qlen_bytes: qlen,
             ts,
             tx_bytes,

@@ -1,9 +1,8 @@
 //! Property-based tests for the PowerTCP control-law primitives.
 
 use powertcp_core::{
-    norm_power_closed_form, AckInfo, Bandwidth, CcContext, CongestionControl, IntHeader,
-    IntHopMetadata, PowerEstimator, PowerTcp, ThetaPowerTcp, Tick, GAMMA, MAX_NORM_POWER,
-    MIN_NORM_POWER,
+    norm_power_closed_form, AckInfo, Bandwidth, CcContext, CongestionControl, IntHeader, IntHop,
+    PowerEstimator, PowerTcp, ThetaPowerTcp, Tick, GAMMA, MAX_NORM_POWER, MIN_NORM_POWER,
 };
 use proptest::prelude::*;
 
@@ -16,10 +15,8 @@ fn ctx() -> CcContext {
     }
 }
 
-fn hop(ts: Tick, qlen: u64, tx: u64, bw: Bandwidth) -> IntHopMetadata {
-    IntHopMetadata {
-        node: 1,
-        port: 0,
+fn hop(ts: Tick, qlen: u64, tx: u64, bw: Bandwidth) -> IntHop {
+    IntHop {
         qlen_bytes: qlen,
         ts,
         tx_bytes: tx,

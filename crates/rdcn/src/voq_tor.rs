@@ -365,12 +365,14 @@ mod tests {
         // Matching 0 (t=10us): rack 0 -> rack 1 circuit is up.
         let (bed, held) = run(Tick::ZERO, 0, T, &[data_to(20)], T + US);
         assert_eq!(bed.tx_bytes(), [(3, 1000)], "circuit port");
+        // Stamped by the circuit port: its byte counter, the bed's only
+        // 100G rate, and the VOQ empty after dequeue.
         let hop = bed.got[0].2.int.hops()[0];
         assert_eq!(
-            (hop.node, hop.port, hop.qlen_bytes),
-            (0, 3, 0),
-            "VOQ empty after dequeue"
+            (hop.qlen_bytes, hop.tx_bytes, hop.bandwidth),
+            (0, 1000, Bandwidth::gbps(100)),
         );
+        assert!(hop.ts >= T, "{hop:?}");
         assert_eq!(held, 0);
     }
 

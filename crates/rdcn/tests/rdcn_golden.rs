@@ -9,12 +9,16 @@
 //! 6-ToR rotor, what every host was delivered and what the engine
 //! counted: the number of deliveries, an FNV-1a hash over every
 //! delivery in global order — time, node, kind, flow, sequence numbers,
-//! ECN mark, and every INT hop's node, port, queue length, `tx_bytes`,
-//! timestamp and bandwidth — every ToR's per-port `tx_bytes`, and the
-//! run's final [`SimStats`] minus wall-clock.
+//! ECN mark, and every INT hop's queue length, `tx_bytes`, timestamp and
+//! bandwidth — every ToR's per-port `tx_bytes`, and the run's final
+//! [`SimStats`] minus wall-clock.
 //!
 //! The file was generated at the last commit whose engine kept a global
-//! link table and rebuilt a port view per custom-node event.
+//! link table and rebuilt a port view per custom-node event. Its hashes
+//! were regenerated once, with nothing else in the file moving, when the
+//! INT stack stopped storing each hop's node and port: the hash then lost
+//! those two words per hop, and the new hashes are what the old engine
+//! gives for the words that remain.
 //!
 //! Only PowerTCP runs the two rotor weeks. Under reTCP past 1.5 ms and
 //! HPCC past 0.4 ms a go-back-N sender on this fabric is ACKed beyond a
@@ -87,14 +91,7 @@ impl Endpoint for Tap {
                 s.word(w);
             }
             for h in pkt.int.hops() {
-                for w in [
-                    h.node as u64,
-                    h.port as u64,
-                    h.qlen_bytes,
-                    h.tx_bytes,
-                    h.ts.as_ps(),
-                    h.bandwidth.bps(),
-                ] {
+                for w in [h.qlen_bytes, h.tx_bytes, h.ts.as_ps(), h.bandwidth.bps()] {
                     s.word(w);
                 }
             }

@@ -76,9 +76,10 @@ struct Progress {
     misses: usize,
     /// When the worker claimed the job (ETA + wall_ms basis).
     started: Option<Instant>,
-    /// Rendered reports, present once `Done`.
-    report_json: Option<String>,
-    report_csv: Option<String>,
+    /// Rendered reports, present once `Done`: one exact-sized copy each,
+    /// which every `GET` of a report writes from.
+    report_json: Option<Arc<str>>,
+    report_csv: Option<Arc<str>>,
     /// Failure message, present once `Failed`.
     error: Option<String>,
 }
@@ -215,8 +216,8 @@ impl Job {
         };
         match result {
             Ok((json, csv)) => {
-                p.report_json = Some(json);
-                p.report_csv = Some(csv);
+                p.report_json = Some(json.into());
+                p.report_csv = Some(csv.into());
                 // Summary before the terminal state, under one lock:
                 // event streams observe a complete log the moment they
                 // see a terminal state.
@@ -265,13 +266,13 @@ impl Job {
         unpoisoned(self.progress.lock()).state
     }
 
-    /// The JSON report, once done.
-    pub fn report_json(&self) -> Option<String> {
+    /// The JSON report, once done (shared, not copied).
+    pub fn report_json(&self) -> Option<Arc<str>> {
         unpoisoned(self.progress.lock()).report_json.clone()
     }
 
-    /// The CSV report, once done.
-    pub fn report_csv(&self) -> Option<String> {
+    /// The CSV report, once done (shared, not copied).
+    pub fn report_csv(&self) -> Option<Arc<str>> {
         unpoisoned(self.progress.lock()).report_csv.clone()
     }
 

@@ -24,14 +24,15 @@
 //!
 //! ## Storage follows the pending set
 //!
-//! A ring slot is a 4-byte index, not a buffer. The buffers live in one
+//! A ring slot is a 2-byte index, not a buffer. The buffers live in one
 //! pool: a bucket that drains retires its (empty) buffer to a LIFO spare
 //! stack, and a bucket receiving its first event adopts the most recently
 //! retired one. Live buffers are therefore exactly the non-empty buckets,
 //! the pool has as many buffers as the most buckets ever occupied at
-//! once, and the next `schedule` writes into memory the drain just
-//! touched — where a buffer per slot would keep every slot's high-water
-//! capacity for ever and walk all of it, cold, once per wrap.
+//! once — at most `NUM_BUCKETS`, so a `u16` indexes every one — and the
+//! next `schedule` writes into memory the drain just touched — where a
+//! buffer per slot would keep every slot's high-water capacity for ever
+//! and walk all of it, cold, once per wrap.
 //!
 //! Bursts do not stay behind either: a buffer that a burst grew past
 //! `SPARE_KEEP` records is freed as its bucket drains. So the storage
@@ -150,7 +151,8 @@ const SPARE_KEEP: usize = 64;
 /// transport timers (pacing gaps, ~100 µs RTOs, tracer ticks, rotor
 /// phases) in the ring; longer timers (ms-scale RTOs, staggered flow
 /// starts, rotor weeks) take the overflow heap and migrate in when their
-/// wrap starts. The ring itself costs 4 bytes per bucket.
+/// wrap starts. The ring itself costs 2 bytes per bucket (a `u16`
+/// buffer index) plus a bit.
 const NUM_BUCKETS: usize = 1 << 16;
 const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
 
@@ -163,12 +165,12 @@ pub struct EventQueue {
     /// (an unsorted append log until the cursor reaches it). Meaningful
     /// only while the bucket's `occupied` bit is set — an empty bucket
     /// owns no buffer.
-    buckets: Vec<u32>,
+    buckets: Vec<u16>,
     /// The bucket buffers: as many as buckets were ever occupied at once.
     bufs: Vec<Vec<Scheduled>>,
     /// Indices of the (emptied) buffers of drained buckets, most recently
     /// retired last.
-    spare: Vec<u32>,
+    spare: Vec<u16>,
     /// One bit per bucket: bucket non-empty.
     occupied: [u64; NUM_BUCKETS / 64],
     /// Events currently in the ring.
@@ -276,9 +278,11 @@ impl EventQueue {
         let (word, bit) = (&mut self.occupied[slot >> 6], 1 << (slot & 63));
         if *word & bit == 0 {
             *word |= bit;
+            // A buffer is made only when no spare is left, so there are
+            // never more than buckets occupied at once: index ≤ 65,535.
             self.buckets[slot] = self.spare.pop().unwrap_or_else(|| {
                 self.bufs.push(Vec::new());
-                self.bufs.len() as u32 - 1
+                u16::try_from(self.bufs.len() - 1).expect("more buffers than buckets")
             });
         }
         self.bucket(slot).push(s);
@@ -724,6 +728,31 @@ mod tests {
             run.q.bufs.len(),
             run.peak_len
         );
+    }
+
+    #[test]
+    fn every_bucket_occupied_at_once_uses_the_last_buffer_index() {
+        // One event in each of the wrap's 65,536 buckets, scheduled in a
+        // scattered order: the pool grows to one buffer per bucket, so
+        // some slot holds index 65,535, the largest a `u16` ring slot
+        // stores. Draining must still pop in `(time, seq)` order.
+        let mut q = EventQueue::new();
+        let mut expect = Vec::with_capacity(NUM_BUCKETS);
+        for k in 0..NUM_BUCKETS as u64 {
+            let b = (k * 40_503) & BUCKET_MASK;
+            let t = Tick::from_ps((b << BUCKET_SHIFT) + (k % 8_191));
+            q.schedule(t, timer(k));
+            expect.push((t, k));
+        }
+        assert_eq!(q.overflow_scheduled(), 0);
+        assert_eq!(q.bufs.len(), NUM_BUCKETS);
+        assert!(q.buckets.contains(&u16::MAX));
+        expect.sort_unstable();
+        let got: Vec<(Tick, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t, key_of(&e)))
+            .collect();
+        assert_eq!(got, expect);
+        assert_eq!(q.spare.len(), NUM_BUCKETS);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::ids::{NodeId, PortId};
 use crate::packet::Packet;
 use powertcp_core::time::PS_PER_SEC;
-use powertcp_core::{Bandwidth, IntHopMetadata, Tick, MAX_INT_HOPS};
+use powertcp_core::{Bandwidth, IntHop, Tick, MAX_INT_HOPS};
 use std::num::NonZeroU64;
 
 /// One direction of a cable.
@@ -96,9 +96,7 @@ impl Egress {
         self.tx_bytes += size;
         if let Some(qlen_bytes) = int_qlen {
             if pkt.int_enable && pkt.kind.collects_int() {
-                let stamped = pkt.int.push(IntHopMetadata {
-                    node: node.0,
-                    port: port.0,
+                let stamped = pkt.int.push(IntHop {
                     qlen_bytes,
                     ts: now,
                     tx_bytes: self.tx_bytes,
@@ -229,10 +227,15 @@ mod tests {
         let now = Tick::from_nanos(5);
         let mut data = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 1000, false, Tick::ZERO);
         e.begin(&mut data, NodeId(7), PortId(3), now, Some(4_000));
-        let hop = data.int.hops()[0];
-        assert_eq!((hop.node, hop.port, hop.qlen_bytes), (7, 3, 4_000));
-        assert_eq!((hop.ts, hop.tx_bytes), (now, 1000));
-        assert_eq!(hop.bandwidth, Bandwidth::gbps(100));
+        assert_eq!(
+            data.int.hops(),
+            [IntHop {
+                qlen_bytes: 4_000,
+                ts: now,
+                tx_bytes: 1000,
+                bandwidth: Bandwidth::gbps(100),
+            }]
+        );
 
         e.busy = false;
         let mut ack = Packet::ack_for(&data, 1000, false, now);

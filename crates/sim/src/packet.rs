@@ -26,7 +26,7 @@ pub const CTRL_PKT_BYTES: u32 = 64;
 /// the packet's own [`Packet::int`] field (dead weight for ACKs
 /// otherwise, since switches never append to control packets), which is
 /// what lets [`Packet::into_ack`] turn a data packet into its ACK
-/// without copying the ~210-byte header once per ACK.
+/// without copying the 168-byte header once per ACK.
 #[derive(Clone, Copy, Debug)]
 pub struct AckPayload {
     /// Next byte expected by the receiver (cumulative ACK).
@@ -208,17 +208,17 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powertcp_core::{Bandwidth, IntHopMetadata};
+    use powertcp_core::{Bandwidth, IntHop};
+    use std::mem::size_of;
 
-    /// Every queued packet pays for the whole INT stack, 208 of these
-    /// bytes at 5 hops. A field or a slot that grows it shows here first.
+    /// Every queued packet pays for the whole INT stack, 168 of these
+    /// bytes at 5 hops of 32. A field or a slot that grows it shows here
+    /// first.
     #[test]
     fn a_packet_fits_a_five_hop_int_stack() {
-        assert!(
-            std::mem::size_of::<Packet>() <= 272,
-            "{}",
-            std::mem::size_of::<Packet>()
-        );
+        assert_eq!(size_of::<IntHop>(), 32);
+        assert_eq!(size_of::<IntHeader>(), 168);
+        assert!(size_of::<Packet>() <= 232, "{}", size_of::<Packet>());
     }
 
     #[test]
@@ -250,9 +250,7 @@ mod tests {
             Tick::from_micros(5),
         );
         d.ecn_ce = true;
-        d.int.push(IntHopMetadata {
-            node: 9,
-            port: 1,
+        d.int.push(IntHop {
             qlen_bytes: 777,
             ts: Tick::from_micros(6),
             tx_bytes: 1,
@@ -288,9 +286,7 @@ mod tests {
             false,
             Tick::from_micros(3),
         );
-        d.int.push(IntHopMetadata {
-            node: 1,
-            port: 2,
+        d.int.push(IntHop {
             qlen_bytes: 555,
             ts: Tick::from_micros(4),
             tx_bytes: 7,

@@ -93,7 +93,7 @@ impl PacketPool {
 mod tests {
     use super::*;
     use crate::ids::{FlowId, NodeId};
-    use powertcp_core::{Bandwidth, IntHopMetadata, Tick};
+    use powertcp_core::{Bandwidth, IntHop, Tick};
 
     fn data(seq: u64) -> Packet {
         Packet::data(
@@ -131,9 +131,7 @@ mod tests {
         let mut pool = PacketPool::new();
         let mut a = pool.boxed(data(0));
         a.ecn_ce = true;
-        a.int.push(IntHopMetadata {
-            node: 7,
-            port: 3,
+        a.int.push(IntHop {
             qlen_bytes: 999,
             ts: Tick::from_micros(5),
             tx_bytes: 123,

@@ -1,12 +1,13 @@
 //! End-to-end engine tests: packets actually flow host → switch → host
 //! with exact timing, INT accumulation, ECN marking, and PFC behaviour.
 
+use dcn_sim::topology::CORE_DELAY;
 use dcn_sim::{
     build_dumbbell, build_fat_tree, build_star, queue_tracer, series, Dumbbell, DumbbellConfig,
     EcnConfig, Endpoint, EndpointCtx, FatTreeConfig, FlowId, NodeId, Packet, PacketKind, PfcConfig,
     PortId, Simulator, Star, SwitchConfig, DEFAULT_MTU,
 };
-use powertcp_core::{Bandwidth, Tick, MAX_INT_HOPS};
+use powertcp_core::{Bandwidth, IntHop, Tick, MAX_INT_HOPS};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -374,7 +375,7 @@ fn an_inter_pod_ack_echoes_a_full_int_stack() {
     // The deepest route any builder makes: ToR, agg, core, agg, ToR. Each
     // stamps one hop, which fills the stack exactly (a sixth would trip
     // the stamping site's debug assertion).
-    type Echoes = Rc<RefCell<Vec<Vec<u32>>>>;
+    type Echoes = Rc<RefCell<Vec<Vec<IntHop>>>>;
     struct Ends {
         peer: NodeId,
         send: u64,
@@ -394,8 +395,7 @@ fn an_inter_pod_ack_echoes_a_full_int_stack() {
                     ctx.send_boxed(pkt);
                 }
                 _ => {
-                    let hops = pkt.int.hops().iter().map(|h| h.node).collect();
-                    self.echoes.borrow_mut().push(hops);
+                    self.echoes.borrow_mut().push(pkt.int.hops().to_vec());
                     ctx.recycle(pkt);
                 }
             }
@@ -418,7 +418,6 @@ fn an_inter_pod_ack_echoes_a_full_int_stack() {
     };
     let ft = build_fat_tree(cfg, &mut mk);
     assert_eq!(ft.hosts[last].0, ft.hosts[0].0 + last as u32);
-    let (tors, cores) = (ft.tors.clone(), ft.cores.clone());
     let mut sim = Simulator::new(ft.net);
     sim.run_until_idle();
     sim.audit().expect("conservation audit");
@@ -426,8 +425,14 @@ fn an_inter_pod_ack_echoes_a_full_int_stack() {
     assert_eq!(echoes.len(), SENT as usize);
     for hops in echoes.iter() {
         assert_eq!(hops.len(), MAX_INT_HOPS, "{hops:?}");
-        assert_eq!(hops[0], tors[0].0, "{hops:?}");
-        assert!(cores.iter().any(|c| c.0 == hops[2]), "{hops:?}");
-        assert_eq!(hops[4], tors[tors.len() - 1].0, "{hops:?}");
+        assert!(hops.windows(2).all(|w| w[0].ts < w[1].ts), "{hops:?}");
+        // Four fabric egresses, then the last ToR's port to its host.
+        let rates: Vec<_> = hops.iter().map(|h| h.bandwidth).collect();
+        let (fabric, host) = (cfg.fabric_bw, cfg.host_bw);
+        assert_eq!(rates, [fabric, fabric, fabric, fabric, host], "{hops:?}");
+        // Hops 1 → 2 and 2 → 3 cross the agg–core links, the only ones
+        // with `CORE_DELAY`: the middle hop is a core switch.
+        assert!(hops[2].ts - hops[1].ts >= CORE_DELAY, "{hops:?}");
+        assert!(hops[3].ts - hops[2].ts >= CORE_DELAY, "{hops:?}");
     }
 }

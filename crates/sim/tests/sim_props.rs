@@ -478,10 +478,8 @@ proptest! {
                 let mut pkt = live.swap_remove(op as usize % live.len());
                 pkt.ecn_ce = true;
                 pkt.priority = 3;
-                for hop in 0..(op % 8) {
-                    pkt.int.push(powertcp_core::IntHopMetadata {
-                        node: hop as u32,
-                        port: hop as u16,
+                for _ in 0..(op % 8) {
+                    pkt.int.push(powertcp_core::IntHop {
                         qlen_bytes: 1_000_000,
                         ts: Tick::from_nanos(stamp),
                         tx_bytes: stamp,
