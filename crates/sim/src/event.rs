@@ -22,6 +22,16 @@
 //! bursts cluster hundreds of events into one bucket — a per-pop
 //! minimum scan would degrade to O(k²) there.
 //!
+//! A ring record is `{ at, ev }` (24 B): it stores no insertion seq.
+//! Within one tick a bucket's records lie in seq order (ascending while
+//! it is an append log, descending once sorted), and every step keeps
+//! that: an append has the largest seq yet; the visit sort reverses the
+//! log and then sorts it stably by descending time; a splice goes before
+//! the tick's existing records; a cursor retreat reverses the sorted
+//! bucket back into a log. Only the overflow heap, which keeps no
+//! append order, stores the seq; it hands its records to an empty ring
+//! in `(time, seq)` order.
+//!
 //! ## Storage follows the pending set
 //!
 //! A ring slot is a 2-byte index, not a buffer. The buffers live in one
@@ -45,10 +55,10 @@
 //! implementation: events pop in `(time, insertion-seq)` order, FIFO among
 //! simultaneous events, so replacing the structure changes no simulation
 //! output byte. Buckets partition time disjointly and are visited in
-//! increasing order; within a bucket the sort orders by the full key and
-//! the overflow heap orders by the same key, so the global pop order is
-//! exactly the old one — whatever the bucket width and wherever the
-//! records are stored.
+//! increasing order; within a bucket the sort orders by time and keeps
+//! each tick's seq order, and the overflow heap orders by the same
+//! `(time, seq)` key, so the global pop order is exactly the old one —
+//! whatever the bucket width and wherever the records are stored.
 
 use crate::ids::{NodeId, PortId};
 use crate::packet::Packet;
@@ -97,6 +107,15 @@ pub enum Event {
     },
 }
 
+/// A ring record. Its insertion seq is its position among the bucket's
+/// same-tick records (see the module docs).
+struct Record {
+    at: Tick,
+    ev: Event,
+}
+
+/// An overflow-heap record: a heap keeps no append order, so it stores
+/// the seq that breaks time ties.
 struct Scheduled {
     at: Tick,
     seq: u64,
@@ -137,15 +156,16 @@ impl Ord for Scheduled {
 /// an append. Chosen with `NUM_BUCKETS` from a measured grid (DESIGN.md,
 /// "Calendar event queue").
 const BUCKET_SHIFT: u32 = 13;
-/// Most records a spare bucket buffer keeps (32 B each: 2 KiB); a buffer
+/// Most records a spare bucket buffer keeps (24 B each: 384 B); a buffer
 /// that a burst grew past it is freed when its bucket drains. At the
 /// width above nearly every bucket visit fits: on `fattree256_websearch`
 /// (ledger seed 42) 1,056,261 of 1,056,348 visits held ≤ 32 events (7
 /// held 33–64, 80 held 65–256), while the 128:1 same-tick fan-in of
-/// `incast_star128`'s DCQCN point made 1,231 visits of 65–400. Ledger
-/// peak RSS at a keep of 16 / 64 / 256: incast 8.6 / 8.6 / 10.7 MB,
-/// fat-tree 6.5 / 6.7 / 7.1 MB (DESIGN.md, "Calendar event queue").
-const SPARE_KEEP: usize = 64;
+/// `incast_star128`'s DCQCN point made 1,231 visits of 65–400. A keep of
+/// 64 let the fat-tree's 606 buffers hold 19,152 record slots for at
+/// most 1,698 pending events; 8 costs ≈ 9 % more report time in
+/// reallocations (DESIGN.md, "Calendar event queue").
+const SPARE_KEEP: usize = 16;
 /// Ring size (power of two): horizon = `NUM_BUCKETS << BUCKET_SHIFT` ps
 /// = 2²⁹ ps ≈ 537 µs, which keeps per-packet events and the common
 /// transport timers (pacing gaps, ~100 µs RTOs, tracer ticks, rotor
@@ -167,7 +187,7 @@ pub struct EventQueue {
     /// owns no buffer.
     buckets: Vec<u16>,
     /// The bucket buffers: as many as buckets were ever occupied at once.
-    bufs: Vec<Vec<Scheduled>>,
+    bufs: Vec<Vec<Record>>,
     /// Indices of the (emptied) buffers of drained buckets, most recently
     /// retired last.
     spare: Vec<u16>,
@@ -182,8 +202,9 @@ pub struct EventQueue {
     /// Absolute index of the bucket being drained.
     cursor: u64,
     /// The cursor bucket has been sorted (descending by `(at, seq)`) and
-    /// is draining from the tail; cleared when it empties, so it implies
-    /// a non-empty cursor bucket.
+    /// is draining from the tail; cleared when it empties (so it implies
+    /// a non-empty cursor bucket) or when a retreat turns it back into an
+    /// append log.
     cursor_sorted: bool,
     /// Events at or beyond the wrap horizon, ordered by `(at, seq)`.
     overflow: BinaryHeap<Reverse<Scheduled>>,
@@ -246,16 +267,15 @@ impl EventQueue {
         }
         debug_assert!(abs >= self.wrap_base, "insert before the current wrap");
         let slot = (abs & BUCKET_MASK) as usize;
-        let s = Scheduled { at, seq, ev };
+        let r = Record { at, ev };
         if abs == self.cursor && self.cursor_sorted {
             // Splice into the draining bucket, keeping it sorted
-            // descending so the tail stays the minimum. Same-tick inserts
-            // land before existing same-tick events' positions only if
-            // their seq is lower — it never is (seq grows) — so FIFO
-            // holds.
+            // descending so the tail stays the minimum. The new record
+            // has the largest seq, so it goes before every record of its
+            // tick: it pops after them (FIFO).
             let b = self.bucket(slot);
-            let pos = b.partition_point(|e| e.key() > (at, seq));
-            b.insert(pos, s);
+            let pos = b.partition_point(|e| e.at > at);
+            b.insert(pos, r);
             self.ring_len += 1;
             return;
         }
@@ -263,18 +283,24 @@ impl EventQueue {
             // A peek advanced the cursor past this (empty) bucket and the
             // caller then scheduled at/near `now`: retreat. Every bucket
             // in between is still empty, so this is cheap and preserves
-            // order.
+            // order. The sorted bucket left behind becomes an append log
+            // again: reversed, its same-tick records are back in seq order
+            // for the appends that follow and the sort on its next visit.
+            if self.cursor_sorted {
+                let left = (self.cursor & BUCKET_MASK) as usize;
+                self.bucket(left).reverse();
+            }
             self.cursor = abs;
             self.cursor_sorted = false;
         }
-        self.push_slot(slot, s);
+        self.push_slot(slot, r);
     }
 
     /// Append to ring bucket `slot`. An empty bucket first adopts the most
     /// recently retired buffer, so the write lands in memory the drain
     /// just touched.
     #[inline]
-    fn push_slot(&mut self, slot: usize, s: Scheduled) {
+    fn push_slot(&mut self, slot: usize, r: Record) {
         let (word, bit) = (&mut self.occupied[slot >> 6], 1 << (slot & 63));
         if *word & bit == 0 {
             *word |= bit;
@@ -285,20 +311,14 @@ impl EventQueue {
                 u16::try_from(self.bufs.len() - 1).expect("more buffers than buckets")
             });
         }
-        self.bucket(slot).push(s);
+        self.bucket(slot).push(r);
         self.ring_len += 1;
     }
 
     /// The buffer of occupied bucket `slot`.
     #[inline]
-    fn bucket(&mut self, slot: usize) -> &mut Vec<Scheduled> {
+    fn bucket(&mut self, slot: usize) -> &mut Vec<Record> {
         &mut self.bufs[self.buckets[slot] as usize]
-    }
-
-    /// Schedule `ev` after a delay relative to now.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: Tick, ev: Event) {
-        self.schedule(self.now + delay, ev);
     }
 
     /// First occupied slot at or after `start`, via the bitmap.
@@ -343,14 +363,19 @@ impl EventQueue {
                 self.cursor = self.wrap_base + slot as u64;
                 let b = self.bucket(slot);
                 if b.len() > 1 {
-                    b.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                    // The log holds each tick's records in seq order:
+                    // reversed, then stably sorted by descending time, the
+                    // tail is the `(at, seq)` minimum.
+                    b.reverse();
+                    b.sort_by_key(|e| Reverse(e.at));
                 }
                 self.cursor_sorted = true;
                 return slot;
             }
             let Reverse(min) = self.overflow.peek().expect("no event pending");
             // Start the wrap containing the earliest overflow event and
-            // migrate everything that now fits the horizon into the ring.
+            // migrate everything that now fits the horizon into the ring,
+            // in `(at, seq)` order: each tick's records land in seq order.
             let min_abs = min.at.0 >> BUCKET_SHIFT;
             self.wrap_base = min_abs & !BUCKET_MASK;
             self.cursor = min_abs;
@@ -360,9 +385,9 @@ impl EventQueue {
                 if s.at.0 >> BUCKET_SHIFT >= horizon {
                     break;
                 }
-                let Reverse(s) = self.overflow.pop().expect("peeked");
-                let slot = ((s.at.0 >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
-                self.push_slot(slot, s);
+                let Reverse(Scheduled { at, ev, .. }) = self.overflow.pop().expect("peeked");
+                let slot = ((at.0 >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
+                self.push_slot(slot, Record { at, ev });
             }
         }
     }
@@ -517,16 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Tick::from_nanos(10), timer(0));
-        q.pop();
-        q.schedule_in(Tick::from_nanos(5), timer(1));
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, Tick::from_nanos(15));
-    }
-
-    #[test]
     fn peek_does_not_advance() {
         let mut q = EventQueue::new();
         q.schedule(Tick::from_nanos(7), timer(0));
@@ -568,6 +583,35 @@ mod tests {
             .map(|(_, e)| key_of(&e))
             .collect();
         assert_eq!(order, vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn same_tick_fifo_holds_across_a_cursor_retreat() {
+        // A peek sorts a bucket of same-tick events; a schedule into an
+        // earlier bucket retreats the cursor, and more events at the first
+        // tick are appended to the bucket it left. Every event of that
+        // tick must still pop in insertion order.
+        let mut q = EventQueue::new();
+        let t = Tick::from_micros(1);
+        for k in 0..3 {
+            q.schedule(t, timer(k));
+        }
+        assert_eq!(q.peek_time(), Some(t));
+        q.schedule(Tick::from_nanos(10), timer(3)); // earlier bucket
+        for k in 4..6 {
+            q.schedule(t, timer(k));
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| key_of(&e))
+            .collect();
+        assert_eq!(order, vec![3, 0, 1, 2, 4, 5]);
+    }
+
+    #[test]
+    fn a_ring_record_is_24_bytes() {
+        // The seq lives only in the overflow heap's records.
+        assert_eq!(std::mem::size_of::<Record>(), 24);
+        assert_eq!(std::mem::size_of::<Scheduled>(), 32);
     }
 
     #[test]
@@ -679,7 +723,7 @@ mod tests {
             peak_len = peak_len.max(q.len());
             let (_, ev) = q.pop().expect("the pending set never drains");
             if key_of(&ev) < P {
-                q.schedule_in(delay(&mut rng), ev);
+                q.schedule(q.now() + delay(&mut rng), ev);
             }
             pops += 1;
             peak_records = peak_records.max(q.buffered_records());
@@ -728,6 +772,8 @@ mod tests {
             run.q.bufs.len(),
             run.peak_len
         );
+        let kept = |&i: &u16| run.q.bufs[i as usize].capacity();
+        assert!(run.q.spare.iter().map(kept).all(|c| c <= SPARE_KEEP));
     }
 
     #[test]

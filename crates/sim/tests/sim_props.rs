@@ -205,8 +205,10 @@ struct HeapModel {
 /// The ring's horizon: 2²⁹ ps whatever the bucket width.
 const HORIZON_PS: u64 = 1 << 29;
 
-/// The queue's `SPARE_KEEP`: a drained bucket whose buffer grew past this
-/// many records frees it before the buffer rejoins the spare stack.
+/// A drained bucket whose buffer grew past this many records frees it
+/// before the buffer rejoins the spare stack. That holds at the queue's
+/// `SPARE_KEEP` (16) and at any larger count; 64 asks the generator for
+/// the longer bursts.
 const SPARE_KEEP: usize = 64;
 
 /// Which calendar paths a case reached, judged conservatively: each

@@ -4,7 +4,9 @@
 #   scripts/ab.sh <parent-rev> <workload> [pairs=10] [seconds=12]
 #
 # Checks the parent out under .bench_build/ab/<sha>/ (git archive: nothing
-# is registered in .git, and a dirty working tree is fine), builds the
+# is registered in .git, and a dirty working tree is fine; removed on exit
+# unless it was there before the script started, so a checkout made
+# beforehand is reused and its build kept across runs), builds the
 # harness in benchmark/ on both sides, and runs <pairs> parent/change pairs
 # at seeds 1..<pairs>, alternating which side goes first, then one more
 # pair at a seed no earlier pair used. One line per run, then per metric
@@ -16,7 +18,7 @@
 set -eu
 
 if [ $# -lt 2 ]; then
-    sed -n '2,15p' "$0" >&2
+    sed -n '2,17p' "$0" >&2
     exit 2
 fi
 rev=$1
@@ -27,18 +29,21 @@ seconds=${4:-12}
 root=$(git rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
 parent="$root/.bench_build/ab/$sha"
+
+# An offline build rewrites benchmark/Cargo.lock, which is committed and
+# read-only outside a benchmark-only change: put it back on any exit, and
+# remove the parent checkout if this run made it.
+lock=$(mktemp)
+runs=$(mktemp)
+made=
+cp "$root/benchmark/Cargo.lock" "$lock"
+trap 'cp "$lock" "$root/benchmark/Cargo.lock"; rm -f "$lock" "$runs"; [ -z "$made" ] || rm -rf "$made"' EXIT
+trap 'exit 130' HUP INT TERM
 if [ ! -d "$parent" ]; then
+    made=$parent
     mkdir -p "$parent"
     git -C "$root" archive "$sha" | tar -x -C "$parent"
 fi
-
-# An offline build rewrites benchmark/Cargo.lock, which is committed and
-# read-only outside a benchmark-only change: put it back on any exit.
-lock=$(mktemp)
-runs=$(mktemp)
-cp "$root/benchmark/Cargo.lock" "$lock"
-trap 'cp "$lock" "$root/benchmark/Cargo.lock"; rm -f "$lock" "$runs"' EXIT
-trap 'exit 130' HUP INT TERM
 for tree in "$parent" "$root"; do
     cargo build --release --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 done
