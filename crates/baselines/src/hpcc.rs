@@ -20,7 +20,7 @@
 //! onset and briefly loses throughput after draining (Figure 4d).
 
 use powertcp_core::{
-    clamp_cwnd, rate_from_cwnd, AckInfo, Bandwidth, CcContext, CongestionControl, IntHop, LossKind,
+    clamp_cwnd, AckInfo, Bandwidth, CcContext, CongestionControl, IntHop, LossKind, PacingRate,
     Tick, MAX_INT_HOPS,
 };
 
@@ -34,7 +34,11 @@ const MIN_CWND_BYTES: f64 = 256.0;
 /// The HPCC sender.
 #[derive(Clone, Debug)]
 pub struct Hpcc {
-    ctx: CcContext,
+    /// The flow's base RTT `T`, in seconds.
+    t: f64,
+    /// `W_AI` in bytes.
+    wai: f64,
+    pacing: PacingRate,
     cwnd: f64,
     /// Reference window `Wc`, updated once per RTT.
     wc: f64,
@@ -53,7 +57,9 @@ impl Hpcc {
     pub fn new(ctx: CcContext) -> Self {
         let init = ctx.host_bdp_bytes();
         Hpcc {
-            ctx,
+            t: ctx.base_rtt.as_secs_f64(),
+            wai: init * (1.0 - ETA) / ctx.expected_flows.max(1) as f64,
+            pacing: PacingRate::new(&ctx),
             cwnd: init,
             wc: init,
             inc_stage: 0,
@@ -68,7 +74,7 @@ impl Hpcc {
 
     /// The additive increase `W_AI = W_init·(1−η)/N` in bytes.
     pub fn wai(&self) -> f64 {
-        self.ctx.host_bdp_bytes() * (1.0 - ETA) / self.ctx.expected_flows.max(1) as f64
+        self.wai
     }
 
     /// Smoothed inflight estimate (diagnostics).
@@ -86,8 +92,9 @@ impl Hpcc {
             self.have_prev = true;
             return None;
         }
-        let t = self.ctx.base_rtt.as_secs_f64();
-        let mut best: Option<(f64, Tick)> = None;
+        let t = self.t;
+        // (U, Δt in seconds) of the hop with the largest U.
+        let mut best: Option<(f64, f64)> = None;
         for (cur, prev) in hops.iter().zip(self.prev.iter()) {
             let dt_tick = cur.ts.saturating_sub(prev.ts);
             if dt_tick.is_zero() {
@@ -104,19 +111,19 @@ impl Hpcc {
             let q = cur.qlen_bytes.min(prev.qlen_bytes) as f64;
             let u_hop = q / (b * t) + tx_rate / b;
             if best.is_none_or(|(u, _)| u_hop > u) {
-                best = Some((u_hop, dt_tick));
+                best = Some((u_hop, dt));
             }
         }
         self.store_prev(hops);
-        let (u_max, tau_tick) = best?;
-        let tau = tau_tick.as_secs_f64().min(t);
+        let (u_max, dt) = best?;
+        let tau = dt.min(t);
         self.u = self.u * (1.0 - tau / t) + u_max * (tau / t);
         Some(self.u)
     }
 
     /// ComputeWind of Algorithm 1.
     fn compute_wind(&mut self, u: f64, update_wc: bool) {
-        let wai = self.wai();
+        let wai = self.wai;
         if u >= ETA || self.inc_stage >= MAX_STAGE {
             // Multiplicative adjustment towards η utilization.
             let w = self.wc / (u / ETA) + wai;
@@ -166,7 +173,7 @@ impl CongestionControl for Hpcc {
     }
 
     fn pacing_rate(&self) -> Bandwidth {
-        rate_from_cwnd(self.cwnd, self.ctx.base_rtt, self.ctx.host_bw)
+        self.pacing.of(self.cwnd)
     }
 
     fn name(&self) -> &'static str {

@@ -103,4 +103,4 @@ pub use powertcp::PowerTcp;
 pub use theta::ThetaPowerTcp;
 pub use time::Tick;
 pub use units::Bandwidth;
-pub use window::GAMMA;
+pub use window::{PacingRate, GAMMA};

@@ -52,7 +52,8 @@ pub struct PowerSample {
 /// (`prevInt` in Algorithm 1) and the smoothed normalized power.
 #[derive(Clone, Debug)]
 pub struct PowerEstimator {
-    base_rtt: Tick,
+    /// The flow's base RTT τ, in seconds.
+    tau: f64,
     prev: [IntHop; MAX_INT_HOPS],
     prev_len: usize,
     smoothed: f64,
@@ -64,7 +65,7 @@ impl PowerEstimator {
     pub fn new(base_rtt: Tick) -> Self {
         assert!(!base_rtt.is_zero(), "base RTT must be positive");
         PowerEstimator {
-            base_rtt,
+            tau: base_rtt.as_secs_f64(),
             prev: [IntHop::default(); MAX_INT_HOPS],
             prev_len: 0,
             smoothed: 1.0,
@@ -102,8 +103,9 @@ impl PowerEstimator {
             return None;
         }
 
-        let tau = self.base_rtt.as_secs_f64();
-        let mut best: Option<(f64, usize, Tick)> = None;
+        let tau = self.tau;
+        // (normalised power, hop, Δt in seconds) of the hop with the most.
+        let mut best: Option<(f64, usize, f64)> = None;
         for (i, (cur, prev)) in hops.iter().zip(self.prev.iter()).enumerate() {
             let dt_tick = cur.ts.saturating_sub(prev.ts);
             if dt_tick.is_zero() {
@@ -130,18 +132,18 @@ impl PowerEstimator {
                 Some((cur_best, _, _)) => norm > cur_best,
             };
             if replace {
-                best = Some((norm, i, dt_tick));
+                best = Some((norm, i, dt));
             }
         }
 
         self.store_prev(hops);
-        let (raw, hop, dt_tick) = best?;
+        let (raw, hop, dt) = best?;
         let raw = raw.clamp(MIN_NORM_POWER, MAX_NORM_POWER);
 
         // Γ_smooth = (Γ_smooth·(τ−Δt) + Γ_norm·Δt) / τ   (Algorithm 1 l.24)
         // Δt is clamped to τ: with per-ACK feedback Δt ≪ τ, but after an
         // idle period a single sample should fully replace the stale state.
-        let dt_s = dt_tick.as_secs_f64().min(tau);
+        let dt_s = dt.min(tau);
         self.smoothed = (self.smoothed * (tau - dt_s) + raw * dt_s) / tau;
         Some(PowerSample {
             smoothed: self.smoothed,

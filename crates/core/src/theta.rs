@@ -28,7 +28,8 @@ use crate::window::Window;
 /// The delay-based θ-PowerTCP sender.
 #[derive(Clone, Debug)]
 pub struct ThetaPowerTcp {
-    ctx: CcContext,
+    /// The flow's base RTT τ, in seconds.
+    tau: f64,
     window: Window,
     /// Sequence gate for once-per-RTT window updates (`lastUpdated`).
     last_updated_seq: u64,
@@ -43,7 +44,7 @@ impl ThetaPowerTcp {
     /// ([`GAMMA`](crate::GAMMA) is the paper's value).
     pub fn new(gamma: f64, ctx: CcContext) -> Self {
         ThetaPowerTcp {
-            ctx,
+            tau: ctx.base_rtt.as_secs_f64(),
             window: Window::new(gamma, ctx),
             last_updated_seq: 0,
             prev_rtt: None,
@@ -60,7 +61,7 @@ impl ThetaPowerTcp {
     /// NORMPOWER of Algorithm 2: `Γ_norm = (θ̇ + 1) · θ / τ`, smoothed over
     /// one base RTT.
     fn measure_power(&mut self, now: Tick, rtt: Tick) -> Option<f64> {
-        let tau = self.ctx.base_rtt.as_secs_f64();
+        let tau = self.tau;
         let (prev_rtt, prev_t) = match (self.prev_rtt, self.prev_ack_time) {
             (Some(r), Some(t)) => (r, t),
             _ => {

@@ -26,7 +26,9 @@
 //!   pathological buffer pressure.
 
 use crate::cc::{clamp_cwnd, rate_from_cwnd, AckInfo, CcContext};
+use crate::time::Tick;
 use crate::units::Bandwidth;
+use std::cell::Cell;
 
 /// The paper's recommended EWMA gain γ (§3.3).
 pub const GAMMA: f64 = 0.9;
@@ -38,11 +40,13 @@ pub(crate) const MIN_CWND_BYTES: f64 = 256.0;
 const TIMEOUT_BACKOFF: f64 = 0.5;
 
 /// Eq. 7's state: the window, its once-per-RTT snapshot `w_old`, and the
-/// flow context `β` and the clamp derive from.
+/// per-flow constants `β` and the pacing rate derive from.
 #[derive(Clone, Debug)]
 pub(crate) struct Window {
     gamma: f64,
-    ctx: CcContext,
+    /// `β = HostBw·τ/N` in bytes.
+    beta: f64,
+    pacing: PacingRate,
     pub(crate) cwnd: f64,
     /// `w_old`: window snapshot taken once per RTT (UPDATEOLD in Alg. 1).
     pub(crate) cwnd_old: f64,
@@ -58,7 +62,8 @@ impl Window {
         let init = ctx.host_bdp_bytes();
         Window {
             gamma,
-            ctx,
+            beta: ctx.beta_bytes(),
+            pacing: PacingRate::new(&ctx),
             cwnd: init,
             cwnd_old: init,
             update_seq: 0,
@@ -68,14 +73,14 @@ impl Window {
 
     /// The additive-increase term `β = HostBw·τ/N` in bytes.
     pub(crate) fn beta(&self) -> f64 {
-        self.ctx.beta_bytes()
+        self.beta
     }
 
     /// Eq. 7 with the smoothed normalised power `norm_power`, then the
     /// clamp and the `w_old` snapshot.
     pub(crate) fn update(&mut self, norm_power: f64, ack: &AckInfo<'_>) {
         let gamma = self.gamma;
-        let new = gamma * (self.cwnd_old / norm_power + self.beta()) + (1.0 - gamma) * self.cwnd;
+        let new = gamma * (self.cwnd_old / norm_power + self.beta) + (1.0 - gamma) * self.cwnd;
         self.cwnd = clamp_cwnd(new, MIN_CWND_BYTES, self.max_cwnd);
         self.snapshot(ack);
     }
@@ -97,6 +102,46 @@ impl Window {
 
     /// `cwnd / τ`, capped at the host line rate.
     pub(crate) fn pacing_rate(&self) -> Bandwidth {
-        rate_from_cwnd(self.cwnd, self.ctx.base_rtt, self.ctx.host_bw)
+        self.pacing.of(self.cwnd)
+    }
+}
+
+/// A flow's [`rate_from_cwnd`], remembered for the window it was last
+/// asked about. A sender asks once per packet it sends. The laws rewrite
+/// the window on every ACK, but where queues stay near empty it mostly
+/// sits at its clamp (the host BDP), so most calls repeat the last call's
+/// bits: same bits in, same rate out.
+#[derive(Clone, Debug)]
+pub struct PacingRate {
+    base_rtt: Tick,
+    host_bw: Bandwidth,
+    /// The last window's bits and its rate.
+    last: Cell<(u64, Bandwidth)>,
+}
+
+impl PacingRate {
+    /// The pacing rate of a flow with `ctx`'s base RTT and line rate.
+    pub fn new(ctx: &CcContext) -> Self {
+        let (base_rtt, host_bw) = (ctx.base_rtt, ctx.host_bw);
+        let init = ctx.host_bdp_bytes();
+        let last = Cell::new((init.to_bits(), rate_from_cwnd(init, base_rtt, host_bw)));
+        PacingRate {
+            base_rtt,
+            host_bw,
+            last,
+        }
+    }
+
+    /// `rate_from_cwnd(cwnd, τ, HostBw)`, computed only when `cwnd`'s
+    /// bits differ from the last call's.
+    #[inline]
+    pub fn of(&self, cwnd: f64) -> Bandwidth {
+        let (bits, rate) = self.last.get();
+        if bits == cwnd.to_bits() {
+            return rate;
+        }
+        let rate = rate_from_cwnd(cwnd, self.base_rtt, self.host_bw);
+        self.last.set((cwnd.to_bits(), rate));
+        rate
     }
 }

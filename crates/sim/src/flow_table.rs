@@ -170,12 +170,21 @@ impl<T> FlowTable<T> {
 
     /// Mutable reference to the entry under `id`, inserting
     /// `default()` first if absent (the `BTreeMap` `entry().or_insert_with`
-    /// idiom).
+    /// idiom), in one lookup. The id is placed where [`FlowTable::insert`]
+    /// would place it: an id the slab may grow to cover is moved into it
+    /// even when it is already spilled.
     pub fn get_or_insert_with(&mut self, id: FlowId, default: impl FnOnce() -> T) -> &mut T {
-        if !self.contains_key(id) {
-            self.insert(id, default());
+        if !self.is_dense(id) {
+            if !self.may_grow_to(id) {
+                return self.spill.entry(id).or_insert_with(default);
+            }
+            self.grow_to(id);
         }
-        self.get_mut(id).expect("just inserted")
+        let slot = &mut self.dense[id.0 as usize];
+        if slot.is_none() {
+            self.dense_live += 1;
+        }
+        slot.get_or_insert_with(default)
     }
 
     /// Entries in ascending [`FlowId`] order — the dense region (slot

@@ -31,21 +31,28 @@ pub struct EndpointCtx<'a> {
 }
 
 impl EndpointCtx<'_> {
-    /// Queue a packet for transmission on the host NIC, in a box drawn
-    /// from the simulator's pool.
+    /// Send a packet on the host NIC, in a box drawn from the
+    /// simulator's pool: onto the wire at once if the NIC is idle, else
+    /// behind what it has queued.
     pub fn send(&mut self, pkt: Packet) {
         let boxed = self.sched.pool.boxed(pkt);
         self.send_boxed(boxed);
     }
 
-    /// Queue an already-boxed packet for transmission — the zero-copy
-    /// path for endpoints that transform a delivered packet in place
+    /// Send an already-boxed packet as [`EndpointCtx::send`] does — the
+    /// zero-copy path for endpoints that transform a delivered packet in place
     /// (e.g. [`crate::packet::Packet::into_ack`]) and send the same box
     /// back instead of recycling it and building a fresh packet.
     pub fn send_boxed(&mut self, pkt: Box<Packet>) {
-        self.nic.txq_bytes += pkt.size as u64;
-        self.nic.txq.push_back(pkt);
-        self.nic.kick(self.node, self.sched);
+        let nic = &mut *self.nic;
+        if nic.tx.busy || nic.paused {
+            nic.txq_bytes += pkt.size as u64;
+            nic.txq.push_back(pkt);
+        } else {
+            // An idle, unpaused NIC holds no queue (`Simulator::audit`).
+            debug_assert!(nic.txq.is_empty(), "{}: idle NIC with a queue", self.node);
+            nic.start(self.node, pkt, self.sched);
+        }
     }
 
     /// Return a consumed packet's box to the simulator's pool. Endpoints
@@ -131,10 +138,15 @@ impl Nic {
         if self.tx.busy || self.paused {
             return;
         }
-        let Some(mut pkt) = self.txq.pop_front() else {
+        let Some(pkt) = self.txq.pop_front() else {
             return;
         };
         self.txq_bytes -= pkt.size as u64;
+        self.start(node, pkt, sched);
+    }
+
+    /// Put `pkt` on the idle NIC's wire.
+    fn start(&mut self, node: NodeId, mut pkt: Box<Packet>, sched: &mut Scheduler) {
         let ser = self.tx.begin(&mut pkt, node, PortId(0), sched.now(), None);
         sched.put_on_wire(node, PortId(0), pkt, ser, self.tx.wire());
     }

@@ -163,7 +163,7 @@ impl Default for SwitchConfig {
 /// insertion sequence number is assigned when it is scheduled — so the
 /// *order* of calls into the sink is simulation behaviour, not style:
 ///
-/// * inside `try_transmit`, the ingress port's PFC re-evaluation comes
+/// * inside `start`, the ingress port's PFC re-evaluation comes
 ///   **before** the transmit;
 /// * in `receive`, the final PFC re-evaluation of the ingress port comes
 ///   **after** any transmit the packet started;
@@ -389,12 +389,21 @@ impl Switch {
             self.ingress_bytes[ingress.index()] += size;
         }
 
-        let class = (pkt.priority as usize).min(NUM_PRIORITIES - 1);
-        port.push(class, QueuedPacket { pkt, ingress });
         self.forwarded += 1;
-
-        if !port.tx.busy && !port.paused {
-            self.try_transmit(egress, now, out);
+        let qp = QueuedPacket { pkt, ingress };
+        if port.tx.busy || port.paused {
+            let class = (qp.pkt.priority as usize).min(NUM_PRIORITIES - 1);
+            port.push(class, qp);
+        } else {
+            // An idle, unpaused port holds no queue (`Simulator::audit`),
+            // so the packet a push and a pop would hand back is this one.
+            debug_assert!(
+                port.occupied == 0 && port.queued_bytes == 0,
+                "switch {}: {} B queued on idle port {egress}",
+                self.id,
+                port.queued_bytes
+            );
+            self.start(egress, qp, now, out);
         }
         self.update_pfc(ingress, out);
     }
@@ -409,13 +418,18 @@ impl Switch {
     }
 
     /// Dequeue the next packet on `port` (if any) and put it on the wire.
-    /// The INT record carries the queue length *excluding* the packet now
-    /// being serialized.
     fn try_transmit(&mut self, port_id: PortId, now: Tick, out: &mut impl Sink) {
+        if let Some(qp) = self.ports[port_id.index()].pop_highest() {
+            self.start(port_id, qp, now, out);
+        }
+    }
+
+    /// Put an admitted packet on idle `port`'s wire: release its buffer,
+    /// and under PFC its ingress bytes. The INT record carries the queue
+    /// length *excluding* the packet now being serialized.
+    fn start(&mut self, port_id: PortId, qp: QueuedPacket, now: Tick, out: &mut impl Sink) {
+        let QueuedPacket { mut pkt, ingress } = qp;
         let port = &mut self.ports[port_id.index()];
-        let Some(QueuedPacket { mut pkt, ingress }) = port.pop_highest() else {
-            return;
-        };
         let size = pkt.size as u64;
         self.shared.release(size);
         let int_qlen = self.cfg.int_enabled.then_some(port.queued_bytes);
@@ -526,7 +540,7 @@ impl Switch {
 mod tests {
     use super::*;
     use crate::ids::FlowId;
-    use powertcp_core::Bandwidth;
+    use powertcp_core::{Bandwidth, IntHop};
     use proptest::prelude::*;
 
     /// What a switch decided, in call order: the unit tests' [`Sink`].
@@ -768,6 +782,131 @@ mod tests {
         sw.set_route(NodeId(10), vec![PortId(1), PortId(2)]);
     }
 
+    /// The data path this one replaced: every admitted packet is pushed
+    /// onto its class queue, and a port that is neither busy nor paused
+    /// pops it straight back off. PFC frames and routing drops take
+    /// [`Switch::receive`], which did not change them.
+    fn receive_queued(
+        sw: &mut Switch,
+        ingress: PortId,
+        mut pkt: Box<Packet>,
+        now: Tick,
+        out: &mut Vec<SwitchEmit>,
+    ) {
+        let route = sw.route_for(&pkt);
+        let (Some(egress), false) = (route, matches!(pkt.kind, PacketKind::Pfc { .. })) else {
+            return sw.receive(ingress, pkt, now, out);
+        };
+        let port = &mut sw.ports[egress.index()];
+        if pkt.ecn_capable {
+            if let Some(ecn) = &sw.cfg.ecn {
+                if sw.mark_rng.chance(ecn.mark_probability(port.queued_bytes)) {
+                    pkt.ecn_ce = true;
+                }
+            }
+        }
+        let size = pkt.size as u64;
+        let admitted = if sw.cfg.pfc.is_some() {
+            sw.shared.try_admit_pool_only(size)
+        } else {
+            sw.shared.try_admit(port.queued_bytes, size)
+        };
+        if !admitted {
+            port.drops += 1;
+            return;
+        }
+        if sw.cfg.pfc.is_some() {
+            sw.ingress_bytes[ingress.index()] += size;
+        }
+        let class = (pkt.priority as usize).min(NUM_PRIORITIES - 1);
+        port.push(class, QueuedPacket { pkt, ingress });
+        sw.forwarded += 1;
+        if !port.tx.busy && !port.paused {
+            sw.try_transmit(egress, now, out);
+        }
+        sw.update_pfc(ingress, out);
+    }
+
+    /// What a decision shows outside the switch: the port, and either the
+    /// pause bit of a PFC frame or the packet's flow, ECN mark and INT
+    /// stack.
+    type Seen = (PortId, Option<bool>, u64, bool, Vec<IntHop>);
+
+    fn seen(out: &[SwitchEmit]) -> Vec<Seen> {
+        let see = |e: &SwitchEmit| match e {
+            SwitchEmit::Transmit { port, pkt } => {
+                (*port, None, pkt.flow.0, pkt.ecn_ce, pkt.int.hops().to_vec())
+            }
+            SwitchEmit::Pfc { port, pause } => (*port, Some(*pause), 0, false, Vec::new()),
+        };
+        out.iter().map(see).collect()
+    }
+
+    /// Every counter a decision moves: per port its queued bytes, busy
+    /// and paused bits, drops and transmitted bytes; the shared buffer;
+    /// per ingress its PFC level and XOFF bit; packets forwarded.
+    #[expect(clippy::type_complexity, reason = "a tuple compares in one assert")]
+    fn counters(
+        sw: &Switch,
+    ) -> (
+        Vec<(u64, bool, bool, u64, u64)>,
+        u64,
+        Vec<u64>,
+        Vec<bool>,
+        u64,
+    ) {
+        let ports = sw.ports.iter();
+        let ports = ports.map(|p| (p.queued_bytes, p.tx.busy, p.paused, p.drops, p.tx.tx_bytes));
+        (
+            ports.collect(),
+            sw.shared.used(),
+            sw.ingress_bytes.clone(),
+            sw.xoff_sent.clone(),
+            sw.forwarded,
+        )
+    }
+
+    /// A packet that finds its port idle goes onto the wire at once and
+    /// never touches its class queue, stamping the INT `qlen` the queued
+    /// path stamped; one that meets a busy port still queues.
+    #[test]
+    fn an_idle_port_puts_the_packet_straight_on_the_wire() {
+        let (mut sw, mut queued) = (mk_switch(None, None), mk_switch(None, None));
+        let (mut out, mut want) = (Vec::new(), Vec::new());
+        for k in 0..3 {
+            let now = Tick::from_micros(k);
+            sw.receive(PortId(0), data_to(NodeId(10), 1000), now, &mut out);
+            receive_queued(
+                &mut queued,
+                PortId(0),
+                data_to(NodeId(10), 1000),
+                now,
+                &mut want,
+            );
+            assert!(matches!(
+                out[..],
+                [SwitchEmit::Transmit {
+                    port: PortId(1),
+                    ..
+                }]
+            ));
+            assert_eq!(seen(&out), seen(&want));
+            assert_eq!(seen(&out)[0].4[0].qlen_bytes, 0);
+            assert_eq!(sw.ports[1].queues[7].capacity(), 0, "packet {k} was queued");
+            assert_eq!(counters(&sw), counters(&queued));
+            sw.tx_done(PortId(1), now, &mut out);
+            queued.tx_done(PortId(1), now, &mut want);
+            out.clear();
+            want.clear();
+        }
+        sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
+        sw.receive(PortId(0), data_to(NodeId(10), 700), Tick::ZERO, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(sw.port(PortId(1)).queued_bytes(), 700);
+        assert!(sw.ports[1].queues[7].capacity() > 0);
+        assert_eq!(sw.audit(false), Ok(()));
+    }
+
     /// The dequeue this one replaced: scan the classes, highest first.
     fn first_non_empty(port: &SwitchPort) -> Option<usize> {
         port.queues.iter().position(|q| !q.is_empty())
@@ -836,6 +975,73 @@ mod tests {
             }
             prop_assert!(port.pop_highest().is_none());
             prop_assert_eq!((port.occupied, port.queued_bytes), (0, 0));
+        }
+
+        /// A switch whose idle ports hand packets straight to the wire
+        /// decides exactly what the old push-then-pop path decided, in the
+        /// same order, for any stream of arrivals (every class, ECN
+        /// marking, admission drops), transmit completions and PFC frames
+        /// from its peers: the same transmissions with the same INT
+        /// stacks and marks, the same pause frames, and the same counters
+        /// (PFC ingress levels and XOFF bits included) after every step.
+        #[test]
+        fn the_idle_port_bypass_decides_what_the_queued_path_did(
+            pfc in 0u8..2,
+            ops in prop::collection::vec((0u8..16, 0u8..3, 0u64..u64::MAX), 1..200),
+        ) {
+            let cfg = SwitchConfig {
+                buffer_bytes: 12_000,
+                int_enabled: true,
+                ecn: Some(EcnConfig { kmin_bytes: 1_000, kmax_bytes: 6_000, pmax: 0.5 }),
+                pfc: (pfc == 1).then_some(PfcConfig { xoff_bytes: 3_000, xon_bytes: 1_500 }),
+            };
+            let mk = || {
+                let mut sw = Switch::new(NodeId(0), cfg);
+                for l in 0..3 {
+                    sw.add_port(Link {
+                        bandwidth: Bandwidth::gbps(25),
+                        delay: Tick::from_micros(1),
+                        dst: NodeId(10 + l),
+                        dst_port: PortId(0),
+                    });
+                    }
+                sw.init_routes(13);
+                for l in 0..3 {
+                    sw.set_route(NodeId(10 + l), vec![PortId(l as u16)]);
+                }
+                sw
+            };
+            let (mut sw, mut queued) = (mk(), mk());
+            let (mut out, mut want) = (Vec::new(), Vec::new());
+            for (step, (op, port, bits)) in ops.into_iter().enumerate() {
+                let now = Tick::from_nanos(100 * step as u64);
+                let at = PortId(port as u16);
+                match op {
+                    0..=9 => {
+                        let mut pkt = data_to(NodeId(10 + (bits % 3) as u32), 64 + (bits >> 8) as u32 % 1_437);
+                        pkt.flow = FlowId(step as u64);
+                        pkt.priority = if bits >> 32 & 3 == 0 { (bits >> 40) as u8 % 8 } else { 7 };
+                        pkt.ecn_capable = bits >> 48 & 1 == 1;
+                        sw.receive(at, pkt.clone(), now, &mut out);
+                        receive_queued(&mut queued, at, pkt, now, &mut want);
+                    }
+                    10..=13 => {
+                        if sw.ports[at.index()].tx.busy {
+                            sw.tx_done(at, now, &mut out);
+                            queued.tx_done(at, now, &mut want);
+                        }
+                    }
+                    _ => {
+                        let mut frame = data_to(NodeId(0), 64);
+                        frame.kind = PacketKind::Pfc { pause: op == 14 };
+                        sw.receive(at, frame.clone(), now, &mut out);
+                        queued.receive(at, frame, now, &mut want);
+                    }
+                }
+                prop_assert_eq!(seen(&out), seen(&want), "step {}", step);
+                prop_assert_eq!(counters(&sw), counters(&queued), "step {}", step);
+                prop_assert_eq!(sw.audit(false), Ok(()));
+            }
         }
 
         /// `route_for` over the flat table returns exactly what the nested

@@ -436,3 +436,74 @@ fn an_inter_pod_ack_echoes_a_full_int_stack() {
         assert!(hops[3].ts - hops[2].ts >= CORE_DELAY, "{hops:?}");
     }
 }
+
+#[test]
+fn an_idle_nic_puts_a_packet_straight_on_the_wire() {
+    // Sends one MTU packet to `dst` at each instant of `at`.
+    struct Spaced {
+        dst: NodeId,
+        at: Vec<Tick>,
+    }
+    impl Endpoint for Spaced {
+        fn on_start(&mut self, ctx: &mut EndpointCtx<'_>) {
+            for (k, &t) in self.at.iter().enumerate() {
+                ctx.set_timer(t, k as u64);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Box<Packet>, _ctx: &mut EndpointCtx<'_>) {}
+        fn on_timer(&mut self, key: u64, ctx: &mut EndpointCtx<'_>) {
+            let seq = key * DEFAULT_MTU as u64;
+            let (src, now) = (ctx.node, ctx.now);
+            ctx.send(Packet::data(
+                FlowId(1),
+                src,
+                self.dst,
+                seq,
+                DEFAULT_MTU,
+                false,
+                now,
+            ));
+        }
+    }
+    // 1 µs apart on a NIC that serializes one in 320 ns, then two at one
+    // instant.
+    let us = Tick::from_micros;
+    let at = vec![Tick::ZERO, us(1), us(2), us(3), us(3)];
+    let log = RxLog::default();
+    let arrivals = log.arrivals.clone();
+    let mut b = dcn_sim::NetworkBuilder::new();
+    let sw = b.add_switch(SwitchConfig::default());
+    let rx = b.add_host(Box::new(Sink { log }));
+    let tx = b.add_host(Box::new(Spaced {
+        dst: rx,
+        at: at.clone(),
+    }));
+    for h in [rx, tx] {
+        b.connect(sw, h, Bandwidth::gbps(25), us(1));
+    }
+    let mut net = b.build();
+    net.switch_mut(sw).set_route(rx, vec![PortId(0)]);
+    let mut sim = Simulator::new(net);
+    // (NIC busy, packets queued, queue capacity)
+    let nic = |sim: &Simulator| {
+        let nic = &sim.net.host(tx).nic;
+        (nic.tx.busy, nic.txq.len(), nic.txq.capacity())
+    };
+    // The first packet is on the wire the instant it is sent, and while
+    // the packets come 1 µs apart the NIC's queue never holds one.
+    sim.run_until(Tick::ZERO);
+    assert_eq!(nic(&sim), (true, 0, 0));
+    sim.run_until(us(2) + Tick::from_nanos(500));
+    assert_eq!(nic(&sim), (false, 0, 0));
+    // Of the two sent at 3 µs, the second waits behind the first.
+    sim.run_until(us(3));
+    assert!(matches!(nic(&sim), (true, 1, c) if c > 0));
+    sim.run_until_idle();
+    sim.audit().expect("conservation audit");
+    // NIC and switch each serialize for 320 ns and each wire delays 1 µs;
+    // the fifth packet also waits out the fourth's serialization.
+    let path = Tick::from_nanos(2 * 320 + 2 * 1000);
+    let mut want: Vec<(Tick, u64)> = (0..4).map(|k| (at[k] + path, k as u64 * 1000)).collect();
+    want.push((at[4] + Tick::from_nanos(320) + path, 4000));
+    assert_eq!(*arrivals.borrow(), want);
+}

@@ -97,6 +97,68 @@ proptest! {
         prop_assert_eq!(got_vals, want_vals);
     }
 
+    /// `get_or_insert_with` off the dense fast path, against the model.
+    /// An id already in the spillover hands back its entry without
+    /// calling `default` and leaves the slab alone. An absent id past the
+    /// slab that the growth rule admits grows the slab to cover it and
+    /// migrates every spilled id below it, each with its value, while the
+    /// ids above stay spilled.
+    #[test]
+    fn get_or_insert_with_through_the_spillover(
+        spilled in prop::collection::vec(64u64..128, 8..24),
+        raws in prop::collection::vec(0u64..u64::MAX, 1..8),
+    ) {
+        let mut table: FlowTable<u64> = FlowTable::new();
+        let mut model: BTreeMap<FlowId, u64> = BTreeMap::new();
+        // Under 24 entries the rule admits ids below 2 * 23 + 16 = 62:
+        // every one of these spills.
+        for &id in &spilled {
+            table.insert(FlowId(id), id);
+            model.insert(FlowId(id), id);
+        }
+        prop_assert_eq!((table.dense_slots(), table.spilled()), (0, model.len()));
+        for &id in &spilled {
+            let got = *table.get_or_insert_with(FlowId(id), || panic!("{id} is present"));
+            prop_assert_eq!(got, id);
+            prop_assert_eq!((table.dense_slots(), table.spilled()), (0, model.len()));
+        }
+        // 64 dense ids raise the rule's bound to at least 2 * 65 + 16 =
+        // 146, past every spilled id and the first gap above them.
+        for id in 0..64 {
+            table.insert(FlowId(id), id);
+            model.insert(FlowId(id), id);
+        }
+        prop_assert_eq!(table.dense_slots(), 64);
+        let lowest = spilled.iter().min().expect("at least 8 ids");
+        let gap = (lowest + 1..).find(|&id| !model.contains_key(&FlowId(id))).expect("a gap");
+        let ids = std::iter::once(gap).chain(raws.iter().map(|&raw| {
+            let bound = 2 * table.len() as u64 + DENSE_SLACK as u64;
+            64 + raw % (bound - 64)
+        }).collect::<Vec<_>>());
+        for (i, id) in ids.enumerate() {
+            let (slots, was_spilled) = (table.dense_slots() as u64, table.spilled());
+            let mut called = false;
+            let got = *table.get_or_insert_with(FlowId(id), || {
+                called = true;
+                id + 1_000
+            });
+            let fresh = !model.contains_key(&FlowId(id));
+            prop_assert_eq!(got, *model.entry(FlowId(id)).or_insert(id + 1_000));
+            prop_assert_eq!(called, fresh);
+            let grown = slots.max(id + 1);
+            prop_assert_eq!(table.dense_slots() as u64, grown);
+            let above = model.range(FlowId(grown)..).count();
+            prop_assert_eq!(table.spilled(), above);
+            if i == 0 {
+                prop_assert!(fresh && above < was_spilled, "the gap migrates {}", lowest);
+            }
+            prop_assert_eq!(table.len(), model.len());
+            let got: Vec<(FlowId, u64)> = table.iter().map(|(id, v)| (id, *v)).collect();
+            let want: Vec<(FlowId, u64)> = model.iter().map(|(id, v)| (*id, *v)).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
     /// Removing and re-inserting dense ids reuses slots in place: the
     /// dense capacity never grows while ids stay below the high-water
     /// mark, and semantics still track the model throughout. The ids are

@@ -193,6 +193,9 @@ struct HeapModel {
     cursor_ahead: Option<u64>,
     /// Something has been popped, so `now`'s bucket has held an event.
     has_popped: bool,
+    /// The instant whose records a retreat left behind in a sorted
+    /// bucket, while at least two of them are pending there.
+    tied_behind: Option<Tick>,
     /// Per pending instant: events pending there, and the most pending
     /// there at once since the instant last drained.
     at_count: std::collections::BTreeMap<Tick, (usize, usize)>,
@@ -226,6 +229,11 @@ struct Coverage {
     /// A schedule that pulled the cursor back, after a peek or a declined
     /// `pop_until` advanced it, onto an empty (buffer-less) bucket.
     retreats: u32,
+    /// A retreat off a sorted bucket holding two or more records of one
+    /// instant, then a schedule at that instant while they are pending:
+    /// the bucket must be turned back into a seq-ordered log, or the
+    /// instant's records pop out of insertion order.
+    tie_retreats: u32,
     /// A refill of a bucket that held more than [`SPARE_KEEP`] events at
     /// once: the drain freed the buffer's storage, and the refill adopts
     /// the buffer and grows it anew. Events pending at one instant share
@@ -253,6 +261,12 @@ impl HeapModel {
         } else if self.cursor_ahead.is_some_and(|b| block(at) < b) {
             self.seen.retreats += 1;
             self.cursor_ahead = None;
+            // The cursor sat on the head's bucket, sorted by the peek.
+            let (head, _) = self.head().expect("a peek found it");
+            self.tied_behind = (self.at_count[&head].0 >= 2).then_some(head);
+        }
+        if self.tied_behind.take_if(|&mut t| t == at).is_some() {
+            self.seen.tie_retreats += 1;
         }
         let (pending, peak) = self.at_count.entry(at).or_default();
         *pending += 1;
@@ -279,6 +293,12 @@ impl HeapModel {
         self.now = at;
         self.has_popped = true;
         self.cursor_ahead = None;
+        if self
+            .tied_behind
+            .is_some_and(|t| !self.at_count.contains_key(&t))
+        {
+            self.tied_behind = None;
+        }
         Some((at, self.keys.remove(&seq).expect("scheduled")))
     }
     /// `peek_time`; also what a declined `pop_until` does to the cursor.
@@ -365,6 +385,20 @@ impl Lockstep {
         }
         self.schedule_in(0);
     }
+    /// Two to five events at one instant in a later block, a peek that
+    /// sorts their bucket, a schedule at `now` that pulls the cursor back
+    /// off it, then one to three more at that instant.
+    fn tie_retreat(&mut self, delta: u64) {
+        let delay_ps = (1 << 18) + delta % (1 << 18);
+        for _ in 0..2 + delta % 4 {
+            self.schedule_in(delay_ps);
+        }
+        self.peek();
+        self.schedule_in(0);
+        for _ in 0..1 + delta / 4 % 3 {
+            self.schedule_in(delay_ps);
+        }
+    }
     /// Drain both completely; order must agree to the last event, and
     /// the model must have placed every event where the queue did.
     fn finish(mut self) -> Coverage {
@@ -385,12 +419,12 @@ fn queue_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
 
 /// Run 60 generated op streams through `step` and require every path in
 /// [`Coverage`] to have been reached in at least 40 of them — the cursor
-/// retreat only where `step` `peeks` (nothing else moves the cursor ahead
+/// retreats only where `step` `peeks` (nothing else moves the cursor ahead
 /// of `now`). Both steps spend ops from 240 up on [`Lockstep::burst`].
 fn check_queue(name: &str, peeks: bool, step: impl Fn(&mut Lockstep, u8, u64)) {
     let strategy = queue_ops();
     let mut rng = proptest::TestRng::deterministic(name);
-    let mut reached = [0u32; 4];
+    let mut reached = [0u32; 5];
     for _ in 0..60 {
         let mut run = Lockstep::default();
         for (op, delta) in strategy.sample(&mut rng) {
@@ -404,6 +438,7 @@ fn check_queue(name: &str, peeks: bool, step: impl Fn(&mut Lockstep, u8, u64)) {
             seen.refills > 0,
             seen.retreats > 0 || !peeks,
             seen.regrowths > 0,
+            seen.tie_retreats > 0 || !peeks,
         ];
         for (n, hit) in reached.iter_mut().zip(hits) {
             *n += hit as u32;
@@ -411,7 +446,8 @@ fn check_queue(name: &str, peeks: bool, step: impl Fn(&mut Lockstep, u8, u64)) {
     }
     assert!(
         reached.iter().all(|&n| n >= 40),
-        "generator coverage {reached:?} of 60 (multi-wrap migration, refill, retreat, regrowth)"
+        "generator coverage {reached:?} of 60 \
+         (multi-wrap migration, refill, retreat, regrowth, retreat off a tie)"
     );
 }
 
@@ -457,6 +493,7 @@ fn event_queue_peek_is_transparent() {
                 run.pop_until(end);
                 run.schedule_in(0);
             }
+            10 => run.tie_retreat(delta),
             _ => {
                 run.pop();
             }
