@@ -86,16 +86,6 @@ impl Dcqcn {
         }
     }
 
-    /// Current α (diagnostics).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Current rate in bytes/s (diagnostics).
-    pub fn rate_bytes(&self) -> f64 {
-        self.rc
-    }
-
     fn decrease(&mut self, now: Tick) {
         self.rt = self.rc;
         self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(MIN_RATE.bytes_per_sec());
@@ -222,51 +212,51 @@ mod tests {
         let line = Bandwidth::gbps(25).bytes_per_sec();
         d.on_ack(&ack(Tick::from_micros(100), true));
         // α starts at ~1 (one decay period may elapse): Rc -> ~Rc/2.
-        assert!((d.rate_bytes() - line / 2.0).abs() < line * 0.01);
+        assert!((d.rc - line / 2.0).abs() < line * 0.01);
     }
 
     #[test]
     fn cnp_reactions_are_rate_limited() {
         let mut d = Dcqcn::new(ctx());
         d.on_ack(&ack(Tick::from_micros(100), true));
-        let r1 = d.rate_bytes();
+        let r1 = d.rc;
         // A second CNP within the interval must not decrease again.
         d.on_ack(&ack(Tick::from_micros(110), true));
-        assert_eq!(d.rate_bytes(), r1);
+        assert_eq!(d.rc, r1);
         // After the interval, it does.
         d.on_ack(&ack(Tick::from_micros(160), true));
-        assert!(d.rate_bytes() < r1);
+        assert!(d.rc < r1);
     }
 
     #[test]
     fn alpha_decays_without_cnps() {
         let mut d = Dcqcn::new(ctx());
         d.on_ack(&ack(Tick::from_micros(10), true));
-        let a0 = d.alpha();
+        let a0 = d.alpha;
         // 1 ms of unmarked ACKs: many alpha-timer periods elapse.
         for i in 1..20u64 {
             d.on_ack(&ack(Tick::from_micros(10 + i * 55), false));
         }
-        assert!(d.alpha() < a0, "alpha must decay: {} -> {}", a0, d.alpha());
+        assert!(d.alpha < a0, "alpha must decay: {} -> {}", a0, d.alpha);
     }
 
     #[test]
     fn rate_recovers_toward_line_rate() {
         let mut d = Dcqcn::new(ctx());
         d.on_ack(&ack(Tick::from_micros(10), true));
-        let dropped = d.rate_bytes();
+        let dropped = d.rc;
         // 10 ms without marks: timer-driven fast recovery + additive.
         for i in 1..40u64 {
             d.on_ack(&ack(Tick::from_micros(10 + i * 250), false));
         }
         assert!(
-            d.rate_bytes() > dropped * 1.5,
+            d.rc > dropped * 1.5,
             "rate must recover: {} -> {}",
             dropped,
-            d.rate_bytes()
+            d.rc
         );
         // And never exceed line rate.
-        assert!(d.rate_bytes() <= Bandwidth::gbps(25).bytes_per_sec() + 1.0);
+        assert!(d.rc <= Bandwidth::gbps(25).bytes_per_sec() + 1.0);
     }
 
     #[test]
@@ -283,6 +273,6 @@ mod tests {
         for i in 0..200u64 {
             d.on_ack(&ack(Tick::from_micros(i * 60), true));
         }
-        assert!(d.rate_bytes() >= MIN_RATE.bytes_per_sec());
+        assert!(d.rc >= MIN_RATE.bytes_per_sec());
     }
 }

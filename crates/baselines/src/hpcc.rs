@@ -72,16 +72,6 @@ impl Hpcc {
         }
     }
 
-    /// The additive increase `W_AI = W_init·(1−η)/N` in bytes.
-    pub fn wai(&self) -> f64 {
-        self.wai
-    }
-
-    /// Smoothed inflight estimate (diagnostics).
-    pub fn inflight_estimate(&self) -> f64 {
-        self.u
-    }
-
     /// MeasureInflight of Algorithm 1; returns the updated EWMA U.
     fn measure_inflight(&mut self, hops: &[IntHop]) -> Option<f64> {
         if hops.is_empty() {
@@ -223,7 +213,7 @@ mod tests {
         let h = Hpcc::new(ctx());
         assert!((h.cwnd() - 62_500.0).abs() < 1e-9);
         // W_init (1-eta)/N = 62500*0.05/8.
-        assert!((h.wai() - 390.625).abs() < 1e-9);
+        assert!((h.wai - 390.625).abs() < 1e-9);
     }
 
     #[test]
@@ -242,7 +232,7 @@ mod tests {
         }
         // U -> 1 + q/(B·T) = 3; window -> Wc/(3/0.95) shrinking powerfully.
         assert!(h.cwnd() < 0.5 * w0, "cwnd={} w0={}", h.cwnd(), w0);
-        assert!(h.inflight_estimate() > 2.0);
+        assert!(h.u > 2.0);
     }
 
     #[test]
@@ -294,7 +284,7 @@ mod tests {
             tot += tx;
             h.on_ack(&ack(now, seq, &hdr(now, 0, tot)));
             let delta = h.cwnd() - prev;
-            if delta > h.wai() * 4.0 {
+            if delta > h.wai * 4.0 {
                 saw_mi_jump = true;
             }
             prev = h.cwnd();

@@ -43,11 +43,6 @@ impl NewReno {
         }
     }
 
-    /// True while in slow start (diagnostics).
-    pub fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
     /// Scale the window by an external factor (reTCP's circuit-up/down
     /// explicit scaling uses this hook).
     pub(crate) fn scale_window(&mut self, factor: f64) {
@@ -129,7 +124,7 @@ mod tests {
     fn slow_start_doubles_per_rtt() {
         let mut r = NewReno::new(ctx());
         let w0 = r.cwnd();
-        assert!(r.in_slow_start());
+        assert!(r.cwnd < r.ssthresh, "slow start");
         // ACK a full window: slow start doubles.
         r.on_ack(&ack(w0 as u64));
         assert!((r.cwnd() - 2.0 * w0).abs() < 1.0);
@@ -140,7 +135,7 @@ mod tests {
         let mut r = NewReno::new(ctx());
         r.ssthresh = 10_000.0;
         r.cwnd = 20_000.0;
-        assert!(!r.in_slow_start());
+        assert!(r.cwnd >= r.ssthresh, "congestion avoidance");
         r.on_ack(&ack(20_000));
         assert!((r.cwnd() - 21_000.0).abs() < 1.0, "cwnd={}", r.cwnd());
     }

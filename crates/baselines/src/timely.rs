@@ -69,16 +69,6 @@ impl Timely {
         }
     }
 
-    /// Current rate in bytes/s (diagnostics).
-    pub fn rate_bytes(&self) -> f64 {
-        self.rate
-    }
-
-    /// Smoothed normalized gradient (diagnostics).
-    pub fn gradient(&self) -> f64 {
-        self.rtt_diff_smoothed / self.ctx.base_rtt.as_secs_f64()
-    }
-
     fn delta(&self) -> f64 {
         self.line_rate * DELTA_FRACTION
     }
@@ -179,18 +169,13 @@ mod tests {
     #[test]
     fn rising_rtt_cuts_rate() {
         let mut t = Timely::new(ctx());
-        let r0 = t.rate_bytes();
+        let r0 = t.rate;
         // RTT ramping 24 -> 43 us: positive gradient inside the band.
         for i in 0..20u64 {
             t.on_ack(&ack(100 + i, i, Tick::from_micros(24 + i)));
         }
-        assert!(
-            t.rate_bytes() < 0.8 * r0,
-            "rate={} r0={}",
-            t.rate_bytes(),
-            r0
-        );
-        assert!(t.gradient() > 0.0);
+        assert!(t.rate < 0.8 * r0, "rate={} r0={}", t.rate, r0);
+        assert!(t.rtt_diff_smoothed > 0.0);
     }
 
     #[test]
@@ -199,12 +184,12 @@ mod tests {
         // (RTT inside the band, zero gradient) still increases the rate.
         let mut t = Timely::new(ctx());
         t.rate = t.line_rate * 0.5;
-        let r0 = t.rate_bytes();
+        let r0 = t.rate;
         for i in 0..10u64 {
             t.on_ack(&ack(100 + i, i, Tick::from_micros(45)));
         }
         assert!(
-            t.rate_bytes() > r0,
+            t.rate > r0,
             "zero gradient must grow rate regardless of queue"
         );
     }
@@ -213,11 +198,11 @@ mod tests {
     fn low_rtt_additive_increase() {
         let mut t = Timely::new(ctx());
         t.rate = t.line_rate * 0.25;
-        let r0 = t.rate_bytes();
+        let r0 = t.rate;
         for i in 0..10u64 {
             t.on_ack(&ack(100 + i, i, Tick::from_micros(20)));
         }
-        let grown = t.rate_bytes() - r0;
+        let grown = t.rate - r0;
         assert!(grown > 0.0);
         // Growth is additive: bounded by ~10 * 5δ (with HAI).
         assert!(grown <= 51.0 * t.delta());
@@ -228,9 +213,9 @@ mod tests {
         let mut t = Timely::new(ctx());
         // RTT falling but far above Thigh (60us = 3x base): must decrease.
         t.on_ack(&ack(100, 0, Tick::from_micros(200)));
-        let r0 = t.rate_bytes();
+        let r0 = t.rate;
         t.on_ack(&ack(101, 1, Tick::from_micros(190)));
-        assert!(t.rate_bytes() < r0);
+        assert!(t.rate < r0);
     }
 
     #[test]
@@ -239,16 +224,16 @@ mod tests {
         for i in 0..500u64 {
             let rtt = Tick::from_nanos(20_000 + (i * 104_729) % 150_000);
             t.on_ack(&ack(100 + i, i, rtt));
-            assert!(t.rate_bytes() > 0.0);
-            assert!(t.rate_bytes() <= t.line_rate);
+            assert!(t.rate > 0.0);
+            assert!(t.rate <= t.line_rate);
         }
     }
 
     #[test]
     fn timeout_halves_rate() {
         let mut t = Timely::new(ctx());
-        let r0 = t.rate_bytes();
+        let r0 = t.rate;
         t.on_loss(Tick::from_micros(10), LossKind::Timeout);
-        assert!((t.rate_bytes() - r0 / 2.0).abs() < 1.0);
+        assert!((t.rate - r0 / 2.0).abs() < 1.0);
     }
 }

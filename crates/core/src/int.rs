@@ -134,16 +134,6 @@ impl IntHeader {
     pub fn clear(&mut self) {
         self.len = 0;
     }
-
-    /// On-wire size in bytes of this header, following the paper's encoding
-    /// (32-bit base header + 64-bit... the paper's Tofino PoC uses a 32-bit
-    /// base plus 64 bits per hop; HPCC's original encoding is 8 bytes per
-    /// hop as well). Used by the simulator when accounting link occupancy of
-    /// telemetry-bearing packets.
-    #[inline]
-    pub fn wire_bytes(&self) -> u32 {
-        4 + 8 * self.len as u32
-    }
 }
 
 #[cfg(test)]
@@ -204,16 +194,5 @@ mod tests {
         h.push(hop(1, 1));
         h.clear();
         assert!(h.is_empty());
-        assert_eq!(h.wire_bytes(), 4);
-    }
-
-    #[test]
-    fn wire_size_grows_per_hop() {
-        let mut h = IntHeader::new();
-        assert_eq!(h.wire_bytes(), 4);
-        h.push(hop(1, 0));
-        assert_eq!(h.wire_bytes(), 12);
-        h.push(hop(2, 0));
-        assert_eq!(h.wire_bytes(), 20);
     }
 }

@@ -78,12 +78,6 @@ impl PowerEstimator {
         self.smoothed
     }
 
-    /// True once at least one INT snapshot has been recorded (updates
-    /// before that return `None`: there is no gradient to compute yet).
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
     /// Process the INT stack echoed on one ACK; Algorithm 1, NORMPOWER.
     ///
     /// Returns `None` on the first observation (no previous snapshot) and
@@ -199,7 +193,7 @@ mod tests {
         let mut est = PowerEstimator::new(TAU);
         let h = header(&[hop(Tick::from_micros(1), 0, 0)]);
         assert!(est.update(&h).is_none());
-        assert!(est.is_initialized());
+        assert!(est.initialized);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl RotorSchedule {
         (tor + m + 1) % self.n_tors
     }
 
-    /// Inverse: under matching `m`, which ToR sends *to* `tor`.
-    pub fn sender_to(&self, tor: usize, m: usize) -> usize {
-        (tor + self.n_tors - (m + 1) % self.n_tors) % self.n_tors
-    }
-
     /// Locate `now` within the schedule.
     pub fn at(&self, now: Tick) -> SchedulePoint {
         let slot = self.slot().as_ps();
@@ -142,7 +137,6 @@ mod tests {
                 assert_ne!(i, j, "no self loops");
                 assert!(!seen[j], "matching {m} maps two ToRs to {j}");
                 seen[j] = true;
-                assert_eq!(s.sender_to(j, m), i, "inverse consistency");
             }
         }
         // Every ordered pair is served exactly once per week.

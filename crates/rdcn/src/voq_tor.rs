@@ -389,8 +389,9 @@ mod tests {
     #[test]
     fn acks_never_wait_for_circuit() {
         // An ACK from host 1 back to host 20 in rack 1.
-        let data_rev = Packet::data(FlowId(2), NodeId(20), NodeId(1), 0, 1000, false, Tick::ZERO);
-        let remote_ack = Packet::ack_for(&data_rev, 1000, false, US);
+        let mut remote_ack =
+            Packet::data(FlowId(2), NodeId(20), NodeId(1), 0, 1000, false, Tick::ZERO);
+        remote_ack.into_ack(1000, false, US);
         let size = remote_ack.size as u64;
         // t=230us: night, and prebuffer=1000us would hold ALL data.
         let t = Tick::from_micros(230);

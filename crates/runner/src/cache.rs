@@ -6,7 +6,7 @@
 //! {"format": 1, "canon": "<canonical key encoding>", "payload": {...}}
 //! ```
 //!
-//! A load reads the file in one pass with `dcn_scenarios::diff::Parser`:
+//! A load reads the file in one pass with `dcn_scenarios::json::Parser`:
 //! `format`, then `canon` compared **byte-for-byte** against the
 //! recomputed canonical encoding as it is scanned, then the payload
 //! decoded in place by [`codec`] — the members in exactly this order, and
@@ -18,7 +18,7 @@
 
 use crate::codec::{self, Outcome};
 use crate::key::CacheKey;
-use dcn_scenarios::diff::Parser;
+use dcn_scenarios::json::Parser;
 use dcn_telemetry::jstr;
 use std::fs;
 use std::io;

@@ -9,14 +9,14 @@
 //! once, as `"flows":[[size,slowdown bits],…]`; the report cuts them
 //! into size buckets and classes, so no bucket layout is stored here.
 //!
-//! Decoding drives `dcn_scenarios::diff::Parser`, the workspace's one
+//! Decoding drives `dcn_scenarios::json::Parser`, the workspace's one
 //! JSON reader, straight into the outcome's fields: members are read in
 //! the order [`encode`] writes them, and anything else — a member missing,
 //! unknown, repeated or out of order, bytes after the closing `}` — is
 //! refused. A refusal is a cache miss, or the in-process fallback for a
 //! worker line; it never yields a different outcome.
 
-use dcn_scenarios::diff::Parser;
+use dcn_scenarios::json::Parser;
 use dcn_scenarios::{Algo, ParamSpec, PointOutcome};
 use dcn_telemetry::{jstr, ChannelTrace, Sample, TraceEntry};
 

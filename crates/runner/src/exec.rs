@@ -617,7 +617,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), spec.num_points() + 1, "spans + summary");
         for line in &lines {
-            dcn_scenarios::diff::parse_json(line).expect("well-formed NDJSON");
+            dcn_scenarios::json::parse_json(line).expect("well-formed NDJSON");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

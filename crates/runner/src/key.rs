@@ -16,7 +16,7 @@
 //! hash collision (or a stale file from an older format) is detected and
 //! treated as a miss, never served.
 
-use dcn_scenarios::{EngineKind, ScenarioKind, ScenarioSpec, SweepPoint, TraceEntrySpec, WorkItem};
+use dcn_scenarios::{EngineKind, ScenarioKind, ScenarioSpec, SweepPoint, WorkItem};
 
 /// Version of the canonical key encoding and of the payload it addresses.
 /// Bump when the encoding below or the codec's outcome layout changes
@@ -87,8 +87,8 @@ fn preamble(spec: &ScenarioSpec) -> String {
 
 /// A spec's keys: its preamble (format line, engine salt, spec fragment)
 /// derived once, then one canon per work item. A run derives it once
-/// for its whole expansion ([`crate::CachingSource`]); [`item_key`],
-/// [`point_key`] and [`entry_key`] derive it per call.
+/// for its whole expansion ([`crate::CachingSource`]); [`item_key`] and
+/// [`point_key`] derive it per call.
 #[derive(Clone, Debug)]
 pub struct SpecKeys<'a> {
     spec: &'a ScenarioSpec,
@@ -111,7 +111,11 @@ impl<'a> SpecKeys<'a> {
     pub fn item(&self, item: &WorkItem) -> CacheKey {
         match item {
             WorkItem::Point(p) => self.point(p),
-            WorkItem::Entry(e) => self.entry(e),
+            WorkItem::Trace(e) => self.entry("trace", &e.label, &e.algo.key(), e.prebuffer.as_ps()),
+            // An analytic entry runs no law. Key format 2 was laid down
+            // when every analytic spec still carried an unused seed-42
+            // PowerTCP lineup, and these are the bytes it left.
+            WorkItem::Analytic(e) => self.entry("analytic", &e.label, "powertcp", 0),
         }
     }
 
@@ -126,25 +130,19 @@ impl<'a> SpecKeys<'a> {
         ))
     }
 
-    fn entry(&self, entry: &TraceEntrySpec) -> CacheKey {
-        // No entry has a seed, and an analytic one has no algorithm: key
-        // format 2 was laid down when every trace and analytic spec still
-        // carried a seed-42 lineup (an analytic one an unused PowerTCP),
-        // and these are the bytes it left.
-        let (kind, algo) = match &self.spec.kind {
-            ScenarioKind::Analytic(_) => ("analytic", "powertcp".to_string()),
-            _ => ("trace", entry.algo.key()),
-        };
+    /// A lineup entry's key. No entry has a seed: key format 2 was laid
+    /// down when every lineup still carried seed 42, and it left the line.
+    fn entry(&self, kind: &str, label: &str, algo: &str, prebuffer_ps: u64) -> CacheKey {
         CacheKey::from_canon(format!(
-            "{}--- point ---\nkind={kind}\nlabel={}\nalgo={algo}\nprebuffer-ps={}\nseed=42\n",
+            "{}--- point ---\nkind={kind}\nlabel={label}\nalgo={algo}\nprebuffer-ps={prebuffer_ps}\nseed=42\n",
             self.preamble,
-            entry.label,
-            entry.prebuffer.as_ps(),
         ))
     }
 }
 
-/// Key of one work item: [`point_key`] or [`entry_key`] by item kind.
+/// Key of one work item: a sweep point's, or a lineup entry's (whose
+/// label tells the expanded entries apart; an analytic grid itself lives
+/// in the spec fragment).
 pub fn item_key(spec: &ScenarioSpec, item: &WorkItem) -> CacheKey {
     SpecKeys::new(spec).item(item)
 }
@@ -156,18 +154,10 @@ pub fn point_key(spec: &ScenarioSpec, point: &SweepPoint) -> CacheKey {
     SpecKeys::new(spec).point(point)
 }
 
-/// Key of one timeseries *or analytic* lineup entry (the label —
-/// algorithm/prebuffer for traces, the grid-point identity for analytic
-/// entries — distinguishes expanded entries; the analytic grids
-/// themselves live in the spec fragment).
-pub fn entry_key(spec: &ScenarioSpec, entry: &TraceEntrySpec) -> CacheKey {
-    SpecKeys::new(spec).entry(entry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_scenarios::{builtin, sweep_points, trace_entries, Algo};
+    use dcn_scenarios::{builtin, sweep_points, work_items, Algo};
 
     #[test]
     fn fnv1a64_matches_reference_vectors() {
@@ -255,12 +245,9 @@ mod tests {
     #[test]
     fn trace_entry_keys_separate_lineup_entries() {
         let spec = builtin("fig8").unwrap();
-        let ScenarioKind::Timeseries(body) = &spec.kind else {
-            unreachable!("fig8 is a trace")
-        };
-        let entries = trace_entries(body);
+        let entries = work_items(&spec);
         assert!(entries.len() >= 3);
-        let keys: Vec<CacheKey> = entries.iter().map(|e| entry_key(&spec, e)).collect();
+        let keys: Vec<CacheKey> = entries.iter().map(|e| item_key(&spec, e)).collect();
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
                 assert_ne!(a.canon, b.canon, "reTCP prebuffers must separate");
@@ -268,12 +255,14 @@ mod tests {
         }
         // Same algo at different prebuffers differs only by the point
         // section.
-        let retcp: Vec<&TraceEntrySpec> =
-            entries.iter().filter(|e| e.algo == Algo::ReTcp).collect();
+        let retcp: Vec<&WorkItem> = entries
+            .iter()
+            .filter(|e| matches!(e, WorkItem::Trace(t) if t.algo == Algo::ReTcp))
+            .collect();
         assert_eq!(retcp.len(), 2);
         assert_ne!(
-            entry_key(&spec, retcp[0]).hash,
-            entry_key(&spec, retcp[1]).hash
+            item_key(&spec, retcp[0]).hash,
+            item_key(&spec, retcp[1]).hash
         );
     }
 }

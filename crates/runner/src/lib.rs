@@ -54,6 +54,6 @@ pub mod worker;
 pub use cache::{CacheStat, CacheStatDetail, ResultCache, CACHE_FORMAT};
 pub use codec::Outcome;
 pub use exec::{run, serve_run_fn, serve_stat_fn, CachingSource, RunConfig, RunStats};
-pub use key::{entry_key, fnv1a64, item_key, point_key, CacheKey, SpecKeys, KEY_FORMAT};
+pub use key::{fnv1a64, item_key, point_key, CacheKey, SpecKeys, KEY_FORMAT};
 pub use obs::{meta_json, RunObserver, META_VERSION};
 pub use worker::worker_main;

@@ -215,7 +215,7 @@ pub fn meta_json(
 mod tests {
     use super::*;
     use dcn_scenarios::builtin;
-    use dcn_scenarios::diff::{parse_json, Json};
+    use dcn_scenarios::json::{parse_json, Json};
 
     fn stats_with_spans() -> RunStats {
         let sim = SimStats {

@@ -33,7 +33,7 @@
 use crate::cache::ResultCache;
 use crate::codec::{self, Outcome};
 use crate::exec::CachingSource;
-use dcn_scenarios::diff::{parse_json, Json, Parser};
+use dcn_scenarios::json::{parse_json, Json, Parser};
 use dcn_scenarios::{
     sim_stats_from_json, sim_stats_json, work_items, CacheStatus, PointSource, ScenarioSpec,
 };

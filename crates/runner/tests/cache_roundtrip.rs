@@ -82,15 +82,12 @@ fn cold_then_warm_is_byte_identical_across_scenario_kinds() {
 
 #[test]
 fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
-    use dcn_runner::entry_key;
-    use dcn_scenarios::{analytic_entries, AnalyticScenario, ScenarioKind};
+    use dcn_runner::item_key;
+    use dcn_scenarios::{work_items, AnalyticScenario, ScenarioKind};
 
     let spec = builtin("fig3-small").unwrap();
-    let ScenarioKind::Analytic(analytic) = &spec.kind else {
-        panic!("fig3-small is analytic");
-    };
-    let entries = analytic_entries(analytic);
-    let base: Vec<_> = entries.iter().map(|e| entry_key(&spec, e)).collect();
+    let entries = work_items(&spec);
+    let base: Vec<_> = entries.iter().map(|e| item_key(&spec, e)).collect();
 
     // The salt is the fluid-model version, not the sim engine version:
     // analytic outcomes never touch the simulator, so simulator hot-path
@@ -114,7 +111,7 @@ fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
     renamed.description = "different words".into();
     renamed.name = "fig3-small-renamed".into();
     for (e, k) in entries.iter().zip(&base) {
-        assert_eq!(entry_key(&renamed, e), *k, "identity must not move keys");
+        assert_eq!(item_key(&renamed, e), *k, "identity must not move keys");
     }
 
     // Changing the phase grid, which every law entry integrates whole,
@@ -125,7 +122,7 @@ fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
     };
     w_over_bdp[0] = 0.4;
     for (e, k) in entries.iter().zip(&base) {
-        assert_ne!(entry_key(&tuned, e), *k, "fluid physics must move keys");
+        assert_ne!(item_key(&tuned, e), *k, "fluid physics must move keys");
     }
     let mut wider = spec.clone();
     let ScenarioKind::Analytic(AnalyticScenario::Phase { q_over_bdp, .. }) = &mut wider.kind else {
@@ -133,7 +130,7 @@ fn analytic_keys_invalidate_on_fluid_physics_not_identity() {
     };
     q_over_bdp.push(4.0);
     for (e, k) in entries.iter().zip(&base) {
-        assert_ne!(entry_key(&wider, e), *k);
+        assert_ne!(item_key(&wider, e), *k);
     }
 
     // And a warm cache stays warm across the rename but not the retune.

@@ -20,7 +20,7 @@
 //!   on a scenario kind that has none (a trace, an analytic grid),
 //!   naming the kind.
 
-use dcn_scenarios::diff::{parse_json, Json};
+use dcn_scenarios::json::{parse_json, Json};
 use dcn_scenarios::{builtin, ScenarioSpec};
 use std::path::PathBuf;
 use std::process::Command;

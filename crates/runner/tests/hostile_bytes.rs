@@ -13,8 +13,8 @@
 
 use dcn_runner::codec::{decode_str, encode, Outcome};
 use dcn_runner::worker::{manifest_json, parse_manifest, parse_result_line, result_line};
-use dcn_runner::{entry_key, run, ResultCache, RunConfig};
-use dcn_scenarios::diff::parse_json;
+use dcn_runner::{item_key, run, ResultCache, RunConfig};
+use dcn_scenarios::json::parse_json;
 use dcn_scenarios::{builtin, compute, diff_reports, work_items, Algo, ParamSpec, PointOutcome};
 use dcn_serve::http::{parse_request, MAX_HEAD};
 use proptest::prelude::*;
@@ -272,10 +272,7 @@ proptest! {
         let spec = builtin("theorems").unwrap();
         let dir = scratch("load");
         let cache = ResultCache::new(&dir);
-        let dcn_scenarios::WorkItem::Entry(entry) = &work_items(&spec)[0] else {
-            panic!("theorems expands to entries");
-        };
-        let key = entry_key(&spec, entry);
+        let key = item_key(&spec, &work_items(&spec)[0]);
         let good = trace_outcome();
         cache.store(&key, &good).unwrap();
         let path = dir.join(key.file_name());
@@ -435,7 +432,7 @@ fn a_run_over_a_damaged_cache_is_byte_identical_to_an_uncached_run() {
 
 use dcn_runner::worker::WorkerResult;
 use dcn_runner::{CacheKey, CACHE_FORMAT};
-use dcn_scenarios::diff::Json;
+use dcn_scenarios::json::Json;
 use dcn_scenarios::sim_stats_from_json;
 use dcn_telemetry::{ChannelTrace, Sample, TraceEntry};
 
@@ -696,10 +693,7 @@ fn assert_no_more_accepting(text: &str, key: &CacheKey, dir: &std::path::Path) {
 
 fn theorems_key() -> CacheKey {
     let spec = builtin("theorems").unwrap();
-    let dcn_scenarios::WorkItem::Entry(entry) = &work_items(&spec)[0] else {
-        panic!("theorems expands to entries");
-    };
-    entry_key(&spec, entry)
+    item_key(&spec, &work_items(&spec)[0])
 }
 
 proptest! {

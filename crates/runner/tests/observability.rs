@@ -5,7 +5,7 @@
 //! equal points, and the cache disposition flips miss→hit between a
 //! cold and a warm run.
 
-use dcn_scenarios::diff::{parse_json, Json};
+use dcn_scenarios::json::{parse_json, Json};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

@@ -13,7 +13,7 @@
 
 use dcn_runner::codec::encode;
 use dcn_runner::{item_key, ResultCache};
-use dcn_scenarios::diff::parse_json;
+use dcn_scenarios::json::parse_json;
 use dcn_scenarios::{builtin, compute, work_items, ScenarioSpec};
 
 const DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/parent_cache");

@@ -8,7 +8,7 @@
 //! committed `fig6-small` baseline (the same bytes `xp run --json`
 //! writes), cold cache and warm.
 
-use dcn_scenarios::diff::{parse_json, Json};
+use dcn_scenarios::json::{parse_json, Json};
 use dcn_scenarios::{
     builtin, diff_reports, run_scenario_observed, work_items, Compute, Outcome, PointObs,
     PointSource, ScenarioSpec, WorkItem,

@@ -28,7 +28,7 @@
 //! | R17 | a spec constructor in `library.rs` other than `ScenarioSpec::from_toml(`: a builtin is a TOML file |
 //! | R18 | one of the deleted spec builders (`fn describe(`, `fn paper_set(`, …) under `scenarios/src` |
 //! | R19 | `parse_json` or `Json` in `runner/src/codec.rs` or `cache.rs`: a cache hit builds no tree |
-//! | R20 | `fn skip_ws` or `u escape` in a file under `crates/` other than `scenarios/src/diff.rs`: one JSON tokenizer |
+//! | R20 | `fn skip_ws` or `u escape` in a file under `crates/` other than `scenarios/src/json.rs`: one JSON tokenizer |
 //! | R21 | the Figure 6/7 cuts (`SIZE_BUCKETS`, `size_class`, `"buckets"`) in `scenarios/src/engine.rs` or `runner/src/codec.rs` |
 //! | R22 | `snd_una`, or `snd_nxt` on a line that does not end with the `AckInfo` field, in `transport/src/host.rs`: `SendSeq` owns the sequence |
 //! | R23 | `base_rtt / 2` under `scenarios/src`: `FctReduction::ideal_rtt` is the ideal FCT's RTT |
@@ -53,13 +53,14 @@
 //! | R42 | a `let up` / `let down` `Vec<LinkId>` table in `scenarios/src/flow_engine.rs`: host links are arithmetic |
 //! | R43 | a `crates/scenarios/tests/*_baseline.json` that is no operand of a `cmp` line of `.github/workflows/ci.yml`, or a line there that holds `--tol`: a report is pinned byte for byte |
 //! | R44 | a `PR <n>` token in DESIGN.md: it states the system as it is, and a PR's history is CHANGES.md's |
+//! | R45 | a `pub` / `pub(crate)` fn above the tests of a product file that no product or `benchmark/src` code above its tests names, unless a [`CALLED_OUTSIDE`] row names its caller; or a stale row |
 //!
 //! R6's other half is the offline resolve itself, which refuses a registry
 //! dependency before this test compiles. DESIGN.md "Static analysis" has
 //! the rules the compiler enforces; `scripts/lint_canaries.sh` plants an
 //! R5, R6 and R8 hazard in a copy of the tree and needs each named.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -76,13 +77,19 @@ const RUST: [&str; 4] = ["crates", "src", "tests", "examples"];
 const BUILTINS: &str = "crates/scenarios/builtins";
 const SPEC_RS: &str = "crates/scenarios/src/spec.rs";
 const TOPOLOGY_RS: &str = "crates/sim/src/topology.rs";
-const TOKENIZER: &str = "crates/scenarios/src/diff.rs";
+const TOKENIZER: &str = "crates/scenarios/src/json.rs";
 const XP: &str = "crates/runner/src/bin/xp.rs";
 const HTML_RS: &str = "crates/serve/src/html.rs";
 const CI_YML: &str = ".github/workflows/ci.yml";
 const DESIGN_MD: &str = "DESIGN.md";
 /// Where the committed `*_baseline.json` reports live.
 const BASELINES: &str = "crates/scenarios/tests/";
+/// The benchmark harness: it builds against the crates' public names, so
+/// R45 counts what it names.
+const HARNESS: &str = "benchmark/src";
+/// Product files that are test code all the same: their parents declare
+/// them under `#[cfg(test)]`.
+const TEST_MODULES: [&str; 2] = ["crates/rdcn/src/bed.rs", "crates/flow/src/reference.rs"];
 
 fn root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -94,8 +101,13 @@ fn read(rel: &str) -> String {
 
 /// The tree on disk, read once per test binary: the root manifest, the CI
 /// workflow, DESIGN.md, every member's manifest, both lock files and every
-/// file under [`RUST`] (builtins and test data included).
+/// file under [`RUST`] (builtins and test data included) and [`HARNESS`].
 fn on_disk() -> Tree {
+    disk().clone()
+}
+
+/// [`on_disk`], borrowed.
+fn disk() -> &'static Tree {
     static DISK: OnceLock<Tree> = OnceLock::new();
     DISK.get_or_init(|| {
         let mut tree = Tree::new();
@@ -106,12 +118,11 @@ fn on_disk() -> Tree {
             let rel = format!("{member}/Cargo.toml");
             tree.insert(rel.clone(), read(&rel));
         }
-        for dir in RUST {
+        for dir in RUST.into_iter().chain([HARNESS]) {
             add_files(&mut tree, dir);
         }
         tree
     })
-    .clone()
 }
 
 /// Every file under `dir`, its bytes read as UTF-8 (lossily). A missing
@@ -476,9 +487,9 @@ const RULES: &[Rule] = &[
 ];
 
 /// The rules that are not a ban under some paths, each a function of the
-/// tree, its id and what `failures_reading` calls `fresh`. Only R20 reads
-/// many files, each on its own, so only it skips the files that are not
-/// fresh.
+/// tree, its id and what `failures_reading` calls `fresh`. Of the two
+/// that read many files, R20 skips the files that are not fresh, and R45
+/// reuses what it read of every file whose text is as on disk.
 type Check = fn(&Tree, &str, &dyn Fn(&str) -> bool) -> Vec<String>;
 
 const CHECKS: &[(&str, Check)] = &[
@@ -513,6 +524,7 @@ const CHECKS: &[(&str, Check)] = &[
     }),
     ("R43", byte_pins),
     ("R44", no_pr_history),
+    ("R45", every_fn_called),
 ];
 
 /// The files under `dir` (a file or a directory), this one left out.
@@ -811,6 +823,196 @@ fn no_pr_history(tree: &Tree, id: &str, _: &dyn Fn(&str) -> bool) -> Vec<String>
             )
         })
         .collect()
+}
+
+/// R45's exemptions: `(file, fn, caller, why)`. A `pub` fn whose callers
+/// all sit outside the product code stays only with a row here that names
+/// one of them: a file outside the product code that names the fn.
+const CALLED_OUTSIDE: &[(&str, &str, &str, &str)] = &[
+    (
+        "crates/sim/src/engine.rs",
+        "pool_stats",
+        "crates/sim/tests/engine_e2e.rs",
+        "the pool property reads the recycling counters of a whole run",
+    ),
+    (
+        "crates/sim/src/engine.rs",
+        "run_until_idle",
+        "crates/sim/tests/engine_e2e.rs",
+        "the engine's end-to-end tests, `dispatch_golden.rs` and `sim_props.rs` run to quiescence",
+    ),
+    (
+        "crates/sim/src/engine.rs",
+        "audit_closed",
+        "crates/sim/tests/dispatch_golden.rs",
+        "the golden runs and `engine_e2e.rs` recycle every packet, so they audit with equality",
+    ),
+    (
+        "crates/sim/src/event.rs",
+        "peek_time",
+        "crates/sim/tests/sim_props.rs",
+        "the lockstep heap model checks that a peek moves nothing",
+    ),
+    (
+        "crates/sim/src/flow_table.rs",
+        "dense_slots",
+        "crates/sim/tests/flow_table_props.rs",
+        "the table properties check where a flow lives against a `BTreeMap` model",
+    ),
+    (
+        "crates/sim/src/flow_table.rs",
+        "spilled",
+        "crates/sim/tests/flow_table_props.rs",
+        "the table properties check where a flow lives against a `BTreeMap` model",
+    ),
+];
+
+/// Whether `path` is product code: a Rust file under a member's or the
+/// root package's `src/`, less the test-only `crates/shims` and
+/// [`TEST_MODULES`].
+fn product(path: &str) -> bool {
+    let src = path.starts_with("src/") || (path.starts_with("crates/") && path.contains("/src/"));
+    src && path.ends_with(".rs") && !under(path, "crates/shims") && !TEST_MODULES.contains(&path)
+}
+
+/// Whether R45 counts what `path` names: product code and the harness.
+fn calls_from(path: &str) -> bool {
+    product(path) || (under(path, HARNESS) && path.ends_with(".rs"))
+}
+
+/// The lines of `text` above its first `#[cfg(test)]`, each cut at `//`,
+/// with their 0-based numbers: the file's non-test part, as
+/// `scripts/loc.sh` counts it.
+fn non_test(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let lines = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+    lines.map(code).enumerate()
+}
+
+/// The identifiers the non-test part of `text` names, less each that a
+/// `fn` declares: a call, a path, a fn pointer or an import (an alias
+/// too, `write_array as list`) names a fn; its own declaration does not.
+fn idents(text: &str) -> impl Iterator<Item = &str> {
+    non_test(text).flat_map(|(_, line)| {
+        let mut after_fn = false;
+        line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|t| !t.is_empty())
+            .filter(move |&t| !std::mem::replace(&mut after_fn, t == "fn"))
+    })
+}
+
+/// The `pub` / `pub(crate)` fns the non-test part of `text` declares:
+/// `(0-based line, name)`.
+fn pub_fns(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    non_test(text).filter_map(|(i, line)| {
+        let line = line.trim_start();
+        let mut rest = line
+            .strip_prefix("pub ")
+            .or(line.strip_prefix("pub(crate) "))?;
+        for qualifier in ["const ", "unsafe "] {
+            rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+        }
+        let rest = rest.strip_prefix("fn ")?;
+        let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+        Some((i, &rest[..end.unwrap_or(rest.len())]))
+    })
+}
+
+/// What R45 read of the tree on disk, read once: every identifier that
+/// the [`calls_from`] files name, with the files that name it, and each
+/// product file's `pub` fns.
+struct FnIndex {
+    named: BTreeMap<&'static str, Vec<&'static str>>,
+    decls: BTreeMap<&'static str, Vec<(usize, &'static str)>>,
+}
+
+fn fn_index() -> &'static FnIndex {
+    static INDEX: OnceLock<FnIndex> = OnceLock::new();
+    INDEX.get_or_init(|| {
+        let mut index = FnIndex {
+            named: BTreeMap::new(),
+            decls: BTreeMap::new(),
+        };
+        for (path, text) in disk().iter().filter(|(p, _)| calls_from(p)) {
+            for ident in idents(text).collect::<BTreeSet<_>>() {
+                index.named.entry(ident).or_default().push(path);
+            }
+            if product(path) {
+                index.decls.insert(path, pub_fns(text).collect());
+            }
+        }
+        index
+    })
+}
+
+/// R45: every `pub` / `pub(crate)` fn of the product code has a caller in
+/// it or in the harness, or a [`CALLED_OUTSIDE`] row that names a caller
+/// outside it. The rule goes by name: a fn that shares its name with one
+/// that is called (`tick`, `values`) passes, and so does one that a `pub
+/// use` re-exports. A file whose text is as on disk is read from
+/// [`fn_index`].
+fn every_fn_called(tree: &Tree, id: &str, _: &dyn Fn(&str) -> bool) -> Vec<String> {
+    let index = fn_index();
+    let edited: BTreeSet<&str> = tree
+        .iter()
+        .filter(|&(p, text)| calls_from(p) && disk().get(p) != Some(text))
+        .map(|(p, _)| p.as_str())
+        .collect();
+    let mut namer: BTreeMap<&str, &str> = BTreeMap::new();
+    for &path in &edited {
+        for ident in idents(&tree[path]) {
+            namer.entry(ident).or_insert(path);
+        }
+    }
+    let caller = |name: &str| {
+        namer.get(name).copied().or_else(|| {
+            let files = index.named.get(name)?;
+            let as_on_disk = |f: &&str| tree.contains_key(*f) && !edited.contains(f);
+            files.iter().copied().find(as_on_disk)
+        })
+    };
+    let decls = |path: &str| -> Vec<(usize, &str)> {
+        if edited.contains(path) {
+            pub_fns(&tree[path]).collect()
+        } else {
+            index.decls.get(path).cloned().unwrap_or_default()
+        }
+    };
+    let mut out = Vec::new();
+    let mut exempt = BTreeSet::new();
+    for &(path, name, outside, why) in CALLED_OUTSIDE {
+        exempt.insert((path, name));
+        let declared = tree.contains_key(path) && decls(path).iter().any(|&(_, n)| n == name);
+        let stale = if !declared {
+            format!("`{name}` is no `pub` fn of it")
+        } else if let Some(file) = caller(name) {
+            format!("`{name}` has a caller in the product code now ({file})")
+        } else if !tree
+            .get(outside)
+            .is_some_and(|t| !product(outside) && names(t, name))
+        {
+            format!("`{name}`'s row names {outside}, which is no non-product file that names it")
+        } else {
+            continue;
+        };
+        out.push(format!(
+            "{path}: rule[{id}] {stale}: drop or mend its `CALLED_OUTSIDE` row ({why})"
+        ));
+    }
+    for path in tree.keys().filter(|p| product(p)) {
+        for (i, name) in decls(path) {
+            if caller(name).is_none() && !exempt.contains(&(path.as_str(), name)) {
+                out.push(format!(
+                    "{path}:{}: rule[{id}] `{name}` has no caller in the product code or the \
+                     harness: delete it, or add a `CALLED_OUTSIDE` row that names its caller",
+                    i + 1
+                ));
+            }
+        }
+    }
+    if !tree.keys().any(|p| under(p, HARNESS)) {
+        out.push(missing(HARNESS, id));
+    }
+    out
 }
 
 /// The 1-based line of `key = [` in `manifest` and the quoted entries of
@@ -1170,7 +1372,7 @@ const PLANTED: &[(&str, &str, Edit)] = &[
         Append("fn main() {}\n"),
     ),
     ("R35", "crates/sim/src/main.rs", Append("fn main() {}\n")),
-    ("R36", HTML_RS, Append("pub fn page() {}\n")),
+    ("R36", HTML_RS, Append("//! The daemon's HTML page.\n")),
     (
         "R37",
         "crates/serve/src/http.rs",
@@ -1219,6 +1421,34 @@ const PLANTED: &[(&str, &str, Edit)] = &[
     ),
     // A pull-request number, spelt in two pieces.
     ("R44", DESIGN_MD, Append(concat!("PR", " 7\n"))),
+    (
+        "R45",
+        "crates/stats/src/lib.rs",
+        Append("pub fn planted_uncalled() {}\n"),
+    ),
+    (
+        "R45",
+        "crates/core/src/lib.rs",
+        Append("pub(crate) const fn planted_uncalled() -> u8 {\n    0\n}\n"),
+    ),
+    // An import under an alias names the fn.
+    (
+        PASSES,
+        "crates/stats/src/lib.rs",
+        Append("pub fn planted_aliased() {}\nuse self::planted_aliased as aliased;\n"),
+    ),
+    // A fn below `#[cfg(test)]` is test code.
+    (
+        PASSES,
+        "crates/sim/src/event.rs",
+        Append("pub fn planted_uncalled() {}\n"),
+    ),
+    // An exempt fn that gains a product caller leaves a stale row.
+    (
+        "R45",
+        "crates/sim/src/lib.rs",
+        Append("fn planted(q: &mut EventQueue) {\n    q.peek_time();\n}\n"),
+    ),
     // This file lists the needles; every other runner test is read (below).
     (PASSES, SELF, Append(RUNNER_TEST_NEEDLE)),
 ];
@@ -1264,6 +1494,28 @@ fn every_planted_hazard_fails_naming_its_rule() {
             only(&failures, rule, &rel);
         }
     }
+}
+
+#[test]
+fn an_uncalled_pub_fn_fails_naming_it() {
+    let failures = doctored("crates/stats/src/lib.rs", |text| {
+        format!("{text}pub fn planted_uncalled() {{}}\n")
+    });
+    only(&failures, "R45", "`planted_uncalled`");
+}
+
+#[test]
+fn an_alias_import_is_the_only_caller_of_write_array() {
+    // `schema.rs` calls `toml::write_array` as `list`: without the import
+    // the fn has no caller.
+    let failures = doctored("crates/scenarios/src/schema.rs", |text| {
+        text.replacen("write_array as list, ", "", 1)
+    });
+    only(&failures, "R45", "`write_array`");
+    assert!(
+        failures[0].starts_with("crates/scenarios/src/toml.rs:"),
+        "{failures:?}"
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! so reports are byte-identical at any thread or process count.
 
 use crate::spec::AnalyticScenario;
-use crate::trace_engine::{TraceEntrySpec, MAX_CHANNEL_ROWS};
+use crate::trace_engine::MAX_CHANNEL_ROWS;
 use dcn_telemetry::{decimate, ChannelTrace, Sample, TraceEntry};
 use fluid_model::{
     analytic_equilibrium, analytic_windows, current_md, eigenvalues_2x2, endpoint_spread,
@@ -21,13 +21,12 @@ use fluid_model::{
     phase_portrait_grid, powertcp_jacobian, voltage_md, FluidParams, Lane, Law, Schedule, State,
     PAPER_BETA_FRAC, PAPER_GAMMA,
 };
-use powertcp_core::Tick;
 
 /// Relative tolerance of the theorem checks.
 const THEOREM_TOLERANCE: f64 = 0.02;
 
 /// One enumerated grid point of an analytic scenario (internal: entries
-/// expose only `(index, label)` through [`TraceEntrySpec`], and the
+/// expose only `(index, label)` through [`AnalyticEntrySpec`], and the
 /// worker protocol re-derives points from the spec).
 enum AnalyticPoint {
     /// The Figure 2 response curves and blind-spot cases.
@@ -85,25 +84,33 @@ fn analytic_points(analytic: &AnalyticScenario) -> Vec<AnalyticPoint> {
     }
 }
 
+/// One entry of an analytic lineup: a grid point's position and label.
+/// It runs no control law, so unlike a
+/// [`TraceEntrySpec`](crate::trace_engine::TraceEntrySpec) it names none.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AnalyticEntrySpec {
+    /// Position in the lineup (stable expansion order).
+    pub index: usize,
+    /// Display label (the grid point's identity).
+    pub label: String,
+}
+
 /// Expand an analytic spec into lineup entries, as
-/// [`crate::trace_engine::trace_entries`] does a timeseries (the
-/// placeholder algorithm is never consulted).
-pub fn analytic_entries(analytic: &AnalyticScenario) -> Vec<TraceEntrySpec> {
+/// [`crate::trace_engine::trace_entries`] does a timeseries.
+pub fn analytic_entries(analytic: &AnalyticScenario) -> Vec<AnalyticEntrySpec> {
     analytic_points(analytic)
         .iter()
         .enumerate()
-        .map(|(index, p)| TraceEntrySpec {
+        .map(|(index, p)| AnalyticEntrySpec {
             index,
             label: p.label(),
-            algo: crate::algo::Algo::PowerTcp,
-            prebuffer: Tick::ZERO,
         })
         .collect()
 }
 
 /// Run one analytic entry. Deterministic: identical arguments replay
 /// bit-for-bit, on any thread or in any worker process.
-pub fn run_analytic_entry(analytic: &AnalyticScenario, entry: &TraceEntrySpec) -> TraceEntry {
+pub fn run_analytic_entry(analytic: &AnalyticScenario, entry: &AnalyticEntrySpec) -> TraceEntry {
     let mut points = analytic_points(analytic);
     if entry.index >= points.len() {
         panic!("analytic entry index {} out of range", entry.index);

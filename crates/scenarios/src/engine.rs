@@ -491,18 +491,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Tiny: for unit tests (seconds of wall time).
-    /// 2:1 oversubscription (exact 4:1 would need sub-line-rate uplinks at
-    /// this size, which distorts more than it preserves).
-    pub fn tiny() -> Self {
-        Scale {
-            hosts_per_tor: 2,
-            fabric_bw: Bandwidth::from_bps(12_500_000_000),
-            horizon: Tick::from_millis(4),
-            drain: Tick::from_millis(6),
-        }
-    }
-
     /// The paper's full scale (256 hosts, 100 G fabric).
     pub fn paper() -> Self {
         Scale {
@@ -549,6 +537,12 @@ pub(crate) mod tests {
     use super::*;
     use crate::spec::IncastSpec;
     use dcn_workloads::HostMap;
+
+    /// The builtin `fig6-small`: websearch on the tiny fat-tree (16
+    /// hosts, 2:1 oversubscribed), 4 ms + 6 ms.
+    fn fig6_small() -> ScenarioSpec {
+        crate::library::builtin("fig6-small").expect("a builtin")
+    }
 
     /// The host tables `plan` laid out before hosts became a
     /// [`HostRange`], kept as the oracle for the arithmetic.
@@ -641,7 +635,7 @@ pub(crate) mod tests {
             ("homa:1", [1.074, 1.688, 1.996]),
             ("retcp", [1.074, 3.021, 2.016]),
         ];
-        let mut spec = Scale::tiny().spec("lone").horizon_ms(0.001).drain_ms(20.0);
+        let mut spec = fig6_small().horizon_ms(0.001).drain_ms(20.0);
         spec.sweep_mut("test").workload = WorkloadSpec::default();
         let sweep = spec.sweep_body("test");
         let keys: Vec<String> = Algo::all().into_iter().map(Algo::key).collect();
@@ -678,7 +672,7 @@ pub(crate) mod tests {
 
     #[test]
     fn tiny_experiment_completes_for_powertcp() {
-        let r = run_point(&Scale::tiny().spec("tiny"), Algo::PowerTcp, 0.4, 7);
+        let r = run_point(&fig6_small(), Algo::PowerTcp, 0.4, 7);
         assert!(r.offered > 10, "offered {}", r.offered);
         assert!(
             r.completed as f64 >= 0.9 * r.offered as f64,
@@ -699,7 +693,11 @@ pub(crate) mod tests {
     #[test]
     fn a_lone_flow_at_its_ideal_fct_reads_slowdown_one() {
         let topologies = [
-            Scale::tiny().topology(),
+            TopologySpec::FatTree {
+                hosts_per_tor: 2,
+                host_gbps: 25.0,
+                fabric_gbps: 12.5,
+            },
             TopologySpec::Star {
                 hosts: 4,
                 host_gbps: 25.0,
@@ -742,7 +740,7 @@ pub(crate) mod tests {
 
     #[test]
     fn tiny_experiment_completes_for_homa() {
-        let r = run_point(&Scale::tiny().spec("tiny"), Algo::Homa(1), 0.3, 9);
+        let r = run_point(&fig6_small(), Algo::Homa(1), 0.3, 9);
         assert!(
             r.completed as f64 >= 0.8 * r.offered as f64,
             "completed {}/{}",
@@ -753,7 +751,7 @@ pub(crate) mod tests {
 
     #[test]
     fn incast_overlay_adds_flows() {
-        let plain = Scale::tiny().spec("tiny");
+        let plain = fig6_small();
         let mut overlaid = plain.clone();
         overlaid.sweep_mut("test").workload.incast = Some(IncastSpec {
             rate_per_sec: 1000.0,

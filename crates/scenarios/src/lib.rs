@@ -31,6 +31,9 @@
 //!   byte-identical at any thread count.
 //! * [`report`] — structured [`SweepResult`]: per-point and pooled
 //!   per-(algo, load) summaries as JSON, CSV, or a markdown table.
+//! * [`json`] — the one JSON reader, for every byte from outside the
+//!   process (cache files, worker lines, manifests); [`diff`] compares
+//!   two reports it reads.
 //! * [`library`] — every figure and panel of the paper as a TOML file
 //!   under `builtins/`, compiled in and looked up by name ([`builtin`],
 //!   [`builtin_specs`]).
@@ -83,6 +86,7 @@ pub mod analytic_engine;
 pub mod diff;
 pub mod engine;
 pub mod flow_engine;
+pub mod json;
 pub mod library;
 pub mod obs;
 pub mod report;
@@ -93,7 +97,7 @@ pub mod toml;
 pub mod trace_engine;
 
 pub use algo::Algo;
-pub use analytic_engine::{analytic_entries, run_analytic_entry};
+pub use analytic_engine::{analytic_entries, run_analytic_entry, AnalyticEntrySpec};
 pub use diff::{diff_reports, DiffOutcome};
 pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale};
 pub use library::{builtin, builtin_specs};

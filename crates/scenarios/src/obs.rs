@@ -30,7 +30,7 @@
 //! [`sim_stats_json`]); `cache` is one of `computed` (no cache layer),
 //! `hit`, or `miss`.
 
-use crate::diff::Json;
+use crate::json::Json;
 use crate::sweep::SweepPoint;
 use dcn_sim::SimStats;
 use dcn_telemetry::jstr;
@@ -285,7 +285,7 @@ pub fn sim_stats_from_json(j: &Json) -> Option<SimStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::parse_json;
+    use crate::json::parse_json;
 
     fn stats() -> SimStats {
         SimStats {

@@ -12,7 +12,7 @@
 //! matter how many threads run it.
 
 use crate::algo::Algo;
-use crate::analytic_engine::{analytic_entries, run_analytic_entry};
+use crate::analytic_engine::{analytic_entries, run_analytic_entry, AnalyticEntrySpec};
 use crate::engine::{run_sweep_point_observed, PointOutcome};
 use crate::obs::{point_label, CacheStatus, NullObserver, Observer, PointObs, SpanRecord};
 use crate::report::SweepResult;
@@ -84,8 +84,10 @@ pub fn sweep_points(spec: &ScenarioSpec) -> Vec<SweepPoint> {
 pub enum WorkItem {
     /// One cell of an FCT sweep.
     Point(SweepPoint),
-    /// One timeseries or analytic lineup entry.
-    Entry(TraceEntrySpec),
+    /// One timeseries lineup entry.
+    Trace(TraceEntrySpec),
+    /// One analytic lineup entry.
+    Analytic(AnalyticEntrySpec),
 }
 
 impl WorkItem {
@@ -93,7 +95,8 @@ impl WorkItem {
     pub fn index(&self) -> usize {
         match self {
             WorkItem::Point(p) => p.index,
-            WorkItem::Entry(e) => e.index,
+            WorkItem::Trace(e) => e.index,
+            WorkItem::Analytic(e) => e.index,
         }
     }
 
@@ -102,7 +105,8 @@ impl WorkItem {
     pub fn label(&self) -> String {
         match self {
             WorkItem::Point(p) => point_label(p),
-            WorkItem::Entry(e) => e.label.clone(),
+            WorkItem::Trace(e) => e.label.clone(),
+            WorkItem::Analytic(e) => e.label.clone(),
         }
     }
 
@@ -111,7 +115,11 @@ impl WorkItem {
     pub fn accepts(&self, outcome: &Outcome) -> bool {
         matches!(
             (self, outcome),
-            (WorkItem::Point(_), Outcome::Sweep(_)) | (WorkItem::Entry(_), Outcome::Trace(_))
+            (WorkItem::Point(_), Outcome::Sweep(_))
+                | (
+                    WorkItem::Trace(_) | WorkItem::Analytic(_),
+                    Outcome::Trace(_)
+                )
         )
     }
 }
@@ -119,17 +127,20 @@ impl WorkItem {
 /// Expand a spec into its work items, in stable index order: the one
 /// place, with [`compute`], that picks the engine by the spec's kind.
 pub fn work_items(spec: &ScenarioSpec) -> Vec<WorkItem> {
-    let entries = match &spec.kind {
-        ScenarioKind::Sweep(_) => {
-            return sweep_points(spec)
-                .into_iter()
-                .map(WorkItem::Point)
-                .collect()
-        }
-        ScenarioKind::Timeseries(timeseries) => trace_entries(timeseries),
-        ScenarioKind::Analytic(analytic) => analytic_entries(analytic),
-    };
-    entries.into_iter().map(WorkItem::Entry).collect()
+    match &spec.kind {
+        ScenarioKind::Sweep(_) => sweep_points(spec)
+            .into_iter()
+            .map(WorkItem::Point)
+            .collect(),
+        ScenarioKind::Timeseries(timeseries) => trace_entries(timeseries)
+            .into_iter()
+            .map(WorkItem::Trace)
+            .collect(),
+        ScenarioKind::Analytic(analytic) => analytic_entries(analytic)
+            .into_iter()
+            .map(WorkItem::Analytic)
+            .collect(),
+    }
 }
 
 /// The result of one work item. Boxed so cached and worker-transported
@@ -152,17 +163,15 @@ pub fn compute(spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, Option<SimStat
             let (out, stats) = run_sweep_point_observed(spec, p);
             (Outcome::Sweep(Box::new(out)), Some(stats))
         }
-        (WorkItem::Entry(e), ScenarioKind::Timeseries(timeseries)) => {
+        (WorkItem::Trace(e), ScenarioKind::Timeseries(timeseries)) => {
             let (out, stats) = run_trace_entry_observed(timeseries, e);
             (Outcome::Trace(Box::new(out)), Some(stats))
         }
-        (WorkItem::Entry(e), ScenarioKind::Analytic(analytic)) => {
+        (WorkItem::Analytic(e), ScenarioKind::Analytic(analytic)) => {
             let out = run_analytic_entry(analytic, e);
             (Outcome::Trace(Box::new(out)), None)
         }
-        (WorkItem::Entry(_), ScenarioKind::Sweep(_)) => {
-            panic!("a lineup entry of the sweep {:?}", spec.name)
-        }
+        (entry, _) => panic!("entry {:?} is not of {:?}'s kind", entry.label(), spec.name),
     }
 }
 

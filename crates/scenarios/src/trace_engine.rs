@@ -28,7 +28,7 @@ use rdcn::{build_rack_pair, topology::CIRCUIT_BW, RdcnConfig, RotorSchedule};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// One entry of a trace lineup: an algorithm (plus, for the RDCN
+/// One entry of a timeseries lineup: an algorithm (plus, for the RDCN
 /// scenario, a reTCP prebuffer) and its display label.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceEntrySpec {
@@ -36,8 +36,7 @@ pub struct TraceEntrySpec {
     pub index: usize,
     /// Display label ("PowerTCP-INT", "reTCP-600us", …).
     pub label: String,
-    /// Algorithm under trace (a placeholder in an analytic entry, which
-    /// runs none).
+    /// Algorithm under trace.
     pub algo: Algo,
     /// reTCP prebuffering (RDCN scenario only; zero elsewhere).
     pub prebuffer: Tick,
@@ -320,7 +319,7 @@ fn incast_trace(
     let sw = star.switch;
     let mut sim = Simulator::new(star.net);
 
-    let rec = Recorder::new_shared(tick, RING_SAMPLES);
+    let rec = Recorder::new_shared(RING_SAMPLES);
     let [thr_ch, q_ch, cwnd_ch, pw_ch] = open(&rec, bottleneck_channels("queue"));
     // Reduction windows (in µs of trace time).
     let at_us = incast_at.as_micros_f64();
@@ -427,7 +426,7 @@ fn fairness_trace(
     let senders: Vec<NodeId> = (1..=flows).map(star_host_id).collect();
     let mut sim = Simulator::new(star.net);
 
-    let rec = Recorder::new_shared(tick, RING_SAMPLES);
+    let rec = Recorder::new_shared(RING_SAMPLES);
     // Jain window: all flows active, allowing 0.2 ms of join transient.
     let all_active_from = FAIRNESS_STAGGER_MS * (flows as f64 - 1.0) * 1e3 + 200.0;
     let mut means = Vec::new();
@@ -510,7 +509,7 @@ fn rdcn_trace(
     let hpt = r.cfg.hosts_per_tor;
     let mut sim = Simulator::new(r.net);
 
-    let rec = Recorder::new_shared(tick, RING_SAMPLES);
+    let rec = Recorder::new_shared(RING_SAMPLES);
     let [thr_ch, voq_ch, cwnd_ch, pw_ch] = open(&rec, bottleneck_channels("voq"));
     // Rack-0 egress throughput towards rack 1 (circuit + packet).
     let rec2 = rec.clone();

@@ -386,7 +386,7 @@ mod tests {
         });
         job.execute(&run);
         let (events, _) = job.wait_events(job.points, Duration::from_millis(1));
-        let summary = dcn_scenarios::diff::parse_json(&events[0]).expect("summary line");
+        let summary = dcn_scenarios::json::parse_json(&events[0]).expect("summary line");
         let wall_ms = summary.get("wall_ms").and_then(|v| v.as_f64()).unwrap();
         let snap_ms = job.snapshot().wall_ms;
         // `{:.3}` rounds to the nearest microsecond.

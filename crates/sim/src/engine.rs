@@ -65,11 +65,6 @@ impl Network {
             _ => panic!("node {id} is not a host"),
         }
     }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Boxed periodic-observer callback (see [`Simulator::add_tracer`]).

@@ -46,10 +46,10 @@
 //!
 //! Bursts do not stay behind either: a buffer that a burst grew past
 //! `SPARE_KEEP` records is freed as its bucket drains. So the storage
-//! ([`EventQueue::buffered_records`]) is at most `SPARE_KEEP` records per
-//! buffer plus, for each live bucket that outgrew that, under twice its
-//! fullest length since it was last empty — not the sum of every burst
-//! each buffer ever held.
+//! (the records the bucket buffers have room for, in use or spare) is at
+//! most `SPARE_KEEP` records per buffer plus, for each live bucket that
+//! outgrew that, under twice its fullest length since it was last empty —
+//! not the sum of every burst each buffer ever held.
 //!
 //! Ordering is **bit-compatible** with the previous binary-heap
 //! implementation: events pop in `(time, insertion-seq)` order, FIFO among
@@ -151,10 +151,12 @@ impl Ord for Scheduled {
 /// Bucket width exponent: each bucket covers `2^13` ps ≈ 8 ns — well
 /// below the dominant event spacings (1000 B serialize in 320 ns at 25 G,
 /// 80 ns at 100 G; propagation ≈ 1 µs), so even a 256-host fabric's
-/// concurrent timelines leave a handful of events per bucket: the sort on
-/// visit is a small-sort and a splice into the draining bucket is nearly
-/// an append. Chosen with `NUM_BUCKETS` from a measured grid (DESIGN.md,
-/// "Calendar event queue").
+/// concurrent timelines leave a handful of events per bucket, so the sort
+/// on visit is a small-sort. A splice into the draining bucket is short
+/// but no append: the bucket pops from its tail, so a later event goes in
+/// near the front and shifts most of it (80 % of the records in their
+/// bucket, on the 256-host fat-tree). Chosen with `NUM_BUCKETS` from a
+/// measured grid (DESIGN.md, "Calendar event queue").
 const BUCKET_SHIFT: u32 = 13;
 /// Most records a spare bucket buffer keeps (24 B each: 384 B); a buffer
 /// that a burst grew past it is freed when its bucket drains. At the
@@ -460,16 +462,6 @@ impl EventQueue {
         self.overflow_scheduled
     }
 
-    /// Event records the queue's bucket buffers have room for, in use or
-    /// spare — the ring's storage footprint: at most `SPARE_KEEP` per
-    /// buffer (one per bucket occupied at once, at most) plus, for a live
-    /// bucket that outgrew that, under twice its fullest length since it
-    /// was last empty. Neither the buckets ever touched nor past bursts
-    /// count.
-    pub fn buffered_records(&self) -> usize {
-        self.bufs.iter().map(Vec::capacity).sum()
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -691,7 +683,8 @@ mod tests {
 
     /// Keep `P` background events pending — each rescheduled when it
     /// fires, 0.3–3 µs out with a rare ms-scale timer — for `wraps` ring
-    /// wraps, reading [`EventQueue::buffered_records`] after every pop.
+    /// wraps, reading the records the bucket buffers have room for after
+    /// every pop.
     /// With `bursts`, every 2–8 µs a bucket 1–3 µs out also receives a
     /// same-tick burst of 128–400 events that are not rescheduled: the
     /// synchronized fan-in of a 128:1 incast.
@@ -726,7 +719,7 @@ mod tests {
                 q.schedule(q.now() + delay(&mut rng), ev);
             }
             pops += 1;
-            peak_records = peak_records.max(q.buffered_records());
+            peak_records = peak_records.max(q.bufs.iter().map(Vec::capacity).sum());
         }
         assert!(q.overflow_scheduled() > 0, "no ms timer drawn");
         Churn {

@@ -238,7 +238,8 @@ mod tests {
         );
 
         e.busy = false;
-        let mut ack = Packet::ack_for(&data, 1000, false, now);
+        let mut ack = data.clone();
+        ack.into_ack(1000, false, now);
         let echoed = ack.int.len();
         e.begin(&mut ack, NodeId(7), PortId(3), now, Some(0));
         assert_eq!(ack.int.len(), echoed, "control packets collect nothing");

@@ -149,15 +149,6 @@ impl Packet {
         }
     }
 
-    /// Construct the ACK for a data packet, echoing telemetry (the
-    /// echoed INT stack rides the ACK's own `int` field — one copy here;
-    /// the hot path uses the copy-free [`Packet::into_ack`] instead).
-    pub fn ack_for(data: &Packet, cum_ack: u64, nack: bool, now: Tick) -> Packet {
-        let mut ack = data.clone();
-        ack.into_ack(cum_ack, nack, now);
-        ack
-    }
-
     /// Transform this data packet **in place** into its ACK: direction
     /// reversed, control size/priority, the accumulated INT stack left
     /// where it is as the echo. Receivers call this on the delivered
@@ -187,21 +178,6 @@ impl Packet {
         self.int_enable = false;
         self.sent_at = now;
         // `self.int` is untouched: it IS the echo.
-    }
-
-    /// Bytes of transport payload carried (0 for control packets).
-    pub fn payload_len(&self) -> u32 {
-        match &self.kind {
-            PacketKind::Data { len, .. } => *len,
-            PacketKind::HomaData { len, .. } => *len,
-            _ => 0,
-        }
-    }
-
-    /// True if this is a PFC frame (processed by switch control logic,
-    /// never queued).
-    pub fn is_pfc(&self) -> bool {
-        matches!(self.kind, PacketKind::Pfc { .. })
     }
 }
 
@@ -233,9 +209,8 @@ mod tests {
             Tick::from_micros(5),
         );
         assert_eq!(p.size, 1000);
-        assert_eq!(p.payload_len(), 1000);
+        assert!(matches!(p.kind, PacketKind::Data { len: 1000, .. }));
         assert!(p.kind.collects_int());
-        assert!(!p.is_pfc());
     }
 
     #[test]
@@ -256,7 +231,8 @@ mod tests {
             tx_bytes: 1,
             bandwidth: Bandwidth::gbps(100),
         });
-        let a = Packet::ack_for(&d, 6000, false, Tick::from_micros(7));
+        let mut a = d.clone();
+        a.into_ack(6000, false, Tick::from_micros(7));
         assert_eq!(a.src, NodeId(3));
         assert_eq!(a.dst, NodeId(2));
         assert_eq!(a.size, CTRL_PKT_BYTES);
@@ -292,32 +268,26 @@ mod tests {
             tx_bytes: 7,
             bandwidth: Bandwidth::gbps(25),
         });
-        let by_ref = Packet::ack_for(&d, 3000, true, Tick::from_micros(6));
         d.into_ack(3000, true, Tick::from_micros(6));
-        // The in-place transform produces exactly what ack_for builds.
-        assert_eq!(d.src, by_ref.src);
-        assert_eq!(d.dst, by_ref.dst);
+        assert_eq!((d.src, d.dst), (NodeId(5), NodeId(4)));
         assert_eq!(d.size, CTRL_PKT_BYTES);
         assert_eq!(d.priority, 0);
         assert!(!d.int_enable);
+        assert_eq!(d.sent_at, Tick::from_micros(6));
         assert_eq!(d.int.hops()[0].qlen_bytes, 555);
-        match (&d.kind, &by_ref.kind) {
-            (PacketKind::Ack(a), PacketKind::Ack(b)) => {
-                assert_eq!(a.cum_ack, b.cum_ack);
-                assert_eq!(a.data_seq, b.data_seq);
-                assert_eq!(a.nack, b.nack);
-                assert_eq!(a.echo_ts, b.echo_ts);
-                assert_eq!(a.ecn_echo, b.ecn_echo);
-            }
-            _ => panic!("wrong kind"),
-        }
+        let PacketKind::Ack(a) = &d.kind else {
+            panic!("wrong kind")
+        };
+        assert_eq!((a.cum_ack, a.data_seq, a.nack), (3000, 2000, true));
+        assert_eq!(a.echo_ts, Tick::from_micros(3));
+        assert!(!a.ecn_echo);
     }
 
     #[test]
     #[should_panic]
     fn ack_for_non_data_panics() {
-        let d = Packet::data(FlowId(1), NodeId(2), NodeId(3), 0, 10, false, Tick::ZERO);
-        let a = Packet::ack_for(&d, 10, false, Tick::ZERO);
-        let _ = Packet::ack_for(&a, 10, false, Tick::ZERO);
+        let mut p = Packet::data(FlowId(1), NodeId(2), NodeId(3), 0, 10, false, Tick::ZERO);
+        p.into_ack(10, false, Tick::ZERO);
+        p.into_ack(10, false, Tick::ZERO);
     }
 }

@@ -51,11 +51,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Drops across all reasons.
-    pub fn drops_total(&self) -> u64 {
-        self.drops_no_route + self.drops_buffer + self.drops_custom
-    }
-
     /// Events dispatched per wall-clock second (0 when no time elapsed).
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_ms > 0.0 {
@@ -63,26 +58,6 @@ impl SimStats {
         } else {
             0.0
         }
-    }
-
-    /// Fold `other` into `self` for run-wide rollups: counters add,
-    /// wall-clock adds (total compute time across points, not elapsed
-    /// time — points may run concurrently).
-    pub fn merge(&mut self, other: &SimStats) {
-        self.events_processed += other.events_processed;
-        self.events_scheduled += other.events_scheduled;
-        self.overflow_scheduled += other.overflow_scheduled;
-        self.batched_visits += other.batched_visits;
-        self.batched_events += other.batched_events;
-        self.delivered += other.delivered;
-        self.forwarded += other.forwarded;
-        self.drops_no_route += other.drops_no_route;
-        self.drops_buffer += other.drops_buffer;
-        self.drops_custom += other.drops_custom;
-        self.pfc_frames += other.pfc_frames;
-        self.pool_fresh += other.pool_fresh;
-        self.pool_reused += other.pool_reused;
-        self.wall_ms += other.wall_ms;
     }
 }
 
@@ -94,36 +69,10 @@ mod tests {
     fn derived_figures() {
         let s = SimStats {
             events_processed: 5000,
-            drops_no_route: 1,
-            drops_buffer: 2,
-            drops_custom: 3,
             wall_ms: 500.0,
             ..SimStats::default()
         };
-        assert_eq!(s.drops_total(), 6);
         assert!((s.events_per_sec() - 10_000.0).abs() < 1e-9);
         assert_eq!(SimStats::default().events_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_wall() {
-        let mut a = SimStats {
-            events_processed: 10,
-            wall_ms: 1.5,
-            ..SimStats::default()
-        };
-        let b = SimStats {
-            events_processed: 32,
-            pool_reused: 7,
-            batched_visits: 3,
-            batched_events: 5,
-            wall_ms: 2.5,
-            ..SimStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.events_processed, 42);
-        assert_eq!(a.pool_reused, 7);
-        assert_eq!((a.batched_visits, a.batched_events), (3, 5));
-        assert!((a.wall_ms - 4.0).abs() < 1e-12);
     }
 }

@@ -99,12 +99,6 @@ impl SwitchPort {
         self.drops
     }
 
-    /// True while paused by PFC.
-    #[inline]
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
     fn push(&mut self, class: usize, qp: QueuedPacket) {
         self.queued_bytes += qp.pkt.size as u64;
         self.queues[class].push_back(qp);
@@ -744,7 +738,7 @@ mod tests {
         });
         // Pause arrives on port 1 (the egress toward NodeId(10)).
         sw.receive(PortId(1), pause, Tick::ZERO, &mut out);
-        assert!(sw.port(PortId(1)).is_paused());
+        assert!(sw.port(PortId(1)).paused);
         // Data for that port queues but does not transmit.
         sw.receive(PortId(0), data_to(NodeId(10), 1000), Tick::ZERO, &mut out);
         assert!(out.is_empty());
@@ -756,7 +750,7 @@ mod tests {
         });
         sw.receive(PortId(1), resume, Tick::ZERO, &mut out);
         assert_eq!(out.len(), 1);
-        assert!(!sw.port(PortId(1)).is_paused());
+        assert!(!sw.port(PortId(1)).paused);
     }
 
     #[test]

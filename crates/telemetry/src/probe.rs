@@ -3,7 +3,7 @@
 //! A [`Recorder`] is the collection point of one traced run. Experiment
 //! harnesses create one per simulation, open channels ("queue",
 //! "throughput", "cwnd", "power", …), and register simulator tracers that
-//! [`record_at`](Recorder::record_at) into them on the recorder's tick grid.
+//! [`record_at`](Recorder::record_at) into them, each on its own period.
 //! Channels are ring-buffered ([`crate::ring::RingBuffer`]) so arbitrarily
 //! long runs collect in bounded memory, and everything is ordinary
 //! single-threaded data — determinism is inherited from the simulator, and
@@ -43,35 +43,33 @@ pub struct Channel {
 }
 
 /// Collection point for one traced run: a set of channels sharing a
-/// sampling tick and a per-channel ring capacity.
+/// per-channel ring capacity.
 #[derive(Clone, Debug)]
 pub struct Recorder {
-    tick: Tick,
     capacity: usize,
     channels: Vec<Channel>,
 }
 
 impl Recorder {
-    /// New recorder sampling every `tick` with `capacity` samples of ring
-    /// per channel.
-    pub fn new(tick: Tick, capacity: usize) -> Self {
-        assert!(!tick.is_zero(), "recorder tick must be positive");
+    /// New recorder with `capacity` samples of ring per channel. The
+    /// `_tick` is not read, since each tracer samples on its own period
+    /// (`Simulator::add_tracer`); it stays while the benchmark harness
+    /// passes it.
+    pub fn new(_tick: Tick, capacity: usize) -> Self {
         Recorder {
-            tick,
             capacity,
             channels: Vec::new(),
         }
     }
 
-    /// New shared (single-threaded `Rc<RefCell<…>>`) recorder — the form
-    /// simulator tracer closures capture.
-    pub fn new_shared(tick: Tick, capacity: usize) -> SharedRecorder {
-        Rc::new(RefCell::new(Recorder::new(tick, capacity)))
-    }
-
-    /// The sampling tick grid.
-    pub fn tick(&self) -> Tick {
-        self.tick
+    /// New shared (single-threaded `Rc<RefCell<…>>`) recorder with
+    /// `capacity` samples of ring per channel — the form simulator tracer
+    /// closures capture.
+    pub fn new_shared(capacity: usize) -> SharedRecorder {
+        Rc::new(RefCell::new(Recorder {
+            capacity,
+            channels: Vec::new(),
+        }))
     }
 
     /// Open a time-indexed channel; returns its handle.
@@ -100,11 +98,6 @@ impl Recorder {
     pub fn channels(&self) -> &[Channel] {
         &self.channels
     }
-
-    /// Values of a channel (oldest → newest), dropping x coordinates.
-    pub fn values(&self, ch: ChannelId) -> Vec<f64> {
-        self.get(ch).ring.iter().map(|s| s.y).collect()
-    }
 }
 
 /// Shared handle for tracer closures (the simulator is single-threaded).
@@ -122,11 +115,9 @@ mod tests {
         r.record_at(q, Tick::from_micros(10), 500.0);
         r.record_at(q, Tick::from_micros(20), 700.0);
         r.record_at(t, Tick::from_micros(2), 3.0);
-        assert_eq!(r.get(q).ring.len(), 2);
-        assert_eq!(r.values(q), vec![500.0, 700.0]);
-        assert_eq!(r.get(q).ring.to_vec()[0].x, 10.0);
-        assert_eq!(r.values(t), vec![3.0]);
-        assert_eq!(r.get(t).ring.to_vec()[0].x, 2.0);
+        let at = |x, y| Sample { x, y };
+        assert_eq!(r.get(q).ring.to_vec(), [at(10.0, 500.0), at(20.0, 700.0)]);
+        assert_eq!(r.get(t).ring.to_vec(), [at(2.0, 3.0)]);
         assert_eq!(r.channels().len(), 2);
     }
 
@@ -139,6 +130,7 @@ mod tests {
         }
         assert_eq!(r.get(c).ring.len(), 4);
         assert_eq!(r.get(c).ring.evicted(), 6);
-        assert_eq!(r.values(c), vec![6.0, 7.0, 8.0, 9.0]);
+        let ys: Vec<f64> = r.get(c).ring.iter().map(|s| s.y).collect();
+        assert_eq!(ys, [6.0, 7.0, 8.0, 9.0]);
     }
 }

@@ -10,10 +10,12 @@
 # a HZ=250 kernel), so a builtin of tens of ms needs its runs: the tables
 # rank the hot paths, and a share under ≈ 1 % is noise. The script runs
 # `xp run <spec> --threads 1` <runs> times under it, and symbolizes the
-# samples that fall in `xp` with `addr2line -f -i -C`. Two tables come
-# out, each the top 25 by share of the samples in `xp`:
+# samples that fall in `xp` with `addr2line -f -i -C -s`. Three tables
+# come out, each the top 25 by share of the samples in `xp`:
 #   outer  the function the sampled instruction was compiled into;
-#   leaf   the innermost inlined function at that instruction.
+#   leaf   the innermost inlined function at that instruction;
+#   line   the innermost source line (file:line), which tells apart two
+#          costs that one inlined function hides.
 # A last line gives the samples outside `xp` (libc, the kernel's vdso)
 # and the total. The release profile keeps debug info, so `xp` carries
 # the inline tables `-i` reads. Build it first (`cargo build --release`).
@@ -22,7 +24,7 @@
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,21p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 spec=$1
@@ -131,22 +133,29 @@ if [ "$inside" -eq 0 ]; then
     exit 1
 fi
 
-# One line per distinct PC: its count, then its inline chain, leaf first
-# and the outer function last, joined by tabs.
-awk '{ print "0x" $2 }' "$dir/counts" | addr2line -e "$xp" -a -f -i -C >"$dir/sym"
+# One line per distinct PC: its count, its innermost file:line, then its
+# inline chain, leaf first and the outer function last, joined by tabs.
+awk '{ print "0x" $2 }' "$dir/counts" | addr2line -e "$xp" -a -f -i -C -s >"$dir/sym"
 awk '
     # Drop the legacy mangling hash, `::h0123456789abcdef`.
     function clean(s) { sub(/::h[0-9a-f]{16}$/, "", s); return s }
+    function emit() { print count[k] "\t" loc fns }
     NR == FNR { count[FNR] = $1; next }
-    /^0x/ { if (k) print chain; k++; chain = count[k]; odd = 1; next }
-    { if (odd) chain = chain "\t" clean($0); odd = !odd }
-    END { if (k) print chain }
+    /^0x/ { if (k) emit(); k++; loc = ""; fns = ""; odd = 1; next }
+    {
+        if (odd) fns = fns "\t" clean($0)
+        else if (loc == "") { loc = $0; sub(/ \(discriminator [0-9]+\)$/, "", loc) }
+        odd = !odd
+    }
+    END { if (k) emit() }
 ' "$dir/counts" "$dir/sym" >"$dir/chains"
 
 table() {
-    printf '\n%-6s %7s  %s\n' "$1" "share" "function"
+    what=function
+    [ "$1" != line ] || what=file:line
+    printf '\n%-6s %7s  %s\n' "$1" "share" "$what"
     awk -F '\t' -v col="$1" -v total="$inside" '
-        { f = (col == "leaf") ? $2 : $NF; n[f] += $1 }
+        { f = (col == "line") ? $2 : (col == "leaf") ? $3 : $NF; n[f] += $1 }
         END { for (f in n) printf "%d\t%s\n", n[f], f }
     ' "$dir/chains" | sort -t "$(printf '\t')" -k1,1nr | head -n 25 |
         awk -F '\t' -v total="$inside" '{ printf "%6d %6.1f%%  %s\n", $1, 100 * $1 / total, $2 }'
@@ -155,4 +164,5 @@ table() {
 echo "prof.sh: $spec, $runs run(s) of $xp --threads 1"
 table outer
 table leaf
+table line
 printf '\n%d samples in xp, %d outside it\n' "$inside" "$outside"
