@@ -30,10 +30,9 @@ pub use laws::{
     analytic_equilibrium, inflight, q_dot, w_dot, FluidParams, Law, State, PAPER_BETA_FRAC,
     PAPER_GAMMA,
 };
-pub use ode::{integrate, rk4_step, settle, trajectory, Lane, Schedule};
+pub use ode::{integrate, rk4_step, Lane, Schedule};
 pub use phase::{
-    default_grid, endpoint_spread, grid, phase_portrait, phase_portrait_grid, phase_trajectory,
-    PhaseTrajectory, DEFAULT_Q_FRACS, DEFAULT_W_FRACS,
+    endpoint_spread, grid, phase_portrait_grid, PhaseTrajectory, DEFAULT_Q_FRACS, DEFAULT_W_FRACS,
 };
 pub use response::{current_md, fig2c_cases, power_md, voltage_md, Fig2Case};
-pub use stability::{eigenvalues_2x2, is_asymptotically_stable, powertcp_jacobian};
+pub use stability::{eigenvalues_2x2, powertcp_jacobian};

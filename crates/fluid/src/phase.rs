@@ -24,7 +24,8 @@ pub struct PhaseTrajectory {
     pub throughput_loss: bool,
 }
 
-/// Window starting fractions (of BDP) of the default Figure 3 grid.
+/// Window starting fractions (of BDP) of the default Figure 3 grid (it
+/// mirrors the paper's spread of starting circles on log-log axes).
 pub const DEFAULT_W_FRACS: [f64; 5] = [0.05, 0.3, 1.0, 2.0, 4.0];
 
 /// Queue starting fractions (of BDP) of the default Figure 3 grid.
@@ -47,25 +48,8 @@ pub fn grid(p: &FluidParams, w_fracs: &[f64], q_fracs: &[f64]) -> Vec<State> {
     out
 }
 
-/// The default grid of initial states used for Figure 3 (mirrors the
-/// paper's spread of starting circles on log-log axes).
-pub fn default_grid(p: &FluidParams) -> Vec<State> {
-    grid(p, &DEFAULT_W_FRACS, &DEFAULT_Q_FRACS)
-}
-
-/// Integrate one trajectory for the phase plot (the one-lane case of
-/// [`phase_portrait_grid`]).
-pub fn phase_trajectory(law: Law, p: &FluidParams, start: State) -> PhaseTrajectory {
-    phase_portrait_grid(law, p, &[start]).remove(0)
-}
-
-/// Run the full default grid for one law.
-pub fn phase_portrait(law: Law, p: &FluidParams) -> Vec<PhaseTrajectory> {
-    phase_portrait_grid(law, p, &default_grid(p))
-}
-
-/// Run an explicit grid of initial states for one law (the parameterized
-/// entry point behind analytic `phase` scenarios): every start is one
+/// Run a grid of initial states for one law (the entry point behind
+/// analytic `phase` scenarios): every start is one
 /// lane of a single [`integrate`] call, sampled for 60 base RTTs and then
 /// given four times as long to settle.
 pub fn phase_portrait_grid(law: Law, p: &FluidParams, grid: &[State]) -> Vec<PhaseTrajectory> {
@@ -78,7 +62,8 @@ pub fn phase_portrait_grid(law: Law, p: &FluidParams, grid: &[State]) -> Vec<Pha
         settle_steps: steps * 4,
     };
     let bdp = p.bdp();
-    integrate(law, p, grid, &plan)
+    let lanes: Vec<(FluidParams, State)> = grid.iter().map(|&s| (*p, s)).collect();
+    integrate(law, &lanes, &plan)
         .into_iter()
         .zip(grid)
         .map(|(lane, &start)| {
@@ -123,10 +108,19 @@ mod tests {
         FluidParams::paper_example()
     }
 
+    /// One law's portrait over the default Figure 3 grid.
+    fn portrait(law: Law, params: &FluidParams) -> Vec<PhaseTrajectory> {
+        phase_portrait_grid(law, params, &default_grid(params))
+    }
+
+    fn default_grid(params: &FluidParams) -> Vec<State> {
+        grid(params, &DEFAULT_W_FRACS, &DEFAULT_Q_FRACS)
+    }
+
     #[test]
     fn fig3a_voltage_unique_equilibrium_with_throughput_loss() {
         let params = p();
-        let trajs = phase_portrait(Law::QueueLength, &params);
+        let trajs = portrait(Law::QueueLength, &params);
         let spread = endpoint_spread(&trajs, &params);
         assert!(
             spread < 0.05 * params.bdp(),
@@ -143,7 +137,7 @@ mod tests {
     #[test]
     fn fig3b_gradient_no_unique_equilibrium() {
         let params = p();
-        let trajs = phase_portrait(Law::RttGradient, &params);
+        let trajs = portrait(Law::RttGradient, &params);
         let spread = endpoint_spread(&trajs, &params);
         assert!(
             spread > 0.3 * params.bdp(),
@@ -154,7 +148,7 @@ mod tests {
     #[test]
     fn fig3c_power_unique_equilibrium_without_throughput_loss() {
         let params = p();
-        let trajs = phase_portrait(Law::Power, &params);
+        let trajs = portrait(Law::Power, &params);
         let spread = endpoint_spread(&trajs, &params);
         assert!(
             spread < 0.02 * params.bdp(),

@@ -34,16 +34,16 @@ pub fn powertcp_jacobian(p: &FluidParams) -> [[f64; 2]; 2] {
     [[-1.0 / p.base_rtt, 1.0 / p.base_rtt], [0.0, -p.gamma_r]]
 }
 
-/// True if all eigenvalue real parts are strictly negative (asymptotic
-/// stability of the linearization).
-pub fn is_asymptotically_stable(m: [[f64; 2]; 2]) -> bool {
-    let ((r1, r2), _) = eigenvalues_2x2(m[0][0], m[0][1], m[1][0], m[1][1]);
-    r1 < 0.0 && r2 < 0.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether both eigenvalues' real parts are strictly negative:
+    /// asymptotic stability of the linearization.
+    fn stable(m: [[f64; 2]; 2]) -> bool {
+        let ((r1, r2), _) = eigenvalues_2x2(m[0][0], m[0][1], m[1][0], m[1][1]);
+        r1 < 0.0 && r2 < 0.0
+    }
 
     #[test]
     fn eigen_closed_forms() {
@@ -72,7 +72,7 @@ mod tests {
         for (g, w) in got.iter().zip(want.iter()) {
             assert!((g - w).abs() / w.abs() < 1e-12, "{g} vs {w}");
         }
-        assert!(is_asymptotically_stable(j));
+        assert!(stable(j));
     }
 
     #[test]
@@ -87,13 +87,13 @@ mod tests {
                     gamma_r: gr,
                     hpcc_eta: 1.0,
                 };
-                assert!(is_asymptotically_stable(powertcp_jacobian(&p)));
+                assert!(stable(powertcp_jacobian(&p)));
             }
         }
     }
 
     #[test]
     fn unstable_matrix_detected() {
-        assert!(!is_asymptotically_stable([[1.0, 0.0], [0.0, -1.0]]));
+        assert!(!stable([[1.0, 0.0], [0.0, -1.0]]));
     }
 }

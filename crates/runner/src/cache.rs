@@ -237,7 +237,7 @@ fn open_envelope(p: &mut Parser) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::key::point_key;
-    use dcn_scenarios::{builtin, run_point, sweep_points};
+    use dcn_scenarios::{builtin, run_sweep_point_observed, sweep_points};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("xp-cache-test-{tag}-{}", std::process::id()));
@@ -248,7 +248,7 @@ mod tests {
     fn sample() -> (CacheKey, Outcome) {
         let spec = builtin("fig6-small").unwrap();
         let p = sweep_points(&spec)[0];
-        let out = run_point(&spec, p.algo, p.load, p.seed);
+        let (out, _) = run_sweep_point_observed(&spec, &p);
         (point_key(&spec, &p), Outcome::Sweep(Box::new(out)))
     }
 

@@ -219,13 +219,15 @@ fn pair<'a, A, B>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_scenarios::{builtin, compute, run_point, sweep_points, work_items};
+    use dcn_scenarios::{
+        builtin, compute, run_sweep_point_observed, sweep_points, work_items, ParamSpec, SweepPoint,
+    };
 
     #[test]
     fn sweep_outcome_round_trips_bit_for_bit() {
         let spec = builtin("fig6-small").unwrap();
         let p = sweep_points(&spec)[0];
-        let out = run_point(&spec, p.algo, p.load, p.seed);
+        let (out, _) = run_sweep_point_observed(&spec, &p);
         let encoded = encode(&Outcome::Sweep(Box::new(out.clone())));
         assert!(!encoded.contains('\n'));
         let Outcome::Sweep(back) = decode_str(&encoded).unwrap() else {
@@ -242,7 +244,7 @@ mod tests {
     #[test]
     fn trace_outcome_round_trips_bit_for_bit() {
         let spec = builtin("fig2").unwrap();
-        let (Outcome::Trace(entry), _) = compute(&spec, &work_items(&spec)[0]) else {
+        let (Outcome::Trace(entry), _) = compute(&spec, &work_items(&spec)[..1]).remove(0) else {
             panic!("fig2 is a lineup entry");
         };
         let encoded = encode(&Outcome::Trace(entry.clone()));
@@ -254,12 +256,14 @@ mod tests {
 
     #[test]
     fn non_finite_and_signed_zero_floats_survive() {
-        let mut out = run_point(
-            &builtin("fig6-small").unwrap(),
-            dcn_scenarios::Algo::PowerTcp,
-            0.6,
-            42,
-        );
+        let point = SweepPoint {
+            index: 0,
+            algo: dcn_scenarios::Algo::PowerTcp,
+            param: ParamSpec::default(),
+            load: 0.6,
+            seed: 42,
+        };
+        let (mut out, _) = run_sweep_point_observed(&builtin("fig6-small").unwrap(), &point);
         out.buffer = vec![f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
         let encoded = encode(&Outcome::Sweep(Box::new(out.clone())));
         let Outcome::Sweep(back) = decode_str(&encoded).unwrap() else {

@@ -11,11 +11,11 @@
 //! [`crate::obs::RunObserver`] and never feeds the report path.
 
 use crate::cache::ResultCache;
-use crate::key::SpecKeys;
+use crate::key::{CacheKey, SpecKeys};
 use crate::obs::RunObserver;
 use crate::worker;
 use dcn_scenarios::{
-    compute, reduce, run_scenario_observed, work_items, CacheStatus, Outcome, PointObs,
+    compute, reduce, run_scenario_observed, work_items, CacheStatus, Compute, Outcome, PointObs,
     PointSource, ScenarioOutput, ScenarioSpec, SpanRecord, SummaryRecord, WorkItem,
 };
 use std::io::Write;
@@ -105,31 +105,45 @@ impl<'a> CachingSource<'a> {
 }
 
 impl PointSource for CachingSource<'_> {
-    fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
-        let keyed = self.cache.as_ref().map(|(c, keys)| {
-            debug_assert!(keys.spec() == spec, "a CachingSource serves one spec");
-            (c, keys.item(item))
-        });
-        if let Some((cache, key)) = &keyed {
-            // A payload of the other outcome kind is a miss like any
-            // other invalid entry: recompute and overwrite.
-            if let Some(hit) = cache.load(key).filter(|o| item.accepts(o)) {
-                // Hits carry no stats: no simulator ran.
-                let cache = CacheStatus::Hit;
-                return (hit, PointObs { cache, stats: None });
+    /// Probe each item's key, compute the misses in one [`compute`] call
+    /// (so a batch's lanes still integrate together, however many of them
+    /// hit), and store each computed outcome under its own key.
+    fn produce(&self, spec: &ScenarioSpec, items: &[WorkItem]) -> Vec<(Outcome, PointObs)> {
+        let Some((cache, keys)) = &self.cache else {
+            return Compute.produce(spec, items);
+        };
+        debug_assert!(keys.spec() == spec, "a CachingSource serves one spec");
+        // A payload of the other outcome kind is a miss like any other
+        // invalid entry: recompute and overwrite. Hits carry no stats: no
+        // simulator ran.
+        let mut out: Vec<Option<(Outcome, PointObs)>> = Vec::with_capacity(items.len());
+        let mut misses: Vec<(usize, CacheKey)> = Vec::new();
+        for (j, item) in items.iter().enumerate() {
+            let key = keys.item(item);
+            match cache.load(&key).filter(|o| item.accepts(o)) {
+                Some(hit) => {
+                    let cache = CacheStatus::Hit;
+                    out.push(Some((hit, PointObs { cache, stats: None })));
+                }
+                None => {
+                    out.push(None);
+                    misses.push((j, key));
+                }
             }
         }
-        let (outcome, stats) = compute(spec, item);
-        let cache = match &keyed {
-            Some((cache, key)) => {
+        if !misses.is_empty() {
+            let todo: Vec<WorkItem> = misses.iter().map(|&(j, _)| items[j].clone()).collect();
+            for ((j, key), (outcome, stats)) in misses.into_iter().zip(compute(spec, &todo)) {
                 // Best-effort store: an unwritable cache degrades to
                 // recompute, it does not fail the run.
-                let _ = cache.store(key, &outcome);
-                CacheStatus::Miss
+                let _ = cache.store(&key, &outcome);
+                let cache = CacheStatus::Miss;
+                out[j] = Some((outcome, PointObs { cache, stats }));
             }
-            None => CacheStatus::Computed,
-        };
-        (outcome, PointObs { cache, stats })
+        }
+        out.into_iter()
+            .map(|o| o.expect("every item hit or was computed"))
+            .collect()
     }
 }
 
@@ -507,7 +521,7 @@ mod tests {
         // point 0's but whose payload is a trace outcome.
         let key = item_key(&spec, &work_items(&spec)[0]);
         let trace = builtin("fig2").unwrap();
-        let (foreign, _) = compute(&trace, &work_items(&trace)[0]);
+        let (foreign, _) = compute(&trace, &work_items(&trace)[..1]).remove(0);
         let cache = ResultCache::new(&dir);
         cache.store(&key, &foreign).unwrap();
         assert_eq!(cache.load(&key), Some(foreign), "the entry itself is valid");
@@ -538,7 +552,7 @@ mod tests {
         let items = work_items(&spec);
         assert_eq!(items.len(), 3);
         let line = |i: usize| {
-            let (outcome, _) = compute(&spec, &items[i]);
+            let (outcome, _) = compute(&spec, &items[i..=i]).remove(0);
             worker::result_line(i, true, 1.0, None, &outcome)
         };
         assert_eq!(merge_as_shard_0_2(&(line(0) + &line(2))), (Ok(()), 2));

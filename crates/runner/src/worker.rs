@@ -12,9 +12,10 @@
 //! (`cache_dir` is `null` when caching is off; `shard`/`shards`
 //! identify the worker so its spans and error messages carry shard
 //! context.) The worker computes its indices **sequentially in manifest
-//! order** — process-level sharding is the parallelism — consulting and
-//! filling the shared result cache exactly like an in-process run, and
-//! emits one line per point on stdout:
+//! order** — process-level sharding is the parallelism — a run of
+//! consecutive indices that share one of the spec's `batches` in one
+//! call, consulting and filling the shared result cache exactly like an
+//! in-process run, and emits one line per point on stdout:
 //!
 //! ```json
 //! {"index": 2, "cached": false, "wall_ms": 12.345, "sim": {...}, "outcome": {...}}
@@ -35,7 +36,8 @@ use crate::codec::{self, Outcome};
 use crate::exec::CachingSource;
 use dcn_scenarios::json::{parse_json, Json, Parser};
 use dcn_scenarios::{
-    sim_stats_from_json, sim_stats_json, work_items, CacheStatus, PointSource, ScenarioSpec,
+    batches, sim_stats_from_json, sim_stats_json, span_shares, span_wall, work_items, CacheStatus,
+    PointSource, ScenarioSpec, WorkItem,
 };
 use dcn_sim::SimStats;
 use dcn_telemetry::jstr;
@@ -198,26 +200,37 @@ fn run_shard(m: &Manifest, output: &mut dyn Write) -> Result<(), String> {
     m.spec.validate()?;
     let source = CachingSource::new(m.cache_dir.as_ref().map(ResultCache::new), &m.spec);
     let items = work_items(&m.spec);
-    for &i in &m.indices {
-        let item = items
-            .get(i)
-            .ok_or_else(|| format!("point index {i} out of range ({})", items.len()))?;
+    if let Some(&i) = m.indices.iter().find(|&&i| i >= items.len()) {
+        return Err(format!("point index {i} out of range ({})", items.len()));
+    }
+    // The batch of every index: consecutive manifest indices that share
+    // one compute together, as they would in process.
+    let mut batch_of = vec![0; items.len()];
+    for (b, run) in batches(&m.spec, &items).into_iter().enumerate() {
+        batch_of[run].fill(b);
+    }
+    for run in m.indices.chunk_by(|&a, &b| batch_of[a] == batch_of[b]) {
+        let batch: Vec<WorkItem> = run.iter().map(|&i| items[i].clone()).collect();
         #[expect(
             clippy::disallowed_methods,
             reason = "workers ship span wall-clocks to the parent — a sidecar, never a report input"
         )]
         let t0 = Instant::now();
-        let (outcome, obs) = source.produce(&m.spec, item);
-        let line = result_line(
-            i,
-            obs.cache == CacheStatus::Hit,
-            t0.elapsed().as_secs_f64() * 1e3,
-            obs.stats.as_ref(),
-            &outcome,
-        );
-        output
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("cannot write result: {e}"))?;
+        let produced = source.produce(&m.spec, &batch);
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let shares = span_shares(wall_ms, produced.iter().map(|(_, obs)| obs.cache));
+        for (&i, (outcome, obs)) in run.iter().zip(&produced) {
+            let line = result_line(
+                i,
+                obs.cache == CacheStatus::Hit,
+                span_wall(shares, obs.cache),
+                obs.stats.as_ref(),
+                outcome,
+            );
+            output
+                .write_all(line.as_bytes())
+                .map_err(|e| format!("cannot write result: {e}"))?;
+        }
     }
     output.flush().map_err(|e| format!("cannot flush: {e}"))
 }

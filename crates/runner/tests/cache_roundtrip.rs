@@ -170,7 +170,7 @@ fn the_salt_names_the_engine_that_computes_the_entry() {
             continue;
         }
         let item = &work_items(&spec)[0];
-        let (_, stats) = compute(&spec, item);
+        let (_, stats) = compute(&spec, std::slice::from_ref(item)).remove(0);
         let canon = item_key(&spec, item).canon;
         let fluid = canon.lines().any(|l| l.starts_with("fluid-model-version="));
         assert_eq!(

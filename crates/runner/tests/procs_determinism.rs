@@ -1,7 +1,7 @@
 //! Determinism contract of the multi-process runner, driven through the
 //! real `xp` binary: `--procs N` output is byte-identical for N ∈
-//! {1, 2, 4}, with and without a (cold or warm) result cache, for both
-//! scenario kinds.
+//! {1, 2, 4}, with and without a (cold, warm or half-warm) result cache,
+//! for every scenario kind.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -136,5 +136,78 @@ fn warm_cache_reports_full_hits_through_the_cli() {
     let warm = run_meta();
     assert!(warm.contains("\"cache_hits\": 2"), "{warm}");
     assert!(warm.contains("\"cache_misses\": 0"), "{warm}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `ablations` computes its 14 points as two lane batches (γ and β̂
+/// integrate the power law together, η the queue-length law). With every
+/// other cache entry deleted, each batch mixes hits and misses: the hits
+/// must be served, the misses computed together and stored, and the
+/// report must not move a byte — in process at 1 and 4 threads, and
+/// across 2 worker processes, whose round-robin shards split each batch.
+#[test]
+fn a_half_warm_cache_serves_its_hits_and_computes_the_rest_of_a_batch() {
+    use dcn_runner::{item_key, run, RunConfig};
+    use dcn_scenarios::{builtin, work_items, CacheStatus};
+
+    let dir = scratch("half-warm");
+    let cache = dir.join("cache");
+    let spec = builtin("ablations").unwrap();
+    let items = work_items(&spec);
+    assert_eq!(items.len(), 14);
+    let (plain, _) = run(&spec, &RunConfig::default()).unwrap();
+    let (plain_json, plain_csv) = (plain.to_json(), plain.to_csv());
+    let cached = |threads: usize, procs: usize| RunConfig {
+        threads,
+        procs,
+        cache_dir: Some(cache.clone()),
+        worker_exe: Some(PathBuf::from(XP)),
+        log_json: Some(dir.join("log.ndjson")),
+        ..RunConfig::default()
+    };
+    let (filled, stats) = run(&spec, &cached(1, 1)).unwrap();
+    assert_eq!(filled.to_json(), plain_json);
+    assert_eq!(stats.cache_misses, 14);
+    for (threads, procs) in [(1, 1), (4, 1), (1, 2)] {
+        let what = format!("--threads {threads} --procs {procs}");
+        // Delete the entries of the even points; the odd ones stay warm.
+        for item in items.iter().step_by(2) {
+            let file = cache.join(item_key(&spec, item).file_name());
+            std::fs::remove_file(&file).unwrap_or_else(|e| panic!("{what}: {file:?}: {e}"));
+        }
+        let (out, stats) = run(&spec, &cached(threads, procs)).unwrap();
+        assert_eq!(stats.fallback, None, "{what}");
+        assert_eq!(out.to_json(), plain_json, "{what}");
+        assert_eq!(out.to_csv(), plain_csv, "{what}");
+        assert_eq!((stats.cache_hits, stats.cache_misses), (7, 7), "{what}");
+        let spans: Vec<(usize, String, CacheStatus)> = stats
+            .spans
+            .iter()
+            .map(|s| (s.index, s.label.clone(), s.cache))
+            .collect();
+        let want: Vec<(usize, String, CacheStatus)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let cache = if i % 2 == 0 {
+                    CacheStatus::Miss
+                } else {
+                    CacheStatus::Hit
+                };
+                (i, item.label(), cache)
+            })
+            .collect();
+        assert_eq!(spans, want, "{what}");
+        // The log holds one span per point and the summary. In process
+        // at one thread it is written in index order.
+        let log = std::fs::read_to_string(dir.join("log.ndjson")).unwrap();
+        let logged: Vec<&str> = log.lines().filter(|l| l.contains("\"span\"")).collect();
+        assert_eq!(logged.len(), 14, "{what}");
+        if (threads, procs) == (1, 1) {
+            for (i, line) in logged.iter().enumerate() {
+                assert!(line.contains(&format!("\"index\":{i},")), "{what}: {line}");
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

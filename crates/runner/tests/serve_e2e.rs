@@ -280,11 +280,11 @@ fn invalid_specs_are_rejected_at_submission() {
 struct Poisoned;
 
 impl PointSource for Poisoned {
-    fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
-        if item.index() == 1 {
+    fn produce(&self, spec: &ScenarioSpec, items: &[WorkItem]) -> Vec<(Outcome, PointObs)> {
+        if items.iter().any(|item| item.index() == 1) {
             panic!("buffer underflow at switch 3");
         }
-        Compute.produce(spec, item)
+        Compute.produce(spec, items)
     }
 }
 

@@ -7,10 +7,17 @@
 //! ([`analytic_entries`] mirrors `trace_entries`), each entry reduces to
 //! a [`TraceEntry`] (scalar stats plus trajectory channels), and the
 //! whole report flows through the same executor / result-cache /
-//! multi-process pipeline as simulated scenarios. One call to
-//! [`run_analytic_entry`] is a pure function of `(spec, entry)` — the
-//! determinism contract every [`crate::sweep::PointSource`] relies on —
-//! so reports are byte-identical at any thread or process count.
+//! multi-process pipeline as simulated scenarios. Each entry that
+//! [`run_analytic_entries`] returns is a pure function of `(spec, entry)`
+//! — the determinism contract every [`crate::sweep::PointSource`] relies
+//! on — so reports are byte-identical at any thread or process count.
+//!
+//! An ablation sweep's points are lanes of one fluid integration: the
+//! entries of one law (the γ and β̂ sweeps integrate the power law, the
+//! η sweep the queue-length law) run as one [`integrate`] call, each
+//! lane under its own parameters. Lanes never interact, so an entry's
+//! bytes do not depend on which others share its call;
+//! [`analytic_batches`] names the runs of entries that may.
 
 use crate::spec::AnalyticScenario;
 use crate::trace_engine::MAX_CHANNEL_ROWS;
@@ -21,6 +28,7 @@ use fluid_model::{
     phase_portrait_grid, powertcp_jacobian, voltage_md, FluidParams, Lane, Law, Schedule, State,
     PAPER_BETA_FRAC, PAPER_GAMMA,
 };
+use std::ops::Range;
 
 /// Relative tolerance of the theorem checks.
 const THEOREM_TOLERANCE: f64 = 0.02;
@@ -28,17 +36,14 @@ const THEOREM_TOLERANCE: f64 = 0.02;
 /// One enumerated grid point of an analytic scenario (internal: entries
 /// expose only `(index, label)` through [`AnalyticEntrySpec`], and the
 /// worker protocol re-derives points from the spec).
+#[derive(Clone, Copy)]
 enum AnalyticPoint {
     /// The Figure 2 response curves and blind-spot cases.
     Response,
     /// One control law's full phase portrait.
     PhaseLaw(Law),
-    /// One swept γ value (power law).
-    AblationGamma(f64),
-    /// One swept β̂ fraction (power law).
-    AblationBeta(f64),
-    /// One swept HPCC η value (queue-length law).
-    AblationEta(f64),
+    /// One swept value of an ablation axis.
+    Ablation(Ablation),
     /// One theorem check (1, 2, or 3).
     Theorem(u8),
 }
@@ -48,14 +53,37 @@ impl AnalyticPoint {
         match self {
             AnalyticPoint::Response => "analytic".into(),
             AnalyticPoint::PhaseLaw(law) => law.key().to_string(),
-            AnalyticPoint::AblationGamma(g) => format!("gamma={g}"),
-            AnalyticPoint::AblationBeta(b) => format!("beta_frac={b}"),
-            AnalyticPoint::AblationEta(e) => format!("eta={e}"),
+            AnalyticPoint::Ablation(a) => format!("{}={}", a.axis, a.value),
             AnalyticPoint::Theorem(n) => match n {
                 1 => "theorem1-stability".into(),
                 2 => "theorem2-convergence".into(),
                 _ => "theorem3-fairness".into(),
             },
+        }
+    }
+}
+
+/// One ablation point: the axis it sweeps (`gamma`, `beta_frac` or
+/// `eta`) and its value there, the law it integrates, and the paper
+/// example at per-update gain `gamma`, β̂ at `beta_frac` of BDP and HPCC
+/// target `hpcc_eta`.
+#[derive(Clone, Copy)]
+struct Ablation {
+    axis: &'static str,
+    value: f64,
+    law: Law,
+    gamma: f64,
+    beta_frac: f64,
+    hpcc_eta: f64,
+}
+
+impl Ablation {
+    fn fluid_params(&self) -> FluidParams {
+        FluidParams {
+            hpcc_eta: self.hpcc_eta,
+            ..FluidParams::paper_example()
+                .with_gamma(self.gamma)
+                .with_beta_frac(self.beta_frac)
         }
     }
 }
@@ -74,11 +102,27 @@ fn analytic_points(analytic: &AnalyticScenario) -> Vec<AnalyticPoint> {
             beta_fracs,
             etas,
         } => {
-            let mut out = Vec::new();
-            out.extend(gammas.iter().map(|&g| AnalyticPoint::AblationGamma(g)));
-            out.extend(beta_fracs.iter().map(|&b| AnalyticPoint::AblationBeta(b)));
-            out.extend(etas.iter().map(|&e| AnalyticPoint::AblationEta(e)));
-            out
+            let point = |axis, value, law, gamma, beta_frac, hpcc_eta| {
+                AnalyticPoint::Ablation(Ablation {
+                    axis,
+                    value,
+                    law,
+                    gamma,
+                    beta_frac,
+                    hpcc_eta,
+                })
+            };
+            let (g0, b0) = (PAPER_GAMMA, PAPER_BETA_FRAC);
+            let gammas = gammas
+                .iter()
+                .map(|&g| point("gamma", g, Law::Power, g, b0, 1.0));
+            let betas = beta_fracs
+                .iter()
+                .map(|&b| point("beta_frac", b, Law::Power, g0, b, 1.0));
+            let etas = etas
+                .iter()
+                .map(|&e| point("eta", e, Law::QueueLength, g0, b0, e));
+            gammas.chain(betas).chain(etas).collect()
         }
         AnalyticScenario::Laws => (1..=3).map(AnalyticPoint::Theorem).collect(),
     }
@@ -108,38 +152,76 @@ pub fn analytic_entries(analytic: &AnalyticScenario) -> Vec<AnalyticEntrySpec> {
         .collect()
 }
 
-/// Run one analytic entry. Deterministic: identical arguments replay
-/// bit-for-bit, on any thread or in any worker process.
-pub fn run_analytic_entry(analytic: &AnalyticScenario, entry: &AnalyticEntrySpec) -> TraceEntry {
-    let mut points = analytic_points(analytic);
-    if entry.index >= points.len() {
-        panic!("analytic entry index {} out of range", entry.index);
+/// The runs of an analytic spec's entries that compute together, in
+/// index order: the consecutive ablation points of one law, or else one
+/// entry alone.
+pub fn analytic_batches(analytic: &AnalyticScenario) -> Vec<Range<usize>> {
+    let law = |p: &AnalyticPoint| match p {
+        AnalyticPoint::Ablation(a) => Some(a.law),
+        _ => None,
+    };
+    let points = analytic_points(analytic);
+    let mut out: Vec<Range<usize>> = Vec::new();
+    for (i, point) in points.iter().enumerate() {
+        match out.last_mut() {
+            Some(run) if law(point).is_some() && law(point) == law(&points[run.start]) => {
+                run.end = i + 1;
+            }
+            _ => out.push(i..i + 1),
+        }
     }
-    let point = points.swap_remove(entry.index);
-    debug_assert_eq!(point.label(), entry.label, "entry drifted from the spec");
-    let label = point.label();
-    match point {
-        AnalyticPoint::Response => response_entry(label),
-        AnalyticPoint::PhaseLaw(law) => {
-            let AnalyticScenario::Phase {
-                w_over_bdp,
-                q_over_bdp,
-                ..
-            } = analytic
-            else {
-                unreachable!("phase point of a phase scenario");
-            };
-            phase_entry(law, w_over_bdp, q_over_bdp)
-        }
-        AnalyticPoint::AblationGamma(g) => {
-            ablation_entry(label, Law::Power, g, PAPER_BETA_FRAC, 1.0)
-        }
-        AnalyticPoint::AblationBeta(b) => ablation_entry(label, Law::Power, PAPER_GAMMA, b, 1.0),
-        AnalyticPoint::AblationEta(e) => {
-            ablation_entry(label, Law::QueueLength, PAPER_GAMMA, PAPER_BETA_FRAC, e)
-        }
-        AnalyticPoint::Theorem(n) => theorem_entry(label, n),
+    out
+}
+
+/// Run analytic entries, one [`TraceEntry`] each, in the order given.
+/// The ablation entries among them run as one lane batch per law; every
+/// other entry runs alone. Deterministic: an entry's result is the same
+/// bits whichever entries share the call, on any thread or in any worker
+/// process.
+pub fn run_analytic_entries(
+    analytic: &AnalyticScenario,
+    entries: &[AnalyticEntrySpec],
+) -> Vec<TraceEntry> {
+    let points = analytic_points(analytic);
+    let mut out: Vec<Option<TraceEntry>> = entries.iter().map(|_| None).collect();
+    // (slot in `out`, label, parameters) of every ablation entry.
+    let mut ablations: Vec<(usize, String, Ablation)> = Vec::new();
+    for (slot, entry) in entries.iter().enumerate() {
+        let Some(&point) = points.get(entry.index) else {
+            panic!("analytic entry index {} out of range", entry.index);
+        };
+        let label = point.label();
+        debug_assert_eq!(label, entry.label, "entry drifted from the spec");
+        out[slot] = Some(match point {
+            AnalyticPoint::Ablation(a) => {
+                ablations.push((slot, label, a));
+                continue;
+            }
+            AnalyticPoint::Response => response_entry(label),
+            AnalyticPoint::PhaseLaw(law) => {
+                let AnalyticScenario::Phase {
+                    w_over_bdp,
+                    q_over_bdp,
+                    ..
+                } = analytic
+                else {
+                    unreachable!("phase point of a phase scenario");
+                };
+                phase_entry(law, w_over_bdp, q_over_bdp)
+            }
+            AnalyticPoint::Theorem(n) => theorem_entry(label, n),
+        });
     }
+    for law in [Law::Power, Law::QueueLength] {
+        let batch: Vec<&(usize, String, Ablation)> =
+            ablations.iter().filter(|(_, _, a)| a.law == law).collect();
+        for (&(slot, ..), entry) in batch.iter().zip(ablation_entries(law, &batch)) {
+            out[*slot] = Some(entry);
+        }
+    }
+    out.into_iter()
+        .map(|e| e.expect("every entry ran"))
+        .collect()
 }
 
 /// A trajectory as a channel: x = window bytes, y = inflight bytes.
@@ -261,44 +343,58 @@ fn phase_entry(law: Law, w_over_bdp: &[f64], q_over_bdp: &[f64]) -> TraceEntry {
 // ablations — 1-D fluid-model parameter response sweeps
 // ---------------------------------------------------------------------
 
-/// One swept parameter value: integrate the paper example at per-update
-/// gain `gamma`, β̂ at `beta_frac` of BDP and HPCC target `hpcc_eta`
-/// under `law`, measure the settled state, convergence fit (power law
-/// only — the fit assumes Theorem 2's exponential form), and overshoot
-/// behaviour.
-fn ablation_entry(
-    label: String,
-    law: Law,
-    gamma: f64,
-    beta_frac: f64,
-    hpcc_eta: f64,
-) -> TraceEntry {
-    let p = FluidParams {
-        hpcc_eta,
-        ..FluidParams::paper_example()
-            .with_gamma(gamma)
-            .with_beta_frac(beta_frac)
-    };
-    let bdp = p.bdp();
-    // One pass from a canonical under-filled start (0.1 BDP, empty
-    // queue): sampled over 60 base RTTs, settle-tested from the first
-    // step and cut off after 240.
-    let start = State {
-        w: 0.1 * bdp,
-        q: 0.0,
+/// The ablation points of one law, as the lanes of one integration: each
+/// lane starts from a canonical under-filled state (0.1 BDP, empty queue)
+/// under its own parameters, is sampled over 60 base RTTs, settle-tested
+/// from the first step and cut off after 240. Each entry then measures its
+/// settled state, convergence fit (power law only — the fit assumes
+/// Theorem 2's exponential form) and overshoot.
+fn ablation_entries(law: Law, batch: &[&(usize, String, Ablation)]) -> Vec<TraceEntry> {
+    let lanes: Vec<(FluidParams, State)> = batch
+        .iter()
+        .map(|(_, _, a)| {
+            let p = a.fluid_params();
+            let start = State {
+                w: 0.1 * p.bdp(),
+                q: 0.0,
+            };
+            (p, start)
+        })
+        .collect();
+    let Some((p0, _)) = lanes.first() else {
+        return Vec::new();
     };
     let plan = Schedule {
-        dt: p.base_rtt / 400.0,
+        dt: p0.base_rtt / 400.0,
         sample_steps: 400 * 60,
         sample_every: 40,
         settle_from: 0,
         settle_steps: 400 * 240,
     };
+    let ends = integrate(law, &lanes, &plan);
+    batch
+        .iter()
+        .zip(&lanes)
+        .zip(ends)
+        .map(|((&(_, label, a), (p, _)), lane)| ablation_entry(label.clone(), a, p, &plan, lane))
+        .collect()
+}
+
+/// One swept parameter value's entry, from its lane of the law's
+/// integration.
+fn ablation_entry(
+    label: String,
+    a: &Ablation,
+    p: &FluidParams,
+    plan: &Schedule,
+    lane: Lane,
+) -> TraceEntry {
+    let bdp = p.bdp();
     let Lane {
         samples: states,
         end,
         steps,
-    } = integrate(law, &p, &[start], &plan).remove(0);
+    } = lane;
 
     // Overshoot: peak window along the way, relative to the settled one.
     let peak_w = states.iter().map(|s| s.w).fold(f64::MIN, f64::max);
@@ -313,9 +409,9 @@ fn ablation_entry(
         .collect();
 
     let mut stats = vec![
-        ("gamma".to_string(), gamma),
-        ("beta_frac".to_string(), beta_frac),
-        ("hpcc_eta".to_string(), hpcc_eta),
+        ("gamma".to_string(), a.gamma),
+        ("beta_frac".to_string(), a.beta_frac),
+        ("hpcc_eta".to_string(), a.hpcc_eta),
         ("gamma_r_per_s".to_string(), p.gamma_r),
         ("bdp_bytes".to_string(), bdp),
         ("settled_w_frac_bdp".to_string(), end.w / bdp),
@@ -323,9 +419,18 @@ fn ablation_entry(
         ("settle_steps".to_string(), steps as f64),
         ("peak_w_frac_bdp".to_string(), peak_w / bdp),
     ];
-    if law == Law::Power {
-        // Theorem 2's exponential fit only applies to the power law.
-        let fit = measure_power_convergence(&p, bdp * 3.0, 0.0);
+    if a.law == Law::Power {
+        // Theorem 2's exponential fit only applies to the power law. It
+        // starts the window at 3 BDP — or, where the equilibrium bτ + β̂
+        // lies within one BDP of that (β̂ = 2 BDP sits on it, leaving
+        // nothing to measure), 2 BDP above the equilibrium.
+        let eq = analytic_equilibrium(p).w;
+        let w0 = if (3.0 * bdp - eq).abs() < bdp {
+            eq + 2.0 * bdp
+        } else {
+            3.0 * bdp
+        };
+        let fit = measure_power_convergence(p, w0, 0.0);
         stats.push(("fitted_tau_us".to_string(), fit.fitted_tau_s * 1e6));
         stats.push((
             "theoretical_tau_us".to_string(),
@@ -446,6 +551,11 @@ mod tests {
     use crate::library::builtin;
     use crate::spec::ScenarioKind;
 
+    /// One entry run alone.
+    fn run_alone(spec: &AnalyticScenario, entry: &AnalyticEntrySpec) -> TraceEntry {
+        run_analytic_entries(spec, std::slice::from_ref(entry)).remove(0)
+    }
+
     /// The `[analytic]` table of a (valid) analytic builtin.
     fn analytic(name: &str) -> AnalyticScenario {
         let spec = builtin(name).expect("a builtin");
@@ -461,7 +571,7 @@ mod tests {
         let spec = analytic("fig2");
         let entries = analytic_entries(&spec);
         assert_eq!(entries.len(), 1);
-        let e = run_analytic_entry(&spec, &entries[0]);
+        let e = run_alone(&spec, &entries[0]);
         assert!((e.stat("case1_voltage_md").unwrap() - 3.24).abs() < 1e-9);
         assert!((e.stat("case1_current_md").unwrap() - 9.0).abs() < 1e-9);
         assert!((e.stat("case2_current_md").unwrap() - 1.0).abs() < 1e-9);
@@ -480,7 +590,7 @@ mod tests {
         assert_eq!(entries.len(), 3);
         let by_label = |l: &str| {
             let e = entries.iter().find(|e| e.label == l).unwrap();
-            run_analytic_entry(&spec, e)
+            run_alone(&spec, e)
         };
         let voltage = by_label("queue-length");
         let gradient = by_label("rtt-gradient");
@@ -508,16 +618,14 @@ mod tests {
         // γ sets the convergence speed: larger γ, smaller fitted τ.
         let tau_of = |label: &str| {
             let e = entries.iter().find(|e| e.label == label).unwrap();
-            run_analytic_entry(&spec, e).stat("fitted_tau_us").unwrap()
+            run_alone(&spec, e).stat("fitted_tau_us").unwrap()
         };
         assert!(tau_of("gamma=0.3") > tau_of("gamma=0.9"));
         // β̂ sets the equilibrium queue: the settled queue fraction tracks
         // the swept fraction.
         let q_of = |label: &str| {
             let e = entries.iter().find(|e| e.label == label).unwrap();
-            run_analytic_entry(&spec, e)
-                .stat("settled_q_frac_bdp")
-                .unwrap()
+            run_alone(&spec, e).stat("settled_q_frac_bdp").unwrap()
         };
         let (q_small, q_large) = (q_of("beta_frac=0.05"), q_of("beta_frac=0.2"));
         assert!(q_small < q_large, "{q_small} vs {q_large}");
@@ -530,7 +638,7 @@ mod tests {
         let entries = analytic_entries(&spec);
         assert_eq!(entries.len(), 3);
         for e in &entries {
-            let out = run_analytic_entry(&spec, e);
+            let out = run_alone(&spec, e);
             assert_eq!(out.stat("pass"), Some(1.0), "{} failed", e.label);
         }
     }
@@ -539,11 +647,60 @@ mod tests {
     fn analytic_entries_replay_bit_for_bit() {
         for name in ["fig2", "fig3", "ablations", "theorems"] {
             let spec = analytic(name);
-            for e in analytic_entries(&spec) {
-                let a = run_analytic_entry(&spec, &e);
-                let b = run_analytic_entry(&spec, &e);
-                assert_eq!(a, b, "{name}:{}", e.label);
+            let entries = analytic_entries(&spec);
+            // Together, and in reverse: an entry's bits do not depend on
+            // which entries share its batch, or in what order.
+            let together = run_analytic_entries(&spec, &entries);
+            let mut reversed = entries.clone();
+            reversed.reverse();
+            let mut backwards = run_analytic_entries(&spec, &reversed);
+            backwards.reverse();
+            for (i, e) in entries.iter().enumerate() {
+                let alone = run_alone(&spec, e);
+                assert_eq!(alone, run_alone(&spec, e), "{name}:{}", e.label);
+                assert_eq!(together[i], alone, "{name}:{}", e.label);
+                assert_eq!(backwards[i], alone, "{name}:{}", e.label);
             }
         }
+    }
+
+    #[test]
+    fn ablation_batches_are_the_runs_of_one_law() {
+        let spec = analytic("ablations");
+        // γ then β̂ sweep the power law, η the queue-length law.
+        assert_eq!(analytic_batches(&spec), vec![0..10, 10..14]);
+        let only_eta = AnalyticScenario::Ablation {
+            gammas: Vec::new(),
+            beta_fracs: Vec::new(),
+            etas: vec![0.9, 1.0],
+        };
+        assert_eq!(analytic_batches(&only_eta), vec![0..2]);
+        for name in ["fig2", "fig3", "theorems"] {
+            let spec = analytic(name);
+            let alone: Vec<Range<usize>> = (0..analytic_entries(&spec).len())
+                .map(|i| i..i + 1)
+                .collect();
+            assert_eq!(analytic_batches(&spec), alone, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_beta_hat_of_two_bdp_still_has_a_perturbation_to_fit() {
+        // β̂ = 2 BDP puts the equilibrium at 3 BDP, where the fit used to
+        // start: `xp run` panicked with "no perturbation to measure".
+        let text = "name = \"b2\"\nkind = \"analytic\"\n\n[analytic]\n\
+                    scenario = \"ablation\"\nbeta_fracs = [2.0]\n";
+        let spec = crate::spec::ScenarioSpec::from_toml(text).expect("a valid spec");
+        let report = crate::sweep::run_trace(&spec, 1).expect("it runs");
+        let e = &report.entries[0];
+        let (fitted, theoretical) = (
+            e.stat("fitted_tau_us").unwrap(),
+            e.stat("theoretical_tau_us").unwrap(),
+        );
+        assert!(
+            (fitted - theoretical).abs() < 0.02 * theoretical,
+            "{fitted} vs {theoretical}"
+        );
+        assert!((e.stat("settled_q_frac_bdp").unwrap() - 2.0).abs() < 0.05);
     }
 }

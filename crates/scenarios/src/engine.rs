@@ -5,7 +5,7 @@
 //! The same workload generators and the same reduction run against every
 //! [`TopologySpec`] — a fat-tree, a star, or a dumbbell — so a scenario
 //! spec can swap fabrics without touching experiment code. One call to
-//! [`run_point`] is one sweep point: it owns its `Simulator` and is a
+//! [`run_sweep_point_observed`] is one sweep point: it owns its `Simulator` and is a
 //! pure function of `(spec, algo, load, seed)` — the property the
 //! parallel sweep executor ([`crate::sweep`]) relies on.
 
@@ -199,23 +199,6 @@ pub(crate) fn plan(topo: &TopologySpec, algo: Algo) -> Plan {
             }
         }
     }
-}
-
-/// Run one sweep point of a scenario spec at the algorithms' default
-/// parameters. Deterministic: identical arguments replay bit-for-bit, on
-/// any thread.
-pub fn run_point(spec: &ScenarioSpec, algo: Algo, load: f64, seed: u64) -> PointOutcome {
-    run_sweep_point_observed(
-        spec,
-        &SweepPoint {
-            index: 0,
-            algo,
-            param: ParamSpec::default(),
-            load,
-            seed,
-        },
-    )
-    .0
 }
 
 /// Run one expanded sweep point, including its algorithm-parameter
@@ -511,7 +494,7 @@ impl Scale {
     }
 
     /// The websearch sweep spec at this scale (fat-tree, horizon, drain):
-    /// the paper's Figure 6/7 setup, ready for [`run_point`] or further
+    /// the paper's Figure 6/7 setup, ready for [`run_sweep_point_observed`] or further
     /// builder calls.
     pub fn spec(&self, name: &str) -> ScenarioSpec {
         ScenarioSpec::new(name, self.topology())
@@ -537,6 +520,18 @@ pub(crate) mod tests {
     use super::*;
     use crate::spec::IncastSpec;
     use dcn_workloads::HostMap;
+
+    /// The sweep point `(algo, load, seed)` at the algorithm's default
+    /// parameters.
+    fn point(algo: Algo, load: f64, seed: u64) -> SweepPoint {
+        SweepPoint {
+            index: 0,
+            algo,
+            param: ParamSpec::default(),
+            load,
+            seed,
+        }
+    }
 
     /// The builtin `fig6-small`: websearch on the tiny fat-tree (16
     /// hosts, 2:1 oversubscribed), 4 ms + 6 ms.
@@ -672,7 +667,7 @@ pub(crate) mod tests {
 
     #[test]
     fn tiny_experiment_completes_for_powertcp() {
-        let r = run_point(&fig6_small(), Algo::PowerTcp, 0.4, 7);
+        let r = run_sweep_point_observed(&fig6_small(), &point(Algo::PowerTcp, 0.4, 7)).0;
         assert!(r.offered > 10, "offered {}", r.offered);
         assert!(
             r.completed as f64 >= 0.9 * r.offered as f64,
@@ -740,7 +735,7 @@ pub(crate) mod tests {
 
     #[test]
     fn tiny_experiment_completes_for_homa() {
-        let r = run_point(&fig6_small(), Algo::Homa(1), 0.3, 9);
+        let r = run_sweep_point_observed(&fig6_small(), &point(Algo::Homa(1), 0.3, 9)).0;
         assert!(
             r.completed as f64 >= 0.8 * r.offered as f64,
             "completed {}/{}",
@@ -759,8 +754,8 @@ pub(crate) mod tests {
             fan_in: 4,
             periodic: false,
         });
-        let with = run_point(&overlaid, Algo::PowerTcp, 0.3, 11);
-        let without = run_point(&plain, Algo::PowerTcp, 0.3, 11);
+        let with = run_sweep_point_observed(&overlaid, &point(Algo::PowerTcp, 0.3, 11)).0;
+        let without = run_sweep_point_observed(&plain, &point(Algo::PowerTcp, 0.3, 11)).0;
         assert!(with.offered > without.offered);
     }
 
@@ -786,7 +781,7 @@ pub(crate) mod tests {
     #[test]
     fn star_incast_point_completes() {
         let spec = star_incast_spec();
-        let out = run_point(&spec, Algo::PowerTcp, 0.0, 3);
+        let out = run_sweep_point_observed(&spec, &point(Algo::PowerTcp, 0.0, 3)).0;
         assert!(out.offered > 0);
         assert!(
             out.completed as f64 >= 0.9 * out.offered as f64,
@@ -810,7 +805,7 @@ pub(crate) mod tests {
         .poisson(SizeSpec::Fixed(40_000))
         .horizon_ms(2.0)
         .drain_ms(4.0);
-        let out = run_point(&spec, Algo::PowerTcp, 0.5, 5);
+        let out = run_sweep_point_observed(&spec, &point(Algo::PowerTcp, 0.5, 5)).0;
         assert!(out.offered > 5, "offered {}", out.offered);
         assert!(
             out.completed as f64 >= 0.9 * out.offered as f64,
@@ -823,15 +818,15 @@ pub(crate) mod tests {
     #[test]
     fn points_replay_bit_for_bit() {
         let spec = star_incast_spec();
-        let a = run_point(&spec, Algo::Hpcc, 0.0, 17);
-        let b = run_point(&spec, Algo::Hpcc, 0.0, 17);
+        let a = run_sweep_point_observed(&spec, &point(Algo::Hpcc, 0.0, 17)).0;
+        let b = run_sweep_point_observed(&spec, &point(Algo::Hpcc, 0.0, 17)).0;
         assert_eq!(a, b);
     }
 
     #[test]
     fn homa_runs_on_star() {
         let spec = star_incast_spec();
-        let out = run_point(&spec, Algo::Homa(2), 0.0, 1);
+        let out = run_sweep_point_observed(&spec, &point(Algo::Homa(2), 0.0, 1)).0;
         assert!(out.completed > 0);
     }
 
@@ -851,8 +846,8 @@ pub(crate) mod tests {
         // γ changes the control law's reaction.
         let slow = run(&point(ParamSpec { gamma: Some(0.2) }));
         assert_ne!(base.flows, slow.flows, "gamma override must change FCTs");
-        // And defaults reproduce the unparameterized path bit-for-bit.
-        let plain = run_point(&spec, Algo::PowerTcp, 0.0, 3);
+        // And an empty override is the default point, bit for bit.
+        let plain = run(&self::point(Algo::PowerTcp, 0.0, 3));
         assert_eq!(base, plain);
     }
 }

@@ -308,7 +308,8 @@ mod tests {
         });
         let (flow_out, _) = run_flow_point_observed(&spec, &point(Algo::PowerTcp, 0.4, 3));
         spec.sweep_mut("test").engine = EngineKind::Packet;
-        let packet_out = engine::run_point(&spec, Algo::PowerTcp, 0.4, 3);
+        let (packet_out, _) =
+            engine::run_sweep_point_observed(&spec, &point(Algo::PowerTcp, 0.4, 3));
         assert_eq!(flow_out.offered, packet_out.offered);
         // Same flows means the same sizes, even though the slowdown
         // values differ.

@@ -21,14 +21,15 @@
 //!   completion counts, drops and buffer occupancy ([`PointOutcome`]);
 //!   [`report`] cuts the flows into the figures' size buckets and classes.
 //! * [`trace_engine`] / [`analytic_engine`] — one lineup entry = one
-//!   instrumented simulation (or one fluid-model integration), reduced
-//!   to a telemetry `TraceEntry`.
+//!   instrumented simulation (or one fluid-model computation; an
+//!   ablation's entries of one law are lanes of one integration),
+//!   reduced to a telemetry `TraceEntry`.
 //! * [`sweep`] — the one executor. Every scenario kind expands to a list
 //!   of [`WorkItem`]s (sweep points or lineup entries; [`work_items`]),
 //!   each a pure function of `(spec, item)` producing one [`Outcome`]
-//!   ([`compute`]); [`run_scenario_observed`] shards the items over OS
-//!   threads and [`reduce`]s the outcomes in index order, so output is
-//!   byte-identical at any thread count.
+//!   ([`compute`]); [`run_scenario_observed`] shards the items' [`batches`]
+//!   over OS threads and [`reduce`]s the outcomes in index order, so
+//!   output is byte-identical at any thread count.
 //! * [`report`] — structured [`SweepResult`]: per-point and pooled
 //!   per-(algo, load) summaries as JSON, CSV, or a markdown table.
 //! * [`json`] — the one JSON reader, for every byte from outside the
@@ -39,7 +40,7 @@
 //!   [`builtin_specs`]).
 //!
 //! The executor is generic over a one-method [`PointSource`] ("where
-//! does the outcome of item *i* come from?"); the default [`Compute`]
+//! do the outcomes of this batch of items come from?"); the default [`Compute`]
 //! source runs everything in-process, and the `dcn-runner` crate layers
 //! a content-addressed result cache and multi-process sharding on the
 //! same `work_items` / `reduce` pair. [`run_scenario`], [`run_sweep`]
@@ -97,13 +98,13 @@ pub mod toml;
 pub mod trace_engine;
 
 pub use algo::Algo;
-pub use analytic_engine::{analytic_entries, run_analytic_entry, AnalyticEntrySpec};
+pub use analytic_engine::{analytic_entries, AnalyticEntrySpec};
 pub use diff::{diff_reports, DiffOutcome};
-pub use engine::{run_point, run_sweep_point_observed, PointOutcome, Scale};
+pub use engine::{run_sweep_point_observed, PointOutcome, Scale};
 pub use library::{builtin, builtin_specs};
 pub use obs::{
-    eta, point_label, sim_stats_from_json, sim_stats_json, CacheStatus, NullObserver, Observer,
-    PointObs, SpanRecord, SummaryRecord,
+    eta, point_label, sim_stats_from_json, sim_stats_json, span_shares, span_wall, CacheStatus,
+    NullObserver, Observer, PointObs, SpanRecord, SummaryRecord,
 };
 pub use report::{
     AggregateReport, BucketReport, PointReport, SweepResult, BUFFER_CDF_PCTS, SIZE_BUCKETS,
@@ -114,8 +115,9 @@ pub use spec::{
     WorkloadSpec,
 };
 pub use sweep::{
-    compute, panic_message, reduce, run_scenario, run_scenario_observed, run_sweep, run_trace,
-    sweep_points, work_items, Compute, Outcome, PointSource, ScenarioOutput, SweepPoint, WorkItem,
+    batches, compute, panic_message, reduce, run_scenario, run_scenario_observed, run_sweep,
+    run_trace, sweep_points, work_items, Compute, Outcome, PointSource, ScenarioOutput, SweepPoint,
+    WorkItem,
 };
 pub use trace_engine::{run_trace_entry_observed, trace_entries, TraceEntrySpec};
 // The workspace's one JSON string/number writer pair, re-exported for

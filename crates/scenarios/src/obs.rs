@@ -68,6 +68,38 @@ pub struct PointObs {
     pub stats: Option<SimStats>,
 }
 
+/// The wall-clock shares of a batch that took `wall_ms` (the executor
+/// times a batch as one call), as `(computed, hit)`: the share of each
+/// item it computed and of each it served from the cache. A batch that
+/// computed anything splits its time evenly across the items it
+/// computed, and its hits read 0 (their probes are a sliver of the
+/// compute they sat beside); a batch served wholly from the cache splits
+/// its time evenly across its items. A batch of one item is charged its
+/// whole time either way, and the shares always sum to `wall_ms`.
+pub fn span_shares(wall_ms: f64, cache: impl Iterator<Item = CacheStatus>) -> (f64, f64) {
+    let (mut items, mut computed) = (0usize, 0usize);
+    for c in cache {
+        items += 1;
+        computed += usize::from(c != CacheStatus::Hit);
+    }
+    match computed {
+        0 => {
+            let share = wall_ms / items.max(1) as f64;
+            (share, share)
+        }
+        n => (wall_ms / n as f64, 0.0),
+    }
+}
+
+/// An item's share of its batch's wall time, from [`span_shares`].
+pub fn span_wall((computed, hit): (f64, f64), cache: CacheStatus) -> f64 {
+    if cache == CacheStatus::Hit {
+        hit
+    } else {
+        computed
+    }
+}
+
 /// One completed point, as reported to the [`Observer`].
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
@@ -286,6 +318,21 @@ pub fn sim_stats_from_json(j: &Json) -> Option<SimStats> {
 mod tests {
     use super::*;
     use crate::json::parse_json;
+
+    #[test]
+    fn a_batch_wall_goes_to_what_it_computed() {
+        use CacheStatus::{Computed, Hit, Miss};
+        let walls = |cache: &[CacheStatus]| -> Vec<f64> {
+            let shares = span_shares(12.0, cache.iter().copied());
+            cache.iter().map(|&c| span_wall(shares, c)).collect()
+        };
+        assert_eq!(walls(&[Miss]), vec![12.0]);
+        assert_eq!(walls(&[Hit]), vec![12.0]);
+        assert_eq!(walls(&[Hit, Miss, Hit, Miss]), vec![0.0, 6.0, 0.0, 6.0]);
+        assert_eq!(walls(&[Computed, Computed, Computed]), vec![4.0; 3]);
+        assert_eq!(walls(&[Hit, Hit, Hit, Hit]), vec![3.0; 4]);
+        assert_eq!(walls(&[]), Vec::<f64>::new());
+    }
 
     fn stats() -> SimStats {
         SimStats {

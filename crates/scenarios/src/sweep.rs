@@ -4,23 +4,31 @@
 //! deterministic [`WorkItem`]s ([`work_items`]: sweep points for FCT
 //! sweeps, lineup entries for timeseries and analytic scenarios), each
 //! producing one [`Outcome`], reduced in index order by [`reduce`].
-//! [`run_scenario_observed`] is the only executor: it shards items
+//! Items are handed out in [`batches`]: runs of consecutive items that
+//! compute together in one call (an analytic ablation's points are the
+//! lanes of one fluid integration; every other item is a batch of one).
+//! [`run_scenario_observed`] is the only executor: it shards batches
 //! across OS threads with a work-stealing counter and writes each
 //! outcome into its item's slot. Because an outcome is a pure function
-//! of `(spec, item)` and results are ordered by index — never by
-//! completion order — the [`ScenarioOutput`] is byte-identical no
-//! matter how many threads run it.
+//! of `(spec, item)` — whichever items share its batch — and results are
+//! ordered by index, never by completion order, the [`ScenarioOutput`] is
+//! byte-identical no matter how many threads run it.
 
 use crate::algo::Algo;
-use crate::analytic_engine::{analytic_entries, run_analytic_entry, AnalyticEntrySpec};
+use crate::analytic_engine::{
+    analytic_batches, analytic_entries, run_analytic_entries, AnalyticEntrySpec,
+};
 use crate::engine::{run_sweep_point_observed, PointOutcome};
-use crate::obs::{point_label, CacheStatus, NullObserver, Observer, PointObs, SpanRecord};
+use crate::obs::{
+    point_label, span_shares, span_wall, CacheStatus, NullObserver, Observer, PointObs, SpanRecord,
+};
 use crate::report::SweepResult;
 use crate::spec::{ParamSpec, ScenarioKind, ScenarioSpec};
 use crate::trace_engine::{run_trace_entry_observed, trace_entries, TraceEntrySpec};
 use dcn_sim::SimStats;
 use dcn_telemetry::{TraceEntry, TraceReport};
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -143,6 +151,18 @@ pub fn work_items(spec: &ScenarioSpec) -> Vec<WorkItem> {
     }
 }
 
+/// The runs of `items` (the spec's [`work_items`]) that compute
+/// together, in index order: the consecutive ablation points of one law
+/// (see [`analytic_batches`]), or else one item alone. The executor
+/// steals a batch at a time and hands it to [`PointSource::produce`]
+/// whole.
+pub fn batches(spec: &ScenarioSpec, items: &[WorkItem]) -> Vec<Range<usize>> {
+    match &spec.kind {
+        ScenarioKind::Analytic(analytic) => analytic_batches(analytic),
+        _ => (0..items.len()).map(|i| i..i + 1).collect(),
+    }
+}
+
 /// The result of one work item. Boxed so cached and worker-transported
 /// outcomes move through the executor without copying their vectors.
 #[derive(Clone, Debug, PartialEq)]
@@ -153,26 +173,43 @@ pub enum Outcome {
     Trace(Box<TraceEntry>),
 }
 
-/// Compute one work item in-process with a fresh deterministic engine
-/// run, returning the engine's counters when a simulator ran
-/// (analytic/fluid entries have none). Panics on an item of another
-/// kind than the spec's.
-pub fn compute(spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, Option<SimStats>) {
-    match (item, &spec.kind) {
-        (WorkItem::Point(p), _) => {
-            let (out, stats) = run_sweep_point_observed(spec, p);
-            (Outcome::Sweep(Box::new(out)), Some(stats))
-        }
-        (WorkItem::Trace(e), ScenarioKind::Timeseries(timeseries)) => {
-            let (out, stats) = run_trace_entry_observed(timeseries, e);
-            (Outcome::Trace(Box::new(out)), Some(stats))
-        }
-        (WorkItem::Analytic(e), ScenarioKind::Analytic(analytic)) => {
-            let out = run_analytic_entry(analytic, e);
-            (Outcome::Trace(Box::new(out)), None)
-        }
-        (entry, _) => panic!("entry {:?} is not of {:?}'s kind", entry.label(), spec.name),
+/// Compute work items in-process with fresh deterministic engine runs,
+/// one outcome per item in the order given, each with the engine's
+/// counters when a simulator ran (analytic/fluid entries have none). The
+/// analytic entries run through one [`run_analytic_entries`] call, which
+/// integrates an ablation's points as lanes of one batch. Panics on an
+/// item of another kind than the spec's.
+pub fn compute(spec: &ScenarioSpec, items: &[WorkItem]) -> Vec<(Outcome, Option<SimStats>)> {
+    let foreign = |item: &WorkItem| -> ! {
+        panic!("entry {:?} is not of {:?}'s kind", item.label(), spec.name)
+    };
+    if let ScenarioKind::Analytic(analytic) = &spec.kind {
+        let entries: Vec<AnalyticEntrySpec> = items
+            .iter()
+            .map(|item| match item {
+                WorkItem::Analytic(e) => e.clone(),
+                other => foreign(other),
+            })
+            .collect();
+        return run_analytic_entries(analytic, &entries)
+            .into_iter()
+            .map(|e| (Outcome::Trace(Box::new(e)), None))
+            .collect();
     }
+    items
+        .iter()
+        .map(|item| match (item, &spec.kind) {
+            (WorkItem::Point(p), _) => {
+                let (out, stats) = run_sweep_point_observed(spec, p);
+                (Outcome::Sweep(Box::new(out)), Some(stats))
+            }
+            (WorkItem::Trace(e), ScenarioKind::Timeseries(timeseries)) => {
+                let (out, stats) = run_trace_entry_observed(timeseries, e);
+                (Outcome::Trace(Box::new(out)), Some(stats))
+            }
+            (other, _) => foreign(other),
+        })
+        .collect()
 }
 
 /// Reduce outcomes (in [`work_items`] order) to the scenario's report.
@@ -210,14 +247,15 @@ pub fn reduce(spec: &ScenarioSpec, outcomes: Vec<Outcome>) -> Result<ScenarioOut
 /// cache in `dcn-runner` — can substitute stored outcomes without
 /// reimplementing sharding, ordering, or reduction.
 ///
-/// Implementations must uphold the determinism contract: the returned
+/// Implementations must uphold the determinism contract: each returned
 /// outcome must be **identical** (bit-for-bit, for every float) to what
 /// [`compute`] would produce for the same `(spec, item)` — the
 /// byte-identical-reports guarantee rests on it.
 pub trait PointSource: Sync {
-    /// Produce the outcome of one work item plus its observability
-    /// sidecar (cache disposition, engine counters).
-    fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs);
+    /// Produce the outcomes of a batch of work items (one of [`batches`],
+    /// or a part of one), one per item in the order given, each with its
+    /// observability sidecar (cache disposition, engine counters).
+    fn produce(&self, spec: &ScenarioSpec, items: &[WorkItem]) -> Vec<(Outcome, PointObs)>;
 }
 
 /// The default [`PointSource`]: [`compute`] every item in-process.
@@ -225,25 +263,29 @@ pub trait PointSource: Sync {
 pub struct Compute;
 
 impl PointSource for Compute {
-    fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
-        let (outcome, stats) = compute(spec, item);
+    fn produce(&self, spec: &ScenarioSpec, items: &[WorkItem]) -> Vec<(Outcome, PointObs)> {
         let cache = CacheStatus::Computed;
-        (outcome, PointObs { cache, stats })
+        compute(spec, items)
+            .into_iter()
+            .map(|(outcome, stats)| (outcome, PointObs { cache, stats }))
+            .collect()
     }
 }
 
 /// Run any scenario on `threads` worker threads (clamped to
-/// `[1, num_points]`), producing each item through `source` and
-/// reporting a [`SpanRecord`] per item to `obs` as items complete. The
-/// spec is validated first. Observation is outside the report path: the
-/// output is byte-identical for any observer and any `threads` value
-/// (spans are derived from the source's sidecar and a wall clock;
-/// outcomes flow through untouched).
+/// `[1, batches]`), producing each of its [`batches`] through `source`
+/// and reporting a [`SpanRecord`] per item to `obs`, in index order
+/// within a batch, as batches complete. The spec is validated first.
+/// Observation is outside the report path: the output is byte-identical
+/// for any observer and any `threads` value (spans are derived from the
+/// source's sidecar and a wall clock, split over a batch's items by
+/// [`span_shares`]; outcomes flow through untouched).
 ///
 /// # Panics
 ///
-/// If an item panics, with `point <i> (<label>): <its message>` for the
-/// lowest such index — the same text at any `threads` value.
+/// If a batch panics, with `point <i> (<label>): <its message>` for the
+/// lowest such batch (`points <i>-<j> (<label> … <label>)` for a batch of
+/// several) — the same text at any `threads` value.
 pub fn run_scenario_observed(
     spec: &ScenarioSpec,
     threads: usize,
@@ -252,28 +294,43 @@ pub fn run_scenario_observed(
 ) -> Result<ScenarioOutput, String> {
     spec.validate()?;
     let items = work_items(spec);
-    let outcomes = run_indexed(items.len(), threads, |i| {
+    let produced = run_indexed(&batches(spec, &items), threads, |run| {
         #[expect(
             clippy::disallowed_methods,
             reason = "executor span timing — observability only, never in report bytes"
         )]
         let t0 = Instant::now();
-        let (outcome, pobs) = source.produce(spec, &items[i]);
-        obs.span(&SpanRecord {
-            index: i,
-            label: items[i].label(),
-            cache: pobs.cache,
-            shard: None,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            stats: pobs.stats,
-        });
-        outcome
+        let produced = source.produce(spec, &items[run.clone()]);
+        assert_eq!(produced.len(), run.len(), "one outcome per item");
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let shares = span_shares(wall_ms, produced.iter().map(|(_, pobs)| pobs.cache));
+        for (i, (_, pobs)) in run.zip(&produced) {
+            obs.span(&SpanRecord {
+                index: i,
+                label: items[i].label(),
+                cache: pobs.cache,
+                shard: None,
+                wall_ms: span_wall(shares, pobs.cache),
+                stats: pobs.stats,
+            });
+        }
+        produced
     });
-    match outcomes {
-        Ok(outcomes) => reduce(spec, outcomes),
-        Err((i, payload)) => {
+    match produced {
+        Ok(produced) => reduce(spec, produced.into_iter().map(|(o, _)| o).collect()),
+        Err((run, payload)) => {
             let why = panic_message(payload.as_ref());
-            panic!("point {i} ({}): {why}", items[i].label());
+            let (first, last) = (&items[run.start], &items[run.end - 1]);
+            match run.len() {
+                1 => panic!("point {} ({}): {why}", run.start, first.label()),
+                _ => panic!(
+                    "points {}-{} ({} … {}): {why}",
+                    run.start,
+                    run.end - 1,
+                    first.label(),
+                    last.label()
+                ),
+            }
         }
     }
 }
@@ -353,60 +410,69 @@ impl ScenarioOutput {
     }
 }
 
-/// A caught unwind: the index that panicked and what `panic!` carried.
-type Failure = (usize, Box<dyn Any + Send>);
+/// A caught unwind: the batch that panicked and what `panic!` carried.
+type Failure = (Range<usize>, Box<dyn Any + Send>);
 
-/// Run `f(0..n)` on `threads` worker threads (clamped to `[1, n]`) with a
-/// work-stealing counter, collecting results in index order. Because each
-/// call must be a pure function of its index and results land in their
-/// own slot — never in completion order — output is identical at any
-/// thread count. So is failure: a call that panics is caught into its
-/// slot, no further index is claimed, and the lowest failed index comes
-/// back with its payload. (Left to unwind, a scoped thread's payload is
-/// replaced by "a scoped thread panicked" and the message is lost.)
+/// One batch's outcomes, or how it failed.
+type BatchResult<T> = Result<Vec<T>, Failure>;
+
+/// Run `f` over every batch on `threads` worker threads (clamped to
+/// `[1, batches]`) with a work-stealing counter, collecting each batch's
+/// results into its own slot and concatenating them in batch order.
+/// Because each call must be a pure function of its batch and results
+/// land in their own slot — never in completion order — output is
+/// identical at any thread count. So is failure: a call that panics is
+/// caught into its slot, no further batch is claimed, and the lowest
+/// failed batch comes back with its payload. (Left to unwind, a scoped
+/// thread's payload is replaced by "a scoped thread panicked" and the
+/// message is lost.)
 fn run_indexed<T: Send>(
-    n: usize,
+    batches: &[Range<usize>],
     threads: usize,
-    f: impl Fn(usize) -> T + Sync,
+    f: impl Fn(Range<usize>) -> Vec<T> + Sync,
 ) -> Result<Vec<T>, Failure> {
     // Unwind-safe: a failed call's slot holds only its payload, and
     // nothing else it touched is read again.
-    let call = |i| catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| (i, payload));
+    let call = |run: &Range<usize>| {
+        catch_unwind(AssertUnwindSafe(|| f(run.clone()))).map_err(|payload| (run.clone(), payload))
+    };
+    let n = batches.len();
     let threads = threads.clamp(1, n.max(1));
+    let mut out = Vec::with_capacity(batches.last().map_or(0, |run| run.end));
     if threads == 1 {
-        return (0..n).map(call).collect();
+        for run in batches {
+            out.extend(call(run)?);
+        }
+        return Ok(out);
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<T, Failure>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<BatchResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
                 // Work stealing: whichever worker is free takes the next
-                // index; the outcome lands in the index's own slot, so
+                // batch; its outcomes land in the batch's own slot, so
                 // scheduling order cannot leak into results.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let b = next.fetch_add(1, Ordering::Relaxed);
+                if b >= n {
                     break;
                 }
-                let out = call(i);
-                if out.is_err() {
+                let done = call(&batches[b]);
+                if done.is_err() {
                     next.store(n, Ordering::Relaxed);
                 }
-                *slots[i].lock().expect("slot poisoned") = Some(out);
+                *slots[b].lock().expect("slot poisoned") = Some(done);
             });
         }
     });
-    // Indices are claimed in order, so every slot below a failed one is
+    // Batches are claimed in order, so every slot below a failed one is
     // filled: the first `Err` met is the lowest, and it is met before any
     // slot left unclaimed.
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every slot below the first failure is filled")
-        })
-        .collect()
+    for slot in slots {
+        let done = slot.into_inner().expect("slot poisoned");
+        out.extend(done.expect("every slot below the first failure is filled")?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -473,11 +539,11 @@ seeds = [1, 2]
     struct Faulty(&'static [usize]);
 
     impl PointSource for Faulty {
-        fn produce(&self, spec: &ScenarioSpec, item: &WorkItem) -> (Outcome, PointObs) {
-            if self.0.contains(&item.index()) {
+        fn produce(&self, spec: &ScenarioSpec, items: &[WorkItem]) -> Vec<(Outcome, PointObs)> {
+            if items.iter().any(|item| self.0.contains(&item.index())) {
                 panic!("buffer underflow at switch 3");
             }
-            Compute.produce(spec, item)
+            Compute.produce(spec, items)
         }
     }
 
@@ -500,6 +566,29 @@ seeds = [1, 2]
         }
     }
 
+    /// A batch that panics is named by its first and last point.
+    #[test]
+    fn a_panicking_batch_names_its_points() {
+        let spec = crate::library::builtin("ablations").expect("builtin");
+        let items = work_items(&spec);
+        assert_eq!(batches(&spec, &items), vec![0..10, 10..14]);
+        for threads in [1, 2] {
+            let run = || run_scenario_observed(&spec, threads, &Faulty(&[12]), &NullObserver);
+            let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("point 12 panics");
+            assert_eq!(
+                payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted message"),
+                &format!(
+                    "points 10-13 ({} … {}): buffer underflow at switch 3",
+                    items[10].label(),
+                    items[13].label()
+                ),
+                "threads = {threads}"
+            );
+        }
+    }
+
     /// Records `(index, label)` of every span it is handed.
     #[derive(Default)]
     struct Recording(Mutex<Vec<(usize, String)>>);
@@ -513,8 +602,9 @@ seeds = [1, 2]
 
     #[test]
     fn every_scenario_kind_runs_through_the_one_executor() {
-        // One sweep, one simulated timeseries, one analytic grid.
-        for name in ["fig6-small", "fig5", "fig3-small"] {
+        // One sweep, one simulated timeseries, one analytic grid, and the
+        // analytic sweep whose points compute as two lane batches.
+        for name in ["fig6-small", "fig5", "fig3-small", "ablations"] {
             let spec = crate::library::builtin(name).expect("builtin");
             let items = work_items(&spec);
             assert_eq!(items.len(), spec.num_points(), "{name}");

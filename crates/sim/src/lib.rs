@@ -85,5 +85,5 @@ pub use topology::{
 };
 pub use trace::{
     buffer_probe, buffer_tracer, cc_probe, host_throughput_probe, host_throughput_tracer,
-    queue_probe, queue_tracer, rate_probe, series, throughput_probe, tx_bytes_probe, Series,
+    queue_probe, queue_tracer, rate_probe, series, throughput_probe, Series,
 };

@@ -1,5 +1,5 @@
 //! Measurement probes: periodic samplers of switch queues, shared
-//! buffers, link TX counters, port throughput, and per-flow
+//! buffers, port and host throughput, and per-flow
 //! congestion-control state.
 //!
 //! Probes come in two layers:
@@ -51,19 +51,6 @@ pub fn buffer_probe(
     move |net, now| {
         let b = net.switch(switch).buffer_used();
         sink(now, b as f64);
-    }
-}
-
-/// Probe sampling a switch egress port's cumulative link TX counter in
-/// bytes (the same counter INT stamps; throughput is its derivative).
-pub fn tx_bytes_probe(
-    switch: NodeId,
-    port: PortId,
-    mut sink: impl FnMut(Tick, f64) + 'static,
-) -> impl FnMut(&Network, Tick) + 'static {
-    move |net, now| {
-        let tx = net.switch(switch).port(port).tx().tx_bytes;
-        sink(now, tx as f64);
     }
 }
 
@@ -233,8 +220,8 @@ mod tests {
         let c2 = count.clone();
         sim.add_tracer(
             Tick::from_micros(10),
-            tx_bytes_probe(sw, PortId(0), move |_, v| {
-                assert_eq!(v, 0.0); // idle network transmits nothing
+            queue_probe(sw, PortId(0), move |_, v| {
+                assert_eq!(v, 0.0); // idle network queues nothing
                 *c2.borrow_mut() += 1;
             }),
         );

@@ -14,8 +14,7 @@
 //!   "cwnd", "power", …) on a configurable sampling tick; simulator
 //!   tracers record into a [`SharedRecorder`] handle.
 //! * [`reduce`] — deterministic post-hoc downsampling (stride
-//!   [`decimate`], [`window_mean`]) and the tail peak [`max_after`]. The
-//!   windowed reductions a traced run reports are streamed instead, by
+//!   [`decimate`], [`window_mean`]). The windowed reductions a traced run reports are streamed instead, by
 //!   `dcn-scenarios::trace_engine`.
 //! * [`export`] — [`TraceReport`]: fixed-field-order JSON, long-format
 //!   CSV, and markdown stat tables, byte-identical across runs and
@@ -65,5 +64,5 @@ pub use export::{
     csv_escape, fmt_compact, jf, jstr, push_jf, ChannelTrace, TraceEntry, TraceReport,
 };
 pub use probe::{Channel, ChannelId, Recorder, Sample, SharedRecorder, X_TIME_US};
-pub use reduce::{decimate, max_after, window_mean};
+pub use reduce::{decimate, window_mean};
 pub use ring::RingBuffer;

@@ -62,18 +62,6 @@ pub fn window_mean(samples: &[Sample], window: usize) -> Vec<Sample> {
         .collect()
 }
 
-/// Maximum kept value with `x >= from`, `None` when the window holds no
-/// samples. (An earlier version folded from a `0.0` seed, which reported
-/// 0 for an all-negative series and conflated "no samples" with a genuine
-/// zero.)
-pub fn max_after(samples: &[Sample], from: f64) -> Option<f64> {
-    samples
-        .iter()
-        .filter(|s| s.x >= from)
-        .map(|s| s.y)
-        .reduce(f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,26 +120,5 @@ mod tests {
         assert_eq!(w.len(), 3);
         assert_eq!(w[0], Sample { x: 0.0, y: 5.0 });
         assert_eq!(w[2], Sample { x: 4.0, y: 40.0 }); // partial tail
-    }
-
-    #[test]
-    fn window_reductions_survive_negative_series_and_genuine_zeros() {
-        // Regression: folding from a 0.0 seed reported 0 for an
-        // all-negative series and made "empty window" look like a real 0.
-        let neg: Vec<Sample> = (0..4)
-            .map(|i| Sample {
-                x: i as f64,
-                y: -10.0 * (i + 1) as f64,
-            })
-            .collect();
-        assert_eq!(max_after(&samples(10), 5.0), Some(90.0));
-        assert_eq!(max_after(&neg, 0.0), Some(-10.0));
-        assert_eq!(max_after(&neg, 2.0), Some(-30.0));
-        // Empty windows are None, not zero.
-        assert_eq!(max_after(&neg, 99.0), None);
-        assert_eq!(max_after(&[], 0.0), None);
-        // A window holding a genuine zero reports it.
-        let z = [Sample { x: 1.0, y: 0.0 }];
-        assert_eq!(max_after(&z, 0.0), Some(0.0));
     }
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example fluid_phase
 //! ```
 
-use fluid_model::{analytic_equilibrium, inflight, phase_trajectory, FluidParams, Law, State};
+use fluid_model::{analytic_equilibrium, inflight, phase_portrait_grid, FluidParams, Law, State};
 
 /// Render trajectories on a log-log grid of (window, inflight).
 fn render(law: Law, p: &FluidParams) {
@@ -48,8 +48,7 @@ fn render(law: Law, p: &FluidParams) {
             q: 500_000.0,
         },
     ];
-    for s0 in starts {
-        let t = phase_trajectory(law, p, s0);
+    for (t, s0) in phase_portrait_grid(law, p, &starts).into_iter().zip(starts) {
         for &(w, inf) in &t.points {
             if let Some((r, c)) = to_cell(w, inf) {
                 grid[r][c] = '*';
