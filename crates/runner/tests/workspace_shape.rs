@@ -54,6 +54,7 @@
 //! | R43 | a `crates/scenarios/tests/*_baseline.json` that is no operand of a `cmp` line of `.github/workflows/ci.yml`, or a line there that holds `--tol`: a report is pinned byte for byte |
 //! | R44 | a `PR <n>` token in DESIGN.md: it states the system as it is, and a PR's history is CHANGES.md's |
 //! | R45 | a `pub` / `pub(crate)` fn above the tests of a product file that no product or `benchmark/src` code above its tests names (a `pub use` re-export names nothing), unless a [`CALLED_OUTSIDE`] row names its caller; or a stale row |
+//! | R46 | a `.cargo/config.toml` without `lto = "fat"` under `[profile.release]`, or an `lto` or `codegen-units` key in any `Cargo.toml` (root, member or `benchmark/`): release codegen has one statement, read by `xp` and the ledger alike |
 //!
 //! R6's other half is the offline resolve itself, which refuses a registry
 //! dependency before this test compiles. DESIGN.md "Static analysis" has
@@ -81,6 +82,10 @@ const TOKENIZER: &str = "crates/scenarios/src/json.rs";
 const XP: &str = "crates/runner/src/bin/xp.rs";
 const HTML_RS: &str = "crates/serve/src/html.rs";
 const CI_YML: &str = ".github/workflows/ci.yml";
+/// Cargo's configuration for every build started in the tree.
+const CARGO_CONFIG: &str = ".cargo/config.toml";
+/// The ledger's manifest: a workspace of its own, outside `members`.
+const LEDGER_MANIFEST: &str = "benchmark/Cargo.toml";
 const DESIGN_MD: &str = "DESIGN.md";
 /// Where the committed `*_baseline.json` reports live.
 const BASELINES: &str = "crates/scenarios/tests/";
@@ -100,7 +105,8 @@ fn read(rel: &str) -> String {
 }
 
 /// The tree on disk, read once per test binary: the root manifest, the CI
-/// workflow, DESIGN.md, every member's manifest, both lock files and every
+/// workflow, DESIGN.md, every member's manifest, the ledger's, both lock
+/// files, [`CARGO_CONFIG`] if it exists (R46 fails its absence) and every
 /// file under [`RUST`] (builtins and test data included) and [`HARNESS`].
 fn on_disk() -> Tree {
     disk().clone()
@@ -111,8 +117,14 @@ fn disk() -> &'static Tree {
     static DISK: OnceLock<Tree> = OnceLock::new();
     DISK.get_or_init(|| {
         let mut tree = Tree::new();
-        for rel in ["Cargo.toml", CI_YML, DESIGN_MD].into_iter().chain(LOCKS) {
+        for rel in ["Cargo.toml", CI_YML, DESIGN_MD, LEDGER_MANIFEST]
+            .into_iter()
+            .chain(LOCKS)
+        {
             tree.insert(rel.to_string(), read(rel));
+        }
+        if let Ok(config) = std::fs::read_to_string(root().join(CARGO_CONFIG)) {
+            tree.insert(CARGO_CONFIG.to_string(), config);
         }
         for member in list(&tree["Cargo.toml"], "members").1 {
             let rel = format!("{member}/Cargo.toml");
@@ -525,6 +537,7 @@ const CHECKS: &[(&str, Check)] = &[
     ("R43", byte_pins),
     ("R44", no_pr_history),
     ("R45", every_fn_called),
+    ("R46", one_codegen),
 ];
 
 /// The files under `dir` (a file or a directory), this one left out.
@@ -823,6 +836,70 @@ fn no_pr_history(tree: &Tree, id: &str, _: &dyn Fn(&str) -> bool) -> Vec<String>
             )
         })
         .collect()
+}
+
+/// `(0-based line, section header, key, value)` of every `key = value`
+/// line of a TOML file, each cut at `#` and trimmed; a dotted key keeps
+/// only its last part (`profile.release.lto` is `lto`).
+fn toml_keys(text: &str) -> impl Iterator<Item = (usize, &str, &str, &str)> {
+    let mut section = "";
+    text.lines().enumerate().filter_map(move |(i, line)| {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            section = line;
+            return None;
+        }
+        let (key, value) = line.split_once('=')?;
+        let key = key
+            .rsplit('.')
+            .next()
+            .unwrap_or(key)
+            .trim()
+            .trim_matches('"');
+        Some((i, section, key, value.trim()))
+    })
+}
+
+/// R46: release code generation is stated once, as `lto = "fat"` under
+/// `[profile.release]` of [`CARGO_CONFIG`]. Cargo reads that file upward
+/// from the working directory, so `xp`, `--profile checked` and the ledger
+/// (a workspace of its own, whose profile is a copy of the root's) all
+/// build from it; an `lto` or `codegen-units` key in any manifest would
+/// let one of them drift from the others.
+fn one_codegen(tree: &Tree, id: &str, _: &dyn Fn(&str) -> bool) -> Vec<String> {
+    let mut out = Vec::new();
+    match tree.get(CARGO_CONFIG) {
+        None => out.push(missing(CARGO_CONFIG, id)),
+        Some(config) => {
+            let fat = toml_keys(config).any(|(_, section, key, value)| {
+                section == "[profile.release]" && key == "lto" && value == "\"fat\""
+            });
+            if !fat {
+                out.push(format!(
+                    "{CARGO_CONFIG}: rule[{id}] no `lto = \"fat\"` under `[profile.release]`: \
+                     it is the one statement of release codegen"
+                ));
+            }
+        }
+    }
+    if !tree.contains_key(LEDGER_MANIFEST) {
+        out.push(missing(LEDGER_MANIFEST, id));
+    }
+    let manifests = tree
+        .iter()
+        .filter(|(p, _)| *p == "Cargo.toml" || p.ends_with("/Cargo.toml"));
+    for (path, text) in manifests {
+        for (i, _, key, _) in toml_keys(text) {
+            if key == "lto" || key == "codegen-units" {
+                out.push(format!(
+                    "{path}:{}: rule[{id}] `{key}` in a manifest: release codegen is stated \
+                     once, in {CARGO_CONFIG}, so `xp` and the ledger cannot drift",
+                    i + 1
+                ));
+            }
+        }
+    }
+    out
 }
 
 /// R45's exemptions: `(file, fn, caller, why)`. A `pub` fn whose callers
@@ -1499,6 +1576,28 @@ const PLANTED: &[(&str, &str, Edit)] = &[
         "R45",
         "crates/sim/src/lib.rs",
         Append("fn planted(q: &mut EventQueue) {\n    q.peek_time();\n}\n"),
+    ),
+    // Release codegen: weaker, or out of the release profile, or gone
+    // (the legacy name `.cargo/config` is not the file the rule reads).
+    ("R46", CARGO_CONFIG, Swap("lto = \"fat\"", "lto = \"thin\"")),
+    (
+        "R46",
+        CARGO_CONFIG,
+        Swap("\n[profile.release]\n", "\n[profile.checked]\n"),
+    ),
+    ("R46", CARGO_CONFIG, Rename(".cargo/config")),
+    // A second statement, in the root's, a member's or the ledger's
+    // manifest, as a plain or a dotted key.
+    ("R46", "Cargo.toml", Append("codegen-units = 1\n")),
+    (
+        "R46",
+        "crates/sim/Cargo.toml",
+        Append("\n[profile.release]\nlto = true\n"),
+    ),
+    (
+        "R46",
+        LEDGER_MANIFEST,
+        Append("\n[profile]\nrelease.lto = \"fat\"\n"),
     ),
     // This file lists the needles; every other runner test is read (below).
     (PASSES, SELF, Append(RUNNER_TEST_NEEDLE)),

@@ -3,22 +3,26 @@
 #
 #   scripts/ab.sh <parent-rev> <workload> [pairs=10] [seconds=12]
 #
-# Checks the parent out under .bench_build/ab/<sha>/ (git archive: nothing
-# is registered in .git, and a dirty working tree is fine; removed on exit
-# unless it was there before the script started, so a checkout made
-# beforehand is reused and its build kept across runs), builds the
-# harness in benchmark/ on both sides, and runs <pairs> parent/change pairs
-# at seeds 1..<pairs>, alternating which side goes first, then one more
-# pair at a seed no earlier pair used. One line per run, then per metric
-# each side's median [q1, q3], the ratio of medians, and the pairs the
-# change won (lower is better; a tie counts for neither).
+# Checks the parent out under ${TMPDIR:-/tmp}/powertcp-ab/<sha>/ (git
+# archive: nothing is registered in .git, and a dirty working tree is
+# fine; removed on exit unless it was there before the script started, so
+# a checkout made beforehand is reused and its build kept across runs).
+# Builds the harness in benchmark/ on both sides, each with its own tree
+# as the working directory: Cargo reads .cargo/config.toml upward from
+# there, so each side builds with its own release codegen, and a parent
+# checkout outside this tree cannot inherit this tree's. Runs <pairs>
+# parent/change pairs at seeds 1..<pairs>, alternating which side goes
+# first, then one more pair at a seed no earlier pair used. One line per
+# run, then per metric each side's median [q1, q3], the ratio of medians,
+# and the pairs the change won (lower is better; a tie counts for
+# neither).
 #
 # Exit status: 0, or 1 if any run reported "correct": false or failed
 # operations.
 set -eu
 
 if [ $# -lt 2 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 rev=$1
@@ -28,7 +32,7 @@ seconds=${4:-12}
 
 root=$(git rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
-parent="$root/.bench_build/ab/$sha"
+parent="${TMPDIR:-/tmp}/powertcp-ab/$sha"
 
 # An offline build rewrites benchmark/Cargo.lock, which is committed and
 # read-only outside a benchmark-only change: put it back on any exit, and
@@ -45,7 +49,7 @@ if [ ! -d "$parent" ]; then
     git -C "$root" archive "$sha" | tar -x -C "$parent"
 fi
 for tree in "$parent" "$root"; do
-    cargo build --release --quiet --manifest-path "$tree/benchmark/Cargo.toml"
+    (cd "$tree" && cargo build --release --quiet --manifest-path benchmark/Cargo.toml)
 done
 bad=0
 
