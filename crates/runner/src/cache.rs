@@ -103,6 +103,12 @@ impl ResultCache {
     /// undecodable payload, a member out of place — is `None` (a miss),
     /// never an error.
     pub fn load(&self, key: &CacheKey) -> Option<Outcome> {
+        self.read_back(key).map(|(outcome, _)| outcome)
+    }
+
+    /// [`ResultCache::load`], with the entry file's length in bytes (what
+    /// the daemon's [`crate::memo::Memo`] charges for keeping it).
+    pub(crate) fn read_back(&self, key: &CacheKey) -> Option<(Outcome, u64)> {
         let bytes = fs::read(self.dir.join(key.file_name())).ok()?;
         let mut p = Parser::new(&bytes);
         open_envelope(&mut p).ok()?;
@@ -115,7 +121,7 @@ impl ResultCache {
         let outcome = codec::read(&mut p).ok()?;
         p.close_obj().ok()?;
         p.finish().ok()?;
-        Some(outcome)
+        Some((outcome, bytes.len() as u64))
     }
 
     /// Persist `outcome` under `key` (atomic rename; concurrent writers

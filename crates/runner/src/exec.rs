@@ -12,11 +12,12 @@
 
 use crate::cache::ResultCache;
 use crate::key::{CacheKey, SpecKeys};
+use crate::memo::Memo;
 use crate::obs::RunObserver;
 use crate::worker;
 use dcn_scenarios::{
-    compute, reduce, run_scenario_observed, work_items, CacheStatus, Compute, Outcome, PointObs,
-    PointSource, ScenarioOutput, ScenarioSpec, SpanRecord, SummaryRecord, WorkItem,
+    batches, compute, reduce, run_scenario_observed, work_items, CacheStatus, Compute, Outcome,
+    PointObs, PointSource, ScenarioOutput, ScenarioSpec, SpanRecord, SummaryRecord, WorkItem,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -89,17 +90,21 @@ pub struct RunStats {
 
 /// A [`PointSource`] that consults a [`ResultCache`] before computing,
 /// and stores every computed outcome back. It serves the one spec it was
-/// built for, whose key preamble it derives once ([`SpecKeys`]).
+/// built for, whose key preamble it derives once ([`SpecKeys`]). With a
+/// [`Memo`] (the daemon's), it looks there before the disk and keeps
+/// what it reads back from the disk.
 pub struct CachingSource<'a> {
     cache: Option<(ResultCache, SpecKeys<'a>)>,
+    memo: Option<&'a Memo>,
 }
 
 impl<'a> CachingSource<'a> {
     /// A source for `spec`'s work items backed by `cache` (`None` =
-    /// always compute).
-    pub fn new(cache: Option<ResultCache>, spec: &'a ScenarioSpec) -> Self {
+    /// always compute) and, in front of it, `memo`.
+    pub fn new(cache: Option<ResultCache>, spec: &'a ScenarioSpec, memo: Option<&'a Memo>) -> Self {
         CachingSource {
             cache: cache.map(|c| (c, SpecKeys::new(spec))),
+            memo,
         }
     }
 }
@@ -120,7 +125,14 @@ impl PointSource for CachingSource<'_> {
         let mut misses: Vec<(usize, CacheKey)> = Vec::new();
         for (j, item) in items.iter().enumerate() {
             let key = keys.item(item);
-            match cache.load(&key).filter(|o| item.accepts(o)) {
+            let hit = self.memo.and_then(|memo| memo.get(&key)).or_else(|| {
+                let (outcome, bytes) = cache.read_back(&key).filter(|(o, _)| item.accepts(o))?;
+                if let Some(memo) = self.memo {
+                    memo.keep(&key, &outcome, bytes);
+                }
+                Some(outcome)
+            });
+            match hit.filter(|o| item.accepts(o)) {
                 Some(hit) => {
                     let cache = CacheStatus::Hit;
                     out.push(Some((hit, PointObs { cache, stats: None })));
@@ -176,7 +188,7 @@ fn run_inproc(
     cfg: &RunConfig,
     threads: usize,
 ) -> Result<(ScenarioOutput, RunStats), String> {
-    let source = CachingSource::new(cfg.cache_dir.as_ref().map(ResultCache::new), spec);
+    let source = CachingSource::new(cfg.cache_dir.as_ref().map(ResultCache::new), spec, None);
     let obs = RunObserver::new(spec.num_points(), cfg.progress, cfg.log_json.as_deref())?;
     let output = run_scenario_observed(spec, threads.max(1), &source, &obs)?;
     Ok((output, run_stats(spec, obs, 1)))
@@ -198,11 +210,12 @@ fn run_stats(spec: &ScenarioSpec, obs: RunObserver, procs: usize) -> RunStats {
     }
 }
 
-/// Multi-process execution: shard work-item indices round-robin over
-/// `xp worker` children, stream their outcome lines back, and merge by
-/// index. Workers ship per-point wall clocks and engine counters along
-/// with each outcome; the parent replays them as shard-tagged spans
-/// through the same observer the in-process path uses. Any worker
+/// Multi-process execution: shard the spec's batches (runs of work
+/// items that compute together) round-robin over `xp worker` children,
+/// stream their outcome lines back, and merge by index. Workers ship
+/// per-point wall clocks and engine counters along with each outcome;
+/// the parent replays them as shard-tagged spans through the same
+/// observer the in-process path uses. Any worker
 /// failure aborts to the caller (with `shard K/N (points ...)` context,
 /// which becomes the fallback note), and the caller falls back to
 /// in-process execution.
@@ -213,16 +226,24 @@ fn run_procs(spec: &ScenarioSpec, cfg: &RunConfig) -> Result<(ScenarioOutput, Ru
     };
     let items = work_items(spec);
     let n = items.len();
-    let procs = cfg.procs.clamp(1, n.max(1));
+    let runs = batches(spec, &items);
+    let procs = cfg.procs.clamp(1, runs.len().max(1));
     let spec_toml = spec.to_toml();
     // Open the observer (and its log file) before the first spawn: a bad
     // `--log-json` path must fail with no worker started.
     let obs = RunObserver::new(n, cfg.progress, cfg.log_json.as_deref())?;
 
     // Round-robin sharding keeps shards balanced when point cost varies
-    // monotonically along the expansion (e.g. rising loads).
+    // monotonically along the expansion (e.g. rising loads); a batch goes
+    // whole to one worker, which computes it in one call.
     let shards: Vec<Vec<usize>> = (0..procs)
-        .map(|w| (w..n).step_by(procs).collect())
+        .map(|w| {
+            runs.iter()
+                .skip(w)
+                .step_by(procs)
+                .flat_map(Clone::clone)
+                .collect()
+        })
         .collect();
 
     // (shard id, owned indices, child, deadline) — the id and indices
@@ -419,10 +440,13 @@ fn clock_now() -> Instant {
 /// The production [`dcn_serve::RunFn`]: every daemon job executes
 /// through a fresh [`CachingSource`] over the shared cache directory, so
 /// concurrent submissions dedup work through the content-addressed
-/// store, and spans flow straight into the job's event log.
+/// store, and spans flow straight into the job's event log. With a cache,
+/// one [`Memo`] serves every job of the daemon's life.
 pub fn serve_run_fn(cache_dir: Option<PathBuf>, threads: usize) -> dcn_serve::RunFn {
+    let memo = cache_dir.is_some().then(Memo::default);
     Arc::new(move |spec, obs| {
-        let source = CachingSource::new(cache_dir.as_ref().map(ResultCache::new), spec);
+        let cache = cache_dir.as_ref().map(ResultCache::new);
+        let source = CachingSource::new(cache, spec, memo.as_ref());
         run_scenario_observed(spec, threads.max(1), &source, obs)
     })
 }

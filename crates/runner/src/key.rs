@@ -17,6 +17,7 @@
 //! treated as a miss, never served.
 
 use dcn_scenarios::{EngineKind, ScenarioKind, ScenarioSpec, SweepPoint, WorkItem};
+use std::fmt::{self, Write};
 
 /// Version of the canonical key encoding and of the payload it addresses.
 /// Bump when the encoding below or the codec's outcome layout changes
@@ -35,13 +36,6 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    fn from_canon(canon: String) -> CacheKey {
-        CacheKey {
-            hash: fnv1a64(canon.as_bytes()),
-            canon,
-        }
-    }
-
     /// The cache file name this key addresses (`<hash>.json`).
     pub fn file_name(&self) -> String {
         format!("{:016x}.json", self.hash)
@@ -52,7 +46,12 @@ impl CacheKey {
 /// one multiply and xor per byte. Collisions are tolerable because every
 /// hit is validated against the stored canonical encoding.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from the state `h` another prefix left: hashing `a`
+/// and then `b` from there is hashing `a` followed by `b`.
+fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -86,20 +85,28 @@ fn preamble(spec: &ScenarioSpec) -> String {
 }
 
 /// A spec's keys: its preamble (format line, engine salt, spec fragment)
-/// derived once, then one canon per work item. A run derives it once
-/// for its whole expansion ([`crate::CachingSource`]); [`item_key`] and
-/// [`point_key`] derive it per call.
+/// derived and hashed once, then one canon per work item, whose hash
+/// continues from the preamble's over the item's own lines. A run derives
+/// it once for its whole expansion ([`crate::CachingSource`]);
+/// [`item_key`] and [`point_key`] derive it per call.
 #[derive(Clone, Debug)]
 pub struct SpecKeys<'a> {
     spec: &'a ScenarioSpec,
     preamble: String,
+    /// FNV-1a state after the preamble.
+    seeded: u64,
 }
 
 impl<'a> SpecKeys<'a> {
     /// Derive `spec`'s preamble.
     pub fn new(spec: &'a ScenarioSpec) -> SpecKeys<'a> {
         let preamble = preamble(spec);
-        SpecKeys { spec, preamble }
+        let seeded = fnv1a64(preamble.as_bytes());
+        SpecKeys {
+            spec,
+            preamble,
+            seeded,
+        }
     }
 
     /// The spec these keys address.
@@ -119,10 +126,20 @@ impl<'a> SpecKeys<'a> {
         }
     }
 
+    /// The key whose canon is the preamble followed by `point_lines`.
+    fn key(&self, point_lines: fmt::Arguments) -> CacheKey {
+        let mut canon = String::with_capacity(self.preamble.len() + 128);
+        canon.push_str(&self.preamble);
+        canon
+            .write_fmt(point_lines)
+            .expect("writing to a String cannot fail");
+        let hash = fnv1a64_from(self.seeded, &canon.as_bytes()[self.preamble.len()..]);
+        CacheKey { hash, canon }
+    }
+
     fn point(&self, point: &SweepPoint) -> CacheKey {
-        CacheKey::from_canon(format!(
-            "{}--- point ---\nkind=sweep\nalgo={}\nparam={}\nload-bits={:016x}\nseed={}\n",
-            self.preamble,
+        self.key(format_args!(
+            "--- point ---\nkind=sweep\nalgo={}\nparam={}\nload-bits={:016x}\nseed={}\n",
             point.algo.key(),
             point.param.label(),
             point.load.to_bits(),
@@ -133,9 +150,8 @@ impl<'a> SpecKeys<'a> {
     /// A lineup entry's key. No entry has a seed: key format 2 was laid
     /// down when every lineup still carried seed 42, and it left the line.
     fn entry(&self, kind: &str, label: &str, algo: &str, prebuffer_ps: u64) -> CacheKey {
-        CacheKey::from_canon(format!(
-            "{}--- point ---\nkind={kind}\nlabel={label}\nalgo={algo}\nprebuffer-ps={prebuffer_ps}\nseed=42\n",
-            self.preamble,
+        self.key(format_args!(
+            "--- point ---\nkind={kind}\nlabel={label}\nalgo={algo}\nprebuffer-ps={prebuffer_ps}\nseed=42\n",
         ))
     }
 }

@@ -22,10 +22,13 @@
 //!   indistinguishable from freshly computed ones.
 //! * [`cache`] — the `.xp-cache/<hash>.json` store: atomic writes,
 //!   corruption-tolerant reads (anything invalid is a miss).
+//! * [`memo`] — the daemon's bounded in-memory tier in front of the
+//!   cache: outcomes read back from disk, kept least-recently-used
+//!   within a byte budget, served only to a byte-equal canon.
 //! * [`exec`] — [`exec::run`]: cache-aware in-process execution (an
 //!   [`exec::CachingSource`] — one load-or-compute-and-store body —
 //!   plugged into `run_scenario_observed`) and multi-process sharded
-//!   execution (`--procs N`: round-robin shards of `work_items`, merged
+//!   execution (`--procs N`: round-robin shards of the spec's batches, merged
 //!   by index and reduced by the same `reduce`), with clean fallback to
 //!   threads.
 //! * [`worker`] — the `xp worker` protocol: shard manifest on stdin,
@@ -48,6 +51,7 @@ pub mod cli;
 pub mod codec;
 pub mod exec;
 pub mod key;
+pub mod memo;
 pub mod obs;
 pub mod worker;
 

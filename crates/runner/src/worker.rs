@@ -198,7 +198,7 @@ pub fn worker_main(input: &mut dyn Read, output: &mut dyn Write) -> Result<(), S
 
 fn run_shard(m: &Manifest, output: &mut dyn Write) -> Result<(), String> {
     m.spec.validate()?;
-    let source = CachingSource::new(m.cache_dir.as_ref().map(ResultCache::new), &m.spec);
+    let source = CachingSource::new(m.cache_dir.as_ref().map(ResultCache::new), &m.spec, None);
     let items = work_items(&m.spec);
     if let Some(&i) = m.indices.iter().find(|&&i| i >= items.len()) {
         return Err(format!("point index {i} out of range ({})", items.len()));

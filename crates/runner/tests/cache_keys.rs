@@ -12,10 +12,11 @@ use proptest::prelude::*;
 /// `name index hash` for every work item of every builtin and of the
 /// shapes no builtin has, derived as a run derives them: one
 /// [`SpecKeys`] per spec (the `CachingSource` path), each key equal to
-/// the one-call [`item_key`]. The file was generated at the commit before
-/// the scenario kinds came to own their fields; regenerate deliberately
-/// (a `KEY_FORMAT` or `*_VERSION` bump) with
-/// `GOLDEN_REGEN=1 cargo test -p dcn-runner --test cache_keys`.
+/// the one-call [`item_key`], and each hash, continued from the spec
+/// preamble's, equal to FNV-1a over the whole canon. The file was
+/// generated at the commit before the scenario kinds came to own their
+/// fields; regenerate deliberately (a `KEY_FORMAT` or `*_VERSION` bump)
+/// with `GOLDEN_REGEN=1 cargo test -p dcn-runner --test cache_keys`.
 #[test]
 fn every_work_item_key_is_pinned() {
     const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/cache_keys.golden");
@@ -27,6 +28,13 @@ fn every_work_item_key_is_pinned() {
             assert_eq!(
                 key,
                 item_key(&spec, &item),
+                "{} {}",
+                spec.name,
+                item.index()
+            );
+            assert_eq!(
+                key.hash,
+                fnv1a64(key.canon.as_bytes()),
                 "{} {}",
                 spec.name,
                 item.index()

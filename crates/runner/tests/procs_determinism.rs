@@ -144,7 +144,7 @@ fn warm_cache_reports_full_hits_through_the_cli() {
 /// other cache entry deleted, each batch mixes hits and misses: the hits
 /// must be served, the misses computed together and stored, and the
 /// report must not move a byte — in process at 1 and 4 threads, and
-/// across 2 worker processes, whose round-robin shards split each batch.
+/// across 2 worker processes, one batch to each.
 #[test]
 fn a_half_warm_cache_serves_its_hits_and_computes_the_rest_of_a_batch() {
     use dcn_runner::{item_key, run, RunConfig};
@@ -210,4 +210,37 @@ fn a_half_warm_cache_serves_its_hits_and_computes_the_rest_of_a_batch() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--procs` shards whole batches: at `--procs 2` each of `ablations`'
+/// two lane batches goes to one worker, which integrates it in one call,
+/// so every point of a batch carries one shard id — and the report is
+/// `--threads 1`'s, byte for byte.
+#[test]
+fn procs_shard_whole_lane_batches() {
+    use dcn_runner::{run, RunConfig};
+    use dcn_scenarios::{batches, builtin, work_items};
+
+    let spec = builtin("ablations").unwrap();
+    let runs = batches(&spec, &work_items(&spec));
+    assert_eq!(runs.len(), 2);
+    let (plain, _) = run(&spec, &RunConfig::default()).unwrap();
+    let cfg = RunConfig {
+        procs: 2,
+        worker_exe: Some(PathBuf::from(XP)),
+        ..RunConfig::default()
+    };
+    let (out, stats) = run(&spec, &cfg).unwrap();
+    assert_eq!(stats.fallback, None);
+    assert_eq!(out.to_json(), plain.to_json());
+    assert_eq!(out.to_csv(), plain.to_csv());
+    let shard_of: Vec<Vec<Option<usize>>> = runs
+        .into_iter()
+        .map(|run| {
+            let mut ids: Vec<Option<usize>> = stats.spans[run].iter().map(|s| s.shard).collect();
+            ids.dedup();
+            ids
+        })
+        .collect();
+    assert_eq!(shard_of, [[Some(0)], [Some(1)]]);
 }

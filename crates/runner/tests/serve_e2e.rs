@@ -167,6 +167,71 @@ fn served_reports_match_committed_baseline_cold_and_warm() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
+/// Submit `spec_toml`, wait for it, and return its report and the
+/// summary's `cached` count: one job as a closed-loop client sees it.
+fn job(addr: &str, spec_toml: &str) -> (String, usize) {
+    let posted = client::post(addr, "/jobs", spec_toml.as_bytes()).expect("submit");
+    assert_eq!(posted.status, 201, "{}", posted.text());
+    let id = parse_json(&posted.text())
+        .and_then(|j| j.field("id", Json::as_u64))
+        .expect("job record names its id");
+    let status = wait_done(addr, id);
+    assert!(status.contains("\"state\":\"done\""), "job {id}: {status}");
+    let events = client::get(addr, &format!("/jobs/{id}/events")).unwrap();
+    let summary = events.text().lines().last().map(parse_json);
+    let cached = summary
+        .expect("a done job's stream ends in its summary")
+        .and_then(|s| s.field("cached", Json::as_usize))
+        .expect("summary counts its cached points");
+    let report = client::get(addr, &format!("/jobs/{id}/report.json")).unwrap();
+    (report.text(), cached)
+}
+
+/// Overwrite every entry file under `dir` with bytes no load accepts.
+fn corrupt_entries(dir: &std::path::Path) -> usize {
+    let mut n = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "json") {
+            std::fs::write(&path, "{\"format\": 1, \"can").unwrap();
+            n += 1;
+        }
+    }
+    n
+}
+
+/// The daemon's memo, seen from outside, on fig6-small's two points
+/// through one worker: job 1 computes and stores them; with their files
+/// then corrupted, job 2 computes them again, as a computed point is not
+/// memoized; job 3 reads them back from the rewritten files, which
+/// memoizes them; with the files corrupted once more, job 4 is still all
+/// hits, from the memo. Every report is the committed baseline (the
+/// bytes `xp run` writes). A `--no-cache` daemon keeps nothing: the same
+/// spec twice is computed twice.
+#[test]
+fn the_memo_keeps_outcomes_read_back_and_serves_them_past_a_corrupted_file() {
+    let cache = scratch("memo");
+    let spec_toml = builtin("fig6-small").unwrap().to_toml();
+    let baseline = std::fs::read_to_string(BASELINE).unwrap();
+    let (addr, shutdown, join) = start_daemon(Some(cache.clone()), 1);
+    assert_eq!(job(&addr, &spec_toml), (baseline.clone(), 0));
+    assert_eq!(corrupt_entries(&cache), 2);
+    assert_eq!(job(&addr, &spec_toml), (baseline.clone(), 0));
+    assert_eq!(job(&addr, &spec_toml), (baseline.clone(), 2));
+    assert_eq!(corrupt_entries(&cache), 2);
+    assert_eq!(job(&addr, &spec_toml), (baseline.clone(), 2));
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&cache);
+
+    let (addr, shutdown, join) = start_daemon(None, 1);
+    for _ in 0..2 {
+        assert_eq!(job(&addr, &spec_toml), (baseline.clone(), 0));
+    }
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// One exchange framed by hand, for requests `client` cannot produce:
 /// write `request`, read the response to EOF.
 fn raw(addr: &str, request: &[u8]) -> String {

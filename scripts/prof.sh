@@ -1,41 +1,64 @@
 #!/bin/sh
-# Where an `xp run` spends its CPU time, with no profiler installed:
-# a SIGPROF program-counter sampler, preloaded into `xp`.
+# Where a program spends its CPU time, with no profiler installed: a
+# SIGPROF program-counter sampler, preloaded into the program.
 #
 #   scripts/prof.sh <spec.toml|builtin> [runs=10] [xp=target/release/xp]
+#   scripts/prof.sh -- <cmd> [args...]
+#
+# The first form samples `xp run <spec> --threads 1`, <runs> times; the
+# second samples one run of any command, e.g. the daemon's
+# edit-and-rerun cycle, which is no `xp run`:
+#
+#   scripts/prof.sh -- benchmark/target/release/ledger \
+#       --workload serve_edit_rerun --seconds 4
 #
 # Compiles a small LD_PRELOAD library with gcc into a temporary
 # directory. The library asks for the PC every 100 µs of process CPU
 # time, which the kernel delivers once per tick (≈ 250 per CPU second on
 # a HZ=250 kernel), so a builtin of tens of ms needs its runs: the tables
-# rank the hot paths, and a share under ≈ 1 % is noise. The script runs
-# `xp run <spec> --threads 1` <runs> times under it, and symbolizes the
-# samples that fall in `xp` with `addr2line -f -i -C -s`. Three tables
-# come out, each the top 25 by share of the samples in `xp`:
+# rank the hot paths, and a share under ≈ 1 % is noise. Every process
+# the command starts inherits the library, and those that run the
+# command's own binary (the ledger runs each workload in a re-executed
+# copy of itself) report the samples that fall in it, which are
+# symbolized with `addr2line -f -i -C -s`. Three tables come
+# out, each the top 25 by share of the samples in the binary:
 #   outer  the function the sampled instruction was compiled into;
 #   leaf   the innermost inlined function at that instruction;
 #   line   the innermost source line (file:line), which tells apart two
 #          costs that one inlined function hides.
-# A last line gives the samples outside `xp` (libc, the kernel's vdso)
-# and the total. The release profile keeps debug info, so `xp` carries
-# the inline tables `-i` reads. Build it first (`cargo build --release`).
-# Release builds are fat LTO (.cargo/config.toml), so the event queue's
-# pop, the dispatch and `Switch::receive` fold into
+# A last line gives the samples outside the binary (libc, the kernel's
+# vdso) and the total. The release profile keeps debug info, so `xp` and
+# the ledger carry the inline tables `-i` reads. Build first (`cargo
+# build --release`). Release builds are fat LTO (.cargo/config.toml), so
+# the event queue's pop, the dispatch and `Switch::receive` fold into
 # `Simulator::run_until`, which then heads the outer table (≈ 46 % on
 # the 256-host fat-tree): read the leaf and line tables for where the
 # time goes, not the outer one.
 #
-# Exit status: 0, or 1 if `xp` failed or no sample landed in it.
+# Exit status: 0, or 1 if the command failed or no sample landed in it.
 set -eu
 
-if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    sed -n '2,28p' "$0" >&2
+usage() {
+    sed -n '2,38p' "$0" >&2
     exit 2
+}
+if [ "${1:-}" = -- ]; then
+    shift
+    [ $# -ge 1 ] || usage
+    bin=$(command -v "$1") || { echo "prof.sh: no command $1" >&2; exit 1; }
+    runs=1
+    what="$*, 1 run"
+else
+    [ $# -ge 1 ] && [ $# -le 3 ] || usage
+    spec=$1
+    runs=${2:-10}
+    bin=${3:-target/release/xp}
+    [ -x "$bin" ] || { echo "prof.sh: no $bin (cargo build --release first)" >&2; exit 1; }
+    set -- "$bin" run "$spec" --threads 1
+    what="$spec, $runs run(s) of $bin --threads 1"
 fi
-spec=$1
-runs=${2:-10}
-xp=${3:-target/release/xp}
-[ -x "$xp" ] || { echo "prof.sh: no $xp (cargo build --release first)" >&2; exit 1; }
+name=$(basename "$bin")
+self=$(readlink -f "$bin")
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
@@ -50,6 +73,7 @@ cat >"$dir/sampler.c" <<'EOF'
 #include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #define MAX_SAMPLES (1 << 20)
 static unsigned long pcs[MAX_SAMPLES];
@@ -81,7 +105,7 @@ __attribute__((constructor)) static void start(void) {
     setitimer(ITIMER_PROF, &every, NULL);
 }
 
-/* The main program is the first object; its segments bound `xp`'s code. */
+/* The main program is the first object; its segments bound its code. */
 static unsigned long lo, hi, base;
 static int main_object(struct dl_phdr_info *info, size_t size, void *data) {
     (void)size;
@@ -102,8 +126,14 @@ __attribute__((destructor)) static void stop(void) {
     struct itimerval off;
     memset(&off, 0, sizeof off);
     setitimer(ITIMER_PROF, &off, NULL);
-    const char *path = getenv("PROF_OUT");
-    if (!path) return;
+    /* Children inherit the preload: only the binary being profiled
+       (the command itself, or a copy it re-executes) reports. */
+    const char *path = getenv("PROF_OUT"), *want = getenv("PROF_BIN");
+    char self[4096];
+    ssize_t len = readlink("/proc/self/exe", self, sizeof self - 1);
+    if (!path || !want || len < 0) return;
+    self[len] = 0;
+    if (strcmp(self, want) != 0) return;
     FILE *f = fopen(path, "a");
     if (!f) return;
     dl_iterate_phdr(main_object, NULL);
@@ -122,8 +152,8 @@ gcc -O2 -shared -fPIC -o "$dir/sampler.so" "$dir/sampler.c"
 
 i=0
 while [ "$i" -lt "$runs" ]; do
-    if ! PROF_OUT="$dir/pcs" LD_PRELOAD="$dir/sampler.so" \
-        "$xp" run "$spec" --threads 1 >/dev/null 2>"$dir/err"; then
+    if ! PROF_OUT="$dir/pcs" PROF_BIN="$self" LD_PRELOAD="$dir/sampler.so" \
+        "$@" >/dev/null 2>"$dir/err"; then
         cat "$dir/err" >&2
         exit 1
     fi
@@ -134,13 +164,13 @@ outside=$(awk '$1 == "outside" { n += $2 } END { print n + 0 }' "$dir/pcs")
 grep -v '^outside' "$dir/pcs" | sort | uniq -c >"$dir/counts" || true
 inside=$(awk '{ n += $1 } END { print n + 0 }' "$dir/counts")
 if [ "$inside" -eq 0 ]; then
-    echo "prof.sh: no sample landed in $xp" >&2
+    echo "prof.sh: no sample landed in $bin" >&2
     exit 1
 fi
 
 # One line per distinct PC: its count, its innermost file:line, then its
 # inline chain, leaf first and the outer function last, joined by tabs.
-awk '{ print "0x" $2 }' "$dir/counts" | addr2line -e "$xp" -a -f -i -C -s >"$dir/sym"
+awk '{ print "0x" $2 }' "$dir/counts" | addr2line -e "$bin" -a -f -i -C -s >"$dir/sym"
 awk '
     # Drop the legacy mangling hash, `::h0123456789abcdef`.
     function clean(s) { sub(/::h[0-9a-f]{16}$/, "", s); return s }
@@ -166,8 +196,8 @@ table() {
         awk -F '\t' -v total="$inside" '{ printf "%6d %6.1f%%  %s\n", $1, 100 * $1 / total, $2 }'
 }
 
-echo "prof.sh: $spec, $runs run(s) of $xp --threads 1"
+echo "prof.sh: $what"
 table outer
 table leaf
 table line
-printf '\n%d samples in xp, %d outside it\n' "$inside" "$outside"
+printf '\n%d samples in %s, %d outside it\n' "$inside" "$name" "$outside"
